@@ -14,10 +14,10 @@
 //!   condition: Algorithm 1's home turf, local repair), `multi`
 //!   (three-branch union: Algorithm 1 repairs each branch separately,
 //!   the circuit shares one arrangement), `wildcard` (`*.student`:
-//!   Algorithm 1 has no local repair rule and falls back to scoped
-//!   recomputation), and `aggregate` (per-member `Avg`: the
-//!   non-circuit route re-aggregates touched members one update at a
-//!   time).
+//!   Algorithm 1 locates by automaton state set and repairs locally;
+//!   the circuit keeps edge-pair product state), and `aggregate`
+//!   (per-member `Avg`: the non-circuit route re-aggregates touched
+//!   members one update at a time).
 //! * **store size** — 10k → 1M objects in full mode; the circuit's
 //!   flat-`|Δ|` profile only shows once base size dwarfs the batch.
 //!

@@ -3,12 +3,15 @@
 //! Claim: "Allow the sel_path and cond_path to be general path
 //! expressions with wild cards. To maintain this type of view, the
 //! maintenance algorithm needs to be able to test path containment for
-//! general path expressions" — and maintenance is substantially more
-//! expensive because there is no local repair rule.
+//! general path expressions". The paper does not say repair must be
+//! global, and it is not: the containment test (automaton state sets
+//! run down the update's root path) is the extra cost, and repair
+//! stays local to the update.
 //!
 //! We maintain two semantically identical views over the person
 //! directory — one written with a constant path, one with `*` — under
-//! the same modify stream, and compare accesses per update.
+//! the same modify stream, and compare accesses per update as the
+//! directory grows.
 
 use crate::table::{fnum, Table};
 use gsdb::Store;
@@ -150,7 +153,7 @@ pub fn run(quick: bool) -> Table {
     let mut t = Table::new(
         "E6",
         "simple constant-path view vs wild-card view maintenance",
-        "wildcard views pay a guarded refresh per relevant update; simple views repair locally",
+        "wildcard views pay for the containment test, not for the store: acc/upd is flat in persons",
     )
     .headers(&["view", "persons", "acc/upd", "relevant frac", "wildcard penalty"]);
     for &n in sizes {
@@ -185,14 +188,22 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_maintenance_costs_more() {
-        let s = measure_simple(300, 80);
-        let w = measure_wildcard(300, 80);
+    fn wildcard_cost_is_flat_in_store_size() {
+        let small = measure_wildcard(100, 80);
+        let large = measure_wildcard(1_600, 80);
         assert!(
-            w.accesses_per_update > s.accesses_per_update * 2.0,
+            large.accesses_per_update <= small.accesses_per_update * 1.25,
+            "wildcard {} acc/upd at 100 persons, {} at 1 600",
+            small.accesses_per_update,
+            large.accesses_per_update
+        );
+        // And within a small factor of the constant-path view.
+        let simple = measure_simple(1_600, 80);
+        assert!(
+            large.accesses_per_update <= simple.accesses_per_update * 3.0,
             "wildcard {} vs simple {}",
-            w.accesses_per_update,
-            s.accesses_per_update
+            large.accesses_per_update,
+            simple.accesses_per_update
         );
     }
 }

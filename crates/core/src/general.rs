@@ -3,9 +3,10 @@
 //!
 //! * [`CompoundMaintainer`] — views with more than one select path or
 //!   condition ("relaxing some of the restrictions ... is easy");
-//! * [`GeneralMaintainer`] — wild-card path expressions, using the
+//! * [`GeneralMaintainer`] — wild-card path expressions: the
 //!   path-containment machinery ("the maintenance algorithm needs to
-//!   be able to test path containment for general path expressions");
+//!   be able to test path containment for general path expressions")
+//!   locates each update, and repair stays local to it;
 //! * [`DagMaintainer`] — DAG-structured bases ("now there may be more
 //!   than one path between two objects").
 
@@ -15,9 +16,15 @@ use crate::maintain::{BatchOutcome, MaintPlan, Maintainer, Outcome};
 use crate::mview::MaterializedView;
 use crate::sink::{MemberSet, ViewSink};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
-use gsdb::{AppliedUpdate, DeltaBatch, Oid, Path, Result, Store};
-use gsview_query::{choose_backend, evaluate, MaintBackend};
+use gsdb::{
+    AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, FastMap, Label, ModifyDelta,
+    Oid, Path, Result, Store,
+};
+use gsview_obs::Counter;
+use gsview_query::{choose_backend, evaluate, reach_from_mask, DenseNfa, MaintBackend};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 // ----------------------------------------------------------------------
 // Compound views (multiple select paths / conditions)
@@ -166,27 +173,153 @@ impl CompoundMaintainer {
 // Wild-card (general path expression) views
 // ----------------------------------------------------------------------
 
-/// Maintains a view whose paths are general path expressions.
+/// The automata of a wildcard view, compiled once per maintainer.
+/// `sel_expr.cond_expr` needs no third automaton: its state set after
+/// a root path is the `sel` set plus one `cond` set per ancestor at
+/// which `sel` accepts (the *threads* of [`Located`]).
+#[derive(Clone, Debug)]
+struct Automata {
+    sel: DenseNfa,
+    /// `Some` iff the view has a condition.
+    cond: Option<DenseNfa>,
+}
+
+impl Automata {
+    /// `None` when an expression needs more than 64 states.
+    fn compile(def: &GeneralViewDef) -> Option<Automata> {
+        let cond = match &def.cond {
+            Some(c) => Some(c.expr.nfa().dense()?.clone()),
+            None => None,
+        };
+        Some(Automata {
+            sel: def.sel_expr.nfa().dense()?.clone(),
+            cond,
+        })
+    }
+}
+
+/// Why a batch cannot be repaired locally (the refresh's `cause`).
+struct Unlocatable(&'static str);
+
+/// `path(root, n)` by parent pointers: the objects below `root` down
+/// to `n`, each with its label; `None` when `n` does not hang under
+/// `root`. Parents that lead nowhere (a database object grouping its
+/// members, a detached former ancestor) are searched and dropped; a
+/// second path to `root` is an error — unlike
+/// [`gsdb::path::path_between`], which returns whichever it finds
+/// first.
+fn root_chain(
+    store: &Store,
+    root: Oid,
+    n: Oid,
+) -> std::result::Result<Option<Vec<(Oid, Label)>>, Unlocatable> {
+    if !store.has_parent_index() {
+        return Err(Unlocatable("no_parent_index"));
+    }
+    let mut chains = chains_from_root(store, root, n, 2);
+    if chains.len() > 1 {
+        return Err(Unlocatable("multi_path"));
+    }
+    Ok(chains.pop())
+}
+
+/// Where a root path leaves the automata: the `sel` mask, and one
+/// `cond` mask per ancestor `y` at which `sel` accepted — the state
+/// `cond_expr` is in after `path(y, here)`, dropped once dead.
+struct Located {
+    sel: u64,
+    threads: Vec<(Oid, u64)>,
+}
+
+impl Located {
+    fn step(&mut self, a: &Automata, l: Label) {
+        self.sel = a.sel.step_mask(self.sel, l);
+        if let Some(c) = &a.cond {
+            for t in &mut self.threads {
+                t.1 = c.step_mask(t.1, l);
+            }
+            self.threads.retain(|t| t.1 != 0);
+        }
+    }
+
+    /// `at` is a candidate if `sel` accepts here: start its thread.
+    fn open(&mut self, a: &Automata, at: Oid) {
+        if let Some(c) = &a.cond {
+            if a.sel.is_accepting(self.sel) {
+                self.threads.push((at, c.start_mask()));
+            }
+        }
+    }
+
+    /// No instance of `sel_expr.cond_expr` passes through here.
+    fn dead(&self) -> bool {
+        self.sel == 0 && self.threads.is_empty()
+    }
+}
+
+/// What locating a candidate already proved about it, so that
+/// verification does not walk for it again.
+#[derive(Clone, Copy, Default)]
+struct Known {
+    /// `sel_expr` accepts its root path.
+    sel: bool,
+    /// An atom under it, at an instance of `cond_expr`, satisfies the
+    /// predicate.
+    witness: bool,
+}
+
+#[derive(Default)]
+struct Candidates {
+    known: FastMap<Oid, Known>,
+    /// A record that was reachable is gone, and its children list with
+    /// it, so what hung under it cannot be walked: every member is a
+    /// candidate (only members can lose).
+    sweep: bool,
+}
+
+impl Candidates {
+    fn add(&mut self, y: Oid, k: Known) {
+        let e = self.known.entry(y).or_default();
+        e.sel |= k.sel;
+        e.witness |= k.witness;
+    }
+}
+
+/// Maintains a view whose paths are general path expressions, with the
+/// locate → repair → verify shape Algorithm 1 has for constant paths;
+/// the `sel_expr` / `cond_expr` automaton state sets stand where the
+/// constant-path offset stands.
 ///
-/// Correctness comes from a *guarded refresh*: the maintainer decides
-/// relevance with an NFA prefix-viability test — could any instance of
-/// `sel_expr.cond_expr` pass through the updated edge? — and refreshes
-/// the view only then. The guard is the §6 path-containment machinery;
-/// irrelevant updates cost one root-path computation, exactly like the
-/// simple-view screen. The refresh itself is centralized (evaluates the
-/// defining query), which is why the paper calls wildcard views
-/// substantially harder: there is no local repair rule. E6 measures
-/// this cost gap.
+/// * **Locate**: run the automata down `path(root, N1)` of every
+///   consolidated delta. A dead state set screens the delta — the §6
+///   path-containment test, one root-path walk like the simple-view
+///   screen.
+/// * **Repair**: the objects whose membership the delta can change are
+///   the ancestors of `N1` at which `sel_expr` accepts (their witness
+///   set changed) and the objects the product walk reaches below `N2`
+///   (their root path changed); all members, if the batch removed a
+///   record that was reachable (its children list is gone).
+/// * **Verify**: each candidate is re-checked against the final state
+///   only, which makes the result independent of update order.
+///
+/// DESIGN.md ("Wildcard views: local repair") has the completeness
+/// argument. What the rule does not cover — an automaton of more than
+/// 64 states, an object with two paths from the root — takes the one
+/// counted fallback, [`GeneralMaintainer::refreshes`]: re-evaluate
+/// the defining query over the store.
 #[derive(Clone, Debug)]
 pub struct GeneralMaintainer {
     def: GeneralViewDef,
     backend: MaintBackend,
     circuit: Option<CircuitMaintainer>,
+    automata: Option<Automata>,
+    refreshes: Arc<AtomicU64>,
+    /// `maint.general.candidates`, looked up once.
+    candidates: Arc<Counter>,
 }
 
 impl GeneralMaintainer {
-    /// Build a maintainer on the guarded-refresh (Algorithm 1 family)
-    /// backend.
+    /// Build a maintainer on the Algorithm 1 family backend.
     pub fn new(def: GeneralViewDef) -> Self {
         Self::with_backend(def, MaintBackend::Algorithm1)
     }
@@ -209,9 +342,12 @@ impl GeneralMaintainer {
             ))),
         };
         GeneralMaintainer {
+            automata: Automata::compile(&def),
             def,
             backend,
             circuit,
+            refreshes: Arc::default(),
+            candidates: gsview_obs::registry().counter("maint.general.candidates"),
         }
     }
 
@@ -225,13 +361,17 @@ impl GeneralMaintainer {
         &self.def
     }
 
+    /// How many times maintenance fell back to re-evaluating the
+    /// defining query (also counted as `maint.general.refresh`). Stays
+    /// 0 on tree-structured bases; clones share the count.
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes.load(Ordering::Relaxed)
+    }
+
     /// Materialize from scratch.
     pub fn recompute(&self, store: &Store) -> Result<MaterializedView> {
         let mut mv = MaterializedView::new(self.def.view);
-        let ans = evaluate(store, &self.def.to_query()).map_err(|_| {
-            gsdb::GsdbError::NoSuchObject(self.def.root)
-        })?;
-        for y in ans.oids {
+        for y in self.evaluate(store)? {
             if let Some(obj) = store.get(y) {
                 let obj = obj.clone();
                 mv.v_insert(&obj)?;
@@ -240,40 +380,304 @@ impl GeneralMaintainer {
         Ok(mv)
     }
 
+    fn evaluate(&self, store: &Store) -> Result<Vec<Oid>> {
+        evaluate(store, &self.def.to_query())
+            .map(|ans| ans.oids)
+            .map_err(|_| gsdb::GsdbError::NoSuchObject(self.def.root))
+    }
+
+    /// Run the automata down `path(root, n)`; `None` when `n` does not
+    /// hang under the root or the automata die on the way.
+    fn locate(
+        &self,
+        a: &Automata,
+        store: &Store,
+        n: Oid,
+    ) -> std::result::Result<Option<Located>, Unlocatable> {
+        let Some(chain) = root_chain(store, self.def.root, n)? else {
+            return Ok(None);
+        };
+        let mut at = Located {
+            sel: a.sel.start_mask(),
+            threads: Vec::new(),
+        };
+        at.open(a, self.def.root);
+        for (o, l) in chain {
+            at.step(a, l);
+            if at.dead() {
+                return Ok(None);
+            }
+            at.open(a, o);
+        }
+        Ok(Some(at))
+    }
+
     /// Could an update at edge `(n1, n2)` participate in any instance
-    /// of `sel_expr.cond_expr`? Runs the NFA over
-    /// `path(ROOT, n1).label(n2)` and checks liveness.
+    /// of `sel_expr.cond_expr`? Runs the automata over
+    /// `path(ROOT, n1).label(n2)` and checks liveness. Answers `true`
+    /// where it cannot tell (see [`GeneralMaintainer::refreshes`]).
     pub fn edge_relevant(&self, store: &Store, n1: Oid, n2: Oid) -> bool {
-        let Some(root_path) = gsdb::path::path_between(store, self.def.root, n1) else {
-            return false;
+        let Some(a) = &self.automata else {
+            return true;
         };
         let Some(l2) = store.label(n2) else {
             return false;
         };
-        let nfa = self.def.full_expr().nfa();
-        if let Some(d) = nfa.dense() {
-            let mut mask = d.start_mask();
-            for &l in root_path.labels() {
-                mask = d.step_mask(mask, l);
-                if mask == 0 {
-                    return false;
-                }
+        match self.locate(a, store, n1) {
+            Ok(Some(mut at)) => {
+                at.step(a, l2);
+                !at.dead()
             }
-            return d.step_mask(mask, l2) != 0;
+            Ok(None) => false,
+            Err(Unlocatable(_)) => true,
         }
-        let mut states = nfa.start();
-        for &l in root_path.labels() {
-            states = nfa.step(&states, l);
-            if states.is_empty() {
-                return false;
-            }
-        }
-        states = nfa.step(&states, l2);
-        !states.is_empty()
     }
 
-    /// Process one update: guard, then refresh if relevant. Returns
-    /// the outcome (with `relevant` reporting the guard's decision).
+    /// Locate one net edge change and collect its candidates. Returns
+    /// whether the delta is relevant to the view.
+    fn locate_edge(
+        &self,
+        a: &Automata,
+        mv: &MaterializedView,
+        store: &Store,
+        e: &EdgeDelta,
+        cands: &mut Candidates,
+    ) -> std::result::Result<bool, Unlocatable> {
+        let mut relevant = false;
+        if e.op == EdgeOp::Delete {
+            // What hung under the cut edge lost the root path it had.
+            // The states `sel_expr` reached the child in belong to the
+            // state before the batch (the parent itself may have moved
+            // since), so walk from all of them; only members can lose.
+            let (below, _) =
+                reach_from_mask(store, e.child, &a.sel, a.sel.all_states(), &|_| true);
+            for y in below.into_iter().filter(|&y| mv.contains_base(y)) {
+                cands.add(y, Known::default());
+                relevant = true;
+            }
+        }
+        let Some(l2) = store.label(e.child) else {
+            cands.sweep |= e.op == EdgeOp::Delete;
+            return Ok(relevant);
+        };
+        let Some(mut at) = self.locate(a, store, e.parent)? else {
+            return Ok(relevant);
+        };
+        at.step(a, l2);
+        if at.dead() {
+            return Ok(relevant);
+        }
+        // Ancestors whose witness set the edge is part of. An inserted
+        // atom that satisfies the predicate is itself the witness.
+        let inserted_witness = e.op == EdgeOp::Insert
+            && self.def.cond.as_ref().is_some_and(|c| {
+                store.atom(e.child).is_some_and(|v| c.pred.eval(v))
+            });
+        for &(y, mask) in &at.threads {
+            let witness =
+                inserted_witness && a.cond.as_ref().is_some_and(|c| c.is_accepting(mask));
+            cands.add(y, Known { sel: true, witness });
+        }
+        // What now hangs under the new edge gained this root path:
+        // continue the `sel_expr` walk from the states it arrives in.
+        if e.op == EdgeOp::Insert && at.sel != 0 {
+            let (below, _) = reach_from_mask(store, e.child, &a.sel, at.sel, &|_| true);
+            for y in below {
+                cands.add(y, Known { sel: true, witness: false });
+            }
+        }
+        Ok(true)
+    }
+
+    /// Locate one net atom change: it matters only to the ancestors it
+    /// sits under at an instance of `cond_expr`, and only if the
+    /// predicate's verdict on it flipped.
+    fn locate_modify(
+        &self,
+        a: &Automata,
+        store: &Store,
+        m: &ModifyDelta,
+        cands: &mut Candidates,
+    ) -> std::result::Result<bool, Unlocatable> {
+        let (Some(cond), Some(c)) = (&self.def.cond, &a.cond) else {
+            return Ok(false);
+        };
+        let Some(at) = self.locate(a, store, m.oid)? else {
+            return Ok(false);
+        };
+        let (was, is) = (cond.pred.eval(&m.old), cond.pred.eval(&m.new));
+        let mut relevant = false;
+        for &(y, mask) in &at.threads {
+            if c.is_accepting(mask) {
+                relevant = true;
+                if was != is {
+                    cands.add(y, Known { sel: true, witness: is });
+                }
+            }
+        }
+        Ok(relevant)
+    }
+
+    /// Is `y` in the view, in the final state?
+    fn selects(
+        &self,
+        a: &Automata,
+        store: &Store,
+        y: Oid,
+        known: Known,
+    ) -> std::result::Result<bool, Unlocatable> {
+        if !known.sel {
+            let Some(chain) = root_chain(store, self.def.root, y)? else {
+                return Ok(false);
+            };
+            let mask = chain
+                .iter()
+                .fold(a.sel.start_mask(), |m, &(_, l)| a.sel.step_mask(m, l));
+            if !a.sel.is_accepting(mask) {
+                return Ok(false);
+            }
+        }
+        Ok(match (&self.def.cond, &a.cond) {
+            (Some(cond), Some(c)) if !known.witness => {
+                let (reached, _) = reach_from_mask(store, y, c, c.start_mask(), &|_| true);
+                cond.pred.eval_any(store, &reached)
+            }
+            _ => true,
+        })
+    }
+
+    /// Locate every delta, then verify every candidate against the
+    /// final state: `(y, is a member)` per candidate. Touches no view
+    /// state, so the caller can still fall back on `Err`.
+    fn verdicts(
+        &self,
+        mv: &MaterializedView,
+        store: &Store,
+        delta: &ConsolidatedDelta,
+        out: &mut BatchOutcome,
+    ) -> std::result::Result<Vec<(Oid, bool)>, Unlocatable> {
+        let a = self.automata.as_ref().ok_or(Unlocatable("wide_automaton"))?;
+        let mut cands = Candidates::default();
+        {
+            let _span = gsview_obs::span!("maint.general.locate");
+            for e in &delta.edges {
+                out.relevant_deltas += self.locate_edge(a, mv, store, e, &mut cands)? as usize;
+            }
+            for m in &delta.modifies {
+                out.relevant_deltas += self.locate_modify(a, store, m, &mut cands)? as usize;
+            }
+            for &x in &delta.removed {
+                // A record nothing referenced was detached by an edge
+                // delete (located above, in this batch or an earlier
+                // one). One removed from under a parent takes what
+                // hung under it out of reach with no edge delta.
+                if store.parents(x).is_some_and(|p| !p.is_empty()) {
+                    cands.sweep = true;
+                    out.relevant_deltas += 1;
+                }
+            }
+            if cands.sweep {
+                out.swept = true;
+                for y in mv.members_base() {
+                    cands.add(y, Known::default());
+                }
+            }
+        }
+        let _span = gsview_obs::span!("maint.general.repair", "candidates" = cands.known.len());
+        self.candidates.add(cands.known.len() as u64);
+        cands
+            .known
+            .into_iter()
+            .map(|(y, known)| Ok((y, self.selects(a, store, y, known)?)))
+            .collect()
+    }
+
+    /// The fallback: re-evaluate the defining query over the store and
+    /// bring the view to its answer.
+    fn refresh(
+        &self,
+        mv: &mut MaterializedView,
+        store: &Store,
+        out: &mut BatchOutcome,
+        cause: &'static str,
+    ) -> Result<()> {
+        self.refreshes.fetch_add(1, Ordering::Relaxed);
+        gsview_obs::registry().counter("maint.general.refresh").incr();
+        gsview_obs::event!("maint.general.refresh", "cause" = cause);
+        // Not located, so not screened either.
+        out.relevant_deltas = out.relevant_deltas.max(1);
+        let fresh = self.evaluate(store)?;
+        let keep: HashSet<Oid> = fresh.iter().copied().collect();
+        for stale in mv.members_base() {
+            if !keep.contains(&stale) && mv.v_delete(stale)? {
+                out.deleted.push(stale);
+            }
+        }
+        for y in fresh {
+            if let Some(obj) = store.get(y) {
+                let obj = obj.clone();
+                if !mv.contains_base(y) {
+                    mv.v_insert(&obj)?;
+                    out.inserted.push(y);
+                } else if mv.refresh_delegate(&obj)? {
+                    out.refreshed += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Bring the view in line with a consolidated delta; the store is
+    /// in its final state.
+    fn repair(
+        &self,
+        mv: &mut MaterializedView,
+        store: &Store,
+        delta: &ConsolidatedDelta,
+    ) -> Result<BatchOutcome> {
+        let mut out = BatchOutcome {
+            input_ops: delta.input_ops,
+            consolidated_ops: delta.len(),
+            ..BatchOutcome::default()
+        };
+        match self.verdicts(mv, store, delta, &mut out) {
+            Ok(verdicts) => {
+                for (y, member) in verdicts {
+                    if !member {
+                        if mv.v_delete(y)? {
+                            out.deleted.push(y);
+                        }
+                    } else if !mv.contains_base(y) {
+                        if let Some(obj) = store.get(y) {
+                            let obj = obj.clone();
+                            mv.v_insert(&obj)?;
+                            out.inserted.push(y);
+                        }
+                    }
+                }
+            }
+            Err(Unlocatable(cause)) => self.refresh(mv, store, &mut out, cause)?,
+        }
+        // Content upkeep (§3.2) is independent of relevance: an
+        // off-path edge into a member still changes that member's
+        // value, and a modify of an atomic member changes its copy.
+        for &o in &delta.touched {
+            if mv.contains_base(o) {
+                if let Some(obj) = store.get(o) {
+                    let obj = obj.clone();
+                    if mv.refresh_delegate(&obj)? {
+                        out.refreshed += 1;
+                    }
+                }
+            }
+        }
+        out.inserted.sort_by_key(|o| o.name());
+        out.deleted.sort_by_key(|o| o.name());
+        Ok(out)
+    }
+
+    /// Process one update (the store is in the state right after it).
+    /// `relevant` reports whether the update passed the locate step.
     pub fn apply(
         &self,
         mv: &mut MaterializedView,
@@ -285,74 +689,17 @@ impl GeneralMaintainer {
             "view" = self.def.view.name().to_string(),
             "update" = crate::maintain::update_kind(update),
         );
-        let relevant = match update {
-            AppliedUpdate::Insert { parent, child } | AppliedUpdate::Delete { parent, child } => {
-                self.edge_relevant(store, *parent, *child)
-            }
-            AppliedUpdate::Modify { oid, .. } => {
-                // A modify matters only if the atom sits at a full
-                // instance of sel.cond (and the view has a condition).
-                self.def.cond.is_some()
-                    && gsdb::path::path_between(store, self.def.root, *oid)
-                        .map(|p| self.def.full_expr().matches(&p))
-                        .unwrap_or(false)
-            }
-            AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. } => false,
-        };
-        // Content upkeep runs regardless of relevance: an off-path
-        // edge into a member still changes that member's value, and a
-        // modify of an atomic member changes its copied atom.
-        let affected_member = match update {
-            AppliedUpdate::Insert { parent, .. } | AppliedUpdate::Delete { parent, .. } => {
-                Some(*parent)
-            }
-            AppliedUpdate::Modify { oid, .. } => Some(*oid),
-            _ => None,
-        };
-        if let Some(a) = affected_member {
-            if mv.contains_base(a) {
-                if let Some(obj) = store.get(a) {
-                    let obj = obj.clone();
-                    mv.refresh_delegate(&obj)?;
-                }
-            }
-        }
-        if !relevant {
-            return Ok(Outcome::default());
-        }
-        gsview_obs::event!("maint.general.refresh", "cause" = "single_update");
-        let fresh = self.recompute(store)?;
-        let fresh_members: HashSet<Oid> = fresh.members_base().into_iter().collect();
-        let mut out = Outcome {
-            relevant: true,
-            ..Outcome::default()
-        };
-        for stale in mv.members_base() {
-            if !fresh_members.contains(&stale) && mv.v_delete(stale)? {
-                out.deleted.push(stale);
-            }
-        }
-        for y in fresh.members_base() {
-            if let Some(obj) = store.get(y) {
-                let obj = obj.clone();
-                if mv.contains_base(y) {
-                    mv.refresh_delegate(&obj)?;
-                } else {
-                    mv.v_insert(&obj)?;
-                    out.inserted.push(y);
-                }
-            }
-        }
-        Ok(out)
+        let delta = DeltaBatch::from_ops(vec![update.clone()]).consolidate();
+        let out = self.repair(mv, store, &delta)?;
+        Ok(Outcome {
+            relevant: out.relevant_deltas > 0,
+            inserted: out.inserted,
+            deleted: out.deleted,
+        })
     }
 
-    /// Process a batch of updates with the store in its final state.
-    ///
-    /// Each consolidated delta is screened with the containment guard
-    /// ([`GeneralMaintainer::edge_relevant`] / the full-expression
-    /// match for modifies); the centralized refresh — the expensive
-    /// part for wildcard views — runs **at most once per batch**
-    /// instead of once per relevant update.
+    /// Process a batch of updates with the store in its final state:
+    /// cost O(|Δ| · (depth + affected subtree)), not O(|store|).
     pub fn apply_batch(
         &self,
         mv: &mut MaterializedView,
@@ -369,75 +716,7 @@ impl GeneralMaintainer {
             "input_ops" = delta.input_ops,
             "consolidated_ops" = delta.len(),
         );
-        let mut out = BatchOutcome {
-            input_ops: delta.input_ops,
-            consolidated_ops: delta.len(),
-            ..BatchOutcome::default()
-        };
-        let mut relevant = false;
-        // For deletes the guard must not silently pass: the final
-        // state only shows the parent's *current* position — the edge
-        // may have been cut while the parent sat somewhere relevant
-        // and was then re-attached where the guard rejects it. Any
-        // surviving delete therefore forces the refresh; the guard
-        // still screens insert-only batches.
-        for e in &delta.edges {
-            let guard_hit = self.edge_relevant(store, e.parent, e.child);
-            if guard_hit {
-                out.relevant_deltas += 1;
-            }
-            if guard_hit || e.op == gsdb::EdgeOp::Delete {
-                relevant = true;
-            }
-        }
-        for m in &delta.modifies {
-            let hit = self.def.cond.is_some()
-                && gsdb::path::path_between(store, self.def.root, m.oid)
-                    .map(|p| self.def.full_expr().matches(&p))
-                    .unwrap_or(false);
-            if hit {
-                out.relevant_deltas += 1;
-                relevant = true;
-            }
-        }
-        if relevant {
-            gsview_obs::event!("maint.general.refresh", "cause" = "batch");
-            let fresh = self.recompute(store)?;
-            let fresh_members: HashSet<Oid> = fresh.members_base().into_iter().collect();
-            for stale in mv.members_base() {
-                if !fresh_members.contains(&stale) && mv.v_delete(stale)? {
-                    out.deleted.push(stale);
-                }
-            }
-            for y in fresh.members_base() {
-                if let Some(obj) = store.get(y) {
-                    let obj = obj.clone();
-                    if mv.contains_base(y) {
-                        if mv.refresh_delegate(&obj)? {
-                            out.refreshed += 1;
-                        }
-                    } else {
-                        mv.v_insert(&obj)?;
-                        out.inserted.push(y);
-                    }
-                }
-            }
-        } else {
-            // Irrelevant batch: content upkeep only.
-            for &o in &delta.touched {
-                if mv.contains_base(o) {
-                    if let Some(obj) = store.get(o) {
-                        let obj = obj.clone();
-                        if mv.refresh_delegate(&obj)? {
-                            out.refreshed += 1;
-                        }
-                    }
-                }
-            }
-        }
-        out.inserted.sort_by_key(|o| o.name());
-        out.deleted.sort_by_key(|o| o.name());
-        Ok(out)
+        self.repair(mv, store, &delta)
     }
 }
 
@@ -445,40 +724,54 @@ impl GeneralMaintainer {
 // DAG bases
 // ----------------------------------------------------------------------
 
-/// All label paths from `root` to `n` in a DAG (upward enumeration via
-/// the parent index). Bounded by `limit` paths as a safety valve.
-pub fn paths_from_root_all(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
+/// Every chain of objects from below `root` down to `n`, each object
+/// with its label (upward enumeration via the parent index), at most
+/// `limit` of them.
+fn chains_from_root(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Vec<(Oid, Label)>> {
     const NO_PREV: usize = usize::MAX;
     let mut out = Vec::new();
-    // Arena of (edge label, predecessor chain index); the stack carries
-    // (current node, chain index). Label prefixes are reconstructed by
-    // walking the chain instead of cloning a Vec per parent.
-    let mut nodes: Vec<(gsdb::Label, usize)> = Vec::new();
-    let mut stack: Vec<(Oid, usize)> = vec![(n, NO_PREV)];
-    while let Some((cur, chain)) = stack.pop() {
+    // Arena of (object, its label, index of the object below it); the
+    // stack carries (object to visit, index of the one below it, how
+    // many are below it). Chains are reconstructed by walking the
+    // arena instead of cloning a Vec per parent.
+    let mut nodes: Vec<(Oid, Label, usize)> = Vec::new();
+    let mut stack: Vec<(Oid, usize, usize)> = vec![(n, NO_PREV, 0)];
+    while let Some((cur, below, depth)) = stack.pop() {
         if out.len() >= limit {
             break;
         }
         if cur == root {
-            // The chain runs top-down from root's child to `n`.
-            let mut ls = Vec::new();
-            let mut j = chain;
+            // The arena links run top-down from root's child to `n`.
+            let mut chain = Vec::new();
+            let mut j = below;
             while j != NO_PREV {
-                ls.push(nodes[j].0);
-                j = nodes[j].1;
+                chain.push((nodes[j].0, nodes[j].1));
+                j = nodes[j].2;
             }
-            out.push(Path(ls));
+            out.push(chain);
+            continue;
+        }
+        // A chain longer than the store loops: it leads nowhere new.
+        if depth > store.len() {
             continue;
         }
         let Some(l) = store.label(cur) else { continue };
         let Some(parents) = store.parents(cur) else {
             continue;
         };
-        for p in parents.iter() {
-            nodes.push((l, chain));
-            stack.push((p, nodes.len() - 1));
-        }
+        nodes.push((cur, l, below));
+        stack.extend(parents.iter().map(|p| (p, nodes.len() - 1, depth + 1)));
     }
+    out
+}
+
+/// All label paths from `root` to `n` in a DAG (upward enumeration via
+/// the parent index). Bounded by `limit` paths as a safety valve.
+pub fn paths_from_root_all(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
+    let mut out: Vec<Path> = chains_from_root(store, root, n, limit)
+        .into_iter()
+        .map(|chain| Path(chain.into_iter().map(|(_, l)| l).collect()))
+        .collect();
     out.sort_by_key(|p| p.to_string());
     out.dedup();
     out
@@ -808,6 +1101,7 @@ mod tests {
         let up = store.modify_atom(oid("A4"), 41i64).unwrap();
         let out = gm.apply(&mut mv, &store, &up).unwrap();
         assert!(!out.relevant);
+        assert_eq!(gm.refreshes(), 0);
     }
 
     #[test]
@@ -884,6 +1178,289 @@ mod tests {
         let up = store.insert_edge(oid("P4"), oid("A4b")).unwrap();
         let out = gm.apply(&mut mv, &store, &up).unwrap();
         assert!(!out.relevant);
+    }
+
+    /// A tree: two departments, students at depth 3, and a `misc`
+    /// region no `dept`-anchored expression enters.
+    fn campus() -> Store {
+        let mut s = Store::new();
+        set("ROOT", "db")
+            .child(
+                set("D1", "dept").child(
+                    set("P1", "professor")
+                        .child(atom("A1", "age", 50i64))
+                        .child(set("S1", "student").child(atom("T1", "age", 40i64)))
+                        .child(set("S2", "student").child(atom("T2", "age", 20i64))),
+                ),
+            )
+            .child(
+                set("D2", "dept").child(
+                    set("P2", "professor")
+                        .child(set("S3", "student").child(atom("T3", "age", 45i64))),
+                ),
+            )
+            .child(set("X1", "misc"))
+            .build(&mut s)
+            .unwrap();
+        s
+    }
+
+    fn old_students(sel: &str) -> GeneralMaintainer {
+        GeneralMaintainer::new(
+            GeneralViewDef::new("OLD", "ROOT", PathExpr::parse(sel).unwrap())
+                .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 37i64)),
+        )
+    }
+
+    /// Apply `ops` as one batch and maintain `mv`; the view must equal
+    /// recomputation, delegate values included, without the fallback.
+    fn batch_locally(
+        gm: &GeneralMaintainer,
+        mv: &mut MaterializedView,
+        store: &mut Store,
+        ops: Vec<gsdb::Update>,
+    ) -> BatchOutcome {
+        let mut batch = DeltaBatch::new();
+        for u in ops {
+            batch.push(store.apply(u).unwrap());
+        }
+        let out = gm.apply_batch(mv, store, &batch).unwrap();
+        let want = gm.recompute(store).unwrap();
+        assert_eq!(mv.members_base(), want.members_base());
+        for y in mv.members_base() {
+            let copy = |v: &MaterializedView| v.delegate(v.delegate_of(y).unwrap()).cloned();
+            assert_eq!(copy(mv), copy(&want), "delegate of {y}");
+        }
+        assert_eq!(gm.refreshes(), 0, "a tree needs no refresh");
+        out
+    }
+
+    #[test]
+    fn delete_then_reattach_elsewhere_is_repaired_locally() {
+        // The case the per-batch refresh existed for: an edge is cut
+        // while its parent sits somewhere relevant, and the parent then
+        // moves to where the guard rejects it. The final state shows
+        // the deleted edge at an irrelevant position, yet S1 must go.
+        use gsdb::Update;
+        let mut store = campus();
+        let gm = old_students("dept.*.student");
+        let mut mv = gm.recompute(&store).unwrap();
+        assert_eq!(mv.members_base(), vec![oid("S1"), oid("S3")]);
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![
+                Update::delete("P1", "S1"),
+                Update::delete("D1", "P1"),
+                Update::insert("X1", "P1"),
+            ],
+        );
+        assert_eq!(out.deleted, vec![oid("S1")]);
+        assert!(out.inserted.is_empty());
+        assert!(!gm.edge_relevant(&store, oid("P1"), oid("S2")));
+
+        // A subtree that moves and changes in the same batch: S2 turns
+        // 50 and goes to P2; S3's professor moves under D1.
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![
+                Update::modify("T2", 50i64),
+                Update::delete("P1", "S2"),
+                Update::insert("P2", "S2"),
+                Update::delete("D2", "P2"),
+                Update::insert("D1", "P2"),
+            ],
+        );
+        assert_eq!(out.inserted, vec![oid("S2")]);
+        assert!(out.deleted.is_empty());
+        assert_eq!(mv.members_base(), vec![oid("S2"), oid("S3")]);
+    }
+
+    #[test]
+    fn detach_then_remove_in_one_batch() {
+        // Removing the detached record destroys its children list, so
+        // T1 cannot be found by walking down from S1: the members are
+        // swept instead (no refresh).
+        use gsdb::Update;
+        let mut store = campus();
+        let all = GeneralMaintainer::new(GeneralViewDef::new(
+            "ALL",
+            "ROOT",
+            PathExpr::parse("*").unwrap(),
+        ));
+        let gm = old_students("*.student");
+        let mut mv_all = all.recompute(&store).unwrap();
+        let mut mv = gm.recompute(&store).unwrap();
+        let ops = vec![
+            Update::delete("P1", "S1"),
+            Update::Remove { oid: oid("S1") },
+        ];
+        let out = batch_locally(&gm, &mut mv, &mut store.clone(), ops.clone());
+        assert_eq!(out.deleted, vec![oid("S1")]);
+        let out = batch_locally(&all, &mut mv_all, &mut store, ops);
+        assert_eq!(out.deleted, vec![oid("S1"), oid("T1")]);
+        assert!(out.swept);
+        // The record alone, in a later batch: nothing left to do.
+        let out = batch_locally(
+            &all,
+            &mut mv_all,
+            &mut store,
+            vec![Update::Remove { oid: oid("T1") }],
+        );
+        assert!(!out.changed() && !out.swept);
+
+        // A record removed from under its parent (the edge dangles):
+        // S3 loses its witness with no edge or atom delta at all.
+        let mut mv = gm.recompute(&store).unwrap();
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![Update::Remove { oid: oid("T3") }],
+        );
+        assert_eq!(out.deleted, vec![oid("S3")]);
+    }
+
+    #[test]
+    fn an_inserted_or_modified_witness_needs_no_walk() {
+        let mut store = campus();
+        let gm = old_students("*.student");
+        let mut mv = gm.recompute(&store).unwrap();
+        atom("T9", "age", 60i64).build(&mut store).unwrap();
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![gsdb::Update::insert("S2", "T9"), gsdb::Update::modify("T1", 30i64)],
+        );
+        assert_eq!(out.inserted, vec![oid("S2")]);
+        assert_eq!(out.deleted, vec![oid("S1")]);
+        assert_eq!(out.relevant_deltas, 2);
+        // A modify that leaves the predicate's verdict alone is located
+        // (relevant) but names no candidate.
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![gsdb::Update::modify("T3", 46i64)],
+        );
+        assert_eq!((out.relevant_deltas, out.changed()), (1, false));
+    }
+
+    #[test]
+    fn what_the_local_rule_does_not_cover_takes_the_counted_refresh() {
+        // Two paths from the root (P3 hangs under ROOT and under P1).
+        let mut store = Store::new();
+        samples::person_db(&mut store).unwrap();
+        let def = GeneralViewDef::new("ALL", "ROOT", PathExpr::parse("*").unwrap());
+        let gm = GeneralMaintainer::new(def);
+        let mut mv = gm.recompute(&store).unwrap();
+        atom("HOB", "hobby", "chess").build(&mut store).unwrap();
+        let up = store.insert_edge(oid("P3"), oid("HOB")).unwrap();
+        assert_eq!(gm.apply(&mut mv, &store, &up).unwrap().inserted, vec![oid("HOB")]);
+        assert_eq!(gm.refreshes(), 1);
+        // ... but a database object that groups its members is a parent
+        // that leads nowhere, not a second path.
+        let up = store.modify_atom(oid("N2"), "Sal").unwrap();
+        gm.apply(&mut mv, &store, &up).unwrap();
+        assert_eq!(gm.refreshes(), 1);
+
+        // An automaton of more than 64 states.
+        let mut store = campus();
+        let wide = PathExpr(vec![gsview_query::Elem::AnySeq; 70]);
+        let gm = GeneralMaintainer::new(GeneralViewDef::new("WIDE", "ROOT", wide));
+        let mut mv = gm.recompute(&store).unwrap();
+        let up = store.delete_edge(oid("P1"), oid("S1")).unwrap();
+        let out = gm.apply(&mut mv, &store, &up).unwrap();
+        assert_eq!(out.deleted, vec![oid("S1"), oid("T1")]);
+        assert_eq!(gm.refreshes(), 1);
+    }
+
+    /// Base accesses per single-delta batch against
+    /// `ROOT.*.student WHERE age > 37`, over a counting store of
+    /// `depts` × 10 professors × 3 students (about 70 objects a dept).
+    fn accesses_per_update(depts: usize) -> f64 {
+        use gsdb::Update;
+        let mut store = Store::counting();
+        let mut root = set("ROOT", "db");
+        for d in 0..depts {
+            let mut dept = set(&format!("D{d}"), "dept");
+            for p in (0..10).map(|p| d * 10 + p) {
+                let mut prof = set(&format!("P{p}"), "professor")
+                    .child(atom(&format!("A{p}"), "age", 30 + (p % 40) as i64));
+                for k in (0..3).map(|k| p * 3 + k) {
+                    prof = prof.child(
+                        set(&format!("S{k}"), "student")
+                            .child(atom(&format!("T{k}"), "age", 20 + (k % 30) as i64)),
+                    );
+                }
+                dept = dept.child(prof);
+            }
+            root = root.child(dept);
+        }
+        root.build(&mut store).unwrap();
+        let gm = old_students("*.student");
+        let mut mv = gm.recompute(&store).unwrap();
+        store.reset_accesses();
+        let mut updates = 0;
+        // The same professors at every size; every kind of delta, each
+        // changing membership.
+        for p in (0..70).step_by(7) {
+            let (s, t) = (format!("S{}", p * 3), format!("T{}", p * 3));
+            let (fresh, age) = (format!("S{p}new"), format!("T{p}new"));
+            set(&fresh, "student").child(atom(&age, "age", 50i64)).build(&mut store).unwrap();
+            for u in [
+                Update::modify(t.as_str(), 60i64),
+                Update::modify(t.as_str(), 10i64),
+                Update::modify(format!("A{p}").as_str(), 99i64),
+                Update::insert(format!("P{p}").as_str(), fresh.as_str()),
+                Update::delete(format!("P{p}").as_str(), s.as_str()),
+            ] {
+                updates += 1;
+                let mut batch = DeltaBatch::new();
+                batch.push(store.apply(u).unwrap());
+                gm.apply_batch(&mut mv, &store, &batch).unwrap();
+            }
+        }
+        let accesses = store.accesses();
+        assert_eq!(gm.refreshes(), 0);
+        assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
+        accesses as f64 / updates as f64
+    }
+
+    #[test]
+    fn wildcard_repair_cost_is_flat_in_store_size() {
+        // The locality gate: counts, not time, so it holds on any
+        // machine. The per-batch refresh this replaced read the whole
+        // store: 16× the objects, 16× the accesses.
+        let (small, large) = (accesses_per_update(14), accesses_per_update(224));
+        assert!(large <= small * 1.25, "{small} accesses/update at 1k objects, {large} at 16k");
+        assert!(large < 20.0, "{large} accesses/update");
+    }
+
+    #[test]
+    fn locate_and_repair_are_spanned_and_counted() {
+        let mut store = campus();
+        let gm = old_students("*.student");
+        let mut mv = gm.recompute(&store).unwrap();
+        let candidates = gsview_obs::registry().counter("maint.general.candidates");
+        let before = candidates.get();
+        let profile = Arc::new(gsview_obs::PhaseProfile::new());
+        let _guard = gsview_obs::install(profile.clone());
+        batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![gsdb::Update::modify("T2", 44i64)],
+        );
+        // At least: the collector is process-wide, and tests running
+        // beside this one maintain wildcard views too.
+        assert!(profile.get("maint.general.locate").count >= 1);
+        assert!(profile.get("maint.general.repair").count >= 1);
+        assert!(candidates.get() > before);
     }
 
     // ---------------- DAG ----------------

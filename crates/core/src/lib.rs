@@ -16,7 +16,8 @@
 //! * [`recompute`] / [`consistency`] — the recomputation baseline of
 //!   §4.4 and the correctness oracle;
 //! * [`general`] — the §6 extensions: compound views, wild-card path
-//!   expressions (with containment-guarded refresh), DAG bases;
+//!   expressions (located by containment test, repaired locally), DAG
+//!   bases;
 //! * [`ViewCluster`] — shared delegates across views (§3.2);
 //! * [`PartialView`] — partially materialized views (§6 open issue);
 //! * [`access`] — query authorization through views (§3.1).

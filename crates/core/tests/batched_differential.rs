@@ -6,11 +6,12 @@
 //!
 //! Generation keeps the base a forest (one parent per object) so every
 //! route faces the paper's tree-shaped setting; runs reparent subtrees,
-//! detach and re-attach whole branches, and churn atom values.
+//! detach and re-attach whole branches, and churn atom values; the
+//! wildcard leg also removes detached records.
 
 use gsview_core::{
     assert_equivalent, assert_parallel_equivalent, GeneralMaintainer, GeneralViewDef, LocalBase,
-    MaintPlan, SimpleViewDef,
+    MaintPlan, MaterializedView, SimpleViewDef,
 };
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_query::pathexpr::PathExpr;
@@ -22,12 +23,26 @@ fn oid(s: &str) -> Oid {
     Oid::new(s)
 }
 
-/// A professor/student base plus a few detached subtrees the run can
-/// attach anywhere: `F0` (a spare professor), `E0`/`E1` (spare
-/// students), `D0`..`D2` (spare age atoms).
-fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec<(Oid, Oid)>) {
+/// A generated base and the objects a run can pick from.
+struct Base {
+    store: Store,
+    edges: Vec<(Oid, Oid)>,
+    /// Set objects (possible hosts), `ROOT` first.
+    sets: Vec<Oid>,
+    /// Age atoms a run modifies.
+    atoms: Vec<Oid>,
+}
+
+/// A dept/professor/student base — professor `P<p>` hangs under
+/// `G<p % n_dept>` (label `dept`), or under `ROOT` when `n_dept` is 0 —
+/// plus a few detached subtrees the run can attach anywhere: `F0` (a
+/// spare professor), `E0`/`E1` (spare students), `D0`..`D2` (spare age
+/// atoms).
+fn build_campus(n_dept: usize, n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> Base {
     let mut s = Store::new();
     let mut edges = Vec::new();
+    let mut sets = vec![oid("ROOT")];
+    let mut atoms = Vec::new();
     let mut age_i = 0usize;
     let mut next_age = |s: &mut Store, name: String| {
         let v = ages[age_i % ages.len()];
@@ -35,73 +50,54 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec
         s.create(Object::atom(name.as_str(), "age", v)).unwrap();
         Oid::new(&name)
     };
+    let mut set_under = |s: &mut Store, parent: Option<&str>, name: &str, label: &str| {
+        s.create(Object::empty_set(name, label)).unwrap();
+        sets.push(oid(name));
+        if let Some(parent) = parent {
+            s.insert_edge(oid(parent), oid(name)).unwrap();
+            edges.push((oid(parent), oid(name)));
+        }
+    };
     s.create(Object::empty_set("ROOT", "db")).unwrap();
+    for g in 0..n_dept {
+        set_under(&mut s, Some("ROOT"), &format!("G{g}"), "dept");
+    }
     for p in 0..n_prof {
         let prof = format!("P{p}");
-        s.create(Object::empty_set(prof.as_str(), "professor")).unwrap();
-        s.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
-        edges.push((oid("ROOT"), oid(&prof)));
-        let a = next_age(&mut s, format!("P{p}a"));
-        s.insert_edge(oid(&prof), a).unwrap();
-        edges.push((oid(&prof), a));
+        let host = if n_dept == 0 { "ROOT".to_owned() } else { format!("G{}", p % n_dept) };
+        set_under(&mut s, Some(&host), &prof, "professor");
         for t in 0..studs_per_prof {
-            let stud = format!("P{p}S{t}");
-            s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
-            s.insert_edge(oid(&prof), oid(&stud)).unwrap();
-            edges.push((oid(&prof), oid(&stud)));
-            let a = next_age(&mut s, format!("P{p}S{t}a"));
-            s.insert_edge(oid(&stud), a).unwrap();
-            edges.push((oid(&stud), a));
+            set_under(&mut s, Some(&prof), &format!("P{p}S{t}"), "student");
         }
     }
     // Detached spares.
-    s.create(Object::empty_set("F0", "professor")).unwrap();
-    let a = next_age(&mut s, "F0a".to_owned());
-    s.insert_edge(oid("F0"), a).unwrap();
-    edges.push((oid("F0"), a));
-    for e in 0..2 {
-        let stud = format!("E{e}");
-        s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
-        let a = next_age(&mut s, format!("E{e}a"));
-        s.insert_edge(oid(&stud), a).unwrap();
-        edges.push((oid(&stud), a));
+    set_under(&mut s, None, "F0", "professor");
+    set_under(&mut s, None, "E0", "student");
+    set_under(&mut s, None, "E1", "student");
+    // One age atom under every professor and student.
+    for &host in &sets[1 + n_dept..] {
+        let a = next_age(&mut s, format!("{host}a"));
+        s.insert_edge(host, a).unwrap();
+        edges.push((host, a));
+        atoms.push(a);
     }
     for d in 0..3 {
         next_age(&mut s, format!("D{d}"));
     }
-    (s, edges)
+    Base { store: s, edges, sets, atoms }
 }
 
 /// Raw op tuples → a concrete update run that keeps the base a forest:
 /// inserts only attach currently-parentless objects, deletes pick from
-/// the live edge set, modifies hit age atoms.
-fn realize_ops(
-    raw: &[(u8, usize, usize, i64)],
-    n_prof: usize,
-    studs_per_prof: usize,
-    initial_edges: &[(Oid, Oid)],
-) -> Vec<Update> {
-    let mut parents: Vec<Oid> = vec![oid("ROOT")];
-    let mut atoms: Vec<Oid> = Vec::new();
-    for p in 0..n_prof {
-        parents.push(oid(&format!("P{p}")));
-        atoms.push(oid(&format!("P{p}a")));
-        for t in 0..studs_per_prof {
-            parents.push(oid(&format!("P{p}S{t}")));
-            atoms.push(oid(&format!("P{p}S{t}a")));
-        }
-    }
-    parents.push(oid("F0"));
-    parents.push(oid("E0"));
-    parents.push(oid("E1"));
-    atoms.push(oid("F0a"));
-    atoms.push(oid("E0a"));
-    atoms.push(oid("E1a"));
-    let mut attachable: Vec<Oid> = vec![oid("F0"), oid("E0"), oid("E1")];
-    for d in 0..3 {
-        attachable.push(oid(&format!("D{d}")));
-    }
-
+/// the live edge set, modifies hit age atoms. With `removes`, a fourth
+/// kind removes the record of a parentless object other than `ROOT`
+/// and the departments (the views' roots); what hung under it stays,
+/// parentless.
+fn realize_ops(raw: &[(u8, usize, usize, i64)], base: &Base, removes: bool) -> Vec<Update> {
+    let mut parents = base.sets.clone();
+    let mut atoms = base.atoms.clone();
+    let mut attachable: Vec<Oid> = (0..3).map(|d| oid(&format!("D{d}"))).collect();
+    let initial_edges = &base.edges;
     // Forest shadow: child → parent, plus the live edge list.
     let mut parent_of: HashMap<Oid, Oid> = HashMap::new();
     let mut edges: Vec<(Oid, Oid)> = initial_edges.to_vec();
@@ -111,7 +107,7 @@ fn realize_ops(
 
     let mut out = Vec::new();
     for &(kind, a, b, v) in raw {
-        match kind % 3 {
+        match kind % if removes { 4 } else { 3 } {
             0 => {
                 // Attach a parentless object somewhere.
                 let orphans: Vec<Oid> = attachable
@@ -162,7 +158,7 @@ fn realize_ops(
                 parent_of.remove(&child);
                 out.push(Update::Delete { parent, child });
             }
-            _ => {
+            2 => {
                 if atoms.is_empty() {
                     continue;
                 }
@@ -171,6 +167,30 @@ fn realize_ops(
                     oid: target,
                     new: gsdb::Atom::Int(v),
                 });
+            }
+            _ => {
+                let pinned = |o: &Oid| *o == oid("ROOT") || o.name().starts_with('G');
+                let orphans: Vec<Oid> = attachable
+                    .iter()
+                    .chain(parents.iter())
+                    .chain(atoms.iter())
+                    .filter(|o| !pinned(o) && !parent_of.contains_key(o))
+                    .copied()
+                    .collect();
+                if orphans.is_empty() {
+                    continue;
+                }
+                let gone = orphans[a % orphans.len()];
+                for list in [&mut attachable, &mut parents, &mut atoms] {
+                    list.retain(|&o| o != gone);
+                }
+                edges.retain(|&(p, c)| {
+                    if p == gone {
+                        parent_of.remove(&c);
+                    }
+                    p != gone
+                });
+                out.push(Update::Remove { oid: gone });
             }
         }
     }
@@ -191,8 +211,9 @@ proptest! {
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
     ) {
-        let (store, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let base = build_campus(0, n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &base, false);
+        let store = base.store;
         let def = SimpleViewDef::new("V", "ROOT", "professor")
             .with_cond("age", Pred::new(CmpOp::Le, 45i64));
         assert_equivalent(&def, &store, &updates);
@@ -205,8 +226,9 @@ proptest! {
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
     ) {
-        let (store, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let base = build_campus(0, n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &base, false);
+        let store = base.store;
         let def = SimpleViewDef::new("VS", "ROOT", "professor.student")
             .with_cond("age", Pred::new(CmpOp::Gt, 20i64));
         assert_equivalent(&def, &store, &updates);
@@ -215,34 +237,82 @@ proptest! {
         assert_equivalent(&bare, &store, &updates);
     }
 
-    /// Wildcard view (§6): GeneralMaintainer sequential vs batched vs
-    /// recompute on the final state.
+    /// Wildcard views (§6): GeneralMaintainer sequential vs batched vs
+    /// recompute, with the script cut into 1–4 batches. The run moves
+    /// whole subtrees (a student to another professor, a professor to
+    /// another department or out of every view's region) and removes
+    /// detached records, some in the batch that detached them. After
+    /// every batch each view — membership and delegate values — is
+    /// what recomputation gives, the reported changes are the set
+    /// difference, and no batch took the whole-store refresh.
     #[test]
     fn wildcard_view_routes_agree(
-        (n_prof, studs) in (1..4usize, 0..3usize),
+        (n_dept, n_prof, studs) in (1..3usize, 1..4usize, 0..3usize),
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
+        cuts in prop::collection::vec(0..256usize, 0..4),
     ) {
-        let (initial, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
-        let def = GeneralViewDef::new("W", "ROOT", PathExpr::parse("*.student").unwrap())
-            .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 10i64));
-        let m = GeneralMaintainer::new(def);
+        let base = build_campus(n_dept, n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &base, true);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (updates.len() + 1)).collect();
+        cuts.push(updates.len());
+        cuts.sort_unstable();
 
-        let mut store = initial.clone();
-        let mut mv_seq = m.recompute(&store).unwrap();
-        let mut mv_batched = m.recompute(&store).unwrap();
-        let mut batch = DeltaBatch::new();
-        for u in &updates {
-            if let Ok(applied) = store.apply(u.clone()) {
-                m.apply(&mut mv_seq, &store, &applied).unwrap();
-                batch.push(applied);
+        let pe = |e: &str| PathExpr::parse(e).unwrap();
+        let defs = [
+            GeneralViewDef::new("W0", "ROOT", pe("*")),
+            GeneralViewDef::new("W1", "ROOT", pe("*.student"))
+                .with_cond(pe("age"), Pred::new(CmpOp::Gt, 10i64)),
+            GeneralViewDef::new("W2", "ROOT", pe("?.student")),
+            GeneralViewDef::new("W3", "ROOT", pe("*.student"))
+                .with_cond(pe("*.age"), Pred::new(CmpOp::Gt, 40i64)),
+            GeneralViewDef::new("W4", "G0", pe("?.student"))
+                .with_cond(pe("age"), Pred::new(CmpOp::Le, 40i64)),
+        ];
+        let mut store = base.store;
+        let mut views: Vec<_> = defs
+            .into_iter()
+            .map(|def| {
+                let m = GeneralMaintainer::new(def);
+                let mv = m.recompute(&store).unwrap();
+                (mv.clone(), mv, m)
+            })
+            .collect();
+
+        let mut start = 0;
+        for cut in cuts {
+            let mut batch = DeltaBatch::new();
+            for u in &updates[start..cut] {
+                if let Ok(applied) = store.apply(u.clone()) {
+                    for (mv_seq, _, m) in &mut views {
+                        m.apply(mv_seq, &store, &applied).unwrap();
+                    }
+                    batch.push(applied);
+                }
+            }
+            start = cut;
+            for (mv_seq, mv, m) in &mut views {
+                let view = m.def().view;
+                let before: HashSet<Oid> = mv.members_base().into_iter().collect();
+                let out = m.apply_batch(mv, &store, &batch).unwrap();
+                let want = m.recompute(&store).unwrap();
+                prop_assert_eq!(mv.members_base(), want.members_base(), "{} batched", view);
+                prop_assert_eq!(mv_seq.members_base(), want.members_base(), "{} sequential", view);
+                for y in mv.members_base() {
+                    let copy = |v: &MaterializedView| v.delegate(v.delegate_of(y).unwrap()).cloned();
+                    prop_assert_eq!(copy(mv), copy(&want), "{} delegate of {}", view, y);
+                    prop_assert_eq!(copy(mv_seq), copy(&want), "{} delegate of {}", view, y);
+                }
+                let after: HashSet<Oid> = want.members_base().into_iter().collect();
+                let sorted = |mut d: Vec<Oid>| {
+                    d.sort_by_key(|o| o.name());
+                    d
+                };
+                prop_assert_eq!(&out.inserted, &sorted(after.difference(&before).copied().collect()));
+                prop_assert_eq!(&out.deleted, &sorted(before.difference(&after).copied().collect()));
+                prop_assert_eq!(m.refreshes(), 0, "{} is over a tree", view);
             }
         }
-        m.apply_batch(&mut mv_batched, &store, &batch).unwrap();
-        let expected = m.recompute(&store).unwrap().members_base();
-        prop_assert_eq!(mv_seq.members_base(), expected.clone(), "sequential vs recompute");
-        prop_assert_eq!(mv_batched.members_base(), expected, "batched vs recompute");
     }
 
     /// Shuffled delivery: two interleavings of the same op set, applied
@@ -255,8 +325,9 @@ proptest! {
         raw in raw_ops(),
         split in 0..64usize,
     ) {
-        let (initial, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let base = build_campus(0, n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &base, false);
+        let initial = base.store;
         let def = SimpleViewDef::new("V", "ROOT", "professor")
             .with_cond("age", Pred::new(CmpOp::Le, 45i64));
         let plan = MaintPlan::new(def.clone());
@@ -300,8 +371,9 @@ proptest! {
         raw in raw_ops(),
         threads in 1..9usize,
     ) {
-        let (store, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let base = build_campus(0, n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &base, false);
+        let store = base.store;
         let defs = vec![
             SimpleViewDef::new("V", "ROOT", "professor")
                 .with_cond("age", Pred::new(CmpOp::Le, 45i64)),

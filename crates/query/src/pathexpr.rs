@@ -392,6 +392,15 @@ impl DenseNfa {
     pub fn is_accepting(&self, mask: u64) -> bool {
         mask & self.accept_mask != 0
     }
+
+    /// Every state at once: the mask to walk from when the states the
+    /// automaton arrived in are not known (a superset of any of them,
+    /// so the walk visits a superset of what any of them would).
+    #[inline]
+    pub fn all_states(&self) -> u64 {
+        // The accepting state is the highest-numbered one.
+        self.accept_mask | (self.accept_mask - 1)
+    }
 }
 
 impl Nfa {
@@ -510,27 +519,34 @@ pub fn reach_expr(
 ) -> (Vec<Oid>, TraversalStats) {
     let nfa = e.nfa();
     if let Some(d) = nfa.dense() {
-        return reach_expr_dense(store, n, d, filter);
+        return reach_from_mask(store, n, d, d.start_mask(), filter);
     }
     reach_expr_sparse(store, n, &nfa, filter)
 }
 
-/// Dense realization: product states are `(slot id, u64 mask)` pairs,
-/// memoized in a fast-hash set — per-(slot, state-set) visitation is
-/// computed at most once, and no state-set vectors are allocated.
-/// Access counting matches the sparse realization exactly (one per
-/// children fetch, one per child label read).
-fn reach_expr_dense(
+/// The product walk of [`reach_expr`], entered part-way: the objects
+/// reached from `n` when the automaton stands in the (eps-closed)
+/// state set `start` at `n` — `n` itself included if `start` accepts.
+/// [`reach_expr`] is the `start_mask()` case; wildcard-view repair
+/// continues a walk below a changed edge from the mask the edge's
+/// root path leaves.
+///
+/// Product states are `(slot id, u64 mask)` pairs, memoized in a
+/// fast-hash set — per-(slot, state-set) visitation is computed at
+/// most once, and no state-set vectors are allocated. Access counting
+/// matches the sparse realization exactly (one per children fetch, one
+/// per child label read).
+pub fn reach_from_mask(
     store: &Store,
     n: Oid,
     d: &DenseNfa,
+    start: u64,
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
     let mut stats = TraversalStats::default();
     if !filter(n) {
         return (Vec::new(), stats);
     }
-    let start = d.start_mask();
     let mut results: Vec<Oid> = Vec::new();
     let Some(nslot) = store.slot_of(n) else {
         // Starting object absent from the store: the traversal still
@@ -883,6 +899,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn reach_from_mask_continues_a_walk_part_way() {
+        let mut s = Store::new();
+        samples::person_db(&mut s).unwrap();
+        let all = |_: Oid| true;
+        let e = pe("*.student.age");
+        let nfa = e.nfa();
+        let d = nfa.dense().unwrap();
+        // Arrive at P1 by its root path, continue below it: what the
+        // whole walk finds under P1.
+        let at_p1 = d.step_mask(d.start_mask(), Label::new("professor"));
+        let (below, _) = reach_from_mask(&s, Oid::new("P1"), d, at_p1, &all);
+        assert_eq!(below, vec![Oid::new("A3")]);
+        // From every state at once: also what a walk that had already
+        // consumed `student` would accept right below.
+        let (any, _) = reach_from_mask(&s, Oid::new("P1"), d, d.all_states(), &all);
+        assert_eq!(any, vec![Oid::new("A1"), Oid::new("A3"), Oid::new("P1")]);
+        // A dead mask reaches nothing.
+        assert!(reach_from_mask(&s, Oid::new("P1"), d, 0, &all).0.is_empty());
     }
 
     #[test]

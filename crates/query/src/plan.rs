@@ -143,9 +143,9 @@ impl fmt::Display for MaintBackend {
 /// * **multi-branch unions** — the circuit shares one arrangement
 ///   across branches, Algorithm 1 runs one repair pass per branch;
 /// * **non-constant expressions** (wildcards, alternations with
-///   closure) — Algorithm 1 has no local repair rule and escalates to
-///   a *scoped* recomputation on any relevant update; E18 measures
-///   that scoped refresh beating the circuit's wildcard product-state
+///   closure) — Algorithm 1 locates each delta by automaton state set
+///   and repairs locally; E18 measured even its earlier once-per-batch
+///   re-evaluation beating the circuit's wildcard product-state
 ///   bookkeeping at every size and selectivity, so wildcard shapes
 ///   route to Algorithm 1 (the measured winner), not the circuit;
 /// * **constant single paths** — Algorithm 1's repair is already
