@@ -205,22 +205,90 @@ struct Unlocatable(&'static str);
 /// to `n`, each with its label; `None` when `n` does not hang under
 /// `root`. Parents that lead nowhere (a database object grouping its
 /// members, a detached former ancestor) are searched and dropped; a
-/// second path to `root` is an error — unlike
+/// second path to `root` — shared structure, or a cycle that hangs
+/// under `root` or runs through it — is an error, unlike
 /// [`gsdb::path::path_between`], which returns whichever it finds
 /// first.
+///
+/// A depth-first search over the ancestors of `n` that visits each
+/// once (those of `root` included), so the cost is linear in the
+/// ancestors and their parent edges whatever their shape. Every object
+/// visited lies above `n`, so the first one found to have two paths
+/// from `root` settles it.
 fn root_chain(
     store: &Store,
     root: Oid,
     n: Oid,
 ) -> std::result::Result<Option<Vec<(Oid, Label)>>, Unlocatable> {
+    struct Ancestor {
+        label: Label,
+        /// Still on the search stack.
+        open: bool,
+        /// An object above it names it as a parent: it is on a cycle.
+        looped: bool,
+        /// The parent through which `root` reaches it, if one does.
+        via: Option<Oid>,
+    }
+    #[derive(Clone, Copy)]
+    enum Visit {
+        Enter(Oid),
+        Leave(Oid),
+    }
     if !store.has_parent_index() {
         return Err(Unlocatable("no_parent_index"));
     }
-    let mut chains = chains_from_root(store, root, n, 2);
-    if chains.len() > 1 {
-        return Err(Unlocatable("multi_path"));
+    let multi_path = Unlocatable("multi_path");
+    let mut seen: FastMap<Oid, Ancestor> = FastMap::default();
+    // What to do, and the object below it on this walk.
+    let mut stack = vec![(Visit::Enter(n), None)];
+    while let Some((visit, below)) = stack.pop() {
+        // Does `root` reach the object above `below`?
+        let (above, reached) = match visit {
+            Visit::Enter(at) => match seen.get_mut(&at) {
+                Some(a) if a.open => {
+                    a.looped = true;
+                    continue;
+                }
+                Some(a) => (at, a.via.is_some()),
+                None => {
+                    let Some(label) = store.label(at) else { continue };
+                    // `root` stands for its own way in, so that a walk
+                    // which comes back to it counts as a second path.
+                    let (open, looped, via) = (true, false, (at == root).then_some(at));
+                    seen.insert(at, Ancestor { label, open, looped, via });
+                    stack.push((Visit::Leave(at), below));
+                    if let Some(parents) = store.parents(at) {
+                        stack.extend(parents.iter().map(|p| (Visit::Enter(p), Some(at))));
+                    }
+                    continue;
+                }
+            },
+            Visit::Leave(at) => {
+                let a = seen.get_mut(&at).expect("left after it was entered");
+                a.open = false;
+                if a.looped && a.via.is_some() {
+                    return Err(multi_path);
+                }
+                (at, a.via.is_some())
+            }
+        };
+        if let (true, Some(below)) = (reached, below) {
+            let b = seen.get_mut(&below).expect("entered before its parents");
+            if b.via.replace(above).is_some() {
+                return Err(multi_path);
+            }
+        }
     }
-    Ok(chains.pop())
+    let mut chain = Vec::new();
+    let mut at = n;
+    while at != root {
+        let Some(a) = seen.get(&at) else { return Ok(None) };
+        let Some(via) = a.via else { return Ok(None) };
+        chain.push((at, a.label));
+        at = via;
+    }
+    chain.reverse();
+    Ok(Some(chain))
 }
 
 /// Where a root path leaves the automata: the `sel` mask, and one
@@ -304,9 +372,10 @@ impl Candidates {
 ///
 /// DESIGN.md ("Wildcard views: local repair") has the completeness
 /// argument. What the rule does not cover — an automaton of more than
-/// 64 states, an object with two paths from the root — takes the one
-/// counted fallback, [`GeneralMaintainer::refreshes`]: re-evaluate
-/// the defining query over the store.
+/// 64 states, an object with two paths from the root (shared structure
+/// or a cycle under it), a store built without the parent index —
+/// takes the one counted fallback, [`GeneralMaintainer::refreshes`]:
+/// re-evaluate the defining query over the store.
 #[derive(Clone, Debug)]
 pub struct GeneralMaintainer {
     def: GeneralViewDef,
@@ -314,8 +383,10 @@ pub struct GeneralMaintainer {
     circuit: Option<CircuitMaintainer>,
     automata: Option<Automata>,
     refreshes: Arc<AtomicU64>,
-    /// `maint.general.candidates`, looked up once.
+    /// `maint.general.candidates` and `maint.general.refresh`, each
+    /// looked up once.
     candidates: Arc<Counter>,
+    fallbacks: Arc<Counter>,
 }
 
 impl GeneralMaintainer {
@@ -348,6 +419,7 @@ impl GeneralMaintainer {
             circuit,
             refreshes: Arc::default(),
             candidates: gsview_obs::registry().counter("maint.general.candidates"),
+            fallbacks: gsview_obs::registry().counter("maint.general.refresh"),
         }
     }
 
@@ -571,7 +643,8 @@ impl GeneralMaintainer {
                 // delete (located above, in this batch or an earlier
                 // one). One removed from under a parent takes what
                 // hung under it out of reach with no edge delta.
-                if store.parents(x).is_some_and(|p| !p.is_empty()) {
+                let parents = store.parents(x).ok_or(Unlocatable("no_parent_index"))?;
+                if !parents.is_empty() {
                     cands.sweep = true;
                     out.relevant_deltas += 1;
                 }
@@ -602,7 +675,7 @@ impl GeneralMaintainer {
         cause: &'static str,
     ) -> Result<()> {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        gsview_obs::registry().counter("maint.general.refresh").incr();
+        self.fallbacks.incr();
         gsview_obs::event!("maint.general.refresh", "cause" = cause);
         // Not located, so not screened either.
         out.relevant_deltas = out.relevant_deltas.max(1);
@@ -724,54 +797,40 @@ impl GeneralMaintainer {
 // DAG bases
 // ----------------------------------------------------------------------
 
-/// Every chain of objects from below `root` down to `n`, each object
-/// with its label (upward enumeration via the parent index), at most
-/// `limit` of them.
-fn chains_from_root(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Vec<(Oid, Label)>> {
+/// All label paths from `root` to `n` in a DAG (upward enumeration via
+/// the parent index). Bounded by `limit` paths as a safety valve.
+pub fn paths_from_root_all(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
     const NO_PREV: usize = usize::MAX;
     let mut out = Vec::new();
-    // Arena of (object, its label, index of the object below it); the
-    // stack carries (object to visit, index of the one below it, how
-    // many are below it). Chains are reconstructed by walking the
-    // arena instead of cloning a Vec per parent.
-    let mut nodes: Vec<(Oid, Label, usize)> = Vec::new();
-    let mut stack: Vec<(Oid, usize, usize)> = vec![(n, NO_PREV, 0)];
-    while let Some((cur, below, depth)) = stack.pop() {
+    // Arena of (edge label, predecessor chain index); the stack carries
+    // (current node, chain index). Label prefixes are reconstructed by
+    // walking the chain instead of cloning a Vec per parent.
+    let mut nodes: Vec<(gsdb::Label, usize)> = Vec::new();
+    let mut stack: Vec<(Oid, usize)> = vec![(n, NO_PREV)];
+    while let Some((cur, chain)) = stack.pop() {
         if out.len() >= limit {
             break;
         }
         if cur == root {
-            // The arena links run top-down from root's child to `n`.
-            let mut chain = Vec::new();
-            let mut j = below;
+            // The chain runs top-down from root's child to `n`.
+            let mut ls = Vec::new();
+            let mut j = chain;
             while j != NO_PREV {
-                chain.push((nodes[j].0, nodes[j].1));
-                j = nodes[j].2;
+                ls.push(nodes[j].0);
+                j = nodes[j].1;
             }
-            out.push(chain);
-            continue;
-        }
-        // A chain longer than the store loops: it leads nowhere new.
-        if depth > store.len() {
+            out.push(Path(ls));
             continue;
         }
         let Some(l) = store.label(cur) else { continue };
         let Some(parents) = store.parents(cur) else {
             continue;
         };
-        nodes.push((cur, l, below));
-        stack.extend(parents.iter().map(|p| (p, nodes.len() - 1, depth + 1)));
+        for p in parents.iter() {
+            nodes.push((l, chain));
+            stack.push((p, nodes.len() - 1));
+        }
     }
-    out
-}
-
-/// All label paths from `root` to `n` in a DAG (upward enumeration via
-/// the parent index). Bounded by `limit` paths as a safety valve.
-pub fn paths_from_root_all(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
-    let mut out: Vec<Path> = chains_from_root(store, root, n, limit)
-        .into_iter()
-        .map(|chain| Path(chain.into_iter().map(|(_, l)| l).collect()))
-        .collect();
     out.sort_by_key(|p| p.to_string());
     out.dedup();
     out
@@ -1377,6 +1436,79 @@ mod tests {
         let out = gm.apply(&mut mv, &store, &up).unwrap();
         assert_eq!(out.deleted, vec![oid("S1"), oid("T1")]);
         assert_eq!(gm.refreshes(), 1);
+    }
+
+    #[test]
+    fn shared_and_cyclic_structure_is_searched_once() {
+        // 40 stacked diamonds hold 2^40 upward walks from the bottom
+        // object, and a cycle holds walks of any length: the search for
+        // `path(root, n)` must visit each ancestor once, whether or not
+        // the structure hangs under the root, and report the second
+        // path instead of enumerating.
+        let mut store = Store::counting();
+        let mut dept = set("D1", "dept");
+        for i in 0..3000 {
+            dept = dept.child(atom(&format!("F{i}"), "filler", i as i64));
+        }
+        set("ROOT", "db").child(dept).build(&mut store).unwrap();
+        let edge = |s: &mut Store, p: &str, c: &str| s.insert_edge(oid(p), oid(c)).unwrap();
+        let levels = 40;
+        for i in 0..=levels {
+            store.create(gsdb::Object::empty_set(format!("L{i}").as_str(), "rung")).unwrap();
+        }
+        for i in 0..levels {
+            for side in ["l", "r"] {
+                let rail = format!("L{i}{side}");
+                store.create(gsdb::Object::empty_set(rail.as_str(), "rail")).unwrap();
+                edge(&mut store, &format!("L{i}"), &rail);
+                edge(&mut store, &rail, &format!("L{}", i + 1));
+            }
+        }
+        for i in 0..5 {
+            store.create(gsdb::Object::empty_set(format!("C{i}").as_str(), "ring")).unwrap();
+        }
+        for i in 0..5 {
+            edge(&mut store, &format!("C{i}"), &format!("C{}", (i + 1) % 5));
+        }
+        let bottom = format!("L{levels}");
+
+        let gm = GeneralMaintainer::new(GeneralViewDef::new(
+            "ALL",
+            "ROOT",
+            PathExpr::parse("*").unwrap(),
+        ));
+        let mut mv = gm.recompute(&store).unwrap();
+        // Hang a new atom under `host`, maintain, and return the base
+        // accesses maintenance took.
+        let hang = |store: &mut Store, mv: &mut MaterializedView, host: &str, name: &str| {
+            atom(name, "hobby", "chess").build(store).unwrap();
+            let mut batch = DeltaBatch::new();
+            batch.push(store.insert_edge(oid(host), oid(name)).unwrap());
+            store.reset_accesses();
+            gm.apply_batch(mv, store, &batch).unwrap();
+            let accesses = store.accesses();
+            assert_eq!(mv.members_base(), gm.recompute(store).unwrap().members_base());
+            accesses
+        };
+        // Detached: screened, at a cost that knows neither the number
+        // of walks nor the size of the store.
+        let ancestors = 3 * levels as u64 + 1;
+        assert!(hang(&mut store, &mut mv, &bottom, "H1") <= 3 * ancestors);
+        assert!(hang(&mut store, &mut mv, "C2", "H2") <= 3 * 5);
+        assert_eq!(gm.refreshes(), 0);
+        assert_eq!(mv.len(), 3002);
+
+        // Under the root: the second path is found and the fallback
+        // fires, at the cost of one evaluation of the query.
+        let whole_store = 4 * store.len() as u64;
+        edge(&mut store, "ROOT", "L0");
+        edge(&mut store, "ROOT", "C0");
+        mv = gm.recompute(&store).unwrap();
+        assert!(hang(&mut store, &mut mv, &bottom, "H3") <= whole_store);
+        assert_eq!(gm.refreshes(), 1);
+        assert!(hang(&mut store, &mut mv, "C2", "H4") <= whole_store);
+        assert_eq!(gm.refreshes(), 2);
+        assert!(mv.contains_base(oid("H3")) && mv.contains_base(oid("H4")));
     }
 
     /// Base accesses per single-delta batch against

@@ -7,7 +7,9 @@
 //! Generation keeps the base a forest (one parent per object) so every
 //! route faces the paper's tree-shaped setting; runs reparent subtrees,
 //! detach and re-attach whole branches, and churn atom values; the
-//! wildcard leg also removes detached records.
+//! wildcard leg also removes detached records. One more wildcard leg
+//! wires its base at random — shared objects, cycles, dangling edges —
+//! where maintenance may fall back but must not be wrong.
 
 use gsview_core::{
     assert_equivalent, assert_parallel_equivalent, GeneralMaintainer, GeneralViewDef, LocalBase,
@@ -311,6 +313,94 @@ proptest! {
                 prop_assert_eq!(&out.inserted, &sorted(after.difference(&before).copied().collect()));
                 prop_assert_eq!(&out.deleted, &sorted(before.difference(&after).copied().collect()));
                 prop_assert_eq!(m.refreshes(), 0, "{} is over a tree", view);
+            }
+        }
+    }
+
+    /// Wildcard views over bases that are *not* forests: eight sets
+    /// and four age atoms wired at random, so objects are shared,
+    /// cycles close (under the root or detached from it) and records
+    /// are removed from under their parents. Whatever the local rule
+    /// does not cover must take the refresh, never a wrong answer: after
+    /// every batch, batched and sequential maintenance are what
+    /// recomputation gives.
+    #[test]
+    fn wildcard_views_over_shared_and_cyclic_bases_agree(
+        wiring in prop::collection::vec((0..9usize, 1..13usize), 0..16),
+        raw in prop::collection::vec((0..8u8, 0..9usize, 1..13usize, 0..80i64), 1..40),
+        cuts in prop::collection::vec(0..64usize, 0..4),
+    ) {
+        let node = |i: usize| match i {
+            0 => oid("ROOT"),
+            1..=8 => oid(&format!("N{i}")),
+            _ => oid(&format!("V{i}")),
+        };
+        let mut store = Store::new();
+        store.create(Object::empty_set("ROOT", "db")).unwrap();
+        for i in 1..=8 {
+            store.create(Object::empty_set(node(i).name(), ["a", "b", "a", "c"][i % 4])).unwrap();
+        }
+        for i in 9..13 {
+            store.create(Object::atom(node(i).name(), "age", 10 * i as i64)).unwrap();
+        }
+        for &(p, c) in &wiring {
+            let _ = store.insert_edge(node(p), node(c));
+        }
+        let updates: Vec<Update> = raw
+            .iter()
+            .map(|&(kind, p, c, v)| match kind {
+                0..=2 => Update::Insert { parent: node(p), child: node(c) },
+                3..=4 => Update::Delete { parent: node(p), child: node(c) },
+                5..=6 => Update::Modify { oid: node(9 + c % 4), new: gsdb::Atom::Int(v) },
+                // Never the roots of the views below.
+                _ => Update::Remove { oid: node(2 + c % 11) },
+            })
+            .collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (updates.len() + 1)).collect();
+        cuts.push(updates.len());
+        cuts.sort_unstable();
+
+        let pe = |e: &str| PathExpr::parse(e).unwrap();
+        let defs = [
+            GeneralViewDef::new("X0", "ROOT", pe("*")),
+            GeneralViewDef::new("X1", "ROOT", pe("*.a"))
+                .with_cond(pe("*.age"), Pred::new(CmpOp::Gt, 40i64)),
+            GeneralViewDef::new("X2", "ROOT", pe("?.b"))
+                .with_cond(pe("age"), Pred::new(CmpOp::Le, 100i64)),
+            GeneralViewDef::new("X3", "N1", pe("*.a.*")),
+        ];
+        let mut views: Vec<_> = defs
+            .into_iter()
+            .map(|def| {
+                let m = GeneralMaintainer::new(def);
+                let mv = m.recompute(&store).unwrap();
+                (mv.clone(), mv, m)
+            })
+            .collect();
+
+        let mut start = 0;
+        for cut in cuts {
+            let mut batch = DeltaBatch::new();
+            for u in &updates[start..cut] {
+                if let Ok(applied) = store.apply(u.clone()) {
+                    for (mv_seq, _, m) in &mut views {
+                        m.apply(mv_seq, &store, &applied).unwrap();
+                    }
+                    batch.push(applied);
+                }
+            }
+            start = cut;
+            for (mv_seq, mv, m) in &mut views {
+                let view = m.def().view;
+                m.apply_batch(mv, &store, &batch).unwrap();
+                let want = m.recompute(&store).unwrap();
+                prop_assert_eq!(mv.members_base(), want.members_base(), "{} batched", view);
+                prop_assert_eq!(mv_seq.members_base(), want.members_base(), "{} sequential", view);
+                for y in mv.members_base() {
+                    let copy = |v: &MaterializedView| v.delegate(v.delegate_of(y).unwrap()).cloned();
+                    prop_assert_eq!(copy(mv), copy(&want), "{} delegate of {}", view, y);
+                    prop_assert_eq!(copy(mv_seq), copy(&want), "{} delegate of {}", view, y);
+                }
             }
         }
     }
