@@ -243,14 +243,13 @@ fn measure_shape(
             let out_a = alg.apply_batch(&mut mv_a, store, batch).unwrap();
             let ms_a = t0.elapsed().as_secs_f64() * 1e3;
 
-            // The planner now routes wildcard shapes to Algorithm 1
-            // (this experiment is why); force the circuit backend so
-            // the head-to-head keeps measuring both sides.
-            let planned =
-                GeneralMaintainer::with_backend(def, gsview_query::MaintBackend::Circuit);
-            let mut mv_c = planned.recompute(initial).unwrap();
+            // The planner routes wildcard shapes to Algorithm 1 (this
+            // experiment is why); build the circuit directly so the
+            // head-to-head keeps measuring both sides.
+            let circuit = CircuitMaintainer::new(CircuitSource::General(def));
+            let mut mv_c = alg.recompute(initial).unwrap();
             let t0 = Instant::now();
-            let out_c = planned.apply_batch(&mut mv_c, store, batch).unwrap();
+            let out_c = circuit.apply_batch(&mut mv_c, store, batch).unwrap();
             let ms_c = t0.elapsed().as_secs_f64() * 1e3;
             (
                 row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),

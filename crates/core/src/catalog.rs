@@ -79,9 +79,7 @@ enum CatalogEntry {
         mv: MaterializedView,
     },
     General {
-        // Boxed: a circuit-backed general maintainer dwarfs the other
-        // variants.
-        maintainer: Box<GeneralMaintainer>,
+        maintainer: GeneralMaintainer,
         mv: MaterializedView,
     },
 }
@@ -131,17 +129,9 @@ impl Catalog {
                 mv,
             }
         } else if let Some(general) = GeneralViewDef::from_viewdef(def) {
-            // Planner-selected backend: wildcard selections route to
-            // the delta circuit, constant paths stay on Algorithm 1.
-            // Single-update routing below always repairs locally; the
-            // circuit participates when batches flow through
-            // `GeneralMaintainer::apply_batch`.
-            let gm = GeneralMaintainer::planned(general);
-            let mv = gm.recompute(store)?;
-            CatalogEntry::General {
-                maintainer: Box::new(gm),
-                mv,
-            }
+            let maintainer = GeneralMaintainer::planned(general);
+            let mv = maintainer.recompute(store)?;
+            CatalogEntry::General { maintainer, mv }
         } else {
             return Err(CatalogError::Unsupported(format!(
                 "mview {} uses clauses the maintainers do not support",

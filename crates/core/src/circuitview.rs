@@ -8,12 +8,13 @@
 //! delta batches the Algorithm 1 maintainers do, keeping a
 //! [`MaterializedView`] in sync in O(|Δ|) per commit.
 //!
-//! The planner decides per view which backend runs
-//! ([`choose_backend`]): Algorithm 1 already repairs constant
-//! single-path views locally, so circuits are reserved for the shapes
-//! where it escalates — multi-branch unions, wildcard expressions
-//! (whose only Algorithm 1 rule is a centralized refresh), and
-//! aggregates. Experiment E18 measures the head-to-head.
+//! The planner alone decides per view which backend runs
+//! ([`choose_backend`], asked through
+//! [`CircuitSource::planned_backend`]): Algorithm 1 repairs single-path
+//! views locally, constant or wildcard, so circuits are reserved for
+//! multi-branch unions and aggregates. No maintainer or driver takes a
+//! backend from its caller; a head-to-head (experiment E18, the circuit
+//! oracle) builds a [`CircuitMaintainer`] directly.
 //!
 //! ## Epoch consistency and warm restart
 //!
@@ -27,6 +28,7 @@
 use crate::aggregate::{AggFn, AggregateViewDef};
 use crate::maintain::BatchOutcome;
 use crate::mview::MaterializedView;
+use crate::sink::{reconcile, refresh_touched};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
 use gsdb::{ConsolidatedDelta, DeltaBatch, Oid, Result, Store};
 use gsview_circuit::{
@@ -149,27 +151,11 @@ struct Inner {
 ///
 /// The circuit state lives behind a mutex so the maintainer exposes
 /// the same `&self` batch interface as [`GeneralMaintainer`]
-/// (`crate::general::GeneralMaintainer`) and can ride in the parallel
-/// commit pipeline's scoped threads.
+/// (`crate::general::GeneralMaintainer`).
 #[derive(Debug)]
 pub struct CircuitMaintainer {
     source: CircuitSource,
     inner: Mutex<Inner>,
-}
-
-impl Clone for CircuitMaintainer {
-    fn clone(&self) -> Self {
-        let inner = self.inner.lock().unwrap();
-        CircuitMaintainer {
-            source: self.source.clone(),
-            inner: Mutex::new(Inner {
-                circuit: inner.circuit.clone(),
-                version: inner.version,
-                rebuilds: inner.rebuilds,
-                steps: inner.steps,
-            }),
-        }
-    }
 }
 
 impl CircuitMaintainer {
@@ -216,7 +202,7 @@ impl CircuitMaintainer {
         Self::rebuild(&mut inner, store, self.source.view())?;
         let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
         drop(inner);
-        sync_view(mv, store, &members).map(|_| ())
+        reconcile(mv, &members, &mut |y| store.get(y).cloned()).map(|_| ())
     }
 
     fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<StepOutput> {
@@ -293,21 +279,12 @@ impl CircuitMaintainer {
         let inner = self.inner.lock().unwrap();
         let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
         drop(inner);
-        let (inserted, deleted) = sync_view(mv, store, &members)?;
+        let fetch = &mut |y: Oid| store.get(y).cloned();
+        let (inserted, deleted) = reconcile(mv, &members, fetch)?;
         // Content upkeep (§3.2): the circuit tracks membership and
         // aggregates; surviving members whose values changed still
         // need their stored copies refreshed.
-        let mut refreshed = 0;
-        for &o in &delta.touched {
-            if mv.contains_base(o) && !inserted.contains(&o) {
-                if let Some(obj) = store.get(o) {
-                    let obj = obj.clone();
-                    if mv.refresh_delegate(&obj)? {
-                        refreshed += 1;
-                    }
-                }
-            }
-        }
+        let refreshed = refresh_touched(mv, &delta.touched, &inserted, fetch)?;
         Ok(BatchOutcome {
             input_ops: delta.input_ops,
             consolidated_ops: delta.len(),
@@ -339,34 +316,6 @@ impl CircuitMaintainer {
     pub fn total(&self) -> Option<f64> {
         self.inner.lock().unwrap().circuit.total()
     }
-}
-
-/// Reconcile `mv` to exactly `members`; returns (inserted, deleted)
-/// sorted by name.
-fn sync_view(
-    mv: &mut MaterializedView,
-    store: &Store,
-    members: &HashSet<Oid>,
-) -> Result<(Vec<Oid>, Vec<Oid>)> {
-    let mut deleted = Vec::new();
-    for stale in mv.members_base() {
-        if !members.contains(&stale) && mv.v_delete(stale)? {
-            deleted.push(stale);
-        }
-    }
-    let mut inserted = Vec::new();
-    for &y in members {
-        if !mv.contains_base(y) {
-            if let Some(obj) = store.get(y) {
-                let obj = obj.clone();
-                mv.v_insert(&obj)?;
-                inserted.push(y);
-            }
-        }
-    }
-    inserted.sort_by_key(|o| o.name());
-    deleted.sort_by_key(|o| o.name());
-    Ok((inserted, deleted))
 }
 
 #[cfg(test)]

@@ -11,17 +11,17 @@
 //!   than one path between two objects").
 
 use crate::base::{BaseAccess, LocalBase};
-use crate::circuitview::{CircuitMaintainer, CircuitSource};
-use crate::maintain::{BatchOutcome, MaintPlan, Maintainer, Outcome};
+use crate::circuitview::CircuitSource;
+use crate::maintain::{content_upkeep, BatchOutcome, MaintPlan, Maintainer, Outcome};
 use crate::mview::MaterializedView;
-use crate::sink::{MemberSet, ViewSink};
+use crate::sink::{reconcile, refresh_touched, MemberSet, ViewSink};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
 use gsdb::{
     AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, FastMap, Label, ModifyDelta,
     Oid, Path, Result, Store,
 };
 use gsview_obs::Counter;
-use gsview_query::{choose_backend, evaluate, reach_from_mask, DenseNfa, MaintBackend};
+use gsview_query::{evaluate, reach_from_mask, DenseNfa, MaintBackend};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,7 +68,7 @@ impl CompoundMaintainer {
                 }
             }
         }
-        self.sync(mv, base)
+        self.sync(mv, base).map(|_| ())
     }
 
     /// Process one update: run Algorithm 1 per branch on its shadow,
@@ -84,11 +84,11 @@ impl CompoundMaintainer {
             let out = m.apply(shadow, base, update)?;
             relevant |= out.relevant;
         }
-        let mut out = self.sync_outcome(mv, base)?;
+        let mut out = self.sync(mv, base)?;
         out.relevant = relevant;
         // Content upkeep on the shared view (§3.2): the branch
         // maintainers only touched membership shadows.
-        crate::maintain::content_upkeep(mv, base, update)?;
+        content_upkeep(mv, base, update)?;
         Ok(out)
     }
 
@@ -108,16 +108,10 @@ impl CompoundMaintainer {
             let out = plan.apply_consolidated(shadow, base, &delta)?;
             relevant = relevant.max(out.relevant_deltas);
         }
-        let sync = self.sync_outcome(mv, base)?;
+        let sync = self.sync(mv, base)?;
         // Content upkeep on the shared view, one pass per touched
         // member (the branch maintainers only touched shadows).
-        for &o in &delta.touched {
-            if mv.contains_base(o) && !sync.inserted.contains(&o) {
-                if let Some(obj) = base.fetch(o) {
-                    mv.refresh_delegate(&obj)?;
-                }
-            }
-        }
+        refresh_touched(mv, &delta.touched, &sync.inserted, &mut |o| base.fetch(o))?;
         Ok(BatchOutcome {
             input_ops: delta.input_ops,
             consolidated_ops: delta.len(),
@@ -139,33 +133,15 @@ impl CompoundMaintainer {
         v
     }
 
-    fn sync(&self, mv: &mut MaterializedView, base: &mut dyn BaseAccess) -> Result<()> {
-        self.sync_outcome(mv, base).map(|_| ())
-    }
-
-    fn sync_outcome(
-        &self,
-        mv: &mut MaterializedView,
-        base: &mut dyn BaseAccess,
-    ) -> Result<Outcome> {
+    /// Reconcile the shared view to the union of the branch shadows.
+    fn sync(&self, mv: &mut MaterializedView, base: &mut dyn BaseAccess) -> Result<Outcome> {
         let union: HashSet<Oid> = self.union_members().into_iter().collect();
-        let mut out = Outcome::default();
-        for stale in mv.members_base() {
-            if !union.contains(&stale) && mv.v_delete(stale)? {
-                out.deleted.push(stale);
-            }
-        }
-        for &y in &union {
-            if !mv.contains_base(y) {
-                if let Some(obj) = base.fetch(y) {
-                    mv.v_insert(&obj)?;
-                    out.inserted.push(y);
-                }
-            }
-        }
-        out.inserted.sort_by_key(|o| o.name());
-        out.deleted.sort_by_key(|o| o.name());
-        Ok(out)
+        let (inserted, deleted) = reconcile(mv, &union, &mut |y| base.fetch(y))?;
+        Ok(Outcome {
+            relevant: false,
+            inserted,
+            deleted,
+        })
     }
 }
 
@@ -379,8 +355,6 @@ impl Candidates {
 #[derive(Clone, Debug)]
 pub struct GeneralMaintainer {
     def: GeneralViewDef,
-    backend: MaintBackend,
-    circuit: Option<CircuitMaintainer>,
     automata: Option<Automata>,
     refreshes: Arc<AtomicU64>,
     /// `maint.general.candidates` and `maint.general.refresh`, each
@@ -390,42 +364,29 @@ pub struct GeneralMaintainer {
 }
 
 impl GeneralMaintainer {
-    /// Build a maintainer on the Algorithm 1 family backend.
+    /// Build a maintainer. This is the Algorithm 1 plan for a single
+    /// path expression, which is where the planner routes every such
+    /// shape ([`GeneralMaintainer::backend`]).
     pub fn new(def: GeneralViewDef) -> Self {
-        Self::with_backend(def, MaintBackend::Algorithm1)
-    }
-
-    /// Build a maintainer on the backend the planner picks for this
-    /// shape ([`choose_backend`]): constant single paths and wildcard
-    /// expressions stay on Algorithm 1 (E18 measured the circuit's
-    /// product-state losing on wildcard shapes at every size).
-    pub fn planned(def: GeneralViewDef) -> Self {
-        let (backend, _why) = choose_backend(&def.sel_expr, 1, false);
-        Self::with_backend(def, backend)
-    }
-
-    /// Build a maintainer on an explicit backend.
-    pub fn with_backend(def: GeneralViewDef, backend: MaintBackend) -> Self {
-        let circuit = match backend {
-            MaintBackend::Algorithm1 => None,
-            MaintBackend::Circuit => Some(CircuitMaintainer::new(CircuitSource::General(
-                def.clone(),
-            ))),
-        };
         GeneralMaintainer {
             automata: Automata::compile(&def),
             def,
-            backend,
-            circuit,
             refreshes: Arc::default(),
             candidates: gsview_obs::registry().counter("maint.general.candidates"),
             fallbacks: gsview_obs::registry().counter("maint.general.refresh"),
         }
     }
 
-    /// Which backend batches run on.
+    /// [`GeneralMaintainer::new`], under the name callers use when they
+    /// mean "whatever the planner picks".
+    pub fn planned(def: GeneralViewDef) -> Self {
+        Self::new(def)
+    }
+
+    /// The backend the planner routes this shape to
+    /// ([`CircuitSource::planned_backend`]).
     pub fn backend(&self) -> MaintBackend {
-        self.backend
+        CircuitSource::General(self.def.clone()).planned_backend().0
     }
 
     /// The definition.
@@ -680,23 +641,12 @@ impl GeneralMaintainer {
         // Not located, so not screened either.
         out.relevant_deltas = out.relevant_deltas.max(1);
         let fresh = self.evaluate(store)?;
-        let keep: HashSet<Oid> = fresh.iter().copied().collect();
-        for stale in mv.members_base() {
-            if !keep.contains(&stale) && mv.v_delete(stale)? {
-                out.deleted.push(stale);
-            }
-        }
-        for y in fresh {
-            if let Some(obj) = store.get(y) {
-                let obj = obj.clone();
-                if !mv.contains_base(y) {
-                    mv.v_insert(&obj)?;
-                    out.inserted.push(y);
-                } else if mv.refresh_delegate(&obj)? {
-                    out.refreshed += 1;
-                }
-            }
-        }
+        let fetch = &mut |y: Oid| store.get(y).cloned();
+        let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), fetch)?;
+        // Re-evaluation rewrites the members that stay, too.
+        out.refreshed += refresh_touched(mv, &fresh, &inserted, fetch)?;
+        out.inserted.extend(inserted);
+        out.deleted.extend(deleted);
         Ok(())
     }
 
@@ -731,19 +681,8 @@ impl GeneralMaintainer {
             }
             Err(Unlocatable(cause)) => self.refresh(mv, store, &mut out, cause)?,
         }
-        // Content upkeep (§3.2) is independent of relevance: an
-        // off-path edge into a member still changes that member's
-        // value, and a modify of an atomic member changes its copy.
-        for &o in &delta.touched {
-            if mv.contains_base(o) {
-                if let Some(obj) = store.get(o) {
-                    let obj = obj.clone();
-                    if mv.refresh_delegate(&obj)? {
-                        out.refreshed += 1;
-                    }
-                }
-            }
-        }
+        // Content upkeep (§3.2), whichever branch ran.
+        out.refreshed += refresh_touched(mv, &delta.touched, &[], &mut |o| store.get(o).cloned())?;
         out.inserted.sort_by_key(|o| o.name());
         out.deleted.sort_by_key(|o| o.name());
         Ok(out)
@@ -779,9 +718,6 @@ impl GeneralMaintainer {
         store: &Store,
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
-        if let Some(circuit) = &self.circuit {
-            return circuit.apply_batch(mv, store, batch);
-        }
         let delta = batch.consolidate();
         let _span = gsview_obs::span!(
             "maint.general.plan",
@@ -897,24 +833,7 @@ impl DagMaintainer {
             AppliedUpdate::Modify { oid, old, new } => self.on_modify(mv, store, *oid, old, new)?,
             AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. } => Outcome::default(),
         };
-        // Content upkeep (§3.2), as in the tree maintainer: edges
-        // change the parent's value; modifies change an atomic
-        // member's own value.
-        let affected_member = match update {
-            AppliedUpdate::Insert { parent, .. } | AppliedUpdate::Delete { parent, .. } => {
-                Some(*parent)
-            }
-            AppliedUpdate::Modify { oid, .. } => Some(*oid),
-            _ => None,
-        };
-        if let Some(a) = affected_member {
-            if mv.contains_base(a) {
-                if let Some(obj) = store.get(a) {
-                    let obj = obj.clone();
-                    mv.refresh_delegate(&obj)?;
-                }
-            }
-        }
+        content_upkeep(mv, &mut LocalBase::new(store), update)?;
         Ok(out)
     }
 
@@ -1190,19 +1109,19 @@ mod tests {
         let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
             .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"));
         let alg = GeneralMaintainer::new(def.clone());
-        // Regression pin (E18 routing fix): `planned` must route
-        // wildcard shapes to Algorithm 1, not the circuit.
-        assert_eq!(
-            GeneralMaintainer::planned(def.clone()).backend(),
-            gsview_query::MaintBackend::Algorithm1
-        );
-        // Force the circuit leg explicitly so the parity check below
-        // still exercises both backends.
-        let cir = GeneralMaintainer::with_backend(def, gsview_query::MaintBackend::Circuit);
-        assert_eq!(alg.backend(), gsview_query::MaintBackend::Algorithm1);
-        assert_eq!(cir.backend(), gsview_query::MaintBackend::Circuit);
+        // Regression pin (E18 routing fix): the planner must route
+        // wildcard shapes to Algorithm 1, not the circuit, and the
+        // maintainer reports the planner's answer.
+        let source = CircuitSource::General(def.clone());
+        assert_eq!(source.planned_backend().0, MaintBackend::Algorithm1);
+        let planned = GeneralMaintainer::planned(def);
+        assert_eq!(planned.backend(), MaintBackend::Algorithm1);
+        assert_eq!(alg.backend(), MaintBackend::Algorithm1);
+        // The off-route circuit is built directly, so the parity check
+        // below still exercises both backends.
+        let cir = crate::circuitview::CircuitMaintainer::new(source);
         let mut mv_a = alg.recompute(&a1).unwrap();
-        let mut mv_c = cir.recompute(&b1).unwrap();
+        let mut mv_c = alg.recompute(&b1).unwrap();
 
         for round in 0..3 {
             let mut batch_a = gsdb::DeltaBatch::new();

@@ -35,7 +35,7 @@
 //! object the paper's condition re-check targets.
 
 use crate::base::BaseAccess;
-use crate::sink::ViewSink;
+use crate::sink::{refresh_touched, ViewSink};
 use crate::viewdef::SimpleViewDef;
 use gsdb::{AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeOp, Oid, Path, Result};
 use gsview_query::Pred;
@@ -272,12 +272,11 @@ impl Maintainer {
     }
 }
 
-/// Content upkeep (paper §3.2): a delegate carries "the same value as
-/// the original object", so when an update changes the value of an
-/// object that is (still) a view member — an edge into/out of a member
-/// set object, or a modify of an atomic member — its stored copy must
-/// be refreshed. Membership itself is Algorithm 1's job above; this
-/// pass only touches base data when the affected object is a member.
+/// Content upkeep for one update ([`refresh_touched`]): the object
+/// whose value it changed is the parent of an inserted or deleted
+/// edge, or the modified atom. Membership itself is Algorithm 1's job
+/// above; this pass only touches base data when that object is a
+/// member.
 pub(crate) fn content_upkeep(
     mv: &mut dyn ViewSink,
     base: &mut dyn BaseAccess,
@@ -288,12 +287,7 @@ pub(crate) fn content_upkeep(
         AppliedUpdate::Modify { oid, .. } => *oid,
         AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. } => return Ok(()),
     };
-    if mv.contains(affected) {
-        if let Some(obj) = base.fetch(affected) {
-            mv.refresh_member(&obj)?;
-        }
-    }
-    Ok(())
+    refresh_touched(mv, &[affected], &[], &mut |o| base.fetch(o)).map(|_| ())
 }
 
 /// Ground-truth derivability: is `y` reachable from the view root via
@@ -310,10 +304,19 @@ fn derivable_via_sel_path(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid
     base.ancestors_all(y, &def.sel_path).contains(&def.root)
 }
 
-/// Re-verify every current member against ground truth and evict the
-/// ones that no longer qualify: `Y` stays iff
-/// `path(ROOT, Y) = sel_path` and its condition witness (if any) still
-/// holds. Returns the evicted base OIDs.
+/// Verify one object against ground truth: `Y` is a member iff
+/// `path(ROOT, Y) = sel_path` and its condition witness (if any) holds.
+fn is_member(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid) -> bool {
+    derivable_via_sel_path(base, def, y)
+        && match &def.cond {
+            None => true,
+            Some(c) => !base.eval(y, &c.path, Some(&c.pred)).is_empty(),
+        }
+}
+
+/// Re-verify every current member against ground truth
+/// ([`is_member`]) and evict the ones that no longer qualify. Returns
+/// the evicted base OIDs.
 ///
 /// This is the member re-verification sweep of [`MaintPlan`]'s repair
 /// phase, exposed for callers that maintain one update at a time but
@@ -334,19 +337,9 @@ pub fn sweep_members(
     base: &mut dyn BaseAccess,
 ) -> Result<Vec<Oid>> {
     let _span = gsview_obs::span!("maint.sweep", "view" = def.view.name().to_string());
-    let pred = def.cond.as_ref().map(|c| &c.pred);
     let mut deleted = Vec::new();
     for y in mv.members() {
-        let derivable = derivable_via_sel_path(base, def, y);
-        let in_now = derivable
-            && match pred {
-                None => true,
-                Some(pr) => {
-                    let cp = &def.cond.as_ref().expect("pred implies cond").path;
-                    !base.eval(y, cp, Some(pr)).is_empty()
-                }
-            };
-        if !in_now && mv.delete_member(y)? {
+        if !is_member(base, def, y) && mv.delete_member(y)? {
             deleted.push(y);
         }
     }
@@ -463,7 +456,6 @@ impl MaintPlan {
         };
         let full = self.def.full_path();
         let sel_len = self.def.sel_path.len();
-        let pred = self.def.cond.as_ref().map(|c| &c.pred);
 
         // Phase 1: locate each delta (relevance test, once per
         // consolidated delta) and collect candidate members.
@@ -582,16 +574,7 @@ impl MaintPlan {
             if !seen.insert(y) {
                 continue;
             }
-            let derivable = derivable_via_sel_path(base, &self.def, y);
-            let in_now = derivable
-                && match pred {
-                    None => true,
-                    Some(pr) => {
-                        let cp = &self.def.cond.as_ref().unwrap().path;
-                        !base.eval(y, cp, Some(pr)).is_empty()
-                    }
-                };
-            if in_now {
+            if is_member(base, &self.def, y) {
                 if !mv.contains(y) {
                     if let Some(obj) = base.fetch(y) {
                         mv.insert_member(&obj)?;
@@ -626,21 +609,11 @@ impl MaintPlan {
         out.deleted.sort_by_key(|o| o.name());
 
         // Phase 3: single content-upkeep pass (§3.2) — each touched
-        // member's stored copy is refreshed once per batch.
+        // member's stored copy is refreshed once per batch; a freshly
+        // inserted member's copy is already current.
         let content_span =
             gsview_obs::span!("maint.phase.content", "touched" = delta.touched.len());
-        for &o in &delta.touched {
-            if seen.contains(&o) && out.inserted.contains(&o) {
-                continue; // freshly inserted: copy is already current
-            }
-            if mv.contains(o) {
-                if let Some(obj) = base.fetch(o) {
-                    if mv.refresh_member(&obj)? {
-                        out.refreshed += 1;
-                    }
-                }
-            }
-        }
+        out.refreshed = refresh_touched(mv, &delta.touched, &out.inserted, &mut |o| base.fetch(o))?;
         drop(content_span);
         gsview_obs::event!(
             "maint.plan.done",

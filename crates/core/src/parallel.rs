@@ -68,7 +68,7 @@
 //! asserts against sequential maintenance and full recomputation.
 
 use crate::base::LocalBase;
-use crate::circuitview::{CircuitMaintainer, CircuitSource};
+use crate::circuitview::CircuitSource;
 use crate::maintain::{BatchOutcome, MaintPlan};
 use crate::mview::MaterializedView;
 use crate::viewdef::SimpleViewDef;
@@ -225,57 +225,25 @@ pub struct PartitionStats {
 #[derive(Clone, Debug)]
 pub struct ParallelMaintainer {
     plans: Vec<MaintPlan>,
-    /// Per-view circuit lane; `None` = Algorithm 1 ([`MaintPlan`]).
-    circuits: Vec<Option<CircuitMaintainer>>,
 }
 
 impl ParallelMaintainer {
-    /// Build a maintainer for a set of view definitions, every view on
-    /// the Algorithm 1 backend. The order of definitions is the order
-    /// of views expected by [`apply_batch`](Self::apply_batch).
+    /// Build a maintainer for a set of view definitions: the batched
+    /// Algorithm 1 plan per view, which is where the planner routes
+    /// every simple view. The order of definitions is the order of
+    /// views expected by [`apply_batch`](Self::apply_batch).
     pub fn new(defs: impl IntoIterator<Item = SimpleViewDef>) -> Self {
-        let plans: Vec<MaintPlan> = defs.into_iter().map(MaintPlan::new).collect();
-        let circuits = plans.iter().map(|_| None).collect();
-        ParallelMaintainer { plans, circuits }
-    }
-
-    /// Build a maintainer with one explicit backend per definition
-    /// (in order). Circuit-backed views step a [`CircuitMaintainer`]
-    /// inside the same worker fan-out; because circuit state must see
-    /// *every* update since its last step, those lanes receive the
-    /// full consolidated delta instead of the partitioned one.
-    pub fn with_backends(
-        defs: impl IntoIterator<Item = SimpleViewDef>,
-        backends: impl IntoIterator<Item = MaintBackend>,
-    ) -> Self {
-        let defs: Vec<SimpleViewDef> = defs.into_iter().collect();
-        let circuits: Vec<Option<CircuitMaintainer>> = defs
-            .iter()
-            .zip(backends)
-            .map(|(d, b)| match b {
-                MaintBackend::Algorithm1 => None,
-                MaintBackend::Circuit => Some(CircuitMaintainer::new(CircuitSource::Simple(
-                    d.clone(),
-                ))),
-            })
-            .collect();
-        assert_eq!(
-            circuits.len(),
-            defs.len(),
-            "one backend per definition, in order"
-        );
         ParallelMaintainer {
             plans: defs.into_iter().map(MaintPlan::new).collect(),
-            circuits,
         }
     }
 
-    /// Which backend view `i` runs on.
+    /// The backend the planner routes view `i` to
+    /// ([`CircuitSource::planned_backend`]).
     pub fn backend(&self, i: usize) -> MaintBackend {
-        match self.circuits[i] {
-            Some(_) => MaintBackend::Circuit,
-            None => MaintBackend::Algorithm1,
-        }
+        CircuitSource::Simple(self.plans[i].def().clone())
+            .planned_backend()
+            .0
     }
 
     /// The definitions being maintained, in view order.
@@ -455,36 +423,26 @@ impl ParallelMaintainer {
             "threads" = threads,
             "ops" = delta.len(),
         );
-        let (mut deltas, stats) = self.partition_for(store, delta, views);
+        let (deltas, stats) = self.partition_for(store, delta, views);
         gsview_obs::event!(
             "maint.partition",
             "dispatched" = stats.dispatched,
             "screened_out" = stats.screened_out,
             "screened" = stats.screened,
         );
-        // Circuit lanes step arranged state that must observe every
-        // delta since the last step — hand them the unpartitioned
-        // batch (its `input_ops` is what their version guard checks).
-        for (i, circuit) in self.circuits.iter().enumerate() {
-            if circuit.is_some() {
-                deltas[i] = delta.clone();
-            }
-        }
         type Lane<'p, 'v> = (
             usize,
             &'p MaintPlan,
-            Option<&'p CircuitMaintainer>,
             ConsolidatedDelta,
             &'v mut MaterializedView,
         );
         let mut work: Vec<Lane<'_, '_>> = self
             .plans
             .iter()
-            .zip(&self.circuits)
             .zip(deltas)
             .zip(views.iter_mut())
             .enumerate()
-            .map(|(i, (((plan, circuit), d), mv))| (i, plan, circuit.as_ref(), d, mv))
+            .map(|(i, ((plan, d), mv))| (i, plan, d, mv))
             .collect();
 
         let threads = threads.clamp(1, work.len().max(1));
@@ -497,11 +455,8 @@ impl ParallelMaintainer {
             for slice in work.chunks_mut(chunk) {
                 handles.push(scope.spawn(move || {
                     let mut out = Vec::with_capacity(slice.len());
-                    for (i, plan, circuit, d, mv) in slice.iter_mut() {
-                        let r = match circuit {
-                            Some(cm) => cm.apply_consolidated(mv, store, d),
-                            None => plan.apply_consolidated(*mv, &mut LocalBase::new(store), d),
-                        };
+                    for (i, plan, d, mv) in slice.iter_mut() {
+                        let r = plan.apply_consolidated(*mv, &mut LocalBase::new(store), d);
                         out.push((*i, r));
                     }
                     out
@@ -651,6 +606,10 @@ mod tests {
     #[test]
     fn parallel_matches_recompute_at_every_thread_count() {
         let pm = ParallelMaintainer::new(defs());
+        for (i, def) in defs().into_iter().enumerate() {
+            let planned = CircuitSource::Simple(def).planned_backend().0;
+            assert_eq!(pm.backend(i), planned, "view {i} reports the plan");
+        }
         for threads in [1, 2, 4, 8] {
             let mut store = person_store();
             store.create(Object::atom("A2", "age", 40i64)).unwrap();
@@ -673,54 +632,6 @@ mod tests {
                     def.view,
                     threads
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_backends_match_recompute_at_every_thread_count() {
-        // Same fan-out, but the first two views ride the circuit lane
-        // (full delta, arranged state) while the third stays on
-        // Algorithm 1 with the partition screen.
-        let pm = ParallelMaintainer::with_backends(
-            defs(),
-            [
-                MaintBackend::Circuit,
-                MaintBackend::Circuit,
-                MaintBackend::Algorithm1,
-            ],
-        );
-        assert_eq!(pm.backend(0), MaintBackend::Circuit);
-        assert_eq!(pm.backend(2), MaintBackend::Algorithm1);
-        for threads in [1, 3] {
-            let mut store = person_store();
-            store.create(Object::atom("A2", "age", 40i64)).unwrap();
-            // Two rounds so the circuits both rebuild (first batch)
-            // and step incrementally (second batch).
-            let mut views: Vec<MaterializedView> = pm
-                .defs()
-                .map(|d| recompute(d, &mut LocalBase::new(&store)).unwrap())
-                .collect();
-            for round in 0..2 {
-                let updates = if round == 0 {
-                    vec![Update::insert("P2", "A2"), Update::modify("A1", 80i64)]
-                } else {
-                    vec![Update::delete("P1", "P3"), Update::modify("A1", 30i64)]
-                };
-                let mut batch = DeltaBatch::new();
-                for u in updates {
-                    batch.push(store.apply(u).unwrap());
-                }
-                pm.apply_batch(&mut views, &store, &batch, threads).unwrap();
-                for (def, mv) in pm.defs().zip(&views) {
-                    let want = recompute(def, &mut LocalBase::new(&store)).unwrap();
-                    assert_eq!(
-                        mv.members_base(),
-                        want.members_base(),
-                        "view {} round {round} at {threads} threads",
-                        def.view,
-                    );
-                }
             }
         }
     }

@@ -5,6 +5,7 @@
 
 use crate::base::BaseAccess;
 use crate::mview::MaterializedView;
+use crate::sink::{reconcile, refresh_touched};
 use crate::viewdef::SimpleViewDef;
 use gsdb::{Oid, Result};
 
@@ -47,27 +48,11 @@ pub fn refresh(
     mv: &mut MaterializedView,
 ) -> Result<(usize, usize)> {
     let fresh = recompute_members(def, base);
-    let fresh_set: std::collections::HashSet<Oid> = fresh.iter().copied().collect();
-    let mut deleted = 0;
-    for stale in mv.members_base() {
-        if !fresh_set.contains(&stale) {
-            mv.v_delete(stale)?;
-            deleted += 1;
-        }
-    }
-    let mut inserted = 0;
-    for y in fresh {
-        if let Some(obj) = base.fetch(y) {
-            if mv.contains_base(y) {
-                // Persisting member: recomputation rewrites its value.
-                mv.refresh_delegate(&obj)?;
-            } else {
-                mv.v_insert(&obj)?;
-                inserted += 1;
-            }
-        }
-    }
-    Ok((inserted, deleted))
+    let fetch = &mut |y: Oid| base.fetch(y);
+    let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), fetch)?;
+    // Persisting members: recomputation rewrites their values.
+    refresh_touched(mv, &fresh, &inserted, fetch)?;
+    Ok((inserted.len(), deleted.len()))
 }
 
 #[cfg(test)]

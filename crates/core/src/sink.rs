@@ -57,6 +57,60 @@ impl ViewSink for MaterializedView {
     }
 }
 
+/// View write-back, part one: bring `sink` to exactly `members`. Every
+/// current member outside the set is deleted, every missing one that
+/// `fetch` can still produce is inserted; members that stay are left
+/// alone. Returns `(inserted, deleted)`, each sorted by name.
+pub(crate) fn reconcile(
+    sink: &mut dyn ViewSink,
+    members: &HashSet<Oid>,
+    fetch: &mut dyn FnMut(Oid) -> Option<Object>,
+) -> Result<(Vec<Oid>, Vec<Oid>)> {
+    let mut deleted = Vec::new();
+    for stale in sink.members() {
+        if !members.contains(&stale) && sink.delete_member(stale)? {
+            deleted.push(stale);
+        }
+    }
+    let mut inserted = Vec::new();
+    for &y in members {
+        if !sink.contains(y) {
+            if let Some(obj) = fetch(y) {
+                sink.insert_member(&obj)?;
+                inserted.push(y);
+            }
+        }
+    }
+    inserted.sort_by_key(|o| o.name());
+    deleted.sort_by_key(|o| o.name());
+    Ok((inserted, deleted))
+}
+
+/// View write-back, part two — content upkeep (paper §3.2): a delegate
+/// carries "the same value as the original object", so every object in
+/// `touched` that is a member has its stored copy refreshed from
+/// `fetch`. It is independent of relevance: an off-path edge into a
+/// member still changes that member's value, and a modify of an atomic
+/// member changes its copy. `skip` names the members whose copy the
+/// caller knows to be current (those it has just inserted); they cost
+/// no fetch. Returns how many copies changed.
+pub(crate) fn refresh_touched(
+    sink: &mut dyn ViewSink,
+    touched: &[Oid],
+    skip: &[Oid],
+    fetch: &mut dyn FnMut(Oid) -> Option<Object>,
+) -> Result<usize> {
+    let mut refreshed = 0;
+    for &o in touched {
+        if sink.contains(o) && !skip.contains(&o) {
+            if let Some(obj) = fetch(o) {
+                refreshed += sink.refresh_member(&obj)? as usize;
+            }
+        }
+    }
+    Ok(refreshed)
+}
+
 /// A membership-only view representation: just the set of base OIDs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemberSet {
@@ -119,6 +173,28 @@ mod tests {
         assert!(s.delete_member(Oid::new("a")).unwrap());
         assert!(!s.delete_member(Oid::new("a")).unwrap());
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn refresh_touched_fetches_only_members_outside_the_skip_set() {
+        // A fetch is a source query in the warehouse: non-members and
+        // members the caller has just inserted must cost none.
+        let mut mv = MaterializedView::new("V");
+        let (a, b, c) = (Oid::new("sink_a"), Oid::new("sink_b"), Oid::new("sink_c"));
+        mv.insert_member(&Object::atom(a, "x", 1i64)).unwrap();
+        mv.insert_member(&Object::atom(b, "x", 2i64)).unwrap();
+        let mut fetched = Vec::new();
+        let refreshed = refresh_touched(&mut mv, &[a, b, c], &[b], &mut |o| {
+            fetched.push(o);
+            Some(Object::atom(o, "x", 9i64))
+        })
+        .unwrap();
+        assert_eq!((fetched, refreshed), (vec![a], 1));
+        let copy = |o| {
+            mv.delegate(mv.delegate_of(o).unwrap())
+                .and_then(|d| d.atom_value().cloned())
+        };
+        assert_eq!((copy(a), copy(b)), (Some(9i64.into()), Some(2i64.into())));
     }
 
     #[test]

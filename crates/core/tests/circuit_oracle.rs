@@ -286,9 +286,8 @@ proptest! {
 
     /// Wildcard selection: the planner routes `*.student` to
     /// Algorithm 1 (E18 showed the circuit losing on wildcard
-    /// shapes), but a circuit forced via `with_backend` must still
-    /// agree with the Algorithm-1-backed general maintainer and with
-    /// recompute.
+    /// shapes), but a circuit built directly for the shape must still
+    /// agree with the general maintainer and with recompute.
     #[test]
     fn wildcard_backends_agree(
         (n_prof, studs) in (1..4usize, 0..3usize),
@@ -301,18 +300,16 @@ proptest! {
             .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 10i64));
 
         let alg = GeneralMaintainer::new(def.clone());
-        prop_assert_eq!(
-            GeneralMaintainer::planned(def.clone()).backend(),
-            MaintBackend::Algorithm1
-        );
-        let planned = GeneralMaintainer::with_backend(def.clone(), MaintBackend::Circuit);
-        prop_assert_eq!(planned.backend(), MaintBackend::Circuit);
+        let source = CircuitSource::General(def.clone());
+        prop_assert_eq!(source.planned_backend().0, MaintBackend::Algorithm1);
+        prop_assert_eq!(GeneralMaintainer::planned(def).backend(), MaintBackend::Algorithm1);
+        let circuit = CircuitMaintainer::new(source);
 
         let (store, batch) = drive(&initial, &updates);
         let mut mv_alg = alg.recompute(&initial).unwrap();
         alg.apply_batch(&mut mv_alg, &store, &batch).unwrap();
-        let mut mv_circ = planned.recompute(&initial).unwrap();
-        planned.apply_batch(&mut mv_circ, &store, &batch).unwrap();
+        let mut mv_circ = alg.recompute(&initial).unwrap();
+        circuit.apply_batch(&mut mv_circ, &store, &batch).unwrap();
 
         let expected = alg.recompute(&store).unwrap().members_base();
         prop_assert_eq!(mv_alg.members_base(), expected.clone(), "algorithm1 vs recompute");

@@ -1,4 +1,4 @@
-//! Content hashing and CRC framing primitives.
+//! Content hashing, and the CRC the frames carry ([`gsdb::codec::crc32`]).
 //!
 //! Chunks are addressed by a 128-bit content hash: two independently
 //! seeded FNV-1a-64 lanes, each finished with a splitmix64 avalanche.
@@ -10,6 +10,8 @@
 //! cannot silently substitute page bytes.
 
 use std::fmt;
+
+pub use gsdb::codec::crc32;
 
 /// A 128-bit content address of one chunk (one encoded slab page).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,42 +63,9 @@ pub fn chunk_hash(bytes: &[u8]) -> ChunkHash {
     ChunkHash(out)
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-static CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 of `bytes` (IEEE polynomial).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"hello"), 0x3610_A686);
-    }
 
     #[test]
     fn chunk_hash_is_deterministic_and_content_sensitive() {

@@ -14,8 +14,9 @@
 //! encoded from; recovery must not compact or reassign slots, or
 //! structural sharing against later epochs breaks.
 //!
-//! Integrity (CRC framing, content hashes) is the storage layer's job,
-//! not the codec's: the decoder here detects *structural* corruption
+//! Integrity (CRC framing, content hashes) is the job of the layers
+//! that frame these bytes, not the codec's; storage and the wire share
+//! [`crc32`] from here. The decoder detects *structural* corruption
 //! (truncated input, unknown tags, invalid UTF-8) and reports it as a
 //! [`CodecError`], which the recovery path treats like a failed
 //! checksum.
@@ -40,6 +41,32 @@ impl std::error::Error for CodecError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(msg.into()))
+}
+
+/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
+static CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 of `bytes` (IEEE polynomial).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c: u32 = 0xFFFF_FFFF;
+    for &b in bytes {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 // ----------------------------------------------------------------------
@@ -292,6 +319,13 @@ mod tests {
         put_object(&mut buf, &obj);
         let back = get_object(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, obj);
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
     #[test]

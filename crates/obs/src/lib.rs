@@ -578,6 +578,15 @@ mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
+    /// Events go to the one process-wide collector, whichever test
+    /// emitted them. A test that installs a collector and counts what
+    /// arrives, or that needs none installed, holds this lock for as
+    /// long as that matters.
+    pub(crate) fn collector_lock() -> MutexGuard<'static, ()> {
+        static LOCK: StdMutex<()> = StdMutex::new(());
+        LOCK.lock().unwrap_or_else(|poison| poison.into_inner())
+    }
+
     #[derive(Default)]
     struct VecCollector {
         events: StdMutex<Vec<Event>>,
@@ -595,6 +604,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_events_attach_to_innermost() {
+        let _alone = collector_lock();
         let c = Arc::new(VecCollector::default());
         let _g = install(c.clone());
         {
@@ -634,6 +644,7 @@ mod tests {
 
     #[test]
     fn trace_ids_mint_inherit_and_adopt() {
+        let _alone = collector_lock();
         let c = Arc::new(VecCollector::default());
         let _g = install(c.clone());
         let remote_ctx;
@@ -673,6 +684,7 @@ mod tests {
 
     #[test]
     fn inactive_remote_context_falls_back_to_root() {
+        let _alone = collector_lock();
         let c = Arc::new(VecCollector::default());
         let _g = install(c.clone());
         {
@@ -685,6 +697,7 @@ mod tests {
 
     #[test]
     fn disabled_macros_do_not_evaluate_fields() {
+        let _alone = collector_lock();
         // No collector installed: the field expression must not run.
         let mut hit = false;
         event!("never", "x" = {
@@ -696,6 +709,7 @@ mod tests {
 
     #[test]
     fn failure_reaches_collector() {
+        let _alone = collector_lock();
         let c = Arc::new(VecCollector::default());
         let _g = install(c.clone());
         failure("oracle: something diverged");
@@ -712,6 +726,7 @@ mod tests {
 
     #[test]
     fn disabled_event_overhead_is_bounded() {
+        let _alone = collector_lock();
         // Overhead gate (coarse): with no collector, a million event!
         // calls must be effectively free. The tight bound is the
         // E13/E14 smoke baselines; this catches only gross regressions

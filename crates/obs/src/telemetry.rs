@@ -525,6 +525,7 @@ mod tests {
 
     #[test]
     fn exporter_assembles_spans_and_flags_errors() {
+        let _alone = crate::tests::collector_lock();
         let queue = Arc::new(ExportQueue::with_capacity(64));
         let exporter = Arc::new(SpanExporter::new(queue.clone(), TailSampler::keep_all()));
         let _g = install(exporter.clone());

@@ -49,4 +49,4 @@ pub use eval::{evaluate, evaluate_into, Answer, EvalError, EvalStats};
 pub use parser::{parse_query, parse_statement, parse_viewdef, ParseError};
 pub use explain::explain;
 pub use plan::{choose_backend, choose_explained, evaluate_planned, MaintBackend, SelStrategy};
-pub use pathexpr::{reach_expr, reach_expr_seed_layout, reach_from_mask, DenseNfa, Elem, Nfa, PathExpr, TraversalStats};
+pub use pathexpr::{reach_expr, reach_from_mask, DenseNfa, Elem, Nfa, PathExpr, TraversalStats};

@@ -588,8 +588,8 @@ pub fn reach_from_mask(
     (results, stats)
 }
 
-/// Sparse fallback (state sets as sorted `Vec<usize>`) — also the seed
-/// layout E13 benchmarks against.
+/// Sparse fallback (state sets as sorted `Vec<usize>`), for automata
+/// wider than 64 states.
 fn reach_expr_sparse(
     store: &Store,
     n: Oid,
@@ -629,18 +629,6 @@ fn reach_expr_sparse(
     }
     results.sort_by_key(|o| o.name());
     (results, stats)
-}
-
-/// Run [`reach_expr`] with the sparse engine regardless of expression
-/// size — the pre-arena baseline realization, kept callable so E13 can
-/// measure the dense engine against it.
-pub fn reach_expr_seed_layout(
-    store: &Store,
-    n: Oid,
-    e: &PathExpr,
-    filter: &dyn Fn(Oid) -> bool,
-) -> (Vec<Oid>, TraversalStats) {
-    reach_expr_sparse(store, n, &e.nfa(), filter)
 }
 
 #[cfg(test)]
@@ -866,7 +854,7 @@ mod tests {
             let (dense, dstats) = reach_expr(&s, root, &e, &all);
             let dense_cost = s.accesses();
             s.reset_accesses();
-            let (sparse, sstats) = reach_expr_seed_layout(&s, root, &e, &all);
+            let (sparse, sstats) = reach_expr_sparse(&s, root, &e.nfa(), &all);
             let sparse_cost = s.accesses();
             assert_eq!(dense, sparse, "results differ for {expr}");
             assert_eq!(dstats, sstats, "stats differ for {expr}");

@@ -23,7 +23,7 @@
 //! clean protocol error on that connection, never a panic (pinned by
 //! the fuzz cases in `tests/codec_roundtrip.rs`).
 
-use gsview_durable::hash::crc32;
+use gsdb::codec::crc32;
 use std::fmt;
 
 /// First byte of every frame.

@@ -42,35 +42,7 @@ impl ColocatedViews {
     /// `threads` workers maintain the portfolio on each flush (clamped
     /// to the number of views; `0` means one).
     pub fn new(source: &Source, defs: Vec<SimpleViewDef>, threads: usize) -> Result<Self> {
-        Self::from_maintainer(source, ParallelMaintainer::new(defs), threads)
-    }
-
-    /// Like [`ColocatedViews::new`], but with one explicit maintenance
-    /// backend per definition (in order): `Algorithm1` lanes run the
-    /// batched repair plan on their partitioned delta slice, `Circuit`
-    /// lanes step a delta circuit over the full consolidated delta.
-    ///
-    /// Circuit state is epoch-consistent by construction: it is
-    /// (re)built from a published snapshot on the first flush, and its
-    /// version guard forces the same rebuild whenever a flush arrives
-    /// against an epoch the circuit did not step through — which is
-    /// exactly what happens on a **warm restart**, where the portfolio
-    /// is rebuilt against a source recovered from the durable epoch
-    /// log ([`Source::recover`]).
-    pub fn with_backends(
-        source: &Source,
-        defs: Vec<SimpleViewDef>,
-        backends: Vec<MaintBackend>,
-        threads: usize,
-    ) -> Result<Self> {
-        Self::from_maintainer(
-            source,
-            ParallelMaintainer::with_backends(defs, backends),
-            threads,
-        )
-    }
-
-    fn from_maintainer(source: &Source, pm: ParallelMaintainer, threads: usize) -> Result<Self> {
+        let pm = ParallelMaintainer::new(defs);
         let snapshot = source.snapshot();
         let views = pm
             .defs()
@@ -84,7 +56,8 @@ impl ColocatedViews {
         })
     }
 
-    /// Which maintenance backend the view named `name` runs on.
+    /// The maintenance backend the planner routes the view named
+    /// `name` to.
     pub fn backend_of(&self, name: &str) -> Option<MaintBackend> {
         self.pm
             .defs()
@@ -206,19 +179,21 @@ mod tests {
     }
 
     #[test]
-    fn circuit_backed_portfolio_matches_recompute_and_restarts_warm() {
+    fn portfolio_restarts_warm_over_a_recovered_source() {
+        use gsview_core::CircuitSource;
         use gsview_durable::{DurableStore, MediaSet};
-        use gsview_query::MaintBackend::{Algorithm1, Circuit};
         use std::sync::Arc;
 
         let durable = Arc::new(DurableStore::open(MediaSet::memory()).unwrap());
         let src = person_source();
         src.attach_durable(Arc::clone(&durable)).unwrap();
-        let mut cv =
-            ColocatedViews::with_backends(&src, defs(), vec![Circuit, Algorithm1, Circuit], 2)
-                .unwrap();
-        assert_eq!(cv.backend_of("YP"), Some(Circuit));
-        assert_eq!(cv.backend_of("ST"), Some(Algorithm1));
+        let mut cv = ColocatedViews::new(&src, defs(), 2).unwrap();
+        // The portfolio reports the planner's routing, view by view.
+        for def in defs() {
+            let planned = CircuitSource::Simple(def.clone()).planned_backend().0;
+            assert_eq!(cv.backend_of(def.view.name()), Some(planned));
+        }
+        assert_eq!(cv.backend_of("NOPE"), None);
 
         let check = |cv: &ColocatedViews, src: &Source, tag: &str| {
             src.with_store(|s| {
@@ -253,15 +228,12 @@ mod tests {
             .expect("lineage is recoverable");
 
         // Warm restart: rebuild the portfolio against the recovered
-        // epoch. Circuit lanes start unstepped and rebuild
-        // epoch-consistently on their first flush.
-        let mut cv =
-            ColocatedViews::with_backends(&src, defs(), vec![Circuit, Algorithm1, Circuit], 2)
-                .unwrap();
+        // epoch.
+        let mut cv = ColocatedViews::new(&src, defs(), 2).unwrap();
         check(&cv, &src, "after warm restart");
 
         // Round 2: the recovered pipeline keeps flowing through the
-        // same circuit-backed flush path.
+        // same flush path.
         src.apply(Update::modify("A1", 30i64)).unwrap();
         src.apply(Update::delete("P2", "A2")).unwrap();
         for r in src.monitor().poll() {

@@ -719,52 +719,17 @@ impl Warehouse {
             .expect("view sources are connected")
             .channel
             .clone();
-        let wv = &mut self.views[idx];
-        let mut outcome = ResyncOutcome::default();
-
-        // Stage 1: snapshot-diff repair.
-        let pre = channel.exhausted();
-        {
-            let mut base = RemoteBase::new(&channel);
-            let (ins, del) = gsview_core::recompute::refresh(&wv.def, &mut base, &mut wv.mv)?;
-            outcome.inserted = ins;
-            outcome.deleted = del;
-        }
-        let mut healed = channel.exhausted() == pre && verified(&channel, &wv.def, &wv.mv);
-
-        // Stage 2: escalate to the full-recompute baseline.
-        if !healed {
-            outcome.escalated = true;
-            let pre = channel.exhausted();
-            let mut base = RemoteBase::new(&channel);
-            wv.mv = gsview_core::recompute::recompute(&wv.def, &mut base)?;
-            healed = channel.exhausted() == pre && verified(&channel, &wv.def, &wv.mv);
-        }
-
-        // The cache went unmaintained while the view was stale: rebuild
-        // it, and refuse to heal onto an incomplete cache.
-        if healed && wv.options.use_aux_cache {
-            let pre = channel.exhausted();
-            let cache = AuxCache::build(wv.def.root, wv.def.full_path(), &channel);
-            if channel.exhausted() == pre {
-                wv.cache = Some(cache);
-            } else {
-                healed = false;
-            }
-        }
-
-        if healed {
-            if wv.state.is_stale() {
-                wv.stats.resyncs += 1;
-            }
-            wv.state = ViewState::Consistent;
-        } else if !wv.state.is_stale() {
-            wv.state = ViewState::Stale(StaleCause::QueryFailure);
-        }
-        outcome.healed = healed;
+        // A step during which the channel dead-lettered a query proves
+        // nothing about the view.
+        let outcome = heal(
+            &mut self.views[idx],
+            &mut RemoteBase::new(&channel),
+            &|| channel.exhausted(),
+            &channel,
+        )?;
         gsview_obs::event!("warehouse.resync_view.done",
             "view" = view.name().to_string(),
-            "healed" = healed,
+            "healed" = outcome.healed,
             "escalated" = outcome.escalated);
         Ok(outcome)
     }
@@ -804,49 +769,25 @@ impl Warehouse {
             return self.resync_view(view);
         };
         let store = Arc::new(store);
-        let wv = &mut self.views[idx];
-        let mut outcome = ResyncOutcome {
-            chunks_fetched: stats.fetched,
-            chunks_reused: stats.reused,
-            ..ResyncOutcome::default()
-        };
-
-        // Stage 1: snapshot-diff repair against the reconstructed epoch.
-        {
-            let mut base = LocalBase::new(&store);
-            let (ins, del) = gsview_core::recompute::refresh(&wv.def, &mut base, &mut wv.mv)?;
-            outcome.inserted = ins;
-            outcome.deleted = del;
-        }
-        let mut healed =
-            consistency::check(&wv.def, &mut LocalBase::new(&store), &wv.mv).is_empty();
-
-        // Stage 2: escalate to the full-recompute baseline.
-        if !healed {
-            outcome.escalated = true;
-            wv.mv = gsview_core::recompute::recompute(&wv.def, &mut LocalBase::new(&store))?;
-            healed = consistency::check(&wv.def, &mut LocalBase::new(&store), &wv.mv).is_empty();
-        }
-
-        // Rebuild the cache from the reconstruction — local, infallible.
-        if healed && wv.options.use_aux_cache {
-            let chan = local_channel(&source, Arc::clone(&store), self.clock.clone());
-            wv.cache = Some(AuxCache::build(wv.def.root, wv.def.full_path(), &chan));
-        }
-
-        if healed {
-            if wv.state.is_stale() {
-                wv.stats.resyncs += 1;
-            }
-            wv.state = ViewState::Consistent;
+        // The reconstruction is local: no step can lose a query, and
+        // the cache is rebuilt from it through a local port.
+        let chan = local_channel(&source, Arc::clone(&store), self.clock.clone());
+        let mut outcome = heal(
+            &mut self.views[idx],
+            &mut LocalBase::new(&store),
+            &|| 0,
+            &chan,
+        )?;
+        outcome.chunks_fetched = stats.fetched;
+        outcome.chunks_reused = stats.reused;
+        if outcome.healed {
             if let Some(conn) = self.connections.get_mut(&source) {
                 conn.tracker = SeqTracker::with_baseline(m.seq);
             }
         }
-        outcome.healed = healed;
         gsview_obs::event!("warehouse.resync_view_durable.done",
             "view" = view.name().to_string(),
-            "healed" = healed,
+            "healed" = outcome.healed,
             "escalated" = outcome.escalated,
             "epoch" = m.epoch,
             "chunks_fetched" = stats.fetched,
@@ -872,13 +813,64 @@ impl Default for Warehouse {
     }
 }
 
-/// Consistency-check `mv` against the source over `channel`; a check
-/// that lost queries to the dead-letter queue is not a verification.
-fn verified(channel: &Channel, def: &SimpleViewDef, mv: &MaterializedView) -> bool {
-    let pre = channel.exhausted();
-    let mut base = RemoteBase::new(channel);
-    let clean = consistency::check(def, &mut base, mv).is_empty();
-    clean && channel.exhausted() == pre
+/// The heal ladder of [`Warehouse::resync_view`] and
+/// [`Warehouse::resync_view_durable`]: replay a snapshot diff over the
+/// current membership ([`recompute::refresh`](gsview_core::recompute::refresh)),
+/// verify with the consistency checker, escalate to the full recompute
+/// baseline if the diff repair does not verify clean, rebuild the
+/// auxiliary cache from `cache_from`, and book the result in the
+/// view's state and statistics.
+///
+/// `lost` counts the base queries that went unanswered so far. A step
+/// during which it moved is not a verification, and the view stays (or
+/// goes) stale.
+fn heal(
+    wv: &mut WarehouseView,
+    base: &mut dyn BaseAccess,
+    lost: &dyn Fn() -> u64,
+    cache_from: &Channel,
+) -> Result<ResyncOutcome> {
+    let mut outcome = ResyncOutcome::default();
+    let verified = |base: &mut dyn BaseAccess, mv: &MaterializedView, pre: u64| {
+        lost() == pre && consistency::check(&wv.def, base, mv).is_empty() && lost() == pre
+    };
+
+    // Stage 1: snapshot-diff repair.
+    let pre = lost();
+    (outcome.inserted, outcome.deleted) =
+        gsview_core::recompute::refresh(&wv.def, base, &mut wv.mv)?;
+    let mut healed = verified(base, &wv.mv, pre);
+
+    // Stage 2: escalate to the full-recompute baseline.
+    if !healed {
+        outcome.escalated = true;
+        let pre = lost();
+        wv.mv = gsview_core::recompute::recompute(&wv.def, base)?;
+        healed = verified(base, &wv.mv, pre);
+    }
+
+    // The cache went unmaintained while the view was stale: rebuild
+    // it, and refuse to heal onto an incomplete cache.
+    if healed && wv.options.use_aux_cache {
+        let pre = lost();
+        let cache = AuxCache::build(wv.def.root, wv.def.full_path(), cache_from);
+        if lost() == pre {
+            wv.cache = Some(cache);
+        } else {
+            healed = false;
+        }
+    }
+
+    if healed {
+        if wv.state.is_stale() {
+            wv.stats.resyncs += 1;
+        }
+        wv.state = ViewState::Consistent;
+    } else if !wv.state.is_stale() {
+        wv.state = ViewState::Stale(StaleCause::QueryFailure);
+    }
+    outcome.healed = healed;
+    Ok(outcome)
 }
 
 /// Local screening (paper §5.1 scenario 2 + §5.2 path knowledge):
