@@ -1,5 +1,5 @@
-//! Criterion wrapper for E13: wildcard refresh (arena vs seed layout)
-//! and parallel batched maintenance at 1/2/4/8 threads.
+//! Criterion wrapper for E13: wildcard refresh on the arena store and
+//! parallel batched maintenance at 1/2/4/8 threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gsview_bench::e13;
@@ -8,7 +8,7 @@ fn refresh(c: &mut Criterion) {
     let mut g = c.benchmark_group("e13_refresh");
     g.sample_size(10);
     for tuples in [e13::QUICK_TUPLES, 1_250] {
-        g.bench_with_input(BenchmarkId::new("arena+seed", tuples), &tuples, |b, &t| {
+        g.bench_with_input(BenchmarkId::new("arena", tuples), &tuples, |b, &t| {
             b.iter(|| e13::measure_refresh(t))
         });
     }

@@ -79,7 +79,7 @@ pub fn measure(groups: usize, per_group: usize, rare_every: usize) -> E9Row {
     let t0 = Instant::now();
     let mut backward = None;
     for _ in 0..reps {
-        backward = Some(evaluate_planned(&store, &q, 0.25).expect("backward"));
+        backward = Some(evaluate_planned(&store, &q).expect("backward"));
     }
     let (backward, strategy) = backward.expect("ran");
     let backward_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;

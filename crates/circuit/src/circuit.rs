@@ -244,11 +244,6 @@ impl Circuit {
         self.view.contains(oid)
     }
 
-    /// Number of members.
-    pub fn member_len(&self) -> usize {
-        self.view.len()
-    }
-
     /// A member's aggregate value (aggregate circuits only; `None`
     /// for non-members or undefined aggregates).
     pub fn aggregate_of(&self, member: Oid) -> Option<f64> {
@@ -508,11 +503,6 @@ impl Circuit {
             })
             .sum::<usize>()
             + self.agg.as_ref().map(|a| a.flow.state_len()).unwrap_or(0)
-    }
-
-    /// Arranged nodes and edges (mirror size).
-    pub fn arrangement_size(&self) -> (usize, usize) {
-        (self.arr.len(), self.arr.edge_len())
     }
 
     fn report(&self, stats: &StepStats) {

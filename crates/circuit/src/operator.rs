@@ -1,8 +1,10 @@
 //! The incremental operators circuits are assembled from.
 //!
 //! Both flow operators maintain *derivation counts* over the product
-//! of the arranged graph and a path-expression NFA, updated by Z-set
-//! delta propagation:
+//! of the arranged graph and a path expression's automaton (the one
+//! [`PathExpr::nfa`] compiles: a flow steps it a state at a time,
+//! forward or backward, off its table), updated by Z-set delta
+//! propagation:
 //!
 //! * [`ForwardFlow`] — flat-map edge expansion from a set of source
 //!   objects: `C[(src, n, s)]` counts the label-path derivations from
@@ -34,70 +36,15 @@ use std::hash::Hash;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Diverged;
 
-/// Per-label transition tables for one NFA, built lazily: `fwd[s]` is
-/// the eps-closed consuming step from `s`, `inv[s2]` the states that
-/// can reach `s2` in one consuming step.
-#[derive(Clone, Debug)]
-struct LabelTable {
-    fwd: Vec<Vec<u32>>,
-    inv: Vec<Vec<u32>>,
-}
-
-fn build_table(nfa: &Nfa, nstates: u32, l: Label) -> LabelTable {
-    let mut fwd: Vec<Vec<u32>> = Vec::with_capacity(nstates as usize);
-    let mut inv: Vec<Vec<u32>> = vec![Vec::new(); nstates as usize];
-    for s in 0..nstates {
-        let next: Vec<u32> = nfa.step(&[s as usize], l).iter().map(|&t| t as u32).collect();
-        for &t in &next {
-            inv[t as usize].push(s);
-        }
-        fwd.push(next);
-    }
-    LabelTable { fwd, inv }
-}
-
-/// Shared NFA machinery of the two flow operators.
-#[derive(Clone, Debug)]
-struct NfaEngine {
-    nfa: Nfa,
-    nstates: u32,
-    start: Vec<u32>,
-    accept: u32,
-    tables: FastMap<Label, LabelTable>,
-}
-
-impl NfaEngine {
-    fn new(expr: &PathExpr) -> NfaEngine {
-        let nfa = expr.nfa();
-        let nstates = expr.len() as u32 + 1;
-        let start = nfa.start().iter().map(|&s| s as u32).collect();
-        let accept = (0..nstates)
-            .find(|&s| nfa.any_accepting(&[s as usize]))
-            .expect("every NFA has exactly one accepting state");
-        NfaEngine {
-            nfa,
-            nstates,
-            start,
-            accept,
-            tables: FastMap::default(),
-        }
-    }
-
-    fn table(&mut self, l: Label) -> &LabelTable {
-        if !self.tables.contains_key(&l) {
-            let t = build_table(&self.nfa, self.nstates, l);
-            self.tables.insert(l, t);
-        }
-        &self.tables[&l]
-    }
-
-    fn fwd(&mut self, s: u32, l: Label) -> Vec<u32> {
-        self.table(l).fwd[s as usize].clone()
-    }
-
-    fn inv(&mut self, s2: u32, l: Label) -> Vec<u32> {
-        self.table(l).inv[s2 as usize].clone()
-    }
+/// The states of a mask, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let s = mask.trailing_zeros();
+            mask &= mask - 1;
+            s
+        })
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -111,7 +58,7 @@ impl NfaEngine {
 /// (one flow per member, sharing state and propagation).
 #[derive(Clone, Debug)]
 pub struct ForwardFlow<S: Eq + Hash + Copy> {
-    engine: NfaEngine,
+    nfa: Nfa,
     counts: FastMap<(S, Oid, u32), i64>,
     by_node: FastMap<Oid, FastSet<(S, u32)>>,
     accept_support: ZSet<(S, Oid)>,
@@ -121,7 +68,7 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     /// A flow for `expr` with no state.
     pub fn new(expr: &PathExpr) -> Self {
         ForwardFlow {
-            engine: NfaEngine::new(expr),
+            nfa: expr.nfa(),
             counts: FastMap::default(),
             by_node: FastMap::default(),
             accept_support: ZSet::new(),
@@ -131,7 +78,7 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     /// Inject `w` copies of source `src` at `node` (in every start
     /// state) into `pending`.
     pub fn seed(&self, pending: &mut ZSet<(S, Oid, u32)>, src: S, node: Oid, w: i64) {
-        for &s in &self.engine.start {
+        for s in bits(self.nfa.start_mask()) {
             pending.add((src, node, s), w);
         }
     }
@@ -156,7 +103,7 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
             if cnt == 0 {
                 continue;
             }
-            for s2 in self.engine.fwd(s, child_label) {
+            for s2 in bits(self.nfa.step_mask(1 << s, child_label)) {
                 pending.add((src, child, s2), w.saturating_mul(cnt));
             }
         }
@@ -182,13 +129,13 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
             *budget -= 1;
             *pops += 1;
             self.bump(src, node, s, delta);
-            if s == self.engine.accept {
+            if s == self.nfa.accept_state() {
                 self.accept_support.add((src, node), delta);
                 dirty.insert((src, node));
             }
             for &c in arr.children(node) {
                 let l = arr.label(c).expect("live edge child is arranged");
-                for s2 in self.engine.fwd(s, l) {
+                for s2 in bits(self.nfa.step_mask(1 << s, l)) {
                     pending.add((src, c, s2), delta);
                 }
             }
@@ -235,12 +182,12 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
 ///
 /// `D[n][accept] = [atom(n) satisfies pred]`, and every other state
 /// sums over live child edges; deltas propagate **upward** through
-/// the parent index with the inverse transition table. The start-state
+/// the parent index with the automaton stepped backwards. The start-state
 /// row is the witness Z-set: `witness(n) > 0` iff some instance of
 /// `expr` from `n` ends in a satisfying atom.
 #[derive(Clone, Debug)]
 pub struct BackwardFlow {
-    engine: NfaEngine,
+    nfa: Nfa,
     pred: Pred,
     counts: FastMap<(Oid, u32), i64>,
     by_node: FastMap<Oid, FastSet<u32>>,
@@ -251,7 +198,7 @@ impl BackwardFlow {
     /// A witness flow for `expr` filtered by `pred`, with no state.
     pub fn new(expr: &PathExpr, pred: Pred) -> Self {
         BackwardFlow {
-            engine: NfaEngine::new(expr),
+            nfa: expr.nfa(),
             pred,
             counts: FastMap::default(),
             by_node: FastMap::default(),
@@ -268,7 +215,7 @@ impl BackwardFlow {
     /// call once with `-1`/old and once with `+1`/new.
     pub fn base_event(&self, pending: &mut ZSet<(Oid, u32)>, node: Oid, atom: Option<&Atom>, w: i64) {
         if self.pred_ok(atom) {
-            pending.add((node, self.engine.accept), w);
+            pending.add((node, self.nfa.accept_state()), w);
         }
     }
 
@@ -291,7 +238,7 @@ impl BackwardFlow {
             if cnt == 0 {
                 continue;
             }
-            for s0 in self.engine.inv(s2, child_label) {
+            for s0 in bits(self.nfa.step_back_mask(1 << s2, child_label)) {
                 pending.add((parent, s0), w.saturating_mul(cnt));
             }
         }
@@ -314,16 +261,16 @@ impl BackwardFlow {
             *budget -= 1;
             *pops += 1;
             self.bump(node, s, delta);
-            if self.engine.start.contains(&s) {
+            if self.nfa.start_mask() >> s & 1 != 0 {
                 self.start_support.add(node, delta);
                 dirty.insert(node);
             }
             let parents = arr.parents(node);
             if !parents.is_empty() {
                 let l = arr.label(node).expect("live edge endpoint is arranged");
-                let inv = self.engine.inv(s, l);
+                let inv = self.nfa.step_back_mask(1 << s, l);
                 for &p in parents {
-                    for &s0 in &inv {
+                    for s0 in bits(inv) {
                         pending.add((p, s0), delta);
                     }
                 }

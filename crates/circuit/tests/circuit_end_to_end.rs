@@ -328,6 +328,40 @@ proptest! {
         check(def, &store, &raw, n, st);
     }
 
+    /// Alternations and `*.?.*` (which matches a word once per place
+    /// its `?` can stand) in both directions: selections step the
+    /// automaton forward, conditions backward, off the same table.
+    #[test]
+    fn alternation_and_ambiguous_wildcards(
+        (n, st) in (1..3usize, 0..3usize),
+        ages in prop::collection::vec(0..80i64, 1..6),
+        raw in raw_ops(),
+    ) {
+        let store = build_base(n, st, &ages);
+        let def = CircuitDef {
+            branches: vec![
+                BranchDef {
+                    root: oid("ROOT"),
+                    sel: PathExpr::parse("(professor|student)").unwrap(),
+                    cond: Some(CondDef {
+                        expr: PathExpr::parse("*.?.*").unwrap(),
+                        pred: Pred::new(CmpOp::Gt, 60i64),
+                    }),
+                },
+                BranchDef {
+                    root: oid("ROOT"),
+                    sel: PathExpr::parse("*.?.*").unwrap(),
+                    cond: Some(CondDef {
+                        expr: PathExpr::parse("(age|name)").unwrap(),
+                        pred: Pred::new(CmpOp::Lt, 15i64),
+                    }),
+                },
+            ],
+            aggregate: None,
+        };
+        check(def, &store, &raw, n, st);
+    }
+
     #[test]
     fn aggregate_over_members(
         (n, st) in (1..4usize, 1..3usize),

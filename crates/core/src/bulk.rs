@@ -14,7 +14,7 @@
 //! looking at the base data at all.
 
 use crate::viewdef::SimpleViewDef;
-use gsdb::{path, Atom, DeltaBatch, Oid, Path, Result, Store, Update};
+use gsdb::{path, Atom, Oid, Path, Result, Store, Update};
 use gsview_query::{CmpOp, Pred};
 
 /// A set-oriented update: "for each object Y in `root.sel_path` with
@@ -61,15 +61,6 @@ impl BulkUpdate {
             }
         }
         Ok(applied)
-    }
-
-    /// Execute against a store, collecting the applied updates as a
-    /// [`DeltaBatch`] ready for [`MaintPlan::apply_batch`](crate::MaintPlan::apply_batch)
-    /// on every view that [`view_unaffected`] could not screen out: a
-    /// bulk update is the canonical update burst, and consolidation
-    /// folds its repeated modifies per atom.
-    pub fn execute_batched(&self, store: &mut Store) -> Result<DeltaBatch> {
-        Ok(DeltaBatch::from_ops(self.execute(store)?))
     }
 }
 

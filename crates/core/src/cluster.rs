@@ -45,11 +45,6 @@ impl ViewCluster {
         }
     }
 
-    /// The cluster's OID (used to mint shared delegate OIDs).
-    pub fn cluster_oid(&self) -> Oid {
-        self.cluster
-    }
-
     /// The cluster's store (view objects + shared delegates).
     pub fn store(&self) -> &Store {
         &self.store

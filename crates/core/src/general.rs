@@ -21,7 +21,7 @@ use gsdb::{
     Oid, Path, Result, Store,
 };
 use gsview_obs::Counter;
-use gsview_query::{evaluate, reach_from_mask, DenseNfa, MaintBackend};
+use gsview_query::{evaluate, reach_from_mask, MaintBackend, Nfa};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,22 +155,17 @@ impl CompoundMaintainer {
 /// which `sel` accepts (the *threads* of [`Located`]).
 #[derive(Clone, Debug)]
 struct Automata {
-    sel: DenseNfa,
+    sel: Nfa,
     /// `Some` iff the view has a condition.
-    cond: Option<DenseNfa>,
+    cond: Option<Nfa>,
 }
 
 impl Automata {
-    /// `None` when an expression needs more than 64 states.
-    fn compile(def: &GeneralViewDef) -> Option<Automata> {
-        let cond = match &def.cond {
-            Some(c) => Some(c.expr.nfa().dense()?.clone()),
-            None => None,
-        };
-        Some(Automata {
-            sel: def.sel_expr.nfa().dense()?.clone(),
-            cond,
-        })
+    fn compile(def: &GeneralViewDef) -> Automata {
+        Automata {
+            sel: def.sel_expr.nfa(),
+            cond: def.cond.as_ref().map(|c| c.expr.nfa()),
+        }
     }
 }
 
@@ -347,15 +342,15 @@ impl Candidates {
 ///   only, which makes the result independent of update order.
 ///
 /// DESIGN.md ("Wildcard views: local repair") has the completeness
-/// argument. What the rule does not cover — an automaton of more than
-/// 64 states, an object with two paths from the root (shared structure
-/// or a cycle under it), a store built without the parent index —
-/// takes the one counted fallback, [`GeneralMaintainer::refreshes`]:
-/// re-evaluate the defining query over the store.
+/// argument. What the rule does not cover — an object with two paths
+/// from the root (shared structure or a cycle under it), a store built
+/// without the parent index — takes the one counted fallback,
+/// [`GeneralMaintainer::refreshes`]: re-evaluate the defining query
+/// over the store.
 #[derive(Clone, Debug)]
 pub struct GeneralMaintainer {
     def: GeneralViewDef,
-    automata: Option<Automata>,
+    automata: Automata,
     refreshes: Arc<AtomicU64>,
     /// `maint.general.candidates` and `maint.general.refresh`, each
     /// looked up once.
@@ -421,12 +416,8 @@ impl GeneralMaintainer {
 
     /// Run the automata down `path(root, n)`; `None` when `n` does not
     /// hang under the root or the automata die on the way.
-    fn locate(
-        &self,
-        a: &Automata,
-        store: &Store,
-        n: Oid,
-    ) -> std::result::Result<Option<Located>, Unlocatable> {
+    fn locate(&self, store: &Store, n: Oid) -> std::result::Result<Option<Located>, Unlocatable> {
+        let a = &self.automata;
         let Some(chain) = root_chain(store, self.def.root, n)? else {
             return Ok(None);
         };
@@ -448,15 +439,14 @@ impl GeneralMaintainer {
     /// Could an update at edge `(n1, n2)` participate in any instance
     /// of `sel_expr.cond_expr`? Runs the automata over
     /// `path(ROOT, n1).label(n2)` and checks liveness. Answers `true`
-    /// where it cannot tell (see [`GeneralMaintainer::refreshes`]).
+    /// where `n1` cannot be located (see
+    /// [`GeneralMaintainer::refreshes`]).
     pub fn edge_relevant(&self, store: &Store, n1: Oid, n2: Oid) -> bool {
-        let Some(a) = &self.automata else {
-            return true;
-        };
+        let a = &self.automata;
         let Some(l2) = store.label(n2) else {
             return false;
         };
-        match self.locate(a, store, n1) {
+        match self.locate(store, n1) {
             Ok(Some(mut at)) => {
                 at.step(a, l2);
                 !at.dead()
@@ -470,12 +460,12 @@ impl GeneralMaintainer {
     /// whether the delta is relevant to the view.
     fn locate_edge(
         &self,
-        a: &Automata,
         mv: &MaterializedView,
         store: &Store,
         e: &EdgeDelta,
         cands: &mut Candidates,
     ) -> std::result::Result<bool, Unlocatable> {
+        let a = &self.automata;
         let mut relevant = false;
         if e.op == EdgeOp::Delete {
             // What hung under the cut edge lost the root path it had.
@@ -493,7 +483,7 @@ impl GeneralMaintainer {
             cands.sweep |= e.op == EdgeOp::Delete;
             return Ok(relevant);
         };
-        let Some(mut at) = self.locate(a, store, e.parent)? else {
+        let Some(mut at) = self.locate(store, e.parent)? else {
             return Ok(relevant);
         };
         at.step(a, l2);
@@ -527,15 +517,14 @@ impl GeneralMaintainer {
     /// predicate's verdict on it flipped.
     fn locate_modify(
         &self,
-        a: &Automata,
         store: &Store,
         m: &ModifyDelta,
         cands: &mut Candidates,
     ) -> std::result::Result<bool, Unlocatable> {
-        let (Some(cond), Some(c)) = (&self.def.cond, &a.cond) else {
+        let (Some(cond), Some(c)) = (&self.def.cond, &self.automata.cond) else {
             return Ok(false);
         };
-        let Some(at) = self.locate(a, store, m.oid)? else {
+        let Some(at) = self.locate(store, m.oid)? else {
             return Ok(false);
         };
         let (was, is) = (cond.pred.eval(&m.old), cond.pred.eval(&m.new));
@@ -552,13 +541,8 @@ impl GeneralMaintainer {
     }
 
     /// Is `y` in the view, in the final state?
-    fn selects(
-        &self,
-        a: &Automata,
-        store: &Store,
-        y: Oid,
-        known: Known,
-    ) -> std::result::Result<bool, Unlocatable> {
+    fn selects(&self, store: &Store, y: Oid, known: Known) -> std::result::Result<bool, Unlocatable> {
+        let a = &self.automata;
         if !known.sel {
             let Some(chain) = root_chain(store, self.def.root, y)? else {
                 return Ok(false);
@@ -589,15 +573,14 @@ impl GeneralMaintainer {
         delta: &ConsolidatedDelta,
         out: &mut BatchOutcome,
     ) -> std::result::Result<Vec<(Oid, bool)>, Unlocatable> {
-        let a = self.automata.as_ref().ok_or(Unlocatable("wide_automaton"))?;
         let mut cands = Candidates::default();
         {
             let _span = gsview_obs::span!("maint.general.locate");
             for e in &delta.edges {
-                out.relevant_deltas += self.locate_edge(a, mv, store, e, &mut cands)? as usize;
+                out.relevant_deltas += self.locate_edge(mv, store, e, &mut cands)? as usize;
             }
             for m in &delta.modifies {
-                out.relevant_deltas += self.locate_modify(a, store, m, &mut cands)? as usize;
+                out.relevant_deltas += self.locate_modify(store, m, &mut cands)? as usize;
             }
             for &x in &delta.removed {
                 // A record nothing referenced was detached by an edge
@@ -622,7 +605,7 @@ impl GeneralMaintainer {
         cands
             .known
             .into_iter()
-            .map(|(y, known)| Ok((y, self.selects(a, store, y, known)?)))
+            .map(|(y, known)| Ok((y, self.selects(store, y, known)?)))
             .collect()
     }
 
@@ -1345,16 +1328,18 @@ mod tests {
         let up = store.modify_atom(oid("N2"), "Sal").unwrap();
         gm.apply(&mut mv, &store, &up).unwrap();
         assert_eq!(gm.refreshes(), 1);
+    }
 
-        // An automaton of more than 64 states.
+    #[test]
+    fn a_run_of_stars_is_one_element_and_repairs_locally() {
+        // Seventy adjacent `*` say what one says; the automaton has
+        // room for that, so there is nothing to fall back from.
         let mut store = campus();
-        let wide = PathExpr(vec![gsview_query::Elem::AnySeq; 70]);
-        let gm = GeneralMaintainer::new(GeneralViewDef::new("WIDE", "ROOT", wide));
+        let stars = PathExpr(vec![gsview_query::Elem::AnySeq; 70]);
+        let gm = GeneralMaintainer::new(GeneralViewDef::new("STARS", "ROOT", stars));
         let mut mv = gm.recompute(&store).unwrap();
-        let up = store.delete_edge(oid("P1"), oid("S1")).unwrap();
-        let out = gm.apply(&mut mv, &store, &up).unwrap();
+        let out = batch_locally(&gm, &mut mv, &mut store, vec![gsdb::Update::delete("P1", "S1")]);
         assert_eq!(out.deleted, vec![oid("S1"), oid("T1")]);
-        assert_eq!(gm.refreshes(), 1);
     }
 
     #[test]

@@ -391,9 +391,7 @@ impl BatchOutcome {
 ///
 /// Content upkeep (§3.2) runs as a single pass at the end: each
 /// *touched* member is refreshed once per batch instead of once per
-/// raw update, so a delegate's value is copied (and, for callers that
-/// keep views swizzled, re-swizzled via
-/// [`MaintPlan::apply_batch_swizzled`]) at most once.
+/// raw update, so a delegate's value is copied at most once.
 #[must_use = "a MaintPlan does nothing until apply_batch runs it"]
 #[derive(Clone, Debug)]
 pub struct MaintPlan {
@@ -420,20 +418,6 @@ impl MaintPlan {
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
         self.apply_consolidated(mv, base, &batch.consolidate())
-    }
-
-    /// Process a batch against a [`MaterializedView`], re-swizzling
-    /// delegate values once at the end (a single pass over the view,
-    /// however many raw updates the batch held).
-    pub fn apply_batch_swizzled(
-        &self,
-        mv: &mut crate::mview::MaterializedView,
-        base: &mut dyn BaseAccess,
-        batch: &DeltaBatch,
-    ) -> Result<BatchOutcome> {
-        let out = self.apply_batch(mv, base, batch)?;
-        mv.swizzle()?;
-        Ok(out)
     }
 
     /// Process an already-consolidated delta.

@@ -419,27 +419,6 @@ impl ChunkPort for DurableStore {
     }
 }
 
-/// Rebuild a store from a manifest through a [`ChunkPort`] — the
-/// resync path's reconstruction (no slot reassignment: the rebuilt
-/// store re-exports to the same page bytes).
-pub fn reconstruct_store(port: &dyn ChunkPort, m: &Manifest) -> Result<Store> {
-    let mut images = Vec::with_capacity(m.shards.len());
-    for sm in &m.shards {
-        let mut pages = Vec::with_capacity(sm.pages.len());
-        for h in &sm.pages {
-            let payload = port
-                .fetch_chunk(h)
-                .ok_or_else(|| DurableError::Corrupt(format!("chunk {h} unavailable")))?;
-            pages.push(Arc::new(gsdb::codec::decode_page(&payload)?));
-        }
-        images.push(ShardImage {
-            len_slots: sm.len_slots as usize,
-            pages,
-        });
-    }
-    Store::from_images(m.store_config(), images, m.version).map_err(DurableError::Corrupt)
-}
-
 /// Decode the OIDs whose objects differ between two manifests'
 /// versions of the same page positions — the object-level content of
 /// a chunk diff. Used by stale-view reconciliation to know which

@@ -730,18 +730,10 @@ impl Store {
     }
 
     /// Slot id of an OID, if the object exists. Does not count an
-    /// access — pair with [`Store::object_at`] / [`Store::children_at`]
-    /// which do.
+    /// access — pair with [`Store::children_at`], which does.
     #[inline]
     pub fn slot_of(&self, oid: Oid) -> Option<u32> {
         self.home_state(oid).slot_of.get(&oid).copied()
-    }
-
-    /// The object in a slot (counts the access). `None` for free slots.
-    #[inline]
-    pub fn object_at(&self, slot: u32) -> Option<&Object> {
-        self.bump();
-        self.slot_obj(slot)
     }
 
     /// OID of the object in a slot. Does not count an access.

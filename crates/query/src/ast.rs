@@ -12,7 +12,7 @@
 //! ```
 
 use crate::cond::Pred;
-use crate::pathexpr::PathExpr;
+use crate::pathexpr::{Elem, PathExpr};
 use gsdb::Oid;
 use std::fmt;
 
@@ -111,6 +111,16 @@ impl Query {
     pub fn ans_int(mut self, db: Oid) -> Self {
         self.ans_int = Some(db);
         self
+    }
+
+    /// The selection expression as evaluated from
+    /// [`Entry::oid`]: a `DB.?` entry prepends the `?` step that
+    /// reaches the database's members.
+    pub fn sel_expr(&self) -> PathExpr {
+        match self.entry {
+            Entry::Object(_) => self.sel_path.clone(),
+            Entry::DatabaseAll(_) => PathExpr(vec![Elem::AnyOne]).concat(&self.sel_path),
+        }
     }
 
     /// True iff both paths are constant (no wild cards) and the entry

@@ -14,9 +14,15 @@
 //! The paper's `DB.?` entry-point idiom needs no special case here:
 //! a database object is an ordinary set object whose children are its
 //! members, so `DB.?` reaches exactly "all objects in DB".
+//!
+//! There is one evaluation body. [`evaluate`] produces the candidates
+//! by walking forward from the entry;
+//! [`evaluate_planned`](crate::plan::evaluate_planned) lets the planner
+//! produce them from the label index instead when that is cheaper.
 
-use crate::ast::{Entry, Query};
-use crate::pathexpr::{reach_expr, Elem, PathExpr};
+use crate::ast::Query;
+use crate::pathexpr::{reach_expr, reach_from_mask, PathExpr};
+use crate::plan::{reach_expr_backward, SelStrategy};
 use gsdb::{label::well_known, Object, Oid, Store, Value};
 use std::fmt;
 
@@ -77,56 +83,52 @@ impl Answer {
     }
 }
 
-/// Evaluate a query against a store.
+/// Evaluate a query against a store, walking forward from the entry.
 pub fn evaluate(store: &Store, query: &Query) -> Result<Answer, EvalError> {
+    evaluate_with(store, query, |_| SelStrategy::Forward).map(|(answer, _)| answer)
+}
+
+/// The evaluation body. `plan` picks how the candidates
+/// `entry.sel_path` are produced, which is all a strategy changes;
+/// scoping, the condition check and `ANS INT` are the same under each.
+pub(crate) fn evaluate_with(
+    store: &Store,
+    query: &Query,
+    plan: impl FnOnce(&PathExpr) -> SelStrategy,
+) -> Result<(Answer, SelStrategy), EvalError> {
     let mut stats = EvalStats::default();
 
     // Resolve the WITHIN filter.
-    let within_members: Option<gsdb::OidSet> = match query.within {
-        Some(db) => Some(database_members(store, db)?),
-        None => None,
-    };
-    let filter = |o: Oid| -> bool {
-        match &within_members {
-            Some(m) => m.contains(o),
-            None => true,
-        }
-    };
+    let within_members = query.within.map(|db| database_members(store, db)).transpose()?;
+    let filter = |o: Oid| within_members.as_ref().is_none_or(|m| m.contains(o));
 
-    // Resolve the entry point and effective selection expression.
-    let (start, sel_expr) = match &query.entry {
-        Entry::Object(o) => {
-            if !store.contains(*o) {
-                return Err(EvalError::NoSuchEntry(*o));
-            }
-            (*o, query.sel_path.clone())
-        }
-        Entry::DatabaseAll(db) => {
-            // DB.? then sel_path: start at the database object and
-            // prepend one arbitrary step (its members).
-            if !store.contains(*db) {
-                return Err(EvalError::NoSuchEntry(*db));
-            }
-            let mut elems = vec![Elem::AnyOne];
-            elems.extend(query.sel_path.0.iter().cloned());
-            (*db, PathExpr(elems))
-        }
-    };
+    let start = query.entry.oid();
+    if !store.contains(start) {
+        return Err(EvalError::NoSuchEntry(start));
+    }
 
     // Candidates: objects in entry.sel_path, under the WITHIN filter.
-    let (candidates, tstats) = reach_expr(store, start, &sel_expr, &filter);
+    let sel_expr = query.sel_expr();
+    let strategy = plan(&sel_expr);
+    let (candidates, tstats) = match &strategy {
+        SelStrategy::Forward => reach_expr(store, start, &sel_expr, &filter),
+        SelStrategy::Backward { labels } => {
+            reach_expr_backward(store, start, &sel_expr, labels, &filter)
+        }
+    };
     stats.sel_states_visited = tstats.states_visited;
 
-    // Condition check per candidate.
+    // Condition check per candidate, one automaton for all of them.
+    let cond = query.cond.as_ref().map(|c| (c.path.nfa(), &c.pred));
     let mut result = Vec::new();
     for x in candidates {
-        let keep = match &query.cond {
+        let keep = match &cond {
             None => true,
-            Some(c) => {
+            Some((nfa, pred)) => {
                 stats.candidates_tested += 1;
-                let (reached, cstats) = reach_expr(store, x, &c.path, &filter);
+                let (reached, cstats) = reach_from_mask(store, x, nfa, nfa.start_mask(), &filter);
                 stats.cond_states_visited += cstats.states_visited;
-                c.pred.eval_any(store, &reached)
+                pred.eval_any(store, &reached)
             }
         };
         if keep {
@@ -140,10 +142,11 @@ pub fn evaluate(store: &Store, query: &Query) -> Result<Answer, EvalError> {
         result.retain(|o| members.contains(*o));
     }
 
-    Ok(Answer {
+    let answer = Answer {
         oids: result,
         stats,
-    })
+    };
+    Ok((answer, strategy))
 }
 
 /// Evaluate and store the answer object under `ans_oid`.
@@ -170,6 +173,7 @@ fn database_members(store: &Store, db: Oid) -> Result<gsdb::OidSet, EvalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Entry;
     use crate::parser::{parse_query, parse_viewdef};
     use gsdb::{database, samples};
 

@@ -11,33 +11,16 @@
 
 use crate::ast::{Entry, Query};
 use crate::eval::EvalError;
-use crate::pathexpr::{Elem, PathExpr};
 use crate::plan::{choose_backend, choose_explained, evaluate_planned};
 use gsdb::Store;
 use std::fmt::Write;
 
-/// Render a plan-and-execution report for `query` against `store`.
-///
-/// The selection strategy is chosen with the same
-/// `selectivity_cutoff` that [`evaluate_planned`] would use, so the
-/// report always describes the plan that actually ran.
-pub fn explain(
-    store: &Store,
-    query: &Query,
-    selectivity_cutoff: f64,
-) -> Result<String, EvalError> {
-    // Effective selection expression, mirroring evaluate_planned:
-    // DatabaseAll entries prepend one `?` hop to reach the members.
-    let sel_expr = match &query.entry {
-        Entry::Object(_) => query.sel_path.clone(),
-        Entry::DatabaseAll(_) => {
-            let mut elems = vec![Elem::AnyOne];
-            elems.extend(query.sel_path.0.iter().cloned());
-            PathExpr(elems)
-        }
-    };
-    let (answer, strategy) = evaluate_planned(store, query, selectivity_cutoff)?;
-    let (_, reason) = choose_explained(store, &sel_expr, selectivity_cutoff);
+/// Render a plan-and-execution report for `query` against `store`:
+/// the plan [`evaluate_planned`] runs, and what running it counted.
+pub fn explain(store: &Store, query: &Query) -> Result<String, EvalError> {
+    let sel_expr = query.sel_expr();
+    let (answer, strategy) = evaluate_planned(store, query)?;
+    let (_, reason) = choose_explained(store, &sel_expr);
 
     let mut out = String::new();
     writeln!(out, "QUERY   {query}").unwrap();
@@ -98,7 +81,7 @@ mod tests {
     fn explain_golden_indexed_label_scan() {
         let s = person_store();
         let q = parse_query("SELECT ROOT.professor.age X").unwrap();
-        let report = explain(&s, &q, 0.25).unwrap();
+        let report = explain(&s, &q).unwrap();
         println!("{report}");
         assert!(report.starts_with("QUERY   SELECT ROOT.professor.age X\n"));
         assert!(report.contains("entry   object ROOT\n"));
@@ -112,7 +95,7 @@ mod tests {
     fn explain_golden_wildcard_forward() {
         let s = person_store();
         let q = parse_query("SELECT ROOT.professor.* X").unwrap();
-        let report = explain(&s, &q, 0.25).unwrap();
+        let report = explain(&s, &q).unwrap();
         println!("{report}");
         assert!(report.contains("plan    forward (tail element is not a constant label)\n"));
         assert!(report.contains("maint   algorithm1 (wildcard selection"));
@@ -129,7 +112,7 @@ mod tests {
             .collect();
         gsdb::database::database_of(&mut s, Oid::new("D1"), &members).unwrap();
         let q = parse_query("SELECT ROOT.*.age X WITHIN D1").unwrap();
-        let report = explain(&s, &q, 0.9).unwrap();
+        let report = explain(&s, &q).unwrap();
         println!("{report}");
         assert!(report.contains("scope   WITHIN D1 ("));
         assert!(report.contains("plan    backward(age)"));
@@ -142,7 +125,7 @@ mod tests {
     fn explain_reports_condition_and_ans_int() {
         let s = person_store();
         let q = parse_query("SELECT ROOT.*.professor X WHERE X.age > 30 ANS INT PERSON").unwrap();
-        let report = explain(&s, &q, 0.9).unwrap();
+        let report = explain(&s, &q).unwrap();
         assert!(report.contains("filter  WHERE X.age > 30 (re-traversal per candidate)\n"));
         assert!(report.contains("post    ANS INT PERSON\n"));
         assert!(report.contains("candidates_tested="));
@@ -153,8 +136,8 @@ mod tests {
         let s = person_store();
         for src in ["SELECT ROOT.*.age X", "SELECT ROOT.professor.* X"] {
             let q = parse_query(src).unwrap();
-            let (_, strategy) = evaluate_planned(&s, &q, 0.25).unwrap();
-            let report = explain(&s, &q, 0.25).unwrap();
+            let (_, strategy) = evaluate_planned(&s, &q).unwrap();
+            let report = explain(&s, &q).unwrap();
             assert!(
                 report.contains(&format!("plan    {strategy} (")),
                 "{src}: {report}"

@@ -11,12 +11,14 @@
 //! ```
 //!
 //! * [`pathexpr`] — path expressions (regular expressions over labels)
-//!   with NFA matching, containment testing, and graph traversal;
+//!   compiled to one automaton that matching, containment testing and
+//!   graph traversal all read;
 //! * [`cond`] — the condition language (existential predicates over
 //!   atomic values);
 //! * [`ast`], [`lexer`], [`parser`] — surface syntax;
 //! * [`eval`] — the evaluation engine with `WITHIN` / `ANS INT`
-//!   scoping semantics.
+//!   scoping semantics; [`plan`] picks how its candidates are produced
+//!   and [`explain`](mod@explain) reports the choice.
 //!
 //! ## Quickstart
 //!
@@ -48,5 +50,5 @@ pub use cond::{CmpOp, Pred};
 pub use eval::{evaluate, evaluate_into, Answer, EvalError, EvalStats};
 pub use parser::{parse_query, parse_statement, parse_viewdef, ParseError};
 pub use explain::explain;
-pub use plan::{choose_backend, choose_explained, evaluate_planned, MaintBackend, SelStrategy};
-pub use pathexpr::{reach_expr, reach_from_mask, DenseNfa, Elem, Nfa, PathExpr, TraversalStats};
+pub use plan::{choose_backend, evaluate_planned, MaintBackend, SelStrategy};
+pub use pathexpr::{reach_expr, reach_from_mask, Elem, Nfa, PathExpr, PathExprError, TraversalStats};

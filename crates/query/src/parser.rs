@@ -25,7 +25,7 @@
 use crate::ast::{Entry, Query, Statement, ViewDef};
 use crate::cond::{CmpOp, Pred};
 use crate::lexer::{lex, LexError, Token};
-use crate::pathexpr::{Elem, PathExpr};
+use crate::pathexpr::{Elem, PathExpr, PathExprError};
 use gsdb::{Atom, Label, Oid};
 use std::fmt;
 
@@ -54,6 +54,12 @@ impl std::error::Error for ParseError {}
 
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
+        ParseError::new(e.to_string())
+    }
+}
+
+impl From<PathExprError> for ParseError {
+    fn from(e: PathExprError) -> Self {
         ParseError::new(e.to_string())
     }
 }
@@ -178,11 +184,7 @@ impl Parser {
     fn query(&mut self) -> Result<Query, ParseError> {
         self.expect_keyword("SELECT")?;
         let entry_name = self.expect_ident("entry point OID")?;
-        let mut sel_elems = Vec::new();
-        while matches!(self.peek(), Some(Token::Dot)) {
-            self.pos += 1;
-            sel_elems.push(self.path_elem()?);
-        }
+        let sel_path = self.path_expr()?;
         let var = self.expect_ident("selection variable")?;
         // The paper overloads `DB.?` to mean "start at all objects of
         // DB"; syntactically it is indistinguishable from an object
@@ -191,7 +193,7 @@ impl Parser {
         // members as traversal starts (see `crate::eval`). Callers that
         // want the explicit form construct `Entry::DatabaseAll` in code.
         let entry = Entry::Object(Oid::new(&entry_name));
-        let mut q = Query::select(entry, PathExpr(sel_elems));
+        let mut q = Query::select(entry, sel_path);
         q.var = var.clone();
         if self.eat_keyword("WHERE") {
             let v = self.expect_ident("condition variable")?;
@@ -200,13 +202,9 @@ impl Parser {
                     "condition variable {v} does not match selection variable {var}"
                 )));
             }
-            let mut cond_elems = Vec::new();
-            while matches!(self.peek(), Some(Token::Dot)) {
-                self.pos += 1;
-                cond_elems.push(self.path_elem()?);
-            }
+            let cond_path = self.path_expr()?;
             let pred = self.pred()?;
-            q = q.with_cond(PathExpr(cond_elems), pred);
+            q = q.with_cond(cond_path, pred);
         }
         if self.eat_keyword("WITHIN") {
             let db = self.expect_ident("database name after WITHIN")?;
@@ -218,6 +216,16 @@ impl Parser {
             q = q.ans_int(Oid::new(&db));
         }
         Ok(q)
+    }
+
+    /// `( '.' elem )*`, refused if the automaton has no room for it.
+    fn path_expr(&mut self) -> Result<PathExpr, ParseError> {
+        let mut elems = Vec::new();
+        while matches!(self.peek(), Some(Token::Dot)) {
+            self.pos += 1;
+            elems.push(self.path_elem()?);
+        }
+        Ok(PathExpr(elems).checked()?)
     }
 
     fn path_elem(&mut self) -> Result<Elem, ParseError> {
@@ -384,6 +392,20 @@ mod tests {
         assert!(parse_query("WHERE X.a > 1").is_err());
         assert!(parse_viewdef("define VJ as: SELECT R.a X").is_err());
         assert!(parse_query("SELECT R.a X WHERE X.b >").is_err());
+    }
+
+    #[test]
+    fn rejects_expressions_the_automaton_has_no_room_for() {
+        let path = |n: usize| vec!["a"; n].join(".");
+        assert!(parse_query(&format!("SELECT R.{} X", path(63))).is_ok());
+        for src in [
+            format!("SELECT R.{} X", path(64)),
+            format!("SELECT R.a X WHERE X.{} > 1", path(64)),
+            format!("define mview V as: SELECT R.{} X", path(100_000)),
+        ] {
+            let e = parse_statement(&src).unwrap_err();
+            assert!(e.message.contains("the limit is 63"), "{e}");
+        }
     }
 
     #[test]

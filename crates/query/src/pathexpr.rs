@@ -11,7 +11,8 @@
 //! * `*` — matches any sequence of zero or more labels;
 //! * `(a|b|c)` — matches any one of the listed labels.
 //!
-//! Expressions compile to an NFA over the label alphabet. We provide:
+//! An expression compiles to one automaton, [`Nfa`], whose state sets
+//! are `u64` masks; every consumer reads that:
 //!
 //! * [`PathExpr::matches`] — is a constant path an *instance* of the
 //!   expression (paper §2: wild cards substituted by paths);
@@ -21,11 +22,41 @@
 //!   containment for general path expressions");
 //! * [`reach_expr`] — `N.e`, the union of `N.p` over all instances
 //!   `p` of `e` (paper §2), computed as a product BFS of the database
-//!   graph and the NFA.
+//!   graph and the automaton.
+//!
+//! The mask is also the bound: an expression may have at most
+//! [`MAX_ELEMS`] elements, and the parsers refuse a longer one.
 
 use gsdb::{FastMap, FastSet, Label, Oid, Path, Store};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+
+/// The most elements an expression may have, adjacent `*` counted
+/// once: the automaton's states — one per element and the accepting
+/// one — are the bits of a `u64`.
+pub const MAX_ELEMS: usize = 63;
+
+/// Why expression text was refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PathExprError {
+    /// Not the grammar: an empty element or a broken alternation.
+    Malformed,
+    /// More than [`MAX_ELEMS`] elements; carries how many.
+    TooLong(usize),
+}
+
+impl fmt::Display for PathExprError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PathExprError::Malformed => write!(f, "malformed path expression"),
+            PathExprError::TooLong(n) => {
+                write!(f, "path expression has {n} elements, the limit is {MAX_ELEMS}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PathExprError {}
 
 /// One dot-separated element of a path expression.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -57,11 +88,9 @@ impl PathExpr {
 
     /// Parse a dotted expression: `"professor.*.age"`, `"?"`,
     /// `"(a|b).x"`. Empty string parses to the empty expression.
-    ///
-    /// Returns `None` on malformed alternation syntax.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Result<Self, PathExprError> {
         if s.is_empty() {
-            return Some(PathExpr::empty());
+            return Ok(PathExpr::empty());
         }
         let mut elems = Vec::new();
         for part in s.split('.') {
@@ -78,22 +107,43 @@ impl PathExpr {
                         .map(Label::new)
                         .collect();
                     if labels.is_empty() {
-                        return None;
+                        return Err(PathExprError::Malformed);
                     }
                     Elem::Alt(labels)
                 }
-                "" => return None,
+                "" => return Err(PathExprError::Malformed),
                 // A stray '(', ')' or '|' here means an alternation was
                 // split apart by a dot (e.g. "(a|b.c)") or malformed —
                 // reject instead of silently treating it as a label.
                 _ if part.contains('(') || part.contains(')') || part.contains('|') => {
-                    return None
+                    return Err(PathExprError::Malformed)
                 }
                 _ => Elem::Label(Label::new(part)),
             };
             elems.push(elem);
         }
-        Some(PathExpr(elems))
+        PathExpr(elems).checked()
+    }
+
+    /// The elements, each run of adjacent `*` reduced to one (a run
+    /// matches what one does).
+    fn merged(&self) -> impl Iterator<Item = &Elem> {
+        let mut after_star = false;
+        self.0.iter().filter(move |e| {
+            let star = matches!(e, Elem::AnySeq);
+            let keep = !(star && after_star);
+            after_star = star;
+            keep
+        })
+    }
+
+    /// The expression, if the automaton has room for it. Both parsers
+    /// end here, so text never reaches [`PathExpr::nfa`] too long.
+    pub(crate) fn checked(self) -> Result<Self, PathExprError> {
+        match self.merged().count() {
+            n if n > MAX_ELEMS => Err(PathExprError::TooLong(n)),
+            _ => Ok(self),
+        }
     }
 
     /// Number of elements.
@@ -131,7 +181,13 @@ impl PathExpr {
         PathExpr(v)
     }
 
-    /// Compile to an NFA.
+    /// Compile to the automaton.
+    ///
+    /// # Panics
+    ///
+    /// On more than [`MAX_ELEMS`] elements. The parsers refuse such
+    /// text with [`PathExprError::TooLong`]; only an expression built
+    /// in code can get here.
     pub fn nfa(&self) -> Nfa {
         Nfa::compile(self)
     }
@@ -141,72 +197,37 @@ impl PathExpr {
         self.nfa().accepts(p.labels())
     }
 
-    /// Language containment: does every instance of `self` also
-    /// instantiate `other`? Decided by determinizing both NFAs over
-    /// the joint alphabet (plus a fresh "other label" symbol) and
-    /// searching `L(self) ∩ ¬L(other)` for a witness.
+    /// Language containment: does every instance of `inner` also
+    /// instantiate `other`? Decided by determinizing both automata
+    /// over the joint alphabet (plus a fresh "other label" symbol) and
+    /// searching `L(inner) ∩ ¬L(other)` for a witness.
     pub fn contains(other: &PathExpr, inner: &PathExpr) -> bool {
-        // `inner ⊆ other`.
-        let mut alphabet: BTreeSet<Label> = BTreeSet::new();
-        for e in other.0.iter().chain(inner.0.iter()) {
-            match e {
-                Elem::Label(l) => {
-                    alphabet.insert(*l);
-                }
-                Elem::Alt(ls) => alphabet.extend(ls.iter().copied()),
-                _ => {}
-            }
-        }
-        // A label distinct from all mentioned ones stands in for "any
-        // other label" — sound because both NFAs treat all unmentioned
-        // labels identically.
-        let fresh = Label::new("\u{1}other\u{1}");
-        alphabet.insert(fresh);
         let a = inner.nfa();
         let b = other.nfa();
-        // Product BFS looking for a state where `a` accepts but `b`
-        // does not. With the dense engine, product states are a pair
-        // of u64 masks — no state-set vectors cloned per transition.
-        if let (Some(da), Some(db)) = (a.dense(), b.dense()) {
-            let start = (da.start_mask(), db.start_mask());
-            let mut seen: FastSet<(u64, u64)> = FastSet::default();
-            let mut q = VecDeque::new();
-            seen.insert(start);
-            q.push_back(start);
-            while let Some((sa, sb)) = q.pop_front() {
-                if da.is_accepting(sa) && !db.is_accepting(sb) {
-                    return false; // witness: a path in inner but not other
-                }
-                for &l in &alphabet {
-                    let na = da.step_mask(sa, l);
-                    if na == 0 {
-                        continue; // dead for inner ⇒ no counterexample there
-                    }
-                    let key = (na, db.step_mask(sb, l));
-                    if seen.insert(key) {
-                        q.push_back(key);
-                    }
-                }
-            }
-            return true;
-        }
-        let start = (a.eclose(&[0]), b.eclose(&[0]));
-        let mut seen: HashSet<(Vec<usize>, Vec<usize>)> = HashSet::new();
+        // A label distinct from all mentioned ones stands in for "any
+        // other label" — sound because both automata treat all
+        // unmentioned labels identically.
+        let fresh = Label::new("\u{1}other\u{1}");
+        let mentioned = a.symbols.keys().chain(b.symbols.keys()).copied();
+        let alphabet: BTreeSet<Label> = mentioned.chain([fresh]).collect();
+        // Product BFS over pairs of state sets, looking for one where
+        // `a` accepts but `b` does not.
+        let start = (a.start_mask(), b.start_mask());
+        let mut seen: FastSet<(u64, u64)> = FastSet::default();
         let mut q = VecDeque::new();
-        seen.insert(start.clone());
+        seen.insert(start);
         q.push_back(start);
         while let Some((sa, sb)) = q.pop_front() {
-            if a.any_accepting(&sa) && !b.any_accepting(&sb) {
+            if a.is_accepting(sa) && !b.is_accepting(sb) {
                 return false; // witness: a path in inner but not other
             }
             for &l in &alphabet {
-                let na = a.step(&sa, l);
-                let nb = b.step(&sb, l);
-                if na.is_empty() {
+                let na = a.step_mask(sa, l);
+                if na == 0 {
                     continue; // dead for inner ⇒ no counterexample there
                 }
-                let key = (na, nb);
-                if seen.insert(key.clone()) {
+                let key = (na, b.step_mask(sb, l));
+                if seen.insert(key) {
                     q.push_back(key);
                 }
             }
@@ -248,149 +269,135 @@ impl From<&Path> for PathExpr {
 }
 
 // ----------------------------------------------------------------------
-// NFA
+// The automaton
 // ----------------------------------------------------------------------
 
-/// A transition predicate on one label step.
-#[derive(Clone, Debug)]
-enum Trans {
-    /// Consume exactly this label.
-    Label(Label),
-    /// Consume any label.
-    Any,
-    /// Consume one of these labels.
-    OneOf(Vec<Label>),
-}
-
-impl Trans {
-    fn admits(&self, l: Label) -> bool {
-        match self {
-            Trans::Label(t) => *t == l,
-            Trans::Any => true,
-            Trans::OneOf(ts) => ts.contains(&l),
-        }
-    }
-}
-
-/// A compiled NFA for a path expression. State `i` means "the first
-/// `i` elements are fully matched"; `*` elements add self-loops plus an
-/// epsilon edge.
+/// The compiled automaton of a path expression. State `i` means "the
+/// first `i` elements are matched", a state set is a `u64` mask, and
+/// the transition function is a table over the labels the expression
+/// mentions plus one "any other label" column. Stepping a state set is
+/// a few table lookups and ORs — no allocation per node.
+///
+/// A `*` at element `i` may match nothing, so whoever is in state `i`
+/// is in `i + 1` too; every mask handed out is closed under that.
 #[derive(Clone, Debug)]
 pub struct Nfa {
-    /// consuming transitions: (from, trans, to)
-    trans: Vec<(usize, Trans, usize)>,
-    /// epsilon transitions: (from, to)
-    eps: Vec<(usize, usize)>,
-    accept: usize,
-    /// Dense bitset engine, present whenever the automaton fits in a
-    /// `u64` state-set (path expressions of ≤ 63 elements — i.e. all
-    /// realistic ones). The sparse `Vec<usize>` API below stays as the
-    /// fallback and as the reference realization.
-    dense: Option<DenseNfa>,
-}
-
-/// The dense evaluation engine: state sets are `u64` bitmasks and the
-/// transition function is a precomputed table over the expression's
-/// mentioned labels plus one "any other label" column. Stepping a
-/// state set is a few table lookups and ORs — no allocation, no
-/// epsilon-closure recomputation, no `Vec` cloning per node.
-#[derive(Clone, Debug)]
-pub struct DenseNfa {
     /// mentioned label → column index; unmentioned labels use the
-    /// extra `other` column.
+    /// extra last column.
     symbols: FastMap<Label, u32>,
     /// columns per state: one per mentioned label + 1 for "other".
     ncols: usize,
-    /// `delta[state * ncols + col]` = eps-closed successor mask.
-    delta: Vec<u64>,
+    /// `fwd[s * ncols + col]`: where one `col` step takes state `s`.
+    fwd: Vec<u64>,
+    /// `inv[t * ncols + col]`: the states one `col` step takes to `t`.
+    inv: Vec<u64>,
     start: u64,
-    accept_mask: u64,
+    accept: u32,
 }
 
-impl DenseNfa {
-    fn build(trans: &[(usize, Trans, usize)], eps: &[(usize, usize)], accept: usize) -> Option<DenseNfa> {
-        let nstates = accept + 1;
-        if nstates > 64 {
-            return None;
+impl Nfa {
+    fn compile(e: &PathExpr) -> Nfa {
+        let elems: Vec<&Elem> = e.merged().collect();
+        let n = elems.len();
+        assert!(n <= MAX_ELEMS, "{}", PathExprError::TooLong(n));
+        let mut symbols: FastMap<Label, u32> = FastMap::default();
+        for l in elems.iter().flat_map(|e| match e {
+            Elem::Label(l) => std::slice::from_ref(l),
+            Elem::Alt(ls) => ls.as_slice(),
+            Elem::AnyOne | Elem::AnySeq => &[],
+        }) {
+            let next = symbols.len() as u32;
+            symbols.entry(*l).or_insert(next);
         }
-        // Borrow the sparse stepping machinery to fill the table.
-        let sparse = Nfa {
-            trans: trans.to_vec(),
-            eps: eps.to_vec(),
-            accept,
-            dense: None,
+        let ncols = symbols.len() + 1;
+        // Runs of `*` are merged, so a closure never chains.
+        let closed = |s: usize| {
+            let m = 1u64 << s;
+            match elems.get(s) {
+                Some(Elem::AnySeq) => m | m << 1,
+                _ => m,
+            }
         };
-        let mut labels: Vec<Label> = Vec::new();
-        for (_, tr, _) in trans {
-            match tr {
-                Trans::Label(l) => {
-                    if !labels.contains(l) {
-                        labels.push(*l);
-                    }
-                }
-                Trans::OneOf(ls) => {
-                    for l in ls {
-                        if !labels.contains(l) {
-                            labels.push(*l);
-                        }
-                    }
-                }
-                Trans::Any => {}
+        let mut fwd = vec![0u64; (n + 1) * ncols];
+        for (s, e) in elems.iter().enumerate() {
+            let row = &mut fwd[s * ncols..(s + 1) * ncols];
+            match e {
+                Elem::Label(l) => row[symbols[l] as usize] = closed(s + 1),
+                Elem::Alt(ls) => ls.iter().for_each(|l| row[symbols[l] as usize] = closed(s + 1)),
+                Elem::AnyOne => row.fill(closed(s + 1)),
+                Elem::AnySeq => row.fill(closed(s)),
             }
         }
-        let ncols = labels.len() + 1;
-        let mut symbols = FastMap::default();
-        for (i, &l) in labels.iter().enumerate() {
-            symbols.insert(l, i as u32);
-        }
-        // A label no expression can mention (contains '\u{1}') stands
-        // in for the whole unmentioned-alphabet column.
-        let fresh = Label::new("\u{1}unmentioned\u{1}");
-        let mask_of = |states: &[usize]| states.iter().fold(0u64, |m, &s| m | (1u64 << s));
-        let mut delta = vec![0u64; nstates * ncols];
-        for s in 0..nstates {
-            for (i, &l) in labels.iter().enumerate() {
-                delta[s * ncols + i] = mask_of(&sparse.step(&[s], l));
+        let mut inv = vec![0u64; (n + 1) * ncols];
+        for s in 0..=n {
+            for col in 0..ncols {
+                let mut to = fwd[s * ncols + col];
+                while to != 0 {
+                    inv[to.trailing_zeros() as usize * ncols + col] |= 1 << s;
+                    to &= to - 1;
+                }
             }
-            delta[s * ncols + ncols - 1] = mask_of(&sparse.step(&[s], fresh));
         }
-        Some(DenseNfa {
+        Nfa {
             symbols,
             ncols,
-            delta,
-            start: mask_of(&sparse.start()),
-            accept_mask: 1u64 << accept,
-        })
+            fwd,
+            inv,
+            start: closed(0),
+            accept: n as u32,
+        }
     }
 
-    /// The eps-closed start state set as a bitmask.
+    /// OR the `l` entries of `table` over the states of `mask`.
     #[inline]
-    pub fn start_mask(&self) -> u64 {
-        self.start
-    }
-
-    /// One consuming step on label `l` from an eps-closed mask; the
-    /// result is eps-closed. `0` means the automaton is dead.
-    #[inline]
-    pub fn step_mask(&self, mask: u64, l: Label) -> u64 {
+    fn lookup(&self, table: &[u64], mask: u64, l: Label) -> u64 {
         let col = match self.symbols.get(&l) {
             Some(&c) => c as usize,
             None => self.ncols - 1,
         };
+        // Every product walk spends its time here: written out, the
+        // loop measured ≈ 4 % more `alg1_portfolio` updates/s than a
+        // fold over an iterator of the mask's states.
         let mut out = 0u64;
         let mut m = mask;
         while m != 0 {
             let s = m.trailing_zeros() as usize;
             m &= m - 1;
-            out |= self.delta[s * self.ncols + col];
+            out |= table[s * self.ncols + col];
         }
         out
+    }
+
+    /// The start state set.
+    #[inline]
+    pub fn start_mask(&self) -> u64 {
+        self.start
+    }
+
+    /// One step on label `l` from a state set. `0` means the automaton
+    /// is dead.
+    #[inline]
+    pub fn step_mask(&self, mask: u64, l: Label) -> u64 {
+        self.lookup(&self.fwd, mask, l)
+    }
+
+    /// One step on label `l` taken backwards: the states from which it
+    /// leads into `mask`.
+    #[inline]
+    pub fn step_back_mask(&self, mask: u64, l: Label) -> u64 {
+        self.lookup(&self.inv, mask, l)
+    }
+
+    /// The accepting state (the highest-numbered one).
+    #[inline]
+    pub fn accept_state(&self) -> u32 {
+        self.accept
     }
 
     /// Does the mask contain the accepting state?
     #[inline]
     pub fn is_accepting(&self, mask: u64) -> bool {
-        mask & self.accept_mask != 0
+        (mask >> self.accept) & 1 != 0
     }
 
     /// Every state at once: the mask to walk from when the states the
@@ -398,99 +405,19 @@ impl DenseNfa {
     /// so the walk visits a superset of what any of them would).
     #[inline]
     pub fn all_states(&self) -> u64 {
-        // The accepting state is the highest-numbered one.
-        self.accept_mask | (self.accept_mask - 1)
-    }
-}
-
-impl Nfa {
-    fn compile(e: &PathExpr) -> Nfa {
-        let mut trans = Vec::new();
-        let mut eps = Vec::new();
-        for (i, elem) in e.0.iter().enumerate() {
-            match elem {
-                Elem::Label(l) => trans.push((i, Trans::Label(*l), i + 1)),
-                Elem::AnyOne => trans.push((i, Trans::Any, i + 1)),
-                Elem::AnySeq => {
-                    eps.push((i, i + 1));
-                    trans.push((i, Trans::Any, i));
-                }
-                Elem::Alt(ls) => trans.push((i, Trans::OneOf(ls.clone()), i + 1)),
-            }
-        }
-        let accept = e.0.len();
-        let dense = DenseNfa::build(&trans, &eps, accept);
-        Nfa {
-            trans,
-            eps,
-            accept,
-            dense,
-        }
+        u64::MAX >> (63 - self.accept)
     }
 
-    /// The dense bitset engine, when the automaton fits in 64 states.
-    pub fn dense(&self) -> Option<&DenseNfa> {
-        self.dense.as_ref()
-    }
-
-    /// Epsilon closure of a state set; result sorted + deduped.
-    pub fn eclose(&self, states: &[usize]) -> Vec<usize> {
-        let mut out: BTreeSet<usize> = states.iter().copied().collect();
-        let mut frontier: Vec<usize> = states.to_vec();
-        while let Some(s) = frontier.pop() {
-            for &(f, t) in &self.eps {
-                if f == s && out.insert(t) {
-                    frontier.push(t);
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// One consuming step from a (closed) state set on label `l`;
-    /// result is epsilon-closed.
-    pub fn step(&self, states: &[usize], l: Label) -> Vec<usize> {
-        let mut next = Vec::new();
-        for &s in states {
-            for (f, tr, t) in &self.trans {
-                if *f == s && tr.admits(l) && !next.contains(t) {
-                    next.push(*t);
-                }
-            }
-        }
-        self.eclose(&next)
-    }
-
-    /// The (epsilon-closed) start state set.
-    pub fn start(&self) -> Vec<usize> {
-        self.eclose(&[0])
-    }
-
-    /// Does any state in the set accept?
-    pub fn any_accepting(&self, states: &[usize]) -> bool {
-        states.contains(&self.accept)
-    }
-
-    /// Run the NFA over a label word.
+    /// Run the automaton over a label word.
     pub fn accepts(&self, word: &[Label]) -> bool {
-        if let Some(d) = self.dense() {
-            let mut cur = d.start_mask();
-            for &l in word {
-                cur = d.step_mask(cur, l);
-                if cur == 0 {
-                    return false;
-                }
-            }
-            return d.is_accepting(cur);
-        }
-        let mut cur = self.start();
+        let mut cur = self.start;
         for &l in word {
-            cur = self.step(&cur, l);
-            if cur.is_empty() {
+            cur = self.step_mask(cur, l);
+            if cur == 0 {
                 return false;
             }
         }
-        self.any_accepting(&cur)
+        self.is_accepting(cur)
     }
 }
 
@@ -518,28 +445,24 @@ pub fn reach_expr(
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
     let nfa = e.nfa();
-    if let Some(d) = nfa.dense() {
-        return reach_from_mask(store, n, d, d.start_mask(), filter);
-    }
-    reach_expr_sparse(store, n, &nfa, filter)
+    reach_from_mask(store, n, &nfa, nfa.start_mask(), filter)
 }
 
 /// The product walk of [`reach_expr`], entered part-way: the objects
-/// reached from `n` when the automaton stands in the (eps-closed)
-/// state set `start` at `n` — `n` itself included if `start` accepts.
+/// reached from `n` when the automaton stands in the state set
+/// `start` at `n` — `n` itself included if `start` accepts.
 /// [`reach_expr`] is the `start_mask()` case; wildcard-view repair
 /// continues a walk below a changed edge from the mask the edge's
 /// root path leaves.
 ///
 /// Product states are `(slot id, u64 mask)` pairs, memoized in a
 /// fast-hash set — per-(slot, state-set) visitation is computed at
-/// most once, and no state-set vectors are allocated. Access counting
-/// matches the sparse realization exactly (one per children fetch, one
-/// per child label read).
+/// most once. Base accesses: one per children fetch, one per child
+/// label read.
 pub fn reach_from_mask(
     store: &Store,
     n: Oid,
-    d: &DenseNfa,
+    d: &Nfa,
     start: u64,
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
@@ -550,8 +473,7 @@ pub fn reach_from_mask(
     let mut results: Vec<Oid> = Vec::new();
     let Some(nslot) = store.slot_of(n) else {
         // Starting object absent from the store: the traversal still
-        // visits it once (with no children), as the sparse realization
-        // does.
+        // visits it once (with no children).
         stats.states_visited = 1;
         let _ = store.children(n);
         if d.is_accepting(start) {
@@ -588,49 +510,6 @@ pub fn reach_from_mask(
     (results, stats)
 }
 
-/// Sparse fallback (state sets as sorted `Vec<usize>`), for automata
-/// wider than 64 states.
-fn reach_expr_sparse(
-    store: &Store,
-    n: Oid,
-    nfa: &Nfa,
-    filter: &dyn Fn(Oid) -> bool,
-) -> (Vec<Oid>, TraversalStats) {
-    let mut stats = TraversalStats::default();
-    let mut results: Vec<Oid> = Vec::new();
-    let mut result_set: HashSet<Oid> = HashSet::new();
-    let start = nfa.start();
-    if !filter(n) {
-        return (Vec::new(), stats);
-    }
-    let mut seen: HashSet<(Oid, Vec<usize>)> = HashSet::new();
-    let mut q: VecDeque<(Oid, Vec<usize>)> = VecDeque::new();
-    seen.insert((n, start.clone()));
-    q.push_back((n, start));
-    while let Some((o, states)) = q.pop_front() {
-        stats.states_visited += 1;
-        if nfa.any_accepting(&states) && result_set.insert(o) {
-            results.push(o);
-        }
-        for &c in store.children(o) {
-            if !filter(c) || !store.contains(c) {
-                continue;
-            }
-            let Some(cl) = store.label(c) else { continue };
-            let next = nfa.step(&states, cl);
-            if next.is_empty() {
-                continue;
-            }
-            let key = (c, next.clone());
-            if seen.insert(key) {
-                q.push_back((c, next));
-            }
-        }
-    }
-    results.sort_by_key(|o| o.name());
-    (results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -649,14 +528,29 @@ mod tests {
         for s in ["professor", "professor.age", "*", "?", "professor.*", "(a|b).x"] {
             assert_eq!(pe(s).to_string(), s);
         }
-        assert!(PathExpr::parse("a..b").is_none());
-        assert!(PathExpr::parse("()").is_none());
         // Alternations cannot contain dots; malformed parens are
         // rejected, not lexed as labels.
-        assert!(PathExpr::parse("(a|b.c)").is_none());
-        assert!(PathExpr::parse("(a").is_none());
-        assert!(PathExpr::parse("a|b").is_none());
-        assert_eq!(PathExpr::parse(""), Some(PathExpr::empty()));
+        for s in ["a..b", "()", "(a|b.c)", "(a", "a|b"] {
+            assert_eq!(PathExpr::parse(s), Err(PathExprError::Malformed), "{s}");
+        }
+        assert_eq!(PathExpr::parse(""), Ok(PathExpr::empty()));
+    }
+
+    #[test]
+    fn the_automaton_has_room_for_63_elements() {
+        let text = |n: usize| vec!["a"; n].join(".");
+        let e = pe(&text(MAX_ELEMS));
+        assert!(e.matches(&path(&text(MAX_ELEMS))));
+        assert!(!e.matches(&path(&text(MAX_ELEMS - 1))));
+        assert_eq!(e.nfa().all_states(), u64::MAX);
+        assert_eq!(PathExpr::parse(&text(64)), Err(PathExprError::TooLong(64)));
+        // Refused by counting, before any table is sized.
+        assert_eq!(PathExpr::parse(&text(100_000)), Err(PathExprError::TooLong(100_000)));
+        // A run of `*` is one element, in text and in code.
+        let stars = vec!["*"; 70].join(".");
+        assert_eq!(pe(&format!("a.{stars}.b")).nfa().accept_state(), 3);
+        assert!(PathExpr::contains(&pe("*"), &PathExpr(vec![Elem::AnySeq; 70])));
+        assert!(PathExpr::contains(&PathExpr(vec![Elem::AnySeq; 70]), &pe("*")));
     }
 
     #[test]
@@ -839,52 +733,35 @@ mod tests {
     }
 
     #[test]
-    fn dense_engine_agrees_with_sparse() {
+    fn a_walk_costs_one_access_per_fetch_and_per_label_read() {
+        // Under `*` every object is visited in one state set, so the
+        // paper's cost metric can be read off the store: a children
+        // fetch per object reached, a label read per edge below it.
         let mut s = Store::counting();
         samples::person_db(&mut s).unwrap();
-        let root = Oid::new("ROOT");
-        let all = |_: Oid| true;
-        for expr in [
-            "", "professor", "professor.age", "*", "*.age", "professor.?",
-            "?.?", "(professor|student).*", "*.name", "professor.*.age",
-        ] {
-            let e = pe(expr);
-            assert!(e.nfa().dense().is_some(), "{expr} should compile dense");
-            s.reset_accesses();
-            let (dense, dstats) = reach_expr(&s, root, &e, &all);
-            let dense_cost = s.accesses();
-            s.reset_accesses();
-            let (sparse, sstats) = reach_expr_sparse(&s, root, &e.nfa(), &all);
-            let sparse_cost = s.accesses();
-            assert_eq!(dense, sparse, "results differ for {expr}");
-            assert_eq!(dstats, sstats, "stats differ for {expr}");
-            assert_eq!(dense_cost, sparse_cost, "base accesses differ for {expr}");
-        }
+        s.reset_accesses();
+        let (all, stats) = reach_expr(&s, Oid::new("ROOT"), &pe("*"), &|_| true);
+        let cost = s.accesses();
+        s.set_count_accesses(false);
+        let edges: usize = all.iter().map(|&o| s.children(o).len()).sum();
+        assert_eq!(stats.states_visited, all.len());
+        assert_eq!(cost, (all.len() + edges) as u64);
     }
 
     #[test]
-    fn dense_engine_accepts_matches_sparse_on_words() {
-        for expr in ["", "a", "?", "*", "a.*.b", "(a|b).?", "*.a.*"] {
-            let e = pe(expr);
-            let nfa = e.nfa();
-            let d = nfa.dense().unwrap();
-            for word in ["", "a", "b", "z", "a.b", "a.z.b", "x.y.z", "a.a.a.b"] {
-                let p = path(word);
-                // dense accepts == sparse stepping by hand
-                let mut cur = nfa.start();
-                for &l in p.labels() {
-                    cur = nfa.step(&cur, l);
+    fn backward_steps_invert_forward_steps() {
+        for expr in ["", "a", "?", "*", "a.*.b", "(a|b).?", "*.a.*", "*.?.*"] {
+            let nfa = pe(expr).nfa();
+            for l in ["a", "b", "z"].map(Label::new) {
+                for s in 0..=nfa.accept_state() {
+                    for t in 0..=nfa.accept_state() {
+                        assert_eq!(
+                            nfa.step_mask(1 << s, l) >> t & 1,
+                            nfa.step_back_mask(1 << t, l) >> s & 1,
+                            "{expr}: {s} -{l}-> {t}"
+                        );
+                    }
                 }
-                let sparse_ok = nfa.any_accepting(&cur);
-                let mut m = d.start_mask();
-                for &l in p.labels() {
-                    m = d.step_mask(m, l);
-                }
-                assert_eq!(
-                    d.is_accepting(m),
-                    sparse_ok,
-                    "{expr} on {word}"
-                );
             }
         }
     }
@@ -895,8 +772,7 @@ mod tests {
         samples::person_db(&mut s).unwrap();
         let all = |_: Oid| true;
         let e = pe("*.student.age");
-        let nfa = e.nfa();
-        let d = nfa.dense().unwrap();
+        let d = &e.nfa();
         // Arrive at P1 by its root path, continue below it: what the
         // whole walk finds under P1.
         let at_p1 = d.step_mask(d.start_mask(), Label::new("professor"));

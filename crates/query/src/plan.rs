@@ -15,12 +15,16 @@
 //! this module applies it to query evaluation, and experiment E9
 //! measures the ablation.
 
-use crate::ast::{Entry, Query};
-use crate::eval::{Answer, EvalError, EvalStats};
-use crate::pathexpr::{reach_expr, Elem, PathExpr, TraversalStats};
-use gsdb::{Label, Oid, Store};
-use std::collections::{HashSet, VecDeque};
+use crate::ast::Query;
+use crate::eval::{evaluate_with, Answer, EvalError};
+use crate::pathexpr::{Elem, PathExpr, TraversalStats};
+use gsdb::{FastSet, Label, Oid, Store};
+use std::collections::VecDeque;
 use std::fmt;
+
+/// Backward is picked when the label index holds fewer candidates than
+/// this share of the store's objects (E9 has the sweep behind it).
+const SELECTIVITY_CUTOFF: f64 = 0.25;
 
 /// The chosen physical strategy for the selection traversal.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,24 +56,15 @@ impl fmt::Display for SelStrategy {
     }
 }
 
-/// Choose a strategy for evaluating `expr` from `entry` on `store`.
+/// Choose a strategy for evaluating `expr` on `store`, with a one-line
+/// human-readable reason for the decision (used by
+/// [`explain`](crate::explain::explain)).
 ///
 /// Backward is picked when (a) the expression is non-empty and its
 /// final element is a constant label or alternation, (b) the store
 /// has both label and parent indexes, and (c) the candidate set is
-/// smaller than `selectivity_cutoff` × |store|.
-pub fn choose(store: &Store, expr: &PathExpr, selectivity_cutoff: f64) -> SelStrategy {
-    choose_explained(store, expr, selectivity_cutoff).0
-}
-
-/// Like [`choose`], but also returns a one-line human-readable reason
-/// for the decision (used by [`explain`](crate::explain::explain) and
-/// the `query.plan` trace event).
-pub fn choose_explained(
-    store: &Store,
-    expr: &PathExpr,
-    selectivity_cutoff: f64,
-) -> (SelStrategy, String) {
+/// smaller than [`SELECTIVITY_CUTOFF`] × |store|.
+pub(crate) fn choose_explained(store: &Store, expr: &PathExpr) -> (SelStrategy, String) {
     if !store.has_parent_index() {
         return (SelStrategy::Forward, "no parent index".into());
     }
@@ -97,15 +92,15 @@ pub fn choose_explained(
         }
     }
     let objects = store.len();
-    if (candidates as f64) < selectivity_cutoff * objects as f64 {
+    if (candidates as f64) < SELECTIVITY_CUTOFF * objects as f64 {
         (
             SelStrategy::Backward { labels },
-            format!("label index: {candidates} candidates < {selectivity_cutoff} x {objects} objects"),
+            format!("label index: {candidates} candidates < {SELECTIVITY_CUTOFF} x {objects} objects"),
         )
     } else {
         (
             SelStrategy::Forward,
-            format!("unselective tail: {candidates} candidates >= {selectivity_cutoff} x {objects} objects"),
+            format!("unselective tail: {candidates} candidates >= {SELECTIVITY_CUTOFF} x {objects} objects"),
         )
     }
 }
@@ -191,7 +186,7 @@ pub fn reversed(expr: &PathExpr) -> PathExpr {
 /// Backward realization of `entry.expr`: candidates from the label
 /// index, verified by an upward product BFS against the reversed
 /// expression. Produces exactly the same set as
-/// [`reach_expr`] (asserted by tests and
+/// [`reach_expr`](crate::pathexpr::reach_expr) (asserted by tests and
 /// experiment E9).
 pub fn reach_expr_backward(
     store: &Store,
@@ -200,14 +195,14 @@ pub fn reach_expr_backward(
     labels: &[Label],
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
-    let rev = reversed(expr);
-    let nfa = rev.nfa();
+    let nfa = reversed(expr).nfa();
+    let start = nfa.start_mask();
     let mut stats = TraversalStats::default();
     let mut out: Vec<Oid> = Vec::new();
 
-    // ε instance: the entry itself is in entry.expr when the NFA
+    // ε instance: the entry itself is in entry.expr when the automaton
     // accepts the empty word (e.g. a bare `*`).
-    if nfa.any_accepting(&nfa.start()) && filter(entry) && store.contains(entry) {
+    if nfa.is_accepting(start) && filter(entry) && store.contains(entry) {
         out.push(entry);
     }
 
@@ -228,17 +223,16 @@ pub fn reach_expr_backward(
             continue; // already admitted via the ε instance
         }
         // Upward product BFS: consume label(cur), climb to parents.
-        let mut seen: HashSet<(Oid, Vec<usize>)> = HashSet::new();
-        let mut q: VecDeque<(Oid, Vec<usize>)> = VecDeque::new();
-        let start = nfa.start();
-        seen.insert((cand, start.clone()));
+        let mut seen: FastSet<(Oid, u64)> = FastSet::default();
+        let mut q: VecDeque<(Oid, u64)> = VecDeque::new();
+        seen.insert((cand, start));
         q.push_back((cand, start));
         let mut matched = false;
         'bfs: while let Some((o, states)) = q.pop_front() {
             stats.states_visited += 1;
             let Some(l) = store.label(o) else { continue };
-            let next = nfa.step(&states, l);
-            if next.is_empty() {
+            let next = nfa.step_mask(states, l);
+            if next == 0 {
                 continue;
             }
             let Some(parents) = store.parents(o) else {
@@ -248,13 +242,12 @@ pub fn reach_expr_backward(
                 if !filter(p) {
                     continue;
                 }
-                if p == entry && nfa.any_accepting(&next) {
+                if p == entry && nfa.is_accepting(next) {
                     matched = true;
                     break 'bfs;
                 }
-                let key = (p, next.clone());
-                if seen.insert(key) {
-                    q.push_back((p, next.clone()));
+                if seen.insert((p, next)) {
+                    q.push_back((p, next));
                 }
             }
         }
@@ -267,99 +260,22 @@ pub fn reach_expr_backward(
     (out, stats)
 }
 
-/// Evaluate a query using the planner for the selection traversal
-/// (conditions and scoping are handled exactly as in
+/// Evaluate a query, letting the planner pick how the selection's
+/// candidates are produced (everything else is
 /// [`evaluate`](crate::eval::evaluate); answers are identical).
 /// Returns the answer plus the chosen strategy.
 pub fn evaluate_planned(
     store: &Store,
     query: &Query,
-    selectivity_cutoff: f64,
 ) -> Result<(Answer, SelStrategy), EvalError> {
-    // Scope filter (same semantics as eval.rs).
-    let within_members: Option<gsdb::OidSet> = match query.within {
-        Some(db) => {
-            let obj = store.get(db).ok_or(EvalError::BadDatabase(db))?;
-            Some(
-                obj.value
-                    .as_set()
-                    .cloned()
-                    .ok_or(EvalError::BadDatabase(db))?,
-            )
-        }
-        None => None,
-    };
-    let filter = |o: Oid| -> bool {
-        match &within_members {
-            Some(m) => m.contains(o),
-            None => true,
-        }
-    };
-
-    let (start, sel_expr) = match &query.entry {
-        Entry::Object(o) => {
-            if !store.contains(*o) {
-                return Err(EvalError::NoSuchEntry(*o));
-            }
-            (*o, query.sel_path.clone())
-        }
-        Entry::DatabaseAll(db) => {
-            if !store.contains(*db) {
-                return Err(EvalError::NoSuchEntry(*db));
-            }
-            let mut elems = vec![Elem::AnyOne];
-            elems.extend(query.sel_path.0.iter().cloned());
-            (*db, PathExpr(elems))
-        }
-    };
-
-    let strategy = choose(store, &sel_expr, selectivity_cutoff);
-    let mut stats = EvalStats::default();
-    let (candidates, tstats) = match &strategy {
-        SelStrategy::Forward => reach_expr(store, start, &sel_expr, &filter),
-        SelStrategy::Backward { labels } => {
-            reach_expr_backward(store, start, &sel_expr, labels, &filter)
-        }
-    };
-    stats.sel_states_visited = tstats.states_visited;
-
-    let mut result = Vec::new();
-    for x in candidates {
-        let keep = match &query.cond {
-            None => true,
-            Some(c) => {
-                stats.candidates_tested += 1;
-                let (reached, cstats) = reach_expr(store, x, &c.path, &filter);
-                stats.cond_states_visited += cstats.states_visited;
-                c.pred.eval_any(store, &reached)
-            }
-        };
-        if keep {
-            result.push(x);
-        }
-    }
-    if let Some(db) = query.ans_int {
-        let obj = store.get(db).ok_or(EvalError::BadDatabase(db))?;
-        let members = obj
-            .value
-            .as_set()
-            .cloned()
-            .ok_or(EvalError::BadDatabase(db))?;
-        result.retain(|o| members.contains(*o));
-    }
+    let (answer, strategy) = evaluate_with(store, query, |e| choose_explained(store, e).0)?;
     gsview_obs::event!("query.plan",
         "strategy" = strategy.to_string(),
-        "answers" = result.len(),
-        "sel_states" = stats.sel_states_visited,
-        "candidates_tested" = stats.candidates_tested,
-        "cond_states" = stats.cond_states_visited);
-    Ok((
-        Answer {
-            oids: result,
-            stats,
-        },
-        strategy,
-    ))
+        "answers" = answer.oids.len(),
+        "sel_states" = answer.stats.sel_states_visited,
+        "candidates_tested" = answer.stats.candidates_tested,
+        "cond_states" = answer.stats.cond_states_visited);
+    Ok((answer, strategy))
 }
 
 #[cfg(test)]
@@ -379,18 +295,19 @@ mod tests {
         s
     }
 
+    fn strategy(store: &Store, expr: &str) -> SelStrategy {
+        choose_explained(store, &PathExpr::parse(expr).unwrap()).0
+    }
+
     #[test]
     fn chooser_picks_backward_for_selective_tails() {
         let s = person_store();
-        let e = PathExpr::parse("*.major").unwrap(); // one major atom
-        assert!(matches!(
-            choose(&s, &e, 0.25),
-            SelStrategy::Backward { .. }
-        ));
+        // One major atom.
+        assert!(matches!(strategy(&s, "*.major"), SelStrategy::Backward { .. }));
         // Wildcard tail → forward.
-        assert_eq!(choose(&s, &PathExpr::parse("professor.*").unwrap(), 0.25), SelStrategy::Forward);
-        // Unselective label (above cutoff) → forward.
-        assert_eq!(choose(&s, &PathExpr::parse("name").unwrap(), 0.01), SelStrategy::Forward);
+        assert_eq!(strategy(&s, "professor.*"), SelStrategy::Forward);
+        // Unselective tail (names and ages are half the store) → forward.
+        assert_eq!(strategy(&s, "*.(name|age)"), SelStrategy::Forward);
     }
 
     #[test]
@@ -434,8 +351,17 @@ mod tests {
         ] {
             let q = parse_query(src).unwrap();
             let forward = evaluate(&s, &q).unwrap();
-            let (planned, strategy) = evaluate_planned(&s, &q, 0.6).unwrap();
+            let (planned, strategy) = evaluate_planned(&s, &q).unwrap();
             assert_eq!(planned.oids, forward.oids, "{src} via {strategy}");
+            // And the backward walk itself, whatever the planner chose.
+            let labels = match q.sel_path.0.last() {
+                Some(Elem::Label(l)) => vec![*l],
+                Some(Elem::Alt(ls)) => ls.clone(),
+                _ => unreachable!("every query above ends in a label"),
+            };
+            let (backward, _) =
+                reach_expr_backward(&s, oid("ROOT"), &q.sel_path, &labels, &|_| true);
+            assert_eq!(backward, forward.oids, "{src}");
         }
     }
 
@@ -450,7 +376,8 @@ mod tests {
         gsdb::database::database_of(&mut s, oid("D1"), &members).unwrap();
         let q = parse_query("SELECT ROOT.*.age X WITHIN D1").unwrap();
         let forward = evaluate(&s, &q).unwrap();
-        let (planned, _) = evaluate_planned(&s, &q, 0.9).unwrap();
+        let (planned, strategy) = evaluate_planned(&s, &q).unwrap();
+        assert!(matches!(strategy, SelStrategy::Backward { .. }));
         assert_eq!(planned.oids, forward.oids);
         // A1 is under P1 only, which D1 excludes from traversal.
         assert!(!planned.oids.contains(&oid("A1")));
@@ -475,7 +402,7 @@ mod tests {
         s.create(gsdb::Object::set("PROOT", "root", &kids)).unwrap();
         let q = parse_query("SELECT PROOT.*.rare X").unwrap();
         let forward = evaluate(&s, &q).unwrap();
-        let (planned, strategy) = evaluate_planned(&s, &q, 0.25).unwrap();
+        let (planned, strategy) = evaluate_planned(&s, &q).unwrap();
         assert!(matches!(strategy, SelStrategy::Backward { .. }));
         assert_eq!(planned.oids, forward.oids);
         assert_eq!(planned.oids.len(), 5);
@@ -495,7 +422,8 @@ mod tests {
         // backward path with a label tail that equals the entry label).
         let q = parse_query("SELECT P1.*.professor X").unwrap();
         let forward = evaluate(&s, &q).unwrap();
-        let (planned, _) = evaluate_planned(&s, &q, 1.1).unwrap();
+        let (planned, strategy) = evaluate_planned(&s, &q).unwrap();
+        assert!(matches!(strategy, SelStrategy::Backward { .. }));
         assert_eq!(planned.oids, forward.oids);
     }
 }

@@ -2,9 +2,11 @@
 //! against a brute-force oracle, containment consistency, and
 //! forward/backward traversal agreement.
 
-use gsdb::{Label, Path};
-use gsview_query::pathexpr::{Elem, PathExpr};
+use gsdb::{Label, Object, Oid, Path, Store};
+use gsview_query::pathexpr::{reach_expr, Elem, PathExpr};
+use gsview_query::plan::reach_expr_backward;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const ALPHABET: &[&str] = &["a", "b", "c"];
 
@@ -56,8 +58,93 @@ fn oracle(elems: &[Elem], word: &[Label]) -> bool {
     }
 }
 
+/// A graph of up to five set objects `pg0..`, labelled from the
+/// alphabet, each with at most two out-edges to any object — itself
+/// and `pg0`, the entry, included, so cycles of every kind occur.
+fn graph_strategy() -> impl Strategy<Value = Vec<(usize, Vec<usize>)>> {
+    prop::collection::vec(
+        (0..ALPHABET.len(), prop::collection::vec(0..5usize, 0..3)),
+        1..6,
+    )
+}
+
+fn node(i: usize) -> Oid {
+    Oid::new(&format!("pg{i}"))
+}
+
+fn build_graph(nodes: &[(usize, Vec<usize>)]) -> Store {
+    let mut s = Store::new();
+    for (i, (label, _)) in nodes.iter().enumerate() {
+        s.create(Object::empty_set(node(i).name(), ALPHABET[*label])).unwrap();
+    }
+    for (i, (_, out)) in nodes.iter().enumerate() {
+        for &to in out {
+            // A repeated edge is refused; the set has it already.
+            let _ = s.insert_edge(node(i), node(to % nodes.len()));
+        }
+    }
+    s
+}
+
+/// `pg0.expr` by enumeration: every walk from `pg0` of at most `bound`
+/// edges, its label word put to the oracle.
+fn reach_by_enumeration(store: &Store, expr: &PathExpr, bound: usize) -> Vec<Oid> {
+    fn walk(
+        store: &Store,
+        elems: &[Elem],
+        at: Oid,
+        word: &mut Vec<Label>,
+        left: usize,
+        out: &mut BTreeSet<Oid>,
+    ) {
+        if oracle(elems, word) {
+            out.insert(at);
+        }
+        if left == 0 {
+            return;
+        }
+        for &c in store.children(at) {
+            word.push(store.label(c).unwrap());
+            walk(store, elems, c, word, left - 1, out);
+            word.pop();
+        }
+    }
+    let mut out = BTreeSet::new();
+    walk(store, &expr.0, node(0), &mut Vec::new(), bound, &mut out);
+    let mut out: Vec<Oid> = out.into_iter().collect();
+    out.sort_by_key(|o| o.name());
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The product walk, forward and backward, selects what path
+    /// enumeration under the oracle selects — a reference that shares
+    /// nothing with the automaton's builder.
+    #[test]
+    fn walks_agree_with_enumeration(expr in expr_strategy(), nodes in graph_strategy()) {
+        let store = build_graph(&nodes);
+        // A shortest instance spends one edge per single-label element
+        // and a simple path, under |V| edges, per run of `*`.
+        let runs = expr.0.iter().enumerate()
+            .filter(|&(i, e)| *e == Elem::AnySeq && (i == 0 || expr.0[i - 1] != Elem::AnySeq))
+            .count();
+        let want = reach_by_enumeration(&store, &expr, expr.len() + runs * (nodes.len() - 1));
+        let (forward, _) = reach_expr(&store, node(0), &expr, &|_| true);
+        prop_assert_eq!(&forward, &want, "forward, {} over {:?}", expr, nodes);
+        // The backward walk starts from the label index, so it needs a
+        // tail that names labels.
+        let labels = match expr.0.last() {
+            Some(Elem::Label(l)) => vec![*l],
+            Some(Elem::Alt(ls)) => ls.clone(),
+            _ => Vec::new(),
+        };
+        if !labels.is_empty() {
+            let (backward, _) = reach_expr_backward(&store, node(0), &expr, &labels, &|_| true);
+            prop_assert_eq!(&backward, &want, "backward, {} over {:?}", expr, nodes);
+        }
+    }
 
     /// NFA matching agrees with the brute-force oracle on every
     /// expression × word pair.

@@ -194,11 +194,6 @@ impl RelDb {
         })
     }
 
-    /// Number of PARENT-CHILD rows.
-    pub fn edge_rows(&self) -> usize {
-        self.pc.values().map(|m| m.len()).sum()
-    }
-
     /// Row operations performed so far.
     pub fn ops(&self) -> u64 {
         self.ops.get()

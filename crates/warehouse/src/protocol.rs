@@ -415,13 +415,6 @@ impl CostMeter {
         self.bytes.add((q.wire_size() + r.wire_size()) as u64);
     }
 
-    /// Record a pushed update report.
-    pub fn record_report(&self, r: &UpdateReport) {
-        let _s = self.reg.section();
-        self.messages.incr();
-        self.bytes.add(r.wire_size() as u64);
-    }
-
     /// Record a failed query attempt (the request went out and cost a
     /// message, but no usable reply came back).
     pub fn record_fault(&self, q: &SourceQuery, _fault: QueryFault) {

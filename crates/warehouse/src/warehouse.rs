@@ -196,6 +196,14 @@ impl Warehouse {
         self.connections.get(source).map(|c| &c.channel)
     }
 
+    /// The connection named `source`; a name nothing is connected
+    /// under is reported as the missing object it is.
+    fn connection(&self, source: &str) -> Result<&Connection> {
+        self.connections
+            .get(source)
+            .ok_or_else(|| gsdb::GsdbError::NoSuchObject(Oid::new(source)))
+    }
+
     /// Define a materialized view over a connected source and
     /// initialize it by querying the source.
     pub fn add_view(
@@ -204,12 +212,7 @@ impl Warehouse {
         def: SimpleViewDef,
         options: ViewOptions,
     ) -> Result<Oid> {
-        let channel = self
-            .connections
-            .get(source)
-            .unwrap_or_else(|| panic!("source {source} not connected"))
-            .channel
-            .clone();
+        let channel = self.connection(source)?.channel.clone();
         let cache = options
             .use_aux_cache
             .then(|| AuxCache::build(def.root, def.full_path(), &channel));
@@ -293,10 +296,7 @@ impl Warehouse {
             "view" = def.view.name().to_string(),
             "source" = source.to_string()
         );
-        assert!(
-            self.connections.contains_key(source),
-            "source {source} not connected"
-        );
+        self.connection(source)?;
         let Some((m, store, stats)) = self.reconstruct_source(source) else {
             return Ok(None);
         };
@@ -1015,6 +1015,19 @@ mod tests {
         src.apply(Update::modify("A2", 80i64)).unwrap();
         pump(&src, &mut wh);
         assert!(wh.view(oid("YP")).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_view_over_an_unconnected_source_is_an_error() {
+        let src = person_source(ReportLevel::WithValues);
+        let mut wh = Warehouse::new();
+        wh.connect(&src);
+        let missing = gsdb::GsdbError::NoSuchObject(oid("nobody"));
+        let cold = wh.add_view("nobody", yp_def(), ViewOptions::default());
+        assert_eq!(cold.unwrap_err(), missing);
+        let warm = wh.add_view_warm("nobody", yp_def(), ViewOptions::default());
+        assert_eq!(warm.unwrap_err(), missing);
+        assert!(wh.view(oid("YP")).is_none());
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn full_stack_scenario() {
     // 4. Query with the planner; forward and backward agree.
     let q = parse_query("SELECT EROOT.*.salary X").expect("parse");
     let forward = evaluate(&store, &q).expect("forward");
-    let (planned, _strategy) = evaluate_planned(&store, &q, 0.5).expect("planned");
+    let (planned, _strategy) = evaluate_planned(&store, &q).expect("planned");
     assert_eq!(forward.oids, planned.oids);
     assert_eq!(forward.oids.len(), 3);
 
