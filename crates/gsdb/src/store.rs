@@ -44,9 +44,21 @@
 //! copy via `Arc::make_mut`, privately — the other side keeps
 //! observing the state it captured. This is what lets a source publish
 //! an immutable post-commit snapshot of itself into an
-//! [`EpochHandle`](crate::EpochHandle) on **every** committed update
-//! without O(n) copying: readers traverse the published fork while
-//! writers keep mutating the live store. Every successful
+//! [`EpochHandle`](crate::EpochHandle) on **every** committed update:
+//! readers traverse the published fork while writers keep mutating the
+//! live store.
+//!
+//! What that first mutation copies differs by an order of magnitude.
+//! A **page** copy is bounded (`PAGE_SIZE` slots): a modify after a
+//! fork costs 8–28 µs by what the page holds, whatever the store
+//! holds. The per-shard **maps** are not paged: `slot_of`,
+//! `parent_index` and `label_index` are each one `FastMap` behind one
+//! `Arc`, so the first create, remove or edge update after a fork
+//! clones the *whole* map of every shard it touches — O(objects in the
+//! shard), about 400 µs for the `parent_index` of one 27 k-object
+//! shard. That is most of the ≈ 1.0 ms `gsdb.commit_us`
+//! `gsbench` records per commit on every workload; ROADMAP's "Commit
+//! cost proportional to the batch" item is the fix. Every successful
 //! [`Store::apply`] also bumps a monotonically increasing
 //! [`version`](Store::version), so commit protocols can skip
 //! republishing untouched state.

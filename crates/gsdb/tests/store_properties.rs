@@ -250,4 +250,62 @@ proptest! {
             }
         }
     }
+    /// Local eviction agrees with the whole-store collector. A random
+    /// graph in which every object starts reachable from the root —
+    /// with shared children, self-loops and cycles, also through the
+    /// root — loses a random set of edges, and some of the detached
+    /// children are re-inserted under other parents. All garbage then
+    /// lies below the deleted edges' children, so `collect_below` on
+    /// them must remove exactly what `collect` removes from a clone.
+    #[test]
+    fn collect_below_matches_mark_and_sweep(
+        parents in prop::collection::vec(any::<u16>(), 1..10),
+        extra in prop::collection::vec((any::<u16>(), any::<u16>()), 0..12),
+        cuts in prop::collection::vec(any::<u16>(), 1..8),
+        grafts in prop::collection::vec((any::<u16>(), any::<u16>()), 0..4),
+        salt in 0u32..1_000_000,
+    ) {
+        let n = parents.len() + 1;
+        let node = |i: usize| Oid::new(&format!("cb{salt}n{i}"));
+        let root = node(0);
+        let mut store = Store::new();
+        for i in 0..n {
+            store.create(Object::empty_set(node(i).name(), "s")).unwrap();
+        }
+        // A spanning tree first (every object reachable from the
+        // root), then arbitrary extra edges: second parents, back
+        // edges, self-loops.
+        let mut edges: Vec<(Oid, Oid)> = Vec::new();
+        for (i, p) in parents.iter().enumerate() {
+            edges.push((node(*p as usize % (i + 1)), node(i + 1)));
+        }
+        for (u, v) in &extra {
+            edges.push((node(*u as usize % n), node(*v as usize % n)));
+        }
+        edges.retain(|&(u, v)| store.insert_edge(u, v).is_ok());
+
+        let mut tops: Vec<Oid> = Vec::new();
+        for c in &cuts {
+            if edges.is_empty() {
+                break;
+            }
+            let (u, v) = edges.swap_remove(*c as usize % edges.len());
+            store.delete_edge(u, v).unwrap();
+            tops.push(v);
+        }
+        for (t, u) in &grafts {
+            let _ = store.insert_edge(node(*u as usize % n), tops[*t as usize % tops.len()]);
+        }
+
+        let mut oracle = store.clone();
+        let swept = gc::collect(&mut oracle, &[root]);
+        let evicted = gc::collect_below(&mut store, root, &tops);
+        prop_assert_eq!(evicted, swept);
+        prop_assert_eq!(Snapshot::capture(&store), Snapshot::capture(&oracle));
+        for s in [&store, &oracle] {
+            if let Err(e) = s.check_invariants() {
+                panic!("store invariant broken: {e}");
+            }
+        }
+    }
 }

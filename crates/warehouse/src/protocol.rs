@@ -138,7 +138,7 @@ impl UpdateReport {
 /// A query from the warehouse back to a source (paper Example 9's
 /// `fetch X where func(X)` interface, specialized to the functions
 /// Algorithm 1 needs).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SourceQuery {
     /// Fetch one object (OID, label, type, value).
     Fetch(Oid),

@@ -6,19 +6,25 @@
 //! tier:
 //!
 //! 1. the triggering **update report** (levels 2/3 carry labels,
-//!    values, and root paths of the directly affected objects);
+//!    values, and root paths of the directly affected objects) — or,
+//!    on the batched path, the [`BatchAnswers`] built from every report
+//!    of the batch;
 //! 2. the **auxiliary cache** (§5.2), when one is attached;
 //! 3. a **query back to the source** through its channel — the
 //!    expensive case the paper's techniques aim to avoid, and (in a
-//!    fault-tolerant deployment) the only one that can *fail*.
+//!    fault-tolerant deployment) the only one that can *fail*. Within
+//!    one batch a question is put to the source once: [`BatchAnswers`]
+//!    remembers the reply for every view that asks it again.
 
 use crate::cache::AuxCache;
-use crate::protocol::{CostMeter, SourceQuery, SourceReply, UpdateReport};
+use crate::protocol::{CostMeter, ObjectInfo, SourceQuery, SourceReply, UpdateReport};
 use crate::resync::{DeadLetter, DeadLetterQueue, RetryPolicy, SimClock};
 use crate::source::{QueryPort, Wrapper};
 use gsdb::{Label, Object, Oid, Path};
 use gsview_core::BaseAccess;
 use gsview_query::Pred;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,6 +152,114 @@ impl Channel {
     }
 }
 
+/// What one [`Warehouse::handle_batch`](crate::Warehouse::handle_batch)
+/// call knows about one source before and while it maintains that
+/// source's views: the object info its accepted reports carried, and
+/// every reply the source has given during the call. Built once per
+/// source and shared by all of its views, so a batch pays for each
+/// question once.
+///
+/// **Info is last-mention-wins.** An object's label and value change
+/// only through updates that mention it (a modify of it, an edge out of
+/// it, its creation or removal), so what the last report mentioning it
+/// carried is its value at the end of the batch; a last mention without
+/// info (a `Remove`, a report downgraded to level 1) leaves nothing to
+/// trust and erases what earlier reports said. Level-3 root paths are
+/// *not* kept: a path goes stale through updates that never mention
+/// the object (an ancestor detached later in the batch).
+///
+/// **Replies are memoized by query.** Every query of the call is
+/// answered from the source's current state, as the batched maintenance
+/// pass expects; a query that exhausted its retries is not remembered,
+/// so whoever asks again pays — and counts as exhausted — again.
+pub struct BatchAnswers<'a> {
+    info: HashMap<Oid, &'a ObjectInfo>,
+    memo: RefCell<HashMap<SourceQuery, SourceReply>>,
+    report_answers: Cell<u64>,
+    memo_hits: Cell<u64>,
+}
+
+impl<'a> BatchAnswers<'a> {
+    /// Gather the info carried by `reports` (in sequence order).
+    pub fn new(reports: &[&'a UpdateReport]) -> Self {
+        let mut info = HashMap::new();
+        for r in reports {
+            for oid in r.update.directly_affected() {
+                match r.info_of(oid) {
+                    Some(i) => info.insert(oid, i),
+                    None => info.remove(&oid),
+                };
+            }
+        }
+        BatchAnswers {
+            info,
+            memo: RefCell::new(HashMap::new()),
+            report_answers: Cell::new(0),
+            memo_hits: Cell::new(0),
+        }
+    }
+
+    /// Label and batch-end value of `oid`, if the batch reported them.
+    pub fn info_of(&self, oid: Oid) -> Option<&'a ObjectInfo> {
+        let info = self.info.get(&oid).copied();
+        if info.is_some() {
+            self.report_answers.set(self.report_answers.get() + 1);
+        }
+        info
+    }
+
+    /// Serve `q` from the replies already received, else over `channel`.
+    pub fn serve(&self, channel: &Channel, q: &SourceQuery) -> Option<SourceReply> {
+        if let Some(reply) = self.memo.borrow().get(q) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            return Some(reply.clone());
+        }
+        let reply = channel.serve(q)?;
+        self.memo.borrow_mut().insert(q.clone(), reply.clone());
+        Some(reply)
+    }
+}
+
+impl Drop for BatchAnswers<'_> {
+    /// Publish where the batch's questions were answered.
+    fn drop(&mut self) {
+        let registry = gsview_obs::registry();
+        registry
+            .counter("warehouse.batch.report_answers")
+            .add(self.report_answers.get());
+        registry
+            .counter("warehouse.batch.memo_hits")
+            .add(self.memo_hits.get());
+    }
+}
+
+/// The two ends of every tiered lookup: what the warehouse has already
+/// been told (the triggering report, the batch's answers) and the
+/// channel a question travels over when nothing nearer answers it.
+#[derive(Clone, Copy)]
+pub(crate) struct Asker<'a> {
+    pub(crate) channel: &'a Channel,
+    pub(crate) report: Option<&'a UpdateReport>,
+    pub(crate) batch: Option<&'a BatchAnswers<'a>>,
+}
+
+impl<'a> Asker<'a> {
+    /// Info on `n` from the triggering report, else from the batch.
+    pub(crate) fn reported(self, n: Oid) -> Option<&'a ObjectInfo> {
+        self.report
+            .and_then(|r| r.info_of(n))
+            .or_else(|| self.batch.and_then(|b| b.info_of(n)))
+    }
+
+    /// Put `q` to the source, through the batch's memo when there is one.
+    pub(crate) fn ask(self, q: &SourceQuery) -> Option<SourceReply> {
+        match self.batch {
+            Some(b) => b.serve(self.channel, q),
+            None => self.channel.serve(q),
+        }
+    }
+}
+
 /// Base access over a source channel, consulting the triggering report
 /// and an optional auxiliary cache first.
 ///
@@ -153,8 +267,7 @@ impl Channel {
 /// the caller must watch [`Channel::exhausted`] to distinguish "no
 /// such object" from "the source stopped answering".
 pub struct RemoteBase<'a> {
-    channel: &'a Channel,
-    report: Option<&'a UpdateReport>,
+    asker: Asker<'a>,
     cache: Option<&'a AuxCache>,
 }
 
@@ -162,15 +275,24 @@ impl<'a> RemoteBase<'a> {
     /// Access with neither report nor cache (pure querying).
     pub fn new(channel: &'a Channel) -> Self {
         RemoteBase {
-            channel,
-            report: None,
+            asker: Asker {
+                channel,
+                report: None,
+                batch: None,
+            },
             cache: None,
         }
     }
 
     /// Attach the triggering update report.
     pub fn with_report(mut self, report: &'a UpdateReport) -> Self {
-        self.report = Some(report);
+        self.asker.report = Some(report);
+        self
+    }
+
+    /// Attach the answers of the batch being maintained.
+    pub fn with_batch(mut self, batch: &'a BatchAnswers<'a>) -> Self {
+        self.asker.batch = Some(batch);
         self
     }
 
@@ -184,7 +306,7 @@ impl<'a> RemoteBase<'a> {
 impl BaseAccess for RemoteBase<'_> {
     fn path_from_root(&mut self, root: Oid, n: Oid) -> Option<Path> {
         // Tier 1: level-3 reports carry path(ROOT, N) directly.
-        if let Some(r) = self.report {
+        if let Some(r) = self.asker.report {
             if let Some(rp) = r.path_of(n) {
                 return Some(rp.path.clone());
             }
@@ -203,7 +325,7 @@ impl BaseAccess for RemoteBase<'_> {
             }
         }
         // Tier 3: query.
-        match self.channel.serve(&SourceQuery::PathFromRoot { root, n }) {
+        match self.asker.ask(&SourceQuery::PathFromRoot { root, n }) {
             Some(SourceReply::PathResult(p)) => p,
             _ => None,
         }
@@ -216,7 +338,7 @@ impl BaseAccess for RemoteBase<'_> {
         // Tier 1: a level-3 root path of n names the OIDs along it —
         // the ancestor at distance |p| is right there if the labels
         // match.
-        if let Some(r) = self.report {
+        if let Some(r) = self.asker.report {
             if let Some(rp) = r.path_of(n) {
                 let len = rp.path.len();
                 if p.len() <= len && rp.path.ends_with(p) {
@@ -232,17 +354,14 @@ impl BaseAccess for RemoteBase<'_> {
                 return Some(a);
             }
         }
-        match self.channel.serve(&SourceQuery::Ancestor { n, p: p.clone() }) {
+        match self.asker.ask(&SourceQuery::Ancestor { n, p: p.clone() }) {
             Some(SourceReply::AncestorResult(a)) => a,
             _ => None,
         }
     }
 
     fn ancestors_all(&mut self, n: Oid, p: &Path) -> Vec<Oid> {
-        match self
-            .channel
-            .serve(&SourceQuery::AncestorsAll { n, p: p.clone() })
-        {
+        match self.asker.ask(&SourceQuery::AncestorsAll { n, p: p.clone() }) {
             Some(SourceReply::Ancestors(a)) => a,
             _ => Vec::new(),
         }
@@ -253,20 +372,18 @@ impl BaseAccess for RemoteBase<'_> {
         // answered from the report (Example 5's insert(P2, A2) with a
         // level-2 report needs no query for eval(A2, ∅, cond)).
         if p.is_empty() {
-            if let Some(r) = self.report {
-                if let Some(info) = r.info_of(n) {
-                    return match (pred, info.value.as_atom()) {
-                        (Some(pr), Some(a)) => {
-                            if pr.eval(a) {
-                                vec![n]
-                            } else {
-                                vec![]
-                            }
+            if let Some(info) = self.asker.reported(n) {
+                return match (pred, info.value.as_atom()) {
+                    (Some(pr), Some(a)) => {
+                        if pr.eval(a) {
+                            vec![n]
+                        } else {
+                            vec![]
                         }
-                        (Some(_), None) => vec![],
-                        (None, _) => vec![n],
-                    };
-                }
+                    }
+                    (Some(_), None) => vec![],
+                    (None, _) => vec![n],
+                };
             }
         }
         if let Some(c) = self.cache {
@@ -276,7 +393,7 @@ impl BaseAccess for RemoteBase<'_> {
         }
         // Tier 3: fetch n.p with values and test the condition locally
         // (Example 9).
-        match self.channel.serve(&SourceQuery::Reach { n, p: p.clone() }) {
+        match self.asker.ask(&SourceQuery::Reach { n, p: p.clone() }) {
             Some(SourceReply::Objects(infos)) => infos
                 .into_iter()
                 .filter(|i| match pred {
@@ -290,34 +407,30 @@ impl BaseAccess for RemoteBase<'_> {
     }
 
     fn label_of(&mut self, n: Oid) -> Option<Label> {
-        if let Some(r) = self.report {
-            if let Some(info) = r.info_of(n) {
-                return Some(info.label);
-            }
+        if let Some(info) = self.asker.reported(n) {
+            return Some(info.label);
         }
         if let Some(c) = self.cache {
             if let Some(l) = c.try_label(n) {
                 return Some(l);
             }
         }
-        match self.channel.serve(&SourceQuery::LabelOf(n)) {
+        match self.asker.ask(&SourceQuery::LabelOf(n)) {
             Some(SourceReply::LabelResult(l)) => l,
             _ => None,
         }
     }
 
     fn fetch(&mut self, n: Oid) -> Option<Object> {
-        if let Some(r) = self.report {
-            if let Some(info) = r.info_of(n) {
-                return Some(info.to_object());
-            }
+        if let Some(info) = self.asker.reported(n) {
+            return Some(info.to_object());
         }
         if let Some(c) = self.cache {
             if let Some(o) = c.try_fetch(n) {
                 return Some(o);
             }
         }
-        match self.channel.serve(&SourceQuery::Fetch(n)) {
+        match self.asker.ask(&SourceQuery::Fetch(n)) {
             Some(SourceReply::Object(info)) => info.map(|i| i.to_object()),
             _ => None,
         }

@@ -14,7 +14,7 @@ use crate::cache::{AuxCache, PathKnowledge};
 use crate::chaos::ChaosPolicy;
 use crate::durable::{local_channel, ChunkCache};
 use crate::protocol::{CostMeter, UpdateReport};
-use crate::remote::{Channel, RemoteBase};
+use crate::remote::{BatchAnswers, Channel, RemoteBase};
 use crate::resync::{
     DeadLetterQueue, ResyncOutcome, RetryPolicy, SeqTracker, SeqVerdict, SimClock, StaleCause,
     ViewState,
@@ -205,7 +205,12 @@ impl Warehouse {
     }
 
     /// Define a materialized view over a connected source and
-    /// initialize it by querying the source.
+    /// initialize it by querying the source. With an auxiliary cache
+    /// the region is downloaded once, by the cache, and the view is
+    /// materialized from it. A view whose set-up lost a query to the
+    /// dead-letter queue is built on missing answers: it is registered
+    /// [`Stale`](ViewState::Stale) and [`Warehouse::resync_view`] heals
+    /// it.
     pub fn add_view(
         &mut self,
         source: &str,
@@ -213,12 +218,20 @@ impl Warehouse {
         options: ViewOptions,
     ) -> Result<Oid> {
         let channel = self.connection(source)?.channel.clone();
+        let faults_before = channel.exhausted();
         let cache = options
             .use_aux_cache
             .then(|| AuxCache::build(def.root, def.full_path(), &channel));
-        // Initial materialization through the channel.
         let mut base = RemoteBase::new(&channel);
+        if let Some(cache) = cache.as_ref() {
+            base = base.with_cache(cache);
+        }
         let mv = gsview_core::recompute::recompute(&def, &mut base)?;
+        let state = if channel.exhausted() > faults_before {
+            ViewState::Stale(StaleCause::QueryFailure)
+        } else {
+            ViewState::Consistent
+        };
         let view = def.view;
         self.views.push(WarehouseView {
             maintainer: Maintainer::new(def.clone()),
@@ -228,7 +241,7 @@ impl Warehouse {
             cache,
             options,
             stats: ViewStats::default(),
-            state: ViewState::default(),
+            state,
         });
         Ok(view)
     }
@@ -458,7 +471,7 @@ impl Warehouse {
             // *view* cannot change; a cached copy still can, and
             // [`AuxCache::try_fetch`] serves exact whole-value copies.
             if let Some(cache) = wv.cache.as_mut() {
-                cache.apply_report(report, &channel);
+                cache.apply_report(report, &channel, None);
             }
 
             // Local screening (no source queries). A screened report
@@ -554,7 +567,10 @@ impl Warehouse {
     /// state. Consolidation means churny runs (insert+delete of the
     /// same edge, repeated modifies of one atom) cost far fewer
     /// location tests and source queries than one-at-a-time
-    /// [`handle_report`](Warehouse::handle_report) calls.
+    /// [`handle_report`](Warehouse::handle_report) calls; and a batch
+    /// asks a source each question once — what its reports carried and
+    /// what the source has already replied ([`BatchAnswers`]) is shared
+    /// by every view of that source for the duration of the call.
     pub fn handle_batch(
         &mut self,
         reports: &[UpdateReport],
@@ -596,6 +612,7 @@ impl Warehouse {
                 }
             }
             let channel = conn.channel.clone();
+            let answers = BatchAnswers::new(&accepted);
             for wv in &mut self.views {
                 if wv.source != source {
                     continue;
@@ -619,7 +636,7 @@ impl Warehouse {
                     // only proves the view can't change, not the
                     // cached copies (see handle_report).
                     if let Some(cache) = wv.cache.as_mut() {
-                        cache.apply_report(report, &channel);
+                        cache.apply_report(report, &channel, Some(&answers));
                     }
                     if screened_out(wv, report) && screened_content_upkeep(wv, report)? {
                         wv.stats.screened_out += 1;
@@ -637,7 +654,7 @@ impl Warehouse {
                     continue;
                 }
                 let outcome = {
-                    let mut base = RemoteBase::new(&channel);
+                    let mut base = RemoteBase::new(&channel).with_batch(&answers);
                     if let Some(cache) = wv.cache.as_ref() {
                         base = base.with_cache(cache);
                     }
@@ -962,7 +979,7 @@ fn screened_content_upkeep(wv: &mut WarehouseView, report: &UpdateReport) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ReportLevel;
+    use crate::protocol::{QueryFault, ReportLevel, SourceQuery, SourceReply};
     use crate::source::{ReportSource, Source};
     use gsdb::{samples, Update};
     use gsview_query::{CmpOp, Pred};
@@ -989,6 +1006,60 @@ mod tests {
         for r in src.monitor().poll() {
             wh.handle_report(&r).unwrap();
         }
+    }
+
+    /// Membership and delegate values of a view: `(base, label, value)`
+    /// per member.
+    type Contents = Vec<(Oid, Label, gsdb::Value)>;
+
+    fn contents(wh: &Warehouse, view: &str) -> Contents {
+        let mv = wh.view(oid(view)).unwrap();
+        mv.members_base()
+            .into_iter()
+            .map(|b| {
+                let d = mv.delegate(mv.delegate_of(b).unwrap()).unwrap();
+                (b, d.label, d.value.clone())
+            })
+            .collect()
+    }
+
+    /// Membership *and* delegate values agree with a recomputation
+    /// over the source's current state.
+    fn assert_consistent(src: &Source, wh: &Warehouse, def: &SimpleViewDef) {
+        let problems = src.with_store(|s| {
+            consistency::check(def, &mut LocalBase::new(s), wh.view(def.view).unwrap())
+        });
+        assert!(problems.is_empty(), "{}: {problems:?}", def.view);
+    }
+
+    /// A port that records every query it is sent and can be switched
+    /// off (every query then fails until it is switched on again).
+    struct Probe {
+        inner: crate::source::Wrapper,
+        log: std::sync::Mutex<Vec<SourceQuery>>,
+        down: std::sync::atomic::AtomicBool,
+    }
+
+    impl QueryPort for Probe {
+        fn query(&self, q: &SourceQuery) -> std::result::Result<SourceReply, QueryFault> {
+            if self.down.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(QueryFault::Unavailable);
+            }
+            self.log.lock().unwrap().push(q.clone());
+            Ok(self.inner.serve(q))
+        }
+    }
+
+    fn probed(src: &Source) -> (Warehouse, Arc<Probe>) {
+        let meter = Arc::new(CostMeter::new());
+        let probe = Arc::new(Probe {
+            inner: src.wrapper(meter.clone()),
+            log: Default::default(),
+            down: Default::default(),
+        });
+        let mut wh = Warehouse::new();
+        wh.connect_port(src.name(), probe.clone(), meter, src.next_seq());
+        (wh, probe)
     }
 
     #[test]
@@ -1217,6 +1288,7 @@ mod tests {
             ]
         };
         let mut memberships = Vec::new();
+        let mut values = Vec::new();
         let mut query_counts = Vec::new();
         for level in [
             ReportLevel::OidsOnly,
@@ -1243,16 +1315,13 @@ mod tests {
             memberships.push(wh.view(oid("YP")).unwrap().members_base());
             query_counts.push(wh.meter("persons").unwrap().queries());
 
-            // And it matches a direct recompute of the source.
-            let expected = src.with_store(|s| {
-                gsview_core::recompute::recompute_members(
-                    &yp_def(),
-                    &mut gsview_core::LocalBase::new(s),
-                )
-            });
-            assert_eq!(*memberships.last().unwrap(), expected);
+            // And it matches a direct recompute of the source, in
+            // membership and in delegate values.
+            assert_consistent(&src, &wh, &yp_def());
+            values.push(contents(&wh, "YP"));
         }
         assert!(memberships.windows(2).all(|w| w[0] == w[1]));
+        assert!(values.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(*memberships.last().unwrap(), vec![oid("P1")]);
     }
 
@@ -1286,16 +1355,209 @@ mod tests {
                     wh.handle_report(r).unwrap();
                 }
             }
-            (
-                wh.view(oid("YP")).unwrap().members_base(),
-                wh.view_stats(oid("YP")).unwrap().reports,
-            )
+            assert_consistent(&src, &wh, &yp_def());
+            (contents(&wh, "YP"), wh.view_stats(oid("YP")).unwrap().reports)
         };
-        let (batched_members, batched_reports) = run(true);
-        let (seq_members, seq_reports) = run(false);
-        assert_eq!(batched_members, seq_members);
-        assert_eq!(batched_members, vec![oid("P1")]);
+        let (batched, batched_reports) = run(true);
+        let (sequential, seq_reports) = run(false);
+        assert_eq!(batched, sequential, "members and delegate values");
+        let members: Vec<Oid> = batched.iter().map(|m| m.0).collect();
+        assert_eq!(members, vec![oid("P1")]);
         assert_eq!(batched_reports, seq_reports);
+    }
+
+    // ------------------------------------------------------------------
+    // A batch asks the source each question once
+    // ------------------------------------------------------------------
+
+    fn old_def() -> SimpleViewDef {
+        SimpleViewDef::new("OP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Gt, 60i64))
+    }
+
+    fn cached_def() -> SimpleViewDef {
+        SimpleViewDef::new("YC", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+    }
+
+    /// One L2 report stream over two uncached views and a cached one,
+    /// flushed as one batch or pumped a report at a time: the queries
+    /// sent, the reports, and each view's contents.
+    fn l2_stream(batched: bool) -> (Vec<SourceQuery>, Vec<UpdateReport>, Vec<Contents>) {
+        let src = person_source(ReportLevel::WithValues);
+        let (mut wh, probe) = probed(&src);
+        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+        let cached = ViewOptions {
+            use_aux_cache: true,
+            ..ViewOptions::default()
+        };
+        wh.add_view("persons", cached_def(), cached).unwrap();
+        for u in [
+            Update::create(Object::atom("A2", "age", 40i64)),
+            Update::insert("P2", "A2"), // P2 joins the young
+            Update::create(Object::atom("A5", "age", 70i64)),
+            Update::create(Object::set("P5", "professor", &[oid("A5")])),
+            Update::insert("ROOT", "P5"), // P5 joins the old; the cache adopts it
+            Update::modify("A1", 50i64),  // P1 leaves the young
+            Update::modify("N2", "Sal"),
+            Update::delete("ROOT", "P4"),
+        ] {
+            src.apply(u).unwrap();
+        }
+        let reports = src.monitor().poll();
+        probe.log.lock().unwrap().clear();
+        if batched {
+            wh.handle_batch(&reports).unwrap();
+        } else {
+            for r in &reports {
+                wh.handle_report(r).unwrap();
+            }
+        }
+        let defs = [yp_def(), old_def(), cached_def()];
+        for def in &defs {
+            assert_consistent(&src, &wh, def);
+        }
+        assert!(wh.stale_views().is_empty());
+        let log = probe.log.lock().unwrap().clone();
+        let views = defs.iter().map(|d| contents(&wh, d.view.name())).collect();
+        (log, reports, views)
+    }
+
+    #[test]
+    fn l2_batch_never_asks_what_its_reports_said() {
+        let registry = gsview_obs::registry();
+        let report_answers = registry.counter("warehouse.batch.report_answers");
+        let memo_hits = registry.counter("warehouse.batch.memo_hits");
+        let (answered_before, hits_before) = (report_answers.get(), memo_hits.get());
+
+        let (batched, reports, batched_views) = l2_stream(true);
+        let (sequential, _, sequential_views) = l2_stream(false);
+        assert_eq!(batched_views, sequential_views);
+        assert_eq!(batched_views[0].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P2")]);
+        assert_eq!(batched_views[1].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P5")]);
+
+        let refs: Vec<&UpdateReport> = reports.iter().collect();
+        let answers = BatchAnswers::new(&refs);
+        for q in &batched {
+            if let SourceQuery::LabelOf(o) | SourceQuery::Fetch(o) = q {
+                assert!(answers.info_of(*o).is_none(), "{q:?} asks what a report said");
+            }
+        }
+        assert!(
+            batched.len() <= sequential.len(),
+            "{} queries batched, {} a report at a time",
+            batched.len(),
+            sequential.len()
+        );
+        // Two uncached views locate A1's modify: one PathFromRoot, and
+        // in general no question put to the source twice.
+        let a1 = SourceQuery::PathFromRoot {
+            root: oid("ROOT"),
+            n: oid("A1"),
+        };
+        assert_eq!(batched.iter().filter(|q| **q == a1).count(), 1);
+        assert_eq!(sequential.iter().filter(|q| **q == a1).count(), 2);
+        for (i, q) in batched.iter().enumerate() {
+            assert!(!batched[..i].contains(q), "{q:?} asked twice");
+        }
+        // At least: the registry is process-wide.
+        assert!(report_answers.get() > answered_before);
+        assert!(memo_hits.get() > hits_before);
+    }
+
+    #[test]
+    fn batch_info_is_last_mention_wins() {
+        let src = person_source(ReportLevel::WithValues);
+        src.apply(Update::create(Object::atom("X1", "age", 1i64))).unwrap();
+        src.apply(Update::modify("A1", 46i64)).unwrap();
+        let mut reports = src.monitor().poll();
+        src.apply(Update::Remove { oid: oid("X1") }).unwrap();
+        src.apply(Update::modify("A1", 47i64)).unwrap();
+        src.apply(Update::modify("A3", 21i64)).unwrap();
+        reports.extend(src.monitor().poll());
+        // A fault downgrades the last report to level 1.
+        reports.last_mut().unwrap().info.clear();
+        src.apply(Update::modify("A4", 41i64)).unwrap();
+        reports.extend(src.monitor().poll());
+
+        let refs: Vec<&UpdateReport> = reports.iter().collect();
+        let answers = BatchAnswers::new(&refs);
+        assert!(answers.info_of(oid("X1")).is_none(), "created, then removed");
+        assert!(answers.info_of(oid("A3")).is_none(), "last mention carried nothing");
+        let a1 = answers.info_of(oid("A1")).unwrap();
+        assert_eq!(a1.value.as_atom(), Some(&gsdb::Atom::Int(47)));
+        assert!(answers.info_of(oid("A4")).is_some());
+        // Without the downgrade the earlier mention would have stood.
+        assert!(BatchAnswers::new(&refs[..2]).info_of(oid("X1")).is_some());
+    }
+
+    #[test]
+    fn l3_batch_does_not_trust_a_root_path_gone_stale() {
+        // A1's modify is reported with path(ROOT, A1) = professor.age;
+        // a later report of the same batch detaches P1 without
+        // mentioning A1. Used, the stale path would bring P1 back.
+        let src = person_source(ReportLevel::WithPaths);
+        let mut wh = Warehouse::new();
+        wh.connect(&src);
+        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        src.apply(Update::modify("A1", 80i64)).unwrap();
+        pump(&src, &mut wh);
+        assert!(wh.view(oid("YP")).unwrap().is_empty());
+
+        src.apply(Update::modify("A1", 30i64)).unwrap();
+        let mut reports = src.monitor().poll();
+        assert!(reports[0].path_of(oid("A1")).is_some());
+        src.apply(Update::delete("ROOT", "P1")).unwrap();
+        reports.extend(src.monitor().poll());
+        wh.handle_batch(&reports).unwrap();
+        assert!(wh.view(oid("YP")).unwrap().is_empty());
+        assert_consistent(&src, &wh, &yp_def());
+    }
+
+    #[test]
+    fn view_set_up_over_a_dead_port_comes_up_stale_and_resync_heals() {
+        for use_aux_cache in [false, true] {
+            let src = person_source(ReportLevel::WithValues);
+            let (mut wh, probe) = probed(&src);
+            probe.down.store(true, std::sync::atomic::Ordering::SeqCst);
+            let options = ViewOptions {
+                use_aux_cache,
+                ..ViewOptions::default()
+            };
+            wh.add_view("persons", yp_def(), options).unwrap();
+            assert_eq!(
+                wh.view_state(oid("YP")),
+                Some(ViewState::Stale(StaleCause::QueryFailure)),
+                "built from missing answers (cache: {use_aux_cache})"
+            );
+            assert!(wh.view(oid("YP")).unwrap().is_empty());
+            // Stale views skip maintenance until healed.
+            src.apply(Update::modify("A1", 44i64)).unwrap();
+            wh.handle_batch(&src.monitor().poll()).unwrap();
+            assert!(wh.view(oid("YP")).unwrap().is_empty());
+
+            probe.down.store(false, std::sync::atomic::Ordering::SeqCst);
+            assert!(wh.resync_view(oid("YP")).unwrap().healed);
+            assert_eq!(wh.view_state(oid("YP")), Some(ViewState::Consistent));
+            assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
+            assert_consistent(&src, &wh, &yp_def());
+        }
+    }
+
+    #[test]
+    fn cached_view_materializes_from_its_cache() {
+        // The cache downloads the region (one Fetch of the root, one
+        // Reach per level); materializing the view from it costs the
+        // source nothing more.
+        let src = person_source(ReportLevel::WithValues);
+        let (mut wh, probe) = probed(&src);
+        let cached = ViewOptions {
+            use_aux_cache: true,
+            ..ViewOptions::default()
+        };
+        wh.add_view("persons", yp_def(), cached).unwrap();
+        assert_eq!(probe.log.lock().unwrap().len(), 3);
+        assert_consistent(&src, &wh, &yp_def());
     }
 
     #[test]
