@@ -11,7 +11,7 @@
 //!   ([`Warehouse::add_view`]); the query count scales with the
 //!   membership and the wall time with the source round trips.
 //! * **`restart/warm`** — [`Source::recover`] rebuilds the source
-//!   from its last durable root, then
+//!   from its newest durable epoch, then
 //!   [`Warehouse::add_view_warm`] re-materializes the view from
 //!   recovered chunks: **zero queries to the source**, by
 //!   construction (asserted, not just measured).

@@ -15,6 +15,15 @@ pub enum DurableError {
     /// failed decode, a manifest referencing impossible shapes, a
     /// recovered image the store rejected.
     Corrupt(String),
+    /// The media holds a store in a layout this build does not read
+    /// (format 1 is the three-file layout; 0 an unrecognized file).
+    /// Nothing was read from it and nothing will be written to it.
+    Version {
+        /// The format version found.
+        found: u32,
+        /// The format version this build reads and writes.
+        expected: u32,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -23,6 +32,10 @@ impl fmt::Display for DurableError {
             DurableError::Crashed => write!(f, "media crashed (fault injection)"),
             DurableError::Io(m) => write!(f, "durable I/O error: {m}"),
             DurableError::Corrupt(m) => write!(f, "corrupt durable state: {m}"),
+            DurableError::Version { found, expected } => write!(
+                f,
+                "durable store is format version {found}, this build reads version {expected}"
+            ),
         }
     }
 }

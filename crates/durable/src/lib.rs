@@ -3,51 +3,65 @@
 //! Persistence for gsview stores: every epoch a
 //! [`ShardedStore`](gsdb::ShardedStore) publishes can be made
 //! crash-recoverable, so sources and the warehouse restart **warm** —
-//! loading the last durable root instead of re-querying and
+//! loading the last durable epoch instead of re-querying and
 //! recomputing, which is exactly the cost the paper's warehouse
 //! architecture (§3) exists to avoid.
 //!
 //! ## Layout
 //!
-//! Three media (files) make up one durable store:
+//! One durable store is **one append-only file** ([`log`]) of
+//! checksum-chained frames:
 //!
-//! * **Chunk segment** ([`segment`]): each copy-on-write slab page is
-//!   encoded ([`gsdb::codec`]) and appended once per distinct content
-//!   hash — content addressing turns the store's structural sharing
-//!   into storage sharing, so persisting an epoch writes only the
-//!   pages that epoch actually changed.
-//! * **Epoch log** ([`log`]): one CRC-framed [`Manifest`] per persist
-//!   — lineage name, epoch, sequence watermark, store flags, and the
-//!   per-shard page-hash lists. One log serves many lineages (a
-//!   source and every warehouse view can share a [`MediaSet`]).
-//! * **Root pointer** ([`root`]): a double-slot ping-pong cell naming
-//!   the frame that completed the latest persist.
+//! * **Chunk frames**: each copy-on-write slab page is encoded
+//!   ([`gsdb::codec`]) and appended once per distinct content hash —
+//!   content addressing turns the store's structural sharing into
+//!   storage sharing, so persisting an epoch writes only the pages
+//!   that epoch actually changed.
+//! * **Manifest frames**: one [`Manifest`] per persist — lineage name,
+//!   epoch, sequence watermark, store flags, and the per-shard
+//!   page-hash lists. One log serves many lineages (a source and every
+//!   warehouse view can share a [`MediaSet`]).
+//!
+//! The file opens with a frame carrying the format version; a
+//! directory written by the earlier three-file layout is refused with
+//! [`DurableError::Version`], never misread.
 //!
 //! ## The commit protocol and why recovery is atomic
 //!
-//! A persist writes in this order, with sync barriers between layers:
-//! chunks → segment sync → manifest frame → log sync → root swap →
-//! root sync. Every arrow is a happens-before at the media level, so
-//! at any crash the durable state is a *prefix* of that order; each
-//! prefix recovers to a committed epoch:
+//! A persist is one write and one barrier: the chunk frames of the
+//! pages the epoch changed, then the manifest frame, go to the tail of
+//! the valid prefix as a single `write_at`, followed by a single
+//! `sync`. What a persist costs is what the epoch changed: a dirty
+//! page is re-encoded by copying the bytes of its unchanged slots
+//! ([`gsdb::codec::EncodedPage`]), hashed and checksummed eight bytes
+//! at a time, and unchanged pages are recognized by pointer.
 //!
-//! * torn chunks — the segment scan drops them; the previous root
-//!   still commits the previous persist;
-//! * chunks durable, frame torn or missing — the log scan drops the
-//!   tail; recovery replays the previous frame (orphan chunks are
-//!   harmless — dedup reclaims them on retry);
-//! * frame durable, root write lost or torn — the ping-pong cell still
-//!   holds the previous record, and recovery *scans* the log rather
-//!   than trusting the root, so the newer frame is still found and
-//!   used when its chunks are all present.
+//! Recovery rests on one happens-before, the order of bytes in the
+//! file. The open scan accepts a frame only if every frame before it
+//! was accepted and its checksum continues theirs, so the valid
+//! prefix is exactly a prefix of what was written — whatever subset of
+//! the un-synced write a crash let through, torn, dropped or
+//! bit-flipped:
 //!
-//! The root is therefore a hint, not an authority:
-//! [`DurableStore::recover`] walks a lineage's valid frames from the
-//! tail and takes the newest one whose chunks all verify. That is
-//! what makes recovery total over *any* write prefix — the property
-//! the kill-at-every-write-point matrix in `tests/crash_matrix.rs`
-//! checks, with [`ChaosMedia`] tearing, dropping, bit-flipping, and
-//! reordering the un-synced suffix under a seeded [`ChaosPolicy`].
+//! * a manifest frame is inside the valid prefix only if every chunk
+//!   written before it is, and those are all the chunks it names that
+//!   were not already durable — a visible manifest is a complete
+//!   epoch;
+//! * a write torn anywhere before its manifest frame's last byte adds
+//!   at most orphan chunks to the prefix (harmless — dedup reclaims
+//!   them on retry) and recovery lands on the previous persist;
+//! * the next persist overwrites the wreckage from the end of the
+//!   valid prefix, and the checksum chain keeps any leftover beyond
+//!   its own tail from ever validating again.
+//!
+//! [`DurableStore::recover`] still walks a lineage's frames from the
+//! newest and takes the first whose chunks all re-verify against
+//! their content hashes, so a chunk that rotted *after* it was synced
+//! costs one epoch, not the lineage. That recovery is total over any
+//! write prefix is what the kill-at-every-write-point matrix in
+//! `tests/crash_matrix.rs` checks, with [`ChaosMedia`] tearing,
+//! dropping and bit-flipping the un-synced write under a seeded
+//! [`ChaosPolicy`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -56,64 +70,62 @@ pub mod error;
 pub mod hash;
 pub mod log;
 pub mod media;
-pub mod root;
-pub mod segment;
 
 pub use error::{DurableError, Result};
 pub use hash::{chunk_hash, ChunkHash};
-pub use log::{Frame, Manifest, ShardManifest, StoreFlags};
+pub use log::{Frame, Manifest, ShardManifest, StoreFlags, FORMAT_VERSION};
 pub use media::{
     ChaosController, ChaosMedia, ChaosPolicy, CrashPlan, CrashPoint, FsMedia, Media, MemMedia,
 };
-pub use root::{RootPointer, RootRecord};
-pub use segment::SegmentStore;
 
+use gsdb::codec::EncodedPage;
 use gsdb::stats::DurableFootprint;
-use gsdb::{EpochHandle, ShardImage, Store, StoreStats};
+use gsdb::{EpochHandle, Object, ShardImage, Store, StoreStats};
+use gsview_obs::Counter;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// The three media one durable store writes: chunk segment, epoch
-/// log, root cell.
+/// The media one durable store writes: the epoch log.
 #[derive(Clone)]
 pub struct MediaSet {
-    /// Chunk segment media.
-    pub segment: Arc<dyn Media>,
     /// Epoch log media.
     pub log: Arc<dyn Media>,
-    /// Root pointer media.
-    pub root: Arc<dyn Media>,
 }
 
+/// Name of the epoch log file under a store's directory.
+const LOG_FILE: &str = "epochs.gsv";
+/// Files of the format-1 layout; a directory holding one is not ours
+/// to write into.
+const FORMAT_1_FILES: [&str; 2] = ["segment.gsd", "epochs.gsl"];
+
 impl MediaSet {
-    /// Three in-memory media — tests and benchmarks.
+    /// An in-memory media — tests and benchmarks.
     pub fn memory() -> MediaSet {
         MediaSet {
-            segment: Arc::new(MemMedia::new()),
             log: Arc::new(MemMedia::new()),
-            root: Arc::new(MemMedia::new()),
         }
     }
 
-    /// Three files under `dir` (created if absent): `segment.gsd`,
-    /// `epochs.gsl`, `root.gsr`.
+    /// The file `epochs.gsv` under `dir` (both created if absent). A
+    /// directory that holds a store in the three-file layout fails
+    /// with [`DurableError::Version`].
     pub fn on_dir(dir: &std::path::Path) -> Result<MediaSet> {
         std::fs::create_dir_all(dir).map_err(DurableError::from)?;
+        if FORMAT_1_FILES.iter().any(|f| dir.join(f).exists()) {
+            return Err(DurableError::Version {
+                found: 1,
+                expected: FORMAT_VERSION,
+            });
+        }
         Ok(MediaSet {
-            segment: Arc::new(FsMedia::open(&dir.join("segment.gsd"))?),
-            log: Arc::new(FsMedia::open(&dir.join("epochs.gsl"))?),
-            root: Arc::new(FsMedia::open(&dir.join("root.gsr"))?),
+            log: Arc::new(FsMedia::open(&dir.join(LOG_FILE))?),
         })
     }
 
-    /// Three chaos media under one controller — crash-fault tests.
-    /// Allocation order (segment, log, root) is part of the seeded
-    /// schedule, so equal seeds replay identical fault histories.
+    /// A chaos media under `ctl` — crash-fault tests.
     pub fn chaos(ctl: &ChaosController) -> MediaSet {
         MediaSet {
-            segment: Arc::new(ctl.media()),
             log: Arc::new(ctl.media()),
-            root: Arc::new(ctl.media()),
         }
     }
 }
@@ -140,9 +152,9 @@ pub struct PersistMeta {
 pub struct PersistReceipt {
     /// The epoch committed.
     pub epoch: u64,
-    /// Chunks newly appended to the segment.
+    /// Chunks newly appended to the log.
     pub chunks_appended: u64,
-    /// Pages answered by an existing chunk (pointer cache or segment
+    /// Pages answered by an existing chunk (pointer cache or content
     /// dedup) — the structural-sharing savings.
     pub chunks_reused: u64,
     /// Payload bytes appended.
@@ -165,7 +177,7 @@ pub struct Recovered {
 /// Chunk-level read access to a durable store — what a warehouse
 /// resync uses to fetch only the pages whose hashes changed. In a
 /// networked deployment this is the wire interface; colocated, it is
-/// served straight off the segment.
+/// served straight off the log.
 pub trait ChunkPort: Send + Sync {
     /// The newest recoverable manifest of a lineage.
     fn latest_manifest(&self, name: &str) -> Option<Manifest>;
@@ -173,49 +185,66 @@ pub trait ChunkPort: Send + Sync {
     fn fetch_chunk(&self, hash: &ChunkHash) -> Option<Vec<u8>>;
 }
 
-/// Per-lineage persist cache: the previously persisted images (held
-/// alive so `Arc` pointer identity is sound) and their page hashes.
-/// An unchanged page is recognized by pointer equality and skips both
-/// encoding and hashing — persist cost is O(pages touched since the
-/// last persist), the durable mirror of copy-on-write.
-struct CacheEntry {
-    images: Vec<ShardImage>,
-    hashes: Vec<Vec<ChunkHash>>,
+/// One page as last persisted: the page itself (held alive so `Arc`
+/// pointer identity is sound), its chunk hash, and its encoded bytes
+/// with per-slot offsets. A page pointer-equal to its cached version
+/// skips encoding and hashing altogether; a changed one re-encodes
+/// only the slots that changed. `encoded` is `None` for a page that
+/// came from [`DurableStore::recover`] and has not changed since.
+struct CachedPage {
+    page: Arc<Vec<Option<Object>>>,
+    hash: ChunkHash,
+    encoded: Option<EncodedPage>,
+}
+
+/// Per-lineage persist cache, `[shard][page]`: persist cost is
+/// O(slots touched since the last persist), the durable mirror of
+/// copy-on-write.
+type LineageCache = Vec<Vec<CachedPage>>;
+
+/// The `durable.persist.*` counters, resolved once per store.
+struct PersistCounters {
+    count: Arc<Counter>,
+    chunks_appended: Arc<Counter>,
+    chunks_reused: Arc<Counter>,
+    bytes_appended: Arc<Counter>,
 }
 
 /// A durable store over one [`MediaSet`]: content-addressed persist,
 /// scan-validated recovery.
 pub struct DurableStore {
-    seg: SegmentStore,
     log: log::EpochLog,
-    root: RootPointer,
-    cache: Mutex<HashMap<String, CacheEntry>>,
+    cache: Mutex<HashMap<String, LineageCache>>,
+    counters: PersistCounters,
 }
 
 impl DurableStore {
-    /// Open (or create) a durable store, scanning the valid prefixes
-    /// of the segment and log and recovering the root cell. Torn
-    /// tails from a crash are tolerated here and overwritten by the
-    /// next persist.
+    /// Open (or create) a durable store, scanning the valid prefix of
+    /// the log. A torn tail from a crash is tolerated here and
+    /// overwritten by the next persist.
     pub fn open(media: MediaSet) -> Result<DurableStore> {
         let _span = gsview_obs::span!("durable.open");
-        let seg = SegmentStore::open(media.segment)?;
-        let log = log::EpochLog::open(media.log)?;
-        let root = RootPointer::open(media.root)?;
+        let r = gsview_obs::registry();
         Ok(DurableStore {
-            seg,
-            log,
-            root,
+            log: log::EpochLog::open(media.log)?,
             cache: Mutex::new(HashMap::new()),
+            counters: PersistCounters {
+                count: r.counter("durable.persist.count"),
+                chunks_appended: r.counter("durable.persist.chunks_appended"),
+                chunks_reused: r.counter("durable.persist.chunks_reused"),
+                bytes_appended: r.counter("durable.persist.bytes_appended"),
+            },
         })
     }
 
     /// Persist one published snapshot as a new durable epoch of
-    /// lineage `name`. Write order — chunks, segment sync, frame, log
-    /// sync, root swap, root sync — is the commit protocol the
-    /// module docs argue atomic. Returns what was actually written;
-    /// unchanged pages (pointer-identical to the previous persist, or
-    /// content-identical to any chunk ever written) cost nothing.
+    /// lineage `name`: one write carrying the changed pages' chunks
+    /// and the manifest, one sync — the commit protocol the module
+    /// docs argue atomic. Returns what was actually written; unchanged
+    /// pages (pointer-identical to the previous persist, or
+    /// content-identical to any chunk ever written) cost nothing, and
+    /// a snapshot identical to the lineage's newest frame writes
+    /// nothing at all.
     pub fn persist(&self, name: &str, store: &Store, meta: PersistMeta) -> Result<PersistReceipt> {
         let _span = gsview_obs::span!(
             "durable.persist",
@@ -223,10 +252,13 @@ impl DurableStore {
             "epoch" = meta.epoch
         );
         let images = store.export_images();
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock().expect("persist cache poisoned");
         let prev = cache.get(name);
+        let mut append = self.log.begin();
         let mut shards = Vec::with_capacity(images.len());
-        let mut hashes_all = Vec::with_capacity(images.len());
+        // Pages that changed, by position; they replace their cached
+        // versions only once the log holds them.
+        let mut changed = Vec::new();
         let mut receipt = PersistReceipt {
             epoch: meta.epoch,
             ..PersistReceipt::default()
@@ -234,41 +266,40 @@ impl DurableStore {
         for (i, img) in images.iter().enumerate() {
             let mut hashes = Vec::with_capacity(img.pages.len());
             for (j, page) in img.pages.iter().enumerate() {
-                let cached = prev.and_then(|c| {
-                    let cp = c.images.get(i)?.pages.get(j)?;
-                    if Arc::ptr_eq(cp, page) {
-                        c.hashes.get(i)?.get(j).copied()
-                    } else {
-                        None
-                    }
-                });
-                let hash = match cached {
-                    Some(h) => {
-                        receipt.chunks_reused += 1;
-                        h
-                    }
-                    None => {
-                        let payload = gsdb::codec::encode_page(page);
-                        let (h, fresh) = self.seg.append(&payload)?;
-                        if fresh {
-                            receipt.chunks_appended += 1;
-                            receipt.bytes_appended += payload.len() as u64;
-                        } else {
-                            receipt.chunks_reused += 1;
-                        }
-                        h
-                    }
+                let old = prev.and_then(|c| c.get(i)?.get(j));
+                if let Some(old) = old.filter(|old| Arc::ptr_eq(&old.page, page)) {
+                    receipt.chunks_reused += 1;
+                    hashes.push(old.hash);
+                    continue;
+                }
+                let encoded = match old {
+                    Some(CachedPage {
+                        page: old_page,
+                        encoded: Some(old),
+                        ..
+                    }) => old.reencode(old_page, page),
+                    _ => EncodedPage::encode(page),
                 };
+                let (hash, fresh) = append.chunk(encoded.bytes());
+                if fresh {
+                    receipt.chunks_appended += 1;
+                    receipt.bytes_appended += encoded.bytes().len() as u64;
+                } else {
+                    receipt.chunks_reused += 1;
+                }
                 hashes.push(hash);
+                changed.push((i, j, CachedPage {
+                    page: Arc::clone(page),
+                    hash,
+                    encoded: Some(encoded),
+                }));
             }
             shards.push(ShardManifest {
                 len_slots: img.len_slots as u64,
-                pages: hashes.clone(),
+                pages: hashes,
             });
-            hashes_all.push(hashes);
         }
-        self.seg.sync()?;
-        let manifest = Manifest {
+        receipt.frame_off = append.commit(Manifest {
             name: name.to_string(),
             epoch: meta.epoch,
             version: store.version(),
@@ -281,23 +312,23 @@ impl DurableStore {
             },
             shards,
             extra: meta.extra,
-        };
-        let (frame_off, frame_len) = self.log.append(&manifest)?;
-        self.log.sync()?;
-        self.root.swap(meta.epoch, frame_off, frame_len)?;
-        receipt.frame_off = frame_off;
-        cache.insert(
-            name.to_string(),
-            CacheEntry {
-                images,
-                hashes: hashes_all,
-            },
-        );
-        let r = gsview_obs::registry();
-        r.counter("durable.persist.count").incr();
-        r.counter("durable.persist.chunks_appended").add(receipt.chunks_appended);
-        r.counter("durable.persist.chunks_reused").add(receipt.chunks_reused);
-        r.counter("durable.persist.bytes_appended").add(receipt.bytes_appended);
+        })?;
+        let entry = cache.entry(name.to_string()).or_default();
+        entry.resize_with(images.len(), Vec::new);
+        for (img, pages) in images.iter().zip(entry.iter_mut()) {
+            pages.truncate(img.pages.len());
+        }
+        for (i, j, page) in changed {
+            // Ascending `j` per shard: a new position is the next one.
+            match entry[i].get_mut(j) {
+                Some(slot) => *slot = page,
+                None => entry[i].push(page),
+            }
+        }
+        self.counters.count.incr();
+        self.counters.chunks_appended.add(receipt.chunks_appended);
+        self.counters.chunks_reused.add(receipt.chunks_reused);
+        self.counters.bytes_appended.add(receipt.bytes_appended);
         Ok(receipt)
     }
 
@@ -308,8 +339,8 @@ impl DurableStore {
     /// start, not an error.
     pub fn recover(&self, name: &str) -> Result<Option<Recovered>> {
         let _span = gsview_obs::span!("durable.recover", "name" = name.to_string());
-        let frames = self.log.frames_for(name);
-        for frame in frames.iter().rev() {
+        let mut back = 0;
+        while let Some(frame) = self.log.frame_from_tail(name, back) {
             match self.try_build(&frame.manifest) {
                 Ok(store) => {
                     gsview_obs::registry().counter("durable.recover.count").incr();
@@ -319,7 +350,7 @@ impl DurableStore {
                         "epoch" = frame.manifest.epoch
                     );
                     return Ok(Some(Recovered {
-                        manifest: frame.manifest.clone(),
+                        manifest: frame.manifest,
                         store,
                     }));
                 }
@@ -328,49 +359,50 @@ impl DurableStore {
                     // image the store rejects): fall back to the
                     // previous persist of this lineage.
                     gsview_obs::registry().counter("durable.recover.fallback").incr();
+                    back += 1;
                 }
             }
         }
         Ok(None)
     }
 
-    /// Rebuild a store from a manifest against this segment, seeding
-    /// the persist cache so a re-persist of the recovered (unchanged)
-    /// store appends nothing.
+    /// Rebuild a store from a manifest against this log's chunks,
+    /// seeding the persist cache so a re-persist of the recovered
+    /// (unchanged) store appends nothing.
     fn try_build(&self, m: &Manifest) -> Result<Store> {
         let mut images = Vec::with_capacity(m.shards.len());
-        let mut hashes_all = Vec::with_capacity(m.shards.len());
+        let mut cached: LineageCache = Vec::with_capacity(m.shards.len());
         for sm in &m.shards {
             let mut pages = Vec::with_capacity(sm.pages.len());
             for h in &sm.pages {
-                let payload = self.seg.get(h)?.ok_or_else(|| {
+                let payload = self.log.get(h)?.ok_or_else(|| {
                     DurableError::Corrupt(format!("chunk {h} missing or corrupt"))
                 })?;
                 pages.push(Arc::new(gsdb::codec::decode_page(&payload)?));
             }
+            cached.push(
+                pages
+                    .iter()
+                    .zip(&sm.pages)
+                    .map(|(page, &hash)| CachedPage {
+                        page: Arc::clone(page),
+                        hash,
+                        encoded: None,
+                    })
+                    .collect(),
+            );
             images.push(ShardImage {
                 len_slots: sm.len_slots as usize,
                 pages,
             });
-            hashes_all.push(sm.pages.clone());
         }
-        let store = Store::from_images(m.store_config(), images.clone(), m.version)
+        let store = Store::from_images(m.store_config(), images, m.version)
             .map_err(DurableError::Corrupt)?;
-        self.cache.lock().unwrap().insert(
-            m.name.clone(),
-            CacheEntry {
-                images,
-                hashes: hashes_all,
-            },
-        );
+        self.cache
+            .lock()
+            .expect("persist cache poisoned")
+            .insert(m.name.clone(), cached);
         Ok(store)
-    }
-
-    /// The best committed root record, if any — a *hint* to the latest
-    /// persist; recovery re-validates and scans past it when it points
-    /// at a torn tail.
-    pub fn root_record(&self) -> Result<Option<RootRecord>> {
-        self.root.current()
     }
 
     /// Valid frames of one lineage, in log order (diagnostics and
@@ -379,11 +411,11 @@ impl DurableStore {
         self.log.frames_for(name)
     }
 
-    /// The durable footprint (chunk count, segment bytes, dedup
+    /// The durable footprint (chunk count, log bytes, dedup
     /// savings), also mirrored into the obs metrics registry as
     /// `durable.segment.*` gauges.
     pub fn footprint(&self) -> DurableFootprint {
-        let (chunks, segment_bytes, appended, deduped) = self.seg.footprint();
+        let (chunks, segment_bytes, appended, deduped) = self.log.footprint();
         let fp = DurableFootprint {
             chunks,
             segment_bytes,
@@ -412,10 +444,10 @@ impl DurableStore {
 
 impl ChunkPort for DurableStore {
     fn latest_manifest(&self, name: &str) -> Option<Manifest> {
-        self.log.frames_for(name).last().map(|f| f.manifest.clone())
+        self.log.frame_from_tail(name, 0).map(|f| f.manifest)
     }
     fn fetch_chunk(&self, hash: &ChunkHash) -> Option<Vec<u8>> {
-        self.seg.get(hash).ok().flatten()
+        self.log.get(hash).ok().flatten()
     }
 }
 
@@ -555,6 +587,69 @@ mod tests {
     }
 
     #[test]
+    fn every_chunk_is_exactly_encode_page_across_edits_and_a_restart() {
+        let media = MediaSet::memory();
+        let check = |d: &DurableStore, s: &Store, when: &str| {
+            let m = d.latest_manifest("src").unwrap();
+            for (img, sm) in s.export_images().iter().zip(&m.shards) {
+                for (page, h) in img.pages.iter().zip(&sm.pages) {
+                    assert_eq!(
+                        d.fetch_chunk(h).as_deref(),
+                        Some(&gsdb::codec::encode_page(page)[..]),
+                        "{when}"
+                    );
+                }
+            }
+        };
+        let mut s = build_store(2, 300);
+        let d = DurableStore::open(media.clone()).unwrap();
+        d.persist("src", &s.fork(), meta(1)).unwrap();
+        check(&d, &s, "baseline");
+        let mut epoch = 1;
+        let mut edit = |s: &mut Store, d: &DurableStore, round: usize| {
+            s.modify_atom(Oid::new(format!("o{}", round * 7).as_str()), -(round as i64)).unwrap();
+            s.apply(Update::delete("R", format!("o{}", round * 3 + 1).as_str())).unwrap();
+            s.create(Object::atom(format!("n{round}").as_str(), "y", 0.5f64)).unwrap();
+            s.apply(Update::insert("R", format!("n{round}").as_str())).unwrap();
+            epoch += 1;
+            let r = d.persist("src", &s.fork(), meta(epoch)).unwrap();
+            assert!(r.chunks_appended >= 1);
+            check(d, s, &format!("round {round}"));
+        };
+        for round in 0..6 {
+            edit(&mut s, &d, round);
+        }
+        // Restart: the first persist of each page has no cached bytes.
+        drop(d);
+        let d = DurableStore::open(media).unwrap();
+        let mut s = d.recover("src").unwrap().unwrap().store;
+        for round in 6..10 {
+            edit(&mut s, &d, round);
+        }
+    }
+
+    #[test]
+    fn recovery_falls_back_past_a_chunk_that_rotted_after_its_sync() {
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = build_store(1, 40);
+        d.persist("src", &s.fork(), meta(1)).unwrap();
+        s.modify_atom(Oid::new("o7"), -7i64).unwrap();
+        d.persist("src", &s.fork(), meta(2)).unwrap();
+        let newest = d.latest_manifest("src").unwrap().shards[0].pages[0];
+        let page = d.fetch_chunk(&newest).unwrap();
+        let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+        let at = bytes.windows(page.len()).rposition(|w| w == page).unwrap();
+        media
+            .log
+            .write_at(at as u64 + 3, &[bytes[at + 3] ^ 1], CrashPoint::Other)
+            .unwrap();
+        let rec = d.recover("src").unwrap().expect("epoch 1 is intact");
+        assert_eq!(rec.manifest.epoch, 1);
+        assert_eq!(rec.store.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(7)));
+    }
+
+    #[test]
     fn multiple_lineages_share_one_media_set() {
         let d = DurableStore::open(MediaSet::memory()).unwrap();
         let a = build_store(2, 10);
@@ -573,7 +668,7 @@ mod tests {
         let s = build_store(1, 50);
         d.persist("src", &s.fork(), meta(1)).unwrap();
         // Recreate the identical pages under another lineage without
-        // the pointer cache: all bytes dedup at the segment.
+        // the pointer cache: all bytes dedup by content.
         let twin = build_store(1, 50);
         d.persist("twin", &twin.fork(), meta(1)).unwrap();
         let fp = d.footprint();

@@ -15,9 +15,9 @@
 //! writes are staged until the next sync, and when the seeded
 //! [`CrashPlan`] fires, every staged write independently resolves to
 //! commit / drop / tear / bit-flip under the [`ChaosPolicy`]'s seeded
-//! RNG. One [`ChaosController`] coordinates a whole [`MediaSet`]
-//! (segment + log + root), so a crash tears across files the way a
-//! real power cut does. Mirrors the networking chaos layer in
+//! RNG. One [`ChaosController`] coordinates every media allocated
+//! under it, so a crash hits all of them at once the way a real power
+//! cut does. Mirrors the networking chaos layer in
 //! `warehouse/src/chaos.rs`: seeded, deterministic, and assertable.
 //!
 //! Every write carries a [`CrashPoint`] tag naming the logical
@@ -31,18 +31,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// chaos layer so crash-matrix failures name the mid-flight operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Appending a content-addressed chunk frame to the segment.
-    ChunkBytes,
-    /// The segment sync barrier after a persist's chunk appends.
-    ChunkSync,
-    /// Appending an epoch manifest frame to the log.
-    FrameBytes,
-    /// The log sync barrier after the frame append.
-    FrameSync,
-    /// Writing a root-pointer slot.
-    RootSwap,
-    /// The root sync barrier completing a persist.
-    RootSync,
+    /// The one write of a persist: its chunk frames and its manifest
+    /// frame, appended to the epoch log.
+    PersistWrite,
+    /// The one sync barrier of a persist.
+    PersistSync,
     /// Anything else (tests, maintenance).
     Other,
 }
@@ -416,15 +409,15 @@ mod tests {
     fn chaos_synced_writes_survive_any_crash() {
         let ctl = ChaosController::new(ChaosPolicy::seeded(7), CrashPlan { kill_at_op: 3 });
         let m = ctl.media();
-        m.write_at(0, b"durable!", CrashPoint::ChunkBytes).unwrap();
-        m.sync(CrashPoint::ChunkSync).unwrap();
+        m.write_at(0, b"durable!", CrashPoint::PersistWrite).unwrap();
+        m.sync(CrashPoint::PersistSync).unwrap();
         // Op 3 kills this write; the synced prefix must survive.
         assert_eq!(
-            m.write_at(8, b"lost", CrashPoint::FrameBytes),
+            m.write_at(8, b"lost", CrashPoint::PersistWrite),
             Err(DurableError::Crashed)
         );
         assert!(ctl.crashed());
-        assert_eq!(ctl.crash_point(), Some(CrashPoint::FrameBytes));
+        assert_eq!(ctl.crash_point(), Some(CrashPoint::PersistWrite));
         assert_eq!(m.read_at(0, 8).unwrap(), b"durable!");
         assert_eq!(m.write_at(0, b"x", CrashPoint::Other), Err(DurableError::Crashed));
         ctl.heal(CrashPlan::default());
@@ -439,7 +432,7 @@ mod tests {
                 ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan { kill_at_op: 5 });
             let m = ctl.media();
             for i in 0..5u64 {
-                let _ = m.write_at(i * 8, &[i as u8; 8], CrashPoint::ChunkBytes);
+                let _ = m.write_at(i * 8, &[i as u8; 8], CrashPoint::PersistWrite);
             }
             assert!(ctl.crashed());
             m.read_at(0, 40).unwrap()
@@ -448,7 +441,7 @@ mod tests {
         // Reads before the crash see staged writes (read-your-writes).
         let ctl = ChaosController::new(ChaosPolicy::seeded(1), CrashPlan::default());
         let m = ctl.media();
-        m.write_at(0, b"abc", CrashPoint::ChunkBytes).unwrap();
+        m.write_at(0, b"abc", CrashPoint::PersistWrite).unwrap();
         assert_eq!(m.read_at(0, 3).unwrap(), b"abc");
     }
 
@@ -457,8 +450,8 @@ mod tests {
         let ctl = ChaosController::new(ChaosPolicy::seeded(3), CrashPlan { kill_at_op: 2 });
         let a = ctl.media();
         let b = ctl.media();
-        a.write_at(0, b"a", CrashPoint::ChunkBytes).unwrap();
-        assert_eq!(b.write_at(0, b"b", CrashPoint::FrameBytes), Err(DurableError::Crashed));
-        assert_eq!(a.sync(CrashPoint::ChunkSync), Err(DurableError::Crashed));
+        a.write_at(0, b"a", CrashPoint::PersistWrite).unwrap();
+        assert_eq!(b.write_at(0, b"b", CrashPoint::PersistWrite), Err(DurableError::Crashed));
+        assert_eq!(a.sync(CrashPoint::PersistSync), Err(DurableError::Crashed));
     }
 }

@@ -1,33 +1,41 @@
 //! Kill-at-every-write-point crash matrix.
 //!
-//! A fixed multi-epoch persist workload runs against [`ChaosMedia`]
-//! once with a never-firing plan to count its tagged write/sync
-//! operations, then once per operation with the crash planned exactly
-//! there. Every staged (un-synced) write at the crash independently
-//! drops, tears, bit-flips, or lands under the seeded policy — the
-//! full disk model, including reordering. After each crash the media
-//! heal (durable bytes kept, process restarted), the durable store
-//! reopens, and the recovered state must satisfy the
-//! [`check_crash_recovery`] oracle: recovery lands on a committed
-//! batch boundary, no torn or resurrected objects, structural sharing
-//! preserved (a re-persist of the recovered store appends zero
-//! chunks).
+//! A persist is one write and one sync, so a fixed multi-epoch persist
+//! workload admits two tagged operations per epoch. It runs against
+//! [`ChaosMedia`](gsview_durable::ChaosMedia) once with a never-firing
+//! plan to count them, then once per operation **and per fate of the
+//! un-synced write** with the crash planned exactly there: the write
+//! lands whole although its sync was lost, vanishes, lands as a torn
+//! prefix, lands with a flipped bit, or — the seeded mix — any of the
+//! four. After each crash the media heal (durable bytes kept, process
+//! restarted), the durable store reopens, and the recovered state must
+//! satisfy the [`check_crash_recovery`] oracle: recovery lands on a
+//! committed batch boundary, no torn or resurrected objects,
+//! structural sharing preserved (a re-persist of the recovered store
+//! appends nothing — no chunk, no byte).
+//!
+//! The chaos layer tears where its seed says. A second, exhaustive
+//! sweep leaves nothing to the seed: for every persist of the workload
+//! it cuts that persist's single write at every frame boundary, inside
+//! every chunk frame and inside the manifest frame, and flips a bit in
+//! every frame — each must recover the previous epoch.
 //!
 //! Seeded and environment-tunable for the CI matrix: `DURABLE_SEED`
 //! picks the fault-resolution schedule, `DURABLE_SHARDS` the store's
 //! shard count. A proptest battery drives random (seed, kill-point,
 //! shard) triples beyond the exhaustive sweep, and edge-case tests pin
-//! the named recovery hazards: empty log, root pointer past a torn
-//! log tail, duplicate frames after a retried append, and shard
-//! counts 1/2/4/8.
+//! the named hazards: empty log, hand-torn tail, a retried persist,
+//! a failed sync, and the write/sync budget of a persist itself.
 
+use gsdb::codec::{frame_head, FRAME_HEADER_LEN};
 use gsdb::{Object, Store, StoreConfig, Update};
 use gsview_core::check_crash_recovery;
 use gsview_durable::{
-    ChaosController, ChaosPolicy, CrashPlan, DurableError, DurableStore, MediaSet, MemMedia,
-    PersistMeta,
+    ChaosController, ChaosPolicy, CrashPlan, CrashPoint, DurableError, DurableStore, Media,
+    MediaSet, MemMedia, PersistMeta,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The lineage every test persists under.
@@ -44,7 +52,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// The pre-crash base: a root set with enough members to span several
-/// slab pages per shard, so chunk writes dominate the op schedule.
+/// slab pages per shard, so a persist's write holds several chunks.
 fn initial_store(shards: usize) -> Store {
     let mut s = Store::with_config(StoreConfig::default().with_shards(shards));
     s.create(Object::empty_set("R", "root")).unwrap();
@@ -78,12 +86,20 @@ fn batches() -> Vec<Vec<Update>> {
         ],
         vec![Update::delete("R", "o30")],
     ];
-    // Enough single-modify epochs to push the op schedule past the
-    // 128-point floor the matrix promises.
     for k in 0..18 {
         out.push(vec![Update::modify(format!("o{}", k * 2).as_str(), (k as i64) - 500)]);
     }
     out
+}
+
+/// Commit one batch with prefix semantics (stop at the first rejected
+/// update); true iff anything applied, i.e. an epoch was published.
+fn commit(live: &mut Store, batch: &[Update]) -> bool {
+    batch
+        .iter()
+        .take_while(|u| live.apply((*u).clone()).is_ok())
+        .count()
+        > 0
 }
 
 /// Run the workload against `media`: persist the base as `BASE_EPOCH`,
@@ -99,14 +115,7 @@ fn run_workload(
     d.persist(NAME, &initial.fork(), meta(epoch))?;
     let mut live = initial.clone();
     for batch in batches {
-        let mut applied_any = false;
-        for u in batch {
-            match live.apply(u.clone()) {
-                Ok(_) => applied_any = true,
-                Err(_) => break, // prefix commit: drop the batch tail
-            }
-        }
-        if applied_any {
+        if commit(&mut live, batch) {
             epoch += 1;
             d.persist(NAME, &live.fork(), meta(epoch))?;
         }
@@ -123,76 +132,89 @@ fn meta(epoch: u64) -> PersistMeta {
     }
 }
 
+/// What the crash does to the one un-synced write: each pure fate,
+/// then the seeded mix of all four.
+fn fates(seed: u64) -> [(&'static str, ChaosPolicy); 5] {
+    let pure = |p_tear, p_drop, p_flip| ChaosPolicy {
+        seed,
+        p_tear,
+        p_drop,
+        p_flip,
+    };
+    [
+        ("lands, sync lost", pure(0.0, 0.0, 0.0)),
+        ("dropped", pure(0.0, 1.0, 0.0)),
+        ("torn", pure(1.0, 0.0, 0.0)),
+        ("bit-flipped", pure(0.0, 0.0, 1.0)),
+        ("mixed", ChaosPolicy::seeded(seed)),
+    ]
+}
+
 /// Tagged ops the full workload admits (crash-free dry run), plus the
 /// ops consumed by the baseline persist alone — a recovery that finds
 /// *nothing* is legal only when the crash predates the end of that
 /// first persist.
-fn op_counts(seed: u64, shards: usize) -> (u64, u64) {
+fn op_counts(shards: usize) -> (u64, u64) {
     let initial = initial_store(shards);
-    let ctl = ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan::default());
-    let media = MediaSet::chaos(&ctl);
-    let d = DurableStore::open(media.clone()).unwrap();
+    let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
+    let d = DurableStore::open(MediaSet::chaos(&ctl)).unwrap();
     d.persist(NAME, &initial.fork(), meta(BASE_EPOCH)).unwrap();
     let baseline = ctl.ops();
+    assert_eq!(baseline, 2, "a persist is one write and one sync");
     drop(d);
-    let ctl = ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan::default());
-    let media = MediaSet::chaos(&ctl);
-    run_workload(&media, &initial, &batches()).unwrap();
+    let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
+    run_workload(&MediaSet::chaos(&ctl), &initial, &batches()).unwrap();
     assert!(!ctl.crashed());
     (ctl.ops(), baseline)
 }
 
+/// The recovered state of `d` is a committed epoch, and persisting it
+/// again touches the media not at all. `Some(epoch)` when something
+/// recovered.
+fn check_recovered(d: &DurableStore, media: &MediaSet, initial: &Store, what: &str) -> Option<u64> {
+    let rec = d.recover(NAME).expect("recover reports cold starts, not errors")?;
+    let v = check_crash_recovery(initial, &batches(), BASE_EPOCH, rec.manifest.epoch, &rec.store);
+    assert!(v.ok(), "{what}: {:#?}", v.failures);
+    // Structural sharing across the restart: re-persisting the
+    // recovered (unchanged) store appends nothing.
+    let len = media.log.len();
+    let r = d
+        .persist(NAME, &rec.store, meta(rec.manifest.epoch))
+        .expect("healed media persist");
+    assert_eq!(r.chunks_appended, 0, "{what}: recovery broke sharing");
+    assert_eq!(media.log.len(), len, "{what}: an unchanged store wrote bytes");
+    Some(rec.manifest.epoch)
+}
+
 /// One matrix cell: crash at `kill`, heal, reopen, recover, check.
-fn crash_recover_check(seed: u64, shards: usize, kill: u64, baseline_ops: u64) {
+fn crash_recover_check(policy: ChaosPolicy, fate: &str, shards: usize, kill: u64, baseline_ops: u64) {
     let initial = initial_store(shards);
-    let batches = batches();
-    let ctl = ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan { kill_at_op: kill });
+    let ctl = ChaosController::new(policy, CrashPlan { kill_at_op: kill });
     let media = MediaSet::chaos(&ctl);
-    let res = run_workload(&media, &initial, &batches);
-    assert_eq!(
-        res,
-        Err(DurableError::Crashed),
-        "seed {seed} shards {shards}: op {kill} must crash the workload"
+    let res = run_workload(&media, &initial, &batches());
+    let what = format!(
+        "seed {} shards {shards} kill@{kill} ({:?}, write {fate})",
+        policy.seed,
+        ctl.crash_point()
     );
-    let point = ctl.crash_point();
+    assert_eq!(res, Err(DurableError::Crashed), "{what}: must crash the workload");
 
     // Restart: durable bytes exactly as the crash resolved them.
     ctl.heal(CrashPlan::default());
-    let d = DurableStore::open(media.clone())
-        .unwrap_or_else(|e| panic!("reopen after kill@{kill} ({point:?}): {e}"));
-    match d.recover(NAME).expect("recover reports cold starts, not errors") {
-        Some(rec) => {
-            let v = check_crash_recovery(
-                &initial,
-                &batches,
-                BASE_EPOCH,
-                rec.manifest.epoch,
-                &rec.store,
-            );
-            assert!(
-                v.ok(),
-                "seed {seed} shards {shards} kill@{kill} ({point:?}): {:#?}",
-                v.failures
-            );
-            // Structural sharing across the restart: re-persisting the
-            // recovered (unchanged) store appends nothing.
-            let r = d
-                .persist(NAME, &rec.store, meta(rec.manifest.epoch))
-                .expect("healed media persist");
-            assert_eq!(
-                r.chunks_appended, 0,
-                "seed {seed} shards {shards} kill@{kill} ({point:?}): recovery broke sharing"
-            );
-        }
-        None => {
-            // Nothing recoverable is legal only before the first
-            // persist ever completed.
-            assert!(
-                kill <= baseline_ops,
-                "seed {seed} shards {shards} kill@{kill} ({point:?}): \
-                 durable state vanished after a completed persist"
-            );
-        }
+    let d = DurableStore::open(media.clone()).unwrap_or_else(|e| panic!("{what}: reopen: {e}"));
+    let recovered = check_recovered(&d, &media, &initial, &what);
+    // Persist n is ops 2n-1 (write) and 2n (sync): with the crash at
+    // `kill`, persists before it completed and are durable for good.
+    let completed = (kill - 1) / 2;
+    match recovered {
+        Some(epoch) => assert!(
+            epoch + 1 >= BASE_EPOCH + completed,
+            "{what}: recovered epoch {epoch} lost a synced persist"
+        ),
+        None => assert!(
+            kill <= baseline_ops,
+            "{what}: durable state vanished after a completed persist"
+        ),
     }
 }
 
@@ -200,13 +222,17 @@ fn crash_recover_check(seed: u64, shards: usize, kill: u64, baseline_ops: u64) {
 fn kill_at_every_write_point_recovers_a_committed_epoch() {
     let seed = env_u64("DURABLE_SEED", 42);
     let shards = env_u64("DURABLE_SHARDS", 2) as usize;
-    let (total, baseline) = op_counts(seed, shards);
+    let (total, baseline) = op_counts(shards);
+    let fates = fates(seed);
     assert!(
-        total >= 128,
-        "workload admits only {total} ops — below the 128-case matrix floor"
+        total * fates.len() as u64 >= 128,
+        "{total} ops x {} fates — below the 128-case matrix floor",
+        fates.len()
     );
-    for kill in 1..=total {
-        crash_recover_check(seed, shards, kill, baseline);
+    for (fate, policy) in fates {
+        for kill in 1..=total {
+            crash_recover_check(policy, fate, shards, kill, baseline);
+        }
     }
 }
 
@@ -218,9 +244,9 @@ proptest! {
     #[test]
     fn random_seeds_and_kill_points_recover(seed in 1u64..u64::MAX / 2, permille in 0u64..1000) {
         for shards in [1usize, 8] {
-            let (total, baseline) = op_counts(seed, shards);
+            let (total, baseline) = op_counts(shards);
             let kill = 1 + permille * (total - 1) / 1000;
-            crash_recover_check(seed, shards, kill, baseline);
+            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill, baseline);
         }
     }
 }
@@ -231,19 +257,195 @@ fn kill_matrix_spot_checks_every_shard_count() {
     // supported power of two gets first / early / middle / last ops.
     let seed = env_u64("DURABLE_SEED", 42);
     for shards in [1usize, 2, 4, 8] {
-        let (total, baseline) = op_counts(seed, shards);
+        let (total, baseline) = op_counts(shards);
         for kill in [1, 2, total / 2, total] {
-            crash_recover_check(seed, shards, kill.max(1), baseline);
+            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill.max(1), baseline);
         }
     }
+}
+
+/// Frame boundaries of `bytes[from..]`, as offsets into `bytes`
+/// (`from` first, `bytes.len()` last).
+fn frame_bounds(bytes: &[u8], from: usize) -> Vec<usize> {
+    let mut at = vec![from];
+    let mut pos = from;
+    while let Some(head) = frame_head(&bytes[pos..]) {
+        pos += FRAME_HEADER_LEN + head.len;
+        at.push(pos);
+    }
+    assert_eq!(pos, bytes.len(), "a persist's write is whole frames");
+    at
+}
+
+#[test]
+fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
+    let shards = env_u64("DURABLE_SHARDS", 2) as usize;
+    let initial = initial_store(shards);
+    let media = MediaSet::memory();
+    let d = DurableStore::open(media.clone()).unwrap();
+    d.persist(NAME, &initial.fork(), meta(BASE_EPOCH)).unwrap();
+    let mut live = initial.clone();
+    let mut epoch = BASE_EPOCH;
+    let mut chunk_frames = 0;
+    for batch in batches() {
+        if !commit(&mut live, &batch) {
+            continue;
+        }
+        let before = media.log.len() as usize;
+        epoch += 1;
+        d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
+        let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+        let bounds = frame_bounds(&bytes, before);
+        assert!(bounds.len() >= 3, "epoch {epoch}: at least a chunk and the manifest");
+        chunk_frames += bounds.len() - 2;
+
+        let recovers = |wreck: Vec<u8>, what: String| {
+            let media = MediaSet {
+                log: Arc::new(MemMedia::from_bytes(wreck)),
+            };
+            let d = DurableStore::open(media.clone()).unwrap();
+            assert_eq!(
+                check_recovered(&d, &media, &initial, &what),
+                Some(epoch - 1),
+                "{what}"
+            );
+        };
+        for w in bounds.windows(2) {
+            let (start, end) = (w[0], w[1]);
+            let frame = if end == bytes.len() { "manifest" } else { "chunk" };
+            // Torn at the frame's boundary, inside its header, inside
+            // its payload, one byte short of whole.
+            for cut in [start, start + 4, (start + FRAME_HEADER_LEN + end) / 2, end - 1] {
+                recovers(
+                    bytes[..cut].to_vec(),
+                    format!("epoch {epoch}: write cut at {cut} ({frame} frame {start}..{end})"),
+                );
+            }
+            // A flipped bit in the header and in the payload, with
+            // everything behind it landed.
+            for at in [start + 2, start + 6, start + FRAME_HEADER_LEN, end - 1] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0x10;
+                recovers(
+                    flipped,
+                    format!("epoch {epoch}: bit flipped at {at} ({frame} frame {start}..{end})"),
+                );
+            }
+        }
+    }
+    assert!(chunk_frames > (epoch - BASE_EPOCH) as usize, "some write held several chunks");
+}
+
+/// An in-memory media that counts writes and syncs and can fail the
+/// next sync once.
+#[derive(Default)]
+struct Probe {
+    inner: MemMedia,
+    writes: AtomicU64,
+    syncs: AtomicU64,
+    fail_next_sync: AtomicBool,
+}
+
+impl Probe {
+    /// `(writes, syncs)` since the last call.
+    fn take(&self) -> (u64, u64) {
+        (self.writes.swap(0, Ordering::Relaxed), self.syncs.swap(0, Ordering::Relaxed))
+    }
+}
+
+impl Media for Probe {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn read_at(&self, off: u64, len: usize) -> gsview_durable::Result<Vec<u8>> {
+        self.inner.read_at(off, len)
+    }
+    fn write_at(&self, off: u64, data: &[u8], point: CrashPoint) -> gsview_durable::Result<()> {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_at(off, data, point)
+    }
+    fn sync(&self, point: CrashPoint) -> gsview_durable::Result<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        if self.fail_next_sync.swap(false, Ordering::Relaxed) {
+            return Err(DurableError::Io("injected: sync failed".into()));
+        }
+        self.inner.sync(point)
+    }
+}
+
+#[test]
+fn a_persist_is_one_write_and_one_sync_and_an_unchanged_store_is_neither() {
+    for shards in [1usize, 2, 8] {
+        let probe = Arc::new(Probe::default());
+        let media = MediaSet {
+            log: Arc::clone(&probe) as Arc<dyn Media>,
+        };
+        let d = DurableStore::open(media.clone()).unwrap();
+        assert_eq!(probe.take(), (0, 0), "opening an empty media writes nothing");
+        let mut live = initial_store(shards);
+        d.persist(NAME, &live.fork(), meta(1)).unwrap();
+        assert_eq!(probe.take(), (1, 1), "{shards} shards: baseline of every page");
+        let mut epoch = 1;
+        for batch in batches() {
+            if !batch.iter().map(|u| live.apply(u.clone())).take_while(|r| r.is_ok()).count() > 0 {
+                continue;
+            }
+            epoch += 1;
+            let r = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
+            assert!(r.chunks_appended >= 1);
+            assert_eq!(probe.take(), (1, 1), "{shards} shards, epoch {epoch}: {r:?}");
+            // Unchanged store, same epoch: nothing to make durable.
+            let again = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
+            assert_eq!((again.chunks_appended, again.frame_off), (0, r.frame_off));
+            assert_eq!(probe.take(), (0, 0), "{shards} shards, epoch {epoch}: unchanged store");
+        }
+        // Same pages under a new epoch: one manifest, still one write.
+        d.persist(NAME, &live.fork(), meta(epoch + 1)).unwrap();
+        assert_eq!(probe.take(), (1, 1));
+        // A restart later, the recovered store is as unchanged as ever.
+        let d = DurableStore::open(media).unwrap();
+        let rec = d.recover(NAME).unwrap().unwrap();
+        d.persist(NAME, &rec.store, meta(epoch + 1)).unwrap();
+        assert_eq!(probe.take(), (0, 0), "re-attach after recovery");
+    }
+}
+
+#[test]
+fn a_failed_sync_leaves_the_log_as_it_was_and_the_retry_lands() {
+    let probe = Arc::new(Probe::default());
+    let media = MediaSet {
+        log: Arc::clone(&probe) as Arc<dyn Media>,
+    };
+    let d = DurableStore::open(media.clone()).unwrap();
+    let mut s = initial_store(2);
+    d.persist(NAME, &s.fork(), meta(1)).unwrap();
+    let committed = probe.len();
+    s.apply(Update::modify("o3", -3i64)).unwrap();
+    probe.fail_next_sync.store(true, Ordering::Relaxed);
+    assert!(d.persist(NAME, &s.fork(), meta(2)).is_err());
+    // The bytes were written but never acknowledged: the store must
+    // neither dedup against them nor serve them.
+    assert!(probe.len() > committed);
+    assert_eq!(d.frames_for(NAME).len(), 1);
+    assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 1);
+    // The retry rewrites the same offsets — chunks included.
+    let r = d.persist(NAME, &s.fork(), meta(2)).unwrap();
+    assert!(r.chunks_appended >= 1, "the unacknowledged chunk is appended again");
+    let d = DurableStore::open(media).unwrap();
+    let rec = d.recover(NAME).unwrap().unwrap();
+    assert_eq!(rec.manifest.epoch, 2);
+    let replay = [vec![Update::modify("o3", -3i64)]];
+    let v = check_crash_recovery(&initial_store(2), &replay, 1, 2, &rec.store);
+    assert!(v.ok(), "{:#?}", v.failures);
+    assert_eq!(d.frames_for(NAME).len(), 2);
 }
 
 #[test]
 fn empty_log_is_a_cold_start() {
     let d = DurableStore::open(MediaSet::memory()).unwrap();
     assert!(d.recover(NAME).unwrap().is_none());
-    // Crashing inside the very first chunk write leaves the same
-    // verdict: nothing durable, nothing resurrected.
+    // Crashing inside the very first write leaves the same verdict:
+    // nothing durable, nothing resurrected.
     let ctl = ChaosController::new(ChaosPolicy::seeded(7), CrashPlan { kill_at_op: 1 });
     let media = MediaSet::chaos(&ctl);
     let initial = initial_store(2);
@@ -254,11 +456,9 @@ fn empty_log_is_a_cold_start() {
 }
 
 #[test]
-fn root_pointer_past_a_torn_log_tail_falls_back_one_frame() {
-    // Persist two epochs cleanly, then hand-tear the tail of the log
-    // while keeping the root cell pointing at the (now unreadable)
-    // second frame — the write-reordering outcome the root-is-a-hint
-    // design exists for.
+fn a_torn_log_tail_falls_back_one_frame() {
+    // Persist two epochs cleanly, then hand-tear the tail of the log:
+    // the epoch-2 chunk is whole, its manifest frame is not.
     let media = MediaSet::memory();
     let d = DurableStore::open(media.clone()).unwrap();
     let mut s = initial_store(1);
@@ -267,34 +467,33 @@ fn root_pointer_past_a_torn_log_tail_falls_back_one_frame() {
     d.persist(NAME, &s.fork(), meta(2)).unwrap();
     drop(d);
 
-    let clone = |m: &Arc<dyn gsview_durable::Media>| m.read_at(0, m.len() as usize).unwrap();
-    let mut log_bytes = clone(&media.log);
-    log_bytes.truncate(log_bytes.len() - 5); // tear the epoch-2 frame
+    let mut bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+    bytes.truncate(bytes.len() - 5);
     let torn = MediaSet {
-        segment: Arc::new(MemMedia::from_bytes(clone(&media.segment))),
-        log: Arc::new(MemMedia::from_bytes(log_bytes)),
-        root: Arc::new(MemMedia::from_bytes(clone(&media.root))),
+        log: Arc::new(MemMedia::from_bytes(bytes)),
     };
     let d = DurableStore::open(torn).unwrap();
-    let hint = d.root_record().unwrap().expect("root cell intact");
-    assert_eq!(hint.epoch, 2, "the hint still names the torn persist");
     let rec = d.recover(NAME).unwrap().expect("previous frame recovers");
-    assert_eq!(rec.manifest.epoch, 1, "recovery scanned past the hint");
+    assert_eq!(rec.manifest.epoch, 1);
     assert_eq!(rec.store.atom(gsdb::Oid::new("o3")), Some(&gsdb::Atom::Int(3)));
+    // The orphaned epoch-2 chunk is reclaimed by dedup on the retry.
+    let r = d.persist(NAME, &s.fork(), meta(2)).unwrap();
+    assert_eq!(r.chunks_appended, 0, "the orphan chunk is reused, not rewritten");
+    assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 2);
 }
 
 #[test]
-fn duplicate_frames_after_a_retried_append_recover_once() {
-    // A retried append (ack lost after a durable write) leaves two
-    // identical frames; recovery takes the newest and the oracle sees
-    // one committed epoch. Source::recover leans on exactly this when
-    // its re-attach baseline duplicates the recovered frame.
+fn a_retried_persist_of_the_same_epoch_recovers_once() {
+    // A persist retried after its acknowledgement was lost describes
+    // the state the log already ends with; Source::recover leans on
+    // exactly this when its re-attach baseline repeats the recovered
+    // frame. Nothing is appended and the oracle sees one epoch.
     let d = DurableStore::open(MediaSet::memory()).unwrap();
     let s = initial_store(2);
     d.persist(NAME, &s.fork(), meta(1)).unwrap();
     let r = d.persist(NAME, &s.fork(), meta(1)).unwrap();
     assert_eq!(r.chunks_appended, 0, "the retry re-appends no chunks");
-    assert_eq!(d.frames_for(NAME).len(), 2, "both frames survive");
+    assert_eq!(d.frames_for(NAME).len(), 1, "nor a second frame");
     let rec = d.recover(NAME).unwrap().unwrap();
     let v = check_crash_recovery(&s, &[], 1, rec.manifest.epoch, &rec.store);
     assert!(v.ok(), "{:#?}", v.failures);

@@ -10,11 +10,15 @@
 //! oracle, and re-persisting the recovered store must append zero
 //! chunks (structural sharing survives the restart). The lineage then
 //! keeps growing through the recovered handle, so one run crosses
-//! many restart boundaries on one set of files.
+//! many restart boundaries on one file.
+//!
+//! Also here, because it is about what is on disk: a directory written
+//! by the three-file layout this format replaced is refused with the
+//! typed version error, and left untouched.
 
 use gsdb::{Object, Store, Update};
 use gsview_core::check_crash_recovery;
-use gsview_durable::{DurableStore, MediaSet, PersistMeta};
+use gsview_durable::{DurableError, DurableStore, MediaSet, PersistMeta, FORMAT_VERSION};
 use std::path::PathBuf;
 
 const NAME: &str = "soak";
@@ -41,8 +45,8 @@ impl Lcg {
     }
 }
 
-fn scratch_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("gsview-fs-soak-{}", std::process::id()))
+fn scratch_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("gsview-fs-{tag}-{}", std::process::id()))
 }
 
 fn meta(epoch: u64) -> PersistMeta {
@@ -113,7 +117,7 @@ fn kill_and_reopen(d: DurableStore, dir: &std::path::Path) -> DurableStore {
 
 #[test]
 fn on_disk_soak_recovers_every_restart_across_64_epochs() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("soak");
     let _ = std::fs::remove_dir_all(&dir);
 
     let initial = initial_store();
@@ -161,10 +165,16 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
             );
             // Structural sharing across the restart: re-persisting the
             // recovered (unchanged) store appends nothing.
+            let log_len = std::fs::metadata(dir.join("epochs.gsv")).unwrap().len();
             let r = d.persist(NAME, &rec.store, meta(epoch)).unwrap();
             assert_eq!(
                 r.chunks_appended, 0,
                 "restart {restarts} @ round {round}: recovery broke chunk sharing"
+            );
+            assert_eq!(
+                std::fs::metadata(dir.join("epochs.gsv")).unwrap().len(),
+                log_len,
+                "restart {restarts} @ round {round}: an unchanged store grew the log"
             );
             // The lineage continues from the recovered image, not the
             // in-memory survivor: later epochs build on it.
@@ -174,5 +184,39 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
 
     assert!(epoch - BASE_EPOCH >= 64, "soak must cross 64 maintained epochs");
     assert!(restarts >= EPOCHS / KILL_EVERY, "soak must cross many restarts");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What format 1 left in a directory: a chunk segment and an epoch log
+/// (each a run of `tag | len u32 | … | crc32` records) beside a root
+/// cell. Only the names matter to the check; the bytes are there so a
+/// misread would have something to misread.
+#[test]
+fn a_format_1_directory_is_refused_with_the_version_error() {
+    let dir = scratch_dir("format1");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let segment = [&[0xC5u8, 4, 0, 0, 0][..], &[0xAA; 16], b"page", &[1, 2, 3, 4]].concat();
+    let log = [&[0xE7u8, 3, 0, 0, 0][..], b"src", &[5, 6, 7, 8]].concat();
+    std::fs::write(dir.join("segment.gsd"), &segment).unwrap();
+    std::fs::write(dir.join("epochs.gsl"), &log).unwrap();
+
+    let refused = MediaSet::on_dir(&dir).err();
+    assert_eq!(
+        refused,
+        Some(DurableError::Version {
+            found: 1,
+            expected: FORMAT_VERSION
+        })
+    );
+    assert_eq!(std::fs::read(dir.join("segment.gsd")).unwrap(), segment);
+    assert_eq!(std::fs::read(dir.join("epochs.gsl")).unwrap(), log);
+    assert!(!dir.join("epochs.gsv").exists(), "nothing was created beside them");
+    // Either file alone is enough to refuse.
+    std::fs::remove_file(dir.join("segment.gsd")).unwrap();
+    assert!(matches!(
+        MediaSet::on_dir(&dir),
+        Err(DurableError::Version { found: 1, .. })
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }

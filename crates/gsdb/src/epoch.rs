@@ -67,7 +67,7 @@ impl EpochHandle {
 
     /// Wrap a recovered snapshot, resuming the epoch counter at
     /// `epoch` — the warm-restart constructor. A process that crashes
-    /// and recovers from a durable root must keep numbering epochs
+    /// and recovers from a durable epoch must keep numbering epochs
     /// where the durable log left off, or the log's frames would stop
     /// being totally ordered by epoch across restarts.
     pub fn with_epoch(initial: Store, epoch: u64) -> Self {

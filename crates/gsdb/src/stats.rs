@@ -6,15 +6,15 @@ use crate::{EpochHandle, Label, Store};
 use std::collections::HashMap;
 
 /// The durable footprint of a persisted store lineage: how much
-/// segment space its content-addressed chunks occupy and how much the
+/// log space its content-addressed chunks occupy and how much the
 /// chunk-level dedup saved. Produced by the durability layer
 /// (`gsview-durable`), which attaches it to [`StoreStats::durable`]
 /// and mirrors the figures into the obs metrics registry.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DurableFootprint {
-    /// Distinct content-addressed chunks in the segment.
+    /// Distinct content-addressed chunks in the epoch log.
     pub chunks: u64,
-    /// Total segment bytes (chunk payloads plus framing).
+    /// Total epoch-log bytes (chunks, manifests, framing).
     pub segment_bytes: u64,
     /// Chunk-payload bytes actually appended (after dedup).
     pub appended_bytes: u64,

@@ -1,6 +1,7 @@
 //! Length-prefixed, CRC-framed transport framing.
 //!
-//! Every protocol message travels as one frame:
+//! Every protocol message travels as one [`gsdb::codec`] frame, the
+//! layout the durable epoch log uses too:
 //!
 //! ```text
 //! +-------+----------------+----------------+=================+
@@ -23,13 +24,13 @@
 //! clean protocol error on that connection, never a panic (pinned by
 //! the fuzz cases in `tests/codec_roundtrip.rs`).
 
-use gsdb::codec::crc32;
+use gsdb::codec::{begin_frame, crc32, end_frame, frame_head};
 use std::fmt;
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xC5;
 /// Bytes before the payload: magic + length + crc.
-pub const HEADER_LEN: usize = 9;
+pub const HEADER_LEN: usize = gsdb::codec::FRAME_HEADER_LEN;
 /// Default cap on payload length (a `Reports` batch over a large
 /// commit is the biggest legitimate frame).
 pub const DEFAULT_MAX_FRAME: usize = 8 << 20;
@@ -76,10 +77,9 @@ impl std::error::Error for FrameError {}
 /// Encode one payload as a complete frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.push(MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let start = begin_frame(&mut out, MAGIC);
     out.extend_from_slice(payload);
+    end_frame(&mut out, start, 0);
     out
 }
 
@@ -121,14 +121,13 @@ impl FrameDecoder {
         if self.buf[0] != MAGIC {
             return false; // error pending, not more bytes
         }
-        if self.buf.len() < HEADER_LEN {
+        let Some(head) = frame_head(&self.buf) else {
             return true;
-        }
-        let len = u32::from_le_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
-        if len > self.max_frame {
+        };
+        if head.len > self.max_frame {
             return false; // oversize error pending
         }
-        self.buf.len() < HEADER_LEN + len
+        self.buf.len() < HEADER_LEN + head.len
     }
 
     /// Buffered byte count (backpressure accounting).
@@ -146,10 +145,10 @@ impl FrameDecoder {
         if self.buf[0] != MAGIC {
             return Err(FrameError::BadMagic(self.buf[0]));
         }
-        if self.buf.len() < HEADER_LEN {
+        let Some(head) = frame_head(&self.buf) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
+        };
+        let (len, expected) = (head.len, head.crc);
         if len > self.max_frame {
             return Err(FrameError::Oversize {
                 declared: len,
@@ -159,7 +158,6 @@ impl FrameDecoder {
         if self.buf.len() < HEADER_LEN + len {
             return Ok(None);
         }
-        let expected = u32::from_le_bytes(self.buf[5..9].try_into().expect("4 bytes"));
         let payload: Vec<u8> = self.buf[HEADER_LEN..HEADER_LEN + len].to_vec();
         let got = crc32(&payload);
         if got != expected {

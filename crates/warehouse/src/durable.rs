@@ -4,7 +4,7 @@
 //! pages keyed by content hash, so reconstructing a source's persisted
 //! epoch fetches **only the chunks whose hashes changed** since the
 //! last reconstruction — unchanged pages are free, exactly mirroring
-//! how the segment stores them once. This is the first step toward the
+//! how the epoch log stores them once. This is the first step toward the
 //! ROADMAP's subtree-diff resync protocol: today the diff unit is the
 //! 256-slot page, addressed by hash.
 //!
@@ -59,7 +59,7 @@ impl ChunkCache {
     /// Rebuild the store a manifest describes, fetching only pages the
     /// cache has not seen (a previous reconstruction of any lineage
     /// over this cache counts — dedup is cross-lineage, like the
-    /// segment's). Fails if a needed chunk is unavailable or corrupt;
+    /// log's). Fails if a needed chunk is unavailable or corrupt;
     /// the caller falls back to the query path.
     pub fn reconstruct(
         &mut self,
@@ -203,7 +203,7 @@ mod tests {
         samples::person_db(&mut s).unwrap();
         persist(&d, "src", &s, 1);
         let mut m = d.frames_for("src").last().unwrap().manifest.clone();
-        // Point one page at a hash the segment never stored.
+        // Point one page at a hash the log never stored.
         m.shards[0].pages[0] = gsview_durable::chunk_hash(b"not a real page");
         let err = ChunkCache::new().reconstruct(&d, &m);
         assert!(err.is_err(), "missing chunk must not reconstruct");

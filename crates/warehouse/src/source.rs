@@ -313,6 +313,8 @@ impl Source {
         )?;
         let name = self.name.clone();
         let health = Arc::clone(&self.durability);
+        let retries = gsview_obs::registry().counter("durable.persist.hook_retries");
+        let errors = gsview_obs::registry().counter("durable.persist.hook_errors");
         self.store.set_publish_hook(move |info, snapshot| {
             let meta = PersistMeta {
                 epoch: info.epoch,
@@ -323,7 +325,7 @@ impl Source {
             let mut last_err = None;
             for attempt in 0..=PERSIST_HOOK_RETRIES {
                 if attempt > 0 {
-                    gsview_obs::registry().counter("durable.persist.hook_retries").incr();
+                    retries.incr();
                 }
                 match durable.persist(&name, snapshot, meta.clone()) {
                     Ok(_) => return,
@@ -331,7 +333,7 @@ impl Source {
                 }
             }
             let e = last_err.expect("loop ran at least once");
-            gsview_obs::registry().counter("durable.persist.hook_errors").incr();
+            errors.incr();
             gsview_obs::event!(
                 "durable.persist.failed",
                 "name" = name.clone(),
@@ -399,9 +401,9 @@ impl Source {
     /// persisted epoch and sequence watermark (so report sequencing
     /// continues without ever reusing a number the warehouse may have
     /// consumed), and re-attach persistence so new epochs keep
-    /// flowing to the log. The re-attach baseline appends zero chunks
-    /// — recovery seeds the persist cache — and its duplicate
-    /// manifest frame is harmless by construction.
+    /// flowing to the log. The re-attach baseline writes nothing:
+    /// recovery seeds the persist cache, and a snapshot equal to the
+    /// lineage's newest frame is already durable.
     ///
     /// `Ok(None)` is a cold start: nothing recoverable under `name`.
     pub fn recover(

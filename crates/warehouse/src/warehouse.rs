@@ -105,7 +105,7 @@ pub struct Warehouse {
     durable: Option<DurablePort>,
 }
 
-/// The warehouse's durable attachment: a chunk port (the segment
+/// The warehouse's durable attachment: a chunk port (the epoch log
 /// itself when colocated, a wire proxy when not) plus the decoded
 /// pages already fetched through it.
 struct DurablePort {
@@ -250,7 +250,7 @@ impl Warehouse {
     /// ([`Warehouse::add_view_warm`]) and chunk-diff resync
     /// ([`Warehouse::resync_view_durable`]) become available. One
     /// attachment serves every source lineage persisted into the
-    /// shared segment, and the page cache it carries dedups across
+    /// shared log, and the page cache it carries dedups across
     /// them by content hash.
     pub fn attach_durable(&mut self, port: Arc<dyn ChunkPort>) {
         self.durable = Some(DurablePort {

@@ -65,14 +65,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 fn failing_fs_media(dir: &std::path::Path, fail: &Arc<AtomicBool>) -> MediaSet {
     std::fs::create_dir_all(dir).unwrap();
-    let open = |name: &str| FailSwitchFs {
-        inner: FsMedia::open(&dir.join(name)).unwrap(),
-        fail: Arc::clone(fail),
-    };
     MediaSet {
-        segment: Arc::new(open("segment.gsd")),
-        log: Arc::new(open("epochs.gsl")),
-        root: Arc::new(open("root.gsr")),
+        log: Arc::new(FailSwitchFs {
+            inner: FsMedia::open(&dir.join("epochs.gsv")).unwrap(),
+            fail: Arc::clone(fail),
+        }),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Warm restart end-to-end (durability tentpole): a source persists
 //! every published epoch through the durable epoch log; after a crash
-//! the source reopens from its last durable root and the warehouse
+//! the source reopens from its newest durable epoch and the warehouse
 //! re-materializes views from recovered chunks — **zero queries back
 //! to the source** — then ordinary incremental maintenance resumes.
 //!
