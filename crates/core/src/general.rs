@@ -12,13 +12,13 @@
 
 use crate::base::{BaseAccess, LocalBase};
 use crate::circuitview::CircuitSource;
-use crate::maintain::{content_upkeep, BatchOutcome, MaintPlan, Maintainer, Outcome};
+use crate::maintain::{content_upkeep, BatchOutcome, Maintainer, Outcome};
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, MemberSet, ViewSink};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
 use gsdb::{
-    AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, FastMap, Label, ModifyDelta,
-    Oid, Path, Result, Store,
+    path, AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, FastMap, Label,
+    ModifyDelta, Oid, Path, Result, Store,
 };
 use gsview_obs::Counter;
 use gsview_query::{evaluate, reach_from_mask, MaintBackend, Nfa};
@@ -93,7 +93,7 @@ impl CompoundMaintainer {
     }
 
     /// Process a batch of updates: run the batched maintainer
-    /// ([`MaintPlan`]) per branch on its shadow, then reconcile the
+    /// ([`Maintainer::batched`]) per branch on its shadow, then reconcile the
     /// union into the shared view once.
     pub fn apply_batch(
         &mut self,
@@ -104,8 +104,7 @@ impl CompoundMaintainer {
         let delta = batch.consolidate();
         let mut relevant = 0;
         for (m, shadow) in &mut self.branches {
-            let plan = MaintPlan::new(m.def().clone());
-            let out = plan.apply_consolidated(shadow, base, &delta)?;
+            let out = m.batched().apply_consolidated(shadow, base, &delta)?;
             relevant = relevant.max(out.relevant_deltas);
         }
         let sync = self.sync(mv, base)?;
@@ -171,96 +170,6 @@ impl Automata {
 
 /// Why a batch cannot be repaired locally (the refresh's `cause`).
 struct Unlocatable(&'static str);
-
-/// `path(root, n)` by parent pointers: the objects below `root` down
-/// to `n`, each with its label; `None` when `n` does not hang under
-/// `root`. Parents that lead nowhere (a database object grouping its
-/// members, a detached former ancestor) are searched and dropped; a
-/// second path to `root` — shared structure, or a cycle that hangs
-/// under `root` or runs through it — is an error, unlike
-/// [`gsdb::path::path_between`], which returns whichever it finds
-/// first.
-///
-/// A depth-first search over the ancestors of `n` that visits each
-/// once (those of `root` included), so the cost is linear in the
-/// ancestors and their parent edges whatever their shape. Every object
-/// visited lies above `n`, so the first one found to have two paths
-/// from `root` settles it.
-fn root_chain(
-    store: &Store,
-    root: Oid,
-    n: Oid,
-) -> std::result::Result<Option<Vec<(Oid, Label)>>, Unlocatable> {
-    struct Ancestor {
-        label: Label,
-        /// Still on the search stack.
-        open: bool,
-        /// An object above it names it as a parent: it is on a cycle.
-        looped: bool,
-        /// The parent through which `root` reaches it, if one does.
-        via: Option<Oid>,
-    }
-    #[derive(Clone, Copy)]
-    enum Visit {
-        Enter(Oid),
-        Leave(Oid),
-    }
-    if !store.has_parent_index() {
-        return Err(Unlocatable("no_parent_index"));
-    }
-    let multi_path = Unlocatable("multi_path");
-    let mut seen: FastMap<Oid, Ancestor> = FastMap::default();
-    // What to do, and the object below it on this walk.
-    let mut stack = vec![(Visit::Enter(n), None)];
-    while let Some((visit, below)) = stack.pop() {
-        // Does `root` reach the object above `below`?
-        let (above, reached) = match visit {
-            Visit::Enter(at) => match seen.get_mut(&at) {
-                Some(a) if a.open => {
-                    a.looped = true;
-                    continue;
-                }
-                Some(a) => (at, a.via.is_some()),
-                None => {
-                    let Some(label) = store.label(at) else { continue };
-                    // `root` stands for its own way in, so that a walk
-                    // which comes back to it counts as a second path.
-                    let (open, looped, via) = (true, false, (at == root).then_some(at));
-                    seen.insert(at, Ancestor { label, open, looped, via });
-                    stack.push((Visit::Leave(at), below));
-                    if let Some(parents) = store.parents(at) {
-                        stack.extend(parents.iter().map(|p| (Visit::Enter(p), Some(at))));
-                    }
-                    continue;
-                }
-            },
-            Visit::Leave(at) => {
-                let a = seen.get_mut(&at).expect("left after it was entered");
-                a.open = false;
-                if a.looped && a.via.is_some() {
-                    return Err(multi_path);
-                }
-                (at, a.via.is_some())
-            }
-        };
-        if let (true, Some(below)) = (reached, below) {
-            let b = seen.get_mut(&below).expect("entered before its parents");
-            if b.via.replace(above).is_some() {
-                return Err(multi_path);
-            }
-        }
-    }
-    let mut chain = Vec::new();
-    let mut at = n;
-    while at != root {
-        let Some(a) = seen.get(&at) else { return Ok(None) };
-        let Some(via) = a.via else { return Ok(None) };
-        chain.push((at, a.label));
-        at = via;
-    }
-    chain.reverse();
-    Ok(Some(chain))
-}
 
 /// Where a root path leaves the automata: the `sel` mask, and one
 /// `cond` mask per ancestor `y` at which `sel` accepted — the state
@@ -418,14 +327,15 @@ impl GeneralMaintainer {
     /// hang under the root or the automata die on the way.
     fn locate(&self, store: &Store, n: Oid) -> std::result::Result<Option<Located>, Unlocatable> {
         let a = &self.automata;
-        let Some(chain) = root_chain(store, self.def.root, n)? else {
+        let root = self.def.root;
+        let Some(chain) = path::only_chain_between(store, root, n).map_err(Unlocatable)? else {
             return Ok(None);
         };
         let mut at = Located {
             sel: a.sel.start_mask(),
             threads: Vec::new(),
         };
-        at.open(a, self.def.root);
+        at.open(a, root);
         for (o, l) in chain {
             at.step(a, l);
             if at.dead() {
@@ -544,7 +454,8 @@ impl GeneralMaintainer {
     fn selects(&self, store: &Store, y: Oid, known: Known) -> std::result::Result<bool, Unlocatable> {
         let a = &self.automata;
         if !known.sel {
-            let Some(chain) = root_chain(store, self.def.root, y)? else {
+            let root = self.def.root;
+            let Some(chain) = path::only_chain_between(store, root, y).map_err(Unlocatable)? else {
                 return Ok(false);
             };
             let mask = chain
@@ -716,45 +627,6 @@ impl GeneralMaintainer {
 // DAG bases
 // ----------------------------------------------------------------------
 
-/// All label paths from `root` to `n` in a DAG (upward enumeration via
-/// the parent index). Bounded by `limit` paths as a safety valve.
-pub fn paths_from_root_all(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
-    const NO_PREV: usize = usize::MAX;
-    let mut out = Vec::new();
-    // Arena of (edge label, predecessor chain index); the stack carries
-    // (current node, chain index). Label prefixes are reconstructed by
-    // walking the chain instead of cloning a Vec per parent.
-    let mut nodes: Vec<(gsdb::Label, usize)> = Vec::new();
-    let mut stack: Vec<(Oid, usize)> = vec![(n, NO_PREV)];
-    while let Some((cur, chain)) = stack.pop() {
-        if out.len() >= limit {
-            break;
-        }
-        if cur == root {
-            // The chain runs top-down from root's child to `n`.
-            let mut ls = Vec::new();
-            let mut j = chain;
-            while j != NO_PREV {
-                ls.push(nodes[j].0);
-                j = nodes[j].1;
-            }
-            out.push(Path(ls));
-            continue;
-        }
-        let Some(l) = store.label(cur) else { continue };
-        let Some(parents) = store.parents(cur) else {
-            continue;
-        };
-        for p in parents.iter() {
-            nodes.push((l, chain));
-            stack.push((p, nodes.len() - 1));
-        }
-    }
-    out.sort_by_key(|p| p.to_string());
-    out.dedup();
-    out
-}
-
 /// Maintains a simple view definition over a DAG-structured base.
 ///
 /// Membership is monotone in edges — inserting an edge can only add
@@ -791,7 +663,7 @@ impl DagMaintainer {
 
     fn selects(&self, store: &Store, y: Oid) -> bool {
         let on_sel_path =
-            paths_from_root_all(store, self.def.root, y, self.path_limit).contains(&self.def.sel_path);
+            path::paths_between(store, self.def.root, y, self.path_limit).contains(&self.def.sel_path);
         if !on_sel_path {
             return false;
         }
@@ -826,7 +698,7 @@ impl DagMaintainer {
             return Vec::new();
         };
         let mut remainders = Vec::new();
-        for rp in paths_from_root_all(store, self.def.root, n1, self.path_limit) {
+        for rp in path::paths_between(store, self.def.root, n1, self.path_limit) {
             let mut prefix = rp;
             prefix.push(l2);
             if let Some(p) = full.strip_prefix(&prefix) {
@@ -937,7 +809,7 @@ impl DagMaintainer {
         };
         let full = self.def.full_path();
         let at_full_path =
-            paths_from_root_all(store, self.def.root, n, self.path_limit).contains(&full);
+            path::paths_between(store, self.def.root, n, self.path_limit).contains(&full);
         if !at_full_path {
             return Ok(Outcome::default());
         }
@@ -1516,12 +1388,12 @@ mod tests {
     }
 
     #[test]
-    fn paths_from_root_all_enumerates_dag_paths() {
+    fn paths_between_enumerates_dag_paths() {
         let s = dag_store();
-        let paths = paths_from_root_all(&s, oid("REL"), oid("shared"), 100);
+        let paths = path::paths_between(&s, oid("REL"), oid("shared"), 100);
         assert_eq!(paths.len(), 1, "both derivations share the same label path");
         assert_eq!(paths[0], Path::parse("r.tuple.age"));
-        let t_paths = paths_from_root_all(&s, oid("REL"), oid("t1"), 100);
+        let t_paths = path::paths_between(&s, oid("REL"), oid("t1"), 100);
         assert_eq!(t_paths, vec![Path::parse("r.tuple")]);
     }
 
@@ -1588,6 +1460,52 @@ mod tests {
             dm.apply(&mut mv, &s, &applied).unwrap();
             let expected = recompute_members(&def, &mut LocalBase::new(&s));
             assert_eq!(mv.members_base(), expected, "after {applied}");
+        }
+    }
+
+    #[test]
+    fn dag_maintainer_is_bounded_beside_cycles_and_dead_end_diamonds() {
+        // `shared` gets two more parents that lead nowhere near REL: a
+        // two-object cycle, which holds upward walks of any length, and
+        // the bottom of 40 stacked diamonds, which hold 2^40. Neither
+        // is a path from the root, so neither may cost more than a
+        // visit per object.
+        let mut s = dag_store();
+        let edge = |s: &mut Store, p: &str, c: &str| s.insert_edge(oid(p), oid(c)).unwrap();
+        for name in ["X", "Y"] {
+            set(name, "ring").build(&mut s).unwrap();
+        }
+        edge(&mut s, "X", "Y");
+        edge(&mut s, "Y", "X");
+        edge(&mut s, "Y", "shared");
+        set("L0", "rung").build(&mut s).unwrap();
+        for i in 0..40 {
+            set(&format!("L{}", i + 1), "rung").build(&mut s).unwrap();
+            for side in ["l", "r"] {
+                let rail = format!("L{i}{side}");
+                set(&rail, "rail").build(&mut s).unwrap();
+                edge(&mut s, &format!("L{i}"), &rail);
+                edge(&mut s, &rail, &format!("L{}", i + 1));
+            }
+        }
+        edge(&mut s, "L40", "shared");
+        assert_eq!(
+            path::paths_between(&s, oid("REL"), oid("shared"), 100),
+            vec![Path::parse("r.tuple.age")]
+        );
+
+        let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
+            .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+        let dm = DagMaintainer::new(def.clone());
+        let mut mv = MaterializedView::new("SEL");
+        for y in recompute_members(&def, &mut LocalBase::new(&s)) {
+            let obj = s.get(y).unwrap().clone();
+            mv.v_insert(&obj).unwrap();
+        }
+        for u in [gsdb::Update::modify("shared", 20i64), gsdb::Update::modify("shared", 35i64)] {
+            let applied = s.apply(u).unwrap();
+            dm.apply(&mut mv, &s, &applied).unwrap();
+            assert_eq!(mv.members_base(), recompute_members(&def, &mut LocalBase::new(&s)));
         }
     }
 }

@@ -91,18 +91,27 @@ impl Outcome {
 /// and before any further ones.
 #[derive(Clone, Debug)]
 pub struct Maintainer {
-    def: SimpleViewDef,
+    /// Holds the definition; handed out by [`Maintainer::batched`].
+    plan: MaintPlan,
 }
 
 impl Maintainer {
     /// Build a maintainer for a definition.
     pub fn new(def: SimpleViewDef) -> Self {
-        Maintainer { def }
+        Maintainer {
+            plan: MaintPlan::new(def),
+        }
     }
 
     /// The definition being maintained.
     pub fn def(&self) -> &SimpleViewDef {
-        &self.def
+        self.plan.def()
+    }
+
+    /// The batched maintainer over the same definition, built once
+    /// with this one.
+    pub fn batched(&self) -> &MaintPlan {
+        &self.plan
     }
 
     /// Process one applied base update, mutating the maintenance
@@ -116,7 +125,7 @@ impl Maintainer {
     ) -> Result<Outcome> {
         let _span = gsview_obs::span!(
             "maint.apply",
-            "view" = self.def.view.name().to_string(),
+            "view" = self.def().view.name().to_string(),
             "update" = update_kind(update),
         );
         let outcome = match update {
@@ -142,8 +151,8 @@ impl Maintainer {
     /// Locate the remainder path `p` such that
     /// `sel_path.cond_path = path(ROOT, N1).label(N2).p`.
     fn locate(&self, base: &mut dyn BaseAccess, n1: Oid, n2: Oid) -> Option<Path> {
-        let full = self.def.full_path();
-        let root_path = base.path_from_root(self.def.root, n1)?;
+        let full = self.def().full_path();
+        let root_path = base.path_from_root(self.def().root, n1)?;
         if root_path.len() + 1 > full.len() {
             return None;
         }
@@ -154,7 +163,7 @@ impl Maintainer {
     }
 
     fn pred(&self) -> Option<&Pred> {
-        self.def.cond.as_ref().map(|c| &c.pred)
+        self.def().cond.as_ref().map(|c| &c.pred)
     }
 
     fn on_insert(
@@ -168,7 +177,7 @@ impl Maintainer {
             return Ok(Outcome::irrelevant());
         };
         let mut out = Outcome::relevant();
-        let cond_path = self.def.cond_path();
+        let cond_path = self.def().cond_path();
         let s = base.eval(n2, &p, self.pred());
         for x in s {
             let Some(y) = base.ancestor(x, &cond_path) else {
@@ -195,7 +204,7 @@ impl Maintainer {
             return Ok(Outcome::irrelevant());
         };
         let mut out = Outcome::relevant();
-        let cond_path = self.def.cond_path();
+        let cond_path = self.def().cond_path();
         let s = base.eval(n2, &p, self.pred());
         if p.ends_with(&cond_path) {
             // Y lies at or below N2: the detached subtree still holds
@@ -243,11 +252,11 @@ impl Maintainer {
     ) -> Result<Outcome> {
         // Views without a condition are purely structural; modify
         // cannot change membership.
-        let Some(cond) = &self.def.cond else {
+        let Some(cond) = &self.def().cond else {
             return Ok(Outcome::irrelevant());
         };
-        let full = self.def.full_path();
-        match base.path_from_root(self.def.root, n) {
+        let full = self.def().full_path();
+        match base.path_from_root(self.def().root, n) {
             Some(rp) if rp == full => {}
             _ => return Ok(Outcome::irrelevant()),
         }

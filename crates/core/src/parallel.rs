@@ -73,8 +73,8 @@ use crate::maintain::{BatchOutcome, MaintPlan};
 use crate::mview::MaterializedView;
 use crate::viewdef::SimpleViewDef;
 use gsdb::{
-    ConsolidatedDelta, DeltaBatch, EdgeOp, FastMap, FastSet, Oid, Result, ShardedStore, Store,
-    Update, MAX_SHARDS,
+    path, ConsolidatedDelta, DeltaBatch, EdgeOp, FastMap, FastSet, Oid, Result, ShardedStore,
+    Store, Update, MAX_SHARDS,
 };
 use gsview_query::MaintBackend;
 
@@ -140,25 +140,6 @@ pub fn partition_commit_lanes(store: &Store, updates: &[Update]) -> Vec<Vec<Upda
         lanes[lane].push(u.clone());
     }
     lanes
-}
-
-/// The set of objects from which `n` is reachable (including `n`
-/// itself), computed by an upward BFS over the inverse index. The
-/// relevance screen asks whether a view's root is in this set.
-fn ancestor_closure(store: &Store, n: Oid) -> FastSet<Oid> {
-    let mut seen: FastSet<Oid> = FastSet::default();
-    seen.insert(n);
-    let mut stack = vec![n];
-    while let Some(cur) = stack.pop() {
-        if let Some(ps) = store.parents(cur) {
-            for p in ps.iter() {
-                if seen.insert(p) {
-                    stack.push(p);
-                }
-            }
-        }
-    }
-    seen
 }
 
 /// Node budget for the member-overlap subtree walk; an edge whose
@@ -310,8 +291,8 @@ impl ParallelMaintainer {
         }
 
         let created: FastSet<Oid> = delta.created.iter().copied().collect();
-        // Memoized ancestor closures, keyed by the anchor object. One
-        // upward BFS per distinct anchor serves every view.
+        // Memoized ancestor sets, keyed by the anchor object. One
+        // upward search per distinct anchor serves every view.
         let mut closures: FastMap<Oid, FastSet<Oid>> = FastMap::default();
 
         let mut out: Vec<ConsolidatedDelta> = self
@@ -339,7 +320,7 @@ impl ParallelMaintainer {
             // whose members intersect the child's final-state subtree.
             let anchors = closures
                 .entry(e.parent)
-                .or_insert_with(|| ancestor_closure(store, e.parent));
+                .or_insert_with(|| path::ancestor_set(store, e.parent));
             let overlap: Option<&Option<FastSet<Oid>>> = if created_insert || views.is_none() {
                 None
             } else {
@@ -374,7 +355,7 @@ impl ParallelMaintainer {
         for m in &delta.modifies {
             let anchors = closures
                 .entry(m.oid)
-                .or_insert_with(|| ancestor_closure(store, m.oid));
+                .or_insert_with(|| path::ancestor_set(store, m.oid));
             for (v, plan) in self.plans.iter().enumerate() {
                 if anchors.contains(&plan.def().root) {
                     out[v].modifies.push(m.clone());

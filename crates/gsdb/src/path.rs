@@ -17,9 +17,12 @@
 //! store maintains one, and a downward traversal from a given root when
 //! it does not. [`ancestors_all`] generalizes `ancestor` to DAG bases
 //! (paper §6).
+//!
+//! There is one upward search (`Ancestry::sweep`); [`ancestor_set`],
+//! [`chain_between`] / [`path_between`], [`only_chain_between`] and
+//! [`paths_between`] are answers read from what it visited.
 
-use crate::{Atom, Label, Oid, Store};
-use std::collections::HashSet;
+use crate::{Atom, FastMap, FastSet, Label, Oid, Store};
 use std::fmt;
 
 /// A constant path: a sequence of labels.
@@ -122,7 +125,7 @@ pub fn reach(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     let mut frontier = vec![n];
     for &step in p.labels() {
         let mut next = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for &o in &frontier {
             for &c in store.children(o) {
                 if store.label(c) == Some(step) && seen.insert(c) {
@@ -149,68 +152,237 @@ pub fn eval(store: &Store, n: Oid, p: &Path, cond: &dyn Fn(&Atom) -> bool) -> Ve
 }
 
 // ----------------------------------------------------------------------
-// path(N1, N2) — unique path in a tree
+// path(N1, N2) — the upward search
 // ----------------------------------------------------------------------
 
 /// `path(N1, N2)`: the label path from `n1` to `n2` in a
 /// tree-structured database; `None` if `n1` is not an ancestor of `n2`
-/// (paper §4.3: `path(N1, N2) = ∅`).
+/// (paper §4.3: `path(N1, N2) = ∅`). On a DAG it is the path of
+/// whichever chain the search meets first.
 ///
-/// Uses the parent index when available (an `O(depth)` upward walk —
-/// the "inverse index" shortcut of §4.4); otherwise falls back to a
-/// depth-first traversal from `n1`, which is what §4.4 warns "may
-/// require a traversal from ROOT to N".
+/// Uses the parent index when available ([`chain_between`], an
+/// `O(depth)` upward walk on a tree — the "inverse index" shortcut of
+/// §4.4); otherwise falls back to a depth-first traversal from `n1`,
+/// which is what §4.4 warns "may require a traversal from ROOT to N".
 pub fn path_between(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
     if n1 == n2 {
         return Some(Path::empty());
     }
     if store.has_parent_index() {
-        path_upward(store, n1, n2)
+        let above = Ancestry::sweep(store, n2, Some(n1), true);
+        let labels = above.chain(n1)?.map(|(_, l)| l).collect();
+        Some(Path(labels))
     } else {
         path_by_search(store, n1, n2)
     }
 }
 
+/// The first chain the upward search finds from `root` down to `n`:
+/// the objects below `root`, each with its label, `n` last (empty when
+/// `n` is `root`). `None` if `root` is not above `n`, or if the store
+/// keeps no parent index. `path(root, n)` is the labels of the chain,
+/// so a caller that needs the objects along a path as well as the path
+/// (§5.1 level-3 reports) reads both from the one chain.
+pub fn chain_between(store: &Store, root: Oid, n: Oid) -> Option<Vec<(Oid, Label)>> {
+    let above = Ancestry::sweep(store, n, Some(root), true);
+    let chain = above.chain(root)?.collect();
+    Some(chain)
+}
+
+/// The chain from `root` down to `n` if it is the only walk between
+/// them; `Ok(None)` when `n` does not hang under `root`. Parents that
+/// lead nowhere (a database object grouping its members, a detached
+/// former ancestor) are searched and dropped. The error is the cause,
+/// as the maintainers report it: `"multi_path"` when there is a second
+/// walk — shared structure, or a cycle that hangs under `root` or runs
+/// through it — and `"no_parent_index"` on a store without the index.
+pub fn only_chain_between(
+    store: &Store,
+    root: Oid,
+    n: Oid,
+) -> std::result::Result<Option<Vec<(Oid, Label)>>, &'static str> {
+    if !store.has_parent_index() {
+        return Err("no_parent_index");
+    }
+    Ancestry::sweep(store, n, None, true).only_chain(root)
+}
+
+/// The label paths of the simple chains from `root` down to `n`,
+/// sorted and without duplicates — on a DAG base (paper §6) every
+/// `path(root, n)`. At most `limit` chains are enumerated.
+pub fn paths_between(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
+    Ancestry::sweep(store, n, None, true).label_paths(root, limit)
+}
+
+/// The objects from which `n` is reachable, `n` included: `root` is
+/// above `n` iff it is a member. One `parents` read per ancestor.
+pub fn ancestor_set(store: &Store, n: Oid) -> FastSet<Oid> {
+    Ancestry::sweep(store, n, None, false).index.into_keys().collect()
+}
+
 /// Sentinel for "no predecessor" in the search arenas below.
 const NO_PREV: usize = usize::MAX;
 
-/// Upward variant: depth-first search over parent chains from `n2`
-/// toward `n1`, collecting labels. On a tree there is a single chain
-/// (same cost as a straight walk); on a DAG the search backtracks
-/// across parents, so a path is found whenever one exists — it never
-/// commits to an arbitrary parent and misses the other route.
-///
-/// Search nodes live in an arena of `(object, cached label, index of
-/// the node below it)`; the label prefix is reconstructed by walking
-/// the predecessor chain, instead of cloning a `Vec<Label>` per step.
-fn path_upward(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
-    let mut nodes: Vec<(Oid, Option<Label>, usize)> = vec![(n2, None, NO_PREV)];
-    let mut stack: Vec<usize> = vec![0];
-    let mut visited = HashSet::new();
-    visited.insert(n2);
-    while let Some(i) = stack.pop() {
-        let cur = nodes[i].0;
-        let Some(l) = store.label(cur) else { continue };
-        nodes[i].1 = Some(l);
-        let parents = store.parents(cur).expect("parent index checked by caller");
-        for p in parents.iter() {
-            if p == n1 {
-                // The chain i → … → n2 is already top-down order.
-                let mut labels = Vec::new();
-                let mut j = i;
-                while j != NO_PREV {
-                    labels.push(nodes[j].1.expect("chain labels cached on pop"));
-                    j = nodes[j].2;
-                }
-                return Some(Path(labels));
+struct Ancestor {
+    oid: Oid,
+    /// Read when the search expands the object, if it reads labels;
+    /// `None` before that and for an OID with no record.
+    label: Option<Label>,
+    /// The object whose expansion found this one — one of its
+    /// children; `NO_PREV` for `n`.
+    below: usize,
+    /// Its parents, as a range of [`Ancestry::ups`].
+    ups: std::ops::Range<usize>,
+}
+
+/// The one upward search: the ancestors of an object, each visited
+/// once — one `parents` read per ancestor, and one `label` read for
+/// the callers that want chains — whatever their shape (diamonds,
+/// cycles, parents that lead nowhere), so the cost is linear in the
+/// ancestors and their parent edges. On a tree that is the straight
+/// walk to the top. Every question about what lies above `n` is
+/// answered from the arena it leaves behind.
+struct Ancestry {
+    /// In discovery order; `nodes[0]` is `n`.
+    nodes: Vec<Ancestor>,
+    /// Parent edges as indices into `nodes`, contiguous per object.
+    ups: Vec<usize>,
+    index: FastMap<Oid, usize>,
+}
+
+impl Ancestry {
+    /// Search upward from `n`: everything above it, or — for a caller
+    /// content with the first chain — only until `stop_at` turns up
+    /// among the parents (`stop_at` itself is then not read). A caller
+    /// that asks only which objects are above `n` leaves the labels
+    /// unread.
+    fn sweep(store: &Store, n: Oid, stop_at: Option<Oid>, labels: bool) -> Ancestry {
+        let found = |oid, below| Ancestor { oid, label: None, below, ups: 0..0 };
+        // Room for a tree's depth without regrowing.
+        let mut a = Ancestry {
+            nodes: Vec::with_capacity(8),
+            ups: Vec::with_capacity(8),
+            index: FastMap::with_capacity_and_hasher(8, Default::default()),
+        };
+        a.nodes.push(found(n, NO_PREV));
+        a.index.insert(n, 0);
+        if stop_at == Some(n) {
+            return a;
+        }
+        let mut stack = vec![0];
+        while let Some(i) = stack.pop() {
+            if labels {
+                let Some(l) = store.label(a.nodes[i].oid) else { continue };
+                a.nodes[i].label = Some(l);
             }
-            if visited.insert(p) {
-                nodes.push((p, None, i));
-                stack.push(nodes.len() - 1);
+            let Some(parents) = store.parents(a.nodes[i].oid) else { continue };
+            a.nodes[i].ups = a.ups.len()..a.ups.len();
+            for p in parents.iter() {
+                let next = a.nodes.len();
+                let j = *a.index.entry(p).or_insert(next);
+                if j == next {
+                    a.nodes.push(found(p, i));
+                    stack.push(j);
+                }
+                a.ups.push(j);
+                a.nodes[i].ups.end += 1;
+                if stop_at == Some(p) {
+                    return a;
+                }
             }
         }
+        a
     }
-    None
+
+    /// The chain the search met `root` by: follow each object back to
+    /// the child it was found from, down to `n`.
+    fn chain(&self, root: Oid) -> Option<impl Iterator<Item = (Oid, Label)> + '_> {
+        let top = *self.index.get(&root)?;
+        let below = |i: usize| Some(self.nodes[i].below).filter(|&b| b != NO_PREV);
+        Some(std::iter::successors(below(top), move |&i| below(i)).map(|i| {
+            let a = &self.nodes[i];
+            (a.oid, a.label.expect("an object with a parent was read"))
+        }))
+    }
+
+    /// Which ancestors the object at `top` reaches: a flood from it
+    /// down the parent edges, reversed.
+    fn reached_from(&self, top: usize) -> Vec<bool> {
+        let mut downs = vec![Vec::new(); self.nodes.len()];
+        for (child, a) in self.nodes.iter().enumerate() {
+            for &p in &self.ups[a.ups.clone()] {
+                downs[p].push(child);
+            }
+        }
+        let mut reached = vec![false; self.nodes.len()];
+        reached[top] = true;
+        let mut stack = vec![top];
+        while let Some(i) = stack.pop() {
+            for &c in &downs[i] {
+                if !std::mem::replace(&mut reached[c], true) {
+                    stack.push(c);
+                }
+            }
+        }
+        reached
+    }
+
+    fn only_chain(
+        &self,
+        root: Oid,
+    ) -> std::result::Result<Option<Vec<(Oid, Label)>>, &'static str> {
+        let Some(&top) = self.index.get(&root) else { return Ok(None) };
+        // Objects all connected to `n`, with one parent edge fewer than
+        // there are of them, form a tree: one walk between any two.
+        // Failing that, only the objects `root` reaches lie on a walk
+        // from it; they are connected to it, all above `n`, and the
+        // same count makes them a tree again — a single chain.
+        let is_tree = self.ups.len() + 1 == self.nodes.len() || {
+            let live = self.reached_from(top);
+            let on_walks = self.nodes.iter().zip(&live).filter(|(_, &l)| l);
+            let edges: usize = on_walks
+                .map(|(a, _)| self.ups[a.ups.clone()].iter().filter(|&&p| live[p]).count())
+                .sum();
+            edges + 1 == live.iter().filter(|&&l| l).count()
+        };
+        if is_tree {
+            Ok(self.chain(root).map(Iterator::collect))
+        } else {
+            Err("multi_path")
+        }
+    }
+
+    fn label_paths(&self, root: Oid, limit: usize) -> Vec<Path> {
+        let Some(&top) = self.index.get(&root) else { return Vec::new() };
+        let live = self.reached_from(top);
+        let mut out = Vec::new();
+        // The chain being extended, `n` first, each object with the
+        // next of its parent edges to try. An object is on it at most
+        // once, so cycles are walked round at most once.
+        let mut walk = vec![(0, self.nodes[0].ups.start)];
+        let mut on_walk = vec![false; self.nodes.len()];
+        on_walk[0] = true;
+        while out.len() < limit {
+            let Some(&mut (i, ref mut edge)) = walk.last_mut() else { break };
+            if i != top && *edge < self.nodes[i].ups.end {
+                let p = self.ups[*edge];
+                *edge += 1;
+                if live[p] && !std::mem::replace(&mut on_walk[p], true) {
+                    walk.push((p, self.nodes[p].ups.start));
+                }
+                continue;
+            }
+            if i == top {
+                let below_root = walk[..walk.len() - 1].iter().rev();
+                out.push(Path(below_root.filter_map(|&(j, _)| self.nodes[j].label).collect()));
+            }
+            on_walk[i] = false;
+            walk.pop();
+        }
+        out.sort_by_key(|p| p.to_string());
+        out.dedup();
+        out
+    }
 }
 
 /// Downward variant: DFS from `n1` for `n2` (no inverse index). The
@@ -219,7 +391,7 @@ fn path_upward(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
 fn path_by_search(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
     let mut nodes: Vec<(Label, usize)> = Vec::new();
     let mut stack: Vec<(Oid, usize)> = vec![(n1, NO_PREV)];
-    let mut visited = HashSet::new();
+    let mut visited = FastSet::default();
     visited.insert(n1);
     while let Some((o, prev)) = stack.pop() {
         for &c in store.children(o) {
@@ -276,7 +448,7 @@ pub fn ancestors_all(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     for i in (0..labels.len()).rev() {
         let want = labels[i];
         let mut next = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for &o in &frontier {
             if store.label(o) != Some(want) {
                 continue;
@@ -315,6 +487,7 @@ fn ancestors_all_by_search(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
 mod tests {
     use super::*;
     use crate::{Object, StoreConfig};
+    use std::collections::HashSet;
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)

@@ -2,7 +2,9 @@
 //! against `std::collections::HashSet`, store update/rollback
 //! round-trips, and notation/snapshot round-trips over random trees.
 
-use gsdb::{gc, notation, txn, Object, Oid, OidSet, Snapshot, Store, StoreConfig, Update};
+use gsdb::{
+    gc, notation, path, txn, Object, Oid, OidSet, Path, Snapshot, Store, StoreConfig, Update,
+};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -305,6 +307,86 @@ proptest! {
         for s in [&store, &oracle] {
             if let Err(e) = s.check_invariants() {
                 panic!("store invariant broken: {e}");
+            }
+        }
+    }
+
+    /// The one upward search answers what a brute-force enumeration of
+    /// the walks from the root answers. Small random graphs over two
+    /// labels with everything a parent index can hold: diamonds,
+    /// cycles under the root, through it and off it, self-loops, and
+    /// parents the root does not reach.
+    #[test]
+    fn upward_search_matches_brute_force(
+        labels in prop::collection::vec(0..2u8, 2..9),
+        edges in prop::collection::vec((any::<u16>(), any::<u16>()), 0..16),
+        salt in 0u32..1_000_000,
+    ) {
+        let n = labels.len();
+        let node = |i: usize| Oid::new(&format!("us{salt}n{i}"));
+        let mut store = Store::new();
+        for (i, l) in labels.iter().enumerate() {
+            store.create(Object::empty_set(node(i).name(), ["a", "b"][*l as usize])).unwrap();
+        }
+        for (u, v) in &edges {
+            let _ = store.insert_edge(node(*u as usize % n), node(*v as usize % n));
+        }
+        let root = node(0);
+        for target in (0..n).map(node) {
+            // Every simple chain root → target, by walking down.
+            let mut chains: Vec<Vec<Oid>> = Vec::new();
+            let mut walk = vec![(root, 0)];
+            while let Some(&mut (at, ref mut next)) = walk.last_mut() {
+                let child = store.children(at).get(*next).copied();
+                *next += 1;
+                if at == target {
+                    chains.push(walk[1..].iter().map(|&(o, _)| o).collect());
+                    walk.pop();
+                } else if let Some(c) = child {
+                    if walk.iter().all(|&(o, _)| o != c) {
+                        walk.push((c, 0));
+                    }
+                } else {
+                    walk.pop();
+                }
+            }
+            // Walks of up to 2n edges, counted: a cycle between root
+            // and target adds one no longer than that.
+            let mut walks = (root == target) as u64;
+            let mut ending_at: HashMap<Oid, u64> = HashMap::from([(root, 1)]);
+            for _ in 0..2 * n {
+                let mut longer: HashMap<Oid, u64> = HashMap::new();
+                for (&o, &k) in &ending_at {
+                    for &c in store.children(o) {
+                        let e = longer.entry(c).or_default();
+                        *e = e.saturating_add(k);
+                    }
+                }
+                walks = walks.saturating_add(longer.get(&target).copied().unwrap_or(0));
+                ending_at = longer;
+            }
+            let path_of = |chain: &[Oid]| Path(chain.iter().map(|&o| store.label(o).unwrap()).collect());
+            let oids_of = |chain: Vec<(Oid, gsdb::Label)>| chain.into_iter().map(|(o, _)| o).collect::<Vec<_>>();
+
+            let mut want: Vec<Path> = chains.iter().map(|c| path_of(c)).collect();
+            want.sort_by_key(|p| p.to_string());
+            want.dedup();
+            prop_assert_eq!(path::paths_between(&store, root, target, usize::MAX), want);
+            prop_assert_eq!(path::ancestor_set(&store, target).contains(&root), !chains.is_empty());
+
+            let first = path::chain_between(&store, root, target);
+            prop_assert_eq!(path::path_between(&store, root, target), first.as_ref().map(|c| {
+                Path(c.iter().map(|&(_, l)| l).collect())
+            }));
+            match first {
+                Some(c) => prop_assert!(chains.contains(&oids_of(c))),
+                None => prop_assert!(chains.is_empty()),
+            }
+            let only = path::only_chain_between(&store, root, target);
+            match walks {
+                0 => prop_assert_eq!(only, Ok(None)),
+                1 => prop_assert_eq!(only.map(|c| c.map(oids_of)), Ok(Some(chains[0].clone()))),
+                _ => prop_assert_eq!(only, Err("multi_path")),
             }
         }
     }

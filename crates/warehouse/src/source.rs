@@ -465,41 +465,21 @@ fn make_report(
     }
     if level >= ReportLevel::WithPaths {
         for oid in report.update.directly_affected() {
-            if let Some(p) = path::path_between(store, root, oid) {
-                let oids = oids_along(store, root, oid, &p);
+            // Path and OIDs are the two halves of one chain — "the
+            // source may record the path to the updated object" while
+            // it traverses to it (§5.1). A store without the parent
+            // index records none: the warehouse asks instead.
+            if let Some(chain) = path::chain_between(store, root, oid) {
+                let (below_root, labels): (Vec<Oid>, Vec<_>) = chain.into_iter().unzip();
                 report.paths.push(RootPathInfo {
                     target: oid,
-                    path: p,
-                    oids,
+                    path: gsdb::Path(labels),
+                    oids: std::iter::once(root).chain(below_root).collect(),
                 });
             }
         }
     }
     report
-}
-
-/// The OIDs along the (tree) path from `root` to `n`, root first.
-/// "When the source does the update, it needs to traverse the source
-/// database until reaching the updated object. So the source may
-/// record the path to the updated object" (§5.1).
-fn oids_along(store: &Store, root: Oid, n: Oid, p: &gsdb::Path) -> Vec<Oid> {
-    let mut oids = vec![n];
-    let mut cur = n;
-    for _ in 0..p.len() {
-        let Some(parents) = store.parents(cur) else {
-            break;
-        };
-        let Some(parent) = parents.iter().next() else {
-            break;
-        };
-        oids.push(parent);
-        cur = parent;
-        if cur == root {
-            break;
-        }
-    }
-    oids.reverse();
-    oids
 }
 
 /// The source monitor: drains the source's update log into reports.
@@ -686,6 +666,38 @@ mod tests {
         // A2's path exists too (now a child of P2).
         let a2p = r.path_of(oid("A2")).unwrap();
         assert_eq!(a2p.path, Path::parse("professor.age"));
+    }
+
+    #[test]
+    fn level_3_oids_are_the_objects_along_the_reported_path() {
+        // A grouping object created before the tree is A's first
+        // parent; the report's OIDs must follow the reported path
+        // through P all the same.
+        use crate::remote::{Channel, RemoteBase};
+        use gsview_core::BaseAccess;
+        let [root, a, bag, p] = ["ROOT", "A", "BAG", "P"].map(|n| oid(&format!("l3o_{n}")));
+        let src = Source::empty("l3o", root, ReportLevel::WithPaths);
+        src.with_store(|s| {
+            s.create_all([
+                gsdb::Object::atom(a.name(), "age", 45i64),
+                gsdb::Object::set(bag.name(), "bag", &[a]),
+                gsdb::Object::set(p.name(), "professor", &[a]),
+                gsdb::Object::set(root.name(), "person", &[p]),
+            ])
+        })
+        .unwrap();
+        let _setup = src.monitor().poll();
+        src.apply(Update::modify(a.name(), 46i64)).unwrap();
+        let reports = src.monitor().poll();
+        let rp = reports[0].path_of(a).unwrap();
+        assert_eq!(rp.path, Path::parse("professor.age"));
+        assert_eq!(rp.oids, vec![root, p, a]);
+
+        let meter = Arc::new(CostMeter::new());
+        let channel = Channel::direct(src.wrapper(meter.clone()));
+        let mut base = RemoteBase::new(&channel).with_report(&reports[0]);
+        assert_eq!(base.ancestor(a, &Path::parse("age")), Some(p));
+        assert_eq!(meter.queries(), 0);
     }
 
     #[test]

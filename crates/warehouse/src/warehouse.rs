@@ -22,7 +22,7 @@ use crate::resync::{
 use crate::source::{QueryPort, Source};
 use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Result};
 use gsview_core::{
-    consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, MaintPlan, MaterializedView,
+    consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, MaterializedView,
     Maintainer, Outcome, SimpleViewDef,
 };
 use gsview_durable::ChunkPort;
@@ -384,28 +384,6 @@ impl Warehouse {
             .map(|c| c.maintenance_queries)
     }
 
-    /// Re-materialize one view by querying its source (the recovery
-    /// path for the update-anomaly the paper flags in §5.1: "source
-    /// updates may interfere with query evaluation and resulting in
-    /// inconsistent query results \[ZGMHW95\]" — when reports are
-    /// processed against a source state that has already moved on,
-    /// the view can drift; a refresh restores exactness).
-    pub fn refresh_view(&mut self, view: Oid) -> Result<()> {
-        let Some(idx) = self.views.iter().position(|v| v.def.view == view) else {
-            return Ok(());
-        };
-        let channel = self
-            .connections
-            .get(&self.views[idx].source)
-            .expect("view sources are connected")
-            .channel
-            .clone();
-        let wv = &mut self.views[idx];
-        let mut base = RemoteBase::new(&channel);
-        gsview_core::recompute::refresh(&wv.def, &mut base, &mut wv.mv)?;
-        Ok(())
-    }
-
     /// Handle one update report from a source monitor: check its
     /// sequence number, then maintain every (healthy) view defined
     /// over that source.
@@ -563,8 +541,8 @@ impl Warehouse {
     /// in [`Warehouse::handle_report`] (duplicates dropped, gaps flag
     /// the source's views stale); for each healthy view the surviving
     /// reports' updates are collected into a [`DeltaBatch`] and applied
-    /// with [`MaintPlan::apply_batch`] against the source's *current*
-    /// state. Consolidation means churny runs (insert+delete of the
+    /// with [`gsview_core::MaintPlan::apply_batch`] against the source's
+    /// *current* state. Consolidation means churny runs (insert+delete of the
     /// same edge, repeated modifies of one atom) cost far fewer
     /// location tests and source queries than one-at-a-time
     /// [`handle_report`](Warehouse::handle_report) calls; and a batch
@@ -658,7 +636,7 @@ impl Warehouse {
                     if let Some(cache) = wv.cache.as_ref() {
                         base = base.with_cache(cache);
                     }
-                    MaintPlan::new(wv.def.clone()).apply_batch(&mut wv.mv, &mut base, &batch)?
+                    wv.maintainer.batched().apply_batch(&mut wv.mv, &mut base, &batch)?
                 };
                 if let Some(cache) = wv.cache.as_mut() {
                     cache.finalize_report();
@@ -719,7 +697,11 @@ impl Warehouse {
     /// verify with the consistency checker, and escalate to the full
     /// recompute baseline if the diff repair does not verify clean.
     /// The auxiliary cache (stale since the view went degraded) is
-    /// rebuilt on success.
+    /// rebuilt on success. This is also the recovery path for the
+    /// anomaly the paper flags in §5.1 — "source updates may interfere
+    /// with query evaluation and resulting in inconsistent query
+    /// results \[ZGMHW95\]": reports processed against a source that
+    /// has already moved on can drift the view.
     ///
     /// Healing runs over the same faulty channel as maintenance, so a
     /// resync can itself lose queries; in that case the view *stays*

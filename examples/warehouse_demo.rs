@@ -105,8 +105,10 @@ fn main() {
     println!("integrator delivered {total} update reports");
 
     // Batch delivery can drift (the §5.1 anomaly); reconcile.
-    wh.refresh_view(Oid::new("ALPHA_SEL")).expect("refresh");
-    wh.refresh_view(Oid::new("BETA_SEL")).expect("refresh");
+    for view in ["ALPHA_SEL", "BETA_SEL"] {
+        let resync = wh.resync_view(Oid::new(view)).expect("resync");
+        assert!(resync.healed, "{view} did not heal");
+    }
 
     for (name, view) in [("alpha", "ALPHA_SEL"), ("beta", "BETA_SEL")] {
         let meter = wh.meter(name).expect("meter");

@@ -132,8 +132,8 @@ fn channel_integrator_feeds_warehouse_across_threads() {
     }
     // Batch delivery processes stale reports against a source that has
     // already moved on — the §5.1 anomaly (citing ZGMHW95). The view
-    // may therefore drift; a warehouse-side refresh reconciles it.
-    wh.refresh_view(oid("CSEL")).unwrap();
+    // may therefore drift; a warehouse-side resync reconciles it.
+    assert!(wh.resync_view(oid("CSEL")).unwrap().healed);
     let expected = src.with_store(|s| {
         recompute::recompute_members(&def, &mut LocalBase::new(s))
     });
