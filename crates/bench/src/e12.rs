@@ -7,13 +7,18 @@
 //! auxiliary cache. Lost reports surface as sequence gaps, the
 //! affected view degrades to `Stale` (reads still served), and a
 //! periodic resync sweep heals it — so the metrics to watch are
-//! queries back to the source per update (resyncs query; healthy
-//! incremental maintenance mostly does not, especially with the
-//! cache), detected gaps, resync rounds, and how many reports were
-//! skipped while degraded.
+//! queries back to the source per update, detected gaps, resync rounds,
+//! and how many reports were skipped while degraded. A resync costs two
+//! reads of the view's region (`2 × (1 + |sel_path.cond_path|)` queries,
+//! whatever the size of the source), so under loss the query count
+//! *falls*: a stale view skips maintenance, and healing it is cheaper
+//! than the query-backs it skipped.
 //!
 //! Every configuration must end consistent: the run asserts the final
 //! membership equals a from-scratch recompute on the source's state.
+//! Every count is deterministic (seeded stream, seeded loss);
+//! `tests/e12_smoke.rs` pins the quick-mode rows against
+//! `baselines/e12_quick.json`.
 
 use crate::table::{fnum, Table};
 use gsdb::Oid;
@@ -32,8 +37,10 @@ pub struct E12Row {
     pub cached: bool,
     /// Applied updates in the stream.
     pub ops: usize,
-    /// Source queries per update, everything on the wire (incremental
-    /// maintenance + resync repair + verification).
+    /// Source queries after set-up, everything on the wire
+    /// (incremental maintenance + resync repair + verification).
+    pub queries: u64,
+    /// [`E12Row::queries`] per applied update.
     pub queries_per_update: f64,
     /// Sequence gaps detected (mid-stream or by checkpoint reconcile).
     pub gaps_detected: u64,
@@ -140,6 +147,7 @@ pub fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
         loss,
         cached,
         ops: n_updates,
+        queries: meter.queries(),
         queries_per_update: meter.queries() as f64 / n_updates.max(1) as f64,
         gaps_detected: stats.gaps_detected,
         resyncs,
@@ -148,9 +156,25 @@ pub fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
     }
 }
 
+/// 0 % / 1 % / 10 % report loss, cache off and on.
+fn sweep(tuples: usize, ops: usize) -> Vec<E12Row> {
+    let mut rows = Vec::new();
+    for &loss in &[0.0f64, 0.01, 0.10] {
+        for cached in [false, true] {
+            rows.push(measure(loss, cached, tuples, ops));
+        }
+    }
+    rows
+}
+
+/// The quick-mode sweep, for the count gate (`tests/e12_smoke.rs`).
+pub fn quick_facts() -> Vec<E12Row> {
+    sweep(200, 200)
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops) = if quick { (200, 200) } else { (1_000, 600) };
+    let rows = if quick { quick_facts() } else { sweep(1_000, 600) };
     let mut t = Table::new(
         "E12",
         "fault tolerance: report loss vs maintenance cost",
@@ -165,19 +189,16 @@ pub fn run(quick: bool) -> Table {
         "skipped stale",
         "members",
     ]);
-    for &loss in &[0.0f64, 0.01, 0.10] {
-        for cached in [false, true] {
-            let r = measure(loss, cached, tuples, ops);
-            t.row(vec![
-                format!("{}%", (loss * 100.0).round()),
-                if r.cached { "on" } else { "off" }.to_string(),
-                fnum(r.queries_per_update),
-                format!("{}", r.gaps_detected),
-                format!("{}", r.resyncs),
-                format!("{}", r.skipped_while_stale),
-                format!("{}", r.members),
-            ]);
-        }
+    for r in rows {
+        t.row(vec![
+            format!("{}%", (r.loss * 100.0).round()),
+            if r.cached { "on" } else { "off" }.to_string(),
+            fnum(r.queries_per_update),
+            format!("{}", r.gaps_detected),
+            format!("{}", r.resyncs),
+            format!("{}", r.skipped_while_stale),
+            format!("{}", r.members),
+        ]);
     }
     t
 }

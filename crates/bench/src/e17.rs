@@ -8,8 +8,9 @@
 //!
 //! * **`restart/cold`** — the pre-durability discipline: a fresh
 //!   warehouse materializes the view by querying the source
-//!   ([`Warehouse::add_view`]); the query count scales with the
-//!   membership and the wall time with the source round trips.
+//!   ([`Warehouse::add_view`]): one read of the view's region, so the
+//!   query count is `1 + |sel_path.cond_path|` at every size and what
+//!   scales with the store is the bytes those replies carry.
 //! * **`restart/warm`** — [`Source::recover`] rebuilds the source
 //!   from its newest durable epoch, then
 //!   [`Warehouse::add_view_warm`] re-materializes the view from

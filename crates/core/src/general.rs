@@ -643,17 +643,15 @@ impl GeneralMaintainer {
 #[derive(Clone, Debug)]
 pub struct DagMaintainer {
     def: SimpleViewDef,
-    /// Cap on enumerated root paths per object.
-    pub path_limit: usize,
 }
+
+/// Cap on enumerated root paths per object.
+const PATH_LIMIT: usize = 10_000;
 
 impl DagMaintainer {
     /// Build a maintainer.
     pub fn new(def: SimpleViewDef) -> Self {
-        DagMaintainer {
-            def,
-            path_limit: 10_000,
-        }
+        DagMaintainer { def }
     }
 
     /// The definition.
@@ -663,7 +661,7 @@ impl DagMaintainer {
 
     fn selects(&self, store: &Store, y: Oid) -> bool {
         let on_sel_path =
-            path::paths_between(store, self.def.root, y, self.path_limit).contains(&self.def.sel_path);
+            path::paths_between(store, self.def.root, y, PATH_LIMIT).contains(&self.def.sel_path);
         if !on_sel_path {
             return false;
         }
@@ -698,7 +696,7 @@ impl DagMaintainer {
             return Vec::new();
         };
         let mut remainders = Vec::new();
-        for rp in path::paths_between(store, self.def.root, n1, self.path_limit) {
+        for rp in path::paths_between(store, self.def.root, n1, PATH_LIMIT) {
             let mut prefix = rp;
             prefix.push(l2);
             if let Some(p) = full.strip_prefix(&prefix) {
@@ -809,7 +807,7 @@ impl DagMaintainer {
         };
         let full = self.def.full_path();
         let at_full_path =
-            path::paths_between(store, self.def.root, n, self.path_limit).contains(&full);
+            path::paths_between(store, self.def.root, n, PATH_LIMIT).contains(&full);
         if !at_full_path {
             return Ok(Outcome::default());
         }

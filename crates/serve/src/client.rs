@@ -12,7 +12,10 @@
 //! * everything else (EOF, reset, framing desync, id mismatch) →
 //!   [`QueryFault::Unavailable`].
 //!
-//! Any error poisons the cached connection: the next call redials.
+//! Any error drops the cached connection: the next call redials. So
+//! does a caller that panicked in the middle of an RPC — the poisoned
+//! state lock is recovered, not propagated, at the price of the stream
+//! whose framing can no longer be trusted.
 //! Report polls that fail return an empty batch — indistinguishable
 //! from "no updates yet", which is exactly the point: a *lost* batch
 //! (served by the source, dropped on the floor by the network) is
@@ -33,15 +36,23 @@ use gsview_warehouse::source::{QueryPort, ReportSource};
 use gsview_warehouse::{SocketChaosPolicy, SocketFault};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Client-side connection state: one cached stream plus its decoder.
+/// Everything an RPC reads or writes, under the one lock it takes: the
+/// cached stream plus its decoder, the chaos policy and the op counter
+/// that feeds it, and the checkpoint fallback.
 struct ClientState {
     stream: Option<TcpStream>,
     decoder: FrameDecoder,
     next_id: u64,
+    chaos: Option<SocketChaosPolicy>,
+    /// RPC counter: feeds the chaos policy's per-op decision.
+    op: u64,
+    /// Last successfully fetched checkpoint — the fallback when the
+    /// network eats a checkpoint round trip ([`ReportSource`] models
+    /// checkpoints as control-plane metadata that always answers).
+    checkpoint: (String, u64),
 }
 
 /// A blocking protocol client over one (re-dialed as needed) TCP
@@ -51,13 +62,6 @@ pub struct FrameClient {
     addr: SocketAddr,
     state: Mutex<ClientState>,
     timeout: Duration,
-    chaos: Mutex<Option<SocketChaosPolicy>>,
-    /// RPC counter: feeds the chaos policy's per-op decision.
-    op: AtomicU64,
-    /// Last successfully fetched checkpoint — the fallback when the
-    /// network eats a checkpoint round trip ([`ReportSource`] models
-    /// checkpoints as control-plane metadata that always answers).
-    checkpoint: Mutex<(String, u64)>,
 }
 
 impl FrameClient {
@@ -76,17 +80,14 @@ impl FrameClient {
                 stream: None,
                 decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
                 next_id: 1,
+                chaos: None,
+                op: 0,
+                checkpoint: (String::new(), 0),
             }),
             timeout,
-            chaos: Mutex::new(None),
-            op: AtomicU64::new(0),
-            checkpoint: Mutex::new((String::new(), 0)),
         };
         match client.rpc(RequestBody::Checkpoint) {
-            Ok(ReplyBody::Checkpoint { source, next_seq }) => {
-                *client.checkpoint.lock().unwrap() = (source, next_seq);
-                Ok(client)
-            }
+            Ok(ReplyBody::Checkpoint { .. }) => Ok(client),
             Ok(ReplyBody::Busy) | Err(QueryFault::Overloaded) => Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 "serving tier shed the connection at admission",
@@ -102,7 +103,21 @@ impl FrameClient {
     /// heal). The policy decides per-RPC from its seed and the
     /// client's op counter.
     pub fn set_chaos(&self, policy: Option<SocketChaosPolicy>) {
-        *self.chaos.lock().unwrap() = policy;
+        self.lock().chaos = policy;
+    }
+
+    /// The client state. A lock poisoned by a caller that panicked
+    /// mid-RPC is recovered, not propagated: the counters, the policy
+    /// and the checkpoint are whole after every statement that writes
+    /// them, and the one thing a panic can leave half-done — a frame
+    /// partly sent or partly read — goes with the cached stream.
+    fn lock(&self) -> MutexGuard<'_, ClientState> {
+        self.state.lock().unwrap_or_else(|poisoned| {
+            self.state.clear_poison();
+            let mut st = poisoned.into_inner();
+            st.stream = None;
+            st
+        })
     }
 
     /// The server's current published epoch.
@@ -130,10 +145,12 @@ impl FrameClient {
     }
 
     /// One request/reply round trip, re-dialing if the cached
-    /// connection is gone. Any failure drops the connection.
+    /// connection is gone. Any failure drops the connection; a
+    /// checkpoint reply refreshes the cached fallback on its way out.
     fn rpc(&self, body: RequestBody) -> Result<ReplyBody, QueryFault> {
-        let op = self.op.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
+        let op = st.op;
+        st.op += 1;
         if st.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
                 .map_err(|_| QueryFault::Unavailable)?;
@@ -151,13 +168,10 @@ impl FrameClient {
         // the frame, so the server's request span joins our trace.
         let frame = encode_frame(&Request::new(id, body).encode());
 
-        let fault = self
+        let fault = st
             .chaos
-            .lock()
-            .unwrap()
             .as_ref()
-            .map(|p| p.decide(op, frame.len()))
-            .unwrap_or(SocketFault::None);
+            .map_or(SocketFault::None, |p| p.decide(op, frame.len()));
         let stream = st.stream.as_mut().expect("dialed above");
         match chaos_write(stream, &frame, fault) {
             Ok(WriteOutcome::Sent) | Ok(WriteOutcome::Stalled) => {
@@ -185,7 +199,12 @@ impl FrameClient {
                         Err(QueryFault::Unavailable)
                     }
                     ReplyBody::Err(_) => Err(QueryFault::Unavailable),
-                    body => Ok(body),
+                    body => {
+                        if let ReplyBody::Checkpoint { source, next_seq } = &body {
+                            st.checkpoint = (source.clone(), *next_seq);
+                        }
+                        Ok(body)
+                    }
                 }
             }
             Err(fault) => {
@@ -246,12 +265,50 @@ impl ReportSource for FrameClient {
 
     fn checkpoint(&self) -> (String, u64) {
         match self.rpc(RequestBody::Checkpoint) {
-            Ok(ReplyBody::Checkpoint { source, next_seq }) => {
-                let mut cached = self.checkpoint.lock().unwrap();
-                *cached = (source.clone(), next_seq);
-                (source, next_seq)
-            }
-            _ => self.checkpoint.lock().unwrap().clone(),
+            Ok(ReplyBody::Checkpoint { source, next_seq }) => (source, next_seq),
+            _ => self.lock().checkpoint.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reactor::{ServeConfig, Server};
+    use crate::service::SourceService;
+    use gsdb::{samples, Oid};
+    use gsview_warehouse::protocol::{CostMeter, ReportLevel};
+    use gsview_warehouse::Source;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_poisoned_state_lock_costs_the_stream_not_the_client() {
+        let src = Source::empty("persons", Oid::new("ROOT"), ReportLevel::WithValues);
+        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        let svc = Arc::new(SourceService::new(src, Arc::new(CostMeter::new())));
+        let server = Server::spawn(svc, ServeConfig::default()).unwrap();
+        let client = FrameClient::connect(server.addr()).unwrap();
+        client.ping().unwrap();
+
+        // A caller dies holding the lock, mid-RPC as far as anyone knows.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _st = client.state.lock().unwrap();
+                panic!("caller panicked mid-RPC");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(client.state.is_poisoned());
+
+        // The next call drops the stream, redials and answers; the op
+        // counter and the checkpoint fallback carried over.
+        client.ping().unwrap();
+        assert!(!client.state.is_poisoned());
+        let st = client.lock();
+        assert_eq!(st.op, 3, "handshake, ping, ping");
+        assert_eq!(st.checkpoint.0, "persons");
+        drop(st);
+        server.shutdown();
     }
 }

@@ -15,11 +15,16 @@
 //! never have a salary child*, which lets the warehouse discard reports
 //! without any queries.
 //!
-//! Cache rebuilds and completeness fetches go through the warehouse's
-//! [`Channel`], whose wrapper serves them from the source's latest
-//! **published epoch** — a cache refill therefore sees one immutable
-//! batch-boundary snapshot of the source and never contends with
-//! in-flight maintenance for the store mutex.
+//! The cached region is also what a warehouse view is *computed from*
+//! whenever it is computed from scratch: [`AuxCache::build`] reads it
+//! level by level (`full.len() + 1` questions, whatever the size of the
+//! source) through whatever answers [`SourceQuery`]s — a source's
+//! [`Channel`] or a reconstructed durable epoch — and set-up and heal
+//! recompute, refresh and check over [`AuxCache::store`] locally. Over
+//! a channel the wrapper answers from the source's latest **published
+//! epoch**, so a level never contends with in-flight maintenance for
+//! the store mutex. Completeness fetches during report upkeep go
+//! through the same channel.
 
 use crate::protocol::{SourceQuery, SourceReply, UpdateReport};
 use crate::remote::{Asker, BatchAnswers, Channel};
@@ -46,28 +51,33 @@ pub struct AuxCache {
 }
 
 impl AuxCache {
-    /// Build the cache by querying the source for every prefix level
-    /// of `full` (one `Reach` query per level plus one root fetch).
+    /// Read the region level by level: one root `Fetch` plus one
+    /// `Reach` per prefix of `full`, put to `ask` — `|q| channel.serve(q)`
+    /// over the wire, `|q| Some(answer(&store, q))` over a local store.
     ///
-    /// Queries that exhaust their retries leave the corresponding
-    /// region uncached; watch [`Channel::exhausted`] across the build —
-    /// an incomplete cache must not be trusted for
-    /// [`AuxCache::certainly_off_path`] answers.
-    pub fn build(root: Oid, full: Path, chan: &Channel) -> AuxCache {
+    /// A question `ask` answers `None` leaves its level out; such a
+    /// region is not a read of the source and must not be trusted for
+    /// [`AuxCache::certainly_off_path`] answers — the caller watches
+    /// [`Channel::exhausted`] across the build.
+    pub fn build(
+        root: Oid,
+        full: Path,
+        ask: &mut dyn FnMut(&SourceQuery) -> Option<SourceReply>,
+    ) -> AuxCache {
         let mut store = Store::with_config(StoreConfig {
             parent_index: true,
             label_index: false,
             log_updates: false,
             ..StoreConfig::default()
         });
-        if let Some(SourceReply::Object(Some(info))) = chan.serve(&SourceQuery::Fetch(root)) {
+        if let Some(SourceReply::Object(Some(info))) = ask(&SourceQuery::Fetch(root)) {
             store
                 .create(info.to_object())
                 .expect("fresh cache store accepts the root");
         }
         for depth in 1..=full.len() {
             let prefix = Path(full.labels()[..depth].to_vec());
-            let reply = chan.serve(&SourceQuery::Reach {
+            let reply = ask(&SourceQuery::Reach {
                 n: root,
                 p: prefix,
             });
@@ -88,6 +98,14 @@ impl AuxCache {
             detached: HashMap::new(),
             maintenance_queries: 0,
         }
+    }
+
+    /// The region as a store: every object on a prefix of `full` below
+    /// the root, each an exact copy (children outside the region stay
+    /// as dangling OIDs). Evaluating `sel_path` / `cond_path` from the
+    /// root over it gives what the source would.
+    pub fn store(&self) -> &Store {
+        &self.store
     }
 
     /// The cached region's root.
@@ -397,7 +415,7 @@ mod tests {
         // Example 10's cache: ROOT, professors, and their age atoms.
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         assert!(cache.covers(oid("ROOT")));
         assert!(cache.covers(oid("P1")));
         assert!(cache.covers(oid("P2")));
@@ -412,7 +430,7 @@ mod tests {
     fn local_answers_from_cache() {
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         assert_eq!(
             cache.try_path_from_root(oid("A1")),
             Some(Path::parse("professor.age"))
@@ -436,7 +454,7 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         meter.reset();
 
         src.apply(Update::modify("A1", 50i64)).unwrap();
@@ -464,7 +482,7 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         meter.reset();
 
         // New professor P5 with an age child, inserted into ROOT.
@@ -497,7 +515,7 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         let before = cache.len();
         meter.reset();
         // A hobby under P1: professor.hobby does not extend
@@ -523,7 +541,7 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         meter.reset();
 
         src.with_store(|s| s.create(gsdb::Object::atom("H1", "hobby", "go")))
@@ -574,7 +592,7 @@ mod tests {
             s.drain_log();
         });
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let mut cache = AuxCache::build(oid(&root), Path::parse("professor.student.age"), &w);
+        let mut cache = AuxCache::build(oid(&root), Path::parse("professor.student.age"), &mut |q| w.serve(q));
         assert_eq!(cache.len(), 1 + 7 * profs);
         src.apply(Update::delete(format!("{tag}P5").as_str(), format!("{tag}S15").as_str()))
             .unwrap();
@@ -617,7 +635,7 @@ mod tests {
         // top of its own and must not outlive the finalization.
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &w);
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
         src.apply(Update::delete("ROOT", "P1")).unwrap();
         src.apply(Update::delete("P1", "A1")).unwrap();
         for r in src.monitor().poll() {

@@ -14,7 +14,7 @@
 //! with detection + resync enabled, and the post-recovery views must
 //! be member-identical and pass the consistency checker.
 
-use crate::protocol::{QueryFault, ReportLevel, SourceQuery, SourceReply, UpdateReport};
+use crate::protocol::{CostMeter, QueryFault, ReportLevel, SourceQuery, SourceReply, UpdateReport};
 use crate::resync::RetryPolicy;
 use crate::source::{Monitor, QueryPort, ReportSource, Source, Wrapper};
 use crate::warehouse::{ViewOptions, Warehouse};
@@ -23,7 +23,7 @@ use gsview_core::{consistency, oracle, SimpleViewDef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A seeded description of source unreliability. All probabilities are
 /// independent per report / per query attempt; `0.0` everywhere (the
@@ -460,7 +460,9 @@ pub fn run_scenario(
     let source = Source::new("chaos", def.root, logging_copy(initial)?, sc.level);
     let monitor = FaultyMonitor::new(source.monitor(), sc.policy);
     let mut wh = Warehouse::new().with_retry_policy(sc.retry);
-    wh.connect_faulty(&source, sc.policy);
+    let meter = Arc::new(CostMeter::new());
+    let port = FaultyWrapper::new(source.wrapper(meter.clone()), sc.policy);
+    wh.connect_port(source.name(), Arc::new(port), meter, source.next_seq());
     let view = wh.add_view("chaos", def.clone(), sc.options.clone())?;
 
     let poll_every = sc.poll_every.max(1);

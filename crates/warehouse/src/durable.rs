@@ -8,15 +8,14 @@
 //! ROADMAP's subtree-diff resync protocol: today the diff unit is the
 //! 256-slot page, addressed by hash.
 //!
-//! [`LocalPort`] serves [`SourceQuery`]s from a reconstructed store so
-//! warm restart can rebuild auxiliary caches without touching the
-//! source (zero metered queries; the paper's §3 motivation is exactly
-//! that restart cost).
+//! What the warehouse does with a reconstruction is what it does with
+//! a source: it reads the view's region out of it
+//! ([`AuxCache::build`](crate::cache::AuxCache::build) asking
+//! [`answer`](crate::source::answer) over the rebuilt store instead of
+//! a channel) and computes the view from the region — zero source
+//! queries, which is the restart cost the paper's §3 architecture
+//! exists to avoid.
 
-use crate::protocol::{CostMeter, QueryFault, SourceQuery, SourceReply};
-use crate::remote::Channel;
-use crate::resync::{DeadLetterQueue, RetryPolicy, SimClock};
-use crate::source::QueryPort;
 use gsdb::{Object, ShardImage, Store};
 use gsview_durable::{ChunkHash, ChunkPort, DurableError, Manifest};
 use std::collections::HashMap;
@@ -102,34 +101,6 @@ impl ChunkCache {
     }
 }
 
-/// A [`QueryPort`] answering from a local (reconstructed) store — the
-/// warm-restart path's stand-in for a source wrapper. Infallible and
-/// unmetered against the *source*; its own meter records the local
-/// traffic for diagnostics.
-struct LocalPort {
-    store: Arc<Store>,
-}
-
-impl QueryPort for LocalPort {
-    fn query(&self, q: &SourceQuery) -> Result<SourceReply, QueryFault> {
-        Ok(crate::source::answer(&self.store, q))
-    }
-}
-
-/// A [`Channel`] over a [`LocalPort`]: lets channel-shaped consumers
-/// (aux-cache builds, [`RemoteBase`](crate::remote::RemoteBase)) run
-/// against a recovered epoch without a single source round trip.
-pub(crate) fn local_channel(name: &str, store: Arc<Store>, clock: SimClock) -> Channel {
-    Channel::new(
-        name,
-        Arc::new(LocalPort { store }),
-        Arc::new(CostMeter::new()),
-        RetryPolicy::none(),
-        clock,
-        Arc::new(DeadLetterQueue::new()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,23 +148,6 @@ mod tests {
         assert!(st2.fetched <= 2, "unchanged pages must come from cache");
         assert!(st2.reused >= st1.fetched - 2);
         assert_eq!(r2.atom(Oid::new("f7")), Some(&gsdb::Atom::Int(-7)));
-    }
-
-    #[test]
-    fn local_channel_serves_queries_from_the_reconstruction() {
-        let mut s = Store::new();
-        samples::person_db(&mut s).unwrap();
-        let chan = local_channel("persons", Arc::new(s.fork()), SimClock::new());
-        let mut base = crate::remote::RemoteBase::new(&chan);
-        use gsview_core::BaseAccess;
-        assert_eq!(
-            base.path_from_root(Oid::new("ROOT"), Oid::new("A1")),
-            Some(gsdb::Path::parse("professor.age"))
-        );
-        assert!(base.fetch(Oid::new("P1")).is_some());
-        // Applying an update never touches any real source: the port
-        // has no source to reach.
-        assert_eq!(chan.exhausted(), 0);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! [`Channel`] (exponential backoff on a [`SimClock`], dead letters
 //! when retries run out); a view that missed a report degrades to an
 //! explicit [`Stale`](resync::ViewState::Stale) state and is healed by
-//! [`Warehouse::resync_view`] — snapshot-diff repair, escalating to
-//! full recompute, verified by the consistency checker. The [`chaos`]
+//! [`Warehouse::resync_view`] — diff repair from one read of the view's
+//! region, verified against a second, escalating to full recompute when
+//! the two disagree. The [`chaos`]
 //! module injects deterministic, seeded faults
 //! ([`FaultyMonitor`](chaos::FaultyMonitor) /
 //! [`FaultyWrapper`](chaos::FaultyWrapper)) and proves post-recovery

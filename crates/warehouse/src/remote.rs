@@ -516,7 +516,7 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let chan = channel_for(&src, meter.clone());
-        let cache = crate::cache::AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &chan);
+        let cache = crate::cache::AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| chan.serve(q));
         meter.reset();
         let mut rb = RemoteBase::new(&chan).with_cache(&cache);
         let le45 = Pred::new(CmpOp::Le, 45i64);

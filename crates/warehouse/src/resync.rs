@@ -16,15 +16,17 @@
 //! * [`ViewState`] / [`StaleCause`] — the explicit degraded mode: a
 //!   view that missed a report keeps serving reads but is flagged
 //!   `Stale` until a resync restores `Consistent`;
-//! * [`ResyncOutcome`] — what one healing pass did (snapshot-diff
-//!   repair, or escalation to the full-recompute baseline).
+//! * [`ResyncOutcome`] — what one healing pass did (diff repair from
+//!   a read of the view's region, or escalation to the full-recompute
+//!   baseline when a second read disagreed).
 //!
 //! Every query a healing pass issues travels the `Channel → Wrapper`
 //! query port, and [`Wrapper::serve`](crate::source::Wrapper::serve)
-//! answers from the source's latest **published epoch** — so a resync
-//! snapshot-diff reads one immutable batch-boundary state end to end,
-//! without ever taking the source's store mutex, even while the source
-//! is mid-commit on the next batch.
+//! answers from the source's latest **published epoch** — so each level
+//! of a region read sees an immutable batch-boundary state, without
+//! ever taking the source's store mutex, even while the source is
+//! mid-commit on the next batch. Levels of one read may straddle a
+//! commit; that is one of the things the second read is for.
 
 use crate::protocol::{QueryFault, SourceQuery};
 use std::fmt;
@@ -337,12 +339,13 @@ impl fmt::Display for ViewState {
 pub struct ResyncOutcome {
     /// The view is `Consistent` again.
     pub healed: bool,
-    /// Members inserted by the snapshot-diff repair.
+    /// Members inserted by the diff repair (from the first read).
     pub inserted: usize,
-    /// Members deleted by the snapshot-diff repair.
+    /// Members deleted by the diff repair (from the first read).
     pub deleted: usize,
-    /// The diff repair did not verify clean and the full-recompute
-    /// baseline was used instead.
+    /// The repaired view disagreed with the second read — the source
+    /// moved between the two — and the full-recompute baseline was
+    /// used instead.
     pub escalated: bool,
     /// Chunks fetched over the durable port (durable resync only:
     /// pages whose content hash changed since the warehouse last

@@ -23,8 +23,8 @@
 //!
 //! Every commit publishes an immutable copy-on-write snapshot into an
 //! [`EpochHandle`] via the pipeline's two-phase publish. Readers —
-//! [`Wrapper::serve`], and through it every warehouse query, resync
-//! snapshot-diff, and cache rebuild — call [`Source::snapshot`] and
+//! [`Wrapper::serve`], and through it every warehouse query and every
+//! region read of a set-up or resync — call [`Source::snapshot`] and
 //! evaluate against the latest published epoch: they **never take a
 //! shard lock**, so queries arriving while a maintenance pass or a
 //! long source-local batch holds locks complete immediately against
@@ -585,7 +585,7 @@ impl QueryPort for Wrapper {
 
 /// Evaluate one [`SourceQuery`] against a store snapshot — the one
 /// query semantics shared by [`Wrapper::serve`], the warehouse's
-/// local replay of a recovered durable epoch, and the serving tier's
+/// region reads out of a recovered durable epoch, and the serving tier's
 /// epoch front-end (which answers thousands of remote readers from a
 /// pinned [`EpochHandle`] snapshot without ever touching the store
 /// locks).

@@ -11,16 +11,16 @@
 //! [`Warehouse::resync_view`] verifies it back to `Consistent`.
 
 use crate::cache::{AuxCache, PathKnowledge};
-use crate::chaos::ChaosPolicy;
-use crate::durable::{local_channel, ChunkCache};
+use crate::durable::ChunkCache;
 use crate::protocol::{CostMeter, UpdateReport};
 use crate::remote::{BatchAnswers, Channel, RemoteBase};
 use crate::resync::{
     DeadLetterQueue, ResyncOutcome, RetryPolicy, SeqTracker, SeqVerdict, SimClock, StaleCause,
     ViewState,
 };
-use crate::source::{QueryPort, Source};
-use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Result};
+use crate::source::{answer, QueryPort, Source};
+use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Result, Store};
+use gsview_core::recompute::{recompute, refresh};
 use gsview_core::{
     consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, MaterializedView,
     Maintainer, Outcome, SimpleViewDef,
@@ -32,7 +32,10 @@ use std::sync::Arc;
 /// Options controlling how a warehouse view is maintained.
 #[derive(Clone, Debug, Default)]
 pub struct ViewOptions {
-    /// Maintain an auxiliary cache along `sel_path.cond_path` (§5.2).
+    /// Keep the region the view was computed from — the copy of the
+    /// source along `sel_path.cond_path` every set-up and heal reads —
+    /// as the view's auxiliary cache (§5.2), maintained from the report
+    /// stream. Off, the region is dropped once the view is built.
     pub use_aux_cache: bool,
     /// Screen reports by label before doing anything else (works at
     /// report level ≥ 2: "the warehouse can do some local screening to
@@ -151,15 +154,6 @@ impl Warehouse {
         self.connect_port(source.name(), Arc::new(wrapper), meter, source.next_seq());
     }
 
-    /// Connect a source through a fault-injecting wrapper (chaos
-    /// experiments: queries fail or time out per `policy`).
-    pub fn connect_faulty(&mut self, source: &Source, policy: ChaosPolicy) {
-        let meter = Arc::new(CostMeter::new());
-        let wrapper = source.wrapper(meter.clone());
-        let port = crate::chaos::FaultyWrapper::new(wrapper, policy);
-        self.connect_port(source.name(), Arc::new(port), meter, source.next_seq());
-    }
-
     /// Connect an arbitrary query port under `name`. `next_seq` is the
     /// first report sequence number the warehouse should expect.
     pub fn connect_port(
@@ -204,33 +198,47 @@ impl Warehouse {
             .ok_or_else(|| gsdb::GsdbError::NoSuchObject(Oid::new(source)))
     }
 
-    /// Define a materialized view over a connected source and
-    /// initialize it by querying the source. With an auxiliary cache
-    /// the region is downloaded once, by the cache, and the view is
-    /// materialized from it. A view whose set-up lost a query to the
-    /// dead-letter queue is built on missing answers: it is registered
-    /// [`Stale`](ViewState::Stale) and [`Warehouse::resync_view`] heals
-    /// it.
+    /// The index of `view` among the warehouse's views.
+    fn lookup(&self, view: Oid) -> Option<usize> {
+        self.views.iter().position(|v| v.def.view == view)
+    }
+
+    /// Define a materialized view over a connected source: read its
+    /// region (`full_path().len() + 1` source queries, whatever the
+    /// size of the source) and compute the view from it locally. A
+    /// set-up whose read lost a query to the dead-letter queue has
+    /// nothing to build on: the view is registered empty and
+    /// [`Stale`](ViewState::Stale), and [`Warehouse::resync_view`]
+    /// heals it.
     pub fn add_view(
         &mut self,
         source: &str,
         def: SimpleViewDef,
         options: ViewOptions,
     ) -> Result<Oid> {
-        let channel = self.connection(source)?.channel.clone();
-        let faults_before = channel.exhausted();
-        let cache = options
-            .use_aux_cache
-            .then(|| AuxCache::build(def.root, def.full_path(), &channel));
-        let mut base = RemoteBase::new(&channel);
-        if let Some(cache) = cache.as_ref() {
-            base = base.with_cache(cache);
-        }
-        let mv = gsview_core::recompute::recompute(&def, &mut base)?;
-        let state = if channel.exhausted() > faults_before {
-            ViewState::Stale(StaleCause::QueryFailure)
-        } else {
-            ViewState::Consistent
+        let region = region_over(&def, &self.connection(source)?.channel);
+        self.install(source, def, options, region)
+    }
+
+    /// Register a view computed from `region`, the one read set-up
+    /// makes; the region stays on as the view's cache when the options
+    /// ask for one.
+    fn install(
+        &mut self,
+        source: &str,
+        def: SimpleViewDef,
+        options: ViewOptions,
+        region: Option<AuxCache>,
+    ) -> Result<Oid> {
+        let (mv, state) = match &region {
+            Some(r) => (
+                recompute(&def, &mut LocalBase::new(r.store()))?,
+                ViewState::Consistent,
+            ),
+            None => (
+                MaterializedView::new(def.view),
+                ViewState::Stale(StaleCause::QueryFailure),
+            ),
         };
         let view = def.view;
         self.views.push(WarehouseView {
@@ -238,7 +246,7 @@ impl Warehouse {
             def,
             mv,
             source: source.to_owned(),
-            cache,
+            cache: region.filter(|_| options.use_aux_cache),
             options,
             stats: ViewStats::default(),
             state,
@@ -287,8 +295,9 @@ impl Warehouse {
     /// — the warm-restart path: after a crash, re-declared views load
     /// from the last persisted epoch with zero source queries, which
     /// is exactly the restart cost the paper's §3 architecture exists
-    /// to avoid. The auxiliary cache (when requested) is likewise
-    /// built against the reconstructed epoch through a local port.
+    /// to avoid. The view's region is read out of the reconstructed
+    /// epoch exactly as [`Warehouse::add_view`] reads it out of the
+    /// source.
     ///
     /// The source's sequence tracker is re-baselined at the manifest's
     /// watermark: reports the persisted epoch already contains arrive
@@ -313,12 +322,7 @@ impl Warehouse {
         let Some((m, store, stats)) = self.reconstruct_source(source) else {
             return Ok(None);
         };
-        let store = Arc::new(store);
-        let mv = gsview_core::recompute::recompute(&def, &mut LocalBase::new(&store))?;
-        let cache = options.use_aux_cache.then(|| {
-            let chan = local_channel(source, Arc::clone(&store), self.clock.clone());
-            AuxCache::build(def.root, def.full_path(), &chan)
-        });
+        let region = region_of(&def, &store);
         if let Some(conn) = self.connections.get_mut(source) {
             conn.tracker = SeqTracker::with_baseline(m.seq);
         }
@@ -329,33 +333,19 @@ impl Warehouse {
             "chunks_fetched" = stats.fetched,
             "chunks_reused" = stats.reused
         );
-        let view = def.view;
-        self.views.push(WarehouseView {
-            maintainer: Maintainer::new(def.clone()),
-            def,
-            mv,
-            source: source.to_owned(),
-            cache,
-            options,
-            stats: ViewStats::default(),
-            state: ViewState::default(),
-        });
-        Ok(Some(view))
+        self.install(source, def, options, Some(region)).map(Some)
     }
 
     /// Access a view's materialized state. Reads are served even while
     /// the view is [`Stale`](ViewState::Stale) — check
     /// [`Warehouse::view_state`] to know whether to trust them.
     pub fn view(&self, view: Oid) -> Option<&MaterializedView> {
-        self.views.iter().find(|v| v.def.view == view).map(|v| &v.mv)
+        self.lookup(view).map(|i| &self.views[i].mv)
     }
 
     /// A view's health.
     pub fn view_state(&self, view: Oid) -> Option<ViewState> {
-        self.views
-            .iter()
-            .find(|v| v.def.view == view)
-            .map(|v| v.state)
+        self.lookup(view).map(|i| self.views[i].state)
     }
 
     /// All views currently flagged stale.
@@ -369,19 +359,13 @@ impl Warehouse {
 
     /// A view's statistics.
     pub fn view_stats(&self, view: Oid) -> Option<ViewStats> {
-        self.views
-            .iter()
-            .find(|v| v.def.view == view)
-            .map(|v| v.stats)
+        self.lookup(view).map(|i| self.views[i].stats)
     }
 
     /// A view's auxiliary-cache maintenance query count, if caching.
     pub fn cache_queries(&self, view: Oid) -> Option<u64> {
-        self.views
-            .iter()
-            .find(|v| v.def.view == view)
-            .and_then(|v| v.cache.as_ref())
-            .map(|c| c.maintenance_queries)
+        let cache = self.views[self.lookup(view)?].cache.as_ref()?;
+        Some(cache.maintenance_queries)
     }
 
     /// Handle one update report from a source monitor: check its
@@ -692,40 +676,28 @@ impl Warehouse {
             .count()
     }
 
-    /// Heal one view: replay a source snapshot diff over the current
-    /// membership ([`recompute::refresh`](gsview_core::recompute::refresh)),
-    /// verify with the consistency checker, and escalate to the full
-    /// recompute baseline if the diff repair does not verify clean.
-    /// The auxiliary cache (stale since the view went degraded) is
-    /// rebuilt on success. This is also the recovery path for the
-    /// anomaly the paper flags in §5.1 — "source updates may interfere
-    /// with query evaluation and resulting in inconsistent query
-    /// results \[ZGMHW95\]": reports processed against a source that
-    /// has already moved on can drift the view.
+    /// Heal one view over the wire: read its region, repair the view
+    /// from it ([`refresh`]), verify against a second, independent read,
+    /// and escalate to [`recompute`] when the source moved between the
+    /// two; the region that verified becomes the view's cache. At most
+    /// three reads of `full_path().len() + 1` queries each. This is
+    /// also the recovery path for the anomaly the paper flags in §5.1 —
+    /// "source updates may interfere with query evaluation and
+    /// resulting in inconsistent query results \[ZGMHW95\]": reports
+    /// processed against a source that has already moved on can drift
+    /// the view.
     ///
-    /// Healing runs over the same faulty channel as maintenance, so a
+    /// Healing reads over the same faulty channel as maintenance, so a
     /// resync can itself lose queries; in that case the view *stays*
     /// stale (`healed == false`) and the caller retries — see the
     /// bounded loop in [`chaos::run_scenario`](crate::chaos::run_scenario).
     pub fn resync_view(&mut self, view: Oid) -> Result<ResyncOutcome> {
         let _span = gsview_obs::span!("warehouse.resync_view", "view" = view.name().to_string());
-        let Some(idx) = self.views.iter().position(|v| v.def.view == view) else {
+        let Some(idx) = self.lookup(view) else {
             return Ok(ResyncOutcome::default());
         };
-        let channel = self
-            .connections
-            .get(&self.views[idx].source)
-            .expect("view sources are connected")
-            .channel
-            .clone();
-        // A step during which the channel dead-lettered a query proves
-        // nothing about the view.
-        let outcome = heal(
-            &mut self.views[idx],
-            &mut RemoteBase::new(&channel),
-            &|| channel.exhausted(),
-            &channel,
-        )?;
+        let channel = self.connection(&self.views[idx].source)?.channel.clone();
+        let outcome = heal(&mut self.views[idx], &mut |def| region_over(def, &channel))?;
         gsview_obs::event!("warehouse.resync_view.done",
             "view" = view.name().to_string(),
             "healed" = outcome.healed,
@@ -736,11 +708,10 @@ impl Warehouse {
     /// Heal one view from the source's **durable lineage**: reconstruct
     /// the last persisted epoch (fetching only chunks whose hashes
     /// changed since the previous reconstruction — [`ChunkCache`]),
-    /// then run the same diff-repair / escalate-to-recompute / verify
-    /// ladder as [`Warehouse::resync_view`], entirely against the
-    /// reconstructed store. Zero source queries; a crashed or
-    /// unreachable source can still have its stale views healed to its
-    /// last durable epoch.
+    /// then heal as [`Warehouse::resync_view`] does, reading the region
+    /// out of the reconstructed store. Zero source queries; a crashed
+    /// or unreachable source can still have its stale views healed to
+    /// its last durable epoch.
     ///
     /// The healed view is consistent *with the persisted epoch*. The
     /// tracker is re-baselined at the manifest's sequence watermark, so
@@ -756,7 +727,7 @@ impl Warehouse {
             "warehouse.resync_view_durable",
             "view" = view.name().to_string()
         );
-        let Some(idx) = self.views.iter().position(|v| v.def.view == view) else {
+        let Some(idx) = self.lookup(view) else {
             return Ok(ResyncOutcome::default());
         };
         let source = self.views[idx].source.clone();
@@ -767,16 +738,8 @@ impl Warehouse {
             );
             return self.resync_view(view);
         };
-        let store = Arc::new(store);
-        // The reconstruction is local: no step can lose a query, and
-        // the cache is rebuilt from it through a local port.
-        let chan = local_channel(&source, Arc::clone(&store), self.clock.clone());
-        let mut outcome = heal(
-            &mut self.views[idx],
-            &mut LocalBase::new(&store),
-            &|| 0,
-            &chan,
-        )?;
+        // The reconstruction is local: no read of it can lose a query.
+        let mut outcome = heal(&mut self.views[idx], &mut |def| Some(region_of(def, &store)))?;
         outcome.chunks_fetched = stats.fetched;
         outcome.chunks_reused = stats.reused;
         if outcome.healed {
@@ -812,55 +775,54 @@ impl Default for Warehouse {
     }
 }
 
-/// The heal ladder of [`Warehouse::resync_view`] and
-/// [`Warehouse::resync_view_durable`]: replay a snapshot diff over the
-/// current membership ([`recompute::refresh`](gsview_core::recompute::refresh)),
-/// verify with the consistency checker, escalate to the full recompute
-/// baseline if the diff repair does not verify clean, rebuild the
-/// auxiliary cache from `cache_from`, and book the result in the
-/// view's state and statistics.
-///
-/// `lost` counts the base queries that went unanswered so far. A step
-/// during which it moved is not a verification, and the view stays (or
-/// goes) stale.
+/// One read of `def`'s region over `channel`. A read during which the
+/// channel dead-lettered a query is no read at all.
+fn region_over(def: &SimpleViewDef, channel: &Channel) -> Option<AuxCache> {
+    let lost = channel.exhausted();
+    let region = AuxCache::build(def.root, def.full_path(), &mut |q| channel.serve(q));
+    (channel.exhausted() == lost).then_some(region)
+}
+
+/// `def`'s region read out of a local store (a reconstructed epoch).
+fn region_of(def: &SimpleViewDef, store: &Store) -> AuxCache {
+    AuxCache::build(def.root, def.full_path(), &mut |q| Some(answer(store, q)))
+}
+
+/// Heal a view from reads of its region: repair the view from one read
+/// ([`refresh`]: replay the diff over the current membership), verify
+/// it against a **second, independent** read, and when the two disagree
+/// — the source moved between them — escalate: [`recompute`] from the
+/// newer read and verify against a third. Two reads that agree are what
+/// a heal proves; the region that verified becomes the view's cache
+/// (the old one went unmaintained while the view was stale), and the
+/// result is booked in the view's state and statistics. A `read` that
+/// answers `None` lost a query on the way and proves nothing: the view
+/// stays (or goes) stale and keeps what it has.
 fn heal(
     wv: &mut WarehouseView,
-    base: &mut dyn BaseAccess,
-    lost: &dyn Fn() -> u64,
-    cache_from: &Channel,
+    read: &mut dyn FnMut(&SimpleViewDef) -> Option<AuxCache>,
 ) -> Result<ResyncOutcome> {
     let mut outcome = ResyncOutcome::default();
-    let verified = |base: &mut dyn BaseAccess, mv: &MaterializedView, pre: u64| {
-        lost() == pre && consistency::check(&wv.def, base, mv).is_empty() && lost() == pre
+    let agrees = |region: &AuxCache, mv: &MaterializedView| {
+        consistency::check(&wv.def, &mut LocalBase::new(region.store()), mv).is_empty()
     };
-
-    // Stage 1: snapshot-diff repair.
-    let pre = lost();
-    (outcome.inserted, outcome.deleted) =
-        gsview_core::recompute::refresh(&wv.def, base, &mut wv.mv)?;
-    let mut healed = verified(base, &wv.mv, pre);
-
-    // Stage 2: escalate to the full-recompute baseline.
-    if !healed {
-        outcome.escalated = true;
-        let pre = lost();
-        wv.mv = gsview_core::recompute::recompute(&wv.def, base)?;
-        healed = verified(base, &wv.mv, pre);
-    }
-
-    // The cache went unmaintained while the view was stale: rebuild
-    // it, and refuse to heal onto an incomplete cache.
-    if healed && wv.options.use_aux_cache {
-        let pre = lost();
-        let cache = AuxCache::build(wv.def.root, wv.def.full_path(), cache_from);
-        if lost() == pre {
-            wv.cache = Some(cache);
-        } else {
-            healed = false;
+    let mut verified = None;
+    if let Some(first) = read(&wv.def) {
+        (outcome.inserted, outcome.deleted) =
+            refresh(&wv.def, &mut LocalBase::new(first.store()), &mut wv.mv)?;
+        verified = read(&wv.def);
+        if let Some(second) = verified.as_ref().filter(|r| !agrees(r, &wv.mv)) {
+            outcome.escalated = true;
+            wv.mv = recompute(&wv.def, &mut LocalBase::new(second.store()))?;
+            verified = read(&wv.def).filter(|r| agrees(r, &wv.mv));
         }
     }
 
-    if healed {
+    outcome.healed = verified.is_some();
+    if let Some(region) = verified {
+        if wv.options.use_aux_cache {
+            wv.cache = Some(region);
+        }
         if wv.state.is_stale() {
             wv.stats.resyncs += 1;
         }
@@ -868,7 +830,6 @@ fn heal(
     } else if !wv.state.is_stale() {
         wv.state = ViewState::Stale(StaleCause::QueryFailure);
     }
-    outcome.healed = healed;
     Ok(outcome)
 }
 
@@ -1540,6 +1501,199 @@ mod tests {
         wh.add_view("persons", yp_def(), cached).unwrap();
         assert_eq!(probe.log.lock().unwrap().len(), 3);
         assert_consistent(&src, &wh, &yp_def());
+    }
+
+    // ------------------------------------------------------------------
+    // Set-up and heal read a region
+    // ------------------------------------------------------------------
+
+    /// `REL` with relations `r` and `s` of `n` tuples each, tuple `i`
+    /// aged `10 + i`.
+    fn rel_source(n: usize) -> Source {
+        let src = Source::empty("rels", oid("REL"), ReportLevel::WithValues);
+        src.with_store(|s| samples::relations_db(s, n, n).map(|_| ())).unwrap();
+        src.with_store(|s| {
+            s.drain_log();
+        });
+        src
+    }
+
+    fn over_30() -> SimpleViewDef {
+        SimpleViewDef::new("O30", "REL", "r.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64))
+    }
+
+    fn cached() -> ViewOptions {
+        ViewOptions {
+            use_aux_cache: true,
+            ..ViewOptions::default()
+        }
+    }
+
+    /// The objects of a region, in OID order.
+    fn objects(region: &AuxCache) -> Vec<Object> {
+        let store = region.store();
+        store.oids_sorted().into_iter().filter_map(|o| store.get(o).cloned()).collect()
+    }
+
+    /// A port that answers like the wrapper except on its `nth` query,
+    /// where `event` runs after the answer was computed and may turn it
+    /// into a fault.
+    struct Nth {
+        inner: crate::source::Wrapper,
+        asked: std::sync::atomic::AtomicUsize,
+        nth: usize,
+        event: Box<dyn Fn() -> Option<QueryFault> + Send + Sync>,
+    }
+
+    impl QueryPort for Nth {
+        fn query(&self, q: &SourceQuery) -> std::result::Result<SourceReply, QueryFault> {
+            let reply = self.inner.serve(q);
+            let asked = self.asked.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            match (asked == self.nth).then(|| (self.event)()).flatten() {
+                Some(fault) => Err(fault),
+                None => Ok(reply),
+            }
+        }
+    }
+
+    /// A warehouse without retries over an [`Nth`] port.
+    fn nth_port(
+        src: &Source,
+        nth: usize,
+        event: impl Fn() -> Option<QueryFault> + Send + Sync + 'static,
+    ) -> (Warehouse, Arc<Nth>) {
+        let meter = Arc::new(CostMeter::new());
+        let port = Arc::new(Nth {
+            inner: src.wrapper(meter.clone()),
+            asked: Default::default(),
+            nth,
+            event: Box::new(event),
+        });
+        let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::none());
+        wh.connect_port(src.name(), port.clone(), meter, src.next_seq());
+        (wh, port)
+    }
+
+    #[test]
+    fn set_up_costs_one_region_read_whatever_the_size() {
+        let def = over_30();
+        let read = def.full_path().len() + 1;
+        for n in [200, 2_000] {
+            for options in [ViewOptions::default(), cached()] {
+                let src = rel_source(n);
+                let (mut wh, probe) = probed(&src);
+                wh.add_view("rels", def.clone(), options.clone()).unwrap();
+                assert_eq!(
+                    probe.log.lock().unwrap().len(),
+                    read,
+                    "{n} tuples, cache: {}",
+                    options.use_aux_cache
+                );
+                assert_eq!(wh.meter("rels").unwrap().queries(), read as u64);
+                // Tuples 21.. are older than 30.
+                assert_eq!(wh.view(def.view).unwrap().len(), n - 21);
+                assert_consistent(&src, &wh, &def);
+                assert_eq!(wh.views[0].cache.is_some(), options.use_aux_cache);
+            }
+        }
+    }
+
+    #[test]
+    fn resync_costs_at_most_three_region_reads_and_installs_the_region_as_cache() {
+        let def = over_30();
+        let read = def.full_path().len() + 1;
+        for options in [ViewOptions::default(), cached()] {
+            let src = rel_source(200);
+            let (mut wh, probe) = probed(&src);
+            wh.add_view("rels", def.clone(), options.clone()).unwrap();
+            src.apply(Update::modify("A25", 5i64)).unwrap(); // T25 leaves
+            src.apply(Update::delete("R", "T30")).unwrap();
+            src.apply(Update::modify("A3", 99i64)).unwrap(); // T3 joins
+            let reports = src.monitor().poll();
+            wh.handle_report(&reports[1]).unwrap(); // seq 0 lost
+            wh.handle_report(&reports[2]).unwrap(); // skipped: stale
+            assert!(wh.view_state(def.view).unwrap().is_stale());
+
+            probe.log.lock().unwrap().clear();
+            let outcome = wh.resync_view(def.view).unwrap();
+            assert!(outcome.healed && !outcome.escalated);
+            assert_eq!((outcome.inserted, outcome.deleted), (1, 2));
+            let asked = probe.log.lock().unwrap().len();
+            assert!(asked <= 3 * read, "{asked} queries to heal");
+            assert_eq!(asked, 2 * read, "a quiet source: repair read, verify read");
+            assert_consistent(&src, &wh, &def);
+
+            let channel = wh.channel("rels").unwrap().clone();
+            let fresh = region_over(&def, &channel).unwrap();
+            match wh.views[0].cache.as_ref() {
+                Some(cache) => assert_eq!(objects(cache), objects(&fresh)),
+                None => assert!(!options.use_aux_cache),
+            }
+        }
+    }
+
+    #[test]
+    fn heal_escalates_when_the_source_moves_between_its_two_reads() {
+        // The view missed "P1 turned 80"; while it heals, P1 turns 30
+        // again — right after the repair read. A heal that checked the
+        // view against the region it repaired from would settle on an
+        // empty view.
+        let src = person_source(ReportLevel::WithValues);
+        let read = yp_def().full_path().len() + 1;
+        let mover = src.clone();
+        let (mut wh, port) = nth_port(&src, 2 * read, move || {
+            mover.apply(Update::modify("A1", 30i64)).unwrap();
+            None
+        });
+        wh.add_view("persons", yp_def(), cached()).unwrap();
+        src.apply(Update::modify("A1", 80i64)).unwrap();
+        let _lost = src.monitor().poll();
+        wh.reconcile_checkpoints([src.monitor().checkpoint()]);
+        assert!(wh.view_state(oid("YP")).unwrap().is_stale());
+
+        let outcome = wh.resync_view(oid("YP")).unwrap();
+        assert!(outcome.escalated, "the two reads disagree");
+        assert!(outcome.healed, "the third read agrees with the second");
+        assert_eq!(outcome.deleted, 1, "the repair read had P1 at 80");
+        assert_eq!(port.asked.load(std::sync::atomic::Ordering::SeqCst), 4 * read);
+        assert_eq!(wh.view_state(oid("YP")), Some(ViewState::Consistent));
+        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
+        assert_consistent(&src, &wh, &yp_def());
+        // And the cache is a read of the final state, not the first.
+        let cache = wh.views[0].cache.as_ref().unwrap();
+        assert_eq!(cache.store().atom(oid("A1")), Some(&gsdb::Atom::Int(30)));
+    }
+
+    #[test]
+    fn a_read_that_loses_a_query_heals_nothing() {
+        // The second query of the verifying read is dead-lettered.
+        let src = person_source(ReportLevel::WithValues);
+        let read = yp_def().full_path().len() + 1;
+        let (mut wh, _port) = nth_port(&src, 2 * read + 2, || Some(QueryFault::Unavailable));
+        wh.add_view("persons", yp_def(), cached()).unwrap();
+        src.apply(Update::modify("A1", 80i64)).unwrap();
+        let _lost = src.monitor().poll();
+        wh.reconcile_checkpoints([src.monitor().checkpoint()]);
+        let gap = wh.view_state(oid("YP")).unwrap();
+        assert!(gap.is_stale());
+
+        let outcome = wh.resync_view(oid("YP")).unwrap();
+        assert!(!outcome.healed && !outcome.escalated);
+        assert_eq!(wh.dead_letters().len(), 1);
+        assert_eq!(wh.view_state(oid("YP")), Some(gap), "still stale, for the first reason");
+        assert_eq!(wh.view_stats(oid("YP")).unwrap().resyncs, 0);
+        let cache = wh.views[0].cache.as_ref().unwrap();
+        assert_eq!(
+            cache.store().atom(oid("A1")),
+            Some(&gsdb::Atom::Int(45)),
+            "the set-up region is still the cache"
+        );
+
+        // The next heal reads in full and goes through.
+        assert!(wh.resync_view(oid("YP")).unwrap().healed);
+        assert!(wh.view(oid("YP")).unwrap().is_empty());
+        let cache = wh.views[0].cache.as_ref().unwrap();
+        assert_eq!(cache.store().atom(oid("A1")), Some(&gsdb::Atom::Int(80)));
     }
 
     #[test]

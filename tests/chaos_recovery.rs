@@ -18,15 +18,20 @@
 //! * duplicate deliveries are idempotent: dropped by the sequence
 //!   tracker before they touch the cache, with no resync needed.
 //!
+//! Set-up and every heal above compute the view from a level-wise read
+//! of its region; the last property pins that read on its own, over
+//! the same random trees with second parents added: a view set up from
+//! its region is the view recomputed over the source's snapshot.
+//!
 //! Failures print the proptest-shim replay seed; `CHAOS_SEED` (set by
 //! the CI chaos matrix) offsets every policy seed so each matrix leg
 //! explores a disjoint fault universe while staying replayable.
 
 use gsview::gsdb::{graph, Atom, Object, Oid, Store, StoreConfig, Update};
 use gsview::query::{CmpOp, Pred};
-use gsview::views::SimpleViewDef;
+use gsview::views::{recompute, LocalBase, SimpleViewDef};
 use gsview::warehouse::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
-use gsview::warehouse::{ReportLevel, RetryPolicy, ViewOptions};
+use gsview::warehouse::{ReportLevel, RetryPolicy, Source, ViewOptions, Warehouse};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,6 +178,54 @@ fn plan_stream(
     stream
 }
 
+/// Give some nodes of a built tree a second parent. Node 0 is the
+/// root and node `i + 1` is `cn{i}`; an edge runs from the lower index
+/// to the higher, as the tree's own edges do, so the result is a DAG:
+/// objects with several root paths, some along the view path and some
+/// not.
+fn add_second_parents(store: &mut Store, nodes: usize, extra: &[(u32, u32)]) {
+    let name = |i: usize| match i {
+        0 => Oid::new("croot"),
+        i => Oid::new(&format!("cn{}", i - 1)),
+    };
+    for &(a, b) in extra {
+        let (a, b) = (a as usize % (nodes + 1), b as usize % (nodes + 1));
+        let (parent, child) = (name(a.min(b)), name(a.max(b)));
+        let is_new = store
+            .get(parent)
+            .is_some_and(|p| p.is_set() && !p.children().contains(&child));
+        if parent != child && is_new {
+            store.insert_edge(parent, child).unwrap();
+        }
+    }
+}
+
+/// Set `def` up over a source holding `store` and compare it with the
+/// view recomputed over the source's snapshot: members, delegate
+/// copies, and the price — one read of the region.
+fn assert_region_set_up(store: Store, def: &SimpleViewDef, cache: bool) {
+    let source = Source::new("region", def.root, store, ReportLevel::WithValues);
+    let mut wh = Warehouse::new();
+    wh.connect(&source);
+    let options = ViewOptions { use_aux_cache: cache, ..ViewOptions::default() };
+    let view = wh.add_view("region", def.clone(), options).unwrap();
+    assert_eq!(
+        wh.meter("region").unwrap().queries(),
+        def.full_path().len() as u64 + 1,
+        "one Fetch of the root and one Reach per level"
+    );
+    let snapshot = source.snapshot();
+    let expected = recompute::recompute(def, &mut LocalBase::new(&snapshot)).unwrap();
+    let got = wh.view(view).unwrap();
+    assert_eq!(got.members_base(), expected.members_base(), "{def:?}");
+    for b in expected.members_base() {
+        let copy = |mv: &gsview::views::MaterializedView| {
+            mv.delegate_of(b).and_then(|d| mv.delegate(d)).cloned()
+        };
+        assert_eq!(copy(got), copy(&expected), "delegate of {b}");
+    }
+}
+
 /// A view definition over the random tree, picked by seed: single- and
 /// two-hop select paths, with and without a condition.
 fn view_def(seed: u64) -> SimpleViewDef {
@@ -305,6 +358,47 @@ proptest! {
         }
         prop_assert_eq!(report.dead_letters, 0, "reliable queries must never dead-letter");
         prop_assert_eq!(report.backoff_ms, 0, "no retries means no backoff latency");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Region set-up ≡ recompute over the snapshot, on random trees
+    /// with second parents: members reached along several root paths,
+    /// and set members whose other children lie outside the region
+    /// (they stay in the copy as OIDs the region does not hold).
+    #[test]
+    fn region_set_up_equals_recompute_over_the_snapshot(
+        spec in tree_strategy(14),
+        extra in prop::collection::vec((any::<u32>(), any::<u32>()), 0..5),
+        seed in any::<u64>(),
+        cache in any::<bool>(),
+    ) {
+        let (mut store, ..) = build(&spec);
+        add_second_parents(&mut store, spec.nodes.len(), &extra);
+        assert_region_set_up(store, &view_def(seed), cache);
+    }
+}
+
+/// The paper's own DAG: `P3` is `ROOT.student` and
+/// `ROOT.professor.student` at once, and every professor is a set with
+/// children off `professor.age`.
+#[test]
+fn region_set_up_on_the_person_db() {
+    let le = |n: i64| Pred::new(CmpOp::Le, n);
+    for def in [
+        SimpleViewDef::new("RS", "ROOT", "student"),
+        SimpleViewDef::new("RPS", "ROOT", "professor.student").with_cond("age", le(25)),
+        SimpleViewDef::new("RSA", "ROOT", "student").with_cond("age", le(25)),
+        SimpleViewDef::new("RP", "ROOT", "professor"),
+        SimpleViewDef::new("RPA", "ROOT", "professor").with_cond("age", le(45)),
+    ] {
+        for cache in [false, true] {
+            let mut store = Store::with_config(StoreConfig::default());
+            gsview::gsdb::samples::person_db(&mut store).unwrap();
+            assert_region_set_up(store, &def, cache);
+        }
     }
 }
 
