@@ -30,6 +30,20 @@
 //! `shards >= writers`, because writers then hold disjoint locks and
 //! only serialize on the short publish section.
 //!
+//! * **`commit/sized@8`** — one writer, 8 shards, the same fixed
+//!   8-update *structural* batch (two creates, two edge inserts, and
+//!   their deletes and removes, so it can be committed any number of
+//!   times) over stores of 3 k / 30 k / 300 k objects. A commit copies
+//!   what it writes — here 3 pages and 4 index segments, whatever the
+//!   store holds — where it used to copy the whole `slot_of` and
+//!   `parent_index` of every shard it touched. The `copied/commit`
+//!   column (`store.cow.pages_copied` + `store.cow.segments_copied`
+//!   per commit) is the machine-independent form of that claim, and
+//!   the smoke test pins it equal at the two quick-mode sizes;
+//!   commits/sec still slopes gently with size, because every fork
+//!   copies each shard's page-pointer vector and the directories of
+//!   the tables it writes (one pointer per 256 slots / ~100 entries).
+//!
 //! Single-core caveat: this container exposes **one hardware thread**,
 //! so writer threads are time-sliced and the commits/sec column mostly
 //! bounds the pipeline's overhead vs the bare mutex (the lock-wait
@@ -77,7 +91,14 @@ pub struct CommitRow {
     pub lock_waits: u64,
     /// Commits whose batch spanned more than one shard (delta).
     pub cross_shard: u64,
+    /// Pages plus index segments copied because a published snapshot
+    /// still shared them (delta of `store.cow.*` over the run).
+    pub copied: u64,
 }
+
+/// Store sizes of the `commit/sized@8` leg; quick mode runs the first
+/// two.
+const SIZES: [usize; 3] = [3_000, 30_000, 300_000];
 
 /// An 8-shard probe store, used only to ask where an OID homes. The
 /// placement hash nests: homing to shard `w` at 8 shards implies
@@ -151,6 +172,12 @@ fn shard_counter_sum(prefix: &str, shards: usize) -> u64 {
         .sum()
 }
 
+/// Pages plus index segments copied so far, process-wide.
+fn copied() -> u64 {
+    let reg = gsview_obs::registry();
+    reg.counter("store.cow.pages_copied").get() + reg.counter("store.cow.segments_copied").get()
+}
+
 /// Drive `writers` threads through one [`ShardedStore`]; every thread
 /// commits its scripted batches as fast as it can.
 pub fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) -> CommitRow {
@@ -158,6 +185,7 @@ pub fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) ->
     let n = pipeline.shard_count();
     let waits0 = shard_counter_sum("store.shard.lock_wait", n);
     let cross0 = gsview_obs::registry().counter("store.commit.cross_shard").get();
+    let copied0 = copied();
     let start = Barrier::new(writers + 1);
 
     let secs = std::thread::scope(|scope| {
@@ -196,6 +224,77 @@ pub fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) ->
         objects: snap.len(),
         lock_waits: shard_counter_sum("store.shard.lock_wait", n) - waits0,
         cross_shard: gsview_obs::registry().counter("store.commit.cross_shard").get() - cross0,
+        copied: copied() - copied0,
+    }
+}
+
+/// One writer committing the same structural batch `commits` times
+/// through an 8-shard pipeline over `objects` objects. The batch's
+/// parent and its two fresh atoms are pinned to three different
+/// shards, so what a commit touches — and copies — is the same at
+/// every store size.
+fn run_sized(objects: usize, commits: usize) -> CommitRow {
+    let probe = probe_store();
+    let mut store = Store::with_config(StoreConfig::default().with_shards(8));
+    store.reserve(objects);
+    for k in 0..objects / 5 {
+        let atoms: Vec<Oid> = (0..4).map(|j| Oid::new(&format!("e16s{k}a{j}"))).collect();
+        for (j, a) in atoms.iter().enumerate() {
+            store
+                .create(Object::atom(a.name(), "val", j as i64))
+                .unwrap();
+        }
+        store
+            .create(Object::set(format!("e16s{k}"), "tuple", &atoms))
+            .unwrap();
+    }
+    let parent = Oid::new(&pinned(&probe, "e16sp", 0));
+    store
+        .create(Object::empty_set(parent.name(), "pool"))
+        .unwrap();
+    let fresh =
+        [("e16sx", 1), ("e16sy", 2)].map(|(base, shard)| Oid::new(&pinned(&probe, base, shard)));
+    let mut batch = Vec::new();
+    for x in fresh {
+        batch.push(Update::create(Object::atom(x.name(), "val", 0i64)));
+        batch.push(Update::insert(parent, x));
+    }
+    for x in fresh {
+        batch.push(Update::delete(parent, x));
+        batch.push(Update::Remove { oid: x });
+    }
+    let pipeline = ShardedStore::new(store);
+    let commit = || {
+        let r = pipeline.commit(&batch);
+        assert!(
+            r.error.is_none(),
+            "structural batch rejected: {:?}",
+            r.error
+        );
+    };
+    // The first commit takes the fresh atoms' slots and grows what
+    // needs growing; every later one reuses both.
+    commit();
+    let copied0 = copied();
+    let t0 = Instant::now();
+    for _ in 0..commits {
+        commit();
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    let snap = pipeline.snapshot();
+    snap.check_invariants()
+        .expect("invariants after the sized run");
+    CommitRow {
+        route: "commit/sized@8".into(),
+        shards: 8,
+        writers: 1,
+        commits: commits as u64,
+        commits_per_sec: commits as f64 / secs.max(1e-12),
+        epochs: pipeline.epoch(),
+        objects: snap.len(),
+        lock_waits: 0,
+        cross_shard: commits as u64,
+        copied: copied() - copied0,
     }
 }
 
@@ -205,6 +304,7 @@ pub fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
     let store = build_store(1, writers);
     let epochs = EpochHandle::new(store.fork());
     let store = Mutex::new(store);
+    let copied0 = copied();
     let start = Barrier::new(writers + 1);
 
     let secs = std::thread::scope(|scope| {
@@ -249,6 +349,7 @@ pub fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
         objects: snap.len(),
         lock_waits: 0,
         cross_shard: 0,
+        copied: copied() - copied0,
     }
 }
 
@@ -271,6 +372,22 @@ pub fn quick_facts() -> (u64, u64) {
         assert_eq!(r.objects, rows[0].objects, "{}: object set diverged", r.route);
     }
     (want_epochs, rows[0].objects as u64)
+}
+
+/// Pages plus index segments one structural commit copies at the two
+/// quick-mode store sizes — exact (one writer, a fixed batch), pinned
+/// equal to each other and to the baseline by the smoke test.
+pub fn quick_copy_facts() -> [u64; 2] {
+    [SIZES[0], SIZES[1]].map(|objects| {
+        let commits = 50;
+        let row = run_sized(objects, commits);
+        assert_eq!(
+            row.copied % commits as u64,
+            0,
+            "every commit copies the same"
+        );
+        row.copied / commits as u64
+    })
 }
 
 /// Run the sweep.
@@ -296,12 +413,16 @@ pub fn run(quick: bool) -> Table {
         "vs mutex",
         "lock waits",
         "cross-shard",
+        "copied/commit",
         "objects",
     ]);
     let mutex = run_mutex(writers, batches, ops);
     let mut rows = vec![mutex.clone()];
     for n in [1usize, 2, 4, 8] {
         rows.push(run_sharded(n, writers, batches, ops));
+    }
+    for &objects in &SIZES[..if quick { 2 } else { 3 }] {
+        rows.push(run_sized(objects, if quick { 300 } else { 3_000 }));
     }
     for r in &rows {
         t.row(vec![
@@ -313,6 +434,7 @@ pub fn run(quick: bool) -> Table {
             format!("{}x", fnum(r.commits_per_sec / mutex.commits_per_sec.max(1e-9))),
             r.lock_waits.to_string(),
             r.cross_shard.to_string(),
+            fnum(r.copied as f64 / r.commits as f64),
             r.objects.to_string(),
         ]);
     }

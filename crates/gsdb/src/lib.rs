@@ -40,6 +40,7 @@
 
 pub mod builder;
 pub mod codec;
+mod cowmap;
 pub mod database;
 pub mod delta;
 pub mod display;

@@ -20,6 +20,10 @@ use std::fmt;
 pub struct Oid(Symbol);
 
 impl Oid {
+    /// An OID the interner never hands out (it caps itself far below
+    /// this id): the empty-slot marker of the store's index tables.
+    pub(crate) const VACANT: Oid = Oid(Symbol(u64::MAX));
+
     /// Intern an OID by name.
     pub fn new(name: &str) -> Self {
         Oid(intern(name))

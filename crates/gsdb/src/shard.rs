@@ -370,6 +370,19 @@ impl ShardedStore {
                 .map(|g| g.as_deref().cloned())
                 .collect(),
         };
+        // A bulk load (`Node::commit_into`) sizes each shard's tables
+        // once for the objects it creates there.
+        let mut creates = [0usize; crate::MAX_SHARDS];
+        for u in updates {
+            if let Update::Create { object } = u {
+                creates[shard_for(object.oid, self.shift)] += 1;
+            }
+        }
+        for (state, &n) in view.states.iter_mut().zip(&creates) {
+            if let Some(state) = state {
+                state.reserve_entries(n);
+            }
+        }
         let mut applied = Vec::with_capacity(updates.len());
         let mut error = None;
         for u in updates {
@@ -382,7 +395,7 @@ impl ShardedStore {
                     return Err(Attempt::Widen(1 << home));
                 }
                 let mut need = 0u16;
-                if let Some(slot) = view.state(home).slot_of.get(oid) {
+                if let Some(slot) = view.state(home).slot_of.get(*oid) {
                     let local = slot >> self.shift;
                     if let Some(obj) = view.state(home).obj(local) {
                         for c in obj.children() {

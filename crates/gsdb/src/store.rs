@@ -37,31 +37,39 @@
 //!
 //! ## Copy-on-write cloning and epoch forks
 //!
-//! Pages and the per-shard lookup maps sit behind `Arc`s, so
-//! [`Store::clone`] and [`Store::fork`] are cheap: they bump reference
-//! counts instead of deep-copying objects. The first mutation of a
-//! page (or a structural mutation of a map) after a clone pays the
-//! copy via `Arc::make_mut`, privately — the other side keeps
-//! observing the state it captured. This is what lets a source publish
-//! an immutable post-commit snapshot of itself into an
+//! Everything a shard holds in bulk sits behind `Arc`s, so
+//! [`Store::clone`] and [`Store::fork`] bump reference counts instead
+//! of deep-copying objects, and the first write to a shared structure
+//! after a clone copies that structure privately — the other side
+//! keeps observing the state it captured. This is what lets a source
+//! publish an immutable post-commit snapshot of itself into an
 //! [`EpochHandle`](crate::EpochHandle) on **every** committed update:
 //! readers traverse the published fork while writers keep mutating the
 //! live store.
 //!
-//! What that first mutation copies differs by an order of magnitude.
-//! A **page** copy is bounded (`PAGE_SIZE` slots): a modify after a
-//! fork costs 8–28 µs by what the page holds, whatever the store
-//! holds. The per-shard **maps** are not paged: `slot_of`,
-//! `parent_index` and `label_index` are each one `FastMap` behind one
-//! `Arc`, so the first create, remove or edge update after a fork
-//! clones the *whole* map of every shard it touches — O(objects in the
-//! shard), about 400 µs for the `parent_index` of one 27 k-object
-//! shard. That is most of the ≈ 1.0 ms `gsdb.commit_us`
-//! `gsbench` records per commit on every workload; ROADMAP's "Commit
-//! cost proportional to the batch" item is the fix. Every successful
-//! [`Store::apply`] also bumps a monotonically increasing
-//! [`version`](Store::version), so commit protocols can skip
-//! republishing untouched state.
+//! What a write copies is bounded by what it writes, not by what the
+//! shard holds:
+//!
+//! * a **page** (`PAGE_SIZE` slots) for each object record written —
+//!   8–28 µs by what the page holds; a set object up to 16 members is
+//!   one slice copy ([`OidSet`](crate::OidSet) keeps a member index
+//!   only above that);
+//! * for `slot_of` and `parent_index`, a [`CowMap`]: the table's
+//!   directory (a vector of segment pointers) and the **one segment**
+//!   — about a hundred entries — holding the entry written. A create
+//!   or remove writes one `slot_of` entry, an edge update one
+//!   `parent_index` entry, a remove of an object with *k* children
+//!   *k* more;
+//! * `label_index` whole: it is keyed by label, a handful of entries.
+//!
+//! `store.cow.pages_copied` and `store.cow.segments_copied` count the
+//! first two, so "what did this commit copy" is a number that does not
+//! depend on the machine (E16 gates it flat from 3 k to 30 k objects).
+//! What still scales with the shard is each clone of its `pages`
+//! pointer vector and free list (`ShardState::clone`, three per
+//! commit). Every successful [`Store::apply`] also bumps a
+//! monotonically increasing [`version`](Store::version), so commit
+//! protocols can skip republishing untouched state.
 //!
 //! Two optional indexes accelerate the functions Algorithm 1 relies on:
 //!
@@ -81,6 +89,7 @@
 //! (production reads skip even the counter bump); experiment harnesses
 //! opt in with [`StoreConfig::count_accesses`].
 
+use crate::cowmap::CowMap;
 use crate::fxhash::FastMap;
 use crate::smallset::SmallSet;
 use crate::{
@@ -88,7 +97,7 @@ use crate::{
 };
 use gsview_obs::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Slots per copy-on-write page (power of two: slot addressing is a
 /// shift and a mask). 256 objects bounds the clone cost a writer pays
@@ -135,13 +144,13 @@ pub(crate) struct ShardState {
     /// Local slots handed out so far (high-water mark, free included).
     pub(crate) len_slots: usize,
     /// OID → global slot, for OIDs homed in this shard.
-    pub(crate) slot_of: Arc<FastMap<Oid, u32>>,
+    pub(crate) slot_of: CowMap<u32>,
     /// Free global slots of this shard, reused LIFO by `Create`.
     pub(crate) free: Vec<u32>,
     /// child OID (homed here) → sorted global parent slots (any
     /// shard). Keyed by OID (not slot) so replica stores may index
     /// edges to children they don't hold.
-    pub(crate) parent_index: Option<Arc<FastMap<Oid, SmallSet>>>,
+    pub(crate) parent_index: Option<CowMap<SmallSet>>,
     /// label → sorted global member slots (members homed here).
     pub(crate) label_index: Option<Arc<FastMap<Label, SmallSet>>>,
 }
@@ -150,7 +159,7 @@ impl ShardState {
     /// Fresh shard with the given index options enabled.
     fn with_indexes(parent: bool, label: bool) -> Self {
         ShardState {
-            parent_index: parent.then(|| Arc::new(FastMap::default())),
+            parent_index: parent.then(CowMap::default),
             label_index: label.then(|| Arc::new(FastMap::default())),
             ..ShardState::default()
         }
@@ -170,14 +179,37 @@ impl ShardState {
     /// allocated slots.
     #[inline]
     fn obj_mut(&mut self, local: u32) -> &mut Option<Object> {
-        &mut Arc::make_mut(&mut self.pages[(local >> PAGE_SHIFT) as usize])
-            [(local & PAGE_MASK) as usize]
+        let page = &mut self.pages[(local >> PAGE_SHIFT) as usize];
+        // As in `CowMap::segment_mut`: a plain load decides, `get_mut`
+        // synchronises.
+        if Arc::strong_count(page) != 1 {
+            *page = Arc::new(Page::clone(page));
+            pages_copied().incr();
+        }
+        &mut Arc::get_mut(page).expect("unshared or just copied")[(local & PAGE_MASK) as usize]
+    }
+
+    /// Size `slot_of` and the parent index for `additional` more
+    /// objects homed here (most objects are somebody's child, so the
+    /// object count stands in for the parent index's entry count).
+    pub(crate) fn reserve_entries(&mut self, additional: usize) {
+        self.slot_of.reserve(additional);
+        if let Some(idx) = self.parent_index.as_mut() {
+            idx.reserve(additional);
+        }
     }
 
     /// Live objects in this shard.
     fn iter(&self) -> impl Iterator<Item = &Object> {
         self.pages.iter().flat_map(|p| p.iter()).filter_map(|s| s.as_ref())
     }
+}
+
+/// `store.cow.pages_copied`: pages copied because a fork still shared
+/// them — with `store.cow.segments_copied`, what a commit copied.
+fn pages_copied() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| gsview_obs::registry().counter("store.cow.pages_copied"))
 }
 
 /// Uniform mutable access to a set of shards — implemented by
@@ -210,14 +242,14 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
     match update {
         Update::Insert { parent, child } => {
             let cs = view.home(child);
-            if !view.state(cs).slot_of.contains_key(&child) {
+            if !view.state(cs).slot_of.contains_key(child) {
                 return Err(GsdbError::NoSuchObject(child));
             }
             let ps = view.home(parent);
             let pslot = *view
                 .state(ps)
                 .slot_of
-                .get(&parent)
+                .get(parent)
                 .ok_or(GsdbError::NoSuchObject(parent))?;
             let shift = view.shift();
             {
@@ -237,7 +269,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             }
             let st = view.state_mut(cs);
             if let Some(idx) = st.parent_index.as_mut() {
-                Arc::make_mut(idx).entry(child).or_default().insert(pslot);
+                idx.or_default(child).insert(pslot);
             }
             Ok(AppliedUpdate::Insert { parent, child })
         }
@@ -246,7 +278,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let pslot = *view
                 .state(ps)
                 .slot_of
-                .get(&parent)
+                .get(parent)
                 .ok_or(GsdbError::NoSuchObject(parent))?;
             let shift = view.shift();
             {
@@ -260,7 +292,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let cs = view.home(child);
             let st = view.state_mut(cs);
             if let Some(idx) = st.parent_index.as_mut() {
-                if let Some(ps) = Arc::make_mut(idx).get_mut(&child) {
+                if let Some(ps) = idx.get_mut(child) {
                     ps.remove(pslot);
                 }
             }
@@ -271,7 +303,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let slot = *view
                 .state(s)
                 .slot_of
-                .get(&oid)
+                .get(oid)
                 .ok_or(GsdbError::NoSuchObject(oid))?;
             let shift = view.shift();
             let obj = view.state_mut(s).obj_mut(slot >> shift).as_mut().unwrap();
@@ -284,25 +316,29 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
         Update::Create { object } => {
             let oid = object.oid;
             let s = view.home(oid);
-            if view.state(s).slot_of.contains_key(&oid) {
-                return Err(GsdbError::DuplicateOid(oid));
-            }
             let shift = view.shift();
             let slot = {
                 let st = view.state_mut(s);
                 // Reuse a freed slot if one exists; identity is the
-                // OID, so reuse is invisible to callers.
-                match st.free.pop() {
-                    Some(g) => g,
-                    None => {
-                        let local = st.len_slots as u32;
-                        if (local >> PAGE_SHIFT) as usize == st.pages.len() {
-                            st.pages.push(Arc::new(vec![None; PAGE_SIZE]));
-                        }
-                        st.len_slots += 1;
-                        (local << shift) | s as u32
-                    }
+                // OID, so reuse is invisible to callers. The slot is
+                // taken only once `slot_of` has accepted the OID — the
+                // duplicate check and the insert are one probe.
+                let local = st.len_slots as u32;
+                let slot = st
+                    .free
+                    .last()
+                    .copied()
+                    .unwrap_or((local << shift) | s as u32);
+                if !st.slot_of.try_insert(oid, slot) {
+                    return Err(GsdbError::DuplicateOid(oid));
                 }
+                if st.free.pop().is_none() {
+                    if (local >> PAGE_SHIFT) as usize == st.pages.len() {
+                        st.pages.push(Arc::new(vec![None; PAGE_SIZE]));
+                    }
+                    st.len_slots += 1;
+                }
+                slot
             };
             if view.state(s).label_index.is_some() {
                 let st = view.state_mut(s);
@@ -319,26 +355,18 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                     let c = object.children()[i];
                     let cs = view.home(c);
                     let st = view.state_mut(cs);
-                    Arc::make_mut(st.parent_index.as_mut().unwrap())
-                        .entry(c)
-                        .or_default()
-                        .insert(slot);
+                    st.parent_index.as_mut().unwrap().or_default(c).insert(slot);
                 }
             }
-            let st = view.state_mut(s);
-            *st.obj_mut(slot >> shift) = Some(object);
-            Arc::make_mut(&mut st.slot_of).insert(oid, slot);
+            *view.state_mut(s).obj_mut(slot >> shift) = Some(object);
             Ok(AppliedUpdate::Create { oid })
         }
         Update::Remove { oid } => {
             let s = view.home(oid);
-            if !view.state(s).slot_of.contains_key(&oid) {
-                return Err(GsdbError::NoSuchObject(oid));
-            }
             let shift = view.shift();
             let (slot, obj) = {
                 let st = view.state_mut(s);
-                let slot = Arc::make_mut(&mut st.slot_of).remove(&oid).unwrap();
+                let slot = st.slot_of.remove(oid).ok_or(GsdbError::NoSuchObject(oid))?;
                 let obj = st.obj_mut(slot >> shift).take().unwrap();
                 st.free.push(slot);
                 if let Some(idx) = st.label_index.as_mut() {
@@ -353,9 +381,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                     let c = obj.children()[i];
                     let cs = view.home(c);
                     let st = view.state_mut(cs);
-                    if let Some(set) =
-                        Arc::make_mut(st.parent_index.as_mut().unwrap()).get_mut(&c)
-                    {
+                    if let Some(set) = st.parent_index.as_mut().unwrap().get_mut(c) {
                         set.remove(slot);
                     }
                 }
@@ -365,10 +391,9 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 // must survive, or a later re-Create of the same
                 // OID resurrects the edges with an empty index.
                 // Drop it only when no parent references remain.
-                let st = view.state_mut(s);
-                let idx = Arc::make_mut(st.parent_index.as_mut().unwrap());
-                if idx.get(&oid).is_some_and(|ps| ps.is_empty()) {
-                    idx.remove(&oid);
+                let idx = view.state_mut(s).parent_index.as_mut().unwrap();
+                if idx.get(oid).is_some_and(|ps| ps.is_empty()) {
+                    idx.remove(oid);
                 }
             }
             Ok(AppliedUpdate::Remove { oid })
@@ -539,10 +564,11 @@ impl Default for Store {
 }
 
 impl Clone for Store {
-    /// A logically independent copy. Cheap: pages and index maps are
-    /// shared copy-on-write, so the cost is reference-count bumps plus
-    /// the free lists and update log; either side pays the copy lazily
-    /// on its next mutation of a shared structure.
+    /// A logically independent copy. Cheap: pages and index tables
+    /// are shared copy-on-write, so the cost is reference-count bumps
+    /// plus the page-pointer vectors, free lists and update log; either
+    /// side pays the copy lazily, a page or a table segment at a time,
+    /// as it writes.
     ///
     /// The `sorted_cache` is carried over as-is: it depends only on
     /// the OID set, which is identical at clone time, and every
@@ -668,10 +694,7 @@ impl Store {
         for st in &mut self.shards {
             st.pages
                 .reserve(per_shard.saturating_sub(st.free.len()) / PAGE_SIZE + 1);
-            Arc::make_mut(&mut st.slot_of).reserve(per_shard);
-            if let Some(idx) = st.parent_index.as_mut() {
-                Arc::make_mut(idx).reserve(per_shard);
-            }
+            st.reserve_entries(per_shard);
         }
     }
 
@@ -680,8 +703,10 @@ impl Store {
     /// logging disabled. This is the image a source publishes into an
     /// [`EpochHandle`](crate::EpochHandle) at commit time — readers
     /// traverse the fork while the live store keeps mutating (and
-    /// keeps accumulating its own log for the monitor). Cost:
-    /// reference-count bumps per shard, independent of store size.
+    /// keeps accumulating its own log for the monitor). Cost per
+    /// shard: three reference-count bumps (the index tables) plus a
+    /// copy of its page-pointer vector and free list — one pointer
+    /// per 256 slots, no object and no index entry.
     pub fn fork(&self) -> Store {
         let mut fork = self.clone();
         fork.log = Vec::new();
@@ -709,7 +734,7 @@ impl Store {
 
     /// True iff an object with this OID exists.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.home_state(oid).slot_of.contains_key(&oid)
+        self.home_state(oid).slot_of.contains_key(oid)
     }
 
     /// True iff the update log records applied updates.
@@ -745,7 +770,7 @@ impl Store {
     /// access — pair with [`Store::children_at`], which does.
     #[inline]
     pub fn slot_of(&self, oid: Oid) -> Option<u32> {
-        self.home_state(oid).slot_of.get(&oid).copied()
+        self.home_state(oid).slot_of.get(oid).copied()
     }
 
     /// OID of the object in a slot. Does not count an access.
@@ -787,7 +812,7 @@ impl Store {
     pub fn get(&self, oid: Oid) -> Option<&Object> {
         self.bump();
         let st = self.home_state(oid);
-        let slot = *st.slot_of.get(&oid)?;
+        let slot = *st.slot_of.get(oid)?;
         st.obj(slot >> self.shift)
     }
 
@@ -803,13 +828,7 @@ impl Store {
 
     /// Children of a set object (empty slice for atomic or missing).
     pub fn children(&self, oid: Oid) -> &[Oid] {
-        self.bump();
-        let st = self.home_state(oid);
-        st.slot_of
-            .get(&oid)
-            .and_then(|&s| st.obj(s >> self.shift))
-            .map(|o| o.children())
-            .unwrap_or(&[])
+        self.get(oid).map(|o| o.children()).unwrap_or(&[])
     }
 
     /// Atomic value of an object, if atomic.
@@ -832,7 +851,7 @@ impl Store {
         let mut v: Vec<Oid> = self
             .shards
             .iter()
-            .flat_map(|s| s.slot_of.keys().copied())
+            .flat_map(|s| s.slot_of.iter().map(|(oid, _)| oid))
             .collect();
         v.sort_by_key(|o| o.name());
         *self.sorted_cache.write().unwrap() = Some(Arc::new(v.clone()));
@@ -894,7 +913,7 @@ impl Store {
         self.home_state(oid).parent_index.as_ref().map(|idx| {
             SlotSet::single(
                 self,
-                idx.get(&oid).map(|s| s.as_slice()).unwrap_or(&[]),
+                idx.get(oid).map(|s| s.as_slice()).unwrap_or(&[]),
             )
         })
     }
@@ -958,7 +977,7 @@ impl Store {
         let ps = self.home(parent);
         let pslot = *self.shards[ps]
             .slot_of
-            .get(&parent)
+            .get(parent)
             .ok_or(GsdbError::NoSuchObject(parent))?;
         let shift = self.shift;
         {
@@ -969,7 +988,7 @@ impl Store {
         }
         let cs = self.home(child);
         if let Some(idx) = self.shards[cs].parent_index.as_mut() {
-            Arc::make_mut(idx).entry(child).or_default().insert(pslot);
+            idx.or_default(child).insert(pslot);
         }
         self.version += 1;
         Ok(())
@@ -1156,7 +1175,7 @@ impl Store {
                 ));
             }
             let mut st = ShardState::with_indexes(cfg.parent_index, cfg.label_index);
-            let mut slot_of = FastMap::default();
+            st.reserve_entries(img.pages.iter().map(|p| p.iter().flatten().count()).sum());
             for (p, page) in img.pages.iter().enumerate() {
                 if page.len() != PAGE_SIZE {
                     return Err(format!("shard {i} page {p}: {} slots", page.len()));
@@ -1179,7 +1198,7 @@ impl Store {
                                 ));
                             }
                             let global = (local << shift) | i as u32;
-                            if slot_of.insert(obj.oid, global).is_some() {
+                            if !st.slot_of.try_insert(obj.oid, global) {
                                 return Err(format!("duplicate OID {}", obj.oid));
                             }
                         }
@@ -1193,7 +1212,6 @@ impl Store {
             }
             st.pages = img.pages;
             st.len_slots = img.len_slots;
-            st.slot_of = Arc::new(slot_of);
             shards.push(st);
         }
         // Second pass: rebuild the indexes. Label entries home with
@@ -1219,7 +1237,7 @@ impl Store {
                             for c in children {
                                 let home = shard_for(c, shift);
                                 let idx = shards[home].parent_index.as_mut().unwrap();
-                                Arc::make_mut(idx).entry(c).or_default().insert(slot);
+                                idx.or_default(c).insert(slot);
                             }
                         }
                     }
@@ -1314,11 +1332,11 @@ impl Store {
             ));
         }
         for (oid, &slot) in st.slot_of.iter() {
-            if shard_for(*oid, self.shift) != i {
+            if shard_for(oid, self.shift) != i {
                 return Err(format!(
                     "shard {i}: OID {} is homed in shard {} but mapped here",
                     oid.name(),
-                    shard_for(*oid, self.shift)
+                    shard_for(oid, self.shift)
                 ));
             }
             if (slot & mask) as usize != i {
@@ -1328,7 +1346,7 @@ impl Store {
                 ));
             }
             match st.obj(slot >> self.shift) {
-                Some(o) if o.oid == *oid => {}
+                Some(o) if o.oid == oid => {}
                 _ => return Err(format!("shard {i}: slot_of[{}] -> dead or mismatched slot", oid.name())),
             }
         }
@@ -1362,24 +1380,24 @@ impl Store {
                 }
             }
             for obj in st.iter() {
-                let slot = st.slot_of[&obj.oid];
-                if !idx.get(&obj.label).map(|s| s.contains(slot)).unwrap_or(false) {
+                let slot = st.slot_of.get(obj.oid).copied();
+                if !slot.is_some_and(|slot| idx.get(&obj.label).is_some_and(|s| s.contains(slot))) {
                     return Err(format!("shard {i}: label index missing {}", obj.oid.name()));
                 }
             }
         }
-        if let Some(idx) = st.parent_index.as_deref() {
-            for (child, set) in idx {
-                if shard_for(*child, self.shift) != i {
+        if let Some(idx) = st.parent_index.as_ref() {
+            for (child, set) in idx.iter() {
+                if shard_for(child, self.shift) != i {
                     return Err(format!(
                         "shard {i}: parent index entry for {} belongs to shard {}",
                         child.name(),
-                        shard_for(*child, self.shift)
+                        shard_for(child, self.shift)
                     ));
                 }
                 for pslot in set.iter() {
                     match self.slot_obj(pslot) {
-                        Some(p) if p.children().contains(child) => {}
+                        Some(p) if p.children().contains(&child) => {}
                         _ => {
                             return Err(format!(
                                 "shard {i}: parent index [{}] references slot {pslot} lacking that edge",
@@ -1411,8 +1429,8 @@ impl Store {
             for obj in self.iter() {
                 let slot = self.slot_of(obj.oid).unwrap();
                 for c in obj.children() {
-                    let idx = self.home_state(*c).parent_index.as_deref().unwrap();
-                    if !idx.get(c).map(|s| s.contains(slot)).unwrap_or(false) {
+                    let idx = self.home_state(*c).parent_index.as_ref().unwrap();
+                    if !idx.get(*c).map(|s| s.contains(slot)).unwrap_or(false) {
                         return Err(format!(
                             "parent index missing edge {} -> {}",
                             obj.oid.name(),
@@ -1729,6 +1747,75 @@ mod tests {
         // And the live store moved on.
         assert!(!s.contains(oid("A")));
         assert!(s.contains(oid("S")));
+    }
+
+    #[test]
+    fn a_structural_update_after_a_fork_copies_one_segment_per_index_entry() {
+        // One 20k-object shard: 4 000 sets of four atoms.
+        let mut s = Store::new();
+        s.reserve(20_100);
+        for k in 0..4_000 {
+            let atoms: Vec<Oid> = (0..4).map(|j| Oid::new(&format!("cow{k}_{j}"))).collect();
+            for (j, a) in atoms.iter().enumerate() {
+                s.create(Object::atom(a.name(), "v", j as i64)).unwrap();
+            }
+            s.create(Object::set(format!("cow{k}"), "t", &atoms))
+                .unwrap();
+        }
+        let segments = 20_000 / 128;
+        // (slot_of, parent_index) segments `s` no longer shares with `f`.
+        let apart = |s: &Store, f: &Store| {
+            let (s, f) = (&s.shards[0], &f.shards[0]);
+            (
+                s.slot_of.segments_apart_from(&f.slot_of),
+                (s.parent_index.as_ref().unwrap())
+                    .segments_apart_from(f.parent_index.as_ref().unwrap()),
+            )
+        };
+        let kids = [oid("cow7_0"), oid("cow1900_1"), oid("cow3999_2")];
+        let extra = oid("cow2500_3");
+        let new = oid("cow_new");
+
+        // Create: one `slot_of` entry, one parent entry per child.
+        let fork = s.fork();
+        assert_eq!(
+            apart(&s, &fork),
+            (0, 0),
+            "more than {segments} segments, all shared"
+        );
+        s.create(Object::set("cow_new", "t", &kids)).unwrap();
+        let (slots, parents) = apart(&s, &fork);
+        assert_eq!(slots, 1);
+        assert!((1..=kids.len()).contains(&parents), "{parents}");
+        assert!(!fork.contains(new));
+        assert_eq!(fork.parents(kids[0]).unwrap().len(), 1);
+        fork.check_invariants().unwrap();
+
+        // Insert and Delete: the child's parent entry, nothing else.
+        let fork = s.fork();
+        s.insert_edge(new, extra).unwrap();
+        assert_eq!(apart(&s, &fork), (0, 1));
+        assert_eq!(fork.children(new), &kids);
+        fork.check_invariants().unwrap();
+
+        let fork = s.fork();
+        s.delete_edge(new, extra).unwrap();
+        assert_eq!(apart(&s, &fork), (0, 1));
+        assert_eq!(fork.children(new).len(), kids.len() + 1);
+        assert_eq!(fork.parents(extra).unwrap().len(), 2);
+        fork.check_invariants().unwrap();
+
+        // Remove: its `slot_of` entry and its k children's entries.
+        let fork = s.fork();
+        s.apply(Update::Remove { oid: new }).unwrap();
+        let (slots, parents) = apart(&s, &fork);
+        assert_eq!(slots, 1);
+        assert!((1..=kids.len()).contains(&parents), "{parents}");
+        assert_eq!(fork.children(new), &kids);
+        assert!(fork.parents(kids[2]).unwrap().contains(new));
+        fork.check_invariants().unwrap();
+        s.check_invariants().unwrap();
+        assert_eq!(s.len(), 20_000);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! string, or has a set type. The value of a set object is a set of OIDs
 //! of other objects."
 
+use crate::fxhash::FastMap;
 use crate::{Label, Oid};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,14 +127,26 @@ impl From<bool> for Atom {
 ///
 /// Semantics are set semantics (no duplicates — paper §2), but we keep a
 /// deterministic iteration order so that examples print the way the
-/// paper's figures do and benchmarks are reproducible. Membership and
-/// insertion are O(1); removal is O(1) via swap-remove (sets are
-/// unordered in the model, so the order perturbation is harmless).
+/// paper's figures do and benchmarks are reproducible. Removal is a
+/// swap-remove (sets are unordered in the model, so the order
+/// perturbation is harmless).
+///
+/// Nearly every set object holds a handful of members, so a set of up
+/// to 16 (`SCAN_LIMIT`) members is just its member vector — membership is a
+/// scan of it, and copying the object (every page copy copies all its
+/// set objects) is one slice copy. Only a larger set carries a
+/// member → position index, which makes membership, insertion and
+/// removal O(1) there.
 #[derive(Clone, Default)]
 pub struct OidSet {
     items: Vec<Oid>,
-    index: HashMap<Oid, usize>,
+    /// Position of every member in `items`; present iff
+    /// `items.len() > SCAN_LIMIT`.
+    index: Option<Box<FastMap<Oid, usize>>>,
 }
+
+/// Largest set that is searched by scanning its members.
+const SCAN_LIMIT: usize = 16;
 
 impl OidSet {
     /// Empty set.
@@ -146,7 +158,7 @@ impl OidSet {
     pub fn with_capacity(cap: usize) -> Self {
         OidSet {
             items: Vec::with_capacity(cap),
-            index: HashMap::with_capacity(cap),
+            index: None,
         }
     }
 
@@ -160,9 +172,17 @@ impl OidSet {
         self.items.is_empty()
     }
 
+    /// Where `oid` sits in `items`, if it is a member.
+    fn position(&self, oid: Oid) -> Option<usize> {
+        match &self.index {
+            Some(index) => index.get(&oid).copied(),
+            None => self.items.iter().position(|&o| o == oid),
+        }
+    }
+
     /// Membership test.
     pub fn contains(&self, oid: Oid) -> bool {
-        self.index.contains_key(&oid)
+        self.position(oid).is_some()
     }
 
     /// Insert; returns `true` if newly added.
@@ -170,19 +190,38 @@ impl OidSet {
         if self.contains(oid) {
             return false;
         }
-        self.index.insert(oid, self.items.len());
         self.items.push(oid);
+        match &mut self.index {
+            Some(index) => {
+                index.insert(oid, self.items.len() - 1);
+            }
+            None if self.items.len() > SCAN_LIMIT => {
+                self.index = Some(Box::new(
+                    self.items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &o)| (o, i))
+                        .collect(),
+                ));
+            }
+            None => {}
+        }
         true
     }
 
     /// Remove; returns `true` if it was present.
     pub fn remove(&mut self, oid: Oid) -> bool {
-        let Some(pos) = self.index.remove(&oid) else {
+        let Some(pos) = self.position(oid) else {
             return false;
         };
         self.items.swap_remove(pos);
-        if let Some(&moved) = self.items.get(pos) {
-            self.index.insert(moved, pos);
+        if self.items.len() <= SCAN_LIMIT {
+            self.index = None;
+        } else if let Some(index) = &mut self.index {
+            index.remove(&oid);
+            if let Some(&moved) = self.items.get(pos) {
+                index.insert(moved, pos);
+            }
         }
         true
     }
@@ -371,6 +410,99 @@ mod tests {
         s.remove(oid("D"));
         assert!(s.contains(oid("A")) && s.contains(oid("C")));
         assert_eq!(s.len(), 2);
+    }
+
+    /// `steps` inserts and removes (two to one if `grow`, else one to
+    /// two) of OIDs drawn from `pool`, applied to `set` and to the
+    /// `Vec` + `swap_remove` it must mirror.
+    fn churn(set: &mut OidSet, model: &mut Vec<Oid>, pool: &[Oid], steps: usize, grow: bool) {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..steps {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let o = pool[(x >> 8) as usize % pool.len()];
+            let at = model.iter().position(|&m| m == o);
+            if (x >> 40).is_multiple_of(3) != grow {
+                assert_eq!(set.insert(o), at.is_none());
+                if at.is_none() {
+                    model.push(o);
+                }
+            } else {
+                assert_eq!(set.remove(o), at.is_some());
+                if let Some(at) = at {
+                    model.swap_remove(at);
+                }
+            }
+            assert_eq!(set.as_slice(), &model[..]);
+            assert_eq!(set.contains(o), model.contains(&o));
+            assert_eq!(set.index.is_some(), model.len() > SCAN_LIMIT);
+        }
+    }
+
+    fn pool(tag: &str, n: usize) -> Vec<Oid> {
+        (0..n).map(|i| oid(&format!("{tag}{i}"))).collect()
+    }
+
+    #[test]
+    fn oidset_mirrors_a_vec_with_swap_remove_across_the_scan_limit() {
+        // Up to about two thirds of the pool, then down to a third:
+        // which of the two legs crosses SCAN_LIMIT depends on the pool.
+        for (n, crosses) in [
+            (12, [false, false]),
+            (40, [true, true]),
+            (600, [true, false]),
+        ] {
+            let pool = pool("osm", n);
+            let (mut set, mut model) = (OidSet::new(), Vec::new());
+            for (grow, crosses) in [true, false].into_iter().zip(crosses) {
+                let was = model.len() > SCAN_LIMIT;
+                churn(&mut set, &mut model, &pool, 10 * n, grow);
+                assert_eq!(was != (model.len() > SCAN_LIMIT), crosses, "{n} {grow}");
+                let fresh: OidSet = model.iter().copied().collect();
+                assert_eq!(set, fresh);
+                assert_eq!(fresh, set);
+                for &o in &pool {
+                    assert_eq!(set.contains(o), model.contains(&o));
+                }
+                let mut less = set.clone();
+                less.remove(model[0]);
+                assert_ne!(set, less);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sets_history_does_not_reach_its_page_bytes() {
+        use crate::{codec, Object};
+        for want in [0, 1, SCAN_LIMIT, SCAN_LIMIT + 1, 400] {
+            // Overshoot, then remove down to `want` members: a set
+            // that has been larger (and indexed) than it is now.
+            let pool = pool(&format!("osp{want}x"), 2 * want + 50);
+            let (mut set, mut model) = (OidSet::new(), Vec::new());
+            churn(&mut set, &mut model, &pool, 10 * pool.len(), true);
+            assert!(model.len() > want.max(SCAN_LIMIT));
+            while model.len() > want {
+                let at = model.len() / 2;
+                assert!(set.remove(model[at]));
+                model.swap_remove(at);
+            }
+            let page = |value: OidSet| {
+                vec![
+                    None,
+                    Some(Object {
+                        oid: oid("ospage"),
+                        label: Label::new("s"),
+                        value: Value::Set(value),
+                    }),
+                ]
+            };
+            assert_eq!(
+                codec::encode_page(&page(set)),
+                codec::encode_page(&page(model.iter().copied().collect())),
+                "{want} members"
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,7 @@ impl AuxCache {
                 p: prefix,
             });
             if let Some(SourceReply::Objects(infos)) = reply {
+                store.reserve(infos.len());
                 for info in infos {
                     if !store.contains(info.oid) {
                         store
