@@ -21,11 +21,17 @@
 //!   by fetching only the chunks whose content hash changed since the
 //!   last reconstruction — the chunk-reuse column shows the pages
 //!   that came for free.
+//! * **`restart/history`** — a fixed store persisted for 200 and for
+//!   2 000 churn epochs, then a restart from the bytes
+//!   alone: [`DurableStore::open`] scans the log, [`Source::recover`]
+//!   rebuilds the source. Compaction keeps the log — and so the scan —
+//!   within eight times the live bytes whatever the history's length.
 //!
 //! Query counts, recovered object counts and chunk-transfer counts
 //! are exactly deterministic (fixed workload, content-addressed
 //! pages); the smoke test (`tests/e17_smoke.rs`) pins them against a
-//! checked-in baseline. Wall times are machine-dependent and NOT
+//! checked-in baseline, and pins the history leg's scanned bytes
+//! against its live bytes. Wall times are machine-dependent and NOT
 //! gated.
 
 use crate::table::{fnum, Table};
@@ -45,14 +51,22 @@ pub const FULL_SIZES: &[usize] = &[500, 2000, 8000];
 const SHARDS: usize = 2;
 /// Churn commits (= published epochs) between setup and the crash.
 const CHURN: usize = 20;
+/// Churn epochs before the history leg's restarts.
+const HISTORY_EPOCHS: [usize; 2] = [200, 2_000];
+/// Items in the history leg's store: ≈ 1.1 MB live, past the 1 MiB
+/// below which the durable log does not bother compacting.
+const HISTORY_ITEMS: usize = 24_000;
 
 /// One measured restart route at one store size.
 #[derive(Clone, Debug)]
 pub struct RestartRow {
-    /// `restart/cold`, `restart/warm` or `resync/diff`.
+    /// `restart/cold`, `restart/warm`, `resync/diff` or
+    /// `restart/history`.
     pub route: String,
     /// Items in the source database.
     pub items: usize,
+    /// Churn epochs persisted before the restart.
+    pub epochs: usize,
     /// Objects in the recovered (or queried) store.
     pub objects: u64,
     /// Wall milliseconds for the restart path.
@@ -63,6 +77,10 @@ pub struct RestartRow {
     pub chunks_fetched: u64,
     /// Chunks served by the warehouse page cache.
     pub chunks_reused: u64,
+    /// Log bytes the reopening scan read (`restart/history` only).
+    pub scanned_bytes: Option<u64>,
+    /// The log's live bytes at the restart (`restart/history` only).
+    pub live_bytes: Option<u64>,
 }
 
 fn def() -> SimpleViewDef {
@@ -91,10 +109,10 @@ fn build_source(items: usize) -> Source {
     src
 }
 
-/// Deterministic churn: `CHURN` single-update commits, each one a
+/// Deterministic churn: `epochs` single-update commits, each one a
 /// published (and, when attached, persisted) epoch.
-fn churn(src: &Source, items: usize) {
-    for e in 0..CHURN {
+fn churn(src: &Source, items: usize, epochs: usize) {
+    for e in 0..epochs {
         let name = format!("ag{}", (e * 37) % items);
         src.apply(Update::modify(name.as_str(), ((e * 13) % 100) as i64))
             .unwrap();
@@ -105,7 +123,7 @@ fn churn(src: &Source, items: usize) {
 /// the (still-running) source.
 pub fn run_cold(items: usize) -> RestartRow {
     let src = build_source(items);
-    churn(&src, items);
+    churn(&src, items, CHURN);
     let mut wh = Warehouse::new();
     wh.connect(&src);
     let t0 = Instant::now();
@@ -114,11 +132,14 @@ pub fn run_cold(items: usize) -> RestartRow {
     RestartRow {
         route: "restart/cold".into(),
         items,
+        epochs: CHURN,
         objects: src.with_store(|s| s.len()) as u64,
         millis,
         queries: wh.meter("e17").unwrap().queries(),
         chunks_fetched: 0,
         chunks_reused: 0,
+        scanned_bytes: None,
+        live_bytes: None,
     }
 }
 
@@ -128,7 +149,7 @@ fn crashed_lineage(items: usize) -> Arc<DurableStore> {
     let durable = Arc::new(DurableStore::open(MediaSet::memory()).unwrap());
     let src = build_source(items);
     src.attach_durable(Arc::clone(&durable)).unwrap();
-    churn(&src, items);
+    churn(&src, items, CHURN);
     durable
 }
 
@@ -154,11 +175,14 @@ fn warm_restart(items: usize, durable: &Arc<DurableStore>) -> (RestartRow, Sourc
     let row = RestartRow {
         route: "restart/warm".into(),
         items,
+        epochs: CHURN,
         objects: src.with_store(|s| s.len()) as u64,
         millis,
         queries,
         chunks_fetched: reg.counter("warehouse.durable.chunks_fetched").get() - f0,
         chunks_reused: reg.counter("warehouse.durable.chunks_reused").get() - r0,
+        scanned_bytes: None,
+        live_bytes: None,
     };
     (row, src, wh)
 }
@@ -188,11 +212,14 @@ pub fn run_resync(items: usize) -> RestartRow {
     RestartRow {
         route: "resync/diff".into(),
         items,
+        epochs: CHURN,
         objects: src.with_store(|s| s.len()) as u64,
         millis,
         queries: wh.meter("e17").unwrap().queries(),
         chunks_fetched: out.chunks_fetched,
         chunks_reused: out.chunks_reused,
+        scanned_bytes: None,
+        live_bytes: None,
     }
 }
 
@@ -218,6 +245,54 @@ pub fn quick_facts() -> (u64, u64, u64, u64) {
     )
 }
 
+/// A restart after a long history: a durably attached source of
+/// `HISTORY_ITEMS` items persists `epochs` churn epochs and "crashes";
+/// the restart reopens the bytes (the open scan) and recovers the
+/// source from them.
+fn run_history(epochs: usize) -> RestartRow {
+    let media = MediaSet::memory();
+    let objects = {
+        let durable = Arc::new(DurableStore::open(media.clone()).unwrap());
+        let src = build_source(HISTORY_ITEMS);
+        src.attach_durable(durable).unwrap();
+        churn(&src, HISTORY_ITEMS, epochs);
+        src.with_store(|s| s.len()) as u64
+    };
+    let t0 = Instant::now();
+    let durable = Arc::new(DurableStore::open(media).unwrap());
+    let scanned = durable.footprint();
+    let src = Source::recover("e17", Oid::new("ROOT"), ReportLevel::WithValues, &durable)
+        .unwrap()
+        .expect("published epochs are recoverable");
+    let millis = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(src.with_store(|s| s.len()) as u64, objects, "recovered a different store");
+    RestartRow {
+        route: "restart/history".into(),
+        items: HISTORY_ITEMS,
+        epochs,
+        objects,
+        millis,
+        queries: 0,
+        chunks_fetched: 0,
+        chunks_reused: 0,
+        scanned_bytes: Some(scanned.segment_bytes),
+        live_bytes: Some(scanned.live_bytes),
+    }
+}
+
+/// The history leg's `(epochs, bytes the open scan read, live bytes)`
+/// after each of [`HISTORY_EPOCHS`]: byte counts, so the smoke test can
+/// pin the scan within a multiple of the live bytes exactly.
+pub fn history_facts() -> Vec<(usize, u64, u64)> {
+    HISTORY_EPOCHS
+        .iter()
+        .map(|&epochs| {
+            let row = run_history(epochs);
+            (epochs, row.scanned_bytes.unwrap(), row.live_bytes.unwrap())
+        })
+        .collect()
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
     let sizes = if quick { QUICK_SIZES } else { FULL_SIZES };
@@ -225,29 +300,39 @@ pub fn run(quick: bool) -> Table {
         "E17",
         "restart cost: warm recovery from the durable epoch log vs cold re-query",
         "warm restart answers zero queries to the source at every size; \
-         diff resync moves only the chunks whose content hash changed",
+         diff resync moves only the chunks whose content hash changed; \
+         a restart scans the live bytes, not the history",
     )
     .headers(&[
         "route",
         "items",
+        "epochs",
         "objects",
         "millis",
         "queries",
         "chunks fetched",
         "chunks reused",
+        "scanned bytes",
+        "live bytes",
     ]);
-    for &items in sizes {
-        for row in [run_cold(items), run_warm(items), run_resync(items)] {
-            t.row(vec![
-                row.route.clone(),
-                row.items.to_string(),
-                row.objects.to_string(),
-                fnum(row.millis),
-                row.queries.to_string(),
-                row.chunks_fetched.to_string(),
-                row.chunks_reused.to_string(),
-            ]);
-        }
+    let rows = sizes
+        .iter()
+        .flat_map(|&items| [run_cold(items), run_warm(items), run_resync(items)])
+        .chain(HISTORY_EPOCHS.iter().map(|&epochs| run_history(epochs)));
+    let bytes = |b: Option<u64>| b.map_or_else(|| "-".to_string(), |b| b.to_string());
+    for row in rows {
+        t.row(vec![
+            row.route.clone(),
+            row.items.to_string(),
+            row.epochs.to_string(),
+            row.objects.to_string(),
+            fnum(row.millis),
+            row.queries.to_string(),
+            row.chunks_fetched.to_string(),
+            row.chunks_reused.to_string(),
+            bytes(row.scanned_bytes),
+            bytes(row.live_bytes),
+        ]);
     }
     t
 }

@@ -55,3 +55,17 @@ fn restart_facts_do_not_drift() {
         "diff-resync reused-chunk count drifted from baseline"
     );
 }
+
+#[test]
+fn a_restart_scans_the_live_bytes_not_the_history() {
+    // The live set sits past the 1 MiB compaction floor, so after any
+    // history the log the open scan reads is bounded by the ratio alone.
+    let max = baseline("history_scan_over_live_max");
+    for (epochs, scanned, live) in e17::history_facts() {
+        assert!(live > 1 << 20, "{epochs} epochs: {live} live bytes, under the floor");
+        assert!(
+            scanned <= max * live,
+            "{epochs} epochs: the open scan read {scanned} bytes for {live} live"
+        );
+    }
+}

@@ -57,11 +57,27 @@
 //! [`DurableStore::recover`] still walks a lineage's frames from the
 //! newest and takes the first whose chunks all re-verify against
 //! their content hashes, so a chunk that rotted *after* it was synced
-//! costs one epoch, not the lineage. That recovery is total over any
-//! write prefix is what the kill-at-every-write-point matrix in
+//! costs one epoch, not the lineage — among the frames written since
+//! the last compaction. That recovery is total over any write prefix
+//! is what the kill-at-every-write-point matrix in
 //! `tests/crash_matrix.rs` checks, with [`ChaosMedia`] tearing,
 //! dropping and bit-flipping the un-synced write under a seeded
 //! [`ChaosPolicy`].
+//!
+//! ## Compaction: a restart scans what is live
+//!
+//! The open scan reads the whole log, so without a bound a restart
+//! costs the history. Once a persist leaves the log more than eight
+//! times its *live bytes* — the newest manifest of every lineage and
+//! the chunks those name; 1 MiB at least — [`DurableStore::compact`]
+//! rewrites it as exactly that, in log order, into a fresh file that
+//! [`Media::replace`] swaps in atomically (temporary file, sync,
+//! rename, directory sync). The compacted file is an ordinary log of
+//! this format. A crash anywhere in the rewrite leaves the old file or
+//! the new one, and both hold the same newest epoch of every lineage.
+//! A live chunk that no longer matches its hash stops the compaction
+//! before anything is written, and the next attempt waits for the log
+//! to grow eightfold again: no recoverable epoch is given up.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -202,12 +218,16 @@ struct CachedPage {
 /// copy-on-write.
 type LineageCache = Vec<Vec<CachedPage>>;
 
-/// The `durable.persist.*` counters, resolved once per store.
-struct PersistCounters {
+/// The `durable.persist.*` and `durable.compact.*` counters, resolved
+/// once per store.
+struct Counters {
     count: Arc<Counter>,
     chunks_appended: Arc<Counter>,
     chunks_reused: Arc<Counter>,
     bytes_appended: Arc<Counter>,
+    compactions: Arc<Counter>,
+    bytes_reclaimed: Arc<Counter>,
+    compactions_skipped: Arc<Counter>,
 }
 
 /// A durable store over one [`MediaSet`]: content-addressed persist,
@@ -215,7 +235,7 @@ struct PersistCounters {
 pub struct DurableStore {
     log: log::EpochLog,
     cache: Mutex<HashMap<String, LineageCache>>,
-    counters: PersistCounters,
+    counters: Counters,
 }
 
 impl DurableStore {
@@ -228,11 +248,14 @@ impl DurableStore {
         Ok(DurableStore {
             log: log::EpochLog::open(media.log)?,
             cache: Mutex::new(HashMap::new()),
-            counters: PersistCounters {
+            counters: Counters {
                 count: r.counter("durable.persist.count"),
                 chunks_appended: r.counter("durable.persist.chunks_appended"),
                 chunks_reused: r.counter("durable.persist.chunks_reused"),
                 bytes_appended: r.counter("durable.persist.bytes_appended"),
+                compactions: r.counter("durable.compact.count"),
+                bytes_reclaimed: r.counter("durable.compact.bytes_reclaimed"),
+                compactions_skipped: r.counter("durable.compact.skipped"),
             },
         })
     }
@@ -242,17 +265,40 @@ impl DurableStore {
     /// and the manifest, one sync — the commit protocol the module
     /// docs argue atomic. Returns what was actually written; unchanged
     /// pages (pointer-identical to the previous persist, or
-    /// content-identical to any chunk ever written) cost nothing, and
+    /// content-identical to any chunk the log holds) cost nothing, and
     /// a snapshot identical to the lineage's newest frame writes
     /// nothing at all.
+    ///
+    /// When the log has outgrown its live bytes by the compaction
+    /// ratio, the persist then [compacts](DurableStore::compact) it. The
+    /// epoch is durable by then, so a failed compaction does not fail
+    /// the persist: it is counted (`durable.compact.skipped`) and the
+    /// next attempt waits for the log to grow by the ratio again.
     pub fn persist(&self, name: &str, store: &Store, meta: PersistMeta) -> Result<PersistReceipt> {
         let _span = gsview_obs::span!(
             "durable.persist",
             "name" = name.to_string(),
             "epoch" = meta.epoch
         );
-        let images = store.export_images();
         let mut cache = self.cache.lock().expect("persist cache poisoned");
+        let receipt = self.append_epoch(&mut cache, name, store, meta)?;
+        if self.log.compaction_due() {
+            // Counted and reported inside; the epoch is durable anyway.
+            let _ = self.compact_with(&mut cache);
+        }
+        Ok(receipt)
+    }
+
+    /// The persist itself: one append of the changed pages' chunks and
+    /// the manifest, then the cache update.
+    fn append_epoch(
+        &self,
+        cache: &mut HashMap<String, LineageCache>,
+        name: &str,
+        store: &Store,
+        meta: PersistMeta,
+    ) -> Result<PersistReceipt> {
+        let images = store.export_images();
         let prev = cache.get(name);
         let mut append = self.log.begin();
         let mut shards = Vec::with_capacity(images.len());
@@ -330,6 +376,50 @@ impl DurableStore {
         self.counters.chunks_reused.add(receipt.chunks_reused);
         self.counters.bytes_appended.add(receipt.bytes_appended);
         Ok(receipt)
+    }
+
+    /// Rewrite the epoch log as its live frames — the newest manifest
+    /// of every lineage and the chunks they name — in one fresh file
+    /// that atomically replaces the old one ([`Media::replace`]), so
+    /// that a restart scans what is live rather than everything ever
+    /// written. Returns the bytes reclaimed. [`persist`] calls this
+    /// once the log is more than eight times its live bytes, counting
+    /// live bytes at no less than 1 MiB.
+    ///
+    /// A crash anywhere in it recovers the epoch it would have
+    /// recovered before: the old and the new file hold the same newest
+    /// manifest of every lineage. A live chunk that no longer matches
+    /// its content hash fails the compaction with the log left exactly
+    /// as it was, so the older epochs recovery falls back to stay.
+    ///
+    /// [`persist`]: DurableStore::persist
+    pub fn compact(&self) -> Result<u64> {
+        let mut cache = self.cache.lock().expect("persist cache poisoned");
+        self.compact_with(&mut cache)
+    }
+
+    fn compact_with(&self, cache: &mut HashMap<String, LineageCache>) -> Result<u64> {
+        let _span = gsview_obs::span!("durable.compact");
+        match self.log.compact() {
+            // Already all live: nothing was rewritten.
+            Ok(0) => Ok(0),
+            Ok(reclaimed) => {
+                self.counters.compactions.incr();
+                self.counters.bytes_reclaimed.add(reclaimed);
+                // A lineage recovered from an older frame and not
+                // persisted since caches pages the compaction dropped:
+                // its next persist re-encodes them.
+                cache.retain(|_, pages| {
+                    self.log.holds_all(pages.iter().flatten().map(|p| &p.hash))
+                });
+                Ok(reclaimed)
+            }
+            Err(e) => {
+                self.counters.compactions_skipped.incr();
+                gsview_obs::event!("durable.compact.failed", "error" = e.to_string());
+                Err(e)
+            }
+        }
     }
 
     /// Recover the newest durable state of lineage `name`: walk its
@@ -411,14 +501,15 @@ impl DurableStore {
         self.log.frames_for(name)
     }
 
-    /// The durable footprint (chunk count, log bytes, dedup
+    /// The durable footprint (chunk count, log and live bytes, dedup
     /// savings), also mirrored into the obs metrics registry as
     /// `durable.segment.*` gauges.
     pub fn footprint(&self) -> DurableFootprint {
-        let (chunks, segment_bytes, appended, deduped) = self.log.footprint();
+        let (chunks, segment_bytes, appended, deduped, live_bytes) = self.log.footprint();
         let fp = DurableFootprint {
             chunks,
             segment_bytes,
+            live_bytes,
             appended_bytes: appended,
             deduped_bytes: deduped,
             dedup_ratio: if appended + deduped == 0 {
@@ -431,6 +522,7 @@ impl DurableStore {
         for (name, v) in [
             ("durable.segment.chunks", chunks),
             ("durable.segment.bytes", segment_bytes),
+            ("durable.segment.live_bytes", live_bytes),
             ("durable.segment.appended_bytes", appended),
             ("durable.segment.deduped_bytes", deduped),
         ] {
@@ -697,5 +789,211 @@ mod tests {
         // Pages are 256 slots, so the diff may include page-mates of
         // the touched objects — but never most of a 61-object store.
         assert!(changed.len() < 61, "diff leaked into unchanged pages");
+    }
+
+    /// 600 atoms of 2 KiB on one shard: three pages, ≈ 1.2 MiB live —
+    /// past the compaction floor, so the ratio alone decides.
+    fn wide_store() -> Store {
+        let mut s = Store::new();
+        for i in 0..600 {
+            s.create(Object::atom(format!("cw{i}").as_str(), "x", wide(i))).unwrap();
+        }
+        s
+    }
+
+    fn wide(v: usize) -> gsdb::Atom {
+        gsdb::Atom::Str(format!("{v:0>2048}").into())
+    }
+
+    /// Modify one atom of the second page per epoch, so each epoch
+    /// appends a ≈ 512 KiB chunk and supersedes the last one.
+    fn churn_wide(s: &mut Store, epoch: u64) {
+        s.modify_atom(Oid::new(format!("cw{}", 256 + epoch % 200).as_str()), wide(epoch as usize))
+            .unwrap();
+    }
+
+    #[test]
+    fn after_every_persist_the_log_is_within_the_ratio_of_its_live_bytes() {
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = wide_store();
+        for epoch in 1..=60 {
+            churn_wide(&mut s, epoch);
+            d.persist("src", &s.fork(), meta(epoch)).unwrap();
+            let fp = d.footprint();
+            assert!(fp.live_bytes > 1 << 20);
+            assert_eq!(fp.segment_bytes, media.log.len());
+            assert!(
+                fp.segment_bytes <= 8 * fp.live_bytes,
+                "epoch {epoch}: {} log bytes for {} live",
+                fp.segment_bytes,
+                fp.live_bytes
+            );
+        }
+        let frames = d.frames_for("src");
+        assert!(frames.len() < 30, "{} frames: compaction never ran", frames.len());
+        let d = DurableStore::open(media).unwrap();
+        let rec = d.recover("src").unwrap().unwrap();
+        assert_eq!(rec.manifest.epoch, 60);
+        assert_eq!(rec.store.oids_sorted(), s.oids_sorted());
+        for o in s.oids_sorted() {
+            assert_eq!(rec.store.get(o), s.get(o));
+        }
+    }
+
+    #[test]
+    fn an_uncompacted_log_opens_recovers_and_compacts_on_the_first_persist() {
+        // What a build without compaction leaves: every epoch appended.
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = wide_store();
+        for epoch in 1..=40 {
+            churn_wide(&mut s, epoch);
+            d.append_epoch(&mut d.cache.lock().unwrap(), "src", &s.fork(), meta(epoch)).unwrap();
+        }
+        let history = media.log.len();
+        drop(d);
+
+        let d = DurableStore::open(media.clone()).unwrap();
+        assert_eq!(d.frames_for("src").len(), 40);
+        let rec = d.recover("src").unwrap().unwrap();
+        assert_eq!(rec.manifest.epoch, 40);
+        // The re-attach persist appends nothing and compacts.
+        let r = d.persist("src", &rec.store, meta(40)).unwrap();
+        assert_eq!(r.chunks_appended, 0);
+        let fp = d.footprint();
+        assert_eq!(fp.segment_bytes, fp.live_bytes);
+        assert!(fp.segment_bytes * 8 < history, "{} of {history} bytes left", fp.segment_bytes);
+        assert_eq!(d.frames_for("src").len(), 1);
+        // Re-persisting the recovered store still appends nothing.
+        let len = media.log.len();
+        let r = d.persist("src", &rec.store, meta(40)).unwrap();
+        assert_eq!((r.chunks_appended, media.log.len()), (0, len));
+        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        assert_eq!(rec.manifest.epoch, 40);
+        assert_eq!(rec.store.atom(Oid::new("cw296")), s.atom(Oid::new("cw296")));
+    }
+
+    #[test]
+    fn a_cache_seeded_from_an_older_frame_does_not_outlive_its_chunks() {
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = build_store(1, 40);
+        d.persist("src", &s.fork(), meta(1)).unwrap();
+        s.modify_atom(Oid::new("o7"), -7i64).unwrap();
+        d.persist("src", &s.fork(), meta(2)).unwrap();
+        // A recovery that fell back seeds the cache from epoch 1 …
+        let older = d.try_build(&d.frames_for("src")[0].manifest).unwrap();
+        // … and the compaction drops the chunk only epoch 1 named.
+        d.compact().unwrap();
+        let r = d.persist("src", &older, meta(3)).unwrap();
+        assert_eq!(r.chunks_appended, 1, "the dropped page is written again");
+        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        assert_eq!(rec.manifest.epoch, 3);
+        assert_eq!(rec.store.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(7)));
+    }
+
+    #[test]
+    fn a_rotted_live_chunk_skips_the_compaction_and_recovery_falls_back() {
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = build_store(1, 40);
+        d.persist("src", &s.fork(), meta(1)).unwrap();
+        s.modify_atom(Oid::new("o7"), -7i64).unwrap();
+        d.persist("src", &s.fork(), meta(2)).unwrap();
+        let newest = d.latest_manifest("src").unwrap().shards[0].pages[0];
+        let page = d.fetch_chunk(&newest).unwrap();
+        let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+        let at = bytes.windows(page.len()).rposition(|w| w == page).unwrap();
+        media.log.write_at(at as u64, &[bytes[at] ^ 1], CrashPoint::Other).unwrap();
+        let len = media.log.len();
+        assert!(matches!(d.compact(), Err(DurableError::Corrupt(_))));
+        assert_eq!(media.log.len(), len);
+        assert_eq!(d.recover("src").unwrap().unwrap().manifest.epoch, 1);
+    }
+
+    /// The reader's side of [`Interleaved`]: whom to tell it has looked
+    /// a chunk up, and where to wait until the writer is done.
+    type Handoff = (std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>);
+
+    thread_local! {
+        static HANDOFF: std::cell::RefCell<Option<Handoff>> = const { std::cell::RefCell::new(None) };
+        /// Set on the reader thread before a chunk read the writer is
+        /// to run ahead of.
+        static ARMED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// An in-memory media whose armed read — the read right after a
+    /// chunk lookup — first hands over to the writer and waits for it:
+    /// the interleaving lookup, compaction, read, every time.
+    struct Interleaved(MemMedia);
+
+    impl Media for Interleaved {
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+        fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>> {
+            if ARMED.with(|a| a.replace(false)) {
+                HANDOFF.with(|h| {
+                    let h = h.borrow();
+                    let (looked_up, written) = h.as_ref().expect("armed on the reader");
+                    looked_up.send(()).expect("the writer waits");
+                    written.recv().expect("the writer answers");
+                });
+            }
+            self.0.read_at(off, len)
+        }
+        fn write_at(&self, off: u64, data: &[u8], point: CrashPoint) -> Result<()> {
+            self.0.write_at(off, data, point)
+        }
+        fn sync(&self, point: CrashPoint) -> Result<()> {
+            self.0.sync(point)
+        }
+        fn replace(&self, data: &[u8]) -> Result<()> {
+            self.0.replace(data)
+        }
+    }
+
+    #[test]
+    fn a_chunk_read_racing_compactions_never_misses_a_live_chunk() {
+        let d = DurableStore::open(MediaSet {
+            log: Arc::new(Interleaved(MemMedia::new())),
+        })
+        .unwrap();
+        // Small filler lineages, then the one the reader reads. Every
+        // round below supersedes one filler, whose dead chunk sat before
+        // the read lineage's: each compaction moves every chunk read.
+        let filler = |k: usize, v: i64| {
+            let mut s = Store::new();
+            s.create(Object::atom(format!("rf{k}").as_str(), "x", v)).unwrap();
+            s
+        };
+        const ROUNDS: usize = 20;
+        for k in 0..ROUNDS {
+            d.persist(&format!("filler{k}"), &filler(k, 0), meta(1)).unwrap();
+        }
+        d.persist("read", &build_store(1, 600).fork(), meta(1)).unwrap();
+        let live = d.latest_manifest("read").unwrap().shards[0].pages.clone();
+        let (looked_up, looked_up_rx) = std::sync::mpsc::channel();
+        let (written_tx, written) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Dropped with the thread, which ends the writer's loop.
+                HANDOFF.with(|h| *h.borrow_mut() = Some((looked_up, written)));
+                for round in 0..ROUNDS {
+                    ARMED.with(|a| a.set(true));
+                    let h = &live[round % live.len()];
+                    assert!(d.fetch_chunk(h).is_some(), "round {round}: live chunk {h} missed");
+                }
+            });
+            let mut k = 0;
+            while looked_up_rx.recv().is_ok() {
+                d.persist(&format!("filler{k}"), &filler(k, 1), meta(2)).unwrap();
+                assert!(d.compact().unwrap() > 0);
+                written_tx.send(()).unwrap();
+                k += 1;
+            }
+            assert_eq!(k, ROUNDS, "one compaction inside every read");
+        });
     }
 }

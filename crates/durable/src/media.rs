@@ -23,8 +23,18 @@
 //! Every write carries a [`CrashPoint`] tag naming the logical
 //! operation, so the kill-at-every-write-point matrix can report *what*
 //! was mid-flight at the crash it survived.
+//!
+//! Besides appends, a media can [`replace`](Media::replace) its whole
+//! content — what a compaction of the epoch log does. On files that is
+//! the classic sequence: write a temporary file, sync it, rename it
+//! over the log, sync the directory. A crash before the rename keeps
+//! the old content; a crash between the rename and the directory sync
+//! may find either; after the directory sync the new content is
+//! durable.
 
 use crate::error::{DurableError, Result};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// The logical operation a write or sync belongs to — reported by the
@@ -36,6 +46,15 @@ pub enum CrashPoint {
     PersistWrite,
     /// The one sync barrier of a persist.
     PersistSync,
+    /// A compaction writing the compacted log to its temporary file.
+    CompactWrite,
+    /// A compaction syncing the temporary file.
+    CompactSync,
+    /// A compaction renaming the temporary file over the log.
+    CompactRename,
+    /// A compaction syncing the directory, which makes the rename
+    /// durable.
+    CompactDirSync,
     /// Anything else (tests, maintenance).
     Other,
 }
@@ -56,6 +75,10 @@ pub trait Media: Send + Sync {
     /// Durability barrier: all earlier writes survive a crash after
     /// this returns.
     fn sync(&self, point: CrashPoint) -> Result<()>;
+    /// Replace the whole content with `data`, atomically and durably:
+    /// a crash at any point leaves either the old content or `data`,
+    /// never a mix, and `data` survives any crash after this returns.
+    fn replace(&self, data: &[u8]) -> Result<()>;
 }
 
 // ----------------------------------------------------------------------
@@ -110,6 +133,10 @@ impl Media for MemMedia {
     fn sync(&self, _point: CrashPoint) -> Result<()> {
         Ok(())
     }
+    fn replace(&self, data: &[u8]) -> Result<()> {
+        *self.buf.write().unwrap() = data.to_vec();
+        Ok(())
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -118,32 +145,60 @@ impl Media for MemMedia {
 
 /// A file-backed media using positioned I/O and `fsync`.
 pub struct FsMedia {
-    file: std::fs::File,
+    path: PathBuf,
+    /// The open file. [`replace`](Media::replace) swaps it for the
+    /// file it renamed over `path`.
+    file: RwLock<std::fs::File>,
+    /// A replace renamed but could not sync the directory: the next
+    /// [`sync`](Media::sync) does, before it acknowledges anything
+    /// written to the new file.
+    dir_unsynced: AtomicBool,
 }
 
 impl FsMedia {
     /// Open (or create) the file at `path` for durable read/write.
-    pub fn open(path: &std::path::Path) -> Result<FsMedia> {
+    pub fn open(path: &Path) -> Result<FsMedia> {
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        Ok(FsMedia { file })
+        Ok(FsMedia {
+            path: path.to_path_buf(),
+            file: RwLock::new(file),
+            dir_unsynced: AtomicBool::new(false),
+        })
+    }
+
+    fn file(&self) -> std::sync::RwLockReadGuard<'_, std::fs::File> {
+        self.file.read().expect("media file lock poisoned")
+    }
+
+    /// Make the directory entries under the file's directory durable —
+    /// a rename is not, until its directory is synced.
+    fn sync_dir(&self) -> Result<()> {
+        let dir = match self.path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+        self.dir_unsynced.store(false, Ordering::Release);
+        Ok(())
     }
 }
 
 impl Media for FsMedia {
     fn len(&self) -> u64 {
-        self.file.metadata().map(|m| m.len()).unwrap_or(0)
+        self.file().metadata().map(|m| m.len()).unwrap_or(0)
     }
     fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>> {
         use std::os::unix::fs::FileExt;
+        let file = self.file();
         let mut buf = vec![0u8; len];
         let mut read = 0;
         while read < len {
-            match self.file.read_at(&mut buf[read..], off + read as u64) {
+            match file.read_at(&mut buf[read..], off + read as u64) {
                 Ok(0) => break,
                 Ok(n) => read += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -155,12 +210,42 @@ impl Media for FsMedia {
     }
     fn write_at(&self, off: u64, data: &[u8], _point: CrashPoint) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        self.file.write_all_at(data, off)?;
+        self.file().write_all_at(data, off)?;
         Ok(())
     }
     fn sync(&self, _point: CrashPoint) -> Result<()> {
-        self.file.sync_data()?;
+        self.file().sync_data()?;
+        if self.dir_unsynced.load(Ordering::Acquire) {
+            self.sync_dir()?;
+        }
         Ok(())
+    }
+    /// `<name>.tmp` beside the file (a stale one from a crash is
+    /// truncated), written, `sync_all`ed, renamed over the file; the
+    /// handle is swapped so it names what the path names, the directory
+    /// is synced, and the replaced file is closed.
+    fn replace(&self, data: &[u8]) -> Result<()> {
+        use std::io::Write;
+        let tmp = self.path.with_extension("tmp");
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(data)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
+        self.dir_unsynced.store(true, Ordering::Release);
+        let mut handle = self.file.write().expect("media file lock poisoned");
+        let old = std::mem::replace(&mut *handle, file);
+        drop(handle);
+        let synced = self.sync_dir();
+        // Closed only now: closing the replaced file frees its blocks,
+        // which on a file system that discards them makes a directory
+        // sync behind it wait milliseconds longer.
+        drop(old);
+        synced
     }
 }
 
@@ -231,13 +316,20 @@ impl Rng {
     }
 }
 
+/// Writes made but not yet synced: `(offset, bytes)` in program order.
+type Staged = Vec<(u64, Vec<u8>)>;
+
 /// One simulated file: what is durable, what the live process sees,
 /// and the writes staged between the two.
 #[derive(Default)]
 struct ChaosFile {
     durable: Vec<u8>,
     live: Vec<u8>,
-    staged: Vec<(u64, Vec<u8>)>,
+    staged: Staged,
+    /// Set between a replace's rename and its directory sync: the
+    /// replaced file (durable bytes and staged writes) the name falls
+    /// back to if the crash loses the rename.
+    unrenamed: Option<(Vec<u8>, Staged)>,
 }
 
 struct ChaosState {
@@ -251,10 +343,20 @@ struct ChaosState {
 }
 
 impl ChaosState {
-    /// The crash: resolve every staged write across every file under
-    /// the seeded policy, then freeze the media.
+    /// The crash: resolve every un-synced rename and every staged
+    /// write across every file under the seeded policy, then freeze the
+    /// media. A rename lands with the probability a staged write lands
+    /// whole; otherwise the name keeps the replaced file, and what was
+    /// written to the new one is gone with it.
     fn crash(&mut self, point: CrashPoint) {
         for file in &mut self.files {
+            if let Some((durable, staged)) = file.unrenamed.take() {
+                let p = &self.policy;
+                if self.rng.f64() < p.p_drop + p.p_tear + p.p_flip {
+                    file.durable = durable;
+                    file.staged = staged;
+                }
+            }
             for (off, data) in std::mem::take(&mut file.staged) {
                 let roll = self.rng.f64();
                 let p = &self.policy;
@@ -390,6 +492,23 @@ impl Media for ChaosMedia {
         file.staged.clear();
         Ok(())
     }
+    /// Four tagged operations, as on a real file system: the temporary
+    /// file's write and sync (a crash at either, or at the rename,
+    /// keeps the old content — the temporary file is never read), the
+    /// rename, and the directory sync.
+    fn replace(&self, data: &[u8]) -> Result<()> {
+        let mut st = self.ctl.lock().unwrap();
+        st.admit(CrashPoint::CompactWrite)?;
+        st.admit(CrashPoint::CompactSync)?;
+        st.admit(CrashPoint::CompactRename)?;
+        let file = &mut st.files[self.idx];
+        let replaced = std::mem::replace(&mut file.durable, data.to_vec());
+        file.unrenamed = Some((replaced, std::mem::take(&mut file.staged)));
+        file.live = data.to_vec();
+        st.admit(CrashPoint::CompactDirSync)?;
+        st.files[self.idx].unrenamed = None;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -443,6 +562,59 @@ mod tests {
         let m = ctl.media();
         m.write_at(0, b"abc", CrashPoint::PersistWrite).unwrap();
         assert_eq!(m.read_at(0, 3).unwrap(), b"abc");
+    }
+
+    #[test]
+    fn a_chaos_replace_is_old_or_new_at_every_crash_point() {
+        let lands = ChaosPolicy { seed: 5, p_tear: 0.0, p_drop: 0.0, p_flip: 0.0 };
+        let lost = ChaosPolicy { p_drop: 1.0, ..lands };
+        // Ops 1–2 make "old content" durable; the replace is ops 3–6;
+        // op 7 is the first one after it.
+        let cells = [
+            (3, CrashPoint::CompactWrite, "old content", "old content"),
+            (4, CrashPoint::CompactSync, "old content", "old content"),
+            (5, CrashPoint::CompactRename, "old content", "old content"),
+            (6, CrashPoint::CompactDirSync, "new", "old content"),
+            (7, CrashPoint::Other, "new", "new"),
+        ];
+        for (kill, point, if_lands, if_lost) in cells {
+            for (policy, expect) in [(lands, if_lands), (lost, if_lost)] {
+                let ctl = ChaosController::new(policy, CrashPlan { kill_at_op: kill });
+                let m = ctl.media();
+                m.write_at(0, b"old content", CrashPoint::PersistWrite).unwrap();
+                m.sync(CrashPoint::PersistSync).unwrap();
+                let replaced = m.replace(b"new");
+                assert_eq!(replaced.is_ok(), kill == 7, "kill {kill}");
+                if replaced.is_ok() {
+                    assert_eq!(m.read_at(0, 100).unwrap(), b"new", "the process sees its replace");
+                    assert!(m.sync(CrashPoint::Other).is_err());
+                }
+                assert_eq!(ctl.crash_point(), Some(point));
+                let after = m.read_at(0, 100).unwrap();
+                assert_eq!(after, expect.as_bytes(), "kill {kill}, {policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_replace_renames_a_synced_copy_over_the_file() {
+        let dir = std::env::temp_dir().join(format!("gsview-media-replace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("epochs.gsv");
+        let m = FsMedia::open(&path).unwrap();
+        m.write_at(0, b"old content", CrashPoint::Other).unwrap();
+        m.sync(CrashPoint::Other).unwrap();
+        // A stale temporary file from a crash is truncated, not appended to.
+        std::fs::write(dir.join("epochs.tmp"), b"stale wreckage, longer than the new").unwrap();
+        m.replace(b"new").unwrap();
+        assert_eq!((m.len(), m.read_at(0, 100).unwrap()), (3, b"new".to_vec()));
+        assert!(!dir.join("epochs.tmp").exists());
+        // Writes go to the file the path names now.
+        m.write_at(3, b"er", CrashPoint::Other).unwrap();
+        m.sync(CrashPoint::Other).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"newer");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

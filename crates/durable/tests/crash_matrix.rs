@@ -1,31 +1,38 @@
 //! Kill-at-every-write-point crash matrix.
 //!
-//! A persist is one write and one sync, so a fixed multi-epoch persist
-//! workload admits two tagged operations per epoch. It runs against
-//! [`ChaosMedia`](gsview_durable::ChaosMedia) once with a never-firing
-//! plan to count them, then once per operation **and per fate of the
-//! un-synced write** with the crash planned exactly there: the write
-//! lands whole although its sync was lost, vanishes, lands as a torn
-//! prefix, lands with a flipped bit, or — the seeded mix — any of the
-//! four. After each crash the media heal (durable bytes kept, process
-//! restarted), the durable store reopens, and the recovered state must
-//! satisfy the [`check_crash_recovery`] oracle: recovery lands on a
-//! committed batch boundary, no torn or resurrected objects,
-//! structural sharing preserved (a re-persist of the recovered store
-//! appends nothing — no chunk, no byte).
+//! A persist is one write and one sync, and a compaction is four
+//! operations — the temporary file's write and sync, the rename, the
+//! directory sync — so a fixed multi-epoch persist workload that
+//! compacts the log twice admits a known list of tagged operations. It
+//! runs against [`ChaosMedia`](gsview_durable::ChaosMedia) once with a
+//! never-firing plan to count them, then once per operation **and per
+//! fate of the un-synced write** with the crash planned exactly there:
+//! the write lands whole although its sync was lost, vanishes, lands as
+//! a torn prefix, lands with a flipped bit, or — the seeded mix — any
+//! of the four (an un-synced rename lands or is lost the way a write
+//! lands or not). After each crash the media heal (durable bytes kept,
+//! process restarted), the durable store reopens, and the recovered
+//! state must satisfy the [`check_crash_recovery`] oracle: recovery
+//! lands on a committed batch boundary, no torn or resurrected
+//! objects, structural sharing preserved (a re-persist of the recovered
+//! store appends nothing — no chunk, no byte). A crash inside a
+//! compaction must recover exactly the epoch durable before it.
 //!
 //! The chaos layer tears where its seed says. A second, exhaustive
 //! sweep leaves nothing to the seed: for every persist of the workload
 //! it cuts that persist's single write at every frame boundary, inside
 //! every chunk frame and inside the manifest frame, and flips a bit in
-//! every frame — each must recover the previous epoch.
+//! every frame — each must recover the previous epoch — and it cuts and
+//! flips each compacted image at every frame, which must never recover
+//! a state the image does not hold whole.
 //!
 //! Seeded and environment-tunable for the CI matrix: `DURABLE_SEED`
 //! picks the fault-resolution schedule, `DURABLE_SHARDS` the store's
 //! shard count. A proptest battery drives random (seed, kill-point,
 //! shard) triples beyond the exhaustive sweep, and edge-case tests pin
 //! the named hazards: empty log, hand-torn tail, a retried persist,
-//! a failed sync, and the write/sync budget of a persist itself.
+//! a failed sync, and the write/sync budget of a persist and of a
+//! compaction.
 
 use gsdb::codec::{frame_head, FRAME_HEADER_LEN};
 use gsdb::{Object, Store, StoreConfig, Update};
@@ -102,22 +109,35 @@ fn commit(live: &mut Store, batch: &[Update]) -> bool {
         > 0
 }
 
+/// The batches (by index) after which the workload compacts the log.
+const COMPACT_AFTER: [usize; 2] = [4, 14];
+
 /// Run the workload against `media`: persist the base as `BASE_EPOCH`,
-/// then commit each batch with prefix semantics and persist every
-/// published epoch. Returns `Err(Crashed)` when the plan fires.
+/// then commit each batch with prefix semantics, persist every
+/// published epoch, and compact after the batches of [`COMPACT_AFTER`].
+/// `done(epoch)` follows every completed persist and compaction with
+/// the newest durable epoch. Returns `Err(Crashed)` when the plan
+/// fires.
 fn run_workload(
     media: &MediaSet,
     initial: &Store,
     batches: &[Vec<Update>],
+    done: &mut dyn FnMut(u64),
 ) -> gsview_durable::Result<()> {
     let d = DurableStore::open(media.clone())?;
     let mut epoch = BASE_EPOCH;
     d.persist(NAME, &initial.fork(), meta(epoch))?;
+    done(epoch);
     let mut live = initial.clone();
-    for batch in batches {
+    for (i, batch) in batches.iter().enumerate() {
         if commit(&mut live, batch) {
             epoch += 1;
             d.persist(NAME, &live.fork(), meta(epoch))?;
+            done(epoch);
+        }
+        if COMPACT_AFTER.contains(&i) {
+            assert!(d.compact()? > 0, "batch {i}: the compaction reclaims superseded frames");
+            done(epoch);
         }
     }
     Ok(())
@@ -150,22 +170,43 @@ fn fates(seed: u64) -> [(&'static str, ChaosPolicy); 5] {
     ]
 }
 
-/// Tagged ops the full workload admits (crash-free dry run), plus the
-/// ops consumed by the baseline persist alone — a recovery that finds
-/// *nothing* is legal only when the crash predates the end of that
-/// first persist.
-fn op_counts(shards: usize) -> (u64, u64) {
-    let initial = initial_store(shards);
-    let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
-    let d = DurableStore::open(MediaSet::chaos(&ctl)).unwrap();
-    d.persist(NAME, &initial.fork(), meta(BASE_EPOCH)).unwrap();
-    let baseline = ctl.ops();
-    assert_eq!(baseline, 2, "a persist is one write and one sync");
-    drop(d);
-    let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
-    run_workload(&MediaSet::chaos(&ctl), &initial, &batches()).unwrap();
-    assert!(!ctl.crashed());
-    (ctl.ops(), baseline)
+/// The crash-free dry run: tagged ops the full workload admits, and
+/// after how many ops each persist and compaction had completed, with
+/// the newest durable epoch then — what a crash at a later op may not
+/// lose.
+struct OpCounts {
+    total: u64,
+    /// `(ops admitted, newest durable epoch)` after each step.
+    durable: Vec<(u64, u64)>,
+}
+
+impl OpCounts {
+    fn of(shards: usize) -> OpCounts {
+        let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
+        let mut durable = Vec::new();
+        run_workload(&MediaSet::chaos(&ctl), &initial_store(shards), &batches(), &mut |epoch| {
+            durable.push((ctl.ops(), epoch))
+        })
+        .unwrap();
+        assert!(!ctl.crashed());
+        // Every step is its fixed sequence: two ops a persist, four a
+        // compaction (whose epoch is the persist's before it).
+        let mut last = (0, 0);
+        for &(ops, epoch) in &durable {
+            let budget = if epoch == last.1 { 4 } else { 2 };
+            assert_eq!(ops - last.0, budget, "the step ending at op {ops}");
+            last = (ops, epoch);
+        }
+        OpCounts {
+            total: ctl.ops(),
+            durable,
+        }
+    }
+
+    /// The newest epoch durable before op `kill` ran.
+    fn durable_before(&self, kill: u64) -> Option<u64> {
+        self.durable.iter().take_while(|&&(ops, _)| ops < kill).last().map(|&(_, e)| e)
+    }
 }
 
 /// The recovered state of `d` is a committed epoch, and persisting it
@@ -187,52 +228,82 @@ fn check_recovered(d: &DurableStore, media: &MediaSet, initial: &Store, what: &s
 }
 
 /// One matrix cell: crash at `kill`, heal, reopen, recover, check.
-fn crash_recover_check(policy: ChaosPolicy, fate: &str, shards: usize, kill: u64, baseline_ops: u64) {
+/// Returns the operation the crash hit.
+fn crash_recover_check(
+    policy: ChaosPolicy,
+    fate: &str,
+    shards: usize,
+    kill: u64,
+    ops: &OpCounts,
+) -> CrashPoint {
     let initial = initial_store(shards);
     let ctl = ChaosController::new(policy, CrashPlan { kill_at_op: kill });
     let media = MediaSet::chaos(&ctl);
-    let res = run_workload(&media, &initial, &batches());
-    let what = format!(
-        "seed {} shards {shards} kill@{kill} ({:?}, write {fate})",
-        policy.seed,
-        ctl.crash_point()
-    );
+    let res = run_workload(&media, &initial, &batches(), &mut |_| {});
+    let point = ctl.crash_point().expect("the plan fires inside the workload");
+    let seed = policy.seed;
+    let what = format!("seed {seed} shards {shards} kill@{kill} ({point:?}, write {fate})");
     assert_eq!(res, Err(DurableError::Crashed), "{what}: must crash the workload");
 
     // Restart: durable bytes exactly as the crash resolved them.
     ctl.heal(CrashPlan::default());
     let d = DurableStore::open(media.clone()).unwrap_or_else(|e| panic!("{what}: reopen: {e}"));
     let recovered = check_recovered(&d, &media, &initial, &what);
-    // Persist n is ops 2n-1 (write) and 2n (sync): with the crash at
-    // `kill`, persists before it completed and are durable for good.
-    let completed = (kill - 1) / 2;
-    match recovered {
-        Some(epoch) => assert!(
-            epoch + 1 >= BASE_EPOCH + completed,
-            "{what}: recovered epoch {epoch} lost a synced persist"
+    let in_compaction = matches!(
+        point,
+        CrashPoint::CompactWrite
+            | CrashPoint::CompactSync
+            | CrashPoint::CompactRename
+            | CrashPoint::CompactDirSync
+    );
+    match (recovered, ops.durable_before(kill)) {
+        (Some(epoch), Some(durable)) if in_compaction => assert_eq!(
+            epoch, durable,
+            "{what}: a crash in a compaction recovers the epoch durable before it"
         ),
-        None => assert!(
-            kill <= baseline_ops,
-            "{what}: durable state vanished after a completed persist"
+        (Some(epoch), Some(durable)) => assert!(
+            epoch >= durable,
+            "{what}: recovered epoch {epoch} lost synced epoch {durable}"
         ),
+        (None, Some(durable)) => {
+            panic!("{what}: durable state vanished after epoch {durable} was synced")
+        }
+        // Before the first persist completed, nothing or its epoch.
+        (_, None) => {}
     }
+    point
 }
 
 #[test]
 fn kill_at_every_write_point_recovers_a_committed_epoch() {
     let seed = env_u64("DURABLE_SEED", 42);
     let shards = env_u64("DURABLE_SHARDS", 2) as usize;
-    let (total, baseline) = op_counts(shards);
+    let ops = OpCounts::of(shards);
     let fates = fates(seed);
     assert!(
-        total * fates.len() as u64 >= 128,
-        "{total} ops x {} fates — below the 128-case matrix floor",
+        ops.total * fates.len() as u64 >= 128,
+        "{} ops x {} fates — below the 128-case matrix floor",
+        ops.total,
         fates.len()
     );
+    let mut hit = Vec::new();
     for (fate, policy) in fates {
-        for kill in 1..=total {
-            crash_recover_check(policy, fate, shards, kill, baseline);
+        for kill in 1..=ops.total {
+            let point = crash_recover_check(policy, fate, shards, kill, &ops);
+            if !hit.contains(&point) {
+                hit.push(point);
+            }
         }
+    }
+    for point in [
+        CrashPoint::PersistWrite,
+        CrashPoint::PersistSync,
+        CrashPoint::CompactWrite,
+        CrashPoint::CompactSync,
+        CrashPoint::CompactRename,
+        CrashPoint::CompactDirSync,
+    ] {
+        assert!(hit.contains(&point), "no cell crashed at {point:?}");
     }
 }
 
@@ -244,9 +315,9 @@ proptest! {
     #[test]
     fn random_seeds_and_kill_points_recover(seed in 1u64..u64::MAX / 2, permille in 0u64..1000) {
         for shards in [1usize, 8] {
-            let (total, baseline) = op_counts(shards);
-            let kill = 1 + permille * (total - 1) / 1000;
-            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill, baseline);
+            let ops = OpCounts::of(shards);
+            let kill = 1 + permille * (ops.total - 1) / 1000;
+            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill, &ops);
         }
     }
 }
@@ -257,9 +328,9 @@ fn kill_matrix_spot_checks_every_shard_count() {
     // supported power of two gets first / early / middle / last ops.
     let seed = env_u64("DURABLE_SEED", 42);
     for shards in [1usize, 2, 4, 8] {
-        let (total, baseline) = op_counts(shards);
-        for kill in [1, 2, total / 2, total] {
-            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill.max(1), baseline);
+        let ops = OpCounts::of(shards);
+        for kill in [1, 2, ops.total / 2, ops.total] {
+            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill.max(1), &ops);
         }
     }
 }
@@ -277,6 +348,28 @@ fn frame_bounds(bytes: &[u8], from: usize) -> Vec<usize> {
     at
 }
 
+/// Every frame of `bytes` from `from` on, wrecked: torn at the frame's
+/// boundary, inside its header, inside its payload, one byte short of
+/// whole; and with a flipped bit in the header and in the payload,
+/// everything behind it landed. Each wreck comes with its description.
+fn wrecks(bytes: &[u8], from: usize) -> Vec<(Vec<u8>, String)> {
+    let mut out = Vec::new();
+    for w in frame_bounds(bytes, from).windows(2) {
+        let (start, end) = (w[0], w[1]);
+        let frame = if end == bytes.len() { "manifest" } else { "chunk" };
+        for cut in [start, start + 4, (start + FRAME_HEADER_LEN + end) / 2, end - 1] {
+            let what = format!("cut at {cut} ({frame} frame {start}..{end})");
+            out.push((bytes[..cut].to_vec(), what));
+        }
+        for at in [start + 2, start + 6, start + FRAME_HEADER_LEN, end - 1] {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 0x10;
+            out.push((flipped, format!("bit flipped at {at} ({frame} frame {start}..{end})")));
+        }
+    }
+    out
+}
+
 #[test]
 fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
     let shards = env_u64("DURABLE_SHARDS", 2) as usize;
@@ -287,69 +380,63 @@ fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
     let mut live = initial.clone();
     let mut epoch = BASE_EPOCH;
     let mut chunk_frames = 0;
-    for batch in batches() {
-        if !commit(&mut live, &batch) {
-            continue;
-        }
-        let before = media.log.len() as usize;
-        epoch += 1;
-        d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
-        let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
-        let bounds = frame_bounds(&bytes, before);
-        assert!(bounds.len() >= 3, "epoch {epoch}: at least a chunk and the manifest");
-        chunk_frames += bounds.len() - 2;
-
-        let recovers = |wreck: Vec<u8>, what: String| {
-            let media = MediaSet {
-                log: Arc::new(MemMedia::from_bytes(wreck)),
-            };
-            let d = DurableStore::open(media.clone()).unwrap();
-            assert_eq!(
-                check_recovered(&d, &media, &initial, &what),
-                Some(epoch - 1),
-                "{what}"
-            );
+    let open = |wreck: Vec<u8>| {
+        let media = MediaSet {
+            log: Arc::new(MemMedia::from_bytes(wreck)),
         };
-        for w in bounds.windows(2) {
-            let (start, end) = (w[0], w[1]);
-            let frame = if end == bytes.len() { "manifest" } else { "chunk" };
-            // Torn at the frame's boundary, inside its header, inside
-            // its payload, one byte short of whole.
-            for cut in [start, start + 4, (start + FRAME_HEADER_LEN + end) / 2, end - 1] {
-                recovers(
-                    bytes[..cut].to_vec(),
-                    format!("epoch {epoch}: write cut at {cut} ({frame} frame {start}..{end})"),
-                );
+        (DurableStore::open(media.clone()), media)
+    };
+    for (i, batch) in batches().iter().enumerate() {
+        if commit(&mut live, batch) {
+            let before = media.log.len() as usize;
+            epoch += 1;
+            d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
+            let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+            let frames = frame_bounds(&bytes, before).len() - 1;
+            assert!(frames >= 2, "epoch {epoch}: at least a chunk and the manifest");
+            chunk_frames += frames - 1;
+            for (wreck, what) in wrecks(&bytes, before) {
+                let what = format!("epoch {epoch}: write {what}");
+                let (d, media) = open(wreck);
+                let recovered = check_recovered(&d.unwrap(), &media, &initial, &what);
+                assert_eq!(recovered, Some(epoch - 1), "{what}");
             }
-            // A flipped bit in the header and in the payload, with
-            // everything behind it landed.
-            for at in [start + 2, start + 6, start + FRAME_HEADER_LEN, end - 1] {
-                let mut flipped = bytes.clone();
-                flipped[at] ^= 0x10;
-                recovers(
-                    flipped,
-                    format!("epoch {epoch}: bit flipped at {at} ({frame} frame {start}..{end})"),
-                );
+        }
+        if COMPACT_AFTER.contains(&i) {
+            d.compact().unwrap();
+            let image = media.log.read_at(0, media.log.len() as usize).unwrap();
+            let (whole, _) = open(image.clone());
+            assert_eq!(whole.unwrap().recover(NAME).unwrap().unwrap().manifest.epoch, epoch);
+            // The image is only ever renamed into place whole, after its
+            // sync. Wrecked anyway, its one manifest — the last frame —
+            // goes with it: recovery finds nothing, never a state the
+            // image does not hold whole.
+            for (wreck, what) in wrecks(&image, 0) {
+                let what = format!("epoch {epoch}: compacted image {what}");
+                let (d, media) = open(wreck);
+                assert_eq!(check_recovered(&d.unwrap(), &media, &initial, &what), None, "{what}");
             }
         }
     }
     assert!(chunk_frames > (epoch - BASE_EPOCH) as usize, "some write held several chunks");
 }
 
-/// An in-memory media that counts writes and syncs and can fail the
-/// next sync once.
+/// An in-memory media that counts writes, syncs and replaces and can
+/// fail the next sync once.
 #[derive(Default)]
 struct Probe {
     inner: MemMedia,
     writes: AtomicU64,
     syncs: AtomicU64,
+    replaces: AtomicU64,
     fail_next_sync: AtomicBool,
 }
 
 impl Probe {
-    /// `(writes, syncs)` since the last call.
-    fn take(&self) -> (u64, u64) {
-        (self.writes.swap(0, Ordering::Relaxed), self.syncs.swap(0, Ordering::Relaxed))
+    /// `(writes, syncs, replaces)` since the last call.
+    fn take(&self) -> (u64, u64, u64) {
+        let take = |n: &AtomicU64| n.swap(0, Ordering::Relaxed);
+        (take(&self.writes), take(&self.syncs), take(&self.replaces))
     }
 }
 
@@ -371,6 +458,10 @@ impl Media for Probe {
         }
         self.inner.sync(point)
     }
+    fn replace(&self, data: &[u8]) -> gsview_durable::Result<()> {
+        self.replaces.fetch_add(1, Ordering::Relaxed);
+        self.inner.replace(data)
+    }
 }
 
 #[test]
@@ -381,32 +472,40 @@ fn a_persist_is_one_write_and_one_sync_and_an_unchanged_store_is_neither() {
             log: Arc::clone(&probe) as Arc<dyn Media>,
         };
         let d = DurableStore::open(media.clone()).unwrap();
-        assert_eq!(probe.take(), (0, 0), "opening an empty media writes nothing");
+        assert_eq!(probe.take(), (0, 0, 0), "opening an empty media writes nothing");
         let mut live = initial_store(shards);
         d.persist(NAME, &live.fork(), meta(1)).unwrap();
-        assert_eq!(probe.take(), (1, 1), "{shards} shards: baseline of every page");
+        assert_eq!(probe.take(), (1, 1, 0), "{shards} shards: baseline of every page");
         let mut epoch = 1;
         for batch in batches() {
             if !batch.iter().map(|u| live.apply(u.clone())).take_while(|r| r.is_ok()).count() > 0 {
                 continue;
             }
             epoch += 1;
+            // Below the compaction threshold a persist is exactly one
+            // write and one sync.
             let r = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
             assert!(r.chunks_appended >= 1);
-            assert_eq!(probe.take(), (1, 1), "{shards} shards, epoch {epoch}: {r:?}");
+            assert_eq!(probe.take(), (1, 1, 0), "{shards} shards, epoch {epoch}: {r:?}");
             // Unchanged store, same epoch: nothing to make durable.
             let again = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
             assert_eq!((again.chunks_appended, again.frame_off), (0, r.frame_off));
-            assert_eq!(probe.take(), (0, 0), "{shards} shards, epoch {epoch}: unchanged store");
+            assert_eq!(probe.take(), (0, 0, 0), "{shards} shards, epoch {epoch}: unchanged store");
         }
         // Same pages under a new epoch: one manifest, still one write.
         d.persist(NAME, &live.fork(), meta(epoch + 1)).unwrap();
-        assert_eq!(probe.take(), (1, 1));
+        assert_eq!(probe.take(), (1, 1, 0));
+        // A compaction is one replace of the whole content and nothing
+        // else; compacting a compact log is nothing at all.
+        assert!(d.compact().unwrap() > 0);
+        assert_eq!(probe.take(), (0, 0, 1), "{shards} shards: compaction");
+        assert_eq!(d.compact().unwrap(), 0);
+        assert_eq!(probe.take(), (0, 0, 0), "{shards} shards: compacting a compact log");
         // A restart later, the recovered store is as unchanged as ever.
         let d = DurableStore::open(media).unwrap();
         let rec = d.recover(NAME).unwrap().unwrap();
         d.persist(NAME, &rec.store, meta(epoch + 1)).unwrap();
-        assert_eq!(probe.take(), (0, 0), "re-attach after recovery");
+        assert_eq!(probe.take(), (0, 0, 0), "re-attach after recovery");
     }
 }
 
@@ -449,7 +548,7 @@ fn empty_log_is_a_cold_start() {
     let ctl = ChaosController::new(ChaosPolicy::seeded(7), CrashPlan { kill_at_op: 1 });
     let media = MediaSet::chaos(&ctl);
     let initial = initial_store(2);
-    assert!(run_workload(&media, &initial, &batches()).is_err());
+    assert!(run_workload(&media, &initial, &batches(), &mut |_| {}).is_err());
     ctl.heal(CrashPlan::default());
     let d = DurableStore::open(media).unwrap();
     assert!(d.recover(NAME).unwrap().is_none());

@@ -10,11 +10,14 @@
 //! oracle, and re-persisting the recovered store must append zero
 //! chunks (structural sharing survives the restart). The lineage then
 //! keeps growing through the recovered handle, so one run crosses
-//! many restart boundaries on one file.
+//! many restart boundaries on one file — and, since every other kill
+//! is preceded by a compaction, many renames of a fresh file over it.
 //!
-//! Also here, because it is about what is on disk: a directory written
-//! by the three-file layout this format replaced is refused with the
-//! typed version error, and left untouched.
+//! Also here, because they are about what is on disk: a stale
+//! `epochs.tmp` left by a crash before a compaction's rename is ignored
+//! on open and overwritten by the next compaction, and a directory
+//! written by the three-file layout this format replaced is refused
+//! with the typed version error, and left untouched.
 
 use gsdb::{Object, Store, Update};
 use gsview_core::check_crash_recovery;
@@ -130,7 +133,7 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
     d.persist(NAME, &initial.fork(), meta(BASE_EPOCH)).unwrap();
 
     let mut epoch = BASE_EPOCH;
-    let mut restarts = 0u64;
+    let (mut restarts, mut compactions) = (0u64, 0u64);
     for round in 1..=EPOCHS {
         let batch = gen_batch(&mut rng, &mut attached);
         let mut applied_any = false;
@@ -146,6 +149,14 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
         }
 
         if round % KILL_EVERY == 0 || round == EPOCHS {
+            if round % (2 * KILL_EVERY) == 0 {
+                let before = log_len(&dir);
+                let reclaimed = d.compact().expect("compaction on a healthy disk");
+                assert!(reclaimed > 0, "round {round}: superseded epochs to reclaim");
+                assert_eq!(log_len(&dir), before - reclaimed);
+                assert!(!dir.join("epochs.tmp").exists(), "round {round}: renamed away");
+                compactions += 1;
+            }
             d = kill_and_reopen(d, &dir);
             restarts += 1;
             let rec = d
@@ -165,15 +176,15 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
             );
             // Structural sharing across the restart: re-persisting the
             // recovered (unchanged) store appends nothing.
-            let log_len = std::fs::metadata(dir.join("epochs.gsv")).unwrap().len();
+            let len = log_len(&dir);
             let r = d.persist(NAME, &rec.store, meta(epoch)).unwrap();
             assert_eq!(
                 r.chunks_appended, 0,
                 "restart {restarts} @ round {round}: recovery broke chunk sharing"
             );
             assert_eq!(
-                std::fs::metadata(dir.join("epochs.gsv")).unwrap().len(),
-                log_len,
+                log_len(&dir),
+                len,
                 "restart {restarts} @ round {round}: an unchanged store grew the log"
             );
             // The lineage continues from the recovered image, not the
@@ -184,6 +195,44 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
 
     assert!(epoch - BASE_EPOCH >= 64, "soak must cross 64 maintained epochs");
     assert!(restarts >= EPOCHS / KILL_EVERY, "soak must cross many restarts");
+    assert!(compactions >= restarts / 2 - 1, "soak must cross many compactions");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn log_len(dir: &std::path::Path) -> u64 {
+    std::fs::metadata(dir.join("epochs.gsv")).unwrap().len()
+}
+
+#[test]
+fn a_stale_temporary_file_is_ignored_and_overwritten_by_the_next_compaction() {
+    let dir = scratch_dir("stale-tmp");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut s = initial_store();
+    let d = DurableStore::open(MediaSet::on_dir(&dir).unwrap()).unwrap();
+    for epoch in 1..=4 {
+        s.apply(Update::modify("o1", epoch as i64)).unwrap();
+        d.persist(NAME, &s.fork(), meta(epoch)).unwrap();
+    }
+    drop(d);
+    // A crash before the rename: a temporary file holding the start of
+    // a compacted image (the log's own prefix looks just like one) and
+    // then garbage.
+    let log = std::fs::read(dir.join("epochs.gsv")).unwrap();
+    let stale = [&log[..log.len() / 2], &[0xAB; 4096][..]].concat();
+    std::fs::write(dir.join("epochs.tmp"), &stale).unwrap();
+
+    let d = DurableStore::open(MediaSet::on_dir(&dir).unwrap()).unwrap();
+    assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 4, "the tmp file is not read");
+    assert_eq!(std::fs::read(dir.join("epochs.tmp")).unwrap(), stale, "nor touched by open");
+    assert!(d.compact().unwrap() > 0);
+    assert!(!dir.join("epochs.tmp").exists(), "the compaction's own file was renamed away");
+    assert_eq!(log_len(&dir), d.footprint().live_bytes);
+
+    let d = kill_and_reopen(d, &dir);
+    let rec = d.recover(NAME).unwrap().unwrap();
+    assert_eq!(rec.manifest.epoch, 4);
+    assert_eq!(rec.store.atom(gsdb::Oid::new("o1")), Some(&gsdb::Atom::Int(4)));
+    assert_eq!(d.frames_for(NAME).len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,8 +14,13 @@ use std::collections::HashMap;
 pub struct DurableFootprint {
     /// Distinct content-addressed chunks in the epoch log.
     pub chunks: u64,
-    /// Total epoch-log bytes (chunks, manifests, framing).
+    /// Total epoch-log bytes (chunks, manifests, framing) — what a
+    /// restart scans. Compaction keeps it within a fixed multiple of
+    /// `live_bytes`.
     pub segment_bytes: u64,
+    /// The log's live bytes: the newest manifest of every lineage and
+    /// the chunks it names, framed — the size of a compacted log.
+    pub live_bytes: u64,
     /// Chunk-payload bytes actually appended (after dedup).
     pub appended_bytes: u64,
     /// Chunk-payload bytes dedup avoided appending: bytes of persist

@@ -57,6 +57,14 @@ impl Media for FailSwitchFs {
         }
         self.inner.sync(point)
     }
+    fn replace(&self, data: &[u8]) -> gsview::durable::Result<()> {
+        if self.fail.load(Ordering::Acquire) {
+            return Err(gsview::durable::DurableError::Io(
+                "injected: device unavailable".into(),
+            ));
+        }
+        self.inner.replace(data)
+    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
