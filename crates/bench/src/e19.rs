@@ -35,10 +35,10 @@ use crate::table::{fnum, Table};
 use gsdb::{Object, Oid, Path, Update};
 use gsview_core::check_networked_equivalence;
 use gsview_obs::metrics::Histogram;
-use gsview_serve::{Admission, FrameClient, ServeConfig, Server, SourceService};
+use gsview_serve::{Admission, FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService};
 use gsview_warehouse::protocol::{CostMeter, ReportLevel, SourceQuery};
 use gsview_warehouse::source::QueryPort;
-use gsview_warehouse::{SocketChaosPolicy, Source};
+use gsview_warehouse::Source;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -10,27 +10,14 @@
 
 use gsview_bench::e12;
 
-const BASELINE: &str = include_str!("../baselines/e12_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse()
-        .unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e12_quick.json");
 
 #[test]
 fn fault_tolerance_counts_do_not_drift() {
+    let baseline = Baseline::parse(BASELINE);
     let rows = e12::quick_facts();
     assert_eq!(rows.len(), 6, "three loss rates, cache off and on");
     for r in rows {
@@ -47,7 +34,7 @@ fn fault_tolerance_counts_do_not_drift() {
             ("queries", r.queries),
         ] {
             let key = format!("{config}_{what}");
-            assert_eq!(got, baseline(&key), "{key} drifted from baseline");
+            assert_eq!(got, baseline.int(&key), "{key} drifted from baseline");
         }
     }
 }

@@ -8,26 +8,14 @@
 
 use gsview_bench::e14;
 
-const BASELINE: &str = include_str!("../baselines/e14_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse().unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e14_quick.json");
 
 #[test]
 fn epoch_read_path_facts_do_not_drift() {
+    let baseline = Baseline::parse(BASELINE);
     let (epochs, tears, acc_epoch, acc_mutex) = e14::quick_consistency();
 
     // One epoch per committed batch — a publish skipped (readers stuck
@@ -35,26 +23,26 @@ fn epoch_read_path_facts_do_not_drift() {
     // both show up here.
     assert_eq!(
         epochs,
-        baseline("epochs_published"),
+        baseline.int("epochs_published"),
         "published-epoch count drifted from baseline"
     );
 
     // Two marker atoms read off one snapshot can never disagree. This
     // is the snapshot-isolation claim in its cheapest observable form.
     assert_eq!(tears, 0, "epoch route observed a torn marker pair");
-    assert_eq!(tears, baseline("epoch_pair_tears"));
+    assert_eq!(tears, baseline.int("epoch_pair_tears"));
 
     // Both read routes traverse the identical committed state at the
     // identical base-access cost — the epoch path changes *where*
     // reads happen, not what they cost (the paper's §4.4 metric).
     assert_eq!(
         acc_epoch,
-        baseline("reach_accesses_epoch"),
+        baseline.int("reach_accesses_epoch"),
         "snapshot-route access count drifted from baseline"
     );
     assert_eq!(
         acc_mutex,
-        baseline("reach_accesses_mutex"),
+        baseline.int("reach_accesses_mutex"),
         "mutex-route access count drifted from baseline"
     );
     assert_eq!(acc_epoch, acc_mutex, "routes must cost the same");

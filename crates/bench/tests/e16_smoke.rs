@@ -11,26 +11,14 @@
 
 use gsview_bench::e16;
 
-const BASELINE: &str = include_str!("../baselines/e16_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse().unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e16_quick.json");
 
 #[test]
 fn sharded_commit_facts_do_not_drift() {
+    let baseline = Baseline::parse(BASELINE);
     // quick_facts itself asserts the cross-route agreements: every
     // shard count (1/2/4/8) and the mutex baseline publish exactly
     // writers x batches epochs over the identical final object set,
@@ -38,12 +26,12 @@ fn sharded_commit_facts_do_not_drift() {
     let (epochs, objects) = e16::quick_facts();
     assert_eq!(
         epochs,
-        baseline("epochs_published"),
+        baseline.int("epochs_published"),
         "published-epoch count drifted from baseline"
     );
     assert_eq!(
         objects,
-        baseline("final_objects"),
+        baseline.int("final_objects"),
         "final object count drifted from baseline"
     );
     // Same test, so nothing else in this process moves the process-wide
@@ -56,7 +44,7 @@ fn sharded_commit_facts_do_not_drift() {
     );
     assert_eq!(
         small,
-        baseline("copies_per_commit"),
+        baseline.int("copies_per_commit"),
         "pages + segments copied per structural commit drifted from baseline"
     );
 }

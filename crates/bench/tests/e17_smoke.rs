@@ -8,27 +8,14 @@
 
 use gsview_bench::e17;
 
-const BASELINE: &str = include_str!("../baselines/e17_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse()
-        .unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e17_quick.json");
 
 #[test]
 fn restart_facts_do_not_drift() {
+    let baseline = Baseline::parse(BASELINE);
     // quick_facts itself asserts the structural guarantees: warm
     // restart answers zero queries to the source, recovers the exact
     // object set the live store held, and the diff resync reuses at
@@ -36,31 +23,32 @@ fn restart_facts_do_not_drift() {
     let (cold_queries, recovered_objects, resync_fetched, resync_reused) = e17::quick_facts();
     assert_eq!(
         cold_queries,
-        baseline("cold_queries"),
+        baseline.int("cold_queries"),
         "cold-restart query count drifted from baseline"
     );
     assert_eq!(
         recovered_objects,
-        baseline("recovered_objects"),
+        baseline.int("recovered_objects"),
         "recovered object count drifted from baseline"
     );
     assert_eq!(
         resync_fetched,
-        baseline("resync_fetched"),
+        baseline.int("resync_fetched"),
         "diff-resync fetched-chunk count drifted from baseline"
     );
     assert_eq!(
         resync_reused,
-        baseline("resync_reused"),
+        baseline.int("resync_reused"),
         "diff-resync reused-chunk count drifted from baseline"
     );
 }
 
 #[test]
 fn a_restart_scans_the_live_bytes_not_the_history() {
+    let baseline = Baseline::parse(BASELINE);
     // The live set sits past the 1 MiB compaction floor, so after any
     // history the log the open scan reads is bounded by the ratio alone.
-    let max = baseline("history_scan_over_live_max");
+    let max = baseline.int("history_scan_over_live_max");
     for (epochs, scanned, live) in e17::history_facts() {
         assert!(live > 1 << 20, "{epochs} epochs: {live} live bytes, under the floor");
         assert!(

@@ -11,37 +11,10 @@
 
 use gsview_bench::e18;
 
+mod common;
+use common::Baseline;
+
 const BASELINE: &str = include_str!("../baselines/e18_quick.json");
-
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse()
-        .unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
-
-/// Extraction of `"key": "<string>"` from the baseline JSON.
-fn baseline_str(key: &str) -> &'static str {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"))
-        .trim_start()
-        .strip_prefix('"')
-        .unwrap_or_else(|| panic!("baseline key {key} not a string"));
-    rest.split('"').next().unwrap()
-}
 
 /// Regression pin for the E18 routing fix: the planner must route
 /// wildcard selection shapes to Algorithm 1 — the circuit's
@@ -50,11 +23,12 @@ fn baseline_str(key: &str) -> &'static str {
 /// routing rule back requires touching the checked-in baseline too.
 #[test]
 fn wildcard_routing_decision_is_pinned() {
+    let baseline = Baseline::parse(BASELINE);
     let sel = gsview_query::pathexpr::PathExpr::parse("*.student").unwrap();
     let (backend, why) = gsview_query::choose_backend(&sel, 1, false);
     assert_eq!(
         format!("{backend}"),
-        baseline_str("wildcard_backend"),
+        baseline.text("wildcard_backend"),
         "wildcard routing decision drifted from baseline"
     );
     assert!(
@@ -65,30 +39,31 @@ fn wildcard_routing_decision_is_pinned() {
 
 #[test]
 fn backend_facts_do_not_drift() {
+    let baseline = Baseline::parse(BASELINE);
     let (delta_ops, single, multi, wildcard, aggregate) = e18::quick_facts();
     assert_eq!(
         delta_ops,
-        baseline("delta_ops"),
+        baseline.int("delta_ops"),
         "consolidated batch size drifted from baseline"
     );
     assert_eq!(
         single,
-        baseline("single_changed"),
+        baseline.int("single_changed"),
         "single-path membership churn drifted from baseline"
     );
     assert_eq!(
         multi,
-        baseline("multi_changed"),
+        baseline.int("multi_changed"),
         "multi-path union membership churn drifted from baseline"
     );
     assert_eq!(
         wildcard,
-        baseline("wildcard_changed"),
+        baseline.int("wildcard_changed"),
         "wildcard membership churn drifted from baseline"
     );
     assert_eq!(
         aggregate,
-        baseline("aggregate_changed"),
+        baseline.int("aggregate_changed"),
         "aggregate membership churn drifted from baseline"
     );
 }

@@ -8,45 +8,32 @@
 
 use gsview_bench::e19;
 
-const BASELINE: &str = include_str!("../baselines/e19_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse()
-        .unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e19_quick.json");
 
 #[test]
 fn serving_facts_hold_and_p99_meets_the_slo() {
+    let baseline = Baseline::parse(BASELINE);
     let (requests, ok, equivalence_failures, p99_us, shed) = e19::quick_facts();
-    assert_eq!(requests as u64, baseline("requests"), "request count drifted");
+    assert_eq!(requests as u64, baseline.int("requests"), "request count drifted");
     assert_eq!(
         ok as u64,
-        baseline("ok"),
+        baseline.int("ok"),
         "a clean-network round trip was dropped"
     );
     assert_eq!(
         equivalence_failures as u64,
-        baseline("equivalence_failures"),
+        baseline.int("equivalence_failures"),
         "remote answers diverged from colocated evaluation"
     );
     assert_eq!(
         shed,
-        baseline("shed"),
+        baseline.int("shed"),
         "admission shed count drifted from baseline"
     );
-    let budget = baseline("p99_budget_us");
+    let budget = baseline.int("p99_budget_us");
     assert!(
         p99_us <= budget,
         "p99 read latency {p99_us}us blew the {budget}us SLO budget"

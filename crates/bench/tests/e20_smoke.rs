@@ -11,29 +11,16 @@
 
 use gsview_bench::e20;
 
-const BASELINE: &str = include_str!("../baselines/e20_quick.json");
+mod common;
+use common::Baseline;
 
-/// Minimal extraction of `"key": <integer>` from the baseline JSON —
-/// no serde in the dependency tree.
-fn baseline(key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = BASELINE
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("baseline key {key} missing"));
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    num.parse()
-        .unwrap_or_else(|_| panic!("baseline key {key} not an integer"))
-}
+const BASELINE: &str = include_str!("../baselines/e20_quick.json");
 
 #[test]
 fn export_facts_hold_and_overhead_stays_in_budget() {
+    let baseline = Baseline::parse(BASELINE);
     let (base, active, slow, connected, foreign) = e20::quick_facts();
-    let requests = baseline("requests") as usize;
+    let requests = baseline.int("requests") as usize;
 
     // Export never costs a read, on any route.
     for row in [&base, &active, &slow] {
@@ -47,7 +34,7 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
 
     // Every route stays inside the serving SLO — including the one
     // with a subscriber that never reads.
-    let budget = baseline("p99_budget_us");
+    let budget = baseline.int("p99_budget_us");
     for row in [&base, &active, &slow] {
         assert!(
             row.p99_us <= budget,
@@ -61,8 +48,8 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
     // The active subscriber actually streamed, and its overhead on
     // read p99 is inside the budget (5% + quick-mode noise floor).
     assert!(active.batches > 0, "live subscriber received no batches");
-    let overhead_cap = base.p99_us + base.p99_us * baseline("overhead_budget_pct") / 100
-        + baseline("noise_floor_us");
+    let overhead_cap = base.p99_us + base.p99_us * baseline.int("overhead_budget_pct") / 100
+        + baseline.int("noise_floor_us");
     assert!(
         active.p99_us <= overhead_cap,
         "active-subscriber p99 {}us exceeds baseline {}us + budget (cap {}us)",
@@ -74,7 +61,7 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
     // The slow subscriber forces counted drops — telemetry sheds,
     // serving doesn't.
     assert!(
-        slow.export_dropped >= baseline("min_dropped"),
+        slow.export_dropped >= baseline.int("min_dropped"),
         "slow subscriber produced no counted drops"
     );
 

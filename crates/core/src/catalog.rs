@@ -79,7 +79,7 @@ enum CatalogEntry {
         mv: MaterializedView,
     },
     General {
-        maintainer: GeneralMaintainer,
+        maintainer: Box<GeneralMaintainer>,
         mv: MaterializedView,
     },
 }
@@ -129,7 +129,7 @@ impl Catalog {
                 mv,
             }
         } else if let Some(general) = GeneralViewDef::from_viewdef(def) {
-            let maintainer = GeneralMaintainer::planned(general);
+            let maintainer = Box::new(GeneralMaintainer::planned(general));
             let mv = maintainer.recompute(store)?;
             CatalogEntry::General { maintainer, mv }
         } else {

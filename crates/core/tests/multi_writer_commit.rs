@@ -8,15 +8,16 @@
 //! routes (sequential, batched, recompute, parallel) agree on the
 //! serialized run. A cross-shard torn-write detector plants marker
 //! pairs spanning two shards and asserts no reader ever observes half
-//! a commit. A seeded-schedule stress test (`GSVIEW_STRESS_SEED`)
-//! drives the same oracles through reproducible random schedules for
-//! the CI stress job.
+//! a commit. A seeded-schedule stress test (`GSVIEW_SEED`) drives the
+//! same oracles through reproducible random schedules for the CI
+//! seeded-faults job.
 
 use gsdb::{Object, Oid, Store, StoreConfig, Update};
 use gsview_core::{
     assert_cross_shard_isolated, check_cross_shard_isolation, check_sharded_commit_equivalence,
     SimpleViewDef,
 };
+use gsview_obs::fault::{self, Stream};
 use gsview_query::{CmpOp, Pred};
 use proptest::prelude::*;
 
@@ -233,56 +234,36 @@ proptest! {
     }
 }
 
-/// Splitmix-style generator so the stress schedule is reproducible
-/// from a single seed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Seeded-schedule stress for the two-phase publish path: several
 /// rounds of racing writers at every shard count, with writer count,
-/// run shapes, and contention mix all derived from one seed. CI runs
-/// this with a matrix of seeds (`GSVIEW_STRESS_SEED`); locally the
-/// default seed keeps it deterministic. `GSVIEW_STRESS_ROUNDS` scales
-/// the workload up for soak runs.
+/// run shapes, and contention mix all drawn from the one fault
+/// schedule. CI runs this with a matrix of seeds (`GSVIEW_SEED`);
+/// locally the default seed keeps it deterministic.
+/// `GSVIEW_STRESS_ROUNDS` scales the workload up for soak runs.
 #[test]
 fn seeded_schedule_stress_two_phase_publish() {
-    let seed = std::env::var("GSVIEW_STRESS_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0xC0FFEE);
+    let seed = fault::seed();
     let rounds = std::env::var("GSVIEW_STRESS_ROUNDS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(2);
-    let mut rng = Lcg(seed);
+    let schedule = Stream::new(seed, "stress");
+    let below = |n: usize| schedule.draw().below(n as u64) as usize;
 
     for round in 0..rounds {
         for &shards in &SHARD_COUNTS {
             // Commit-equivalence leg: 2–8 writers, mixed contention.
-            let writers = 2 + rng.below(7);
+            let writers = 2 + below(7);
             let (store, atoms) = shared_base(shards);
             let runs: Vec<Vec<Update>> = (0..writers)
                 .map(|_| {
-                    let raw: Vec<(u8, usize, usize, i64)> = (0..3 + rng.below(8))
+                    let raw: Vec<(u8, usize, usize, i64)> = (0..3 + below(8))
                         .map(|_| {
                             (
-                                rng.below(10) as u8,
-                                rng.below(16),
-                                rng.below(16),
-                                rng.below(100) as i64,
+                                below(10) as u8,
+                                below(16),
+                                below(16),
+                                below(100) as i64,
                             )
                         })
                         .collect();
@@ -301,9 +282,9 @@ fn seeded_schedule_stress_two_phase_publish() {
             assert_eq!(v.epochs as usize, v.serialized.len());
 
             // Torn-write leg: marker pairs under the same seed.
-            let w = 2 + rng.below(3);
+            let w = 2 + below(3);
             let fresh = Store::with_config(StoreConfig::default().with_shards(shards));
-            assert_cross_shard_isolated(&fresh, w, 8 + rng.below(12), 2, 8);
+            assert_cross_shard_isolated(&fresh, w, 8 + below(12), 2, 8);
         }
     }
 }

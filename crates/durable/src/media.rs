@@ -14,11 +14,13 @@
 //! [`ChaosMedia`] simulates exactly that model, deterministically:
 //! writes are staged until the next sync, and when the seeded
 //! [`CrashPlan`] fires, every staged write independently resolves to
-//! commit / drop / tear / bit-flip under the [`ChaosPolicy`]'s seeded
-//! RNG. One [`ChaosController`] coordinates every media allocated
-//! under it, so a crash hits all of them at once the way a real power
-//! cut does. Mirrors the networking chaos layer in
-//! `warehouse/src/chaos.rs`: seeded, deterministic, and assertable.
+//! commit / drop / tear / bit-flip under the [`ChaosPolicy`], drawn from
+//! the workspace's one fault schedule ([`gsview_obs::fault`]) at the
+//! disk boundary. One [`ChaosController`] coordinates every media
+//! allocated under it, so a crash hits all of them at once the way a
+//! real power cut does. Like the report, query and socket injectors it
+//! is seeded, deterministic and assertable, and every fault it resolves
+//! is a `chaos.inject` event naming its draw index.
 //!
 //! Every write carries a [`CrashPoint`] tag naming the logical
 //! operation, so the kill-at-every-write-point matrix can report *what*
@@ -33,6 +35,7 @@
 //! durable.
 
 use crate::error::{DurableError, Result};
+use gsview_obs::fault::Stream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -261,7 +264,7 @@ impl Media for FsMedia {
 /// lands).
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosPolicy {
-    /// RNG seed — equal seeds replay identical fault schedules.
+    /// Schedule seed — equal seeds replay identical fault schedules.
     pub seed: u64,
     /// Probability a staged write lands as a torn prefix.
     pub p_tear: f64,
@@ -293,29 +296,6 @@ pub struct CrashPlan {
     pub kill_at_op: u64,
 }
 
-/// splitmix64 stream — deterministic, seed-stable, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next() % n
-        }
-    }
-}
-
 /// Writes made but not yet synced: `(offset, bytes)` in program order.
 type Staged = Vec<(u64, Vec<u8>)>;
 
@@ -335,7 +315,7 @@ struct ChaosFile {
 struct ChaosState {
     policy: ChaosPolicy,
     plan: CrashPlan,
-    rng: Rng,
+    faults: Stream,
     ops: u64,
     crashed: bool,
     crash_point: Option<CrashPoint>,
@@ -349,32 +329,53 @@ impl ChaosState {
     /// whole; otherwise the name keeps the replaced file, and what was
     /// written to the new one is gone with it.
     fn crash(&mut self, point: CrashPoint) {
+        let p = self.policy;
+        let fates = [p.p_drop, p.p_tear, p.p_flip];
+        let boundary = self.faults.boundary();
+        let inject = |kind: &'static str, k: u64, off: u64| {
+            gsview_obs::event!(
+                "chaos.inject",
+                "boundary" = boundary,
+                "kind" = kind,
+                "k" = k,
+                "off" = off
+            );
+        };
         for file in &mut self.files {
             if let Some((durable, staged)) = file.unrenamed.take() {
-                let p = &self.policy;
-                if self.rng.f64() < p.p_drop + p.p_tear + p.p_flip {
+                let d = self.faults.draw();
+                if d.pick(&fates).is_some() {
                     file.durable = durable;
                     file.staged = staged;
+                    gsview_obs::event!(
+                        "chaos.inject",
+                        "boundary" = boundary,
+                        "kind" = "lost_rename",
+                        "k" = d.k
+                    );
                 }
             }
-            for (off, data) in std::mem::take(&mut file.staged) {
-                let roll = self.rng.f64();
-                let p = &self.policy;
-                if roll < p.p_drop {
-                    continue; // vanished
-                } else if roll < p.p_drop + p.p_tear {
-                    let keep = self.rng.below(data.len() as u64) as usize;
-                    write_slice(&mut file.durable, off, &data[..keep]);
-                } else if roll < p.p_drop + p.p_tear + p.p_flip {
-                    let mut data = data;
-                    if !data.is_empty() {
-                        let bit = self.rng.below(data.len() as u64 * 8);
-                        data[(bit / 8) as usize] ^= 1 << (bit % 8);
+            for (off, mut data) in std::mem::take(&mut file.staged) {
+                let d = self.faults.draw();
+                match d.pick(&fates) {
+                    Some(0) => {
+                        inject("drop", d.k, off);
+                        continue; // vanished
                     }
-                    write_slice(&mut file.durable, off, &data);
-                } else {
-                    write_slice(&mut file.durable, off, &data);
+                    Some(1) => {
+                        inject("tear", d.k, off);
+                        data.truncate(self.faults.draw().below(data.len() as u64) as usize);
+                    }
+                    Some(_) => {
+                        inject("flip", d.k, off);
+                        if !data.is_empty() {
+                            let bit = self.faults.draw().below(data.len() as u64 * 8);
+                            data[(bit / 8) as usize] ^= 1 << (bit % 8);
+                        }
+                    }
+                    None => {}
                 }
+                write_slice(&mut file.durable, off, &data);
             }
             // The "restarted process" view is what survived.
             file.live = file.durable.clone();
@@ -410,7 +411,7 @@ impl ChaosController {
     pub fn new(policy: ChaosPolicy, plan: CrashPlan) -> ChaosController {
         ChaosController {
             state: Arc::new(Mutex::new(ChaosState {
-                rng: Rng(policy.seed),
+                faults: Stream::new(policy.seed, "disk"),
                 policy,
                 plan,
                 ops: 0,

@@ -26,9 +26,11 @@
 //! flips each compacted image at every frame, which must never recover
 //! a state the image does not hold whole.
 //!
-//! Seeded and environment-tunable for the CI matrix: `DURABLE_SEED`
+//! Seeded and environment-tunable for the CI matrix: `GSVIEW_SEED`
 //! picks the fault-resolution schedule, `DURABLE_SHARDS` the store's
-//! shard count. A proptest battery drives random (seed, kill-point,
+//! shard count. Every fault the crash media resolve is a
+//! `chaos.inject` event, so a failing cell's flight-recorder dump
+//! names where in the schedule it broke. A proptest battery drives random (seed, kill-point,
 //! shard) triples beyond the exhaustive sweep, and edge-case tests pin
 //! the named hazards: empty log, hand-torn tail, a retried persist,
 //! a failed sync, and the write/sync budget of a persist and of a
@@ -41,6 +43,7 @@ use gsview_durable::{
     ChaosController, ChaosPolicy, CrashPlan, CrashPoint, DurableError, DurableStore, Media,
     MediaSet, MemMedia, PersistMeta,
 };
+use gsview_obs::fault;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,11 +54,11 @@ const NAME: &str = "src";
 /// catch base-epoch arithmetic mistakes).
 const BASE_EPOCH: u64 = 5;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
+fn shards() -> usize {
+    std::env::var("DURABLE_SHARDS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .unwrap_or(2)
 }
 
 /// The pre-crash base: a root set with enough members to span several
@@ -276,8 +279,8 @@ fn crash_recover_check(
 
 #[test]
 fn kill_at_every_write_point_recovers_a_committed_epoch() {
-    let seed = env_u64("DURABLE_SEED", 42);
-    let shards = env_u64("DURABLE_SHARDS", 2) as usize;
+    let seed = fault::seed();
+    let shards = shards();
     let ops = OpCounts::of(shards);
     let fates = fates(seed);
     assert!(
@@ -326,13 +329,41 @@ proptest! {
 fn kill_matrix_spot_checks_every_shard_count() {
     // The full sweep runs at the CI matrix's shard counts; here every
     // supported power of two gets first / early / middle / last ops.
-    let seed = env_u64("DURABLE_SEED", 42);
+    let seed = fault::seed();
     for shards in [1usize, 2, 4, 8] {
         let ops = OpCounts::of(shards);
         for kill in [1, 2, ops.total / 2, ops.total] {
             crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill.max(1), &ops);
         }
     }
+}
+
+#[test]
+fn a_crash_cell_leaves_its_injections_in_the_flight_recorder() {
+    let shards = shards();
+    let ops = OpCounts::of(shards);
+    // Other tests of this binary emit into the same ring while it is
+    // installed: size it for them.
+    let recorder = Arc::new(gsview_obs::FlightRecorder::with_capacity(1 << 16));
+    let guard = gsview_obs::install(recorder.clone());
+    // Kill the first persist's sync: its one write is staged, and the
+    // pure "dropped" fate drops it with the first draw of the schedule.
+    let (fate, dropped) = fates(fault::seed())[1];
+    crash_recover_check(dropped, fate, shards, 2, &ops);
+    drop(guard);
+    let fields = |r: &gsview_obs::RecordedEvent| {
+        ["boundary", "kind", "k", "off"].map(|key| r.event.field(key).map(|v| v.to_string()))
+    };
+    let want = ["disk", "drop", "0", "0"].map(|v| Some(v.to_string()));
+    let injected = |r: &&gsview_obs::RecordedEvent| r.event.name == "chaos.inject";
+    assert!(
+        recorder
+            .drain()
+            .iter()
+            .filter(injected)
+            .any(|r| fields(r) == want),
+        "the dropped write of the first persist is in the recorder"
+    );
 }
 
 /// Frame boundaries of `bytes[from..]`, as offsets into `bytes`
@@ -372,7 +403,7 @@ fn wrecks(bytes: &[u8], from: usize) -> Vec<(Vec<u8>, String)> {
 
 #[test]
 fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
-    let shards = env_u64("DURABLE_SHARDS", 2) as usize;
+    let shards = shards();
     let initial = initial_store(shards);
     let media = MediaSet::memory();
     let d = DurableStore::open(media.clone()).unwrap();

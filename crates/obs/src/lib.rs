@@ -28,6 +28,11 @@
 //!    as a human-readable table (and JSON-lines to `OBS_DUMP_PATH` if
 //!    set), turning "proptest seed 0x…" into a causal trace.
 //!
+//! Beside them, [`fault`] is the one seeded fault schedule every
+//! injector draws from. It lives here because every injecting crate
+//! already depends on this one, and each injection it decides is a
+//! `chaos.inject` event the flight recorder keeps.
+//!
 //! ## Cost model
 //!
 //! With no collector installed, `span!`/`event!` cost **one relaxed
@@ -60,6 +65,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod export;
+pub mod fault;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;

@@ -24,31 +24,29 @@
 //! wrapper.
 //!
 //! An optional [`SocketChaosPolicy`] injects socket-level faults on
-//! the client side (see [`crate::chaos`]); the op counter feeding the
-//! policy advances once per RPC, so a seeded policy produces the
-//! same fault schedule run over run.
+//! the client side (see [`crate::chaos`]); its fault stream advances
+//! per RPC from the moment the policy is set, so a seeded policy
+//! produces the same fault schedule run over run.
 
-use crate::chaos::{chaos_write, WriteOutcome};
+use crate::chaos::{chaos_write, SocketChaosPolicy, SocketFault, WriteOutcome};
 use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use crate::msg::{Reply, ReplyBody, Request, RequestBody, ServedStats};
+use gsview_obs::fault::Stream;
 use gsview_warehouse::protocol::{QueryFault, SourceQuery, SourceReply, UpdateReport};
 use gsview_warehouse::source::{QueryPort, ReportSource};
-use gsview_warehouse::{SocketChaosPolicy, SocketFault};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Everything an RPC reads or writes, under the one lock it takes: the
-/// cached stream plus its decoder, the chaos policy and the op counter
-/// that feeds it, and the checkpoint fallback.
+/// cached stream plus its decoder, the chaos policy and the fault
+/// stream it decides from, and the checkpoint fallback.
 struct ClientState {
     stream: Option<TcpStream>,
     decoder: FrameDecoder,
     next_id: u64,
-    chaos: Option<SocketChaosPolicy>,
-    /// RPC counter: feeds the chaos policy's per-op decision.
-    op: u64,
+    chaos: Option<(SocketChaosPolicy, Stream)>,
     /// Last successfully fetched checkpoint — the fallback when the
     /// network eats a checkpoint round trip ([`ReportSource`] models
     /// checkpoints as control-plane metadata that always answers).
@@ -81,7 +79,6 @@ impl FrameClient {
                 decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
                 next_id: 1,
                 chaos: None,
-                op: 0,
                 checkpoint: (String::new(), 0),
             }),
             timeout,
@@ -100,10 +97,10 @@ impl FrameClient {
     }
 
     /// Inject socket-level chaos on subsequent calls (pass `None` to
-    /// heal). The policy decides per-RPC from its seed and the
-    /// client's op counter.
+    /// heal). The policy decides per RPC, starting at the head of its
+    /// fault stream.
     pub fn set_chaos(&self, policy: Option<SocketChaosPolicy>) {
-        self.lock().chaos = policy;
+        self.lock().chaos = policy.map(|p| (p, p.stream()));
     }
 
     /// The client state. A lock poisoned by a caller that panicked
@@ -149,8 +146,6 @@ impl FrameClient {
     /// checkpoint reply refreshes the cached fallback on its way out.
     fn rpc(&self, body: RequestBody) -> Result<ReplyBody, QueryFault> {
         let mut st = self.lock();
-        let op = st.op;
-        st.op += 1;
         if st.stream.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
                 .map_err(|_| QueryFault::Unavailable)?;
@@ -168,10 +163,9 @@ impl FrameClient {
         // the frame, so the server's request span joins our trace.
         let frame = encode_frame(&Request::new(id, body).encode());
 
-        let fault = st
-            .chaos
-            .as_ref()
-            .map_or(SocketFault::None, |p| p.decide(op, frame.len()));
+        let fault = st.chaos.as_ref().map_or(SocketFault::None, |(p, faults)| {
+            p.decide(faults, frame.len())
+        });
         let stream = st.stream.as_mut().expect("dialed above");
         match chaos_write(stream, &frame, fault) {
             Ok(WriteOutcome::Sent) | Ok(WriteOutcome::Stalled) => {
@@ -301,12 +295,12 @@ mod tests {
         assert!(died.is_err());
         assert!(client.state.is_poisoned());
 
-        // The next call drops the stream, redials and answers; the op
-        // counter and the checkpoint fallback carried over.
+        // The next call drops the stream, redials and answers; the
+        // request ids and the checkpoint fallback carried over.
         client.ping().unwrap();
         assert!(!client.state.is_poisoned());
         let st = client.lock();
-        assert_eq!(st.op, 3, "handshake, ping, ping");
+        assert_eq!(st.next_id, 4, "handshake, ping, ping");
         assert_eq!(st.checkpoint.0, "persons");
         drop(st);
         server.shutdown();

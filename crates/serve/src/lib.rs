@@ -24,9 +24,10 @@
 //!   warehouse's existing `QueryPort`/`ReportSource` traits so the
 //!   whole retry / dead-letter / gap-detection / resync stack works
 //!   over TCP unchanged;
-//! * [`chaos`] — realization of seeded socket faults (partial
-//!   writes, stalled peers, mid-frame disconnects) decided by the
-//!   warehouse's pure `SocketChaosPolicy`.
+//! * [`chaos`] — seeded socket faults (partial writes, stalled peers,
+//!   mid-frame disconnects): [`SocketChaosPolicy`] decides them from
+//!   the workspace's one fault schedule, [`chaos_write`] carries them
+//!   out.
 //!
 //! ## Wiring a warehouse to a remote source
 //!
@@ -64,7 +65,7 @@ pub mod service;
 pub mod sys;
 pub mod telemetry;
 
-pub use chaos::{chaos_write, WriteOutcome};
+pub use chaos::{chaos_write, SocketChaosPolicy, SocketFault, WriteOutcome};
 pub use client::FrameClient;
 pub use frame::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
 pub use msg::{Reply, ReplyBody, Request, RequestBody, ServedStats};

@@ -5,28 +5,21 @@
 //! batches must surface as sequence gaps; and after the network
 //! heals, resync must land the views exactly on the colocated truth.
 //!
-//! `SERVE_SEED` selects the fault schedule (CI runs a seed matrix);
+//! `GSVIEW_SEED` selects the fault schedule (CI runs a seed matrix);
 //! every assertion here must hold for *all* seeds.
 
 use gsdb::{samples, Oid, Update};
 use gsview_core::{recompute::recompute, LocalBase, SimpleViewDef};
 use gsview_query::{CmpOp, Pred};
-use gsview_serve::{FrameClient, ServeConfig, Server, SourceService};
+use gsview_serve::{FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService};
 use gsview_warehouse::protocol::{CostMeter, ReportLevel};
 use gsview_warehouse::source::ReportSource;
-use gsview_warehouse::{RetryPolicy, SocketChaosPolicy, Source, ViewOptions, Warehouse};
+use gsview_warehouse::{RetryPolicy, Source, ViewOptions, Warehouse};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn oid(s: &str) -> Oid {
     Oid::new(s)
-}
-
-fn serve_seed() -> u64 {
-    std::env::var("SERVE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
 }
 
 fn person_source() -> Source {
@@ -48,7 +41,7 @@ fn yp_def() -> SimpleViewDef {
 /// resync → differential check against colocated recomputation.
 #[test]
 fn warehouse_over_socket_heals_from_seeded_chaos() {
-    let seed = serve_seed();
+    let seed = gsview_obs::fault::seed();
     let src = person_source();
     let svc = Arc::new(SourceService::new(src.clone(), Arc::new(CostMeter::new())));
     let server = Server::spawn(svc, ServeConfig::default()).unwrap();

@@ -4,7 +4,7 @@
 //!    server under sustained (and chaos-battered) request load gets
 //!    gap-counted batches with strictly monotone sequence numbers and
 //!    monotone drop counts, while the request/reply plane keeps
-//!    answering correctly. `SERVE_SEED` picks the fault schedule.
+//!    answering correctly. `GSVIEW_SEED` picks the fault schedule.
 //! 2. **One connected trace** — a networked `resync_view` run under
 //!    the exporter produces server-side `serve.request` spans that
 //!    carry the *client's* trace id and parent under the client-side
@@ -13,11 +13,12 @@
 use gsdb::{samples, Oid, Update};
 use gsview_obs::telemetry::TailSampler;
 use gsview_serve::{
-    FrameClient, ServeConfig, Server, SourceService, TelemetryHub, TelemetryTail,
+    FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService, TelemetryHub,
+    TelemetryTail,
 };
 use gsview_warehouse::protocol::{CostMeter, ReportLevel};
 use gsview_warehouse::source::ReportSource;
-use gsview_warehouse::{RetryPolicy, SocketChaosPolicy, Source, ViewOptions, Warehouse};
+use gsview_warehouse::{RetryPolicy, Source, ViewOptions, Warehouse};
 use gsview_core::SimpleViewDef;
 use gsview_query::{CmpOp, Pred};
 use std::sync::Arc;
@@ -25,13 +26,6 @@ use std::time::{Duration, Instant};
 
 fn oid(s: &str) -> Oid {
     Oid::new(s)
-}
-
-fn serve_seed() -> u64 {
-    std::env::var("SERVE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
 }
 
 fn person_source() -> Source {
@@ -49,7 +43,7 @@ fn person_source() -> Source {
 /// serving plane never stops answering correctly underneath it.
 #[test]
 fn subscriber_gets_monotone_batches_while_serving_survives_chaos() {
-    let seed = serve_seed();
+    let seed = gsview_obs::fault::seed();
     let src = person_source();
     let svc = Arc::new(SourceService::new(src.clone(), Arc::new(CostMeter::new())));
     let hub = Arc::new(TelemetryHub::new(

@@ -5,8 +5,10 @@
 //! is; [`FaultyMonitor`] and [`FaultyWrapper`] are decorators that
 //! realize it — they drop, duplicate, delay and reorder update
 //! reports, downgrade report levels mid-stream (L3 → L1), and make
-//! source queries fail or time out. Everything is driven by one
-//! seeded RNG, so a failing scenario replays exactly from its seed.
+//! source queries fail or time out. Each draws from the workspace's one
+//! fault schedule ([`gsview_obs::fault`]) under the policy's seed, so a
+//! failing scenario replays exactly from its seed, and every injection
+//! is a `chaos.inject` event naming its boundary and draw index.
 //!
 //! [`run_scenario`] is the differential harness: the same update
 //! stream is run through a fault-free sequential Algorithm 1 pass
@@ -20,8 +22,7 @@ use crate::source::{Monitor, QueryPort, ReportSource, Source, Wrapper};
 use crate::warehouse::{ViewOptions, Warehouse};
 use gsdb::{Oid, Result, Store, StoreConfig, Update};
 use gsview_core::{consistency, oracle, SimpleViewDef};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gsview_obs::fault::Stream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -30,7 +31,7 @@ use std::sync::{Arc, Mutex};
 /// default) makes the decorators transparent.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosPolicy {
-    /// RNG seed; the same policy + stream replays identically.
+    /// Schedule seed; the same policy + stream replays identically.
     pub seed: u64,
     /// Probability a report is dropped outright.
     pub drop_prob: f64,
@@ -83,106 +84,6 @@ impl ChaosPolicy {
     }
 }
 
-// ----------------------------------------------------------------------
-// Socket-level faults (the serving tier's transport chaos)
-// ----------------------------------------------------------------------
-
-/// What a socket-chaos injector does to one outbound frame. Decided
-/// per frame by [`SocketChaosPolicy::decide`]; realized by the
-/// serving tier's chaotic client (`gsview-serve`), which owns the
-/// actual socket — this crate only owns the *decision*, so the
-/// differential harness and the transport share one seeded schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SocketFault {
-    /// Deliver the frame intact.
-    None,
-    /// Write only the given number of bytes of the frame, then close
-    /// the connection — the peer sees a mid-frame disconnect.
-    TruncateWrite(usize),
-    /// Write a prefix of the frame and then go silent without
-    /// closing — the peer's stalled-read sweep must reap the
-    /// connection; the sender's read deadline turns into a timeout.
-    Stall(usize),
-    /// Close the connection before writing anything.
-    Disconnect,
-}
-
-/// A seeded description of transport unreliability, decided per
-/// outbound frame. Deterministic: fault `k` for a given seed is a
-/// pure function of `(seed, k)`, so a failing networked scenario
-/// replays exactly from its seed — no RNG state to thread through the
-/// socket layer.
-#[derive(Clone, Copy, Debug)]
-pub struct SocketChaosPolicy {
-    /// Schedule seed.
-    pub seed: u64,
-    /// Probability a frame is truncated mid-write and the connection
-    /// closed (mid-frame disconnect at the peer).
-    pub p_truncate: f64,
-    /// Probability the sender stalls mid-frame without closing.
-    pub p_stall: f64,
-    /// Probability the connection is closed before the frame is sent.
-    pub p_disconnect: f64,
-}
-
-impl Default for SocketChaosPolicy {
-    fn default() -> Self {
-        SocketChaosPolicy {
-            seed: 0,
-            p_truncate: 0.0,
-            p_stall: 0.0,
-            p_disconnect: 0.0,
-        }
-    }
-}
-
-impl SocketChaosPolicy {
-    /// A transparent policy with the given seed.
-    pub fn seeded(seed: u64) -> Self {
-        SocketChaosPolicy {
-            seed,
-            ..SocketChaosPolicy::default()
-        }
-    }
-
-    /// Equal probability `p` for each fault flavor.
-    pub fn uniform(seed: u64, p: f64) -> Self {
-        SocketChaosPolicy {
-            seed,
-            p_truncate: p,
-            p_stall: p,
-            p_disconnect: p,
-        }
-    }
-
-    /// The fault to inject on outbound frame number `op` of
-    /// `frame_len` bytes. Pure: same `(seed, op)` → same decision.
-    pub fn decide(&self, op: u64, frame_len: usize) -> SocketFault {
-        // splitmix64 of (seed, op): cheap, stateless, well-mixed.
-        let mut z = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(op.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let roll = (z >> 11) as f64 / (1u64 << 53) as f64;
-        // A truncated/stalled frame keeps at least one byte (the peer
-        // must observe a *partial* frame, not an empty read) and
-        // drops at least one (otherwise it would be a clean delivery).
-        let cut = 1 + (z as usize % frame_len.max(2).saturating_sub(1));
-        if roll < self.p_truncate {
-            SocketFault::TruncateWrite(cut)
-        } else if roll < self.p_truncate + self.p_stall {
-            SocketFault::Stall(cut)
-        } else if roll < self.p_truncate + self.p_stall + self.p_disconnect {
-            SocketFault::Disconnect
-        } else {
-            SocketFault::None
-        }
-    }
-}
-
 /// What the fault injectors actually did (for experiment reporting and
 /// test assertions).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -213,7 +114,7 @@ pub struct ChaosStats {
 pub struct FaultyMonitor {
     inner: Monitor,
     policy: ChaosPolicy,
-    rng: Mutex<StdRng>,
+    faults: Stream,
     pending: Mutex<Vec<UpdateReport>>,
     stats: Mutex<ChaosStats>,
 }
@@ -224,7 +125,7 @@ impl FaultyMonitor {
         FaultyMonitor {
             inner,
             policy,
-            rng: Mutex::new(StdRng::seed_from_u64(policy.seed ^ 0x006d_6f6e_6974_6f72)),
+            faults: Stream::new(policy.seed, "monitor"),
             pending: Mutex::new(Vec::new()),
             stats: Mutex::new(ChaosStats::default()),
         }
@@ -247,43 +148,57 @@ impl FaultyMonitor {
     #[must_use = "unprocessed reports silently corrupt the warehouse's views"]
     pub fn poll(&self) -> Vec<UpdateReport> {
         let fresh = self.inner.poll();
-        let mut rng = self.rng.lock().unwrap();
+        let p = &self.policy;
         let mut stats = self.stats.lock().unwrap();
         let mut out: Vec<UpdateReport> = self.pending.lock().unwrap().drain(..).collect();
+        let inject = |kind: &'static str, k: u64, seq: u64| {
+            gsview_obs::event!(
+                "chaos.inject",
+                "boundary" = self.faults.boundary(),
+                "kind" = kind,
+                "k" = k,
+                "seq" = seq
+            );
+        };
         for mut report in fresh {
-            if rng.gen_bool(self.policy.drop_prob) {
+            let d = self.faults.draw();
+            if d.chance(p.drop_prob) {
                 stats.dropped += 1;
-                gsview_obs::event!("chaos.inject", "kind" = "drop", "seq" = report.seq);
+                inject("drop", d.k, report.seq);
                 continue;
             }
-            if rng.gen_bool(self.policy.downgrade_prob)
-                && report.effective_level() > ReportLevel::OidsOnly
-            {
+            let d = self.faults.draw();
+            if d.chance(p.downgrade_prob) && report.effective_level() > ReportLevel::OidsOnly {
                 report.info.clear();
                 report.paths.clear();
                 stats.downgraded += 1;
-                gsview_obs::event!("chaos.inject", "kind" = "downgrade", "seq" = report.seq);
+                inject("downgrade", d.k, report.seq);
             }
-            if rng.gen_bool(self.policy.delay_prob) {
+            let d = self.faults.draw();
+            if d.chance(p.delay_prob) {
                 stats.delayed += 1;
-                gsview_obs::event!("chaos.inject", "kind" = "delay", "seq" = report.seq);
+                inject("delay", d.k, report.seq);
                 self.pending.lock().unwrap().push(report);
                 continue;
             }
-            if rng.gen_bool(self.policy.dup_prob) {
+            let d = self.faults.draw();
+            if d.chance(p.dup_prob) {
                 stats.duplicated += 1;
                 stats.delivered += 1;
-                gsview_obs::event!("chaos.inject", "kind" = "duplicate", "seq" = report.seq);
+                inject("duplicate", d.k, report.seq);
                 out.push(report.clone());
             }
             stats.delivered += 1;
             out.push(report);
         }
-        if out.len() >= 2 && rng.gen_bool(self.policy.reorder_prob) {
-            let i = rng.gen_range(0..out.len() - 1);
-            out.swap(i, i + 1);
-            stats.reordered += 1;
-            gsview_obs::event!("chaos.inject", "kind" = "reorder");
+        if out.len() >= 2 {
+            let d = self.faults.draw();
+            if d.chance(p.reorder_prob) {
+                let i = self.faults.draw().below(out.len() as u64 - 1) as usize;
+                out.swap(i, i + 1);
+                stats.reordered += 1;
+                inject("reorder", d.k, out[i + 1].seq);
+            }
         }
         out
     }
@@ -305,7 +220,7 @@ impl ReportSource for FaultyMonitor {
 pub struct FaultyWrapper {
     inner: Wrapper,
     policy: ChaosPolicy,
-    rng: Mutex<StdRng>,
+    faults: Stream,
     injected: AtomicU64,
 }
 
@@ -315,7 +230,7 @@ impl FaultyWrapper {
         FaultyWrapper {
             inner,
             policy,
-            rng: Mutex::new(StdRng::seed_from_u64(policy.seed ^ 0x0077_7261_7070_6572)),
+            faults: Stream::new(policy.seed, "wrapper"),
             injected: AtomicU64::new(0),
         }
     }
@@ -328,19 +243,20 @@ impl FaultyWrapper {
 
 impl QueryPort for FaultyWrapper {
     fn query(&self, q: &SourceQuery) -> std::result::Result<SourceReply, QueryFault> {
-        let roll: f64 = self.rng.lock().unwrap().gen();
-        let fault = if roll < self.policy.query_fail_prob {
-            Some(QueryFault::Unavailable)
-        } else if roll < self.policy.query_fail_prob + self.policy.query_timeout_prob {
-            Some(QueryFault::Timeout)
-        } else {
-            None
-        };
+        let d = self.faults.draw();
+        let p = &self.policy;
+        let fault = d
+            .pick(&[p.query_fail_prob, p.query_timeout_prob])
+            .map(|i| [QueryFault::Unavailable, QueryFault::Timeout][i]);
         if let Some(fault) = fault {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            gsview_obs::event!("chaos.inject",
+            gsview_obs::event!(
+                "chaos.inject",
+                "boundary" = self.faults.boundary(),
                 "kind" = "query_fault",
-                "fault" = fault.to_string());
+                "k" = d.k,
+                "fault" = fault.to_string()
+            );
             self.inner.meter().record_fault(q, fault);
             return Err(fault);
         }

@@ -77,7 +77,6 @@ pub use cache::{AuxCache, PathKnowledge};
 pub use colocated::ColocatedViews;
 pub use chaos::{
     ChaosPolicy, ChaosReport, ChaosScenario, ChaosStats, FaultyMonitor, FaultyWrapper,
-    SocketChaosPolicy, SocketFault,
 };
 pub use durable::{ChunkCache, FetchStats};
 pub use integrator::{spawn_channel_integrator, BatchingIntegrator, Integrator};

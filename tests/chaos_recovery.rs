@@ -23,18 +23,18 @@
 //! the same random trees with second parents added: a view set up from
 //! its region is the view recomputed over the source's snapshot.
 //!
-//! Failures print the proptest-shim replay seed; `CHAOS_SEED` (set by
-//! the CI chaos matrix) offsets every policy seed so each matrix leg
-//! explores a disjoint fault universe while staying replayable.
+//! Failures print the proptest-shim replay seed; `GSVIEW_SEED` (set by
+//! the CI seeded-faults matrix) offsets every policy seed so each
+//! matrix cell explores a disjoint fault universe while staying
+//! replayable.
 
 use gsview::gsdb::{graph, Atom, Object, Oid, Store, StoreConfig, Update};
+use gsview::obs::fault;
 use gsview::query::{CmpOp, Pred};
 use gsview::views::{recompute, LocalBase, SimpleViewDef};
 use gsview::warehouse::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
 use gsview::warehouse::{ReportLevel, RetryPolicy, Source, ViewOptions, Warehouse};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const LABELS: &[&str] = &["a", "b", "c"];
 const LEVELS: [ReportLevel; 3] = [
@@ -43,14 +43,10 @@ const LEVELS: [ReportLevel; 3] = [
     ReportLevel::WithPaths,
 ];
 
-/// The CI chaos matrix sets `CHAOS_SEED` to give each leg a disjoint
-/// but replayable fault universe; locally it defaults to 0.
+/// The CI seeded-faults matrix sets `GSVIEW_SEED` to give each cell a
+/// disjoint but replayable fault universe; locally it defaults to 0.
 fn chaos_seed_offset() -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    fault::seed().wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Blueprint for a random tree: for each non-root node, its parent
@@ -240,17 +236,16 @@ fn view_def(seed: u64) -> SimpleViewDef {
 /// moderate so bounded retries/resyncs converge with overwhelming
 /// probability; determinism makes the residual risk replayable.
 fn random_policy(seed: u64) -> ChaosPolicy {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = |max: f64| (rng.gen::<u64>() % 1000) as f64 / 1000.0 * max;
+    let p = |k: u64, max: f64| (fault::word(seed, k) % 1000) as f64 / 1000.0 * max;
     ChaosPolicy {
         seed,
-        drop_prob: p(0.4),
-        dup_prob: p(0.3),
-        delay_prob: p(0.3),
-        reorder_prob: p(0.3),
-        downgrade_prob: p(0.5),
-        query_fail_prob: p(0.15),
-        query_timeout_prob: p(0.1),
+        drop_prob: p(0, 0.4),
+        dup_prob: p(1, 0.3),
+        delay_prob: p(2, 0.3),
+        reorder_prob: p(3, 0.3),
+        downgrade_prob: p(4, 0.5),
+        query_fail_prob: p(5, 0.15),
+        query_timeout_prob: p(6, 0.1),
     }
 }
 
