@@ -247,10 +247,12 @@ fn measure_shape(
             // experiment is why); build the circuit directly so the
             // head-to-head keeps measuring both sides.
             let circuit = CircuitMaintainer::new(CircuitSource::General(def));
-            let mut mv_c = alg.recompute(initial).unwrap();
+            let mut mv_c = MaterializedView::new("W18");
+            circuit.initialize(&mut mv_c, initial).unwrap();
             let t0 = Instant::now();
             let out_c = circuit.apply_batch(&mut mv_c, store, batch).unwrap();
             let ms_c = t0.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
                 row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
                 row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c),

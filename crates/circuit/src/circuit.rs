@@ -3,11 +3,12 @@
 //! A [`CircuitDef`] is the backend-neutral IR a view definition lowers
 //! to: one [`BranchDef`] per selection branch (root × path expression
 //! × optional condition) plus an optional [`AggDef`]. [`Circuit`]
-//! compiles the IR into a dataflow of flow operators over one shared
-//! [`GraphArrangement`]:
+//! compiles the IR into a dataflow of flow operators that read the
+//! store itself, at two versions: the fork it last stepped to and the
+//! post-batch store.
 //!
 //! ```text
-//!   ΔStore ──ingest──► edge/node/atom events
+//!   (base, store, Δ) ──derive──► edge/node/atom events
 //!     ├─► ForwardFlow(sel)   per branch ─┐
 //!     ├─► BackwardFlow(cond) per branch ─┼─► semijoin ─► distinct ─► ΔV
 //!     └─► ForwardFlow(agg, per member) ◄─┘ (membership ±1 feeds back)
@@ -15,12 +16,12 @@
 //! ```
 //!
 //! Initialization and incremental steps share one code path: loading
-//! a store is just ingesting a delta that creates every object, so
-//! the state reached incrementally is — by construction — the state a
-//! from-scratch rebuild reaches. That is the invariant the four-way
-//! differential oracle in core pins down.
+//! a store is a batch that creates every object, so the state reached
+//! incrementally is — by construction — the state a from-scratch
+//! rebuild reaches. That is the invariant the four-way differential
+//! oracle in core pins down.
 
-use crate::arrange::{GraphArrangement, IngestEvents};
+use crate::events::Events;
 use crate::operator::{BackwardFlow, Diverged, ForwardFlow};
 use crate::zset::{DistinctOp, ZSet};
 use crate::CircuitError;
@@ -114,10 +115,6 @@ pub struct StepStats {
     pub witness_pops: u64,
     /// Worklist pops in the aggregate flow.
     pub agg_pops: u64,
-    /// Arranged records after the step.
-    pub arranged_nodes: usize,
-    /// Arranged live edges after the step.
-    pub arranged_edges: usize,
     /// Live operator-state entries (all flows) after the step.
     pub state_entries: usize,
 }
@@ -162,7 +159,10 @@ struct AggState {
 /// A compiled, stateful delta circuit for one view.
 ///
 /// Lifecycle: [`Circuit::compile`] → [`Circuit::init`] against a
-/// store snapshot → [`Circuit::step`] per consolidated batch. After
+/// store snapshot → [`Circuit::step`] per consolidated batch. The
+/// circuit keeps a [`Store::fork`] of the store it last reached —
+/// O(pages) pointers shared copy-on-write, no private copy of the
+/// graph — and reads it as the pre-batch side of the next step. After
 /// any error the internal state is partial and the circuit must be
 /// re-compiled and re-initialized (the maintainer layer treats every
 /// error as "rebuild from the current store", which is always
@@ -170,7 +170,9 @@ struct AggState {
 #[derive(Clone, Debug)]
 pub struct Circuit {
     def: CircuitDef,
-    arr: GraphArrangement,
+    /// The store the counts describe; `None` until the first `init`,
+    /// and after a failed step.
+    base: Option<Store>,
     branches: Vec<BranchState>,
     view: DistinctOp<Oid>,
     agg: Option<AggState>,
@@ -205,7 +207,7 @@ impl Circuit {
         });
         Circuit {
             def,
-            arr: GraphArrangement::new(),
+            base: None,
             branches,
             view: DistinctOp::new(),
             agg,
@@ -213,25 +215,35 @@ impl Circuit {
     }
 
     /// Load a store snapshot into a freshly compiled circuit. Shares
-    /// the event pipeline with [`Circuit::step`]: the whole store is
-    /// one "everything created" delta.
+    /// the propagation with [`Circuit::step`]: the whole store is one
+    /// "everything created" batch.
     pub fn init(&mut self, store: &Store) -> Result<StepOutput, CircuitError> {
-        let fresh = Circuit::compile(self.def.clone());
-        *self = fresh;
-        let events = self.arr.ingest_full(store);
-        self.run(events, true)
+        *self = Circuit::compile(self.def.clone());
+        self.run(Events::load(store), store, true)
     }
 
     /// Apply one consolidated delta (`store` is the post-batch
-    /// store). Cost is proportional to the product states the delta
+    /// store; the pre-batch side is the store the circuit last
+    /// reached). Cost is proportional to the product states the delta
     /// actually touches, not to view or store size.
     pub fn step(
         &mut self,
         delta: &ConsolidatedDelta,
         store: &Store,
     ) -> Result<StepOutput, CircuitError> {
-        let events = self.arr.ingest(delta, store);
-        self.run(events, false)
+        let base = self.base.take().unwrap_or_default();
+        let events = Events::derive(delta, &base, store);
+        // Only the events read the old side. Pages no newer epoch
+        // shares are freed here, ahead of the propagation that
+        // allocates, rather than after it.
+        drop(base);
+        self.run(events, store, false)
+    }
+
+    /// Version of the store the circuit last reached; `None` before
+    /// the first `init` and after a failed step.
+    pub fn version(&self) -> Option<u64> {
+        self.base.as_ref().map(Store::version)
     }
 
     /// Current members (unordered).
@@ -253,30 +265,30 @@ impl Circuit {
     /// The global rollup over all members' aggregated atoms.
     pub fn total(&self) -> Option<f64> {
         let agg = self.agg.as_ref()?;
-        let mut all = Vec::new();
-        for y in self.view.keys() {
-            self.collect_values(agg, y, &mut all);
-        }
+        let store = self.base.as_ref()?;
+        let all: Vec<f64> = self
+            .view
+            .keys()
+            .flat_map(|y| agg.endpoints.get(&y))
+            .flatten()
+            .filter_map(|&z| store.atom(z).and_then(|a| a.as_f64()))
+            .collect();
         agg.f.compute(&all)
     }
 
-    fn collect_values(&self, agg: &AggState, member: Oid, out: &mut Vec<f64>) {
-        if let Some(zs) = agg.endpoints.get(&member) {
-            out.extend(
-                zs.iter()
-                    .filter_map(|&z| self.arr.atom(z).and_then(|a| a.as_f64())),
-            );
-        }
-    }
-
-    fn run(&mut self, events: IngestEvents, inject_roots: bool) -> Result<StepOutput, CircuitError> {
+    fn run(
+        &mut self,
+        events: Events,
+        store: &Store,
+        inject_roots: bool,
+    ) -> Result<StepOutput, CircuitError> {
         let _span = gsview_obs::span!(
             "maint.circuit.step",
-            "input" = events.total_abs_weight(),
+            "input" = events.weight(),
             "init" = inject_roots,
         );
         let mut stats = StepStats {
-            input_weight: events.total_abs_weight(),
+            input_weight: events.weight(),
             ..StepStats::default()
         };
 
@@ -294,15 +306,8 @@ impl Circuit {
             }
             let mut wp = ZSet::new();
             if let Some(w) = branch.witness.as_mut() {
-                for &o in &events.created {
-                    w.base_event(&mut wp, o, self.arr.atom(o), 1);
-                }
-                for (o, atom) in &events.removed {
-                    w.base_event(&mut wp, *o, atom.as_ref(), -1);
-                }
-                for (o, old, new) in &events.atoms {
-                    w.base_event(&mut wp, *o, old.as_ref(), -1);
-                    w.base_event(&mut wp, *o, Some(new), 1);
+                for a in &events.atoms {
+                    w.base_event(&mut wp, a.oid, a.label, a.old.as_ref(), a.new.as_ref());
                 }
                 for e in &events.edges {
                     w.edge_event(&mut wp, e.parent, e.child, e.child_label, e.w);
@@ -325,28 +330,26 @@ impl Circuit {
         }
 
         // Propagation budget: generous for legitimate deep fan-out
-        // (scales with arrangement size), but finite — a cyclic base
-        // under a `*` expression has infinitely many paths, and the
-        // budget converts that into `Diverged` instead of a hang.
+        // (scales with store size, about one edge per record), but
+        // finite — a cyclic base under a `*` expression has infinitely
+        // many paths, and the budget converts that into `Diverged`
+        // instead of a hang.
         let seed_entries: u64 = sel_pending.iter().map(|p| p.len() as u64).sum::<u64>()
             + wit_pending.iter().map(|p| p.len() as u64).sum::<u64>()
             + agg_pending.len() as u64;
-        let mut budget: u64 = 10_000
-            + 256 * seed_entries
-            + 64 * (self.arr.len() as u64 + self.arr.edge_len() as u64);
+        let mut budget: u64 = 10_000 + 256 * seed_entries + 128 * store.len() as u64;
 
         // Stage 2: propagate selection and witness flows to their
         // fixpoints, collecting membership candidates.
         let mut dirty_members: FastSet<Oid> = FastSet::default();
         dirty_members.extend(events.created.iter().copied());
-        dirty_members.extend(events.removed.iter().map(|(o, _)| *o));
-        let arr = &self.arr;
+        dirty_members.extend(events.removed.iter().copied());
         for (i, branch) in self.branches.iter_mut().enumerate() {
             let mut sel_dirty: FastSet<((), Oid)> = FastSet::default();
             branch
                 .sel
                 .propagate(
-                    arr,
+                    store,
                     std::mem::take(&mut sel_pending[i]),
                     &mut budget,
                     &mut stats.sel_pops,
@@ -357,7 +360,7 @@ impl Circuit {
             if let Some(w) = branch.witness.as_mut() {
                 let mut wit_dirty: FastSet<Oid> = FastSet::default();
                 w.propagate(
-                    arr,
+                    store,
                     std::mem::take(&mut wit_pending[i]),
                     &mut budget,
                     &mut stats.witness_pops,
@@ -374,7 +377,7 @@ impl Circuit {
         let view = &mut self.view;
         let branches = &self.branches;
         let member_deltas = view.sync(dirty_members.iter().copied(), |y| {
-            if !arr.contains(y) {
+            if !store.contains(y) {
                 return 0;
             }
             let ok = branches.iter().any(|b| {
@@ -396,7 +399,7 @@ impl Circuit {
             let mut dirty_pairs: FastSet<(Oid, Oid)> = FastSet::default();
             agg.flow
                 .propagate(
-                    arr,
+                    store,
                     std::mem::take(&mut agg_pending),
                     &mut budget,
                     &mut stats.agg_pops,
@@ -435,16 +438,10 @@ impl Circuit {
             }
             // A held endpoint's value can change through a surviving
             // modify, or through a remove + re-create in one batch
-            // (net-zero edge churn, so no pair delta) — both dirty
-            // the holding members.
-            for z in events
-                .atoms
-                .iter()
-                .map(|(z, _, _)| *z)
-                .chain(events.created.iter().copied())
-                .chain(events.removed.iter().map(|(z, _)| *z))
-            {
-                if let Some(hs) = holders.get(&z) {
+            // (net-zero edge churn, so no pair delta) — both are atom
+            // events, and both dirty the holding members.
+            for a in &events.atoms {
+                if let Some(hs) = holders.get(&a.oid) {
                     dirty_agg.extend(hs.iter().copied());
                 }
             }
@@ -456,7 +453,7 @@ impl Circuit {
                         .get(&y)
                         .map(|zs| {
                             zs.iter()
-                                .filter_map(|&z| arr.atom(z).and_then(|a| a.as_f64()))
+                                .filter_map(|&z| store.atom(z).and_then(|a| a.as_f64()))
                                 .collect()
                         })
                         .unwrap_or_default();
@@ -474,10 +471,9 @@ impl Circuit {
             }
         }
 
-        stats.arranged_nodes = self.arr.len();
-        stats.arranged_edges = self.arr.edge_len();
         stats.state_entries = self.state_len();
         self.report(&stats);
+        self.base = Some(store.fork());
 
         let mut out = StepOutput {
             agg_changed,
@@ -516,10 +512,6 @@ impl Circuit {
             .add(stats.witness_pops);
         reg.counter("maint.circuit.operator.aggregate.pops")
             .add(stats.agg_pops);
-        reg.histogram("maint.circuit.arrangement.nodes")
-            .record(stats.arranged_nodes as u64);
-        reg.histogram("maint.circuit.arrangement.edges")
-            .record(stats.arranged_edges as u64);
         reg.histogram("maint.circuit.state.entries")
             .record(stats.state_entries as u64);
     }

@@ -6,8 +6,14 @@
 //! alternative backend: view definitions compile into *delta
 //! circuits* — dataflows of composable incremental operators (edge
 //! expansion, condition semijoin, distinct, weighted aggregate) over
-//! Z-set deltas, with per-operator arranged state updated in
-//! O(|Δin|) per commit.
+//! Z-set deltas, with per-operator count state updated in O(|Δin|)
+//! per commit.
+//!
+//! The circuit keeps no copy of the graph. It reads the store at two
+//! versions: a fork of the store it last stepped to (O(pages) shared
+//! pointers) and the post-batch store. The pair yields the batch's
+//! live-edge events, and propagation walks the post-batch store's
+//! children lists and parent index, as Algorithm 1 does (paper §4.4).
 //!
 //! Layering: this crate sits between `gsview-query` (path-expression
 //! NFAs, predicates) and `gsview-core` (which lowers `ViewDef`s into
@@ -15,18 +21,18 @@
 //! the planner picks the circuit backend).
 //!
 //! * [`zset`] — weighted collections and the distinct clamp.
-//! * [`arrange`] — the live-graph mirror and delta→event reduction.
+//! * `events` — a delta's live-edge, record and atom events, read off
+//!   the two store versions.
 //! * [`operator`] — forward/backward weighted NFA flows.
 //! * [`circuit`] — the compiled dataflow and its step function.
 
 #![warn(missing_docs)]
 
-pub mod arrange;
 pub mod circuit;
+mod events;
 pub mod operator;
 pub mod zset;
 
-pub use arrange::{EdgeEvent, GraphArrangement, IngestEvents, NodeRec};
 pub use circuit::{
     AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats,
 };

@@ -1,7 +1,7 @@
 //! The incremental operators circuits are assembled from.
 //!
 //! Both flow operators maintain *derivation counts* over the product
-//! of the arranged graph and a path expression's automaton (the one
+//! of the live graph and a path expression's automaton (the one
 //! [`PathExpr::nfa`] compiles: a flow steps it a state at a time,
 //! forward or backward, off its table), updated by Z-set delta
 //! propagation:
@@ -15,20 +15,20 @@
 //!   suffix accepts iff it ends at an atom satisfying the predicate.
 //!   The start-state row says which objects have a witness.
 //!
-//! Counts are linear in the edge multiset, so a batch of ±1 edge
+//! Counts are linear in the live-edge set, so a batch of ±1 edge
 //! events applied against the *pre-batch* counts, followed by a
-//! worklist propagation through the *post-batch* arrangement, lands
-//! exactly on the from-scratch counts (the semi-naïve residual rule:
-//! `ΔC = closure(A_new) · ΔA · C_old`). Work is proportional to the
-//! product states actually touched — O(|Δ|), not O(view).
+//! worklist propagation through the *post-batch* store's live edges,
+//! lands exactly on the from-scratch counts (the semi-naïve residual
+//! rule: `ΔC = closure(A_new) · ΔA · C_old`). Work is proportional to
+//! the product states actually touched — O(|Δ|), not O(view).
 //!
 //! Cyclic bases make path counts infinite; propagation is therefore
 //! budgeted and reports [`Diverged`](crate::CircuitError::Diverged)
 //! instead of spinning, and the caller falls back to recomputation.
 
-use crate::arrange::GraphArrangement;
+use crate::events::{for_each_parent, parent_scan};
 use crate::zset::ZSet;
-use gsdb::{Atom, FastMap, FastSet, Label, Oid};
+use gsdb::{Atom, FastMap, FastSet, Label, Oid, Store};
 use gsview_query::{Nfa, PathExpr, Pred};
 use std::hash::Hash;
 
@@ -109,14 +109,14 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
         }
     }
 
-    /// Drain `pending` to a fixpoint through the post-batch
-    /// arrangement. Every `(src, node)` whose accepting support
+    /// Drain `pending` to a fixpoint through the live edges of the
+    /// post-batch `store`. Every `(src, node)` whose accepting support
     /// changed is added to `dirty`. Decrements `budget` per worklist
     /// pop and fails with [`Diverged`] at zero (counts are then
     /// partial — the circuit must be rebuilt).
     pub fn propagate(
         &mut self,
-        arr: &GraphArrangement,
+        store: &Store,
         mut pending: ZSet<(S, Oid, u32)>,
         budget: &mut u64,
         pops: &mut u64,
@@ -133,8 +133,10 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
                 self.accept_support.add((src, node), delta);
                 dirty.insert((src, node));
             }
-            for &c in arr.children(node) {
-                let l = arr.label(c).expect("live edge child is arranged");
+            // A record-less node has no children; a record-less child
+            // is a dangling entry, not a live edge.
+            for &c in store.children(node) {
+                let Some(l) = store.label(c) else { continue };
                 for s2 in bits(self.nfa.step_mask(1 << s, l)) {
                     pending.add((src, c, s2), delta);
                 }
@@ -211,11 +213,28 @@ impl BackwardFlow {
     }
 
     /// Base-term delta for an object whose record or atom changed:
-    /// `w = +1` on creation, `-1` on removal, and for an atom change
-    /// call once with `-1`/old and once with `+1`/new.
-    pub fn base_event(&self, pending: &mut ZSet<(Oid, u32)>, node: Oid, atom: Option<&Atom>, w: i64) {
-        if self.pred_ok(atom) {
-            pending.add((node, self.nfa.accept_state()), w);
+    /// `old` is its atom before (`None` for a created record), `new`
+    /// after (`None` for a removed one). Only a change in the
+    /// predicate's verdict reaches `pending`, and only at a label some
+    /// accepting suffix can end in: a term anywhere else would never
+    /// reach a witness, so the counts leave it out.
+    pub fn base_event(
+        &self,
+        pending: &mut ZSet<(Oid, u32)>,
+        node: Oid,
+        label: Label,
+        old: Option<&Atom>,
+        new: Option<&Atom>,
+    ) {
+        let accept = self.nfa.accept_state();
+        if self.nfa.start_mask() >> accept & 1 == 0
+            && self.nfa.step_back_mask(1 << accept, label) == 0
+        {
+            return;
+        }
+        let w = self.pred_ok(new) as i64 - self.pred_ok(old) as i64;
+        if w != 0 {
+            pending.add((node, accept), w);
         }
     }
 
@@ -244,16 +263,19 @@ impl BackwardFlow {
         }
     }
 
-    /// Drain `pending` upward to a fixpoint. Objects whose start-state
-    /// witness support changed are added to `dirty`.
+    /// Drain `pending` upward to a fixpoint through the live edges of
+    /// the post-batch `store`: its parent index, or one scan of the
+    /// store for this call when it keeps none. Objects whose
+    /// start-state witness support changed are added to `dirty`.
     pub fn propagate(
         &mut self,
-        arr: &GraphArrangement,
+        store: &Store,
         mut pending: ZSet<(Oid, u32)>,
         budget: &mut u64,
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
     ) -> Result<(), Diverged> {
+        let scan = (!pending.is_empty() && !store.has_parent_index()).then(|| parent_scan(store));
         while let Some(((node, s), delta)) = pending.pop() {
             if *budget == 0 {
                 return Err(Diverged);
@@ -265,15 +287,16 @@ impl BackwardFlow {
                 self.start_support.add(node, delta);
                 dirty.insert(node);
             }
-            let parents = arr.parents(node);
-            if !parents.is_empty() {
-                let l = arr.label(node).expect("live edge endpoint is arranged");
-                let inv = self.nfa.step_back_mask(1 << s, l);
-                for &p in parents {
+            // A removed node that a parent still names is the child of
+            // a dangling entry, not of a live edge: it stops here.
+            let Some(l) = store.label(node) else { continue };
+            let inv = self.nfa.step_back_mask(1 << s, l);
+            if inv != 0 {
+                for_each_parent(store, scan.as_ref(), node, |p| {
                     for s0 in bits(inv) {
                         pending.add((p, s0), delta);
                     }
-                }
+                });
             }
         }
         Ok(())
@@ -311,17 +334,11 @@ impl BackwardFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsdb::{Object, Store};
+    use gsdb::Object;
     use gsview_query::CmpOp;
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
-    }
-
-    fn arr_of(store: &Store) -> (GraphArrangement, crate::arrange::IngestEvents) {
-        let mut arr = GraphArrangement::new();
-        let ev = arr.ingest_full(store);
-        (arr, ev)
     }
 
     fn store3() -> Store {
@@ -335,15 +352,11 @@ mod tests {
     fn run_forward(expr: &str, store: &Store, root: &str) -> ForwardFlow<()> {
         let e = PathExpr::parse(expr).unwrap();
         let mut f = ForwardFlow::new(&e);
-        let (arr, ev) = arr_of(store);
         let mut pending = ZSet::new();
         f.seed(&mut pending, (), oid(root), 1);
-        for e in &ev.edges {
-            f.edge_event(&mut pending, e.parent, e.child, e.child_label, e.w);
-        }
         let (mut b, mut p) = (1_000_000, 0);
         let mut dirty = FastSet::default();
-        f.propagate(&arr, pending, &mut b, &mut p, &mut dirty).unwrap();
+        f.propagate(store, pending, &mut b, &mut p, &mut dirty).unwrap();
         f
     }
 
@@ -370,17 +383,13 @@ mod tests {
         let s = store3();
         let e = PathExpr::parse("age").unwrap();
         let mut w = BackwardFlow::new(&e, Pred::new(CmpOp::Gt, 40i64));
-        let (arr, ev) = arr_of(&s);
         let mut pending = ZSet::new();
-        for o in &ev.created {
-            w.base_event(&mut pending, *o, arr.atom(*o), 1);
-        }
-        for e in &ev.edges {
-            w.edge_event(&mut pending, e.parent, e.child, e.child_label, e.w);
+        for o in s.iter() {
+            w.base_event(&mut pending, o.oid, o.label, None, o.atom_value());
         }
         let (mut b, mut p) = (1_000_000, 0);
         let mut dirty = FastSet::default();
-        w.propagate(&arr, pending, &mut b, &mut p, &mut dirty).unwrap();
+        w.propagate(&s, pending, &mut b, &mut p, &mut dirty).unwrap();
         assert!(w.witness(oid("P1")) > 0, "P1 has an age witness > 40");
         assert_eq!(w.witness(oid("ROOT")), 0);
     }
@@ -396,16 +405,12 @@ mod tests {
         s.insert_edge(oid("C"), oid("C")).unwrap();
         let e = PathExpr::parse("*").unwrap();
         let mut f: ForwardFlow<()> = ForwardFlow::new(&e);
-        let (arr, ev) = arr_of(&s);
         let mut pending = ZSet::new();
         f.seed(&mut pending, (), oid("ROOT"), 1);
-        for e in &ev.edges {
-            f.edge_event(&mut pending, e.parent, e.child, e.child_label, e.w);
-        }
         let (mut b, mut p) = (10_000, 0);
         let mut dirty = FastSet::default();
         assert_eq!(
-            f.propagate(&arr, pending, &mut b, &mut p, &mut dirty),
+            f.propagate(&s, pending, &mut b, &mut p, &mut dirty),
             Err(Diverged)
         );
     }

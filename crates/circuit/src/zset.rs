@@ -87,11 +87,6 @@ impl<K: Eq + Hash + Copy> ZSet<K> {
             self.add(k, w);
         }
     }
-
-    /// Total absolute weight — the |Δ| the obs counters report.
-    pub fn total_abs_weight(&self) -> u64 {
-        self.weights.values().map(|w| w.unsigned_abs()).sum()
-    }
 }
 
 impl<K: Eq + Hash + Copy> FromIterator<(K, i64)> for ZSet<K> {

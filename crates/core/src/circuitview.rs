@@ -4,9 +4,10 @@
 //! and `gsview-circuit`: a [`CircuitSource`] names any maintainable
 //! view definition (simple, compound, wildcard, aggregate) and lowers
 //! it to the circuit IR; a [`CircuitMaintainer`] owns the compiled
-//! circuit plus its arranged state and consumes the same consolidated
+//! circuit plus its count state and consumes the same consolidated
 //! delta batches the Algorithm 1 maintainers do, keeping a
-//! [`MaterializedView`] in sync in O(|Δ|) per commit.
+//! [`MaterializedView`] in sync in O(|Δ|) per commit: a step writes
+//! back its own membership change, not the view.
 //!
 //! The planner alone decides per view which backend runs
 //! ([`choose_backend`], asked through
@@ -19,21 +20,22 @@
 //! ## Epoch consistency and warm restart
 //!
 //! Circuit state is valid only for the exact store version it was
-//! stepped to. The maintainer records that version after every step;
-//! if a batch arrives whose pre-state does not match (a recovery
-//! replay, a fork, a missed epoch), it falls back to an
-//! epoch-consistent rebuild — [`Circuit::init`] against the current
-//! store — which is by construction equivalent to recomputation.
+//! stepped to: the version of the store fork the circuit keeps as its
+//! pre-batch side ([`Circuit::version`]). If a batch arrives whose
+//! pre-state does not match (a recovery replay, a fork, a missed
+//! epoch), the maintainer falls back to an epoch-consistent rebuild —
+//! [`Circuit::init`] against the current store — which is by
+//! construction equivalent to recomputation. The view may then be any
+//! number of batches behind, so a rebuild alone reconciles it against
+//! the full member set.
 
 use crate::aggregate::{AggFn, AggregateViewDef};
 use crate::maintain::BatchOutcome;
 use crate::mview::MaterializedView;
-use crate::sink::{reconcile, refresh_touched};
+use crate::sink::{reconcile, refresh_touched, write_delta};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
 use gsdb::{ConsolidatedDelta, DeltaBatch, Oid, Result, Store};
-use gsview_circuit::{
-    AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput,
-};
+use gsview_circuit::{AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput};
 use gsview_query::{choose_backend, MaintBackend, PathExpr};
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -139,9 +141,6 @@ impl CircuitSource {
 #[derive(Debug)]
 struct Inner {
     circuit: Circuit,
-    /// Store version the circuit state is consistent with; `None`
-    /// until the first (re)build.
-    version: Option<u64>,
     rebuilds: u64,
     steps: u64,
 }
@@ -167,7 +166,6 @@ impl CircuitMaintainer {
             source,
             inner: Mutex::new(Inner {
                 circuit,
-                version: None,
                 rebuilds: 0,
                 steps: 0,
             }),
@@ -200,44 +198,60 @@ impl CircuitMaintainer {
     pub fn initialize(&self, mv: &mut MaterializedView, store: &Store) -> Result<()> {
         let mut inner = self.inner.lock().unwrap();
         Self::rebuild(&mut inner, store, self.source.view())?;
-        let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
         drop(inner);
-        reconcile(mv, &members, &mut |y| store.get(y).cloned()).map(|_| ())
+        self.reconcile_view(mv, store).map(|_| ())
     }
 
-    fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<StepOutput> {
+    fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<()> {
         gsview_obs::event!(
             "maint.circuit.rebuild",
             "view" = view.name().to_string(),
         );
-        let out = inner
+        inner
             .circuit
             .init(store)
             // A circuit only fails on divergence — cyclic base under a
             // wildcard, i.e. the store is not the tree/forest the view
             // classes assume.
             .map_err(|_| gsdb::GsdbError::NotATree(view))?;
-        inner.version = Some(store.version());
         inner.rebuilds += 1;
-        Ok(out)
+        Ok(())
+    }
+
+    /// Bring `mv` to the circuit's full member set — after a rebuild,
+    /// when nothing smaller says how far behind `mv` is.
+    fn reconcile_view(
+        &self,
+        mv: &mut MaterializedView,
+        store: &Store,
+    ) -> Result<(Vec<Oid>, Vec<Oid>)> {
+        let members: HashSet<Oid> = self
+            .inner
+            .lock()
+            .unwrap()
+            .circuit
+            .members()
+            .into_iter()
+            .collect();
+        reconcile(mv, &members, &mut |y| store.get(y).cloned())
     }
 
     /// Step the circuit by one consolidated delta, with the store in
-    /// its post-batch state, and return the membership delta.
+    /// its post-batch state, and return the step's membership delta —
+    /// or `None` after a rebuild.
     ///
-    /// Falls back to an epoch-consistent rebuild when the recorded
+    /// Falls back to an epoch-consistent rebuild when the circuit's
     /// version does not match the batch's pre-state or when delta
     /// propagation diverges.
-    fn advance(&self, store: &Store, delta: &ConsolidatedDelta) -> Result<StepOutput> {
+    fn advance(&self, store: &Store, delta: &ConsolidatedDelta) -> Result<Option<StepOutput>> {
         let mut inner = self.inner.lock().unwrap();
         let view = self.source.view();
         let pre = store.version().saturating_sub(delta.input_ops as u64);
-        if inner.version == Some(pre) {
+        if inner.circuit.version() == Some(pre) {
             match inner.circuit.step(delta, store) {
                 Ok(out) => {
-                    inner.version = Some(store.version());
                     inner.steps += 1;
-                    return Ok(out);
+                    return Ok(Some(out));
                 }
                 Err(e) => {
                     gsview_obs::failure(&format!(
@@ -246,12 +260,14 @@ impl CircuitMaintainer {
                 }
             }
         }
-        Self::rebuild(&mut inner, store, view)
+        Self::rebuild(&mut inner, store, view).map(|()| None)
     }
 
     /// Process a batch of updates with the store in its final state —
     /// the circuit-backed counterpart of
     /// [`GeneralMaintainer::apply_batch`](crate::general::GeneralMaintainer::apply_batch).
+    /// `mv` is the view this maintainer last wrote: a step writes back
+    /// only what changed since.
     pub fn apply_batch(
         &self,
         mv: &mut MaterializedView,
@@ -275,12 +291,14 @@ impl CircuitMaintainer {
             "input_ops" = delta.input_ops,
             "consolidated_ops" = delta.len(),
         );
-        self.advance(store, delta)?;
-        let inner = self.inner.lock().unwrap();
-        let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
-        drop(inner);
-        let fetch = &mut |y: Oid| store.get(y).cloned();
-        let (inserted, deleted) = reconcile(mv, &members, fetch)?;
+        let fetch = |y: Oid| store.get(y);
+        let (inserted, deleted) = match self.advance(store, delta)? {
+            // `mv` held the circuit's members before the step, so the
+            // step's own change brings it up to date: O(|Δ|) work
+            // however large the view.
+            Some(step) => write_delta(mv, step.inserted, step.deleted, fetch)?,
+            None => self.reconcile_view(mv, store)?,
+        };
         // Content upkeep (§3.2): the circuit tracks membership and
         // aggregates; surviving members whose values changed still
         // need their stored copies refreshed.
@@ -385,6 +403,77 @@ mod tests {
             mv.members_base(),
             vec![oid("P1"), oid("P2"), oid("P3"), oid("P4")]
         );
+    }
+
+    #[test]
+    fn stepped_write_back_equals_full_reconcile() {
+        let mut store = person_store();
+        let def = CompoundViewDef::new(
+            "CWB",
+            vec![
+                SimpleViewDef::new("CWB", "ROOT", "professor")
+                    .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+                SimpleViewDef::new("CWB", "ROOT", "secretary"),
+            ],
+        );
+        let cm = CircuitMaintainer::new(CircuitSource::Compound(def));
+        let mut mv = MaterializedView::new("CWB");
+        cm.initialize(&mut mv, &store).unwrap();
+        assert_eq!(mv.members_base(), vec![oid("P1"), oid("P4")]);
+        let mut full = mv.clone();
+
+        let mut batch = DeltaBatch::new();
+        batch.push(store.apply(Update::modify("A1", 50i64)).unwrap());
+        batch.push(
+            store
+                .apply(Update::Create {
+                    object: gsdb::Object::atom("A2", "age", 30i64),
+                })
+                .unwrap(),
+        );
+        batch.push(store.insert_edge(oid("P2"), oid("A2")).unwrap());
+        batch.push(store.delete_edge(oid("ROOT"), oid("P4")).unwrap());
+        let out = cm.apply_batch(&mut mv, &store, &batch).unwrap();
+        assert_eq!(cm.steps(), 1);
+
+        // The step's own change is exactly what a full reconcile of
+        // the pre-batch view would have found.
+        let members: HashSet<Oid> = cm.members().into_iter().collect();
+        let (inserted, deleted) =
+            reconcile(&mut full, &members, &mut |y| store.get(y).cloned()).unwrap();
+        assert_eq!(out.inserted, vec![oid("P2")]);
+        assert_eq!(out.deleted, vec![oid("P1"), oid("P4")]);
+        assert_eq!((out.inserted, out.deleted), (inserted, deleted));
+        assert_eq!(mv.members_base(), full.members_base());
+    }
+
+    #[test]
+    fn stale_view_behind_a_rebuild_is_fully_reconciled() {
+        let mut store = person_store();
+        let def = SimpleViewDef::new("SRB", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+        let cm = CircuitMaintainer::new(CircuitSource::Simple(def.clone()));
+        let mut mv = MaterializedView::new("SRB");
+        cm.initialize(&mut mv, &store).unwrap();
+        assert_eq!(mv.members_base(), vec![oid("P1")]);
+
+        // Updates the maintainer never sees: P1 leaves, P2 joins...
+        store.apply(Update::modify("A1", 50i64)).unwrap();
+        store
+            .apply(Update::Create {
+                object: gsdb::Object::atom("A2", "age", 30i64),
+            })
+            .unwrap();
+        store.apply(Update::insert("P2", "A2")).unwrap();
+        // ...then a batch whose own delta changes no membership.
+        let mut batch = DeltaBatch::new();
+        batch.push(store.apply(Update::modify("A3", 21i64)).unwrap());
+        let out = cm.apply_batch(&mut mv, &store, &batch).unwrap();
+        assert_eq!((cm.rebuilds(), cm.steps()), (2, 0));
+        assert_eq!(out.inserted, vec![oid("P2")]);
+        assert_eq!(out.deleted, vec![oid("P1")]);
+        let want = crate::recompute::recompute(&def, &mut crate::base::LocalBase::new(&store));
+        assert_eq!(mv.members_base(), want.unwrap().members_base());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::mview::MaterializedView;
 use gsdb::{Object, Oid, Result};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// A maintenance target: something that receives view membership
@@ -60,23 +61,43 @@ impl ViewSink for MaterializedView {
 /// View write-back, part one: bring `sink` to exactly `members`. Every
 /// current member outside the set is deleted, every missing one that
 /// `fetch` can still produce is inserted; members that stay are left
-/// alone. Returns `(inserted, deleted)`, each sorted by name.
+/// alone. Returns `(inserted, deleted)`, each sorted by name. It reads
+/// every member of `sink`: a maintainer that knows its own membership
+/// change writes that back with [`write_delta`] instead.
 pub(crate) fn reconcile(
     sink: &mut dyn ViewSink,
     members: &HashSet<Oid>,
     fetch: &mut dyn FnMut(Oid) -> Option<Object>,
 ) -> Result<(Vec<Oid>, Vec<Oid>)> {
+    let stale: Vec<Oid> = sink
+        .members()
+        .into_iter()
+        .filter(|y| !members.contains(y))
+        .collect();
+    write_delta(sink, members.iter().copied(), stale, fetch)
+}
+
+/// Write one membership change back to `sink`: delete `gone`, insert
+/// each of `came` that is missing and that `fetch` can still produce
+/// (owned, or borrowed from a colocated store). Returns what changed
+/// as `(inserted, deleted)`, each sorted by name.
+pub(crate) fn write_delta<O: Borrow<Object>>(
+    sink: &mut dyn ViewSink,
+    came: impl IntoIterator<Item = Oid>,
+    gone: impl IntoIterator<Item = Oid>,
+    mut fetch: impl FnMut(Oid) -> Option<O>,
+) -> Result<(Vec<Oid>, Vec<Oid>)> {
     let mut deleted = Vec::new();
-    for stale in sink.members() {
-        if !members.contains(&stale) && sink.delete_member(stale)? {
-            deleted.push(stale);
+    for y in gone {
+        if sink.delete_member(y)? {
+            deleted.push(y);
         }
     }
     let mut inserted = Vec::new();
-    for &y in members {
+    for y in came {
         if !sink.contains(y) {
             if let Some(obj) = fetch(y) {
-                sink.insert_member(&obj)?;
+                sink.insert_member(obj.borrow())?;
                 inserted.push(y);
             }
         }
@@ -94,17 +115,17 @@ pub(crate) fn reconcile(
 /// member changes its copy. `skip` names the members whose copy the
 /// caller knows to be current (those it has just inserted); they cost
 /// no fetch. Returns how many copies changed.
-pub(crate) fn refresh_touched(
+pub(crate) fn refresh_touched<O: Borrow<Object>>(
     sink: &mut dyn ViewSink,
     touched: &[Oid],
     skip: &[Oid],
-    fetch: &mut dyn FnMut(Oid) -> Option<Object>,
+    mut fetch: impl FnMut(Oid) -> Option<O>,
 ) -> Result<usize> {
     let mut refreshed = 0;
     for &o in touched {
         if sink.contains(o) && !skip.contains(&o) {
             if let Some(obj) = fetch(o) {
-                refreshed += sink.refresh_member(&obj)? as usize;
+                refreshed += sink.refresh_member(obj.borrow())? as usize;
             }
         }
     }

@@ -15,7 +15,7 @@ use gsview_core::{
     CompoundMaintainer, CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase,
     MaterializedView, SimpleViewDef,
 };
-use gsdb::{DeltaBatch, Object, Oid, Store, Update};
+use gsdb::{Atom, DeltaBatch, Label, Object, Oid, Store, Update};
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, MaintBackend, Pred};
 use proptest::prelude::*;
@@ -28,9 +28,8 @@ fn oid(s: &str) -> Oid {
 /// A professor/student base plus a few detached subtrees the run can
 /// attach anywhere: `F0` (a spare professor), `E0`/`E1` (spare
 /// students), `D0`..`D2` (spare age atoms).
-fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec<(Oid, Oid)>) {
+fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> Store {
     let mut s = Store::new();
-    let mut edges = Vec::new();
     let mut age_i = 0usize;
     let mut next_age = |s: &mut Store, name: String| {
         let v = ages[age_i % ages.len()];
@@ -43,137 +42,337 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec
         let prof = format!("P{p}");
         s.create(Object::empty_set(prof.as_str(), "professor")).unwrap();
         s.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
-        edges.push((oid("ROOT"), oid(&prof)));
         let a = next_age(&mut s, format!("P{p}a"));
         s.insert_edge(oid(&prof), a).unwrap();
-        edges.push((oid(&prof), a));
         for t in 0..studs_per_prof {
             let stud = format!("P{p}S{t}");
             s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
             s.insert_edge(oid(&prof), oid(&stud)).unwrap();
-            edges.push((oid(&prof), oid(&stud)));
             let a = next_age(&mut s, format!("P{p}S{t}a"));
             s.insert_edge(oid(&stud), a).unwrap();
-            edges.push((oid(&stud), a));
         }
     }
     // Detached spares.
     s.create(Object::empty_set("F0", "professor")).unwrap();
     let a = next_age(&mut s, "F0a".to_owned());
     s.insert_edge(oid("F0"), a).unwrap();
-    edges.push((oid("F0"), a));
     for e in 0..2 {
         let stud = format!("E{e}");
         s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
         let a = next_age(&mut s, format!("E{e}a"));
         s.insert_edge(oid(&stud), a).unwrap();
-        edges.push((oid(&stud), a));
     }
     for d in 0..3 {
         next_age(&mut s, format!("D{d}"));
     }
-    (s, edges)
+    s
 }
 
-/// Raw op tuples → a concrete update run that keeps the base a forest:
-/// inserts only attach currently-parentless objects, deletes pick from
-/// the live edge set, modifies hit age atoms.
-fn realize_ops(
-    raw: &[(u8, usize, usize, i64)],
-    n_prof: usize,
-    studs_per_prof: usize,
-    initial_edges: &[(Oid, Oid)],
-) -> Vec<Update> {
-    let mut parents: Vec<Oid> = vec![oid("ROOT")];
-    let mut atoms: Vec<Oid> = Vec::new();
-    for p in 0..n_prof {
-        parents.push(oid(&format!("P{p}")));
-        atoms.push(oid(&format!("P{p}a")));
-        for t in 0..studs_per_prof {
-            parents.push(oid(&format!("P{p}S{t}")));
-            atoms.push(oid(&format!("P{p}S{t}a")));
+/// The label a replaced record comes back with when it may change.
+fn relabel(label: Label) -> Label {
+    Label::new(match label.as_str() {
+        "professor" => "student",
+        "student" => "professor",
+        "age" => "grade",
+        "grade" => "age",
+        other => other,
+    })
+}
+
+/// A record as a `Create` brings it: an atom, or a set of `children`.
+fn record(o: Oid, label: Label, atom: Option<Atom>, children: &[Oid]) -> Object {
+    match atom {
+        Some(a) => Object::atom(o, label, a),
+        None => Object::set(o, label, children),
+    }
+}
+
+/// What the run believes the store holds: which OIDs have records,
+/// every record's label and atom, and the children lists — which keep
+/// naming a removed OID (a dangling reference) until their own record
+/// goes or the edge is deleted.
+struct Shadow {
+    live: HashSet<Oid>,
+    label: HashMap<Oid, Label>,
+    atom: HashMap<Oid, Atom>,
+    edges: Vec<(Oid, Oid)>,
+    fresh: usize,
+}
+
+impl Shadow {
+    fn of(store: &Store) -> Shadow {
+        let mut sh = Shadow {
+            live: HashSet::new(),
+            label: HashMap::new(),
+            atom: HashMap::new(),
+            edges: Vec::new(),
+            fresh: 0,
+        };
+        for o in store.iter() {
+            sh.live.insert(o.oid);
+            sh.label.insert(o.oid, o.label);
+            if let Some(a) = o.atom_value() {
+                sh.atom.insert(o.oid, a.clone());
+            }
+            sh.edges.extend(o.children().iter().map(|&c| (o.oid, c)));
+        }
+        sh
+    }
+
+    fn parent(&self, c: Oid) -> Option<Oid> {
+        self.edges.iter().find(|e| e.1 == c).map(|e| e.0)
+    }
+
+    /// Live records no children list names, in a stable order.
+    fn orphans(&self) -> Vec<Oid> {
+        let mut v: Vec<Oid> = self
+            .live
+            .iter()
+            .filter(|&&o| o != oid("ROOT") && self.parent(o).is_none())
+            .copied()
+            .collect();
+        v.sort_by_key(|o| o.name());
+        v
+    }
+
+    /// Live set records, in a stable order.
+    fn sets(&self) -> Vec<Oid> {
+        let mut v: Vec<Oid> = self
+            .live
+            .iter()
+            .filter(|o| !self.atom.contains_key(o))
+            .copied()
+            .collect();
+        v.sort_by_key(|o| o.name());
+        v
+    }
+
+    /// `o` and everything below it.
+    fn subtree(&self, o: Oid) -> HashSet<Oid> {
+        let mut below: HashSet<Oid> = HashSet::from([o]);
+        loop {
+            let grew: Vec<Oid> = self
+                .edges
+                .iter()
+                .filter(|(p, c)| below.contains(p) && !below.contains(c))
+                .map(|&(_, c)| c)
+                .collect();
+            if grew.is_empty() {
+                return below;
+            }
+            below.extend(grew);
         }
     }
-    parents.push(oid("F0"));
-    parents.push(oid("E0"));
-    parents.push(oid("E1"));
-    atoms.push(oid("F0a"));
-    atoms.push(oid("E0a"));
-    atoms.push(oid("E1a"));
-    let mut attachable: Vec<Oid> = vec![oid("F0"), oid("E0"), oid("E1")];
-    for d in 0..3 {
-        attachable.push(oid(&format!("D{d}")));
+
+    /// `o` and everything above it.
+    fn ancestors(&self, mut o: Oid) -> HashSet<Oid> {
+        let mut above = HashSet::from([o]);
+        while let Some(p) = self.parent(o) {
+            above.insert(p);
+            o = p;
+        }
+        above
     }
 
-    // Forest shadow: child → parent, plus the live edge list.
-    let mut parent_of: HashMap<Oid, Oid> = HashMap::new();
-    let mut edges: Vec<(Oid, Oid)> = initial_edges.to_vec();
-    for &(p, c) in initial_edges {
-        parent_of.insert(c, p);
+    /// Up to two orphans `o` can embed without closing a cycle.
+    fn embeddable(&self, o: Oid, pick: usize) -> Vec<Oid> {
+        let above = self.ancestors(o);
+        let free: Vec<Oid> = self
+            .orphans()
+            .into_iter()
+            .filter(|c| !above.contains(c))
+            .collect();
+        (0..pick.min(2).min(free.len()))
+            .map(|i| free[(pick + i) % free.len()])
+            .collect()
     }
 
+    fn remove(&mut self, o: Oid) -> Update {
+        self.live.remove(&o);
+        // Its children list goes with the record; lists naming it stay.
+        self.edges.retain(|e| e.0 != o);
+        Update::Remove { oid: o }
+    }
+
+    fn create(&mut self, object: Object) -> Update {
+        let o = object.oid;
+        self.live.insert(o);
+        self.label.insert(o, object.label);
+        match object.atom_value() {
+            Some(a) => {
+                self.atom.insert(o, a.clone());
+            }
+            None => {
+                self.atom.remove(&o);
+            }
+        }
+        self.edges.extend(object.children().iter().map(|&c| (o, c)));
+        Update::Create { object }
+    }
+}
+
+/// Raw op tuples → a concrete update run that keeps the base a forest.
+/// Inserts attach only parentless records, deletes pick from the
+/// children lists, modifies hit atoms, and records churn:
+///
+/// * a detached record is removed — a leaf, or a subtree root whose
+///   children become orphans;
+/// * a record is removed and re-created in place, in one batch, with
+///   its children embedded in the `Create` (an attached one comes back
+///   as it was, so its parent names it dangling only in between; a
+///   detached one may change label and value);
+/// * a fresh set is created with orphans embedded, or a removed record
+///   comes back.
+///
+/// Every such run is one Algorithm 1 maintains: a record that changes
+/// is unreferenced and no view's root, or changes nothing, and a
+/// record created in the run is attached only while everything below
+/// it was born in the run too (the batched maintainer takes a created
+/// record for a fresh one, with no members to carry). With
+/// `dangling`, removes and label changes also hit attached records and
+/// view roots, and a removed record named by a surviving parent can
+/// come back under that dangling reference — runs only the circuit and
+/// recomputation can follow.
+fn realize_ops(raw: &[(u8, usize, usize, i64)], initial: &Store, dangling: bool) -> Vec<Update> {
+    // `P0` roots a branch of the compound view below.
+    let churnable = |o: &Oid| *o != oid("ROOT") && (dangling || *o != oid("P0"));
+    // Records this run inserted an edge under. The batch's log keeps
+    // such an insert after a `Remove` drops the list it went into, and
+    // Algorithm 1 takes it at its word.
+    let mut grown: HashSet<Oid> = HashSet::new();
+    // Records created in the run, and those of them it made up.
+    let (mut created, mut born): (HashSet<Oid>, HashSet<Oid>) = Default::default();
+    let mut sh = Shadow::of(initial);
+    let mut dead: Vec<Oid> = Vec::new();
     let mut out = Vec::new();
     for &(kind, a, b, v) in raw {
-        match kind % 3 {
+        match kind % 6 {
             0 => {
-                // Attach a parentless object somewhere.
-                let orphans: Vec<Oid> = attachable
-                    .iter()
-                    .chain(parents.iter())
-                    .chain(atoms.iter())
-                    .filter(|o| **o != oid("ROOT") && !parent_of.contains_key(o))
-                    .copied()
+                // Attach an orphan below a set outside its own subtree.
+                let orphans: Vec<Oid> = sh
+                    .orphans()
+                    .into_iter()
+                    .filter(|o| dangling || !created.contains(o) || sh.subtree(*o).is_subset(&born))
                     .collect();
                 if orphans.is_empty() {
                     continue;
                 }
                 let child = orphans[b % orphans.len()];
-                // Never attach below the child's own subtree (keeps the
-                // shadow a forest): exclude its descendants.
-                let mut blocked: HashSet<Oid> = HashSet::new();
-                blocked.insert(child);
-                loop {
-                    let grew = edges
-                        .iter()
-                        .filter(|(p, c)| blocked.contains(p) && !blocked.contains(c))
-                        .map(|&(_, c)| c)
-                        .collect::<Vec<_>>();
-                    if grew.is_empty() {
-                        break;
-                    }
-                    blocked.extend(grew);
-                }
-                let hosts: Vec<Oid> = parents
-                    .iter()
-                    .filter(|p| !blocked.contains(p))
-                    .copied()
+                let below = sh.subtree(child);
+                let hosts: Vec<Oid> = sh
+                    .sets()
+                    .into_iter()
+                    .filter(|p| !below.contains(p))
                     .collect();
                 if hosts.is_empty() {
                     continue;
                 }
                 let parent = hosts[a % hosts.len()];
-                parent_of.insert(child, parent);
-                edges.push((parent, child));
+                grown.insert(parent);
+                sh.edges.push((parent, child));
                 out.push(Update::Insert { parent, child });
             }
             1 => {
-                // Delete a live edge.
-                if edges.is_empty() {
+                // Delete an edge (a dangling one too).
+                if sh.edges.is_empty() {
                     continue;
                 }
-                let (parent, child) = edges.remove(a % edges.len());
-                parent_of.remove(&child);
+                let (parent, child) = sh.edges.remove(a % sh.edges.len());
                 out.push(Update::Delete { parent, child });
             }
-            _ => {
+            2 => {
+                let mut atoms: Vec<Oid> = sh
+                    .atom
+                    .keys()
+                    .filter(|o| sh.live.contains(o))
+                    .copied()
+                    .collect();
                 if atoms.is_empty() {
                     continue;
                 }
+                atoms.sort_by_key(|o| o.name());
                 let target = atoms[a % atoms.len()];
+                sh.atom.insert(target, Atom::Int(v));
                 out.push(Update::Modify {
                     oid: target,
-                    new: gsdb::Atom::Int(v),
+                    new: Atom::Int(v),
                 });
+            }
+            3 => {
+                // Remove a record: detached only, unless dangling.
+                let mut pool: Vec<Oid> = if dangling {
+                    sh.live.iter().copied().collect()
+                } else {
+                    sh.orphans()
+                        .into_iter()
+                        .filter(|o| !grown.contains(o))
+                        .collect()
+                };
+                pool.retain(churnable);
+                pool.sort_by_key(|o| o.name());
+                if pool.is_empty() {
+                    continue;
+                }
+                let target = pool[a % pool.len()];
+                dead.push(target);
+                out.push(sh.remove(target));
+            }
+            4 => {
+                // Remove and re-create one record in one batch.
+                let mut pool: Vec<Oid> = sh.live.iter().copied().filter(churnable).collect();
+                if pool.is_empty() {
+                    continue;
+                }
+                pool.sort_by_key(|o| o.name());
+                let target = pool[a % pool.len()];
+                let children: Vec<Oid> = sh
+                    .edges
+                    .iter()
+                    .filter(|e| e.0 == target)
+                    .map(|e| e.1)
+                    .collect();
+                let (mut label, mut atom) = (sh.label[&target], sh.atom.get(&target).cloned());
+                if dangling || sh.parent(target).is_none() {
+                    if b % 2 == 1 {
+                        label = relabel(label);
+                    }
+                    atom = atom.map(|_| Atom::Int(v));
+                }
+                let object = record(target, label, atom, &children);
+                created.insert(target);
+                out.push(sh.remove(target));
+                out.push(sh.create(object));
+            }
+            _ => {
+                // Create: a removed record comes back (under whatever
+                // still names it), or a fresh set arrives with orphans
+                // embedded.
+                let back = (b % 2 == 0 && !dead.is_empty()).then(|| dead.remove(a % dead.len()));
+                let (target, label, atom) = match back {
+                    Some(o) => {
+                        let label = if dangling && a % 2 == 1 {
+                            relabel(sh.label[&o])
+                        } else {
+                            sh.label[&o]
+                        };
+                        (o, label, sh.atom.get(&o).map(|_| Atom::Int(v)))
+                    }
+                    None => {
+                        sh.fresh += 1;
+                        let label = if a % 2 == 0 { "professor" } else { "student" };
+                        let o = Oid::new(&format!("X{}", sh.fresh));
+                        born.insert(o);
+                        (o, Label::new(label), None)
+                    }
+                };
+                created.insert(target);
+                let children = if atom.is_some() {
+                    Vec::new()
+                } else {
+                    sh.embeddable(target, b)
+                };
+                let object = record(target, label, atom, &children);
+                out.push(sh.create(object));
             }
         }
     }
@@ -181,7 +380,7 @@ fn realize_ops(
 }
 
 fn raw_ops() -> impl Strategy<Value = Vec<(u8, usize, usize, i64)>> {
-    prop::collection::vec((0..6u8, 0..64usize, 0..64usize, 0..80i64), 1..200)
+    prop::collection::vec((0..12u8, 0..64usize, 0..64usize, 0..80i64), 1..200)
 }
 
 /// Drive a cloned store through `updates` as one batch, returning the
@@ -220,8 +419,8 @@ proptest! {
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
     ) {
-        let (store, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let store = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &store, false);
         let def = SimpleViewDef::new("V", "ROOT", "professor")
             .with_cond("age", Pred::new(CmpOp::Le, 45i64));
         assert_equivalent(&def, &store, &updates);
@@ -236,8 +435,8 @@ proptest! {
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
     ) {
-        let (initial, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let initial = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &initial, false);
         let def = CompoundViewDef::new(
             "CU",
             vec![
@@ -294,8 +493,8 @@ proptest! {
         ages in prop::collection::vec(0..80i64, 1..6),
         raw in raw_ops(),
     ) {
-        let (initial, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let initial = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &initial, false);
         let def = GeneralViewDef::new("W", "ROOT", PathExpr::parse("*.student").unwrap())
             .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 10i64));
 
@@ -327,8 +526,8 @@ proptest! {
         raw in raw_ops(),
         f_pick in 0..5usize,
     ) {
-        let (initial, edges) = build_base(n_prof, studs, &ages);
-        let updates = realize_ops(&raw, n_prof, studs, &edges);
+        let initial = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &initial, false);
         let f = [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Avg][f_pick];
         let def = AggregateViewDef::new(
             SimpleViewDef::new("AG", "ROOT", "professor"),
@@ -374,5 +573,94 @@ proptest! {
         }
         prop_assert!(approx(av.total(), fresh.total()), "sequential total");
         prop_assert!(approx(circuit.total(), fresh.total()), "circuit total");
+    }
+
+    /// Record churn Algorithm 1 cannot follow: attached records are
+    /// removed while their parents keep naming them, come back under
+    /// those dangling references, and change label in place. Every
+    /// shape's circuit steps through each batch — no rebuild after the
+    /// first — and lands on recomputation.
+    #[test]
+    fn circuits_step_through_dangling_churn(
+        (n_prof, studs) in (1..4usize, 1..3usize),
+        ages in prop::collection::vec(0..80i64, 1..6),
+        raw in raw_ops(),
+        per_batch in 1..24usize,
+    ) {
+        let initial = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &initial, true);
+        let young = || SimpleViewDef::new("DS", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+        let compound = CompoundViewDef::new(
+            "DC",
+            vec![
+                young(),
+                SimpleViewDef::new("DC", "ROOT", "professor.student")
+                    .with_cond("age", Pred::new(CmpOp::Gt, 20i64)),
+                SimpleViewDef::new("DC", "P0", "student"),
+            ],
+        );
+        let general = GeneralViewDef::new("DW", "ROOT", PathExpr::parse("*.student").unwrap())
+            .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 10i64));
+        let aggregate = AggregateViewDef::new(
+            SimpleViewDef::new("DA", "ROOT", "professor"),
+            "student.age",
+            AggFn::Sum,
+        );
+        let mut circuits: Vec<(CircuitMaintainer, MaterializedView)> = [
+            CircuitSource::Simple(young()),
+            CircuitSource::Compound(compound.clone()),
+            CircuitSource::General(general.clone()),
+            CircuitSource::Aggregate(aggregate.clone()),
+        ]
+        .into_iter()
+        .map(|source| {
+            let circuit = CircuitMaintainer::new(source);
+            let mut mv = MaterializedView::new(circuit.view());
+            circuit.initialize(&mut mv, &initial).unwrap();
+            (circuit, mv)
+        })
+        .collect();
+
+        let mut store = initial.clone();
+        for (i, chunk) in updates.chunks(per_batch).enumerate() {
+            let mut batch = DeltaBatch::new();
+            for u in chunk {
+                if let Ok(applied) = store.apply(u.clone()) {
+                    batch.push(applied);
+                }
+            }
+            for (circuit, mv) in &mut circuits {
+                circuit.apply_batch(mv, &store, &batch).unwrap();
+            }
+
+            let base = &mut LocalBase::new(&store);
+            let mut union: Vec<Oid> = compound
+                .branches
+                .iter()
+                .flat_map(|b| gsview_core::recompute::recompute_members(b, base))
+                .collect::<HashSet<Oid>>()
+                .into_iter()
+                .collect();
+            union.sort_by_key(|o| o.name());
+            let fresh = AggregateView::materialize(aggregate.clone(), base).unwrap();
+            let want = [
+                gsview_core::recompute::recompute(&young(), base).unwrap().members_base(),
+                union,
+                GeneralMaintainer::new(general.clone()).recompute(&store).unwrap().members_base(),
+                fresh.members(),
+            ];
+            for ((circuit, mv), want) in circuits.iter().zip(want) {
+                let view = circuit.view();
+                prop_assert_eq!(circuit.members(), want.clone(), "{} vs recompute, batch {}", view, i);
+                prop_assert_eq!(mv.members_base(), want, "{} view vs recompute, batch {}", view, i);
+                prop_assert_eq!((circuit.steps(), circuit.rebuilds()), (i as u64 + 1, 1), "{}", view);
+            }
+            let agg = &circuits[3].0;
+            for m in fresh.members() {
+                prop_assert!(approx(agg.aggregate_of(m), fresh.aggregate_of(m)), "aggregate of {}", m);
+            }
+            prop_assert!(approx(agg.total(), fresh.total()), "total, batch {}", i);
+        }
     }
 }
