@@ -1,7 +1,7 @@
 //! E11 — batched delta maintenance.
 //!
 //! Claim: applying a buffered run of updates with one
-//! [`MaintPlan::apply_batch`] pass costs no more base accesses than
+//! [`Maintainer::apply_batch`] pass costs no more base accesses than
 //! one [`Maintainer::apply`] per update, and strictly fewer once the
 //! batch is large or churny enough for consolidation to cancel work
 //! (insert+delete of the same edge, runs of modifies on one atom).
@@ -11,7 +11,7 @@
 
 use crate::table::{fnum, Table};
 use gsdb::DeltaBatch;
-use gsview_core::{recompute, LocalBase, MaintPlan, Maintainer, SimpleViewDef};
+use gsview_core::{recompute, LocalBase, Maintainer, SimpleViewDef};
 use gsview_query::{CmpOp, Pred};
 use gsview_workload::{cancelling_churn, into_batches, relations, ChurnSpec, RelationsSpec};
 
@@ -79,7 +79,6 @@ pub fn measure(batch_size: usize, tuples: usize, ops: usize, cancel_fraction: f6
     // Route 2: buffered flushes of `batch_size` updates.
     let mut b_store = store.clone();
     let mut mv_b = recompute::recompute(&def, &mut LocalBase::new(&b_store)).expect("init");
-    let plan = MaintPlan::new(def.clone());
     let mut batch_accesses = 0u64;
     let (mut input, mut surviving) = (0usize, 0usize);
     for chunk in into_batches(script, batch_size) {
@@ -88,7 +87,7 @@ pub fn measure(batch_size: usize, tuples: usize, ops: usize, cancel_fraction: f6
             batch.push(op.replay(&mut b_store).expect("valid script"));
         }
         b_store.reset_accesses();
-        let out = plan
+        let out = maintainer
             .apply_batch(&mut mv_b, &mut LocalBase::new(&b_store), &batch)
             .expect("batched maintain");
         batch_accesses += b_store.accesses();

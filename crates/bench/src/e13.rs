@@ -15,7 +15,7 @@
 
 use crate::table::{fnum, Table};
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
-use gsview_core::{recompute, LocalBase, MaintPlan, MaterializedView, ParallelMaintainer, SimpleViewDef};
+use gsview_core::{recompute, LocalBase, Maintainer, MaterializedView, ParallelMaintainer, SimpleViewDef};
 use gsview_query::pathexpr::reach_expr;
 use gsview_query::{CmpOp, PathExpr, Pred};
 use gsview_workload::relations::{self, RelationsSpec};
@@ -197,10 +197,10 @@ pub fn measure_parallel(tuples_per_relation: usize, ops: usize, threads: &[usize
         .map(|d| recompute::recompute_members(d, &mut LocalBase::new(&store)))
         .collect();
 
-    // The pre-PR route: one MaintPlan per view, each fed the FULL
+    // The unpartitioned route: one Maintainer per view, each fed the FULL
     // consolidated delta, sequentially — no partitioning, no fan-out.
     let delta = batch.consolidate();
-    let plans: Vec<MaintPlan> = defs.iter().map(|d| MaintPlan::new(d.clone())).collect();
+    let plans: Vec<Maintainer> = defs.iter().map(|d| Maintainer::new(d.clone())).collect();
     let seed_route = |views: &mut Vec<MaterializedView>| {
         for (plan, mv) in plans.iter().zip(views.iter_mut()) {
             plan.apply_consolidated(mv, &mut LocalBase::new(&store), &delta)

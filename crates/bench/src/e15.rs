@@ -21,7 +21,7 @@
 
 use crate::table::{fnum, Table};
 use gsdb::{DeltaBatch, Oid, Store};
-use gsview_core::{recompute, LocalBase, MaintPlan, MaterializedView, SimpleViewDef};
+use gsview_core::{recompute, LocalBase, Maintainer, MaterializedView, SimpleViewDef};
 use gsview_obs::PhaseProfile;
 use gsview_query::{CmpOp, Pred};
 use gsview_warehouse::{ReportLevel, Source};
@@ -87,7 +87,7 @@ fn scripted_batch(store: &mut Store, db: &relations::RelationsDb, ops: usize) ->
 /// One maintenance pass: every view maintained over the consolidated
 /// delta (the E13 seed route, which exercises all phase spans).
 fn maintain_once(
-    plans: &[MaintPlan],
+    plans: &[Maintainer],
     initial: &[MaterializedView],
     store: &Store,
     delta: &gsdb::ConsolidatedDelta,
@@ -110,7 +110,7 @@ pub fn run(quick: bool) -> Table {
         .collect();
     let batch = scripted_batch(&mut store, &db, ops);
     let delta = batch.consolidate();
-    let plans: Vec<MaintPlan> = defs.iter().map(|d| MaintPlan::new(d.clone())).collect();
+    let plans: Vec<Maintainer> = defs.iter().map(|d| Maintainer::new(d.clone())).collect();
 
     let mut t = Table::new(
         "E15",
@@ -191,6 +191,23 @@ pub fn run(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsview_obs::{Collector, Event};
+
+    /// Forwards only the events of the thread that built it: the
+    /// collector is installed process-wide, and tests running beside
+    /// this one emit maintenance spans of their own.
+    struct ThisThread {
+        thread: u64,
+        inner: Arc<PhaseProfile>,
+    }
+
+    impl Collector for ThisThread {
+        fn record(&self, event: Event) {
+            if event.thread == self.thread {
+                self.inner.record(event);
+            }
+        }
+    }
 
     #[test]
     fn phase_spans_are_attributed() {
@@ -202,9 +219,12 @@ mod tests {
             .collect();
         let batch = scripted_batch(&mut store, &db, 60);
         let delta = batch.consolidate();
-        let plans: Vec<MaintPlan> = defs.iter().map(|d| MaintPlan::new(d.clone())).collect();
+        let plans: Vec<Maintainer> = defs.iter().map(|d| Maintainer::new(d.clone())).collect();
         let profile = Arc::new(PhaseProfile::new());
-        let _guard = gsview_obs::install(profile.clone());
+        let _guard = gsview_obs::install(Arc::new(ThisThread {
+            thread: gsview_obs::thread_id(),
+            inner: profile.clone(),
+        }));
         maintain_once(&plans, &initial, &store, &delta);
         assert_eq!(profile.get("maint.plan").count, VIEWS as u64);
         assert_eq!(profile.get("maint.phase.locate").count, VIEWS as u64);

@@ -321,9 +321,11 @@ pub fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
                         for u in batch {
                             s.apply(u.clone()).expect("disjoint update applies");
                         }
-                        let snap = s.fork();
-                        drop(s);
-                        epochs.publish(snap);
+                        // Publish under the lock: a writer that released
+                        // it first could publish its older snapshot over
+                        // a newer one, and the final epoch would miss
+                        // batches.
+                        epochs.publish(s.fork());
                     }
                 })
             })

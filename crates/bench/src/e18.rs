@@ -32,7 +32,7 @@ use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_core::recompute::recompute;
 use gsview_core::{
     AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundMaintainer,
-    CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, MaintPlan, MaterializedView,
+    CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, MaterializedView,
     SimpleViewDef,
 };
 use gsview_query::pathexpr::PathExpr;
@@ -188,7 +188,7 @@ fn measure_shape(
     match shape {
         "single" => {
             let def = single_def();
-            let plan = MaintPlan::new(def.clone());
+            let plan = Maintainer::new(def.clone());
             let mut mv_a = recompute(&def, &mut LocalBase::new(initial)).unwrap();
             let t0 = Instant::now();
             let out_a = plan

@@ -29,6 +29,14 @@ pub struct E4Row {
     pub messages_per_update: f64,
     /// Bytes per update.
     pub bytes_per_update: f64,
+    /// Source queries over the whole stream.
+    pub queries: u64,
+    /// Messages over the whole stream (reports + query round trips).
+    pub messages: u64,
+    /// Bytes over the whole stream.
+    pub bytes: u64,
+    /// View members at the end of the stream.
+    pub members: usize,
 }
 
 /// Build the source, replay the stream, return metered costs.
@@ -71,15 +79,16 @@ pub fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -
     wh.connect(&source);
     let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
         .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-    wh.add_view(
-        "rels",
-        def,
-        ViewOptions {
-            label_screening: screening,
-            ..ViewOptions::default()
-        },
-    )
-    .expect("add view");
+    let view = wh
+        .add_view(
+            "rels",
+            def,
+            ViewOptions {
+                label_screening: screening,
+                ..ViewOptions::default()
+            },
+        )
+        .expect("add view");
     wh.meter("rels").expect("meter").reset();
 
     let mut n_updates = 0usize;
@@ -97,18 +106,46 @@ pub fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -
         }
     }
     let meter = wh.meter("rels").expect("meter");
+    let (queries, messages, bytes) = (
+        meter.queries(),
+        meter.messages() + report_msgs,
+        meter.bytes() + report_bytes,
+    );
     E4Row {
         level,
         screening,
-        queries_per_update: meter.queries() as f64 / n_updates as f64,
-        messages_per_update: (meter.messages() + report_msgs) as f64 / n_updates as f64,
-        bytes_per_update: (meter.bytes() + report_bytes) as f64 / n_updates as f64,
+        queries_per_update: queries as f64 / n_updates as f64,
+        messages_per_update: messages as f64 / n_updates as f64,
+        bytes_per_update: bytes as f64 / n_updates as f64,
+        queries,
+        messages,
+        bytes,
+        members: wh.view(view).expect("view").len(),
     }
+}
+
+/// Every report level, screening off and on where it can act.
+fn sweep(tuples: usize, ops: usize) -> Vec<E4Row> {
+    [
+        (ReportLevel::OidsOnly, false),
+        (ReportLevel::WithValues, false),
+        (ReportLevel::WithValues, true),
+        (ReportLevel::WithPaths, false),
+        (ReportLevel::WithPaths, true),
+    ]
+    .into_iter()
+    .map(|(level, screening)| measure(level, screening, tuples, ops))
+    .collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/e4_smoke.rs`).
+pub fn quick_facts() -> Vec<E4Row> {
+    sweep(200, 100)
 }
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops) = if quick { (200, 100) } else { (1_000, 400) };
+    let rows = if quick { quick_facts() } else { sweep(1_000, 400) };
     let mut t = Table::new(
         "E4",
         "warehouse query-backs per update, by source report level",
@@ -121,14 +158,7 @@ pub fn run(quick: bool) -> Table {
         "msgs/upd",
         "bytes/upd",
     ]);
-    for (level, screening) in [
-        (ReportLevel::OidsOnly, false),
-        (ReportLevel::WithValues, false),
-        (ReportLevel::WithValues, true),
-        (ReportLevel::WithPaths, false),
-        (ReportLevel::WithPaths, true),
-    ] {
-        let r = measure(level, screening, tuples, ops);
+    for r in rows {
         t.row(vec![
             r.level.to_string(),
             if r.screening { "on" } else { "off" }.to_string(),

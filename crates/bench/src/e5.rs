@@ -25,6 +25,14 @@ pub struct E5Row {
     pub queries_per_update: f64,
     /// Of those, queries spent keeping the cache complete.
     pub cache_upkeep_per_update: f64,
+    /// Source queries over the whole stream.
+    pub queries: u64,
+    /// Query messages over the whole stream.
+    pub messages: u64,
+    /// Query bytes over the whole stream.
+    pub bytes: u64,
+    /// View members at the end of the stream.
+    pub members: usize,
 }
 
 /// Replay a stream against a warehouse with/without the §5.2 cache.
@@ -56,16 +64,17 @@ pub fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usi
     wh.connect(&source);
     let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
         .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-    wh.add_view(
-        "rels",
-        def,
-        ViewOptions {
-            use_aux_cache: cached,
-            label_screening: true,
-            ..ViewOptions::default()
-        },
-    )
-    .expect("add view");
+    let view = wh
+        .add_view(
+            "rels",
+            def,
+            ViewOptions {
+                use_aux_cache: cached,
+                label_screening: true,
+                ..ViewOptions::default()
+            },
+        )
+        .expect("add view");
     wh.meter("rels").expect("meter").reset();
 
     let mut n_updates = 0usize;
@@ -78,13 +87,17 @@ pub fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usi
             wh.handle_report(&report).expect("maintain");
         }
     }
-    let upkeep = wh.cache_queries(Oid::new("SEL")).unwrap_or(0);
+    let upkeep = wh.cache_queries(view).unwrap_or(0);
     let meter = wh.meter("rels").expect("meter");
     E5Row {
         stream,
         cached,
         queries_per_update: meter.queries() as f64 / n_updates as f64,
         cache_upkeep_per_update: upkeep as f64 / n_updates as f64,
+        queries: meter.queries(),
+        messages: meter.messages(),
+        bytes: meter.bytes(),
+        members: wh.view(view).expect("view").len(),
     }
 }
 
@@ -114,9 +127,25 @@ fn mixed(ops: usize) -> ChurnSpec {
     }
 }
 
+/// Both streams, cache off and on.
+fn sweep(tuples: usize, ops: usize) -> Vec<E5Row> {
+    let mut rows = Vec::new();
+    for (name, churn) in [("modify-only", modify_heavy(ops)), ("mixed", mixed(ops))] {
+        for cached in [false, true] {
+            rows.push(measure(name, churn, cached, tuples));
+        }
+    }
+    rows
+}
+
+/// The quick-mode sweep, for the count gate (`tests/e5_smoke.rs`).
+pub fn quick_facts() -> Vec<E5Row> {
+    sweep(200, 100)
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops) = if quick { (200, 100) } else { (1_000, 400) };
+    let rows = if quick { quick_facts() } else { sweep(1_000, 400) };
     let mut t = Table::new(
         "E5",
         "auxiliary cache along sel_path.cond_path (Example 10)",
@@ -128,19 +157,13 @@ pub fn run(quick: bool) -> Table {
         "queries/upd",
         "cache upkeep/upd",
     ]);
-    for (name, churn) in [
-        ("modify-only", modify_heavy(ops)),
-        ("mixed", mixed(ops)),
-    ] {
-        for cached in [false, true] {
-            let r = measure(name, churn, cached, tuples);
-            t.row(vec![
-                r.stream.to_string(),
-                if r.cached { "on" } else { "off" }.to_string(),
-                fnum(r.queries_per_update),
-                fnum(r.cache_upkeep_per_update),
-            ]);
-        }
+    for r in rows {
+        t.row(vec![
+            r.stream.to_string(),
+            if r.cached { "on" } else { "off" }.to_string(),
+            fnum(r.queries_per_update),
+            fnum(r.cache_upkeep_per_update),
+        ]);
     }
     t
 }

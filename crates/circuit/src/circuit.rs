@@ -50,11 +50,10 @@ pub struct BranchDef {
     pub cond: Option<CondDef>,
 }
 
-/// The aggregate functions the circuit backend supports — mirrors
-/// core's `AggFn` (the circuit crate sits below core and cannot
-/// depend on it).
+/// The aggregate function, shared by the circuit backend and core's
+/// aggregate views (the circuit crate sits below core).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggKind {
+pub enum AggFn {
     /// Number of numeric atoms.
     Count,
     /// Sum of numeric atoms.
@@ -67,15 +66,28 @@ pub enum AggKind {
     Avg,
 }
 
-impl AggKind {
-    /// Compute over a slice of numeric values; `None` when undefined.
+impl std::fmt::Display for AggFn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            AggFn::Count => "count",
+            AggFn::Sum => "sum",
+            AggFn::Min => "min",
+            AggFn::Max => "max",
+            AggFn::Avg => "avg",
+        })
+    }
+}
+
+impl AggFn {
+    /// Compute over a slice of numeric values; `None` when the
+    /// aggregate is undefined (empty input for min/max/avg).
     pub fn compute(&self, values: &[f64]) -> Option<f64> {
         match self {
-            AggKind::Count => Some(values.len() as f64),
-            AggKind::Sum => Some(values.iter().sum()),
-            AggKind::Min => values.iter().copied().reduce(f64::min),
-            AggKind::Max => values.iter().copied().reduce(f64::max),
-            AggKind::Avg => {
+            AggFn::Count => Some(values.len() as f64),
+            AggFn::Sum => Some(values.iter().sum()),
+            AggFn::Min => values.iter().copied().reduce(f64::min),
+            AggFn::Max => values.iter().copied().reduce(f64::max),
+            AggFn::Avg => {
                 if values.is_empty() {
                     None
                 } else {
@@ -92,7 +104,7 @@ pub struct AggDef {
     /// Path from a member to the aggregated atoms.
     pub path: PathExpr,
     /// The aggregate function.
-    pub f: AggKind,
+    pub f: AggFn,
 }
 
 /// The circuit IR one view definition lowers to.
@@ -153,7 +165,7 @@ struct AggState {
     endpoints: FastMap<Oid, FastSet<Oid>>,
     holders: FastMap<Oid, FastSet<Oid>>,
     values: FastMap<Oid, Option<f64>>,
-    f: AggKind,
+    f: AggFn,
 }
 
 /// A compiled, stateful delta circuit for one view.

@@ -34,7 +34,7 @@ pub mod operator;
 pub mod zset;
 
 pub use circuit::{
-    AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats,
+    AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats,
 };
 pub use zset::{distinct_delta, DistinctOp, ZSet};
 

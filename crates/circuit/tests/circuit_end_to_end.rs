@@ -6,7 +6,7 @@
 //! oracle in core.
 
 use gsdb::{DeltaBatch, Object, Oid, Store, StoreConfig, Update};
-use gsview_circuit::{AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef};
+use gsview_circuit::{AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef};
 use gsview_query::pathexpr::{reach_expr, PathExpr};
 use gsview_query::{CmpOp, Pred};
 use proptest::prelude::*;
@@ -372,7 +372,7 @@ proptest! {
         raw in raw_ops(),
     ) {
         let store = build_base(n, st, &ages);
-        for f in [AggKind::Count, AggKind::Sum, AggKind::Min, AggKind::Avg] {
+        for f in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Avg] {
             let def = CircuitDef {
                 branches: vec![BranchDef {
                     root: oid("ROOT"),
@@ -418,7 +418,7 @@ proptest! {
             ],
             aggregate: Some(AggDef {
                 path: PathExpr::parse("age").unwrap(),
-                f: AggKind::Sum,
+                f: AggFn::Sum,
             }),
         };
         check(def, &store, &raw, n, st);

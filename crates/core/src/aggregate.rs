@@ -19,55 +19,8 @@ use crate::sink::{MemberSet, ViewSink};
 use crate::viewdef::SimpleViewDef;
 use gsdb::{AppliedUpdate, Atom, Object, Oid, Path, Result, Store, StoreConfig, Value};
 use std::collections::HashMap;
-use std::fmt;
 
-/// The aggregate function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggFn {
-    /// Number of atomic values.
-    Count,
-    /// Sum of numeric values.
-    Sum,
-    /// Minimum numeric value.
-    Min,
-    /// Maximum numeric value.
-    Max,
-    /// Arithmetic mean of numeric values.
-    Avg,
-}
-
-impl fmt::Display for AggFn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggFn::Count => "count",
-            AggFn::Sum => "sum",
-            AggFn::Min => "min",
-            AggFn::Max => "max",
-            AggFn::Avg => "avg",
-        };
-        f.write_str(s)
-    }
-}
-
-impl AggFn {
-    /// Compute over a slice of numeric values. `None` when the
-    /// aggregate is undefined (empty input for min/max/avg).
-    pub fn compute(&self, values: &[f64]) -> Option<f64> {
-        match self {
-            AggFn::Count => Some(values.len() as f64),
-            AggFn::Sum => Some(values.iter().sum()),
-            AggFn::Min => values.iter().copied().reduce(f64::min),
-            AggFn::Max => values.iter().copied().reduce(f64::max),
-            AggFn::Avg => {
-                if values.is_empty() {
-                    None
-                } else {
-                    Some(values.iter().sum::<f64>() / values.len() as f64)
-                }
-            }
-        }
-    }
-}
+pub use gsview_circuit::AggFn;
 
 /// Definition of an aggregate view.
 #[derive(Clone, Debug)]

@@ -29,13 +29,13 @@
 //! number of batches behind, so a rebuild alone reconciles it against
 //! the full member set.
 
-use crate::aggregate::{AggFn, AggregateViewDef};
+use crate::aggregate::AggregateViewDef;
 use crate::maintain::BatchOutcome;
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, write_delta};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
 use gsdb::{ConsolidatedDelta, DeltaBatch, Oid, Result, Store};
-use gsview_circuit::{AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput};
+use gsview_circuit::{AggDef, BranchDef, Circuit, CircuitDef, CondDef, StepOutput};
 use gsview_query::{choose_backend, MaintBackend, PathExpr};
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -61,16 +61,6 @@ fn simple_branch(def: &SimpleViewDef) -> BranchDef {
             expr: PathExpr::from_path(&c.path),
             pred: c.pred.clone(),
         }),
-    }
-}
-
-fn agg_kind(f: AggFn) -> AggKind {
-    match f {
-        AggFn::Count => AggKind::Count,
-        AggFn::Sum => AggKind::Sum,
-        AggFn::Min => AggKind::Min,
-        AggFn::Max => AggKind::Max,
-        AggFn::Avg => AggKind::Avg,
     }
 }
 
@@ -111,7 +101,7 @@ impl CircuitSource {
                 branches: vec![simple_branch(&d.members)],
                 aggregate: Some(AggDef {
                     path: PathExpr::from_path(&d.agg_path),
-                    f: agg_kind(d.f),
+                    f: d.f,
                 }),
             },
         }
@@ -339,6 +329,7 @@ impl CircuitMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggFn;
     use gsdb::{samples, Update};
     use gsview_query::{CmpOp, Pred};
 

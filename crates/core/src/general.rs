@@ -92,9 +92,9 @@ impl CompoundMaintainer {
         Ok(out)
     }
 
-    /// Process a batch of updates: run the batched maintainer
-    /// ([`Maintainer::batched`]) per branch on its shadow, then reconcile the
-    /// union into the shared view once.
+    /// Process a batch of updates: run batched Algorithm 1
+    /// ([`Maintainer::apply_consolidated`]) per branch on its shadow,
+    /// then reconcile the union into the shared view once.
     pub fn apply_batch(
         &mut self,
         mv: &mut MaterializedView,
@@ -104,7 +104,7 @@ impl CompoundMaintainer {
         let delta = batch.consolidate();
         let mut relevant = 0;
         for (m, shadow) in &mut self.branches {
-            let out = m.batched().apply_consolidated(shadow, base, &delta)?;
+            let out = m.apply_consolidated(shadow, base, &delta)?;
             relevant = relevant.max(out.relevant_deltas);
         }
         let sync = self.sync(mv, base)?;

@@ -77,7 +77,7 @@ pub use catalog::{Catalog, CatalogError};
 pub use circuitview::{CircuitMaintainer, CircuitSource};
 pub use cluster::ViewCluster;
 pub use general::{CompoundMaintainer, DagMaintainer, GeneralMaintainer};
-pub use maintain::{sweep_members, BatchOutcome, MaintPlan, Maintainer, Outcome};
+pub use maintain::{sweep_members, BatchOutcome, Maintainer, Outcome};
 pub use mview::{MaterializedView, ViewDelta};
 pub use oracle::{
     assert_crash_recovery, assert_cross_shard_isolated, assert_equivalent,
@@ -88,7 +88,7 @@ pub use oracle::{
     diff_members, reference_members, IsolationReport, OracleVerdict, RecoveryVerdict,
     ShardedVerdict,
 };
-pub use parallel::{partition_commit_lanes, LaneOutcome, ParallelMaintainer, PartitionStats};
+pub use parallel::{ParallelMaintainer, PartitionStats};
 pub use partial::PartialView;
 pub use sink::{MemberSet, ViewSink};
 pub use viewdef::{CompoundViewDef, GeneralCond, GeneralViewDef, SimpleCond, SimpleViewDef};

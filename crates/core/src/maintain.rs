@@ -83,35 +83,38 @@ impl Outcome {
     }
 }
 
-/// The incremental maintainer for one simple view definition.
+/// Algorithm 1 for one simple view definition, in two forms.
 ///
-/// "The algorithm is triggered once by each update on the base
-/// objects" — call [`Maintainer::apply`] per [`AppliedUpdate`], in
-/// order, with the base reflecting the state right after that update
-/// and before any further ones.
+/// * [`Maintainer::apply`] is the paper's algorithm: "triggered once by
+///   each update on the base objects" — call it per [`AppliedUpdate`],
+///   in order, with the base reflecting the state right after that
+///   update and before any further ones.
+/// * [`Maintainer::apply_batch`] is handed a whole [`DeltaBatch`] with
+///   the base already in its **final** state. It consolidates the batch
+///   (cancelling updates with no net effect), runs the location test
+///   once per surviving delta, collects the candidate members each
+///   delta could affect, and then *repairs* each candidate against
+///   ground truth: `Y` is a member iff `path(ROOT, Y) = sel_path` and
+///   `eval(Y, cond_path, cond) ≠ ∅`. Repair makes the result
+///   independent of the order updates were applied in — batched
+///   maintenance converges to exactly the state sequential maintenance
+///   (and full recomputation) reaches. Content upkeep (§3.2) runs as a
+///   single pass at the end: each *touched* member is refreshed once
+///   per batch instead of once per raw update.
 #[derive(Clone, Debug)]
 pub struct Maintainer {
-    /// Holds the definition; handed out by [`Maintainer::batched`].
-    plan: MaintPlan,
+    def: SimpleViewDef,
 }
 
 impl Maintainer {
     /// Build a maintainer for a definition.
     pub fn new(def: SimpleViewDef) -> Self {
-        Maintainer {
-            plan: MaintPlan::new(def),
-        }
+        Maintainer { def }
     }
 
     /// The definition being maintained.
     pub fn def(&self) -> &SimpleViewDef {
-        self.plan.def()
-    }
-
-    /// The batched maintainer over the same definition, built once
-    /// with this one.
-    pub fn batched(&self) -> &MaintPlan {
-        &self.plan
+        &self.def
     }
 
     /// Process one applied base update, mutating the maintenance
@@ -327,10 +330,11 @@ fn is_member(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid) -> bool {
 /// ([`is_member`]) and evict the ones that no longer qualify. Returns
 /// the evicted base OIDs.
 ///
-/// This is the member re-verification sweep of [`MaintPlan`]'s repair
-/// phase, exposed for callers that maintain one update at a time but
-/// cannot guarantee Algorithm 1's §4.3 precondition (the base in the
-/// state *right after* the triggering update). A warehouse processing
+/// This is the member re-verification sweep of the repair phase of
+/// [`Maintainer::apply_batch`], exposed for callers that maintain one
+/// update at a time but cannot guarantee Algorithm 1's §4.3
+/// precondition (the base in the state *right after* the triggering
+/// update). A warehouse processing
 /// lagged update reports uses it when an update was dismissed as
 /// irrelevant only because its anchor object is no longer reachable —
 /// the one situation where the dismissal may hide a member loss whose
@@ -383,41 +387,8 @@ impl BatchOutcome {
     }
 }
 
-/// The batched maintainer for one simple view definition (the batched
-/// counterpart of [`Maintainer`]).
-///
-/// Where [`Maintainer::apply`] must run once per update with the base
-/// in the state *right after that update*, a `MaintPlan` is handed a
-/// whole [`DeltaBatch`] with the base already in its **final** state.
-/// It consolidates the batch (cancelling updates with no net effect),
-/// runs Algorithm 1's location test once per surviving delta, collects
-/// the candidate members each delta could affect, and then *repairs*
-/// each candidate against ground truth: `Y` is a member iff
-/// `path(ROOT, Y) = sel_path` and `eval(Y, cond_path, cond) ≠ ∅`.
-/// Repair makes the result independent of the order updates were
-/// applied in — batched maintenance converges to exactly the state
-/// sequential maintenance (and full recomputation) reaches.
-///
-/// Content upkeep (§3.2) runs as a single pass at the end: each
-/// *touched* member is refreshed once per batch instead of once per
-/// raw update, so a delegate's value is copied at most once.
-#[must_use = "a MaintPlan does nothing until apply_batch runs it"]
-#[derive(Clone, Debug)]
-pub struct MaintPlan {
-    def: SimpleViewDef,
-}
-
-impl MaintPlan {
-    /// Build a plan for a definition.
-    pub fn new(def: SimpleViewDef) -> Self {
-        MaintPlan { def }
-    }
-
-    /// The definition being maintained.
-    pub fn def(&self) -> &SimpleViewDef {
-        &self.def
-    }
-
+// The batched form: locate, repair, verify paths, content upkeep.
+impl Maintainer {
     /// Process a batch of applied updates. `base` must reflect the
     /// state *after every update in the batch*.
     pub fn apply_batch(
@@ -837,8 +808,7 @@ mod tests {
         assert_eq!(mv.members_base(), vec![oid("P3")]);
         let mut batch = DeltaBatch::new();
         batch.push(store.insert_edge(oid("P2"), oid("B3")).unwrap());
-        let plan = MaintPlan::new(def);
-        let out = plan
+        let out = Maintainer::new(def)
             .apply_batch(&mut mv, &mut LocalBase::new(&store), &batch)
             .unwrap();
         assert!(out.swept, "re-attaching insert must re-check paths");

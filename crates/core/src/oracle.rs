@@ -4,7 +4,7 @@
 //!
 //! 1. **Sequential** — Algorithm 1, one [`Maintainer::apply`] per
 //!    update, each against the base state right after that update;
-//! 2. **Batched** — one [`MaintPlan::apply_batch`] over the whole
+//! 2. **Batched** — one [`Maintainer::apply_batch`] over the whole
 //!    update run, against the final base state;
 //! 3. **Recompute** — materialize the definition from scratch on the
 //!    final base state;
@@ -19,7 +19,7 @@
 use crate::base::LocalBase;
 use crate::circuitview::{CircuitMaintainer, CircuitSource};
 use crate::consistency;
-use crate::maintain::{BatchOutcome, MaintPlan, Maintainer};
+use crate::maintain::{BatchOutcome, Maintainer};
 use crate::recompute::recompute;
 use crate::viewdef::SimpleViewDef;
 use gsdb::{DeltaBatch, Oid, Result, ShardedStore, Store, Update};
@@ -127,8 +127,7 @@ pub fn check_equivalence(
     }
 
     // Route 2 (batched) sees only the final state.
-    let plan = MaintPlan::new(def.clone());
-    verdict.batch = plan.apply_batch(&mut mv_batched, &mut LocalBase::new(&store), &batch)?;
+    verdict.batch = maintainer.apply_batch(&mut mv_batched, &mut LocalBase::new(&store), &batch)?;
 
     // Route 3 (recompute).
     let mv_full = recompute(def, &mut LocalBase::new(&store))?;

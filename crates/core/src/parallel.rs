@@ -2,11 +2,11 @@
 //! several materialized views at once.
 //!
 //! The paper's warehouse (§5) maintains every view of a source
-//! sequentially, once per update report. With the batched maintainer
-//! ([`MaintPlan`]) the unit of work becomes one *consolidated* delta
-//! per view — and those per-view invocations are independent: each
-//! reads the (immutable) final base state and writes only its own
-//! view. [`ParallelMaintainer`] exploits that by
+//! sequentially, once per update report. With batched maintenance
+//! ([`Maintainer::apply_consolidated`]) the unit of work becomes one
+//! *consolidated* delta per view — and those per-view invocations are
+//! independent: each reads the (immutable) final base state and writes
+//! only its own view. [`ParallelMaintainer`] exploits that by
 //!
 //! 1. **partitioning** the delta per view — dropping the deltas that
 //!    provably cannot affect a view, using the inverse (parent) index
@@ -14,12 +14,12 @@
 //!    anchor object; and
 //! 2. **fanning out** the per-view work over [`std::thread::scope`],
 //!    one worker per hardware thread, each running
-//!    [`MaintPlan::apply_consolidated`] against a shared `&Store`.
+//!    [`Maintainer::apply_consolidated`] against a shared `&Store`.
 //!
 //! ## Partition soundness
 //!
 //! A delta may be dropped for view `V` only when
-//! [`MaintPlan::apply_consolidated`] would provably do nothing with
+//! [`Maintainer::apply_consolidated`] would provably do nothing with
 //! it. Working through that routine's escalation rules:
 //!
 //! * **Deletes and re-attaching inserts are screened by ancestry or
@@ -69,78 +69,11 @@
 
 use crate::base::LocalBase;
 use crate::circuitview::CircuitSource;
-use crate::maintain::{BatchOutcome, MaintPlan};
+use crate::maintain::{BatchOutcome, Maintainer};
 use crate::mview::MaterializedView;
 use crate::viewdef::SimpleViewDef;
-use gsdb::{
-    path, ConsolidatedDelta, DeltaBatch, EdgeOp, FastMap, FastSet, Oid, Result, ShardedStore,
-    Store, Update, MAX_SHARDS,
-};
+use gsdb::{path, ConsolidatedDelta, DeltaBatch, EdgeOp, FastMap, FastSet, Oid, Result, Store};
 use gsview_query::MaintBackend;
-
-/// Partition a run of updates into **commit lanes**: groups whose
-/// affected shard sets are pairwise disjoint, so each lane can be
-/// handed to its own writer and committed through the sharded store
-/// concurrently — the write-side counterpart of the read-side view
-/// fan-out below. Within a lane the original update order is kept;
-/// updates in different lanes commute (they touch disjoint shards, and
-/// no update can move an OID between shards).
-///
-/// `Remove`'s affected set is approximated from `store` (the current
-/// snapshot): safe, because any *other* update that changes the
-/// victim's children necessarily names the victim and therefore shares
-/// its home shard — landing in the same lane, where order is
-/// preserved. Returns lanes in first-touch order; the concatenation of
-/// all lanes is a permutation of `updates`.
-pub fn partition_commit_lanes(store: &Store, updates: &[Update]) -> Vec<Vec<Update>> {
-    // Union-find over the (≤ MAX_SHARDS) shard ids.
-    let mut parent: [usize; MAX_SHARDS] = std::array::from_fn(|i| i);
-    fn find(parent: &mut [usize; MAX_SHARDS], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let shards_of = |u: &Update| -> Vec<usize> {
-        let mut v = Vec::with_capacity(4);
-        match u {
-            Update::Insert { parent, child } | Update::Delete { parent, child } => {
-                v.push(store.shard_of(*parent));
-                v.push(store.shard_of(*child));
-            }
-            Update::Modify { oid, .. } => v.push(store.shard_of(*oid)),
-            Update::Create { object } => {
-                v.push(store.shard_of(object.oid));
-                v.extend(object.children().iter().map(|c| store.shard_of(*c)));
-            }
-            Update::Remove { oid } => {
-                v.push(store.shard_of(*oid));
-                v.extend(store.children(*oid).iter().map(|c| store.shard_of(*c)));
-            }
-        }
-        v
-    };
-    let masks: Vec<Vec<usize>> = updates.iter().map(shards_of).collect();
-    for shards in &masks {
-        let root = find(&mut parent, shards[0]);
-        for &s in &shards[1..] {
-            let r = find(&mut parent, s);
-            parent[r] = root;
-        }
-    }
-    let mut lane_of_root: FastMap<usize, usize> = FastMap::default();
-    let mut lanes: Vec<Vec<Update>> = Vec::new();
-    for (u, shards) in updates.iter().zip(&masks) {
-        let root = find(&mut parent, shards[0]);
-        let lane = *lane_of_root.entry(root).or_insert_with(|| {
-            lanes.push(Vec::new());
-            lanes.len() - 1
-        });
-        lanes[lane].push(u.clone());
-    }
-    lanes
-}
 
 /// Node budget for the member-overlap subtree walk; an edge whose
 /// child subtree exceeds this is broadcast instead of screened.
@@ -173,22 +106,6 @@ fn subtree_closure(store: &Store, n: Oid, cap: usize) -> Option<FastSet<Oid>> {
     Some(seen)
 }
 
-/// How a lane-scheduled commit ([`ParallelMaintainer::commit_and_maintain`])
-/// distributed its writes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LaneOutcome {
-    /// Lanes the update run partitioned into (= concurrent writers).
-    pub lanes: usize,
-    /// Epochs the pipeline published (one per lane that applied
-    /// anything).
-    pub epochs: u64,
-    /// Updates that actually applied, across all lanes.
-    pub applied: usize,
-    /// Updates rejected (each lane keeps the pipeline's prefix-commit
-    /// semantics, so a rejection drops that lane's tail).
-    pub rejected: usize,
-}
-
 /// How a [`ParallelMaintainer`] run distributed its work.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartitionStats {
@@ -205,7 +122,7 @@ pub struct PartitionStats {
 /// parallel.
 #[derive(Clone, Debug)]
 pub struct ParallelMaintainer {
-    plans: Vec<MaintPlan>,
+    plans: Vec<Maintainer>,
 }
 
 impl ParallelMaintainer {
@@ -215,7 +132,7 @@ impl ParallelMaintainer {
     /// views expected by [`apply_batch`](Self::apply_batch).
     pub fn new(defs: impl IntoIterator<Item = SimpleViewDef>) -> Self {
         ParallelMaintainer {
-            plans: defs.into_iter().map(MaintPlan::new).collect(),
+            plans: defs.into_iter().map(Maintainer::new).collect(),
         }
     }
 
@@ -413,7 +330,7 @@ impl ParallelMaintainer {
         );
         type Lane<'p, 'v> = (
             usize,
-            &'p MaintPlan,
+            &'p Maintainer,
             ConsolidatedDelta,
             &'v mut MaterializedView,
         );
@@ -456,86 +373,6 @@ impl ParallelMaintainer {
             .collect()
     }
 
-    /// Lane-scheduled write path: partition `updates` into shard-
-    /// disjoint commit lanes ([`partition_commit_lanes`]), commit each
-    /// lane through `pipeline` from its own writer thread — so lanes
-    /// whose shard sets are disjoint run their apply phases genuinely
-    /// concurrently instead of being falsely serialized behind one
-    /// writer — then maintain every view once against the final
-    /// published snapshot.
-    ///
-    /// Each lane is one atomic commit (the pipeline's prefix-commit
-    /// semantics apply within it). Lanes commute by construction — no
-    /// update can move an OID between shards, and conflicting updates
-    /// share a lane — so the epoch order the pipeline assigns is a
-    /// serialization of the original run, and the applied deltas are
-    /// re-assembled in that order before the view fan-out. The result
-    /// is therefore independent of how the lane writers interleave,
-    /// which [`crate::oracle::check_parallel_equivalence`]-style tests
-    /// pin against sequential maintenance and recompute.
-    pub fn commit_and_maintain(
-        &self,
-        views: &mut [MaterializedView],
-        pipeline: &ShardedStore,
-        updates: &[Update],
-        threads: usize,
-    ) -> Result<(Vec<BatchOutcome>, LaneOutcome)> {
-        let snap = pipeline.snapshot();
-        let lanes = partition_commit_lanes(&snap, updates);
-        let _span = gsview_obs::span!(
-            "maint.lanes",
-            "lanes" = lanes.len(),
-            "updates" = updates.len(),
-        );
-        let base_epoch = pipeline.epoch();
-        let mut outcome = LaneOutcome {
-            lanes: lanes.len(),
-            ..LaneOutcome::default()
-        };
-
-        // One writer per lane; lanes are bounded by the shard count
-        // (≤ MAX_SHARDS), so no further chunking is needed.
-        let mut commits: Vec<(u64, Vec<gsdb::AppliedUpdate>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for lane in &lanes {
-                let pipeline = &pipeline;
-                handles.push(scope.spawn(move || {
-                    let r = pipeline.commit(lane);
-                    (r.epoch, r.applied, lane.len())
-                }));
-            }
-            for h in handles {
-                let (epoch, applied, submitted) = h.join().expect("lane writer panicked");
-                outcome.applied += applied.len();
-                outcome.rejected += submitted - applied.len();
-                if let Some(e) = epoch {
-                    commits.push((e, applied));
-                }
-            }
-        });
-        outcome.epochs = pipeline.epoch() - base_epoch;
-        gsview_obs::event!(
-            "maint.lanes.committed",
-            "lanes" = outcome.lanes,
-            "epochs" = outcome.epochs,
-            "applied" = outcome.applied,
-            "rejected" = outcome.rejected,
-        );
-
-        // Re-assemble the applied deltas in epoch (= serialization)
-        // order and maintain every view once on the final snapshot.
-        commits.sort_by_key(|(e, _)| *e);
-        let mut batch = DeltaBatch::new();
-        for (_, applied) in commits {
-            for a in applied {
-                batch.push(a);
-            }
-        }
-        let final_snap = pipeline.snapshot();
-        let outcomes = self.apply_batch(views, &final_snap, &batch, threads)?;
-        Ok((outcomes, outcome))
-    }
 }
 
 #[cfg(test)]
@@ -711,137 +548,5 @@ mod tests {
             views[0].store().get(delegate).unwrap().atom_value(),
             Some(&gsdb::Atom::Int(77))
         );
-    }
-
-    #[test]
-    fn commit_lanes_are_shard_disjoint_and_order_preserving() {
-        let mut store =
-            Store::with_config(gsdb::StoreConfig::default().with_shards(8));
-        for i in 0..24 {
-            store
-                .create(Object::atom(format!("L{i}").as_str(), "x", i as i64))
-                .unwrap();
-        }
-        let updates: Vec<Update> = (0..24).map(|i| Update::modify(format!("L{i}").as_str(), -1i64)).collect();
-        let lanes = partition_commit_lanes(&store, &updates);
-        // Every update lands in exactly one lane…
-        assert_eq!(lanes.iter().map(|l| l.len()).sum::<usize>(), updates.len());
-        // …lanes touch pairwise-disjoint shard sets…
-        let shard_sets: Vec<std::collections::BTreeSet<usize>> = lanes
-            .iter()
-            .map(|l| {
-                l.iter()
-                    .map(|u| match u {
-                        Update::Modify { oid, .. } => store.shard_of(*oid),
-                        _ => unreachable!(),
-                    })
-                    .collect()
-            })
-            .collect();
-        for i in 0..shard_sets.len() {
-            for j in i + 1..shard_sets.len() {
-                assert!(shard_sets[i].is_disjoint(&shard_sets[j]), "lanes {i} and {j} collide");
-            }
-        }
-        // …and same-shard updates keep their relative order.
-        for lane in &lanes {
-            let mut per_shard: FastMap<usize, Vec<i64>> = FastMap::default();
-            for u in lane {
-                if let Update::Modify { oid, .. } = u {
-                    let idx: i64 = oid.name()[1..].parse().unwrap();
-                    per_shard.entry(store.shard_of(*oid)).or_default().push(idx);
-                }
-            }
-            for order in per_shard.values() {
-                assert!(order.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
-
-    #[test]
-    fn lane_scheduled_commit_matches_recompute() {
-        // Shard-disjoint modifies and inserts race through the lane
-        // fan-out; every view must land exactly where recompute lands,
-        // and the pipeline must have genuinely split the run into
-        // multiple concurrent lanes.
-        let mut store = Store::with_config(gsdb::StoreConfig::default().with_shards(8));
-        samples::person_db(&mut store).unwrap();
-        for i in 0..16 {
-            store
-                .create(Object::atom(format!("B{i}").as_str(), "age", (20 + i) as i64))
-                .unwrap();
-        }
-        let defs = vec![
-            SimpleViewDef::new("YP", "ROOT", "professor")
-                .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
-            SimpleViewDef::new("ST", "ROOT", "professor.student"),
-        ];
-        let pm = ParallelMaintainer::new(defs);
-        let pipeline = ShardedStore::new(store.fork());
-        let mut views: Vec<MaterializedView> = pm
-            .defs()
-            .map(|d| recompute(d, &mut LocalBase::new(&pipeline.snapshot())).unwrap())
-            .collect();
-        let mut updates: Vec<Update> =
-            (0..16).map(|i| Update::modify(format!("B{i}").as_str(), (60 + i) as i64)).collect();
-        updates.push(Update::insert("P2", "B3"));
-        updates.push(Update::modify("A1", 80i64));
-        let (outcomes, lanes) = pm
-            .commit_and_maintain(&mut views, &pipeline, &updates, 2)
-            .unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(lanes.lanes > 1, "run must split into concurrent lanes: {lanes:?}");
-        assert_eq!(lanes.applied, updates.len());
-        assert_eq!(lanes.rejected, 0);
-        assert_eq!(lanes.epochs, lanes.lanes as u64);
-        let final_snap = pipeline.snapshot();
-        for (def, mv) in pm.defs().zip(&views) {
-            let want = recompute(def, &mut LocalBase::new(&final_snap)).unwrap();
-            assert_eq!(mv.members_base(), want.members_base(), "view {}", def.view);
-        }
-    }
-
-    #[test]
-    fn lane_scheduled_commit_keeps_prefix_semantics_per_lane() {
-        let mut store = Store::with_config(gsdb::StoreConfig::default().with_shards(4));
-        samples::person_db(&mut store).unwrap();
-        let pm = ParallelMaintainer::new(vec![SimpleViewDef::new("ST", "ROOT", "professor.student")]);
-        let pipeline = ShardedStore::new(store.fork());
-        let mut views: Vec<MaterializedView> = pm
-            .defs()
-            .map(|d| recompute(d, &mut LocalBase::new(&pipeline.snapshot())).unwrap())
-            .collect();
-        // A1 and GHOST share A1's lane only if they share shards; the
-        // modify of a missing OID rejects and drops its lane's tail.
-        let updates = vec![
-            Update::modify("A1", 30i64),
-            Update::modify("GHOST", 1i64),
-        ];
-        let (_, lanes) = pm
-            .commit_and_maintain(&mut views, &pipeline, &updates, 1)
-            .unwrap();
-        assert_eq!(lanes.applied + lanes.rejected, 2);
-        assert!(lanes.rejected >= 1);
-        let final_snap = pipeline.snapshot();
-        let want = recompute(pm.defs().next().unwrap(), &mut LocalBase::new(&final_snap)).unwrap();
-        assert_eq!(views[0].members_base(), want.members_base());
-    }
-
-    #[test]
-    fn commit_lanes_keep_conflicting_updates_together() {
-        let mut store =
-            Store::with_config(gsdb::StoreConfig::default().with_shards(8));
-        store.create(Object::empty_set("R", "root")).unwrap();
-        store.create(Object::atom("V", "x", 1i64)).unwrap();
-        store.insert_edge(oid("R"), oid("V")).unwrap();
-        // An edge insert into V and the removal of V name the same
-        // OID: one lane, insert before remove.
-        let updates = vec![
-            Update::insert("R", "V"),
-            Update::Remove { oid: oid("V") },
-        ];
-        let lanes = partition_commit_lanes(&store, &updates);
-        let lane_with_both = lanes.iter().find(|l| l.len() == 2);
-        assert!(lane_with_both.is_some(), "conflicting updates must share a lane: {lanes:?}");
     }
 }

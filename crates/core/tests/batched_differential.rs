@@ -1,6 +1,6 @@
 //! Property-based differential tests: over random bases and random
 //! update runs, incremental (Algorithm 1), batched
-//! ([`MaintPlan::apply_batch`]) and from-scratch recompute must land
+//! ([`Maintainer::apply_batch`]) and from-scratch recompute must land
 //! on identical views — for simple, multi-path, and wildcard
 //! definitions.
 //!
@@ -13,7 +13,7 @@
 
 use gsview_core::{
     assert_equivalent, assert_parallel_equivalent, GeneralMaintainer, GeneralViewDef, LocalBase,
-    MaintPlan, MaterializedView, SimpleViewDef,
+    Maintainer, MaterializedView, SimpleViewDef,
 };
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_query::pathexpr::PathExpr;
@@ -420,7 +420,7 @@ proptest! {
         let initial = base.store;
         let def = SimpleViewDef::new("V", "ROOT", "professor")
             .with_cond("age", Pred::new(CmpOp::Le, 45i64));
-        let plan = MaintPlan::new(def.clone());
+        let plan = Maintainer::new(def.clone());
 
         // One big flush vs two flushes split at an arbitrary point.
         let run = |cuts: &[usize]| {

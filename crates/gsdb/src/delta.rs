@@ -21,7 +21,7 @@
 //!   is deduplicated.
 //!
 //! The consolidated delta is what `gsview-core`'s batched maintainer
-//! (`MaintPlan::apply_batch`) runs Algorithm 1's location test
+//! (`Maintainer::apply_batch`) runs Algorithm 1's location test
 //! against — once per surviving delta instead of once per raw update.
 
 use crate::update::AppliedUpdate;

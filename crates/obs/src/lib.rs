@@ -69,6 +69,7 @@ pub mod fault;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
+mod ring;
 pub mod telemetry;
 
 use std::borrow::Cow;

@@ -1,24 +1,12 @@
 //! The flight recorder: a fixed-capacity, lock-free ring of the most
-//! recent events.
-//!
-//! Design: `capacity` slots of `AtomicPtr<RecordedEvent>` plus a
-//! ticket counter. A writer takes a ticket (`fetch_add`), boxes its
-//! event, and swaps the box into `slots[ticket % capacity]`; whatever
-//! pointer it displaced is freed by this writer. No locks, no waiting,
-//! and — unlike a seqlock over inline payloads — no torn reads are
-//! possible, because ownership of each heap event transfers atomically
-//! with the pointer swap. The cost is one allocation per recorded
-//! event, which is fine for a *diagnostic* ring that is only installed
-//! when someone is debugging (the macros are no-ops otherwise).
-//!
-//! Two writers whose tickets collide on a slot (exactly `capacity`
-//! apart) may race on the swap; either order is memory-safe and at
-//! worst keeps the older of the two events. [`FlightRecorder::drain`]
-//! re-sorts by ticket, so bounded reordering never corrupts the story.
+//! recent events (the crate's ticket ring, `ring.rs`). Its one
+//! allocation per recorded event is fine for a *diagnostic* ring that
+//! is only installed when someone is debugging (the macros are no-ops
+//! otherwise).
 
 use crate::export;
+use crate::ring::Ring;
 use crate::{Collector, Event};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One entry in the ring: the event plus its global sequence ticket.
@@ -37,65 +25,41 @@ pub struct RecordedEvent {
 /// drained events where [`FlightRecorder::last_dump`] can read them.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Box<[AtomicPtr<RecordedEvent>]>,
-    next_ticket: AtomicU64,
-    evicted: AtomicU64,
+    ring: Ring<Event>,
     last_dump: Mutex<Vec<RecordedEvent>>,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the most recent `capacity` events (min 1).
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            next_ticket: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            ring: Ring::with_capacity(capacity),
             last_dump: Mutex::new(Vec::new()),
         }
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Events displaced by ring wrap-around so far.
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.ring.displaced()
     }
 
     /// Append one event (lock-free; called by the collector hook).
     pub fn push(&self, event: Event) {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let fresh = Box::into_raw(Box::new(RecordedEvent { ticket, event }));
-        let old = slot.swap(fresh, Ordering::AcqRel);
-        if !old.is_null() {
-            // We displaced it, we own it.
-            drop(unsafe { Box::from_raw(old) });
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ring.push(event);
     }
 
     /// Take every buffered event, oldest first, emptying the ring.
     pub fn drain(&self) -> Vec<RecordedEvent> {
-        let mut events: Vec<RecordedEvent> = self
-            .slots
-            .iter()
-            .filter_map(|slot| {
-                let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-                if p.is_null() {
-                    None
-                } else {
-                    Some(*unsafe { Box::from_raw(p) })
-                }
-            })
-            .collect();
-        events.sort_by_key(|r| r.ticket);
-        events
+        self.ring
+            .drain()
+            .into_iter()
+            .map(|(ticket, event)| RecordedEvent { ticket, event })
+            .collect()
     }
 
     /// The events drained by the most recent failure dump (empty if
@@ -103,17 +67,6 @@ impl FlightRecorder {
     /// trace that went to stderr.
     pub fn last_dump(&self) -> Vec<RecordedEvent> {
         self.last_dump.lock().unwrap().clone()
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
     }
 }
 

@@ -24,9 +24,10 @@
 //! so the model is testable without sockets.
 
 use crate::metrics::{registry, Counter, MetricsSnapshot};
+use crate::ring::Ring;
 use crate::{Collector, Event, EventKind, FieldValue};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// What emitted the telemetry: the OTLP `Resource` analogue. One per
@@ -246,83 +247,45 @@ impl TailSampler {
 // ---------------------------------------------------------------------
 
 /// A bounded lock-free queue of completed spans between the hot path
-/// and the export pump. Same ticket-ring design as the flight
-/// recorder: `push` is one `fetch_add` plus one pointer swap and
+/// and the export pump. The flight recorder's ticket ring (`ring.rs`): `push` is one `fetch_add` plus one pointer swap and
 /// *never waits* — when the pump falls behind, the oldest unread span
 /// is displaced and counted in `obs.export.dropped`. The serving
 /// reactor drains it once per tick.
 #[derive(Debug)]
 pub struct ExportQueue {
-    slots: Box<[AtomicPtr<(u64, SpanRecord)>]>,
-    next_ticket: AtomicU64,
-    dropped: AtomicU64,
+    ring: Ring<SpanRecord>,
     dropped_counter: Arc<Counter>,
 }
 
 impl ExportQueue {
     /// A queue holding at most `capacity` undrained spans (min 1).
     pub fn with_capacity(capacity: usize) -> ExportQueue {
-        let capacity = capacity.max(1);
         ExportQueue {
-            slots: (0..capacity)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            next_ticket: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: Ring::with_capacity(capacity),
             dropped_counter: registry().counter("obs.export.dropped"),
         }
     }
 
     /// Queue capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Spans displaced by overflow so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.displaced()
     }
 
     /// Enqueue one span (lock-free, never blocks).
     pub fn push(&self, span: SpanRecord) {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        let fresh = Box::into_raw(Box::new((ticket, span)));
-        let old = slot.swap(fresh, Ordering::AcqRel);
-        if !old.is_null() {
-            drop(unsafe { Box::from_raw(old) });
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.ring.push(span) {
             self.dropped_counter.incr();
         }
     }
 
     /// Take every queued span, oldest first, emptying the queue.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut entries: Vec<(u64, SpanRecord)> = self
-            .slots
-            .iter()
-            .filter_map(|slot| {
-                let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-                if p.is_null() {
-                    None
-                } else {
-                    Some(*unsafe { Box::from_raw(p) })
-                }
-            })
-            .collect();
-        entries.sort_by_key(|&(ticket, _)| ticket);
-        entries.into_iter().map(|(_, span)| span).collect()
-    }
-}
-
-impl Drop for ExportQueue {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+        self.ring.drain().into_iter().map(|(_, span)| span).collect()
     }
 }
 

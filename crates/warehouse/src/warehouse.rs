@@ -370,7 +370,8 @@ impl Warehouse {
 
     /// Handle one update report from a source monitor: check its
     /// sequence number, then maintain every (healthy) view defined
-    /// over that source.
+    /// over that source with one Algorithm 1 pass
+    /// ([`Maintainer::apply`]).
     ///
     /// * Duplicates are dropped before touching any view or cache
     ///   (idempotency).
@@ -387,77 +388,163 @@ impl Warehouse {
             "source" = report.source.clone(),
             "seq" = report.seq,
             "level" = report.effective_level().to_string());
-        let Some(conn) = self.connections.get_mut(&report.source) else {
-            return Ok(Vec::new());
-        };
-        let verdict = conn.tracker.observe(report.seq);
-        let channel = conn.channel.clone();
-
-        if matches!(verdict, SeqVerdict::Duplicate { .. }) {
-            for wv in self.views.iter_mut().filter(|v| v.source == report.source) {
-                wv.stats.reports += 1;
-                wv.stats.duplicates_dropped += 1;
-            }
-            return Ok(Vec::new());
-        }
-        if let SeqVerdict::Gap { expected, got } = verdict {
-            gsview_obs::event!("warehouse.seq_gap",
-                "source" = report.source.clone(),
-                "expected" = expected,
-                "got" = got);
-            for wv in self.views.iter_mut().filter(|v| v.source == report.source) {
-                wv.stats.gaps_detected += 1;
-                if !wv.state.is_stale() {
-                    wv.state = ViewState::Stale(StaleCause::ReportGap { expected, got });
-                }
-            }
-        }
-
-        let mut outcomes = Vec::new();
-        for wv in &mut self.views {
-            if wv.source != report.source {
-                continue;
-            }
-            wv.stats.reports += 1;
-
-            if wv.state.is_stale() {
-                wv.stats.skipped_while_stale += 1;
-                continue;
-            }
-
-            let faults_before = channel.exhausted();
-
-            // Maintain the auxiliary cache first — before screening,
-            // and before Algorithm 1 so it reflects the post-update
-            // state the algorithm expects. Screening only proves the
-            // *view* cannot change; a cached copy still can, and
-            // [`AuxCache::try_fetch`] serves exact whole-value copies.
-            if let Some(cache) = wv.cache.as_mut() {
-                cache.apply_report(report, &channel, None);
-            }
-
-            // Local screening (no source queries). A screened report
-            // cannot change membership, but an edge into a member set
-            // or a modify of a member atom still changes its *value*
-            // (§3.2) — refresh it from local data, or fall through to
-            // full maintenance when no local copy is available.
-            if screened_out(wv, report) && screened_content_upkeep(wv, report)? {
-                wv.stats.screened_out += 1;
-                if let Some(cache) = wv.cache.as_mut() {
-                    cache.finalize_report();
-                }
-                if channel.exhausted() > faults_before {
-                    wv.state = ViewState::Stale(StaleCause::QueryFailure);
-                }
-                continue;
-            }
-
+        self.handle_source(&report.source, &[report], false, |wv, channel, _, _, faults_before| {
             let mut outcome = {
-                let mut base = RemoteBase::new(&channel).with_report(report);
+                let mut base = RemoteBase::new(channel).with_report(report);
                 if let Some(cache) = wv.cache.as_ref() {
                     base = base.with_cache(cache);
                 }
                 wv.maintainer.apply(&mut wv.mv, &mut base, &report.update)?
+            };
+            if channel.exhausted() == faults_before {
+                lag_guard(wv, channel, report, &mut outcome)?;
+            }
+            Ok(outcome)
+        })
+    }
+
+    /// Handle a buffered run of update reports in one batched
+    /// maintenance pass per view.
+    ///
+    /// Reports are grouped by source and handled exactly as in
+    /// [`Warehouse::handle_report`] (duplicates dropped, gaps flag the
+    /// source's views stale, screening, cache upkeep); for each healthy
+    /// view the surviving reports' updates are collected into a
+    /// [`DeltaBatch`] and applied with [`Maintainer::apply_batch`]
+    /// against the source's *current* state. Consolidation means churny
+    /// runs (insert+delete of the same edge, repeated modifies of one
+    /// atom) cost far fewer location tests and source queries than
+    /// one-at-a-time [`handle_report`](Warehouse::handle_report) calls;
+    /// and a batch asks a source each question once — what its reports
+    /// carried and what the source has already replied
+    /// ([`BatchAnswers`]) is shared by every view of that source for
+    /// the duration of the call.
+    pub fn handle_batch(
+        &mut self,
+        reports: &[UpdateReport],
+    ) -> Result<Vec<(Oid, BatchOutcome)>> {
+        let _span = gsview_obs::span!("warehouse.handle_batch", "reports" = reports.len());
+        let mut sources: Vec<&str> = Vec::new();
+        for r in reports {
+            if !sources.contains(&r.source.as_str()) {
+                sources.push(&r.source);
+            }
+        }
+        let mut outcomes = Vec::new();
+        for source in sources {
+            let of_source: Vec<&UpdateReport> =
+                reports.iter().filter(|r| r.source == source).collect();
+            let maintained = self.handle_source(source, &of_source, true, |wv, channel, answers, kept, _| {
+                let mut batch = DeltaBatch::new();
+                for r in kept {
+                    batch.push(r.update.clone());
+                }
+                let mut base = RemoteBase::new(channel);
+                if let Some(answers) = answers {
+                    base = base.with_batch(answers);
+                }
+                if let Some(cache) = wv.cache.as_ref() {
+                    base = base.with_cache(cache);
+                }
+                wv.maintainer.apply_batch(&mut wv.mv, &mut base, &batch)
+            })?;
+            outcomes.extend(maintained);
+        }
+        Ok(outcomes)
+    }
+
+    /// The report loop behind [`Warehouse::handle_report`] and
+    /// [`Warehouse::handle_batch`]: `reports` (all from `source`, in
+    /// arrival order) are sequence-screened once, and each view of the
+    /// source gets its statistics, gap verdict, cache upkeep and label
+    /// screening here. `maintain` is called once per healthy view with
+    /// the reports screening kept (never empty), and is the only thing
+    /// the two entry points do differently. `batched` shares the
+    /// reports' answers ([`BatchAnswers`]) between the cache upkeep and
+    /// `maintain`. A view whose pass lost a query to the dead-letter
+    /// queue goes stale and reports no outcome.
+    fn handle_source<O: Tally>(
+        &mut self,
+        source: &str,
+        reports: &[&UpdateReport],
+        batched: bool,
+        mut maintain: impl FnMut(
+            &mut WarehouseView,
+            &Channel,
+            Option<&BatchAnswers<'_>>,
+            &[&UpdateReport],
+            u64,
+        ) -> Result<O>,
+    ) -> Result<Vec<(Oid, O)>> {
+        let Some(conn) = self.connections.get_mut(source) else {
+            return Ok(Vec::new());
+        };
+        // Sequence screening, once per report (not per view).
+        let mut accepted: Vec<&UpdateReport> = Vec::new();
+        let mut dups = 0u64;
+        let mut gaps = 0u64;
+        let mut first_gap: Option<(u64, u64)> = None;
+        for &r in reports {
+            match conn.tracker.observe(r.seq) {
+                SeqVerdict::InOrder => accepted.push(r),
+                SeqVerdict::Duplicate { .. } => dups += 1,
+                SeqVerdict::Gap { expected, got } => {
+                    gaps += 1;
+                    if first_gap.is_none() {
+                        gsview_obs::event!("warehouse.seq_gap",
+                            "source" = source.to_string(),
+                            "expected" = expected,
+                            "got" = got);
+                    }
+                    first_gap.get_or_insert((expected, got));
+                    accepted.push(r);
+                }
+            }
+        }
+        let channel = conn.channel.clone();
+        let answers = batched.then(|| BatchAnswers::new(&accepted));
+        let mut outcomes = Vec::new();
+        for wv in self.views.iter_mut().filter(|v| v.source == source) {
+            wv.stats.reports += reports.len() as u64;
+            wv.stats.duplicates_dropped += dups;
+            if let Some((expected, got)) = first_gap {
+                wv.stats.gaps_detected += gaps;
+                if !wv.state.is_stale() {
+                    wv.state = ViewState::Stale(StaleCause::ReportGap { expected, got });
+                }
+            }
+            if wv.state.is_stale() {
+                wv.stats.skipped_while_stale += accepted.len() as u64;
+                continue;
+            }
+            let faults_before = channel.exhausted();
+            let mut kept: Vec<&UpdateReport> = Vec::new();
+            for &report in &accepted {
+                // Maintain the auxiliary cache first — before
+                // screening, and before Algorithm 1 so it reflects the
+                // post-update state the algorithm expects. Screening
+                // only proves the *view* cannot change; a cached copy
+                // still can, and [`AuxCache::try_fetch`] serves exact
+                // whole-value copies.
+                if let Some(cache) = wv.cache.as_mut() {
+                    cache.apply_report(report, &channel, answers.as_ref());
+                }
+                // Local screening (no source queries). A screened
+                // report cannot change membership, but an edge into a
+                // member set or a modify of a member atom still changes
+                // its *value* (§3.2) — refresh it from local data, or
+                // fall through to full maintenance when no local copy
+                // is available.
+                if screened_out(wv, report) && screened_content_upkeep(wv, report)? {
+                    wv.stats.screened_out += 1;
+                    continue;
+                }
+                kept.push(report);
+            }
+            let outcome = if kept.is_empty() {
+                None
+            } else {
+                Some(maintain(wv, &channel, answers.as_ref(), &kept, faults_before)?)
             };
             if let Some(cache) = wv.cache.as_mut() {
                 cache.finalize_report();
@@ -468,170 +555,8 @@ impl Warehouse {
                 wv.state = ViewState::Stale(StaleCause::QueryFailure);
                 continue;
             }
-            // §4.3 precondition guard. Algorithm 1 assumes the base is
-            // in the state right after the triggering update, but the
-            // source may have moved on since this report was emitted
-            // (the warehouse polls, queues and retries). A delete whose
-            // parent — or a condition-bearing modify whose object — is
-            // unreachable *now* may have been view-relevant *then*, and
-            // the source has already destroyed the evidence; re-verify
-            // the membership instead of trusting the dismissal. (Gains
-            // never need this: they always leave evidence in the
-            // current state for a later report to find.)
-            //
-            // A view with a healthy aux cache is exempt: the cache is
-            // maintained from the report stream itself, so its answers
-            // — including `certainly_off_path` rejections — describe
-            // the state right after each reported update. Dismissals
-            // are then report-time-sound and the guard (whose check
-            // costs a source query) would only re-confirm them.
-            if wv.cache.is_none() && !outcome.relevant && !wv.mv.is_empty() {
-                let mut base = RemoteBase::new(&channel);
-                let suspect = match &report.update {
-                    AppliedUpdate::Delete { parent, child } => {
-                        base.path_from_root(wv.def.root, *parent).is_none()
-                            || base.label_of(*child).is_none()
-                    }
-                    AppliedUpdate::Modify { oid, .. } => {
-                        wv.def.cond.is_some()
-                            && base.path_from_root(wv.def.root, *oid).is_none()
-                    }
-                    _ => false,
-                };
-                if suspect {
-                    wv.stats.lag_sweeps += 1;
-                    let swept = sweep_members(&wv.def, &mut wv.mv, &mut base)?;
-                    outcome.deleted.extend(swept);
-                    if channel.exhausted() > faults_before {
-                        wv.state = ViewState::Stale(StaleCause::QueryFailure);
-                        continue;
-                    }
-                }
-            }
-            if outcome.relevant {
-                wv.stats.relevant += 1;
-            }
-            wv.stats.inserted += outcome.inserted.len() as u64;
-            wv.stats.deleted += outcome.deleted.len() as u64;
-            outcomes.push((wv.def.view, outcome));
-        }
-        Ok(outcomes)
-    }
-
-    /// Handle a buffered run of update reports in one batched
-    /// maintenance pass per view.
-    ///
-    /// Reports are grouped by source and sequence-screened exactly as
-    /// in [`Warehouse::handle_report`] (duplicates dropped, gaps flag
-    /// the source's views stale); for each healthy view the surviving
-    /// reports' updates are collected into a [`DeltaBatch`] and applied
-    /// with [`gsview_core::MaintPlan::apply_batch`] against the source's
-    /// *current* state. Consolidation means churny runs (insert+delete of the
-    /// same edge, repeated modifies of one atom) cost far fewer
-    /// location tests and source queries than one-at-a-time
-    /// [`handle_report`](Warehouse::handle_report) calls; and a batch
-    /// asks a source each question once — what its reports carried and
-    /// what the source has already replied ([`BatchAnswers`]) is shared
-    /// by every view of that source for the duration of the call.
-    pub fn handle_batch(
-        &mut self,
-        reports: &[UpdateReport],
-    ) -> Result<Vec<(Oid, BatchOutcome)>> {
-        let _span = gsview_obs::span!("warehouse.handle_batch", "reports" = reports.len());
-        let mut sources: Vec<String> = Vec::new();
-        for r in reports {
-            if !sources.contains(&r.source) {
-                sources.push(r.source.clone());
-            }
-        }
-        let mut outcomes = Vec::new();
-        for source in sources {
-            let Some(conn) = self.connections.get_mut(&source) else {
-                continue;
-            };
-            // Sequence screening, once per report (not per view).
-            let mut accepted: Vec<&UpdateReport> = Vec::new();
-            let mut dups = 0u64;
-            let mut gaps = 0u64;
-            let mut first_gap: Option<(u64, u64)> = None;
-            let mut total = 0u64;
-            for r in reports.iter().filter(|r| r.source == source) {
-                total += 1;
-                match conn.tracker.observe(r.seq) {
-                    SeqVerdict::InOrder => accepted.push(r),
-                    SeqVerdict::Duplicate { .. } => dups += 1,
-                    SeqVerdict::Gap { expected, got } => {
-                        gaps += 1;
-                        if first_gap.is_none() {
-                            gsview_obs::event!("warehouse.seq_gap",
-                                "source" = source.clone(),
-                                "expected" = expected,
-                                "got" = got);
-                        }
-                        first_gap.get_or_insert((expected, got));
-                        accepted.push(r);
-                    }
-                }
-            }
-            let channel = conn.channel.clone();
-            let answers = BatchAnswers::new(&accepted);
-            for wv in &mut self.views {
-                if wv.source != source {
-                    continue;
-                }
-                wv.stats.reports += total;
-                wv.stats.duplicates_dropped += dups;
-                if let Some((expected, got)) = first_gap {
-                    wv.stats.gaps_detected += gaps;
-                    if !wv.state.is_stale() {
-                        wv.state = ViewState::Stale(StaleCause::ReportGap { expected, got });
-                    }
-                }
-                if wv.state.is_stale() {
-                    wv.stats.skipped_while_stale += accepted.len() as u64;
-                    continue;
-                }
-                let faults_before = channel.exhausted();
-                let mut batch = DeltaBatch::new();
-                for report in &accepted {
-                    // Cache upkeep runs for every report — screening
-                    // only proves the view can't change, not the
-                    // cached copies (see handle_report).
-                    if let Some(cache) = wv.cache.as_mut() {
-                        cache.apply_report(report, &channel, Some(&answers));
-                    }
-                    if screened_out(wv, report) && screened_content_upkeep(wv, report)? {
-                        wv.stats.screened_out += 1;
-                        continue;
-                    }
-                    batch.push(report.update.clone());
-                }
-                if batch.is_empty() {
-                    if let Some(cache) = wv.cache.as_mut() {
-                        cache.finalize_report();
-                    }
-                    if channel.exhausted() > faults_before {
-                        wv.state = ViewState::Stale(StaleCause::QueryFailure);
-                    }
-                    continue;
-                }
-                let outcome = {
-                    let mut base = RemoteBase::new(&channel).with_batch(&answers);
-                    if let Some(cache) = wv.cache.as_ref() {
-                        base = base.with_cache(cache);
-                    }
-                    wv.maintainer.batched().apply_batch(&mut wv.mv, &mut base, &batch)?
-                };
-                if let Some(cache) = wv.cache.as_mut() {
-                    cache.finalize_report();
-                }
-                if channel.exhausted() > faults_before {
-                    wv.state = ViewState::Stale(StaleCause::QueryFailure);
-                    continue;
-                }
-                wv.stats.relevant += outcome.relevant_deltas as u64;
-                wv.stats.inserted += outcome.inserted.len() as u64;
-                wv.stats.deleted += outcome.deleted.len() as u64;
+            if let Some(outcome) = outcome {
+                outcome.tally(&mut wv.stats);
                 outcomes.push((wv.def.view, outcome));
             }
         }
@@ -831,6 +756,73 @@ fn heal(
         wv.state = ViewState::Stale(StaleCause::QueryFailure);
     }
     Ok(outcome)
+}
+
+/// What a maintenance pass adds to its view's [`ViewStats`].
+trait Tally {
+    fn tally(&self, stats: &mut ViewStats);
+}
+
+impl Tally for Outcome {
+    fn tally(&self, stats: &mut ViewStats) {
+        stats.relevant += u64::from(self.relevant);
+        stats.inserted += self.inserted.len() as u64;
+        stats.deleted += self.deleted.len() as u64;
+    }
+}
+
+impl Tally for BatchOutcome {
+    fn tally(&self, stats: &mut ViewStats) {
+        stats.relevant += self.relevant_deltas as u64;
+        stats.inserted += self.inserted.len() as u64;
+        stats.deleted += self.deleted.len() as u64;
+    }
+}
+
+/// §4.3 precondition guard for one per-report pass. Algorithm 1
+/// assumes the base is in the state right after the triggering update,
+/// but the source may have moved on since this report was emitted (the
+/// warehouse polls, queues and retries). A delete whose parent — or a
+/// condition-bearing modify whose object — is unreachable *now* may
+/// have been view-relevant *then*, and the source has already
+/// destroyed the evidence; re-verify the membership instead of
+/// trusting the dismissal ([`sweep_members`]). (Gains never need this:
+/// they always leave evidence in the current state for a later report
+/// to find.)
+///
+/// A view with a healthy aux cache is exempt: the cache is maintained
+/// from the report stream itself, so its answers — including
+/// `certainly_off_path` rejections — describe the state right after
+/// each reported update. Dismissals are then report-time-sound and the
+/// guard (whose check costs a source query) would only re-confirm
+/// them.
+fn lag_guard(
+    wv: &mut WarehouseView,
+    channel: &Channel,
+    report: &UpdateReport,
+    outcome: &mut Outcome,
+) -> Result<()> {
+    if wv.cache.is_some() || outcome.relevant || wv.mv.is_empty() {
+        return Ok(());
+    }
+    let mut base = RemoteBase::new(channel);
+    let suspect = match &report.update {
+        AppliedUpdate::Delete { parent, child } => {
+            base.path_from_root(wv.def.root, *parent).is_none()
+                || base.label_of(*child).is_none()
+        }
+        AppliedUpdate::Modify { oid, .. } => {
+            wv.def.cond.is_some() && base.path_from_root(wv.def.root, *oid).is_none()
+        }
+        _ => false,
+    };
+    if suspect {
+        wv.stats.lag_sweeps += 1;
+        outcome
+            .deleted
+            .extend(sweep_members(&wv.def, &mut wv.mv, &mut base)?);
+    }
+    Ok(())
 }
 
 /// Local screening (paper §5.1 scenario 2 + §5.2 path knowledge):
@@ -1790,6 +1782,36 @@ mod tests {
         assert_eq!(wh.view_state(oid("YP")).unwrap(), ViewState::Consistent);
         assert!(wh.view(oid("YP")).unwrap().is_empty());
         assert_eq!(wh.view_stats(oid("YP")).unwrap().resyncs, 1);
+    }
+
+    #[test]
+    fn lagged_delete_report_sweeps_a_member_whose_ancestor_detached() {
+        // §4.3 precondition guard: by the time the first report is
+        // handled, the source has moved on. delete(P1, A1) costs P1
+        // its only age witness, and the later delete(ROOT, P1)
+        // detaches P1 itself. Against the current state P1 is
+        // unreachable, so Algorithm 1 dismisses the first report as
+        // irrelevant; the guard re-verifies the members instead, and
+        // the second report then finds nothing left to do.
+        let src = person_source(ReportLevel::WithValues);
+        let mut wh = Warehouse::new();
+        wh.connect(&src);
+        let def = yp_def();
+        wh.add_view("persons", def.clone(), ViewOptions::default())
+            .unwrap();
+        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
+        src.apply(Update::delete("P1", "A1")).unwrap();
+        src.apply(Update::delete("ROOT", "P1")).unwrap();
+        pump(&src, &mut wh);
+
+        let stats = wh.view_stats(oid("YP")).unwrap();
+        assert_eq!(stats.lag_sweeps, 1);
+        assert_eq!(stats.deleted, 1);
+        assert_eq!(wh.view_state(oid("YP")).unwrap(), ViewState::Consistent);
+        let want = src.with_store(|s| recompute(&def, &mut LocalBase::new(s)).unwrap());
+        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), want.members_base());
+        assert!(want.is_empty());
+        assert_consistent(&src, &wh, &def);
     }
 
     #[test]
