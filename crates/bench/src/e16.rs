@@ -39,10 +39,12 @@
 //!   `parent_index` of every shard it touched. The `copied/commit`
 //!   column (`store.cow.pages_copied` + `store.cow.segments_copied`
 //!   per commit) is the machine-independent form of that claim, and
-//!   the smoke test pins it equal at the two quick-mode sizes;
-//!   commits/sec still slopes gently with size, because every fork
-//!   copies each shard's page-pointer vector and the directories of
-//!   the tables it writes (one pointer per 256 slots / ~100 entries).
+//!   the smoke test pins it equal at the two quick-mode sizes. Each of
+//!   the three shards written also copies its page directory once
+//!   (`store.cow.directories_copied`, counted apart), and the first
+//!   write to a table copies that table's directory: one pointer per 64
+//!   slots / ~100 entries, the term by which commits/sec still slopes
+//!   with size.
 //!
 //! Single-core caveat: this container exposes **one hardware thread**,
 //! so writer threads are time-sliced and the commits/sec column mostly
@@ -92,7 +94,8 @@ pub struct CommitRow {
     /// Commits whose batch spanned more than one shard (delta).
     pub cross_shard: u64,
     /// Pages plus index segments copied because a published snapshot
-    /// still shared them (delta of `store.cow.*` over the run).
+    /// still shared them (delta of `store.cow.pages_copied` +
+    /// `store.cow.segments_copied` over the run).
     pub copied: u64,
 }
 

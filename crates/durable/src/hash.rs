@@ -13,7 +13,7 @@ use std::fmt;
 
 pub use gsdb::codec::crc32;
 
-/// A 128-bit content address of one chunk (one encoded slab page).
+/// A 128-bit content address of one chunk (256 encoded slab slots).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkHash(pub [u8; 16]);
 

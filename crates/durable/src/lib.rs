@@ -12,14 +12,15 @@
 //! One durable store is **one append-only file** ([`log`]) of
 //! checksum-chained frames:
 //!
-//! * **Chunk frames**: each copy-on-write slab page is encoded
-//!   ([`gsdb::codec`]) and appended once per distinct content hash —
-//!   content addressing turns the store's structural sharing into
-//!   storage sharing, so persisting an epoch writes only the pages
-//!   that epoch actually changed.
+//! * **Chunk frames**: each [`gsdb::Chunk`] — four consecutive
+//!   copy-on-write slab pages, 256 slots — is encoded ([`gsdb::codec`])
+//!   and appended once per distinct content hash — content addressing
+//!   turns the store's structural sharing into storage sharing, so
+//!   persisting an epoch writes only the chunks that epoch actually
+//!   changed.
 //! * **Manifest frames**: one [`Manifest`] per persist — lineage name,
 //!   epoch, sequence watermark, store flags, and the per-shard
-//!   page-hash lists. One log serves many lineages (a source and every
+//!   chunk-hash lists. One log serves many lineages (a source and every
 //!   warehouse view can share a [`MediaSet`]).
 //!
 //! The file opens with a frame carrying the format version; a
@@ -29,12 +30,14 @@
 //! ## The commit protocol and why recovery is atomic
 //!
 //! A persist is one write and one barrier: the chunk frames of the
-//! pages the epoch changed, then the manifest frame, go to the tail of
+//! chunks the epoch changed, then the manifest frame, go to the tail of
 //! the valid prefix as a single `write_at`, followed by a single
 //! `sync`. What a persist costs is what the epoch changed: a dirty
-//! page is re-encoded by copying the bytes of its unchanged slots
-//! ([`gsdb::codec::EncodedPage`]), hashed and checksummed eight bytes
-//! at a time, and unchanged pages are recognized by pointer.
+//! chunk is re-encoded by copying the bytes of its unchanged pages,
+//! recognized by pointer, and of the unchanged slots of its written
+//! ones ([`gsdb::codec::EncodedChunk`]), then hashed and checksummed
+//! eight bytes at a time; a chunk whose four pages are all unchanged
+//! costs four pointer comparisons.
 //!
 //! Recovery rests on one happens-before, the order of bytes in the
 //! file. The open scan accepts a frame only if every frame before it
@@ -94,9 +97,9 @@ pub use media::{
     ChaosController, ChaosMedia, ChaosPolicy, CrashPlan, CrashPoint, FsMedia, Media, MemMedia,
 };
 
-use gsdb::codec::EncodedPage;
+use gsdb::codec::EncodedChunk;
 use gsdb::stats::DurableFootprint;
-use gsdb::{EpochHandle, Object, ShardImage, Store, StoreStats};
+use gsdb::{Chunk, EpochHandle, ShardImage, Store, StoreStats};
 use gsview_obs::Counter;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -170,7 +173,7 @@ pub struct PersistReceipt {
     pub epoch: u64,
     /// Chunks newly appended to the log.
     pub chunks_appended: u64,
-    /// Pages answered by an existing chunk (pointer cache or content
+    /// Chunks answered by an existing one (pointer cache or content
     /// dedup) — the structural-sharing savings.
     pub chunks_reused: u64,
     /// Payload bytes appended.
@@ -201,22 +204,23 @@ pub trait ChunkPort: Send + Sync {
     fn fetch_chunk(&self, hash: &ChunkHash) -> Option<Vec<u8>>;
 }
 
-/// One page as last persisted: the page itself (held alive so `Arc`
-/// pointer identity is sound), its chunk hash, and its encoded bytes
-/// with per-slot offsets. A page pointer-equal to its cached version
-/// skips encoding and hashing altogether; a changed one re-encodes
-/// only the slots that changed. `encoded` is `None` for a page that
-/// came from [`DurableStore::recover`] and has not changed since.
-struct CachedPage {
-    page: Arc<Vec<Option<Object>>>,
+/// One chunk as last persisted: its pages (held alive so `Arc` pointer
+/// identity is sound), its hash, and its encoded bytes with per-slot
+/// offsets. A chunk whose pages are all pointer-equal to its cached
+/// version skips encoding and hashing altogether; a changed one copies
+/// its unchanged pages' bytes and re-encodes only the slots that
+/// changed. `encoded` is `None` for a chunk that came from
+/// [`DurableStore::recover`] and has not changed since.
+struct CachedChunk {
+    chunk: Chunk,
     hash: ChunkHash,
-    encoded: Option<EncodedPage>,
+    encoded: Option<EncodedChunk>,
 }
 
-/// Per-lineage persist cache, `[shard][page]`: persist cost is
+/// Per-lineage persist cache, `[shard][chunk]`: persist cost is
 /// O(slots touched since the last persist), the durable mirror of
 /// copy-on-write.
-type LineageCache = Vec<Vec<CachedPage>>;
+type LineageCache = Vec<Vec<CachedChunk>>;
 
 /// The `durable.persist.*` and `durable.compact.*` counters, resolved
 /// once per store.
@@ -302,7 +306,7 @@ impl DurableStore {
         let prev = cache.get(name);
         let mut append = self.log.begin();
         let mut shards = Vec::with_capacity(images.len());
-        // Pages that changed, by position; they replace their cached
+        // Chunks that changed, by position; they replace their cached
         // versions only once the log holds them.
         let mut changed = Vec::new();
         let mut receipt = PersistReceipt {
@@ -310,21 +314,24 @@ impl DurableStore {
             ..PersistReceipt::default()
         };
         for (i, img) in images.iter().enumerate() {
-            let mut hashes = Vec::with_capacity(img.pages.len());
-            for (j, page) in img.pages.iter().enumerate() {
+            let mut hashes = Vec::with_capacity(img.chunks.len());
+            for (j, chunk) in img.chunks.iter().enumerate() {
                 let old = prev.and_then(|c| c.get(i)?.get(j));
-                if let Some(old) = old.filter(|old| Arc::ptr_eq(&old.page, page)) {
+                let unchanged = |old: &&CachedChunk| {
+                    old.chunk.iter().zip(chunk).all(|(a, b)| Arc::ptr_eq(a, b))
+                };
+                if let Some(old) = old.filter(unchanged) {
                     receipt.chunks_reused += 1;
                     hashes.push(old.hash);
                     continue;
                 }
                 let encoded = match old {
-                    Some(CachedPage {
-                        page: old_page,
+                    Some(CachedChunk {
+                        chunk: old_chunk,
                         encoded: Some(old),
                         ..
-                    }) => old.reencode(old_page, page),
-                    _ => EncodedPage::encode(page),
+                    }) => old.reencode(old_chunk, chunk),
+                    _ => EncodedChunk::encode(chunk),
                 };
                 let (hash, fresh) = append.chunk(encoded.bytes());
                 if fresh {
@@ -334,8 +341,8 @@ impl DurableStore {
                     receipt.chunks_reused += 1;
                 }
                 hashes.push(hash);
-                changed.push((i, j, CachedPage {
-                    page: Arc::clone(page),
+                changed.push((i, j, CachedChunk {
+                    chunk: chunk.clone(),
                     hash,
                     encoded: Some(encoded),
                 }));
@@ -361,14 +368,14 @@ impl DurableStore {
         })?;
         let entry = cache.entry(name.to_string()).or_default();
         entry.resize_with(images.len(), Vec::new);
-        for (img, pages) in images.iter().zip(entry.iter_mut()) {
-            pages.truncate(img.pages.len());
+        for (img, chunks) in images.iter().zip(entry.iter_mut()) {
+            chunks.truncate(img.chunks.len());
         }
-        for (i, j, page) in changed {
+        for (i, j, chunk) in changed {
             // Ascending `j` per shard: a new position is the next one.
             match entry[i].get_mut(j) {
-                Some(slot) => *slot = page,
-                None => entry[i].push(page),
+                Some(slot) => *slot = chunk,
+                None => entry[i].push(chunk),
             }
         }
         self.counters.count.incr();
@@ -463,19 +470,19 @@ impl DurableStore {
         let mut images = Vec::with_capacity(m.shards.len());
         let mut cached: LineageCache = Vec::with_capacity(m.shards.len());
         for sm in &m.shards {
-            let mut pages = Vec::with_capacity(sm.pages.len());
+            let mut chunks = Vec::with_capacity(sm.pages.len());
             for h in &sm.pages {
                 let payload = self.log.get(h)?.ok_or_else(|| {
                     DurableError::Corrupt(format!("chunk {h} missing or corrupt"))
                 })?;
-                pages.push(Arc::new(gsdb::codec::decode_page(&payload)?));
+                chunks.push(gsdb::codec::decode_chunk(&payload)?);
             }
             cached.push(
-                pages
+                chunks
                     .iter()
                     .zip(&sm.pages)
-                    .map(|(page, &hash)| CachedPage {
-                        page: Arc::clone(page),
+                    .map(|(chunk, &hash)| CachedChunk {
+                        chunk: chunk.clone(),
                         hash,
                         encoded: None,
                     })
@@ -483,7 +490,7 @@ impl DurableStore {
             );
             images.push(ShardImage {
                 len_slots: sm.len_slots as usize,
-                pages,
+                chunks,
             });
         }
         let store = Store::from_images(m.store_config(), images, m.version)
@@ -684,10 +691,11 @@ mod tests {
         let check = |d: &DurableStore, s: &Store, when: &str| {
             let m = d.latest_manifest("src").unwrap();
             for (img, sm) in s.export_images().iter().zip(&m.shards) {
-                for (page, h) in img.pages.iter().zip(&sm.pages) {
+                for (chunk, h) in img.chunks.iter().zip(&sm.pages) {
+                    let slots: Vec<_> = chunk.iter().flat_map(|p| p.iter().cloned()).collect();
                     assert_eq!(
                         d.fetch_chunk(h).as_deref(),
-                        Some(&gsdb::codec::encode_page(page)[..]),
+                        Some(&gsdb::codec::encode_page(&slots)[..]),
                         "{when}"
                     );
                 }
@@ -718,6 +726,94 @@ mod tests {
         for round in 6..10 {
             edit(&mut s, &d, round);
         }
+    }
+
+    /// Every manifest's chunk hashes and the checksum of the whole log
+    /// after a fixed script, as recorded when store pages were still
+    /// the 256-slot chunks themselves: the in-memory page size is not
+    /// part of the format.
+    const RECORDED_CHUNKS: &str = "\
+e1: c20aeaff34fc865a08879a296a56ba59 ef1ba6906ddff32cd1e7fc3b0f3721f1 57f04a6e960ec4f573013170f7f2a8c2
+e2: f76a68ab9a9af149fbecf44e4ee38bbb ef1ba6906ddff32cd1e7fc3b0f3721f1 8372fc53ba954572660a226d7b03de86
+e3: d4089036a3f95f7af725dc4a27c63653 e31a87dab6328045b5947e8f00cb6fea 8372fc53ba954572660a226d7b03de86
+e4: d4089036a3f95f7af725dc4a27c63653 e31a87dab6328045b5947e8f00cb6fea 347be5ab87b2d31fa8e34126c4f54dae
+e5: d4089036a3f95f7af725dc4a27c63653 e31a87dab6328045b5947e8f00cb6fea bfc5e0eb2aa2dc9c952f9080b5266be5 067cbcdb4d9c77a4e794ec81808e427e 1c7d75fb77e700579acd4c59853d6639
+e6: d4089036a3f95f7af725dc4a27c63653 e31a87dab6328045b5947e8f00cb6fea bfc5e0eb2aa2dc9c952f9080b5266be5 2bb9a8c82730463e9a30c051ad0ce2fa 1c7d75fb77e700579acd4c59853d6639
+log 57383 bytes, crc 7ecb123e
+";
+
+    #[test]
+    fn a_fixed_script_writes_the_recorded_chunks() {
+        let name = |i: usize| format!("pin{i}");
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = Store::new();
+        s.create(Object::empty_set("pinR", "root")).unwrap();
+        for i in 0..700 {
+            s.create(Object::atom(name(i).as_str(), "x", i as i64))
+                .unwrap();
+            s.apply(Update::insert("pinR", name(i).as_str())).unwrap();
+        }
+        let mut epoch = 0;
+        let mut persist = |d: &DurableStore, s: &Store| {
+            epoch += 1;
+            d.persist("pin", &s.fork(), meta(epoch)).unwrap();
+        };
+        persist(&d, &s);
+        // Two chunks written, the rest untouched.
+        s.modify_atom(Oid::new("pin17"), -17i64).unwrap();
+        s.modify_atom(Oid::new("pin600"), 0.25f64).unwrap();
+        persist(&d, &s);
+        // A freed slot, reused by a new object.
+        s.apply(Update::delete("pinR", "pin300")).unwrap();
+        s.apply(Update::Remove {
+            oid: Oid::new("pin300"),
+        })
+        .unwrap();
+        s.create(Object::set(
+            "pinS",
+            "set",
+            &[Oid::new("pin1"), Oid::new("pin2")],
+        ))
+        .unwrap();
+        persist(&d, &s);
+        // Growth into the tail of the last chunk, then past it.
+        for i in 700..1100 {
+            s.create(Object::atom(
+                name(i).as_str(),
+                "y",
+                gsdb::Atom::str(&name(i)),
+            ))
+            .unwrap();
+            if i == 760 {
+                persist(&d, &s);
+            }
+        }
+        persist(&d, &s);
+        // A restart: the first persist after it has no cached bytes.
+        drop(d);
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = d.recover("pin").unwrap().unwrap().store;
+        s.modify_atom(Oid::new("pin1000"), true).unwrap();
+        persist(&d, &s);
+
+        let mut summary = String::new();
+        for f in d.frames_for("pin") {
+            summary += &format!("e{}:", f.manifest.epoch);
+            for sm in &f.manifest.shards {
+                for h in &sm.pages {
+                    summary += &format!(" {h}");
+                }
+            }
+            summary += "\n";
+        }
+        let log = media.log.read_at(0, media.log.len() as usize).unwrap();
+        summary += &format!(
+            "log {} bytes, crc {:08x}\n",
+            log.len(),
+            gsdb::codec::crc32(&log)
+        );
+        assert_eq!(summary, RECORDED_CHUNKS);
     }
 
     #[test]
@@ -786,12 +882,12 @@ mod tests {
         let changed = changed_oids(&d, Some(&old), &new).unwrap();
         assert!(changed.contains(&Oid::new("o7")));
         assert!(changed.contains(&Oid::new("fresh")));
-        // Pages are 256 slots, so the diff may include page-mates of
+        // Chunks are 256 slots, so the diff may include chunk-mates of
         // the touched objects — but never most of a 61-object store.
         assert!(changed.len() < 61, "diff leaked into unchanged pages");
     }
 
-    /// 600 atoms of 2 KiB on one shard: three pages, ≈ 1.2 MiB live —
+    /// 600 atoms of 2 KiB on one shard: three chunks, ≈ 1.2 MiB live —
     /// past the compaction floor, so the ratio alone decides.
     fn wide_store() -> Store {
         let mut s = Store::new();
@@ -805,7 +901,7 @@ mod tests {
         gsdb::Atom::Str(format!("{v:0>2048}").into())
     }
 
-    /// Modify one atom of the second page per epoch, so each epoch
+    /// Modify one atom of the second chunk per epoch, so each epoch
     /// appends a ≈ 512 KiB chunk and supersedes the last one.
     fn churn_wide(s: &mut Store, epoch: u64) {
         s.modify_atom(Oid::new(format!("cw{}", 256 + epoch % 200).as_str()), wide(epoch as usize))

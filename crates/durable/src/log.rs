@@ -1,15 +1,16 @@
 //! The durable epoch log: one append-only file of checksum-chained
 //! frames, chunk frames and manifest frames interleaved.
 //!
-//! A **chunk** is one encoded slab page, stored once per distinct
-//! content hash: content addressing turns the store's structural
-//! sharing into storage sharing. A **manifest** names a store lineage
-//! (`name`), the epoch and report sequence watermark it captures, the
-//! store configuration flags, and — per shard — the slot high-water
-//! mark plus the ordered list of page chunk hashes. A manifest plus
-//! the chunks before it fully determines a store; two manifests diff
-//! page-by-page, which is what makes chunk-level resync O(changed
-//! pages).
+//! A **chunk** is 256 encoded slab slots — four consecutive store
+//! pages, a [`gsdb::Chunk`] — stored once per distinct content hash:
+//! content addressing turns the store's structural sharing into
+//! storage sharing. The manifest API calls a chunk's position a
+//! *page*. A **manifest** names a store lineage (`name`), the epoch and
+//! report sequence watermark it captures, the store configuration
+//! flags, and — per shard — the slot high-water mark plus the ordered
+//! list of chunk hashes. A manifest plus the chunks before it fully
+//! determines a store; two manifests diff position by position, which
+//! is what makes chunk-level resync O(changed chunks).
 //!
 //! Every record is one [`gsdb::codec`] frame — tag, length, checksum,
 //! payload — and each frame's checksum continues its predecessor's, so
@@ -18,7 +19,7 @@
 //!
 //! ```text
 //! FILE      "GSVD" ‖ format version u32       first frame of the file
-//! CHUNK     content hash 16 B ‖ page bytes    one per distinct page
+//! CHUNK     content hash 16 B ‖ chunk bytes   one per distinct chunk
 //! MANIFEST  encoded Manifest                  one per persisted epoch
 //! ```
 //!
@@ -122,13 +123,13 @@ impl StoreFlags {
     }
 }
 
-/// One shard's durable image: high-water mark plus page chunk hashes
-/// in page order.
+/// One shard's durable image: high-water mark plus chunk hashes in
+/// slot order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardManifest {
     /// Local slots handed out (free included).
     pub len_slots: u64,
-    /// Content hash of each page, in page order.
+    /// Content hash of each chunk (four store pages), in slot order.
     pub pages: Vec<ChunkHash>,
 }
 

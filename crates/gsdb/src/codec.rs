@@ -1,11 +1,12 @@
-//! Byte codec for durable page serialization.
+//! Byte codec for durable chunk serialization.
 //!
 //! [`Oid`]s and [`Label`]s are interned symbols — their numeric ids
 //! are stable only within one process — so anything that outlives the
-//! process must be written **by name**. This module encodes slab pages
-//! (the copy-on-write unit of [`Store`](crate::Store)) into a compact,
-//! self-delimiting byte form the durability layer content-addresses:
-//! equal page bytes ⇔ equal page content, across processes.
+//! process must be written **by name**. This module encodes runs of
+//! slab slots — a durable [`Chunk`] is four copy-on-write pages of
+//! [`Store`](crate::Store), 256 slots — into a compact, self-delimiting
+//! byte form the durability layer content-addresses: equal chunk bytes
+//! ⇔ equal slots, across processes.
 //!
 //! The format is deliberately boring: LEB128 varints, zig-zag signed
 //! integers, length-prefixed UTF-8 strings, one tag byte per enum.
@@ -21,7 +22,8 @@
 //! [`CodecError`], which the recovery path treats like a failed
 //! checksum.
 
-use crate::{Atom, Label, Object, Oid, Value};
+use crate::store::{split_chunk, CHUNK_SLOTS};
+use crate::{Atom, Chunk, Label, Object, Oid, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -413,57 +415,83 @@ fn same_encoding(a: &Option<Object>, b: &Option<Object>) -> bool {
         }
 }
 
-/// An encoded page that remembers where each slot's bytes start, so
-/// the page's next version is encoded by copying the slots that did
-/// not change: interned names are resolved only for the objects an
-/// epoch touched, not for all 256 of a page. [`bytes`](Self::bytes)
-/// is always exactly what [`encode_page`] returns for the same slots.
+/// An encoded durable [`Chunk`] — its four store pages, written as one
+/// [`encode_page`] of their slots — that remembers where each slot's
+/// bytes start, so the chunk's next version is encoded by copying what
+/// did not change: a page the next version still shares by pointer is
+/// one range copy, and in a page that was written only the slots that
+/// changed resolve interned names. [`bytes`](Self::bytes) is always
+/// exactly what [`encode_page`] returns for the same slots.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EncodedPage {
+pub struct EncodedChunk {
     bytes: Vec<u8>,
     /// Start of each slot in `bytes`, plus `bytes.len()` at the end.
     offsets: Vec<u32>,
 }
 
-impl EncodedPage {
-    /// Encode `slots` from scratch.
-    pub fn encode(slots: &[Option<Object>]) -> EncodedPage {
-        Self::encode_from(None, slots)
+impl EncodedChunk {
+    /// Encode `chunk` from scratch.
+    pub fn encode(chunk: &Chunk) -> EncodedChunk {
+        Self::encode_from(None, chunk)
     }
 
-    /// Encode `slots`, the successor of the page `self` encodes: a
-    /// slot that [encodes the same](same_encoding) as the slot `old`
-    /// held at its position is copied from `self`, the rest are
-    /// encoded. `old` must be the slots `self` was encoded from.
-    pub fn reencode(&self, old: &[Option<Object>], slots: &[Option<Object>]) -> EncodedPage {
-        debug_assert_eq!(old.len() + 1, self.offsets.len());
-        Self::encode_from(Some((self, old)), slots)
+    /// Encode `chunk`, the successor of the chunk `self` encodes: a
+    /// page pointer-equal to the one `old` held at its position is
+    /// copied from `self` whole; in any other page, a slot that
+    /// [encodes the same](same_encoding) as the slot the old page held
+    /// at its position is copied, the rest are encoded. `old` must be
+    /// the chunk `self` was encoded from.
+    pub fn reencode(&self, old: &Chunk, chunk: &Chunk) -> EncodedChunk {
+        Self::encode_from(Some((self, old)), chunk)
     }
 
-    fn encode_from(
-        prev: Option<(&EncodedPage, &[Option<Object>])>,
-        slots: &[Option<Object>],
-    ) -> EncodedPage {
-        let mut bytes = Vec::with_capacity(prev.map_or(16 + slots.len() * 8, |(p, _)| p.bytes.len() + 64));
-        let mut offsets = Vec::with_capacity(slots.len() + 1);
-        put_varint(&mut bytes, slots.len() as u64);
-        for (k, slot) in slots.iter().enumerate() {
-            offsets.push(bytes.len() as u32);
+    fn encode_from(prev: Option<(&EncodedChunk, &Chunk)>, chunk: &Chunk) -> EncodedChunk {
+        let mut bytes =
+            Vec::with_capacity(prev.map_or(16 + CHUNK_SLOTS * 8, |(p, _)| p.bytes.len() + 64));
+        let mut offsets = Vec::with_capacity(CHUNK_SLOTS + 1);
+        put_varint(&mut bytes, CHUNK_SLOTS as u64);
+        for (p, page) in chunk.iter().enumerate() {
+            let first = p * page.len();
             match prev {
-                Some((p, old)) if old.get(k).is_some_and(|o| same_encoding(o, slot)) => {
-                    bytes.extend_from_slice(&p.bytes[p.offsets[k] as usize..p.offsets[k + 1] as usize]);
+                Some((e, old)) if Arc::ptr_eq(&old[p], page) => {
+                    let run = &e.offsets[first..=first + page.len()];
+                    let base = bytes.len() as u32;
+                    offsets.extend(run[..page.len()].iter().map(|&o| o - run[0] + base));
+                    bytes.extend_from_slice(&e.bytes[run[0] as usize..run[page.len()] as usize]);
                 }
-                _ => put_slot(&mut bytes, slot),
+                _ => {
+                    for (k, slot) in page.iter().enumerate() {
+                        offsets.push(bytes.len() as u32);
+                        match prev {
+                            Some((e, old)) if same_encoding(&old[p][k], slot) => {
+                                let at = first + k;
+                                bytes.extend_from_slice(
+                                    &e.bytes[e.offsets[at] as usize..e.offsets[at + 1] as usize],
+                                );
+                            }
+                            _ => put_slot(&mut bytes, slot),
+                        }
+                    }
+                }
             }
         }
         offsets.push(bytes.len() as u32);
-        EncodedPage { bytes, offsets }
+        EncodedChunk { bytes, offsets }
     }
 
-    /// The page bytes — what the durable layer hashes and stores.
+    /// The chunk bytes — what the durable layer hashes and stores.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
+}
+
+/// Decode one durable chunk into the store pages it holds: four of
+/// them, 256 slots. Fails on anything [`decode_page`] refuses and on a
+/// chunk of any other slot count.
+pub fn decode_chunk(bytes: &[u8]) -> Result<Chunk, CodecError> {
+    let slots = decode_page(bytes)?;
+    let n = slots.len();
+    split_chunk(slots).ok_or_else(|| CodecError(format!("chunk of {n} slots, not {CHUNK_SLOTS}")))
 }
 
 /// Decode one slab page. Fails on trailing garbage — a chunk holds
@@ -544,8 +572,11 @@ mod tests {
             prop_assert_eq!(crc32_update(crc32(&buf[..cut]), &buf[cut..]), crc32(&buf));
         }
 
-        /// Incremental encoding ≡ `encode_page`, byte for byte, along a
-        /// random edit sequence on one page.
+        /// Incremental encoding ≡ `encode_page` of the chunk's 256 slots,
+        /// byte for byte, along a random edit sequence on the four
+        /// 64-slot pages of one chunk: a page an epoch did not write
+        /// keeps its pointer and is copied whole, a written one slot by
+        /// slot.
         #[test]
         fn reencode_equals_encode_page_along_random_edits(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -572,57 +603,70 @@ mod tests {
                     Object::atom(name(oid).as_str(), label, atom(rng))
                 }
             };
-            let mut slots: Vec<Option<Object>> = (0..4 + rng.gen_range(0..12usize))
-                .map(|k| (rng.gen_range(0..4usize) != 0).then(|| object(&mut rng, k)))
-                .collect();
-            let mut enc = EncodedPage::encode(&slots);
-            prop_assert_eq!(enc.bytes(), &encode_page(&slots)[..]);
+            // Live slots up to a random high-water mark, as in a shard's
+            // last chunk.
+            let live_to = rng.gen_range(0..=CHUNK_SLOTS);
+            let mut pages: Chunk = std::array::from_fn(|p| {
+                Arc::new(std::array::from_fn(|k| {
+                    let k = 64 * p + k;
+                    (k < live_to && rng.gen_range(0..4usize) != 0).then(|| object(&mut rng, k))
+                }))
+            });
+            let slots = |pages: &Chunk| -> Vec<Option<Object>> {
+                pages.iter().flat_map(|p| p.iter().cloned()).collect()
+            };
+            let mut enc = EncodedChunk::encode(&pages);
+            prop_assert_eq!(enc.bytes(), &encode_page(&slots(&pages))[..]);
             for _ in 0..40 {
-                let old = slots.clone();
+                let old = pages.clone();
                 for _ in 0..1 + rng.gen_range(0..3usize) {
-                    let k = rng.gen_range(0..slots.len());
-                    match rng.gen_range(0..6usize) {
+                    let k = rng.gen_range(0..CHUNK_SLOTS);
+                    let page = &mut pages[k / 64];
+                    if rng.gen_range(0..8usize) == 0 {
+                        // The same slots behind a new pointer.
+                        *page = Arc::new((**page).clone());
+                        continue;
+                    }
+                    let slot = &mut Arc::make_mut(page)[k % 64];
+                    match rng.gen_range(0..5usize) {
                         // Free ↔ live, and slot reuse by a different OID.
-                        0 => slots[k] = None,
+                        0 => *slot = None,
                         1 => {
-                            let oid = 50 + rng.gen_range(0..50usize);
-                            slots[k] = Some(object(&mut rng, oid));
+                            let oid = 300 + rng.gen_range(0..100usize);
+                            *slot = Some(object(&mut rng, oid));
                         }
                         // Modify in place (possibly to an equal value).
                         2 => {
-                            if let Some(Object { value: v @ Value::Atom(_), .. }) = &mut slots[k] {
+                            if let Some(Object { value: v @ Value::Atom(_), .. }) = slot {
                                 *v = Value::Atom(atom(&mut rng));
                             }
                         }
                         // Remove-then-insert: an equal set, permuted.
                         3 => {
-                            if let Some(Object { value: Value::Set(s), .. }) = &mut slots[k] {
+                            if let Some(Object { value: Value::Set(s), .. }) = slot {
                                 if let Some(&first) = s.as_slice().first() {
                                     s.remove(first);
                                     s.insert(first);
                                 }
                             }
                         }
-                        4 => {
-                            if let Some(Object { value: Value::Set(s), .. }) = &mut slots[k] {
+                        _ => {
+                            if let Some(Object { value: Value::Set(s), .. }) = slot {
                                 s.insert(Oid::new(name(100 + rng.gen_range(0..8usize)).as_str()));
                             }
-                        }
-                        // Page growth.
-                        _ => {
-                            let grown = object(&mut rng, 200 + slots.len());
-                            slots.push(Some(grown));
                         }
                     }
                 }
                 // A restart drops the cached bytes: encode from scratch.
                 enc = if rng.gen_range(0..8usize) == 0 {
-                    EncodedPage::encode(&slots)
+                    EncodedChunk::encode(&pages)
                 } else {
-                    enc.reencode(&old, &slots)
+                    enc.reencode(&old, &pages)
                 };
-                prop_assert_eq!(enc.bytes(), &encode_page(&slots)[..]);
-                prop_assert_eq!(decode_page(enc.bytes()).map(|p| p.len()), Ok(slots.len()));
+                let want = encode_page(&slots(&pages));
+                prop_assert_eq!(enc.bytes(), &want[..]);
+                let decoded = decode_chunk(enc.bytes()).expect("a chunk decodes");
+                prop_assert_eq!(encode_page(&slots(&decoded)), want);
             }
         }
     }

@@ -78,6 +78,6 @@ pub use fxhash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use smallset::SmallSet;
 pub use shard::{CommitResult, PublishInfo, ShardedStore};
 pub use stats::DurableFootprint;
-pub use store::{ShardImage, SlotSet, Store, StoreConfig, MAX_SHARDS};
+pub use store::{Chunk, ShardImage, SlotSet, Store, StoreConfig, MAX_SHARDS};
 pub use update::{AppliedUpdate, Update};
 pub use value::{Atom, OidSet, Value};

@@ -50,26 +50,46 @@
 //! What a write copies is bounded by what it writes, not by what the
 //! shard holds:
 //!
-//! * a **page** (`PAGE_SIZE` slots) for each object record written —
-//!   8–28 µs by what the page holds; a set object up to 16 members is
-//!   one slice copy ([`OidSet`](crate::OidSet) keeps a member index
-//!   only above that);
+//! * a **page** (64 slots) for each object record written. A set
+//!   object up to 16 members is one slice copy
+//!   ([`OidSet`](crate::OidSet) keeps a member index only above that);
+//! * the shard's **page directory** — its page pointers and free list,
+//!   behind one `Arc` — once per shard a commit writes a record in.
+//!   Cloning a shard (a fork, a commit's working copy, its write-back,
+//!   the composed snapshot) bumps that one count; only the first
+//!   record write after a clone copies the directory, one pointer per
+//!   64 slots;
 //! * for `slot_of` and `parent_index`, a [`CowMap`]: the table's
 //!   directory (a vector of segment pointers) and the **one segment**
 //!   — about a hundred entries — holding the entry written. A create
 //!   or remove writes one `slot_of` entry, an edge update one
 //!   `parent_index` entry, a remove of an object with *k* children
 //!   *k* more;
-//! * `label_index` whole: it is keyed by label, a handful of entries.
+//! * `label_index` whole, on a create or remove: a handful of keys,
+//!   but each holds every slot of the shard with that label.
 //!
-//! `store.cow.pages_copied` and `store.cow.segments_copied` count the
-//! first two, so "what did this commit copy" is a number that does not
-//! depend on the machine (E16 gates it flat from 3 k to 30 k objects).
-//! What still scales with the shard is each clone of its `pages`
-//! pointer vector and free list (`ShardState::clone`, three per
-//! commit). Every successful [`Store::apply`] also bumps a
+//! `store.cow.pages_copied`, `store.cow.directories_copied` and
+//! `store.cow.segments_copied` count them, so "what did this commit
+//! copy" is a number that does not depend on the machine: a one-record
+//! commit copies one page and one directory at 3 k and at 300 k objects
+//! (`tests/commit_copies.rs`; E16 gates pages + segments flat from 3 k
+//! to 30 k). Pages used to be 256 slots and every commit cloned each
+//! touched shard's pointer vector three times by value; on the 2-vCPU
+//! benchmark guest the change to 64-slot pages under a shared directory
+//! took the traced `gsdb.commit_us` from 181 to 104 µs on
+//! `commit_durable`, from 268 to 145 µs on `wire_maintain` and from
+//! 1 542 to 1 116 µs per 256-update batch on `alg1_portfolio`, and a
+//! one-update commit over 100 k objects in 8 shards from 16.8 to 7.2 µs.
+//! What still scales with the shard is the one directory copy per
+//! written shard (a pointer per 64 slots) and the `label_index` copy.
+//! Every successful [`Store::apply`] also bumps a
 //! monotonically increasing [`version`](Store::version), so commit
 //! protocols can skip republishing untouched state.
+//!
+//! The durability layer's unit is a **chunk** of 256 slots — four
+//! consecutive pages — so the on-disk format does not depend on the
+//! page size: [`Store::export_images`] hands out pages four at a time
+//! and [`Store::from_images`] takes them back the same way.
 //!
 //! Two optional indexes accelerate the functions Algorithm 1 relies on:
 //!
@@ -100,21 +120,60 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Slots per copy-on-write page (power of two: slot addressing is a
-/// shift and a mask). 256 objects bounds the clone cost a writer pays
+/// shift and a mask). 64 objects bounds the clone cost a writer pays
 /// on the first touch of a shared page after an epoch fork.
-const PAGE_SHIFT: u32 = 8;
+const PAGE_SHIFT: u32 = 6;
 /// Page capacity, in slots.
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Mask extracting the within-page offset from a local slot id.
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
+/// Slots per durable chunk: the unit the durability layer encodes and
+/// content-addresses, fixed by the on-disk format.
+pub(crate) const CHUNK_SLOTS: usize = 256;
+/// Pages per durable chunk.
+const CHUNK_PAGES: usize = CHUNK_SLOTS / PAGE_SIZE;
 
 /// Maximum shard count a store will partition into (power of two).
 /// Sixteen shards keeps the `SlotSet` slice array `Copy`-cheap and is
 /// far beyond the writer parallelism a single source sees.
 pub const MAX_SHARDS: usize = 16;
 
-/// One copy-on-write slab page, always `PAGE_SIZE` entries long.
-type Page = Vec<Option<Object>>;
+/// One copy-on-write slab page: an array behind its `Arc`, so the
+/// counts and the slots are one allocation, a directory entry is one
+/// word, and a read follows one pointer from it to a slot.
+type Page = [Option<Object>; PAGE_SIZE];
+
+/// A fresh all-free page.
+fn new_page() -> Arc<Page> {
+    Arc::new([const { None }; PAGE_SIZE])
+}
+
+/// One durable chunk of a shard: four consecutive pages, 256 slots.
+/// The pages are shared with the store, so a chunk whose four pointers
+/// are unchanged since the last persist holds unchanged slots.
+pub type Chunk = [Arc<Page>; CHUNK_PAGES];
+
+/// An all-free page, shared by every chunk that runs past the end of
+/// its shard, so such a chunk keeps its pointers from one export to
+/// the next.
+fn empty_page() -> &'static Arc<Page> {
+    static EMPTY: OnceLock<Arc<Page>> = OnceLock::new();
+    EMPTY.get_or_init(new_page)
+}
+
+/// Split a decoded chunk's slots back into its pages; `None` unless
+/// there are exactly [`CHUNK_SLOTS`] of them.
+pub(crate) fn split_chunk(slots: Vec<Option<Object>>) -> Option<Chunk> {
+    if slots.len() != CHUNK_SLOTS {
+        return None;
+    }
+    let mut slots = slots.into_iter();
+    Some(std::array::from_fn(|_| {
+        Arc::new(std::array::from_fn(|_| {
+            slots.next().expect("counted above")
+        }))
+    }))
+}
 
 /// The home shard of an OID at a given shard shift (`log2(shards)`).
 /// A pure function of the OID so every store (and every commit
@@ -131,22 +190,46 @@ pub(crate) fn shard_for(oid: Oid, shift: u32) -> usize {
     ((h >> 32) as usize) & ((1usize << shift) - 1)
 }
 
-/// One shard of the slab: a page vector plus every map whose entries
-/// this shard owns. All slot values held in maps are **global** slot
-/// ids (shard interleaved in the low bits) so they resolve against the
-/// whole store; the pages are addressed by **local** ids
-/// (`global >> shift`).
+/// A shard's page directory: what a record write changes besides the
+/// record's page. Shared between clones of the shard until one of them
+/// writes a record.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ShardState {
+struct Directory {
     /// The shard's copy-on-write pages. `None` entries are free slots
     /// awaiting reuse (or the unallocated tail of the last page).
-    pub(crate) pages: Vec<Arc<Page>>,
+    pages: Vec<Arc<Page>>,
+    /// Free global slots of this shard, reused LIFO by `Create`.
+    free: Vec<u32>,
+}
+
+impl Directory {
+    /// Exclusive access to the slot behind local id `local`, copying
+    /// its page first if a clone of the directory still shares it.
+    #[inline]
+    fn slot_mut(&mut self, local: u32) -> &mut Option<Object> {
+        let page = &mut self.pages[(local >> PAGE_SHIFT) as usize];
+        if Arc::strong_count(page) != 1 {
+            *page = Arc::new(Page::clone(page));
+            pages_copied().incr();
+        }
+        &mut Arc::get_mut(page).expect("unshared or just copied")[(local & PAGE_MASK) as usize]
+    }
+}
+
+/// One shard of the slab: a page directory plus every map whose
+/// entries this shard owns. All slot values held in maps are **global**
+/// slot ids (shard interleaved in the low bits) so they resolve against
+/// the whole store; the pages are addressed by **local** ids
+/// (`global >> shift`). Cloning one is a handful of reference bumps.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ShardState {
+    /// Pages and free list, copied on the first record write after a
+    /// clone.
+    dir: Arc<Directory>,
     /// Local slots handed out so far (high-water mark, free included).
     pub(crate) len_slots: usize,
     /// OID → global slot, for OIDs homed in this shard.
     pub(crate) slot_of: CowMap<u32>,
-    /// Free global slots of this shard, reused LIFO by `Create`.
-    pub(crate) free: Vec<u32>,
     /// child OID (homed here) → sorted global parent slots (any
     /// shard). Keyed by OID (not slot) so replica stores may index
     /// edges to children they don't hold.
@@ -168,25 +251,32 @@ impl ShardState {
     /// Shared read access to the slot behind local id `local`.
     #[inline]
     pub(crate) fn obj(&self, local: u32) -> Option<&Object> {
-        self.pages
+        self.dir
+            .pages
             .get((local >> PAGE_SHIFT) as usize)
             .and_then(|p| p[(local & PAGE_MASK) as usize].as_ref())
     }
 
-    /// Exclusive access to the slot behind local id `local`, copying
-    /// the page first if it is shared with a published epoch fork.
-    /// Panics on out-of-range slots — mutation paths only address
-    /// allocated slots.
+    /// Write access to the page directory, copying it first if a clone
+    /// of this shard still shares it.
     #[inline]
-    fn obj_mut(&mut self, local: u32) -> &mut Option<Object> {
-        let page = &mut self.pages[(local >> PAGE_SHIFT) as usize];
+    fn dir_mut(&mut self) -> &mut Directory {
         // As in `CowMap::segment_mut`: a plain load decides, `get_mut`
         // synchronises.
-        if Arc::strong_count(page) != 1 {
-            *page = Arc::new(Page::clone(page));
-            pages_copied().incr();
+        if Arc::strong_count(&self.dir) != 1 {
+            self.dir = Arc::new(Directory::clone(&self.dir));
+            directories_copied().incr();
         }
-        &mut Arc::get_mut(page).expect("unshared or just copied")[(local & PAGE_MASK) as usize]
+        Arc::get_mut(&mut self.dir).expect("unshared or just copied")
+    }
+
+    /// Exclusive access to the slot behind local id `local`, copying
+    /// the directory and then the page first if a published epoch fork
+    /// shares them. Panics on out-of-range slots — mutation paths only
+    /// address allocated slots.
+    #[inline]
+    fn obj_mut(&mut self, local: u32) -> &mut Option<Object> {
+        self.dir_mut().slot_mut(local)
     }
 
     /// Size `slot_of` and the parent index for `additional` more
@@ -201,15 +291,27 @@ impl ShardState {
 
     /// Live objects in this shard.
     fn iter(&self) -> impl Iterator<Item = &Object> {
-        self.pages.iter().flat_map(|p| p.iter()).filter_map(|s| s.as_ref())
+        self.dir
+            .pages
+            .iter()
+            .flat_map(|p| p.iter())
+            .filter_map(|s| s.as_ref())
     }
 }
 
 /// `store.cow.pages_copied`: pages copied because a fork still shared
-/// them — with `store.cow.segments_copied`, what a commit copied.
+/// them — with `store.cow.directories_copied` and
+/// `store.cow.segments_copied`, what a commit copied.
 fn pages_copied() -> &'static Counter {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| gsview_obs::registry().counter("store.cow.pages_copied"))
+}
+
+/// `store.cow.directories_copied`: shard page directories copied
+/// because a clone of the shard still shared them.
+fn directories_copied() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| gsview_obs::registry().counter("store.cow.directories_copied"))
 }
 
 /// Uniform mutable access to a set of shards — implemented by
@@ -321,22 +423,17 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 let st = view.state_mut(s);
                 // Reuse a freed slot if one exists; identity is the
                 // OID, so reuse is invisible to callers. The slot is
-                // taken only once `slot_of` has accepted the OID — the
-                // duplicate check and the insert are one probe.
-                let local = st.len_slots as u32;
+                // taken (below) only once `slot_of` has accepted the
+                // OID — the duplicate check and the insert are one
+                // probe.
                 let slot = st
+                    .dir
                     .free
                     .last()
                     .copied()
-                    .unwrap_or((local << shift) | s as u32);
+                    .unwrap_or(((st.len_slots as u32) << shift) | s as u32);
                 if !st.slot_of.try_insert(oid, slot) {
                     return Err(GsdbError::DuplicateOid(oid));
-                }
-                if st.free.pop().is_none() {
-                    if (local >> PAGE_SHIFT) as usize == st.pages.len() {
-                        st.pages.push(Arc::new(vec![None; PAGE_SIZE]));
-                    }
-                    st.len_slots += 1;
                 }
                 slot
             };
@@ -358,7 +455,16 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                     st.parent_index.as_mut().unwrap().or_default(c).insert(slot);
                 }
             }
-            *view.state_mut(s).obj_mut(slot >> shift) = Some(object);
+            // Take the slot and write the record: one directory write.
+            let st = view.state_mut(s);
+            let dir = st.dir_mut();
+            let fresh = dir.free.pop().is_none();
+            let local = slot >> shift;
+            if fresh && (local >> PAGE_SHIFT) as usize == dir.pages.len() {
+                dir.pages.push(new_page());
+            }
+            *dir.slot_mut(local) = Some(object);
+            st.len_slots += usize::from(fresh);
             Ok(AppliedUpdate::Create { oid })
         }
         Update::Remove { oid } => {
@@ -367,8 +473,9 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let (slot, obj) = {
                 let st = view.state_mut(s);
                 let slot = st.slot_of.remove(oid).ok_or(GsdbError::NoSuchObject(oid))?;
-                let obj = st.obj_mut(slot >> shift).take().unwrap();
-                st.free.push(slot);
+                let dir = st.dir_mut();
+                let obj = dir.slot_mut(slot >> shift).take().unwrap();
+                dir.free.push(slot);
                 if let Some(idx) = st.label_index.as_mut() {
                     if let Some(set) = Arc::make_mut(idx).get_mut(&obj.label) {
                         set.remove(slot);
@@ -511,20 +618,21 @@ impl<'a> SlotSet<'a> {
     }
 }
 
-/// A read-only image of one slab shard: its copy-on-write pages plus
-/// the slot high-water mark — everything the durability layer needs to
-/// serialize the shard and everything [`Store::from_images`] needs to
-/// rebuild it (lookup maps, free lists, and indexes are derived from
-/// the pages). Pages are shared with the exporting store, so taking an
-/// image costs reference-count bumps, not object copies.
+/// A read-only image of one slab shard: its copy-on-write pages, four
+/// to a durable [`Chunk`], plus the slot high-water mark — everything
+/// the durability layer needs to serialize the shard and everything
+/// [`Store::from_images`] needs to rebuild it (lookup maps, free lists,
+/// and indexes are derived from the pages). Pages are shared with the
+/// exporting store, so taking an image costs reference-count bumps, not
+/// object copies.
 #[derive(Clone, Debug)]
 pub struct ShardImage {
     /// Local slots handed out so far (free slots included). Slots at
-    /// or past this mark are the unallocated tail of the last page.
+    /// or past this mark are the unallocated tail of the last chunk.
     pub len_slots: usize,
-    /// The shard's pages, each exactly [`Store::page_slots`] entries;
-    /// `None` entries are free slots.
-    pub pages: Vec<Arc<Vec<Option<Object>>>>,
+    /// The shard's pages in order, four to a chunk; the last chunk is
+    /// filled out with all-free pages. `None` entries are free slots.
+    pub chunks: Vec<Chunk>,
 }
 
 /// An in-memory GSDB object store.
@@ -564,11 +672,10 @@ impl Default for Store {
 }
 
 impl Clone for Store {
-    /// A logically independent copy. Cheap: pages and index tables
-    /// are shared copy-on-write, so the cost is reference-count bumps
-    /// plus the page-pointer vectors, free lists and update log; either
-    /// side pays the copy lazily, a page or a table segment at a time,
-    /// as it writes.
+    /// A logically independent copy. Cheap: page directories and index
+    /// tables are shared copy-on-write, so the cost is reference-count
+    /// bumps plus the update log; either side pays the copy lazily, a
+    /// directory, a page or a table segment at a time, as it writes.
     ///
     /// The `sorted_cache` is carried over as-is: it depends only on
     /// the OID set, which is identical at clone time, and every
@@ -692,8 +799,9 @@ impl Store {
     pub fn reserve(&mut self, additional: usize) {
         let per_shard = additional / self.shards.len() + 1;
         for st in &mut self.shards {
-            st.pages
-                .reserve(per_shard.saturating_sub(st.free.len()) / PAGE_SIZE + 1);
+            let dir = st.dir_mut();
+            dir.pages
+                .reserve(per_shard.saturating_sub(dir.free.len()) / PAGE_SIZE + 1);
             st.reserve_entries(per_shard);
         }
     }
@@ -704,9 +812,8 @@ impl Store {
     /// [`EpochHandle`](crate::EpochHandle) at commit time — readers
     /// traverse the fork while the live store keeps mutating (and
     /// keeps accumulating its own log for the monitor). Cost per
-    /// shard: three reference-count bumps (the index tables) plus a
-    /// copy of its page-pointer vector and free list — one pointer
-    /// per 256 slots, no object and no index entry.
+    /// shard: four reference-count bumps (the page directory and the
+    /// index tables) — no page pointer, object or index entry.
     pub fn fork(&self) -> Store {
         let mut fork = self.clone();
         fork.log = Vec::new();
@@ -1092,8 +1199,9 @@ impl Store {
     /// Compose the next published snapshot: the previous snapshot's
     /// shard states with `replaced` swapped in (the shards a commit
     /// locked), at the commit's post-state version. Cost: one cheap
-    /// clone of `prev` plus the swaps — untouched shards are shared
-    /// copy-on-write with every earlier snapshot.
+    /// clone of `prev` — reference bumps per shard — plus the swaps;
+    /// untouched shards are shared copy-on-write with every earlier
+    /// snapshot.
     pub(crate) fn compose_from(
         prev: &Store,
         replaced: impl IntoIterator<Item = (usize, ShardState)>,
@@ -1115,15 +1223,9 @@ impl Store {
     // Durable image export / import
     // ------------------------------------------------------------------
 
-    /// Slots per copy-on-write page — the unit the durability layer
-    /// serializes and content-addresses.
-    pub fn page_slots() -> usize {
-        PAGE_SIZE
-    }
-
-    /// Export the slab as per-shard page images, shared copy-on-write
+    /// Export the slab as per-shard chunk images, shared copy-on-write
     /// with this store (reference-count bumps, no object copies). The
-    /// durability layer serializes each page independently; unchanged
+    /// durability layer serializes each chunk independently; unchanged
     /// pages keep their `Arc` identity across epochs, which is what
     /// makes incremental persistence O(touched pages).
     pub fn export_images(&self) -> Vec<ShardImage> {
@@ -1131,23 +1233,30 @@ impl Store {
             .iter()
             .map(|s| ShardImage {
                 len_slots: s.len_slots,
-                pages: s.pages.clone(),
+                chunks: s
+                    .dir
+                    .pages
+                    .chunks(CHUNK_PAGES)
+                    .map(|pages| {
+                        std::array::from_fn(|k| Arc::clone(pages.get(k).unwrap_or(empty_page())))
+                    })
+                    .collect(),
             })
             .collect()
     }
 
-    /// Rebuild a store from exported (or decoded) page images,
+    /// Rebuild a store from exported (or decoded) chunk images,
     /// reconstructing the `Oid → slot` maps, free lists, and both
     /// indexes from the pages alone. The inverse of
-    /// [`Store::export_images`]: slot layout is preserved exactly, so
-    /// a recovered store re-exports to byte-identical pages —
-    /// structural sharing with pre-crash chunks survives restart.
+    /// [`Store::export_images`]: slot layout is preserved exactly, and
+    /// the store keeps the very pages it is given, so a recovered store
+    /// re-exports to the same chunks — structural sharing with
+    /// pre-crash chunks survives restart.
     ///
     /// Errors (as strings, for the recovery path to surface) on
     /// structural corruption: a shard count that is not a power of
-    /// two, pages of the wrong size, an object homed in the wrong
-    /// shard, a duplicate OID, or a live slot past the high-water
-    /// mark.
+    /// two, an object homed in the wrong shard, a duplicate OID, or a
+    /// live slot past the high-water mark.
     pub fn from_images(
         cfg: StoreConfig,
         images: Vec<ShardImage>,
@@ -1167,19 +1276,18 @@ impl Store {
         let shift = n.trailing_zeros();
         let mut shards = Vec::with_capacity(n);
         for (i, img) in images.into_iter().enumerate() {
-            if img.len_slots > img.pages.len() * PAGE_SIZE {
+            let pages: Vec<Arc<Page>> = img.chunks.into_iter().flatten().collect();
+            if img.len_slots > pages.len() * PAGE_SIZE {
                 return Err(format!(
                     "shard {i}: high-water mark {} exceeds {} paged slots",
                     img.len_slots,
-                    img.pages.len() * PAGE_SIZE
+                    pages.len() * PAGE_SIZE
                 ));
             }
             let mut st = ShardState::with_indexes(cfg.parent_index, cfg.label_index);
-            st.reserve_entries(img.pages.iter().map(|p| p.iter().flatten().count()).sum());
-            for (p, page) in img.pages.iter().enumerate() {
-                if page.len() != PAGE_SIZE {
-                    return Err(format!("shard {i} page {p}: {} slots", page.len()));
-                }
+            st.reserve_entries(pages.iter().map(|p| p.iter().flatten().count()).sum());
+            let mut free = Vec::new();
+            for (p, page) in pages.iter().enumerate() {
                 for (k, slot) in page.iter().enumerate() {
                     let local = (p * PAGE_SIZE + k) as u32;
                     match slot {
@@ -1204,13 +1312,13 @@ impl Store {
                         }
                         None => {
                             if (local as usize) < img.len_slots {
-                                st.free.push((local << shift) | i as u32);
+                                free.push((local << shift) | i as u32);
                             }
                         }
                     }
                 }
             }
-            st.pages = img.pages;
+            st.dir = Arc::new(Directory { pages, free });
             st.len_slots = img.len_slots;
             shards.push(st);
         }
@@ -1219,9 +1327,9 @@ impl Store {
         // dangling children, matching `Create`'s indexing).
         if cfg.parent_index || cfg.label_index {
             for i in 0..n {
-                for p in 0..shards[i].pages.len() {
+                for p in 0..shards[i].dir.pages.len() {
                     for k in 0..PAGE_SIZE {
-                        let (slot, children) = match &shards[i].pages[p][k] {
+                        let (slot, children) = match &shards[i].dir.pages[p][k] {
                             Some(obj) => (
                                 (((p * PAGE_SIZE + k) as u32) << shift) | i as u32,
                                 obj.children().to_vec(),
@@ -1229,7 +1337,7 @@ impl Store {
                             None => continue,
                         };
                         if cfg.label_index {
-                            let label = shards[i].pages[p][k].as_ref().unwrap().label;
+                            let label = shards[i].dir.pages[p][k].as_ref().unwrap().label;
                             let idx = shards[i].label_index.as_mut().unwrap();
                             Arc::make_mut(idx).entry(label).or_default().insert(slot);
                         }
@@ -1316,19 +1424,20 @@ impl Store {
                 st.slot_of.len()
             ));
         }
-        if live + st.free.len() != st.len_slots {
+        let Directory { pages, free } = &*st.dir;
+        if live + free.len() != st.len_slots {
             return Err(format!(
                 "shard {i}: live {} + free {} != allocated slots {}",
                 live,
-                st.free.len(),
+                free.len(),
                 st.len_slots
             ));
         }
-        if st.len_slots > st.pages.len() * PAGE_SIZE {
+        if st.len_slots > pages.len() * PAGE_SIZE {
             return Err(format!(
                 "shard {i}: slot high-water mark {} exceeds page capacity {}",
                 st.len_slots,
-                st.pages.len() * PAGE_SIZE
+                pages.len() * PAGE_SIZE
             ));
         }
         for (oid, &slot) in st.slot_of.iter() {
@@ -1350,7 +1459,7 @@ impl Store {
                 _ => return Err(format!("shard {i}: slot_of[{}] -> dead or mismatched slot", oid.name())),
             }
         }
-        for &f in &st.free {
+        for &f in free {
             if (f & mask) as usize != i {
                 return Err(format!("shard {i}: free slot {f} carries foreign shard bits"));
             }
@@ -2030,22 +2139,68 @@ mod tests {
                     s.parents(o).unwrap().iter().collect::<Vec<_>>()
                 );
             }
-            // Re-exported pages are identical Arcs' worth of content:
-            // persisting a recovered store re-produces the same bytes.
+            // The rebuilt store holds the very pages it was given, so
+            // it re-exports the same chunks, pointer for pointer.
             let a = s.export_images();
             let b = back.export_images();
             assert_eq!(a.len(), b.len());
             for (ia, ib) in a.iter().zip(&b) {
                 assert_eq!(ia.len_slots, ib.len_slots);
-                assert_eq!(ia.pages.len(), ib.pages.len());
-                for (pa, pb) in ia.pages.iter().zip(&ib.pages) {
-                    assert_eq!(
-                        crate::codec::encode_page(pa),
-                        crate::codec::encode_page(pb)
-                    );
+                assert_eq!(ia.chunks.len(), ib.chunks.len());
+                for (ca, cb) in ia.chunks.iter().zip(&ib.chunks) {
+                    assert!(ca.iter().zip(cb).all(|(pa, pb)| Arc::ptr_eq(pa, pb)));
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_chunk_is_four_pages_and_the_last_one_is_filled_out() {
+        let mut s = Store::new();
+        for i in 0..CHUNK_SLOTS + PAGE_SIZE + 3 {
+            s.create(Object::atom(format!("ck{i}").as_str(), "x", i as i64))
+                .unwrap();
+        }
+        let [img] = &s.export_images()[..] else {
+            panic!("one shard")
+        };
+        assert_eq!(img.chunks.len(), 2);
+        let slots: Vec<Option<Object>> = img
+            .chunks
+            .iter()
+            .flatten()
+            .flat_map(|p| p.iter().cloned())
+            .collect();
+        assert_eq!(slots.len(), 2 * CHUNK_SLOTS);
+        assert_eq!(slots.iter().flatten().count(), s.len());
+        assert!(Arc::ptr_eq(&img.chunks[1][2], empty_page()));
+        assert!(Arc::ptr_eq(&img.chunks[1][3], empty_page()));
+        // A decoded chunk splits back into the pages it was made of.
+        let again = split_chunk(slots[CHUNK_SLOTS..].to_vec()).unwrap();
+        assert!(again.iter().zip(&img.chunks[1]).all(|(a, b)| a == b));
+        assert!(split_chunk(slots[..CHUNK_SLOTS - 1].to_vec()).is_none());
+    }
+
+    #[test]
+    fn a_write_after_a_fork_copies_one_page_and_one_directory() {
+        let mut s = Store::new();
+        for i in 0..4 * CHUNK_SLOTS {
+            s.create(Object::atom(format!("cw{i}").as_str(), "x", i as i64))
+                .unwrap();
+        }
+        let fork = s.fork();
+        assert!(Arc::ptr_eq(&s.shards[0].dir, &fork.shards[0].dir));
+        s.modify_atom(oid("cw300"), -1i64).unwrap();
+        s.modify_atom(oid("cw301"), -1i64).unwrap();
+        let (sd, fd) = (&s.shards[0].dir, &fork.shards[0].dir);
+        assert!(!Arc::ptr_eq(sd, fd));
+        let apart = sd
+            .pages
+            .iter()
+            .zip(&fd.pages)
+            .filter(|(a, b)| !Arc::ptr_eq(a, b));
+        assert_eq!(apart.count(), 1);
+        assert_eq!(fork.atom(oid("cw300")), Some(&Atom::Int(300)));
     }
 
     #[test]
@@ -2054,17 +2209,22 @@ mod tests {
         let mut s = Store::with_config(cfg);
         churn(&mut s);
         let mut images = s.export_images();
-        // Move one object's page into a different shard: every object
+        // Move one object's chunk into a different shard: every object
         // in it becomes misplaced (or duplicated) — recovery must
         // refuse rather than resurrect objects under the wrong home.
         let donor = images
             .iter()
-            .position(|img| img.pages.iter().any(|p| p.iter().any(|s| s.is_some())))
+            .position(|img| {
+                img.chunks
+                    .iter()
+                    .flatten()
+                    .any(|p| p.iter().any(|s| s.is_some()))
+            })
             .unwrap();
-        let page = images[donor].pages[0].clone();
+        let chunk = images[donor].chunks[0].clone();
         let target = (donor + 1) % 4;
-        images[target].pages.insert(0, page);
-        images[target].len_slots += Store::page_slots();
+        images[target].chunks.insert(0, chunk);
+        images[target].len_slots += CHUNK_SLOTS;
         assert!(Store::from_images(cfg, images, 0).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Model-based property tests for the storage substrate: `OidSet`
 //! against `std::collections::HashSet`, store update/rollback
-//! round-trips, and notation/snapshot round-trips over random trees.
+//! round-trips, notation/snapshot round-trips over random trees, and
+//! slot layout under forks and durable-image round trips.
 
 use gsdb::{
     gc, notation, path, txn, Object, Oid, OidSet, Path, Snapshot, Store, StoreConfig, Update,
@@ -249,6 +250,79 @@ proptest! {
             prop_assert_eq!(store.oids_sorted(), want, "stale or wrong sorted cache");
             if let Err(e) = store.check_invariants() {
                 panic!("store invariant broken: {e}");
+            }
+        }
+    }
+
+    /// Slot layout across page and chunk boundaries: a few hundred
+    /// creates, removes (freed slots are reused), modifies and edge
+    /// updates on a 1–4-shard store, interleaved with forks and with
+    /// `export_images` → `from_images` round trips. A round trip keeps
+    /// every slot, a store rebuilt from images takes writes like any
+    /// other (chunks past a shard's end share one all-free page, which
+    /// a write must copy, not change), and every fork still holds the
+    /// state it was taken in.
+    #[test]
+    fn forks_and_image_round_trips_keep_slots_across_page_boundaries(
+        ops in prop::collection::vec((0..8u8, 0..512usize, 0..100i64), 1..400),
+        shards in 0..3usize,
+        salt in 0u32..1_000_000,
+    ) {
+        let cfg = StoreConfig::default().with_shards(1 << shards);
+        let mut store = Store::with_config(cfg);
+        let root = Oid::new(&format!("pl{salt}root"));
+        store.create(Object::empty_set(root.name(), "r")).unwrap();
+        let mut model: HashMap<Oid, i64> = HashMap::new();
+        let mut forks: Vec<(Store, HashMap<Oid, i64>)> = Vec::new();
+        let mut fresh = 0usize;
+        for (kind, idx, v) in ops {
+            let mut live: Vec<Oid> = model.keys().copied().collect();
+            live.sort_by_key(|o| o.name());
+            let pick = live.get(idx % live.len().max(1)).copied();
+            match (kind, pick) {
+                (0..=2, _) => {
+                    let o = Oid::new(&format!("pl{salt}a{fresh}"));
+                    fresh += 1;
+                    store.create(Object::atom(o.name(), "leaf", v)).unwrap();
+                    model.insert(o, v);
+                }
+                (3, Some(o)) => {
+                    let _ = store.apply(Update::Delete { parent: root, child: o });
+                    store.apply(Update::Remove { oid: o }).unwrap();
+                    model.remove(&o);
+                }
+                (4, Some(o)) => {
+                    store.modify_atom(o, v).unwrap();
+                    model.insert(o, v);
+                }
+                (5, Some(o)) => {
+                    let _ = store.insert_edge(root, o);
+                }
+                (6, _) if forks.len() < 4 => forks.push((store.fork(), model.clone())),
+                (7, _) => {
+                    let back = Store::from_images(cfg, store.export_images(), store.version())
+                        .map_err(|e| format!("round trip refused: {e}"))
+                        .unwrap();
+                    for o in model.keys() {
+                        prop_assert_eq!(back.slot_of(*o), store.slot_of(*o), "slot of {} moved", o);
+                    }
+                    prop_assert_eq!(back.slot_bound(), store.slot_bound());
+                    store = back;
+                }
+                _ => {}
+            }
+        }
+        if let Err(e) = store.check_invariants() {
+            panic!("store invariant broken: {e}");
+        }
+        forks.push((store, model));
+        for (fork, model) in &forks {
+            prop_assert_eq!(fork.len(), model.len() + 1);
+            for (o, v) in model {
+                prop_assert_eq!(fork.atom(*o), Some(&gsdb::Atom::Int(*v)), "{} in a fork", o);
+            }
+            if let Err(e) = fork.check_invariants() {
+                panic!("fork invariant broken: {e}");
             }
         }
     }

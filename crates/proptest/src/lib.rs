@@ -16,6 +16,10 @@
 //! * **Deterministic by construction.** Every test function runs the
 //!   same case sequence on every machine; there is no persistence file
 //!   (existing `.proptest-regressions` files are ignored).
+//! * **`PROPTEST_CASES` sets every test's case count**, explicit
+//!   configs included (upstream changes only the default), so one run
+//!   can drive chosen suites harder. The first cases are the usual
+//!   ones: a larger count extends the sequence.
 
 use std::marker::PhantomData;
 
@@ -40,6 +44,15 @@ impl Default for ProptestConfig {
             max_shrink_iters: 0,
         }
     }
+}
+
+/// Cases a test with `config` runs: `PROPTEST_CASES` when the
+/// environment holds a number there, else `config.cases`.
+pub fn case_count(config: &ProptestConfig) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(config.cases)
 }
 
 /// Derive the deterministic seed for one case of one test.
@@ -286,7 +299,7 @@ macro_rules! prop_oneof {
 }
 
 /// The test-defining macro: each `fn name(arg in strategy, ...)` runs
-/// `config.cases` deterministic cases.
+/// [`case_count`] deterministic cases.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -310,7 +323,7 @@ macro_rules! __proptest_impl {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
-            for __case in 0..__config.cases {
+            for __case in 0..$crate::case_count(&__config) {
                 let __seed = $crate::case_seed(stringify!($name), __case as u64);
                 let mut __rng =
                     <$crate::TestRng as $crate::SeedableRng>::seed_from_u64(__seed);

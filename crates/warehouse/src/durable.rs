@@ -1,12 +1,12 @@
 //! Durable warm-restart and chunk-diff resync support.
 //!
 //! The warehouse side of `gsview-durable`: a [`ChunkCache`] of decoded
-//! pages keyed by content hash, so reconstructing a source's persisted
+//! chunks keyed by content hash, so reconstructing a source's persisted
 //! epoch fetches **only the chunks whose hashes changed** since the
-//! last reconstruction — unchanged pages are free, exactly mirroring
+//! last reconstruction — unchanged chunks are free, exactly mirroring
 //! how the epoch log stores them once. This is the first step toward the
 //! ROADMAP's subtree-diff resync protocol: today the diff unit is the
-//! 256-slot page, addressed by hash.
+//! 256-slot chunk (four store pages), addressed by hash.
 //!
 //! What the warehouse does with a reconstruction is what it does with
 //! a source: it reads the view's region out of it
@@ -16,10 +16,9 @@
 //! queries, which is the restart cost the paper's §3 architecture
 //! exists to avoid.
 
-use gsdb::{Object, ShardImage, Store};
+use gsdb::{Chunk, ShardImage, Store};
 use gsview_durable::{ChunkHash, ChunkPort, DurableError, Manifest};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// What one cached reconstruction moved over the chunk port.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -30,13 +29,13 @@ pub struct FetchStats {
     pub reused: u64,
 }
 
-/// Decoded pages the warehouse has already fetched from a durable
+/// Decoded chunks the warehouse has already fetched from a durable
 /// port, keyed by content hash. Content addressing makes the cache
-/// trivially coherent: a hash never names two different pages, so a
-/// page cached once never needs re-fetching or invalidating.
+/// trivially coherent: a hash never names two different chunks, so a
+/// chunk cached once never needs re-fetching or invalidating.
 #[derive(Default)]
 pub struct ChunkCache {
-    pages: HashMap<ChunkHash, Arc<Vec<Option<Object>>>>,
+    chunks: HashMap<ChunkHash, Chunk>,
 }
 
 impl ChunkCache {
@@ -45,17 +44,17 @@ impl ChunkCache {
         ChunkCache::default()
     }
 
-    /// Number of distinct pages cached.
+    /// Number of distinct chunks cached.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.chunks.len()
     }
 
     /// True iff nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.chunks.is_empty()
     }
 
-    /// Rebuild the store a manifest describes, fetching only pages the
+    /// Rebuild the store a manifest describes, fetching only chunks the
     /// cache has not seen (a previous reconstruction of any lineage
     /// over this cache counts — dedup is cross-lineage, like the
     /// log's). Fails if a needed chunk is unavailable or corrupt;
@@ -68,28 +67,28 @@ impl ChunkCache {
         let mut stats = FetchStats::default();
         let mut images = Vec::with_capacity(m.shards.len());
         for sm in &m.shards {
-            let mut pages = Vec::with_capacity(sm.pages.len());
+            let mut chunks = Vec::with_capacity(sm.pages.len());
             for h in &sm.pages {
-                let page = match self.pages.get(h) {
-                    Some(p) => {
+                let chunk = match self.chunks.get(h) {
+                    Some(c) => {
                         stats.reused += 1;
-                        Arc::clone(p)
+                        c.clone()
                     }
                     None => {
                         let payload = port.fetch_chunk(h).ok_or_else(|| {
                             DurableError::Corrupt(format!("chunk {h} unavailable"))
                         })?;
-                        let page = Arc::new(gsdb::codec::decode_page(&payload)?);
+                        let chunk = gsdb::codec::decode_chunk(&payload)?;
                         stats.fetched += 1;
-                        self.pages.insert(*h, Arc::clone(&page));
-                        page
+                        self.chunks.insert(*h, chunk.clone());
+                        chunk
                     }
                 };
-                pages.push(page);
+                chunks.push(chunk);
             }
             images.push(ShardImage {
                 len_slots: sm.len_slots as usize,
-                pages,
+                chunks,
             });
         }
         let store = Store::from_images(m.store_config(), images, m.version)
