@@ -12,9 +12,12 @@
 //!    provably cannot affect a view, using the inverse (parent) index
 //!    to test whether the view's root is an ancestor of the update's
 //!    anchor object; and
-//! 2. **fanning out** the per-view work over [`std::thread::scope`],
-//!    one worker per hardware thread, each running
-//!    [`Maintainer::apply_consolidated`] against a shared `&Store`.
+//! 2. **fanning out** the per-view work in up to `threads` lanes of
+//!    consecutive views, each running [`Maintainer::apply_consolidated`]
+//!    against a shared `&Store`. The calling thread runs the first
+//!    lane and [`std::thread::scope`] spawns one worker per further
+//!    lane, so a one-lane flush (one view, or one thread) spawns
+//!    nothing.
 //!
 //! ## Partition soundness
 //!
@@ -289,8 +292,10 @@ impl ParallelMaintainer {
 
     /// Maintain every view over one raw update batch. `views` must be
     /// in definition order; `store` must reflect the state *after*
-    /// every update in the batch. `threads` workers run concurrently
-    /// (clamped to the number of views; `0` means one).
+    /// every update in the batch. `threads` lanes run concurrently
+    /// (clamped to the number of views; `0` means one), the first on
+    /// the calling thread. An error comes back as the first failing
+    /// view's, in definition order.
     pub fn apply_batch(
         &self,
         views: &mut [MaterializedView],
@@ -328,49 +333,39 @@ impl ParallelMaintainer {
             "screened_out" = stats.screened_out,
             "screened" = stats.screened,
         );
-        type Lane<'p, 'v> = (
-            usize,
-            &'p Maintainer,
-            ConsolidatedDelta,
-            &'v mut MaterializedView,
-        );
-        let mut work: Vec<Lane<'_, '_>> = self
+        type View<'p, 'v> = (&'p Maintainer, ConsolidatedDelta, &'v mut MaterializedView);
+        let mut work: Vec<View<'_, '_>> = self
             .plans
             .iter()
             .zip(deltas)
             .zip(views.iter_mut())
-            .enumerate()
-            .map(|(i, ((plan, d), mv))| (i, plan, d, mv))
+            .map(|((plan, d), mv)| (plan, d, mv))
             .collect();
 
         let threads = threads.clamp(1, work.len().max(1));
         let chunk = work.len().div_ceil(threads).max(1);
-        let mut results: Vec<Option<Result<BatchOutcome>>> = Vec::new();
-        results.resize_with(work.len(), || None);
+        let run_lane = |lane: &mut [View<'_, '_>]| -> Vec<Result<BatchOutcome>> {
+            lane.iter_mut()
+                .map(|(plan, d, mv)| plan.apply_consolidated(*mv, &mut LocalBase::new(store), d))
+                .collect()
+        };
 
+        // The calling thread runs the first lane and spawns only the
+        // rest: a one-lane flush starts no thread at all. Lanes are
+        // contiguous runs of views, so concatenating their results in
+        // lane order is definition order.
+        let mut lanes = work.chunks_mut(chunk);
+        let first = lanes.next();
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for slice in work.chunks_mut(chunk) {
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::with_capacity(slice.len());
-                    for (i, plan, d, mv) in slice.iter_mut() {
-                        let r = plan.apply_consolidated(*mv, &mut LocalBase::new(store), d);
-                        out.push((*i, r));
-                    }
-                    out
-                }));
+            let workers: Vec<_> = lanes
+                .map(|lane| scope.spawn(move || run_lane(lane)))
+                .collect();
+            let mut results = first.map(run_lane).unwrap_or_default();
+            for w in workers {
+                results.extend(w.join().expect("maintenance worker panicked"));
             }
-            for h in handles {
-                for (i, r) in h.join().expect("maintenance worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every view was dispatched"))
-            .collect()
+            results.into_iter().collect()
+        })
     }
 
 }
@@ -423,34 +418,85 @@ mod tests {
 
     #[test]
     fn parallel_matches_recompute_at_every_thread_count() {
-        let pm = ParallelMaintainer::new(defs());
-        for (i, def) in defs().into_iter().enumerate() {
-            let planned = CircuitSource::Simple(def).planned_backend().0;
-            assert_eq!(pm.backend(i), planned, "view {i} reports the plan");
+        // One view (the calling thread's lane alone), two, and three;
+        // every set also at more threads than views.
+        for n in 1..=defs().len() {
+            let pm = ParallelMaintainer::new(defs().into_iter().take(n));
+            for (i, def) in defs().into_iter().take(n).enumerate() {
+                let planned = CircuitSource::Simple(def).planned_backend().0;
+                assert_eq!(pm.backend(i), planned, "view {i} reports the plan");
+            }
+            for threads in [1, 2, 3, 4, 8] {
+                let mut store = person_store();
+                store.create(Object::atom("A2", "age", 40i64)).unwrap();
+                let (views, _) = run(
+                    &pm,
+                    &mut store,
+                    vec![
+                        Update::insert("P2", "A2"),
+                        Update::modify("A1", 80i64),
+                        Update::delete("P1", "P3"),
+                    ],
+                    threads,
+                );
+                assert_eq!(views.len(), n);
+                for (def, mv) in pm.defs().zip(&views) {
+                    let want = recompute(def, &mut LocalBase::new(&store)).unwrap();
+                    assert_eq!(
+                        mv.members_base(),
+                        want.members_base(),
+                        "view {} of {n} at {threads} threads",
+                        def.view,
+                    );
+                }
+            }
         }
-        for threads in [1, 2, 4, 8] {
+    }
+
+    #[test]
+    fn a_failing_view_fails_the_flush_in_definition_order() {
+        // Three views that all gain P2 once A2 (age 40) is inserted
+        // under it. A view is made to fail by an auxiliary object that
+        // already holds P2's delegate OID: inserting the delegate then
+        // meets a duplicate. At two threads the caller's lane holds
+        // views 0 and 1 and a worker's view 2; at three each of views
+        // 1 and 2 has a worker lane of its own.
+        let names = ["YP", "YQ", "YR"];
+        let defs = || {
+            names.into_iter().zip([45i64, 50, 60]).map(|(v, age)| {
+                SimpleViewDef::new(v, "ROOT", "professor")
+                    .with_cond("age", Pred::new(CmpOp::Le, age))
+            })
+        };
+        let pm = ParallelMaintainer::new(defs());
+        for (threads, failing, first) in [
+            (2, &[0][..], 0),
+            (2, &[2][..], 2),
+            (2, &[0, 2][..], 0),
+            (3, &[2, 1][..], 1),
+        ] {
             let mut store = person_store();
             store.create(Object::atom("A2", "age", 40i64)).unwrap();
-            let (views, _) = run(
-                &pm,
-                &mut store,
-                vec![
-                    Update::insert("P2", "A2"),
-                    Update::modify("A1", 80i64),
-                    Update::delete("P1", "P3"),
-                ],
-                threads,
-            );
-            for (def, mv) in pm.defs().zip(&views) {
-                let want = recompute(def, &mut LocalBase::new(&store)).unwrap();
-                assert_eq!(
-                    mv.members_base(),
-                    want.members_base(),
-                    "view {} at {} threads",
-                    def.view,
-                    threads
-                );
+            let mut views: Vec<MaterializedView> = pm
+                .defs()
+                .map(|d| recompute(d, &mut LocalBase::new(&store)).unwrap())
+                .collect();
+            for &v in failing {
+                let taken = Oid::delegate(oid(names[v]), oid("P2"));
+                let p1 = views[v]
+                    .delegate_of(oid("P1"))
+                    .expect("P1 (age 45) is a member");
+                views[v]
+                    .adopt_auxiliary(p1, Object::atom(taken, "ts", 0i64))
+                    .unwrap();
             }
+            let mut batch = DeltaBatch::new();
+            batch.push(store.apply(Update::insert("P2", "A2")).unwrap());
+            let err = pm
+                .apply_batch(&mut views, &store, &batch, threads)
+                .unwrap_err();
+            let want = gsdb::GsdbError::DuplicateOid(Oid::delegate(oid(names[first]), oid("P2")));
+            assert_eq!(err, want, "views {failing:?} failing at {threads} threads");
         }
     }
 

@@ -433,7 +433,9 @@ impl DurableStore {
     /// valid frames from the tail and rebuild the first one whose
     /// chunks all verify and decode. `Ok(None)` means the lineage has
     /// no recoverable frame (empty log, or every frame torn) — a cold
-    /// start, not an error.
+    /// start, not an error. Each frame skipped on the way is counted
+    /// (`durable.recover.fallback`) and emitted as an event of that
+    /// name carrying the lineage, the frame's epoch and the error.
     pub fn recover(&self, name: &str) -> Result<Option<Recovered>> {
         let _span = gsview_obs::span!("durable.recover", "name" = name.to_string());
         let mut back = 0;
@@ -451,11 +453,17 @@ impl DurableStore {
                         store,
                     }));
                 }
-                Err(_) => {
+                Err(e) => {
                     // An unresolvable frame (missing/corrupt chunk,
                     // image the store rejects): fall back to the
-                    // previous persist of this lineage.
+                    // previous persist of this lineage, and say why.
                     gsview_obs::registry().counter("durable.recover.fallback").incr();
+                    gsview_obs::event!(
+                        "durable.recover.fallback",
+                        "name" = name.to_string(),
+                        "epoch" = frame.manifest.epoch,
+                        "error" = e.to_string()
+                    );
                     back += 1;
                 }
             }
@@ -821,10 +829,10 @@ log 57383 bytes, crc 7ecb123e
         let media = MediaSet::memory();
         let d = DurableStore::open(media.clone()).unwrap();
         let mut s = build_store(1, 40);
-        d.persist("src", &s.fork(), meta(1)).unwrap();
+        d.persist("rotted", &s.fork(), meta(1)).unwrap();
         s.modify_atom(Oid::new("o7"), -7i64).unwrap();
-        d.persist("src", &s.fork(), meta(2)).unwrap();
-        let newest = d.latest_manifest("src").unwrap().shards[0].pages[0];
+        d.persist("rotted", &s.fork(), meta(2)).unwrap();
+        let newest = d.latest_manifest("rotted").unwrap().shards[0].pages[0];
         let page = d.fetch_chunk(&newest).unwrap();
         let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
         let at = bytes.windows(page.len()).rposition(|w| w == page).unwrap();
@@ -832,9 +840,27 @@ log 57383 bytes, crc 7ecb123e
             .log
             .write_at(at as u64 + 3, &[bytes[at + 3] ^ 1], CrashPoint::Other)
             .unwrap();
-        let rec = d.recover("src").unwrap().expect("epoch 1 is intact");
+        // Other tests of this binary emit into the ring while it is
+        // installed: size it for them.
+        let recorder = Arc::new(gsview_obs::FlightRecorder::with_capacity(1 << 16));
+        let guard = gsview_obs::install(recorder.clone());
+        let rec = d.recover("rotted").unwrap().expect("epoch 1 is intact");
+        drop(guard);
         assert_eq!(rec.manifest.epoch, 1);
         assert_eq!(rec.store.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(7)));
+        // The skipped frame says why: its epoch, and the chunk that rotted.
+        let fallbacks: Vec<_> = recorder
+            .drain()
+            .into_iter()
+            .filter(|r| r.event.name == "durable.recover.fallback")
+            .map(|r| ["name", "epoch", "error"].map(|k| r.event.field(k).map(|v| v.to_string())))
+            .filter(|[name, ..]| name.as_deref() == Some("rotted"))
+            .collect();
+        assert_eq!(fallbacks.len(), 1, "{fallbacks:?}");
+        let [_, epoch, error] = &fallbacks[0];
+        assert_eq!(epoch.as_deref(), Some("2"));
+        let error = error.as_deref().unwrap_or_default();
+        assert!(error.contains(&newest.to_string()), "{error}");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!
 //! Integrity (CRC framing, content hashes) is the job of the layers
 //! that frame these bytes, not the codec's; storage and the wire share
-//! [`crc32`] from here. The decoder detects *structural* corruption
-//! (truncated input, unknown tags, invalid UTF-8) and reports it as a
-//! [`CodecError`], which the recovery path treats like a failed
-//! checksum.
+//! [`crc32`] from here (carry-less multiply on x86_64 CPUs that have
+//! it, slicing-by-8 tables elsewhere). The decoder detects
+//! *structural* corruption (truncated input, unknown tags, invalid
+//! UTF-8) and reports it as a [`CodecError`], which the recovery path
+//! treats like a failed checksum.
 
 use crate::store::{split_chunk, CHUNK_SLOTS};
 use crate::{Atom, Chunk, Label, Object, Oid, Value};
@@ -49,7 +50,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
 /// compile time: `CRC_TABLES[0]` is the classic byte-at-a-time table,
 /// `CRC_TABLES[k][b]` the checksum of byte `b` followed by `k` zero
 /// bytes, so eight input bytes fold into the state with eight
-/// independent lookups instead of eight dependent ones.
+/// independent lookups instead of eight dependent ones. They checksum
+/// short inputs, the tail the carry-less kernel ([`clmul`]) leaves,
+/// and everything on a CPU without one.
 static CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -84,7 +87,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Continue a CRC-32: `crc32_update(crc32(a), b)` is the checksum of
 /// `a` followed by `b`. Chained frames (the durable epoch log) seed
 /// each frame's checksum with its predecessor's.
+///
+/// On x86_64 CPUs with carry-less multiply (detected at run time), an
+/// input of at least 128 bytes is folded 64 bytes at a time with
+/// PCLMULQDQ up to its last multiple of 16 bytes; the rest, shorter
+/// inputs and other machines take the slicing-by-8 tables. Both give
+/// the same checksum.
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((crc, tail)) = clmul::fold(crc, bytes) {
+        return crc32_table(crc, tail);
+    }
+    crc32_table(crc, bytes)
+}
+
+/// [`crc32_update`] on the slicing-by-8 tables alone.
+fn crc32_table(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = !crc;
     let mut words = bytes.chunks_exact(8);
@@ -104,6 +122,107 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
+}
+
+/// CRC-32 by carry-less multiplication: the folding method of Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction" (Intel, 2009), with the bit-reflected constants of its
+/// appendix for the IEEE polynomial.
+///
+/// Four 128-bit accumulators each fold the one 64 bytes ahead into
+/// themselves (`x·k1` of the low half, `x·k2` of the high, both
+/// multiplied 512 bits forward); the four then fold into one with
+/// `k3`/`k4` (128 bits forward), as does every further 16-byte block;
+/// `k5` folds the 128 bits to 64, and a Barrett reduction (`P'`, `µ`)
+/// leaves the 32-bit remainder.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input the kernel takes. It needs 64 bytes for its four
+    /// accumulators; below this the tables take well under 0.1 µs.
+    const MIN_LEN: usize = 128;
+
+    /// `crc` continued over the longest multiple-of-16 prefix of
+    /// `bytes`, and the rest — or `None` when `bytes` is shorter than
+    /// [`MIN_LEN`] or the CPU has no carry-less multiply.
+    pub(super) fn fold(crc: u32, bytes: &[u8]) -> Option<(u32, &[u8])> {
+        if bytes.len() < MIN_LEN || !std::is_x86_feature_detected!("pclmulqdq") {
+            return None;
+        }
+        let (blocks, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: `fold_blocks` is compiled for PCLMULQDQ, which the
+        // CPU was just detected to have (SSE2 is part of the x86_64
+        // baseline). `blocks` meets its length condition, which is not
+        // a safety one: 128 bytes or more, in whole 16-byte blocks.
+        let crc = unsafe { !fold_blocks(!crc, blocks) };
+        Some((crc, tail))
+    }
+
+    /// One 16-byte block as a vector, little-endian.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(b: &[u8]) -> __m128i {
+        let lo = i64::from_le_bytes(b[..8].try_into().expect("a 16-byte block"));
+        let hi = i64::from_le_bytes(b[8..16].try_into().expect("a 16-byte block"));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// `x` carried 128 (`k` = k3k4) or 512 (`k` = k1k2) bits forward,
+    /// plus `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The CRC register (pre-inverted, as the table loop keeps it)
+    /// after `blocks`, whose length must be a multiple of 16 and at
+    /// least 64 (a shorter input panics; a ragged end is ignored).
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_blocks(state: u32, blocks: &[u8]) -> u32 {
+        let k1k2 = _mm_set_epi64x(0x01_c6e4_1596, 0x01_5444_2bd4);
+        let k3k4 = _mm_set_epi64x(0x00_ccaa_009e, 0x01_7519_97d0);
+        let k5 = _mm_set_epi64x(0, 0x01_63cd_6124);
+        let poly = _mm_set_epi64x(0x01_f701_1641, 0x01_db71_0641);
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+
+        let (first, rest) = blocks.split_at(64);
+        let mut x = [0, 16, 32, 48].map(|at| load(&first[at..]));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+        let mut quads = rest.chunks_exact(64);
+        for q in &mut quads {
+            for (i, acc) in x.iter_mut().enumerate() {
+                *acc = fold_into(*acc, k1k2, load(&q[16 * i..]));
+            }
+        }
+        let mut acc = fold_into(x[0], k3k4, x[1]);
+        acc = fold_into(acc, k3k4, x[2]);
+        acc = fold_into(acc, k3k4, x[3]);
+        for b in quads.remainder().chunks_exact(16) {
+            acc = fold_into(acc, k3k4, load(b));
+        }
+
+        // 128 bits to 64: the low half times k4, onto the high half …
+        let x = _mm_xor_si128(
+            _mm_srli_si128::<8>(acc),
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+        );
+        // … then its low 32 bits times k5, onto the rest.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction to the 32-bit remainder.
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), poly);
+        _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t))) as u32
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -537,23 +656,37 @@ mod tests {
         assert_eq!(crc32(b"hello"), 0x3610_A686);
     }
 
-    /// The byte-at-a-time CRC-32 the slicing-by-8 one replaced.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c: u32 = 0xFFFF_FFFF;
+    /// The byte-at-a-time CRC-32 the slicing-by-8 one replaced,
+    /// continued from `crc` as [`crc32_update`] continues.
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = !crc;
         for &b in bytes {
             c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
-        c ^ 0xFFFF_FFFF
+        !c
     }
 
+    /// Every length up to 1 KiB — each split the kernel's 128-byte
+    /// threshold, its 64-byte rounds and its 16-byte tail can make — at
+    /// each offset within a 16-byte block, continued from a random
+    /// checksum.
     #[test]
     fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
         let mut rng = StdRng::seed_from_u64(0xC4C);
-        let buf: Vec<u8> = (0..64 + 8).map(|_| rng.gen::<u8>()).collect();
-        for align in 0..8 {
-            for len in 0..=64 {
+        let buf: Vec<u8> = (0..1024 + 16).map(|_| rng.gen::<u8>()).collect();
+        for align in 0..16 {
+            for len in 0..=1024 {
                 let s = &buf[align..align + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "align {align} len {len}");
+                let seed = rng.gen::<u32>();
+                let want = crc32_bytewise(seed, s);
+                assert_eq!(crc32_update(seed, s), want, "align {align} len {len}");
+                // Called directly, so the tables stay under test on a
+                // CPU that takes the kernel.
+                assert_eq!(
+                    crc32_table(seed, s),
+                    want,
+                    "tables: align {align} len {len}"
+                );
             }
         }
     }
@@ -566,7 +699,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let len = 65 + rng.gen_range(0..20_000usize);
             let buf: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
-            prop_assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+            let want = crc32_bytewise(0, &buf);
+            prop_assert_eq!(crc32(&buf), want);
+            prop_assert_eq!(crc32_table(0, &buf), want);
             // A continued checksum is the checksum of the concatenation.
             let cut = rng.gen_range(0..len);
             prop_assert_eq!(crc32_update(crc32(&buf[..cut]), &buf[cut..]), crc32(&buf));

@@ -12,13 +12,41 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
 /// A handle to an interned string. Two symbols are equal iff their
 /// underlying strings are equal.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The word is `index << 32 | hash`: the string's position in this
+/// process's interning order, then 32 bits of its FNV-1a hash. The
+/// index alone decides equality and order (one string, one index, one
+/// hash); the hash is the part every process computes alike, which is
+/// what anything that must agree across processes reads.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Symbol(pub(crate) u64);
+
+/// Hashes the index alone, which is all equality compares: an
+/// in-process map keyed by symbols sees the dense run of small integers
+/// interning hands out, and lays them out as it always has.
+impl Hash for Symbol {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.index());
+    }
+}
+
+impl Symbol {
+    /// The position in this process's interning order.
+    pub(crate) fn index(self) -> u64 {
+        self.0 >> 32
+    }
+
+    /// 32 bits of the string's hash: the same in every process.
+    pub(crate) fn name_hash(self) -> u32 {
+        self.0 as u32
+    }
+}
 
 /// Symbols per chunk of the lock-free resolve table.
 const CHUNK: usize = 4096;
@@ -104,20 +132,22 @@ fn interner() -> &'static Interner {
     })
 }
 
-fn shard_of(s: &str) -> usize {
-    // FNV-1a over the bytes; only the shard index needs it, the maps
-    // use their own hasher.
+/// FNV-1a over the bytes: its low bits pick the map shard, its high 32
+/// bits become the symbol's [`name_hash`](Symbol::name_hash). The maps
+/// use their own hasher.
+fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in s.as_bytes() {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
-    (h as usize) % SHARDS
+    h
 }
 
 /// Intern `s`, returning its symbol. Idempotent.
 pub fn intern(s: &str) -> Symbol {
     let it = interner();
-    let shard = &it.shards[shard_of(s)];
+    let h = fnv1a(s);
+    let shard = &it.shards[(h as usize) % SHARDS];
     if let Some(&sym) = shard.read().expect("interner poisoned").get(s) {
         return sym;
     }
@@ -128,7 +158,7 @@ pub fn intern(s: &str) -> Symbol {
         return sym;
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let sym = Symbol(it.table.push(leaked));
+    let sym = Symbol((it.table.push(leaked) << 32) | (h >> 32));
     g.insert(leaked, sym);
     sym
 }
@@ -175,13 +205,13 @@ pub fn delegate_parts(sym: Symbol) -> Option<(Symbol, Symbol)> {
 pub fn resolve(sym: Symbol) -> &'static str {
     interner()
         .table
-        .get(sym.0)
+        .get(sym.index())
         .expect("symbol from a different interner generation")
 }
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({}:{})", self.0, resolve(*self))
+        write!(f, "Symbol({}:{})", self.index(), resolve(*self))
     }
 }
 

@@ -34,11 +34,19 @@ impl Oid {
         crate::intern::resolve(self.0)
     }
 
-    /// The interned symbol id — the stable integer the store's shard
-    /// placement hashes. Crate-internal: callers outside `gsdb`
-    /// observe shard placement only through `Store::shard_of`.
+    /// The interning index: unique in this process and only in it, so
+    /// fit for in-memory tables (the store's `CowMap`s) and for nothing
+    /// that outlives the process.
     pub(crate) fn raw(self) -> u64 {
-        self.0 .0
+        self.0.index()
+    }
+
+    /// 32 bits of the name's hash, the same in every process: what the
+    /// store's shard placement hashes, so that a durable log written by
+    /// one process recovers in another. Crate-internal: callers outside
+    /// `gsdb` observe placement only through `Store::shard_of`.
+    pub(crate) fn name_hash(self) -> u32 {
+        self.0.name_hash()
     }
 
     /// Construct the semantic OID of `base`'s delegate in view `view`:

@@ -176,17 +176,18 @@ pub(crate) fn split_chunk(slots: Vec<Option<Object>>) -> Option<Chunk> {
 }
 
 /// The home shard of an OID at a given shard shift (`log2(shards)`).
-/// A pure function of the OID so every store (and every commit
-/// pipeline) at the same shard count agrees on placement.
+/// A pure function of the OID's name, so every store, every commit
+/// pipeline and every process at the same shard count agrees on
+/// placement — a recovered store's images must land where the process
+/// that persisted them put them.
 #[inline]
 pub(crate) fn shard_for(oid: Oid, shift: u32) -> usize {
     if shift == 0 {
         return 0;
     }
-    // Fibonacci multiplicative hash of the interned symbol; the high
-    // bits are well mixed even for the sequential ids interning hands
-    // out.
-    let h = oid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // Fibonacci multiplicative hash of the name's hash bits, not of the
+    // interning index, which differs between processes.
+    let h = u64::from(oid.name_hash()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) & ((1usize << shift) - 1)
 }
 
