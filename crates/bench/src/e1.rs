@@ -21,10 +21,14 @@ use std::time::Instant;
 pub struct E1Row {
     /// Tuples in the viewed relation.
     pub tuples: usize,
-    /// Mean accesses per update, incremental.
-    pub inc_accesses: f64,
-    /// Mean accesses per update, recomputation.
-    pub rec_accesses: f64,
+    /// Updates in the churn stream.
+    pub updates: usize,
+    /// Base accesses over the whole stream, incremental.
+    pub inc_total: u64,
+    /// Base accesses over the whole stream, recomputation.
+    pub rec_total: u64,
+    /// View members at the end of the stream.
+    pub members: usize,
     /// Mean µs per update, incremental.
     pub inc_us: f64,
     /// Mean µs per update, recomputation.
@@ -32,9 +36,10 @@ pub struct E1Row {
 }
 
 impl E1Row {
-    /// Recompute ÷ incremental, in accesses.
-    pub fn speedup(&self) -> f64 {
-        self.rec_accesses / self.inc_accesses.max(1e-9)
+    /// Incremental and recompute accesses per update.
+    fn per_update(&self) -> (f64, f64) {
+        let n = self.updates as f64;
+        (self.inc_total as f64 / n, self.rec_total as f64 / n)
     }
 }
 
@@ -43,7 +48,7 @@ fn view_def() -> SimpleViewDef {
 }
 
 /// Run one configuration.
-pub fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
+fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     let spec = RelationsSpec {
         relations: 2,
         tuples_per_relation: tuples,
@@ -67,7 +72,7 @@ pub fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     let script = relations_churn(&mut db, churn);
     let def = view_def();
     let maintainer = Maintainer::new(def.clone());
-    let mut mv = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
+    let mut mv_inc = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
     store.reset_accesses();
     let t0 = Instant::now();
     let mut n_updates = 0usize;
@@ -76,17 +81,17 @@ pub fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
         if matches!(op, gsview_workload::ScriptOp::Apply(_)) {
             n_updates += 1;
             maintainer
-                .apply(&mut mv, &mut LocalBase::new(&store), &applied)
+                .apply(&mut mv_inc, &mut LocalBase::new(&store), &applied)
                 .expect("maintain");
         }
     }
     let inc_time = t0.elapsed();
-    let inc_accesses = store.accesses() as f64 / n_updates as f64;
+    let inc_total = store.accesses();
 
     // Recomputation run (same stream, fresh database).
     let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
     let script = relations_churn(&mut db, churn);
-    let mut mv = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
+    let mut mv_rec = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
     store.reset_accesses();
     let t0 = Instant::now();
     let mut n_updates2 = 0usize;
@@ -94,30 +99,37 @@ pub fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
         op.replay(&mut store).expect("valid script");
         if matches!(op, gsview_workload::ScriptOp::Apply(_)) {
             n_updates2 += 1;
-            recompute::refresh(&def, &mut LocalBase::new(&store), &mut mv).expect("refresh");
+            recompute::refresh(&def, &mut LocalBase::new(&store), &mut mv_rec).expect("refresh");
         }
     }
     let rec_time = t0.elapsed();
-    let rec_accesses = store.accesses() as f64 / n_updates2 as f64;
+    let rec_total = store.accesses();
     assert_eq!(n_updates, n_updates2);
+    assert_eq!(mv_inc.members_base(), mv_rec.members_base(), "incremental view diverged");
 
     E1Row {
         tuples,
-        inc_accesses,
-        rec_accesses,
+        updates: n_updates,
+        inc_total,
+        rec_total,
+        members: mv_inc.len(),
         inc_us: inc_time.as_secs_f64() * 1e6 / n_updates as f64,
         rec_us: rec_time.as_secs_f64() * 1e6 / n_updates as f64,
     }
 }
 
+fn sweep(sizes: &[usize], ops: usize) -> Vec<E1Row> {
+    sizes.iter().map(|&n| measure(n, ops, 11)).collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E1Row> {
+    sweep(&[100, 1_000], 100)
+}
+
 /// Run the sweep and build the table.
 pub fn run(quick: bool) -> Table {
-    let sizes: &[usize] = if quick {
-        &[100, 1_000]
-    } else {
-        &[100, 1_000, 10_000, 50_000]
-    };
-    let ops = if quick { 100 } else { 300 };
+    let rows = if quick { quick_facts() } else { sweep(&[100, 1_000, 10_000, 50_000], 300) };
     let mut t = Table::new(
         "E1",
         "incremental maintenance vs full recomputation (Example 7 workload)",
@@ -131,13 +143,13 @@ pub fn run(quick: bool) -> Table {
         "inc us/upd",
         "rec us/upd",
     ]);
-    for &n in sizes {
-        let r = measure(n, ops, 11);
+    for r in rows {
+        let (inc, rec) = r.per_update();
         t.row(vec![
             r.tuples.to_string(),
-            fnum(r.inc_accesses),
-            fnum(r.rec_accesses),
-            format!("{}x", fnum(r.speedup())),
+            fnum(inc),
+            fnum(rec),
+            format!("{}x", fnum(rec / inc.max(1e-9))),
             fnum(r.inc_us),
             fnum(r.rec_us),
         ]);
@@ -151,23 +163,20 @@ mod tests {
 
     #[test]
     fn incremental_wins_and_scales_flat() {
-        let small = measure(100, 60, 5);
-        let large = measure(2_000, 60, 5);
+        let (small_inc, small_rec) = measure(100, 60, 5).per_update();
+        let (large_inc, large_rec) = measure(2_000, 60, 5).per_update();
         // Recomputation cost grows with view size...
         assert!(
-            large.rec_accesses > small.rec_accesses * 5.0,
-            "recompute should scale with size: {} vs {}",
-            small.rec_accesses,
-            large.rec_accesses
+            large_rec > small_rec * 5.0,
+            "recompute should scale with size: {small_rec} vs {large_rec}"
         );
         // ...incremental cost stays roughly flat (within 5x).
         assert!(
-            large.inc_accesses < small.inc_accesses * 5.0 + 50.0,
-            "incremental should not scale with size: {} vs {}",
-            small.inc_accesses,
-            large.inc_accesses
+            large_inc < small_inc * 5.0 + 50.0,
+            "incremental should not scale with size: {small_inc} vs {large_inc}"
         );
         // And incremental wins outright at the larger size.
-        assert!(large.speedup() > 10.0, "speedup {}", large.speedup());
+        let speedup = large_rec / large_inc;
+        assert!(speedup > 10.0, "speedup {speedup}");
     }
 }

@@ -58,7 +58,7 @@ fn view_def() -> SimpleViewDef {
 
 /// Replay one churny stream through a lossy report pipeline, healing
 /// every `resync_every` updates and once more at the end.
-pub fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
+fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
     let spec = RelationsSpec {
         relations: 2,
         tuples_per_relation: tuples,

@@ -61,7 +61,7 @@ fn build(tuples_per_relation: usize) -> (Store, relations::RelationsDb) {
 }
 
 /// Measure one wildcard refresh configuration.
-pub fn measure_refresh(tuples_per_relation: usize) -> RefreshRow {
+fn measure_refresh(tuples_per_relation: usize) -> RefreshRow {
     let (store, db) = build(tuples_per_relation);
     let expr = PathExpr::parse("*.tuple").expect("valid expression");
     let objects = store.len();
@@ -180,7 +180,7 @@ fn scripted_batch(
 /// identical (store, batch, portfolio) setup. Returns rows in the
 /// order of `threads`; access counts are measured once (they are
 /// thread-independent: relaxed counter increments commute).
-pub fn measure_parallel(tuples_per_relation: usize, ops: usize, threads: &[usize]) -> Vec<MaintRow> {
+fn measure_parallel(tuples_per_relation: usize, ops: usize, threads: &[usize]) -> Vec<MaintRow> {
     let (mut store, db) = build(tuples_per_relation);
     let objects = store.len();
     let defs = portfolio();
@@ -279,9 +279,9 @@ pub fn quick_access_counts() -> (u64, u64, u64) {
 
 /// Tuples per relation in quick mode (≈ 10k objects at 4 objects per
 /// tuple across [`VIEWS`] relations).
-pub const QUICK_TUPLES: usize = 312;
+const QUICK_TUPLES: usize = 312;
 /// Batch size in quick mode.
-pub const QUICK_OPS: usize = 400;
+const QUICK_OPS: usize = 400;
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {

@@ -183,7 +183,7 @@ fn copied() -> u64 {
 
 /// Drive `writers` threads through one [`ShardedStore`]; every thread
 /// commits its scripted batches as fast as it can.
-pub fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) -> CommitRow {
+fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) -> CommitRow {
     let pipeline = ShardedStore::new(build_store(shards, writers));
     let n = pipeline.shard_count();
     let waits0 = shard_counter_sum("store.shard.lock_wait", n);
@@ -303,7 +303,7 @@ fn run_sized(objects: usize, commits: usize) -> CommitRow {
 
 /// The pre-sharding baseline: one mutex around the store; every
 /// commit locks it, applies the batch, forks and publishes.
-pub fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
+fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
     let store = build_store(1, writers);
     let epochs = EpochHandle::new(store.fork());
     let store = Mutex::new(store);

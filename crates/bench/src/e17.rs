@@ -121,7 +121,7 @@ fn churn(src: &Source, items: usize, epochs: usize) {
 
 /// Cold restart: a fresh warehouse materializes the view by querying
 /// the (still-running) source.
-pub fn run_cold(items: usize) -> RestartRow {
+fn run_cold(items: usize) -> RestartRow {
     let src = build_source(items);
     churn(&src, items, CHURN);
     let mut wh = Warehouse::new();
@@ -189,14 +189,14 @@ fn warm_restart(items: usize, durable: &Arc<DurableStore>) -> (RestartRow, Sourc
 
 /// Warm restart: recover the source from the durable log and
 /// re-materialize from recovered chunks.
-pub fn run_warm(items: usize) -> RestartRow {
+fn run_warm(items: usize) -> RestartRow {
     let durable = crashed_lineage(items);
     warm_restart(items, &durable).0
 }
 
 /// Chunk-diff resync: after a warm restart, lose one report (view goes
 /// stale) and heal through the durable port — only changed pages move.
-pub fn run_resync(items: usize) -> RestartRow {
+fn run_resync(items: usize) -> RestartRow {
     let durable = crashed_lineage(items);
     let (_, src, mut wh) = warm_restart(items, &durable);
     src.apply(Update::modify("ag0", 1i64)).unwrap();

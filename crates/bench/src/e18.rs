@@ -310,7 +310,7 @@ fn measure_shape(
 
 /// All four shapes at one size × selectivity, with backend parity
 /// asserted. Returns eight rows (shape-major, algorithm1 first).
-pub fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
+fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
     let n_prof = (objects / OBJS_PER_PROF).max(1);
     let initial = build_store(n_prof);
     let updates = gen_updates(n_prof, sel);

@@ -233,13 +233,6 @@ fn run_admission(items: usize) -> ServeRow {
     }
 }
 
-/// Measurement kernel for the Criterion bench: one clean read run,
-/// returning (p50, p99) in microseconds.
-pub fn measure(reads: usize) -> (u64, u64) {
-    let row = run_reads(QUICK_ITEMS, reads, None);
-    (row.p50_us, row.p99_us)
-}
-
 /// Quick-mode facts for the smoke gate: clean-route
 /// `(requests, ok, equivalence_failures, p99_us)` and the
 /// deterministic admission shed count. Every component except

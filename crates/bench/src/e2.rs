@@ -36,7 +36,7 @@ fn no_index() -> StoreConfig {
 }
 
 /// Measure `ancestor(leaf, suffix)` on a chain of the given length.
-pub fn measure_chain(len: usize) -> E2Row {
+fn measure_chain(len: usize) -> E2Row {
     let suffix = Path::parse("c.v");
     let (s_idx, _, atom, _) = tree::chain(len, StoreConfig::default().counting()).expect("chain");
     s_idx.reset_accesses();
@@ -58,7 +58,7 @@ pub fn measure_chain(len: usize) -> E2Row {
 
 /// Measure on a bushy uniform tree (fanout 8), asking for the last
 /// leaf's parent.
-pub fn measure_bushy(depth: usize) -> E2Row {
+fn measure_bushy(depth: usize) -> E2Row {
     let spec = tree::TreeSpec { depth, fanout: 8 };
     let suffix = Path::parse("leaf");
     let (s_idx, db) = tree::generate(spec, StoreConfig::default().counting()).expect("tree");
@@ -81,32 +81,27 @@ pub fn measure_bushy(depth: usize) -> E2Row {
     }
 }
 
+/// Chains first, then bushy trees.
+fn sweep(chain_lens: &[usize], bushy_depths: &[usize]) -> Vec<E2Row> {
+    let chains = chain_lens.iter().map(|&len| measure_chain(len));
+    chains.chain(bushy_depths.iter().map(|&d| measure_bushy(d))).collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E2Row> {
+    sweep(&[8, 64], &[3])
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let chain_lens: &[usize] = if quick {
-        &[8, 64]
-    } else {
-        &[8, 64, 512, 4096]
-    };
-    let bushy_depths: &[usize] = if quick { &[3] } else { &[3, 4, 5] };
+    let rows = if quick { quick_facts() } else { sweep(&[8, 64, 512, 4096], &[3, 4, 5]) };
     let mut t = Table::new(
         "E2",
         "cost of ancestor(N, p) with vs without the inverse index",
         "the parent index makes ancestor O(|p|); without it the whole database is searched",
     )
     .headers(&["shape", "objects", "acc w/ index", "acc w/o index", "ratio"]);
-    for &len in chain_lens {
-        let r = measure_chain(len);
-        t.row(vec![
-            r.shape.clone(),
-            r.objects.to_string(),
-            r.with_index.to_string(),
-            r.without_index.to_string(),
-            format!("{}x", fnum(r.without_index as f64 / r.with_index.max(1) as f64)),
-        ]);
-    }
-    for &d in bushy_depths {
-        let r = measure_bushy(d);
+    for r in rows {
         t.row(vec![
             r.shape.clone(),
             r.objects.to_string(),

@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Items in the served store (quick mode) — matches E19.
-pub const QUICK_ITEMS: usize = 300;
+const QUICK_ITEMS: usize = 300;
 /// Timed requests per route (quick mode) — matches E19.
 pub const QUICK_READS: usize = 400;
 /// Export queue capacity for the healthy subscriber route.
@@ -57,7 +57,7 @@ const TINY_QUEUE_CAP: usize = 16;
 
 /// How telemetry is attached for one measured route.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExportMode {
+enum ExportMode {
     /// E19 configuration: no exporter, no hub, no subscriber.
     None,
     /// Exporter installed, one live subscriber draining batches.
@@ -88,7 +88,7 @@ pub struct ExportRow {
 
 /// Run one route: reads under sustained write load, with telemetry
 /// attached per `mode`.
-pub fn run_route(items: usize, reads: usize, mode: ExportMode) -> ExportRow {
+fn run_route(items: usize, reads: usize, mode: ExportMode) -> ExportRow {
     let src = build_source(items);
     let svc = Arc::new(SourceService::new(src.clone(), Arc::new(CostMeter::new())));
     let reg = gsview_obs::registry();

@@ -30,14 +30,26 @@ use std::time::Instant;
 pub struct E3Row {
     /// Chain depth (self-join positions = depth + 1).
     pub depth: usize,
-    /// Native accesses per update.
-    pub native_acc: f64,
-    /// Relational row ops per update.
-    pub rel_ops: f64,
+    /// Updates in the stream.
+    pub updates: usize,
+    /// Native base accesses over the whole stream.
+    pub native_total: u64,
+    /// Relational row ops over the whole stream.
+    pub rel_total: u64,
+    /// View members at the end of the stream (equal on both systems).
+    pub members: usize,
     /// Native µs per update.
     pub native_us: f64,
     /// Relational µs per update.
     pub rel_us: f64,
+}
+
+impl E3Row {
+    /// Native accesses and relational row ops per update.
+    fn per_update(&self) -> (f64, f64) {
+        let n = self.updates as f64;
+        (self.native_total as f64 / n, self.rel_total as f64 / n)
+    }
 }
 
 /// Build a forest of `width` chains of `depth` levels, every level
@@ -115,7 +127,7 @@ fn stream(
 
 /// Run one depth configuration; asserts the two systems agree after
 /// every update.
-pub fn measure(depth: usize, width: usize, ops: usize, seed: u64) -> E3Row {
+fn measure(depth: usize, width: usize, ops: usize, seed: u64) -> E3Row {
     let (sdef, rdef) = defs(depth);
 
     // --- native ---
@@ -132,7 +144,7 @@ pub fn measure(depth: usize, width: usize, ops: usize, seed: u64) -> E3Row {
             .expect("maintain");
     }
     let native_us = t0.elapsed().as_secs_f64() * 1e6 / updates.len() as f64;
-    let native_acc = store.accesses() as f64 / updates.len() as f64;
+    let native_total = store.accesses();
 
     // --- relational ---
     let (mut store2, edges, leaves) = chain_forest(width, depth, seed);
@@ -148,7 +160,7 @@ pub fn measure(depth: usize, width: usize, ops: usize, seed: u64) -> E3Row {
         }
     }
     let rel_us = t0.elapsed().as_secs_f64() * 1e6 / updates2.len() as f64;
-    let rel_ops = reldb.ops() as f64 / updates2.len() as f64;
+    let rel_total = reldb.ops();
 
     assert_eq!(
         mv.members_base(),
@@ -158,17 +170,27 @@ pub fn measure(depth: usize, width: usize, ops: usize, seed: u64) -> E3Row {
 
     E3Row {
         depth,
-        native_acc,
-        rel_ops,
+        updates: updates.len(),
+        native_total,
+        rel_total,
+        members: relview.members().len(),
         native_us,
         rel_us,
     }
 }
 
+fn sweep(depths: &[usize], width: usize, ops: usize) -> Vec<E3Row> {
+    depths.iter().map(|&d| measure(d, width, ops, 13)).collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E3Row> {
+    sweep(&[2, 8], 100, 100)
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let depths: &[usize] = if quick { &[2, 8] } else { &[2, 4, 8, 16, 32] };
-    let (width, ops) = if quick { (100, 100) } else { (200, 300) };
+    let rows = if quick { quick_facts() } else { sweep(&[2, 4, 8, 16, 32], 200, 300) };
     let mut t = Table::new(
         "E3",
         "native Algorithm 1 vs relational flattening + counting (repeated-label chains)",
@@ -182,13 +204,13 @@ pub fn run(quick: bool) -> Table {
         "native us/upd",
         "rel us/upd",
     ]);
-    for &d in depths {
-        let r = measure(d, width, ops, 13);
+    for r in rows {
+        let (native_acc, rel_ops) = r.per_update();
         t.row(vec![
             r.depth.to_string(),
-            fnum(r.native_acc),
-            fnum(r.rel_ops),
-            format!("{}x", fnum(r.rel_ops / r.native_acc.max(1e-9))),
+            fnum(native_acc),
+            fnum(rel_ops),
+            format!("{}x", fnum(rel_ops / native_acc.max(1e-9))),
             fnum(r.native_us),
             fnum(r.rel_us),
         ]);
@@ -202,19 +224,17 @@ mod tests {
 
     #[test]
     fn relational_cost_grows_faster_with_depth() {
-        let shallow = measure(2, 60, 60, 3);
-        let deep = measure(12, 60, 60, 3);
-        let native_growth = deep.native_acc / shallow.native_acc.max(1e-9);
-        let rel_growth = deep.rel_ops / shallow.rel_ops.max(1e-9);
+        let (shallow_native, shallow_rel) = measure(2, 60, 60, 3).per_update();
+        let (deep_native, deep_rel) = measure(12, 60, 60, 3).per_update();
+        let native_growth = deep_native / shallow_native.max(1e-9);
+        let rel_growth = deep_rel / shallow_rel.max(1e-9);
         assert!(
             rel_growth > native_growth * 1.5,
             "relational should scale worse: native x{native_growth:.1}, relational x{rel_growth:.1}"
         );
         assert!(
-            deep.rel_ops > deep.native_acc,
-            "at depth 12 the relational baseline should touch more rows: {} vs {}",
-            deep.rel_ops,
-            deep.native_acc
+            deep_rel > deep_native,
+            "at depth 12 the relational baseline should touch more rows: {deep_rel} vs {deep_native}"
         );
     }
 }

@@ -40,7 +40,7 @@ pub struct E4Row {
 }
 
 /// Build the source, replay the stream, return metered costs.
-pub fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -> E4Row {
+fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -> E4Row {
     let spec = RelationsSpec {
         relations: 2,
         tuples_per_relation: tuples,

@@ -36,7 +36,7 @@ pub struct E5Row {
 }
 
 /// Replay a stream against a warehouse with/without the §5.2 cache.
-pub fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usize) -> E5Row {
+fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usize) -> E5Row {
     let spec = RelationsSpec {
         relations: 2,
         tuples_per_relation: tuples,

@@ -28,10 +28,20 @@ pub struct E6Row {
     pub kind: &'static str,
     /// Persons in the directory.
     pub persons: usize,
-    /// Accesses per update.
-    pub accesses_per_update: f64,
-    /// Fraction of updates that passed the relevance guard.
-    pub relevant_fraction: f64,
+    /// Updates in the stream.
+    pub updates: usize,
+    /// Base accesses over the whole stream.
+    pub accesses: u64,
+    /// Updates that passed the relevance guard.
+    pub relevant: usize,
+    /// View members at the end of the stream.
+    pub members: usize,
+}
+
+impl E6Row {
+    fn accesses_per_update(&self) -> f64 {
+        self.accesses as f64 / self.updates as f64
+    }
 }
 
 /// The shared update stream: random modifications of name and age
@@ -52,19 +62,30 @@ fn stream(db: &person::PersonDb, ops: usize, seed: u64) -> Vec<gsdb::Update> {
     out
 }
 
-/// Measure the constant-path view.
-pub fn measure_simple(persons: usize, ops: usize) -> E6Row {
-    let (mut store, db) = person::generate(
-        PersonSpec {
-            persons,
-            ..PersonSpec::default()
-        },
-        gsdb::StoreConfig::default().counting(),
-    )
-    .expect("generate");
+/// A counting directory of `persons` and its stream of `ops` modifies.
+fn directory(persons: usize, ops: usize) -> (Store, Vec<gsdb::Update>) {
+    let spec = PersonSpec {
+        persons,
+        ..PersonSpec::default()
+    };
+    let (store, db) = person::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
     let updates = stream(&db, ops, 41);
-    let def = SimpleViewDef::new("VJ", "DIR", "professor")
-        .with_cond("name", Pred::new(CmpOp::Eq, "John"));
+    (store, updates)
+}
+
+fn simple_def() -> SimpleViewDef {
+    SimpleViewDef::new("VJ", "DIR", "professor").with_cond("name", Pred::new(CmpOp::Eq, "John"))
+}
+
+fn wildcard_def() -> GeneralViewDef {
+    GeneralViewDef::new("VJW", "DIR", PathExpr::parse("*.professor").unwrap())
+        .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"))
+}
+
+/// Measure the constant-path view.
+fn measure_simple(persons: usize, ops: usize) -> E6Row {
+    let (mut store, updates) = directory(persons, ops);
+    let def = simple_def();
     let m = Maintainer::new(def.clone());
     let mut mv = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
     store.reset_accesses();
@@ -76,31 +97,23 @@ pub fn measure_simple(persons: usize, ops: usize) -> E6Row {
             .expect("maintain");
         relevant += out.relevant as usize;
     }
+    let accesses = store.accesses();
+    let expected = recompute::recompute_members(&def, &mut LocalBase::new(&store));
+    assert_eq!(mv.members_base(), expected, "simple view diverged from recompute");
     E6Row {
         kind: "simple (professor)",
         persons,
-        accesses_per_update: store.accesses() as f64 / updates.len() as f64,
-        relevant_fraction: relevant as f64 / updates.len() as f64,
+        updates: updates.len(),
+        accesses,
+        relevant,
+        members: mv.len(),
     }
 }
 
 /// Measure the wild-card view (`*.professor`, same semantics here).
-pub fn measure_wildcard(persons: usize, ops: usize) -> E6Row {
-    let (mut store, db) = person::generate(
-        PersonSpec {
-            persons,
-            ..PersonSpec::default()
-        },
-        gsdb::StoreConfig::default().counting(),
-    )
-    .expect("generate");
-    let updates = stream(&db, ops, 41);
-    let def = GeneralViewDef::new("VJW", "DIR", PathExpr::parse("*.professor").unwrap())
-        .with_cond(
-            PathExpr::parse("name").unwrap(),
-            Pred::new(CmpOp::Eq, "John"),
-        );
-    let gm = GeneralMaintainer::new(def);
+fn measure_wildcard(persons: usize, ops: usize) -> E6Row {
+    let (mut store, updates) = directory(persons, ops);
+    let gm = GeneralMaintainer::new(wildcard_def());
     let mut mv = gm.recompute(&store).expect("init");
     store.reset_accesses();
     let mut relevant = 0usize;
@@ -109,71 +122,53 @@ pub fn measure_wildcard(persons: usize, ops: usize) -> E6Row {
         let out = gm.apply(&mut mv, &store, &applied).expect("maintain");
         relevant += out.relevant as usize;
     }
+    let accesses = store.accesses();
+    let expected = gm.recompute(&store).expect("recompute").members_base();
+    assert_eq!(mv.members_base(), expected, "wildcard view diverged from recompute");
     E6Row {
         kind: "wildcard (*.professor)",
         persons,
-        accesses_per_update: store.accesses() as f64 / updates.len() as f64,
-        relevant_fraction: relevant as f64 / updates.len() as f64,
+        updates: updates.len(),
+        accesses,
+        relevant,
+        members: mv.len(),
     }
 }
 
-/// Sanity helper for tests: both views select the same members on the
-/// same store.
-pub fn agreement_check(persons: usize) -> bool {
-    let (store, _db) = person::generate(
-        PersonSpec {
-            persons,
-            ..PersonSpec::default()
-        },
-        gsdb::StoreConfig::default().counting(),
-    )
-    .expect("generate");
-    let sdef = SimpleViewDef::new("VJ", "DIR", "professor")
-        .with_cond("name", Pred::new(CmpOp::Eq, "John"));
-    let gdef = GeneralViewDef::new("VJW", "DIR", PathExpr::parse("*.professor").unwrap())
-        .with_cond(
-            PathExpr::parse("name").unwrap(),
-            Pred::new(CmpOp::Eq, "John"),
-        );
-    let s: &Store = &store;
-    let simple = recompute::recompute(&sdef, &mut LocalBase::new(s))
-        .expect("simple")
-        .members_base();
-    let general = GeneralMaintainer::new(gdef)
-        .recompute(s)
-        .expect("general")
-        .members_base();
-    simple == general
+/// The simple row, then the wild-card row, per directory size.
+fn sweep(sizes: &[usize], ops: usize) -> Vec<E6Row> {
+    sizes
+        .iter()
+        .flat_map(|&n| [measure_simple(n, ops), measure_wildcard(n, ops)])
+        .collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E6Row> {
+    sweep(&[100], 100)
 }
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let sizes: &[usize] = if quick { &[100] } else { &[100, 500, 2_000] };
-    let ops = if quick { 100 } else { 300 };
+    let rows = if quick { quick_facts() } else { sweep(&[100, 500, 2_000], 300) };
     let mut t = Table::new(
         "E6",
         "simple constant-path view vs wild-card view maintenance",
         "wildcard views pay for the containment test, not for the store: acc/upd is flat in persons",
     )
     .headers(&["view", "persons", "acc/upd", "relevant frac", "wildcard penalty"]);
-    for &n in sizes {
-        let s = measure_simple(n, ops);
-        let w = measure_wildcard(n, ops);
-        let penalty = w.accesses_per_update / s.accesses_per_update.max(1e-9);
-        t.row(vec![
-            s.kind.to_string(),
-            n.to_string(),
-            fnum(s.accesses_per_update),
-            fnum(s.relevant_fraction),
-            String::from("1x"),
-        ]);
-        t.row(vec![
-            w.kind.to_string(),
-            n.to_string(),
-            fnum(w.accesses_per_update),
-            fnum(w.relevant_fraction),
-            format!("{}x", fnum(penalty)),
-        ]);
+    for pair in rows.chunks(2) {
+        let (s, w) = (&pair[0], &pair[1]);
+        let penalty = w.accesses_per_update() / s.accesses_per_update().max(1e-9);
+        for (r, penalty) in [(s, String::from("1x")), (w, format!("{}x", fnum(penalty)))] {
+            t.row(vec![
+                r.kind.to_string(),
+                r.persons.to_string(),
+                fnum(r.accesses_per_update()),
+                fnum(r.relevant as f64 / r.updates as f64),
+                penalty,
+            ]);
+        }
     }
     t
 }
@@ -184,7 +179,15 @@ mod tests {
 
     #[test]
     fn views_agree_semantically() {
-        assert!(agreement_check(200));
+        let (store, _) = directory(200, 0);
+        let simple = recompute::recompute(&simple_def(), &mut LocalBase::new(&store))
+            .expect("simple")
+            .members_base();
+        let general = GeneralMaintainer::new(wildcard_def())
+            .recompute(&store)
+            .expect("general")
+            .members_base();
+        assert_eq!(simple, general);
     }
 
     #[test]
@@ -192,18 +195,18 @@ mod tests {
         let small = measure_wildcard(100, 80);
         let large = measure_wildcard(1_600, 80);
         assert!(
-            large.accesses_per_update <= small.accesses_per_update * 1.25,
+            large.accesses_per_update() <= small.accesses_per_update() * 1.25,
             "wildcard {} acc/upd at 100 persons, {} at 1 600",
-            small.accesses_per_update,
-            large.accesses_per_update
+            small.accesses_per_update(),
+            large.accesses_per_update()
         );
         // And within a small factor of the constant-path view.
         let simple = measure_simple(1_600, 80);
         assert!(
-            large.accesses_per_update <= simple.accesses_per_update * 3.0,
+            large.accesses_per_update() <= simple.accesses_per_update() * 3.0,
             "wildcard {} vs simple {}",
-            large.accesses_per_update,
-            simple.accesses_per_update
+            large.accesses_per_update(),
+            simple.accesses_per_update()
         );
     }
 }

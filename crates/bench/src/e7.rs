@@ -25,10 +25,22 @@ pub struct E7Row {
     pub tuples: usize,
     /// Tuples sharing each age atom.
     pub share: usize,
-    /// DAG maintainer accesses per update.
-    pub dag_acc: f64,
-    /// Recompute accesses per update.
-    pub rec_acc: f64,
+    /// Updates applied.
+    pub updates: usize,
+    /// DAG maintainer base accesses over the whole stream.
+    pub dag_total: u64,
+    /// Recompute base accesses over the whole stream.
+    pub rec_total: u64,
+    /// View members at the end of the stream.
+    pub members: usize,
+}
+
+impl E7Row {
+    /// DAG maintainer and recompute accesses per update.
+    fn per_update(&self) -> (f64, f64) {
+        let n = self.updates as f64;
+        (self.dag_total as f64 / n, self.rec_total as f64 / n)
+    }
 }
 
 /// Build `tuples` tuples where consecutive groups of `share` tuples
@@ -89,7 +101,7 @@ fn updates(tuple_oids: &[Oid], age_oids: &[Oid], ops: usize, seed: u64) -> Vec<g
 }
 
 /// Run one configuration.
-pub fn measure(tuples: usize, share: usize, ops: usize) -> E7Row {
+fn measure(tuples: usize, share: usize, ops: usize) -> E7Row {
     let d = def();
 
     // DAG-incremental run.
@@ -106,7 +118,7 @@ pub fn measure(tuples: usize, share: usize, ops: usize) -> E7Row {
         n += 1;
         dm.apply(&mut mv, &store, &applied).expect("maintain");
     }
-    let dag_acc = store.accesses() as f64 / n as f64;
+    let dag_total = store.accesses();
 
     // Recompute run.
     let (mut store, tuple_oids, age_oids) = shared_relations(tuples, share, 51);
@@ -121,15 +133,17 @@ pub fn measure(tuples: usize, share: usize, ops: usize) -> E7Row {
         n2 += 1;
         recompute::refresh(&d, &mut LocalBase::new(&store), &mut mv2).expect("refresh");
     }
-    let rec_acc = store.accesses() as f64 / n2 as f64;
+    let rec_total = store.accesses();
     assert_eq!(n, n2);
     assert_eq!(mv.members_base(), mv2.members_base(), "correctness");
 
     E7Row {
         tuples,
         share,
-        dag_acc,
-        rec_acc,
+        updates: n,
+        dag_total,
+        rec_total,
+        members: mv.len(),
     }
 }
 
@@ -160,24 +174,32 @@ impl DeleteMarker for gsdb::Update {
     }
 }
 
+fn sweep(tuples: usize, shares: &[usize], ops: usize) -> Vec<E7Row> {
+    shares.iter().map(|&s| measure(tuples, s, ops)).collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E7Row> {
+    sweep(300, &[1, 4], 60)
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops) = if quick { (300, 60) } else { (2_000, 200) };
-    let shares: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };
+    let rows = if quick { quick_facts() } else { sweep(2_000, &[1, 2, 4, 8, 16], 200) };
     let mut t = Table::new(
         "E7",
         "DAG bases: shared condition atoms, DAG-aware maintenance vs recompute",
         "sharing multiplies affected members per update, yet stays far below recomputation",
     )
     .headers(&["tuples", "share", "dag acc/upd", "recompute acc/upd", "speedup"]);
-    for &s in shares {
-        let r = measure(tuples, s, ops);
+    for r in rows {
+        let (dag_acc, rec_acc) = r.per_update();
         t.row(vec![
             r.tuples.to_string(),
             r.share.to_string(),
-            fnum(r.dag_acc),
-            fnum(r.rec_acc),
-            format!("{}x", fnum(r.rec_acc / r.dag_acc.max(1e-9))),
+            fnum(dag_acc),
+            fnum(rec_acc),
+            format!("{}x", fnum(rec_acc / dag_acc.max(1e-9))),
         ]);
     }
     t
@@ -189,24 +211,17 @@ mod tests {
 
     #[test]
     fn dag_maintenance_beats_recompute_and_matches_it() {
-        let r = measure(400, 4, 60);
-        assert!(
-            r.dag_acc < r.rec_acc,
-            "dag {} should beat recompute {}",
-            r.dag_acc,
-            r.rec_acc
-        );
+        let (dag_acc, rec_acc) = measure(400, 4, 60).per_update();
+        assert!(dag_acc < rec_acc, "dag {dag_acc} should beat recompute {rec_acc}");
     }
 
     #[test]
     fn sharing_increases_incremental_cost() {
-        let lone = measure(400, 1, 60);
-        let shared = measure(400, 8, 60);
+        let (lone, _) = measure(400, 1, 60).per_update();
+        let (shared, _) = measure(400, 8, 60).per_update();
         assert!(
-            shared.dag_acc > lone.dag_acc,
-            "share=8 {} should cost more than share=1 {}",
-            shared.dag_acc,
-            lone.dag_acc
+            shared > lone,
+            "share=8 {shared} should cost more than share=1 {lone}"
         );
     }
 }

@@ -17,16 +17,33 @@ use gsview_workload::{relations, relations_churn, ChurnSpec, RelationsSpec, Scri
 pub struct E8Row {
     /// Fraction of ops aimed at the viewed relation.
     pub bias: f64,
-    /// Fraction of updates that were relevant.
-    pub relevant_fraction: f64,
-    /// Mean accesses per relevant update.
-    pub acc_relevant: f64,
-    /// Mean accesses per irrelevant update.
-    pub acc_irrelevant: f64,
+    /// Relevant updates.
+    pub relevant: usize,
+    /// Irrelevant updates.
+    pub irrelevant: usize,
+    /// Base accesses over all relevant updates.
+    pub relevant_total: u64,
+    /// Base accesses over all irrelevant updates.
+    pub irrelevant_total: u64,
+    /// View members at the end of the stream.
+    pub members: usize,
+}
+
+impl E8Row {
+    /// The relevant fraction of updates, and mean accesses per relevant
+    /// and per irrelevant update.
+    fn rates(&self) -> (f64, f64, f64) {
+        let (rel, irr) = (self.relevant, self.irrelevant);
+        (
+            rel as f64 / (rel + irr) as f64,
+            self.relevant_total as f64 / rel.max(1) as f64,
+            self.irrelevant_total as f64 / irr.max(1) as f64,
+        )
+    }
 }
 
 /// Run one configuration.
-pub fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
+fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
     let spec = RelationsSpec {
         relations: 5,
         tuples_per_relation: tuples,
@@ -71,17 +88,33 @@ pub fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
             irr_acc += acc;
         }
     }
+    let expected = recompute::recompute_members(&def, &mut LocalBase::new(&store));
+    assert_eq!(mv.members_base(), expected, "maintained view diverged from recompute");
     E8Row {
         bias,
-        relevant_fraction: rel_n as f64 / (rel_n + irr_n) as f64,
-        acc_relevant: rel_acc as f64 / rel_n.max(1) as f64,
-        acc_irrelevant: irr_acc as f64 / irr_n.max(1) as f64,
+        relevant: rel_n,
+        irrelevant: irr_n,
+        relevant_total: rel_acc,
+        irrelevant_total: irr_acc,
+        members: mv.len(),
     }
+}
+
+fn sweep(tuples: usize, ops: usize) -> Vec<E8Row> {
+    [1.0, 0.5, 0.2, 0.05]
+        .into_iter()
+        .map(|bias| measure(bias, tuples, ops))
+        .collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E8Row> {
+    sweep(200, 150)
 }
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops) = if quick { (200, 150) } else { (1_000, 500) };
+    let rows = if quick { quick_facts() } else { sweep(1_000, 500) };
     let mut t = Table::new(
         "E8",
         "screening of irrelevant updates (5 relations, view over r0)",
@@ -93,13 +126,13 @@ pub fn run(quick: bool) -> Table {
         "acc/relevant upd",
         "acc/irrelevant upd",
     ]);
-    for bias in [1.0, 0.5, 0.2, 0.05] {
-        let r = measure(bias, tuples, ops);
+    for r in rows {
+        let (fraction, acc_relevant, acc_irrelevant) = r.rates();
         t.row(vec![
             fnum(r.bias),
-            fnum(r.relevant_fraction),
-            fnum(r.acc_relevant),
-            fnum(r.acc_irrelevant),
+            fnum(fraction),
+            fnum(acc_relevant),
+            fnum(acc_irrelevant),
         ]);
     }
     t
@@ -111,22 +144,20 @@ mod tests {
 
     #[test]
     fn irrelevant_updates_are_cheap() {
-        let r = measure(0.3, 300, 120);
-        assert!(r.relevant_fraction < 0.7);
+        let (fraction, relevant, irrelevant) = measure(0.3, 300, 120).rates();
+        assert!(fraction < 0.7);
         assert!(
-            r.acc_irrelevant * 2.0 < r.acc_relevant,
-            "screening must be cheap: irrelevant {} vs relevant {}",
-            r.acc_irrelevant,
-            r.acc_relevant
+            irrelevant * 2.0 < relevant,
+            "screening must be cheap: irrelevant {irrelevant} vs relevant {relevant}"
         );
         // Constant-ish: a handful of accesses to locate and reject.
-        assert!(r.acc_irrelevant < 20.0, "got {}", r.acc_irrelevant);
+        assert!(irrelevant < 20.0, "got {irrelevant}");
     }
 
     #[test]
     fn bias_controls_relevant_fraction() {
-        let hot = measure(0.9, 200, 120);
-        let cold = measure(0.1, 200, 120);
-        assert!(hot.relevant_fraction > cold.relevant_fraction);
+        let (hot, _, _) = measure(0.9, 200, 120).rates();
+        let (cold, _, _) = measure(0.1, 200, 120).rates();
+        assert!(hot > cold);
     }
 }

@@ -63,7 +63,7 @@ fn build(groups: usize, per_group: usize, rare_every: usize) -> (Store, usize) {
 }
 
 /// Measure one configuration (repeating the query to stabilize time).
-pub fn measure(groups: usize, per_group: usize, rare_every: usize) -> E9Row {
+fn measure(groups: usize, per_group: usize, rare_every: usize) -> E9Row {
     let (store, matches) = build(groups, per_group, rare_every);
     let q = parse_query("SELECT E9ROOT.*.rare X").expect("parse");
     let reps = 10;
@@ -101,19 +101,29 @@ pub fn measure(groups: usize, per_group: usize, rare_every: usize) -> E9Row {
     }
 }
 
+/// One row per `(groups, per_group, rare_every)` configuration.
+fn sweep(configs: &[(usize, usize, usize)]) -> Vec<E9Row> {
+    configs.iter().map(|&(g, p, r)| measure(g, p, r)).collect()
+}
+
+/// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
+pub fn quick_facts() -> Vec<E9Row> {
+    sweep(&[(20, 20, 100), (50, 40, 100)])
+}
+
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let configs: &[(usize, usize, usize)] = if quick {
-        &[(20, 20, 100), (50, 40, 100)]
+    let rows = if quick {
+        quick_facts()
     } else {
-        &[
+        sweep(&[
             (20, 20, 100),
             (50, 40, 100),
             (100, 100, 100),
             (200, 250, 100),
             (200, 250, 10),
             (200, 250, 10_000),
-        ]
+        ])
     };
     let mut t = Table::new(
         "E9",
@@ -129,8 +139,7 @@ pub fn run(quick: bool) -> Table {
         "fwd us",
         "bwd us",
     ]);
-    for &(g, p, rare_every) in configs {
-        let r = measure(g, p, rare_every);
+    for r in rows {
         t.row(vec![
             r.objects.to_string(),
             r.matches.to_string(),

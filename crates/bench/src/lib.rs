@@ -1,10 +1,12 @@
 //! # gsview-bench — the experiment harness
 //!
 //! One module per experiment; each builds its workload, runs the sweep
-//! and returns a [`Table`]. The `harness` binary prints every table;
-//! Criterion benches (in `benches/`) wrap the same measurement kernels
-//! for wall-time statistics. DESIGN.md maps experiments to the paper's
-//! claims; EXPERIMENTS.md records the measured results.
+//! and returns a [`Table`]. The `harness` binary prints every table.
+//! An experiment's `quick_facts` (or `quick_*`) returns the raw counts of
+//! its quick-mode sweep, which the count gates in `tests/*_smoke.rs`
+//! compare with the baselines in `baselines/`. Wall-clock throughput
+//! and latency are measured by `gsbench`. DESIGN.md maps experiments to
+//! the paper's claims; EXPERIMENTS.md records the measured results.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
