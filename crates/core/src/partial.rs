@@ -166,7 +166,7 @@ impl PartialView {
                     // Horizon: keep pointers back to base data.
                     Value::Set(children.clone())
                 } else {
-                    let mut swizzled = gsdb::OidSet::with_capacity(children.len());
+                    let mut swizzled = gsdb::OidSet::new();
                     let kids: Vec<Oid> = children.iter().collect();
                     // Create the delegate record first so recursive
                     // shared references terminate.

@@ -479,11 +479,18 @@ pub fn get_object(r: &mut Reader<'_>) -> Result<Object, CodecError> {
         VALUE_ATOM => Value::Atom(get_atom(r)?),
         VALUE_SET => {
             let n = r.varint()? as usize;
-            let mut oids = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                oids.push(Oid::new(r.str()?));
+            let mut bad = None;
+            let value = Value::set_of((0..n).map_while(|_| match r.str() {
+                Ok(name) => Some(Oid::new(name)),
+                Err(e) => {
+                    bad = Some(e);
+                    None
+                }
+            }));
+            if let Some(e) = bad {
+                return Err(e);
             }
-            Value::set_of(oids)
+            value
         }
         t => return err(format!("unknown value tag {t}")),
     };

@@ -50,9 +50,11 @@
 //! What a write copies is bounded by what it writes, not by what the
 //! shard holds:
 //!
-//! * a **page** (64 slots) for each object record written. A set
-//!   object up to 16 members is one slice copy
-//!   ([`OidSet`](crate::OidSet) keeps a member index only above that);
+//! * a **page** (64 slots) for each object record written, record by
+//!   record. A set object of up to 16 members shares its member list
+//!   with the copy, so copying it is a reference-count bump
+//!   ([`OidSet`](crate::OidSet) owns a vector and a member index only
+//!   above that);
 //! * the shard's **page directory** — its page pointers and free list,
 //!   behind one `Arc` — once per shard a commit writes a record in.
 //!   Cloning a shard (a fork, a commit's working copy, its write-back,

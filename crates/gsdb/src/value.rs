@@ -132,21 +132,38 @@ impl From<bool> for Atom {
 /// perturbation is harmless).
 ///
 /// Nearly every set object holds a handful of members, so a set of up
-/// to 16 (`SCAN_LIMIT`) members is just its member vector — membership is a
-/// scan of it, and copying the object (every page copy copies all its
-/// set objects) is one slice copy. Only a larger set carries a
-/// member → position index, which makes membership, insertion and
-/// removal O(1) there.
-#[derive(Clone, Default)]
-pub struct OidSet {
-    items: Vec<Oid>,
-    /// Position of every member in `items`; present iff
-    /// `items.len() > SCAN_LIMIT`.
-    index: Option<Box<FastMap<Oid, usize>>>,
+/// to 16 (`SCAN_LIMIT`) members keeps them in one shared, immutable
+/// slice: membership is a scan of it, copying the object (a page copy
+/// copies every record of the page, a delegate is a copy of its base
+/// object) bumps a reference count, and an insert or remove puts a
+/// fresh slice in its place. Only a larger set owns a growable member
+/// vector with a member → position index, which makes membership,
+/// insertion and removal O(1) there (a view object gains a member per
+/// `V_insert`). Either way the members are one pointer away from the
+/// record, in the order the member-by-member operations leave them.
+#[derive(Clone)]
+pub struct OidSet(Members);
+
+#[derive(Clone)]
+enum Members {
+    /// At most `SCAN_LIMIT` members, shared by every copy of the set.
+    Small(Arc<[Oid]>),
+    /// More than `SCAN_LIMIT` members, each with its position in
+    /// `items`.
+    Large {
+        items: Vec<Oid>,
+        index: Box<FastMap<Oid, usize>>,
+    },
 }
 
 /// Largest set that is searched by scanning its members.
 const SCAN_LIMIT: usize = 16;
+
+impl Default for OidSet {
+    fn default() -> Self {
+        OidSet(Members::Small(Arc::from([])))
+    }
+}
 
 impl OidSet {
     /// Empty set.
@@ -154,29 +171,30 @@ impl OidSet {
         Self::default()
     }
 
-    /// Empty set with capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        OidSet {
-            items: Vec::with_capacity(cap),
-            index: None,
-        }
+    /// A set indexing `items`: more than `SCAN_LIMIT` distinct OIDs.
+    fn large(items: Vec<Oid>) -> Self {
+        let index = items.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+        OidSet(Members::Large {
+            items,
+            index: Box::new(index),
+        })
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.as_slice().len()
     }
 
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.as_slice().is_empty()
     }
 
-    /// Where `oid` sits in `items`, if it is a member.
+    /// Where `oid` sits among the members, if it is one.
     fn position(&self, oid: Oid) -> Option<usize> {
-        match &self.index {
-            Some(index) => index.get(&oid).copied(),
-            None => self.items.iter().position(|&o| o == oid),
+        match &self.0 {
+            Members::Small(items) => items.iter().position(|&o| o == oid),
+            Members::Large { index, .. } => index.get(&oid).copied(),
         }
     }
 
@@ -190,21 +208,20 @@ impl OidSet {
         if self.contains(oid) {
             return false;
         }
-        self.items.push(oid);
-        match &mut self.index {
-            Some(index) => {
-                index.insert(oid, self.items.len() - 1);
+        match &mut self.0 {
+            Members::Small(items) if items.len() < SCAN_LIMIT => {
+                *items = items.iter().copied().chain([oid]).collect();
             }
-            None if self.items.len() > SCAN_LIMIT => {
-                self.index = Some(Box::new(
-                    self.items
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &o)| (o, i))
-                        .collect(),
-                ));
+            Members::Small(items) => {
+                let mut grown = Vec::with_capacity(2 * SCAN_LIMIT);
+                grown.extend_from_slice(items);
+                grown.push(oid);
+                *self = OidSet::large(grown);
             }
-            None => {}
+            Members::Large { items, index } => {
+                index.insert(oid, items.len());
+                items.push(oid);
+            }
         }
         true
     }
@@ -214,13 +231,24 @@ impl OidSet {
         let Some(pos) = self.position(oid) else {
             return false;
         };
-        self.items.swap_remove(pos);
-        if self.items.len() <= SCAN_LIMIT {
-            self.index = None;
-        } else if let Some(index) = &mut self.index {
-            index.remove(&oid);
-            if let Some(&moved) = self.items.get(pos) {
-                index.insert(moved, pos);
+        match &mut self.0 {
+            Members::Small(items) => {
+                let last = items.len() - 1;
+                *items = (0..last)
+                    .map(|i| items[if i == pos { last } else { i }])
+                    .collect();
+            }
+            Members::Large { items, index } => {
+                items.swap_remove(pos);
+                if items.len() > SCAN_LIMIT {
+                    index.remove(&oid);
+                    if let Some(&moved) = items.get(pos) {
+                        index.insert(moved, pos);
+                    }
+                } else {
+                    let small = Arc::from(&items[..]);
+                    self.0 = Members::Small(small);
+                }
             }
         }
         true
@@ -228,12 +256,15 @@ impl OidSet {
 
     /// Iterate members in deterministic (storage) order.
     pub fn iter(&self) -> impl Iterator<Item = Oid> + '_ {
-        self.items.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Members as a slice.
     pub fn as_slice(&self) -> &[Oid] {
-        &self.items
+        match &self.0 {
+            Members::Small(items) => items,
+            Members::Large { items, .. } => items,
+        }
     }
 
     /// Set union (paper §2 `union(S1, S2)` value computation).
@@ -247,38 +278,47 @@ impl OidSet {
 
     /// Set intersection (paper §2 `int(S1, S2)` value computation).
     pub fn intersection(&self, other: &OidSet) -> OidSet {
-        let mut out = OidSet::with_capacity(self.len().min(other.len()));
-        for o in self.iter() {
-            if other.contains(o) {
-                out.insert(o);
-            }
-        }
-        out
+        self.iter().filter(|&o| other.contains(o)).collect()
     }
 
     /// Sorted copy of the members (for canonical comparisons in tests).
     pub fn sorted(&self) -> Vec<Oid> {
-        let mut v = self.items.clone();
+        let mut v = self.as_slice().to_vec();
         v.sort();
         v
     }
-
 }
 
 impl PartialEq for OidSet {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.items.iter().all(|&o| other.contains(o))
+        self.len() == other.len() && self.iter().all(|o| other.contains(o))
     }
 }
 impl Eq for OidSet {}
 
 impl FromIterator<Oid> for OidSet {
+    /// The distinct OIDs in first-seen order. Up to `SCAN_LIMIT` of
+    /// them are gathered on the stack and stored in one allocation of
+    /// their exact size.
     fn from_iter<T: IntoIterator<Item = Oid>>(iter: T) -> Self {
-        let mut s = OidSet::new();
-        for o in iter {
-            s.insert(o);
+        let mut iter = iter.into_iter();
+        let mut small = [Oid::VACANT; SCAN_LIMIT];
+        let mut n = 0;
+        while let Some(o) = iter.next() {
+            if small[..n].contains(&o) {
+                continue;
+            }
+            if n == SCAN_LIMIT {
+                let mut s = OidSet::large(small.iter().copied().chain([o]).collect());
+                for o in iter {
+                    s.insert(o);
+                }
+                return s;
+            }
+            small[n] = o;
+            n += 1;
         }
-        s
+        OidSet(Members::Small(Arc::from(&small[..n])))
     }
 }
 
@@ -286,20 +326,20 @@ impl<'a> IntoIterator for &'a OidSet {
     type Item = Oid;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, Oid>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.items.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
 impl fmt::Debug for OidSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.items.iter()).finish()
+        f.debug_set().entries(self.as_slice()).finish()
     }
 }
 
 impl fmt::Display for OidSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, o) in self.items.iter().enumerate() {
+        for (i, o) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -436,8 +476,12 @@ mod tests {
             }
             assert_eq!(set.as_slice(), &model[..]);
             assert_eq!(set.contains(o), model.contains(&o));
-            assert_eq!(set.index.is_some(), model.len() > SCAN_LIMIT);
+            assert_eq!(indexed(set), model.len() > SCAN_LIMIT);
         }
+    }
+
+    fn indexed(set: &OidSet) -> bool {
+        matches!(set.0, Members::Large { .. })
     }
 
     fn pool(tag: &str, n: usize) -> Vec<Oid> {
@@ -459,7 +503,11 @@ mod tests {
                 let was = model.len() > SCAN_LIMIT;
                 churn(&mut set, &mut model, &pool, 10 * n, grow);
                 assert_eq!(was != (model.len() > SCAN_LIMIT), crosses, "{n} {grow}");
-                let fresh: OidSet = model.iter().copied().collect();
+                // Collecting keeps the first-seen order and drops
+                // repeats, on either side of the limit.
+                let fresh: OidSet = model.iter().chain(&model).copied().collect();
+                assert_eq!(fresh.as_slice(), &model[..]);
+                assert_eq!(indexed(&fresh), model.len() > SCAN_LIMIT);
                 assert_eq!(set, fresh);
                 assert_eq!(fresh, set);
                 for &o in &pool {
@@ -470,6 +518,46 @@ mod tests {
                 assert_ne!(set, less);
             }
         }
+    }
+
+    #[test]
+    fn a_copied_small_set_shares_its_members_until_one_side_writes() {
+        let p = pool("oss", 5);
+        let mut a = Value::Set(p.iter().copied().collect());
+        let b = a.clone();
+        let members = |v: &Value| v.as_set().unwrap().as_slice().as_ptr();
+        assert!(std::ptr::eq(members(&a), members(&b)), "a copy is a count bump");
+
+        let set = a.as_set_mut().unwrap();
+        assert!(set.remove(p[1]));
+        assert!(set.insert(oid("oss9")));
+        assert_eq!(set.as_slice(), &[p[0], p[4], p[2], p[3], oid("oss9")]);
+        assert_eq!(b.as_set().unwrap().as_slice(), &p[..], "the copy is unchanged");
+
+        // A large set owns its vector: its copy is a copy.
+        let big = Value::Set(pool("osl", SCAN_LIMIT + 1).into_iter().collect());
+        assert!(!std::ptr::eq(members(&big), members(&big.clone())));
+    }
+
+    #[test]
+    fn a_forked_record_shares_its_members_until_one_side_writes() {
+        use crate::{Object, Store};
+        let mut store = Store::new();
+        let kids = pool("osf", 3);
+        for &k in &kids {
+            store.create(Object::atom(k, "leaf", 0i64)).unwrap();
+        }
+        store.create(Object::set("osfP", "p", &kids)).unwrap();
+        let fork = store.fork();
+        // A write to another record of the page copies the page; the
+        // set record on it is copied by a count bump.
+        store.modify_atom(kids[0], 1i64).unwrap();
+        let members = |s: &Store| s.children(oid("osfP")).as_ptr();
+        assert!(std::ptr::eq(members(&store), members(&fork)));
+
+        store.delete_edge(oid("osfP"), kids[0]).unwrap();
+        assert_eq!(store.children(oid("osfP")), &[kids[2], kids[1]]);
+        assert_eq!(fork.children(oid("osfP")), &kids[..], "the fork is unchanged");
     }
 
     #[test]

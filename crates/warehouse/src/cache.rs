@@ -297,6 +297,19 @@ impl AuxCache {
         self.rooted_of(n)
     }
 
+    /// `path(root, n)` once every report applied so far has taken
+    /// effect: `n`'s path in the cached region, or `None` when `n` is
+    /// not in it — a subtree a report just detached included, which
+    /// [`AuxCache::try_path_from_root`] still places at its pre-delete
+    /// path. What a batch, maintained against the state at its end, must
+    /// be told.
+    pub(crate) fn path_at_end(&self, n: Oid) -> Option<Path> {
+        if !self.covers(n) {
+            return None;
+        }
+        path::path_between(&self.store, self.root, n)
+    }
+
     /// The cache is *complete* along `sel_path.cond_path`: it holds
     /// every object whose root path is a prefix position of the view
     /// path. On a tree-structured base (where root paths are unique),

@@ -313,6 +313,14 @@ impl BaseAccess for RemoteBase<'_> {
         }
         // Tier 2: cache.
         if let Some(c) = self.cache {
+            if self.asker.batch.is_some() && c.root() == root {
+                // A batch is maintained against the state at its end,
+                // where a subtree one of its reports detached hangs
+                // nowhere in the region. Only a single report's pass is
+                // owed the pre-delete path (§4.3's delete case looks at
+                // the detached side).
+                return c.path_at_end(n);
+            }
             if let Some(p) = c.try_path_from_root(n) {
                 return Some(p);
             }
