@@ -6,19 +6,19 @@
 //! * [`GeneralMaintainer`] — wild-card path expressions: the
 //!   path-containment machinery ("the maintenance algorithm needs to
 //!   be able to test path containment for general path expressions")
-//!   locates each update, and repair stays local to it;
-//! * [`DagMaintainer`] — DAG-structured bases ("now there may be more
-//!   than one path between two objects").
+//!   locates each update, and repair stays local to it — on DAG and
+//!   cyclic bases too ("now there may be more than one path between
+//!   two objects"), whose walks the locate step joins.
 
-use crate::base::{BaseAccess, LocalBase};
+use crate::base::BaseAccess;
 use crate::circuitview::CircuitSource;
 use crate::maintain::{content_upkeep, BatchOutcome, Maintainer, Outcome};
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, MemberSet, ViewSink};
-use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
+use crate::viewdef::{CompoundViewDef, GeneralViewDef};
 use gsdb::{
     path, AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, FastMap, Label,
-    ModifyDelta, Oid, Path, Result, Store,
+    ModifyDelta, Oid, Result, Store,
 };
 use gsview_obs::Counter;
 use gsview_query::{evaluate, reach_from_mask, MaintBackend, Nfa};
@@ -150,7 +150,7 @@ impl CompoundMaintainer {
 
 /// The automata of a wildcard view, compiled once per maintainer.
 /// `sel_expr.cond_expr` needs no third automaton: its state set after
-/// a root path is the `sel` set plus one `cond` set per ancestor at
+/// a root walk is the `sel` set plus one `cond` set per ancestor at
 /// which `sel` accepts (the *threads* of [`Located`]).
 #[derive(Clone, Debug)]
 struct Automata {
@@ -168,12 +168,12 @@ impl Automata {
     }
 }
 
-/// Why a batch cannot be repaired locally (the refresh's `cause`).
-struct Unlocatable(&'static str);
-
-/// Where a root path leaves the automata: the `sel` mask, and one
-/// `cond` mask per ancestor `y` at which `sel` accepted — the state
-/// `cond_expr` is in after `path(y, here)`, dropped once dead.
+/// Where the walks from the root leave the automata: the `sel` mask,
+/// and one `cond` mask per ancestor `y` at which `sel` accepted — the
+/// state `cond_expr` is in after the walks from `y` to here, dropped
+/// once dead. Over several walks each mask is the union of the walks'
+/// masks, a thread's keyed by the ancestor that opened it.
+#[derive(Clone)]
 struct Located {
     sel: u64,
     threads: Vec<(Oid, u64)>,
@@ -194,9 +194,31 @@ impl Located {
     fn open(&mut self, a: &Automata, at: Oid) {
         if let Some(c) = &a.cond {
             if a.sel.is_accepting(self.sel) {
-                self.threads.push((at, c.start_mask()));
+                self.merge(at, c.start_mask());
             }
         }
+    }
+
+    /// Add `mask` to the thread `y` opened; whether that grew it.
+    fn merge(&mut self, y: Oid, mask: u64) -> bool {
+        match self.threads.iter_mut().find(|t| t.0 == y) {
+            Some(t) => {
+                let grew = mask & !t.1 != 0;
+                t.1 |= mask;
+                grew
+            }
+            None => {
+                self.threads.push((y, mask));
+                true
+            }
+        }
+    }
+
+    /// Join a second walk's masks into these; whether they grew.
+    fn join(&mut self, other: Located) -> bool {
+        let grew = other.sel & !self.sel != 0;
+        self.sel |= other.sel;
+        other.threads.into_iter().fold(grew, |grew, (y, m)| self.merge(y, m) | grew)
     }
 
     /// No instance of `sel_expr.cond_expr` passes through here.
@@ -238,10 +260,10 @@ impl Candidates {
 /// the `sel_expr` / `cond_expr` automaton state sets stand where the
 /// constant-path offset stands.
 ///
-/// * **Locate**: run the automata down `path(root, N1)` of every
-///   consolidated delta. A dead state set screens the delta — the §6
-///   path-containment test, one root-path walk like the simple-view
-///   screen.
+/// * **Locate**: run the automata down every walk from the root to
+///   `N1` of every consolidated delta. A dead state set screens the
+///   delta — the §6 path-containment test, one upward search like the
+///   simple-view screen.
 /// * **Repair**: the objects whose membership the delta can change are
 ///   the ancestors of `N1` at which `sel_expr` accepts (their witness
 ///   set changed) and the objects the product walk reaches below `N2`
@@ -250,10 +272,12 @@ impl Candidates {
 /// * **Verify**: each candidate is re-checked against the final state
 ///   only, which makes the result independent of update order.
 ///
-/// DESIGN.md ("Wildcard views: local repair") has the completeness
-/// argument. What the rule does not cover — an object with two paths
-/// from the root (shared structure or a cycle under it), a store built
-/// without the parent index — takes the one counted fallback,
+/// On shared or cyclic structure (paper §6) an object has more than
+/// one walk from the root; the locate step joins the state sets of all
+/// of them ([`path::fold_walks`]), and repair and verify run as on a
+/// tree. DESIGN.md ("Wildcard views: local repair") has the
+/// completeness argument. A store built without the parent index
+/// cannot be walked upward and takes the one counted fallback,
 /// [`GeneralMaintainer::refreshes`]: re-evaluate the defining query
 /// over the store.
 #[derive(Clone, Debug)]
@@ -299,8 +323,9 @@ impl GeneralMaintainer {
     }
 
     /// How many times maintenance fell back to re-evaluating the
-    /// defining query (also counted as `maint.general.refresh`). Stays
-    /// 0 on tree-structured bases; clones share the count.
+    /// defining query (also counted as `maint.general.refresh`): once
+    /// per batch on a store without the parent index, never on one with
+    /// it, whatever its shape. Clones share the count.
     pub fn refreshes(&self) -> u64 {
         self.refreshes.load(Ordering::Relaxed)
     }
@@ -323,47 +348,26 @@ impl GeneralMaintainer {
             .map_err(|_| gsdb::GsdbError::NoSuchObject(self.def.root))
     }
 
-    /// Run the automata down `path(root, n)`; `None` when `n` does not
-    /// hang under the root or the automata die on the way.
-    fn locate(&self, store: &Store, n: Oid) -> std::result::Result<Option<Located>, Unlocatable> {
+    /// Run the automata down every walk from the root to `n`, joining
+    /// what the walks leave; `None` when `n` does not hang under the
+    /// root or the automata die on every walk.
+    fn locate(&self, store: &Store, n: Oid) -> Option<Located> {
         let a = &self.automata;
         let root = self.def.root;
-        let Some(chain) = path::only_chain_between(store, root, n).map_err(Unlocatable)? else {
-            return Ok(None);
-        };
-        let mut at = Located {
+        let mut start = Located {
             sel: a.sel.start_mask(),
             threads: Vec::new(),
         };
-        at.open(a, root);
-        for (o, l) in chain {
+        start.open(a, root);
+        let step = |mut at: Located, o: Oid, l: Label| {
             at.step(a, l);
             if at.dead() {
-                return Ok(None);
+                return None;
             }
             at.open(a, o);
-        }
-        Ok(Some(at))
-    }
-
-    /// Could an update at edge `(n1, n2)` participate in any instance
-    /// of `sel_expr.cond_expr`? Runs the automata over
-    /// `path(ROOT, n1).label(n2)` and checks liveness. Answers `true`
-    /// where `n1` cannot be located (see
-    /// [`GeneralMaintainer::refreshes`]).
-    pub fn edge_relevant(&self, store: &Store, n1: Oid, n2: Oid) -> bool {
-        let a = &self.automata;
-        let Some(l2) = store.label(n2) else {
-            return false;
+            Some(at)
         };
-        match self.locate(store, n1) {
-            Ok(Some(mut at)) => {
-                at.step(a, l2);
-                !at.dead()
-            }
-            Ok(None) => false,
-            Err(Unlocatable(_)) => true,
-        }
+        path::fold_walks(store, root, n, start, step, Located::join)
     }
 
     /// Locate one net edge change and collect its candidates. Returns
@@ -374,7 +378,7 @@ impl GeneralMaintainer {
         store: &Store,
         e: &EdgeDelta,
         cands: &mut Candidates,
-    ) -> std::result::Result<bool, Unlocatable> {
+    ) -> bool {
         let a = &self.automata;
         let mut relevant = false;
         if e.op == EdgeOp::Delete {
@@ -391,14 +395,14 @@ impl GeneralMaintainer {
         }
         let Some(l2) = store.label(e.child) else {
             cands.sweep |= e.op == EdgeOp::Delete;
-            return Ok(relevant);
+            return relevant;
         };
-        let Some(mut at) = self.locate(store, e.parent)? else {
-            return Ok(relevant);
+        let Some(mut at) = self.locate(store, e.parent) else {
+            return relevant;
         };
         at.step(a, l2);
         if at.dead() {
-            return Ok(relevant);
+            return relevant;
         }
         // Ancestors whose witness set the edge is part of. An inserted
         // atom that satisfies the predicate is itself the witness.
@@ -419,7 +423,7 @@ impl GeneralMaintainer {
                 cands.add(y, Known { sel: true, witness: false });
             }
         }
-        Ok(true)
+        true
     }
 
     /// Locate one net atom change: it matters only to the ancestors it
@@ -430,12 +434,12 @@ impl GeneralMaintainer {
         store: &Store,
         m: &ModifyDelta,
         cands: &mut Candidates,
-    ) -> std::result::Result<bool, Unlocatable> {
+    ) -> bool {
         let (Some(cond), Some(c)) = (&self.def.cond, &self.automata.cond) else {
-            return Ok(false);
+            return false;
         };
-        let Some(at) = self.locate(store, m.oid)? else {
-            return Ok(false);
+        let Some(at) = self.locate(store, m.oid) else {
+            return false;
         };
         let (was, is) = (cond.pred.eval(&m.old), cond.pred.eval(&m.new));
         let mut relevant = false;
@@ -447,59 +451,48 @@ impl GeneralMaintainer {
                 }
             }
         }
-        Ok(relevant)
+        relevant
     }
 
     /// Is `y` in the view, in the final state?
-    fn selects(&self, store: &Store, y: Oid, known: Known) -> std::result::Result<bool, Unlocatable> {
+    fn selects(&self, store: &Store, y: Oid, known: Known) -> bool {
         let a = &self.automata;
-        if !known.sel {
-            let root = self.def.root;
-            let Some(chain) = path::only_chain_between(store, root, y).map_err(Unlocatable)? else {
-                return Ok(false);
-            };
-            let mask = chain
-                .iter()
-                .fold(a.sel.start_mask(), |m, &(_, l)| a.sel.step_mask(m, l));
-            if !a.sel.is_accepting(mask) {
-                return Ok(false);
-            }
+        if !known.sel && !self.locate(store, y).is_some_and(|at| a.sel.is_accepting(at.sel)) {
+            return false;
         }
-        Ok(match (&self.def.cond, &a.cond) {
+        match (&self.def.cond, &a.cond) {
             (Some(cond), Some(c)) if !known.witness => {
                 let (reached, _) = reach_from_mask(store, y, c, c.start_mask(), &|_| true);
                 cond.pred.eval_any(store, &reached)
             }
             _ => true,
-        })
+        }
     }
 
     /// Locate every delta, then verify every candidate against the
-    /// final state: `(y, is a member)` per candidate. Touches no view
-    /// state, so the caller can still fall back on `Err`.
+    /// final state: `(y, is a member)` per candidate.
     fn verdicts(
         &self,
         mv: &MaterializedView,
         store: &Store,
         delta: &ConsolidatedDelta,
         out: &mut BatchOutcome,
-    ) -> std::result::Result<Vec<(Oid, bool)>, Unlocatable> {
+    ) -> Vec<(Oid, bool)> {
         let mut cands = Candidates::default();
         {
             let _span = gsview_obs::span!("maint.general.locate");
             for e in &delta.edges {
-                out.relevant_deltas += self.locate_edge(mv, store, e, &mut cands)? as usize;
+                out.relevant_deltas += self.locate_edge(mv, store, e, &mut cands) as usize;
             }
             for m in &delta.modifies {
-                out.relevant_deltas += self.locate_modify(store, m, &mut cands)? as usize;
+                out.relevant_deltas += self.locate_modify(store, m, &mut cands) as usize;
             }
             for &x in &delta.removed {
                 // A record nothing referenced was detached by an edge
                 // delete (located above, in this batch or an earlier
                 // one). One removed from under a parent takes what
                 // hung under it out of reach with no edge delta.
-                let parents = store.parents(x).ok_or(Unlocatable("no_parent_index"))?;
-                if !parents.is_empty() {
+                if store.parents(x).is_some_and(|p| !p.is_empty()) {
                     cands.sweep = true;
                     out.relevant_deltas += 1;
                 }
@@ -516,24 +509,18 @@ impl GeneralMaintainer {
         cands
             .known
             .into_iter()
-            .map(|(y, known)| Ok((y, self.selects(store, y, known)?)))
+            .map(|(y, known)| (y, self.selects(store, y, known)))
             .collect()
     }
 
-    /// The fallback: re-evaluate the defining query over the store and
-    /// bring the view to its answer.
-    fn refresh(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        out: &mut BatchOutcome,
-        cause: &'static str,
-    ) -> Result<()> {
+    /// The fallback on a store without the parent index: re-evaluate
+    /// the defining query over the store and bring the view to its
+    /// answer.
+    fn refresh(&self, mv: &mut MaterializedView, store: &Store, out: &mut BatchOutcome) -> Result<()> {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         self.fallbacks.incr();
-        gsview_obs::event!("maint.general.refresh", "cause" = cause);
         // Not located, so not screened either.
-        out.relevant_deltas = out.relevant_deltas.max(1);
+        out.relevant_deltas = 1;
         let fresh = self.evaluate(store)?;
         let fetch = &mut |y: Oid| store.get(y).cloned();
         let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), fetch)?;
@@ -557,23 +544,22 @@ impl GeneralMaintainer {
             consolidated_ops: delta.len(),
             ..BatchOutcome::default()
         };
-        match self.verdicts(mv, store, delta, &mut out) {
-            Ok(verdicts) => {
-                for (y, member) in verdicts {
-                    if !member {
-                        if mv.v_delete(y)? {
-                            out.deleted.push(y);
-                        }
-                    } else if !mv.contains_base(y) {
-                        if let Some(obj) = store.get(y) {
-                            let obj = obj.clone();
-                            mv.v_insert(&obj)?;
-                            out.inserted.push(y);
-                        }
+        if !store.has_parent_index() {
+            self.refresh(mv, store, &mut out)?;
+        } else {
+            for (y, member) in self.verdicts(mv, store, delta, &mut out) {
+                if !member {
+                    if mv.v_delete(y)? {
+                        out.deleted.push(y);
+                    }
+                } else if !mv.contains_base(y) {
+                    if let Some(obj) = store.get(y) {
+                        let obj = obj.clone();
+                        mv.v_insert(&obj)?;
+                        out.inserted.push(y);
                     }
                 }
             }
-            Err(Unlocatable(cause)) => self.refresh(mv, store, &mut out, cause)?,
         }
         // Content upkeep (§3.2), whichever branch ran.
         out.refreshed += refresh_touched(mv, &delta.touched, &[], &mut |o| store.get(o).cloned())?;
@@ -623,225 +609,11 @@ impl GeneralMaintainer {
     }
 }
 
-// ----------------------------------------------------------------------
-// DAG bases
-// ----------------------------------------------------------------------
-
-/// Maintains a simple view definition over a DAG-structured base.
-///
-/// Membership is monotone in edges — inserting an edge can only add
-/// derivations, deleting one can only remove them — so the maintainer
-/// uses directional repair:
-///
-/// * **insert**: multi-path variant of Algorithm 1's insert case,
-///   using all root paths of `N1` and all `ancestors_all(X,
-///   cond_path)` candidates, verified by root-path membership;
-/// * **delete**: every current member `Y` is re-verified (some root
-///   path equals `sel_path`, and the condition still holds);
-/// * **modify**: all `ancestors_all(N, cond_path)` candidates are
-///   inserted or re-verified per the predicate on old/new values.
-#[derive(Clone, Debug)]
-pub struct DagMaintainer {
-    def: SimpleViewDef,
-}
-
-/// Cap on enumerated root paths per object.
-const PATH_LIMIT: usize = 10_000;
-
-impl DagMaintainer {
-    /// Build a maintainer.
-    pub fn new(def: SimpleViewDef) -> Self {
-        DagMaintainer { def }
-    }
-
-    /// The definition.
-    pub fn def(&self) -> &SimpleViewDef {
-        &self.def
-    }
-
-    fn selects(&self, store: &Store, y: Oid) -> bool {
-        let on_sel_path =
-            path::paths_between(store, self.def.root, y, PATH_LIMIT).contains(&self.def.sel_path);
-        if !on_sel_path {
-            return false;
-        }
-        match &self.def.cond {
-            None => true,
-            Some(c) => {
-                !gsdb::path::eval(store, y, &c.path, &|a| c.pred.eval(a)).is_empty()
-            }
-        }
-    }
-
-    /// Process one update.
-    pub fn apply(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        update: &AppliedUpdate,
-    ) -> Result<Outcome> {
-        let out = match update {
-            AppliedUpdate::Insert { parent, child } => self.on_insert(mv, store, *parent, *child)?,
-            AppliedUpdate::Delete { parent, child } => self.on_delete(mv, store, *parent, *child)?,
-            AppliedUpdate::Modify { oid, old, new } => self.on_modify(mv, store, *oid, old, new)?,
-            AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. } => Outcome::default(),
-        };
-        content_upkeep(mv, &mut LocalBase::new(store), update)?;
-        Ok(out)
-    }
-
-    fn locate_all(&self, store: &Store, n1: Oid, n2: Oid) -> Vec<Path> {
-        let full = self.def.full_path();
-        let Some(l2) = store.label(n2) else {
-            return Vec::new();
-        };
-        let mut remainders = Vec::new();
-        for rp in path::paths_between(store, self.def.root, n1, PATH_LIMIT) {
-            let mut prefix = rp;
-            prefix.push(l2);
-            if let Some(p) = full.strip_prefix(&prefix) {
-                if !remainders.contains(&p) {
-                    remainders.push(p);
-                }
-            }
-        }
-        remainders
-    }
-
-    fn on_insert(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        n1: Oid,
-        n2: Oid,
-    ) -> Result<Outcome> {
-        let remainders = self.locate_all(store, n1, n2);
-        if remainders.is_empty() {
-            return Ok(Outcome::default());
-        }
-        let mut out = Outcome {
-            relevant: true,
-            ..Outcome::default()
-        };
-        let cond_path = self.def.cond_path();
-        let mut local = LocalBase::new(store);
-        for p in remainders {
-            let s = local.eval(n2, &p, self.def.cond.as_ref().map(|c| &c.pred));
-            for x in s {
-                for y in gsdb::path::ancestors_all(store, x, &cond_path) {
-                    if mv.contains_base(y) || !self.selects(store, y) {
-                        continue;
-                    }
-                    if let Some(obj) = store.get(y) {
-                        let obj = obj.clone();
-                        mv.v_insert(&obj)?;
-                        out.inserted.push(y);
-                    }
-                }
-            }
-        }
-        out.inserted.sort_by_key(|o| o.name());
-        out.inserted.dedup();
-        Ok(out)
-    }
-
-    fn on_delete(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        n1: Oid,
-        n2: Oid,
-    ) -> Result<Outcome> {
-        // Only members with a derivation through the deleted edge can
-        // change, and deletion is anti-monotone (it can only evict).
-        // Locate the edge against sel.cond as in Algorithm 1, per root
-        // path of N1 (N1's root paths are unaffected by losing a
-        // child edge).
-        let remainders = self.locate_all(store, n1, n2);
-        if remainders.is_empty() {
-            return Ok(Outcome::default());
-        }
-        let mut out = Outcome {
-            relevant: true,
-            ..Outcome::default()
-        };
-        let cond_path = self.def.cond_path();
-        let mut candidates: Vec<Oid> = Vec::new();
-        for p in remainders {
-            if p.ends_with(&cond_path) {
-                // Y at or below N2: p = p1.cond_path; candidates are
-                // the sel-level objects in the (possibly still
-                // attached elsewhere) subtree under N2.
-                let p1 = Path(p.labels()[..p.len() - cond_path.len()].to_vec());
-                candidates.extend(gsdb::path::reach(store, n2, &p1));
-            } else {
-                // Y above N1: cond_path = q.label(N2).p.
-                let q = Path(cond_path.labels()[..cond_path.len() - p.len() - 1].to_vec());
-                if q.is_empty() {
-                    candidates.push(n1);
-                } else {
-                    candidates.extend(gsdb::path::ancestors_all(store, n1, &q));
-                }
-            }
-        }
-        candidates.sort_by_key(|o| o.name());
-        candidates.dedup();
-        for y in candidates {
-            if mv.contains_base(y) && !self.selects(store, y) && mv.v_delete(y)? {
-                out.deleted.push(y);
-            }
-        }
-        Ok(out)
-    }
-
-    fn on_modify(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        n: Oid,
-        old: &gsdb::Atom,
-        new: &gsdb::Atom,
-    ) -> Result<Outcome> {
-        let Some(cond) = &self.def.cond else {
-            return Ok(Outcome::default());
-        };
-        let full = self.def.full_path();
-        let at_full_path =
-            path::paths_between(store, self.def.root, n, PATH_LIMIT).contains(&full);
-        if !at_full_path {
-            return Ok(Outcome::default());
-        }
-        let mut out = Outcome {
-            relevant: true,
-            ..Outcome::default()
-        };
-        let candidates = gsdb::path::ancestors_all(store, n, &cond.path);
-        if cond.pred.eval(new) {
-            for y in candidates {
-                if !mv.contains_base(y) && self.selects(store, y) {
-                    if let Some(obj) = store.get(y) {
-                        let obj = obj.clone();
-                        mv.v_insert(&obj)?;
-                        out.inserted.push(y);
-                    }
-                }
-            }
-        } else if cond.pred.eval(old) {
-            for y in candidates {
-                if mv.contains_base(y) && !self.selects(store, y) && mv.v_delete(y)? {
-                    out.deleted.push(y);
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::base::LocalBase;
-    use crate::recompute::recompute_members;
+    use crate::viewdef::SimpleViewDef;
     use gsdb::builder::{atom, set};
     use gsdb::samples;
     use gsview_query::{CmpOp, Pred, PathExpr};
@@ -1089,7 +861,9 @@ mod tests {
         );
         assert_eq!(out.deleted, vec![oid("S1")]);
         assert!(out.inserted.is_empty());
-        assert!(!gm.edge_relevant(&store, oid("P1"), oid("S2")));
+        // P1 now sits where the guard screens what happens under it.
+        let out = batch_locally(&gm, &mut mv, &mut store, vec![Update::delete("P1", "A1")]);
+        assert_eq!(out.relevant_deltas, 0);
 
         // A subtree that moves and changes in the same batch: S2 turns
         // 50 and goes to P2; S3's professor moves under D1.
@@ -1182,22 +956,50 @@ mod tests {
     }
 
     #[test]
-    fn what_the_local_rule_does_not_cover_takes_the_counted_refresh() {
-        // Two paths from the root (P3 hangs under ROOT and under P1).
-        let mut store = Store::new();
+    fn a_second_path_from_the_root_is_repaired_locally() {
+        // Two paths from the root (P3 hangs under ROOT and under P1):
+        // the walks are joined, and HOB joins under both.
+        let mut store = Store::counting();
         samples::person_db(&mut store).unwrap();
         let def = GeneralViewDef::new("ALL", "ROOT", PathExpr::parse("*").unwrap());
         let gm = GeneralMaintainer::new(def);
         let mut mv = gm.recompute(&store).unwrap();
         atom("HOB", "hobby", "chess").build(&mut store).unwrap();
         let up = store.insert_edge(oid("P3"), oid("HOB")).unwrap();
+        store.reset_accesses();
         assert_eq!(gm.apply(&mut mv, &store, &up).unwrap().inserted, vec![oid("HOB")]);
-        assert_eq!(gm.refreshes(), 1);
-        // ... but a database object that groups its members is a parent
-        // that leads nowhere, not a second path.
+        assert!(store.accesses() < 20, "{} accesses", store.accesses());
+        // A database object that groups its members is a parent that
+        // leads nowhere: searched, and dropped.
         let up = store.modify_atom(oid("N2"), "Sal").unwrap();
         gm.apply(&mut mv, &store, &up).unwrap();
+        assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
+        assert_eq!(gm.refreshes(), 0);
+    }
+
+    #[test]
+    fn a_store_without_the_parent_index_takes_the_counted_refresh() {
+        // Nothing can be walked upward: every batch re-evaluates the
+        // query, and says so.
+        let mut store = Store::with_config(gsdb::StoreConfig {
+            parent_index: false,
+            ..gsdb::StoreConfig::default()
+        });
+        samples::person_db(&mut store).unwrap();
+        let gm = GeneralMaintainer::new(
+            GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
+                .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John")),
+        );
+        let refresh = gsview_obs::registry().counter("maint.general.refresh");
+        let before = refresh.get();
+        let mut mv = gm.recompute(&store).unwrap();
+        let up = store.modify_atom(oid("N2"), "John").unwrap();
+        let out = gm.apply(&mut mv, &store, &up).unwrap();
+        assert!(out.relevant);
+        assert_eq!(out.inserted, vec![oid("P2")]);
         assert_eq!(gm.refreshes(), 1);
+        // At least: tests running beside this one may refresh too.
+        assert!(refresh.get() > before);
     }
 
     #[test]
@@ -1215,10 +1017,10 @@ mod tests {
     #[test]
     fn shared_and_cyclic_structure_is_searched_once() {
         // 40 stacked diamonds hold 2^40 upward walks from the bottom
-        // object, and a cycle holds walks of any length: the search for
-        // `path(root, n)` must visit each ancestor once, whether or not
-        // the structure hangs under the root, and report the second
-        // path instead of enumerating.
+        // object, and a cycle holds walks of any length: locating `n`
+        // must visit each ancestor once, whether or not the structure
+        // hangs under the root, and join the walks instead of
+        // enumerating them.
         let mut store = Store::counting();
         let mut dept = set("D1", "dept");
         for i in 0..3000 {
@@ -1272,23 +1074,23 @@ mod tests {
         assert_eq!(gm.refreshes(), 0);
         assert_eq!(mv.len(), 3002);
 
-        // Under the root: the second path is found and the fallback
-        // fires, at the cost of one evaluation of the query.
-        let whole_store = 4 * store.len() as u64;
+        // Under the root: every walk is joined, each ancestor still
+        // read once, and the repair stays local.
         edge(&mut store, "ROOT", "L0");
         edge(&mut store, "ROOT", "C0");
         mv = gm.recompute(&store).unwrap();
-        assert!(hang(&mut store, &mut mv, &bottom, "H3") <= whole_store);
-        assert_eq!(gm.refreshes(), 1);
-        assert!(hang(&mut store, &mut mv, "C2", "H4") <= whole_store);
-        assert_eq!(gm.refreshes(), 2);
+        assert!(hang(&mut store, &mut mv, &bottom, "H3") <= 3 * (ancestors + 1));
+        assert!(hang(&mut store, &mut mv, "C2", "H4") <= 3 * 6);
+        assert_eq!(gm.refreshes(), 0);
         assert!(mv.contains_base(oid("H3")) && mv.contains_base(oid("H4")));
     }
 
     /// Base accesses per single-delta batch against
     /// `ROOT.*.student WHERE age > 37`, over a counting store of
     /// `depts` × 10 professors × 3 students (about 70 objects a dept).
-    fn accesses_per_update(depts: usize) -> f64 {
+    /// `shared` hangs every professor under the next dept as well, so
+    /// each object below a professor has two walks from the root.
+    fn accesses_per_update(depts: usize, shared: bool) -> f64 {
         use gsdb::Update;
         let mut store = Store::counting();
         let mut root = set("ROOT", "db");
@@ -1308,6 +1110,10 @@ mod tests {
             root = root.child(dept);
         }
         root.build(&mut store).unwrap();
+        for p in (0..depts * 10).filter(|_| shared) {
+            let next = format!("D{}", (p / 10 + 1) % depts);
+            store.insert_edge(oid(&next), oid(&format!("P{p}"))).unwrap();
+        }
         let gm = old_students("*.student");
         let mut mv = gm.recompute(&store).unwrap();
         store.reset_accesses();
@@ -1342,9 +1148,21 @@ mod tests {
         // The locality gate: counts, not time, so it holds on any
         // machine. The per-batch refresh this replaced read the whole
         // store: 16× the objects, 16× the accesses.
-        let (small, large) = (accesses_per_update(14), accesses_per_update(224));
+        let (small, large) = (accesses_per_update(14, false), accesses_per_update(224, false));
         assert!(large <= small * 1.25, "{small} accesses/update at 1k objects, {large} at 16k");
         assert!(large < 20.0, "{large} accesses/update");
+    }
+
+    #[test]
+    fn wildcard_repair_on_a_dag_costs_at_most_twice_the_tree() {
+        // The same deltas with every professor under two depts: the
+        // walks are joined, not re-walked or refreshed, so sharing
+        // adds the extra ancestors and nothing that grows with the
+        // store.
+        for depts in [14, 224] {
+            let (tree, dag) = (accesses_per_update(depts, false), accesses_per_update(depts, true));
+            assert!(dag <= 2.0 * tree, "{tree} accesses/update on the tree, {dag} on the DAG");
+        }
     }
 
     #[test]
@@ -1385,53 +1203,50 @@ mod tests {
         s
     }
 
-    #[test]
-    fn paths_between_enumerates_dag_paths() {
-        let s = dag_store();
-        let paths = path::paths_between(&s, oid("REL"), oid("shared"), 100);
-        assert_eq!(paths.len(), 1, "both derivations share the same label path");
-        assert_eq!(paths[0], Path::parse("r.tuple.age"));
-        let t_paths = path::paths_between(&s, oid("REL"), oid("t1"), 100);
-        assert_eq!(t_paths, vec![Path::parse("r.tuple")]);
+    /// `REL.r.tuple WHERE age > 30` — a constant path with a condition.
+    fn old_tuples() -> GeneralMaintainer {
+        GeneralMaintainer::new(
+            GeneralViewDef::new("SEL", "REL", PathExpr::parse("r.tuple").unwrap())
+                .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Gt, 30i64)),
+        )
+    }
+
+    /// Maintain `mv` one update at a time; after each it must equal
+    /// recomputation, without the refresh.
+    fn apply_locally(
+        gm: &GeneralMaintainer,
+        mv: &mut MaterializedView,
+        store: &mut Store,
+        u: gsdb::Update,
+    ) -> Outcome {
+        let applied = store.apply(u).unwrap();
+        let out = gm.apply(mv, store, &applied).unwrap();
+        assert_eq!(mv.members_base(), gm.recompute(store).unwrap().members_base(), "after {applied}");
+        assert_eq!(gm.refreshes(), 0);
+        out
     }
 
     #[test]
     fn dag_insert_adds_all_sharing_ancestors() {
         let mut s = dag_store();
-        let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-        let dm = DagMaintainer::new(def.clone());
-        let mut mv = MaterializedView::new("SEL");
-        // Initialize via recompute (members: both tuples share age 40).
-        for y in recompute_members(&def, &mut LocalBase::new(&s)) {
-            let obj = s.get(y).unwrap().clone();
-            mv.v_insert(&obj).unwrap();
-        }
+        let gm = old_tuples();
+        let mut mv = gm.recompute(&s).unwrap();
         assert_eq!(mv.members_base(), vec![oid("t1"), oid("t2")]);
 
         // New tuple referencing the shared field.
         set("t3", "tuple").build(&mut s).unwrap();
-        let up1 = s.insert_edge(oid("R"), oid("t3")).unwrap();
-        dm.apply(&mut mv, &s, &up1).unwrap();
-        let up2 = s.insert_edge(oid("t3"), oid("shared")).unwrap();
-        let out = dm.apply(&mut mv, &s, &up2).unwrap();
+        apply_locally(&gm, &mut mv, &mut s, gsdb::Update::insert("R", "t3"));
+        let out = apply_locally(&gm, &mut mv, &mut s, gsdb::Update::insert("t3", "shared"));
         assert_eq!(out.inserted, vec![oid("t3")]);
     }
 
     #[test]
     fn dag_delete_only_evicts_members_without_remaining_derivation() {
         let mut s = dag_store();
-        let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-        let dm = DagMaintainer::new(def.clone());
-        let mut mv = MaterializedView::new("SEL");
-        for y in recompute_members(&def, &mut LocalBase::new(&s)) {
-            let obj = s.get(y).unwrap().clone();
-            mv.v_insert(&obj).unwrap();
-        }
+        let gm = old_tuples();
+        let mut mv = gm.recompute(&s).unwrap();
         // t2 loses its shared age: only t2 leaves.
-        let up = s.delete_edge(oid("t2"), oid("shared")).unwrap();
-        let out = dm.apply(&mut mv, &s, &up).unwrap();
+        let out = apply_locally(&gm, &mut mv, &mut s, gsdb::Update::delete("t2", "shared"));
         assert_eq!(out.deleted, vec![oid("t2")]);
         assert!(mv.contains_base(oid("t1")));
     }
@@ -1439,34 +1254,25 @@ mod tests {
     #[test]
     fn dag_maintenance_matches_recompute_under_stream() {
         let mut s = dag_store();
-        let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-        let dm = DagMaintainer::new(def.clone());
-        let mut mv = MaterializedView::new("SEL");
-        for y in recompute_members(&def, &mut LocalBase::new(&s)) {
-            let obj = s.get(y).unwrap().clone();
-            mv.v_insert(&obj).unwrap();
-        }
-        let updates = [
+        let gm = old_tuples();
+        let mut mv = gm.recompute(&s).unwrap();
+        for u in [
             gsdb::Update::modify("shared", 20i64),
             gsdb::Update::modify("shared", 35i64),
             gsdb::Update::delete("t1", "shared"),
             gsdb::Update::insert("t1", "shared"),
-        ];
-        for u in updates {
-            let applied = s.apply(u).unwrap();
-            dm.apply(&mut mv, &s, &applied).unwrap();
-            let expected = recompute_members(&def, &mut LocalBase::new(&s));
-            assert_eq!(mv.members_base(), expected, "after {applied}");
+        ] {
+            apply_locally(&gm, &mut mv, &mut s, u);
         }
+        assert_eq!(mv.members_base(), vec![oid("t1"), oid("t2")]);
     }
 
     #[test]
-    fn dag_maintainer_is_bounded_beside_cycles_and_dead_end_diamonds() {
+    fn dag_maintenance_is_bounded_beside_cycles_and_dead_end_diamonds() {
         // `shared` gets two more parents that lead nowhere near REL: a
         // two-object cycle, which holds upward walks of any length, and
         // the bottom of 40 stacked diamonds, which hold 2^40. Neither
-        // is a path from the root, so neither may cost more than a
+        // is a walk from the root, so neither may cost more than a
         // visit per object.
         let mut s = dag_store();
         let edge = |s: &mut Store, p: &str, c: &str| s.insert_edge(oid(p), oid(c)).unwrap();
@@ -1487,23 +1293,19 @@ mod tests {
             }
         }
         edge(&mut s, "L40", "shared");
-        assert_eq!(
-            path::paths_between(&s, oid("REL"), oid("shared"), 100),
-            vec![Path::parse("r.tuple.age")]
-        );
+        s.set_count_accesses(true);
 
-        let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
-        let dm = DagMaintainer::new(def.clone());
-        let mut mv = MaterializedView::new("SEL");
-        for y in recompute_members(&def, &mut LocalBase::new(&s)) {
-            let obj = s.get(y).unwrap().clone();
-            mv.v_insert(&obj).unwrap();
+        let gm = old_tuples();
+        let mut mv = gm.recompute(&s).unwrap();
+        let ancestors = 3 * 40 + 1 + 2 + 5;
+        for (age, members) in [(20i64, 0), (35, 2)] {
+            let up = s.modify_atom(oid("shared"), age).unwrap();
+            s.reset_accesses();
+            gm.apply(&mut mv, &s, &up).unwrap();
+            assert!(s.accesses() <= 3 * ancestors, "{} accesses", s.accesses());
+            assert_eq!(mv.len(), members);
         }
-        for u in [gsdb::Update::modify("shared", 20i64), gsdb::Update::modify("shared", 35i64)] {
-            let applied = s.apply(u).unwrap();
-            dm.apply(&mut mv, &s, &applied).unwrap();
-            assert_eq!(mv.members_base(), recompute_members(&def, &mut LocalBase::new(&s)));
-        }
+        assert_eq!(mv.members_base(), gm.recompute(&s).unwrap().members_base());
+        assert_eq!(gm.refreshes(), 0);
     }
 }

@@ -76,7 +76,7 @@ pub use bulk::{view_unaffected, BulkUpdate};
 pub use catalog::{Catalog, CatalogError};
 pub use circuitview::{CircuitMaintainer, CircuitSource};
 pub use cluster::ViewCluster;
-pub use general::{CompoundMaintainer, DagMaintainer, GeneralMaintainer};
+pub use general::{CompoundMaintainer, GeneralMaintainer};
 pub use maintain::{sweep_members, BatchOutcome, Maintainer, Outcome};
 pub use mview::{MaterializedView, ViewDelta};
 pub use oracle::{

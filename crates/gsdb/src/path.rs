@@ -19,8 +19,8 @@
 //! (paper §6).
 //!
 //! There is one upward search (`Ancestry::sweep`); [`ancestor_set`],
-//! [`chain_between`] / [`path_between`], [`only_chain_between`] and
-//! [`paths_between`] are answers read from what it visited.
+//! [`chain_between`] / [`path_between`] and [`fold_walks`] are answers
+//! read from what it visited.
 
 use crate::{Atom, FastMap, FastSet, Label, Oid, Store};
 use std::fmt;
@@ -189,29 +189,30 @@ pub fn chain_between(store: &Store, root: Oid, n: Oid) -> Option<Vec<(Oid, Label
     Some(chain)
 }
 
-/// The chain from `root` down to `n` if it is the only walk between
-/// them; `Ok(None)` when `n` does not hang under `root`. Parents that
-/// lead nowhere (a database object grouping its members, a detached
-/// former ancestor) are searched and dropped. The error is the cause,
-/// as the maintainers report it: `"multi_path"` when there is a second
-/// walk — shared structure, or a cycle that hangs under `root` or runs
-/// through it — and `"no_parent_index"` on a store without the index.
-pub fn only_chain_between(
+/// Carry `init` from `root` down to `n` along every walk between them
+/// (paper §6: "there may be more than one path between two objects").
+/// `step(value, o, label)` carries a value from a parent down into its
+/// child `o`, or answers `None` when nothing past `o` can come of the
+/// walk; `join(at, value)` merges a second walk's value into the one
+/// already at an object and answers whether it grew. The answer is the
+/// value at `n`, joined over every walk; `None` when no walk from
+/// `root` reaches `n` alive.
+///
+/// On a tree that is the one chain, folded. On shared or cyclic
+/// structure a worklist runs to the fixpoint, which `join` guarantees
+/// by only ever growing a value, finitely often (a set of automaton
+/// states, say). Either way the store is read only by the upward
+/// search: one label and one parents read per ancestor of `n`. Needs
+/// the parent index; without it nothing above `n` is found.
+pub fn fold_walks<T: Clone>(
     store: &Store,
     root: Oid,
     n: Oid,
-) -> std::result::Result<Option<Vec<(Oid, Label)>>, &'static str> {
-    if !store.has_parent_index() {
-        return Err("no_parent_index");
-    }
-    Ancestry::sweep(store, n, None, true).only_chain(root)
-}
-
-/// The label paths of the simple chains from `root` down to `n`,
-/// sorted and without duplicates — on a DAG base (paper §6) every
-/// `path(root, n)`. At most `limit` chains are enumerated.
-pub fn paths_between(store: &Store, root: Oid, n: Oid, limit: usize) -> Vec<Path> {
-    Ancestry::sweep(store, n, None, true).label_paths(root, limit)
+    init: T,
+    step: impl FnMut(T, Oid, Label) -> Option<T>,
+    join: impl FnMut(&mut T, T) -> bool,
+) -> Option<T> {
+    Ancestry::sweep(store, n, None, true).fold(root, init, step, join)
 }
 
 /// The objects from which `n` is reachable, `n` included: `root` is
@@ -305,83 +306,51 @@ impl Ancestry {
         }))
     }
 
-    /// Which ancestors the object at `top` reaches: a flood from it
-    /// down the parent edges, reversed.
-    fn reached_from(&self, top: usize) -> Vec<bool> {
+    /// [`fold_walks`] over the arena.
+    fn fold<T: Clone>(
+        &self,
+        root: Oid,
+        init: T,
+        mut step: impl FnMut(T, Oid, Label) -> Option<T>,
+        mut join: impl FnMut(&mut T, T) -> bool,
+    ) -> Option<T> {
+        let top = *self.index.get(&root)?;
+        // Objects all connected to `n`, with one parent edge fewer than
+        // there are of them, form a tree: one walk between any two.
+        if self.ups.len() + 1 == self.nodes.len() {
+            return self.chain(root)?.try_fold(init, |v, (o, l)| step(v, o, l));
+        }
         let mut downs = vec![Vec::new(); self.nodes.len()];
         for (child, a) in self.nodes.iter().enumerate() {
             for &p in &self.ups[a.ups.clone()] {
                 downs[p].push(child);
             }
         }
-        let mut reached = vec![false; self.nodes.len()];
-        reached[top] = true;
-        let mut stack = vec![top];
-        while let Some(i) = stack.pop() {
+        let mut at: Vec<Option<T>> = vec![None; self.nodes.len()];
+        let mut queued = vec![false; self.nodes.len()];
+        at[top] = Some(init);
+        queued[top] = true;
+        let mut work = std::collections::VecDeque::from([top]);
+        while let Some(i) = work.pop_front() {
+            queued[i] = false;
+            let here = at[i].clone().expect("a queued object holds a value");
             for &c in &downs[i] {
-                if !std::mem::replace(&mut reached[c], true) {
-                    stack.push(c);
+                let a = &self.nodes[c];
+                let l = a.label.expect("an object with a parent was read");
+                let Some(v) = step(here.clone(), a.oid, l) else { continue };
+                let grew = match &mut at[c] {
+                    Some(there) => join(there, v),
+                    empty => {
+                        *empty = Some(v);
+                        true
+                    }
+                };
+                if grew && !std::mem::replace(&mut queued[c], true) {
+                    work.push_back(c);
                 }
             }
         }
-        reached
-    }
-
-    fn only_chain(
-        &self,
-        root: Oid,
-    ) -> std::result::Result<Option<Vec<(Oid, Label)>>, &'static str> {
-        let Some(&top) = self.index.get(&root) else { return Ok(None) };
-        // Objects all connected to `n`, with one parent edge fewer than
-        // there are of them, form a tree: one walk between any two.
-        // Failing that, only the objects `root` reaches lie on a walk
-        // from it; they are connected to it, all above `n`, and the
-        // same count makes them a tree again — a single chain.
-        let is_tree = self.ups.len() + 1 == self.nodes.len() || {
-            let live = self.reached_from(top);
-            let on_walks = self.nodes.iter().zip(&live).filter(|(_, &l)| l);
-            let edges: usize = on_walks
-                .map(|(a, _)| self.ups[a.ups.clone()].iter().filter(|&&p| live[p]).count())
-                .sum();
-            edges + 1 == live.iter().filter(|&&l| l).count()
-        };
-        if is_tree {
-            Ok(self.chain(root).map(Iterator::collect))
-        } else {
-            Err("multi_path")
-        }
-    }
-
-    fn label_paths(&self, root: Oid, limit: usize) -> Vec<Path> {
-        let Some(&top) = self.index.get(&root) else { return Vec::new() };
-        let live = self.reached_from(top);
-        let mut out = Vec::new();
-        // The chain being extended, `n` first, each object with the
-        // next of its parent edges to try. An object is on it at most
-        // once, so cycles are walked round at most once.
-        let mut walk = vec![(0, self.nodes[0].ups.start)];
-        let mut on_walk = vec![false; self.nodes.len()];
-        on_walk[0] = true;
-        while out.len() < limit {
-            let Some(&mut (i, ref mut edge)) = walk.last_mut() else { break };
-            if i != top && *edge < self.nodes[i].ups.end {
-                let p = self.ups[*edge];
-                *edge += 1;
-                if live[p] && !std::mem::replace(&mut on_walk[p], true) {
-                    walk.push((p, self.nodes[p].ups.start));
-                }
-                continue;
-            }
-            if i == top {
-                let below_root = walk[..walk.len() - 1].iter().rev();
-                out.push(Path(below_root.filter_map(|&(j, _)| self.nodes[j].label).collect()));
-            }
-            on_walk[i] = false;
-            walk.pop();
-        }
-        out.sort_by_key(|p| p.to_string());
-        out.dedup();
-        out
+        at[0].take()
     }
 }
 
@@ -647,6 +616,52 @@ mod tests {
         assert_eq!(all, vec![oid("t1"), oid("t2")]);
         let roots = ancestors_all(&s, oid("shared"), &Path::parse("tuple.age"));
         assert_eq!(roots, vec![oid("R")]);
+    }
+
+    #[test]
+    fn fold_walks_joins_every_walk() {
+        // The set of objects a walk passed through, joined by union: on
+        // a tree the one chain, on a diamond both sides of it.
+        let through = |s: &Store, root: &str, n: &str| {
+            fold_walks(
+                s,
+                oid(root),
+                oid(n),
+                Vec::new(),
+                |mut seen: Vec<Oid>, o, _| {
+                    seen.push(o);
+                    Some(seen)
+                },
+                |at, walk| {
+                    let before = at.len();
+                    for o in walk {
+                        if !at.contains(&o) {
+                            at.push(o);
+                        }
+                    }
+                    at.len() > before
+                },
+            )
+            .map(|mut seen| {
+                seen.sort_by_key(|o| o.name());
+                seen
+            })
+        };
+        let tree = person_fragment();
+        assert_eq!(through(&tree, "ROOT", "A3"), Some(vec![oid("A3"), oid("P1"), oid("P3")]));
+        assert_eq!(through(&tree, "P2", "A3"), None);
+        let mut dag = Store::new();
+        dag.create_all([
+            Object::set("R", "r", &[oid("t1"), oid("t2")]),
+            Object::set("t1", "tuple", &[oid("shared")]),
+            Object::set("t2", "tuple", &[oid("shared")]),
+            Object::atom("shared", "age", 40i64),
+        ])
+        .unwrap();
+        assert_eq!(
+            through(&dag, "R", "shared"),
+            Some(vec![oid("shared"), oid("t1"), oid("t2")])
+        );
     }
 
     #[test]

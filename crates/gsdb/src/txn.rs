@@ -3,100 +3,26 @@
 //! Paper §4.3: "In a centralized environment, view maintenance can be
 //! performed by the same transaction as the triggering update." This
 //! module provides the transaction half: apply a batch of updates
-//! atomically — if any update is invalid the store is rolled back to
-//! its pre-batch state — and compute inverses so appliers (like view
-//! maintainers keeping in lock-step) can undo.
+//! atomically — if any update is invalid the store is put back exactly
+//! as it was before the batch.
 
-use crate::{AppliedUpdate, Object, Oid, Result, Store, Update, Value};
+use crate::{AppliedUpdate, Result, Store, Update};
 
-/// The inverse of an applied update: applying it undoes the original.
+/// Apply a batch atomically: on the first failure the store returns to
+/// its pre-batch state — objects, update log and version alike, so a
+/// monitor reading the log sees nothing of the failed batch — and the
+/// error is returned. On success, returns the applied updates in order.
 ///
-/// Valid for *effective* updates only — inserting an edge that already
-/// existed is a set-semantics no-op whose recorded inverse (a delete)
-/// would over-undo. [`apply_atomic`] only ever inverts updates it just
-/// applied, in reverse order, so the precondition holds there.
-pub fn inverse(store: &Store, applied: &AppliedUpdate) -> Update {
-    match applied {
-        AppliedUpdate::Insert { parent, child } => Update::Delete {
-            parent: *parent,
-            child: *child,
-        },
-        AppliedUpdate::Delete { parent, child } => Update::Insert {
-            parent: *parent,
-            child: *child,
-        },
-        AppliedUpdate::Modify { oid, old, .. } => Update::Modify {
-            oid: *oid,
-            new: old.clone(),
-        },
-        AppliedUpdate::Create { oid } => Update::Remove { oid: *oid },
-        AppliedUpdate::Remove { oid } => {
-            // To invert a removal we need the removed object — the
-            // caller must capture it before applying (as
-            // [`apply_atomic`] does); afterwards the object is gone
-            // and only a tombstone can be produced.
-            Update::Create {
-                object: store
-                    .get(*oid)
-                    .cloned()
-                    .unwrap_or_else(|| Object::empty_set(oid.name(), "tombstone")),
-            }
-        }
-    }
-}
-
-/// Apply a batch atomically: on the first failure, all prior updates
-/// of the batch are rolled back (in reverse order) and the error is
-/// returned. On success, returns the applied updates in order.
+/// The pre-batch state is a clone of the store, which shares every
+/// page copy-on-write: reference-count bumps, not object copies.
 pub fn apply_atomic(store: &mut Store, batch: Vec<Update>) -> Result<Vec<AppliedUpdate>> {
+    let before = store.clone();
     let mut applied: Vec<AppliedUpdate> = Vec::with_capacity(batch.len());
-    // Per-update rollback info: removed-object snapshots, and whether
-    // an insert was a set-semantics no-op (the edge already existed —
-    // inverting it would delete a pre-existing edge).
-    struct RollbackInfo {
-        removed: Option<Object>,
-        noop_insert: bool,
-    }
-    let mut infos: Vec<RollbackInfo> = Vec::with_capacity(batch.len());
     for update in batch {
-        let info = RollbackInfo {
-            removed: match &update {
-                Update::Remove { oid } => store.get(*oid).cloned(),
-                _ => None,
-            },
-            noop_insert: match &update {
-                Update::Insert { parent, child } => store
-                    .get(*parent)
-                    .and_then(|o| o.value.as_set())
-                    .map(|s| s.contains(*child))
-                    .unwrap_or(false),
-                _ => false,
-            },
-        };
         match store.apply(update) {
-            Ok(a) => {
-                applied.push(a);
-                infos.push(info);
-            }
+            Ok(a) => applied.push(a),
             Err(e) => {
-                // Roll back in reverse order.
-                for (a, info) in applied.iter().zip(infos.iter()).rev() {
-                    if info.noop_insert {
-                        continue; // nothing changed; nothing to undo
-                    }
-                    let inv = match a {
-                        AppliedUpdate::Remove { .. } => Update::Create {
-                            object: info
-                                .removed
-                                .clone()
-                                .expect("removal snapshots are captured before applying"),
-                        },
-                        other => inverse(store, other),
-                    };
-                    store
-                        .apply(inv)
-                        .expect("rollback of a just-applied update cannot fail");
-                }
+                *store = before;
                 return Err(e);
             }
         }
@@ -104,77 +30,10 @@ pub fn apply_atomic(store: &mut Store, batch: Vec<Update>) -> Result<Vec<Applied
     Ok(applied)
 }
 
-/// A value-level savepoint for a set of objects: captures their
-/// current state so a caller can restore them later (used by tests and
-/// by speculative evaluation).
-#[derive(Clone, Debug)]
-pub struct Savepoint {
-    objects: Vec<Object>,
-    missing: Vec<Oid>,
-}
-
-impl Savepoint {
-    /// Capture the current state of `oids`.
-    pub fn capture(store: &Store, oids: &[Oid]) -> Savepoint {
-        let mut objects = Vec::new();
-        let mut missing = Vec::new();
-        for &o in oids {
-            match store.get(o) {
-                Some(obj) => objects.push(obj.clone()),
-                None => missing.push(o),
-            }
-        }
-        Savepoint { objects, missing }
-    }
-
-    /// Restore the captured objects: values are reset; objects created
-    /// since the capture (in the captured set) are removed.
-    pub fn restore(&self, store: &mut Store) -> Result<()> {
-        for o in &self.missing {
-            if store.contains(*o) {
-                // Unlink then remove.
-                let parents: Vec<Oid> = store
-                    .parents(*o)
-                    .map(|p| p.iter().collect())
-                    .unwrap_or_default();
-                for p in parents {
-                    let _ = store.delete_edge(p, *o);
-                }
-                store.apply(Update::Remove { oid: *o })?;
-            }
-        }
-        for obj in &self.objects {
-            match (store.get(obj.oid).map(|o| o.value.clone()), &obj.value) {
-                (Some(cur), want) if &cur == want => {}
-                (Some(_), Value::Atom(a)) => {
-                    store.modify_atom(obj.oid, a.clone())?;
-                }
-                (Some(cur), Value::Set(want)) => {
-                    let cur_set = cur.as_set().cloned().unwrap_or_default();
-                    for c in cur_set.iter() {
-                        if !want.contains(c) {
-                            store.delete_edge(obj.oid, c)?;
-                        }
-                    }
-                    for c in want.iter() {
-                        if !cur_set.contains(c) {
-                            store.insert_edge(obj.oid, c)?;
-                        }
-                    }
-                }
-                (None, _) => {
-                    store.create(obj.clone())?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{samples, Atom};
+    use crate::{samples, Atom, Object, Oid, StoreConfig};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
@@ -253,33 +112,22 @@ mod tests {
     }
 
     #[test]
-    fn inverse_roundtrips_each_kind() {
-        let mut s = person_store();
-        for u in [
-            Update::modify("A1", 99i64),
+    fn failed_batch_leaves_log_and_version_untouched() {
+        // A monitor reads the update log: a failed batch must leave no
+        // trace there, neither its updates nor anything undoing them.
+        let mut s = Store::with_config(StoreConfig {
+            log_updates: true,
+            ..StoreConfig::default()
+        });
+        samples::person_db(&mut s).unwrap();
+        let (log, version) = (s.log().to_vec(), s.version());
+        let batch = vec![
+            Update::modify("A1", 50i64),
             Update::delete("ROOT", "P4"),
-            Update::insert("P4", "M3"), // effective: M3 not yet under P4
-        ] {
-            let before = crate::Snapshot::capture(&s);
-            let a = s.apply(u).unwrap();
-            let inv = inverse(&s, &a);
-            s.apply(inv).unwrap();
-            assert_eq!(crate::Snapshot::capture(&s), before, "after {a}");
-        }
-    }
-
-    #[test]
-    fn savepoint_restores_values_and_edges() {
-        let mut s = person_store();
-        let sp = Savepoint::capture(&s, &[oid("P1"), oid("A1")]);
-        s.modify_atom(oid("A1"), 77i64).unwrap();
-        s.delete_edge(oid("P1"), oid("N1")).unwrap();
-        s.create(Object::atom("EXTRA", "x", 1i64)).unwrap();
-        s.insert_edge(oid("P1"), oid("EXTRA")).unwrap();
-        sp.restore(&mut s).unwrap();
-        assert_eq!(s.atom(oid("A1")), Some(&Atom::Int(45)));
-        let p1 = s.get(oid("P1")).unwrap();
-        assert!(p1.children().contains(&oid("N1")));
-        assert!(!p1.children().contains(&oid("EXTRA")));
+            Update::insert("P2", "GHOST"), // fails
+        ];
+        apply_atomic(&mut s, batch).unwrap_err();
+        assert_eq!(s.log(), &log[..]);
+        assert_eq!(s.version(), version);
     }
 }

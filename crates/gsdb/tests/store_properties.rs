@@ -1,10 +1,10 @@
 //! Model-based property tests for the storage substrate: `OidSet`
-//! against `std::collections::HashSet`, store update/rollback
-//! round-trips, notation/snapshot round-trips over random trees, and
-//! slot layout under forks and durable-image round trips.
+//! against `std::collections::HashSet`, notation/snapshot round-trips
+//! over random trees, slot layout under forks and durable-image round
+//! trips, and the upward search against brute-force walks.
 
 use gsdb::{
-    gc, notation, path, txn, Object, Oid, OidSet, Path, Snapshot, Store, StoreConfig, Update,
+    gc, notation, path, Object, Oid, OidSet, Path, Snapshot, Store, StoreConfig, Update,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -35,33 +35,6 @@ proptest! {
         let mut want: Vec<Oid> = model.into_iter().collect();
         want.sort_by_key(|o| o.name());
         prop_assert_eq!(got, want);
-    }
-
-    /// Applying a batch and then its inverses restores the exact store
-    /// state (for effective updates).
-    #[test]
-    fn inverses_restore_state(values in prop::collection::vec(0..100i64, 1..8), salt in 0u32..1_000_000) {
-        let mut store = Store::with_config(StoreConfig::default());
-        let root = Oid::new(&format!("ir{salt}root"));
-        store.create(Object::empty_set(root.name(), "r")).unwrap();
-        let mut applied = Vec::new();
-        for (i, v) in values.iter().enumerate() {
-            let a = Oid::new(&format!("ir{salt}a{i}"));
-            applied.push(store.apply(Update::Create {
-                object: Object::atom(a.name(), "v", *v),
-            }).unwrap());
-            applied.push(store.apply(Update::Insert { parent: root, child: a }).unwrap());
-            applied.push(store.apply(Update::Modify { oid: a, new: gsdb::Atom::Int(v + 1) }).unwrap());
-        }
-        let dirty = Snapshot::capture(&store);
-        // Undo everything in reverse.
-        for a in applied.iter().rev() {
-            let inv = txn::inverse(&store, a);
-            store.apply(inv).unwrap();
-        }
-        let clean = Snapshot::capture(&store);
-        prop_assert_eq!(clean.len(), 1, "only the root remains");
-        prop_assert_ne!(dirty, clean);
     }
 
     /// Random trees round-trip through the paper notation and through
@@ -389,22 +362,32 @@ proptest! {
     /// the walks from the root answers. Small random graphs over two
     /// labels with everything a parent index can hold: diamonds,
     /// cycles under the root, through it and off it, self-loops, and
-    /// parents the root does not reach.
+    /// parents the root does not reach. The fold runs a random
+    /// four-state automaton over the labels and must end in the states
+    /// a walk-by-walk DP ends in.
     #[test]
     fn upward_search_matches_brute_force(
         labels in prop::collection::vec(0..2u8, 2..9),
         edges in prop::collection::vec((any::<u16>(), any::<u16>()), 0..16),
+        delta in prop::collection::vec(0..16u8, 8..9),
         salt in 0u32..1_000_000,
     ) {
         let n = labels.len();
         let node = |i: usize| Oid::new(&format!("us{salt}n{i}"));
+        let names = ["a", "b"];
         let mut store = Store::new();
         for (i, l) in labels.iter().enumerate() {
-            store.create(Object::empty_set(node(i).name(), ["a", "b"][*l as usize])).unwrap();
+            store.create(Object::empty_set(node(i).name(), names[*l as usize])).unwrap();
         }
         for (u, v) in &edges {
             let _ = store.insert_edge(node(*u as usize % n), node(*v as usize % n));
         }
+        // The automaton: `delta[2s + l]` is the state set state `s`
+        // moves to on label `l`.
+        let step = |mask: u8, l: gsdb::Label| {
+            let l = names.iter().position(|&x| gsdb::Label::new(x) == l).unwrap();
+            (0..4).filter(|s| mask >> s & 1 == 1).fold(0, |m, s| m | delta[2 * s + l])
+        };
         let root = node(0);
         for target in (0..n).map(node) {
             // Every simple chain root → target, by walking down.
@@ -424,28 +407,40 @@ proptest! {
                     walk.pop();
                 }
             }
-            // Walks of up to 2n edges, counted: a cycle between root
-            // and target adds one no longer than that.
-            let mut walks = (root == target) as u64;
-            let mut ending_at: HashMap<Oid, u64> = HashMap::from([(root, 1)]);
-            for _ in 0..2 * n {
-                let mut longer: HashMap<Oid, u64> = HashMap::new();
-                for (&o, &k) in &ending_at {
+            // The states the walks of each length end in, by length, up
+            // to 4n edges: any (object, state) pair a walk reaches, one
+            // that short reaches.
+            let mut want = if root == target { 1u8 } else { 0 };
+            let mut ending_at: HashMap<Oid, u8> = HashMap::from([(root, 1)]);
+            for _ in 0..4 * n {
+                let mut longer: HashMap<Oid, u8> = HashMap::new();
+                for (&o, &mask) in &ending_at {
                     for &c in store.children(o) {
-                        let e = longer.entry(c).or_default();
-                        *e = e.saturating_add(k);
+                        let m = step(mask, store.label(c).unwrap());
+                        if m != 0 {
+                            *longer.entry(c).or_default() |= m;
+                        }
                     }
                 }
-                walks = walks.saturating_add(longer.get(&target).copied().unwrap_or(0));
+                want |= longer.get(&target).copied().unwrap_or(0);
                 ending_at = longer;
             }
-            let path_of = |chain: &[Oid]| Path(chain.iter().map(|&o| store.label(o).unwrap()).collect());
+            let folded = path::fold_walks(
+                &store,
+                root,
+                target,
+                1u8,
+                |mask, _, l| Some(step(mask, l)).filter(|&m| m != 0),
+                |at, mask| {
+                    let grew = mask & !*at != 0;
+                    *at |= mask;
+                    grew
+                },
+            );
+            prop_assert_eq!(folded, Some(want).filter(|&m| m != 0));
+
             let oids_of = |chain: Vec<(Oid, gsdb::Label)>| chain.into_iter().map(|(o, _)| o).collect::<Vec<_>>();
 
-            let mut want: Vec<Path> = chains.iter().map(|c| path_of(c)).collect();
-            want.sort_by_key(|p| p.to_string());
-            want.dedup();
-            prop_assert_eq!(path::paths_between(&store, root, target, usize::MAX), want);
             prop_assert_eq!(path::ancestor_set(&store, target).contains(&root), !chains.is_empty());
 
             let first = path::chain_between(&store, root, target);
@@ -455,12 +450,6 @@ proptest! {
             match first {
                 Some(c) => prop_assert!(chains.contains(&oids_of(c))),
                 None => prop_assert!(chains.is_empty()),
-            }
-            let only = path::only_chain_between(&store, root, target);
-            match walks {
-                0 => prop_assert_eq!(only, Ok(None)),
-                1 => prop_assert_eq!(only.map(|c| c.map(oids_of)), Ok(Some(chains[0].clone()))),
-                _ => prop_assert_eq!(only, Err("multi_path")),
             }
         }
     }

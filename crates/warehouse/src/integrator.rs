@@ -62,66 +62,6 @@ impl Integrator {
     }
 }
 
-/// An integrator that buffers polled reports and releases them in
-/// batches, for warehouses that maintain views with
-/// [`Warehouse::handle_batch`](crate::Warehouse::handle_batch).
-///
-/// Batching trades staleness for work: the warehouse sees source
-/// changes only at flush time, but consolidation lets one batched
-/// maintenance pass replace up to `capacity` report-at-a-time passes.
-#[derive(Default)]
-pub struct BatchingIntegrator {
-    inner: Integrator,
-    buffer: Vec<UpdateReport>,
-    capacity: usize,
-}
-
-impl BatchingIntegrator {
-    /// A batching integrator that considers itself full at `capacity`
-    /// buffered reports (0 means "never full": flush manually).
-    pub fn new(capacity: usize) -> Self {
-        BatchingIntegrator {
-            inner: Integrator::new(),
-            buffer: Vec::new(),
-            capacity,
-        }
-    }
-
-    /// Register a report source (a monitor or any decorator over one).
-    pub fn register(&mut self, source: impl ReportSource + 'static) {
-        self.inner.register(source);
-    }
-
-    /// Every registered source's control-plane checkpoint.
-    pub fn checkpoints(&self) -> Vec<(String, u64)> {
-        self.inner.checkpoints()
-    }
-
-    /// Poll all monitors once into the buffer; returns how many
-    /// reports were added.
-    pub fn pump(&mut self) -> usize {
-        let polled = self.inner.poll();
-        let n = polled.len();
-        self.buffer.extend(polled);
-        n
-    }
-
-    /// Number of buffered reports.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// True once the buffer has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.capacity > 0 && self.buffer.len() >= self.capacity
-    }
-
-    /// Drain the buffer, returning the batch in arrival order.
-    pub fn flush(&mut self) -> Vec<UpdateReport> {
-        std::mem::take(&mut self.buffer)
-    }
-}
-
 /// Spawn one pump thread per monitor, all feeding a bounded channel.
 /// Returns the receiving end and the thread handles; threads exit when
 /// `stop` is dropped... more precisely, each pump exits after

@@ -79,7 +79,7 @@ pub use chaos::{
     ChaosPolicy, ChaosReport, ChaosScenario, ChaosStats, FaultyMonitor, FaultyWrapper,
 };
 pub use durable::{ChunkCache, FetchStats};
-pub use integrator::{spawn_channel_integrator, BatchingIntegrator, Integrator};
+pub use integrator::{spawn_channel_integrator, Integrator};
 pub use protocol::{
     CostMeter, CostSnapshot, ObjectInfo, QueryFault, ReportLevel, RootPathInfo, SourceQuery,
     SourceReply, UpdateReport, WireSize,

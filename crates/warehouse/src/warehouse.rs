@@ -1235,18 +1235,16 @@ mod tests {
             wh.connect(&src);
             wh.add_view("persons", yp_def(), ViewOptions::default())
                 .unwrap();
-            let mut integrator = crate::integrator::BatchingIntegrator::new(4);
+            let mut integrator = crate::integrator::Integrator::new();
             integrator.register(src.monitor());
             for u in updates() {
                 src.apply(u).unwrap();
             }
-            integrator.pump();
-            assert!(integrator.is_full());
+            // One poll buffers every report; they flush as one batch.
+            let reports = integrator.poll();
             wh.meter("persons").unwrap().reset();
-            let reports = integrator.flush();
             assert_eq!(reports.len(), 6);
             wh.handle_batch(&reports).unwrap();
-            assert_eq!(integrator.buffered(), 0);
             memberships.push(wh.view(oid("YP")).unwrap().members_base());
             query_counts.push(wh.meter("persons").unwrap().queries());
 

@@ -6,7 +6,10 @@
 //! We crawl a synthetic web graph, materialize the flower view, stream
 //! page edits through the maintainer, and show the local cache staying
 //! fresh — including the self-contained (swizzled + stripped) form
-//! that can be browsed fully offline.
+//! that can be browsed fully offline. The web is a DAG (pages link to
+//! earlier pages), so a page has many walks from `WEB`; the maintainer
+//! joins them and repairs every edit locally, without once
+//! re-evaluating the view.
 //!
 //! ```text
 //! cargo run --example web_cache
@@ -70,6 +73,8 @@ fn main() {
     }
     println!("after 200 page edits: {joined} pages joined the cache, {left} left");
     println!("cache now holds {} pages", cache.len());
+    assert_eq!(maintainer.refreshes(), 0, "every edit is repaired locally");
+    assert_eq!(cache.members_base(), maintainer.recompute(&store).expect("recompute").members_base());
 
     // Make the cache fully self-contained for offline browsing:
     // swizzle intra-cache links, drop dangling ones (paper §3.2's
