@@ -35,6 +35,7 @@ use gsview_core::{
     CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, MaterializedView,
     SimpleViewDef,
 };
+use gsview_circuit::Circuit;
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, Pred};
 use std::time::Instant;
@@ -326,31 +327,52 @@ fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
     rows
 }
 
+/// Live entries of `source`'s circuit after it steps from `initial`
+/// over `batch` to `store`: the state a [`CircuitMaintainer`] holds,
+/// read off a circuit built beside it (the maintainer does not expose
+/// its own).
+fn circuit_state(source: CircuitSource, initial: &Store, store: &Store, batch: &DeltaBatch) -> u64 {
+    let mut circuit = Circuit::compile(source.lower());
+    circuit.init(initial).unwrap();
+    circuit.step(&batch.consolidate(), store).unwrap();
+    circuit.state_len() as u64
+}
+
 /// Deterministic quick-mode facts, pinned by the checked-in baseline
 /// (`baselines/e18_quick.json`): at the smallest quick size and 1%
-/// selectivity — the consolidated batch size and the membership-change
-/// counts each shape produces (identical across backends; the parity
-/// assert lives inside [`measure`]).
-pub fn quick_facts() -> (u64, u64, u64, u64, u64) {
-    let rows = measure(QUICK_SIZES[0], 0.01);
-    let changed = |shape: &str| {
-        rows.iter()
-            .find(|r| r.shape == shape && r.backend == "circuit")
-            .map(|r| r.changed as u64)
-            .unwrap()
-    };
+/// selectivity — the consolidated batch size, and per shape the
+/// membership changes (identical across backends; the parity assert
+/// lives inside [`measure`]) and the circuit's live state entries
+/// after the batch.
+pub fn quick_facts() -> (u64, Vec<(&'static str, u64, u64)>) {
+    let objects = QUICK_SIZES[0];
+    let rows = measure(objects, 0.01);
+    let n_prof = (objects / OBJS_PER_PROF).max(1);
+    let initial = build_store(n_prof);
+    let (store, batch) = drive(&initial, &gen_updates(n_prof, 0.01));
+    let sources = [
+        ("single", CircuitSource::Simple(single_def())),
+        ("multi", CircuitSource::Compound(multi_def())),
+        ("wildcard", CircuitSource::General(wildcard_def())),
+        ("aggregate", CircuitSource::Aggregate(aggregate_def())),
+    ];
+    let shapes = sources
+        .into_iter()
+        .map(|(shape, source)| {
+            let changed = rows
+                .iter()
+                .find(|r| r.shape == shape && r.backend == "circuit")
+                .map(|r| r.changed as u64)
+                .unwrap();
+            (shape, changed, circuit_state(source, &initial, &store, &batch))
+        })
+        .collect();
     let delta_ops = rows
         .iter()
         .find(|r| r.backend == "circuit")
         .map(|r| r.delta_ops as u64)
         .unwrap();
-    (
-        delta_ops,
-        changed("single"),
-        changed("multi"),
-        changed("wildcard"),
-        changed("aggregate"),
-    )
+    (delta_ops, shapes)
 }
 
 /// Run the sweep.

@@ -1,9 +1,10 @@
 //! E18 regression smoke: the deterministic quick-mode backend facts
 //! must not drift from the checked-in baseline
-//! (`baselines/e18_quick.json`). The batch size and per-shape
-//! membership-change counts are exact — fixed strided workload — so
-//! any drift is a change in the workload, a backend's membership
-//! semantics, or the planner's lowering, not noise. Backend *parity*
+//! (`baselines/e18_quick.json`). The batch size, the per-shape
+//! membership-change counts and each circuit's live state entries
+//! after the batch are exact — fixed strided workload — so any drift
+//! is a change in the workload, a backend's membership semantics, the
+//! circuit's state, or the planner's lowering, not noise. Backend *parity*
 //! (circuit members == Algorithm 1 members on every shape, circuit
 //! stepped rather than rebuilt) is asserted inside
 //! `e18::quick_facts` itself. Wall times are deliberately NOT checked
@@ -40,30 +41,24 @@ fn wildcard_routing_decision_is_pinned() {
 #[test]
 fn backend_facts_do_not_drift() {
     let baseline = Baseline::parse(BASELINE);
-    let (delta_ops, single, multi, wildcard, aggregate) = e18::quick_facts();
+    let (delta_ops, shapes) = e18::quick_facts();
     assert_eq!(
         delta_ops,
         baseline.int("delta_ops"),
         "consolidated batch size drifted from baseline"
     );
-    assert_eq!(
-        single,
-        baseline.int("single_changed"),
-        "single-path membership churn drifted from baseline"
-    );
-    assert_eq!(
-        multi,
-        baseline.int("multi_changed"),
-        "multi-path union membership churn drifted from baseline"
-    );
-    assert_eq!(
-        wildcard,
-        baseline.int("wildcard_changed"),
-        "wildcard membership churn drifted from baseline"
-    );
-    assert_eq!(
-        aggregate,
-        baseline.int("aggregate_changed"),
-        "aggregate membership churn drifted from baseline"
-    );
+    for (shape, changed, state) in shapes {
+        assert_eq!(
+            changed,
+            baseline.int(&format!("{shape}_changed")),
+            "{shape}: membership churn drifted from baseline"
+        );
+        // The circuit's live entries after the batch: a layout change
+        // to the flows' state must keep exactly the same entries.
+        assert_eq!(
+            state,
+            baseline.int(&format!("{shape}_state")),
+            "{shape}: circuit state entries drifted from baseline"
+        );
+    }
 }

@@ -121,18 +121,18 @@ pub struct CircuitDef {
 pub struct StepStats {
     /// Total |Δin|: low-level events the batch reduced to.
     pub input_weight: u64,
-    /// Worklist pops in selection flows.
+    /// Pending entries the selection flows processed.
     pub sel_pops: u64,
-    /// Worklist pops in condition-witness flows.
+    /// Pending entries the condition-witness flows processed.
     pub witness_pops: u64,
-    /// Worklist pops in the aggregate flow.
+    /// Pending entries the aggregate flow processed.
     pub agg_pops: u64,
     /// Live operator-state entries (all flows) after the step.
     pub state_entries: usize,
 }
 
 impl StepStats {
-    /// Total worklist pops across all operators.
+    /// Total pending entries processed across all operators.
     pub fn pops(&self) -> u64 {
         self.sel_pops + self.witness_pops + self.agg_pops
     }
@@ -161,11 +161,24 @@ struct BranchState {
 #[derive(Clone, Debug)]
 struct AggState {
     flow: ForwardFlow<Oid>,
-    pairs: DistinctOp<(Oid, Oid)>,
+    /// The (member, endpoint) pairs with positive flow support.
     endpoints: FastMap<Oid, FastSet<Oid>>,
     holders: FastMap<Oid, FastSet<Oid>>,
     values: FastMap<Oid, Option<f64>>,
     f: AggFn,
+}
+
+/// Add (`on`) or remove `v` in `k`'s set, dropping the set once empty.
+fn link(map: &mut FastMap<Oid, FastSet<Oid>>, k: Oid, v: Oid, on: bool) {
+    let set = map.entry(k).or_default();
+    if on {
+        set.insert(v);
+    } else {
+        set.remove(&v);
+        if set.is_empty() {
+            map.remove(&k);
+        }
+    }
 }
 
 /// A compiled, stateful delta circuit for one view.
@@ -211,7 +224,6 @@ impl Circuit {
             .collect();
         let agg = def.aggregate.as_ref().map(|a| AggState {
             flow: ForwardFlow::new(&a.path),
-            pairs: DistinctOp::new(),
             endpoints: FastMap::default(),
             holders: FastMap::default(),
             values: FastMap::default(),
@@ -309,15 +321,14 @@ impl Circuit {
         // see the whole batch before any operator propagates — that
         // is what makes batch application equal to the sum of its
         // parts.
-        let mut sel_pending: Vec<ZSet<((), Oid, u32)>> = Vec::with_capacity(self.branches.len());
-        let mut wit_pending: Vec<ZSet<(Oid, u32)>> = Vec::with_capacity(self.branches.len());
-        for (i, branch) in self.branches.iter_mut().enumerate() {
+        let mut pending = Vec::with_capacity(self.branches.len());
+        for (branch, def) in self.branches.iter().zip(&self.def.branches) {
             let mut sp = ZSet::new();
             if inject_roots {
-                branch.sel.seed(&mut sp, (), self.def.branches[i].root, 1);
+                branch.sel.seed(&mut sp, (), def.root, 1);
             }
             let mut wp = ZSet::new();
-            if let Some(w) = branch.witness.as_mut() {
+            if let Some(w) = branch.witness.as_ref() {
                 for a in &events.atoms {
                     w.base_event(&mut wp, a.oid, a.label, a.old.as_ref(), a.new.as_ref());
                 }
@@ -330,11 +341,10 @@ impl Circuit {
                     .sel
                     .edge_event(&mut sp, e.parent, e.child, e.child_label, e.w);
             }
-            sel_pending.push(sp);
-            wit_pending.push(wp);
+            pending.push((sp, wp));
         }
         let mut agg_pending: ZSet<(Oid, Oid, u32)> = ZSet::new();
-        if let Some(agg) = self.agg.as_mut() {
+        if let Some(agg) = self.agg.as_ref() {
             for e in &events.edges {
                 agg.flow
                     .edge_event(&mut agg_pending, e.parent, e.child, e.child_label, e.w);
@@ -346,23 +356,22 @@ impl Circuit {
         // finite — a cyclic base under a `*` expression has infinitely
         // many paths, and the budget converts that into `Diverged`
         // instead of a hang.
-        let seed_entries: u64 = sel_pending.iter().map(|p| p.len() as u64).sum::<u64>()
-            + wit_pending.iter().map(|p| p.len() as u64).sum::<u64>()
-            + agg_pending.len() as u64;
-        let mut budget: u64 = 10_000 + 256 * seed_entries + 128 * store.len() as u64;
+        let seed_entries = pending.iter().map(|(s, w)| s.len() + w.len()).sum::<usize>()
+            + agg_pending.len();
+        let mut budget = 10_000 + 256 * seed_entries as u64 + 128 * store.len() as u64;
 
         // Stage 2: propagate selection and witness flows to their
         // fixpoints, collecting membership candidates.
         let mut dirty_members: FastSet<Oid> = FastSet::default();
         dirty_members.extend(events.created.iter().copied());
         dirty_members.extend(events.removed.iter().copied());
-        for (i, branch) in self.branches.iter_mut().enumerate() {
+        for (branch, (sp, wp)) in self.branches.iter_mut().zip(pending) {
             let mut sel_dirty: FastSet<((), Oid)> = FastSet::default();
             branch
                 .sel
                 .propagate(
                     store,
-                    std::mem::take(&mut sel_pending[i]),
+                    sp,
                     &mut budget,
                     &mut stats.sel_pops,
                     &mut sel_dirty,
@@ -370,16 +379,14 @@ impl Circuit {
                 .map_err(|Diverged| CircuitError::Diverged)?;
             dirty_members.extend(sel_dirty.into_iter().map(|(_, y)| y));
             if let Some(w) = branch.witness.as_mut() {
-                let mut wit_dirty: FastSet<Oid> = FastSet::default();
                 w.propagate(
                     store,
-                    std::mem::take(&mut wit_pending[i]),
+                    wp,
                     &mut budget,
                     &mut stats.witness_pops,
-                    &mut wit_dirty,
+                    &mut dirty_members,
                 )
                 .map_err(|Diverged| CircuitError::Diverged)?;
-                dirty_members.extend(wit_dirty);
             }
         }
 
@@ -420,33 +427,19 @@ impl Circuit {
                 .map_err(|Diverged| CircuitError::Diverged)?;
             let AggState {
                 flow,
-                pairs,
                 endpoints,
                 holders,
                 values,
                 f,
             } = agg;
-            let pair_deltas = pairs.sync(dirty_pairs, |(y, z)| flow.support(y, z));
             let mut dirty_agg: FastSet<Oid> = FastSet::default();
-            for ((y, z), d) in pair_deltas {
-                if d > 0 {
-                    endpoints.entry(y).or_default().insert(z);
-                    holders.entry(z).or_default().insert(y);
-                } else {
-                    if let Some(s) = endpoints.get_mut(&y) {
-                        s.remove(&z);
-                        if s.is_empty() {
-                            endpoints.remove(&y);
-                        }
-                    }
-                    if let Some(s) = holders.get_mut(&z) {
-                        s.remove(&y);
-                        if s.is_empty() {
-                            holders.remove(&z);
-                        }
-                    }
+            for (y, z) in dirty_pairs {
+                let now = flow.support(y, z) > 0;
+                if now != endpoints.get(&y).is_some_and(|zs| zs.contains(&z)) {
+                    link(endpoints, y, z, now);
+                    link(holders, z, y, now);
+                    dirty_agg.insert(y);
                 }
-                dirty_agg.insert(y);
             }
             // A held endpoint's value can change through a surviving
             // modify, or through a remove + re-create in one batch

@@ -17,10 +17,13 @@
 //!
 //! Counts are linear in the live-edge set, so a batch of ±1 edge
 //! events applied against the *pre-batch* counts, followed by a
-//! worklist propagation through the *post-batch* store's live edges,
-//! lands exactly on the from-scratch counts (the semi-naïve residual
-//! rule: `ΔC = closure(A_new) · ΔA · C_old`). Work is proportional to
-//! the product states actually touched — O(|Δ|), not O(view).
+//! propagation through the *post-batch* store's live edges, lands
+//! exactly on the from-scratch counts (the semi-naïve residual rule:
+//! `ΔC = closure(A_new) · ΔA · C_old`) in any order of application;
+//! propagation goes in rounds, each applying every pending delta and
+//! collecting those it sends one edge further. Work is proportional to
+//! the product states actually touched — O(|Δ|), not O(view). A flow
+//! keeps one row of live `(source, state, count)` entries per node.
 //!
 //! Cyclic bases make path counts infinite; propagation is therefore
 //! budgeted and reports [`Diverged`](crate::CircuitError::Diverged)
@@ -30,6 +33,7 @@ use crate::events::{for_each_parent, parent_scan};
 use crate::zset::ZSet;
 use gsdb::{Atom, FastMap, FastSet, Label, Oid, Store};
 use gsview_query::{Nfa, PathExpr, Pred};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 /// Marker for "propagation exceeded its budget".
@@ -47,6 +51,95 @@ fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
     })
 }
 
+/// One node's live `(key, count)` entries, the first held inline.
+#[derive(Clone, Debug)]
+enum Row<K> {
+    One([(K, i64); 1]),
+    Many(Vec<(K, i64)>),
+}
+
+/// A flow's counts: one [`Row`] per node, no zero count, no empty row,
+/// and `live` entries in all.
+#[derive(Clone, Debug)]
+struct Rows<K> {
+    rows: FastMap<Oid, Row<K>>,
+    live: usize,
+}
+
+impl<K> Default for Rows<K> {
+    fn default() -> Self {
+        Rows {
+            rows: FastMap::default(),
+            live: 0,
+        }
+    }
+}
+
+impl<K: Copy + Eq> Rows<K> {
+    fn row(&self, node: Oid) -> &[(K, i64)] {
+        match self.rows.get(&node) {
+            Some(Row::One(e)) => e,
+            Some(Row::Many(v)) => v,
+            None => &[],
+        }
+    }
+
+    /// Add a non-zero `delta` to `key`'s count at `node`.
+    fn bump(&mut self, node: Oid, key: K, delta: i64) {
+        let mut slot = match self.rows.entry(node) {
+            Entry::Occupied(o) => o,
+            Entry::Vacant(v) => {
+                v.insert(Row::One([(key, delta)]));
+                self.live += 1;
+                return;
+            }
+        };
+        let row = slot.get_mut();
+        let entries: &mut [(K, i64)] = match row {
+            Row::One(e) => e,
+            Row::Many(v) => v,
+        };
+        let Some(i) = entries.iter().position(|e| e.0 == key) else {
+            match row {
+                Row::One([e]) => *row = Row::Many(vec![*e, (key, delta)]),
+                Row::Many(v) => v.push((key, delta)),
+            }
+            self.live += 1;
+            return;
+        };
+        entries[i].1 = entries[i].1.saturating_add(delta);
+        if entries[i].1 == 0 {
+            self.live -= 1;
+            match row {
+                Row::Many(v) if v.len() > 1 => drop(v.swap_remove(i)),
+                _ => drop(slot.remove()),
+            }
+        }
+    }
+}
+
+/// Drain `pending` in rounds: `apply` takes each entry of a round and
+/// adds what it derives to the next, one unit of `budget` and one of
+/// `pops` per entry.
+fn drain<K: Eq + Hash + Copy>(
+    mut pending: ZSet<K>,
+    budget: &mut u64,
+    pops: &mut u64,
+    mut apply: impl FnMut(K, i64, &mut ZSet<K>),
+) -> Result<(), Diverged> {
+    while !pending.is_empty() {
+        for (key, delta) in std::mem::take(&mut pending).iter() {
+            if *budget == 0 {
+                return Err(Diverged);
+            }
+            *budget -= 1;
+            *pops += 1;
+            apply(key, delta, &mut pending);
+        }
+    }
+    Ok(())
+}
+
 // ----------------------------------------------------------------------
 // Forward flow
 // ----------------------------------------------------------------------
@@ -59,9 +152,7 @@ fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
 #[derive(Clone, Debug)]
 pub struct ForwardFlow<S: Eq + Hash + Copy> {
     nfa: Nfa,
-    counts: FastMap<(S, Oid, u32), i64>,
-    by_node: FastMap<Oid, FastSet<(S, u32)>>,
-    accept_support: ZSet<(S, Oid)>,
+    rows: Rows<(S, u32)>,
 }
 
 impl<S: Eq + Hash + Copy> ForwardFlow<S> {
@@ -69,9 +160,7 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     pub fn new(expr: &PathExpr) -> Self {
         ForwardFlow {
             nfa: expr.nfa(),
-            counts: FastMap::default(),
-            by_node: FastMap::default(),
-            accept_support: ZSet::new(),
+            rows: Rows::default(),
         }
     }
 
@@ -87,22 +176,14 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     /// **current** (pre-propagation) counts. Must be called for every
     /// event of a batch before [`ForwardFlow::propagate`].
     pub fn edge_event(
-        &mut self,
+        &self,
         pending: &mut ZSet<(S, Oid, u32)>,
         parent: Oid,
         child: Oid,
         child_label: Label,
         w: i64,
     ) {
-        let Some(keys) = self.by_node.get(&parent) else {
-            return;
-        };
-        let keys: Vec<(S, u32)> = keys.iter().copied().collect();
-        for (src, s) in keys {
-            let cnt = self.counts.get(&(src, parent, s)).copied().unwrap_or(0);
-            if cnt == 0 {
-                continue;
-            }
+        for &((src, s), cnt) in self.rows.row(parent) {
             for s2 in bits(self.nfa.step_mask(1 << s, child_label)) {
                 pending.add((src, child, s2), w.saturating_mul(cnt));
             }
@@ -110,27 +191,21 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     }
 
     /// Drain `pending` to a fixpoint through the live edges of the
-    /// post-batch `store`. Every `(src, node)` whose accepting support
-    /// changed is added to `dirty`. Decrements `budget` per worklist
-    /// pop and fails with [`Diverged`] at zero (counts are then
-    /// partial — the circuit must be rebuilt).
+    /// post-batch `store`, adding every `(src, node)` whose accepting
+    /// support changed to `dirty`. Each processed entry costs one unit
+    /// of `budget`; at zero it fails with [`Diverged`] and the counts
+    /// are partial — the circuit must be rebuilt.
     pub fn propagate(
         &mut self,
         store: &Store,
-        mut pending: ZSet<(S, Oid, u32)>,
+        pending: ZSet<(S, Oid, u32)>,
         budget: &mut u64,
         pops: &mut u64,
         dirty: &mut FastSet<(S, Oid)>,
     ) -> Result<(), Diverged> {
-        while let Some(((src, node, s), delta)) = pending.pop() {
-            if *budget == 0 {
-                return Err(Diverged);
-            }
-            *budget -= 1;
-            *pops += 1;
-            self.bump(src, node, s, delta);
+        drain(pending, budget, pops, |(src, node, s), delta, next| {
+            self.rows.bump(node, (src, s), delta);
             if s == self.nfa.accept_state() {
-                self.accept_support.add((src, node), delta);
                 dirty.insert((src, node));
             }
             // A record-less node has no children; a record-less child
@@ -138,39 +213,22 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
             for &c in store.children(node) {
                 let Some(l) = store.label(c) else { continue };
                 for s2 in bits(self.nfa.step_mask(1 << s, l)) {
-                    pending.add((src, c, s2), delta);
+                    next.add((src, c, s2), delta);
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn bump(&mut self, src: S, node: Oid, s: u32, delta: i64) {
-        let key = (src, node, s);
-        let entry = self.counts.entry(key).or_insert(0);
-        *entry = entry.saturating_add(delta);
-        if *entry == 0 {
-            self.counts.remove(&key);
-            if let Some(set) = self.by_node.get_mut(&node) {
-                set.remove(&(src, s));
-                if set.is_empty() {
-                    self.by_node.remove(&node);
-                }
-            }
-        } else {
-            self.by_node.entry(node).or_default().insert((src, s));
-        }
+        })
     }
 
     /// Accepting support of `(src, node)` — the operator's output
     /// weight before the distinct clamp.
     pub fn support(&self, src: S, node: Oid) -> i64 {
-        self.accept_support.weight((src, node))
+        let key = (src, self.nfa.accept_state());
+        self.rows.row(node).iter().find(|e| e.0 == key).map_or(0, |e| e.1)
     }
 
     /// Number of live product states (arranged index size).
     pub fn state_len(&self) -> usize {
-        self.counts.len()
+        self.rows.live
     }
 }
 
@@ -184,16 +242,14 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
 ///
 /// `D[n][accept] = [atom(n) satisfies pred]`, and every other state
 /// sums over live child edges; deltas propagate **upward** through
-/// the parent index with the automaton stepped backwards. The start-state
-/// row is the witness Z-set: `witness(n) > 0` iff some instance of
-/// `expr` from `n` ends in a satisfying atom.
+/// the parent index with the automaton stepped backwards. The
+/// start-state entries are the witness: `witness(n) > 0` iff some
+/// instance of `expr` from `n` ends in a satisfying atom.
 #[derive(Clone, Debug)]
 pub struct BackwardFlow {
     nfa: Nfa,
     pred: Pred,
-    counts: FastMap<(Oid, u32), i64>,
-    by_node: FastMap<Oid, FastSet<u32>>,
-    start_support: ZSet<Oid>,
+    rows: Rows<u32>,
 }
 
 impl BackwardFlow {
@@ -202,9 +258,7 @@ impl BackwardFlow {
         BackwardFlow {
             nfa: expr.nfa(),
             pred,
-            counts: FastMap::default(),
-            by_node: FastMap::default(),
-            start_support: ZSet::new(),
+            rows: Rows::default(),
         }
     }
 
@@ -241,22 +295,14 @@ impl BackwardFlow {
     /// Translate one ±1 edge event into witness deltas for the parent,
     /// against current (pre-propagation) counts.
     pub fn edge_event(
-        &mut self,
+        &self,
         pending: &mut ZSet<(Oid, u32)>,
         parent: Oid,
         child: Oid,
         child_label: Label,
         w: i64,
     ) {
-        let Some(states) = self.by_node.get(&child) else {
-            return;
-        };
-        let states: Vec<u32> = states.iter().copied().collect();
-        for s2 in states {
-            let cnt = self.counts.get(&(child, s2)).copied().unwrap_or(0);
-            if cnt == 0 {
-                continue;
-            }
+        for &(s2, cnt) in self.rows.row(child) {
             for s0 in bits(self.nfa.step_back_mask(1 << s2, child_label)) {
                 pending.add((parent, s0), w.saturating_mul(cnt));
             }
@@ -270,64 +316,43 @@ impl BackwardFlow {
     pub fn propagate(
         &mut self,
         store: &Store,
-        mut pending: ZSet<(Oid, u32)>,
+        pending: ZSet<(Oid, u32)>,
         budget: &mut u64,
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
     ) -> Result<(), Diverged> {
         let scan = (!pending.is_empty() && !store.has_parent_index()).then(|| parent_scan(store));
-        while let Some(((node, s), delta)) = pending.pop() {
-            if *budget == 0 {
-                return Err(Diverged);
-            }
-            *budget -= 1;
-            *pops += 1;
-            self.bump(node, s, delta);
+        drain(pending, budget, pops, |(node, s), delta, next| {
+            self.rows.bump(node, s, delta);
             if self.nfa.start_mask() >> s & 1 != 0 {
-                self.start_support.add(node, delta);
                 dirty.insert(node);
             }
             // A removed node that a parent still names is the child of
             // a dangling entry, not of a live edge: it stops here.
-            let Some(l) = store.label(node) else { continue };
+            let Some(l) = store.label(node) else { return };
             let inv = self.nfa.step_back_mask(1 << s, l);
             if inv != 0 {
                 for_each_parent(store, scan.as_ref(), node, |p| {
                     for s0 in bits(inv) {
-                        pending.add((p, s0), delta);
+                        next.add((p, s0), delta);
                     }
                 });
             }
-        }
-        Ok(())
-    }
-
-    fn bump(&mut self, node: Oid, s: u32, delta: i64) {
-        let key = (node, s);
-        let entry = self.counts.entry(key).or_insert(0);
-        *entry = entry.saturating_add(delta);
-        if *entry == 0 {
-            self.counts.remove(&key);
-            if let Some(set) = self.by_node.get_mut(&node) {
-                set.remove(&s);
-                if set.is_empty() {
-                    self.by_node.remove(&node);
-                }
-            }
-        } else {
-            self.by_node.entry(node).or_default().insert(s);
-        }
+        })
     }
 
     /// Witness support of `node` (positive iff a satisfying instance
-    /// of the condition expression exists below it).
+    /// of the condition expression exists below it): the sum of its
+    /// start-state counts.
     pub fn witness(&self, node: Oid) -> i64 {
-        self.start_support.weight(node)
+        let start = self.nfa.start_mask();
+        let row = self.rows.row(node).iter().filter(|e| start >> e.0 & 1 != 0);
+        row.fold(0, |sum, e| sum.saturating_add(e.1))
     }
 
     /// Number of live product states.
     pub fn state_len(&self) -> usize {
-        self.counts.len()
+        self.rows.live
     }
 }
 

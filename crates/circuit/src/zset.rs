@@ -73,14 +73,6 @@ impl<K: Eq + Hash + Copy> ZSet<K> {
         self.weights.iter().map(|(k, w)| (*k, *w))
     }
 
-    /// Remove and return an arbitrary entry — the worklist pop the
-    /// propagation loops are built on.
-    pub fn pop(&mut self) -> Option<(K, i64)> {
-        let key = *self.weights.keys().next()?;
-        let w = self.weights.remove(&key).expect("key just observed");
-        Some((key, w))
-    }
-
     /// Merge another Z-set into this one (pointwise sum).
     pub fn merge(&mut self, other: &ZSet<K>) {
         for (k, w) in other.iter() {
@@ -133,16 +125,6 @@ impl<K: Eq + Hash + Copy> DistinctOp<K> {
     /// Keys currently present. Order unspecified.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.positive.iter().copied()
-    }
-
-    /// Number of present keys.
-    pub fn len(&self) -> usize {
-        self.positive.len()
-    }
-
-    /// True iff no key is present.
-    pub fn is_empty(&self) -> bool {
-        self.positive.is_empty()
     }
 
     /// Re-evaluate `support` for every dirty key and emit `(key, ±1)`

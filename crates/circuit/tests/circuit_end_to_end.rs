@@ -232,6 +232,12 @@ fn check(def: CircuitDef, initial: &Store, raw: &[(u8, usize, usize, i64)], n: u
     let batches = realize(raw, &mut store, &sets, &atoms);
     for (delta, replay) in batches {
         circuit.step(&delta, &replay).expect("forest propagation converges");
+        // The state reached incrementally is the state a from-scratch
+        // rebuild reaches: a row that keeps a zero count, or loses an
+        // entry, shows here even when membership does not move.
+        let mut fresh = Circuit::compile(def.clone());
+        fresh.init(&replay).expect("init on a forest never diverges");
+        assert_eq!(circuit.state_len(), fresh.state_len(), "state after batch");
         let want = expected_members(&replay, &def);
         let got: BTreeSet<Oid> = circuit.members().into_iter().collect();
         assert_eq!(got, want, "membership after batch");

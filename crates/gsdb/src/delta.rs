@@ -26,8 +26,7 @@
 
 use crate::update::AppliedUpdate;
 use crate::value::Atom;
-use crate::Oid;
-use std::collections::HashMap;
+use crate::{FastMap, FastSet, Oid};
 
 /// An ordered collection of applied updates awaiting maintenance.
 #[derive(Clone, Debug, Default)]
@@ -79,18 +78,22 @@ impl DeltaBatch {
     /// Reduce the batch to its net effect. Surviving deltas keep the
     /// arrival order of their first occurrence.
     pub fn consolidate(&self) -> ConsolidatedDelta {
+        // The maps are keyed by interned OIDs, so they take the fast
+        // hasher; output order comes from the first-occurrence sorts
+        // below, never from map iteration.
+        //
         // Net edge count per (parent, child): +1 per insert, -1 per
         // delete. A valid update sequence keeps this in {-1, 0, +1}.
-        let mut edge_net: HashMap<(Oid, Oid), (i64, usize)> = HashMap::new();
+        let mut edge_net: FastMap<(Oid, Oid), (i64, usize)> = FastMap::default();
         // Per modified OID: value before the batch, value after it.
-        let mut mods: HashMap<Oid, (Atom, Atom, usize)> = HashMap::new();
+        let mut mods: FastMap<Oid, (Atom, Atom, usize)> = FastMap::default();
         // Net record count per OID: +1 per create, -1 per remove. The
         // bool remembers whether the *first* record op was a remove:
         // remove-then-create nets to zero record churn but is a
         // *replacement* (the re-created object starts from a fresh
         // value), not a no-op, and must survive consolidation as a
         // remove plus a create.
-        let mut record_net: HashMap<Oid, (i64, usize, bool)> = HashMap::new();
+        let mut record_net: FastMap<Oid, (i64, usize, bool)> = FastMap::default();
 
         for (i, op) in self.ops.iter().enumerate() {
             match op {
@@ -158,8 +161,8 @@ impl DeltaBatch {
         // Deduplicated touched set of the *surviving* deltas, in
         // first-occurrence order.
         let mut touched: Vec<Oid> = Vec::new();
-        let mut seen: std::collections::HashSet<Oid> = std::collections::HashSet::new();
-        let touch = |o: Oid, touched: &mut Vec<Oid>, seen: &mut std::collections::HashSet<Oid>| {
+        let mut seen: FastSet<Oid> = FastSet::default();
+        let touch = |o: Oid, touched: &mut Vec<Oid>, seen: &mut FastSet<Oid>| {
             if seen.insert(o) {
                 touched.push(o);
             }
