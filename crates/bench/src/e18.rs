@@ -334,7 +334,7 @@ fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
 fn circuit_state(source: CircuitSource, initial: &Store, store: &Store, batch: &DeltaBatch) -> u64 {
     let mut circuit = Circuit::compile(source.lower());
     circuit.init(initial).unwrap();
-    circuit.step(&batch.consolidate(), store).unwrap();
+    circuit.step(batch, store).unwrap();
     circuit.state_len() as u64
 }
 

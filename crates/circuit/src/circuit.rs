@@ -5,10 +5,12 @@
 //! × optional condition) plus an optional [`AggDef`]. [`Circuit`]
 //! compiles the IR into a dataflow of flow operators that read the
 //! store itself, at two versions: the fork it last stepped to and the
-//! post-batch store.
+//! post-batch store. The batch derives the live change between them
+//! once ([`DeltaBatch::live`]); every circuit stepped at the same
+//! version reads that one derivation.
 //!
 //! ```text
-//!   (base, store, Δ) ──derive──► edge/node/atom events
+//!   batch.live(base, store) ──► edge/node/atom events (once per batch)
 //!     ├─► ForwardFlow(sel)   per branch ─┐
 //!     ├─► BackwardFlow(cond) per branch ─┼─► semijoin ─► distinct ─► ΔV
 //!     └─► ForwardFlow(agg, per member) ◄─┘ (membership ±1 feeds back)
@@ -21,11 +23,10 @@
 //! rebuild reaches. That is the invariant the four-way differential
 //! oracle in core pins down.
 
-use crate::events::Events;
 use crate::operator::{BackwardFlow, Diverged, ForwardFlow};
 use crate::zset::{DistinctOp, ZSet};
 use crate::CircuitError;
-use gsdb::{ConsolidatedDelta, FastMap, FastSet, Oid, Store};
+use gsdb::{DeltaBatch, FastMap, FastSet, LiveDelta, Oid, Store};
 use gsview_query::{PathExpr, Pred};
 
 /// An existential condition on view members: some instance of `expr`
@@ -184,10 +185,10 @@ fn link(map: &mut FastMap<Oid, FastSet<Oid>>, k: Oid, v: Oid, on: bool) {
 /// A compiled, stateful delta circuit for one view.
 ///
 /// Lifecycle: [`Circuit::compile`] → [`Circuit::init`] against a
-/// store snapshot → [`Circuit::step`] per consolidated batch. The
-/// circuit keeps a [`Store::fork`] of the store it last reached —
-/// O(pages) pointers shared copy-on-write, no private copy of the
-/// graph — and reads it as the pre-batch side of the next step. After
+/// store snapshot → [`Circuit::step`] per batch. The circuit keeps a
+/// [`Store::fork`] of the store it last reached — O(pages) pointers
+/// shared copy-on-write, no private copy of the graph — and reads it
+/// as the pre-batch side of the next step. After
 /// any error the internal state is partial and the circuit must be
 /// re-compiled and re-initialized (the maintainer layer treats every
 /// error as "rebuild from the current store", which is always
@@ -243,25 +244,22 @@ impl Circuit {
     /// "everything created" batch.
     pub fn init(&mut self, store: &Store) -> Result<StepOutput, CircuitError> {
         *self = Circuit::compile(self.def.clone());
-        self.run(Events::load(store), store, true)
+        self.run(&LiveDelta::load(store), store, true)
     }
 
-    /// Apply one consolidated delta (`store` is the post-batch
-    /// store; the pre-batch side is the store the circuit last
-    /// reached). Cost is proportional to the product states the delta
-    /// actually touches, not to view or store size.
-    pub fn step(
-        &mut self,
-        delta: &ConsolidatedDelta,
-        store: &Store,
-    ) -> Result<StepOutput, CircuitError> {
+    /// Apply one batch (`store` is the post-batch store; the pre-batch
+    /// side is the store the circuit last reached). The batch derives
+    /// the live change once for every circuit stepped from the same
+    /// version to the same store. Cost is proportional to the product
+    /// states the delta actually touches, not to view or store size.
+    pub fn step(&mut self, batch: &DeltaBatch, store: &Store) -> Result<StepOutput, CircuitError> {
         let base = self.base.take().unwrap_or_default();
-        let events = Events::derive(delta, &base, store);
-        // Only the events read the old side. Pages no newer epoch
-        // shares are freed here, ahead of the propagation that
-        // allocates, rather than after it.
+        let events = batch.live(&base, store);
+        // Only the derivation reads the old side, and the batch keeps
+        // no hold on it. Pages no newer epoch shares are freed here,
+        // ahead of the propagation that allocates, rather than after it.
         drop(base);
-        self.run(events, store, false)
+        self.run(&events, store, false)
     }
 
     /// Version of the store the circuit last reached; `None` before
@@ -302,7 +300,7 @@ impl Circuit {
 
     fn run(
         &mut self,
-        events: Events,
+        events: &LiveDelta,
         store: &Store,
         inject_roots: bool,
     ) -> Result<StepOutput, CircuitError> {

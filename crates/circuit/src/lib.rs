@@ -12,8 +12,10 @@
 //! The circuit keeps no copy of the graph. It reads the store at two
 //! versions: a fork of the store it last stepped to (O(pages) shared
 //! pointers) and the post-batch store. The pair yields the batch's
-//! live-edge events, and propagation walks the post-batch store's
-//! children lists and parent index, as Algorithm 1 does (paper §4.4).
+//! live-edge events — a [`gsdb::LiveDelta`], derived once by the
+//! batch for every circuit it is handed — and propagation walks the
+//! post-batch store's children lists and parent index, as Algorithm 1
+//! does (paper §4.4).
 //!
 //! Layering: this crate sits between `gsview-query` (path-expression
 //! NFAs, predicates) and `gsview-core` (which lowers `ViewDef`s into
@@ -21,15 +23,12 @@
 //! the planner picks the circuit backend).
 //!
 //! * [`zset`] — weighted collections and the distinct clamp.
-//! * `events` — a delta's live-edge, record and atom events, read off
-//!   the two store versions.
 //! * [`operator`] — forward/backward weighted NFA flows.
 //! * [`circuit`] — the compiled dataflow and its step function.
 
 #![warn(missing_docs)]
 
 pub mod circuit;
-mod events;
 pub mod operator;
 pub mod zset;
 

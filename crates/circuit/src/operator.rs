@@ -29,8 +29,8 @@
 //! budgeted and reports [`Diverged`](crate::CircuitError::Diverged)
 //! instead of spinning, and the caller falls back to recomputation.
 
-use crate::events::{for_each_parent, parent_scan};
 use crate::zset::ZSet;
+use gsdb::events::{for_each_parent, parent_scan};
 use gsdb::{Atom, FastMap, FastSet, Label, Oid, Store};
 use gsview_query::{Nfa, PathExpr, Pred};
 use std::collections::hash_map::Entry;

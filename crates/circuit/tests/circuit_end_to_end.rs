@@ -75,7 +75,7 @@ fn realize(
     store: &mut Store,
     sets: &[Oid],
     atoms: &[Oid],
-) -> Vec<(gsdb::ConsolidatedDelta, Store)> {
+) -> Vec<(DeltaBatch, Store)> {
     let mut parent_of: HashMap<Oid, Oid> = HashMap::new();
     let mut edges: Vec<(Oid, Oid)> = Vec::new();
     for o in sets.iter().chain(atoms.iter()) {
@@ -169,11 +169,11 @@ fn realize(
         }
         if b % 7 == 0 && !batch.is_empty() {
             let done = std::mem::replace(&mut batch, DeltaBatch::new());
-            batches.push((done.consolidate(), store.clone()));
+            batches.push((done, store.clone()));
         }
     }
     if !batch.is_empty() {
-        batches.push((batch.consolidate(), store.clone()));
+        batches.push((batch, store.clone()));
     }
     batches
 }
@@ -230,8 +230,8 @@ fn check(def: CircuitDef, initial: &Store, raw: &[(u8, usize, usize, i64)], n: u
     assert_eq!(got0, want0, "initial membership");
 
     let batches = realize(raw, &mut store, &sets, &atoms);
-    for (delta, replay) in batches {
-        circuit.step(&delta, &replay).expect("forest propagation converges");
+    for (batch, replay) in batches {
+        circuit.step(&batch, &replay).expect("forest propagation converges");
         // The state reached incrementally is the state a from-scratch
         // rebuild reaches: a row that keeps a zero count, or loses an
         // entry, shows here even when membership does not move.

@@ -4,10 +4,13 @@
 //! and `gsview-circuit`: a [`CircuitSource`] names any maintainable
 //! view definition (simple, compound, wildcard, aggregate) and lowers
 //! it to the circuit IR; a [`CircuitMaintainer`] owns the compiled
-//! circuit plus its count state and consumes the same consolidated
-//! delta batches the Algorithm 1 maintainers do, keeping a
-//! [`MaterializedView`] in sync in O(|Δ|) per commit: a step writes
-//! back its own membership change, not the view.
+//! circuit plus its count state and consumes the same delta batches
+//! the Algorithm 1 maintainers do, keeping a [`MaterializedView`] in
+//! sync in O(|Δ|) per commit: a step writes back its own membership
+//! change, not the view. A batch handed to several maintainers
+//! consolidates once for all of them and derives its live-graph change
+//! once for every circuit stepped from the same version
+//! ([`DeltaBatch::consolidated`], [`DeltaBatch::live`]).
 //!
 //! The planner alone decides per view which backend runs
 //! ([`choose_backend`], asked through
@@ -27,14 +30,16 @@
 //! [`Circuit::init`] against the current store — which is by
 //! construction equivalent to recomputation. The view may then be any
 //! number of batches behind, so a rebuild alone reconciles it against
-//! the full member set.
+//! the full member set. The guard runs before a circuit asks the batch
+//! for its live change, so a stale circuit neither reads nor fills the
+//! batch's memo.
 
 use crate::aggregate::AggregateViewDef;
 use crate::maintain::BatchOutcome;
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, write_delta};
 use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
-use gsdb::{ConsolidatedDelta, DeltaBatch, Oid, Result, Store};
+use gsdb::{DeltaBatch, Oid, Result, Store};
 use gsview_circuit::{AggDef, BranchDef, Circuit, CircuitDef, CondDef, StepOutput};
 use gsview_query::{choose_backend, MaintBackend, PathExpr};
 use std::collections::HashSet;
@@ -226,19 +231,21 @@ impl CircuitMaintainer {
         reconcile(mv, &members, &mut |y| store.get(y).cloned())
     }
 
-    /// Step the circuit by one consolidated delta, with the store in
-    /// its post-batch state, and return the step's membership delta —
-    /// or `None` after a rebuild.
+    /// Step the circuit by one batch, with the store in its post-batch
+    /// state, and return the step's membership delta — or `None` after
+    /// a rebuild.
     ///
     /// Falls back to an epoch-consistent rebuild when the circuit's
     /// version does not match the batch's pre-state or when delta
-    /// propagation diverges.
-    fn advance(&self, store: &Store, delta: &ConsolidatedDelta) -> Result<Option<StepOutput>> {
+    /// propagation diverges. Only a circuit that passes the version
+    /// guard asks the batch for its live change, so the batch's memo
+    /// serves circuits at the pre-batch version alone.
+    fn advance(&self, store: &Store, batch: &DeltaBatch) -> Result<Option<StepOutput>> {
         let mut inner = self.inner.lock().unwrap();
         let view = self.source.view();
-        let pre = store.version().saturating_sub(delta.input_ops as u64);
+        let pre = store.version().saturating_sub(batch.len() as u64);
         if inner.circuit.version() == Some(pre) {
-            match inner.circuit.step(delta, store) {
+            match inner.circuit.step(batch, store) {
                 Ok(out) => {
                     inner.steps += 1;
                     return Ok(Some(out));
@@ -257,24 +264,15 @@ impl CircuitMaintainer {
     /// the circuit-backed counterpart of
     /// [`GeneralMaintainer::apply_batch`](crate::general::GeneralMaintainer::apply_batch).
     /// `mv` is the view this maintainer last wrote: a step writes back
-    /// only what changed since.
+    /// only what changed since. The batch's consolidation and live
+    /// change are computed once for every maintainer it is handed.
     pub fn apply_batch(
         &self,
         mv: &mut MaterializedView,
         store: &Store,
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
-        self.apply_consolidated(mv, store, &batch.consolidate())
-    }
-
-    /// [`CircuitMaintainer::apply_batch`] for an already-consolidated
-    /// delta (the parallel pipeline consolidates once per commit).
-    pub fn apply_consolidated(
-        &self,
-        mv: &mut MaterializedView,
-        store: &Store,
-        delta: &ConsolidatedDelta,
-    ) -> Result<BatchOutcome> {
+        let delta = batch.consolidated();
         let _span = gsview_obs::span!(
             "maint.circuit.apply",
             "view" = self.source.view().name().to_string(),
@@ -282,7 +280,7 @@ impl CircuitMaintainer {
             "consolidated_ops" = delta.len(),
         );
         let fetch = |y: Oid| store.get(y);
-        let (inserted, deleted) = match self.advance(store, delta)? {
+        let (inserted, deleted) = match self.advance(store, batch)? {
             // `mv` held the circuit's members before the step, so the
             // step's own change brings it up to date: O(|Δ|) work
             // however large the view.
@@ -465,6 +463,85 @@ mod tests {
         assert_eq!(out.deleted, vec![oid("P1")]);
         let want = crate::recompute::recompute(&def, &mut crate::base::LocalBase::new(&store));
         assert_eq!(mv.members_base(), want.unwrap().members_base());
+    }
+
+    #[test]
+    fn a_stale_circuit_in_a_shared_batch_rebuilds_and_the_rest_step() {
+        let mut store = person_store();
+        let stale = SimpleViewDef::new("SSB", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+        let compound = CompoundViewDef::new(
+            "CSB",
+            vec![
+                SimpleViewDef::new("CSB", "ROOT", "professor")
+                    .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+                SimpleViewDef::new("CSB", "ROOT", "secretary"),
+            ],
+        );
+        let aggregate = AggregateViewDef::new(
+            SimpleViewDef::new("ASB", "ROOT", "professor"),
+            "student.age",
+            AggFn::Sum,
+        );
+        let sources = [
+            CircuitSource::Simple(stale.clone()),
+            CircuitSource::Compound(compound),
+            CircuitSource::Aggregate(aggregate),
+        ];
+        let mut maintained: Vec<(CircuitMaintainer, MaterializedView)> = sources
+            .iter()
+            .map(|source| {
+                let cm = CircuitMaintainer::new(source.clone());
+                let mut mv = MaterializedView::new(cm.view());
+                cm.initialize(&mut mv, &store).unwrap();
+                (cm, mv)
+            })
+            .collect();
+
+        // The first maintainer misses a batch that moves its members.
+        let missed = DeltaBatch::from_ops(vec![store.apply(Update::modify("A1", 50i64)).unwrap()]);
+        for (cm, mv) in &mut maintained[1..] {
+            cm.apply_batch(mv, &store, &missed).unwrap();
+        }
+        // The next batch goes to all three, the stale one first: had it
+        // derived the batch's live change, the rest would step from it.
+        let shared = DeltaBatch::from_ops(vec![
+            store
+                .apply(Update::Create {
+                    object: gsdb::Object::atom("A2", "age", 40i64),
+                })
+                .unwrap(),
+            store.insert_edge(oid("P2"), oid("A2")).unwrap(),
+        ]);
+        let counts = |m: &[(CircuitMaintainer, MaterializedView)]| {
+            m.iter().map(|(cm, _)| (cm.steps(), cm.rebuilds())).collect::<Vec<_>>()
+        };
+        let before = counts(&maintained);
+        for (cm, mv) in &mut maintained {
+            cm.apply_batch(mv, &store, &shared).unwrap();
+        }
+        let after = counts(&maintained);
+        assert_eq!(after[0], (before[0].0, before[0].1 + 1), "the stale circuit rebuilds");
+        for (b, a) in before[1..].iter().zip(&after[1..]) {
+            assert_eq!(*a, (b.0 + 1, b.1), "an up-to-date circuit steps");
+        }
+
+        let want = crate::recompute::recompute(&stale, &mut crate::base::LocalBase::new(&store))
+            .unwrap()
+            .members_base();
+        assert_eq!(want, vec![oid("P2")]);
+        assert_eq!(maintained[0].0.members(), want);
+        assert_eq!(maintained[0].1.members_base(), want);
+        for ((cm, mv), source) in maintained.iter().zip(&sources) {
+            let fresh = CircuitMaintainer::new(source.clone());
+            let mut fresh_mv = MaterializedView::new(fresh.view());
+            fresh.initialize(&mut fresh_mv, &store).unwrap();
+            assert_eq!(cm.members(), fresh.members(), "{}", cm.view());
+            assert_eq!(mv.members_base(), fresh_mv.members_base(), "{}", cm.view());
+            for y in fresh.members() {
+                assert_eq!(cm.aggregate_of(y), fresh.aggregate_of(y), "{} at {y}", cm.view());
+            }
+        }
     }
 
     #[test]

@@ -101,10 +101,10 @@ impl CompoundMaintainer {
         base: &mut dyn BaseAccess,
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
-        let delta = batch.consolidate();
+        let delta = batch.consolidated();
         let mut relevant = 0;
         for (m, shadow) in &mut self.branches {
-            let out = m.apply_consolidated(shadow, base, &delta)?;
+            let out = m.apply_consolidated(shadow, base, delta)?;
             relevant = relevant.max(out.relevant_deltas);
         }
         let sync = self.sync(mv, base)?;
@@ -598,14 +598,14 @@ impl GeneralMaintainer {
         store: &Store,
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
-        let delta = batch.consolidate();
+        let delta = batch.consolidated();
         let _span = gsview_obs::span!(
             "maint.general.plan",
             "view" = self.def.view.name().to_string(),
             "input_ops" = delta.input_ops,
             "consolidated_ops" = delta.len(),
         );
-        self.repair(mv, store, &delta)
+        self.repair(mv, store, delta)
     }
 }
 

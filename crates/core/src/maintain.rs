@@ -397,7 +397,7 @@ impl Maintainer {
         base: &mut dyn BaseAccess,
         batch: &DeltaBatch,
     ) -> Result<BatchOutcome> {
-        self.apply_consolidated(mv, base, &batch.consolidate())
+        self.apply_consolidated(mv, base, batch.consolidated())
     }
 
     /// Process an already-consolidated delta.

@@ -377,7 +377,7 @@ impl ParallelMaintainer {
         batch: &DeltaBatch,
         threads: usize,
     ) -> Result<Vec<BatchOutcome>> {
-        self.apply_consolidated(views, store, &batch.consolidate(), threads)
+        self.apply_consolidated(views, store, batch.consolidated(), threads)
     }
 
     /// [`apply_batch`](Self::apply_batch) over an already-consolidated

@@ -9,6 +9,10 @@
 //! have advanced by exactly one `step` after its one initial rebuild.
 //! A circuit that silently falls back to epoch-consistent rebuilds
 //! would equal recompute by construction and prove nothing.
+//!
+//! A batch derives its live-graph change once for every circuit it is
+//! handed; the last suite holds circuits stepped through one shared
+//! batch ≡ the same circuits each deriving privately.
 
 use gsview_core::{
     assert_equivalent, AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource,
@@ -16,6 +20,7 @@ use gsview_core::{
     MaterializedView, SimpleViewDef,
 };
 use gsdb::{Atom, DeltaBatch, Label, Object, Oid, Store, Update};
+use gsview_circuit::Circuit;
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, MaintBackend, Pred};
 use proptest::prelude::*;
@@ -661,6 +666,86 @@ proptest! {
                 prop_assert!(approx(agg.aggregate_of(m), fresh.aggregate_of(m)), "aggregate of {}", m);
             }
             prop_assert!(approx(agg.total(), fresh.total()), "total, batch {}", i);
+        }
+    }
+
+    /// Circuits stepped through one shared batch read the batch's one
+    /// live-change derivation; the same definitions stepped through a
+    /// clone each (a clone starts without the memo) derive privately.
+    /// Both land on the same members, aggregates and live state
+    /// entries after every batch, through the dangling churn that
+    /// `gsdb::events` documents: remove-then-create with a label
+    /// change, re-creation under a dangling reference, and `Create`s
+    /// embedding existing children.
+    #[test]
+    fn a_shared_batch_steps_circuits_as_private_derivations_do(
+        (n_prof, studs) in (1..4usize, 1..3usize),
+        ages in prop::collection::vec(0..80i64, 1..6),
+        raw in raw_ops(),
+        per_batch in 1..24usize,
+    ) {
+        let initial = build_base(n_prof, studs, &ages);
+        let updates = realize_ops(&raw, &initial, true);
+        let union = CompoundViewDef::new(
+            "SU",
+            vec![
+                SimpleViewDef::new("SU", "ROOT", "professor")
+                    .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+                SimpleViewDef::new("SU", "ROOT", "professor.student"),
+            ],
+        );
+        let aggregate = AggregateViewDef::new(
+            SimpleViewDef::new("SA", "ROOT", "professor"),
+            "student.age",
+            AggFn::Avg,
+        );
+        let multi = CompoundViewDef::new(
+            "SM",
+            vec![
+                SimpleViewDef::new("SM", "ROOT", "professor")
+                    .with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
+                SimpleViewDef::new("SM", "ROOT", "professor.student")
+                    .with_cond("age", Pred::new(CmpOp::Gt, 20i64)),
+                SimpleViewDef::new("SM", "P0", "student"),
+            ],
+        );
+        let mut pairs: Vec<(Circuit, Circuit)> = [
+            CircuitSource::Compound(union),
+            CircuitSource::Aggregate(aggregate),
+            CircuitSource::Compound(multi),
+        ]
+        .iter()
+        .map(|source| {
+            let mut shared = Circuit::compile(source.lower());
+            shared.init(&initial).unwrap();
+            (shared.clone(), shared)
+        })
+        .collect();
+
+        let mut store = initial.clone();
+        for (i, chunk) in updates.chunks(per_batch).enumerate() {
+            let mut batch = DeltaBatch::new();
+            for u in chunk {
+                if let Ok(applied) = store.apply(u.clone()) {
+                    batch.push(applied);
+                }
+            }
+            for (shared, private) in &mut pairs {
+                shared.step(&batch, &store).unwrap();
+                private.step(&batch.clone(), &store).unwrap();
+            }
+            for (k, (shared, private)) in pairs.iter().enumerate() {
+                let mut members = shared.members();
+                members.sort_by_key(|o| o.name());
+                let mut want = private.members();
+                want.sort_by_key(|o| o.name());
+                prop_assert_eq!(&members, &want, "circuit {} members, batch {}", k, i);
+                prop_assert_eq!(shared.state_len(), private.state_len(), "circuit {} state, batch {}", k, i);
+                for &m in &want {
+                    prop_assert_eq!(shared.aggregate_of(m), private.aggregate_of(m), "circuit {} at {}", k, m);
+                }
+                prop_assert_eq!(shared.total(), private.total(), "circuit {} total, batch {}", k, i);
+            }
         }
     }
 }

@@ -23,15 +23,53 @@
 //! The consolidated delta is what `gsview-core`'s batched maintainer
 //! (`Maintainer::apply_batch`) runs Algorithm 1's location test
 //! against — once per surviving delta instead of once per raw update.
+//!
+//! One batch feeds every view of a portfolio, so it computes what the
+//! views share once: [`DeltaBatch::consolidated`] keeps the
+//! consolidation, and [`DeltaBatch::live`] keeps the batch's change to
+//! the live graph ([`LiveDelta`]) for the first (pre-batch version,
+//! post-batch store) pair a delta circuit asks about. Both memos go
+//! when the ops change, and a clone starts without them.
+//!
+//! The live memo holds a fork of the post-batch store — the epoch every
+//! caller already holds — and checks a later store against it by
+//! identity: the same version and the same shard page directories. It
+//! trusts the pre-batch version to name the pre-batch state, as a
+//! circuit's version guard does, and never holds that store: a circuit
+//! drops its old fork before it propagates, and the memo must not keep
+//! the old epoch's pages alive.
 
+use crate::events::LiveDelta;
 use crate::update::AppliedUpdate;
 use crate::value::Atom;
-use crate::{FastMap, FastSet, Oid};
+use crate::{FastMap, FastSet, Oid, Store};
+use std::sync::{Arc, OnceLock};
 
-/// An ordered collection of applied updates awaiting maintenance.
-#[derive(Clone, Debug, Default)]
+/// An ordered collection of applied updates awaiting maintenance, with
+/// the consolidation and live-graph change its maintainers share.
+#[derive(Debug, Default)]
 pub struct DeltaBatch {
     ops: Vec<AppliedUpdate>,
+    /// [`DeltaBatch::consolidate`]'s result, once asked for.
+    consolidated: OnceLock<ConsolidatedDelta>,
+    /// The live change first asked for, and the pair it is for.
+    live: OnceLock<LiveMemo>,
+}
+
+/// A memoized [`LiveDelta`] and the pair it was derived for: the
+/// pre-batch version and a fork of the post-batch store.
+#[derive(Debug)]
+struct LiveMemo {
+    pre: u64,
+    post: Store,
+    delta: Arc<LiveDelta>,
+}
+
+impl Clone for DeltaBatch {
+    /// The same ops, without the memos: a clone computes its own.
+    fn clone(&self) -> Self {
+        DeltaBatch::from_ops(self.ops.clone())
+    }
 }
 
 impl DeltaBatch {
@@ -42,17 +80,28 @@ impl DeltaBatch {
 
     /// A batch holding the given updates, in order.
     pub fn from_ops(ops: Vec<AppliedUpdate>) -> Self {
-        DeltaBatch { ops }
+        DeltaBatch {
+            ops,
+            ..DeltaBatch::default()
+        }
     }
 
     /// Append one applied update.
     pub fn push(&mut self, op: AppliedUpdate) {
+        self.forget();
         self.ops.push(op);
     }
 
     /// Append a run of applied updates.
     pub fn extend(&mut self, ops: impl IntoIterator<Item = AppliedUpdate>) {
+        self.forget();
         self.ops.extend(ops);
+    }
+
+    /// Drop the memos: they describe ops about to change.
+    fn forget(&mut self) {
+        self.consolidated.take();
+        self.live.take();
     }
 
     /// Number of raw (unconsolidated) updates.
@@ -72,7 +121,39 @@ impl DeltaBatch {
 
     /// Drain the batch, leaving it empty.
     pub fn drain(&mut self) -> Vec<AppliedUpdate> {
+        self.forget();
         std::mem::take(&mut self.ops)
+    }
+
+    /// The batch's net effect: [`DeltaBatch::consolidate`] run on the
+    /// first request, and the same result for every later one.
+    pub fn consolidated(&self) -> &ConsolidatedDelta {
+        self.consolidated.get_or_init(|| self.consolidate())
+    }
+
+    /// The change the batch makes to the live graph, from `base` (the
+    /// store before the batch) to `store` (the store after it). The
+    /// first pair asked about is derived and memoized; a later request
+    /// with the same pre-batch version and the very same post-batch
+    /// records gets the same `Arc`. Any other pair derives afresh,
+    /// without caching.
+    pub fn live(&self, base: &Store, store: &Store) -> Arc<LiveDelta> {
+        let pre = base.version();
+        let memo = self.live.get();
+        if let Some(m) = memo.filter(|m| m.pre == pre && m.post.same_records(store)) {
+            return Arc::clone(&m.delta);
+        }
+        let delta = Arc::new(LiveDelta::derive(self.consolidated(), base, store));
+        if memo.is_none() {
+            // A racing first request may have set it meanwhile; either
+            // memo is sound, so the loser's result just goes uncached.
+            let _ = self.live.set(LiveMemo {
+                pre,
+                post: store.fork(),
+                delta: Arc::clone(&delta),
+            });
+        }
+        delta
     }
 
     /// Reduce the batch to its net effect. Surviving deltas keep the
@@ -224,7 +305,7 @@ pub struct ModifyDelta {
 }
 
 /// The net effect of a [`DeltaBatch`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConsolidatedDelta {
     /// Net edge changes, in first-occurrence order.
     pub edges: Vec<EdgeDelta>,
@@ -258,10 +339,123 @@ impl ConsolidatedDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Object;
+    use crate::{Object, Update};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
+    }
+
+    /// `R → P → A`, with `A` an age atom of 40.
+    fn seed() -> Store {
+        let mut s = Store::new();
+        s.create(Object::atom("A", "age", 40i64)).unwrap();
+        s.create(Object::set("P", "person", &[oid("A")])).unwrap();
+        s.create(Object::set("R", "root", &[oid("P")])).unwrap();
+        s
+    }
+
+    /// A fork of `s` before `updates`, and the batch they apply to it.
+    fn batch_on(s: &mut Store, updates: Vec<Update>) -> (Store, DeltaBatch) {
+        let base = s.fork();
+        let ops = updates.into_iter().map(|u| s.apply(u).unwrap()).collect();
+        (base, DeltaBatch::from_ops(ops))
+    }
+
+    fn memoized(b: &DeltaBatch) -> (bool, bool) {
+        (b.consolidated.get().is_some(), b.live.get().is_some())
+    }
+
+    #[test]
+    fn consolidated_is_consolidate_computed_once() {
+        let mut s = seed();
+        let (_, b) = batch_on(
+            &mut s,
+            vec![Update::modify("A", 41i64), Update::insert("R", "A"), Update::modify("A", 42i64)],
+        );
+        assert_eq!(b.consolidated(), &b.consolidate());
+        assert!(std::ptr::eq(b.consolidated(), b.consolidated()));
+    }
+
+    #[test]
+    fn changing_the_ops_or_cloning_drops_the_memos() {
+        let mut s = seed();
+        let (base, mut b) = batch_on(&mut s, vec![Update::modify("A", 41i64)]);
+        let fill = |b: &DeltaBatch| {
+            b.live(&base, &s);
+            assert_eq!(memoized(b), (true, true));
+        };
+        fill(&b);
+        let c = b.clone();
+        assert_eq!((c.ops(), memoized(&c)), (b.ops(), (false, false)));
+
+        let delete = AppliedUpdate::Delete { parent: oid("P"), child: oid("A") };
+        b.push(delete.clone());
+        assert_eq!(memoized(&b), (false, false));
+        assert_eq!(b.consolidated(), &b.consolidate());
+        assert_eq!(b.consolidated().edges.len(), 1);
+        fill(&b);
+        b.extend([AppliedUpdate::Insert { parent: oid("P"), child: oid("A") }]);
+        assert_eq!(memoized(&b), (false, false));
+        assert!(b.consolidated().edges.is_empty(), "delete and insert cancel");
+        fill(&b);
+        assert_eq!(b.drain().len(), 3);
+        assert_eq!(memoized(&b), (false, false));
+        assert!(b.consolidated().is_empty());
+    }
+
+    #[test]
+    fn a_repeat_live_request_shares_one_derivation() {
+        let mut s = seed();
+        let (base, b) = batch_on(&mut s, vec![Update::modify("A", 50i64)]);
+        let first = b.live(&base, &s);
+        assert_eq!(first.atoms.len(), 1);
+        // Other forks of the same two stores: the same pre-batch
+        // version, the very same post-batch records.
+        assert!(Arc::ptr_eq(&first, &b.live(&base.fork(), &s.fork())));
+        assert!(Arc::ptr_eq(&first, &b.live(&base, &s)));
+    }
+
+    #[test]
+    fn a_divergent_fork_at_the_same_version_derives_afresh() {
+        let mut s = seed();
+        let mut other = s.fork();
+        let (base, b) = batch_on(&mut s, vec![Update::modify("A", 50i64)]);
+        other.apply(Update::modify("A", 60i64)).unwrap();
+        assert_eq!(s.version(), other.version());
+        let mine = b.live(&base, &s);
+        let theirs = b.live(&base, &other);
+        assert!(!Arc::ptr_eq(&mine, &theirs));
+        assert_eq!(mine.atoms[0].new, Some(Atom::Int(50)));
+        assert_eq!(theirs.atoms[0].new, Some(Atom::Int(60)));
+        // The memo keeps the first pair, and the divergent one is not
+        // cached.
+        assert!(Arc::ptr_eq(&mine, &b.live(&base, &s)));
+        assert!(!Arc::ptr_eq(&theirs, &b.live(&base, &other)));
+    }
+
+    #[test]
+    fn a_different_pre_batch_version_derives_afresh() {
+        let mut s = seed();
+        let stale = s.fork();
+        s.apply(Update::modify("A", 41i64)).unwrap();
+        let (base, b) = batch_on(&mut s, vec![Update::modify("A", 50i64)]);
+        let first = b.live(&base, &s);
+        let from_stale = b.live(&stale, &s);
+        assert!(!Arc::ptr_eq(&first, &from_stale));
+        assert_eq!(first.atoms[0].old, Some(Atom::Int(41)));
+        assert_eq!(from_stale.atoms[0].old, Some(Atom::Int(40)));
+        assert!(Arc::ptr_eq(&first, &b.live(&base, &s)));
+    }
+
+    #[test]
+    fn the_live_memo_keys_on_the_pre_batch_version_alone() {
+        let mut s = seed();
+        let (base, b) = batch_on(&mut s, vec![Update::Remove { oid: oid("P") }]);
+        assert_eq!(b.live(&base, &s).edges.len(), 2);
+        let memo = b.live.get().unwrap();
+        assert_eq!(memo.pre, base.version());
+        assert!(memo.post.same_records(&s));
+        assert!(!memo.post.same_records(&base));
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! What one consolidated delta changes in the live graph, read off the
 //! store at two versions.
 //!
-//! A circuit keeps `base`, a fork of the store it last stepped to, so a
-//! step sees the graph before and after the batch without a private
-//! copy of either. An edge is *live* in a store when both endpoints
-//! have records — the query engine skips dangling children, and so do
-//! the flows. [`Events::derive`] visits every pair whose liveness the
-//! batch can have changed:
+//! A [`LiveDelta`] is the change a batch makes to the *live* graph: an
+//! edge is live in a store when both endpoints have records — the query
+//! engine skips dangling children, and so do the delta circuits that
+//! consume it. The pre-batch side is any store at the version before
+//! the batch (a circuit keeps a fork of the store it last stepped to),
+//! so neither side needs a private copy of the graph. A
+//! [`DeltaBatch`](crate::DeltaBatch) derives the change once and hands
+//! the same one to every maintainer that asks
+//! ([`DeltaBatch::live`](crate::DeltaBatch::live)).
+//!
+//! [`LiveDelta::derive`] visits every pair whose liveness the batch can
+//! have changed:
 //!
 //! * the delta's own edges;
 //! * each removed object's edges in `base`, both directions;
@@ -30,14 +36,17 @@
 //! `base`, a created one's from the final store, a modified survivor's
 //! from both.
 
-use gsdb::{Atom, ConsolidatedDelta, FastMap, FastSet, Label, Object, Oid, Store};
+use crate::{Atom, ConsolidatedDelta, FastMap, FastSet, Label, Object, Oid, Store};
 
 /// One live-edge change. The child's label is the one it had on the
 /// side of the change: a removed child has a record only in `base`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct EdgeEvent {
+pub struct EdgeEvent {
+    /// The set object whose children list names `child`.
     pub parent: Oid,
+    /// The child end of the edge.
     pub child: Oid,
+    /// The child's label on the side of the change.
     pub child_label: Label,
     /// `+1` for an edge that became live, `-1` for one that stopped.
     pub w: i64,
@@ -46,16 +55,22 @@ pub(crate) struct EdgeEvent {
 /// An atomic value that appeared, went or changed: `old` is `None`
 /// for a created record, `new` for a removed one.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct AtomEvent {
+pub struct AtomEvent {
+    /// The atomic object.
     pub oid: Oid,
+    /// Its label.
     pub label: Label,
+    /// The value before the batch; `None` for a created record.
     pub old: Option<Atom>,
+    /// The value after it; `None` for a removed record.
     pub new: Option<Atom>,
 }
 
-/// The low-level events one step propagates.
+/// The live-graph change between two versions of a store: the
+/// low-level events a circuit step propagates.
 #[derive(Debug, Default)]
-pub(crate) struct Events {
+pub struct LiveDelta {
+    /// Edges that became or stopped being live.
     pub edges: Vec<EdgeEvent>,
     /// Objects whose record appeared.
     pub created: Vec<Oid>,
@@ -66,13 +81,13 @@ pub(crate) struct Events {
     pub atoms: Vec<AtomEvent>,
 }
 
-impl Events {
-    /// Events that load `store` into a circuit with empty counts: every
-    /// object is created. No edge events: with no count anywhere, they
-    /// would carry nothing, and propagation from the seeds and base
-    /// terms walks the store's edges.
-    pub fn load(store: &Store) -> Events {
-        let mut ev = Events::default();
+impl LiveDelta {
+    /// The change that loads `store` into a circuit with empty counts:
+    /// every object is created. No edge events: with no count anywhere,
+    /// they would carry nothing, and propagation from the seeds and
+    /// base terms walks the store's edges.
+    pub fn load(store: &Store) -> LiveDelta {
+        let mut ev = LiveDelta::default();
         for o in store.iter() {
             ev.created.push(o.oid);
             ev.atom(o, None, o.atom_value());
@@ -82,7 +97,7 @@ impl Events {
 
     /// The events that take the live graph of `base` to that of
     /// `store`, given the consolidated `delta` between them.
-    pub fn derive(delta: &ConsolidatedDelta, base: &Store, store: &Store) -> Events {
+    pub fn derive(delta: &ConsolidatedDelta, base: &Store, store: &Store) -> LiveDelta {
         let churned: FastSet<Oid> = delta
             .removed
             .iter()
@@ -100,7 +115,7 @@ impl Events {
             });
         }
 
-        let mut ev = Events::default();
+        let mut ev = LiveDelta::default();
         for (parent, child) in pairs {
             let (was, now) = (
                 live_label(base, parent, child),
@@ -167,7 +182,7 @@ fn live_label(store: &Store, parent: Oid, child: Oid) -> Option<Label> {
 
 /// Child → parents over every record of an index-less store: what the
 /// parent index would answer, built for one call and dropped after it.
-pub(crate) fn parent_scan(store: &Store) -> FastMap<Oid, Vec<Oid>> {
+pub fn parent_scan(store: &Store) -> FastMap<Oid, Vec<Oid>> {
     let mut parents: FastMap<Oid, Vec<Oid>> = FastMap::default();
     for o in store.iter() {
         for &c in o.children() {
@@ -179,7 +194,7 @@ pub(crate) fn parent_scan(store: &Store) -> FastMap<Oid, Vec<Oid>> {
 
 /// Call `f` on every object whose record names `child`: through
 /// `scan` (from [`parent_scan`]) when the store keeps no parent index.
-pub(crate) fn for_each_parent(
+pub fn for_each_parent(
     store: &Store,
     scan: Option<&FastMap<Oid, Vec<Oid>>>,
     child: Oid,
@@ -198,13 +213,13 @@ pub(crate) fn for_each_parent(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsdb::{AppliedUpdate, DeltaBatch, Object, StoreConfig, Update};
+    use crate::{AppliedUpdate, DeltaBatch, Object, StoreConfig, Update};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
     }
 
-    fn edge(ev: &Events, parent: &str, child: &str, label: &str, w: i64) -> bool {
+    fn edge(ev: &LiveDelta, parent: &str, child: &str, label: &str, w: i64) -> bool {
         ev.edges.contains(&EdgeEvent {
             parent: oid(parent),
             child: oid(child),
@@ -226,13 +241,13 @@ mod tests {
 
     /// Apply `updates` to `s` and derive their events from the store
     /// before and after.
-    fn step(s: &mut Store, updates: Vec<Update>) -> Events {
+    fn step(s: &mut Store, updates: Vec<Update>) -> LiveDelta {
         let base = s.fork();
         let mut batch = DeltaBatch::new();
         for u in updates {
             batch.push(s.apply(u).unwrap());
         }
-        Events::derive(&batch.consolidate(), &base, s)
+        LiveDelta::derive(&batch.consolidate(), &base, s)
     }
 
     #[test]
@@ -296,7 +311,7 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.push(s.apply(Update::modify("A", 50i64)).unwrap());
         let delta = batch.consolidate();
-        let ev = Events::derive(&delta, &base, &s);
+        let ev = LiveDelta::derive(&delta, &base, &s);
         let change = AtomEvent {
             oid: oid("A"),
             label: Label::new("age"),
@@ -306,12 +321,12 @@ mod tests {
         assert_eq!(ev.atoms, vec![change]);
         // Against a base that already holds the new value, the same
         // delta is no change at all.
-        assert!(Events::derive(&delta, &s, &s).atoms.is_empty());
+        assert!(LiveDelta::derive(&delta, &s, &s).atoms.is_empty());
         let replay = DeltaBatch::from_ops(vec![AppliedUpdate::Modify {
             oid: oid("A"),
             old: 40i64.into(),
             new: 50i64.into(),
         }]);
-        assert_eq!(Events::derive(&replay.consolidate(), &s, &s).weight(), 0);
+        assert_eq!(LiveDelta::derive(&replay.consolidate(), &s, &s).weight(), 0);
     }
 }

@@ -18,6 +18,9 @@
 //! * [`path`] — paths and the functions `path(N1,N2)`,
 //!   `ancestor(N,p)`, `eval(N,p,cond)` that Algorithm 1 builds on
 //!   (§4.3), in both indexed and traversal realizations (§4.4);
+//! * [`delta`] and [`events`] — a batch of applied updates, its net
+//!   effect, and its change to the live graph, each computed once per
+//!   batch for every view maintainer it is handed;
 //! * [`graph`], [`gc`], [`database`], [`stats`](crate::stats()), [`snapshot`] —
 //!   supporting machinery;
 //! * [`builder`] and [`samples`] — ergonomic construction plus the
@@ -46,6 +49,7 @@ pub mod delta;
 pub mod display;
 pub mod epoch;
 mod error;
+pub mod events;
 pub mod fxhash;
 pub mod gc;
 pub mod graph;
@@ -68,6 +72,7 @@ mod value;
 pub use delta::{ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, ModifyDelta};
 pub use epoch::EpochHandle;
 pub use error::{GsdbError, Result};
+pub use events::{AtomEvent, EdgeEvent, LiveDelta};
 pub use label::Label;
 pub use object::Object;
 pub use oid::Oid;

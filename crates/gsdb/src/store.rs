@@ -824,6 +824,23 @@ impl Store {
         fork
     }
 
+    /// True iff `other` holds the very records of `self`: the same
+    /// version and the same page-directory allocation in every shard. A
+    /// fork shares its origin's directories until either side writes a
+    /// record, so this holds between a store and its unwritten forks,
+    /// and fails between two forks that diverged to one version. Only
+    /// meaningful while `self` is alive: it keeps its directories
+    /// allocated, so no other store can reuse their addresses.
+    pub(crate) fn same_records(&self, other: &Store) -> bool {
+        self.version == other.version
+            && self.shards.len() == other.shards.len()
+            && self
+                .shards
+                .iter()
+                .zip(&other.shards)
+                .all(|(a, b)| Arc::ptr_eq(&a.dir, &b.dir))
+    }
+
     /// Monotonic mutation counter: bumped by every successful
     /// [`Store::apply`] and [`Store::insert_edge_unchecked`]. Equal
     /// versions ⇒ identical object state (within one store lineage),
