@@ -7,10 +7,13 @@
 //! ROOT to N."
 //!
 //! We sweep chain depth and bushy-tree size and measure the accesses
-//! one `ancestor()` call costs with and without the index.
+//! one `ancestor()` call costs with the index and without it. Every
+//! store keeps the index, so "without" is the search realization
+//! (`path::ancestors_all_by_search`, which reads only children and
+//! labels) called on the same store.
 
 use crate::table::{fnum, Table};
-use gsdb::{path, Path, StoreConfig};
+use gsdb::{path, Oid, Path, Store, StoreConfig};
 use gsview_workload::tree;
 
 /// One measured configuration.
@@ -26,28 +29,25 @@ pub struct E2Row {
     pub without_index: u64,
 }
 
-fn no_index() -> StoreConfig {
-    StoreConfig {
-        parent_index: false,
-        label_index: false,
-        ..StoreConfig::default()
-    }
-    .counting()
+/// Accesses of `ancestor(n, suffix)` on `store` with the index and
+/// without it; both realizations must agree.
+fn measure(store: &Store, n: Oid, suffix: &Path) -> (u64, u64) {
+    store.reset_accesses();
+    let a = path::ancestor(store, n, suffix);
+    let with_index = store.accesses();
+    store.reset_accesses();
+    let b = path::ancestors_all_by_search(store, n, suffix)
+        .into_iter()
+        .next();
+    let without_index = store.accesses();
+    assert_eq!(a, b, "both realizations must agree");
+    (with_index, without_index)
 }
 
 /// Measure `ancestor(leaf, suffix)` on a chain of the given length.
 fn measure_chain(len: usize) -> E2Row {
-    let suffix = Path::parse("c.v");
-    let (s_idx, _, atom, _) = tree::chain(len, StoreConfig::default().counting()).expect("chain");
-    s_idx.reset_accesses();
-    let a = path::ancestor(&s_idx, atom, &suffix);
-    let with_index = s_idx.accesses();
-
-    let (s_raw, _, atom, _) = tree::chain(len, no_index()).expect("chain");
-    s_raw.reset_accesses();
-    let b = path::ancestor(&s_raw, atom, &suffix);
-    let without_index = s_raw.accesses();
-    assert_eq!(a, b, "both realizations must agree");
+    let (store, _, atom, _) = tree::chain(len, StoreConfig::default().counting()).expect("chain");
+    let (with_index, without_index) = measure(&store, atom, &Path::parse("c.v"));
     E2Row {
         shape: format!("chain depth {len}"),
         objects: len + 2,
@@ -60,22 +60,12 @@ fn measure_chain(len: usize) -> E2Row {
 /// leaf's parent.
 fn measure_bushy(depth: usize) -> E2Row {
     let spec = tree::TreeSpec { depth, fanout: 8 };
-    let suffix = Path::parse("leaf");
-    let (s_idx, db) = tree::generate(spec, StoreConfig::default().counting()).expect("tree");
+    let (store, db) = tree::generate(spec, StoreConfig::default().counting()).expect("tree");
     let target = *db.leaves.last().expect("leaves");
-    s_idx.reset_accesses();
-    let a = path::ancestor(&s_idx, target, &suffix);
-    let with_index = s_idx.accesses();
-
-    let (s_raw, db) = tree::generate(spec, no_index()).expect("tree");
-    let target = *db.leaves.last().expect("leaves");
-    s_raw.reset_accesses();
-    let b = path::ancestor(&s_raw, target, &suffix);
-    let without_index = s_raw.accesses();
-    assert_eq!(a, b);
+    let (with_index, without_index) = measure(&store, target, &Path::parse("leaf"));
     E2Row {
         shape: format!("bushy depth {depth} fanout 8"),
-        objects: s_idx.len(),
+        objects: store.len(),
         with_index,
         without_index,
     }

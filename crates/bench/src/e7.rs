@@ -129,7 +129,6 @@ fn measure(tuples: usize, share: usize, ops: usize) -> E7Row {
         gm.apply(&mut mv, &store, &applied).expect("maintain");
     }
     let dag_total = store.accesses();
-    assert_eq!(gm.refreshes(), 0, "every walk is joined, none refreshed");
 
     // Recompute run.
     let (mut store, tuple_oids, age_oids) = shared_relations(tuples, share, 51);

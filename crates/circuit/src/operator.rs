@@ -30,7 +30,6 @@
 //! instead of spinning, and the caller falls back to recomputation.
 
 use crate::zset::ZSet;
-use gsdb::events::{for_each_parent, parent_scan};
 use gsdb::{Atom, FastMap, FastSet, Label, Oid, Store};
 use gsview_query::{Nfa, PathExpr, Pred};
 use std::collections::hash_map::Entry;
@@ -310,8 +309,7 @@ impl BackwardFlow {
     }
 
     /// Drain `pending` upward to a fixpoint through the live edges of
-    /// the post-batch `store`: its parent index, or one scan of the
-    /// store for this call when it keeps none. Objects whose
+    /// the post-batch `store`, read from its parent index. Objects whose
     /// start-state witness support changed are added to `dirty`.
     pub fn propagate(
         &mut self,
@@ -321,7 +319,6 @@ impl BackwardFlow {
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
     ) -> Result<(), Diverged> {
-        let scan = (!pending.is_empty() && !store.has_parent_index()).then(|| parent_scan(store));
         drain(pending, budget, pops, |(node, s), delta, next| {
             self.rows.bump(node, s, delta);
             if self.nfa.start_mask() >> s & 1 != 0 {
@@ -332,11 +329,11 @@ impl BackwardFlow {
             let Some(l) = store.label(node) else { return };
             let inv = self.nfa.step_back_mask(1 << s, l);
             if inv != 0 {
-                for_each_parent(store, scan.as_ref(), node, |p| {
+                for p in store.parents(node).iter() {
                     for s0 in bits(inv) {
                         next.add((p, s0), delta);
                     }
-                });
+                }
             }
         })
     }

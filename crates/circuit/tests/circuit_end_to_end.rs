@@ -5,7 +5,7 @@
 //! aggregate shapes. This is the crate-local precursor of the four-way
 //! oracle in core.
 
-use gsdb::{DeltaBatch, Object, Oid, Store, StoreConfig, Update};
+use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_circuit::{AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef};
 use gsview_query::pathexpr::{reach_expr, PathExpr};
 use gsview_query::{CmpOp, Pred};
@@ -19,10 +19,7 @@ fn oid(s: &str) -> Oid {
 /// Professors with students, every one holding an age atom, plus
 /// detached spares the run can attach and orphaned atoms.
 fn build_base(n_prof: usize, studs: usize, ages: &[i64]) -> Store {
-    build_base_in(Store::new(), n_prof, studs, ages)
-}
-
-fn build_base_in(mut s: Store, n_prof: usize, studs: usize, ages: &[i64]) -> Store {
+    let mut s = Store::new();
     let mut age_i = 0usize;
     let mut next_age = |s: &mut Store, name: String| {
         let v = ages[age_i % ages.len()];
@@ -392,41 +389,5 @@ proptest! {
             };
             check(def, &store, &raw, n, st);
         }
-    }
-
-    /// A store without a parent index: the circuit finds a created or
-    /// removed object's parents, and propagates condition witnesses
-    /// upward, through a scan of the store made for that step alone.
-    #[test]
-    fn index_less_store(
-        (n, st) in (1..4usize, 1..3usize),
-        ages in prop::collection::vec(0..80i64, 1..6),
-        raw in raw_ops(),
-    ) {
-        let config = StoreConfig { parent_index: false, ..StoreConfig::default() };
-        let store = build_base_in(Store::with_config(config), n, st, &ages);
-        assert!(!store.has_parent_index());
-        let def = CircuitDef {
-            branches: vec![
-                BranchDef {
-                    root: oid("ROOT"),
-                    sel: PathExpr::parse("professor").unwrap(),
-                    cond: Some(CondDef {
-                        expr: PathExpr::parse("student.age").unwrap(),
-                        pred: Pred::new(CmpOp::Gt, 20i64),
-                    }),
-                },
-                BranchDef {
-                    root: oid("ROOT"),
-                    sel: PathExpr::parse("*.student").unwrap(),
-                    cond: None,
-                },
-            ],
-            aggregate: Some(AggDef {
-                path: PathExpr::parse("age").unwrap(),
-                f: AggFn::Sum,
-            }),
-        };
-        check(def, &store, &raw, n, st);
     }
 }

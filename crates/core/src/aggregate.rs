@@ -65,7 +65,6 @@ impl AggregateView {
     pub fn materialize(def: AggregateViewDef, base: &mut dyn BaseAccess) -> Result<AggregateView> {
         let view = def.members.view;
         let mut store = Store::with_config(StoreConfig {
-            parent_index: true,
             label_index: false,
             ..StoreConfig::default()
         });

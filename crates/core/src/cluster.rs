@@ -35,7 +35,6 @@ impl ViewCluster {
         ViewCluster {
             cluster: cluster.into(),
             store: Store::with_config(StoreConfig {
-                parent_index: true,
                 label_index: false,
                 ..StoreConfig::default()
             }),
@@ -142,11 +141,7 @@ impl ViewCluster {
         if !self.store.contains(delegate) {
             return Ok(());
         }
-        let parents: Vec<Oid> = self
-            .store
-            .parents(delegate)
-            .map(|p| p.iter().collect())
-            .unwrap_or_default();
+        let parents: Vec<Oid> = self.store.parents(delegate).iter().collect();
         for p in &parents {
             self.store.delete_edge(*p, delegate)?;
         }

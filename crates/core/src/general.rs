@@ -23,7 +23,6 @@ use gsdb::{
 use gsview_obs::Counter;
 use gsview_query::{evaluate, reach_from_mask, MaintBackend, Nfa};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ----------------------------------------------------------------------
@@ -276,19 +275,13 @@ impl Candidates {
 /// one walk from the root; the locate step joins the state sets of all
 /// of them ([`path::fold_walks`]), and repair and verify run as on a
 /// tree. DESIGN.md ("Wildcard views: local repair") has the
-/// completeness argument. A store built without the parent index
-/// cannot be walked upward and takes the one counted fallback,
-/// [`GeneralMaintainer::refreshes`]: re-evaluate the defining query
-/// over the store.
+/// completeness argument.
 #[derive(Clone, Debug)]
 pub struct GeneralMaintainer {
     def: GeneralViewDef,
     automata: Automata,
-    refreshes: Arc<AtomicU64>,
-    /// `maint.general.candidates` and `maint.general.refresh`, each
-    /// looked up once.
+    /// `maint.general.candidates`, looked up once.
     candidates: Arc<Counter>,
-    fallbacks: Arc<Counter>,
 }
 
 impl GeneralMaintainer {
@@ -299,9 +292,7 @@ impl GeneralMaintainer {
         GeneralMaintainer {
             automata: Automata::compile(&def),
             def,
-            refreshes: Arc::default(),
             candidates: gsview_obs::registry().counter("maint.general.candidates"),
-            fallbacks: gsview_obs::registry().counter("maint.general.refresh"),
         }
     }
 
@@ -320,14 +311,6 @@ impl GeneralMaintainer {
     /// The definition.
     pub fn def(&self) -> &GeneralViewDef {
         &self.def
-    }
-
-    /// How many times maintenance fell back to re-evaluating the
-    /// defining query (also counted as `maint.general.refresh`): once
-    /// per batch on a store without the parent index, never on one with
-    /// it, whatever its shape. Clones share the count.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes.load(Ordering::Relaxed)
     }
 
     /// Materialize from scratch.
@@ -492,7 +475,7 @@ impl GeneralMaintainer {
                 // delete (located above, in this batch or an earlier
                 // one). One removed from under a parent takes what
                 // hung under it out of reach with no edge delta.
-                if store.parents(x).is_some_and(|p| !p.is_empty()) {
+                if !store.parents(x).is_empty() {
                     cands.sweep = true;
                     out.relevant_deltas += 1;
                 }
@@ -513,24 +496,6 @@ impl GeneralMaintainer {
             .collect()
     }
 
-    /// The fallback on a store without the parent index: re-evaluate
-    /// the defining query over the store and bring the view to its
-    /// answer.
-    fn refresh(&self, mv: &mut MaterializedView, store: &Store, out: &mut BatchOutcome) -> Result<()> {
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-        self.fallbacks.incr();
-        // Not located, so not screened either.
-        out.relevant_deltas = 1;
-        let fresh = self.evaluate(store)?;
-        let fetch = &mut |y: Oid| store.get(y).cloned();
-        let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), fetch)?;
-        // Re-evaluation rewrites the members that stay, too.
-        out.refreshed += refresh_touched(mv, &fresh, &inserted, fetch)?;
-        out.inserted.extend(inserted);
-        out.deleted.extend(deleted);
-        Ok(())
-    }
-
     /// Bring the view in line with a consolidated delta; the store is
     /// in its final state.
     fn repair(
@@ -544,24 +509,20 @@ impl GeneralMaintainer {
             consolidated_ops: delta.len(),
             ..BatchOutcome::default()
         };
-        if !store.has_parent_index() {
-            self.refresh(mv, store, &mut out)?;
-        } else {
-            for (y, member) in self.verdicts(mv, store, delta, &mut out) {
-                if !member {
-                    if mv.v_delete(y)? {
-                        out.deleted.push(y);
-                    }
-                } else if !mv.contains_base(y) {
-                    if let Some(obj) = store.get(y) {
-                        let obj = obj.clone();
-                        mv.v_insert(&obj)?;
-                        out.inserted.push(y);
-                    }
+        for (y, member) in self.verdicts(mv, store, delta, &mut out) {
+            if !member {
+                if mv.v_delete(y)? {
+                    out.deleted.push(y);
+                }
+            } else if !mv.contains_base(y) {
+                if let Some(obj) = store.get(y) {
+                    let obj = obj.clone();
+                    mv.v_insert(&obj)?;
+                    out.inserted.push(y);
                 }
             }
         }
-        // Content upkeep (§3.2), whichever branch ran.
+        // Content upkeep (§3.2).
         out.refreshed += refresh_touched(mv, &delta.touched, &[], &mut |o| store.get(o).cloned())?;
         out.inserted.sort_by_key(|o| o.name());
         out.deleted.sort_by_key(|o| o.name());
@@ -704,7 +665,6 @@ mod tests {
         let up = store.modify_atom(oid("A4"), 41i64).unwrap();
         let out = gm.apply(&mut mv, &store, &up).unwrap();
         assert!(!out.relevant);
-        assert_eq!(gm.refreshes(), 0);
     }
 
     #[test]
@@ -834,7 +794,6 @@ mod tests {
             let copy = |v: &MaterializedView| v.delegate(v.delegate_of(y).unwrap()).cloned();
             assert_eq!(copy(mv), copy(&want), "delegate of {y}");
         }
-        assert_eq!(gm.refreshes(), 0, "a tree needs no refresh");
         out
     }
 
@@ -888,7 +847,7 @@ mod tests {
     fn detach_then_remove_in_one_batch() {
         // Removing the detached record destroys its children list, so
         // T1 cannot be found by walking down from S1: the members are
-        // swept instead (no refresh).
+        // swept instead.
         use gsdb::Update;
         let mut store = campus();
         let all = GeneralMaintainer::new(GeneralViewDef::new(
@@ -974,32 +933,6 @@ mod tests {
         let up = store.modify_atom(oid("N2"), "Sal").unwrap();
         gm.apply(&mut mv, &store, &up).unwrap();
         assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
-        assert_eq!(gm.refreshes(), 0);
-    }
-
-    #[test]
-    fn a_store_without_the_parent_index_takes_the_counted_refresh() {
-        // Nothing can be walked upward: every batch re-evaluates the
-        // query, and says so.
-        let mut store = Store::with_config(gsdb::StoreConfig {
-            parent_index: false,
-            ..gsdb::StoreConfig::default()
-        });
-        samples::person_db(&mut store).unwrap();
-        let gm = GeneralMaintainer::new(
-            GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
-                .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John")),
-        );
-        let refresh = gsview_obs::registry().counter("maint.general.refresh");
-        let before = refresh.get();
-        let mut mv = gm.recompute(&store).unwrap();
-        let up = store.modify_atom(oid("N2"), "John").unwrap();
-        let out = gm.apply(&mut mv, &store, &up).unwrap();
-        assert!(out.relevant);
-        assert_eq!(out.inserted, vec![oid("P2")]);
-        assert_eq!(gm.refreshes(), 1);
-        // At least: tests running beside this one may refresh too.
-        assert!(refresh.get() > before);
     }
 
     #[test]
@@ -1071,7 +1004,6 @@ mod tests {
         let ancestors = 3 * levels as u64 + 1;
         assert!(hang(&mut store, &mut mv, &bottom, "H1") <= 3 * ancestors);
         assert!(hang(&mut store, &mut mv, "C2", "H2") <= 3 * 5);
-        assert_eq!(gm.refreshes(), 0);
         assert_eq!(mv.len(), 3002);
 
         // Under the root: every walk is joined, each ancestor still
@@ -1081,7 +1013,6 @@ mod tests {
         mv = gm.recompute(&store).unwrap();
         assert!(hang(&mut store, &mut mv, &bottom, "H3") <= 3 * (ancestors + 1));
         assert!(hang(&mut store, &mut mv, "C2", "H4") <= 3 * 6);
-        assert_eq!(gm.refreshes(), 0);
         assert!(mv.contains_base(oid("H3")) && mv.contains_base(oid("H4")));
     }
 
@@ -1138,7 +1069,6 @@ mod tests {
             }
         }
         let accesses = store.accesses();
-        assert_eq!(gm.refreshes(), 0);
         assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
         accesses as f64 / updates as f64
     }
@@ -1212,7 +1142,7 @@ mod tests {
     }
 
     /// Maintain `mv` one update at a time; after each it must equal
-    /// recomputation, without the refresh.
+    /// recomputation.
     fn apply_locally(
         gm: &GeneralMaintainer,
         mv: &mut MaterializedView,
@@ -1222,7 +1152,6 @@ mod tests {
         let applied = store.apply(u).unwrap();
         let out = gm.apply(mv, store, &applied).unwrap();
         assert_eq!(mv.members_base(), gm.recompute(store).unwrap().members_base(), "after {applied}");
-        assert_eq!(gm.refreshes(), 0);
         out
     }
 
@@ -1306,6 +1235,5 @@ mod tests {
             assert_eq!(mv.len(), members);
         }
         assert_eq!(mv.members_base(), gm.recompute(&s).unwrap().members_base());
-        assert_eq!(gm.refreshes(), 0);
     }
 }

@@ -49,7 +49,6 @@ impl MaterializedView {
     pub fn new(view: impl Into<Oid>) -> Self {
         let view = view.into();
         let mut store = Store::with_config(StoreConfig {
-            parent_index: true,
             label_index: false,
             ..StoreConfig::default()
         });
@@ -170,8 +169,7 @@ impl MaterializedView {
             .unwrap_or_default();
         self.store.apply(gsdb::Update::Remove { oid: delegate })?;
         for c in orphan_candidates {
-            let unreferenced = self.store.contains(c)
-                && self.store.parents(c).map(|p| p.is_empty()).unwrap_or(false);
+            let unreferenced = self.store.contains(c) && self.store.parents(c).is_empty();
             if unreferenced {
                 self.store.apply(gsdb::Update::Remove { oid: c })?;
             }
@@ -238,11 +236,7 @@ impl MaterializedView {
         f(&mut value);
         // Replace the object wholesale (removing and recreating keeps
         // the indexes exact).
-        let parents: Vec<Oid> = self
-            .store
-            .parents(delegate)
-            .map(|p| p.iter().collect())
-            .unwrap_or_default();
+        let parents: Vec<Oid> = self.store.parents(delegate).iter().collect();
         for p in &parents {
             self.store.delete_edge(*p, delegate)?;
         }

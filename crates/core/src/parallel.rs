@@ -76,9 +76,6 @@
 //!   through unfiltered — `apply_consolidated` consults `created` to
 //!   decide the escalation above, and `touched` drives content upkeep.
 //!
-//! Without a parent index the ancestry test is unavailable and every
-//! view receives the full delta (fan-out still parallelizes the work).
-//!
 //! The worker fan-out is deterministic: each view's outcome depends
 //! only on its own (plan, delta, view) triple and the immutable base,
 //! so the result is independent of thread count — a property the
@@ -135,8 +132,6 @@ pub struct PartitionStats {
     pub dispatched: usize,
     /// Deltas dropped by the per-view relevance screen.
     pub screened_out: usize,
-    /// Whether the parent index was available for screening.
-    pub screened: bool,
 }
 
 /// `path(root, anchor)` for each (view root, anchor) pair the views'
@@ -255,18 +250,7 @@ impl ParallelMaintainer {
         delta: &ConsolidatedDelta,
         views: Option<&[MaterializedView]>,
     ) -> (Vec<ConsolidatedDelta>, PartitionStats) {
-        let mut stats = PartitionStats {
-            screened: store.has_parent_index(),
-            ..PartitionStats::default()
-        };
-        if !stats.screened {
-            // No ancestry test available: broadcast.
-            let out: Vec<ConsolidatedDelta> =
-                self.plans.iter().map(|_| delta.clone()).collect();
-            stats.dispatched = delta.len() * self.plans.len();
-            return (out, stats);
-        }
-
+        let mut stats = PartitionStats::default();
         let created: FastSet<Oid> = delta.created.iter().copied().collect();
         // Memoized ancestor sets, keyed by the anchor object. One
         // upward search per distinct anchor serves every view.
@@ -406,7 +390,6 @@ impl ParallelMaintainer {
             "maint.partition",
             "dispatched" = stats.dispatched,
             "screened_out" = stats.screened_out,
-            "screened" = stats.screened,
             "walks" = walks.len(),
         );
         type View<'p, 'v> = (&'p Maintainer, ConsolidatedDelta, &'v mut MaterializedView);
@@ -669,7 +652,6 @@ mod tests {
         batch.push(store.apply(Update::insert("P2", "FRESH")).unwrap());
         let pm = ParallelMaintainer::new(defs());
         let (deltas, stats) = pm.partition(&store, &batch.consolidate());
-        assert!(stats.screened);
         // Views 0 and 1 are rooted at ROOT (ancestor of P2): kept.
         assert_eq!(deltas[0].edges.len(), 1);
         assert_eq!(deltas[1].edges.len(), 1);
@@ -704,24 +686,6 @@ mod tests {
         let (deltas, _) = pm.partition(&store, &batch.consolidate());
         assert_eq!(deltas[0].modifies.len(), 1);
         assert!(deltas[2].modifies.is_empty(), "P1 is not an ancestor of A4");
-    }
-
-    #[test]
-    fn no_parent_index_broadcasts_everything() {
-        let mut store = Store::with_config(gsdb::StoreConfig {
-            parent_index: false,
-            label_index: false,
-            ..gsdb::StoreConfig::default()
-        });
-        samples::person_db(&mut store).unwrap();
-        let mut batch = DeltaBatch::new();
-        batch.push(store.apply(Update::modify("A4", 99i64)).unwrap());
-        let pm = ParallelMaintainer::new(defs());
-        let (deltas, stats) = pm.partition(&store, &batch.consolidate());
-        assert!(!stats.screened);
-        for d in &deltas {
-            assert_eq!(d.modifies.len(), 1);
-        }
     }
 
     #[test]

@@ -43,7 +43,6 @@ impl PartialView {
     ) -> Result<PartialView> {
         let view = def.view;
         let mut store = Store::with_config(StoreConfig {
-            parent_index: true,
             label_index: false,
             ..StoreConfig::default()
         });
@@ -235,11 +234,7 @@ impl PartialView {
             if !self.store.contains(d) {
                 continue;
             }
-            let parents: Vec<Oid> = self
-                .store
-                .parents(d)
-                .map(|p| p.iter().collect())
-                .unwrap_or_default();
+            let parents: Vec<Oid> = self.store.parents(d).iter().collect();
             for p in parents {
                 let _ = self.store.delete_edge(p, d);
             }

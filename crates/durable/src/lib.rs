@@ -358,7 +358,6 @@ impl DurableStore {
             version: store.version(),
             seq: meta.seq,
             flags: StoreFlags {
-                parent_index: store.has_parent_index(),
                 label_index: store.has_label_index(),
                 log_updates: meta.log_updates,
                 count_accesses: store.counts_accesses(),
@@ -861,6 +860,53 @@ log 57383 bytes, crc 7ecb123e
         assert_eq!(epoch.as_deref(), Some("2"));
         let error = error.as_deref().unwrap_or_default();
         assert!(error.contains(&newest.to_string()), "{error}");
+    }
+
+    #[test]
+    fn a_manifest_with_the_parent_index_bit_clear_recovers_an_indexed_store() {
+        use gsdb::codec::{crc32_update, frame_head, put_str, put_varint, FRAME_HEADER_LEN};
+        // A shared child, so some object has two parents.
+        let mut s = build_store(2, 30);
+        let bag = Object::set("B", "bag", &[Oid::new("o3"), Oid::new("o4")]);
+        s.create(bag).unwrap();
+        s.apply(Update::insert("R", "B")).unwrap();
+        let written = MediaSet::memory();
+        let d = DurableStore::open(written.clone()).unwrap();
+        d.persist("src", &s.fork(), meta(1)).unwrap();
+        let mut bytes = written.log.read_at(0, written.log.len() as usize).unwrap();
+
+        // Clear bit 0 of the manifest's flags byte (it follows the
+        // name, epoch, version and seq) and re-checksum the frame from
+        // the chain of the frame before it.
+        let off = d.frames_for("src").last().unwrap().off as usize;
+        let mut head = Vec::new();
+        put_str(&mut head, "src");
+        for v in [1, s.version(), 2] {
+            put_varint(&mut head, v);
+        }
+        let body = off + FRAME_HEADER_LEN;
+        assert_eq!(bytes[body + head.len()] & 1, 1, "the writer sets bit 0");
+        bytes[body + head.len()] &= !1;
+        let (mut pos, mut chain) = (0, 0);
+        while pos < off {
+            let h = frame_head(&bytes[pos..]).unwrap();
+            chain = h.crc;
+            pos += FRAME_HEADER_LEN + h.len;
+        }
+        let len = frame_head(&bytes[off..]).unwrap().len;
+        let crc = crc32_update(chain, &bytes[body..body + len]);
+        bytes[off + 5..body].copy_from_slice(&crc.to_le_bytes());
+
+        let media = MediaSet {
+            log: Arc::new(media::MemMedia::from_bytes(bytes)),
+        };
+        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        rec.store.check_invariants().unwrap();
+        assert_eq!(rec.store.parents(Oid::new("o3")).len(), 2);
+        for o in s.oids_sorted() {
+            let parents = |st: &Store| st.parents(o).iter().collect::<Vec<_>>();
+            assert_eq!(parents(&rec.store), parents(&s), "parents of {o}");
+        }
     }
 
     #[test]

@@ -93,11 +93,12 @@ const MAX_FRAME: usize = 64 << 20;
 const SCAN_WINDOW: usize = 4 << 20;
 
 /// Store configuration flags a manifest carries so recovery rebuilds
-/// the store exactly as it was configured.
+/// the store exactly as it was configured. Bit 0 of the encoded byte
+/// once said whether the store kept its parent index; every store keeps
+/// one now, so the writer always sets the bit (manifest bytes stay as
+/// they were) and the reader ignores it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreFlags {
-    /// Parent (child → parents) index enabled.
-    pub parent_index: bool,
     /// Label index enabled.
     pub label_index: bool,
     /// Update logging enabled on the live store.
@@ -108,14 +109,12 @@ pub struct StoreFlags {
 
 impl StoreFlags {
     fn to_byte(self) -> u8 {
-        u8::from(self.parent_index)
-            | u8::from(self.label_index) << 1
+        1 | u8::from(self.label_index) << 1
             | u8::from(self.log_updates) << 2
             | u8::from(self.count_accesses) << 3
     }
     fn from_byte(b: u8) -> StoreFlags {
         StoreFlags {
-            parent_index: b & 1 != 0,
             label_index: b & 2 != 0,
             log_updates: b & 4 != 0,
             count_accesses: b & 8 != 0,
@@ -160,7 +159,6 @@ impl Manifest {
     /// The [`StoreConfig`] this manifest's store was built with.
     pub fn store_config(&self) -> StoreConfig {
         StoreConfig {
-            parent_index: self.flags.parent_index,
             label_index: self.flags.label_index,
             log_updates: self.flags.log_updates,
             count_accesses: self.flags.count_accesses,
@@ -228,9 +226,12 @@ impl Manifest {
         for _ in 0..n {
             let len_slots = r.varint().map_err(DurableError::from)?;
             let pages_n = r.varint().map_err(DurableError::from)? as usize;
-            if pages_n > 1 << 24 {
+            // Each hash is 16 bytes: a count the rest of the frame cannot
+            // hold is corrupt, and is refused before anything is reserved.
+            if pages_n > r.remaining() / 16 {
                 return Err(DurableError::Corrupt(format!(
-                    "manifest claims {pages_n} pages"
+                    "manifest claims {pages_n} pages in {} bytes",
+                    r.remaining()
                 )));
             }
             let mut pages = Vec::with_capacity(pages_n);
@@ -733,7 +734,6 @@ mod tests {
             version: epoch * 10,
             seq: epoch * 3,
             flags: StoreFlags {
-                parent_index: true,
                 label_index: false,
                 log_updates: true,
                 count_accesses: false,
@@ -760,6 +760,30 @@ mod tests {
 
     fn bytes_of(m: &Arc<dyn Media>) -> Vec<u8> {
         m.read_at(0, m.len() as usize).unwrap()
+    }
+
+    #[test]
+    fn a_page_count_the_manifest_cannot_hold_is_refused_before_reserving() {
+        // One shard claiming 2^24 chunk hashes (256 MiB) in five bytes.
+        let mut bytes = Vec::new();
+        put_str(&mut bytes, "big");
+        for v in [1, 10, 3] {
+            put_varint(&mut bytes, v);
+        }
+        let flags = StoreFlags {
+            label_index: true,
+            log_updates: false,
+            count_accesses: false,
+        };
+        bytes.push(flags.to_byte());
+        for v in [1, 7, 1 << 24] {
+            put_varint(&mut bytes, v);
+        }
+        bytes.extend_from_slice(&[0; 5]);
+        match Manifest::decode(&bytes) {
+            Err(DurableError::Corrupt(msg)) => assert!(msg.contains("16777216 pages"), "{msg}"),
+            other => panic!("expected a corrupt manifest, got {other:?}"),
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ mod tests {
         let mut s = Store::new();
         set("a", "left").child(atom("shared", "v", 1i64)).build(&mut s).unwrap();
         set("b", "right").reference("shared").build(&mut s).unwrap();
-        assert_eq!(s.parents(oid("shared")).unwrap().len(), 2);
+        assert_eq!(s.parents(oid("shared")).len(), 2);
     }
 
     #[test]
@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(pipeline.epoch(), 1, "whole tree = one commit");
         let snap = pipeline.snapshot();
         assert_eq!(snap.len(), 5);
-        assert_eq!(snap.parents(oid("a1")).unwrap().len(), 2);
+        assert_eq!(snap.parents(oid("a1")).len(), 2);
         snap.check_invariants().unwrap();
 
         // A second tree referencing published objects is another
@@ -204,6 +204,6 @@ mod tests {
         // Same leaf appears in a second build: becomes a DAG edge.
         set("r2", "x").child(atom("leaf", "v", 1i64)).build(&mut s).unwrap();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.parents(oid("leaf")).unwrap().len(), 2);
+        assert_eq!(s.parents(oid("leaf")).len(), 2);
     }
 }

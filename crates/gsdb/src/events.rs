@@ -36,7 +36,7 @@
 //! `base`, a created one's from the final store, a modified survivor's
 //! from both.
 
-use crate::{Atom, ConsolidatedDelta, FastMap, FastSet, Label, Object, Oid, Store};
+use crate::{Atom, ConsolidatedDelta, FastSet, Label, Object, Oid, Store};
 
 /// One live-edge change. The child's label is the one it had on the
 /// side of the change: a removed child has a record only in `base`.
@@ -104,15 +104,12 @@ impl LiveDelta {
             .chain(&delta.created)
             .copied()
             .collect();
-        let scan = (!churned.is_empty() && !store.has_parent_index()).then(|| parent_scan(store));
         let mut pairs: FastSet<(Oid, Oid)> =
             delta.edges.iter().map(|e| (e.parent, e.child)).collect();
         let sides = delta.removed.iter().map(|&o| (o, base));
         for (o, side) in sides.chain(delta.created.iter().map(|&o| (o, store))) {
             pairs.extend(side.children(o).iter().map(|&c| (o, c)));
-            for_each_parent(store, scan.as_ref(), o, |p| {
-                pairs.insert((p, o));
-            });
+            pairs.extend(store.parents(o).iter().map(|p| (p, o)));
         }
 
         let mut ev = LiveDelta::default();
@@ -180,40 +177,10 @@ fn live_label(store: &Store, parent: Oid, child: Oid) -> Option<Label> {
     set.contains(child).then_some(label)
 }
 
-/// Child → parents over every record of an index-less store: what the
-/// parent index would answer, built for one call and dropped after it.
-pub fn parent_scan(store: &Store) -> FastMap<Oid, Vec<Oid>> {
-    let mut parents: FastMap<Oid, Vec<Oid>> = FastMap::default();
-    for o in store.iter() {
-        for &c in o.children() {
-            parents.entry(c).or_default().push(o.oid);
-        }
-    }
-    parents
-}
-
-/// Call `f` on every object whose record names `child`: through
-/// `scan` (from [`parent_scan`]) when the store keeps no parent index.
-pub fn for_each_parent(
-    store: &Store,
-    scan: Option<&FastMap<Oid, Vec<Oid>>>,
-    child: Oid,
-    f: impl FnMut(Oid),
-) {
-    match scan {
-        Some(map) => map.get(&child).into_iter().flatten().copied().for_each(f),
-        None => {
-            if let Some(ps) = store.parents(child) {
-                ps.iter().for_each(f);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AppliedUpdate, DeltaBatch, Object, StoreConfig, Update};
+    use crate::{AppliedUpdate, DeltaBatch, Object, Update};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
@@ -228,11 +195,8 @@ mod tests {
         })
     }
 
-    fn seed(parent_index: bool) -> Store {
-        let mut s = Store::with_config(StoreConfig {
-            parent_index,
-            ..StoreConfig::default()
-        });
+    fn seed() -> Store {
+        let mut s = Store::new();
         s.create(Object::atom("A", "age", 40i64)).unwrap();
         s.create(Object::set("P", "person", &[oid("A")])).unwrap();
         s.create(Object::set("R", "root", &[oid("P")])).unwrap();
@@ -252,41 +216,37 @@ mod tests {
 
     #[test]
     fn remove_synthesizes_incident_edge_deletes() {
-        for indexed in [true, false] {
-            let mut s = seed(indexed);
-            let ev = step(&mut s, vec![Update::Remove { oid: oid("P") }]);
-            // Both incident edges die, though R's record still names P.
-            assert_eq!(ev.edges.len(), 2, "indexed={indexed}");
-            assert!(edge(&ev, "P", "A", "age", -1));
-            assert!(edge(&ev, "R", "P", "person", -1));
-            assert_eq!(ev.removed, vec![oid("P")]);
-            assert!(!s.children(oid("R")).is_empty(), "store edge dangles");
-        }
+        let mut s = seed();
+        let ev = step(&mut s, vec![Update::Remove { oid: oid("P") }]);
+        // Both incident edges die, though R's record still names P.
+        assert_eq!(ev.edges.len(), 2);
+        assert!(edge(&ev, "P", "A", "age", -1));
+        assert!(edge(&ev, "R", "P", "person", -1));
+        assert_eq!(ev.removed, vec![oid("P")]);
+        assert!(!s.children(oid("R")).is_empty(), "store edge dangles");
     }
 
     #[test]
     fn recreate_resurrects_dangling_edges() {
-        for indexed in [true, false] {
-            let mut s = seed(indexed);
-            step(&mut s, vec![Update::Remove { oid: oid("P") }]);
-            let ev = step(
-                &mut s,
-                vec![Update::Create {
-                    object: Object::set("P", "person", &[oid("A")]),
-                }],
-            );
-            // The outgoing edge comes from the embedded children; the
-            // dangling R→P edge resurrects through R's record.
-            assert_eq!(ev.edges.len(), 2, "indexed={indexed}");
-            assert!(edge(&ev, "P", "A", "age", 1));
-            assert!(edge(&ev, "R", "P", "person", 1));
-            assert_eq!(ev.created, vec![oid("P")]);
-        }
+        let mut s = seed();
+        step(&mut s, vec![Update::Remove { oid: oid("P") }]);
+        let ev = step(
+            &mut s,
+            vec![Update::Create {
+                object: Object::set("P", "person", &[oid("A")]),
+            }],
+        );
+        // The outgoing edge comes from the embedded children; the
+        // dangling R→P edge resurrects through R's record.
+        assert_eq!(ev.edges.len(), 2);
+        assert!(edge(&ev, "P", "A", "age", 1));
+        assert!(edge(&ev, "R", "P", "person", 1));
+        assert_eq!(ev.created, vec![oid("P")]);
     }
 
     #[test]
     fn replacement_moves_edges_between_labels() {
-        let mut s = seed(true);
+        let mut s = seed();
         let ev = step(
             &mut s,
             vec![
@@ -306,7 +266,7 @@ mod tests {
 
     #[test]
     fn modify_is_idempotent() {
-        let mut s = seed(true);
+        let mut s = seed();
         let base = s.fork();
         let mut batch = DeltaBatch::new();
         batch.push(s.apply(Update::modify("A", 50i64)).unwrap());

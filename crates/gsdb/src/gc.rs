@@ -37,8 +37,6 @@ pub fn collect(store: &mut Store, roots: &[Oid]) -> Vec<Oid> {
 /// region survives when it is `root`, has a parent outside the region
 /// (a second parent, a re-attachment made after the delete), or hangs
 /// below such a survivor; a cycle with no entry from outside does not.
-///
-/// Needs the parent index.
 pub fn collect_below(store: &mut Store, root: Oid, tops: &[Oid]) -> Vec<Oid> {
     let mut region: Vec<Oid> = Vec::new();
     let mut in_region: HashSet<Oid> = HashSet::new();
@@ -52,12 +50,7 @@ pub fn collect_below(store: &mut Store, root: Oid, tops: &[Oid]) -> Vec<Oid> {
     let mut live: Vec<Oid> = Vec::new();
     let mut is_live: HashSet<Oid> = HashSet::new();
     for &o in &region {
-        let entered = o == root
-            || store
-                .parents(o)
-                .expect("collect_below needs the parent index")
-                .iter()
-                .any(|p| !in_region.contains(&p));
+        let entered = o == root || store.parents(o).iter().any(|p| !in_region.contains(&p));
         if entered && is_live.insert(o) {
             live.push(o);
         }
@@ -90,10 +83,7 @@ fn remove_all(store: &mut Store, dead: &[Oid]) {
         // dangling edges behind (live parents of dead objects cannot
         // exist by construction, but defensive unlinking keeps the
         // parent index exact even on inconsistent inputs).
-        let parents: Vec<Oid> = store
-            .parents(d)
-            .map(|p| p.iter().collect())
-            .unwrap_or_default();
+        let parents: Vec<Oid> = store.parents(d).iter().collect();
         for p in parents {
             let _ = store.delete_edge(p, d);
         }

@@ -160,29 +160,25 @@ pub fn eval(store: &Store, n: Oid, p: &Path, cond: &dyn Fn(&Atom) -> bool) -> Ve
 /// (paper §4.3: `path(N1, N2) = ∅`). On a DAG it is the path of
 /// whichever chain the search meets first.
 ///
-/// Uses the parent index when available ([`chain_between`], an
-/// `O(depth)` upward walk on a tree — the "inverse index" shortcut of
-/// §4.4); otherwise falls back to a depth-first traversal from `n1`,
-/// which is what §4.4 warns "may require a traversal from ROOT to N".
+/// Walks the parent index upward from `n2` ([`chain_between`], an
+/// `O(depth)` walk on a tree — the "inverse index" shortcut of §4.4).
+/// [`path_by_search`] is the traversal from `n1` that §4.4 prices
+/// without that index.
 pub fn path_between(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
     if n1 == n2 {
         return Some(Path::empty());
     }
-    if store.has_parent_index() {
-        let above = Ancestry::sweep(store, n2, Some(n1), true);
-        let labels = above.chain(n1)?.map(|(_, l)| l).collect();
-        Some(Path(labels))
-    } else {
-        path_by_search(store, n1, n2)
-    }
+    let above = Ancestry::sweep(store, n2, Some(n1), true);
+    let labels = above.chain(n1)?.map(|(_, l)| l).collect();
+    Some(Path(labels))
 }
 
 /// The first chain the upward search finds from `root` down to `n`:
 /// the objects below `root`, each with its label, `n` last (empty when
-/// `n` is `root`). `None` if `root` is not above `n`, or if the store
-/// keeps no parent index. `path(root, n)` is the labels of the chain,
-/// so a caller that needs the objects along a path as well as the path
-/// (§5.1 level-3 reports) reads both from the one chain.
+/// `n` is `root`). `None` if `root` is not above `n`. `path(root, n)`
+/// is the labels of the chain, so a caller that needs the objects along
+/// a path as well as the path (§5.1 level-3 reports) reads both from
+/// the one chain.
 pub fn chain_between(store: &Store, root: Oid, n: Oid) -> Option<Vec<(Oid, Label)>> {
     let above = Ancestry::sweep(store, n, Some(root), true);
     let chain = above.chain(root)?.collect();
@@ -202,8 +198,7 @@ pub fn chain_between(store: &Store, root: Oid, n: Oid) -> Option<Vec<(Oid, Label
 /// structure a worklist runs to the fixpoint, which `join` guarantees
 /// by only ever growing a value, finitely often (a set of automaton
 /// states, say). Either way the store is read only by the upward
-/// search: one label and one parents read per ancestor of `n`. Needs
-/// the parent index; without it nothing above `n` is found.
+/// search: one label and one parents read per ancestor of `n`.
 pub fn fold_walks<T: Clone>(
     store: &Store,
     root: Oid,
@@ -276,9 +271,8 @@ impl Ancestry {
                 let Some(l) = store.label(a.nodes[i].oid) else { continue };
                 a.nodes[i].label = Some(l);
             }
-            let Some(parents) = store.parents(a.nodes[i].oid) else { continue };
             a.nodes[i].ups = a.ups.len()..a.ups.len();
-            for p in parents.iter() {
+            for p in store.parents(a.nodes[i].oid).iter() {
                 let next = a.nodes.len();
                 let j = *a.index.entry(p).or_insert(next);
                 if j == next {
@@ -354,10 +348,13 @@ impl Ancestry {
     }
 }
 
-/// Downward variant: DFS from `n1` for `n2` (no inverse index). The
-/// arena holds `(edge label into node, predecessor index)`; the prefix
-/// is reconstructed from the chain on success.
-fn path_by_search(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
+/// `path(N1, N2)` without the inverse index: a depth-first search down
+/// from `n1` for `n2`, reading only children and labels — the
+/// "traversal from ROOT" §4.4 prices, kept as E2's reference cost and
+/// as the reference the agreement tests check [`path_between`]
+/// against. The arena holds `(edge label into node, predecessor
+/// index)`; the prefix is reconstructed from the chain on success.
+pub fn path_by_search(store: &Store, n1: Oid, n2: Oid) -> Option<Path> {
     let mut nodes: Vec<(Label, usize)> = Vec::new();
     let mut stack: Vec<(Oid, usize)> = vec![(n1, NO_PREV)];
     let mut visited = FastSet::default();
@@ -398,17 +395,11 @@ pub fn ancestor(store: &Store, n: Oid, p: &Path) -> Option<Oid> {
 
 /// All ancestors `X` of `n` with `path(X, N) = p` — the DAG
 /// generalization paper §6 calls for ("there may be more than one path
-/// between two objects").
-///
-/// Requires the parent index; without it, callers should locate `n`'s
-/// root path by traversal and derive ancestors from it (that is what
-/// the warehouse does when sources report paths — §5.1 level 3).
+/// between two objects"). Walks the parent index up `|p|` levels;
+/// [`ancestors_all_by_search`] is the realization without it.
 pub fn ancestors_all(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     if p.is_empty() {
         return vec![n];
-    }
-    if !store.has_parent_index() {
-        return ancestors_all_by_search(store, n, p);
     }
     // Walk upward |p| levels; at level i (from the bottom) the current
     // object's label must equal p[len-1-i].
@@ -422,11 +413,9 @@ pub fn ancestors_all(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
             if store.label(o) != Some(want) {
                 continue;
             }
-            if let Some(parents) = store.parents(o) {
-                for par in parents.iter() {
-                    if seen.insert(par) {
-                        next.push(par);
-                    }
+            for par in store.parents(o).iter() {
+                if seen.insert(par) {
+                    next.push(par);
                 }
             }
         }
@@ -439,10 +428,12 @@ pub fn ancestors_all(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     frontier
 }
 
-/// Fallback without a parent index: scan every object `X` and test
-/// whether `n ∈ X.p`. This is deliberately the expensive realization —
-/// the cost §4.4 attributes to missing inverse indexes.
-fn ancestors_all_by_search(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
+/// [`ancestors_all`] without the inverse index: scan every object `X`
+/// and test whether `n ∈ X.p`, reading only children and labels. This
+/// is deliberately the expensive realization — the cost §4.4 attributes
+/// to a missing inverse index — kept as E2's reference cost and as the
+/// agreement tests' reference.
+pub fn ancestors_all_by_search(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     let mut out: Vec<Oid> = store
         .oids_sorted()
         .into_iter()
@@ -455,7 +446,7 @@ fn ancestors_all_by_search(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Object, StoreConfig};
+    use crate::Object;
     use std::collections::HashSet;
 
     fn oid(s: &str) -> Oid {
@@ -551,22 +542,22 @@ mod tests {
 
     #[test]
     fn path_between_without_parent_index_agrees() {
-        let mut s = Store::with_config(StoreConfig {
-            parent_index: false,
-            label_index: false,
-            ..StoreConfig::default()
-        });
+        let mut s = Store::new();
         s.create_all([
             Object::set("ROOT", "person", &[oid("p1")]),
             Object::set("p1", "professor", &[oid("a1")]),
             Object::atom("a1", "age", 45i64),
         ])
         .unwrap();
+        for (n1, n2) in [("ROOT", "a1"), ("a1", "ROOT")] {
+            let (n1, n2) = (oid(n1), oid(n2));
+            assert_eq!(path_by_search(&s, n1, n2), path_between(&s, n1, n2));
+        }
         assert_eq!(
-            path_between(&s, oid("ROOT"), oid("a1")),
+            path_by_search(&s, oid("ROOT"), oid("a1")),
             Some(Path::parse("professor.age"))
         );
-        assert_eq!(path_between(&s, oid("a1"), oid("ROOT")), None);
+        assert_eq!(path_by_search(&s, oid("a1"), oid("ROOT")), None);
     }
 
     #[test]
@@ -666,11 +657,7 @@ mod tests {
 
     #[test]
     fn ancestors_all_without_parent_index_agrees() {
-        let mut s = Store::with_config(StoreConfig {
-            parent_index: false,
-            label_index: false,
-            ..StoreConfig::default()
-        });
+        let mut s = Store::new();
         s.create_all([
             Object::set("R", "r", &[oid("u1"), oid("u2")]),
             Object::set("u1", "tuple", &[oid("f1")]),
@@ -678,7 +665,14 @@ mod tests {
             Object::atom("f1", "age", 40i64),
         ])
         .unwrap();
-        let all = ancestors_all(&s, oid("f1"), &Path::parse("age"));
+        for p in ["age", "tuple.age", "r.tuple.age", "name"] {
+            let p = Path::parse(p);
+            assert_eq!(
+                ancestors_all_by_search(&s, oid("f1"), &p),
+                ancestors_all(&s, oid("f1"), &p)
+            );
+        }
+        let all = ancestors_all_by_search(&s, oid("f1"), &Path::parse("age"));
         assert_eq!(all, vec![oid("u1"), oid("u2")]);
     }
 
@@ -686,32 +680,25 @@ mod tests {
     fn parent_index_makes_ancestor_cheaper() {
         // The E2 claim in miniature: upward walk touches far fewer
         // objects than whole-store search.
-        let mut with_idx = Store::counting();
-        let mut without_idx = Store::with_config(
-            StoreConfig {
-                parent_index: false,
-                label_index: false,
-                ..StoreConfig::default()
-            }
-            .counting(),
-        );
-        for s in [&mut with_idx, &mut without_idx] {
-            let mut children = Vec::new();
-            for i in 0..100 {
-                let t = Oid::new(&format!("pt{i}"));
-                let f = Oid::new(&format!("pf{i}"));
-                s.create(Object::atom(f.name(), "age", i as i64)).unwrap();
-                s.create(Object::set(t.name(), "tuple", &[f])).unwrap();
-                children.push(t);
-            }
-            s.create(Object::set("R", "r", &children)).unwrap();
+        let mut s = Store::counting();
+        let mut children = Vec::new();
+        for i in 0..100 {
+            let t = Oid::new(&format!("pt{i}"));
+            let f = Oid::new(&format!("pf{i}"));
+            s.create(Object::atom(f.name(), "age", i as i64)).unwrap();
+            s.create(Object::set(t.name(), "tuple", &[f])).unwrap();
+            children.push(t);
         }
-        with_idx.reset_accesses();
-        let a = ancestor(&with_idx, oid("pf7"), &Path::parse("age"));
-        let cheap = with_idx.accesses();
-        without_idx.reset_accesses();
-        let b = ancestor(&without_idx, oid("pf7"), &Path::parse("age"));
-        let costly = without_idx.accesses();
+        s.create(Object::set("R", "r", &children)).unwrap();
+        let age = Path::parse("age");
+        s.reset_accesses();
+        let a = ancestor(&s, oid("pf7"), &age);
+        let cheap = s.accesses();
+        s.reset_accesses();
+        let b = ancestors_all_by_search(&s, oid("pf7"), &age)
+            .into_iter()
+            .next();
+        let costly = s.accesses();
         assert_eq!(a, b);
         assert!(
             cheap * 10 < costly,
@@ -733,7 +720,7 @@ mod tests {
             let Some(l) = store.label(cur) else { continue };
             let mut next_labels = labels_rev.clone();
             next_labels.push(l);
-            for p in store.parents(cur).unwrap().iter() {
+            for p in store.parents(cur).iter() {
                 if p == n1 {
                     let mut labels = next_labels.clone();
                     labels.reverse();
@@ -755,12 +742,6 @@ mod tests {
         // realizations must agree with each other.
         let mut s = Store::new();
         crate::samples::person_db(&mut s).unwrap();
-        let mut no_idx = Store::with_config(StoreConfig {
-            parent_index: false,
-            label_index: false,
-            ..StoreConfig::default()
-        });
-        crate::samples::person_db(&mut no_idx).unwrap();
         let oids = s.oids_sorted();
         for &a in &oids {
             for &b in &oids {
@@ -773,8 +754,11 @@ mod tests {
                     a.name(),
                     b.name()
                 );
+                if a == b {
+                    continue;
+                }
                 assert_eq!(
-                    path_between(&no_idx, a, b),
+                    path_by_search(&s, a, b),
                     reference,
                     "traversal path({}, {}) disagrees",
                     a.name(),

@@ -61,10 +61,7 @@ mod tests {
         let after = crate::path::reach(&restored, Oid::new("ROOT"), &Path::parse("professor.age"));
         assert_eq!(before, after);
         // Parent index was rebuilt on restore.
-        assert!(restored
-            .parents(Oid::new("A1"))
-            .unwrap()
-            .contains(Oid::new("P1")));
+        assert!(restored.parents(Oid::new("A1")).contains(Oid::new("P1")));
     }
 
     #[test]

@@ -105,8 +105,9 @@ fn observe(store: &Store) -> Observation {
         );
         let mut ps: Vec<String> = store
             .parents(o)
-            .map(|s| s.iter().map(|p| p.name().to_string()).collect())
-            .unwrap_or_default();
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
         ps.sort();
         parents.insert(o.name().to_string(), ps);
     }

@@ -62,12 +62,10 @@ impl fmt::Display for SelStrategy {
 ///
 /// Backward is picked when (a) the expression is non-empty and its
 /// final element is a constant label or alternation, (b) the store
-/// has both label and parent indexes, and (c) the candidate set is
-/// smaller than [`SELECTIVITY_CUTOFF`] × |store|.
+/// keeps a label index (every store keeps the parent index the upward
+/// verification walks), and (c) the candidate set is smaller than
+/// [`SELECTIVITY_CUTOFF`] × |store|.
 pub(crate) fn choose_explained(store: &Store, expr: &PathExpr) -> (SelStrategy, String) {
-    if !store.has_parent_index() {
-        return (SelStrategy::Forward, "no parent index".into());
-    }
     let labels: Vec<Label> = match expr.0.last() {
         Some(Elem::Label(l)) => vec![*l],
         Some(Elem::Alt(ls)) => ls.clone(),
@@ -235,10 +233,7 @@ pub fn reach_expr_backward(
             if next == 0 {
                 continue;
             }
-            let Some(parents) = store.parents(o) else {
-                continue;
-            };
-            for p in parents.iter() {
+            for p in store.parents(o).iter() {
                 if !filter(p) {
                     continue;
                 }

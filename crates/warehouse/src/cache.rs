@@ -65,7 +65,6 @@ impl AuxCache {
         ask: &mut dyn FnMut(&SourceQuery) -> Option<SourceReply>,
     ) -> AuxCache {
         let mut store = Store::with_config(StoreConfig {
-            parent_index: true,
             label_index: false,
             log_updates: false,
             ..StoreConfig::default()

@@ -171,7 +171,6 @@ impl Source {
             name,
             root,
             Store::with_config(StoreConfig {
-                parent_index: true,
                 label_index: true,
                 log_updates: true,
                 ..StoreConfig::default().with_shards(shards)

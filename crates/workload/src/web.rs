@@ -135,7 +135,7 @@ mod tests {
             )
             .unwrap();
             // In-degree of the first (oldest, most popular) page.
-            store.parents(db.pages[0]).unwrap().len()
+            store.parents(db.pages[0]).len()
         };
         assert!(hot(1.5) > hot(0.0), "skewed attachment favours old pages");
     }

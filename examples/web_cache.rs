@@ -73,7 +73,6 @@ fn main() {
     }
     println!("after 200 page edits: {joined} pages joined the cache, {left} left");
     println!("cache now holds {} pages", cache.len());
-    assert_eq!(maintainer.refreshes(), 0, "every edit is repaired locally");
     assert_eq!(cache.members_base(), maintainer.recompute(&store).expect("recompute").members_base());
 
     // Make the cache fully self-contained for offline browsing:

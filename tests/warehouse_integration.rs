@@ -25,7 +25,6 @@ fn rel_source(name: &str, level: ReportLevel, seed: u64) -> (Source, gsview::wor
             seed,
         },
         StoreConfig {
-            parent_index: true,
             label_index: true,
             log_updates: true,
             ..StoreConfig::default()
