@@ -4,10 +4,11 @@
 //! [`Maintainer::apply_batch`] pass costs fewer base accesses than one
 //! [`Maintainer::apply`] per update once the batch is large or churny
 //! enough for consolidation to cancel work (insert+delete of the same
-//! edge, runs of modifies on one atom). Small batches cost more: a
-//! flush re-verifies each located member's select path and condition,
-//! and an insert off the view path whose child was created in an
-//! earlier flush re-checks every member's select path (measured in
+//! edge, runs of modifies on one atom). A flush of one update costs
+//! ≈ 1.4× a single pass, because a flush re-verifies each located
+//! member's select path and condition against the store where `apply`
+//! decides from the update's old and new values; from 4 updates a
+//! flush batched apply is the cheaper route (measured in
 //! EXPERIMENTS.md, E11).
 //!
 //! Both routes replay the *same* deterministic script and must land on
@@ -141,7 +142,7 @@ pub fn run(quick: bool) -> Table {
     let mut t = Table::new(
         "E11",
         "batched maintenance: one flush of N updates vs N single passes",
-        "small batches cost more than single passes; consolidation makes batched apply cheaper from 4 updates a flush (quick) or 64 (full)",
+        "a flush of one update costs ≈ 1.4× a single pass; consolidation makes batched apply cheaper from 4 updates a flush",
     )
     .headers(&[
         "batch size",

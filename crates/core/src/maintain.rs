@@ -37,7 +37,7 @@
 use crate::base::BaseAccess;
 use crate::sink::{refresh_touched, ViewSink};
 use crate::viewdef::SimpleViewDef;
-use gsdb::{AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeOp, Oid, Path, Result};
+use gsdb::{AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeOp, FastSet, Oid, Path, Result};
 use gsview_query::Pred;
 use std::collections::HashSet;
 
@@ -95,8 +95,12 @@ impl Outcome {
 ///   once per surviving delta, collects the candidate members each
 ///   delta could affect, and then *repairs* each candidate against
 ///   ground truth: `Y` is a member iff `path(ROOT, Y) = sel_path` and
-///   `eval(Y, cond_path, cond) ≠ ∅`. Repair makes the result
-///   independent of the order updates were applied in — batched
+///   `eval(Y, cond_path, cond) ≠ ∅`. A *cut* (a net edge delete) adds
+///   the members found below its child from every select position the
+///   child's label can hold, wherever its parent ended up — the
+///   wildcard maintainer's delete rule on constant paths (DESIGN.md,
+///   "Wildcard views: local repair", delete-(b)). Repair makes the
+///   result independent of the order updates were applied in — batched
 ///   maintenance converges to exactly the state sequential maintenance
 ///   (and full recomputation) reaches. Content upkeep (§3.2) runs as a
 ///   single pass at the end: each *touched* member is refreshed once
@@ -302,24 +306,18 @@ pub(crate) fn content_upkeep(
     refresh_touched(mv, &[affected], &[], &mut |o| base.fetch(o)).map(|_| ())
 }
 
-/// Ground-truth derivability: is `y` reachable from the view root via
-/// the select path? `path_from_root` alone is not enough here — it
-/// returns one canonical root path, and in a DAG base an object can
-/// have several (the paper's own person DB hangs `P3` both directly
-/// under `ROOT` and under `P1`): a member whose canonical path is the
-/// shorter one must not be evicted. Fast path on the canonical path;
-/// fall back to enumerating the select-path ancestors.
-fn derivable_via_sel_path(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid) -> bool {
-    if base.path_from_root(def.root, y).as_ref() == Some(&def.sel_path) {
-        return true;
-    }
-    base.ancestors_all(y, &def.sel_path).contains(&def.root)
-}
-
 /// Verify one object against ground truth: `Y` is a member iff
 /// `path(ROOT, Y) = sel_path` and its condition witness (if any) holds.
+/// `path_from_root` alone does not decide the first half — it returns
+/// one canonical root path, and in a DAG base an object can have
+/// several (the paper's own person DB hangs `P3` both directly under
+/// `ROOT` and under `P1`): a member whose canonical path is the shorter
+/// one must not be evicted. Fast path on the canonical path; fall back
+/// to enumerating the select-path ancestors.
 fn is_member(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid) -> bool {
-    derivable_via_sel_path(base, def, y)
+    let derivable = base.path_from_root(def.root, y).as_ref() == Some(&def.sel_path)
+        || base.ancestors_all(y, &def.sel_path).contains(&def.root);
+    derivable
         && match &def.cond {
             None => true,
             Some(c) => !base.eval(y, &c.path, Some(&c.pred)).is_empty(),
@@ -376,7 +374,8 @@ pub struct BatchOutcome {
     /// Current members whose stored copies were refreshed.
     pub refreshed: usize,
     /// Whether a full member re-verification sweep ran (only when the
-    /// batch detached part of the graph out from under the view).
+    /// batch cut an edge whose child record is gone, or removed a
+    /// record and created it again: what hung below cannot be walked).
     pub swept: bool,
 }
 
@@ -387,7 +386,7 @@ impl BatchOutcome {
     }
 }
 
-// The batched form: locate, repair, verify paths, content upkeep.
+// The batched form: locate, repair, content upkeep.
 impl Maintainer {
     /// Process a batch of applied updates. `base` must reflect the
     /// state *after every update in the batch*.
@@ -419,93 +418,65 @@ impl Maintainer {
             ..BatchOutcome::default()
         };
         let full = self.def.full_path();
-        let sel_len = self.def.sel_path.len();
+        let sel = self.def.sel_path.labels();
 
         // Phase 1: locate each delta (relevance test, once per
         // consolidated delta) and collect candidate members.
         let locate_span = gsview_obs::span!("maint.phase.locate");
         let mut candidates: Vec<Oid> = Vec::new();
-        // Full repair of every member (derivability *and* witness).
-        let mut sweep = false;
-        // Cheaper select-path re-check of every member (one
-        // `path_from_root` each, no witness evaluation).
-        let mut verify_paths = false;
+        // Every member is a candidate when what hung below a record
+        // cannot be walked; `sweep` holds the cause. A record removed
+        // and created again is one: its new children list replaced the
+        // old with no cut for what it dropped.
+        let removed: FastSet<Oid> = delta.removed.iter().copied().collect();
+        let mut sweep = delta
+            .created
+            .iter()
+            .any(|o| removed.contains(o))
+            .then_some("replaced_record");
         for e in &delta.edges {
+            let root_path = base.path_from_root(self.def.root, e.parent);
+            let l2 = base.label_of(e.child);
+            if e.op == EdgeOp::Delete {
+                // A cut: what hung under the child lost the root path
+                // it had. The child's position before the batch is not
+                // in the final state (its parent may have moved since),
+                // so walk from every select position its label can
+                // hold; only members can lose. A child whose record is
+                // gone cannot be walked.
+                let Some(l) = l2 else {
+                    sweep.get_or_insert("removed_cut_child");
+                    continue;
+                };
+                for i in (0..sel.len()).filter(|&i| sel[i] == l) {
+                    let below = base.eval(e.child, &Path(sel[i + 1..].to_vec()), None);
+                    candidates.extend(below.into_iter().filter(|&y| mv.contains(y)));
+                }
+            }
             // The location test of Algorithm 1, against the final
             // state: path(ROOT, N1).label(N2) must prefix
             // sel_path.cond_path.
-            let root_path = base.path_from_root(self.def.root, e.parent);
-            let l2 = base.label_of(e.child);
-            let matched = match (&root_path, l2) {
-                (Some(rp), Some(l2)) if rp.len() < full.len() => {
-                    let mut prefix = rp.clone();
-                    prefix.push(l2);
-                    full.strip_prefix(&prefix).is_some()
-                }
-                _ => false,
-            };
-            if !matched {
-                match e.op {
-                    EdgeOp::Delete => {
-                        // A deleted edge whose parent is no longer
-                        // reachable can hide a member loss (the batch
-                        // detached an ancestor too): re-verify
-                        // members. A parent *reachable* at a
-                        // non-matching final position needs nothing
-                        // extra: any member loss routed through it
-                        // also involves either an unreachable parent
-                        // (this sweep) or a re-attaching insert (the
-                        // path re-check below).
-                        if root_path.is_none() || l2.is_none() {
-                            if !sweep {
-                                gsview_obs::event!(
-                                    "maint.sweep_escalation",
-                                    "cause" = "unreachable_delete_parent",
-                                );
-                            }
-                            sweep = true;
-                        }
-                    }
-                    EdgeOp::Insert => {
-                        // An insert that re-attaches a *pre-existing*
-                        // object at a non-matching (or unreachable)
-                        // position may have carried members out of the
-                        // view region — their select paths changed
-                        // even though every deleted edge's parent
-                        // still looks innocent. Re-check every
-                        // member's select path. Freshly created
-                        // objects cannot carry members.
-                        if !delta.created.contains(&e.child) {
-                            if !verify_paths {
-                                gsview_obs::event!(
-                                    "maint.sweep_escalation",
-                                    "cause" = "reattaching_insert",
-                                );
-                            }
-                            verify_paths = true;
-                        }
-                    }
-                }
+            let Some(root_path) = root_path.filter(|rp| {
+                full.labels().starts_with(rp.labels())
+                    && l2.is_some_and(|l| full.labels().get(rp.len()) == Some(&l))
+            }) else {
                 continue;
-            }
+            };
             out.relevant_deltas += 1;
-            let root_path = root_path.expect("matched implies located");
             // Depth of N2 along the full path.
             let k = root_path.len() + 1;
-            if sel_len >= k {
-                // The edge sits at or above select depth: candidates
-                // are the select-depth objects currently under N2
-                // (for deletes, the detached subtree is walked as it
-                // stands; members that left it imply a re-attaching
-                // insert or a cascading detachment, both handled
-                // above).
-                let sel_suffix = Path(self.def.sel_path.labels()[k..].to_vec());
-                candidates.extend(base.eval(e.child, &sel_suffix, None));
+            if sel.len() >= k {
+                // The edge sits at or above select depth: an insert's
+                // candidates are the select-depth objects now under
+                // N2; a cut's were collected above.
+                if e.op == EdgeOp::Insert {
+                    candidates.extend(base.eval(e.child, &Path(sel[k..].to_vec()), None));
+                }
             } else {
                 // The edge sits in the condition region: the affected
                 // member is the select-depth ancestor on the attached
                 // (parent) side.
-                let q = Path(root_path.labels()[sel_len..].to_vec());
+                let q = Path(root_path.labels()[sel.len()..].to_vec());
                 let y = if q.is_empty() {
                     Some(e.parent)
                 } else {
@@ -525,7 +496,8 @@ impl Maintainer {
             out.relevant_deltas += 1;
             candidates.extend(base.ancestor(m.oid, &cond.path));
         }
-        if sweep {
+        if let Some(cause) = sweep {
+            gsview_obs::event!("maint.sweep_escalation", "cause" = cause);
             out.swept = true;
             candidates.extend(mv.members());
         }
@@ -550,25 +522,6 @@ impl Maintainer {
             }
         }
         drop(repair_span);
-
-        // Phase 2b: select-path re-check. A re-attaching insert may
-        // have moved members to positions no delta locates; evict any
-        // member whose select path no longer holds. (Witness changes
-        // are fully covered by the located candidates, so no
-        // condition evaluation is needed here.)
-        if verify_paths && !sweep {
-            let _verify_span = gsview_obs::span!("maint.phase.verify_paths");
-            out.swept = true;
-            for y in mv.members() {
-                if seen.contains(&y) {
-                    continue; // already repaired against ground truth
-                }
-                let derivable = derivable_via_sel_path(base, &self.def, y);
-                if !derivable && mv.delete_member(y)? {
-                    out.deleted.push(y);
-                }
-            }
-        }
         out.inserted.sort_by_key(|o| o.name());
         out.deleted.sort_by_key(|o| o.name());
 
@@ -596,7 +549,7 @@ mod tests {
     use super::*;
     use crate::base::LocalBase;
     use crate::recompute::recompute;
-    use gsdb::{builder::atom, samples, Object, Store};
+    use gsdb::{builder::atom, samples, Object, Store, Update};
     use gsview_query::{CmpOp, Pred};
 
     fn oid(s: &str) -> Oid {
@@ -795,25 +748,75 @@ mod tests {
     }
 
     #[test]
-    fn reattaching_insert_keeps_multi_path_members() {
-        // Regression: P3 hangs both directly under ROOT and under P1
-        // (the sample DB is a DAG). A re-attaching insert of an
-        // unrelated object escalates to the select-path re-check,
-        // which must not evict P3 just because its *canonical* root
-        // path is the direct edge rather than professor.student.
+    fn cut_repairs_the_member_below_it_locally() {
+        // P3 moves from P1 to P2 in one batch. The cut (P1, P3) makes
+        // the member below it a candidate, and repair keeps it: P3 is
+        // still a professor's student, though its canonical root path
+        // is the direct edge under ROOT (the sample DB is a DAG). No
+        // member is swept.
         let mut store = person_store();
-        store.create(Object::atom("B3", "age", 23i64)).unwrap();
         let def = SimpleViewDef::new("ST", "ROOT", "professor.student");
         let mut mv = recompute(&def, &mut LocalBase::new(&store)).unwrap();
         assert_eq!(mv.members_base(), vec![oid("P3")]);
         let mut batch = DeltaBatch::new();
-        batch.push(store.insert_edge(oid("P2"), oid("B3")).unwrap());
+        batch.push(store.insert_edge(oid("P2"), oid("P3")).unwrap());
+        batch.push(store.delete_edge(oid("P1"), oid("P3")).unwrap());
+        let out = Maintainer::new(def.clone())
+            .apply_batch(&mut mv, &mut LocalBase::new(&store), &batch)
+            .unwrap();
+        assert!(!out.swept, "a cut is repaired locally: {out:?}");
+        assert!(!out.changed(), "P3 evicted: {out:?}");
+        let want = recompute(&def, &mut LocalBase::new(&store)).unwrap();
+        assert_eq!(mv.members_base(), want.members_base());
+        assert_eq!(mv.members_base(), vec![oid("P3")]);
+    }
+
+    #[test]
+    fn record_replaced_in_one_batch_sweeps_the_members() {
+        // P1 is removed and created again with every child but P3. The
+        // new record's children list drops the edge (P1, P3) with no
+        // edge delta, so no cut locates the loss: the members are
+        // swept, and P3, a student of no professor now, leaves.
+        let mut store = person_store();
+        let def = SimpleViewDef::new("ST", "ROOT", "professor.student");
+        let mut mv = recompute(&def, &mut LocalBase::new(&store)).unwrap();
+        assert_eq!(mv.members_base(), vec![oid("P3")]);
+        let kept: Vec<Oid> = store
+            .children(oid("P1"))
+            .iter()
+            .copied()
+            .filter(|&c| c != oid("P3"))
+            .collect();
+        let mut batch = DeltaBatch::new();
+        batch.push(store.apply(Update::Remove { oid: oid("P1") }).unwrap());
+        batch.push(store.apply(Update::create(Object::set("P1", "professor", &kept))).unwrap());
+        let out = Maintainer::new(def.clone())
+            .apply_batch(&mut mv, &mut LocalBase::new(&store), &batch)
+            .unwrap();
+        assert!(out.swept, "{out:?}");
+        let want = recompute(&def, &mut LocalBase::new(&store)).unwrap();
+        assert_eq!(mv.members_base(), want.members_base());
+        assert!(mv.is_empty());
+    }
+
+    #[test]
+    fn detach_then_remove_in_one_batch_sweeps_the_members() {
+        // P1 is cut from ROOT and its record removed in one batch: the
+        // cut's child cannot be walked, so the members are swept and
+        // P1 leaves.
+        let mut store = person_store();
+        let def = yp_def();
+        let mut mv = recompute(&def, &mut LocalBase::new(&store)).unwrap();
+        assert_eq!(mv.members_base(), vec![oid("P1")]);
+        let mut batch = DeltaBatch::new();
+        batch.push(store.delete_edge(oid("ROOT"), oid("P1")).unwrap());
+        batch.push(store.apply(Update::Remove { oid: oid("P1") }).unwrap());
         let out = Maintainer::new(def)
             .apply_batch(&mut mv, &mut LocalBase::new(&store), &batch)
             .unwrap();
-        assert!(out.swept, "re-attaching insert must re-check paths");
-        assert!(out.deleted.is_empty(), "P3 evicted: {out:?}");
-        assert_eq!(mv.members_base(), vec![oid("P3")]);
+        assert!(out.swept, "{out:?}");
+        assert_eq!(out.deleted, vec![oid("P1")]);
+        assert!(mv.is_empty());
     }
 
     #[test]

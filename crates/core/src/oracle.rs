@@ -1086,10 +1086,10 @@ mod tests {
     }
 
     #[test]
-    fn cascading_detach_triggers_sweep() {
+    fn cascading_detach_is_repaired_below_the_cut() {
         // Detach the witness *and then* the member's own root edge: the
-        // inner delete cannot be located in the final state, forcing
-        // the member re-verification sweep.
+        // inner delete cannot be located in the final state, but the
+        // outer cut finds P1 below it, and repair evicts it. No sweep.
         let store = person_store();
         let updates = vec![
             Update::delete("P1", "A1"),
@@ -1098,16 +1098,17 @@ mod tests {
         let v = check_equivalence(&yp_def(), &store, &updates).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
         assert!(v.members.is_empty());
-        assert!(v.batch.swept);
+        assert_eq!(v.batch.deleted, vec![oid("P1")]);
+        assert!(!v.batch.swept);
     }
 
     #[test]
-    fn reparented_member_is_swept_out() {
+    fn reparented_member_is_repaired_below_the_cut() {
         // Found by the differential property tests: move a member (P3,
         // the student of P1) out from under its professor — through
-        // positions that stay *reachable* the whole time. Every
-        // delete's parent has a root path in the final state, so only
-        // the at-or-above-select-depth delete rule catches the loss.
+        // positions that stay *reachable* the whole time. The cut
+        // (P1, P3) makes P3 a candidate wherever it ended up, and
+        // repair evicts it: ROOT.student.student is no select path.
         let mut store = person_store();
         store.create(Object::empty_set("X", "student")).unwrap();
         let def = SimpleViewDef::new("VS", "ROOT", "professor.student")
@@ -1119,8 +1120,9 @@ mod tests {
         ];
         let v = check_equivalence(&def, &store, &updates).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
-        assert!(v.batch.swept, "the delete at select depth must sweep");
         assert!(v.members.is_empty());
+        assert_eq!(v.batch.deleted, vec![oid("P3")]);
+        assert!(!v.batch.swept, "a cut is repaired locally");
     }
 
     #[test]

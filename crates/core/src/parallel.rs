@@ -38,43 +38,37 @@
 //!
 //! A delta may be dropped for view `V` only when
 //! [`Maintainer::apply_consolidated`] would provably do nothing with
-//! it. Working through that routine's escalation rules:
+//! it. Working through that routine's rules:
 //!
-//! * **Deletes and re-attaching inserts are screened by ancestry or
-//!   member overlap** (when the partitioner can see the views, i.e.
-//!   via [`ParallelMaintainer::partition_for`] — the view-blind
-//!   [`ParallelMaintainer::partition`] broadcasts them). Such an edge
-//!   is kept for `V` iff `V.root` is an ancestor of the edge's parent
-//!   in the final state, **or** the final-state subtree under the
-//!   edge's child contains a current member of `V`. Soundness: the
-//!   only thing an unreachable-parent delete (or a non-matching
-//!   re-attaching insert) can do in `apply_consolidated` is escalate
-//!   to the member sweep / select-path re-check, and those passes only
-//!   ever *change* members whose derivability or witness the batch
-//!   disturbed. A disturbed member `y` sits, in the final state, under
-//!   the child of the *lowest* batch edge on its disturbed path
-//!   (edges below that one survived the batch), so `y` lands in that
-//!   edge's child-subtree and the edge survives the screen for `V`.
-//!   The subtree walk is capped and treats a dangling child OID (an
-//!   object the batch `Remove`d — its record is gone but surviving
-//!   children lists may still name it) as "unknown", falling back to
-//!   broadcast for that edge.
-//! * **Inserts of freshly created children are filtered.** A created
-//!   child cannot carry members (it did not exist before the batch),
-//!   so the insert matters to `V` iff the location test can pass —
-//!   which requires `V.root` to be an ancestor of the edge's parent in
-//!   the final state. If it is not, `apply_consolidated` would fall
-//!   into the non-matching insert arm and skip it *because the child
-//!   is created*: dropping the delta is behaviour-identical.
-//! * **Modifies are filtered the same way.** A modify matters iff
-//!   `path(V.root, oid) = sel_path.cond_path`, which again requires
-//!   ancestry; a non-ancestor modify is `continue`d with no side
-//!   effects. Content upkeep is unaffected because the `touched` set
-//!   is never filtered (a member's stored copy is refreshed whether or
-//!   not the membership-relevant deltas survived the partition).
+//! * **Inserts and modifies are screened by ancestry.** Either matters
+//!   only where the location test passes: an insert iff
+//!   `path(V.root, N1).label(N2)` prefixes `sel_path.cond_path`, a
+//!   modify iff `path(V.root, oid) = sel_path.cond_path`. Both need
+//!   `V.root` to be an ancestor of the anchor in the final state; a
+//!   delta that fails the test is `continue`d with no side effects, so
+//!   dropping it is behaviour-identical.
+//! * **Deletes are screened by ancestry or member overlap** (when the
+//!   partitioner can see the views, i.e. via
+//!   [`ParallelMaintainer::partition_for`] — the view-blind
+//!   [`ParallelMaintainer::partition`] broadcasts them). A delete is a
+//!   *cut*: besides the location test, `apply_consolidated` walks the
+//!   child's final subtree along `sel_path` suffixes and repairs the
+//!   members it finds there. So the delete is kept for `V` iff `V.root`
+//!   is an ancestor of the edge's parent in the final state, **or** the
+//!   final-state subtree under the edge's child contains a current
+//!   member of `V` (the walk's finds are a subset of that subtree). The
+//!   subtree walk is capped and treats a dangling child OID (an object
+//!   the batch `Remove`d — its record is gone but surviving children
+//!   lists may still name it) as "unknown", falling back to broadcast
+//!   for that edge: a cut whose child record is gone sweeps every
+//!   member.
+//! * Content upkeep is unaffected because the `touched` set is never
+//!   filtered (a member's stored copy is refreshed whether or not the
+//!   membership-relevant deltas survived the partition).
 //! * `created` / `removed` / `touched` / `input_ops` are copied
-//!   through unfiltered — `apply_consolidated` consults `created` to
-//!   decide the escalation above, and `touched` drives content upkeep.
+//!   through unfiltered — `apply_consolidated` sweeps every member
+//!   when the batch replaced a record (one in both `created` and
+//!   `removed`), and `touched` drives content upkeep.
 //!
 //! The worker fan-out is deterministic: each view's outcome depends
 //! only on its own (plan, delta, view) triple and the immutable base,
@@ -219,9 +213,9 @@ impl ParallelMaintainer {
     /// docs for the soundness argument). Returns one delta per
     /// definition, in view order.
     ///
-    /// This view-blind form broadcasts every delete and every
-    /// re-attaching insert; [`partition_for`](Self::partition_for)
-    /// additionally screens those by member overlap.
+    /// This view-blind form broadcasts every delete;
+    /// [`partition_for`](Self::partition_for) additionally screens
+    /// deletes by member overlap.
     pub fn partition(
         &self,
         store: &Store,
@@ -231,10 +225,9 @@ impl ParallelMaintainer {
     }
 
     /// [`partition`](Self::partition), with the current views visible:
-    /// deletes and re-attaching inserts are additionally dropped for
-    /// views whose member set is disjoint from the final-state subtree
-    /// under the edge's child (the escalation passes they would
-    /// trigger are provably no-ops there — module docs).
+    /// deletes are additionally dropped for views whose member set is
+    /// disjoint from the final-state subtree under the edge's child
+    /// (the cut's member walk finds nothing there — module docs).
     pub fn partition_for(
         &self,
         store: &Store,
@@ -251,7 +244,6 @@ impl ParallelMaintainer {
         views: Option<&[MaterializedView]>,
     ) -> (Vec<ConsolidatedDelta>, PartitionStats) {
         let mut stats = PartitionStats::default();
-        let created: FastSet<Oid> = delta.created.iter().copied().collect();
         // Memoized ancestor sets, keyed by the anchor object. One
         // upward search per distinct anchor serves every view.
         let mut closures: FastMap<Oid, FastSet<Oid>> = FastMap::default();
@@ -269,41 +261,36 @@ impl ParallelMaintainer {
             })
             .collect();
 
-        // Final-state subtrees under edge children, for the member
+        // Final-state subtrees under cut children, for the member
         // overlap screen. `None` = walk capped out or hit a dangling
-        // (removed) OID: treat the edge as relevant everywhere.
+        // (removed) OID: treat the cut as relevant everywhere.
         let mut subtrees: FastMap<Oid, Option<FastSet<Oid>>> = FastMap::default();
 
         for e in &delta.edges {
-            let created_insert = e.op == EdgeOp::Insert && created.contains(&e.child);
-            // Every edge kind is screened by ancestry of its parent; a
-            // non-created edge additionally stays relevant for views
-            // whose members intersect the child's final-state subtree.
+            // Every edge is screened by ancestry of its parent; a cut
+            // additionally stays relevant for views whose members
+            // intersect the child's final-state subtree.
             let anchors = closures
                 .entry(e.parent)
                 .or_insert_with(|| path::ancestor_set(store, e.parent));
-            let overlap: Option<&Option<FastSet<Oid>>> = if created_insert || views.is_none() {
-                None
-            } else {
-                Some(
-                    subtrees
+            let below = match (e.op, views) {
+                (EdgeOp::Delete, Some(_)) => Some(
+                    &*subtrees
                         .entry(e.child)
                         .or_insert_with(|| subtree_closure(store, e.child, SUBTREE_CAP)),
-                )
+                ),
+                _ => None,
             };
             for (v, plan) in self.plans.iter().enumerate() {
                 let relevant = anchors.contains(&plan.def().root)
-                    || match (created_insert, overlap, views) {
-                        // Created-child inserts: ancestry alone decides.
-                        (true, _, _) => false,
-                        // View-blind partitioning: broadcast.
-                        (false, None, _) => true,
-                        // Capped / dangling subtree: broadcast.
-                        (false, Some(None), _) => true,
-                        (false, Some(Some(sub)), Some(vs)) => {
+                    || match (e.op, below, views) {
+                        (EdgeOp::Insert, ..) => false,
+                        (EdgeOp::Delete, Some(Some(sub)), Some(vs)) => {
                             sub.iter().any(|o| vs[v].contains_base(*o))
                         }
-                        (false, Some(Some(_)), None) => true,
+                        // View-blind partitioning, or a capped /
+                        // dangling subtree: broadcast.
+                        (EdgeOp::Delete, ..) => true,
                     };
                 if relevant {
                     out[v].edges.push(e.clone());
@@ -661,19 +648,21 @@ mod tests {
     }
 
     #[test]
-    fn deletes_and_reattaching_inserts_are_broadcast() {
+    fn view_blind_partition_broadcasts_cuts_and_screens_inserts_by_ancestry() {
         let mut store = person_store();
         let mut batch = DeltaBatch::new();
-        // Re-attach P3 (pre-existing) and delete an edge: both must
-        // reach every view, including the P1-rooted one.
+        // Move P3 (pre-existing) from P1 to P2: the cut reaches every
+        // view, the insert only those rooted above P2 — the P1-rooted
+        // view receives the cut only.
         batch.push(store.apply(Update::delete("P1", "P3")).unwrap());
         batch.push(store.apply(Update::insert("P2", "P3")).unwrap());
         let pm = ParallelMaintainer::new(defs());
         let (deltas, stats) = pm.partition(&store, &batch.consolidate());
-        for d in &deltas {
-            assert_eq!(d.edges.len(), 2, "deletes/re-attaches are never screened");
-        }
-        assert_eq!(stats.screened_out, 0);
+        assert_eq!(deltas[0].edges.len(), 2);
+        assert_eq!(deltas[1].edges.len(), 2);
+        assert_eq!(deltas[2].edges.len(), 1, "P1-rooted view: {:?}", deltas[2].edges);
+        assert_eq!(deltas[2].edges[0].op, EdgeOp::Delete);
+        assert_eq!(stats.screened_out, 1);
     }
 
     #[test]

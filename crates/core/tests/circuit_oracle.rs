@@ -230,10 +230,10 @@ impl Shadow {
 ///   comes back.
 ///
 /// Every such run is one Algorithm 1 maintains: a record that changes
-/// is unreferenced and no view's root, or changes nothing, and a
-/// record created in the run is attached only while everything below
-/// it was born in the run too (the batched maintainer takes a created
-/// record for a fresh one, with no members to carry). With
+/// is unreferenced and no view's root, or changes nothing. A record
+/// created in the run may be attached with anything below it, members
+/// the run cut loose included: the batched maintainer repairs the
+/// members below every cut, wherever they end up. With
 /// `dangling`, removes and label changes also hit attached records and
 /// view roots, and a removed record named by a surviving parent can
 /// come back under that dangling reference — runs only the circuit and
@@ -245,8 +245,6 @@ fn realize_ops(raw: &[(u8, usize, usize, i64)], initial: &Store, dangling: bool)
     // such an insert after a `Remove` drops the list it went into, and
     // Algorithm 1 takes it at its word.
     let mut grown: HashSet<Oid> = HashSet::new();
-    // Records created in the run, and those of them it made up.
-    let (mut created, mut born): (HashSet<Oid>, HashSet<Oid>) = Default::default();
     let mut sh = Shadow::of(initial);
     let mut dead: Vec<Oid> = Vec::new();
     let mut out = Vec::new();
@@ -254,11 +252,7 @@ fn realize_ops(raw: &[(u8, usize, usize, i64)], initial: &Store, dangling: bool)
         match kind % 6 {
             0 => {
                 // Attach an orphan below a set outside its own subtree.
-                let orphans: Vec<Oid> = sh
-                    .orphans()
-                    .into_iter()
-                    .filter(|o| dangling || !created.contains(o) || sh.subtree(*o).is_subset(&born))
-                    .collect();
+                let orphans = sh.orphans();
                 if orphans.is_empty() {
                     continue;
                 }
@@ -344,7 +338,6 @@ fn realize_ops(raw: &[(u8, usize, usize, i64)], initial: &Store, dangling: bool)
                     atom = atom.map(|_| Atom::Int(v));
                 }
                 let object = record(target, label, atom, &children);
-                created.insert(target);
                 out.push(sh.remove(target));
                 out.push(sh.create(object));
             }
@@ -366,11 +359,9 @@ fn realize_ops(raw: &[(u8, usize, usize, i64)], initial: &Store, dangling: bool)
                         sh.fresh += 1;
                         let label = if a % 2 == 0 { "professor" } else { "student" };
                         let o = Oid::new(&format!("X{}", sh.fresh));
-                        born.insert(o);
                         (o, Label::new(label), None)
                     }
                 };
-                created.insert(target);
                 let children = if atom.is_some() {
                     Vec::new()
                 } else {
