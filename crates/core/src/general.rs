@@ -315,8 +315,10 @@ impl GeneralMaintainer {
 
     /// Materialize from scratch.
     pub fn recompute(&self, store: &Store) -> Result<MaterializedView> {
+        let members = self.evaluate(store)?;
         let mut mv = MaterializedView::new(self.def.view);
-        for y in self.evaluate(store)? {
+        mv.reserve(members.len());
+        for y in members {
             if let Some(obj) = store.get(y) {
                 let obj = obj.clone();
                 mv.v_insert(&obj)?;

@@ -68,6 +68,13 @@ impl MaterializedView {
         }
     }
 
+    /// Size the view store and the member map for `additional` more
+    /// members.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.store.reserve(additional);
+        self.base_to_delegate.reserve(additional);
+    }
+
     /// Enable recording of view deltas (drained via
     /// [`MaterializedView::drain_deltas`]).
     pub fn record_deltas(&mut self, on: bool) {

@@ -27,8 +27,10 @@ pub fn recompute_members(def: &SimpleViewDef, base: &mut dyn BaseAccess) -> Vec<
 
 /// Materialize the view from scratch.
 pub fn recompute(def: &SimpleViewDef, base: &mut dyn BaseAccess) -> Result<MaterializedView> {
+    let members = recompute_members(def, base);
     let mut mv = MaterializedView::new(def.view);
-    for y in recompute_members(def, base) {
+    mv.reserve(members.len());
+    for y in members {
         if let Some(obj) = base.fetch(y) {
             mv.v_insert(&obj)?;
         }

@@ -473,8 +473,16 @@ pub fn put_object(out: &mut Vec<u8>, obj: &Object) {
 
 /// Decode one object, re-interning its names.
 pub fn get_object(r: &mut Reader<'_>) -> Result<Object, CodecError> {
+    get_object_with(r, Label::new)
+}
+
+/// [`get_object`], with the label interned through `label`.
+fn get_object_with<'a>(
+    r: &mut Reader<'a>,
+    mut label: impl FnMut(&'a str) -> Label,
+) -> Result<Object, CodecError> {
     let oid = Oid::new(r.str()?);
-    let label = Label::new(r.str()?);
+    let label = label(r.str()?);
     let value = match r.byte()? {
         VALUE_ATOM => Value::Atom(get_atom(r)?),
         VALUE_SET => {
@@ -620,19 +628,34 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<Chunk, CodecError> {
     split_chunk(slots).ok_or_else(|| CodecError(format!("chunk of {n} slots, not {CHUNK_SLOTS}")))
 }
 
+/// Labels [`decode_page`] remembers per page.
+const LABEL_MEMO: usize = 8;
+
 /// Decode one slab page. Fails on trailing garbage — a chunk holds
 /// exactly one page.
-pub fn decode_page(bytes: &[u8]) -> Result<Vec<Option<Object>>, CodecError> {
+pub fn decode_page<'a>(bytes: &'a [u8]) -> Result<Vec<Option<Object>>, CodecError> {
     let mut r = Reader::new(bytes);
     let n = r.varint()? as usize;
     if n > 1 << 20 {
         return err(format!("implausible page slot count {n}"));
     }
+    // A page repeats a few labels: remember them before the interner.
+    let mut labels: Vec<(&str, Label)> = Vec::with_capacity(LABEL_MEMO);
+    let mut label = |name: &'a str| match labels.iter().find(|(n, _)| *n == name) {
+        Some(&(_, l)) => l,
+        None => {
+            let l = Label::new(name);
+            if labels.len() < LABEL_MEMO {
+                labels.push((name, l));
+            }
+            l
+        }
+    };
     let mut slots = Vec::with_capacity(n);
     for _ in 0..n {
         match r.byte()? {
             SLOT_FREE => slots.push(None),
-            SLOT_LIVE => slots.push(Some(get_object(&mut r)?)),
+            SLOT_LIVE => slots.push(Some(get_object_with(&mut r, &mut label)?)),
             t => return err(format!("unknown slot tag {t}")),
         }
     }
@@ -862,6 +885,15 @@ mod tests {
         ];
         let bytes = encode_page(&slots);
         assert_eq!(decode_page(&bytes).unwrap(), slots);
+        // More labels than the decoder remembers per page, each twice.
+        let labels = LABEL_MEMO + 4;
+        let many: Vec<Option<Object>> = (0..2 * labels)
+            .map(|i| {
+                let label = format!("l{}", i % labels);
+                Some(Object::atom(format!("M{i}").as_str(), label.as_str(), 1i64))
+            })
+            .collect();
+        assert_eq!(decode_page(&encode_page(&many)).unwrap(), many);
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //!
 //! Interned symbols are never freed; the set of distinct names in any
 //! realistic workload is bounded by the number of objects created.
+//!
+//! A lookup hashes the name with a per-process key, picks one of 64
+//! shards, and probes that shard's flat table, whose 16-byte entries
+//! hold the symbol and, for a name of at most 8 bytes, the name itself:
+//! a hit on a short name reads one cache line. Names are copied into
+//! leaked blocks, one after the other.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
@@ -75,24 +81,29 @@ impl ResolveTable {
         if chunk.is_null() {
             return None;
         }
-        // Safety: non-null chunk pointers are leaked boxes, never freed,
+        // SAFETY: non-null chunk pointers are leaked boxes, never freed,
         // and `idx < len` guarantees the slot was initialized before
         // `len` was published.
         Some(unsafe { (*chunk)[(idx as usize) % CHUNK] })
     }
 
-    /// Append under the writer mutex (callers hold `interner()`'s map
-    /// lock, so appends never race each other).
+    /// Append under the writer mutex (callers hold `interner()`'s
+    /// `append` lock, so appends never race each other).
     fn push(&self, s: &'static str) -> u64 {
         let idx = self.len.load(Ordering::Relaxed);
         let (ci, co) = ((idx as usize) / CHUNK, (idx as usize) % CHUNK);
         assert!(ci < CHUNKS, "interner capacity exhausted");
         let mut chunk = self.chunks[ci].load(Ordering::Acquire);
         if chunk.is_null() {
-            chunk = Box::into_raw(Box::new([""; CHUNK]));
+            // Built on the heap: a 64 KiB array built on the stack would
+            // make every `intern`, this one's caller, probe 16 stack
+            // pages on entry, hits included.
+            let slots: Box<[&'static str; CHUNK]> =
+                vec![""; CHUNK].into_boxed_slice().try_into().expect("CHUNK slots");
+            chunk = Box::into_raw(slots);
             self.chunks[ci].store(chunk, Ordering::Release);
         }
-        // Safety: single writer (map mutex held); readers can't see the
+        // SAFETY: single writer (`append` mutex held); readers can't see the
         // slot until `len` moves past it.
         unsafe { (*chunk)[co] = s };
         self.len.store(idx + 1, Ordering::Release);
@@ -100,16 +111,165 @@ impl ResolveTable {
     }
 }
 
-/// Shard count for the string→symbol map. Interning existing names is
-/// hot under parallel maintenance (every `Oid::new`); sharding keeps
+/// Shards of the string→symbol map. Interning existing names is hot
+/// under parallel maintenance (every `Oid::new`); sharding keeps
 /// threads working on different names off each other's locks.
-const SHARDS: usize = 64;
+const SHARD_BITS: u32 = 6;
+const SHARDS: usize = 1 << SHARD_BITS;
+
+/// Slots a shard's table starts with.
+const FIRST_SLOTS: usize = 16;
+
+/// An empty slot's symbol word: never a symbol, since the index stops
+/// far below 2^32.
+const VACANT: u64 = u64::MAX;
+
+/// A slot's name word for a name that is not kept inline: eight `0xFF`
+/// bytes, which are never UTF-8 and so never an inline name.
+const LONG: u64 = u64::MAX;
+
+/// One slot of a shard's table, 16 bytes: a hit reads this one cache
+/// line and nothing else.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The symbol's word, or [`VACANT`]. Its low 32 bits, the FNV-1a
+    /// hash, are the fingerprint a long name is checked against before
+    /// its bytes are.
+    sym: u64,
+    /// The name's bytes, zero-padded, when it is at most 8 bytes with
+    /// no NUL; [`LONG`] otherwise, and the name is compared through
+    /// [`resolve`].
+    name: u64,
+}
+
+const EMPTY: Entry = Entry {
+    sym: VACANT,
+    name: LONG,
+};
+
+/// A name as the tables look it up.
+struct Key<'a> {
+    s: &'a str,
+    /// [`Entry::name`] for `s`.
+    name: u64,
+    /// The fingerprint a [`LONG`] entry must carry to be `s`; unused
+    /// for an inline name, whose `name` word is the whole name.
+    fp: u32,
+}
+
+impl<'a> Key<'a> {
+    fn new(s: &'a str) -> Self {
+        let b = s.as_bytes();
+        if b.len() > 8 || b.contains(&0) {
+            return Key {
+                s,
+                name: LONG,
+                fp: (fnv1a(s) >> 32) as u32,
+            };
+        }
+        let mut w = [0u8; 8];
+        w[..b.len()].copy_from_slice(b);
+        Key {
+            s,
+            name: u64::from_le_bytes(w),
+            fp: 0,
+        }
+    }
+}
+
+/// One shard's string→symbol map: open addressing with linear probing
+/// over a power-of-two slot array, at most half full. Where a probe
+/// starts comes from the caller's keyed hash, never from the name's
+/// FNV-1a hash, whose collisions anyone can build.
+struct ProbeTable {
+    slots: Vec<Entry>,
+    len: usize,
+}
+
+impl ProbeTable {
+    fn new() -> Self {
+        ProbeTable {
+            slots: vec![EMPTY; FIRST_SLOTS],
+            len: 0,
+        }
+    }
+
+    fn find(&self, hash: u64, key: &Key<'_>) -> Option<Symbol> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let e = self.slots[i];
+            if e.sym == VACANT {
+                return None;
+            }
+            if e.name == key.name
+                && (key.name != LONG || (e.sym as u32 == key.fp && resolve(Symbol(e.sym)) == key.s))
+            {
+                return Some(Symbol(e.sym));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Place `e`, which is not in the table, probing from `hash`;
+    /// first doubles the slots, re-placing each entry at `rehash(e)`,
+    /// if one more entry would fill more than half of them.
+    fn insert(&mut self, hash: u64, e: Entry, rehash: impl Fn(Entry) -> u64) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let doubled = vec![EMPTY; self.slots.len() * 2];
+            let old = std::mem::replace(&mut self.slots, doubled);
+            for e in old.into_iter().filter(|e| e.sym != VACANT) {
+                self.place(rehash(e), e);
+            }
+        }
+        self.place(hash, e);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u64, e: Entry) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].sym != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = e;
+    }
+}
+
+/// Leaked blocks the names are copied into, one after the other.
+const ARENA_BLOCK: usize = 64 << 10;
+/// Longer names get an allocation of their own.
+const ARENA_MAX: usize = 1 << 10;
+
+/// Where interned names live: the unused tail of the current block.
+struct Arena {
+    free: &'static mut [u8],
+}
+
+impl Arena {
+    fn alloc(&mut self, s: &str) -> &'static str {
+        if s.len() > ARENA_MAX {
+            return Box::leak(s.into());
+        }
+        if self.free.len() < s.len() {
+            self.free = Box::leak(vec![0; ARENA_BLOCK].into_boxed_slice());
+        }
+        let (head, rest) = std::mem::take(&mut self.free).split_at_mut(s.len());
+        self.free = rest;
+        head.copy_from_slice(s.as_bytes());
+        let head: &'static [u8] = head;
+        std::str::from_utf8(head).expect("copied from a str")
+    }
+}
 
 struct Interner {
-    /// String→symbol, sharded by a string hash. Read-mostly.
-    shards: [RwLock<HashMap<&'static str, Symbol>>; SHARDS],
-    /// Serializes appends to the resolve table (miss path only).
-    append: Mutex<()>,
+    /// The per-process key of the probe hash.
+    keys: RandomState,
+    /// String→symbol, sharded by the probe hash's top bits. Read-mostly.
+    shards: [RwLock<ProbeTable>; SHARDS],
+    /// Serializes appends to the resolve table and the arena (miss
+    /// path only).
+    append: Mutex<Arena>,
     table: ResolveTable,
     /// Delegate symbol → its (view, base) pair.
     delegate_parts: RwLock<HashMap<Symbol, (Symbol, Symbol)>>,
@@ -118,11 +278,24 @@ struct Interner {
     delegate_pairs: RwLock<HashMap<(Symbol, Symbol), Symbol>>,
 }
 
+impl Interner {
+    /// The keyed hash a name's probe starts from: over the inline word
+    /// when there is one, else over the bytes.
+    fn probe_hash(&self, s: &str, name: u64) -> u64 {
+        if name == LONG {
+            self.keys.hash_one(s)
+        } else {
+            self.keys.hash_one(name)
+        }
+    }
+}
+
 fn interner() -> &'static Interner {
     static INTERNER: OnceLock<Interner> = OnceLock::new();
     INTERNER.get_or_init(|| Interner {
-        shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        append: Mutex::new(()),
+        keys: RandomState::new(),
+        shards: std::array::from_fn(|_| RwLock::new(ProbeTable::new())),
+        append: Mutex::new(Arena { free: &mut [] }),
         table: ResolveTable {
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; CHUNKS],
             len: AtomicU64::new(0),
@@ -132,9 +305,9 @@ fn interner() -> &'static Interner {
     })
 }
 
-/// FNV-1a over the bytes: its low bits pick the map shard, its high 32
-/// bits become the symbol's [`name_hash`](Symbol::name_hash). The maps
-/// use their own hasher.
+/// FNV-1a over the bytes: its high 32 bits become the symbol's
+/// [`name_hash`](Symbol::name_hash). The tables use their own keyed
+/// hash.
 fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in s.as_bytes() {
@@ -146,20 +319,28 @@ fn fnv1a(s: &str) -> u64 {
 /// Intern `s`, returning its symbol. Idempotent.
 pub fn intern(s: &str) -> Symbol {
     let it = interner();
-    let h = fnv1a(s);
-    let shard = &it.shards[(h as usize) % SHARDS];
-    if let Some(&sym) = shard.read().expect("interner poisoned").get(s) {
+    let key = Key::new(s);
+    let hash = it.probe_hash(s, key.name);
+    let shard = &it.shards[(hash >> (64 - SHARD_BITS)) as usize];
+    if let Some(sym) = shard.read().expect("interner poisoned").find(hash, &key) {
         return sym;
     }
     // Miss: serialize appends, re-check under the shard write lock.
-    let _append = it.append.lock().expect("interner poisoned");
+    let mut arena = it.append.lock().expect("interner poisoned");
     let mut g = shard.write().expect("interner poisoned");
-    if let Some(&sym) = g.get(s) {
+    if let Some(sym) = g.find(hash, &key) {
         return sym;
     }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let sym = Symbol((it.table.push(leaked) << 32) | (h >> 32));
-    g.insert(leaked, sym);
+    let sym = Symbol((it.table.push(arena.alloc(s)) << 32) | (fnv1a(s) >> 32));
+    let rehash = |e: Entry| it.probe_hash(resolve(Symbol(e.sym)), e.name);
+    g.insert(
+        hash,
+        Entry {
+            sym: sym.0,
+            name: key.name,
+        },
+        rehash,
+    );
     sym
 }
 
@@ -224,6 +405,7 @@ impl fmt::Display for Symbol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn intern_is_idempotent() {
@@ -264,5 +446,141 @@ mod tests {
     fn empty_string_interns() {
         let e = intern("");
         assert_eq!(resolve(e), "");
+    }
+
+    /// FNV-1a's high 32 bits, written out apart from the interner's.
+    fn fnv_high(s: &str) -> u32 {
+        let h = s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+        });
+        (h >> 32) as u32
+    }
+
+    /// Names around the inline edge: the empty name, NULs, 7, 8 and 9
+    /// bytes, multi-byte UTF-8 and names over 1 KiB.
+    fn name() -> impl Strategy<Value = String> {
+        let from = |alphabet: &'static [char], lens: std::ops::Range<usize>| {
+            prop::collection::vec(0..alphabet.len(), lens)
+                .prop_map(move |ix| ix.into_iter().map(|i| alphabet[i]).collect::<String>())
+        };
+        prop_oneof![
+            Just(String::new()),
+            from(&['\0', 'a'], 1..10),
+            from(&['a', 'b'], 7..10),
+            from(&['é', '中', '🦀', 'x'], 1..6),
+            from(&['a', 'b', '\0'], 1020..1100),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn names_round_trip_and_stay_distinct(names in prop::collection::vec(name(), 1..24)) {
+            let syms: Vec<Symbol> = names.iter().map(|s| intern(s)).collect();
+            for (s, &sym) in names.iter().zip(&syms) {
+                prop_assert_eq!(resolve(sym), s.as_str());
+                prop_assert_eq!(intern(s), sym);
+                prop_assert_eq!(sym.name_hash(), fnv_high(s));
+            }
+            for (a, &x) in names.iter().zip(&syms) {
+                for (b, &y) in names.iter().zip(&syms) {
+                    prop_assert_eq!(a == b, x == y);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn names_at_one_probe_hash_are_told_apart() {
+        for names in [
+            ["c1", "c2", "c3"],
+            ["collide-long-1", "collide-long-2", "collide-long-3"],
+        ] {
+            let mut t = ProbeTable::new();
+            let h = 5;
+            let no_growth = |_: Entry| unreachable!("two entries fit");
+            for s in &names[..2] {
+                let key = Key::new(s);
+                t.insert(
+                    h,
+                    Entry {
+                        sym: intern(s).0,
+                        name: key.name,
+                    },
+                    no_growth,
+                );
+            }
+            for s in &names[..2] {
+                assert_eq!(t.find(h, &Key::new(s)), Some(intern(s)));
+            }
+            assert_eq!(t.find(h, &Key::new(names[2])), None);
+        }
+        // A long name whose fingerprint matches another's is still told
+        // apart by its bytes.
+        let mut t = ProbeTable::new();
+        let a = intern("fingerprint-a");
+        t.insert(
+            7,
+            Entry {
+                sym: a.0,
+                name: LONG,
+            },
+            |_| unreachable!(),
+        );
+        let twin = Key {
+            s: "fingerprint-b",
+            name: LONG,
+            fp: a.name_hash(),
+        };
+        assert_eq!(t.find(7, &twin), None);
+        assert_eq!(t.find(7, &Key::new("fingerprint-a")), Some(a));
+    }
+
+    #[test]
+    fn growth_keeps_every_symbol() {
+        let names: Vec<String> = (0..100_000).map(|i| format!("grow{i}")).collect();
+        let syms: Vec<Symbol> = names.iter().map(|s| intern(s)).collect();
+        for (s, &sym) in names.iter().zip(&syms) {
+            assert_eq!(intern(s), sym);
+            assert_eq!(resolve(sym), s);
+        }
+    }
+
+    #[test]
+    fn threads_agree_on_every_symbol() {
+        let threads = 8;
+        let barrier = std::sync::Barrier::new(threads);
+        let per_thread: Vec<Vec<(String, Symbol)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        // Overlapping windows of one name list, walked in
+                        // opposite directions by odd and even threads.
+                        let mut names: Vec<String> = (t * 500..t * 500 + 2_000)
+                            .map(|i| format!("race{i}"))
+                            .collect();
+                        if t % 2 == 1 {
+                            names.reverse();
+                        }
+                        barrier.wait();
+                        names
+                            .into_iter()
+                            .map(|s| {
+                                let sym = intern(&s);
+                                (s, sym)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut seen: HashMap<String, Symbol> = HashMap::new();
+        for (s, sym) in per_thread.into_iter().flatten() {
+            assert_eq!(*seen.entry(s.clone()).or_insert(sym), sym, "{s}");
+            assert_eq!(resolve(sym), s);
+        }
+        let distinct: std::collections::HashSet<Symbol> = seen.values().copied().collect();
+        assert_eq!(distinct.len(), seen.len());
     }
 }

@@ -1315,22 +1315,18 @@ impl Store {
         }
         // Second pass: rebuild the indexes. Label entries home with
         // the object; parent entries home with the *child* (including
-        // dangling children, matching `Create`'s indexing).
+        // dangling children, matching `Create`'s indexing). A clone of
+        // the directory lends the objects while the shards are written.
         for i in 0..n {
-            for p in 0..shards[i].dir.pages.len() {
-                for k in 0..PAGE_SIZE {
-                    let (slot, label, children) = match &shards[i].dir.pages[p][k] {
-                        Some(obj) => (
-                            (((p * PAGE_SIZE + k) as u32) << shift) | i as u32,
-                            obj.label,
-                            obj.children().to_vec(),
-                        ),
-                        None => continue,
-                    };
+            let dir = Arc::clone(&shards[i].dir);
+            for (p, page) in dir.pages.iter().enumerate() {
+                for (k, obj) in page.iter().enumerate() {
+                    let Some(obj) = obj else { continue };
+                    let slot = (((p * PAGE_SIZE + k) as u32) << shift) | i as u32;
                     if let Some(idx) = shards[i].label_index.as_mut() {
-                        Arc::make_mut(idx).entry(label).or_default().insert(slot);
+                        Arc::make_mut(idx).entry(obj.label).or_default().insert(slot);
                     }
-                    for c in children {
+                    for &c in obj.children() {
                         shards[shard_for(c, shift)]
                             .parent_index
                             .or_default(c)
