@@ -14,18 +14,19 @@
 //!   condition: Algorithm 1's home turf, local repair), `multi`
 //!   (three-branch union: Algorithm 1 repairs each branch separately,
 //!   the circuit shares one arrangement), `wildcard` (`*.student`:
-//!   Algorithm 1 locates by automaton state set and repairs locally;
-//!   the circuit keeps edge-pair product state), and `aggregate`
-//!   (per-member `Avg`: the non-circuit route re-aggregates touched
-//!   members one update at a time).
+//!   Algorithm 1 alone, locating by automaton state set and repairing
+//!   locally, checked against recomputation — circuits take constant
+//!   paths only), and `aggregate` (per-member `Avg`: the non-circuit
+//!   route re-aggregates touched members one update at a time).
 //! * **store size** — 10k → 1M objects in full mode; the circuit's
 //!   flat-`|Δ|` profile only shows once base size dwarfs the batch.
 //!
 //! Membership/outcome counts are exactly deterministic (fixed seeded
 //! workload); the smoke test (`tests/e18_smoke.rs`) pins them against
 //! `baselines/e18_quick.json` and asserts backend parity — both
-//! backends must land on identical members before either wall time
-//! means anything. Wall times are machine-dependent and NOT gated.
+//! backends (for `wildcard`, Algorithm 1 and recomputation) must land
+//! on identical members before either wall time means anything. Wall
+//! times are machine-dependent and NOT gated.
 
 use crate::table::{fnum, Table};
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
@@ -166,8 +167,10 @@ fn sorted(mut v: Vec<Oid>) -> Vec<Oid> {
     v
 }
 
-/// One (shape × both backends) measurement. Returns the two rows plus
-/// the two backends' final member sets (asserted equal by callers).
+/// One shape's measurement. Returns the Algorithm 1 row, the circuit
+/// row (none for `wildcard`: circuits take constant paths only) and
+/// two final member sets callers assert equal — Algorithm 1's and the
+/// circuit's, or for `wildcard` recomputation's.
 fn measure_shape(
     shape: &'static str,
     objects: usize,
@@ -176,7 +179,7 @@ fn measure_shape(
     store: &Store,
     batch: &DeltaBatch,
     updates: &[Update],
-) -> (BackendRow, BackendRow, Vec<Oid>, Vec<Oid>) {
+) -> (BackendRow, Option<BackendRow>, Vec<Oid>, Vec<Oid>) {
     let row = |backend, delta_ops, changed, millis| BackendRow {
         shape,
         backend,
@@ -206,7 +209,7 @@ fn measure_shape(
             assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
                 row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
-                row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c),
+                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
                 sorted(mv_a.members_base()),
                 sorted(mv_c.members_base()),
             )
@@ -231,7 +234,7 @@ fn measure_shape(
             assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
                 row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
-                row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c),
+                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
                 sorted(mv_a.members_base()),
                 sorted(mv_c.members_base()),
             )
@@ -243,22 +246,11 @@ fn measure_shape(
             let t0 = Instant::now();
             let out_a = alg.apply_batch(&mut mv_a, store, batch).unwrap();
             let ms_a = t0.elapsed().as_secs_f64() * 1e3;
-
-            // The planner routes wildcard shapes to Algorithm 1 (this
-            // experiment is why); build the circuit directly so the
-            // head-to-head keeps measuring both sides.
-            let circuit = CircuitMaintainer::new(CircuitSource::General(def));
-            let mut mv_c = MaterializedView::new("W18");
-            circuit.initialize(&mut mv_c, initial).unwrap();
-            let t0 = Instant::now();
-            let out_c = circuit.apply_batch(&mut mv_c, store, batch).unwrap();
-            let ms_c = t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
                 row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
-                row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c),
+                None,
                 sorted(mv_a.members_base()),
-                sorted(mv_c.members_base()),
+                sorted(alg.recompute(store).unwrap().members_base()),
             )
         }
         "aggregate" => {
@@ -300,7 +292,7 @@ fn measure_shape(
             }
             (
                 row("algorithm1", batch.len(), 0, ms_a),
-                row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c),
+                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
                 a_members,
                 c_members,
             )
@@ -310,7 +302,8 @@ fn measure_shape(
 }
 
 /// All four shapes at one size × selectivity, with backend parity
-/// asserted. Returns eight rows (shape-major, algorithm1 first).
+/// asserted. Returns seven rows (shape-major, algorithm1 first; no
+/// circuit row for `wildcard`).
 fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
     let n_prof = (objects / OBJS_PER_PROF).max(1);
     let initial = build_store(n_prof);
@@ -322,7 +315,7 @@ fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
             measure_shape(shape, objects, sel, &initial, &store, &batch, &updates);
         assert_eq!(m_a, m_c, "{shape}: backends diverged on membership");
         rows.push(a);
-        rows.push(c);
+        rows.extend(c);
     }
     rows
 }
@@ -333,38 +326,45 @@ fn measure(objects: usize, sel: f64) -> Vec<BackendRow> {
 /// its own).
 fn circuit_state(source: CircuitSource, initial: &Store, store: &Store, batch: &DeltaBatch) -> u64 {
     let mut circuit = Circuit::compile(source.lower());
-    circuit.init(initial).unwrap();
-    circuit.step(batch, store).unwrap();
+    circuit.init(initial);
+    circuit.step(batch, store);
     circuit.state_len() as u64
 }
+
+/// A shape's quick facts: name, membership changes, and its circuit's
+/// live state entries (none for a shape without a circuit).
+type ShapeFacts = (&'static str, u64, Option<u64>);
 
 /// Deterministic quick-mode facts, pinned by the checked-in baseline
 /// (`baselines/e18_quick.json`): at the smallest quick size and 1%
 /// selectivity — the consolidated batch size, and per shape the
 /// membership changes (identical across backends; the parity assert
-/// lives inside [`measure`]) and the circuit's live state entries
-/// after the batch.
-pub fn quick_facts() -> (u64, Vec<(&'static str, u64, u64)>) {
+/// lives inside [`measure`]) and, for a shape with a circuit, the
+/// circuit's live state entries after the batch.
+pub fn quick_facts() -> (u64, Vec<ShapeFacts>) {
     let objects = QUICK_SIZES[0];
     let rows = measure(objects, 0.01);
     let n_prof = (objects / OBJS_PER_PROF).max(1);
     let initial = build_store(n_prof);
     let (store, batch) = drive(&initial, &gen_updates(n_prof, 0.01));
     let sources = [
-        ("single", CircuitSource::Simple(single_def())),
-        ("multi", CircuitSource::Compound(multi_def())),
-        ("wildcard", CircuitSource::General(wildcard_def())),
-        ("aggregate", CircuitSource::Aggregate(aggregate_def())),
+        ("single", Some(CircuitSource::Simple(single_def()))),
+        ("multi", Some(CircuitSource::Compound(multi_def()))),
+        ("wildcard", None),
+        ("aggregate", Some(CircuitSource::Aggregate(aggregate_def()))),
     ];
     let shapes = sources
         .into_iter()
         .map(|(shape, source)| {
+            // The last row of a shape: its circuit's, or for
+            // `wildcard` Algorithm 1's (equal by the parity asserts).
             let changed = rows
                 .iter()
-                .find(|r| r.shape == shape && r.backend == "circuit")
+                .rfind(|r| r.shape == shape)
                 .map(|r| r.changed as u64)
                 .unwrap();
-            (shape, changed, circuit_state(source, &initial, &store, &batch))
+            let state = source.map(|source| circuit_state(source, &initial, &store, &batch));
+            (shape, changed, state)
         })
         .collect();
     let delta_ops = rows
@@ -421,7 +421,7 @@ mod tests {
     fn backends_agree_on_every_shape() {
         // The parity asserts inside `measure` are the test.
         let rows = measure(3_000, 0.10);
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 7);
         assert!(rows.iter().any(|r| r.changed > 0), "workload must churn");
     }
 

@@ -5,8 +5,9 @@
 //! after the batch are exact — fixed strided workload — so any drift
 //! is a change in the workload, a backend's membership semantics, the
 //! circuit's state, or the planner's lowering, not noise. Backend *parity*
-//! (circuit members == Algorithm 1 members on every shape, circuit
-//! stepped rather than rebuilt) is asserted inside
+//! (circuit members == Algorithm 1 members on every circuit shape,
+//! circuit stepped rather than rebuilt; Algorithm 1 == recomputation
+//! on `wildcard`, which has no circuit) is asserted inside
 //! `e18::quick_facts` itself. Wall times are deliberately NOT checked
 //! here (machine-dependent); EXPERIMENTS.md records them.
 
@@ -17,11 +18,11 @@ use common::Baseline;
 
 const BASELINE: &str = include_str!("../baselines/e18_quick.json");
 
-/// Regression pin for the E18 routing fix: the planner must route
-/// wildcard selection shapes to Algorithm 1 — the circuit's
-/// product-state lost to scoped recomputation at every measured size.
-/// The expected backend lives in the baseline file so flipping the
-/// routing rule back requires touching the checked-in baseline too.
+/// Regression pin for the routing rule: the planner must route
+/// wildcard selection shapes to Algorithm 1 — circuits take constant
+/// paths only. The expected backend lives in the baseline file so
+/// flipping the routing rule back requires touching the checked-in
+/// baseline too.
 #[test]
 fn wildcard_routing_decision_is_pinned() {
     let baseline = Baseline::parse(BASELINE);
@@ -33,8 +34,8 @@ fn wildcard_routing_decision_is_pinned() {
         "wildcard routing decision drifted from baseline"
     );
     assert!(
-        why.contains("E18"),
-        "routing reason must cite the measurement that justifies it: {why}"
+        why.contains("constant paths"),
+        "routing reason must say circuits take constant paths: {why}"
     );
 }
 
@@ -55,10 +56,12 @@ fn backend_facts_do_not_drift() {
         );
         // The circuit's live entries after the batch: a layout change
         // to the flows' state must keep exactly the same entries.
-        assert_eq!(
-            state,
-            baseline.int(&format!("{shape}_state")),
-            "{shape}: circuit state entries drifted from baseline"
-        );
+        if let Some(state) = state {
+            assert_eq!(
+                state,
+                baseline.int(&format!("{shape}_state")),
+                "{shape}: circuit state entries drifted from baseline"
+            );
+        }
     }
 }

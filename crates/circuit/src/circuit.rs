@@ -1,8 +1,10 @@
 //! Compiling view definitions into delta circuits and stepping them.
 //!
 //! A [`CircuitDef`] is the backend-neutral IR a view definition lowers
-//! to: one [`BranchDef`] per selection branch (root × path expression
-//! × optional condition) plus an optional [`AggDef`]. [`Circuit`]
+//! to: one [`BranchDef`] per selection branch (root × constant path ×
+//! optional condition) plus an optional [`AggDef`]. Every path in the
+//! IR is a [`Path`], so a propagation ends on any base (see
+//! [`operator`](crate::operator)) and a step cannot fail. [`Circuit`]
 //! compiles the IR into a dataflow of flow operators that read the
 //! store itself, at two versions: the fork it last stepped to and the
 //! post-batch store. The batch derives the live change between them
@@ -23,18 +25,17 @@
 //! rebuild reaches. That is the invariant the four-way differential
 //! oracle in core pins down.
 
-use crate::operator::{BackwardFlow, Diverged, ForwardFlow};
+use crate::operator::{BackwardFlow, ForwardFlow};
 use crate::zset::{DistinctOp, ZSet};
-use crate::CircuitError;
-use gsdb::{DeltaBatch, FastMap, FastSet, LiveDelta, Oid, Store};
-use gsview_query::{PathExpr, Pred};
+use gsdb::{DeltaBatch, FastMap, FastSet, LiveDelta, Oid, Path, Store};
+use gsview_query::Pred;
 
-/// An existential condition on view members: some instance of `expr`
+/// An existential condition on view members: some instance of `path`
 /// from the member must end in an atom satisfying `pred`.
 #[derive(Clone, Debug)]
 pub struct CondDef {
-    /// Path expression below the member.
-    pub expr: PathExpr,
+    /// Path below the member.
+    pub path: Path,
     /// Predicate on the terminal atom.
     pub pred: Pred,
 }
@@ -45,8 +46,8 @@ pub struct CondDef {
 pub struct BranchDef {
     /// Branch root object.
     pub root: Oid,
-    /// Selection path expression.
-    pub sel: PathExpr,
+    /// Selection path.
+    pub sel: Path,
     /// Optional membership condition.
     pub cond: Option<CondDef>,
 }
@@ -103,7 +104,7 @@ impl AggFn {
 #[derive(Clone, Debug)]
 pub struct AggDef {
     /// Path from a member to the aggregated atoms.
-    pub path: PathExpr,
+    pub path: Path,
     /// The aggregate function.
     pub f: AggFn,
 }
@@ -188,16 +189,12 @@ fn link(map: &mut FastMap<Oid, FastSet<Oid>>, k: Oid, v: Oid, on: bool) {
 /// store snapshot → [`Circuit::step`] per batch. The circuit keeps a
 /// [`Store::fork`] of the store it last reached — O(pages) pointers
 /// shared copy-on-write, no private copy of the graph — and reads it
-/// as the pre-batch side of the next step. After
-/// any error the internal state is partial and the circuit must be
-/// re-compiled and re-initialized (the maintainer layer treats every
-/// error as "rebuild from the current store", which is always
-/// correct).
+/// as the pre-batch side of the next step.
 #[derive(Clone, Debug)]
 pub struct Circuit {
     def: CircuitDef,
     /// The store the counts describe; `None` until the first `init`,
-    /// and after a failed step.
+    /// and while a step runs.
     base: Option<Store>,
     branches: Vec<BranchState>,
     view: DistinctOp<Oid>,
@@ -220,7 +217,7 @@ impl Circuit {
                 witness: b
                     .cond
                     .as_ref()
-                    .map(|c| BackwardFlow::new(&c.expr, c.pred.clone())),
+                    .map(|c| BackwardFlow::new(&c.path, c.pred.clone())),
             })
             .collect();
         let agg = def.aggregate.as_ref().map(|a| AggState {
@@ -242,7 +239,7 @@ impl Circuit {
     /// Load a store snapshot into a freshly compiled circuit. Shares
     /// the propagation with [`Circuit::step`]: the whole store is one
     /// "everything created" batch.
-    pub fn init(&mut self, store: &Store) -> Result<StepOutput, CircuitError> {
+    pub fn init(&mut self, store: &Store) -> StepOutput {
         *self = Circuit::compile(self.def.clone());
         self.run(&LiveDelta::load(store), store, true)
     }
@@ -252,7 +249,7 @@ impl Circuit {
     /// the live change once for every circuit stepped from the same
     /// version to the same store. Cost is proportional to the product
     /// states the delta actually touches, not to view or store size.
-    pub fn step(&mut self, batch: &DeltaBatch, store: &Store) -> Result<StepOutput, CircuitError> {
+    pub fn step(&mut self, batch: &DeltaBatch, store: &Store) -> StepOutput {
         let base = self.base.take().unwrap_or_default();
         let events = batch.live(&base, store);
         // Only the derivation reads the old side, and the batch keeps
@@ -263,7 +260,7 @@ impl Circuit {
     }
 
     /// Version of the store the circuit last reached; `None` before
-    /// the first `init` and after a failed step.
+    /// the first `init` and after a step that did not finish.
     pub fn version(&self) -> Option<u64> {
         self.base.as_ref().map(Store::version)
     }
@@ -298,12 +295,7 @@ impl Circuit {
         agg.f.compute(&all)
     }
 
-    fn run(
-        &mut self,
-        events: &LiveDelta,
-        store: &Store,
-        inject_roots: bool,
-    ) -> Result<StepOutput, CircuitError> {
+    fn run(&mut self, events: &LiveDelta, store: &Store, inject_roots: bool) -> StepOutput {
         let _span = gsview_obs::span!(
             "maint.circuit.step",
             "input" = events.weight(),
@@ -349,15 +341,6 @@ impl Circuit {
             }
         }
 
-        // Propagation budget: generous for legitimate deep fan-out
-        // (scales with store size, about one edge per record), but
-        // finite — a cyclic base under a `*` expression has infinitely
-        // many paths, and the budget converts that into `Diverged`
-        // instead of a hang.
-        let seed_entries = pending.iter().map(|(s, w)| s.len() + w.len()).sum::<usize>()
-            + agg_pending.len();
-        let mut budget = 10_000 + 256 * seed_entries as u64 + 128 * store.len() as u64;
-
         // Stage 2: propagate selection and witness flows to their
         // fixpoints, collecting membership candidates.
         let mut dirty_members: FastSet<Oid> = FastSet::default();
@@ -367,24 +350,10 @@ impl Circuit {
             let mut sel_dirty: FastSet<((), Oid)> = FastSet::default();
             branch
                 .sel
-                .propagate(
-                    store,
-                    sp,
-                    &mut budget,
-                    &mut stats.sel_pops,
-                    &mut sel_dirty,
-                )
-                .map_err(|Diverged| CircuitError::Diverged)?;
+                .propagate(store, sp, &mut stats.sel_pops, &mut sel_dirty);
             dirty_members.extend(sel_dirty.into_iter().map(|(_, y)| y));
             if let Some(w) = branch.witness.as_mut() {
-                w.propagate(
-                    store,
-                    wp,
-                    &mut budget,
-                    &mut stats.witness_pops,
-                    &mut dirty_members,
-                )
-                .map_err(|Diverged| CircuitError::Diverged)?;
+                w.propagate(store, wp, &mut stats.witness_pops, &mut dirty_members);
             }
         }
 
@@ -414,15 +383,12 @@ impl Circuit {
                 agg.flow.seed(&mut agg_pending, y, y, d);
             }
             let mut dirty_pairs: FastSet<(Oid, Oid)> = FastSet::default();
-            agg.flow
-                .propagate(
-                    store,
-                    std::mem::take(&mut agg_pending),
-                    &mut budget,
-                    &mut stats.agg_pops,
-                    &mut dirty_pairs,
-                )
-                .map_err(|Diverged| CircuitError::Diverged)?;
+            agg.flow.propagate(
+                store,
+                std::mem::take(&mut agg_pending),
+                &mut stats.agg_pops,
+                &mut dirty_pairs,
+            );
             let AggState {
                 flow,
                 endpoints,
@@ -490,7 +456,7 @@ impl Circuit {
                 out.deleted.push(y);
             }
         }
-        Ok(out)
+        out
     }
 
     /// Total live operator-state entries across all flows.

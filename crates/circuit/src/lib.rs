@@ -1,8 +1,8 @@
 //! gsview-circuit — DBSP-style delta circuits for view maintenance.
 //!
 //! The paper's Algorithm 1 repairs a view per update by locating and
-//! patching affected members, which goes superlinear for multi-path,
-//! wildcard, and aggregate views under churn. This crate is the
+//! patching affected members, which goes superlinear for multi-path
+//! and aggregate views under churn. This crate is the
 //! alternative backend: view definitions compile into *delta
 //! circuits* — dataflows of composable incremental operators (edge
 //! expansion, condition semijoin, distinct, weighted aggregate) over
@@ -22,8 +22,14 @@
 //! [`CircuitDef`]s and routes consolidated delta batches here when
 //! the planner picks the circuit backend).
 //!
+//! Circuits take constant paths only: every path in a [`CircuitDef`]
+//! is a [`gsdb::Path`]. A constant path's automaton is a chain, so the
+//! product of any base — DAG, cyclic, self-looped — with it is acyclic,
+//! every derivation count is finite, and [`Circuit::init`] and
+//! [`Circuit::step`] cannot fail. Wildcard views stay on Algorithm 1.
+//!
 //! * [`zset`] — weighted collections and the distinct clamp.
-//! * [`operator`] — forward/backward weighted NFA flows.
+//! * [`operator`] — forward/backward weighted path flows.
 //! * [`circuit`] — the compiled dataflow and its step function.
 
 #![warn(missing_docs)]
@@ -36,27 +42,3 @@ pub use circuit::{
     AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats,
 };
 pub use zset::{distinct_delta, DistinctOp, ZSet};
-
-/// Errors a circuit step can report. Any error leaves the circuit's
-/// internal state partial; the caller must re-compile and
-/// re-initialize against the current store (which is always a correct
-/// fallback — it is exactly recomputation).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CircuitError {
-    /// Delta propagation exceeded its budget — the base graph has a
-    /// cycle under a `*` expression (infinitely many path
-    /// derivations), or pathological fan-out.
-    Diverged,
-}
-
-impl std::fmt::Display for CircuitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CircuitError::Diverged => {
-                write!(f, "delta propagation diverged (cyclic base under a wildcard?)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CircuitError {}

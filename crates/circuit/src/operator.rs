@@ -1,10 +1,10 @@
 //! The incremental operators circuits are assembled from.
 //!
 //! Both flow operators maintain *derivation counts* over the product
-//! of the live graph and a path expression's automaton (the one
-//! [`PathExpr::nfa`] compiles: a flow steps it a state at a time,
-//! forward or backward, off its table), updated by Z-set delta
-//! propagation:
+//! of the live graph and a constant path's automaton (the one
+//! [`PathExpr::nfa`] compiles for [`PathExpr::from_path`]: a flow steps
+//! it a state at a time, forward or backward, off its table), updated
+//! by Z-set delta propagation:
 //!
 //! * [`ForwardFlow`] — flat-map edge expansion from a set of source
 //!   objects: `C[(src, n, s)]` counts the label-path derivations from
@@ -25,19 +25,17 @@
 //! the product states actually touched — O(|Δ|), not O(view). A flow
 //! keeps one row of live `(source, state, count)` entries per node.
 //!
-//! Cyclic bases make path counts infinite; propagation is therefore
-//! budgeted and reports [`Diverged`](crate::CircuitError::Diverged)
-//! instead of spinning, and the caller falls back to recomputation.
+//! Flows take constant paths only. The automaton of a path of `k`
+//! labels is the chain `0 → 1 → … → k`, so every product edge advances
+//! the path position: the product is acyclic on any base, cycles and
+//! self-loops included, every count is finite, and a propagation ends
+//! within `k + 1` rounds.
 
 use crate::zset::ZSet;
-use gsdb::{Atom, FastMap, FastSet, Label, Oid, Store};
+use gsdb::{Atom, FastMap, FastSet, Label, Oid, Path, Store};
 use gsview_query::{Nfa, PathExpr, Pred};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
-
-/// Marker for "propagation exceeded its budget".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Diverged;
 
 /// The states of a mask, lowest first.
 fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
@@ -118,32 +116,26 @@ impl<K: Copy + Eq> Rows<K> {
 }
 
 /// Drain `pending` in rounds: `apply` takes each entry of a round and
-/// adds what it derives to the next, one unit of `budget` and one of
-/// `pops` per entry.
+/// adds what it derives to the next, one unit of `pops` per entry. A
+/// round moves every entry one path position on, so the rounds run out.
 fn drain<K: Eq + Hash + Copy>(
     mut pending: ZSet<K>,
-    budget: &mut u64,
     pops: &mut u64,
     mut apply: impl FnMut(K, i64, &mut ZSet<K>),
-) -> Result<(), Diverged> {
+) {
     while !pending.is_empty() {
         for (key, delta) in std::mem::take(&mut pending).iter() {
-            if *budget == 0 {
-                return Err(Diverged);
-            }
-            *budget -= 1;
             *pops += 1;
             apply(key, delta, &mut pending);
         }
     }
-    Ok(())
 }
 
 // ----------------------------------------------------------------------
 // Forward flow
 // ----------------------------------------------------------------------
 
-/// Forward weighted NFA reachability from per-source injection points.
+/// Forward weighted path reachability from per-source injection points.
 ///
 /// The source type `S` is `()` for a view branch (one flow from the
 /// branch root) and the member OID for aggregate value collection
@@ -155,10 +147,10 @@ pub struct ForwardFlow<S: Eq + Hash + Copy> {
 }
 
 impl<S: Eq + Hash + Copy> ForwardFlow<S> {
-    /// A flow for `expr` with no state.
-    pub fn new(expr: &PathExpr) -> Self {
+    /// A flow for `path` with no state.
+    pub fn new(path: &Path) -> Self {
         ForwardFlow {
-            nfa: expr.nfa(),
+            nfa: PathExpr::from_path(path).nfa(),
             rows: Rows::default(),
         }
     }
@@ -191,18 +183,15 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
 
     /// Drain `pending` to a fixpoint through the live edges of the
     /// post-batch `store`, adding every `(src, node)` whose accepting
-    /// support changed to `dirty`. Each processed entry costs one unit
-    /// of `budget`; at zero it fails with [`Diverged`] and the counts
-    /// are partial — the circuit must be rebuilt.
+    /// support changed to `dirty`.
     pub fn propagate(
         &mut self,
         store: &Store,
         pending: ZSet<(S, Oid, u32)>,
-        budget: &mut u64,
         pops: &mut u64,
         dirty: &mut FastSet<(S, Oid)>,
-    ) -> Result<(), Diverged> {
-        drain(pending, budget, pops, |(src, node, s), delta, next| {
+    ) {
+        drain(pending, pops, |(src, node, s), delta, next| {
             self.rows.bump(node, (src, s), delta);
             if s == self.nfa.accept_state() {
                 dirty.insert((src, node));
@@ -236,14 +225,14 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
 // ----------------------------------------------------------------------
 
 /// Backward witness counting for an existential condition
-/// `cond(X.expr) pred`: `D[(n, s)]` counts derivations of an
+/// `cond(X.path) pred`: `D[(n, s)]` counts derivations of an
 /// accepting, predicate-satisfying suffix from state `s` at `n`.
 ///
 /// `D[n][accept] = [atom(n) satisfies pred]`, and every other state
 /// sums over live child edges; deltas propagate **upward** through
 /// the parent index with the automaton stepped backwards. The
 /// start-state entries are the witness: `witness(n) > 0` iff some
-/// instance of `expr` from `n` ends in a satisfying atom.
+/// instance of `path` from `n` ends in a satisfying atom.
 #[derive(Clone, Debug)]
 pub struct BackwardFlow {
     nfa: Nfa,
@@ -252,10 +241,10 @@ pub struct BackwardFlow {
 }
 
 impl BackwardFlow {
-    /// A witness flow for `expr` filtered by `pred`, with no state.
-    pub fn new(expr: &PathExpr, pred: Pred) -> Self {
+    /// A witness flow for `path` filtered by `pred`, with no state.
+    pub fn new(path: &Path, pred: Pred) -> Self {
         BackwardFlow {
-            nfa: expr.nfa(),
+            nfa: PathExpr::from_path(path).nfa(),
             pred,
             rows: Rows::default(),
         }
@@ -315,11 +304,10 @@ impl BackwardFlow {
         &mut self,
         store: &Store,
         pending: ZSet<(Oid, u32)>,
-        budget: &mut u64,
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
-    ) -> Result<(), Diverged> {
-        drain(pending, budget, pops, |(node, s), delta, next| {
+    ) {
+        drain(pending, pops, |(node, s), delta, next| {
             self.rows.bump(node, s, delta);
             if self.nfa.start_mask() >> s & 1 != 0 {
                 dirty.insert(node);
@@ -339,7 +327,7 @@ impl BackwardFlow {
     }
 
     /// Witness support of `node` (positive iff a satisfying instance
-    /// of the condition expression exists below it): the sum of its
+    /// of the condition path exists below it): the sum of its
     /// start-state counts.
     pub fn witness(&self, node: Oid) -> i64 {
         let start = self.nfa.start_mask();
@@ -371,69 +359,63 @@ mod tests {
         s
     }
 
-    fn run_forward(expr: &str, store: &Store, root: &str) -> ForwardFlow<()> {
-        let e = PathExpr::parse(expr).unwrap();
-        let mut f = ForwardFlow::new(&e);
+    fn run_forward(path: &str, store: &Store, root: &str) -> (ForwardFlow<()>, u64) {
+        let mut f = ForwardFlow::new(&Path::parse(path));
         let mut pending = ZSet::new();
         f.seed(&mut pending, (), oid(root), 1);
-        let (mut b, mut p) = (1_000_000, 0);
+        let mut pops = 0;
         let mut dirty = FastSet::default();
-        f.propagate(store, pending, &mut b, &mut p, &mut dirty).unwrap();
-        f
+        f.propagate(store, pending, &mut pops, &mut dirty);
+        (f, pops)
     }
 
     #[test]
     fn forward_counts_reach_accepting_members() {
         let s = store3();
-        let f = run_forward("professor", &s, "ROOT");
+        let (f, _) = run_forward("professor", &s, "ROOT");
         assert_eq!(f.support((), oid("P1")), 1);
         assert_eq!(f.support((), oid("A1")), 0);
         assert_eq!(f.support((), oid("ROOT")), 0);
     }
 
     #[test]
-    fn wildcard_accepts_root_and_descendants() {
+    fn the_empty_path_accepts_the_root_alone() {
         let s = store3();
-        let f = run_forward("*", &s, "ROOT");
+        let (f, pops) = run_forward("", &s, "ROOT");
         assert_eq!(f.support((), oid("ROOT")), 1);
-        assert_eq!(f.support((), oid("P1")), 1);
-        assert_eq!(f.support((), oid("A1")), 1);
+        assert_eq!(f.support((), oid("P1")), 0);
+        assert_eq!(pops, 1);
     }
 
     #[test]
     fn backward_witness_finds_satisfying_atom() {
         let s = store3();
-        let e = PathExpr::parse("age").unwrap();
-        let mut w = BackwardFlow::new(&e, Pred::new(CmpOp::Gt, 40i64));
+        let mut w = BackwardFlow::new(&Path::parse("age"), Pred::new(CmpOp::Gt, 40i64));
         let mut pending = ZSet::new();
         for o in s.iter() {
             w.base_event(&mut pending, o.oid, o.label, None, o.atom_value());
         }
-        let (mut b, mut p) = (1_000_000, 0);
         let mut dirty = FastSet::default();
-        w.propagate(&s, pending, &mut b, &mut p, &mut dirty).unwrap();
+        w.propagate(&s, pending, &mut 0, &mut dirty);
         assert!(w.witness(oid("P1")) > 0, "P1 has an age witness > 40");
         assert_eq!(w.witness(oid("ROOT")), 0);
     }
 
     #[test]
-    fn budget_exhaustion_reports_divergence() {
-        // A self-cycle under a `*` expression has infinitely many
-        // paths; the budget must trip instead of spinning.
+    fn propagation_ends_on_a_self_loop() {
+        // `ROOT -c-> C` and `C -c-> C`: the loop would feed a closure
+        // forever, but a constant path moves one position per round.
         let mut s = Store::new();
         s.create(Object::set("ROOT", "root", &[])).unwrap();
         s.create(Object::set("C", "c", &[])).unwrap();
         s.insert_edge(oid("ROOT"), oid("C")).unwrap();
         s.insert_edge(oid("C"), oid("C")).unwrap();
-        let e = PathExpr::parse("*").unwrap();
-        let mut f: ForwardFlow<()> = ForwardFlow::new(&e);
-        let mut pending = ZSet::new();
-        f.seed(&mut pending, (), oid("ROOT"), 1);
-        let (mut b, mut p) = (10_000, 0);
-        let mut dirty = FastSet::default();
-        assert_eq!(
-            f.propagate(&s, pending, &mut b, &mut p, &mut dirty),
-            Err(Diverged)
-        );
+        let (f, pops) = run_forward("c.c.c", &s, "ROOT");
+        // (ROOT, 0), (C, 1), (C, 2), (C, 3): one entry a round, and
+        // the accepting state steps nowhere.
+        assert_eq!(pops, 4);
+        assert_eq!(f.support((), oid("C")), 1);
+        assert_eq!(f.support((), oid("ROOT")), 0);
+        assert_eq!(f.state_len(), 4);
     }
 }

@@ -1,13 +1,14 @@
 //! In-crate differential test: a [`Circuit`] stepped over random
 //! update batches must land on exactly the membership (and aggregate
 //! values) a from-scratch evaluation of the definition computes on
-//! the final store — for single-path, multi-path, wildcard, and
-//! aggregate shapes. This is the crate-local precursor of the four-way
+//! the final store — for single-path, multi-path and aggregate shapes.
+//! Circuits take constant paths only; wildcard views stay on
+//! Algorithm 1. This is the crate-local precursor of the four-way
 //! oracle in core.
 
-use gsdb::{DeltaBatch, Object, Oid, Store, Update};
+use gsdb::path::{eval, reach};
+use gsdb::{DeltaBatch, Object, Oid, Path, Store, Update};
 use gsview_circuit::{AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef};
-use gsview_query::pathexpr::{reach_expr, PathExpr};
 use gsview_query::{CmpOp, Pred};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -179,18 +180,13 @@ fn realize(
 fn expected_members(store: &Store, def: &CircuitDef) -> BTreeSet<Oid> {
     let mut out = BTreeSet::new();
     for b in &def.branches {
-        let (reached, _) = reach_expr(store, b.root, &b.sel, &|_| true);
-        for y in reached {
+        for y in reach(store, b.root, &b.sel) {
             if store.get(y).is_none() {
                 continue;
             }
             let ok = match &b.cond {
                 None => true,
-                Some(c) => {
-                    let (ends, _) = reach_expr(store, y, &c.expr, &|_| true);
-                    ends.iter()
-                        .any(|&z| store.atom(z).map(|a| c.pred.eval(a)).unwrap_or(false))
-                }
+                Some(c) => !eval(store, y, &c.path, &|a| c.pred.eval(a)).is_empty(),
             };
             if ok {
                 out.insert(y);
@@ -200,9 +196,9 @@ fn expected_members(store: &Store, def: &CircuitDef) -> BTreeSet<Oid> {
     out
 }
 
-fn expected_values(store: &Store, member: Oid, path: &PathExpr) -> Vec<f64> {
-    let (ends, _) = reach_expr(store, member, path, &|_| true);
-    ends.iter()
+fn expected_values(store: &Store, member: Oid, path: &Path) -> Vec<f64> {
+    eval(store, member, path, &|_| true)
+        .iter()
         .filter_map(|&z| store.atom(z).and_then(|a| a.as_f64()))
         .collect()
 }
@@ -221,19 +217,19 @@ fn check(def: CircuitDef, initial: &Store, raw: &[(u8, usize, usize, i64)], n: u
     let mut store = initial.clone();
     let (sets, atoms) = universe(n, st);
     let mut circuit = Circuit::compile(def.clone());
-    circuit.init(&store).expect("init on a forest never diverges");
+    circuit.init(&store);
     let want0 = expected_members(&store, &def);
     let got0: BTreeSet<Oid> = circuit.members().into_iter().collect();
     assert_eq!(got0, want0, "initial membership");
 
     let batches = realize(raw, &mut store, &sets, &atoms);
     for (batch, replay) in batches {
-        circuit.step(&batch, &replay).expect("forest propagation converges");
+        circuit.step(&batch, &replay);
         // The state reached incrementally is the state a from-scratch
         // rebuild reaches: a row that keeps a zero count, or loses an
         // entry, shows here even when membership does not move.
         let mut fresh = Circuit::compile(def.clone());
-        fresh.init(&replay).expect("init on a forest never diverges");
+        fresh.init(&replay);
         assert_eq!(circuit.state_len(), fresh.state_len(), "state after batch");
         let want = expected_members(&replay, &def);
         let got: BTreeSet<Oid> = circuit.members().into_iter().collect();
@@ -274,9 +270,9 @@ proptest! {
         let def = CircuitDef {
             branches: vec![BranchDef {
                 root: oid("ROOT"),
-                sel: PathExpr::parse("professor").unwrap(),
+                sel: Path::parse("professor"),
                 cond: Some(CondDef {
-                    expr: PathExpr::parse("age").unwrap(),
+                    path: Path::parse("age"),
                     pred: Pred::new(CmpOp::Le, 45i64),
                 }),
             }],
@@ -296,70 +292,15 @@ proptest! {
             branches: vec![
                 BranchDef {
                     root: oid("ROOT"),
-                    sel: PathExpr::parse("professor").unwrap(),
+                    sel: Path::parse("professor"),
                     cond: None,
                 },
                 BranchDef {
                     root: oid("ROOT"),
-                    sel: PathExpr::parse("professor.student").unwrap(),
+                    sel: Path::parse("professor.student"),
                     cond: Some(CondDef {
-                        expr: PathExpr::parse("age").unwrap(),
+                        path: Path::parse("age"),
                         pred: Pred::new(CmpOp::Gt, 20i64),
-                    }),
-                },
-            ],
-            aggregate: None,
-        };
-        check(def, &store, &raw, n, st);
-    }
-
-    #[test]
-    fn wildcard_selection(
-        (n, st) in (1..3usize, 0..3usize),
-        ages in prop::collection::vec(0..80i64, 1..6),
-        raw in raw_ops(),
-    ) {
-        let store = build_base(n, st, &ages);
-        let def = CircuitDef {
-            branches: vec![BranchDef {
-                root: oid("ROOT"),
-                sel: PathExpr::parse("*.student").unwrap(),
-                cond: Some(CondDef {
-                    expr: PathExpr::parse("age").unwrap(),
-                    pred: Pred::new(CmpOp::Gt, 10i64),
-                }),
-            }],
-            aggregate: None,
-        };
-        check(def, &store, &raw, n, st);
-    }
-
-    /// Alternations and `*.?.*` (which matches a word once per place
-    /// its `?` can stand) in both directions: selections step the
-    /// automaton forward, conditions backward, off the same table.
-    #[test]
-    fn alternation_and_ambiguous_wildcards(
-        (n, st) in (1..3usize, 0..3usize),
-        ages in prop::collection::vec(0..80i64, 1..6),
-        raw in raw_ops(),
-    ) {
-        let store = build_base(n, st, &ages);
-        let def = CircuitDef {
-            branches: vec![
-                BranchDef {
-                    root: oid("ROOT"),
-                    sel: PathExpr::parse("(professor|student)").unwrap(),
-                    cond: Some(CondDef {
-                        expr: PathExpr::parse("*.?.*").unwrap(),
-                        pred: Pred::new(CmpOp::Gt, 60i64),
-                    }),
-                },
-                BranchDef {
-                    root: oid("ROOT"),
-                    sel: PathExpr::parse("*.?.*").unwrap(),
-                    cond: Some(CondDef {
-                        expr: PathExpr::parse("(age|name)").unwrap(),
-                        pred: Pred::new(CmpOp::Lt, 15i64),
                     }),
                 },
             ],
@@ -379,11 +320,11 @@ proptest! {
             let def = CircuitDef {
                 branches: vec![BranchDef {
                     root: oid("ROOT"),
-                    sel: PathExpr::parse("professor").unwrap(),
+                    sel: Path::parse("professor"),
                     cond: None,
                 }],
                 aggregate: Some(AggDef {
-                    path: PathExpr::parse("student.age").unwrap(),
+                    path: Path::parse("student.age"),
                     f,
                 }),
             };

@@ -1,9 +1,9 @@
 //! The delta-circuit maintenance backend (DBSP-style IVM).
 //!
 //! This module is the bridge between the view classes of this crate
-//! and `gsview-circuit`: a [`CircuitSource`] names any maintainable
-//! view definition (simple, compound, wildcard, aggregate) and lowers
-//! it to the circuit IR; a [`CircuitMaintainer`] owns the compiled
+//! and `gsview-circuit`: a [`CircuitSource`] names a view definition
+//! over constant paths (simple, compound, aggregate) and lowers it to
+//! the circuit IR; a [`CircuitMaintainer`] owns the compiled
 //! circuit plus its count state and consumes the same delta batches
 //! the Algorithm 1 maintainers do, keeping a [`MaterializedView`] in
 //! sync in O(|Δ|) per commit: a step writes back its own membership
@@ -20,6 +20,10 @@
 //! backend from its caller; a head-to-head (experiment E18, the circuit
 //! oracle) builds a [`CircuitMaintainer`] directly.
 //!
+//! Circuits take constant paths only, so a wildcard view has no
+//! circuit source: under a `*`, a cycle in the base gives the
+//! derivation counts infinitely many derivations.
+//!
 //! ## Epoch consistency and warm restart
 //!
 //! Circuit state is valid only for the exact store version it was
@@ -28,32 +32,32 @@
 //! pre-state does not match (a recovery replay, a fork, a missed
 //! epoch), the maintainer falls back to an epoch-consistent rebuild —
 //! [`Circuit::init`] against the current store — which is by
-//! construction equivalent to recomputation. The view may then be any
-//! number of batches behind, so a rebuild alone reconciles it against
-//! the full member set. The guard runs before a circuit asks the batch
-//! for its live change, so a stale circuit neither reads nor fills the
-//! batch's memo.
+//! construction equivalent to recomputation. That guard is the only
+//! fallback: a step over constant paths cannot fail. After a rebuild
+//! the view may be any number of batches behind, so a rebuild alone
+//! reconciles it against the full member set. The guard runs before
+//! a circuit asks the batch for its live change, so a stale circuit
+//! neither reads nor fills the batch's memo.
 
 use crate::aggregate::AggregateViewDef;
 use crate::maintain::BatchOutcome;
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, write_delta};
-use crate::viewdef::{CompoundViewDef, GeneralViewDef, SimpleViewDef};
+use crate::viewdef::{CompoundViewDef, SimpleViewDef};
 use gsdb::{DeltaBatch, Oid, Result, Store};
 use gsview_circuit::{AggDef, BranchDef, Circuit, CircuitDef, CondDef, StepOutput};
 use gsview_query::{choose_backend, MaintBackend, PathExpr};
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Any view definition the circuit backend can maintain.
+/// A view definition the circuit backend can maintain: every path in
+/// it is constant.
 #[derive(Clone, Debug)]
 pub enum CircuitSource {
     /// A §4.2 simple view (constant paths, one branch).
     Simple(SimpleViewDef),
     /// A union of simple branches.
     Compound(CompoundViewDef),
-    /// A wildcard / general path-expression view.
-    General(GeneralViewDef),
     /// An aggregate view (membership branch + per-member rollup).
     Aggregate(AggregateViewDef),
 }
@@ -61,9 +65,9 @@ pub enum CircuitSource {
 fn simple_branch(def: &SimpleViewDef) -> BranchDef {
     BranchDef {
         root: def.root,
-        sel: PathExpr::from_path(&def.sel_path),
+        sel: def.sel_path.clone(),
         cond: def.cond.as_ref().map(|c| CondDef {
-            expr: PathExpr::from_path(&c.path),
+            path: c.path.clone(),
             pred: c.pred.clone(),
         }),
     }
@@ -75,7 +79,6 @@ impl CircuitSource {
         match self {
             CircuitSource::Simple(d) => d.view,
             CircuitSource::Compound(d) => d.view,
-            CircuitSource::General(d) => d.view,
             CircuitSource::Aggregate(d) => d.members.view,
         }
     }
@@ -91,21 +94,10 @@ impl CircuitSource {
                 branches: d.branches.iter().map(simple_branch).collect(),
                 aggregate: None,
             },
-            CircuitSource::General(d) => CircuitDef {
-                branches: vec![BranchDef {
-                    root: d.root,
-                    sel: d.sel_expr.clone(),
-                    cond: d.cond.as_ref().map(|c| CondDef {
-                        expr: c.expr.clone(),
-                        pred: c.pred.clone(),
-                    }),
-                }],
-                aggregate: None,
-            },
             CircuitSource::Aggregate(d) => CircuitDef {
                 branches: vec![simple_branch(&d.members)],
                 aggregate: Some(AggDef {
-                    path: PathExpr::from_path(&d.agg_path),
+                    path: d.agg_path.clone(),
                     f: d.f,
                 }),
             },
@@ -125,7 +117,6 @@ impl CircuitSource {
                 d.branches.len(),
                 false,
             ),
-            CircuitSource::General(d) => choose_backend(&d.sel_expr, 1, false),
             CircuitSource::Aggregate(d) => {
                 choose_backend(&PathExpr::from_path(&d.members.sel_path), 1, true)
             }
@@ -177,40 +168,41 @@ impl CircuitMaintainer {
         self.source.view()
     }
 
-    /// How many epoch-consistent rebuilds have run (version mismatch,
-    /// divergence fallback, or first build).
+    /// The circuit state, even behind a lock a panicking thread
+    /// poisoned. That is sound because a half-run call leaves nothing
+    /// a later call trusts: `step` takes the base fork before it
+    /// propagates and `init` recompiles before it loads, so a call that
+    /// panicked leaves `version() == None`, the version guard fails,
+    /// and the next batch rebuilds.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// How many epoch-consistent rebuilds have run (version mismatch
+    /// or first build).
     pub fn rebuilds(&self) -> u64 {
-        self.inner.lock().unwrap().rebuilds
+        self.inner().rebuilds
     }
 
     /// How many incremental steps have run.
     pub fn steps(&self) -> u64 {
-        self.inner.lock().unwrap().steps
+        self.inner().steps
     }
 
     /// Build (or rebuild) circuit state against `store` and fill `mv`
     /// to match. Equivalent to recomputation.
     pub fn initialize(&self, mv: &mut MaterializedView, store: &Store) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        Self::rebuild(&mut inner, store, self.source.view())?;
-        drop(inner);
+        self.rebuild(&mut self.inner(), store);
         self.reconcile_view(mv, store).map(|_| ())
     }
 
-    fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<()> {
+    fn rebuild(&self, inner: &mut Inner, store: &Store) {
         gsview_obs::event!(
             "maint.circuit.rebuild",
-            "view" = view.name().to_string(),
+            "view" = self.view().name().to_string(),
         );
-        inner
-            .circuit
-            .init(store)
-            // A circuit only fails on divergence — cyclic base under a
-            // wildcard, i.e. the store is not the tree/forest the view
-            // classes assume.
-            .map_err(|_| gsdb::GsdbError::NotATree(view))?;
+        inner.circuit.init(store);
         inner.rebuilds += 1;
-        Ok(())
     }
 
     /// Bring `mv` to the circuit's full member set — after a rebuild,
@@ -220,14 +212,7 @@ impl CircuitMaintainer {
         mv: &mut MaterializedView,
         store: &Store,
     ) -> Result<(Vec<Oid>, Vec<Oid>)> {
-        let members: HashSet<Oid> = self
-            .inner
-            .lock()
-            .unwrap()
-            .circuit
-            .members()
-            .into_iter()
-            .collect();
+        let members: HashSet<Oid> = self.inner().circuit.members().into_iter().collect();
         reconcile(mv, &members, &mut |y| store.get(y).cloned())
     }
 
@@ -236,28 +221,20 @@ impl CircuitMaintainer {
     /// a rebuild.
     ///
     /// Falls back to an epoch-consistent rebuild when the circuit's
-    /// version does not match the batch's pre-state or when delta
-    /// propagation diverges. Only a circuit that passes the version
-    /// guard asks the batch for its live change, so the batch's memo
-    /// serves circuits at the pre-batch version alone.
-    fn advance(&self, store: &Store, batch: &DeltaBatch) -> Result<Option<StepOutput>> {
-        let mut inner = self.inner.lock().unwrap();
-        let view = self.source.view();
+    /// version does not match the batch's pre-state. Only a circuit
+    /// that passes the version guard asks the batch for its live
+    /// change, so the batch's memo serves circuits at the pre-batch
+    /// version alone.
+    fn advance(&self, store: &Store, batch: &DeltaBatch) -> Option<StepOutput> {
+        let mut inner = self.inner();
         let pre = store.version().saturating_sub(batch.len() as u64);
         if inner.circuit.version() == Some(pre) {
-            match inner.circuit.step(batch, store) {
-                Ok(out) => {
-                    inner.steps += 1;
-                    return Ok(Some(out));
-                }
-                Err(e) => {
-                    gsview_obs::failure(&format!(
-                        "maint.circuit.step diverged for {view}: {e}; rebuilding"
-                    ));
-                }
-            }
+            let out = inner.circuit.step(batch, store);
+            inner.steps += 1;
+            return Some(out);
         }
-        Self::rebuild(&mut inner, store, view).map(|()| None)
+        self.rebuild(&mut inner, store);
+        None
     }
 
     /// Process a batch of updates with the store in its final state —
@@ -280,7 +257,7 @@ impl CircuitMaintainer {
             "consolidated_ops" = delta.len(),
         );
         let fetch = |y: Oid| store.get(y);
-        let (inserted, deleted) = match self.advance(store, batch)? {
+        let (inserted, deleted) = match self.advance(store, batch) {
             // `mv` held the circuit's members before the step, so the
             // step's own change brings it up to date: O(|Δ|) work
             // however large the view.
@@ -307,20 +284,19 @@ impl CircuitMaintainer {
 
     /// Current members, sorted by name (aggregate sources included).
     pub fn members(&self) -> Vec<Oid> {
-        let inner = self.inner.lock().unwrap();
-        let mut v = inner.circuit.members();
+        let mut v = self.inner().circuit.members();
         v.sort_by_key(|o| o.name());
         v
     }
 
     /// A member's aggregate value (aggregate sources only).
     pub fn aggregate_of(&self, member: Oid) -> Option<f64> {
-        self.inner.lock().unwrap().circuit.aggregate_of(member)
+        self.inner().circuit.aggregate_of(member)
     }
 
     /// The global rollup over all members (aggregate sources only).
     pub fn total(&self) -> Option<f64> {
-        self.inner.lock().unwrap().circuit.total()
+        self.inner().circuit.total()
     }
 }
 
@@ -371,9 +347,18 @@ mod tests {
     #[test]
     fn version_mismatch_triggers_epoch_consistent_rebuild() {
         let mut store = person_store();
-        let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
-            .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"));
-        let cm = CircuitMaintainer::new(CircuitSource::General(def));
+        let def = CompoundViewDef::new(
+            "MVJ",
+            vec![
+                SimpleViewDef::new("MVJ", "ROOT", "professor")
+                    .with_cond("name", Pred::new(CmpOp::Eq, "John")),
+                SimpleViewDef::new("MVJ", "ROOT", "student")
+                    .with_cond("name", Pred::new(CmpOp::Eq, "John")),
+                SimpleViewDef::new("MVJ", "ROOT", "secretary")
+                    .with_cond("name", Pred::new(CmpOp::Eq, "John")),
+            ],
+        );
+        let cm = CircuitMaintainer::new(CircuitSource::Compound(def));
         let mut mv = MaterializedView::new("MVJ");
         cm.initialize(&mut mv, &store).unwrap();
         assert_eq!(cm.rebuilds(), 1);
@@ -392,6 +377,45 @@ mod tests {
             mv.members_base(),
             vec![oid("P1"), oid("P2"), oid("P3"), oid("P4")]
         );
+    }
+
+    #[test]
+    fn a_poisoned_lock_recovers_and_the_next_batch_rebuilds() {
+        let mut store = person_store();
+        let def = SimpleViewDef::new("PLR", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+        let cm = CircuitMaintainer::new(CircuitSource::Simple(def.clone()));
+        let mut mv = MaterializedView::new("PLR");
+        cm.initialize(&mut mv, &store).unwrap();
+
+        // A step that panics after taking the base fork: it leaves a
+        // circuit without a version, behind a poisoned lock.
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut inner = cm.inner.lock().unwrap();
+            inner.circuit = Circuit::compile(cm.source.lower());
+            panic!("step interrupted");
+        }));
+        assert!(poison.is_err() && cm.inner.is_poisoned());
+
+        let modify = |store: &mut Store, oid: &str, age: i64| {
+            DeltaBatch::from_ops(vec![store.apply(Update::modify(oid, age)).unwrap()])
+        };
+        let want = |store: &Store| {
+            crate::recompute::recompute(&def, &mut crate::base::LocalBase::new(store))
+                .unwrap()
+                .members_base()
+        };
+        let batch = modify(&mut store, "A1", 50);
+        cm.apply_batch(&mut mv, &store, &batch).unwrap();
+        assert_eq!((cm.rebuilds(), cm.steps()), (2, 0));
+        assert_eq!(mv.members_base(), want(&store));
+        assert_eq!(cm.members(), want(&store));
+
+        let batch = modify(&mut store, "A1", 30);
+        cm.apply_batch(&mut mv, &store, &batch).unwrap();
+        assert_eq!((cm.rebuilds(), cm.steps()), (2, 1));
+        assert_eq!(mv.members_base(), want(&store));
+        assert_eq!(mv.members_base(), vec![oid("P1")]);
     }
 
     #[test]
@@ -566,15 +590,11 @@ mod tests {
     fn planner_routes_each_shape() {
         let simple = CircuitSource::Simple(SimpleViewDef::new("V", "ROOT", "professor"));
         assert_eq!(simple.planned_backend().0, MaintBackend::Algorithm1);
-        // Wildcard shapes route to Algorithm 1 since the E18 routing
-        // fix: scoped recomputation beat the circuit's product-state
-        // at every measured size.
-        let general = CircuitSource::General(GeneralViewDef::new(
-            "V",
-            "ROOT",
-            PathExpr::parse("*.age").unwrap(),
-        ));
-        assert_eq!(general.planned_backend().0, MaintBackend::Algorithm1);
+        // Wildcard shapes have no circuit source: circuits take
+        // constant paths only.
+        let (wildcard, why) = choose_backend(&PathExpr::parse("*.age").unwrap(), 1, false);
+        assert_eq!(wildcard, MaintBackend::Algorithm1);
+        assert!(why.contains("constant paths"), "{why}");
         let compound = CircuitSource::Compound(CompoundViewDef::new(
             "V",
             vec![

@@ -11,7 +11,6 @@
 //!   two objects"), whose walks the locate step joins.
 
 use crate::base::BaseAccess;
-use crate::circuitview::CircuitSource;
 use crate::maintain::{content_upkeep, BatchOutcome, Maintainer, Outcome};
 use crate::mview::MaterializedView;
 use crate::sink::{reconcile, refresh_touched, MemberSet, ViewSink};
@@ -21,7 +20,7 @@ use gsdb::{
     ModifyDelta, Oid, Result, Store,
 };
 use gsview_obs::Counter;
-use gsview_query::{evaluate, reach_from_mask, MaintBackend, Nfa};
+use gsview_query::{choose_backend, evaluate, reach_from_mask, MaintBackend, Nfa};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -302,10 +301,9 @@ impl GeneralMaintainer {
         Self::new(def)
     }
 
-    /// The backend the planner routes this shape to
-    /// ([`CircuitSource::planned_backend`]).
+    /// The backend the planner routes this shape to ([`choose_backend`]).
     pub fn backend(&self) -> MaintBackend {
-        CircuitSource::General(self.def.clone()).planned_backend().0
+        choose_backend(&self.def.sel_expr, 1, false).0
     }
 
     /// The definition.
@@ -689,44 +687,31 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_backends_agree_and_planner_picks_algorithm1() {
-        let mut a1 = Store::new();
-        samples::person_db(&mut a1).unwrap();
-        let mut b1 = a1.clone();
+    fn wildcard_planner_picks_algorithm1() {
+        let mut store = Store::new();
+        samples::person_db(&mut store).unwrap();
         let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
             .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"));
-        let alg = GeneralMaintainer::new(def.clone());
-        // Regression pin (E18 routing fix): the planner must route
-        // wildcard shapes to Algorithm 1, not the circuit, and the
-        // maintainer reports the planner's answer.
-        let source = CircuitSource::General(def.clone());
-        assert_eq!(source.planned_backend().0, MaintBackend::Algorithm1);
-        let planned = GeneralMaintainer::planned(def);
-        assert_eq!(planned.backend(), MaintBackend::Algorithm1);
+        // Circuits take constant paths only, so the planner must route
+        // wildcard shapes to Algorithm 1, and the maintainer reports
+        // the planner's answer.
+        let alg = GeneralMaintainer::planned(def);
         assert_eq!(alg.backend(), MaintBackend::Algorithm1);
-        // The off-route circuit is built directly, so the parity check
-        // below still exercises both backends.
-        let cir = crate::circuitview::CircuitMaintainer::new(source);
-        let mut mv_a = alg.recompute(&a1).unwrap();
-        let mut mv_c = alg.recompute(&b1).unwrap();
+        let mut mv = alg.recompute(&store).unwrap();
 
         for round in 0..3 {
-            let mut batch_a = gsdb::DeltaBatch::new();
-            let mut batch_b = gsdb::DeltaBatch::new();
+            let mut batch = gsdb::DeltaBatch::new();
             let ops = [
                 gsdb::Update::modify("N2", "John"),
                 gsdb::Update::modify("N2", "Sally"),
                 gsdb::Update::modify("N4", "John"),
             ];
             for u in ops {
-                batch_a.push(a1.apply(u.clone()).unwrap());
-                batch_b.push(b1.apply(u).unwrap());
+                batch.push(store.apply(u).unwrap());
             }
-            let out_a = alg.apply_batch(&mut mv_a, &a1, &batch_a).unwrap();
-            let out_c = cir.apply_batch(&mut mv_c, &b1, &batch_b).unwrap();
-            assert_eq!(mv_a.members_base(), mv_c.members_base(), "round {round}");
-            assert_eq!(out_a.inserted, out_c.inserted, "round {round}");
-            assert_eq!(out_a.deleted, out_c.deleted, "round {round}");
+            alg.apply_batch(&mut mv, &store, &batch).unwrap();
+            let want = alg.recompute(&store).unwrap();
+            assert_eq!(mv.members_base(), want.members_base(), "round {round}");
         }
     }
 

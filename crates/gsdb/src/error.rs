@@ -34,9 +34,6 @@ pub enum GsdbError {
     },
     /// An object with this OID already exists.
     DuplicateOid(Oid),
-    /// The operation requires a tree-structured database but the store
-    /// is not a tree (paper §4.2 assumes tree structure for Algorithm 1).
-    NotATree(Oid),
 }
 
 impl fmt::Display for GsdbError {
@@ -52,9 +49,6 @@ impl fmt::Display for GsdbError {
                 write!(f, "{child} is already a child of {parent}")
             }
             GsdbError::DuplicateOid(o) => write!(f, "an object with OID {o} already exists"),
-            GsdbError::NotATree(o) => {
-                write!(f, "object {o} has multiple parents; database is not a tree")
-            }
         }
     }
 }

@@ -136,11 +136,10 @@ impl fmt::Display for MaintBackend {
 /// * **multi-branch unions** — the circuit shares one arrangement
 ///   across branches, Algorithm 1 runs one repair pass per branch;
 /// * **non-constant expressions** (wildcards, alternations with
-///   closure) — Algorithm 1 locates each delta by automaton state set
-///   and repairs locally; E18 measured even its earlier once-per-batch
-///   re-evaluation beating the circuit's wildcard product-state
-///   bookkeeping at every size and selectivity, so wildcard shapes
-///   route to Algorithm 1 (the measured winner), not the circuit;
+///   closure) — circuits take constant paths only (under a `*`, a
+///   cycle in the base gives a derivation count infinitely many
+///   solutions), so these route to Algorithm 1, which locates each
+///   delta by automaton state set and repairs locally;
 /// * **constant single paths** — Algorithm 1's repair is already
 ///   O(local) and carries no operator state, so it stays the default.
 pub fn choose_backend(
@@ -163,7 +162,7 @@ pub fn choose_backend(
     if sel_expr.as_path().is_none() {
         return (
             MaintBackend::Algorithm1,
-            "wildcard selection: scoped recomputation beats circuit product-state (E18)".into(),
+            "wildcard selection: circuits take constant paths only".into(),
         );
     }
     (
@@ -314,13 +313,12 @@ mod tests {
         assert_eq!(b, MaintBackend::Algorithm1);
         assert!(why.contains("single-path"), "{why}");
 
-        // Regression pin (E18): wildcard shapes lost to scoped
-        // recomputation at every measured size, so the router must NOT
-        // send them to the circuit.
+        // Circuits take constant paths only, so the router must NOT
+        // send a wildcard shape to the circuit.
         let (b, why) = choose_backend(&wildcard, 1, false);
         assert_eq!(b, MaintBackend::Algorithm1);
         assert!(why.contains("wildcard"), "{why}");
-        assert!(why.contains("E18"), "{why}");
+        assert!(why.contains("constant paths"), "{why}");
 
         let (b, why) = choose_backend(&constant, 3, false);
         assert_eq!(b, MaintBackend::Circuit);
