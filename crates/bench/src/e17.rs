@@ -11,6 +11,12 @@
 //!   ([`Warehouse::add_view`]): one read of the view's region, so the
 //!   query count is `1 + |sel_path.cond_path|` at every size and what
 //!   scales with the store is the bytes those replies carry.
+//! * **`restart/cold-shared`** — the same, for four views over two
+//!   regions (`item` and `item.age`) set up on one connection: set-up
+//!   reads stay on the connection until a report is handled, so each
+//!   region is read once and the longer path asks only for the level
+//!   past the shorter — three queries, where four unshared reads ask
+//!   ten.
 //! * **`restart/warm`** — [`Source::recover`] rebuilds the source
 //!   from its newest durable epoch, then
 //!   [`Warehouse::add_view_warm`] re-materializes the view from
@@ -60,8 +66,8 @@ const HISTORY_ITEMS: usize = 24_000;
 /// One measured restart route at one store size.
 #[derive(Clone, Debug)]
 pub struct RestartRow {
-    /// `restart/cold`, `restart/warm`, `resync/diff` or
-    /// `restart/history`.
+    /// `restart/cold`, `restart/cold-shared`, `restart/warm`,
+    /// `resync/diff` or `restart/history`.
     pub route: String,
     /// Items in the source database.
     pub items: usize,
@@ -122,15 +128,45 @@ fn churn(src: &Source, items: usize, epochs: usize) {
 /// Cold restart: a fresh warehouse materializes the view by querying
 /// the (still-running) source.
 fn run_cold(items: usize) -> RestartRow {
+    cold_restart(items, "restart/cold", vec![(def(), ViewOptions::default())])
+}
+
+/// Cold restart of four views over two regions on one connection:
+/// every item, every item cached, and the items on either side of 50.
+fn run_cold_shared(items: usize) -> RestartRow {
+    let cached = ViewOptions {
+        use_aux_cache: true,
+        ..ViewOptions::default()
+    };
+    let old = SimpleViewDef::new("V17o", "ROOT", "item")
+        .with_cond("age", Pred::new(CmpOp::Gt, 50i64));
+    let views = vec![
+        (SimpleViewDef::new("V17i", "ROOT", "item"), ViewOptions::default()),
+        (SimpleViewDef::new("V17j", "ROOT", "item"), cached.clone()),
+        (def(), ViewOptions::default()),
+        (old, cached),
+    ];
+    cold_restart(items, "restart/cold-shared", views)
+}
+
+/// A fresh warehouse sets `views` up on one connection by querying
+/// the (still-running) source.
+fn cold_restart(
+    items: usize,
+    route: &str,
+    views: Vec<(SimpleViewDef, ViewOptions)>,
+) -> RestartRow {
     let src = build_source(items);
     churn(&src, items, CHURN);
     let mut wh = Warehouse::new();
     wh.connect(&src);
     let t0 = Instant::now();
-    wh.add_view("e17", def(), ViewOptions::default()).unwrap();
+    for (def, options) in views {
+        wh.add_view("e17", def, options).unwrap();
+    }
     let millis = t0.elapsed().as_secs_f64() * 1e3;
     RestartRow {
-        route: "restart/cold".into(),
+        route: route.into(),
         items,
         epochs: CHURN,
         objects: src.with_store(|s| s.len()) as u64,
@@ -225,11 +261,12 @@ fn run_resync(items: usize) -> RestartRow {
 
 /// Deterministic quick-mode facts, pinned by the checked-in baseline
 /// (`baselines/e17_quick.json`): at 400 items, the cold restart's
-/// query count, the recovered object count, and the chunk traffic of
-/// a post-restart diff resync (fetched must stay a small constant;
-/// reused must cover the rest of the pages). Warm-restart queries are
-/// asserted to be zero inside the run itself.
-pub fn quick_facts() -> (u64, u64, u64, u64) {
+/// query count, the recovered object count, the chunk traffic of a
+/// post-restart diff resync (fetched must stay a small constant;
+/// reused must cover the rest of the pages), and the query count of
+/// the four-view cold restart. Warm-restart queries are asserted to be
+/// zero inside the run itself.
+pub fn quick_facts() -> (u64, u64, u64, u64, u64) {
     let items = 400;
     let cold = run_cold(items);
     let warm = run_warm(items);
@@ -237,11 +274,13 @@ pub fn quick_facts() -> (u64, u64, u64, u64) {
     assert_eq!(warm.objects, cold.objects, "warm recovered a different store");
     let resync = run_resync(items);
     assert!(resync.chunks_reused > 0, "diff resync reused nothing");
+    let shared = run_cold_shared(items);
     (
         cold.queries,
         warm.objects,
         resync.chunks_fetched,
         resync.chunks_reused,
+        shared.queries,
     )
 }
 
@@ -317,7 +356,14 @@ pub fn run(quick: bool) -> Table {
     ]);
     let rows = sizes
         .iter()
-        .flat_map(|&items| [run_cold(items), run_warm(items), run_resync(items)])
+        .flat_map(|&items| {
+            [
+                run_cold(items),
+                run_cold_shared(items),
+                run_warm(items),
+                run_resync(items),
+            ]
+        })
         .chain(HISTORY_EPOCHS.iter().map(|&epochs| run_history(epochs)));
     let bytes = |b: Option<u64>| b.map_or_else(|| "-".to_string(), |b| b.to_string());
     for row in rows {

@@ -20,7 +20,8 @@ fn restart_facts_do_not_drift() {
     // restart answers zero queries to the source, recovers the exact
     // object set the live store held, and the diff resync reuses at
     // least one unchanged page.
-    let (cold_queries, recovered_objects, resync_fetched, resync_reused) = e17::quick_facts();
+    let (cold_queries, recovered_objects, resync_fetched, resync_reused, cold_queries_shared) =
+        e17::quick_facts();
     assert_eq!(
         cold_queries,
         baseline.int("cold_queries"),
@@ -40,6 +41,11 @@ fn restart_facts_do_not_drift() {
         resync_reused,
         baseline.int("resync_reused"),
         "diff-resync reused-chunk count drifted from baseline"
+    );
+    assert_eq!(
+        cold_queries_shared,
+        baseline.int("cold_queries_shared"),
+        "four-view cold-restart query count drifted from baseline"
     );
 }
 

@@ -380,7 +380,7 @@ impl ShardedStore {
         }
         for (state, &n) in view.states.iter_mut().zip(&creates) {
             if let Some(state) = state {
-                state.reserve_entries(n);
+                state.reserve_entries(n, n);
             }
         }
         let mut applied = Vec::with_capacity(updates.len());

@@ -281,12 +281,11 @@ impl ShardState {
         self.dir_mut().slot_mut(local)
     }
 
-    /// Size `slot_of` and the parent index for `additional` more
-    /// objects homed here (most objects are somebody's child, so the
-    /// object count stands in for the parent index's entry count).
-    pub(crate) fn reserve_entries(&mut self, additional: usize) {
-        self.slot_of.reserve(additional);
-        self.parent_index.reserve(additional);
+    /// Size `slot_of` for `objects` more objects homed here and the
+    /// parent index for `children` more child OIDs homed here.
+    pub(crate) fn reserve_entries(&mut self, objects: usize, children: usize) {
+        self.slot_of.reserve(objects);
+        self.parent_index.reserve(children);
     }
 
     /// Live objects in this shard.
@@ -780,14 +779,26 @@ impl Store {
         out
     }
 
-    /// Pre-size the slab and maps for `additional` more objects.
+    /// Pre-size the slab and maps for `additional` more objects (most
+    /// objects are somebody's child, so the object count stands in for
+    /// the parent index's new entries).
     pub fn reserve(&mut self, additional: usize) {
-        let per_shard = additional / self.shards.len() + 1;
+        self.reserve_with_children(additional, additional);
+    }
+
+    /// Pre-size the slab for `objects` more objects and the parent
+    /// index for `children` more child OIDs it does not hold yet. A
+    /// replica copying a region level by level needs this: its objects'
+    /// children mostly lie outside the region (dangling), and each of
+    /// them takes a parent-index entry all the same.
+    pub fn reserve_with_children(&mut self, objects: usize, children: usize) {
+        let per_shard = |n: usize| n / self.shards.len() + 1;
+        let (objects, children) = (per_shard(objects), per_shard(children));
         for st in &mut self.shards {
             let dir = st.dir_mut();
             dir.pages
-                .reserve(per_shard.saturating_sub(dir.free.len()) / PAGE_SIZE + 1);
-            st.reserve_entries(per_shard);
+                .reserve(objects.saturating_sub(dir.free.len()) / PAGE_SIZE + 1);
+            st.reserve_entries(objects, children);
         }
     }
 
@@ -1276,7 +1287,8 @@ impl Store {
                 ));
             }
             let mut st = ShardState::with_label_index(cfg.label_index);
-            st.reserve_entries(pages.iter().map(|p| p.iter().flatten().count()).sum());
+            let objects = pages.iter().map(|p| p.iter().flatten().count()).sum();
+            st.reserve_entries(objects, objects);
             let mut free = Vec::new();
             for (p, page) in pages.iter().enumerate() {
                 for (k, slot) in page.iter().enumerate() {

@@ -29,7 +29,7 @@
 //! produces the same fault schedule run over run.
 
 use crate::chaos::{chaos_write, SocketChaosPolicy, SocketFault, WriteOutcome};
-use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME};
+use crate::frame::{encode_frame, FrameDecoder, DEFAULT_MAX_FRAME, READ_CHUNK};
 use crate::msg::{Reply, ReplyBody, Request, RequestBody, ServedStats};
 use gsview_obs::fault::Stream;
 use gsview_warehouse::protocol::{QueryFault, SourceQuery, SourceReply, UpdateReport};
@@ -40,11 +40,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Everything an RPC reads or writes, under the one lock it takes: the
-/// cached stream plus its decoder, the chaos policy and the fault
-/// stream it decides from, and the checkpoint fallback.
+/// cached stream plus its decoder and read buffer, the chaos policy and
+/// the fault stream it decides from, and the checkpoint fallback.
 struct ClientState {
     stream: Option<TcpStream>,
     decoder: FrameDecoder,
+    read_buf: Box<[u8]>,
     next_id: u64,
     chaos: Option<(SocketChaosPolicy, Stream)>,
     /// Last successfully fetched checkpoint — the fallback when the
@@ -77,6 +78,7 @@ impl FrameClient {
             state: Mutex::new(ClientState {
                 stream: None,
                 decoder: FrameDecoder::new(DEFAULT_MAX_FRAME),
+                read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
                 next_id: 1,
                 chaos: None,
                 checkpoint: (String::new(), 0),
@@ -145,18 +147,22 @@ impl FrameClient {
     /// connection is gone. Any failure drops the connection; a
     /// checkpoint reply refreshes the cached fallback on its way out.
     fn rpc(&self, body: RequestBody) -> Result<ReplyBody, QueryFault> {
-        let mut st = self.lock();
-        if st.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
-                .map_err(|_| QueryFault::Unavailable)?;
-            stream
-                .set_read_timeout(Some(self.timeout))
-                .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
-                .and_then(|()| stream.set_nodelay(true))
-                .map_err(|_| QueryFault::Unavailable)?;
-            st.stream = Some(stream);
-            st.decoder = FrameDecoder::new(DEFAULT_MAX_FRAME);
-        }
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let stream = match &mut st.stream {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
+                    .map_err(|_| QueryFault::Unavailable)?;
+                stream
+                    .set_read_timeout(Some(self.timeout))
+                    .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
+                    .and_then(|()| stream.set_nodelay(true))
+                    .map_err(|_| QueryFault::Unavailable)?;
+                st.decoder = FrameDecoder::new(DEFAULT_MAX_FRAME);
+                st.stream.insert(stream)
+            }
+        };
         let id = st.next_id;
         st.next_id += 1;
         // Request::new stamps the calling thread's trace context into
@@ -166,7 +172,6 @@ impl FrameClient {
         let fault = st.chaos.as_ref().map_or(SocketFault::None, |(p, faults)| {
             p.decide(faults, frame.len())
         });
-        let stream = st.stream.as_mut().expect("dialed above");
         match chaos_write(stream, &frame, fault) {
             Ok(WriteOutcome::Sent) | Ok(WriteOutcome::Stalled) => {
                 // Stalled: the rest of the frame will never go out; the
@@ -179,7 +184,7 @@ impl FrameClient {
             }
         }
 
-        match read_reply(&mut st) {
+        match read_reply(stream, &mut st.decoder, &mut st.read_buf) {
             Ok(reply) => {
                 match reply.body {
                     ReplyBody::Busy => {
@@ -209,22 +214,25 @@ impl FrameClient {
     }
 }
 
-/// Block until one complete reply frame decodes (or the read times
-/// out / the stream dies).
-fn read_reply(st: &mut ClientState) -> Result<Reply, QueryFault> {
-    let stream = st.stream.as_mut().expect("caller checked");
-    let mut buf = [0u8; 16 << 10];
+/// Block until one complete reply frame decodes from `stream` through
+/// `decoder` (or the read times out / the stream dies), reading into
+/// `buf`.
+fn read_reply(
+    stream: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    buf: &mut [u8],
+) -> Result<Reply, QueryFault> {
     loop {
-        match st.decoder.next_frame() {
+        match decoder.next_frame() {
             Ok(Some(payload)) => {
                 return Reply::decode(&payload).map_err(|_| QueryFault::Unavailable);
             }
             Ok(None) => {}
             Err(_) => return Err(QueryFault::Unavailable),
         }
-        match stream.read(&mut buf) {
+        match stream.read(buf) {
             Ok(0) => return Err(QueryFault::Unavailable),
-            Ok(n) => st.decoder.extend(&buf[..n]),
+            Ok(n) => decoder.extend(&buf[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>

@@ -34,6 +34,9 @@ pub const HEADER_LEN: usize = gsdb::codec::FRAME_HEADER_LEN;
 /// Default cap on payload length (a `Reports` batch over a large
 /// commit is the biggest legitimate frame).
 pub const DEFAULT_MAX_FRAME: usize = 8 << 20;
+/// Bytes one socket read takes into its caller's buffer (client and
+/// reactor each own one, allocated once).
+pub(crate) const READ_CHUNK: usize = 16 << 10;
 
 /// Why a frame could not be decoded. Every variant means the stream
 /// is unrecoverable from this point — framing has no resync marker,

@@ -36,7 +36,7 @@
 //! only safe response is to drop the stream and let the client's
 //! retry machinery reconnect.
 
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{encode_frame, FrameDecoder, READ_CHUNK};
 use crate::msg::{Reply, ReplyBody, Request, RequestBody};
 use crate::service::ServeHandler;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -267,6 +267,7 @@ fn reactor_loop(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut parked: VecDeque<(TcpStream, Instant)> = VecDeque::new();
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
+    let mut read_buf = vec![0u8; READ_CHUNK];
     let busy_frame = encode_frame(
         &Reply {
             id: 0,
@@ -307,7 +308,7 @@ fn reactor_loop(
                     .err();
             }
             if close.is_none() && ready & (EPOLLIN | EPOLLRDHUP) != 0 {
-                close = pump_reads(conn, &*handler, &cfg, hub.is_some()).err();
+                close = pump_reads(conn, &mut read_buf, &*handler, &cfg, hub.is_some()).err();
             }
             match close {
                 Some(reason) => {
@@ -516,17 +517,17 @@ fn update_interest(epoll: &Epoll, conn: &mut Conn, token: u64, cfg: &ServeConfig
     }
 }
 
-/// Drain the socket into the decoder, then answer every complete
-/// frame the per-connection window allows.
+/// Drain the socket into the decoder through `buf`, then answer every
+/// complete frame the per-connection window allows.
 fn pump_reads(
     conn: &mut Conn,
+    buf: &mut [u8],
     handler: &dyn ServeHandler,
     cfg: &ServeConfig,
     telemetry: bool,
 ) -> Result<(), CloseReason> {
-    let mut buf = [0u8; 16 << 10];
     loop {
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => {
                 // Peer closed its writing half. Serve what's already
                 // buffered, then drop: replies to a half-closed peer

@@ -108,6 +108,68 @@ fn warehouse_over_socket_heals_from_seeded_chaos() {
     server.shutdown();
 }
 
+/// Set-up under chaos: two views over one region, added over a socket
+/// that faults from its first frame. The second view shares the first
+/// one's read when that read came back whole and reads again when it
+/// did not; either way both heal to the colocated truth once the
+/// network does.
+#[test]
+fn views_set_up_over_a_faulty_socket_share_a_region_and_heal() {
+    let seed = gsview_obs::fault::seed();
+    let src = person_source();
+    let served = Arc::new(CostMeter::new());
+    let svc = Arc::new(SourceService::new(src.clone(), served.clone()));
+    let server = Server::spawn(svc, ServeConfig::default()).unwrap();
+    let client = Arc::new(
+        FrameClient::connect_with_timeout(server.addr(), Duration::from_millis(250)).unwrap(),
+    );
+    client.set_chaos(Some(SocketChaosPolicy::uniform(seed, 0.12)));
+
+    let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::network());
+    wh.connect_port("persons", client.clone(), Arc::new(CostMeter::new()), src.next_seq());
+    let old = SimpleViewDef::new("OP", "ROOT", "professor")
+        .with_cond("age", Pred::new(CmpOp::Gt, 60i64));
+    let cached = ViewOptions {
+        use_aux_cache: true,
+        ..ViewOptions::default()
+    };
+    wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+    let first_whole = !wh.view_state(oid("YP")).unwrap().is_stale();
+    let asked = served.queries();
+    wh.add_view("persons", old.clone(), cached).unwrap();
+    if first_whole {
+        assert_eq!(served.queries(), asked, "seed {seed}: the second view shares the read");
+    }
+
+    for i in 0..6 {
+        src.apply(Update::modify("A1", if i % 2 == 0 { 70 } else { 40 })).unwrap();
+        let _ = wh.handle_batch(&client.poll_reports());
+    }
+    src.apply(Update::modify("A1", 75i64)).unwrap();
+
+    client.set_chaos(None);
+    let _ = wh.handle_batch(&client.poll_reports());
+    let (name, next_seq) = client.checkpoint();
+    wh.reconcile(&name, next_seq);
+    for (view, outcome) in wh.resync_stale().unwrap() {
+        assert!(outcome.healed, "seed {seed}: resync over the healed wire fixes {view}");
+    }
+    assert!(wh.stale_views().is_empty());
+
+    let snapshot = src.snapshot();
+    for def in [yp_def(), old] {
+        let reference = recompute(&def, &mut LocalBase::new(&snapshot)).unwrap();
+        assert_eq!(
+            wh.view(def.view).unwrap().members_base(),
+            reference.members_base(),
+            "seed {seed}: {} diverged from colocated truth",
+            def.view
+        );
+    }
+    assert_eq!(wh.view(oid("OP")).unwrap().members_base(), vec![oid("P1")]);
+    server.shutdown();
+}
+
 /// Deterministic socket-level faults against a live server: garbage
 /// bytes, a mid-frame disconnect, and a stalled peer. Each must be
 /// absorbed (with the right obs counter) without affecting a healthy

@@ -30,10 +30,12 @@ use crate::protocol::{SourceQuery, SourceReply, UpdateReport};
 use crate::remote::{Asker, BatchAnswers, Channel};
 use gsdb::{path, AppliedUpdate, Label, Object, Oid, Path, Store, StoreConfig};
 use gsview_query::Pred;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
-/// A cached copy of the base subgraph along `sel_path.cond_path`.
-#[derive(Debug)]
+/// A cached copy of the base subgraph along `sel_path.cond_path`. A
+/// clone shares the copy's pages and tables copy-on-write.
+#[derive(Clone, Debug)]
 pub struct AuxCache {
     root: Oid,
     full: Path,
@@ -53,26 +55,31 @@ pub struct AuxCache {
 impl AuxCache {
     /// Read the region level by level: one root `Fetch` plus one
     /// `Reach` per prefix of `full`, put to `ask` — `|q| channel.serve(q)`
-    /// over the wire, `|q| Some(answer(&store, q))` over a local store.
+    /// over the wire, `|q| Some(answer(&store, q))` over a local store,
+    /// or a memo handing out replies it keeps (hence `R`, anything that
+    /// lends a reply).
     ///
     /// A question `ask` answers `None` leaves its level out; such a
     /// region is not a read of the source and must not be trusted for
     /// [`AuxCache::certainly_off_path`] answers — the caller watches
     /// [`Channel::exhausted`] across the build.
-    pub fn build(
+    pub fn build<R: Borrow<SourceReply>>(
         root: Oid,
         full: Path,
-        ask: &mut dyn FnMut(&SourceQuery) -> Option<SourceReply>,
+        ask: &mut dyn FnMut(&SourceQuery) -> Option<R>,
     ) -> AuxCache {
         let mut store = Store::with_config(StoreConfig {
             label_index: false,
             log_updates: false,
             ..StoreConfig::default()
         });
-        if let Some(SourceReply::Object(Some(info))) = ask(&SourceQuery::Fetch(root)) {
-            store
-                .create(info.to_object())
-                .expect("fresh cache store accepts the root");
+        // A create fails only on an OID the store already holds, so the
+        // errors ignored below cannot occur on the empty store, and
+        // within a level they mean an object the source reached twice
+        // (a DAG): its first copy stays.
+        let reply = ask(&SourceQuery::Fetch(root));
+        if let Some(SourceReply::Object(Some(info))) = reply.as_ref().map(R::borrow) {
+            let _ = store.create(info.to_object());
         }
         for depth in 1..=full.len() {
             let prefix = Path(full.labels()[..depth].to_vec());
@@ -80,14 +87,16 @@ impl AuxCache {
                 n: root,
                 p: prefix,
             });
-            if let Some(SourceReply::Objects(infos)) = reply {
-                store.reserve(infos.len());
+            if let Some(SourceReply::Objects(infos)) = reply.as_ref().map(R::borrow) {
+                // Every child a level's sets name, in the region or
+                // dangling outside it, takes a parent-index entry.
+                let children = infos
+                    .iter()
+                    .map(|i| i.value.as_set().map_or(0, |s| s.len()))
+                    .sum();
+                store.reserve_with_children(infos.len(), children);
                 for info in infos {
-                    if !store.contains(info.oid) {
-                        store
-                            .create(info.to_object())
-                            .expect("distinct OIDs within one level");
-                    }
+                    let _ = store.create(info.to_object());
                 }
             }
         }
@@ -212,7 +221,8 @@ impl AuxCache {
             return;
         };
         let children: Vec<Oid> = obj.children().to_vec();
-        self.store.create(obj).expect("checked absent above");
+        // Absent (checked above), so the create cannot fail.
+        let _ = self.store.create(obj);
         for c in children {
             if let Some(cl) = self.label_via(via, c) {
                 if self.extends(&rooted, cl) {

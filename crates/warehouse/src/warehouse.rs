@@ -12,14 +12,14 @@
 
 use crate::cache::{AuxCache, PathKnowledge};
 use crate::durable::ChunkCache;
-use crate::protocol::{CostMeter, UpdateReport};
+use crate::protocol::{CostMeter, SourceQuery, SourceReply, UpdateReport};
 use crate::remote::{BatchAnswers, Channel, RemoteBase};
 use crate::resync::{
     DeadLetterQueue, ResyncOutcome, RetryPolicy, SeqTracker, SeqVerdict, SimClock, StaleCause,
     ViewState,
 };
 use crate::source::{answer, QueryPort, Source};
-use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Result, Store};
+use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Path, Result, Store};
 use gsview_core::recompute::{recompute, refresh};
 use gsview_core::{
     consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, MaterializedView,
@@ -86,11 +86,71 @@ struct WarehouseView {
     state: ViewState,
 }
 
-/// One connected source: its retrying query channel plus the sequence
-/// tracker guarding its report stream.
+/// One connected source: its retrying query channel, the sequence
+/// tracker guarding its report stream, and the set-up reads taken over
+/// it since the tracker last moved.
 struct Connection {
     channel: Channel,
     tracker: SeqTracker,
+    reads: SetupReads,
+}
+
+impl Connection {
+    /// Forget the set-up reads: the tracker is about to move or be
+    /// re-baselined, and a read older than that is not one a new view
+    /// may start from.
+    fn tracker_mut(&mut self) -> &mut SeqTracker {
+        self.reads = SetupReads::default();
+        &mut self.tracker
+    }
+}
+
+/// The set-up reads of one connection (§5.1 Example 9's "obtain all
+/// objects in N.p", kept as §5.2 keeps base data so the warehouse does
+/// not ask twice): the source's replies by question, and the regions
+/// built from them by root and full path. Views whose paths share a
+/// prefix share its levels; views over one region share the region.
+///
+/// **Validity.** The reads are dropped whenever the connection's
+/// tracker moves or is re-baselined. While they live, every report
+/// since the tracker's baseline is still unhandled and will reach a
+/// view built from them too — the state the protocol tolerates for any
+/// read taken after the baseline, only older. A read that lost a query
+/// is never kept; heal's reads are never shared (a verifying read must
+/// be independent).
+#[derive(Default)]
+struct SetupReads {
+    replies: HashMap<SourceQuery, Arc<SourceReply>>,
+    regions: HashMap<(Oid, Path), AuxCache>,
+}
+
+impl SetupReads {
+    /// `def`'s region over `channel`: a copy of the one already built
+    /// for its root and path, else a build that asks `channel` only
+    /// what no earlier read asked. A build that lost a query is no
+    /// read (`None`) and leaves nothing behind.
+    fn region(&mut self, def: &SimpleViewDef, channel: &Channel) -> Option<AuxCache> {
+        let key = (def.root, def.full_path());
+        if let Some(region) = self.regions.get(&key) {
+            return Some(region.clone());
+        }
+        let lost = channel.exhausted();
+        let mut asked = Vec::new();
+        let region = AuxCache::build(key.0, key.1.clone(), &mut |q| {
+            if let Some(reply) = self.replies.get(q) {
+                return Some(Arc::clone(reply));
+            }
+            let reply = Arc::new(channel.serve(q)?);
+            asked.push((q.clone(), Arc::clone(&reply)));
+            Some(reply)
+        });
+        if channel.exhausted() != lost {
+            return None;
+        }
+        self.replies.extend(asked);
+        self.regions.insert(key, region.clone());
+        Some(region)
+    }
 }
 
 /// A warehouse holding materialized views over one or more sources.
@@ -176,6 +236,7 @@ impl Warehouse {
             Connection {
                 channel,
                 tracker: SeqTracker::with_baseline(next_seq),
+                reads: SetupReads::default(),
             },
         );
     }
@@ -190,12 +251,14 @@ impl Warehouse {
         self.connections.get(source).map(|c| &c.channel)
     }
 
-    /// The connection named `source`; a name nothing is connected
-    /// under is reported as the missing object it is.
+    /// The connection named `source`.
     fn connection(&self, source: &str) -> Result<&Connection> {
-        self.connections
-            .get(source)
-            .ok_or_else(|| gsdb::GsdbError::NoSuchObject(Oid::new(source)))
+        self.connections.get(source).ok_or_else(|| unconnected(source))
+    }
+
+    /// [`Warehouse::connection`], writable.
+    fn connection_mut(&mut self, source: &str) -> Result<&mut Connection> {
+        self.connections.get_mut(source).ok_or_else(|| unconnected(source))
     }
 
     /// The index of `view` among the warehouse's views.
@@ -210,13 +273,20 @@ impl Warehouse {
     /// nothing to build on: the view is registered empty and
     /// [`Stale`](ViewState::Stale), and [`Warehouse::resync_view`]
     /// heals it.
+    ///
+    /// Until the source's next report is handled (or its tracker is
+    /// re-baselined), set-up reads are kept on the connection: a view
+    /// over a region already read costs no query, and one whose path
+    /// shares a prefix with an earlier view's asks only for the levels
+    /// past it.
     pub fn add_view(
         &mut self,
         source: &str,
         def: SimpleViewDef,
         options: ViewOptions,
     ) -> Result<Oid> {
-        let region = region_over(&def, &self.connection(source)?.channel);
+        let conn = self.connection_mut(source)?;
+        let region = conn.reads.region(&def, &conn.channel);
         self.install(source, def, options, region)
     }
 
@@ -324,7 +394,7 @@ impl Warehouse {
         };
         let region = region_of(&def, &store);
         if let Some(conn) = self.connections.get_mut(source) {
-            conn.tracker = SeqTracker::with_baseline(m.seq);
+            *conn.tracker_mut() = SeqTracker::with_baseline(m.seq);
         }
         gsview_obs::event!(
             "warehouse.add_view_warm.done",
@@ -484,8 +554,9 @@ impl Warehouse {
         let mut dups = 0u64;
         let mut gaps = 0u64;
         let mut first_gap: Option<(u64, u64)> = None;
+        let tracker = conn.tracker_mut();
         for &r in reports {
-            match conn.tracker.observe(r.seq) {
+            match tracker.observe(r.seq) {
                 SeqVerdict::InOrder => accepted.push(r),
                 SeqVerdict::Duplicate { .. } => dups += 1,
                 SeqVerdict::Gap { expected, got } => {
@@ -571,7 +642,7 @@ impl Warehouse {
     /// stale).
     pub fn reconcile(&mut self, source: &str, next_seq: u64) -> Option<SeqVerdict> {
         let conn = self.connections.get_mut(source)?;
-        let verdict = conn.tracker.reconcile(next_seq)?;
+        let verdict = conn.tracker_mut().reconcile(next_seq)?;
         if let SeqVerdict::Gap { expected, got } = verdict {
             for wv in self.views.iter_mut().filter(|v| v.source == source) {
                 wv.stats.gaps_detected += 1;
@@ -669,7 +740,7 @@ impl Warehouse {
         outcome.chunks_reused = stats.reused;
         if outcome.healed {
             if let Some(conn) = self.connections.get_mut(&source) {
-                conn.tracker = SeqTracker::with_baseline(m.seq);
+                *conn.tracker_mut() = SeqTracker::with_baseline(m.seq);
             }
         }
         gsview_obs::event!("warehouse.resync_view_durable.done",
@@ -700,8 +771,16 @@ impl Default for Warehouse {
     }
 }
 
-/// One read of `def`'s region over `channel`. A read during which the
-/// channel dead-lettered a query is no read at all.
+/// The error for a source nothing is connected under: the missing
+/// object it is.
+fn unconnected(source: &str) -> gsdb::GsdbError {
+    gsdb::GsdbError::NoSuchObject(Oid::new(source))
+}
+
+/// One read of `def`'s region over `channel`, shared with nothing: a
+/// heal's verifying read must be independent of the one it checks. A
+/// read during which the channel dead-lettered a query is no read at
+/// all.
 fn region_over(def: &SimpleViewDef, channel: &Channel) -> Option<AuxCache> {
     let lost = channel.exhausted();
     let region = AuxCache::build(def.root, def.full_path(), &mut |q| channel.serve(q));
