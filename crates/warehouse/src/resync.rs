@@ -31,7 +31,7 @@
 use crate::protocol::{QueryFault, SourceQuery};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ----------------------------------------------------------------------
 // Simulated time
@@ -152,6 +152,16 @@ impl DeadLetterQueue {
         Self::default()
     }
 
+    /// The queued letters, even behind a lock a panicking thread
+    /// poisoned. That is sound because every critical section is one
+    /// `Vec` call (a push, a length, a take) that either completes or
+    /// leaves the vector as it was: a poisoned queue holds whole
+    /// letters, and dropping them would lose what the warehouse
+    /// promises never to lose.
+    fn letters(&self) -> MutexGuard<'_, Vec<DeadLetter>> {
+        self.letters.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Append a dead letter. Never silent: every entry emits a trace
     /// event (flight-recorder visible) and bumps the global
     /// `warehouse.dlq.enter` counter, so a chaos run can assert that
@@ -162,12 +172,12 @@ impl DeadLetterQueue {
             "fault" = letter.fault.to_string(),
             "attempts" = letter.attempts);
         gsview_obs::registry().counter("warehouse.dlq.enter").incr();
-        self.letters.lock().unwrap().push(letter);
+        self.letters().push(letter);
     }
 
     /// Number of queued letters.
     pub fn len(&self) -> usize {
-        self.letters.lock().unwrap().len()
+        self.letters().len()
     }
 
     /// True iff no letters are queued.
@@ -178,7 +188,7 @@ impl DeadLetterQueue {
     /// Take all queued letters. Bumps `warehouse.dlq.leave` by the
     /// number taken, so `enter - leave` is the standing backlog.
     pub fn drain(&self) -> Vec<DeadLetter> {
-        let letters = std::mem::take(&mut *self.letters.lock().unwrap());
+        let letters = std::mem::take(&mut *self.letters());
         if !letters.is_empty() {
             gsview_obs::event!("warehouse.dlq.drain", "count" = letters.len());
             gsview_obs::registry()

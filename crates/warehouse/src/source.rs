@@ -50,7 +50,7 @@ use gsdb::{
 };
 use gsview_durable::{DurableStore, PersistMeta, PersistReceipt};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How many times the publish-point persist hook retries a failed
 /// epoch persist before declaring durability degraded. Retries are
@@ -77,24 +77,33 @@ struct DurabilityHealth {
 }
 
 impl DurabilityHealth {
+    /// The pending error, even behind a lock a panicking thread
+    /// poisoned. That is sound because every critical section is one
+    /// `Option` call (an insert, a take, a clone, a reset) that either
+    /// completes or leaves the slot as it was, and the latch that
+    /// matters, `degraded`, is an atomic outside the lock.
+    fn pending(&self) -> MutexGuard<'_, Option<String>> {
+        self.pending_error.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn record_failure(&self, msg: String) {
         self.degraded.store(true, Ordering::Release);
-        let mut slot = self.pending_error.lock().unwrap();
+        let mut slot = self.pending();
         // Keep the *first* error: it names the epoch where the lineage
         // hole starts, which is what the operator needs.
         slot.get_or_insert(msg);
     }
 
     fn take_pending(&self) -> Option<String> {
-        self.pending_error.lock().unwrap().take()
+        self.pending().take()
     }
 
     fn peek(&self) -> Option<String> {
-        self.pending_error.lock().unwrap().clone()
+        self.pending().clone()
     }
 
     fn clear(&self) {
-        *self.pending_error.lock().unwrap() = None;
+        *self.pending() = None;
         self.degraded.store(false, Ordering::Release);
     }
 }

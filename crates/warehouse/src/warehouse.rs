@@ -32,10 +32,12 @@ use std::sync::Arc;
 /// Options controlling how a warehouse view is maintained.
 #[derive(Clone, Debug, Default)]
 pub struct ViewOptions {
-    /// Keep the region the view was computed from — the copy of the
-    /// source along `sel_path.cond_path` every set-up and heal reads —
-    /// as the view's auxiliary cache (§5.2), maintained from the report
-    /// stream. Off, the region is dropped once the view is built.
+    /// Pin the view's region — the copy of the source along
+    /// `sel_path.cond_path` every set-up and heal reads — as the
+    /// auxiliary cache (§5.2) its connection keeps and maintains from
+    /// the report stream. One copy serves every view over the same root
+    /// and full path, pinned or not; a region nobody pins outlives its
+    /// views' set-up only as a set-up read.
     pub use_aux_cache: bool,
     /// Screen reports by label before doing anything else (works at
     /// report level ≥ 2: "the warehouse can do some local screening to
@@ -75,24 +77,39 @@ pub struct ViewStats {
     pub lag_sweeps: u64,
 }
 
+/// A region's key: a view's root and full path.
+type RegionKey = (Oid, Path);
+
 struct WarehouseView {
     def: SimpleViewDef,
     maintainer: Maintainer,
     mv: MaterializedView,
     source: String,
-    cache: Option<AuxCache>,
+    /// The region the view is defined over.
+    key: RegionKey,
     options: ViewOptions,
     stats: ViewStats,
     state: ViewState,
 }
 
 /// One connected source: its retrying query channel, the sequence
-/// tracker guarding its report stream, and the set-up reads taken over
-/// it since the tracker last moved.
+/// tracker guarding its report stream, the set-up reads taken over it
+/// since the tracker last moved, and the regions it keeps.
 struct Connection {
     channel: Channel,
     tracker: SeqTracker,
     reads: SetupReads,
+    /// The **kept** regions (§5.2's auxiliary cache, "simply another
+    /// materialized view"), by root and full path: one copy a region,
+    /// kept while a view over it pins it (`use_aux_cache`), maintained
+    /// once per handled call, and read by every view over it.
+    ///
+    /// **Validity.** A kept region has seen every accepted report since
+    /// it was read and has lost no query: one whose upkeep lost a query
+    /// is dropped before any view reads it, and a sequence gap drops
+    /// them all (every view of the source goes stale, and a heal
+    /// installs a verified read again).
+    regions: HashMap<RegionKey, AuxCache>,
 }
 
 impl Connection {
@@ -103,6 +120,26 @@ impl Connection {
         self.reads = SetupReads::default();
         &mut self.tracker
     }
+
+    /// Drop every kept region: the report stream has a gap.
+    fn drop_regions_on_gap(&mut self) {
+        for (key, _) in self.regions.drain() {
+            region_dropped(self.channel.source(), &key, "gap");
+        }
+    }
+}
+
+/// Book a kept region's drop for `cause` (`gap` or `lost_query`): the
+/// views over it query the source back until a heal installs it again.
+fn region_dropped(source: &str, key: &RegionKey, cause: &'static str) {
+    gsview_obs::event!("warehouse.region.dropped",
+        "source" = source.to_string(),
+        "root" = key.0.name().to_string(),
+        "path" = key.1.to_string(),
+        "cause" = cause);
+    gsview_obs::registry()
+        .counter(&format!("warehouse.region.dropped.{cause}"))
+        .incr();
 }
 
 /// The set-up reads of one connection (§5.1 Example 9's "obtain all
@@ -237,6 +274,7 @@ impl Warehouse {
                 channel,
                 tracker: SeqTracker::with_baseline(next_seq),
                 reads: SetupReads::default(),
+                regions: HashMap::new(),
             },
         );
     }
@@ -291,8 +329,8 @@ impl Warehouse {
     }
 
     /// Register a view computed from `region`, the one read set-up
-    /// makes; the region stays on as the view's cache when the options
-    /// ask for one.
+    /// makes; the region becomes the kept one for its key when the
+    /// options pin it.
     fn install(
         &mut self,
         source: &str,
@@ -311,12 +349,16 @@ impl Warehouse {
             ),
         };
         let view = def.view;
+        let key = (def.root, def.full_path());
+        if let Some(region) = region.filter(|_| options.use_aux_cache) {
+            self.connection_mut(source)?.regions.insert(key.clone(), region);
+        }
         self.views.push(WarehouseView {
             maintainer: Maintainer::new(def.clone()),
             def,
             mv,
             source: source.to_owned(),
-            cache: region.filter(|_| options.use_aux_cache),
+            key,
             options,
             stats: ViewStats::default(),
             state,
@@ -432,10 +474,15 @@ impl Warehouse {
         self.lookup(view).map(|i| self.views[i].stats)
     }
 
-    /// A view's auxiliary-cache maintenance query count, if caching.
+    /// The upkeep query count of the region a view pins, while its
+    /// connection keeps it.
     pub fn cache_queries(&self, view: Oid) -> Option<u64> {
-        let cache = self.views[self.lookup(view)?].cache.as_ref()?;
-        Some(cache.maintenance_queries)
+        let wv = &self.views[self.lookup(view)?];
+        if !wv.options.use_aux_cache {
+            return None;
+        }
+        let region = self.connection(&wv.source).ok()?.regions.get(&wv.key)?;
+        Some(region.maintenance_queries)
     }
 
     /// Handle one update report from a source monitor: check its
@@ -458,15 +505,15 @@ impl Warehouse {
             "source" = report.source.clone(),
             "seq" = report.seq,
             "level" = report.effective_level().to_string());
-        self.handle_source(&report.source, &[report], false, |wv, channel, _, _, faults_before| {
+        self.handle_source(&report.source, &[report], false, |wv, region, channel, _, _, faults_before| {
             let mut outcome = {
                 let mut base = RemoteBase::new(channel).with_report(report);
-                if let Some(cache) = wv.cache.as_ref() {
-                    base = base.with_cache(cache);
+                if let Some(region) = region {
+                    base = base.with_cache(region);
                 }
                 wv.maintainer.apply(&mut wv.mv, &mut base, &report.update)?
             };
-            if channel.exhausted() == faults_before {
+            if region.is_none() && channel.exhausted() == faults_before {
                 lag_guard(wv, channel, report, &mut outcome)?;
             }
             Ok(outcome)
@@ -504,7 +551,7 @@ impl Warehouse {
         for source in sources {
             let of_source: Vec<&UpdateReport> =
                 reports.iter().filter(|r| r.source == source).collect();
-            let maintained = self.handle_source(source, &of_source, true, |wv, channel, answers, kept, _| {
+            let maintained = self.handle_source(source, &of_source, true, |wv, region, channel, answers, kept, _| {
                 let mut batch = DeltaBatch::new();
                 for r in kept {
                     batch.push(r.update.clone());
@@ -513,8 +560,8 @@ impl Warehouse {
                 if let Some(answers) = answers {
                     base = base.with_batch(answers);
                 }
-                if let Some(cache) = wv.cache.as_ref() {
-                    base = base.with_cache(cache);
+                if let Some(region) = region {
+                    base = base.with_cache(region);
                 }
                 wv.maintainer.apply_batch(&mut wv.mv, &mut base, &batch)
             })?;
@@ -524,15 +571,25 @@ impl Warehouse {
     }
 
     /// The report loop behind [`Warehouse::handle_report`] and
-    /// [`Warehouse::handle_batch`]: `reports` (all from `source`, in
-    /// arrival order) are sequence-screened once, and each view of the
-    /// source gets its statistics, gap verdict, cache upkeep and label
-    /// screening here. `maintain` is called once per healthy view with
-    /// the reports screening kept (never empty), and is the only thing
-    /// the two entry points do differently. `batched` shares the
-    /// reports' answers ([`BatchAnswers`]) between the cache upkeep and
-    /// `maintain`. A view whose pass lost a query to the dead-letter
-    /// queue goes stale and reports no outcome.
+    /// [`Warehouse::handle_batch`], in four steps:
+    ///
+    /// 1. `reports` (all from `source`, in arrival order) are
+    ///    sequence-screened once; a gap drops the source's kept regions.
+    /// 2. Each kept region is maintained once over the accepted reports
+    ///    ([`AuxCache::apply_report`]); one whose upkeep lost a query
+    ///    is dropped, and the views pinning it go stale.
+    /// 3. Each view of the source gets its statistics, gap verdict and
+    ///    label screening, and `maintain` is called once per healthy
+    ///    view with the reports screening kept (never empty) and the
+    ///    kept region over the view's key, pinned by it or not. It is
+    ///    the only thing the two entry points do differently. A view
+    ///    whose pass lost a query to the dead-letter queue goes stale
+    ///    and reports no outcome.
+    /// 4. Each kept region is finalized once, after every view has
+    ///    read it, so a detached subtree outlives every delete case.
+    ///
+    /// `batched` shares the reports' answers ([`BatchAnswers`]) between
+    /// the upkeep and `maintain`.
     fn handle_source<O: Tally>(
         &mut self,
         source: &str,
@@ -540,6 +597,7 @@ impl Warehouse {
         batched: bool,
         mut maintain: impl FnMut(
             &mut WarehouseView,
+            Option<&AuxCache>,
             &Channel,
             Option<&BatchAnswers<'_>>,
             &[&UpdateReport],
@@ -572,8 +630,33 @@ impl Warehouse {
                 }
             }
         }
+        if first_gap.is_some() {
+            conn.drop_regions_on_gap();
+        }
         let channel = conn.channel.clone();
         let answers = batched.then(|| BatchAnswers::new(&accepted));
+        // Region upkeep, once per kept region — before screening, and
+        // before Algorithm 1 so each region reflects the post-update
+        // state the algorithm expects. Screening only proves a *view*
+        // cannot change; a cached copy still can, and
+        // [`AuxCache::try_fetch`] serves exact whole-value copies.
+        let mut lost: Vec<RegionKey> = Vec::new();
+        if !accepted.is_empty() {
+            conn.regions.retain(|key, region| {
+                let faults_before = channel.exhausted();
+                for &report in &accepted {
+                    region.apply_report(report, &channel, answers.as_ref());
+                }
+                gsview_obs::registry().counter("warehouse.region.upkeeps").incr();
+                if channel.exhausted() == faults_before {
+                    return true;
+                }
+                region_dropped(source, key, "lost_query");
+                lost.push(key.clone());
+                false
+            });
+        }
+        let regions = &conn.regions;
         let mut outcomes = Vec::new();
         for wv in self.views.iter_mut().filter(|v| v.source == source) {
             wv.stats.reports += reports.len() as u64;
@@ -584,29 +667,25 @@ impl Warehouse {
                     wv.state = ViewState::Stale(StaleCause::ReportGap { expected, got });
                 }
             }
+            if wv.options.use_aux_cache && !wv.state.is_stale() && lost.contains(&wv.key) {
+                // The region it pins lost a query in its upkeep.
+                wv.state = ViewState::Stale(StaleCause::QueryFailure);
+            }
             if wv.state.is_stale() {
                 wv.stats.skipped_while_stale += accepted.len() as u64;
                 continue;
             }
+            let region = regions.get(&wv.key);
             let faults_before = channel.exhausted();
             let mut kept: Vec<&UpdateReport> = Vec::new();
             for &report in &accepted {
-                // Maintain the auxiliary cache first — before
-                // screening, and before Algorithm 1 so it reflects the
-                // post-update state the algorithm expects. Screening
-                // only proves the *view* cannot change; a cached copy
-                // still can, and [`AuxCache::try_fetch`] serves exact
-                // whole-value copies.
-                if let Some(cache) = wv.cache.as_mut() {
-                    cache.apply_report(report, &channel, answers.as_ref());
-                }
                 // Local screening (no source queries). A screened
                 // report cannot change membership, but an edge into a
                 // member set or a modify of a member atom still changes
                 // its *value* (§3.2) — refresh it from local data, or
                 // fall through to full maintenance when no local copy
                 // is available.
-                if screened_out(wv, report) && screened_content_upkeep(wv, report)? {
+                if screened_out(wv, report) && screened_content_upkeep(wv, region, report)? {
                     wv.stats.screened_out += 1;
                     continue;
                 }
@@ -615,11 +694,8 @@ impl Warehouse {
             let outcome = if kept.is_empty() {
                 None
             } else {
-                Some(maintain(wv, &channel, answers.as_ref(), &kept, faults_before)?)
+                Some(maintain(wv, region, &channel, answers.as_ref(), &kept, faults_before)?)
             };
-            if let Some(cache) = wv.cache.as_mut() {
-                cache.finalize_report();
-            }
             if channel.exhausted() > faults_before {
                 // A query inside this pass exhausted its retries: the
                 // outcome is built on missing data.
@@ -630,6 +706,9 @@ impl Warehouse {
                 outcome.tally(&mut wv.stats);
                 outcomes.push((wv.def.view, outcome));
             }
+        }
+        for region in conn.regions.values_mut() {
+            region.finalize_report();
         }
         Ok(outcomes)
     }
@@ -644,6 +723,7 @@ impl Warehouse {
         let conn = self.connections.get_mut(source)?;
         let verdict = conn.tracker_mut().reconcile(next_seq)?;
         if let SeqVerdict::Gap { expected, got } = verdict {
+            conn.drop_regions_on_gap();
             for wv in self.views.iter_mut().filter(|v| v.source == source) {
                 wv.stats.gaps_detected += 1;
                 if !wv.state.is_stale() {
@@ -675,7 +755,8 @@ impl Warehouse {
     /// Heal one view over the wire: read its region, repair the view
     /// from it ([`refresh`]), verify against a second, independent read,
     /// and escalate to [`recompute`] when the source moved between the
-    /// two; the region that verified becomes the view's cache. At most
+    /// two; the region that verified becomes the kept one for the
+    /// view's key when a view pins it. At most
     /// three reads of `full_path().len() + 1` queries each. This is
     /// also the recovery path for the anomaly the paper flags in §5.1 —
     /// "source updates may interfere with query evaluation and
@@ -693,7 +774,7 @@ impl Warehouse {
             return Ok(ResyncOutcome::default());
         };
         let channel = self.connection(&self.views[idx].source)?.channel.clone();
-        let outcome = heal(&mut self.views[idx], &mut |def| region_over(def, &channel))?;
+        let outcome = self.heal_view(idx, &mut |def| region_over(def, &channel))?;
         gsview_obs::event!("warehouse.resync_view.done",
             "view" = view.name().to_string(),
             "healed" = outcome.healed,
@@ -735,7 +816,7 @@ impl Warehouse {
             return self.resync_view(view);
         };
         // The reconstruction is local: no read of it can lose a query.
-        let mut outcome = heal(&mut self.views[idx], &mut |def| Some(region_of(def, &store)))?;
+        let mut outcome = self.heal_view(idx, &mut |def| Some(region_of(def, &store)))?;
         outcome.chunks_fetched = stats.fetched;
         outcome.chunks_reused = stats.reused;
         if outcome.healed {
@@ -750,6 +831,30 @@ impl Warehouse {
             "epoch" = m.epoch,
             "chunks_fetched" = stats.fetched,
             "chunks_reused" = stats.reused);
+        Ok(outcome)
+    }
+
+    /// [`heal`] view `idx` from `read`. The region that verified is
+    /// the newest complete read of its key and has seen every report
+    /// the tracker accepted, so it becomes the kept one for the key
+    /// (restoring one a gap or a lost query dropped) when a view of the
+    /// source pins it.
+    fn heal_view(
+        &mut self,
+        idx: usize,
+        read: &mut dyn FnMut(&SimpleViewDef) -> Option<AuxCache>,
+    ) -> Result<ResyncOutcome> {
+        let (outcome, verified) = heal(&mut self.views[idx], read)?;
+        let wv = &self.views[idx];
+        let pinned = self
+            .views
+            .iter()
+            .any(|v| v.options.use_aux_cache && v.source == wv.source && v.key == wv.key);
+        if let Some(region) = verified.filter(|_| pinned) {
+            let key = wv.key.clone();
+            let source = wv.source.clone();
+            self.connection_mut(&source)?.regions.insert(key, region);
+        }
         Ok(outcome)
     }
 
@@ -797,15 +902,14 @@ fn region_of(def: &SimpleViewDef, store: &Store) -> AuxCache {
 /// it against a **second, independent** read, and when the two disagree
 /// — the source moved between them — escalate: [`recompute`] from the
 /// newer read and verify against a third. Two reads that agree are what
-/// a heal proves; the region that verified becomes the view's cache
-/// (the old one went unmaintained while the view was stale), and the
-/// result is booked in the view's state and statistics. A `read` that
+/// a heal proves; the result is booked in the view's state and
+/// statistics, and the region that verified is returned. A `read` that
 /// answers `None` lost a query on the way and proves nothing: the view
 /// stays (or goes) stale and keeps what it has.
 fn heal(
     wv: &mut WarehouseView,
     read: &mut dyn FnMut(&SimpleViewDef) -> Option<AuxCache>,
-) -> Result<ResyncOutcome> {
+) -> Result<(ResyncOutcome, Option<AuxCache>)> {
     let mut outcome = ResyncOutcome::default();
     let agrees = |region: &AuxCache, mv: &MaterializedView| {
         consistency::check(&wv.def, &mut LocalBase::new(region.store()), mv).is_empty()
@@ -823,10 +927,7 @@ fn heal(
     }
 
     outcome.healed = verified.is_some();
-    if let Some(region) = verified {
-        if wv.options.use_aux_cache {
-            wv.cache = Some(region);
-        }
+    if outcome.healed {
         if wv.state.is_stale() {
             wv.stats.resyncs += 1;
         }
@@ -834,7 +935,7 @@ fn heal(
     } else if !wv.state.is_stale() {
         wv.state = ViewState::Stale(StaleCause::QueryFailure);
     }
-    Ok(outcome)
+    Ok((outcome, verified))
 }
 
 /// What a maintenance pass adds to its view's [`ViewStats`].
@@ -869,19 +970,19 @@ impl Tally for BatchOutcome {
 /// they always leave evidence in the current state for a later report
 /// to find.)
 ///
-/// A view with a healthy aux cache is exempt: the cache is maintained
-/// from the report stream itself, so its answers — including
-/// `certainly_off_path` rejections — describe the state right after
-/// each reported update. Dismissals are then report-time-sound and the
-/// guard (whose check costs a source query) would only re-confirm
-/// them.
+/// A view read over a kept region is exempt (the caller skips the
+/// guard): the region is maintained from the report stream itself, so
+/// its answers — including `certainly_off_path` rejections — describe
+/// the state right after each reported update. Dismissals are then
+/// report-time-sound and the guard (whose check costs a source query)
+/// would only re-confirm them.
 fn lag_guard(
     wv: &mut WarehouseView,
     channel: &Channel,
     report: &UpdateReport,
     outcome: &mut Outcome,
 ) -> Result<()> {
-    if wv.cache.is_some() || outcome.relevant || wv.mv.is_empty() {
+    if outcome.relevant || wv.mv.is_empty() {
         return Ok(());
     }
     let mut base = RemoteBase::new(channel);
@@ -951,12 +1052,16 @@ fn reported_label(report: &UpdateReport, oid: Oid) -> Option<Label> {
 /// object" (§3.2). Screening promises query-free handling, so the
 /// fresh copy must already be at the warehouse: the report's carried
 /// object values (L2+ reports describe both ends of an edge
-/// post-update), the modify's own new value, or the aux cache (kept
-/// exact by [`AuxCache::apply_report`]). Returns `false` when the
-/// affected object is a member but no local copy is available — the
-/// caller must then fall through to full maintenance instead of
+/// post-update), the modify's own new value, or the kept `region` over
+/// the view's key (exact by [`AuxCache::apply_report`]). Returns `false`
+/// when the affected object is a member but no local copy is available
+/// — the caller must then fall through to full maintenance instead of
 /// screening.
-fn screened_content_upkeep(wv: &mut WarehouseView, report: &UpdateReport) -> Result<bool> {
+fn screened_content_upkeep(
+    wv: &mut WarehouseView,
+    region: Option<&AuxCache>,
+    report: &UpdateReport,
+) -> Result<bool> {
     let affected = match &report.update {
         AppliedUpdate::Insert { parent, .. } | AppliedUpdate::Delete { parent, .. } => *parent,
         AppliedUpdate::Modify { oid, .. } => *oid,
@@ -983,7 +1088,7 @@ fn screened_content_upkeep(wv: &mut WarehouseView, report: &UpdateReport) -> Res
             return Ok(true);
         }
     }
-    if let Some(obj) = wv.cache.as_ref().and_then(|c| c.try_fetch(affected)) {
+    if let Some(obj) = region.and_then(|r| r.try_fetch(affected)) {
         wv.mv.refresh_delegate(&obj)?;
         return Ok(true);
     }
@@ -1386,24 +1491,28 @@ mod tests {
         SimpleViewDef::new("OP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Gt, 60i64))
     }
 
+    /// A view pinning the region `yp_def` and `old_def` are over.
     fn cached_def() -> SimpleViewDef {
         SimpleViewDef::new("YC", "ROOT", "professor")
             .with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
-    /// One L2 report stream over two uncached views and a cached one,
-    /// flushed as one batch or pumped a report at a time: the queries
-    /// sent, the reports, and each view's contents.
+    /// A view over a region `yp_def` and `old_def` do not share.
+    fn named_def() -> SimpleViewDef {
+        SimpleViewDef::new("NC", "ROOT", "professor")
+            .with_cond("name", Pred::new(CmpOp::Eq, "Sal"))
+    }
+
+    /// One L2 report stream over two uncached views and a cached one
+    /// over another region (so the two query back), flushed as one
+    /// batch or pumped a report at a time: the queries sent, the
+    /// reports, and each view's contents.
     fn l2_stream(batched: bool) -> (Vec<SourceQuery>, Vec<UpdateReport>, Vec<Contents>) {
         let src = person_source(ReportLevel::WithValues);
         let (mut wh, probe) = probed(&src);
         wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
         wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
-        let cached = ViewOptions {
-            use_aux_cache: true,
-            ..ViewOptions::default()
-        };
-        wh.add_view("persons", cached_def(), cached).unwrap();
+        wh.add_view("persons", named_def(), cached()).unwrap();
         for u in [
             Update::create(Object::atom("A2", "age", 40i64)),
             Update::insert("P2", "A2"), // P2 joins the young
@@ -1411,7 +1520,7 @@ mod tests {
             Update::create(Object::set("P5", "professor", &[oid("A5")])),
             Update::insert("ROOT", "P5"), // P5 joins the old; the cache adopts it
             Update::modify("A1", 50i64),  // P1 leaves the young
-            Update::modify("N2", "Sal"),
+            Update::modify("N2", "Sal"),  // P2 joins the named
             Update::delete("ROOT", "P4"),
         ] {
             src.apply(u).unwrap();
@@ -1425,7 +1534,7 @@ mod tests {
                 wh.handle_report(r).unwrap();
             }
         }
-        let defs = [yp_def(), old_def(), cached_def()];
+        let defs = [yp_def(), old_def(), named_def()];
         for def in &defs {
             assert_consistent(&src, &wh, def);
         }
@@ -1447,6 +1556,7 @@ mod tests {
         assert_eq!(batched_views, sequential_views);
         assert_eq!(batched_views[0].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P2")]);
         assert_eq!(batched_views[1].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P5")]);
+        assert_eq!(batched_views[2].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P2")]);
 
         let refs: Vec<&UpdateReport> = reports.iter().collect();
         let answers = BatchAnswers::new(&refs);
@@ -1475,6 +1585,157 @@ mod tests {
         // At least: the registry is process-wide.
         assert!(report_answers.get() > answered_before);
         assert!(memo_hits.get() > hits_before);
+    }
+
+    // ------------------------------------------------------------------
+    // Views over one region share the kept copy
+    // ------------------------------------------------------------------
+
+    /// Updates of the region along `professor.age` whose upkeep the
+    /// reports answer in full: P2 gains an age, P1 ages, a new
+    /// professor P5 is hung first and given an age after, a name
+    /// changes, a secretary goes, P1 loses its age and P2 is detached
+    /// (its delete case reads the subtree the region still holds).
+    fn region_updates() -> Vec<Update> {
+        vec![
+            Update::create(Object::atom("A2", "age", 40i64)),
+            Update::insert("P2", "A2"),
+            Update::modify("A1", 50i64),
+            Update::create(Object::set("P5", "professor", &[])),
+            Update::insert("ROOT", "P5"),
+            Update::create(Object::atom("A5", "age", 70i64)),
+            Update::insert("P5", "A5"),
+            Update::modify("N2", "Sal"),
+            Update::delete("ROOT", "P4"),
+            Update::delete("P1", "A1"),
+            Update::delete("ROOT", "P2"),
+        ]
+    }
+
+    #[test]
+    fn readers_of_a_kept_region_ask_the_source_nothing() {
+        for yc_first in [true, false] {
+            for batched in [true, false] {
+                let src = person_source(ReportLevel::WithValues);
+                let (mut wh, probe) = probed(&src);
+                if yc_first {
+                    wh.add_view("persons", cached_def(), cached()).unwrap();
+                }
+                wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+                wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+                if !yc_first {
+                    wh.add_view("persons", cached_def(), cached()).unwrap();
+                }
+                probe.log.lock().unwrap().clear();
+                // Pumped a report at a time, each report is built right
+                // after its update (P5 is reported without A5).
+                for u in region_updates() {
+                    src.apply(u).unwrap();
+                    if !batched {
+                        pump(&src, &mut wh);
+                    }
+                }
+                wh.handle_batch(&src.monitor().poll()).unwrap();
+                let asked = probe.log.lock().unwrap().clone();
+                assert_eq!(asked, vec![], "YC first: {yc_first}, batched: {batched}");
+                assert!(wh.stale_views().is_empty());
+                for def in [cached_def(), yp_def(), old_def()] {
+                    assert_consistent(&src, &wh, &def);
+                }
+                assert_eq!(wh.view(oid("OP")).unwrap().members_base(), vec![oid("P5")]);
+                assert!(wh.view(oid("YP")).unwrap().is_empty());
+                assert_eq!(wh.cache_queries(oid("YC")), Some(0));
+                assert_eq!(wh.cache_queries(oid("YP")), None, "YP reads the region, pins nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lost_upkeep_query_drops_the_region_and_stales_only_its_pinners() {
+        let registry = gsview_obs::registry();
+        let dropped = registry.counter("warehouse.region.dropped.lost_query");
+        let dropped_before = dropped.get();
+        let src = person_source(ReportLevel::WithValues);
+        let read = cached_def().full_path().len() + 1;
+        // The first query after the three views' one shared set-up
+        // read is the upkeep's question about A5, and it is lost.
+        let (mut wh, port) = nth_port(&src, read + 1, || Some(QueryFault::Unavailable));
+        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", cached_def(), cached()).unwrap();
+        wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+        // P5 and its age exist unreported, so hanging P5 under ROOT
+        // leaves the upkeep to ask what A5 is.
+        src.with_store(|s| {
+            s.create(Object::atom("A5", "age", 70i64))?;
+            s.create(Object::set("P5", "professor", &[oid("A5")]))
+        })
+        .unwrap();
+        src.with_store(|s| {
+            s.drain_log();
+        });
+        src.apply(Update::insert("ROOT", "P5")).unwrap();
+        wh.handle_batch(&src.monitor().poll()).unwrap();
+
+        assert_eq!(wh.dead_letters().len(), 1);
+        assert!(kept(&wh, "persons", &cached_def()).is_none(), "the lossy region is dropped");
+        assert!(dropped.get() > dropped_before);
+        assert_eq!(wh.stale_views(), vec![oid("YC")], "only the pinning view goes stale");
+        assert_eq!(
+            wh.view_state(oid("YC")),
+            Some(ViewState::Stale(StaleCause::QueryFailure))
+        );
+        for def in [yp_def(), old_def()] {
+            assert_consistent(&src, &wh, &def);
+        }
+        assert_eq!(wh.view(oid("OP")).unwrap().members_base(), vec![oid("P5")]);
+
+        let healed = wh.resync_stale().unwrap();
+        assert!(healed.iter().all(|(_, o)| o.healed));
+        let region = kept(&wh, "persons", &cached_def()).expect("the heal re-installs the region");
+        assert!(region.covers(oid("A5")));
+        assert_eq!(wh.view_state(oid("YC")), Some(ViewState::Consistent));
+
+        let asked = port.asked.load(std::sync::atomic::Ordering::SeqCst);
+        src.apply(Update::modify("A5", 30i64)).unwrap(); // P5 turns young
+        wh.handle_batch(&src.monitor().poll()).unwrap();
+        assert_eq!(port.asked.load(std::sync::atomic::Ordering::SeqCst), asked, "nothing asked");
+        assert!(wh.stale_views().is_empty());
+        for def in [yp_def(), cached_def(), old_def()] {
+            assert_consistent(&src, &wh, &def);
+        }
+    }
+
+    #[test]
+    fn a_gap_drops_the_region_and_healing_restores_it() {
+        let registry = gsview_obs::registry();
+        let dropped = registry.counter("warehouse.region.dropped.gap");
+        let dropped_before = dropped.get();
+        let src = person_source(ReportLevel::WithValues);
+        let (mut wh, probe) = probed(&src);
+        wh.add_view("persons", cached_def(), cached()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        src.apply(Update::modify("A1", 80i64)).unwrap();
+        src.apply(Update::delete("ROOT", "P2")).unwrap();
+        let reports = src.monitor().poll();
+        wh.handle_batch(&reports[1..]).unwrap(); // seq 0 lost
+        assert_eq!(wh.stale_views(), vec![oid("YC"), oid("YP")]);
+        assert!(kept(&wh, "persons", &cached_def()).is_none(), "a gap drops the region");
+        assert!(dropped.get() > dropped_before);
+
+        // Healing the reader first installs the region for the pinner.
+        assert!(wh.resync_view(oid("YP")).unwrap().healed);
+        let region = kept(&wh, "persons", &cached_def()).expect("healing restores the region");
+        assert_eq!(region.store().atom(oid("A1")), Some(&gsdb::Atom::Int(80)));
+        assert!(wh.resync_view(oid("YC")).unwrap().healed);
+
+        probe.log.lock().unwrap().clear();
+        src.apply(Update::modify("A1", 30i64)).unwrap(); // P1 returns
+        wh.handle_batch(&src.monitor().poll()).unwrap();
+        assert_eq!(probe.log.lock().unwrap().clone(), vec![]);
+        for def in [cached_def(), yp_def()] {
+            assert_consistent(&src, &wh, &def);
+        }
+        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
     }
 
     #[test]
@@ -1598,6 +1859,11 @@ mod tests {
         }
     }
 
+    /// The region `wh` keeps for `def`'s key on `source`.
+    fn kept<'w>(wh: &'w Warehouse, source: &str, def: &SimpleViewDef) -> Option<&'w AuxCache> {
+        wh.connections[source].regions.get(&(def.root, def.full_path()))
+    }
+
     /// The objects of a region, in OID order.
     fn objects(region: &AuxCache) -> Vec<Object> {
         let store = region.store();
@@ -1662,7 +1928,7 @@ mod tests {
                 // Tuples 21.. are older than 30.
                 assert_eq!(wh.view(def.view).unwrap().len(), n - 21);
                 assert_consistent(&src, &wh, &def);
-                assert_eq!(wh.views[0].cache.is_some(), options.use_aux_cache);
+                assert_eq!(kept(&wh, "rels", &def).is_some(), options.use_aux_cache);
             }
         }
     }
@@ -1694,7 +1960,7 @@ mod tests {
 
             let channel = wh.channel("rels").unwrap().clone();
             let fresh = region_over(&def, &channel).unwrap();
-            match wh.views[0].cache.as_ref() {
+            match kept(&wh, "rels", &def) {
                 Some(cache) => assert_eq!(objects(cache), objects(&fresh)),
                 None => assert!(!options.use_aux_cache),
             }
@@ -1728,8 +1994,9 @@ mod tests {
         assert_eq!(wh.view_state(oid("YP")), Some(ViewState::Consistent));
         assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
         assert_consistent(&src, &wh, &yp_def());
-        // And the cache is a read of the final state, not the first.
-        let cache = wh.views[0].cache.as_ref().unwrap();
+        // And the kept region is a read of the final state, not the
+        // first.
+        let cache = kept(&wh, "persons", &yp_def()).unwrap();
         assert_eq!(cache.store().atom(oid("A1")), Some(&gsdb::Atom::Int(30)));
     }
 
@@ -1745,23 +2012,19 @@ mod tests {
         wh.reconcile_checkpoints([src.monitor().checkpoint()]);
         let gap = wh.view_state(oid("YP")).unwrap();
         assert!(gap.is_stale());
+        assert!(kept(&wh, "persons", &yp_def()).is_none(), "a gap drops the region");
 
         let outcome = wh.resync_view(oid("YP")).unwrap();
         assert!(!outcome.healed && !outcome.escalated);
         assert_eq!(wh.dead_letters().len(), 1);
         assert_eq!(wh.view_state(oid("YP")), Some(gap), "still stale, for the first reason");
         assert_eq!(wh.view_stats(oid("YP")).unwrap().resyncs, 0);
-        let cache = wh.views[0].cache.as_ref().unwrap();
-        assert_eq!(
-            cache.store().atom(oid("A1")),
-            Some(&gsdb::Atom::Int(45)),
-            "the set-up region is still the cache"
-        );
+        assert!(kept(&wh, "persons", &yp_def()).is_none(), "a failed heal installs nothing");
 
         // The next heal reads in full and goes through.
         assert!(wh.resync_view(oid("YP")).unwrap().healed);
         assert!(wh.view(oid("YP")).unwrap().is_empty());
-        let cache = wh.views[0].cache.as_ref().unwrap();
+        let cache = kept(&wh, "persons", &yp_def()).unwrap();
         assert_eq!(cache.store().atom(oid("A1")), Some(&gsdb::Atom::Int(80)));
     }
 
