@@ -79,7 +79,6 @@ fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
     let (store, mut db) = relations::generate(
         spec,
         gsdb::StoreConfig {
-            label_index: true,
             log_updates: true,
             ..gsdb::StoreConfig::default()
         },

@@ -95,7 +95,6 @@ fn build_source(tuples_per_relation: usize) -> (Source, RelationsDb) {
             seed: 131,
         },
         gsdb::StoreConfig {
-            label_index: true,
             log_updates: true,
             ..gsdb::StoreConfig::default()
         },

@@ -35,7 +35,7 @@ use crate::table::{fnum, Table};
 use gsdb::{Object, Oid, Path, Update};
 use gsview_core::check_networked_equivalence;
 use gsview_obs::metrics::Histogram;
-use gsview_serve::{Admission, FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService};
+use gsview_serve::{FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService};
 use gsview_warehouse::protocol::{CostMeter, ReportLevel, SourceQuery};
 use gsview_warehouse::source::QueryPort;
 use gsview_warehouse::Source;
@@ -202,7 +202,6 @@ fn run_admission(items: usize) -> ServeRow {
         svc,
         ServeConfig {
             max_conns: 2,
-            admission: Admission::Shed,
             ..ServeConfig::default()
         },
     )

@@ -62,7 +62,6 @@ fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -> E4
     let (store, mut db) = relations::generate(
         spec,
         gsdb::StoreConfig {
-            label_index: true,
             log_updates: true,
             ..gsdb::StoreConfig::default()
         },

@@ -47,7 +47,6 @@ fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usize) 
     let (store, mut db) = relations::generate(
         spec,
         gsdb::StoreConfig {
-            label_index: true,
             log_updates: true,
             ..gsdb::StoreConfig::default()
         },

@@ -2,9 +2,11 @@
 //! for query evaluation.
 //!
 //! The §4.4 inverse-index argument, applied to queries: a selective
-//! final label lets the evaluator start from the label index and
-//! verify upward, instead of walking the whole database from the
-//! entry. Both strategies are asserted to return identical answers.
+//! final label lets the evaluator start from the objects carrying it
+//! (`Store::with_label`, derived from the pages on the first planned
+//! query after a create or remove) and verify upward, instead of
+//! walking the whole database from the entry. Both strategies are
+//! asserted to return identical answers.
 
 use crate::table::{fnum, Table};
 use gsdb::{Object, Oid, Store};

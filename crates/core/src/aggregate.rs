@@ -17,7 +17,7 @@ use crate::maintain::Maintainer;
 use crate::recompute::recompute_members;
 use crate::sink::{MemberSet, ViewSink};
 use crate::viewdef::SimpleViewDef;
-use gsdb::{AppliedUpdate, Atom, Object, Oid, Path, Result, Store, StoreConfig, Value};
+use gsdb::{AppliedUpdate, Atom, Object, Oid, Path, Result, Store, Value};
 use std::collections::HashMap;
 
 pub use gsview_circuit::AggFn;
@@ -64,10 +64,7 @@ impl AggregateView {
     /// Materialize from base data.
     pub fn materialize(def: AggregateViewDef, base: &mut dyn BaseAccess) -> Result<AggregateView> {
         let view = def.members.view;
-        let mut store = Store::with_config(StoreConfig {
-            label_index: false,
-            ..StoreConfig::default()
-        });
+        let mut store = Store::new();
         store.create(Object {
             oid: view,
             label: gsdb::Label::new("aggview"),

@@ -14,7 +14,7 @@ use crate::base::BaseAccess;
 use crate::maintain::Maintainer;
 use crate::recompute::recompute_members;
 use crate::viewdef::SimpleViewDef;
-use gsdb::{label::well_known, Object, Oid, Result, Store, StoreConfig, Value};
+use gsdb::{label::well_known, Object, Oid, Result, Store, Value};
 use std::collections::{HashMap, HashSet};
 
 /// A cluster of materialized views sharing one delegate pool.
@@ -34,10 +34,7 @@ impl ViewCluster {
     pub fn new(cluster: impl Into<Oid>) -> Self {
         ViewCluster {
             cluster: cluster.into(),
-            store: Store::with_config(StoreConfig {
-                label_index: false,
-                ..StoreConfig::default()
-            }),
+            store: Store::new(),
             views: Vec::new(),
             membership: HashMap::new(),
             refcount: HashMap::new(),

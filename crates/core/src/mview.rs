@@ -7,7 +7,7 @@
 //! which means delegate values contain *base* OIDs until edges are
 //! swizzled.
 
-use gsdb::{label::well_known, GsdbError, Object, Oid, Result, Store, StoreConfig, Value};
+use gsdb::{label::well_known, GsdbError, Object, Oid, Result, Store, Value};
 use std::collections::HashMap;
 
 /// The operations recorded by [`MaterializedView::v_insert`] /
@@ -48,10 +48,7 @@ impl MaterializedView {
     /// (label `mview`, empty set value).
     pub fn new(view: impl Into<Oid>) -> Self {
         let view = view.into();
-        let mut store = Store::with_config(StoreConfig {
-            label_index: false,
-            ..StoreConfig::default()
-        });
+        let mut store = Store::new();
         store
             .create(Object {
                 oid: view,

@@ -15,7 +15,7 @@ use crate::base::BaseAccess;
 use crate::maintain::{Maintainer, Outcome};
 use crate::sink::{MemberSet, ViewSink};
 use crate::viewdef::SimpleViewDef;
-use gsdb::{label::well_known, AppliedUpdate, Object, Oid, Result, Store, StoreConfig, Value};
+use gsdb::{label::well_known, AppliedUpdate, Object, Oid, Result, Store, Value};
 use std::collections::HashMap;
 
 /// A partially materialized view.
@@ -42,10 +42,7 @@ impl PartialView {
         base: &mut dyn BaseAccess,
     ) -> Result<PartialView> {
         let view = def.view;
-        let mut store = Store::with_config(StoreConfig {
-            label_index: false,
-            ..StoreConfig::default()
-        });
+        let mut store = Store::new();
         store.create(Object {
             oid: view,
             label: well_known::mview(),

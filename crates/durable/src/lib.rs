@@ -358,7 +358,6 @@ impl DurableStore {
             version: store.version(),
             seq: meta.seq,
             flags: StoreFlags {
-                label_index: store.has_label_index(),
                 log_updates: meta.log_updates,
                 count_accesses: store.counts_accesses(),
             },
@@ -555,54 +554,6 @@ impl ChunkPort for DurableStore {
     fn fetch_chunk(&self, hash: &ChunkHash) -> Option<Vec<u8>> {
         self.log.get(hash).ok().flatten()
     }
-}
-
-/// Decode the OIDs whose objects differ between two manifests'
-/// versions of the same page positions — the object-level content of
-/// a chunk diff. Used by stale-view reconciliation to know which
-/// members may have changed without a full snapshot diff.
-pub fn changed_oids(
-    port: &dyn ChunkPort,
-    older: Option<&Manifest>,
-    newer: &Manifest,
-) -> Result<Vec<gsdb::Oid>> {
-    let mut out = Vec::new();
-    for (i, j, h) in newer.diff_pages(older) {
-        let new_page = port
-            .fetch_chunk(&h)
-            .ok_or_else(|| DurableError::Corrupt(format!("chunk {h} unavailable")))?;
-        let new_slots = gsdb::codec::decode_page(&new_page)?;
-        let old_slots = match older
-            .and_then(|o| o.shards.get(i))
-            .and_then(|s| s.pages.get(j))
-            .and_then(|oh| port.fetch_chunk(oh))
-        {
-            Some(bytes) => gsdb::codec::decode_page(&bytes)?,
-            None => Vec::new(),
-        };
-        for (k, slot) in new_slots.iter().enumerate() {
-            let old = old_slots.get(k).and_then(|s| s.as_ref());
-            match (old, slot.as_ref()) {
-                (a, b) if a == b => {}
-                (Some(o), None) => out.push(o.oid),
-                (None, Some(n)) => out.push(n.oid),
-                (Some(o), Some(n)) => {
-                    if o.oid != n.oid {
-                        out.push(o.oid);
-                    }
-                    out.push(n.oid);
-                }
-                (None, None) => {}
-            }
-        }
-        // Objects in the old page beyond the new page's slot range.
-        for slot in old_slots.iter().skip(new_slots.len()).flatten() {
-            out.push(slot.oid);
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
 }
 
 /// [`gsdb::stats_at`] plus the durable footprint: statistics over the
@@ -939,24 +890,6 @@ log 57383 bytes, crc 7ecb123e
             gsview_obs::registry().snapshot().counter("durable.segment.chunks"),
             fp.chunks
         );
-    }
-
-    #[test]
-    fn changed_oids_sees_exactly_the_touched_objects() {
-        let d = DurableStore::open(MediaSet::memory()).unwrap();
-        let mut s = build_store(2, 60);
-        d.persist("src", &s.fork(), meta(1)).unwrap();
-        let old = d.latest_manifest("src").unwrap();
-        s.modify_atom(Oid::new("o7"), -7i64).unwrap();
-        s.create(Object::atom("fresh", "x", 99i64)).unwrap();
-        d.persist("src", &s.fork(), meta(2)).unwrap();
-        let new = d.latest_manifest("src").unwrap();
-        let changed = changed_oids(&d, Some(&old), &new).unwrap();
-        assert!(changed.contains(&Oid::new("o7")));
-        assert!(changed.contains(&Oid::new("fresh")));
-        // Chunks are 256 slots, so the diff may include chunk-mates of
-        // the touched objects — but never most of a 61-object store.
-        assert!(changed.len() < 61, "diff leaked into unchanged pages");
     }
 
     /// 600 atoms of 2 KiB on one shard: three chunks, ≈ 1.2 MiB live —

@@ -93,14 +93,13 @@ const MAX_FRAME: usize = 64 << 20;
 const SCAN_WINDOW: usize = 4 << 20;
 
 /// Store configuration flags a manifest carries so recovery rebuilds
-/// the store exactly as it was configured. Bit 0 of the encoded byte
-/// once said whether the store kept its parent index; every store keeps
-/// one now, so the writer always sets the bit (manifest bytes stay as
-/// they were) and the reader ignores it.
+/// the store exactly as it was configured. Bits 0 and 1 of the
+/// encoded byte once said whether the store kept its parent index and
+/// its label index; every store keeps the first and derives the second
+/// now, so the writer always sets both bits (manifest bytes stay as
+/// they were) and the reader ignores them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreFlags {
-    /// Label index enabled.
-    pub label_index: bool,
     /// Update logging enabled on the live store.
     pub log_updates: bool,
     /// Access counting enabled.
@@ -109,13 +108,11 @@ pub struct StoreFlags {
 
 impl StoreFlags {
     fn to_byte(self) -> u8 {
-        1 | u8::from(self.label_index) << 1
-            | u8::from(self.log_updates) << 2
+        0b11 | u8::from(self.log_updates) << 2
             | u8::from(self.count_accesses) << 3
     }
     fn from_byte(b: u8) -> StoreFlags {
         StoreFlags {
-            label_index: b & 2 != 0,
             log_updates: b & 4 != 0,
             count_accesses: b & 8 != 0,
         }
@@ -159,7 +156,6 @@ impl Manifest {
     /// The [`StoreConfig`] this manifest's store was built with.
     pub fn store_config(&self) -> StoreConfig {
         StoreConfig {
-            label_index: self.flags.label_index,
             log_updates: self.flags.log_updates,
             count_accesses: self.flags.count_accesses,
             shards: self.shards.len(),
@@ -169,27 +165,6 @@ impl Manifest {
     /// Total pages across all shards.
     pub fn page_count(&self) -> usize {
         self.shards.iter().map(|s| s.pages.len()).sum()
-    }
-
-    /// Every page hash, with its `(shard, page index)` position.
-    pub fn pages(&self) -> impl Iterator<Item = (usize, usize, ChunkHash)> + '_ {
-        self.shards.iter().enumerate().flat_map(|(i, s)| {
-            s.pages.iter().enumerate().map(move |(j, h)| (i, j, *h))
-        })
-    }
-
-    /// Positions of pages in `self` that differ from (or don't exist
-    /// in) `older` — the chunk-diff a durable resync fetches. A `None`
-    /// baseline diffs everything.
-    pub fn diff_pages(&self, older: Option<&Manifest>) -> Vec<(usize, usize, ChunkHash)> {
-        self.pages()
-            .filter(|(i, j, h)| {
-                older
-                    .and_then(|o| o.shards.get(*i))
-                    .and_then(|s| s.pages.get(*j))
-                    != Some(h)
-            })
-            .collect()
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -734,7 +709,6 @@ mod tests {
             version: epoch * 10,
             seq: epoch * 3,
             flags: StoreFlags {
-                label_index: false,
                 log_updates: true,
                 count_accesses: false,
             },
@@ -771,7 +745,6 @@ mod tests {
             put_varint(&mut bytes, v);
         }
         let flags = StoreFlags {
-            label_index: true,
             log_updates: false,
             count_accesses: false,
         };

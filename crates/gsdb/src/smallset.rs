@@ -1,6 +1,6 @@
 //! A sorted set of `u32` slot ids with inline small-size storage.
 //!
-//! The store's parent and label indexes hold one set per indexed key.
+//! The store's parent index holds one set per indexed key.
 //! In OEM-style databases the vast majority of objects have a handful
 //! of parents (often exactly one), so a heap `Vec` (3 words of header
 //! plus an allocation) per entry wastes cache and allocator time. A

@@ -12,19 +12,18 @@
 //! addressed by a `u32` **slot id**. The slab is partitioned into
 //! `N` **shards** (`N` a power of two, selected by
 //! [`StoreConfig::shards`]); each shard owns its own page vector, free
-//! list, `Oid → slot` map, and parent/label index maps. Slot ids
+//! list, `Oid → slot` map, and parent-index map. Slot ids
 //! interleave the shard in the low bits — `shard = slot & (N-1)`,
 //! `local = slot >> log2(N)` — so [`Store::slot_bound`] stays
 //! proportional to the largest shard rather than exploding per shard,
 //! and `N = 1` degenerates to exactly the un-sharded layout.
 //!
 //! An OID's home shard is a pure function of the OID
-//! ([`Store::shard_of`]); the `Oid → slot` map, the object record, and
-//! its label-index entry all live in that shard. A **parent-index
-//! entry for child `c` lives in `shard_of(c)`** (its values — parent
-//! slots — may point into any shard), so [`Store::parents`] stays a
-//! single-map lookup while [`Store::with_label`] concatenates one
-//! sorted slice per shard. The payoff of this ownership discipline is
+//! ([`Store::shard_of`]); the `Oid → slot` map and the object record
+//! live in that shard. A **parent-index entry for child `c` lives in
+//! `shard_of(c)`** (its values — parent slots — may point into any
+//! shard), so [`Store::parents`] stays a single-map lookup at any shard
+//! count. The payoff of this ownership discipline is
 //! that every basic update touches a small, statically computable set
 //! of shards — the basis of the concurrent multi-writer commit
 //! pipeline in [`ShardedStore`](crate::ShardedStore), which gives each
@@ -66,9 +65,7 @@
 //!   — about a hundred entries — holding the entry written. A create
 //!   or remove writes one `slot_of` entry, an edge update one
 //!   `parent_index` entry, a remove of an object with *k* children
-//!   *k* more;
-//! * `label_index` whole, on a create or remove: a handful of keys,
-//!   but each holds every slot of the shard with that label.
+//!   *k* more.
 //!
 //! `store.cow.pages_copied`, `store.cow.directories_copied` and
 //! `store.cow.segments_copied` count them, so "what did this commit
@@ -83,7 +80,7 @@
 //! 1 542 to 1 116 µs per 256-update batch on `alg1_portfolio`, and a
 //! one-update commit over 100 k objects in 8 shards from 16.8 to 7.2 µs.
 //! What still scales with the shard is the one directory copy per
-//! written shard (a pointer per 64 slots) and the `label_index` copy.
+//! written shard (a pointer per 64 slots).
 //! Every successful [`Store::apply`] also bumps a
 //! monotonically increasing [`version`](Store::version), so commit
 //! protocols can skip republishing untouched state.
@@ -93,17 +90,17 @@
 //! page size: [`Store::export_images`] hands out pages four at a time
 //! and [`Store::from_images`] takes them back the same way.
 //!
-//! Two optional indexes accelerate the functions Algorithm 1 relies on:
+//! Every store keeps one index, the **parent index**: the paper's
+//! "inverse index such that from each node we can find out its parent"
+//! (§4.4), which makes `ancestor(N, p)` a cheap upward walk instead of
+//! a traversal from the root. It stores **slot ids** in sorted inline
+//! small-sets ([`SmallSet`]), keyed by child OID, so replica stores may
+//! hold dangling child references.
 //!
-//! * the **parent index** — the paper's "inverse index such that from
-//!   each node we can find out its parent" (§4.4), which makes
-//!   `ancestor(N, p)` a cheap upward walk instead of a traversal from
-//!   the root;
-//! * the **label index** — label → objects, used by query planning.
-//!
-//! Both indexes store **slot ids** in sorted inline small-sets
-//! ([`SmallSet`]), keyed by child OID (so replica stores may hold
-//! dangling child references) and by label respectively.
+//! The query planner's label → objects map is not maintained:
+//! [`Store::with_label`] derives it from the pages on its first call
+//! after a create or remove and caches it beside the sorted OID list,
+//! so no commit copies it.
 //!
 //! Object reads can increment an access counter, giving experiments a
 //! machine-independent measure of "access to base data" — the cost the
@@ -119,7 +116,7 @@ use crate::{
 };
 use gsview_obs::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Slots per copy-on-write page (power of two: slot addressing is a
 /// shift and a mask). 64 objects bounds the clone cost a writer pays
@@ -136,8 +133,8 @@ pub(crate) const CHUNK_SLOTS: usize = 256;
 const CHUNK_PAGES: usize = CHUNK_SLOTS / PAGE_SIZE;
 
 /// Maximum shard count a store will partition into (power of two).
-/// Sixteen shards keeps the `SlotSet` slice array `Copy`-cheap and is
-/// far beyond the writer parallelism a single source sees.
+/// Sixteen fits the commit pipeline's `u16` shard masks and is far
+/// beyond the writer parallelism a single source sees.
 pub const MAX_SHARDS: usize = 16;
 
 /// One copy-on-write slab page: an array behind its `Arc`, so the
@@ -237,19 +234,9 @@ pub(crate) struct ShardState {
     /// shard). Keyed by OID (not slot) so replica stores may index
     /// edges to children they don't hold.
     pub(crate) parent_index: CowMap<SmallSet>,
-    /// label → sorted global member slots (members homed here).
-    pub(crate) label_index: Option<Arc<FastMap<Label, SmallSet>>>,
 }
 
 impl ShardState {
-    /// Fresh shard, with the label index if `label`.
-    fn with_label_index(label: bool) -> Self {
-        ShardState {
-            label_index: label.then(|| Arc::new(FastMap::default())),
-            ..ShardState::default()
-        }
-    }
-
     /// Shared read access to the slot behind local id `local`.
     #[inline]
     pub(crate) fn obj(&self, local: u32) -> Option<&Object> {
@@ -335,10 +322,10 @@ pub(crate) trait ShardAccess {
 }
 
 /// The shared mutation core: apply one basic update against any
-/// [`ShardAccess`] view, maintaining object records and both indexes
-/// under the sharded ownership discipline (see the module docs). Does
-/// **not** touch the update log, version counter, or sorted-OID cache —
-/// those are store-level concerns the callers own.
+/// [`ShardAccess`] view, maintaining object records and the parent
+/// index under the sharded ownership discipline (see the module docs).
+/// Does **not** touch the update log, version counter, or derived
+/// caches — those are store-level concerns the callers own.
 pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Result<AppliedUpdate> {
     match update {
         Update::Insert { parent, child } => {
@@ -433,13 +420,6 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 }
                 slot
             };
-            if view.state(s).label_index.is_some() {
-                let st = view.state_mut(s);
-                Arc::make_mut(st.label_index.as_mut().unwrap())
-                    .entry(object.label)
-                    .or_default()
-                    .insert(slot);
-            }
             // A created object may arrive with children already in its
             // set value; index those edges, each in the child's home
             // shard.
@@ -468,11 +448,6 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 let dir = st.dir_mut();
                 let obj = dir.slot_mut(slot >> shift).take().unwrap();
                 dir.free.push(slot);
-                if let Some(idx) = st.label_index.as_mut() {
-                    if let Some(set) = Arc::make_mut(idx).get_mut(&obj.label) {
-                        set.remove(slot);
-                    }
-                }
                 (slot, obj)
             };
             for &c in obj.children() {
@@ -499,8 +474,6 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
 /// Store configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Maintain the label → objects index.
-    pub label_index: bool,
     /// Record applied updates in the update log.
     pub log_updates: bool,
     /// Count object reads (experiment instrumentation, paper §4.4).
@@ -518,7 +491,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            label_index: true,
             log_updates: false,
             count_accesses: false,
             shards: 1,
@@ -546,59 +518,42 @@ impl StoreConfig {
     }
 }
 
-/// A borrowed set of objects from a store index (parent or label
-/// index). Holds up to one sorted slice of global slot ids per shard;
-/// iteration and membership work in terms of [`Oid`]s, like the
+/// A borrowed set of objects from the parent index: one sorted slice
+/// of global slot ids (a child's entry lives wholly in its home shard).
+/// Iteration and membership work in terms of [`Oid`]s, like the
 /// `OidSet` the seed layout returned.
 #[derive(Clone, Copy, Debug)]
 pub struct SlotSet<'a> {
     store: &'a Store,
-    slices: [&'a [u32]; MAX_SHARDS],
-    n: usize,
+    slots: &'a [u32],
 }
 
 impl<'a> SlotSet<'a> {
-    /// A set backed by a single sorted slice (parent-index entries
-    /// live wholly in one shard).
-    fn single(store: &'a Store, slice: &'a [u32]) -> Self {
-        let mut slices = [&[][..]; MAX_SHARDS];
-        slices[0] = slice;
-        SlotSet { store, slices, n: 1 }
-    }
-
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.slices[..self.n].iter().map(|s| s.len()).sum()
+        self.slots.len()
     }
 
     /// True iff no members.
     pub fn is_empty(&self) -> bool {
-        self.slices[..self.n].iter().all(|s| s.is_empty())
+        self.slots.is_empty()
     }
 
-    /// Membership test (binary search over each shard's sorted slice).
+    /// Membership test (binary search over the sorted slice).
     pub fn contains(&self, oid: Oid) -> bool {
-        match self.store.slot_of(oid) {
-            Some(slot) => self.slices[..self.n]
-                .iter()
-                .any(|s| s.binary_search(&slot).is_ok()),
-            None => false,
-        }
+        self.store
+            .slot_of(oid)
+            .is_some_and(|slot| self.slots.binary_search(&slot).is_ok())
     }
 
-    /// Iterate members as OIDs (ascending slot order within each
-    /// shard's slice; slices concatenate in shard order).
+    /// Iterate members as OIDs, in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = Oid> + 'a {
         let store = self.store;
-        let slices = self.slices;
-        let n = self.n;
-        (0..n).flat_map(move |i| {
-            slices[i].iter().map(move |&s| {
-                store
-                    .slot_obj(s)
-                    .expect("index references live slot")
-                    .oid
-            })
+        self.slots.iter().map(move |&s| {
+            store
+                .slot_obj(s)
+                .expect("index references live slot")
+                .oid
         })
     }
 }
@@ -620,6 +575,20 @@ pub struct ShardImage {
     pub chunks: Vec<Chunk>,
 }
 
+/// label → objects, in slot order shard by shard.
+type LabelMap = FastMap<Label, Arc<[Oid]>>;
+
+/// What a store derives from its pages on demand and keeps until the
+/// next create or remove (a label changes only with its object's).
+/// `Arc`s inside, so clones and forks share what either derived.
+#[derive(Clone, Debug, Default)]
+struct Derived {
+    /// The answer of [`Store::oids_sorted`].
+    sorted: Option<Arc<Vec<Oid>>>,
+    /// The map [`Store::with_label`] answers from.
+    labels: Option<Arc<LabelMap>>,
+}
+
 /// An in-memory GSDB object store.
 #[derive(Debug)]
 pub struct Store {
@@ -636,9 +605,8 @@ pub struct Store {
     /// Sharded (per-thread-bucket) so parallel maintenance threads
     /// counting reads on a shared snapshot don't bounce a cache line.
     accesses: Counter,
-    /// Cached result of `oids_sorted`, invalidated on create/remove.
-    /// `Arc` inside so clones and forks share the cached vector.
-    sorted_cache: RwLock<Option<Arc<Vec<Oid>>>>,
+    /// Locked only through [`Store::derived`].
+    derived: Mutex<Derived>,
 }
 
 impl Default for Store {
@@ -651,7 +619,7 @@ impl Default for Store {
             version: 0,
             count_accesses: AtomicBool::new(false),
             accesses: Counter::new("store.accesses"),
-            sorted_cache: RwLock::new(None),
+            derived: Mutex::default(),
         }
     }
 }
@@ -662,11 +630,11 @@ impl Clone for Store {
     /// bumps plus the update log; either side pays the copy lazily, a
     /// directory, a page or a table segment at a time, as it writes.
     ///
-    /// The `sorted_cache` is carried over as-is: it depends only on
-    /// the OID set, which is identical at clone time, and every
-    /// OID-set mutation (`Create` / `Remove`) invalidates it — see
-    /// `oids_sorted_survives_mutation_interleavings` in
-    /// `tests/store_properties.rs` for the property pinning this.
+    /// What the store derived is carried over as-is: it depends only on
+    /// the OID set, identical at clone time, and every `Create` or
+    /// `Remove` invalidates it (`oids_sorted_survives_mutation_interleavings`
+    /// and `with_label_is_a_fresh_scan_of_the_pages` in
+    /// `tests/store_properties.rs` pin this).
     fn clone(&self) -> Self {
         Store {
             shards: self.shards.clone(),
@@ -680,7 +648,7 @@ impl Clone for Store {
                 c.add(self.accesses.get());
                 c
             },
-            sorted_cache: RwLock::new(self.sorted_cache.read().unwrap().clone()),
+            derived: Mutex::new(self.derived().clone()),
         }
     }
 }
@@ -701,8 +669,8 @@ impl ShardAccess for Store {
 }
 
 impl Store {
-    /// A store with the default configuration (both indexes, no log,
-    /// no access counting, one shard).
+    /// A store with the default configuration (no log, no access
+    /// counting, one shard).
     pub fn new() -> Self {
         Self::with_config(StoreConfig::default())
     }
@@ -717,9 +685,7 @@ impl Store {
     pub fn with_config(cfg: StoreConfig) -> Self {
         let n = cfg.effective_shards();
         Store {
-            shards: (0..n)
-                .map(|_| ShardState::with_label_index(cfg.label_index))
-                .collect(),
+            shards: (0..n).map(|_| ShardState::default()).collect(),
             shift: n.trailing_zeros(),
             log_enabled: cfg.log_updates,
             count_accesses: AtomicBool::new(cfg.count_accesses),
@@ -736,9 +702,9 @@ impl Store {
         self.shards.len()
     }
 
-    /// The home shard of an OID: where its record, `Oid → slot` entry,
-    /// label-index entry, and parent-index entry (as a child) live. A
-    /// pure function of the OID and the shard count.
+    /// The home shard of an OID: where its record, `Oid → slot` entry
+    /// and parent-index entry (as a child) live. A pure function of the
+    /// OID and the shard count.
     pub fn shard_of(&self, oid: Oid) -> usize {
         shard_for(oid, self.shift)
     }
@@ -756,7 +722,6 @@ impl Store {
     /// commit protocols never mistake the reshard for "no change".
     pub fn reshard(&self, shards: usize) -> Store {
         let cfg = StoreConfig {
-            label_index: self.has_label_index(),
             log_updates: self.log_enabled,
             count_accesses: self.counts_accesses(),
             shards,
@@ -808,8 +773,9 @@ impl Store {
     /// [`EpochHandle`](crate::EpochHandle) at commit time — readers
     /// traverse the fork while the live store keeps mutating (and
     /// keeps accumulating its own log for the monitor). Cost per
-    /// shard: four reference-count bumps (the page directory and the
-    /// index tables) — no page pointer, object or index entry.
+    /// shard: three reference-count bumps (the page directory,
+    /// `slot_of` and the parent index) — no page pointer, object or
+    /// index entry.
     pub fn fork(&self) -> Store {
         let mut fork = self.clone();
         fork.log = Vec::new();
@@ -965,7 +931,8 @@ impl Store {
     /// All OIDs, sorted by name (deterministic). Cached between calls;
     /// creates and removes invalidate the cache.
     pub fn oids_sorted(&self) -> Vec<Oid> {
-        if let Some(v) = self.sorted_cache.read().unwrap().as_ref() {
+        let cached = self.derived().sorted.clone();
+        if let Some(v) = cached {
             return v.as_ref().clone();
         }
         let mut v: Vec<Oid> = self
@@ -974,12 +941,35 @@ impl Store {
             .flat_map(|s| s.slot_of.iter().map(|(oid, _)| oid))
             .collect();
         v.sort_by_key(|o| o.name());
-        *self.sorted_cache.write().unwrap() = Some(Arc::new(v.clone()));
+        self.derived().sorted = Some(Arc::new(v.clone()));
         v
     }
 
-    fn invalidate_sorted(&mut self) {
-        *self.sorted_cache.get_mut().unwrap() = None;
+    /// Objects with a given label, in slot order shard by shard. The
+    /// label → objects map is derived from the pages on the first call
+    /// after a create or remove (a scan that counts no access) and
+    /// kept until the next one; clones and forks share it.
+    pub fn with_label(&self, label: Label) -> Arc<[Oid]> {
+        let cached = self.derived().labels.clone();
+        let labels = cached.unwrap_or_else(|| {
+            let mut map: FastMap<Label, Vec<Oid>> = FastMap::default();
+            for obj in self.iter() {
+                map.entry(obj.label).or_default().push(obj.oid);
+            }
+            let map: Arc<LabelMap> =
+                Arc::new(map.into_iter().map(|(l, v)| (l, v.into())).collect());
+            self.derived().labels = Some(Arc::clone(&map));
+            map
+        });
+        labels.get(&label).cloned().unwrap_or_else(|| Arc::from([]))
+    }
+
+    /// The derived caches. Every critical section on this lock is one
+    /// `Option` read or assignment, so a thread that panicked while
+    /// holding it left a whole old or a whole new value, and a poisoned
+    /// lock is taken as it is.
+    fn derived(&self) -> MutexGuard<'_, Derived> {
+        self.derived.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     // ------------------------------------------------------------------
@@ -1014,11 +1004,6 @@ impl Store {
     // Indexes
     // ------------------------------------------------------------------
 
-    /// True iff the label index is maintained.
-    pub fn has_label_index(&self) -> bool {
-        self.shards[0].label_index.is_some()
-    }
-
     /// Parents of an object, from the inverse index every store keeps
     /// (paper §4.4: with it, `path(ROOT, N)` and `ancestor(N, p)` are
     /// upward walks). The entry lives wholly in the child's home shard,
@@ -1026,28 +1011,10 @@ impl Store {
     pub fn parents(&self, oid: Oid) -> SlotSet<'_> {
         self.bump();
         let idx = &self.home_state(oid).parent_index;
-        SlotSet::single(self, idx.get(oid).map(|s| s.as_slice()).unwrap_or(&[]))
-    }
-
-    /// Objects with a given label, from the label index. `None` if the
-    /// index is disabled. Members are concatenated per shard (each
-    /// shard's slice sorted by slot).
-    pub fn with_label(&self, label: Label) -> Option<SlotSet<'_>> {
-        self.shards[0].label_index.as_ref()?;
-        let mut slices = [&[][..]; MAX_SHARDS];
-        for (i, st) in self.shards.iter().enumerate() {
-            slices[i] = st
-                .label_index
-                .as_ref()
-                .and_then(|idx| idx.get(&label))
-                .map(|s| s.as_slice())
-                .unwrap_or(&[]);
-        }
-        Some(SlotSet {
+        SlotSet {
             store: self,
-            slices,
-            n: self.shards.len(),
-        })
+            slots: idx.get(oid).map(|s| s.as_slice()).unwrap_or(&[]),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1120,7 +1087,7 @@ impl Store {
             applied,
             AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. }
         ) {
-            self.invalidate_sorted();
+            *self.derived() = Derived::default();
         }
         if self.log_enabled {
             self.log.push(applied.clone());
@@ -1216,7 +1183,7 @@ impl Store {
         }
         s.version = version;
         if oidset_changed {
-            s.invalidate_sorted();
+            *s.derived() = Derived::default();
         }
         s
     }
@@ -1248,8 +1215,8 @@ impl Store {
     }
 
     /// Rebuild a store from exported (or decoded) chunk images,
-    /// reconstructing the `Oid → slot` maps, free lists, and both
-    /// indexes from the pages alone. The inverse of
+    /// reconstructing the `Oid → slot` maps, free lists, and the parent
+    /// index from the pages alone. The inverse of
     /// [`Store::export_images`]: slot layout is preserved exactly, and
     /// the store keeps the very pages it is given, so a recovered store
     /// re-exports to the same chunks — structural sharing with
@@ -1286,7 +1253,7 @@ impl Store {
                     pages.len() * PAGE_SIZE
                 ));
             }
-            let mut st = ShardState::with_label_index(cfg.label_index);
+            let mut st = ShardState::default();
             let objects = pages.iter().map(|p| p.iter().flatten().count()).sum();
             st.reserve_entries(objects, objects);
             let mut free = Vec::new();
@@ -1325,19 +1292,16 @@ impl Store {
             st.len_slots = img.len_slots;
             shards.push(st);
         }
-        // Second pass: rebuild the indexes. Label entries home with
-        // the object; parent entries home with the *child* (including
-        // dangling children, matching `Create`'s indexing). A clone of
-        // the directory lends the objects while the shards are written.
+        // Second pass: rebuild the parent index. Entries home with the
+        // *child* (including dangling children, matching `Create`'s
+        // indexing). A clone of the directory lends the objects while
+        // the shards are written.
         for i in 0..n {
             let dir = Arc::clone(&shards[i].dir);
             for (p, page) in dir.pages.iter().enumerate() {
                 for (k, obj) in page.iter().enumerate() {
                     let Some(obj) = obj else { continue };
                     let slot = (((p * PAGE_SIZE + k) as u32) << shift) | i as u32;
-                    if let Some(idx) = shards[i].label_index.as_mut() {
-                        Arc::make_mut(idx).entry(obj.label).or_default().insert(slot);
-                    }
                     for &c in obj.children() {
                         shards[shard_for(c, shift)]
                             .parent_index
@@ -1406,7 +1370,7 @@ impl Store {
     /// Check one shard's arena + placement invariants: slot accounting,
     /// OID homing (every entry hashes to this shard), free-list
     /// disjointness (free slots carry this shard's interleave bits and
-    /// are dead), and label-index forward agreement.
+    /// are dead).
     #[doc(hidden)]
     pub fn check_shard_invariants(&self, i: usize) -> std::result::Result<(), String> {
         let st = &self.shards[i];
@@ -1461,33 +1425,6 @@ impl Store {
             let local = f >> self.shift;
             if (local as usize) >= st.len_slots || st.obj(local).is_some() {
                 return Err(format!("shard {i}: free slot {f} is live or out of bounds"));
-            }
-        }
-        if let Some(idx) = st.label_index.as_deref() {
-            for (label, set) in idx {
-                for slot in set.iter() {
-                    if (slot & mask) as usize != i {
-                        return Err(format!(
-                            "shard {i}: label index [{}] holds foreign slot {slot}",
-                            label.as_str()
-                        ));
-                    }
-                    match st.obj(slot >> self.shift) {
-                        Some(o) if o.label == *label => {}
-                        _ => {
-                            return Err(format!(
-                                "shard {i}: label index [{}] references slot {slot} without that label",
-                                label.as_str()
-                            ))
-                        }
-                    }
-                }
-            }
-            for obj in st.iter() {
-                let slot = st.slot_of.get(obj.oid).copied();
-                if !slot.is_some_and(|slot| idx.get(&obj.label).is_some_and(|s| s.contains(slot))) {
-                    return Err(format!("shard {i}: label index missing {}", obj.oid.name()));
-                }
             }
         }
         for (child, set) in st.parent_index.iter() {
@@ -1683,21 +1620,14 @@ mod tests {
     }
 
     #[test]
-    fn label_index_tracks_create_remove() {
+    fn with_label_tracks_create_remove() {
         let mut s = tiny_store();
         let prof = Label::new("professor");
-        assert!(s.with_label(prof).unwrap().contains(oid("P1")));
+        assert!(s.with_label(prof).contains(&oid("P1")));
         s.delete_edge(oid("ROOT"), oid("P1")).unwrap();
         s.apply(Update::Remove { oid: oid("P1") }).unwrap();
-        assert!(!s.with_label(prof).unwrap().contains(oid("P1")));
-        let off = Store::with_config(StoreConfig {
-            label_index: false,
-            ..StoreConfig::default()
-        });
-        assert!(
-            off.with_label(prof).is_none(),
-            "a disabled label index answers None"
-        );
+        assert!(!s.with_label(prof).contains(&oid("P1")));
+        assert!(Store::new().with_label(prof).is_empty());
     }
 
     #[test]
@@ -1765,14 +1695,15 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_does_not_alias_label_index() {
+    fn slot_reuse_does_not_alias_with_label() {
         let mut s = Store::new();
         s.create(Object::atom("A", "old", 1i64)).unwrap();
+        assert!(s.with_label(Label::new("old")).contains(&oid("A")));
         s.apply(Update::Remove { oid: oid("A") }).unwrap();
         s.create(Object::atom("B", "new", 2i64)).unwrap();
         // B reused A's slot; the "old" label set must not claim it.
-        assert!(s.with_label(Label::new("old")).unwrap().is_empty());
-        assert!(s.with_label(Label::new("new")).unwrap().contains(oid("B")));
+        assert!(s.with_label(Label::new("old")).is_empty());
+        assert!(s.with_label(Label::new("new")).contains(&oid("B")));
         s.check_invariants().unwrap();
     }
 
@@ -1834,7 +1765,7 @@ mod tests {
         assert_eq!(fork.atom(oid("A")), Some(&Atom::Int(45)));
         assert_eq!(fork.len(), 1);
         assert!(!fork.contains(oid("S")));
-        assert!(fork.with_label(Label::new("age")).unwrap().contains(oid("A")));
+        assert!(fork.with_label(Label::new("age")).contains(&oid("A")));
         fork.check_invariants().unwrap();
         s.check_invariants().unwrap();
 
@@ -2022,11 +1953,11 @@ mod tests {
                 };
                 assert_eq!(sp, bp, "parents of {o} at {n} shards");
             }
-            let mut bl: Vec<_> = base.with_label(Label::new("age")).unwrap().iter().collect();
-            let mut sl: Vec<_> = s.with_label(Label::new("age")).unwrap().iter().collect();
+            let mut bl = base.with_label(Label::new("age")).to_vec();
+            let mut sl = s.with_label(Label::new("age")).to_vec();
             bl.sort();
             sl.sort();
-            assert_eq!(sl, bl, "label index at {n} shards");
+            assert_eq!(sl, bl, "with_label at {n} shards");
         }
     }
 

@@ -115,8 +115,9 @@ fn observe(store: &Store) -> Observation {
     for l in ["leaf", "mid", "r"] {
         let mut members: Vec<String> = store
             .with_label(Label::new(l))
-            .map(|s| s.iter().map(|o| o.name().to_string()).collect())
-            .unwrap_or_default();
+            .iter()
+            .map(|o| o.name().to_string())
+            .collect();
         members.sort();
         labels.insert(l.to_string(), members);
     }

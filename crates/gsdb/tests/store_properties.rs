@@ -1,16 +1,41 @@
 //! Model-based property tests for the storage substrate: `OidSet`
 //! against `std::collections::HashSet`, notation/snapshot round-trips
-//! over random trees, slot layout under forks and durable-image round
+//! over random trees, the derived caches (`oids_sorted`, `with_label`)
+//! against fresh scans, slot layout under forks and durable-image round
 //! trips, and the upward search against brute-force walks.
 
 use gsdb::{
-    gc, notation, path, Object, Oid, OidSet, Path, Snapshot, Store, StoreConfig, Update,
+    gc, notation, path, Label, Object, Oid, OidSet, Path, ShardedStore, Snapshot, Store,
+    StoreConfig, Update,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 fn oid_pool() -> Vec<Oid> {
     (0..12).map(|i| Oid::new(&format!("sp{i}"))).collect()
+}
+
+/// The labels `with_label_is_a_fresh_scan_of_the_pages` creates with.
+const WL_LABELS: [&str; 3] = ["wl_a", "wl_b", "wl_c"];
+
+/// `store.with_label` equals a fresh scan of its pages (same order:
+/// slot order, shard by shard) for every label in [`WL_LABELS`].
+/// Asking fills the store's label map if it was empty.
+fn assert_with_label_scans(store: &Store, at: &str) {
+    for l in WL_LABELS.map(Label::new) {
+        let scan: Vec<Oid> = store
+            .iter()
+            .filter(|o| o.label == l)
+            .map(|o| o.oid)
+            .collect();
+        prop_assert_eq!(
+            &store.with_label(l)[..],
+            &scan[..],
+            "with_label({}) {}",
+            l,
+            at
+        );
+    }
 }
 
 proptest! {
@@ -224,6 +249,83 @@ proptest! {
             if let Err(e) = store.check_invariants() {
                 panic!("store invariant broken: {e}");
             }
+        }
+    }
+
+    /// `with_label` ≡ a fresh scan of the pages wherever a derived
+    /// label map could outlive a create or remove, at 1 and 8 shards:
+    /// every snapshot `ShardedStore::commit` publishes over random
+    /// batches (a commit composes its snapshot from the one before,
+    /// whose map was just filled), a clone and a fork after either side
+    /// creates or removes, and `from_images` and `reshard` output.
+    /// Every store is asked before it changes, so a path that keeps a
+    /// map past an invalidation point answers from it and fails here.
+    #[test]
+    fn with_label_is_a_fresh_scan_of_the_pages(
+        batches in prop::collection::vec(
+            prop::collection::vec((0..4u8, 0..64usize, 0..3usize), 1..10),
+            1..16,
+        ),
+        eight in any::<bool>(),
+        salt in 0u32..1_000_000,
+    ) {
+        let cfg = StoreConfig::default().with_shards(if eight { 8 } else { 1 });
+        let sharded = ShardedStore::new(Store::with_config(cfg));
+        let atom = |k: usize, l: usize| Object::atom(format!("wl{salt}_{k}").as_str(), WL_LABELS[l], k as i64);
+        let mut live: Vec<Oid> = Vec::new();
+        let mut fresh = 0usize;
+        for batch in batches {
+            let before = sharded.snapshot();
+            assert_with_label_scans(&before, "before a commit");
+            let mut updates = Vec::new();
+            for (kind, idx, l) in batch {
+                match kind {
+                    2 if !live.is_empty() => {
+                        let oid = live.swap_remove(idx % live.len());
+                        updates.push(Update::Remove { oid });
+                    }
+                    3 if !live.is_empty() => {
+                        let oid = live[idx % live.len()];
+                        updates.push(Update::Modify { oid, new: gsdb::Atom::Int(-1) });
+                    }
+                    _ => {
+                        live.push(atom(fresh, l).oid);
+                        updates.push(Update::Create { object: atom(fresh, l) });
+                        fresh += 1;
+                    }
+                }
+            }
+            let r = sharded.commit(&updates);
+            prop_assert!(r.error.is_none(), "{:?}", r.error);
+            let snap = sharded.snapshot();
+            prop_assert_eq!(snap.len(), live.len());
+            assert_with_label_scans(&snap, "on a published snapshot");
+            assert_with_label_scans(&before, "on the snapshot before");
+        }
+
+        let base = Store::clone(&sharded.snapshot());
+        for copy_writes in [false, true] {
+            for fork in [false, true] {
+                let mut origin = base.clone();
+                assert_with_label_scans(&origin, "on a clone of a snapshot");
+                let mut copy = if fork { origin.fork() } else { origin.clone() };
+                assert_with_label_scans(&copy, "on a copy before a write");
+                let writer = if copy_writes { &mut copy } else { &mut origin };
+                writer.create(atom(fresh, 1)).unwrap();
+                fresh += 1;
+                if let Some(&oid) = live.first() {
+                    writer.apply(Update::Remove { oid }).unwrap();
+                }
+                let what = if fork { "fork" } else { "clone" };
+                assert_with_label_scans(&origin, &format!("on the origin of a {what}"));
+                assert_with_label_scans(&copy, &format!("on a {what}"));
+            }
+        }
+
+        let back = Store::from_images(cfg, base.export_images(), base.version()).unwrap();
+        assert_with_label_scans(&back, "after from_images");
+        for n in [1, 8] {
+            assert_with_label_scans(&base.reshard(n), &format!("after reshard({n})"));
         }
     }
 

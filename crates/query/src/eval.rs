@@ -18,7 +18,8 @@
 //! There is one evaluation body. [`evaluate`] produces the candidates
 //! by walking forward from the entry;
 //! [`evaluate_planned`](crate::plan::evaluate_planned) lets the planner
-//! produce them from the label index instead when that is cheaper.
+//! produce them from the objects carrying the final label instead
+//! (`Store::with_label`) when that is cheaper.
 
 use crate::ast::Query;
 use crate::pathexpr::{reach_expr, reach_from_mask, PathExpr};

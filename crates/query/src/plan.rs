@@ -2,13 +2,14 @@
 //!
 //! The evaluator's default strategy walks *forward* from the entry
 //! point (a product BFS of graph × NFA). When the selection expression
-//! ends in a constant label and the store maintains a label index, a
-//! *backward* strategy is often far cheaper: start from the (few)
-//! objects carrying the final label and verify reachability from the
-//! entry by walking **up** the parent index against the reversed
-//! expression. `ROOT.*.age` over a million-object store then touches
-//! only the age atoms and their ancestor chains, instead of the whole
-//! database.
+//! ends in a constant label, a *backward* strategy is often far
+//! cheaper: start from the (few) objects carrying the final label
+//! ([`Store::with_label`], derived from the store's pages on the first
+//! planned query after a create or remove) and verify reachability
+//! from the entry by walking **up** the parent index against the
+//! reversed expression. `ROOT.*.age` over a million-object store
+//! then touches only the age atoms and their ancestor chains, instead
+//! of the whole database.
 //!
 //! The paper motivates exactly this trade-off in §4.4 for maintenance
 //! (`ancestor()` with an inverse index vs a traversal from ROOT);
@@ -22,7 +23,7 @@ use gsdb::{FastSet, Label, Oid, Store};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Backward is picked when the label index holds fewer candidates than
+/// Backward is picked when the final label holds fewer candidates than
 /// this share of the store's objects (E9 has the sweep behind it).
 const SELECTIVITY_CUTOFF: f64 = 0.25;
 
@@ -31,9 +32,9 @@ const SELECTIVITY_CUTOFF: f64 = 0.25;
 pub enum SelStrategy {
     /// Product BFS from the entry (always applicable).
     Forward,
-    /// Label-index candidates + upward verification.
+    /// The final label's objects as candidates + upward verification.
     Backward {
-        /// The final label(s) the index is probed with.
+        /// The final label(s) whose objects are the candidates.
         labels: Vec<Label>,
     },
 }
@@ -61,10 +62,10 @@ impl fmt::Display for SelStrategy {
 /// [`explain`](crate::explain::explain)).
 ///
 /// Backward is picked when (a) the expression is non-empty and its
-/// final element is a constant label or alternation, (b) the store
-/// keeps a label index (every store keeps the parent index the upward
-/// verification walks), and (c) the candidate set is smaller than
-/// [`SELECTIVITY_CUTOFF`] × |store|.
+/// final element is a constant label or alternation, and (b) the
+/// candidate set, from [`Store::with_label`], is smaller than
+/// [`SELECTIVITY_CUTOFF`] × |store|. Every store answers `with_label`
+/// and keeps the parent index the upward verification walks.
 pub(crate) fn choose_explained(store: &Store, expr: &PathExpr) -> (SelStrategy, String) {
     let labels: Vec<Label> = match expr.0.last() {
         Some(Elem::Label(l)) => vec![*l],
@@ -77,18 +78,7 @@ pub(crate) fn choose_explained(store: &Store, expr: &PathExpr) -> (SelStrategy, 
             )
         }
     };
-    let mut candidates = 0usize;
-    for &l in &labels {
-        match store.with_label(l) {
-            Some(set) => candidates += set.len(),
-            None => {
-                return (
-                    SelStrategy::Forward,
-                    format!("no label index for {l}"),
-                )
-            }
-        }
-    }
+    let candidates: usize = labels.iter().map(|&l| store.with_label(l).len()).sum();
     let objects = store.len();
     if (candidates as f64) < SELECTIVITY_CUTOFF * objects as f64 {
         (
@@ -205,9 +195,7 @@ pub fn reach_expr_backward(
 
     let mut candidates: Vec<Oid> = Vec::new();
     for &l in labels {
-        if let Some(set) = store.with_label(l) {
-            candidates.extend(set.iter());
-        }
+        candidates.extend(store.with_label(l).iter());
     }
     candidates.sort_by_key(|o| o.name());
     candidates.dedup();

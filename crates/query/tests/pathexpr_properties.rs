@@ -133,8 +133,8 @@ proptest! {
         let want = reach_by_enumeration(&store, &expr, expr.len() + runs * (nodes.len() - 1));
         let (forward, _) = reach_expr(&store, node(0), &expr, &|_| true);
         prop_assert_eq!(&forward, &want, "forward, {} over {:?}", expr, nodes);
-        // The backward walk starts from the label index, so it needs a
-        // tail that names labels.
+        // The backward walk starts from the objects carrying the tail's
+        // labels, so it needs a tail that names labels.
         let labels = match expr.0.last() {
             Some(Elem::Label(l)) => vec![*l],
             Some(Elem::Alt(ls)) => ls.clone(),

@@ -18,8 +18,8 @@
 //!   writers nothing;
 //! * [`reactor`] — the single-threaded epoll [`Server`]: bounded
 //!   per-connection in-flight windows, write-buffer backpressure,
-//!   stalled-peer sweeps, and admission control ([`Admission::Shed`]
-//!   replies `Busy`; [`Admission::Queue`] parks arrivals);
+//!   stalled-peer sweeps, and admission control (a connection past
+//!   `max_conns` is shed with a `Busy` reply);
 //! * [`client`] — the blocking [`FrameClient`], which implements the
 //!   warehouse's existing `QueryPort`/`ReportSource` traits so the
 //!   whole retry / dead-letter / gap-detection / resync stack works
@@ -69,6 +69,6 @@ pub use chaos::{chaos_write, SocketChaosPolicy, SocketFault, WriteOutcome};
 pub use client::FrameClient;
 pub use frame::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME};
 pub use msg::{Reply, ReplyBody, Request, RequestBody, ServedStats};
-pub use reactor::{Admission, ServeConfig, Server, ServerHandle};
+pub use reactor::{ServeConfig, Server, ServerHandle};
 pub use service::{ServeHandler, SourceService};
 pub use telemetry::{Harvest, TelemetryHub, TelemetryTail};

@@ -22,10 +22,10 @@
 //!   keep sending, but its bytes pile up in *its* socket buffer, not
 //!   our memory. Reads resume when the write buffer drains.
 //! * **Admission control** — beyond [`ServeConfig::max_conns`] active
-//!   connections, new arrivals are either **shed** (a `Busy` frame,
-//!   then close; counted in `serve.admission.shed`) or **queued**
-//!   (parked unregistered until a slot frees; counted in
-//!   `serve.admission.queued`), per [`Admission`].
+//!   connections, new arrivals are **shed**: a `Busy` frame, then
+//!   close, counted in `serve.admission.shed`. The client sees
+//!   [`QueryFault::Overloaded`](gsview_warehouse::protocol::QueryFault)
+//!   and backs off at its retry ceiling.
 //! * **Stall sweeps** — a peer that stops mid-frame
 //!   ([`ServeConfig::read_timeout_ms`]) or stops draining its replies
 //!   ([`ServeConfig::write_timeout_ms`]) is reaped, with
@@ -41,7 +41,7 @@ use crate::msg::{Reply, ReplyBody, Request, RequestBody};
 use crate::service::ServeHandler;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::telemetry::TelemetryHub;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -49,30 +49,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What to do with a connection that arrives while
-/// [`ServeConfig::max_conns`] connections are already active.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admission {
-    /// Send a `Busy` frame and close: the client sees
-    /// [`QueryFault::Overloaded`](gsview_warehouse::protocol::QueryFault)
-    /// and backs off at its retry ceiling.
-    Shed,
-    /// Park the connection unregistered (it consumes an fd but no
-    /// reactor attention) and admit it when an active slot frees.
-    /// Parked connections beyond [`ServeConfig::max_queue`] are shed.
-    Queue,
-}
-
 /// Reactor tuning knobs. `Default` is sized for tests and the E19
 /// bench; production would tune per deployment.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Active-connection limit enforced by admission control.
+    /// Active-connection limit enforced by admission control: a
+    /// connection arriving past it is shed.
     pub max_conns: usize,
-    /// What happens past the limit.
-    pub admission: Admission,
-    /// Parked-connection limit in [`Admission::Queue`] mode.
-    pub max_queue: usize,
     /// Max replies queued per connection before reads suspend.
     pub max_in_flight: usize,
     /// Max buffered reply bytes per connection before reads suspend.
@@ -89,8 +72,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_conns: 1024,
-            admission: Admission::Shed,
-            max_queue: 64,
             max_in_flight: 32,
             max_write_buf: 256 << 10,
             read_timeout_ms: 2_000,
@@ -265,7 +246,6 @@ fn reactor_loop(
     let epoll = Epoll::new()?;
     epoll.add(listener.as_raw_fd(), EPOLLIN, LISTENER_TOKEN)?;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut parked: VecDeque<(TcpStream, Instant)> = VecDeque::new();
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
     let mut read_buf = vec![0u8; READ_CHUNK];
     let busy_frame = encode_frame(
@@ -289,7 +269,7 @@ fn reactor_loop(
         for ev in events.iter().copied().take(n) {
             let (token, ready) = ({ ev.data }, { ev.events });
             if token == LISTENER_TOKEN {
-                accept_burst(&listener, &epoll, &mut conns, &mut parked, &cfg, &busy_frame);
+                accept_burst(&listener, &epoll, &mut conns, &cfg, &busy_frame);
                 continue;
             }
             let Some(conn) = conns.get_mut(&token) else {
@@ -311,10 +291,7 @@ fn reactor_loop(
                 close = pump_reads(conn, &mut read_buf, &*handler, &cfg, hub.is_some()).err();
             }
             match close {
-                Some(reason) => {
-                    close_conn(&epoll, &mut conns, token, reason);
-                    admit_parked(&epoll, &mut conns, &mut parked, &cfg);
-                }
+                Some(reason) => close_conn(&epoll, &mut conns, token, reason),
                 None => update_interest(&epoll, conn, token, &cfg),
             }
         }
@@ -337,7 +314,6 @@ fn reactor_loop(
             .collect();
         for (token, reason) in stalled {
             close_conn(&epoll, &mut conns, token, reason);
-            admit_parked(&epoll, &mut conns, &mut parked, &cfg);
         }
         // Telemetry pump: harvest once per tick, fan out per
         // subscriber. Runs after request work so batches reflect this
@@ -417,26 +393,17 @@ fn accept_burst(
     listener: &TcpListener,
     epoll: &Epoll,
     conns: &mut HashMap<u64, Conn>,
-    parked: &mut VecDeque<(TcpStream, Instant)>,
     cfg: &ServeConfig,
     busy_frame: &[u8],
 ) {
-    let reg = gsview_obs::registry();
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if conns.len() >= cfg.max_conns {
-                    match cfg.admission {
-                        Admission::Shed => shed(stream, busy_frame),
-                        Admission::Queue if parked.len() < cfg.max_queue => {
-                            reg.counter("serve.admission.queued").incr();
-                            parked.push_back((stream, Instant::now()));
-                        }
-                        Admission::Queue => shed(stream, busy_frame),
-                    }
-                    continue;
+                    shed(stream, busy_frame);
+                } else {
+                    register(epoll, conns, stream, cfg);
                 }
-                register(epoll, conns, stream, cfg);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -480,20 +447,6 @@ fn register(epoll: &Epoll, conns: &mut HashMap<u64, Conn>, stream: TcpStream, cf
     {
         gsview_obs::registry().counter("serve.connections").incr();
         conns.insert(token, conn);
-    }
-}
-
-fn admit_parked(
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, Conn>,
-    parked: &mut VecDeque<(TcpStream, Instant)>,
-    cfg: &ServeConfig,
-) {
-    while conns.len() < cfg.max_conns {
-        let Some((stream, _since)) = parked.pop_front() else {
-            return;
-        };
-        register(epoll, conns, stream, cfg);
     }
 }
 

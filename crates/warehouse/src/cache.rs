@@ -28,7 +28,7 @@
 
 use crate::protocol::{SourceQuery, SourceReply, UpdateReport};
 use crate::remote::{Asker, BatchAnswers, Channel};
-use gsdb::{path, AppliedUpdate, Label, Object, Oid, Path, Store, StoreConfig};
+use gsdb::{path, AppliedUpdate, Label, Object, Oid, Path, Store};
 use gsview_query::Pred;
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -68,11 +68,7 @@ impl AuxCache {
         full: Path,
         ask: &mut dyn FnMut(&SourceQuery) -> Option<R>,
     ) -> AuxCache {
-        let mut store = Store::with_config(StoreConfig {
-            label_index: false,
-            log_updates: false,
-            ..StoreConfig::default()
-        });
+        let mut store = Store::new();
         // A create fails only on an OID the store already holds, so the
         // errors ignored below cannot occur on the empty store, and
         // within a level they mean an object the source reached twice

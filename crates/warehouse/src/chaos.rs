@@ -338,7 +338,6 @@ impl ChaosReport {
 /// initial state).
 fn logging_copy(initial: &Store) -> Result<Store> {
     let mut s = Store::with_config(StoreConfig {
-        label_index: true,
         log_updates: true,
         ..StoreConfig::default()
     });

@@ -180,7 +180,6 @@ impl Source {
             name,
             root,
             Store::with_config(StoreConfig {
-                label_index: true,
                 log_updates: true,
                 ..StoreConfig::default().with_shards(shards)
             }),

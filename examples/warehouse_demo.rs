@@ -24,7 +24,6 @@ fn make_source(name: &str, level: ReportLevel, seed: u64) -> (Source, Vec<gsview
             seed,
         },
         StoreConfig {
-            label_index: true,
             log_updates: true,
             ..StoreConfig::default()
         },

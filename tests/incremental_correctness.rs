@@ -270,7 +270,6 @@ fn warehouse_agrees_with_local_at_all_levels() {
             let (store, mut db) = relations::generate(
                 spec,
                 StoreConfig {
-                    label_index: true,
                     log_updates: true,
                     ..StoreConfig::default()
                 },

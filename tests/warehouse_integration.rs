@@ -29,7 +29,6 @@ fn rel_source(name: &str, level: ReportLevel, seed: u64) -> (Source, gsview::wor
             seed,
         },
         StoreConfig {
-            label_index: true,
             log_updates: true,
             ..StoreConfig::default()
         },
