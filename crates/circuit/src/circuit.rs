@@ -342,10 +342,16 @@ impl Circuit {
         }
 
         // Stage 2: propagate selection and witness flows to their
-        // fixpoints, collecting membership candidates.
+        // fixpoints, collecting membership candidates. Every record a
+        // step created or removed is one (a member needs a live record).
+        // Init creates every object, but a fresh circuit has no member
+        // to lose and can gain only an object whose selection support
+        // its propagation dirtied, so init skips them.
         let mut dirty_members: FastSet<Oid> = FastSet::default();
-        dirty_members.extend(events.created.iter().copied());
-        dirty_members.extend(events.removed.iter().copied());
+        if !inject_roots {
+            dirty_members.extend(events.created.iter().copied());
+            dirty_members.extend(events.removed.iter().copied());
+        }
         for (branch, (sp, wp)) in self.branches.iter_mut().zip(pending) {
             let mut sel_dirty: FastSet<((), Oid)> = FastSet::default();
             branch

@@ -213,7 +213,7 @@ impl CircuitMaintainer {
         store: &Store,
     ) -> Result<(Vec<Oid>, Vec<Oid>)> {
         let members: HashSet<Oid> = self.inner().circuit.members().into_iter().collect();
-        reconcile(mv, &members, &mut |y| store.get(y).cloned())
+        reconcile(mv, &members, |y| store.get(y))
     }
 
     /// Step the circuit by one batch, with the store in its post-batch
@@ -453,7 +453,7 @@ mod tests {
         // the pre-batch view would have found.
         let members: HashSet<Oid> = cm.members().into_iter().collect();
         let (inserted, deleted) =
-            reconcile(&mut full, &members, &mut |y| store.get(y).cloned()).unwrap();
+            reconcile(&mut full, &members, |y| store.get(y)).unwrap();
         assert_eq!(out.inserted, vec![oid("P2")]);
         assert_eq!(out.deleted, vec![oid("P1"), oid("P4")]);
         assert_eq!((out.inserted, out.deleted), (inserted, deleted));

@@ -20,7 +20,7 @@ use gsdb::{
     ModifyDelta, Oid, Result, Store,
 };
 use gsview_obs::Counter;
-use gsview_query::{choose_backend, evaluate, reach_from_mask, MaintBackend, Nfa};
+use gsview_query::{choose_backend, evaluate, MaintBackend, Nfa, WalkScratch};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -133,7 +133,7 @@ impl CompoundMaintainer {
     /// Reconcile the shared view to the union of the branch shadows.
     fn sync(&self, mv: &mut MaterializedView, base: &mut dyn BaseAccess) -> Result<Outcome> {
         let union: HashSet<Oid> = self.union_members().into_iter().collect();
-        let (inserted, deleted) = reconcile(mv, &union, &mut |y| base.fetch(y))?;
+        let (inserted, deleted) = reconcile(mv, &union, |y| base.fetch(y))?;
         Ok(Outcome {
             relevant: false,
             inserted,
@@ -361,6 +361,7 @@ impl GeneralMaintainer {
         store: &Store,
         e: &EdgeDelta,
         cands: &mut Candidates,
+        scratch: &mut WalkScratch,
     ) -> bool {
         let a = &self.automata;
         let mut relevant = false;
@@ -370,7 +371,7 @@ impl GeneralMaintainer {
             // state before the batch (the parent itself may have moved
             // since), so walk from all of them; only members can lose.
             let (below, _) =
-                reach_from_mask(store, e.child, &a.sel, a.sel.all_states(), &|_| true);
+                scratch.reach(store, e.child, &a.sel, a.sel.all_states(), &|_| true);
             for y in below.into_iter().filter(|&y| mv.contains_base(y)) {
                 cands.add(y, Known::default());
                 relevant = true;
@@ -401,7 +402,7 @@ impl GeneralMaintainer {
         // What now hangs under the new edge gained this root path:
         // continue the `sel_expr` walk from the states it arrives in.
         if e.op == EdgeOp::Insert && at.sel != 0 {
-            let (below, _) = reach_from_mask(store, e.child, &a.sel, at.sel, &|_| true);
+            let (below, _) = scratch.reach(store, e.child, &a.sel, at.sel, &|_| true);
             for y in below {
                 cands.add(y, Known { sel: true, witness: false });
             }
@@ -437,23 +438,25 @@ impl GeneralMaintainer {
         relevant
     }
 
-    /// Is `y` in the view, in the final state?
-    fn selects(&self, store: &Store, y: Oid, known: Known) -> bool {
+    /// Is `y` in the view, in the final state? The condition walk
+    /// stops at its first witness.
+    fn selects(&self, store: &Store, y: Oid, known: Known, scratch: &mut WalkScratch) -> bool {
         let a = &self.automata;
         if !known.sel && !self.locate(store, y).is_some_and(|at| a.sel.is_accepting(at.sel)) {
             return false;
         }
         match (&self.def.cond, &a.cond) {
             (Some(cond), Some(c)) if !known.witness => {
-                let (reached, _) = reach_from_mask(store, y, c, c.start_mask(), &|_| true);
-                cond.pred.eval_any(store, &reached)
+                let pred = &cond.pred;
+                scratch.any(store, y, c, c.start_mask(), &|_| true, |o| pred.holds_at(store, o)).0
             }
             _ => true,
         }
     }
 
     /// Locate every delta, then verify every candidate against the
-    /// final state: `(y, is a member)` per candidate.
+    /// final state: `(y, is a member)` per candidate. Every product
+    /// walk of the batch runs in one scratch.
     fn verdicts(
         &self,
         mv: &MaterializedView,
@@ -462,10 +465,12 @@ impl GeneralMaintainer {
         out: &mut BatchOutcome,
     ) -> Vec<(Oid, bool)> {
         let mut cands = Candidates::default();
+        let mut scratch = WalkScratch::default();
         {
             let _span = gsview_obs::span!("maint.general.locate");
             for e in &delta.edges {
-                out.relevant_deltas += self.locate_edge(mv, store, e, &mut cands) as usize;
+                out.relevant_deltas +=
+                    self.locate_edge(mv, store, e, &mut cands, &mut scratch) as usize;
             }
             for m in &delta.modifies {
                 out.relevant_deltas += self.locate_modify(store, m, &mut cands) as usize;
@@ -492,7 +497,7 @@ impl GeneralMaintainer {
         cands
             .known
             .into_iter()
-            .map(|(y, known)| (y, self.selects(store, y, known)))
+            .map(|(y, known)| (y, self.selects(store, y, known, &mut scratch)))
             .collect()
     }
 

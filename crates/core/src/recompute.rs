@@ -50,10 +50,10 @@ pub fn refresh(
     mv: &mut MaterializedView,
 ) -> Result<(usize, usize)> {
     let fresh = recompute_members(def, base);
-    let fetch = &mut |y: Oid| base.fetch(y);
-    let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), fetch)?;
+    let mut fetch = |y: Oid| base.fetch(y);
+    let (inserted, deleted) = reconcile(mv, &fresh.iter().copied().collect(), &mut fetch)?;
     // Persisting members: recomputation rewrites their values.
-    refresh_touched(mv, &fresh, &inserted, fetch)?;
+    refresh_touched(mv, &fresh, &inserted, &mut fetch)?;
     Ok((inserted.len(), deleted.len()))
 }
 

@@ -61,13 +61,14 @@ impl ViewSink for MaterializedView {
 /// View write-back, part one: bring `sink` to exactly `members`. Every
 /// current member outside the set is deleted, every missing one that
 /// `fetch` can still produce is inserted; members that stay are left
-/// alone. Returns `(inserted, deleted)`, each sorted by name. It reads
+/// alone; `fetch` may lend the objects (a colocated store) or hand
+/// them over. Returns `(inserted, deleted)`, each sorted by name. It reads
 /// every member of `sink`: a maintainer that knows its own membership
 /// change writes that back with [`write_delta`] instead.
-pub(crate) fn reconcile(
+pub(crate) fn reconcile<O: Borrow<Object>>(
     sink: &mut dyn ViewSink,
     members: &HashSet<Oid>,
-    fetch: &mut dyn FnMut(Oid) -> Option<Object>,
+    fetch: impl FnMut(Oid) -> Option<O>,
 ) -> Result<(Vec<Oid>, Vec<Oid>)> {
     let stale: Vec<Oid> = sink
         .members()

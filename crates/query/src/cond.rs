@@ -90,12 +90,15 @@ impl Pred {
         }
     }
 
+    /// Is `o` an atomic object whose value satisfies the predicate?
+    pub fn holds_at(&self, store: &Store, o: Oid) -> bool {
+        store.atom(o).is_some_and(|a| self.eval(a))
+    }
+
     /// The paper's `cond()` applied to a set of objects: true if any of
     /// them is atomic and satisfies the predicate.
     pub fn eval_any(&self, store: &Store, objects: &[Oid]) -> bool {
-        objects
-            .iter()
-            .any(|&o| store.atom(o).map(|a| self.eval(a)).unwrap_or(false))
+        objects.iter().any(|&o| self.holds_at(store, o))
     }
 }
 

@@ -22,8 +22,8 @@
 //! (`Store::with_label`) when that is cheaper.
 
 use crate::ast::Query;
-use crate::pathexpr::{reach_expr, reach_from_mask, PathExpr};
-use crate::plan::{reach_expr_backward, SelStrategy};
+use crate::pathexpr::{PathExpr, WalkScratch};
+use crate::plan::{backward_in, SelStrategy};
 use gsdb::{label::well_known, Object, Oid, Store, Value};
 use std::fmt;
 
@@ -54,7 +54,9 @@ pub struct EvalStats {
     pub sel_states_visited: usize,
     /// Candidates whose condition was evaluated.
     pub candidates_tested: usize,
-    /// Product states visited across all condition traversals.
+    /// Product states visited across all condition traversals, each
+    /// until its condition was decided: a traversal stops at the first
+    /// object that satisfies the predicate.
     pub cond_states_visited: usize,
 }
 
@@ -109,17 +111,23 @@ pub(crate) fn evaluate_with(
     }
 
     // Candidates: objects in entry.sel_path, under the WITHIN filter.
+    // Every walk of this query runs in one scratch.
+    let mut scratch = WalkScratch::default();
     let sel_expr = query.sel_expr();
     let strategy = plan(&sel_expr);
     let (candidates, tstats) = match &strategy {
-        SelStrategy::Forward => reach_expr(store, start, &sel_expr, &filter),
+        SelStrategy::Forward => {
+            let nfa = sel_expr.nfa();
+            scratch.reach(store, start, &nfa, nfa.start_mask(), &filter)
+        }
         SelStrategy::Backward { labels } => {
-            reach_expr_backward(store, start, &sel_expr, labels, &filter)
+            backward_in(&mut scratch, store, start, &sel_expr, labels, &filter)
         }
     };
     stats.sel_states_visited = tstats.states_visited;
 
     // Condition check per candidate, one automaton for all of them.
+    // `cond()` is existential, so each walk stops at its first witness.
     let cond = query.cond.as_ref().map(|c| (c.path.nfa(), &c.pred));
     let mut result = Vec::new();
     for x in candidates {
@@ -127,9 +135,11 @@ pub(crate) fn evaluate_with(
             None => true,
             Some((nfa, pred)) => {
                 stats.candidates_tested += 1;
-                let (reached, cstats) = reach_from_mask(store, x, nfa, nfa.start_mask(), &filter);
+                let (hit, cstats) = scratch.any(store, x, nfa, nfa.start_mask(), &filter, |o| {
+                    pred.holds_at(store, o)
+                });
                 stats.cond_states_visited += cstats.states_visited;
-                pred.eval_any(store, &reached)
+                hit
             }
         };
         if keep {

@@ -13,7 +13,7 @@ use crate::ast::{Entry, Query};
 use crate::eval::EvalError;
 use crate::plan::{choose_backend, choose_explained, evaluate_planned};
 use gsdb::Store;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Render a plan-and-execution report for `query` against `store`:
 /// the plan [`evaluate_planned`] runs, and what running it counted.
@@ -23,46 +23,54 @@ pub fn explain(store: &Store, query: &Query) -> Result<String, EvalError> {
     let (_, reason) = choose_explained(store, &sel_expr);
 
     let mut out = String::new();
-    writeln!(out, "QUERY   {query}").unwrap();
+    line(&mut out, format_args!("QUERY   {query}"));
     match &query.entry {
-        Entry::Object(o) => writeln!(out, "entry   object {o}").unwrap(),
-        Entry::DatabaseAll(db) => writeln!(out, "entry   members of {db}").unwrap(),
+        Entry::Object(o) => line(&mut out, format_args!("entry   object {o}")),
+        Entry::DatabaseAll(db) => line(&mut out, format_args!("entry   members of {db}")),
     }
     if sel_expr.is_empty() {
-        writeln!(out, "select  (entry itself)").unwrap();
+        line(&mut out, format_args!("select  (entry itself)"));
     } else {
-        writeln!(out, "select  {sel_expr}").unwrap();
+        line(&mut out, format_args!("select  {sel_expr}"));
     }
-    writeln!(out, "plan    {strategy} ({reason})").unwrap();
+    line(&mut out, format_args!("plan    {strategy} ({reason})"));
     // If this query's selection were materialized as a view, which
     // maintenance backend would the planner pick?  A plain SELECT has
     // one branch and no aggregate; the maintainer layer passes its own
     // shape when it plans CompoundViewDef / AggregateViewDef sources.
     let (backend, why) = choose_backend(&sel_expr, 1, false);
-    writeln!(out, "maint   {backend} ({why})").unwrap();
+    line(&mut out, format_args!("maint   {backend} ({why})"));
     if let Some(db) = query.within {
         let members = store
             .get(db)
             .and_then(|o| o.value.as_set())
             .map_or(0, |s| s.len());
-        writeln!(out, "scope   WITHIN {db} ({members} members)").unwrap();
+        line(&mut out, format_args!("scope   WITHIN {db} ({members} members)"));
     }
     if let Some(c) = &query.cond {
-        writeln!(out, "filter  WHERE {c} (re-traversal per candidate)").unwrap();
+        line(&mut out, format_args!("filter  WHERE {c} (re-traversal per candidate)"));
     }
     if let Some(db) = query.ans_int {
-        writeln!(out, "post    ANS INT {db}").unwrap();
+        line(&mut out, format_args!("post    ANS INT {db}"));
     }
-    writeln!(
-        out,
-        "stats   answers={} sel_states={} candidates_tested={} cond_states={}",
-        answer.oids.len(),
-        answer.stats.sel_states_visited,
-        answer.stats.candidates_tested,
-        answer.stats.cond_states_visited
-    )
-    .unwrap();
+    line(
+        &mut out,
+        format_args!(
+            "stats   answers={} sel_states={} candidates_tested={} cond_states={}",
+            answer.oids.len(),
+            answer.stats.sel_states_visited,
+            answer.stats.candidates_tested,
+            answer.stats.cond_states_visited
+        ),
+    );
     Ok(out)
+}
+
+/// Append one line to the report. Formatting into a `String` cannot
+/// fail: its `fmt::Write` never returns an error.
+fn line(out: &mut String, args: fmt::Arguments<'_>) {
+    let _ = out.write_fmt(args);
+    out.push('\n');
 }
 
 #[cfg(test)]

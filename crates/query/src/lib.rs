@@ -51,4 +51,4 @@ pub use eval::{evaluate, evaluate_into, Answer, EvalError, EvalStats};
 pub use parser::{parse_query, parse_statement, parse_viewdef, ParseError};
 pub use explain::explain;
 pub use plan::{choose_backend, evaluate_planned, MaintBackend, SelStrategy};
-pub use pathexpr::{reach_expr, reach_from_mask, Elem, Nfa, PathExpr, PathExprError, TraversalStats};
+pub use pathexpr::{reach_expr, Elem, Nfa, PathExpr, PathExprError, TraversalStats, WalkScratch};

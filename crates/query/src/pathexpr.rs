@@ -22,7 +22,9 @@
 //!   containment for general path expressions");
 //! * [`reach_expr`] — `N.e`, the union of `N.p` over all instances
 //!   `p` of `e` (paper §2), computed as a product BFS of the database
-//!   graph and the automaton.
+//!   graph and the automaton; [`WalkScratch`] runs the same walk in
+//!   memory its caller keeps, and can stop it at the first object that
+//!   settles an existential test.
 //!
 //! The mask is also the bound: an expression may have at most
 //! [`MAX_ELEMS`] elements, and the parsers refuse a longer one.
@@ -280,6 +282,10 @@ impl From<&Path> for PathExpr {
 ///
 /// A `*` at element `i` may match nothing, so whoever is in state `i`
 /// is in `i + 1` too; every mask handed out is closed under that.
+///
+/// The states with no outgoing transition at all (the accepting one,
+/// always) form the complement of `live`: a walk standing in none of
+/// the live states can step nowhere, so it reads no children there.
 #[derive(Clone, Debug)]
 pub struct Nfa {
     /// mentioned label → column index; unmentioned labels use the
@@ -291,6 +297,8 @@ pub struct Nfa {
     fwd: Vec<u64>,
     /// `inv[t * ncols + col]`: the states one `col` step takes to `t`.
     inv: Vec<u64>,
+    /// The states with at least one outgoing transition.
+    live: u64,
     start: u64,
     accept: u32,
 }
@@ -329,7 +337,11 @@ impl Nfa {
             }
         }
         let mut inv = vec![0u64; (n + 1) * ncols];
+        let mut live = 0u64;
         for s in 0..=n {
+            if fwd[s * ncols..(s + 1) * ncols].iter().any(|&to| to != 0) {
+                live |= 1 << s;
+            }
             for col in 0..ncols {
                 let mut to = fwd[s * ncols + col];
                 while to != 0 {
@@ -343,6 +355,7 @@ impl Nfa {
             ncols,
             fwd,
             inv,
+            live,
             start: closed(0),
             accept: n as u32,
         }
@@ -400,6 +413,14 @@ impl Nfa {
         (mask >> self.accept) & 1 != 0
     }
 
+    /// Can any label step the mask somewhere? False for a set of
+    /// states with no outgoing transition, such as the accepting state
+    /// alone.
+    #[inline]
+    fn can_step(&self, mask: u64) -> bool {
+        mask & self.live != 0
+    }
+
     /// Every state at once: the mask to walk from when the states the
     /// automaton arrived in are not known (a superset of any of them,
     /// so the walk visits a superset of what any of them would).
@@ -428,7 +449,9 @@ impl Nfa {
 /// Statistics from an expression traversal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraversalStats {
-    /// Product states (object, NFA-state-set) visited.
+    /// Product states (object, NFA-state-set) visited. A walk that
+    /// stops early ([`WalkScratch::any`]) counts those it visited
+    /// before it stopped.
     pub states_visited: usize,
 }
 
@@ -445,69 +468,124 @@ pub fn reach_expr(
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
     let nfa = e.nfa();
-    reach_from_mask(store, n, &nfa, nfa.start_mask(), filter)
+    WalkScratch::default().reach(store, n, &nfa, nfa.start_mask(), filter)
 }
 
-/// The product walk of [`reach_expr`], entered part-way: the objects
-/// reached from `n` when the automaton stands in the state set
-/// `start` at `n` — `n` itself included if `start` accepts.
-/// [`reach_expr`] is the `start_mask()` case; wildcard-view repair
-/// continues a walk below a changed edge from the mask the edge's
-/// root path leaves.
+/// A scratch table above this many entries is dropped, not cleared,
+/// before the next walk: clearing costs time in proportion to the
+/// capacity, so a whole-store walk would otherwise tax every small
+/// walk after it.
+const KEEP_SEEN: usize = 1024;
+
+/// The memory of the product walk — the set of product states seen
+/// and the queue — kept by a caller that walks many times, and cleared
+/// between walks. Scope one to a unit of work (a query, a batch of
+/// view maintenance), not to a thread: see DESIGN.md, "Product walk".
 ///
 /// Product states are `(slot id, u64 mask)` pairs, memoized in a
 /// fast-hash set — per-(slot, state-set) visitation is computed at
-/// most once. Base accesses: one per children fetch, one per child
-/// label read.
-pub fn reach_from_mask(
-    store: &Store,
-    n: Oid,
-    d: &Nfa,
-    start: u64,
-    filter: &dyn Fn(Oid) -> bool,
-) -> (Vec<Oid>, TraversalStats) {
-    let mut stats = TraversalStats::default();
-    if !filter(n) {
-        return (Vec::new(), stats);
+/// most once. A state set from which the automaton can step nowhere
+/// (the accepting state alone, say) reads no children. Base accesses:
+/// one per children fetch, one per child label read.
+#[derive(Debug, Default)]
+pub struct WalkScratch {
+    pub(crate) seen: FastSet<(u32, u64)>,
+    pub(crate) queue: VecDeque<(u32, u64)>,
+}
+
+impl WalkScratch {
+    /// Empty the tables for the next walk.
+    pub(crate) fn reset(&mut self) {
+        if self.seen.capacity() > KEEP_SEEN {
+            self.seen = FastSet::default();
+        } else {
+            self.seen.clear();
+        }
+        self.queue.clear();
     }
-    let mut results: Vec<Oid> = Vec::new();
-    let Some(nslot) = store.slot_of(n) else {
-        // Starting object absent from the store: the traversal still
-        // visits it once (with no children).
-        stats.states_visited = 1;
-        let _ = store.children(n);
-        if d.is_accepting(start) {
-            results.push(n);
+
+    /// The product walk of [`reach_expr`], entered part-way: the
+    /// objects reached from `n` when the automaton stands in the state
+    /// set `start` at `n` — `n` itself included if `start` accepts —
+    /// sorted by OID name. [`reach_expr`] is the `start_mask()` case;
+    /// wildcard-view repair continues a walk below a changed edge from
+    /// the mask the edge's root path leaves.
+    pub fn reach(
+        &mut self,
+        store: &Store,
+        n: Oid,
+        d: &Nfa,
+        start: u64,
+        filter: &dyn Fn(Oid) -> bool,
+    ) -> (Vec<Oid>, TraversalStats) {
+        let mut results = Vec::new();
+        let (_, stats) = self.any(store, n, d, start, filter, |o| {
+            results.push(o);
+            false
+        });
+        // An object reached in two accepting state sets was pushed
+        // twice.
+        results.sort_by_key(|o| o.name());
+        results.dedup();
+        (results, stats)
+    }
+
+    /// Does any object the walk of [`WalkScratch::reach`] reaches
+    /// satisfy `hit`? `hit` sees each object popped in an accepting
+    /// state set, and the walk stops at the first it accepts (paper
+    /// §2: `cond()` holds as soon as one object satisfies it), so
+    /// `states_visited` counts the states visited until then.
+    pub fn any(
+        &mut self,
+        store: &Store,
+        n: Oid,
+        d: &Nfa,
+        start: u64,
+        filter: &dyn Fn(Oid) -> bool,
+        mut hit: impl FnMut(Oid) -> bool,
+    ) -> (bool, TraversalStats) {
+        let mut stats = TraversalStats::default();
+        if !filter(n) {
+            return (false, stats);
         }
-        return (results, stats);
-    };
-    let mut result_slots: FastSet<u32> = FastSet::default();
-    let mut seen: FastSet<(u32, u64)> = FastSet::default();
-    let mut q: VecDeque<(u32, u64)> = VecDeque::new();
-    seen.insert((nslot, start));
-    q.push_back((nslot, start));
-    while let Some((slot, mask)) = q.pop_front() {
-        stats.states_visited += 1;
-        if d.is_accepting(mask) && result_slots.insert(slot) {
-            results.push(store.oid_at(slot).expect("queued slot is live"));
-        }
-        for &c in store.children_at(slot) {
-            if !filter(c) {
+        let Some(nslot) = store.slot_of(n) else {
+            // Starting object absent from the store: the traversal still
+            // visits it once (with no children).
+            stats.states_visited = 1;
+            if d.can_step(start) {
+                let _ = store.children(n);
+            }
+            return (d.is_accepting(start) && hit(n), stats);
+        };
+        self.reset();
+        let WalkScratch { seen, queue } = self;
+        seen.insert((nslot, start));
+        queue.push_back((nslot, start));
+        while let Some((slot, mask)) = queue.pop_front() {
+            stats.states_visited += 1;
+            if d.is_accepting(mask) && store.oid_at(slot).is_some_and(&mut hit) {
+                return (true, stats);
+            }
+            if !d.can_step(mask) {
                 continue;
             }
-            let Some(cslot) = store.slot_of(c) else { continue };
-            let Some(cl) = store.label_at(cslot) else { continue };
-            let next = d.step_mask(mask, cl);
-            if next == 0 {
-                continue;
-            }
-            if seen.insert((cslot, next)) {
-                q.push_back((cslot, next));
+            for &c in store.children_at(slot) {
+                if !filter(c) {
+                    continue;
+                }
+                let Some(cslot) = store.slot_of(c) else { continue };
+                let Some(cl) = store.label_at(cslot) else { continue };
+                let next = d.step_mask(mask, cl);
+                if next == 0 {
+                    continue;
+                }
+                if seen.insert((cslot, next)) {
+                    queue.push_back((cslot, next));
+                }
             }
         }
+        (false, stats)
     }
-    results.sort_by_key(|o| o.name());
-    (results, stats)
 }
 
 #[cfg(test)]
@@ -749,6 +827,21 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_reads_no_children_where_the_automaton_can_step_nowhere() {
+        // `professor` accepts at the professors and can step no
+        // further: their children are neither fetched nor labelled.
+        let mut s = Store::counting();
+        samples::person_db(&mut s).unwrap();
+        s.reset_accesses();
+        let (profs, stats) = reach_expr(&s, Oid::new("ROOT"), &pe("professor"), &|_| true);
+        let cost = s.accesses();
+        s.set_count_accesses(false);
+        assert_eq!(profs, vec![Oid::new("P1"), Oid::new("P2")]);
+        assert_eq!(stats.states_visited, 3);
+        assert_eq!(cost, 1 + s.children(Oid::new("ROOT")).len() as u64);
+    }
+
+    #[test]
     fn backward_steps_invert_forward_steps() {
         for expr in ["", "a", "?", "*", "a.*.b", "(a|b).?", "*.a.*", "*.?.*"] {
             let nfa = pe(expr).nfa();
@@ -767,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn reach_from_mask_continues_a_walk_part_way() {
+    fn reach_continues_a_walk_part_way() {
         let mut s = Store::new();
         samples::person_db(&mut s).unwrap();
         let all = |_: Oid| true;
@@ -776,14 +869,15 @@ mod tests {
         // Arrive at P1 by its root path, continue below it: what the
         // whole walk finds under P1.
         let at_p1 = d.step_mask(d.start_mask(), Label::new("professor"));
-        let (below, _) = reach_from_mask(&s, Oid::new("P1"), d, at_p1, &all);
+        let mut scratch = WalkScratch::default();
+        let (below, _) = scratch.reach(&s, Oid::new("P1"), d, at_p1, &all);
         assert_eq!(below, vec![Oid::new("A3")]);
         // From every state at once: also what a walk that had already
         // consumed `student` would accept right below.
-        let (any, _) = reach_from_mask(&s, Oid::new("P1"), d, d.all_states(), &all);
+        let (any, _) = scratch.reach(&s, Oid::new("P1"), d, d.all_states(), &all);
         assert_eq!(any, vec![Oid::new("A1"), Oid::new("A3"), Oid::new("P1")]);
         // A dead mask reaches nothing.
-        assert!(reach_from_mask(&s, Oid::new("P1"), d, 0, &all).0.is_empty());
+        assert!(scratch.reach(&s, Oid::new("P1"), d, 0, &all).0.is_empty());
     }
 
     #[test]

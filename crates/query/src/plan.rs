@@ -18,9 +18,8 @@
 
 use crate::ast::Query;
 use crate::eval::{evaluate_with, Answer, EvalError};
-use crate::pathexpr::{Elem, PathExpr, TraversalStats};
-use gsdb::{FastSet, Label, Oid, Store};
-use std::collections::VecDeque;
+use crate::pathexpr::{Elem, PathExpr, TraversalStats, WalkScratch};
+use gsdb::{Label, Oid, Store};
 use std::fmt;
 
 /// Backward is picked when the final label holds fewer candidates than
@@ -182,6 +181,18 @@ pub fn reach_expr_backward(
     labels: &[Label],
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
+    backward_in(&mut WalkScratch::default(), store, entry, expr, labels, filter)
+}
+
+/// [`reach_expr_backward`], its per-candidate walks in `scratch`.
+pub(crate) fn backward_in(
+    scratch: &mut WalkScratch,
+    store: &Store,
+    entry: Oid,
+    expr: &PathExpr,
+    labels: &[Label],
+    filter: &dyn Fn(Oid) -> bool,
+) -> (Vec<Oid>, TraversalStats) {
     let nfa = reversed(expr).nfa();
     let start = nfa.start_mask();
     let mut stats = TraversalStats::default();
@@ -207,19 +218,21 @@ pub fn reach_expr_backward(
         if cand == entry && out.contains(&cand) {
             continue; // already admitted via the ε instance
         }
+        let Some(cslot) = store.slot_of(cand) else { continue };
         // Upward product BFS: consume label(cur), climb to parents.
-        let mut seen: FastSet<(Oid, u64)> = FastSet::default();
-        let mut q: VecDeque<(Oid, u64)> = VecDeque::new();
-        seen.insert((cand, start));
-        q.push_back((cand, start));
+        scratch.reset();
+        let WalkScratch { seen, queue } = &mut *scratch;
+        seen.insert((cslot, start));
+        queue.push_back((cslot, start));
         let mut matched = false;
-        'bfs: while let Some((o, states)) = q.pop_front() {
+        'bfs: while let Some((slot, states)) = queue.pop_front() {
             stats.states_visited += 1;
-            let Some(l) = store.label(o) else { continue };
+            let Some(l) = store.label_at(slot) else { continue };
             let next = nfa.step_mask(states, l);
             if next == 0 {
                 continue;
             }
+            let Some(o) = store.oid_at(slot) else { continue };
             for p in store.parents(o).iter() {
                 if !filter(p) {
                     continue;
@@ -228,8 +241,9 @@ pub fn reach_expr_backward(
                     matched = true;
                     break 'bfs;
                 }
-                if seen.insert((p, next)) {
-                    q.push_back((p, next));
+                let Some(pslot) = store.slot_of(p) else { continue };
+                if seen.insert((pslot, next)) {
+                    queue.push_back((pslot, next));
                 }
             }
         }

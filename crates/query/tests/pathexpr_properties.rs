@@ -1,12 +1,15 @@
 //! Property tests for the path-expression machinery: NFA matching
-//! against a brute-force oracle, containment consistency, and
-//! forward/backward traversal agreement.
+//! against a brute-force oracle, containment consistency,
+//! forward/backward traversal agreement, and the product walk — pruned
+//! at states that step nowhere, run in a reused scratch, stopped at a
+//! first witness — against a naive product BFS.
 
 use gsdb::{Label, Object, Oid, Path, Store};
-use gsview_query::pathexpr::{reach_expr, Elem, PathExpr};
+use gsview_query::pathexpr::{reach_expr, Elem, Nfa, PathExpr, WalkScratch};
 use gsview_query::plan::reach_expr_backward;
+use gsview_query::{CmpOp, Pred};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 const ALPHABET: &[&str] = &["a", "b", "c"];
 
@@ -212,5 +215,205 @@ proptest! {
         prop_assert!(expr.matches(&p));
         let q = to_path(&other);
         prop_assert_eq!(expr.matches(&q), p == q);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The product walk against a naive product BFS
+// ----------------------------------------------------------------------
+
+/// How the generated graph's edges are kept: only to later nodes with
+/// no parent yet (a tree), only to later nodes (a DAG), or any (cycles).
+const SHAPES: usize = 3;
+
+/// One node: its label, an atom value (`Some`) or a set (`None`), and
+/// child indices. An index past the last node names an object that is
+/// not in the store — a dangling child.
+type Node = (usize, Option<i64>, Vec<usize>);
+
+fn shaped_graph_strategy() -> impl Strategy<Value = (usize, Vec<Node>)> {
+    let value = prop_oneof![(0..4i64).prop_map(Some), Just(None), Just(None)];
+    let node = (0..ALPHABET.len(), value, prop::collection::vec(0..10usize, 0..4));
+    (0..SHAPES, prop::collection::vec(node, 1..9))
+}
+
+/// Node `i` of a shaped graph: in the store below `nodes.len()`,
+/// dangling from there on.
+fn shaped(i: usize) -> Oid {
+    Oid::new(&format!("pw{i}"))
+}
+
+fn build_shaped(store: &mut Store, shape: usize, nodes: &[Node]) {
+    let n = nodes.len();
+    let mut has_parent = vec![false; n];
+    for (i, (label, value, out)) in nodes.iter().enumerate() {
+        let obj = match value {
+            Some(v) => Object::atom(shaped(i).name(), ALPHABET[*label], *v),
+            None => {
+                let mut kids = Vec::new();
+                for &j in out {
+                    let keep = j >= n
+                        || match shape {
+                            0 => j > i && !std::mem::replace(&mut has_parent[j], true),
+                            1 => j > i,
+                            _ => true,
+                        };
+                    if keep && !kids.contains(&shaped(j)) {
+                        kids.push(shaped(j));
+                    }
+                }
+                Object::set(shaped(i).name(), ALPHABET[*label], &kids)
+            }
+        };
+        store.create(obj).unwrap();
+    }
+}
+
+/// One walk to run: expression, start node (dangling past the graph),
+/// start state set (0: the start mask, 1: every state, 2: `bits` cut to
+/// the automaton's states), `bits`, the nodes a `WITHIN`-style filter
+/// excludes (bit i excludes node i), and a predicate.
+type Walk = (PathExpr, usize, usize, u64, u16, (usize, i64));
+
+fn walk_strategy() -> impl Strategy<Value = Walk> {
+    (expr_strategy(), 0..10usize, 0..3usize, any::<u64>(), any::<u16>(), (0..4usize, 0..4i64))
+}
+
+struct Run {
+    nfa: Nfa,
+    start: Oid,
+    mask: u64,
+    excluded: Vec<Oid>,
+    pred: Pred,
+}
+
+impl Run {
+    fn new(w: &Walk) -> Run {
+        let (expr, start, how, bits, excluded, (op, rhs)) = w;
+        let nfa = expr.nfa();
+        let mask = match how {
+            0 => nfa.start_mask(),
+            1 => nfa.all_states(),
+            _ => bits & nfa.all_states(),
+        };
+        let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Gt][*op];
+        Run {
+            nfa,
+            start: shaped(*start),
+            mask,
+            excluded: (0..10).filter(|i| excluded >> i & 1 == 1).map(shaped).collect(),
+            pred: Pred::new(op, *rhs),
+        }
+    }
+
+    fn admits(&self, o: Oid) -> bool {
+        !self.excluded.contains(&o)
+    }
+}
+
+/// The walk with nothing saved: a fresh visited set, every popped
+/// product state's children read whatever its state set, results
+/// deduplicated through a set. Returns the reached objects, sorted by
+/// name, and the product states visited.
+fn naive_walk(store: &Store, r: &Run) -> (Vec<Oid>, usize) {
+    if !r.admits(r.start) {
+        return (Vec::new(), 0);
+    }
+    let mut seen: HashSet<(Oid, u64)> = HashSet::new();
+    let mut queue = VecDeque::new();
+    let mut reached: BTreeSet<Oid> = BTreeSet::new();
+    let mut visited = 0;
+    seen.insert((r.start, r.mask));
+    queue.push_back((r.start, r.mask));
+    while let Some((o, mask)) = queue.pop_front() {
+        visited += 1;
+        if r.nfa.is_accepting(mask) {
+            reached.insert(o);
+        }
+        for &c in store.children(o) {
+            if !r.admits(c) {
+                continue;
+            }
+            let Some(l) = store.label(c) else { continue };
+            let next = r.nfa.step_mask(mask, l);
+            if next != 0 && seen.insert((c, next)) {
+                queue.push_back((c, next));
+            }
+        }
+    }
+    let mut out: Vec<Oid> = reached.into_iter().collect();
+    out.sort_by_key(|o| o.name());
+    (out, visited)
+}
+
+/// Run every walk in `scratch`, in order, each in full and to its
+/// first witness, against the naive walk.
+fn check_walks(store: &Store, scratch: &mut WalkScratch, walks: &[Walk]) -> Result<(), String> {
+    for w in walks {
+        let r = Run::new(w);
+        let filter = |o: Oid| r.admits(o);
+        let (want, want_visited) = naive_walk(store, &r);
+        let (got, stats) = scratch.reach(store, r.start, &r.nfa, r.mask, &filter);
+        if got != want || stats.states_visited != want_visited {
+            return Err(format!(
+                "reach {} from {} in {:#b}: got {got:?} ({} states), want {want:?} ({want_visited})",
+                w.0, r.start, r.mask, stats.states_visited
+            ));
+        }
+        let hit = |o: Oid| r.pred.holds_at(store, o);
+        let (any, astats) = scratch.any(store, r.start, &r.nfa, r.mask, &filter, hit);
+        if any != r.pred.eval_any(store, &want) || astats.states_visited > want_visited {
+            return Err(format!(
+                "any {} {} from {} in {:#b}: got {any} ({} states), full reach {want:?}",
+                w.0, r.pred, r.start, r.mask, astats.states_visited
+            ));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// On trees, DAGs and cyclic graphs with dangling children, the
+    /// pruned walk in one reused scratch reaches what the naive walk
+    /// reaches, visiting the same product states, and stopping at the
+    /// first witness decides what the full reach and `Pred::eval_any`
+    /// decide.
+    #[test]
+    fn the_pruned_walk_equals_the_naive_walk(
+        (shape, nodes) in shaped_graph_strategy(),
+        walks in prop::collection::vec(walk_strategy(), 1..8),
+    ) {
+        let mut store = Store::new();
+        build_shaped(&mut store, shape, &nodes);
+        let mut scratch = WalkScratch::default();
+        let checked = check_walks(&store, &mut scratch, &walks);
+        prop_assert!(checked.is_ok(), "{} over shape {shape}, {:?}", checked.unwrap_err(), nodes);
+    }
+
+    /// A scratch that first served a `*` walk over a whole store — its
+    /// tables grown to hundreds or thousands of entries — still answers
+    /// the small walks after it right.
+    #[test]
+    fn a_scratch_after_a_whole_store_walk_answers_small_walks_right(
+        (shape, nodes) in shaped_graph_strategy(),
+        walks in prop::collection::vec(walk_strategy(), 1..8),
+        big in 300..3000usize,
+    ) {
+        let mut store = Store::new();
+        build_shaped(&mut store, shape, &nodes);
+        // A tree of `big` sets, eight children each, under pb0.
+        let bulk = |i: usize| Oid::new(&format!("pb{i}"));
+        for i in 0..big {
+            let kids: Vec<Oid> = (8 * i + 1..(8 * i + 9).min(big)).map(bulk).collect();
+            store.create(Object::set(bulk(i).name(), ALPHABET[i % ALPHABET.len()], &kids)).unwrap();
+        }
+        let star = PathExpr::parse("*").unwrap().nfa();
+        let mut scratch = WalkScratch::default();
+        let (all, stats) = scratch.reach(&store, bulk(0), &star, star.start_mask(), &|_| true);
+        prop_assert_eq!((all.len(), stats.states_visited), (big, big));
+        let checked = check_walks(&store, &mut scratch, &walks);
+        prop_assert!(checked.is_ok(), "{} over shape {shape}, {:?}", checked.unwrap_err(), nodes);
     }
 }
