@@ -1,4 +1,4 @@
-//! Content hashing, and the CRC the frames carry ([`gsdb::codec::crc32`]).
+//! Content hashing. (The CRC the frames carry is [`gsdb::codec::crc32`].)
 //!
 //! Chunks are addressed by a 128-bit content hash: two independently
 //! seeded multiply-rotate lanes that each fold the payload eight bytes
@@ -11,15 +11,13 @@
 
 use std::fmt;
 
-pub use gsdb::codec::crc32;
-
 /// A 128-bit content address of one chunk (256 encoded slab slots).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkHash(pub [u8; 16]);
 
 impl ChunkHash {
     /// Parse from raw bytes (exactly 16).
-    pub fn from_slice(b: &[u8]) -> Option<ChunkHash> {
+    pub(crate) fn from_slice(b: &[u8]) -> Option<ChunkHash> {
         b.try_into().ok().map(ChunkHash)
     }
 }

@@ -99,10 +99,10 @@ pub use media::{
 
 use gsdb::codec::EncodedChunk;
 use gsdb::stats::DurableFootprint;
-use gsdb::{Chunk, EpochHandle, ShardImage, Store, StoreStats};
+use gsdb::{Chunk, EpochHandle, Store, StoreStats};
 use gsview_obs::Counter;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The media one durable store writes: the epoch log.
 #[derive(Clone)]
@@ -161,9 +161,6 @@ pub struct PersistMeta {
     /// are forks with logging stripped, so this cannot be read off
     /// the snapshot itself.)
     pub log_updates: bool,
-    /// Opaque caller metadata carried in the manifest (the warehouse
-    /// stores reconciliation state here).
-    pub extra: Vec<u8>,
 }
 
 /// What one [`DurableStore::persist`] did.
@@ -183,7 +180,7 @@ pub struct PersistReceipt {
 }
 
 /// A recovered lineage: the rebuilt store plus the manifest it came
-/// from (epoch, sequence watermark, caller extra).
+/// from (epoch, sequence watermark, store flags).
 #[derive(Debug)]
 pub struct Recovered {
     /// The manifest the store was rebuilt from.
@@ -284,7 +281,7 @@ impl DurableStore {
             "name" = name.to_string(),
             "epoch" = meta.epoch
         );
-        let mut cache = self.cache.lock().expect("persist cache poisoned");
+        let mut cache = self.persist_cache();
         let receipt = self.append_epoch(&mut cache, name, store, meta)?;
         if self.log.compaction_due() {
             // Counted and reported inside; the epoch is durable anyway.
@@ -362,7 +359,6 @@ impl DurableStore {
                 count_accesses: store.counts_accesses(),
             },
             shards,
-            extra: meta.extra,
         })?;
         let entry = cache.entry(name.to_string()).or_default();
         entry.resize_with(images.len(), Vec::new);
@@ -399,8 +395,7 @@ impl DurableStore {
     ///
     /// [`persist`]: DurableStore::persist
     pub fn compact(&self) -> Result<u64> {
-        let mut cache = self.cache.lock().expect("persist cache poisoned");
-        self.compact_with(&mut cache)
+        self.compact_with(&mut self.persist_cache())
     }
 
     fn compact_with(&self, cache: &mut HashMap<String, LineageCache>) -> Result<u64> {
@@ -469,43 +464,35 @@ impl DurableStore {
         Ok(None)
     }
 
-    /// Rebuild a store from a manifest against this log's chunks,
-    /// seeding the persist cache so a re-persist of the recovered
-    /// (unchanged) store appends nothing.
+    /// Rebuild a store from a manifest against this log's chunks
+    /// ([`Manifest::rebuild`]), seeding the persist cache so a
+    /// re-persist of the recovered (unchanged) store appends nothing.
     fn try_build(&self, m: &Manifest) -> Result<Store> {
-        let mut images = Vec::with_capacity(m.shards.len());
-        let mut cached: LineageCache = Vec::with_capacity(m.shards.len());
-        for sm in &m.shards {
-            let mut chunks = Vec::with_capacity(sm.pages.len());
-            for h in &sm.pages {
-                let payload = self.log.get(h)?.ok_or_else(|| {
-                    DurableError::Corrupt(format!("chunk {h} missing or corrupt"))
-                })?;
-                chunks.push(gsdb::codec::decode_chunk(&payload)?);
-            }
-            cached.push(
-                chunks
-                    .iter()
-                    .zip(&sm.pages)
-                    .map(|(chunk, &hash)| CachedChunk {
-                        chunk: chunk.clone(),
-                        hash,
-                        encoded: None,
-                    })
-                    .collect(),
-            );
-            images.push(ShardImage {
-                len_slots: sm.len_slots as usize,
-                chunks,
-            });
-        }
-        let store = Store::from_images(m.store_config(), images, m.version)
-            .map_err(DurableError::Corrupt)?;
-        self.cache
-            .lock()
-            .expect("persist cache poisoned")
-            .insert(m.name.clone(), cached);
+        let mut read = Vec::with_capacity(m.page_count());
+        let store = m.rebuild(|&hash| {
+            let payload = self.log.get(&hash)?.ok_or_else(|| {
+                DurableError::Corrupt(format!("chunk {hash} missing or corrupt"))
+            })?;
+            let chunk = gsdb::codec::decode_chunk(&payload)?;
+            read.push(CachedChunk { chunk: chunk.clone(), hash, encoded: None });
+            Ok(chunk)
+        })?;
+        let mut read = read.into_iter();
+        let by_shard = m.shards.iter().map(|sm| read.by_ref().take(sm.pages.len()).collect());
+        self.persist_cache().insert(m.name.clone(), by_shard.collect());
         Ok(store)
+    }
+
+    /// The persist cache, cleared if a panic poisoned it: it only saves
+    /// encoding work, and a chunk encoded afresh is found in the log by
+    /// its content hash, so the manifest and bytes appended are the same.
+    fn persist_cache(&self) -> MutexGuard<'_, HashMap<String, LineageCache>> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            self.cache.clear_poison();
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            cache
+        })
     }
 
     /// Valid frames of one lineage, in log order (diagnostics and
@@ -584,7 +571,6 @@ mod tests {
             epoch,
             seq: epoch * 2,
             log_updates: false,
-            extra: Vec::new(),
         }
     }
 
@@ -772,6 +758,29 @@ log 57383 bytes, crc 7ecb123e
             gsdb::codec::crc32(&log)
         );
         assert_eq!(summary, RECORDED_CHUNKS);
+    }
+
+    #[test]
+    fn a_poisoned_persist_cache_is_cleared_and_persists_the_same_epoch() {
+        let d = DurableStore::open(MediaSet::memory()).unwrap();
+        let s = build_store(2, 300);
+        d.persist("poisoned", &s.fork(), meta(1)).unwrap();
+        let written = d.latest_manifest("poisoned").unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = d.cache.lock();
+                panic!("a panic while the persist cache is held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(d.cache.is_poisoned());
+
+        let r = d.persist("poisoned", &s.fork(), meta(1)).unwrap();
+        assert_eq!(r.bytes_appended, 0, "every chunk is found in the log");
+        assert_eq!(r.chunks_appended, 0);
+        assert_eq!(d.latest_manifest("poisoned").unwrap(), written);
+        assert!(!d.cache.is_poisoned(), "the lock is usable again");
+        assert_eq!(d.persist_cache()["poisoned"].len(), 2, "and holds the lineage again");
     }
 
     #[test]

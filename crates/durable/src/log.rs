@@ -58,7 +58,7 @@ use gsdb::codec::{
     begin_frame, crc32_update, end_frame, frame_head, put_str, put_varint, Reader,
     FRAME_HEADER_LEN,
 };
-use gsdb::StoreConfig;
+use gsdb::{Chunk, ShardImage, Store, StoreConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -147,9 +147,6 @@ pub struct Manifest {
     pub flags: StoreFlags,
     /// Per-shard images.
     pub shards: Vec<ShardManifest>,
-    /// Caller-owned metadata (the warehouse stores its reconciliation
-    /// state here). Opaque to recovery.
-    pub extra: Vec<u8>,
 }
 
 impl Manifest {
@@ -167,6 +164,22 @@ impl Manifest {
         self.shards.iter().map(|s| s.pages.len()).sum()
     }
 
+    /// The store this manifest describes, each chunk in shard and slot
+    /// order from `chunk` (the log on recovery, a warehouse's chunk
+    /// cache over a port): the first error `chunk` returns is the
+    /// rebuild's, and an image the store rejects is corrupt.
+    pub fn rebuild(&self, mut chunk: impl FnMut(&ChunkHash) -> Result<Chunk>) -> Result<Store> {
+        let mut images = Vec::with_capacity(self.shards.len());
+        for sm in &self.shards {
+            let mut chunks = Vec::with_capacity(sm.pages.len());
+            for h in &sm.pages {
+                chunks.push(chunk(h)?);
+            }
+            images.push(ShardImage { len_slots: sm.len_slots as usize, chunks });
+        }
+        Store::from_images(self.store_config(), images, self.version).map_err(DurableError::Corrupt)
+    }
+
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(64 + self.page_count() * 16);
         put_str(out, &self.name);
@@ -182,8 +195,7 @@ impl Manifest {
                 out.extend_from_slice(&h.0);
             }
         }
-        put_varint(out, self.extra.len() as u64);
-        out.extend_from_slice(&self.extra);
+        put_varint(out, 0); // an empty caller-metadata field: the bytes stay as they were
     }
 
     fn decode(bytes: &[u8]) -> Result<Manifest> {
@@ -216,8 +228,9 @@ impl Manifest {
             }
             shards.push(ShardManifest { len_slots, pages });
         }
+        // The caller-metadata field: bounds-checked and skipped.
         let extra_n = r.varint().map_err(DurableError::from)? as usize;
-        let extra = r.bytes(extra_n).map_err(DurableError::from)?.to_vec();
+        r.bytes(extra_n).map_err(DurableError::from)?;
         if r.remaining() != 0 {
             return Err(DurableError::Corrupt("trailing bytes after manifest".into()));
         }
@@ -228,7 +241,6 @@ impl Manifest {
             seq,
             flags,
             shards,
-            extra,
         })
     }
 }
@@ -716,7 +728,6 @@ mod tests {
                 len_slots: 7,
                 pages: pages.to_vec(),
             }],
-            extra: vec![1, 2, 3],
         }
     }
 
@@ -757,6 +768,32 @@ mod tests {
             Err(DurableError::Corrupt(msg)) => assert!(msg.contains("16777216 pages"), "{msg}"),
             other => panic!("expected a corrupt manifest, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_manifest_an_older_writer_gave_caller_metadata_still_decodes() {
+        // The field after the shard list could carry bytes once; a log
+        // holding such a frame opens, and the frame decodes without them.
+        let page: &[u8] = b"old-page";
+        let hash = chunk_hash(page);
+        let mut payload = Vec::new();
+        manifest("old", 4, &[hash]).encode_into(&mut payload);
+        assert_eq!(payload.pop(), Some(0), "the field is written empty");
+        put_varint(&mut payload, 3);
+        payload.extend_from_slice(&[1, 2, 3]);
+        let mut bytes = Vec::new();
+        let chain = put_file_frame(&mut bytes);
+        let chain = put_chunk(&mut bytes, &hash, page, chain);
+        let start = begin_frame(&mut bytes, TAG_MANIFEST);
+        bytes.extend_from_slice(&payload);
+        end_frame(&mut bytes, start, chain);
+        let m: Arc<dyn Media> = Arc::new(MemMedia::from_bytes(bytes));
+        let log = EpochLog::open(Arc::clone(&m)).unwrap();
+        let frames = log.frames_for("old");
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].manifest, manifest("old", 4, &[hash]));
+        assert_eq!(log.get(&hash).unwrap().unwrap(), page);
+        assert_eq!(log.footprint().1, m.len(), "the whole file is the valid prefix");
     }
 
     #[test]

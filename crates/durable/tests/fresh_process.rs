@@ -116,7 +116,6 @@ fn a_log_written_by_one_process_recovers_in_another() {
             epoch: EPOCH,
             seq: EPOCH,
             log_updates: false,
-            extra: Vec::new(),
         };
         d.persist(NAME, &store.fork(), meta).unwrap();
         let line = format!(

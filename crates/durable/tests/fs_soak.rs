@@ -57,7 +57,6 @@ fn meta(epoch: u64) -> PersistMeta {
         epoch,
         seq: epoch * 3,
         log_updates: false,
-        extra: Vec::new(),
     }
 }
 

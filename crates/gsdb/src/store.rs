@@ -1322,48 +1322,6 @@ impl Store {
     }
 
     // ------------------------------------------------------------------
-    // Set operations on set objects (paper §2)
-    // ------------------------------------------------------------------
-
-    /// `union(S1, S2)`: a new object whose value is
-    /// `value(S1) ∪ value(S2)`, with a fresh OID and S1's label.
-    pub fn union_objects(&mut self, fresh_oid: Oid, s1: Oid, s2: Oid) -> Result<Oid> {
-        let (label, v1) = {
-            let o1 = self.require(s1)?;
-            (o1.label, o1.value.as_set().ok_or(GsdbError::NotASet(s1))?.clone())
-        };
-        let v2 = {
-            let o2 = self.require(s2)?;
-            o2.value.as_set().ok_or(GsdbError::NotASet(s2))?.clone()
-        };
-        self.create(Object {
-            oid: fresh_oid,
-            label,
-            value: Value::Set(v1.union(&v2)),
-        })?;
-        Ok(fresh_oid)
-    }
-
-    /// `int(S1, S2)`: a new object whose value is
-    /// `value(S1) ∩ value(S2)`, with a fresh OID and S1's label.
-    pub fn intersect_objects(&mut self, fresh_oid: Oid, s1: Oid, s2: Oid) -> Result<Oid> {
-        let (label, v1) = {
-            let o1 = self.require(s1)?;
-            (o1.label, o1.value.as_set().ok_or(GsdbError::NotASet(s1))?.clone())
-        };
-        let v2 = {
-            let o2 = self.require(s2)?;
-            o2.value.as_set().ok_or(GsdbError::NotASet(s2))?.clone()
-        };
-        self.create(Object {
-            oid: fresh_oid,
-            label,
-            value: Value::Set(v1.intersection(&v2)),
-        })?;
-        Ok(fresh_oid)
-    }
-
-    // ------------------------------------------------------------------
     // Invariant checking (tests / proptests)
     // ------------------------------------------------------------------
 
@@ -1647,26 +1605,6 @@ mod tests {
         let _ = s.get(oid("anything"));
         assert_eq!(s.accesses(), 0);
         assert!(!s.counts_accesses());
-    }
-
-    #[test]
-    fn union_and_intersect_objects() {
-        let mut s = Store::new();
-        s.create_all([
-            Object::atom("a", "x", 1i64),
-            Object::atom("b", "x", 2i64),
-            Object::atom("c", "x", 3i64),
-            Object::set("S1", "things", &[oid("a"), oid("b")]),
-            Object::set("S2", "things", &[oid("b"), oid("c")]),
-        ])
-        .unwrap();
-        let u = s.union_objects(oid("U"), oid("S1"), oid("S2")).unwrap();
-        let i = s.intersect_objects(oid("I"), oid("S1"), oid("S2")).unwrap();
-        assert_eq!(s.get(u).unwrap().children().len(), 3);
-        let io = s.get(i).unwrap();
-        assert_eq!(io.children(), &[oid("b")]);
-        // Result objects take S1's label (paper §2).
-        assert_eq!(io.label.as_str(), "things");
     }
 
     #[test]

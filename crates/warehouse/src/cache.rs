@@ -145,7 +145,7 @@ impl AuxCache {
     /// objects the report lacks come from the rest of its `batch` when
     /// it is part of one, else are fetched through `chan`, counting
     /// into [`AuxCache::maintenance_queries`].
-    pub fn apply_report(
+    pub(crate) fn apply_report(
         &mut self,
         report: &UpdateReport,
         chan: &Channel,
@@ -260,7 +260,7 @@ impl AuxCache {
     /// root points at any more (paper §4.1's "if no objects point to N2
     /// any more"). Costs the detached subtrees, not the cache. Call
     /// after Algorithm 1 has processed the triggering update(s).
-    pub fn finalize_report(&mut self) {
+    pub(crate) fn finalize_report(&mut self) {
         if self.detached.is_empty() {
             return;
         }

@@ -16,7 +16,7 @@
 //! queries, which is the restart cost the paper's §3 architecture
 //! exists to avoid.
 
-use gsdb::{Chunk, ShardImage, Store};
+use gsdb::{Chunk, Store};
 use gsview_durable::{ChunkHash, ChunkPort, DurableError, Manifest};
 use std::collections::HashMap;
 
@@ -57,42 +57,28 @@ impl ChunkCache {
     /// Rebuild the store a manifest describes, fetching only chunks the
     /// cache has not seen (a previous reconstruction of any lineage
     /// over this cache counts — dedup is cross-lineage, like the
-    /// log's). Fails if a needed chunk is unavailable or corrupt;
-    /// the caller falls back to the query path.
+    /// log's), through [`Manifest::rebuild`]. Fails if a needed chunk
+    /// is unavailable or corrupt; the caller falls back to the query
+    /// path.
     pub fn reconstruct(
         &mut self,
         port: &dyn ChunkPort,
         m: &Manifest,
     ) -> gsview_durable::Result<(Store, FetchStats)> {
         let mut stats = FetchStats::default();
-        let mut images = Vec::with_capacity(m.shards.len());
-        for sm in &m.shards {
-            let mut chunks = Vec::with_capacity(sm.pages.len());
-            for h in &sm.pages {
-                let chunk = match self.chunks.get(h) {
-                    Some(c) => {
-                        stats.reused += 1;
-                        c.clone()
-                    }
-                    None => {
-                        let payload = port.fetch_chunk(h).ok_or_else(|| {
-                            DurableError::Corrupt(format!("chunk {h} unavailable"))
-                        })?;
-                        let chunk = gsdb::codec::decode_chunk(&payload)?;
-                        stats.fetched += 1;
-                        self.chunks.insert(*h, chunk.clone());
-                        chunk
-                    }
-                };
-                chunks.push(chunk);
+        let store = m.rebuild(|h| {
+            if let Some(chunk) = self.chunks.get(h) {
+                stats.reused += 1;
+                return Ok(chunk.clone());
             }
-            images.push(ShardImage {
-                len_slots: sm.len_slots as usize,
-                chunks,
-            });
-        }
-        let store = Store::from_images(m.store_config(), images, m.version)
-            .map_err(DurableError::Corrupt)?;
+            let payload = port
+                .fetch_chunk(h)
+                .ok_or_else(|| DurableError::Corrupt(format!("chunk {h} unavailable")))?;
+            let chunk = gsdb::codec::decode_chunk(&payload)?;
+            stats.fetched += 1;
+            self.chunks.insert(*h, chunk.clone());
+            Ok(chunk)
+        })?;
         let r = gsview_obs::registry();
         r.counter("warehouse.durable.chunks_fetched").add(stats.fetched);
         r.counter("warehouse.durable.chunks_reused").add(stats.reused);
@@ -105,6 +91,7 @@ mod tests {
     use super::*;
     use gsdb::{samples, Oid, StoreConfig};
     use gsview_durable::{DurableStore, MediaSet, PersistMeta};
+    use std::sync::Arc;
 
     fn persist(d: &DurableStore, name: &str, s: &Store, epoch: u64) {
         d.persist(
@@ -114,7 +101,6 @@ mod tests {
                 epoch,
                 seq: epoch,
                 log_updates: false,
-                extra: Vec::new(),
             },
         )
         .unwrap();
@@ -147,6 +133,68 @@ mod tests {
         assert!(st2.fetched <= 2, "unchanged pages must come from cache");
         assert!(st2.reused >= st1.fetched - 2);
         assert_eq!(r2.atom(Oid::new("f7")), Some(&gsdb::Atom::Int(-7)));
+    }
+
+    /// Each shard's slot mark and pages.
+    fn images(s: &Store) -> Vec<(usize, Vec<Chunk>)> {
+        s.export_images().into_iter().map(|i| (i.len_slots, i.chunks)).collect()
+    }
+
+    #[test]
+    fn recovery_and_reconstruction_rebuild_one_store_and_fail_alike() {
+        use gsdb::Update;
+        use gsview_durable::CrashPoint;
+        let media = MediaSet::memory();
+        let d = DurableStore::open(media.clone()).unwrap();
+        let mut s = Store::with_config(StoreConfig::default().with_shards(3));
+        samples::person_db(&mut s).unwrap();
+        for e in 1..=40i64 {
+            for i in 0..40 {
+                let name = format!("c{e}_{i}");
+                s.create(gsdb::Object::atom(name.as_str(), "x", e * i)).unwrap();
+            }
+            s.modify_atom(Oid::new(&format!("c{}_1", (e + 1) / 2)), -e).unwrap();
+            if e > 1 {
+                for i in (0..40).step_by(3) {
+                    s.apply(Update::Remove { oid: Oid::new(&format!("c{}_{i}", e - 1)) }).unwrap();
+                }
+            }
+            persist(&d, "rebuilt", &s, e as u64);
+        }
+        assert!(d.compact().unwrap() > 0, "the churn left dead frames");
+
+        let d = DurableStore::open(media.clone()).unwrap();
+        let m = d.latest_manifest("rebuilt").unwrap();
+        let recovered = d.recover("rebuilt").unwrap().unwrap();
+        assert_eq!(recovered.manifest, m);
+        let (rebuilt, stats) = ChunkCache::new().reconstruct(&d, &m).unwrap();
+        assert_eq!(stats.fetched as usize, m.page_count());
+        recovered.store.check_invariants().unwrap();
+        rebuilt.check_invariants().unwrap();
+        assert_eq!(images(&recovered.store), images(&rebuilt));
+        assert_eq!(images(&rebuilt), images(&s));
+
+        // Rot one chunk of the manifest under the open log: recovery
+        // and reconstruction both refuse it, each in its own words.
+        let hash = m.shards[1].pages[0];
+        let chunk = d.fetch_chunk(&hash).unwrap();
+        let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
+        let at = bytes.windows(chunk.len()).rposition(|w| w == chunk).unwrap();
+        media.log.write_at(at as u64 + 3, &[bytes[at + 3] ^ 1], CrashPoint::Other).unwrap();
+        let recorder = Arc::new(gsview_obs::FlightRecorder::with_capacity(1 << 16));
+        let guard = gsview_obs::install(recorder.clone());
+        assert!(d.recover("rebuilt").unwrap().is_none(), "compaction left no older epoch");
+        drop(guard);
+        let fallback = recorder
+            .drain()
+            .into_iter()
+            .filter(|r| r.event.name == "durable.recover.fallback")
+            .filter(|r| r.event.field("name").map(|v| v.to_string()).as_deref() == Some("rebuilt"))
+            .find_map(|r| r.event.field("error").map(|v| v.to_string()))
+            .expect("the skipped frame says why");
+        assert!(fallback.contains(&format!("chunk {hash} missing or corrupt")), "{fallback}");
+        let err = ChunkCache::new().reconstruct(&d, &m).expect_err("a rotted chunk");
+        assert!(err.to_string().contains(&format!("chunk {hash} unavailable")), "{err}");
     }
 
     #[test]

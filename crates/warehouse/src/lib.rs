@@ -84,7 +84,7 @@ pub use protocol::{
     CostMeter, CostSnapshot, ObjectInfo, QueryFault, ReportLevel, RootPathInfo, SourceQuery,
     SourceReply, UpdateReport, WireSize,
 };
-pub use remote::{BatchAnswers, Channel, RemoteBase};
+pub use remote::{Channel, RemoteBase};
 pub use resync::{
     DeadLetter, DeadLetterQueue, ResyncOutcome, RetryPolicy, SeqTracker, SeqVerdict, SimClock,
     StaleCause, ViewState,

@@ -7,13 +7,13 @@
 //!
 //! 1. the triggering **update report** (levels 2/3 carry labels,
 //!    values, and root paths of the directly affected objects) — or,
-//!    on the batched path, the [`BatchAnswers`] built from every report
+//!    on the batched path, the `BatchAnswers` built from every report
 //!    of the batch;
 //! 2. the **auxiliary cache** (§5.2), when one is attached;
 //! 3. a **query back to the source** through its channel — the
 //!    expensive case the paper's techniques aim to avoid, and (in a
 //!    fault-tolerant deployment) the only one that can *fail*. Within
-//!    one batch a question is put to the source once: [`BatchAnswers`]
+//!    one batch a question is put to the source once: `BatchAnswers`
 //!    remembers the reply for every view that asks it again.
 
 use crate::cache::AuxCache;
@@ -172,7 +172,7 @@ impl Channel {
 /// answered from the source's current state, as the batched maintenance
 /// pass expects; a query that exhausted its retries is not remembered,
 /// so whoever asks again pays — and counts as exhausted — again.
-pub struct BatchAnswers<'a> {
+pub(crate) struct BatchAnswers<'a> {
     info: HashMap<Oid, &'a ObjectInfo>,
     memo: RefCell<HashMap<SourceQuery, SourceReply>>,
     report_answers: Cell<u64>,
@@ -181,7 +181,7 @@ pub struct BatchAnswers<'a> {
 
 impl<'a> BatchAnswers<'a> {
     /// Gather the info carried by `reports` (in sequence order).
-    pub fn new(reports: &[&'a UpdateReport]) -> Self {
+    pub(crate) fn new(reports: &[&'a UpdateReport]) -> Self {
         let mut info = HashMap::new();
         for r in reports {
             for oid in r.update.directly_affected() {
@@ -200,7 +200,7 @@ impl<'a> BatchAnswers<'a> {
     }
 
     /// Label and batch-end value of `oid`, if the batch reported them.
-    pub fn info_of(&self, oid: Oid) -> Option<&'a ObjectInfo> {
+    pub(crate) fn info_of(&self, oid: Oid) -> Option<&'a ObjectInfo> {
         let info = self.info.get(&oid).copied();
         if info.is_some() {
             self.report_answers.set(self.report_answers.get() + 1);
@@ -209,7 +209,7 @@ impl<'a> BatchAnswers<'a> {
     }
 
     /// Serve `q` from the replies already received, else over `channel`.
-    pub fn serve(&self, channel: &Channel, q: &SourceQuery) -> Option<SourceReply> {
+    pub(crate) fn serve(&self, channel: &Channel, q: &SourceQuery) -> Option<SourceReply> {
         if let Some(reply) = self.memo.borrow().get(q) {
             self.memo_hits.set(self.memo_hits.get() + 1);
             return Some(reply.clone());
@@ -291,7 +291,7 @@ impl<'a> RemoteBase<'a> {
     }
 
     /// Attach the answers of the batch being maintained.
-    pub fn with_batch(mut self, batch: &'a BatchAnswers<'a>) -> Self {
+    pub(crate) fn with_batch(mut self, batch: &'a BatchAnswers<'a>) -> Self {
         self.asker.batch = Some(batch);
         self
     }

@@ -315,7 +315,6 @@ impl Source {
                 epoch: self.store.epoch(),
                 seq: self.store.assigned_seq_total(),
                 log_updates,
-                extra: Vec::new(),
             },
         )?;
         let name = self.name.clone();
@@ -327,7 +326,6 @@ impl Source {
                 epoch: info.epoch,
                 seq: info.assigned_seq_total,
                 log_updates,
-                extra: Vec::new(),
             };
             let mut last_err = None;
             for attempt in 0..=PERSIST_HOOK_RETRIES {
@@ -396,7 +394,6 @@ impl Source {
                 epoch: self.store.epoch(),
                 seq: self.store.assigned_seq_total(),
                 log_updates: self.store.logs_updates(),
-                extra: Vec::new(),
             },
         )?;
         self.durability.clear();

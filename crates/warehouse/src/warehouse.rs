@@ -93,31 +93,53 @@ struct WarehouseView {
 }
 
 /// One connected source: its retrying query channel, the sequence
-/// tracker guarding its report stream, the set-up reads taken over it
-/// since the tracker last moved, and the regions it keeps.
+/// tracker guarding its report stream, the source's replies to set-up
+/// reads, and its regions.
 struct Connection {
     channel: Channel,
     tracker: SeqTracker,
-    reads: SetupReads,
-    /// The **kept** regions (§5.2's auxiliary cache, "simply another
+    /// The source's replies to set-up reads, by question (§5.1 Example
+    /// 9's "obtain all objects in N.p", kept as §5.2 keeps base data so
+    /// the warehouse does not ask twice): a view whose path shares a
+    /// prefix with an earlier one's asks only for the levels past it.
+    replies: HashMap<SourceQuery, Arc<SourceReply>>,
+    /// The regions (§5.2's auxiliary cache, "simply another
     /// materialized view"), by root and full path: one copy a region,
-    /// kept while a view over it pins it (`use_aux_cache`), maintained
-    /// once per handled call, and read by every view over it.
+    /// from which every set-up over it takes a copy-on-write clone.
     ///
-    /// **Validity.** A kept region has seen every accepted report since
-    /// it was read and has lost no query: one whose upkeep lost a query
-    /// is dropped before any view reads it, and a sequence gap drops
-    /// them all (every view of the source goes stale, and a heal
-    /// installs a verified read again).
-    regions: HashMap<RegionKey, AuxCache>,
+    /// **Validity.** A *read* region was taken since the tracker last
+    /// moved: every report since the tracker's baseline is still
+    /// unhandled and will reach a view built from it too — the state
+    /// the protocol tolerates for any read taken after the baseline,
+    /// only older. [`Connection::tracker_mut`] clears the replies and
+    /// drops the read regions. A *kept* region has seen every accepted
+    /// report since it was read and has lost no query: one whose upkeep
+    /// lost a query is dropped before any view reads it, and a sequence
+    /// gap drops them all (every view of the source goes stale, and a
+    /// heal keeps a verified read again). Either way a view built from
+    /// a region receives every later report, so it starts in the state
+    /// the region's other readers are maintained against — a set-up
+    /// over a kept region asks the source nothing, however late. A
+    /// set-up build that lost a query records nothing; heal's reads are
+    /// never recorded (a verifying read must be independent).
+    regions: HashMap<RegionKey, Region>,
+}
+
+/// A connection's copy of one region: *read* by a set-up since the
+/// tracker last moved, or *kept* — pinned by a view (`use_aux_cache`)
+/// and maintained from every accepted report.
+struct Region {
+    cache: AuxCache,
+    kept: bool,
 }
 
 impl Connection {
-    /// Forget the set-up reads: the tracker is about to move or be
-    /// re-baselined, and a read older than that is not one a new view
-    /// may start from.
+    /// Forget the set-up replies and read regions: the tracker is about
+    /// to move or be re-baselined, and a read older than that is not
+    /// one a new view may start from.
     fn tracker_mut(&mut self) -> &mut SeqTracker {
-        self.reads = SetupReads::default();
+        self.replies.clear();
+        self.regions.retain(|_, r| r.kept);
         &mut self.tracker
     }
 
@@ -126,6 +148,45 @@ impl Connection {
         for (key, _) in self.regions.drain() {
             region_dropped(self.channel.source(), &key, "gap");
         }
+    }
+
+    /// `def`'s region: a copy of the one held for its root and path,
+    /// read or kept, else a build that asks the channel only what no
+    /// set-up read asked, recorded as read. A build that lost a query
+    /// is no read (`None`) and records nothing.
+    fn read(&mut self, def: &SimpleViewDef) -> Option<AuxCache> {
+        let key = (def.root, def.full_path());
+        if let Some(region) = self.regions.get(&key) {
+            return Some(region.cache.clone());
+        }
+        let (channel, replies) = (&self.channel, &self.replies);
+        let lost = channel.exhausted();
+        let mut asked = Vec::new();
+        let region = AuxCache::build(key.0, key.1.clone(), &mut |q| {
+            if let Some(reply) = replies.get(q) {
+                return Some(Arc::clone(reply));
+            }
+            let reply = Arc::new(channel.serve(q)?);
+            asked.push((q.clone(), Arc::clone(&reply)));
+            Some(reply)
+        });
+        if channel.exhausted() != lost {
+            return None;
+        }
+        self.replies.extend(asked);
+        self.regions.insert(key, Region { cache: region.clone(), kept: false });
+        Some(region)
+    }
+
+    /// Keep `region` for `key`: the views over it read it, and every
+    /// accepted report maintains it.
+    fn keep(&mut self, key: RegionKey, region: AuxCache) {
+        self.regions.insert(key, Region { cache: region, kept: true });
+    }
+
+    /// The kept region over `key`.
+    fn kept(&self, key: &RegionKey) -> Option<&AuxCache> {
+        self.regions.get(key).filter(|r| r.kept).map(|r| &r.cache)
     }
 }
 
@@ -140,54 +201,6 @@ fn region_dropped(source: &str, key: &RegionKey, cause: &'static str) {
     gsview_obs::registry()
         .counter(&format!("warehouse.region.dropped.{cause}"))
         .incr();
-}
-
-/// The set-up reads of one connection (§5.1 Example 9's "obtain all
-/// objects in N.p", kept as §5.2 keeps base data so the warehouse does
-/// not ask twice): the source's replies by question, and the regions
-/// built from them by root and full path. Views whose paths share a
-/// prefix share its levels; views over one region share the region.
-///
-/// **Validity.** The reads are dropped whenever the connection's
-/// tracker moves or is re-baselined. While they live, every report
-/// since the tracker's baseline is still unhandled and will reach a
-/// view built from them too — the state the protocol tolerates for any
-/// read taken after the baseline, only older. A read that lost a query
-/// is never kept; heal's reads are never shared (a verifying read must
-/// be independent).
-#[derive(Default)]
-struct SetupReads {
-    replies: HashMap<SourceQuery, Arc<SourceReply>>,
-    regions: HashMap<(Oid, Path), AuxCache>,
-}
-
-impl SetupReads {
-    /// `def`'s region over `channel`: a copy of the one already built
-    /// for its root and path, else a build that asks `channel` only
-    /// what no earlier read asked. A build that lost a query is no
-    /// read (`None`) and leaves nothing behind.
-    fn region(&mut self, def: &SimpleViewDef, channel: &Channel) -> Option<AuxCache> {
-        let key = (def.root, def.full_path());
-        if let Some(region) = self.regions.get(&key) {
-            return Some(region.clone());
-        }
-        let lost = channel.exhausted();
-        let mut asked = Vec::new();
-        let region = AuxCache::build(key.0, key.1.clone(), &mut |q| {
-            if let Some(reply) = self.replies.get(q) {
-                return Some(Arc::clone(reply));
-            }
-            let reply = Arc::new(channel.serve(q)?);
-            asked.push((q.clone(), Arc::clone(&reply)));
-            Some(reply)
-        });
-        if channel.exhausted() != lost {
-            return None;
-        }
-        self.replies.extend(asked);
-        self.regions.insert(key, region.clone());
-        Some(region)
-    }
 }
 
 /// A warehouse holding materialized views over one or more sources.
@@ -273,7 +286,7 @@ impl Warehouse {
             Connection {
                 channel,
                 tracker: SeqTracker::with_baseline(next_seq),
-                reads: SetupReads::default(),
+                replies: HashMap::new(),
                 regions: HashMap::new(),
             },
         );
@@ -312,25 +325,22 @@ impl Warehouse {
     /// [`Stale`](ViewState::Stale), and [`Warehouse::resync_view`]
     /// heals it.
     ///
-    /// Until the source's next report is handled (or its tracker is
-    /// re-baselined), set-up reads are kept on the connection: a view
-    /// over a region already read costs no query, and one whose path
-    /// shares a prefix with an earlier view's asks only for the levels
-    /// past it.
+    /// A view over a region its connection holds costs no query: one
+    /// read since the source's last handled report (or re-baseline), or
+    /// one a view pins. Until that report, one whose path shares a
+    /// prefix with an earlier view's asks only for the levels past it.
     pub fn add_view(
         &mut self,
         source: &str,
         def: SimpleViewDef,
         options: ViewOptions,
     ) -> Result<Oid> {
-        let conn = self.connection_mut(source)?;
-        let region = conn.reads.region(&def, &conn.channel);
+        let region = self.connection_mut(source)?.read(&def);
         self.install(source, def, options, region)
     }
 
     /// Register a view computed from `region`, the one read set-up
-    /// makes; the region becomes the kept one for its key when the
-    /// options pin it.
+    /// makes; the connection keeps the region when the options pin it.
     fn install(
         &mut self,
         source: &str,
@@ -351,7 +361,7 @@ impl Warehouse {
         let view = def.view;
         let key = (def.root, def.full_path());
         if let Some(region) = region.filter(|_| options.use_aux_cache) {
-            self.connection_mut(source)?.regions.insert(key.clone(), region);
+            self.connection_mut(source)?.keep(key.clone(), region);
         }
         self.views.push(WarehouseView {
             maintainer: Maintainer::new(def.clone()),
@@ -481,7 +491,7 @@ impl Warehouse {
         if !wv.options.use_aux_cache {
             return None;
         }
-        let region = self.connection(&wv.source).ok()?.regions.get(&wv.key)?;
+        let region = self.connection(&wv.source).ok()?.kept(&wv.key)?;
         Some(region.maintenance_queries)
     }
 
@@ -533,9 +543,8 @@ impl Warehouse {
     /// atom) cost far fewer location tests and source queries than
     /// one-at-a-time [`handle_report`](Warehouse::handle_report) calls;
     /// and a batch asks a source each question once — what its reports
-    /// carried and what the source has already replied
-    /// ([`BatchAnswers`]) is shared by every view of that source for
-    /// the duration of the call.
+    /// carried and what the source has already replied is shared by
+    /// every view of that source for the duration of the call.
     pub fn handle_batch(
         &mut self,
         reports: &[UpdateReport],
@@ -635,9 +644,10 @@ impl Warehouse {
         }
         let channel = conn.channel.clone();
         let answers = batched.then(|| BatchAnswers::new(&accepted));
-        // Region upkeep, once per kept region — before screening, and
-        // before Algorithm 1 so each region reflects the post-update
-        // state the algorithm expects. Screening only proves a *view*
+        // Region upkeep, once per kept region (`tracker_mut` above left
+        // no read one) — before screening, and before Algorithm 1 so
+        // each region reflects the post-update state the algorithm
+        // expects. Screening only proves a *view*
         // cannot change; a cached copy still can, and
         // [`AuxCache::try_fetch`] serves exact whole-value copies.
         let mut lost: Vec<RegionKey> = Vec::new();
@@ -645,7 +655,7 @@ impl Warehouse {
             conn.regions.retain(|key, region| {
                 let faults_before = channel.exhausted();
                 for &report in &accepted {
-                    region.apply_report(report, &channel, answers.as_ref());
+                    region.cache.apply_report(report, &channel, answers.as_ref());
                 }
                 gsview_obs::registry().counter("warehouse.region.upkeeps").incr();
                 if channel.exhausted() == faults_before {
@@ -675,7 +685,7 @@ impl Warehouse {
                 wv.stats.skipped_while_stale += accepted.len() as u64;
                 continue;
             }
-            let region = regions.get(&wv.key);
+            let region = regions.get(&wv.key).map(|r| &r.cache);
             let faults_before = channel.exhausted();
             let mut kept: Vec<&UpdateReport> = Vec::new();
             for &report in &accepted {
@@ -708,7 +718,7 @@ impl Warehouse {
             }
         }
         for region in conn.regions.values_mut() {
-            region.finalize_report();
+            region.cache.finalize_report();
         }
         Ok(outcomes)
     }
@@ -853,7 +863,7 @@ impl Warehouse {
         if let Some(region) = verified.filter(|_| pinned) {
             let key = wv.key.clone();
             let source = wv.source.clone();
-            self.connection_mut(&source)?.regions.insert(key, region);
+            self.connection_mut(&source)?.keep(key, region);
         }
         Ok(outcome)
     }
@@ -1739,6 +1749,66 @@ mod tests {
     }
 
     #[test]
+    fn a_late_set_up_over_a_kept_region_asks_nothing() {
+        let src = person_source(ReportLevel::WithValues);
+        let (mut wh, probe) = probed(&src);
+        wh.add_view("persons", cached_def(), cached()).unwrap();
+        let updates = region_updates();
+        let (before, after) = updates.split_at(4);
+        for u in before {
+            src.apply(u.clone()).unwrap();
+        }
+        wh.handle_batch(&src.monitor().poll()).unwrap();
+
+        // The tracker moved: no read is left, but the pinned copy has
+        // seen the batch, so a pinning view and a reader set up now
+        // clone it.
+        probe.log.lock().unwrap().clear();
+        wh.add_view("persons", old_def(), cached()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        assert_eq!(probe.log.lock().unwrap().clone(), vec![], "the kept copy serves both");
+        assert_eq!(wh.connections["persons"].regions.len(), 1, "one copy of the region");
+        let defs = [cached_def(), old_def(), yp_def()];
+        for def in &defs {
+            assert_consistent(&src, &wh, def);
+        }
+        for batch in after.chunks(4) {
+            for u in batch {
+                src.apply(u.clone()).unwrap();
+            }
+            wh.handle_batch(&src.monitor().poll()).unwrap();
+            assert!(wh.stale_views().is_empty());
+            for def in &defs {
+                assert_consistent(&src, &wh, def);
+            }
+        }
+        assert_eq!(wh.view(oid("OP")).unwrap().members_base(), vec![oid("P5")]);
+    }
+
+    #[test]
+    fn a_set_up_after_a_heal_reads_afresh() {
+        let src = person_source(ReportLevel::WithValues);
+        let (mut wh, probe) = probed(&src);
+        wh.add_view("persons", cached_def(), cached()).unwrap();
+        src.apply(Update::modify("A1", 80i64)).unwrap();
+        src.apply(Update::delete("ROOT", "P2")).unwrap();
+        let reports = src.monitor().poll();
+        wh.handle_batch(&reports[1..]).unwrap(); // seq 0 lost
+        assert!(kept(&wh, "persons", &cached_def()).is_none(), "a gap drops the region");
+        assert!(wh.resync_view(oid("YC")).unwrap().healed);
+        assert!(kept(&wh, "persons", &cached_def()).is_some(), "the heal keeps its read");
+
+        // NC's path shares ROOT and `professor` with YC's, but a heal's
+        // reads are no set-up reads: nothing of them is shared.
+        probe.log.lock().unwrap().clear();
+        wh.add_view("persons", named_def(), ViewOptions::default()).unwrap();
+        let asked = probe.log.lock().unwrap().len();
+        assert_eq!(asked, named_def().full_path().len() + 1);
+        assert_consistent(&src, &wh, &named_def());
+        assert_eq!(wh.connections["persons"].regions.len(), 2, "YC's kept, NC's read");
+    }
+
+    #[test]
     fn batch_info_is_last_mention_wins() {
         let src = person_source(ReportLevel::WithValues);
         src.apply(Update::create(Object::atom("X1", "age", 1i64))).unwrap();
@@ -1861,7 +1931,7 @@ mod tests {
 
     /// The region `wh` keeps for `def`'s key on `source`.
     fn kept<'w>(wh: &'w Warehouse, source: &str, def: &SimpleViewDef) -> Option<&'w AuxCache> {
-        wh.connections[source].regions.get(&(def.root, def.full_path()))
+        wh.connections[source].kept(&(def.root, def.full_path()))
     }
 
     /// The objects of a region, in OID order.
