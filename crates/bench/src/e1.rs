@@ -68,7 +68,8 @@ fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     };
 
     // Incremental run.
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
     let def = view_def();
     let maintainer = Maintainer::new(def.clone());
@@ -89,7 +90,8 @@ fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     let inc_total = store.accesses();
 
     // Recomputation run (same stream, fresh database).
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
     let mut mv_rec = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
     store.reset_accesses();

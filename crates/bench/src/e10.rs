@@ -48,7 +48,8 @@ fn measure(tuples: usize) -> Vec<E10Row> {
         age_range: 60,
         seed: 77,
     };
-    let (store, _db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (store, _db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let d = def();
     let age = Path::parse("age");
     let mut rows = Vec::new();

@@ -61,7 +61,8 @@ fn measure(batch_size: usize, tuples: usize, ops: usize, cancel_fraction: f64) -
         age_range: 60,
         seed: 112,
     };
-    let (store, mut db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let script = cancelling_churn(&mut db, churn, cancel_fraction, 3);
     let def = view_def();
 

@@ -76,14 +76,8 @@ fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
         age_range: 60,
         seed: 122,
     };
-    let (store, mut db) = relations::generate(
-        spec,
-        gsdb::StoreConfig {
-            log_updates: true,
-            ..gsdb::StoreConfig::default()
-        },
-    )
-    .expect("generate");
+    let (store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     let source = Source::new("rels", Oid::new("REL"), store, ReportLevel::WithValues);
     source.with_store(|s| {
         s.drain_log();

@@ -94,10 +94,7 @@ fn build_source(tuples_per_relation: usize) -> (Source, RelationsDb) {
             age_range: 60,
             seed: 131,
         },
-        gsdb::StoreConfig {
-            log_updates: true,
-            ..gsdb::StoreConfig::default()
-        },
+        gsdb::StoreConfig::default(),
     )
     .expect("generate");
     let (m0, m1) = markers();

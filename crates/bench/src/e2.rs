@@ -46,7 +46,8 @@ fn measure(store: &Store, n: Oid, suffix: &Path) -> (u64, u64) {
 
 /// Measure `ancestor(leaf, suffix)` on a chain of the given length.
 fn measure_chain(len: usize) -> E2Row {
-    let (store, _, atom, _) = tree::chain(len, StoreConfig::default().counting()).expect("chain");
+    let (store, _, atom, _) = tree::chain(len, StoreConfig::default()).expect("chain");
+    store.set_count_accesses(true);
     let (with_index, without_index) = measure(&store, atom, &Path::parse("c.v"));
     E2Row {
         shape: format!("chain depth {len}"),
@@ -60,7 +61,8 @@ fn measure_chain(len: usize) -> E2Row {
 /// leaf's parent.
 fn measure_bushy(depth: usize) -> E2Row {
     let spec = tree::TreeSpec { depth, fanout: 8 };
-    let (store, db) = tree::generate(spec, StoreConfig::default().counting()).expect("tree");
+    let (store, db) = tree::generate(spec, StoreConfig::default()).expect("tree");
+    store.set_count_accesses(true);
     let target = *db.leaves.last().expect("leaves");
     let (with_index, without_index) = measure(&store, target, &Path::parse("leaf"));
     E2Row {

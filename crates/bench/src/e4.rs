@@ -59,14 +59,8 @@ fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -> E4
         seed: 22,
     };
     // Generate base data, wrap it in a source.
-    let (store, mut db) = relations::generate(
-        spec,
-        gsdb::StoreConfig {
-            log_updates: true,
-            ..gsdb::StoreConfig::default()
-        },
-    )
-    .expect("generate");
+    let (store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     let source = Source::new("rels", Oid::new("REL"), store, level);
     source.with_store(|s| {
         s.drain_log();

@@ -44,14 +44,8 @@ fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usize) 
         age_range: 60,
         seed: 31,
     };
-    let (store, mut db) = relations::generate(
-        spec,
-        gsdb::StoreConfig {
-            log_updates: true,
-            ..gsdb::StoreConfig::default()
-        },
-    )
-    .expect("generate");
+    let (store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     let source = Source::new("rels", Oid::new("REL"), store, ReportLevel::WithValues);
     source.with_store(|s| {
         s.drain_log();

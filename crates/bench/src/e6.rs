@@ -68,7 +68,8 @@ fn directory(persons: usize, ops: usize) -> (Store, Vec<gsdb::Update>) {
         persons,
         ..PersonSpec::default()
     };
-    let (store, db) = person::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (store, db) = person::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let updates = stream(&db, ops, 41);
     (store, updates)
 }

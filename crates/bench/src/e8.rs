@@ -61,7 +61,8 @@ fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
         age_range: 60,
         seed: 62,
     };
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default().counting()).expect("generate");
+    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
     let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
         .with_cond("age", Pred::new(CmpOp::Gt, 30i64));

@@ -521,7 +521,7 @@ mod tests {
             SimpleViewDef::new("W6", "ROOT", "professor")
                 .with_cond("name", Pred::new(CmpOp::Eq, "John")),
         ];
-        let mut store = Store::with_config(gsdb::StoreConfig::default().counting());
+        let mut store = Store::counting();
         samples::person_db(&mut store).unwrap();
         let views: Vec<MaterializedView> = defs
             .iter()

@@ -19,7 +19,7 @@
 //!   persisting an epoch writes only the chunks that epoch actually
 //!   changed.
 //! * **Manifest frames**: one [`Manifest`] per persist — lineage name,
-//!   epoch, sequence watermark, store flags, and the per-shard
+//!   epoch, sequence watermark, a constant flags byte, and the per-shard
 //!   chunk-hash lists. One log serves many lineages (a source and every
 //!   warehouse view can share a [`MediaSet`]).
 //!
@@ -92,7 +92,7 @@ pub mod media;
 
 pub use error::{DurableError, Result};
 pub use hash::{chunk_hash, ChunkHash};
-pub use log::{Frame, Manifest, ShardManifest, StoreFlags, FORMAT_VERSION};
+pub use log::{Frame, Manifest, ShardManifest, FORMAT_VERSION};
 pub use media::{
     ChaosController, ChaosMedia, ChaosPolicy, CrashPlan, CrashPoint, FsMedia, Media, MemMedia,
 };
@@ -157,10 +157,6 @@ pub struct PersistMeta {
     /// Report-sequence watermark (`next_seq` + pending entries) at
     /// persist time; a recovered source resumes sequencing here.
     pub seq: u64,
-    /// Whether the *live* store logs updates. (Published snapshots
-    /// are forks with logging stripped, so this cannot be read off
-    /// the snapshot itself.)
-    pub log_updates: bool,
 }
 
 /// What one [`DurableStore::persist`] did.
@@ -180,13 +176,15 @@ pub struct PersistReceipt {
 }
 
 /// A recovered lineage: the rebuilt store plus the manifest it came
-/// from (epoch, sequence watermark, store flags).
+/// from (epoch and sequence watermark).
 #[derive(Debug)]
 pub struct Recovered {
     /// The manifest the store was rebuilt from.
     pub manifest: Manifest,
     /// The rebuilt store — slot layout identical to the persisted
-    /// snapshot, so re-persisting it is a no-op.
+    /// snapshot, so re-persisting it is a no-op. It neither logs nor
+    /// counts accesses; a caller that wants counts switches them on
+    /// ([`Store::set_count_accesses`]).
     pub store: Store,
 }
 
@@ -354,10 +352,6 @@ impl DurableStore {
             epoch: meta.epoch,
             version: store.version(),
             seq: meta.seq,
-            flags: StoreFlags {
-                log_updates: meta.log_updates,
-                count_accesses: store.counts_accesses(),
-            },
             shards,
         })?;
         let entry = cache.entry(name.to_string()).or_default();
@@ -570,7 +564,6 @@ mod tests {
         PersistMeta {
             epoch,
             seq: epoch * 2,
-            log_updates: false,
         }
     }
 
@@ -867,6 +860,63 @@ log 57383 bytes, crc 7ecb123e
             let parents = |st: &Store| st.parents(o).iter().collect::<Vec<_>>();
             assert_eq!(parents(&rec.store), parents(&s), "parents of {o}");
         }
+    }
+
+    #[test]
+    fn a_manifest_an_old_logging_and_counting_source_wrote_recovers_and_reports_on() {
+        use gsdb::codec::{crc32_update, frame_head, put_str, put_varint, FRAME_HEADER_LEN};
+        let s = build_store(2, 30);
+        let written = MediaSet::memory();
+        let d = DurableStore::open(written.clone()).unwrap();
+        d.persist("old", &s.fork(), meta(3)).unwrap();
+        let mut bytes = written.log.read_at(0, written.log.len() as usize).unwrap();
+
+        // Set the flags byte (after the name, epoch, version and seq) to
+        // what a logging, counting source wrote, and re-checksum the
+        // frame from the chain of the frame before it.
+        let off = d.frames_for("old").last().unwrap().off as usize;
+        let mut head = Vec::new();
+        put_str(&mut head, "old");
+        for v in [3, s.version(), 6] {
+            put_varint(&mut head, v);
+        }
+        let body = off + FRAME_HEADER_LEN;
+        assert_eq!(bytes[body + head.len()], 0b011, "the writer's constant");
+        bytes[body + head.len()] = 0b1111;
+        let (mut pos, mut chain) = (0, 0);
+        while pos < off {
+            let h = frame_head(&bytes[pos..]).unwrap();
+            chain = h.crc;
+            pos += FRAME_HEADER_LEN + h.len;
+        }
+        let len = frame_head(&bytes[off..]).unwrap().len;
+        let crc = crc32_update(chain, &bytes[body..body + len]);
+        bytes[off + 5..body].copy_from_slice(&crc.to_le_bytes());
+
+        let media = MediaSet {
+            log: Arc::new(media::MemMedia::from_bytes(bytes)),
+        };
+        let rec = DurableStore::open(media).unwrap().recover("old").unwrap().unwrap();
+        let slots = |st: &Store| -> Vec<(usize, Vec<Option<Object>>)> {
+            st.export_images()
+                .iter()
+                .map(|img| {
+                    let pages = img.chunks.iter().flatten();
+                    (img.len_slots, pages.flat_map(|p| p.iter().cloned()).collect())
+                })
+                .collect()
+        };
+        assert_eq!(slots(&rec.store), slots(&s), "the recovered store equals the persisted one");
+        assert!(!rec.store.counts_accesses(), "the old counting bit is ignored");
+        assert_eq!((rec.manifest.epoch, rec.manifest.seq), (3, 6));
+
+        // What `Source::recover` builds: the pipeline resumes at the
+        // persisted epoch and watermark, and reports the next commit.
+        let pipeline = gsdb::ShardedStore::restore(rec.store, 3, 6);
+        pipeline.commit(&[Update::modify("o7", -7i64)]).into_result().unwrap();
+        let (first_seq, entries, snapshot) = pipeline.drain_reports();
+        assert_eq!((first_seq, entries.len()), (6, 1));
+        assert_eq!(snapshot.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(-7)));
     }
 
     #[test]

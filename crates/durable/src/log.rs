@@ -6,7 +6,7 @@
 //! content addressing turns the store's structural sharing into
 //! storage sharing. The manifest API calls a chunk's position a
 //! *page*. A **manifest** names a store lineage (`name`), the epoch and
-//! report sequence watermark it captures, the store configuration
+//! report sequence watermark it captures, a byte once used for store
 //! flags, and — per shard — the slot high-water mark plus the ordered
 //! list of chunk hashes. A manifest plus the chunks before it fully
 //! determines a store; two manifests diff position by position, which
@@ -92,32 +92,15 @@ const MAX_FRAME: usize = 64 << 20;
 /// How much of the file one scan read asks for.
 const SCAN_WINDOW: usize = 4 << 20;
 
-/// Store configuration flags a manifest carries so recovery rebuilds
-/// the store exactly as it was configured. Bits 0 and 1 of the
-/// encoded byte once said whether the store kept its parent index and
-/// its label index; every store keeps the first and derives the second
-/// now, so the writer always sets both bits (manifest bytes stay as
-/// they were) and the reader ignores them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StoreFlags {
-    /// Update logging enabled on the live store.
-    pub log_updates: bool,
-    /// Access counting enabled.
-    pub count_accesses: bool,
-}
-
-impl StoreFlags {
-    fn to_byte(self) -> u8 {
-        0b11 | u8::from(self.log_updates) << 2
-            | u8::from(self.count_accesses) << 3
-    }
-    fn from_byte(b: u8) -> StoreFlags {
-        StoreFlags {
-            log_updates: b & 4 != 0,
-            count_accesses: b & 8 != 0,
-        }
-    }
-}
+/// The byte a manifest carries where it once held store configuration
+/// flags: bits 0 to 3 said whether the store kept a parent index and a
+/// label index, logged its updates and counted its accesses. Every
+/// store now keeps a parent index and derives its label map, only the
+/// commit pipeline logs, and counting is a run-time switch, so the
+/// writer writes this constant (the byte of a store that neither
+/// logged nor counted) and the reader bounds-checks the byte and
+/// ignores it.
+const STORE_FLAGS: u8 = 0b011;
 
 /// One shard's durable image: high-water mark plus chunk hashes in
 /// slot order.
@@ -143,22 +126,11 @@ pub struct Manifest {
     /// Report-sequence watermark at persist time (`next_seq` plus
     /// pending log entries); a recovered source resumes here.
     pub seq: u64,
-    /// Store configuration to rebuild with.
-    pub flags: StoreFlags,
     /// Per-shard images.
     pub shards: Vec<ShardManifest>,
 }
 
 impl Manifest {
-    /// The [`StoreConfig`] this manifest's store was built with.
-    pub fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            log_updates: self.flags.log_updates,
-            count_accesses: self.flags.count_accesses,
-            shards: self.shards.len(),
-        }
-    }
-
     /// Total pages across all shards.
     pub fn page_count(&self) -> usize {
         self.shards.iter().map(|s| s.pages.len()).sum()
@@ -177,7 +149,8 @@ impl Manifest {
             }
             images.push(ShardImage { len_slots: sm.len_slots as usize, chunks });
         }
-        Store::from_images(self.store_config(), images, self.version).map_err(DurableError::Corrupt)
+        let cfg = StoreConfig::default().with_shards(self.shards.len());
+        Store::from_images(cfg, images, self.version).map_err(DurableError::Corrupt)
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -186,7 +159,7 @@ impl Manifest {
         put_varint(out, self.epoch);
         put_varint(out, self.version);
         put_varint(out, self.seq);
-        out.push(self.flags.to_byte());
+        out.push(STORE_FLAGS);
         put_varint(out, self.shards.len() as u64);
         for s in &self.shards {
             put_varint(out, s.len_slots);
@@ -204,7 +177,7 @@ impl Manifest {
         let epoch = r.varint().map_err(DurableError::from)?;
         let version = r.varint().map_err(DurableError::from)?;
         let seq = r.varint().map_err(DurableError::from)?;
-        let flags = StoreFlags::from_byte(r.byte().map_err(DurableError::from)?);
+        r.byte().map_err(DurableError::from)?; // STORE_FLAGS, ignored
         let n = r.varint().map_err(DurableError::from)? as usize;
         if n > gsdb::MAX_SHARDS {
             return Err(DurableError::Corrupt(format!("manifest claims {n} shards")));
@@ -239,7 +212,6 @@ impl Manifest {
             epoch,
             version,
             seq,
-            flags,
             shards,
         })
     }
@@ -455,7 +427,7 @@ impl EpochLog {
     /// index and the lineage frame lists. A torn tail is tolerated and
     /// overwritten by the next append; a file written in another
     /// format version is a [`DurableError::Version`].
-    pub fn open(media: Arc<dyn Media>) -> Result<EpochLog> {
+    pub(crate) fn open(media: Arc<dyn Media>) -> Result<EpochLog> {
         Ok(EpochLog {
             state: Mutex::new(scan(&*media)?),
             media,
@@ -468,7 +440,7 @@ impl EpochLog {
 
     /// Start one persist's append. Holds the log for its duration:
     /// persists of one log are serial.
-    pub fn begin(&self) -> Appender<'_> {
+    pub(crate) fn begin(&self) -> Appender<'_> {
         let st = self.lock();
         let mut buf = Vec::new();
         let chain = if st.end == 0 {
@@ -492,7 +464,7 @@ impl EpochLog {
     /// and the recovery path falls back to an earlier epoch either way.
     /// The read runs outside the lock; one that fails because a
     /// compaction moved the chunk meanwhile looks it up again.
-    pub fn get(&self, hash: &ChunkHash) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn get(&self, hash: &ChunkHash) -> Result<Option<Vec<u8>>> {
         loop {
             let (at, generation) = {
                 let st = self.lock();
@@ -518,7 +490,7 @@ impl EpochLog {
     }
 
     /// The `back`-th newest valid frame of one lineage (0 = newest).
-    pub fn frame_from_tail(&self, name: &str, back: usize) -> Option<Frame> {
+    pub(crate) fn frame_from_tail(&self, name: &str, back: usize) -> Option<Frame> {
         let st = self.lock();
         let of = &st.lineages.get(name)?.at;
         let at = of.len().checked_sub(back + 1)?;
@@ -526,7 +498,7 @@ impl EpochLog {
     }
 
     /// Valid frames belonging to one lineage, in log order.
-    pub fn frames_for(&self, name: &str) -> Vec<Frame> {
+    pub(crate) fn frames_for(&self, name: &str) -> Vec<Frame> {
         let st = self.lock();
         st.lineages
             .get(name)
@@ -536,7 +508,7 @@ impl EpochLog {
 
     /// `(chunk count, log bytes, page bytes in chunks, page bytes
     /// dedup avoided, live bytes)` — the durable footprint counters.
-    pub fn footprint(&self) -> (u64, u64, u64, u64, u64) {
+    pub(crate) fn footprint(&self) -> (u64, u64, u64, u64, u64) {
         let st = self.lock();
         (
             st.index.len() as u64,
@@ -666,7 +638,7 @@ impl Appender<'_> {
     /// Add a chunk holding `page`, returning its content hash and
     /// whether bytes were staged (`false` = the log, or this append,
     /// already holds that content).
-    pub fn chunk(&mut self, page: &[u8]) -> (ChunkHash, bool) {
+    pub(crate) fn chunk(&mut self, page: &[u8]) -> (ChunkHash, bool) {
         let hash = chunk_hash(page);
         if self.st.index.contains_key(&hash) || self.staged.contains_key(&hash) {
             self.deduped_bytes += page.len() as u64;
@@ -684,7 +656,7 @@ impl Appender<'_> {
     /// frame's offset. Nothing is written when nothing would change —
     /// no chunk staged and `manifest` equal to its lineage's newest
     /// frame — in which case that frame's offset is returned.
-    pub fn commit(mut self, manifest: Manifest) -> Result<u64> {
+    pub(crate) fn commit(mut self, manifest: Manifest) -> Result<u64> {
         let st = &mut *self.st;
         st.deduped_bytes += self.deduped_bytes;
         if self.staged.is_empty() {
@@ -720,10 +692,6 @@ mod tests {
             epoch,
             version: epoch * 10,
             seq: epoch * 3,
-            flags: StoreFlags {
-                log_updates: true,
-                count_accesses: false,
-            },
             shards: vec![ShardManifest {
                 len_slots: 7,
                 pages: pages.to_vec(),
@@ -755,11 +723,7 @@ mod tests {
         for v in [1, 10, 3] {
             put_varint(&mut bytes, v);
         }
-        let flags = StoreFlags {
-            log_updates: false,
-            count_accesses: false,
-        };
-        bytes.push(flags.to_byte());
+        bytes.push(STORE_FLAGS);
         for v in [1, 7, 1 << 24] {
             put_varint(&mut bytes, v);
         }

@@ -150,7 +150,6 @@ fn meta(epoch: u64) -> PersistMeta {
     PersistMeta {
         epoch,
         seq: epoch * 3,
-        log_updates: false,
     }
 }
 

@@ -115,7 +115,6 @@ fn a_log_written_by_one_process_recovers_in_another() {
         let meta = PersistMeta {
             epoch: EPOCH,
             seq: EPOCH,
-            log_updates: false,
         };
         d.persist(NAME, &store.fork(), meta).unwrap();
         let line = format!(

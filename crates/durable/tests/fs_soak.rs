@@ -56,7 +56,6 @@ fn meta(epoch: u64) -> PersistMeta {
     PersistMeta {
         epoch,
         seq: epoch * 3,
-        log_updates: false,
     }
 }
 

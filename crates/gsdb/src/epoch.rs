@@ -31,7 +31,7 @@
 
 use crate::Store;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 
 /// An `Arc`-swapped handle to the latest committed store snapshot.
 ///
@@ -81,14 +81,14 @@ impl EpochHandle {
     /// store mutex; the internal read guard is held only for an `Arc`
     /// clone.
     pub fn load(&self) -> Arc<Store> {
-        self.current.read().unwrap().clone()
+        unpoisoned(self.current.read()).clone()
     }
 
     /// The latest snapshot together with its epoch number, read
     /// consistently (the pair is taken under one read guard, so a
     /// concurrent publish cannot interleave between them).
     pub fn load_with_epoch(&self) -> (u64, Arc<Store>) {
-        let guard = self.current.read().unwrap();
+        let guard = unpoisoned(self.current.read());
         (self.epoch.load(Ordering::Acquire), guard.clone())
     }
 
@@ -103,13 +103,20 @@ impl EpochHandle {
     /// in-flight read.
     pub fn publish(&self, snapshot: Store) -> u64 {
         let version = snapshot.version();
-        let mut guard = self.current.write().unwrap();
+        let mut guard = unpoisoned(self.current.write());
         *guard = Arc::new(snapshot);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guard);
         gsview_obs::event!("epoch.publish", "epoch" = epoch, "version" = version);
         epoch
     }
+}
+
+/// A guard on `current`, even from a lock a panicking thread poisoned.
+/// Every critical section on it is one `Arc` clone or one assignment,
+/// so the slot always holds a whole published snapshot.
+fn unpoisoned<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -128,6 +135,28 @@ mod tests {
         let h = EpochHandle::new(live.fork());
         assert_eq!(h.epoch(), 0);
 
+        live.apply(Update::modify("A", 2i64)).unwrap();
+        assert_eq!(h.publish(live.fork()), 1);
+        let (e, snap) = h.load_with_epoch();
+        assert_eq!(e, 1);
+        assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(2)));
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_loads_and_publishes() {
+        let mut live = Store::new();
+        live.create(Object::atom("A", "age", 1i64)).unwrap();
+        let h = Arc::new(EpochHandle::new(live.fork()));
+        let held = Arc::clone(&h);
+        std::thread::spawn(move || {
+            let _guard = held.current.write().unwrap();
+            panic!("poison the epoch lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(h.current.is_poisoned());
+
+        assert_eq!(h.load().atom(oid("A")), Some(&Atom::Int(1)));
         live.apply(Update::modify("A", 2i64)).unwrap();
         assert_eq!(h.publish(live.fork()), 1);
         let (e, snap) = h.load_with_epoch();

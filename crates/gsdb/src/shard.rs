@@ -115,14 +115,14 @@ struct ShardMetrics {
 /// [`Source`](crate::Store) uses underneath. Readers call
 /// [`snapshot`](ShardedStore::snapshot) (wait-free against writers);
 /// writers call [`commit`](ShardedStore::commit) and contend only on
-/// the shards their batch touches plus the brief publish step.
+/// the shards their batch touches plus the brief publish step. Every
+/// commit, and every mutation a [`with_exclusive`](ShardedStore::with_exclusive)
+/// closure makes, is appended to the commit log the monitor drains.
 pub struct ShardedStore {
     /// One lock per shard, indexed by shard id.
     locks: Vec<Mutex<ShardState>>,
     /// `log2(shard count)`.
     shift: u32,
-    /// Whether applied updates feed the commit log.
-    log_enabled: bool,
     /// Whether assembled exclusive-mode stores count accesses.
     count_accesses: bool,
     /// The published-snapshot handle readers load from.
@@ -217,7 +217,6 @@ impl ShardedStore {
 
     fn build(store: Store, epoch: u64, next_seq: u64) -> ShardedStore {
         let snapshot = store.fork();
-        let log_enabled = store.logs_updates();
         let count_accesses = store.counts_accesses();
         let (shards, version, entries) = store.into_parts();
         let shift = shards.len().trailing_zeros();
@@ -230,7 +229,6 @@ impl ShardedStore {
         ShardedStore {
             locks: shards.into_iter().map(Mutex::new).collect(),
             shift,
-            log_enabled,
             count_accesses,
             epochs: Arc::new(EpochHandle::with_epoch(snapshot, epoch)),
             publish: Mutex::new(PublishState { version }),
@@ -292,12 +290,6 @@ impl ShardedStore {
     pub fn assigned_seq_total(&self) -> u64 {
         let log = self.log.lock().unwrap();
         log.next_seq + log.entries.len() as u64
-    }
-
-    /// True iff the live store logs applied updates (the feed a
-    /// source's monitor drains into reports).
-    pub fn logs_updates(&self) -> bool {
-        self.log_enabled
     }
 
     /// The home shard of an OID (same function every snapshot uses).
@@ -498,9 +490,7 @@ impl ShardedStore {
                         // epoch order, which the monitor turns into
                         // sequence numbers.
                         let mut log = self.log.lock().unwrap();
-                        if self.log_enabled {
-                            log.entries.extend(applied.iter().cloned());
-                        }
+                        log.entries.extend(applied.iter().cloned());
                         log.next_seq + log.entries.len() as u64
                     };
                     if let Some(h) = self.hook.lock().unwrap().as_ref() {
@@ -562,9 +552,12 @@ impl ShardedStore {
             .iter_mut()
             .map(|g| std::mem::take(&mut **g.as_mut().unwrap()))
             .collect();
-        let mut store =
-            Store::from_parts(states, self.log_enabled, pub_state.version, self.count_accesses);
-        store.set_log(std::mem::take(&mut log.entries));
+        let mut store = Store::from_parts(
+            states,
+            pub_state.version,
+            std::mem::take(&mut log.entries),
+            self.count_accesses,
+        );
         let before = store.version();
 
         let out = f(&mut store);
@@ -620,10 +613,7 @@ mod tests {
     }
 
     fn sharded(n: usize) -> ShardedStore {
-        let mut s = Store::with_config(StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default().with_shards(n)
-        });
+        let mut s = Store::with_config(StoreConfig::default().with_shards(n));
         s.create(Object::empty_set("R", "root")).unwrap();
         s.drain_log();
         ShardedStore::new(s)

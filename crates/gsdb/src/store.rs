@@ -106,7 +106,7 @@
 //! machine-independent measure of "access to base data" — the cost the
 //! paper's §4.4 discussion is about. Counting is off by default
 //! (production reads skip even the counter bump); experiment harnesses
-//! opt in with [`StoreConfig::count_accesses`].
+//! switch it on at run time with [`Store::set_count_accesses`].
 
 use crate::cowmap::CowMap;
 use crate::fxhash::FastMap;
@@ -471,14 +471,12 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
     }
 }
 
-/// Store configuration.
+/// Store configuration: the shard count. Whether updates are logged
+/// belongs to the commit pipeline ([`ShardedStore`](crate::ShardedStore)
+/// logs what it commits), and access counting is a run-time switch
+/// ([`Store::set_count_accesses`]).
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Record applied updates in the update log.
-    pub log_updates: bool,
-    /// Count object reads (experiment instrumentation, paper §4.4).
-    /// Off by default so production reads pay nothing.
-    pub count_accesses: bool,
     /// Number of slab shards. Rounded up to a power of two and
     /// clamped to `[1, MAX_SHARDS]`. Shard count is observationally
     /// invisible to every read and mutation API — it only determines
@@ -490,21 +488,11 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig {
-            log_updates: false,
-            count_accesses: false,
-            shards: 1,
-        }
+        StoreConfig { shards: 1 }
     }
 }
 
 impl StoreConfig {
-    /// This configuration with access counting enabled.
-    pub fn counting(mut self) -> Self {
-        self.count_accesses = true;
-        self
-    }
-
     /// This configuration with the given shard count (rounded up to a
     /// power of two, clamped to `[1, MAX_SHARDS]`).
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -597,6 +585,9 @@ pub struct Store {
     /// `log2(shards.len())` — slot ids are `local << shift | shard`.
     shift: u32,
     log: Vec<AppliedUpdate>,
+    /// Set only on a store checked out of a
+    /// [`ShardedStore`](crate::ShardedStore) (`from_parts`), so its
+    /// mutations feed the pipeline's commit log. Clones keep it.
     log_enabled: bool,
     /// Bumped on every successful mutation; lets commit protocols skip
     /// republishing an untouched store.
@@ -669,8 +660,8 @@ impl ShardAccess for Store {
 }
 
 impl Store {
-    /// A store with the default configuration (no log, no access
-    /// counting, one shard).
+    /// A store with the default configuration (one shard, no access
+    /// counting).
     pub fn new() -> Self {
         Self::with_config(StoreConfig::default())
     }
@@ -678,7 +669,9 @@ impl Store {
     /// A store with the default configuration plus access counting —
     /// the experiment-harness constructor.
     pub fn counting() -> Self {
-        Self::with_config(StoreConfig::default().counting())
+        let s = Self::new();
+        s.set_count_accesses(true);
+        s
     }
 
     /// A store with explicit configuration.
@@ -687,8 +680,6 @@ impl Store {
         Store {
             shards: (0..n).map(|_| ShardState::default()).collect(),
             shift: n.trailing_zeros(),
-            log_enabled: cfg.log_updates,
-            count_accesses: AtomicBool::new(cfg.count_accesses),
             ..Store::default()
         }
     }
@@ -716,18 +707,14 @@ impl Store {
 
     /// A copy of this store re-partitioned into `shards` shards
     /// (rounded up to a power of two, clamped to `[1, MAX_SHARDS]`).
-    /// Object state, dangling-edge index entries, and configuration
-    /// carry over; the update log does not (resharding is a topology
-    /// change, not a base update). The version counter carries over so
-    /// commit protocols never mistake the reshard for "no change".
+    /// Object state, dangling-edge index entries and access counting
+    /// carry over; the update log does not, and the copy does not log
+    /// (resharding is a topology change, not a base update). The
+    /// version counter carries over so commit protocols never mistake
+    /// the reshard for "no change".
     pub fn reshard(&self, shards: usize) -> Store {
-        let cfg = StoreConfig {
-            log_updates: self.log_enabled,
-            count_accesses: self.counts_accesses(),
-            shards,
-        };
-        let mut out = Store::with_config(cfg);
-        out.log_enabled = false;
+        let mut out = Store::with_config(StoreConfig { shards });
+        out.set_count_accesses(self.counts_accesses());
         // Deterministic order so equal stores reshard identically.
         for oid in self.oids_sorted() {
             let obj = self
@@ -739,7 +726,6 @@ impl Store {
             apply_update(&mut out, Update::Create { object: obj })
                 .expect("reshard re-create cannot fail");
         }
-        out.log_enabled = self.log_enabled;
         out.version = self.version;
         out
     }
@@ -821,11 +807,6 @@ impl Store {
     /// True iff an object with this OID exists.
     pub fn contains(&self, oid: Oid) -> bool {
         self.home_state(oid).slot_of.contains_key(oid)
-    }
-
-    /// True iff the update log records applied updates.
-    pub fn logs_updates(&self) -> bool {
-        self.log_enabled
     }
 
     #[inline]
@@ -978,7 +959,7 @@ impl Store {
 
     /// Number of object reads since construction / last reset. This is
     /// the "access to base data" cost the paper's §4.4 analysis uses.
-    /// Always 0 unless [`StoreConfig::count_accesses`] was set.
+    /// Always 0 unless [`Store::set_count_accesses`] switched counting on.
     pub fn accesses(&self) -> u64 {
         self.accesses.get()
     }
@@ -1111,7 +1092,10 @@ impl Store {
     // Update log
     // ------------------------------------------------------------------
 
-    /// Drain the update log (the source monitor's feed, paper §5).
+    /// Drain the update log (the source monitor's feed, paper §5). Only
+    /// a store checked out by
+    /// [`ShardedStore::with_exclusive`](crate::ShardedStore::with_exclusive)
+    /// logs, so any other store's log is empty.
     pub fn drain_log(&mut self) -> Vec<AppliedUpdate> {
         std::mem::take(&mut self.log)
     }
@@ -1138,12 +1122,15 @@ impl Store {
         (shards, version, log)
     }
 
-    /// Assemble a live store from per-shard states. The inverse of
-    /// [`Store::into_parts`]; `shards.len()` must be a power of two.
+    /// Assemble a live store from per-shard states: the inverse of
+    /// [`Store::into_parts`] and the only store that logs. `log` holds
+    /// the pipeline's pending entries, so a closure observes the same
+    /// log a single-mutex store would have shown it; `shards.len()`
+    /// must be a power of two.
     pub(crate) fn from_parts(
         shards: Vec<ShardState>,
-        log_enabled: bool,
         version: u64,
+        log: Vec<AppliedUpdate>,
         count_accesses: bool,
     ) -> Store {
         debug_assert!(shards.len().is_power_of_two());
@@ -1151,18 +1138,12 @@ impl Store {
         Store {
             shards,
             shift,
-            log_enabled,
+            log,
+            log_enabled: true,
             version,
             count_accesses: AtomicBool::new(count_accesses),
             ..Store::default()
         }
-    }
-
-    /// Seed the update log (exclusive-path check-out of pending
-    /// entries so closures observe the same log a single-mutex store
-    /// would have shown them).
-    pub(crate) fn set_log(&mut self, entries: Vec<AppliedUpdate>) {
-        self.log = entries;
     }
 
     /// Compose the next published snapshot: the previous snapshot's
@@ -1314,9 +1295,7 @@ impl Store {
         Ok(Store {
             shards,
             shift,
-            log_enabled: cfg.log_updates,
             version,
-            count_accesses: AtomicBool::new(cfg.count_accesses),
             ..Store::default()
         })
     }
@@ -1562,19 +1541,18 @@ mod tests {
 
     #[test]
     fn update_log_records_applied_updates() {
-        let mut s = Store::with_config(StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
+        // The store the commit pipeline checks out is the one that logs.
+        crate::ShardedStore::new(Store::new()).with_exclusive(|s| {
+            s.create(Object::empty_set("R", "root")).unwrap();
+            s.create(Object::atom("X", "x", 1i64)).unwrap();
+            s.insert_edge(oid("R"), oid("X")).unwrap();
+            s.modify_atom(oid("X"), 2i64).unwrap();
+            let log = s.drain_log();
+            assert_eq!(log.len(), 4);
+            assert!(matches!(log[2], AppliedUpdate::Insert { .. }));
+            assert!(matches!(log[3], AppliedUpdate::Modify { .. }));
+            assert!(s.log().is_empty());
         });
-        s.create(Object::empty_set("R", "root")).unwrap();
-        s.create(Object::atom("X", "x", 1i64)).unwrap();
-        s.insert_edge(oid("R"), oid("X")).unwrap();
-        s.modify_atom(oid("X"), 2i64).unwrap();
-        let log = s.drain_log();
-        assert_eq!(log.len(), 4);
-        assert!(matches!(log[2], AppliedUpdate::Insert { .. }));
-        assert!(matches!(log[3], AppliedUpdate::Modify { .. }));
-        assert!(s.log().is_empty());
     }
 
     #[test]
@@ -1684,10 +1662,7 @@ mod tests {
 
     #[test]
     fn fork_is_isolated_from_later_writes() {
-        let mut s = Store::with_config(StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
-        });
+        let mut s = Store::with_config(StoreConfig::default());
         s.create(Object::atom("A", "age", 45i64)).unwrap();
         let fork = s.fork();
         assert!(fork.log().is_empty(), "forks never carry the live log");
@@ -1926,10 +1901,7 @@ mod tests {
 
     #[test]
     fn reshard_preserves_state_and_dangling_entries() {
-        let mut s = Store::with_config(StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
-        });
+        let mut s = Store::with_config(StoreConfig::default());
         churn(&mut s);
         // Add a dangling edge (removed child still referenced).
         s.create(Object::atom("gone", "age", 7i64)).unwrap();
@@ -1943,7 +1915,6 @@ mod tests {
             r.check_invariants().unwrap();
             assert_eq!(r.oids_sorted(), s.oids_sorted());
             assert_eq!(r.version(), s.version());
-            assert!(r.logs_updates());
             assert!(r.log().is_empty());
             // The dangling entry survives: re-creating `gone` makes
             // the edge live again, exactly like in the original.
@@ -1971,10 +1942,7 @@ mod tests {
     #[test]
     fn image_export_import_roundtrips_exactly() {
         for shards in [1usize, 2, 4, 8] {
-            let cfg = StoreConfig {
-                log_updates: true,
-                ..StoreConfig::default().with_shards(shards)
-            };
+            let cfg = StoreConfig::default().with_shards(shards);
             let mut s = Store::with_config(cfg);
             churn(&mut s);
             s.drain_log();

@@ -33,7 +33,7 @@ pub fn apply_atomic(store: &mut Store, batch: Vec<Update>) -> Result<Vec<Applied
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{samples, Atom, Object, Oid, StoreConfig};
+    use crate::{samples, Atom, Object, Oid};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
@@ -115,19 +115,18 @@ mod tests {
     fn failed_batch_leaves_log_and_version_untouched() {
         // A monitor reads the update log: a failed batch must leave no
         // trace there, neither its updates nor anything undoing them.
-        let mut s = Store::with_config(StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
+        // The store the commit pipeline checks out is the one that logs.
+        crate::ShardedStore::new(Store::new()).with_exclusive(|s| {
+            samples::person_db(s).unwrap();
+            let (log, version) = (s.log().to_vec(), s.version());
+            let batch = vec![
+                Update::modify("A1", 50i64),
+                Update::delete("ROOT", "P4"),
+                Update::insert("P2", "GHOST"), // fails
+            ];
+            apply_atomic(s, batch).unwrap_err();
+            assert_eq!(s.log(), &log[..]);
+            assert_eq!(s.version(), version);
         });
-        samples::person_db(&mut s).unwrap();
-        let (log, version) = (s.log().to_vec(), s.version());
-        let batch = vec![
-            Update::modify("A1", 50i64),
-            Update::delete("ROOT", "P4"),
-            Update::insert("P2", "GHOST"), // fails
-        ];
-        apply_atomic(&mut s, batch).unwrap_err();
-        assert_eq!(s.log(), &log[..]);
-        assert_eq!(s.version(), version);
     }
 }

@@ -267,20 +267,6 @@ impl OidSet {
         }
     }
 
-    /// Set union (paper §2 `union(S1, S2)` value computation).
-    pub fn union(&self, other: &OidSet) -> OidSet {
-        let mut out = self.clone();
-        for o in other.iter() {
-            out.insert(o);
-        }
-        out
-    }
-
-    /// Set intersection (paper §2 `int(S1, S2)` value computation).
-    pub fn intersection(&self, other: &OidSet) -> OidSet {
-        self.iter().filter(|&o| other.contains(o)).collect()
-    }
-
     /// Sorted copy of the members (for canonical comparisons in tests).
     pub fn sorted(&self) -> Vec<Oid> {
         let mut v = self.as_slice().to_vec();
@@ -600,17 +586,6 @@ mod tests {
         assert_eq!(a, b);
         let c: OidSet = ["X", "Y"].iter().map(|n| oid(n)).collect();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn oidset_union_intersection() {
-        let a: OidSet = ["1", "2", "3"].iter().map(|n| oid(n)).collect();
-        let b: OidSet = ["2", "3", "4"].iter().map(|n| oid(n)).collect();
-        let u = a.union(&b);
-        let i = a.intersection(&b);
-        assert_eq!(u.len(), 4);
-        assert_eq!(i.len(), 2);
-        assert!(i.contains(oid("2")) && i.contains(oid("3")));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::protocol::{CostMeter, QueryFault, ReportLevel, SourceQuery, SourceRep
 use crate::resync::RetryPolicy;
 use crate::source::{Monitor, QueryPort, ReportSource, Source, Wrapper};
 use crate::warehouse::{ViewOptions, Warehouse};
-use gsdb::{Oid, Result, Store, StoreConfig, Update};
+use gsdb::{Oid, Result, Store, Update};
 use gsview_core::{consistency, oracle, SimpleViewDef};
 use gsview_obs::fault::Stream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,19 +333,6 @@ impl ChaosReport {
     }
 }
 
-/// Rebuild `initial` into a store with monitoring enabled (the chaos
-/// source needs an update log regardless of how the caller built the
-/// initial state).
-fn logging_copy(initial: &Store) -> Result<Store> {
-    let mut s = Store::with_config(StoreConfig {
-        log_updates: true,
-        ..StoreConfig::default()
-    });
-    s.create_all(initial.iter().cloned())?;
-    s.drain_log();
-    Ok(s)
-}
-
 /// Run one seeded fault scenario and compare against the fault-free
 /// sequential run.
 ///
@@ -371,7 +358,7 @@ pub fn run_scenario(
     };
 
     // Route 2: the chaos pipeline.
-    let source = Source::new("chaos", def.root, logging_copy(initial)?, sc.level);
+    let source = Source::new("chaos", def.root, initial.clone(), sc.level);
     let monitor = FaultyMonitor::new(source.monitor(), sc.policy);
     let mut wh = Warehouse::new().with_retry_policy(sc.retry);
     let meter = Arc::new(CostMeter::new());

@@ -94,16 +94,8 @@ mod tests {
     use std::sync::Arc;
 
     fn persist(d: &DurableStore, name: &str, s: &Store, epoch: u64) {
-        d.persist(
-            name,
-            &s.fork(),
-            PersistMeta {
-                epoch,
-                seq: epoch,
-                log_updates: false,
-            },
-        )
-        .unwrap();
+        d.persist(name, &s.fork(), PersistMeta { epoch, seq: epoch })
+            .unwrap();
     }
 
     #[test]

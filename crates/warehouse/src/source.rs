@@ -154,10 +154,9 @@ pub struct Source {
 
 impl Source {
     /// Create a source around an existing store (keeping its shard
-    /// count). Any update log accumulated during setup is discarded —
-    /// monitoring starts now.
-    pub fn new(name: &str, root: Oid, mut store: Store, level: ReportLevel) -> Self {
-        store.drain_log();
+    /// count). Monitoring starts now: updates applied to the store
+    /// before this call are not reported, and every commit after it is.
+    pub fn new(name: &str, root: Oid, store: Store, level: ReportLevel) -> Self {
         Source {
             name: name.to_owned(),
             root,
@@ -167,24 +166,16 @@ impl Source {
         }
     }
 
-    /// Create an empty source with logging enabled.
+    /// Create an empty source.
     pub fn empty(name: &str, root: Oid, level: ReportLevel) -> Self {
         Source::empty_sharded(name, root, level, 1)
     }
 
-    /// Create an empty source with logging enabled and the given slab
-    /// shard count — writers touching disjoint shards commit
-    /// concurrently.
+    /// Create an empty source with the given slab shard count —
+    /// writers touching disjoint shards commit concurrently.
     pub fn empty_sharded(name: &str, root: Oid, level: ReportLevel, shards: usize) -> Self {
-        Source::new(
-            name,
-            root,
-            Store::with_config(StoreConfig {
-                log_updates: true,
-                ..StoreConfig::default().with_shards(shards)
-            }),
-            level,
-        )
+        let store = Store::with_config(StoreConfig::default().with_shards(shards));
+        Source::new(name, root, store, level)
     }
 
     /// The source's name (used to qualify OIDs into universal ones in
@@ -307,14 +298,12 @@ impl Source {
         &self,
         durable: Arc<DurableStore>,
     ) -> gsview_durable::Result<PersistReceipt> {
-        let log_updates = self.store.logs_updates();
         let receipt = durable.persist(
             &self.name,
             &self.store.snapshot(),
             PersistMeta {
                 epoch: self.store.epoch(),
                 seq: self.store.assigned_seq_total(),
-                log_updates,
             },
         )?;
         let name = self.name.clone();
@@ -325,19 +314,18 @@ impl Source {
             let meta = PersistMeta {
                 epoch: info.epoch,
                 seq: info.assigned_seq_total,
-                log_updates,
             };
-            let mut last_err = None;
-            for attempt in 0..=PERSIST_HOOK_RETRIES {
-                if attempt > 0 {
-                    retries.incr();
-                }
+            let mut attempt = 0;
+            let e = loop {
                 match durable.persist(&name, snapshot, meta.clone()) {
                     Ok(_) => return,
-                    Err(e) => last_err = Some(e),
+                    Err(e) if attempt == PERSIST_HOOK_RETRIES => break e,
+                    Err(_) => {
+                        attempt += 1;
+                        retries.incr();
+                    }
                 }
-            }
-            let e = last_err.expect("loop ran at least once");
+            };
             errors.incr();
             gsview_obs::event!(
                 "durable.persist.failed",
@@ -393,7 +381,6 @@ impl Source {
             PersistMeta {
                 epoch: self.store.epoch(),
                 seq: self.store.assigned_seq_total(),
-                log_updates: self.store.logs_updates(),
             },
         )?;
         self.durability.clear();
@@ -520,11 +507,6 @@ impl Monitor {
                 )
             })
             .collect()
-    }
-
-    /// The source's name.
-    pub fn source_name(&self) -> &str {
-        self.source.name()
     }
 }
 
@@ -702,6 +684,31 @@ mod tests {
         let mut base = RemoteBase::new(&channel).with_report(&reports[0]);
         assert_eq!(base.ancestor(a, &Path::parse("age")), Some(p));
         assert_eq!(meter.queries(), 0);
+    }
+
+    #[test]
+    fn a_source_over_a_plain_store_reports_every_commit() {
+        // `Store::new()` does not log; the source's commit pipeline does.
+        let mut store = Store::new();
+        samples::person_db(&mut store).unwrap();
+        let src = Source::new("plain", oid("ROOT"), store, ReportLevel::OidsOnly);
+        src.with_store(|s| s.create(gsdb::Object::atom("plain_A", "age", 9i64)))
+            .unwrap();
+        src.apply(Update::insert("P2", "plain_A")).unwrap();
+        src.apply(Update::modify("plain_A", 10i64)).unwrap();
+        let reports = src.monitor().poll();
+        let a = oid("plain_A");
+        let (old, new) = (gsdb::Atom::Int(9), gsdb::Atom::Int(10));
+        let updates: Vec<_> = reports.iter().map(|r| r.update.clone()).collect();
+        assert_eq!(
+            updates,
+            [
+                AppliedUpdate::Create { oid: a },
+                AppliedUpdate::Insert { parent: oid("P2"), child: a },
+                AppliedUpdate::Modify { oid: a, old, new },
+            ]
+        );
+        assert_eq!(reports.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]

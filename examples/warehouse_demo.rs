@@ -23,10 +23,7 @@ fn make_source(name: &str, level: ReportLevel, seed: u64) -> (Source, Vec<gsview
             age_range: 60,
             seed,
         },
-        StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
-        },
+        StoreConfig::default(),
     )
     .expect("generate");
     let script = relations_churn(

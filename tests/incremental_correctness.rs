@@ -267,14 +267,7 @@ fn warehouse_agrees_with_local_at_all_levels() {
                 age_range: 60,
                 seed: 71,
             };
-            let (store, mut db) = relations::generate(
-                spec,
-                StoreConfig {
-                    log_updates: true,
-                    ..StoreConfig::default()
-                },
-            )
-            .unwrap();
+            let (store, mut db) = relations::generate(spec, StoreConfig::default()).unwrap();
             let source = Source::new("rels", Oid::new("REL"), store, level);
             let script = relations_churn(
                 &mut db,

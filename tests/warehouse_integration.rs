@@ -28,10 +28,7 @@ fn rel_source(name: &str, level: ReportLevel, seed: u64) -> (Source, gsview::wor
             age_range: 60,
             seed,
         },
-        StoreConfig {
-            log_updates: true,
-            ..StoreConfig::default()
-        },
+        StoreConfig::default(),
     )
     .unwrap();
     (Source::new(name, oid("REL"), store, level), db)
