@@ -28,8 +28,9 @@
 //! epoch snapshot. The smoke test (`tests/e19_smoke.rs`) pins the
 //! deterministic facts (request counts, zero equivalence failures,
 //! shed count) and gates p99 against a deliberately generous SLO —
-//! everything here shares one core with the reactor and the writer,
-//! so absolute latencies are an upper bound on a real deployment.
+//! reactor, writer and client run one CPU at a time (the 2-vCPU host
+//! shows no two-CPU speed-up), so absolute latencies are an upper bound
+//! on a real deployment.
 
 use crate::table::{fnum, Table};
 use gsdb::{Object, Oid, Path, Update};
@@ -262,7 +263,7 @@ pub fn run(quick: bool) -> Table {
         "serving-tier read latency under sustained write load, clean vs socket chaos",
         "remote answers stay equivalent to colocated evaluation on every route; \
          admission sheds exactly the arrivals past the connection limit \
-         (single core: reactor, writer and client share it, so latencies are upper bounds)",
+         (one CPU at a time; the 2-vCPU host shows no two-CPU speed-up, so latencies are upper bounds)",
     )
     .headers(&[
         "route",

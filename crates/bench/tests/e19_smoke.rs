@@ -2,7 +2,8 @@
 //! facts must match the checked-in baseline
 //! (`baselines/e19_quick.json`), and the measured p99 read latency
 //! must stay under the baseline's SLO budget. The budget is
-//! deliberately generous (everything shares one core in CI), so a
+//! deliberately generous (everything runs one CPU at a time; the
+//! 2-vCPU host shows no two-CPU speed-up), so a
 //! trip means a structural regression — reactor starvation, a lost
 //! wakeup, a stall in the in-flight window — not machine noise.
 

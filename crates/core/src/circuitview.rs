@@ -190,9 +190,14 @@ impl CircuitMaintainer {
     }
 
     /// Build (or rebuild) circuit state against `store` and fill `mv`
-    /// to match. Equivalent to recomputation.
+    /// to match. Equivalent to recomputation. An empty `mv` is filled
+    /// in [`members`](Self::members) order, built whole if nothing was
+    /// written to it yet.
     pub fn initialize(&self, mv: &mut MaterializedView, store: &Store) -> Result<()> {
         self.rebuild(&mut self.inner(), store);
+        if mv.is_empty() {
+            return mv.insert_all(self.members().into_iter().filter_map(|y| store.get(y).cloned()));
+        }
         self.reconcile_view(mv, store).map(|_| ())
     }
 

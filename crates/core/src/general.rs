@@ -315,13 +315,7 @@ impl GeneralMaintainer {
     pub fn recompute(&self, store: &Store) -> Result<MaterializedView> {
         let members = self.evaluate(store)?;
         let mut mv = MaterializedView::new(self.def.view);
-        mv.reserve(members.len());
-        for y in members {
-            if let Some(obj) = store.get(y) {
-                let obj = obj.clone();
-                mv.v_insert(&obj)?;
-            }
-        }
+        mv.insert_all(members.into_iter().filter_map(|y| store.get(y).cloned()))?;
         Ok(mv)
     }
 

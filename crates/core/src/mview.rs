@@ -65,11 +65,44 @@ impl MaterializedView {
         }
     }
 
-    /// Size the view store and the member map for `additional` more
-    /// members.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.store.reserve(additional);
-        self.base_to_delegate.reserve(additional);
+    /// [`v_insert`](Self::v_insert) each of `members`, in order. Into a
+    /// view nothing was written to since [`new`](Self::new), the view
+    /// store is built whole, in one step — the view object and then
+    /// each delegate in member order, the view object holding them all
+    /// — and ends as the inserts would leave it: the same slots,
+    /// members and version (1 + 2 × members), and the same `Inserted`
+    /// deltas when they are recorded.
+    pub(crate) fn insert_all(&mut self, members: impl IntoIterator<Item = Object>) -> Result<()> {
+        if self.store.version() != 1 {
+            for obj in members {
+                self.v_insert(&obj)?;
+            }
+            return Ok(());
+        }
+        let mut records = vec![Object {
+            oid: self.view,
+            label: well_known::mview(),
+            value: Value::empty_set(),
+        }];
+        let mut delegates = Vec::new();
+        for mut obj in members {
+            let base = obj.oid;
+            if self.base_to_delegate.contains_key(&base) {
+                continue;
+            }
+            let delegate = Oid::delegate(self.view, base);
+            obj.oid = delegate;
+            records.push(obj);
+            delegates.push(delegate);
+            self.base_to_delegate.insert(base, delegate);
+            if self.record_deltas {
+                self.deltas.push(ViewDelta::Inserted { base, delegate });
+            }
+        }
+        let version = 1 + 2 * delegates.len() as u64;
+        records[0].value = Value::set_of(delegates);
+        self.store = Store::from_records(records, version)?;
+        Ok(())
     }
 
     /// Enable recording of view deltas (drained via

@@ -29,12 +29,7 @@ pub fn recompute_members(def: &SimpleViewDef, base: &mut dyn BaseAccess) -> Vec<
 pub fn recompute(def: &SimpleViewDef, base: &mut dyn BaseAccess) -> Result<MaterializedView> {
     let members = recompute_members(def, base);
     let mut mv = MaterializedView::new(def.view);
-    mv.reserve(members.len());
-    for y in members {
-        if let Some(obj) = base.fetch(y) {
-            mv.v_insert(&obj)?;
-        }
-    }
+    mv.insert_all(members.into_iter().filter_map(|y| base.fetch(y)))?;
     Ok(mv)
 }
 

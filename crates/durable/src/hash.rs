@@ -15,13 +15,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkHash(pub [u8; 16]);
 
-impl ChunkHash {
-    /// Parse from raw bytes (exactly 16).
-    pub(crate) fn from_slice(b: &[u8]) -> Option<ChunkHash> {
-        b.try_into().ok().map(ChunkHash)
-    }
-}
-
 impl fmt::Debug for ChunkHash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for b in self.0 {

@@ -196,8 +196,7 @@ impl Manifest {
             }
             let mut pages = Vec::with_capacity(pages_n);
             for _ in 0..pages_n {
-                let raw = r.bytes(16).map_err(DurableError::from)?;
-                pages.push(ChunkHash::from_slice(raw).unwrap());
+                pages.push(ChunkHash(r.array().map_err(DurableError::from)?));
             }
             shards.push(ShardManifest { len_slots, pages });
         }
@@ -392,9 +391,11 @@ fn scan(media: &dyn Media) -> Result<LogState> {
             // A frame that checksums but is not ours to read: some
             // other layout, not a torn write.
             (_, 0) => return Err(DurableError::Version { found: 0, expected: FORMAT_VERSION }),
-            (TAG_CHUNK, _) if payload.len() >= HASH_LEN => {
-                let (hash, page) = payload.split_at(HASH_LEN);
-                let hash = ChunkHash::from_slice(hash).expect("16 bytes");
+            (TAG_CHUNK, _) => {
+                let Some((&hash, page)) = payload.split_first_chunk::<HASH_LEN>() else {
+                    break;
+                };
+                let hash = ChunkHash(hash);
                 if chunk_hash(page) != hash {
                     break;
                 }
@@ -613,8 +614,8 @@ impl EpochLog {
 
 /// The file frame's payload must be this build's magic and version.
 fn check_file_frame(payload: &[u8]) -> Result<()> {
-    let found = match payload.strip_prefix(FILE_MAGIC) {
-        Some(v) if v.len() == 4 => u32::from_le_bytes(v.try_into().expect("4 bytes")),
+    let found = match payload.strip_prefix(FILE_MAGIC).map(<[u8]>::split_first_chunk) {
+        Some(Some((v, []))) => u32::from_le_bytes(*v),
         _ => 0,
     };
     if found != FORMAT_VERSION {

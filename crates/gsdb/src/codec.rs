@@ -23,7 +23,7 @@
 //! UTF-8) and reports it as a [`CodecError`], which the recovery path
 //! treats like a failed checksum.
 
-use crate::store::{split_chunk, CHUNK_SLOTS};
+use crate::store::CHUNK_SLOTS;
 use crate::{Atom, Chunk, Label, Object, Oid, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -378,6 +378,17 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Read `N` raw bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        match self.buf[self.pos..].split_first_chunk::<N>() {
+            Some((head, _)) => {
+                self.pos += N;
+                Ok(*head)
+            }
+            None => err("unexpected end of input"),
+        }
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, CodecError> {
         let n = self.varint()? as usize;
@@ -438,10 +449,7 @@ pub fn put_atom(out: &mut Vec<u8>, a: &Atom) {
 pub fn get_atom(r: &mut Reader<'_>) -> Result<Atom, CodecError> {
     Ok(match r.byte()? {
         ATOM_INT => Atom::Int(r.zigzag()?),
-        ATOM_REAL => {
-            let b: [u8; 8] = r.bytes(8)?.try_into().expect("8 bytes");
-            Atom::Real(f64::from_le_bytes(b))
-        }
+        ATOM_REAL => Atom::Real(f64::from_le_bytes(r.array()?)),
         ATOM_STR => Atom::Str(Arc::from(r.str()?)),
         ATOM_BOOL => Atom::Bool(r.byte()? != 0),
         ATOM_TAGGED => {
@@ -473,36 +481,60 @@ pub fn put_object(out: &mut Vec<u8>, obj: &Object) {
 
 /// Decode one object, re-interning its names.
 pub fn get_object(r: &mut Reader<'_>) -> Result<Object, CodecError> {
-    get_object_with(r, Label::new)
+    let mut names = Vec::new();
+    let shape = get_shape(r, &mut names, Label::new)?;
+    let oids: Vec<Oid> = names.iter().map(|name| Oid::new(name)).collect();
+    Ok(shape.build(&oids, &mut 0))
 }
 
-/// [`get_object`], with the label interned through `label`.
-fn get_object_with<'a>(
-    r: &mut Reader<'a>,
-    mut label: impl FnMut(&'a str) -> Label,
-) -> Result<Object, CodecError> {
-    let oid = Oid::new(r.str()?);
-    let label = label(r.str()?);
-    let value = match r.byte()? {
-        VALUE_ATOM => Value::Atom(get_atom(r)?),
-        VALUE_SET => {
-            let n = r.varint()? as usize;
-            let mut bad = None;
-            let value = Value::set_of((0..n).map_while(|_| match r.str() {
-                Ok(name) => Some(Oid::new(name)),
-                Err(e) => {
-                    bad = Some(e);
-                    None
-                }
-            }));
-            if let Some(e) = bad {
-                return Err(e);
+/// An object read up to its OIDs, whose names wait in a batch: its
+/// label, and its atom or the number of member names its set holds.
+enum Shape {
+    Atom(Label, Atom),
+    Set(Label, usize),
+}
+
+impl Shape {
+    /// The object, its OID `oids[*at]` and its members the OIDs after
+    /// it, in the order [`get_shape`] queued their names; moves `at`
+    /// past them.
+    fn build(self, oids: &[Oid], at: &mut usize) -> Object {
+        let oid = oids[*at];
+        *at += 1;
+        let (label, value) = match self {
+            Shape::Atom(label, atom) => (label, Value::Atom(atom)),
+            Shape::Set(label, n) => {
+                *at += n;
+                (label, Value::set_of(oids[*at - n..*at].iter().copied()))
             }
-            value
+        };
+        Object { oid, label, value }
+    }
+}
+
+/// Read one object written by [`put_object`] up to its OIDs: its OID's
+/// name and then its members' are queued on `names`, and its label is
+/// interned through `label`.
+fn get_shape<'a>(
+    r: &mut Reader<'a>,
+    names: &mut Vec<&'a str>,
+    mut label: impl FnMut(&'a str) -> Label,
+) -> Result<Shape, CodecError> {
+    names.push(r.str()?);
+    let label = label(r.str()?);
+    Ok(match r.byte()? {
+        VALUE_ATOM => Shape::Atom(label, get_atom(r)?),
+        VALUE_SET => {
+            let n = r.varint()?;
+            // Each name takes at least its length byte, so a count the
+            // input cannot hold fails here, before `n` names are read.
+            for _ in 0..n {
+                names.push(r.str()?);
+            }
+            Shape::Set(label, n as usize)
         }
         t => return err(format!("unknown value tag {t}")),
-    };
-    Ok(Object { oid, label, value })
+    })
 }
 
 fn put_slot(out: &mut Vec<u8>, slot: &Option<Object>) {
@@ -623,46 +655,78 @@ impl EncodedChunk {
 /// them, 256 slots. Fails on anything [`decode_page`] refuses and on a
 /// chunk of any other slot count.
 pub fn decode_chunk(bytes: &[u8]) -> Result<Chunk, CodecError> {
-    let slots = decode_page(bytes)?;
-    let n = slots.len();
-    split_chunk(slots).ok_or_else(|| CodecError(format!("chunk of {n} slots, not {CHUNK_SLOTS}")))
+    let page = ParsedPage::parse(bytes)?;
+    let n = page.slots.len();
+    if n != CHUNK_SLOTS {
+        return err(format!("chunk of {n} slots, not {CHUNK_SLOTS}"));
+    }
+    let mut slots = page.objects();
+    // Exactly `CHUNK_SLOTS` slots, counted above, fill the four pages.
+    Ok(std::array::from_fn(|_| {
+        Arc::new(std::array::from_fn(|_| slots.next().flatten()))
+    }))
 }
-
-/// Labels [`decode_page`] remembers per page.
-const LABEL_MEMO: usize = 8;
 
 /// Decode one slab page. Fails on trailing garbage — a chunk holds
 /// exactly one page.
-pub fn decode_page<'a>(bytes: &'a [u8]) -> Result<Vec<Option<Object>>, CodecError> {
-    let mut r = Reader::new(bytes);
-    let n = r.varint()? as usize;
-    if n > 1 << 20 {
-        return err(format!("implausible page slot count {n}"));
-    }
-    // A page repeats a few labels: remember them before the interner.
-    let mut labels: Vec<(&str, Label)> = Vec::with_capacity(LABEL_MEMO);
-    let mut label = |name: &'a str| match labels.iter().find(|(n, _)| *n == name) {
-        Some(&(_, l)) => l,
-        None => {
-            let l = Label::new(name);
-            if labels.len() < LABEL_MEMO {
-                labels.push((name, l));
+pub fn decode_page(bytes: &[u8]) -> Result<Vec<Option<Object>>, CodecError> {
+    Ok(ParsedPage::parse(bytes)?.objects().collect())
+}
+
+/// Labels a page parse remembers.
+const LABEL_MEMO: usize = 8;
+
+/// A page read and checked up to its OIDs: each slot's [`Shape`], and
+/// every OID name in slot order, to be interned as one batch.
+struct ParsedPage<'a> {
+    slots: Vec<Option<Shape>>,
+    names: Vec<&'a str>,
+}
+
+impl<'a> ParsedPage<'a> {
+    /// Read a page with every check a decode makes.
+    fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let n = r.varint()?;
+        // Every slot takes at least its tag byte: a count the bytes
+        // left cannot hold is refused before anything is reserved.
+        if n > r.remaining() as u64 {
+            return err(format!("page of {} bytes claims {n} slots", bytes.len()));
+        }
+        let n = n as usize;
+        // A page repeats a few labels: remember them before the interner.
+        let mut labels: Vec<(&str, Label)> = Vec::with_capacity(LABEL_MEMO);
+        let mut label = |name: &'a str| match labels.iter().find(|(n, _)| *n == name) {
+            Some(&(_, l)) => l,
+            None => {
+                let l = Label::new(name);
+                if labels.len() < LABEL_MEMO {
+                    labels.push((name, l));
+                }
+                l
             }
-            l
+        };
+        let mut slots = Vec::with_capacity(n);
+        let mut names = Vec::with_capacity(n);
+        for _ in 0..n {
+            slots.push(match r.byte()? {
+                SLOT_FREE => None,
+                SLOT_LIVE => Some(get_shape(&mut r, &mut names, &mut label)?),
+                t => return err(format!("unknown slot tag {t}")),
+            });
         }
-    };
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        match r.byte()? {
-            SLOT_FREE => slots.push(None),
-            SLOT_LIVE => slots.push(Some(get_object_with(&mut r, &mut label)?)),
-            t => return err(format!("unknown slot tag {t}")),
+        if r.remaining() != 0 {
+            return err("trailing bytes after page");
         }
+        Ok(ParsedPage { slots, names })
     }
-    if r.remaining() != 0 {
-        return err("trailing bytes after page");
+
+    /// The page's slots, its names interned as one batch.
+    fn objects(self) -> impl Iterator<Item = Option<Object>> {
+        let oids = Oid::new_all(&self.names);
+        let mut at = 0;
+        (self.slots.into_iter()).map(move |slot| slot.map(|shape| shape.build(&oids, &mut at)))
     }
-    Ok(slots)
 }
 
 #[cfg(test)]
@@ -925,6 +989,83 @@ mod tests {
         trailing.push(0);
         assert!(decode_page(&trailing).is_err());
         assert!(decode_page(&[9, 9, 9]).is_err());
+    }
+
+    #[test]
+    fn a_slot_count_the_bytes_cannot_hold_is_refused_before_reserving() {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 1 << 20);
+        let e = decode_page(&payload).unwrap_err();
+        assert!(e.0.contains("1048576") && e.0.contains("3 bytes"), "{e}");
+        assert!(decode_chunk(&payload).is_err());
+        // One byte a slot is enough to be read.
+        let free = [&[4u8][..], &[SLOT_FREE; 4]].concat();
+        assert_eq!(decode_page(&free).unwrap(), vec![None; 4]);
+    }
+
+    /// A name for [`a_page_decodes_its_names_as_oid_new_does`]: short,
+    /// at the 8-byte inline edge, longer, or holding a NUL.
+    fn batch_name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..100u32).prop_map(|i| format!("b{i}")),
+            (0..100u32).prop_map(|i| format!("bn{i:06}")),
+            (0..100u32).prop_map(|i| format!("batchname{i}")),
+            (0..100u32).prop_map(|i| format!("b\0{i}")),
+        ]
+    }
+
+    proptest! {
+        /// A page's names are interned as one batch, and the objects
+        /// come out exactly as per-name `Oid::new` makes them: names
+        /// the interner has not seen, names repeated within the page
+        /// (an object that is also a member, a set naming one member
+        /// twice), names over 8 bytes and names holding a NUL.
+        #[test]
+        fn a_page_decodes_its_names_as_oid_new_does(
+            slots in prop::collection::vec(
+                (any::<bool>(), batch_name(), prop::collection::vec(batch_name(), 0..5))
+                    .prop_map(|(live, oid, members)| live.then_some((oid, members))),
+                1..40,
+            ),
+            salt in any::<u64>(),
+        ) {
+            // Salted so that the names are new to the interner.
+            let fresh = |n: &str| format!("{n}~{salt:x}");
+            let mut page = Vec::new();
+            put_varint(&mut page, slots.len() as u64);
+            for slot in &slots {
+                match slot {
+                    None => page.push(SLOT_FREE),
+                    Some((oid, members)) => {
+                        page.push(SLOT_LIVE);
+                        put_str(&mut page, &fresh(oid));
+                        put_str(&mut page, "batch");
+                        page.push(VALUE_SET);
+                        put_varint(&mut page, members.len() as u64);
+                        for m in members {
+                            put_str(&mut page, &fresh(m));
+                        }
+                    }
+                }
+            }
+            let decoded = decode_page(&page).unwrap();
+            let want: Vec<Option<Object>> = (slots.iter())
+                .map(|slot| {
+                    slot.as_ref().map(|(oid, members)| Object {
+                        oid: Oid::new(&fresh(oid)),
+                        label: Label::new("batch"),
+                        value: Value::set_of(members.iter().map(|m| Oid::new(&fresh(m)))),
+                    })
+                })
+                .collect();
+            prop_assert_eq!(decoded.len(), want.len());
+            for (got, want) in decoded.iter().zip(&want) {
+                prop_assert_eq!(got, want);
+                if let (Some(got), Some(want)) = (got, want) {
+                    prop_assert_eq!(got.children(), want.children());
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //! once more before the next doubling (a table built without
 //! [`CowMap::reserve`] then places every entry 3.5 times instead of
 //! twice).
+//!
+//! A table whose entries are all known up front — a recovered shard's,
+//! a view store built whole — is made by [`CowMap::build`]: the
+//! directory sized once, each segment filled before anything else can
+//! hold it, so no entry pays the copy-on-write checks an insert does.
 
 use crate::Oid;
 use gsview_obs::Counter;
@@ -89,6 +94,16 @@ fn vacant<V: Default>(slots: usize) -> Arc<[(Oid, V)]> {
 /// doubling — before it passes three quarters and is rebuilt again.
 fn room_to_double(entries: usize) -> usize {
     entries * 8 / 3
+}
+
+/// Directory bits for `entries` entries at [`SEGMENT_MAX`] a segment
+/// on average.
+fn bits_for(entries: usize) -> u32 {
+    let mut bits = 0;
+    while entries > SEGMENT_MAX << bits {
+        bits += 1;
+    }
+    bits
 }
 
 /// Put an entry known to be absent into `slots`, which have room.
@@ -323,14 +338,74 @@ impl<V: Clone + Default> CowMap<V> {
         self.bits = bits;
     }
 
+    /// A table holding `entries`, built in one step: the directory is
+    /// sized once for `entries.len()` keys by [`reserve`](Self::reserve)'s
+    /// rule, and each segment is sized as `reserve` sizes it — or, if
+    /// its entries would pass three quarters of that, with room to
+    /// double them — filled, and only then put behind its `Arc`. A key
+    /// that repeats goes through `merge(kept, repeat)`; `false` refuses
+    /// the build, and the refused key is the error.
+    pub(crate) fn build(
+        entries: Vec<(Oid, V)>,
+        mut merge: impl FnMut(&mut V, V) -> bool,
+    ) -> Result<Self, Oid> {
+        if entries.is_empty() {
+            return Ok(CowMap::default());
+        }
+        let bits = bits_for(entries.len());
+        let segment_of = |h: u64| ((h >> 32) >> (32 - bits)) as usize;
+        let mut counts = vec![0usize; 1 << bits];
+        for e in &entries {
+            counts[segment_of(hash(e.0))] += 1;
+        }
+        let reserved = 2 * entries.len().div_ceil(1 << bits);
+        let mut rooms: Vec<Vec<(Oid, V)>> = (counts.into_iter())
+            .map(|n| {
+                let slots = if n * 4 > reserved * 3 {
+                    room_to_double(n)
+                } else {
+                    reserved
+                };
+                vec![(Oid::VACANT, V::default()); slots.max(MIN_SLOTS)]
+            })
+            .collect();
+        let mut lens = vec![0u32; 1 << bits];
+        for (key, value) in entries {
+            debug_assert!(key != Oid::VACANT);
+            let h = hash(key);
+            let seg = segment_of(h);
+            let slots = &mut rooms[seg];
+            match probe(slots, home(h, bits, slots.len()), key) {
+                Ok(at) => {
+                    if !merge(&mut slots[at].1, value) {
+                        return Err(key);
+                    }
+                }
+                Err(at) => {
+                    slots[at] = (key, value);
+                    lens[seg] += 1;
+                }
+            }
+        }
+        Ok(CowMap {
+            len: lens.iter().map(|&n| n as usize).sum(),
+            dir: Arc::new(
+                (rooms.into_iter().zip(lens))
+                    .map(|(slots, len)| Segment {
+                        slots: slots.into(),
+                        len,
+                    })
+                    .collect(),
+            ),
+            bits,
+        })
+    }
+
     /// Make room for `additional` more entries in one step, so a bulk
     /// build does not double its way up through every directory size.
     pub(crate) fn reserve(&mut self, additional: usize) {
         let want = self.len + additional;
-        let mut bits = self.bits;
-        while want > SEGMENT_MAX << bits {
-            bits += 1;
-        }
+        let bits = bits_for(want).max(self.bits);
         // Within one directory size only a table about to double (an
         // empty one included) is rebuilt; a smaller step is left to
         // the segments' own growth.
@@ -540,6 +615,49 @@ mod tests {
         assert!(!Arc::ptr_eq(&m.dir, &fork.dir));
         assert_eq!(m.segments_apart_from(&fork), 1);
         assert_eq!(fork.get(pool[3]), Some(&1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// A table built in one step holds what inserting its entries
+        /// one by one holds — a repeated key merged, or refused with
+        /// the key — and keeps the load rules: no segment past three
+        /// quarters full, the directory at most `SEGMENT_MAX` entries a
+        /// segment on average.
+        #[test]
+        fn build_holds_what_the_inserts_hold(
+            keys in prop::collection::vec(0..3000usize, 0..3000),
+            refuse in any::<bool>(),
+        ) {
+            let pool = pool(3000);
+            let entries: Vec<(Oid, u32)> = keys.iter().map(|&i| (pool[i], i as u32 + 1)).collect();
+            let mut model: HashMap<Oid, u32> = HashMap::new();
+            let mut repeat = None;
+            for &(k, v) in &entries {
+                if model.contains_key(&k) {
+                    repeat.get_or_insert(k);
+                }
+                *model.entry(k).or_default() += v;
+            }
+            let built = CowMap::build(entries, |kept, more| {
+                *kept += more;
+                !refuse
+            });
+            match (built, refuse.then_some(repeat).flatten()) {
+                (Err(k), Some(first)) => prop_assert_eq!(k, first),
+                (Ok(m), None) => {
+                    let pool_keys: Vec<Oid> = keys.iter().map(|&i| pool[i]).collect();
+                    assert_same(&m, &model, &pool_keys);
+                    prop_assert!(m.len <= SEGMENT_MAX << m.bits);
+                    for s in m.dir.iter() {
+                        prop_assert_eq!(s.len as usize, s.entries().count());
+                        prop_assert!(s.len as usize * 4 <= s.slots.len() * 3);
+                    }
+                }
+                (got, want) => prop_assert!(false, "{:?} for repeat {:?}", got.err(), want),
+            }
+        }
     }
 
     #[test]

@@ -344,6 +344,60 @@ pub fn intern(s: &str) -> Symbol {
     sym
 }
 
+/// Intern every name of `names`: what [`intern`] gives for each, in
+/// order. The names are grouped by shard and each shard's read lock is
+/// taken once for its group; a name the group's lookup misses goes
+/// through [`intern`].
+pub(crate) fn intern_all(names: &[&str]) -> Vec<Symbol> {
+    let it = interner();
+    let keys: Vec<(Key<'_>, u64)> = (names.iter())
+        .map(|s| {
+            let key = Key::new(s);
+            let hash = it.probe_hash(s, key.name);
+            (key, hash)
+        })
+        .collect();
+    let shard_of = |hash: u64| (hash >> (64 - SHARD_BITS)) as usize;
+    // A counting sort of the positions by shard: shard `s`'s group is
+    // `order[starts[s]..starts[s + 1]]`.
+    let mut starts = [0usize; SHARDS + 1];
+    for (_, hash) in &keys {
+        starts[shard_of(*hash) + 1] += 1;
+    }
+    for s in 0..SHARDS {
+        starts[s + 1] += starts[s];
+    }
+    let mut next = starts;
+    let mut order = vec![0usize; keys.len()];
+    for (i, (_, hash)) in keys.iter().enumerate() {
+        let at = &mut next[shard_of(*hash)];
+        order[*at] = i;
+        *at += 1;
+    }
+    let mut out = vec![Symbol(VACANT); keys.len()];
+    for (s, shard) in it.shards.iter().enumerate() {
+        let group = &order[starts[s]..starts[s + 1]];
+        if group.is_empty() {
+            continue;
+        }
+        // A poisoned shard is left to `intern`, which reports it.
+        if let Ok(table) = shard.read() {
+            for &i in group {
+                let (key, hash) = &keys[i];
+                if let Some(sym) = table.find(*hash, key) {
+                    out[i] = sym;
+                }
+            }
+        }
+    }
+    for (sym, s) in out.iter_mut().zip(names) {
+        if sym.0 == VACANT {
+            *sym = intern(s);
+        }
+    }
+    out
+}
+
 /// Intern the *semantic OID* of a delegate: the concatenation
 /// `"<view>.<base>"` (paper §3.2), remembering the pair structurally.
 pub fn intern_delegate(view: Symbol, base: Symbol) -> Symbol {
@@ -481,12 +535,26 @@ mod tests {
                 prop_assert_eq!(intern(s), sym);
                 prop_assert_eq!(sym.name_hash(), fnv_high(s));
             }
+            let strs: Vec<&str> = names.iter().map(String::as_str).collect();
+            prop_assert_eq!(intern_all(&strs), syms.clone());
             for (a, &x) in names.iter().zip(&syms) {
                 for (b, &y) in names.iter().zip(&syms) {
                     prop_assert_eq!(a == b, x == y);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_batch_interns_new_and_repeated_names_as_intern_does() {
+        let names = ["batch-new-1", "batch-new-1", "bn\0x", "", "batch-new-2", "bn\0x"];
+        let batch = intern_all(&names);
+        for (s, sym) in names.iter().zip(&batch) {
+            assert_eq!(intern(s), *sym, "{s:?}");
+        }
+        assert_eq!(batch[0], batch[1]);
+        assert_eq!(batch[2], batch[5]);
+        assert!(intern_all(&[]).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `P1` in materialized view `MVJ` has OID `MVJ.P1`, constructed with
 //! [`Oid::delegate`] and decomposed with [`Oid::split_delegate`].
 
-use crate::intern::{delegate_parts, intern, intern_delegate, Symbol};
+use crate::intern::{delegate_parts, intern, intern_all, intern_delegate, Symbol};
 use std::fmt;
 
 /// A universally unique object identifier.
@@ -27,6 +27,12 @@ impl Oid {
     /// Intern an OID by name.
     pub fn new(name: &str) -> Self {
         Oid(intern(name))
+    }
+
+    /// [`Oid::new`] of every name of `names`, in order, interned as
+    /// one batch.
+    pub(crate) fn new_all(names: &[&str]) -> Vec<Oid> {
+        intern_all(names).into_iter().map(Oid).collect()
     }
 
     /// The OID's name.

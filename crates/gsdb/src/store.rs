@@ -88,7 +88,10 @@
 //! The durability layer's unit is a **chunk** of 256 slots — four
 //! consecutive pages — so the on-disk format does not depend on the
 //! page size: [`Store::export_images`] hands out pages four at a time
-//! and [`Store::from_images`] takes them back the same way.
+//! and [`Store::from_images`] takes them back the same way, placing
+//! every record in one pass over the pages and building each index
+//! table in one step ([`Store::from_records`] does the same for one
+//! shard's records in slot order).
 //!
 //! Every store keeps one index, the **parent index**: the paper's
 //! "inverse index such that from each node we can find out its parent"
@@ -158,20 +161,6 @@ pub type Chunk = [Arc<Page>; CHUNK_PAGES];
 fn empty_page() -> &'static Arc<Page> {
     static EMPTY: OnceLock<Arc<Page>> = OnceLock::new();
     EMPTY.get_or_init(new_page)
-}
-
-/// Split a decoded chunk's slots back into its pages; `None` unless
-/// there are exactly [`CHUNK_SLOTS`] of them.
-pub(crate) fn split_chunk(slots: Vec<Option<Object>>) -> Option<Chunk> {
-    if slots.len() != CHUNK_SLOTS {
-        return None;
-    }
-    let mut slots = slots.into_iter();
-    Some(std::array::from_fn(|_| {
-        Arc::new(std::array::from_fn(|_| {
-            slots.next().expect("counted above")
-        }))
-    }))
 }
 
 /// The home shard of an OID at a given shard shift (`log2(shards)`).
@@ -282,6 +271,50 @@ impl ShardState {
             .iter()
             .flat_map(|p| p.iter())
             .filter_map(|s| s.as_ref())
+    }
+}
+
+/// What one pass over a store's records collects for its index
+/// tables, shard by shard: the `slot_of` entries, and for each child —
+/// dangling ones included, as `Create` indexes them — its parent's
+/// slot, in the child's home shard. [`TableEntries::build`] then
+/// builds every table in one step.
+struct TableEntries {
+    slot_of: Vec<Vec<(Oid, u32)>>,
+    parents: Vec<Vec<(Oid, SmallSet)>>,
+}
+
+impl TableEntries {
+    fn new(shards: usize) -> Self {
+        TableEntries {
+            slot_of: vec![Vec::new(); shards],
+            parents: vec![Vec::new(); shards],
+        }
+    }
+
+    /// `obj`, homed in shard `home`, lives in global slot `slot`.
+    fn add(&mut self, home: usize, slot: u32, obj: &Object, shift: u32) {
+        self.slot_of[home].push((obj.oid, slot));
+        for &c in obj.children() {
+            let mut parent = SmallSet::new();
+            parent.insert(slot);
+            self.parents[shard_for(c, shift)].push((c, parent));
+        }
+    }
+
+    /// Build each shard's `slot_of` and parent index; a repeated OID is
+    /// the error.
+    fn build(self, shards: &mut [ShardState]) -> std::result::Result<(), Oid> {
+        for ((st, slot_of), parents) in shards.iter_mut().zip(self.slot_of).zip(self.parents) {
+            st.slot_of = CowMap::build(slot_of, |_, _| false)?;
+            st.parent_index = CowMap::build(parents, |kept, more| {
+                for &p in more.as_slice() {
+                    kept.insert(p);
+                }
+                true
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -1224,6 +1257,7 @@ impl Store {
             ));
         }
         let shift = n.trailing_zeros();
+        let mut tables = TableEntries::new(n);
         let mut shards = Vec::with_capacity(n);
         for (i, img) in images.into_iter().enumerate() {
             let pages: Vec<Arc<Page>> = img.chunks.into_iter().flatten().collect();
@@ -1234,13 +1268,11 @@ impl Store {
                     pages.len() * PAGE_SIZE
                 ));
             }
-            let mut st = ShardState::default();
-            let objects = pages.iter().map(|p| p.iter().flatten().count()).sum();
-            st.reserve_entries(objects, objects);
             let mut free = Vec::new();
             for (p, page) in pages.iter().enumerate() {
                 for (k, slot) in page.iter().enumerate() {
                     let local = (p * PAGE_SIZE + k) as u32;
+                    let global = (local << shift) | i as u32;
                     match slot {
                         Some(obj) => {
                             if (local as usize) >= img.len_slots {
@@ -1256,45 +1288,59 @@ impl Store {
                                     shard_for(obj.oid, shift)
                                 ));
                             }
-                            let global = (local << shift) | i as u32;
-                            if !st.slot_of.try_insert(obj.oid, global) {
-                                return Err(format!("duplicate OID {}", obj.oid));
-                            }
+                            tables.add(i, global, obj, shift);
                         }
                         None => {
                             if (local as usize) < img.len_slots {
-                                free.push((local << shift) | i as u32);
+                                free.push(global);
                             }
                         }
                     }
                 }
             }
-            st.dir = Arc::new(Directory { pages, free });
-            st.len_slots = img.len_slots;
-            shards.push(st);
+            shards.push(ShardState {
+                dir: Arc::new(Directory { pages, free }),
+                len_slots: img.len_slots,
+                ..ShardState::default()
+            });
         }
-        // Second pass: rebuild the parent index. Entries home with the
-        // *child* (including dangling children, matching `Create`'s
-        // indexing). A clone of the directory lends the objects while
-        // the shards are written.
-        for i in 0..n {
-            let dir = Arc::clone(&shards[i].dir);
-            for (p, page) in dir.pages.iter().enumerate() {
-                for (k, obj) in page.iter().enumerate() {
-                    let Some(obj) = obj else { continue };
-                    let slot = (((p * PAGE_SIZE + k) as u32) << shift) | i as u32;
-                    for &c in obj.children() {
-                        shards[shard_for(c, shift)]
-                            .parent_index
-                            .or_default(c)
-                            .insert(slot);
-                    }
-                }
-            }
-        }
+        tables
+            .build(&mut shards)
+            .map_err(|oid| format!("duplicate OID {oid}"))?;
         Ok(Store {
             shards,
             shift,
+            version,
+            ..Store::default()
+        })
+    }
+
+    /// A one-shard store holding `records` in slot order — the first
+    /// in slot 0 — at version `version`, with its index tables built in
+    /// one step: what creating each record in turn into an empty
+    /// [`Store::new`] leaves, without the per-record work. Fails on an
+    /// OID that repeats.
+    pub fn from_records(records: Vec<Object>, version: u64) -> Result<Store> {
+        let mut tables = TableEntries::new(1);
+        for (slot, obj) in records.iter().enumerate() {
+            tables.add(0, slot as u32, obj, 0);
+        }
+        let len_slots = records.len();
+        let mut records = records.into_iter();
+        let pages = (0..len_slots.div_ceil(PAGE_SIZE))
+            .map(|_| Arc::new(std::array::from_fn(|_| records.next())))
+            .collect();
+        let mut shards = vec![ShardState {
+            dir: Arc::new(Directory {
+                pages,
+                free: Vec::new(),
+            }),
+            len_slots,
+            ..ShardState::default()
+        }];
+        tables.build(&mut shards).map_err(GsdbError::DuplicateOid)?;
+        Ok(Store {
+            shards,
             version,
             ..Store::default()
         })
@@ -1996,10 +2042,12 @@ mod tests {
         assert_eq!(slots.iter().flatten().count(), s.len());
         assert!(Arc::ptr_eq(&img.chunks[1][2], empty_page()));
         assert!(Arc::ptr_eq(&img.chunks[1][3], empty_page()));
-        // A decoded chunk splits back into the pages it was made of.
-        let again = split_chunk(slots[CHUNK_SLOTS..].to_vec()).unwrap();
+        // A decoded chunk is the pages it was encoded from.
+        let bytes = crate::codec::EncodedChunk::encode(&img.chunks[1]);
+        let again = crate::codec::decode_chunk(bytes.bytes()).unwrap();
         assert!(again.iter().zip(&img.chunks[1]).all(|(a, b)| a == b));
-        assert!(split_chunk(slots[..CHUNK_SLOTS - 1].to_vec()).is_none());
+        let short = crate::codec::encode_page(&slots[..CHUNK_SLOTS - 1]);
+        assert!(crate::codec::decode_chunk(&short).is_err());
     }
 
     #[test]
@@ -2047,5 +2095,54 @@ mod tests {
         images[target].chunks.insert(0, chunk);
         images[target].len_slots += CHUNK_SLOTS;
         assert!(Store::from_images(cfg, images, 0).is_err());
+    }
+
+    #[test]
+    fn from_images_refuses_an_oid_held_in_two_pages() {
+        let mut s = Store::new();
+        for i in 0..PAGE_SIZE + 1 {
+            s.create(Object::atom(format!("twopg{i}").as_str(), "x", i as i64))
+                .unwrap();
+        }
+        let mut images = s.export_images();
+        // The second page, whose one record is `twopg64`, becomes a copy
+        // of the first, so every OID of the first sits in both.
+        let first = Arc::clone(&images[0].chunks[0][0]);
+        images[0].chunks[0][1] = first;
+        images[0].len_slots = 2 * PAGE_SIZE;
+        let err = Store::from_images(StoreConfig::default(), images, 0).unwrap_err();
+        assert!(err.starts_with("duplicate OID twopg"), "{err}");
+    }
+
+    #[test]
+    fn from_records_is_the_store_the_creates_leave() {
+        let records: Vec<Object> = (0..2 * PAGE_SIZE + 3)
+            .map(|i| {
+                let kids = [oid(&format!("rec{}", i + 1)), oid(&format!("recgone{}", i % 5))];
+                Object::set(format!("rec{i}").as_str(), "r", &kids)
+            })
+            .collect();
+        let mut created = Store::new();
+        for r in &records {
+            created.create(r.clone()).unwrap();
+        }
+        let built = Store::from_records(records.clone(), created.version()).unwrap();
+        assert_eq!(built.version(), created.version());
+        let [b] = &built.export_images()[..] else { panic!("one shard") };
+        let [c] = &created.export_images()[..] else { panic!("one shard") };
+        assert_eq!((b.len_slots, &b.chunks), (c.len_slots, &c.chunks));
+        built.check_invariants().unwrap();
+        for r in &records {
+            for &c in r.children() {
+                let parents = |s: &Store| s.parents(c).iter().collect::<Vec<Oid>>();
+                assert_eq!(parents(&built), parents(&created), "parents of {c}");
+            }
+        }
+        let mut twice = records.clone();
+        twice.push(records[7].clone());
+        assert!(matches!(
+            Store::from_records(twice, 0),
+            Err(GsdbError::DuplicateOid(o)) if o == records[7].oid
+        ));
     }
 }
