@@ -24,7 +24,7 @@ use crate::table::{fnum, Table};
 use gsdb::Oid;
 use gsview_core::{recompute, LocalBase, SimpleViewDef};
 use gsview_query::{CmpOp, Pred};
-use gsview_warehouse::chaos::{ChaosPolicy, FaultyMonitor};
+use gsview_testkit::chaos::{ChaosPolicy, FaultyMonitor};
 use gsview_warehouse::{ReportLevel, ReportSource, Source, ViewOptions, Warehouse};
 use gsview_workload::{relations, relations_churn, ChurnSpec, RelationsSpec, ScriptOp};
 

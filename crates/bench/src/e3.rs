@@ -20,7 +20,7 @@ use crate::table::{fnum, Table};
 use gsdb::{Object, Oid, Path, Store};
 use gsview_core::{recompute, LocalBase, Maintainer, SimpleViewDef};
 use gsview_query::{CmpOp, Pred};
-use gsview_relbaseline::{RelDb, RelView, RelViewDef};
+use gsview_testkit::relbaseline::{RelDb, RelView, RelViewDef};
 use gsview_workload::rng::rng;
 use rand::Rng;
 use std::time::Instant;

@@ -110,6 +110,42 @@ pub fn check(
     problems
 }
 
+/// Differential check for a remote serving path: every query answered
+/// over the network boundary must equal the colocated answer against
+/// the same published epoch.
+///
+/// Deliberately generic — this crate cannot depend on the warehouse
+/// or serving crates, so the caller supplies both evaluation routes
+/// as closures (e.g. `remote` = a framed TCP round trip through the
+/// serving tier, `colocated` = `gsview_warehouse::answer` on a local
+/// [`EpochHandle`](gsdb::EpochHandle) snapshot). Returns one description per divergent
+/// query; empty means the transport is semantically invisible.
+///
+/// The check is only meaningful when both routes observe the same
+/// epoch — quiesce writers, or pin both sides to one snapshot, before
+/// calling.
+pub fn check_networked_equivalence<Q, R>(
+    queries: &[Q],
+    mut remote: impl FnMut(&Q) -> R,
+    mut colocated: impl FnMut(&Q) -> R,
+) -> Vec<String>
+where
+    Q: std::fmt::Debug,
+    R: PartialEq + std::fmt::Debug,
+{
+    let mut failures = Vec::new();
+    for q in queries {
+        let over_wire = remote(q);
+        let local = colocated(q);
+        if over_wire != local {
+            failures.push(format!(
+                "networked answer diverged for {q:?}: remote {over_wire:?} vs colocated {local:?}"
+            ));
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

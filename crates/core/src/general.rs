@@ -659,7 +659,7 @@ mod tests {
         assert_eq!(out.inserted, vec![oid("P2")]);
 
         // An age modification is *irrelevant* to a name view... but
-        // under `SELECT ROOT.*`, full_expr = *.name, and age atoms sit
+        // under `SELECT ROOT.*`, the full path is *.name, and age atoms sit
         // at paths not matching *.name, so the guard rejects it.
         let up = store.modify_atom(oid("A4"), 41i64).unwrap();
         let out = gm.apply(&mut mv, &store, &up).unwrap();

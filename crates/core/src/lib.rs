@@ -61,7 +61,6 @@ pub mod consistency;
 pub mod general;
 mod maintain;
 mod mview;
-pub mod oracle;
 pub mod parallel;
 pub mod partial;
 pub mod recompute;
@@ -76,18 +75,10 @@ pub use bulk::{view_unaffected, BulkUpdate};
 pub use catalog::{Catalog, CatalogError};
 pub use circuitview::{CircuitMaintainer, CircuitSource};
 pub use cluster::ViewCluster;
+pub use consistency::check_networked_equivalence;
 pub use general::{CompoundMaintainer, GeneralMaintainer};
 pub use maintain::{sweep_members, BatchOutcome, Maintainer, Outcome};
 pub use mview::{MaterializedView, ViewDelta};
-pub use oracle::{
-    assert_crash_recovery, assert_cross_shard_isolated, assert_equivalent,
-    assert_networked_equivalence, assert_parallel_equivalent, assert_sharded_commit_equivalent,
-    assert_snapshot_isolated, check_crash_recovery, check_cross_shard_isolation,
-    check_equivalence, check_networked_equivalence, check_parallel_equivalence,
-    check_sharded_commit_equivalence, check_snapshot_isolation,
-    diff_members, reference_members, IsolationReport, OracleVerdict, RecoveryVerdict,
-    ShardedVerdict,
-};
 pub use parallel::{ParallelMaintainer, PartitionStats};
 pub use partial::PartialView;
 pub use sink::{MemberSet, ViewSink};

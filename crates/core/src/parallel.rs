@@ -73,7 +73,7 @@
 //! The worker fan-out is deterministic: each view's outcome depends
 //! only on its own (plan, delta, view) triple and the immutable base,
 //! so the result is independent of thread count — a property the
-//! differential oracle ([`crate::oracle::check_parallel_equivalence`])
+//! differential oracle (`gsview_testkit::oracle::check_parallel_equivalence`)
 //! asserts against sequential maintenance and full recomputation.
 
 use crate::base::{BaseAccess, LocalBase};

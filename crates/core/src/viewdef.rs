@@ -195,14 +195,6 @@ impl GeneralViewDef {
         self
     }
 
-    /// `sel_expr.cond_expr`.
-    pub fn full_expr(&self) -> PathExpr {
-        match &self.cond {
-            Some(c) => self.sel_expr.concat(&c.expr),
-            None => self.sel_expr.clone(),
-        }
-    }
-
     /// The equivalent query.
     pub fn to_query(&self) -> Query {
         let mut q = Query::select(Entry::Object(self.root), self.sel_expr.clone());

@@ -12,12 +12,12 @@
 //! where maintenance joins the walks and stays local all the same.
 
 use gsview_core::{
-    assert_equivalent, assert_parallel_equivalent, GeneralMaintainer, GeneralViewDef, LocalBase,
-    Maintainer, MaterializedView, SimpleViewDef,
+    GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, MaterializedView, SimpleViewDef,
 };
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, Pred};
+use gsview_testkit::oracle::{assert_equivalent, assert_parallel_equivalent};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 

@@ -17,10 +17,11 @@
 //! batch ≡ the same circuits each deriving privately.
 
 use gsview_core::{
-    assert_equivalent, AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource,
-    CompoundMaintainer, CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase,
-    MaterializedView, SimpleViewDef,
+    AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundMaintainer,
+    CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, MaterializedView,
+    SimpleViewDef,
 };
+use gsview_testkit::oracle::assert_equivalent;
 use gsdb::{Atom, DeltaBatch, Label, Object, Oid, Store, Update};
 use gsview_circuit::Circuit;
 use gsview_query::pathexpr::PathExpr;

@@ -13,12 +13,12 @@
 //! seeded-faults job.
 
 use gsdb::{Object, Oid, Store, StoreConfig, Update};
-use gsview_core::{
-    assert_cross_shard_isolated, check_cross_shard_isolation, check_sharded_commit_equivalence,
-    SimpleViewDef,
-};
+use gsview_core::SimpleViewDef;
 use gsview_obs::fault::{self, Stream};
 use gsview_query::{CmpOp, Pred};
+use gsview_testkit::oracle::{
+    assert_cross_shard_isolated, check_cross_shard_isolation, check_sharded_commit_equivalence,
+};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];

@@ -20,11 +20,9 @@
 
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_core::recompute::recompute;
-use gsview_core::{
-    assert_parallel_equivalent, LocalBase, Maintainer, MaterializedView, ParallelMaintainer,
-    SimpleViewDef,
-};
+use gsview_core::{LocalBase, Maintainer, MaterializedView, ParallelMaintainer, SimpleViewDef};
 use gsview_query::{CmpOp, Pred};
+use gsview_testkit::oracle::assert_parallel_equivalent;
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -10,10 +10,10 @@
 //! chopped into batches at arbitrary points, so epochs land on
 //! arbitrary prefixes of the workload.
 
-use gsview_core::check_snapshot_isolation;
 use gsdb::{Object, Oid, Store, Update};
 use gsview_query::{CmpOp, Pred};
 use gsview_core::SimpleViewDef;
+use gsview_testkit::oracle::check_snapshot_isolation;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 

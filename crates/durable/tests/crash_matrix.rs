@@ -38,12 +38,12 @@
 
 use gsdb::codec::{frame_head, FRAME_HEADER_LEN};
 use gsdb::{Object, Store, StoreConfig, Update};
-use gsview_core::check_crash_recovery;
 use gsview_durable::{
     ChaosController, ChaosPolicy, CrashPlan, CrashPoint, DurableError, DurableStore, Media,
     MediaSet, MemMedia, PersistMeta,
 };
 use gsview_obs::fault;
+use gsview_testkit::oracle::check_crash_recovery;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -20,8 +20,8 @@
 //! with the typed version error, and left untouched.
 
 use gsdb::{Object, Store, Update};
-use gsview_core::check_crash_recovery;
 use gsview_durable::{DurableError, DurableStore, MediaSet, PersistMeta, FORMAT_VERSION};
+use gsview_testkit::oracle::check_crash_recovery;
 use std::path::PathBuf;
 
 const NAME: &str = "soak";

@@ -12,7 +12,7 @@
 //! granularity**: every load observes exactly the state some commit
 //! published — never a torn intermediate — and epochs observed by any
 //! single reader are monotonically non-decreasing. The
-//! `check_snapshot_isolation` oracle in `gsview-core` verifies this
+//! `check_snapshot_isolation` oracle in `gsview-testkit` verifies this
 //! differentially against per-batch recomputes.
 //!
 //! Readers do take a `RwLock` read guard inside [`EpochHandle::load`],

@@ -282,14 +282,23 @@ impl ShardedStore {
         self.log.lock().unwrap().next_seq
     }
 
-    /// Total sequence numbers assigned or pending: `next_seq` plus the
-    /// undrained commit-log entries — the same watermark a publish
-    /// hook sees in [`PublishInfo::assigned_seq_total`]. A durable
-    /// baseline taken here can never lead a recovered source to reuse
-    /// a sequence number the warehouse already consumed.
-    pub fn assigned_seq_total(&self) -> u64 {
+    /// The latest published snapshot with what a publish hook is told
+    /// about it — epoch, version and the sequence watermark
+    /// ([`PublishInfo::assigned_seq_total`]) — read together under the
+    /// publish lock, so no commit lands between the reads. A durable
+    /// baseline taken here describes exactly the snapshot it holds,
+    /// and can never lead a recovered source to reuse a sequence
+    /// number the warehouse already consumed.
+    pub fn published(&self) -> (PublishInfo, Arc<Store>) {
+        let pub_state = self.publish.lock().unwrap();
+        let (epoch, snapshot) = self.epochs.load_with_epoch();
         let log = self.log.lock().unwrap();
-        log.next_seq + log.entries.len() as u64
+        let info = PublishInfo {
+            epoch,
+            version: pub_state.version,
+            assigned_seq_total: log.next_seq + log.entries.len() as u64,
+        };
+        (info, snapshot)
     }
 
     /// The home shard of an OID (same function every snapshot uses).

@@ -133,11 +133,6 @@ impl FrameDecoder {
         self.buf.len() < HEADER_LEN + head.len
     }
 
-    /// Buffered byte count (backpressure accounting).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Take the next complete frame's payload, if one is buffered.
     /// `Ok(None)` means "need more bytes". An `Err` poisons the
     /// stream: the caller must drop the connection.

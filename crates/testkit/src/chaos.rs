@@ -12,17 +12,19 @@
 //!
 //! [`run_scenario`] is the differential harness: the same update
 //! stream is run through a fault-free sequential Algorithm 1 pass
-//! (the PR-1 oracle) and through a chaos-wrapped warehouse pipeline
-//! with detection + resync enabled, and the post-recovery views must
-//! be member-identical and pass the consistency checker.
+//! (`oracle::reference_members`) and through a chaos-wrapped
+//! warehouse pipeline with detection + resync enabled, and the
+//! post-recovery views must be member-identical and pass the
+//! consistency checker.
 
-use crate::protocol::{CostMeter, QueryFault, ReportLevel, SourceQuery, SourceReply, UpdateReport};
-use crate::resync::RetryPolicy;
-use crate::source::{Monitor, QueryPort, ReportSource, Source, Wrapper};
-use crate::warehouse::{ViewOptions, Warehouse};
+use crate::{fail, oracle, run_text};
 use gsdb::{Oid, Result, Store, Update};
-use gsview_core::{consistency, oracle, SimpleViewDef};
+use gsview_core::{consistency, LocalBase, SimpleViewDef};
 use gsview_obs::fault::Stream;
+use gsview_warehouse::{
+    CostMeter, Monitor, QueryFault, QueryPort, ReportLevel, ReportSource, RetryPolicy, Source,
+    SourceQuery, SourceReply, UpdateReport, ViewOptions, Warehouse, Wrapper,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -430,9 +432,7 @@ pub fn run_scenario(
     // through the (still faulty) channel: retry until it gets a clean
     // read or the round budget is spent.
     if let Some(mv) = wh.view(view) {
-        let problems = source.with_store(|s| {
-            consistency::check(def, &mut gsview_core::LocalBase::new(s), mv)
-        });
+        let problems = source.with_store(|s| consistency::check(def, &mut LocalBase::new(s), mv));
         for p in problems {
             report.failures.push(format!("consistency: {p}"));
         }
@@ -449,20 +449,19 @@ pub fn assert_recovers(
 ) -> ChaosReport {
     let report = run_scenario(def, initial, updates, sc).expect("chaos scenario run failed");
     if !report.ok() {
-        let ops: Vec<String> = updates.iter().map(|u| u.to_string()).collect();
-        let msg = format!(
-            "chaos pipeline failed to recover for `{def}`\n\
-             seed: {seed:#x}, level: {level}, policy: {policy:?}\n\
-             updates: [{ops}]\nchaos: {stats:?}\nfailures:\n  {failures}",
-            seed = sc.policy.seed,
-            level = sc.level,
-            policy = sc.policy,
-            ops = ops.join(", "),
-            stats = report.monitor_stats,
-            failures = report.failures.join("\n  ")
+        fail(
+            &format!(
+                "chaos pipeline failed to recover for `{def}`\n\
+                 seed: {seed:#x}, level: {level}, policy: {policy:?}\n\
+                 updates: {ops}\nchaos: {stats:?}\nfailures:",
+                seed = sc.policy.seed,
+                level = sc.level,
+                policy = sc.policy,
+                ops = run_text(updates),
+                stats = report.monitor_stats,
+            ),
+            &report.failures,
         );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
     }
     report
 }
@@ -571,7 +570,7 @@ mod tests {
     #[test]
     fn faulty_wrapper_fails_queries_and_meters_them() {
         let src = chaos_source(ReportLevel::OidsOnly);
-        let meter = std::sync::Arc::new(crate::protocol::CostMeter::new());
+        let meter = std::sync::Arc::new(CostMeter::new());
         let fw = FaultyWrapper::new(
             src.wrapper(meter.clone()),
             ChaosPolicy {

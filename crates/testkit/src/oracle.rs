@@ -16,13 +16,13 @@
 //! the base). Any disagreement is reported with enough context to
 //! replay: the update run, which routes diverged, and how.
 
-use crate::base::LocalBase;
-use crate::circuitview::{CircuitMaintainer, CircuitSource};
-use crate::consistency;
-use crate::maintain::{BatchOutcome, Maintainer};
-use crate::recompute::recompute;
-use crate::viewdef::SimpleViewDef;
+use crate::{fail, run_text};
 use gsdb::{DeltaBatch, Oid, Result, ShardedStore, Store, Update};
+use gsview_core::recompute::recompute;
+use gsview_core::{
+    consistency, BatchOutcome, CircuitMaintainer, CircuitSource, LocalBase, Maintainer,
+    MaterializedView, ParallelMaintainer, SimpleViewDef,
+};
 
 /// The outcome of one oracle run.
 #[derive(Clone, Debug, Default)]
@@ -57,7 +57,7 @@ impl OracleVerdict {
 /// chaos harness, so both sides of a differential comparison see the
 /// same effective workload. The final view is consistency-checked;
 /// any violation is a bug in the oracle itself and panics.
-pub fn reference_members(
+pub(crate) fn reference_members(
     def: &SimpleViewDef,
     initial: &Store,
     updates: &[Update],
@@ -82,7 +82,7 @@ pub fn reference_members(
 /// if they agree. The description names both the missing and the
 /// spurious members, so a differential-test failure is actionable
 /// without re-running.
-pub fn diff_members(label: &str, got: &[Oid], want: &[Oid]) -> Option<String> {
+pub(crate) fn diff_members(label: &str, got: &[Oid], want: &[Oid]) -> Option<String> {
     if got == want {
         return None;
     }
@@ -185,10 +185,8 @@ pub fn check_parallel_equivalence(
     updates: &[Update],
     threads: usize,
 ) -> Result<Vec<OracleVerdict>> {
-    use crate::parallel::ParallelMaintainer;
-
     // The parallel route's views, maintained in one fan-out at the end.
-    let mut par_views: Vec<crate::MaterializedView> = defs
+    let mut par_views: Vec<MaterializedView> = defs
         .iter()
         .map(|d| recompute(d, &mut LocalBase::new(initial)))
         .collect::<Result<_>>()?;
@@ -234,14 +232,13 @@ pub fn assert_parallel_equivalent(
         check_parallel_equivalence(defs, initial, updates, threads).expect("oracle run failed");
     for (def, v) in defs.iter().zip(&verdicts) {
         if !v.ok() {
-            let ops: Vec<String> = updates.iter().map(|u| u.to_string()).collect();
-            let msg = format!(
-                "parallel maintenance diverged for `{def}` at {threads} threads\nupdates: [{}]\nfailures:\n  {}",
-                ops.join(", "),
-                v.failures.join("\n  ")
+            fail(
+                &format!(
+                    "parallel maintenance diverged for `{def}` at {threads} threads\nupdates: {}\nfailures:",
+                    run_text(updates)
+                ),
+                &v.failures,
             );
-            gsview_obs::failure(&msg);
-            panic!("{msg}");
         }
     }
 }
@@ -383,36 +380,6 @@ pub fn check_sharded_commit_equivalence(
     Ok(verdict)
 }
 
-/// [`check_sharded_commit_equivalence`], panicking with full replay
-/// context on the first disagreement.
-pub fn assert_sharded_commit_equivalent(
-    defs: &[SimpleViewDef],
-    initial: &Store,
-    per_writer: &[Vec<Update>],
-    shards: usize,
-    threads: usize,
-) {
-    let v = check_sharded_commit_equivalence(defs, initial, per_writer, shards, threads)
-        .expect("sharded oracle run failed");
-    if !v.ok() {
-        let ops: Vec<String> = v.serialized.iter().map(|u| u.to_string()).collect();
-        let mut failures = v.failures.clone();
-        for (def, dv) in defs.iter().zip(&v.verdicts) {
-            for f in &dv.failures {
-                failures.push(format!("{def}: {f}"));
-            }
-        }
-        let msg = format!(
-            "sharded multi-writer commit diverged ({} writers, {shards} shards)\nserialized: [{}]\nfailures:\n  {}",
-            per_writer.len(),
-            ops.join(", "),
-            failures.join("\n  ")
-        );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
-    }
-}
-
 /// The outcome of one snapshot-isolation run.
 ///
 /// Produced by [`check_snapshot_isolation`]: concurrent readers raced
@@ -457,7 +424,7 @@ impl IsolationReport {
 /// deployment): while a writer applies `batches` one after another to
 /// a live store — publishing one [`EpochHandle`](gsdb::EpochHandle)
 /// snapshot per committed batch, exactly as
-/// [`Source::apply_batch`](../../gsview_warehouse/source/struct.Source.html)
+/// [`Source::apply_batch`](gsview_warehouse::Source::apply_batch)
 /// does — `readers` concurrent threads repeatedly load the latest
 /// snapshot and recompute `def` from it. Every observation must equal
 /// the view at some batch boundary (the state after exactly `k`
@@ -580,21 +547,14 @@ pub fn assert_snapshot_isolated(
     let report = check_snapshot_isolation(def, initial, batches, readers, reads_per_reader)
         .expect("isolation oracle run failed");
     if !report.ok() {
-        let runs: Vec<String> = batches
-            .iter()
-            .map(|b| {
-                let ops: Vec<String> = b.iter().map(|u| u.to_string()).collect();
-                format!("[{}]", ops.join(", "))
-            })
-            .collect();
-        let msg = format!(
-            "snapshot isolation violated for `{def}` ({} readers)\nbatches: {}\nviolations:\n  {}",
-            readers,
-            runs.join(" "),
-            report.violations.join("\n  ")
+        let runs: Vec<String> = batches.iter().map(|b| run_text(b)).collect();
+        fail(
+            &format!(
+                "snapshot isolation violated for `{def}` ({readers} readers)\nbatches: {}\nviolations:",
+                runs.join(" ")
+            ),
+            &report.violations,
         );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
     }
 }
 
@@ -771,14 +731,13 @@ pub fn assert_cross_shard_isolated(
         check_cross_shard_isolation(initial, writers, batches_per_writer, readers, reads_per_reader)
             .expect("cross-shard isolation run failed");
     if !report.ok() {
-        let msg = format!(
-            "cross-shard isolation violated ({} writers, {} shards)\nviolations:\n  {}",
-            writers,
-            initial.shard_count(),
-            report.violations.join("\n  ")
+        fail(
+            &format!(
+                "cross-shard isolation violated ({writers} writers, {} shards)\nviolations:",
+                initial.shard_count()
+            ),
+            &report.violations,
         );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
     }
 }
 
@@ -832,9 +791,7 @@ impl RecoveryVerdict {
 /// 4. **Store invariants** — the recovered store passes
 ///    [`Store::check_invariants`] (indexes, free lists, placement).
 ///
-/// Never panics on violation — inspect [`RecoveryVerdict::failures`]
-/// (or use [`assert_crash_recovery`], which also dumps the flight
-/// recorder).
+/// Never panics on violation — inspect [`RecoveryVerdict::failures`].
 pub fn check_crash_recovery(
     initial: &Store,
     batches: &[Vec<Update>],
@@ -922,53 +879,19 @@ pub fn check_crash_recovery(
     verdict
 }
 
-/// [`check_crash_recovery`], dumping the flight recorder and panicking
-/// with full replay context (crash context string, the batch runs, and
-/// every violation) on the first failure.
-pub fn assert_crash_recovery(
-    context: &str,
-    initial: &Store,
-    batches: &[Vec<Update>],
-    base_epoch: u64,
-    recovered_epoch: u64,
-    recovered: &Store,
-) {
-    let v = check_crash_recovery(initial, batches, base_epoch, recovered_epoch, recovered);
-    if !v.ok() {
-        let runs: Vec<String> = batches
-            .iter()
-            .map(|b| {
-                let ops: Vec<String> = b.iter().map(|u| u.to_string()).collect();
-                format!("[{}]", ops.join(", "))
-            })
-            .collect();
-        let msg = format!(
-            "crash recovery diverged ({context})\nrecovered epoch {} (prefix {} of {} batches)\nbatches: {}\nfailures:\n  {}",
-            v.recovered_epoch,
-            v.prefix_len,
-            batches.len(),
-            runs.join(" "),
-            v.failures.join("\n  ")
-        );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
-    }
-}
-
 /// [`check_equivalence`], panicking with full context on disagreement.
 /// The panic message includes the definition and the update run so a
 /// failure can be replayed as a unit test.
 pub fn assert_equivalent(def: &SimpleViewDef, initial: &Store, updates: &[Update]) {
     let verdict = check_equivalence(def, initial, updates).expect("oracle run failed");
     if !verdict.ok() {
-        let ops: Vec<String> = updates.iter().map(|u| u.to_string()).collect();
-        let msg = format!(
-            "maintenance routes diverged for `{def}`\nupdates: [{}]\nfailures:\n  {}",
-            ops.join(", "),
-            verdict.failures.join("\n  ")
+        fail(
+            &format!(
+                "maintenance routes diverged for `{def}`\nupdates: {}\nfailures:",
+                run_text(updates)
+            ),
+            &verdict.failures,
         );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
     }
 }
 
@@ -976,43 +899,7 @@ pub fn assert_equivalent(def: &SimpleViewDef, initial: &Store, updates: &[Update
 // Networked equivalence
 // ----------------------------------------------------------------------
 
-/// Differential check for a remote serving path: every query answered
-/// over the network boundary must equal the colocated answer against
-/// the same published epoch.
-///
-/// Deliberately generic — this crate cannot depend on the warehouse
-/// or serving crates, so the caller supplies both evaluation routes
-/// as closures (e.g. `remote` = a framed TCP round trip through the
-/// serving tier, `colocated` = `gsview_warehouse::answer` on a local
-/// [`EpochHandle`] snapshot). Returns one description per divergent
-/// query; empty means the transport is semantically invisible.
-///
-/// The check is only meaningful when both routes observe the same
-/// epoch — quiesce writers, or pin both sides to one snapshot, before
-/// calling.
-pub fn check_networked_equivalence<Q, R>(
-    queries: &[Q],
-    mut remote: impl FnMut(&Q) -> R,
-    mut colocated: impl FnMut(&Q) -> R,
-) -> Vec<String>
-where
-    Q: std::fmt::Debug,
-    R: PartialEq + std::fmt::Debug,
-{
-    let mut failures = Vec::new();
-    for q in queries {
-        let over_wire = remote(q);
-        let local = colocated(q);
-        if over_wire != local {
-            failures.push(format!(
-                "networked answer diverged for {q:?}: remote {over_wire:?} vs colocated {local:?}"
-            ));
-        }
-    }
-    failures
-}
-
-/// [`check_networked_equivalence`], panicking with every divergence
+/// [`consistency::check_networked_equivalence`], panicking with every divergence
 /// (and dumping the flight recorder) on disagreement.
 pub fn assert_networked_equivalence<Q, R>(
     queries: &[Q],
@@ -1022,14 +909,12 @@ pub fn assert_networked_equivalence<Q, R>(
     Q: std::fmt::Debug,
     R: PartialEq + std::fmt::Debug,
 {
-    let failures = check_networked_equivalence(queries, remote, colocated);
+    let failures = consistency::check_networked_equivalence(queries, remote, colocated);
     if !failures.is_empty() {
-        let msg = format!(
-            "remote serving diverged from colocated evaluation:\n  {}",
-            failures.join("\n  ")
+        fail(
+            "remote serving diverged from colocated evaluation:",
+            &failures,
         );
-        gsview_obs::failure(&msg);
-        panic!("{msg}");
     }
 }
 

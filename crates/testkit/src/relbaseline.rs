@@ -1,9 +1,9 @@
-//! # gsview-relbaseline — the relational flattening comparator
+//! The relational flattening comparator.
 //!
 //! Paper §4.4 asks: "Is it possible to represent objects of a GSDB in
 //! a relational fashion by 'flattening' the object tree ... then use
 //! existing relational view maintenance techniques to maintain the
-//! view?" Example 8 gives the three-table encoding; this crate
+//! view?" Example 8 gives the three-table encoding; this module
 //! implements it, compiles simple views to self-join chains, and
 //! maintains them with the classic counting algorithm — so the
 //! benchmarks (experiment E3) can measure the cost the paper predicts:
@@ -14,7 +14,7 @@
 //! ```
 //! use gsdb::{samples, Oid, Path, Store};
 //! use gsview_query::{CmpOp, Pred};
-//! use gsview_relbaseline::{RelDb, RelView, RelViewDef};
+//! use gsview_testkit::relbaseline::{RelDb, RelView, RelViewDef};
 //!
 //! let mut store = Store::new();
 //! samples::person_db(&mut store).unwrap();
@@ -35,11 +35,8 @@
 //! assert!(view.members().is_empty());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod counting;
-pub mod tables;
+mod counting;
+mod tables;
 
 pub use counting::{RelView, RelViewDef};
 pub use tables::{RelDb, TableDelta};

@@ -18,7 +18,7 @@
 //! self-join chain — per-level multiset walks over PARENT-CHILD —
 //! whereas the native algorithm exploits path structure directly.
 
-use crate::tables::{RelDb, TableDelta};
+use super::tables::{RelDb, TableDelta};
 use gsdb::{Label, Oid, Path};
 use gsview_query::Pred;
 use std::collections::HashMap;

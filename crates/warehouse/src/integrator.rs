@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 /// order while sources are mutually asynchronous.
 ///
 /// Any [`ReportSource`] registers — a plain [`Monitor`] or a
-/// fault-injecting [`FaultyMonitor`](crate::chaos::FaultyMonitor); the
+/// fault-injecting `FaultyMonitor` from the testkit; the
 /// integrator neither knows nor cares whether the stream is reliable.
 /// Gap and duplicate detection is the warehouse's job
 /// ([`Warehouse::handle_report`](crate::Warehouse::handle_report)),

@@ -28,10 +28,9 @@
 //! explicit [`Stale`](resync::ViewState::Stale) state and is healed by
 //! [`Warehouse::resync_view`] — diff repair from one read of the view's
 //! region, verified against a second, escalating to full recompute when
-//! the two disagree. The [`chaos`]
-//! module injects deterministic, seeded faults
-//! ([`FaultyMonitor`](chaos::FaultyMonitor) /
-//! [`FaultyWrapper`](chaos::FaultyWrapper)) and proves post-recovery
+//! the two disagree. The testkit's `chaos` module (`gsview-testkit`)
+//! injects deterministic, seeded faults through the public
+//! [`ReportSource`] and [`QueryPort`] traits and proves post-recovery
 //! views equal a never-faulted run.
 //!
 //! ## Quickstart
@@ -63,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
-pub mod chaos;
 pub mod colocated;
 pub mod durable;
 pub mod integrator;
@@ -75,9 +73,6 @@ mod warehouse;
 
 pub use cache::{AuxCache, PathKnowledge};
 pub use colocated::ColocatedViews;
-pub use chaos::{
-    ChaosPolicy, ChaosReport, ChaosScenario, ChaosStats, FaultyMonitor, FaultyWrapper,
-};
 pub use durable::{ChunkCache, FetchStats};
 pub use integrator::{spawn_channel_integrator, Integrator};
 pub use protocol::{

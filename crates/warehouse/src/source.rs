@@ -30,7 +30,7 @@
 //! long source-local batch holds locks complete immediately against
 //! the pre-batch state. Each read observes exactly one committed
 //! epoch, never a torn intermediate — not even across shards
-//! (verified differentially by `gsview-core`'s
+//! (verified differentially by `gsview-testkit`'s
 //! `check_snapshot_isolation` and its cross-shard marker pairs).
 //!
 //! Report sequencing rides on the pipeline's commit log: entries are
@@ -46,7 +46,8 @@ use crate::protocol::{
     UpdateReport,
 };
 use gsdb::{
-    path, AppliedUpdate, EpochHandle, Oid, Result, ShardedStore, Store, StoreConfig, Update,
+    path, AppliedUpdate, EpochHandle, Oid, PublishInfo, Result, ShardedStore, Store, StoreConfig,
+    Update,
 };
 use gsview_durable::{DurableStore, PersistMeta, PersistReceipt};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,8 +112,8 @@ impl DurabilityHealth {
 /// The warehouse side of the query protocol: anything that can be
 /// asked a [`SourceQuery`] and may fail to answer.
 ///
-/// [`Wrapper`] implements this infallibly; the chaos decorator
-/// [`FaultyWrapper`](crate::chaos::FaultyWrapper) injects
+/// [`Wrapper`] implements this infallibly; the testkit's chaos
+/// decorator `FaultyWrapper` injects
 /// [`QueryFault`]s. The warehouse never talks to a port directly — it
 /// goes through a retrying [`Channel`](crate::remote::Channel).
 pub trait QueryPort: Send + Sync {
@@ -292,29 +293,20 @@ impl Source {
     /// point would leave behind.
     ///
     /// Attach before concurrent writers start (setup time, or right
-    /// after [`Source::recover`]); the baseline snapshot and watermark
-    /// are read in two steps and assume no commit races between them.
+    /// after [`Source::recover`]): the baseline is one consistent
+    /// (snapshot, epoch, seq) triple, but a commit published between
+    /// the baseline and the hook's installation is not persisted.
     pub fn attach_durable(
         &self,
         durable: Arc<DurableStore>,
     ) -> gsview_durable::Result<PersistReceipt> {
-        let receipt = durable.persist(
-            &self.name,
-            &self.store.snapshot(),
-            PersistMeta {
-                epoch: self.store.epoch(),
-                seq: self.store.assigned_seq_total(),
-            },
-        )?;
+        let receipt = self.persist_published(&durable)?;
         let name = self.name.clone();
         let health = Arc::clone(&self.durability);
         let retries = gsview_obs::registry().counter("durable.persist.hook_retries");
         let errors = gsview_obs::registry().counter("durable.persist.hook_errors");
         self.store.set_publish_hook(move |info, snapshot| {
-            let meta = PersistMeta {
-                epoch: info.epoch,
-                seq: info.assigned_seq_total,
-            };
+            let meta = persist_meta(info);
             let mut attempt = 0;
             let e = loop {
                 match durable.persist(&name, snapshot, meta.clone()) {
@@ -375,16 +367,16 @@ impl Source {
                 "durability degraded: {msg}"
             )));
         }
-        let receipt = durable.persist(
-            &self.name,
-            &self.store.snapshot(),
-            PersistMeta {
-                epoch: self.store.epoch(),
-                seq: self.store.assigned_seq_total(),
-            },
-        )?;
+        let receipt = self.persist_published(durable)?;
         self.durability.clear();
         Ok(receipt)
+    }
+
+    /// Persist the latest published snapshot under the epoch and seq
+    /// read with it ([`ShardedStore::published`]).
+    fn persist_published(&self, durable: &DurableStore) -> gsview_durable::Result<PersistReceipt> {
+        let (info, snapshot) = self.store.published();
+        durable.persist(&self.name, &snapshot, persist_meta(&info))
     }
 
     /// Reopen a source **warm** from its durable lineage: rebuild the
@@ -426,6 +418,15 @@ impl Source {
     /// mirrored into the obs metrics registry.
     pub fn stats_with_footprint(&self, durable: &DurableStore) -> (u64, gsdb::StoreStats) {
         gsview_durable::stats_with_footprint(&self.store.epoch_handle(), durable)
+    }
+}
+
+/// What a persisted manifest records of the snapshot `info` describes:
+/// its epoch and its seq watermark.
+fn persist_meta(info: &PublishInfo) -> PersistMeta {
+    PersistMeta {
+        epoch: info.epoch,
+        seq: info.assigned_seq_total,
     }
 }
 
@@ -909,5 +910,52 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_explicit_persist_records_the_epoch_and_seq_of_its_snapshot() {
+        // A writer commits modify(X, k) for k = 1..N while the main
+        // thread persists again and again: every recovered manifest
+        // must name the epoch and seq of the snapshot it holds, here
+        // both k past the baseline exactly when X = k.
+        const N: i64 = 2_000;
+        let src = Source::empty("race", oid("X"), ReportLevel::OidsOnly);
+        src.with_store(|s| s.create(gsdb::Object::atom("X", "x", 0i64)).map(|_| ()))
+            .unwrap();
+        let durable = Arc::new(DurableStore::open(gsview_durable::MediaSet::memory()).unwrap());
+        src.persist_now(&durable).unwrap();
+        let base = durable.recover("race").unwrap().unwrap().manifest;
+        let done = AtomicBool::new(false);
+        let mut checked = 0;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 1..=N {
+                    src.apply(Update::modify("X", k)).unwrap();
+                }
+                done.store(true, Ordering::Release);
+            });
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                src.persist_now(&durable).unwrap();
+                let rec = durable.recover("race").unwrap().unwrap();
+                let x = match rec.store.atom(oid("X")) {
+                    Some(gsdb::Atom::Int(v)) => *v as u64,
+                    other => panic!("X holds {other:?}"),
+                };
+                let (m, b) = (&rec.manifest, &base);
+                assert_eq!(
+                    (m.epoch - b.epoch, m.seq - b.seq),
+                    (x, x),
+                    "manifest epoch {} seq {} over a snapshot with X = {x}",
+                    m.epoch,
+                    m.seq
+                );
+                checked += 1;
+                if finished {
+                    break;
+                }
+            }
+        });
+        assert!(checked > 1, "the persists raced no commit");
     }
 }

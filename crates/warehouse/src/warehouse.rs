@@ -777,7 +777,7 @@ impl Warehouse {
     /// Healing reads over the same faulty channel as maintenance, so a
     /// resync can itself lose queries; in that case the view *stays*
     /// stale (`healed == false`) and the caller retries — see the
-    /// bounded loop in [`chaos::run_scenario`](crate::chaos::run_scenario).
+    /// bounded loop in the testkit's `chaos::run_scenario`.
     pub fn resync_view(&mut self, view: Oid) -> Result<ResyncOutcome> {
         let _span = gsview_obs::span!("warehouse.resync_view", "view" = view.name().to_string());
         let Some(idx) = self.lookup(view) else {

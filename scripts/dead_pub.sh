@@ -3,9 +3,11 @@
 # part of crates/*/src (each file cut at its first `#[cfg(test)]`, the
 # same cut as surface.sh) whose name occurs exactly once — its own
 # declaration — as a word in the .rs files of crates, src, tests,
-# examples and gsbench. Prints `file:line: name` per hit and exits 1 if
-# there are any. A name shared by two declarations hides both; this is
-# a floor, not a proof.
+# examples and gsbench. Neither a `pub use` / `pub(crate) use`
+# re-export (one line or many) nor a comment line (`//`, `///`, `//!`) counts as an
+# occurrence: neither calls anything. Prints `file:line: name` per hit
+# and exits 1 if there are any. A name shared by two declarations hides
+# both; this is a floor, not a proof.
 #
 # usage: scripts/dead_pub.sh
 set -euo pipefail
@@ -15,10 +17,16 @@ sources() {
     find crates src tests examples gsbench -name target -prune -o -name '*.rs' -print0
 }
 
-# Every identifier-shaped word, counted once per occurrence.
+# Every identifier-shaped word outside re-exports and comment lines,
+# counted once per occurrence.
 counts=$(mktemp)
 trap 'rm -f "$counts"' EXIT
-sources | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c | awk '$1 == 1 { print $2 }' > "$counts"
+sources | xargs -0 awk '
+    reexport { if (/;/) reexport = 0; next }
+    /^[[:space:]]*pub(\([a-z]+\))?[[:space:]]+use[[:space:]]/ { if (!/;/) reexport = 1; next }
+    /^[[:space:]]*\/\// { next }
+    { print }
+' | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c | awk '$1 == 1 { print $2 }' > "$counts"
 
 dead=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { cut = 0 }

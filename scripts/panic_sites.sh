@@ -3,9 +3,12 @@
 # `.unwrap()`, `.expect(` or `panic!(`, each file cut at its first
 # `#[cfg(test)]` (the same cut as surface.sh), so test modules do not
 # count. A line with two matches counts once. Crates with no site are
-# listed with 0; the total comes last.
+# listed with 0; the total comes last. crates/testkit is skipped by
+# default: it is test code that only tests and experiments link, and
+# asserting is its job.
 #
-# usage: scripts/panic_sites.sh [--lines] [crate-dir ...]   (default: crates/*)
+# usage: scripts/panic_sites.sh [--lines] [crate-dir ...]
+#        (default: crates/* except crates/testkit)
 #        --lines  also print each site as `file:line: text`
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,7 +18,11 @@ if [ "${1:-}" = "--lines" ]; then
     lines=1
     shift
 fi
-[ "$#" -gt 0 ] || set -- crates/*
+if [ "$#" -eq 0 ]; then
+    for dir in crates/*; do
+        [ "$dir" = crates/testkit ] || set -- "$@" "$dir"
+    done
+fi
 
 # "<crate> <file>:<line>: <text>" for every site in the crate directories given.
 sites() {

@@ -3,6 +3,8 @@
 # under src/ cut at its first `#[cfg(test)]`, that line included) and
 # `pub` items declared in those lines. `pub(crate)`/`pub(super)` items
 # and public fields are not counted; a `pub use` counts once per line.
+# crates/testkit is measured like any crate and counts in the total:
+# code moved there from a library crate is moved, not removed.
 #
 # usage: scripts/surface.sh [crate-dir ...]        (default: crates/*)
 #        scripts/surface.sh --diff <git-ref>       working tree against

@@ -18,7 +18,6 @@
 //!   backpressure and admission control);
 //! * [`durable`] — the durable epoch log: content-addressed chunk
 //!   segment, CRC-framed manifests, crash-fault injection;
-//! * [`relbaseline`] — the relational-flattening comparator (§4.4);
 //! * [`workload`] — deterministic synthetic workloads;
 //! * [`obs`] — zero-dependency tracing, metrics, and the flight
 //!   recorder (spans/events, sharded counters, failure dumps).
@@ -33,5 +32,4 @@ pub use gsview_durable as durable;
 pub use gsview_warehouse as warehouse;
 pub use gsview_serve as serve;
 pub use gsview_obs as obs;
-pub use gsview_relbaseline as relbaseline;
 pub use gsview_workload as workload;

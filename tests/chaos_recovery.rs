@@ -32,8 +32,8 @@ use gsview::gsdb::{graph, Atom, Object, Oid, Store, StoreConfig, Update};
 use gsview::obs::fault;
 use gsview::query::{CmpOp, Pred};
 use gsview::views::{recompute, LocalBase, SimpleViewDef};
-use gsview::warehouse::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
 use gsview::warehouse::{ReportLevel, RetryPolicy, Source, ViewOptions, Warehouse};
+use gsview_testkit::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
 use proptest::prelude::*;
 
 const LABELS: &[&str] = &["a", "b", "c"];
@@ -404,7 +404,7 @@ fn region_set_up_on_the_person_db() {
 /// because the counters are process-global and tests run in parallel.
 #[test]
 fn dead_letters_bump_the_global_dlq_counters() {
-    use gsview::warehouse::chaos::run_scenario;
+    use gsview_testkit::chaos::run_scenario;
 
     let enter = gsview::obs::registry().counter("warehouse.dlq.enter");
     let leave = gsview::obs::registry().counter("warehouse.dlq.leave");

@@ -14,8 +14,8 @@
 use gsview::gsdb::{Atom, Object, Oid, Store, StoreConfig, Update};
 use gsview::obs;
 use gsview::views::SimpleViewDef;
-use gsview::warehouse::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
 use gsview::warehouse::ReportLevel;
+use gsview_testkit::chaos::{assert_recovers, ChaosPolicy, ChaosScenario};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 

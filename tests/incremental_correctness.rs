@@ -199,7 +199,7 @@ proptest! {
     /// same stream.
     #[test]
     fn relational_baseline_agrees(spec in tree_strategy(24), ops in ops_strategy(20), salt in 0u32..1_000_000) {
-        use gsview::relbaseline::{RelDb, RelView, RelViewDef};
+        use gsview_testkit::relbaseline::{RelDb, RelView, RelViewDef};
         let salt = format!("rb{salt}_");
         let (mut store, root, sets, atoms) = build(&spec, &salt, StoreConfig::default());
         let def = SimpleViewDef::new(

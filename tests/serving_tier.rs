@@ -16,8 +16,8 @@ use gsview::serve::{
     encode_frame, FrameClient, FrameDecoder, Reply, Request, RequestBody,
     ServeConfig, Server, SourceService, DEFAULT_MAX_FRAME,
 };
-use gsview::views::assert_networked_equivalence;
 use gsview::warehouse::{answer, CostMeter, ReportLevel, Source, SourceQuery};
+use gsview_testkit::oracle::assert_networked_equivalence;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;

@@ -7,11 +7,11 @@ use gsview::gsdb::{samples, Oid, StoreConfig, Update};
 use gsview::query::{CmpOp, Pred};
 use gsview::views::{consistency, recompute, LocalBase, SimpleViewDef};
 use gsview::warehouse::{
-    spawn_channel_integrator, ChaosPolicy, CostMeter, FaultyWrapper, QueryFault, QueryPort,
-    ReportLevel, RetryPolicy, Source, SourceQuery, SourceReply, StaleCause, ViewOptions,
-    ViewState, Warehouse,
+    spawn_channel_integrator, CostMeter, QueryFault, QueryPort, ReportLevel, RetryPolicy, Source,
+    SourceQuery, SourceReply, StaleCause, ViewOptions, ViewState, Warehouse,
 };
 use gsview::workload::{relations, relations_churn, ChurnSpec, RelationsSpec};
+use gsview_testkit::chaos::{ChaosPolicy, FaultyWrapper};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -13,8 +13,9 @@ use gsview::durable::{
 };
 use gsview::gsdb::{samples, Oid, Update};
 use gsview::query::{CmpOp, Pred};
-use gsview::views::{check_crash_recovery, SimpleViewDef};
+use gsview::views::SimpleViewDef;
 use gsview::warehouse::{ReportLevel, Source, ViewOptions, Warehouse};
+use gsview_testkit::oracle::check_crash_recovery;
 use std::sync::Arc;
 
 fn oid(s: &str) -> Oid {
