@@ -320,7 +320,7 @@ fn run_history(epochs: usize) -> RestartRow {
 }
 
 /// The history leg's `(epochs, bytes the open scan read, live bytes)`
-/// after each of [`HISTORY_EPOCHS`]: byte counts, so the smoke test can
+/// after each of `HISTORY_EPOCHS`: byte counts, so the smoke test can
 /// pin the scan within a multiple of the live bytes exactly.
 pub fn history_facts() -> Vec<(usize, u64, u64)> {
     HISTORY_EPOCHS

@@ -339,7 +339,7 @@ type ShapeFacts = (&'static str, u64, Option<u64>);
 /// (`baselines/e18_quick.json`): at the smallest quick size and 1%
 /// selectivity — the consolidated batch size, and per shape the
 /// membership changes (identical across backends; the parity assert
-/// lives inside [`measure`]) and, for a shape with a circuit, the
+/// lives inside `measure`) and, for a shape with a circuit, the
 /// circuit's live state entries after the batch.
 pub fn quick_facts() -> (u64, Vec<ShapeFacts>) {
     let objects = QUICK_SIZES[0];

@@ -19,13 +19,15 @@
 //!                └─► distinct pairs ─► weighted aggregate ─► Δagg
 //! ```
 //!
-//! Initialization and incremental steps share one code path: loading
-//! a store is a batch that creates every object, so the state reached
-//! incrementally is — by construction — the state a from-scratch
-//! rebuild reaches. That is the invariant the four-way differential
-//! oracle in core pins down.
+//! A build and a step differ only in their first stage, which turns
+//! the input into pending deltas. A build seeds the branch roots and
+//! gives the witness flows their base terms in one pass over the
+//! records; a step reads the batch's live change. From there both run
+//! the same propagation, so a build reaches the state a step from an
+//! empty store reaches under a batch that creates every record. The
+//! four-way differential oracle pins that invariant down.
 
-use crate::operator::{BackwardFlow, ForwardFlow};
+use crate::operator::{BackwardFlow, ForwardFlow, Rows};
 use crate::zset::{DistinctOp, ZSet};
 use gsdb::{DeltaBatch, FastMap, FastSet, LiveDelta, Oid, Path, Store};
 use gsview_query::Pred;
@@ -163,25 +165,19 @@ struct BranchState {
 #[derive(Clone, Debug)]
 struct AggState {
     flow: ForwardFlow<Oid>,
-    /// The (member, endpoint) pairs with positive flow support.
-    endpoints: FastMap<Oid, FastSet<Oid>>,
-    holders: FastMap<Oid, FastSet<Oid>>,
+    /// The (member, endpoint) pairs with positive flow support, by
+    /// member and by endpoint, each at count 1. A member holds a few
+    /// dozen endpoints at most and an endpoint one or two members, so
+    /// a short row, its first entry inline, serves each side.
+    endpoints: Rows<Oid>,
+    holders: Rows<Oid>,
     values: FastMap<Oid, Option<f64>>,
     f: AggFn,
 }
 
-/// Add (`on`) or remove `v` in `k`'s set, dropping the set once empty.
-fn link(map: &mut FastMap<Oid, FastSet<Oid>>, k: Oid, v: Oid, on: bool) {
-    let set = map.entry(k).or_default();
-    if on {
-        set.insert(v);
-    } else {
-        set.remove(&v);
-        if set.is_empty() {
-            map.remove(&k);
-        }
-    }
-}
+/// One branch's pending deltas: its selection flow's and its witness
+/// flow's.
+type Pending = (ZSet<((), Oid, u32)>, ZSet<(Oid, u32)>);
 
 /// A compiled, stateful delta circuit for one view.
 ///
@@ -222,8 +218,8 @@ impl Circuit {
             .collect();
         let agg = def.aggregate.as_ref().map(|a| AggState {
             flow: ForwardFlow::new(&a.path),
-            endpoints: FastMap::default(),
-            holders: FastMap::default(),
+            endpoints: Rows::default(),
+            holders: Rows::default(),
             values: FastMap::default(),
             f: a.f,
         });
@@ -236,12 +232,42 @@ impl Circuit {
         }
     }
 
-    /// Load a store snapshot into a freshly compiled circuit. Shares
-    /// the propagation with [`Circuit::step`]: the whole store is one
-    /// "everything created" batch.
+    /// Build a freshly compiled circuit's state from a store snapshot.
+    /// The branch roots seed the selection flows, and one pass over the
+    /// records gives every witness flow its base terms; propagation
+    /// from there, shared with [`Circuit::step`], walks the store's
+    /// edges. No edge term is needed: with no count anywhere it would
+    /// carry nothing. The input weight counts the records and the
+    /// atoms among them, as a batch creating every record would.
     pub fn init(&mut self, store: &Store) -> StepOutput {
         *self = Circuit::compile(self.def.clone());
-        self.run(&LiveDelta::load(store), store, true)
+        let _span = gsview_obs::span!(
+            "maint.circuit.step",
+            "records" = store.len(),
+            "init" = true,
+        );
+        let mut pending: Vec<Pending> = self
+            .branches
+            .iter()
+            .zip(&self.def.branches)
+            .map(|(branch, def)| {
+                let mut sp = ZSet::new();
+                branch.sel.seed(&mut sp, (), def.root, 1);
+                (sp, ZSet::new())
+            })
+            .collect();
+        let mut input_weight = 0;
+        for o in store.iter() {
+            input_weight += 1;
+            let Some(atom) = o.atom_value() else { continue };
+            input_weight += 1;
+            for (branch, (_, wp)) in self.branches.iter().zip(&mut pending) {
+                if let Some(w) = &branch.witness {
+                    w.base_event(wp, o.oid, o.label, None, Some(atom));
+                }
+            }
+        }
+        self.run(store, pending, ZSet::new(), None, input_weight)
     }
 
     /// Apply one batch (`store` is the post-batch store; the pre-batch
@@ -256,7 +282,44 @@ impl Circuit {
         // no hold on it. Pages no newer epoch shares are freed here,
         // ahead of the propagation that allocates, rather than after it.
         drop(base);
-        self.run(&events, store, false)
+        let _span = gsview_obs::span!(
+            "maint.circuit.step",
+            "input" = events.weight(),
+            "init" = false,
+        );
+
+        // Stage 1: translate events into per-operator pending deltas
+        // against the *pre-propagation* counts. Every operator must
+        // see the whole batch before any operator propagates — that
+        // is what makes batch application equal to the sum of its
+        // parts.
+        let mut pending = Vec::with_capacity(self.branches.len());
+        for branch in &self.branches {
+            let mut sp = ZSet::new();
+            let mut wp = ZSet::new();
+            if let Some(w) = branch.witness.as_ref() {
+                for a in &events.atoms {
+                    w.base_event(&mut wp, a.oid, a.label, a.old.as_ref(), a.new.as_ref());
+                }
+                for e in &events.edges {
+                    w.edge_event(&mut wp, e.parent, e.child, e.child_label, e.w);
+                }
+            }
+            for e in &events.edges {
+                branch
+                    .sel
+                    .edge_event(&mut sp, e.parent, e.child, e.child_label, e.w);
+            }
+            pending.push((sp, wp));
+        }
+        let mut agg_pending: ZSet<(Oid, Oid, u32)> = ZSet::new();
+        if let Some(agg) = self.agg.as_ref() {
+            for e in &events.edges {
+                agg.flow
+                    .edge_event(&mut agg_pending, e.parent, e.child, e.child_label, e.w);
+            }
+        }
+        self.run(store, pending, agg_pending, Some(&events), events.weight())
     }
 
     /// Version of the store the circuit last reached; `None` before
@@ -288,69 +351,36 @@ impl Circuit {
         let all: Vec<f64> = self
             .view
             .keys()
-            .flat_map(|y| agg.endpoints.get(&y))
-            .flatten()
-            .filter_map(|&z| store.atom(z).and_then(|a| a.as_f64()))
+            .flat_map(|y| agg.endpoints.row(y))
+            .filter_map(|&(z, _)| store.atom(z).and_then(|a| a.as_f64()))
             .collect();
         agg.f.compute(&all)
     }
 
-    fn run(&mut self, events: &LiveDelta, store: &Store, inject_roots: bool) -> StepOutput {
-        let _span = gsview_obs::span!(
-            "maint.circuit.step",
-            "input" = events.weight(),
-            "init" = inject_roots,
-        );
+    /// Stages 2–4, from the pending deltas stage 1 made: `events` is
+    /// the step's live change, `None` for a build.
+    fn run(
+        &mut self,
+        store: &Store,
+        pending: Vec<Pending>,
+        mut agg_pending: ZSet<(Oid, Oid, u32)>,
+        events: Option<&LiveDelta>,
+        input_weight: u64,
+    ) -> StepOutput {
         let mut stats = StepStats {
-            input_weight: events.weight(),
+            input_weight,
             ..StepStats::default()
         };
-
-        // Stage 1: translate events into per-operator pending deltas
-        // against the *pre-propagation* counts. Every operator must
-        // see the whole batch before any operator propagates — that
-        // is what makes batch application equal to the sum of its
-        // parts.
-        let mut pending = Vec::with_capacity(self.branches.len());
-        for (branch, def) in self.branches.iter().zip(&self.def.branches) {
-            let mut sp = ZSet::new();
-            if inject_roots {
-                branch.sel.seed(&mut sp, (), def.root, 1);
-            }
-            let mut wp = ZSet::new();
-            if let Some(w) = branch.witness.as_ref() {
-                for a in &events.atoms {
-                    w.base_event(&mut wp, a.oid, a.label, a.old.as_ref(), a.new.as_ref());
-                }
-                for e in &events.edges {
-                    w.edge_event(&mut wp, e.parent, e.child, e.child_label, e.w);
-                }
-            }
-            for e in &events.edges {
-                branch
-                    .sel
-                    .edge_event(&mut sp, e.parent, e.child, e.child_label, e.w);
-            }
-            pending.push((sp, wp));
-        }
-        let mut agg_pending: ZSet<(Oid, Oid, u32)> = ZSet::new();
-        if let Some(agg) = self.agg.as_ref() {
-            for e in &events.edges {
-                agg.flow
-                    .edge_event(&mut agg_pending, e.parent, e.child, e.child_label, e.w);
-            }
-        }
 
         // Stage 2: propagate selection and witness flows to their
         // fixpoints, collecting membership candidates. Every record a
         // step created or removed is one (a member needs a live record).
-        // Init creates every object, but a fresh circuit has no member
-        // to lose and can gain only an object whose selection support
-        // its propagation dirtied, so init skips them.
+        // A build has no member to lose and can gain only an object
+        // whose selection support its propagation dirtied.
         let mut dirty_members: FastSet<Oid> = FastSet::default();
-        if !inject_roots {
-            dirty_members.extend(events.created.iter().copied());
-            dirty_members.extend(events.removed.iter().copied());
+        if let Some(ev) = events {
+            dirty_members.extend(ev.created.iter().copied());
+            dirty_members.extend(ev.removed.iter().copied());
         }
         for (branch, (sp, wp)) in self.branches.iter_mut().zip(pending) {
             let mut sel_dirty: FastSet<((), Oid)> = FastSet::default();
@@ -405,33 +435,30 @@ impl Circuit {
             let mut dirty_agg: FastSet<Oid> = FastSet::default();
             for (y, z) in dirty_pairs {
                 let now = flow.support(y, z) > 0;
-                if now != endpoints.get(&y).is_some_and(|zs| zs.contains(&z)) {
-                    link(endpoints, y, z, now);
-                    link(holders, z, y, now);
+                if now != endpoints.row(y).iter().any(|e| e.0 == z) {
+                    let d = if now { 1 } else { -1 };
+                    endpoints.bump(y, z, d);
+                    holders.bump(z, y, d);
                     dirty_agg.insert(y);
                 }
             }
             // A held endpoint's value can change through a surviving
             // modify, or through a remove + re-create in one batch
             // (net-zero edge churn, so no pair delta) — both are atom
-            // events, and both dirty the holding members.
-            for a in &events.atoms {
-                if let Some(hs) = holders.get(&a.oid) {
-                    dirty_agg.extend(hs.iter().copied());
-                }
+            // events, and both dirty the holding members. A build's
+            // every held endpoint is a new pair, already dirty.
+            for a in events.iter().flat_map(|ev| &ev.atoms) {
+                dirty_agg.extend(holders.row(a.oid).iter().map(|e| e.0));
             }
             dirty_agg.extend(member_deltas.iter().map(|&(y, _)| y));
             let view = &self.view;
             for y in dirty_agg {
                 let new = if view.contains(y) {
                     let vals: Vec<f64> = endpoints
-                        .get(&y)
-                        .map(|zs| {
-                            zs.iter()
-                                .filter_map(|&z| store.atom(z).and_then(|a| a.as_f64()))
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                        .row(y)
+                        .iter()
+                        .filter_map(|&(z, _)| store.atom(z).and_then(|a| a.as_f64()))
+                        .collect();
                     Some(f.compute(&vals))
                 } else {
                     None

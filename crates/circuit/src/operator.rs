@@ -55,10 +55,10 @@ enum Row<K> {
     Many(Vec<(K, i64)>),
 }
 
-/// A flow's counts: one [`Row`] per node, no zero count, no empty row,
-/// and `live` entries in all.
+/// One [`Row`] per node, no zero count, no empty row, and `live`
+/// entries in all: a flow's counts, and an aggregate's pair indexes.
 #[derive(Clone, Debug)]
-struct Rows<K> {
+pub(crate) struct Rows<K> {
     rows: FastMap<Oid, Row<K>>,
     live: usize,
 }
@@ -73,7 +73,7 @@ impl<K> Default for Rows<K> {
 }
 
 impl<K: Copy + Eq> Rows<K> {
-    fn row(&self, node: Oid) -> &[(K, i64)] {
+    pub(crate) fn row(&self, node: Oid) -> &[(K, i64)] {
         match self.rows.get(&node) {
             Some(Row::One(e)) => e,
             Some(Row::Many(v)) => v,
@@ -82,7 +82,7 @@ impl<K: Copy + Eq> Rows<K> {
     }
 
     /// Add a non-zero `delta` to `key`'s count at `node`.
-    fn bump(&mut self, node: Oid, key: K, delta: i64) {
+    pub(crate) fn bump(&mut self, node: Oid, key: K, delta: i64) {
         let mut slot = match self.rows.entry(node) {
             Entry::Occupied(o) => o,
             Entry::Vacant(v) => {
@@ -118,15 +118,22 @@ impl<K: Copy + Eq> Rows<K> {
 /// Drain `pending` in rounds: `apply` takes each entry of a round and
 /// adds what it derives to the next, one unit of `pops` per entry. A
 /// round moves every entry one path position on, so the rounds run out.
-fn drain<K: Eq + Hash + Copy>(
+/// `rows` makes room for a round's entries before they land, and the
+/// next round's Z-set starts at the size of this one: a build's tables
+/// do not grow one doubling at a time from empty.
+fn drain<K: Eq + Hash + Copy, R>(
     mut pending: ZSet<K>,
     pops: &mut u64,
-    mut apply: impl FnMut(K, i64, &mut ZSet<K>),
+    rows: &mut Rows<R>,
+    mut apply: impl FnMut(&mut Rows<R>, K, i64, &mut ZSet<K>),
 ) {
     while !pending.is_empty() {
-        for (key, delta) in std::mem::take(&mut pending).iter() {
+        let n = pending.len();
+        let round = std::mem::replace(&mut pending, ZSet::with_capacity(n));
+        rows.rows.reserve(n);
+        for (key, delta) in round.iter() {
             *pops += 1;
-            apply(key, delta, &mut pending);
+            apply(rows, key, delta, &mut pending);
         }
     }
 }
@@ -191,20 +198,28 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
         pops: &mut u64,
         dirty: &mut FastSet<(S, Oid)>,
     ) {
-        drain(pending, pops, |(src, node, s), delta, next| {
-            self.rows.bump(node, (src, s), delta);
-            if s == self.nfa.accept_state() {
-                dirty.insert((src, node));
-            }
-            // A record-less node has no children; a record-less child
-            // is a dangling entry, not a live edge.
-            for &c in store.children(node) {
-                let Some(l) = store.label(c) else { continue };
-                for s2 in bits(self.nfa.step_mask(1 << s, l)) {
-                    next.add((src, c, s2), delta);
+        drain(
+            pending,
+            pops,
+            &mut self.rows,
+            |rows, (src, node, s), delta, next| {
+                rows.bump(node, (src, s), delta);
+                if s == self.nfa.accept_state() {
+                    // A chain's accepting state steps nowhere: its
+                    // children would be read for nothing.
+                    dirty.insert((src, node));
+                    return;
                 }
-            }
-        })
+                // A record-less node has no children; a record-less child
+                // is a dangling entry, not a live edge.
+                for &c in store.children(node) {
+                    let Some(l) = store.label(c) else { continue };
+                    for s2 in bits(self.nfa.step_mask(1 << s, l)) {
+                        next.add((src, c, s2), delta);
+                    }
+                }
+            },
+        )
     }
 
     /// Accepting support of `(src, node)` — the operator's output
@@ -307,23 +322,30 @@ impl BackwardFlow {
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
     ) {
-        drain(pending, pops, |(node, s), delta, next| {
-            self.rows.bump(node, s, delta);
-            if self.nfa.start_mask() >> s & 1 != 0 {
-                dirty.insert(node);
-            }
-            // A removed node that a parent still names is the child of
-            // a dangling entry, not of a live edge: it stops here.
-            let Some(l) = store.label(node) else { return };
-            let inv = self.nfa.step_back_mask(1 << s, l);
-            if inv != 0 {
-                for p in store.parents(node).iter() {
-                    for s0 in bits(inv) {
-                        next.add((p, s0), delta);
+        drain(
+            pending,
+            pops,
+            &mut self.rows,
+            |rows, (node, s), delta, next| {
+                rows.bump(node, s, delta);
+                if self.nfa.start_mask() >> s & 1 != 0 {
+                    // Nor does anything step into a chain's start state.
+                    dirty.insert(node);
+                    return;
+                }
+                // A removed node that a parent still names is the child of
+                // a dangling entry, not of a live edge: it stops here.
+                let Some(l) = store.label(node) else { return };
+                let inv = self.nfa.step_back_mask(1 << s, l);
+                if inv != 0 {
+                    for p in store.parents(node).iter() {
+                        for s0 in bits(inv) {
+                            next.add((p, s0), delta);
+                        }
                     }
                 }
-            }
-        })
+            },
+        )
     }
 
     /// Witness support of `node` (positive iff a satisfying instance
@@ -376,6 +398,23 @@ mod tests {
         assert_eq!(f.support((), oid("P1")), 1);
         assert_eq!(f.support((), oid("A1")), 0);
         assert_eq!(f.support((), oid("ROOT")), 0);
+    }
+
+    #[test]
+    fn a_flow_reads_no_children_below_the_accepting_state() {
+        // `professor` accepts at the professors and steps no further:
+        // their children are neither fetched nor labelled. The reads
+        // are the root's children fetch and one label per child.
+        let mut s = Store::counting();
+        gsdb::samples::person_db(&mut s).unwrap();
+        s.reset_accesses();
+        let (f, pops) = run_forward("professor", &s, "ROOT");
+        let cost = s.accesses();
+        s.set_count_accesses(false);
+        assert_eq!(f.support((), oid("P1")), 1);
+        assert_eq!(f.support((), oid("P2")), 1);
+        assert_eq!(pops, 3);
+        assert_eq!(cost, 1 + s.children(oid("ROOT")).len() as u64);
     }
 
     #[test]

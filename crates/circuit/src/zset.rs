@@ -35,6 +35,13 @@ impl<K: Eq + Hash + Copy> ZSet<K> {
         Self::default()
     }
 
+    /// An empty Z-set with room for `n` keys.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        ZSet {
+            weights: FastMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
     /// Add `w` to the weight of `key`, consolidating to zero. Returns
     /// the new weight. Weights saturate instead of overflowing: the
     /// circuit layer treats a saturated count as "very many

@@ -30,9 +30,11 @@
 //! stepped to: the version of the store fork the circuit keeps as its
 //! pre-batch side ([`Circuit::version`]). If a batch arrives whose
 //! pre-state does not match (a recovery replay, a fork, a missed
-//! epoch), the maintainer falls back to an epoch-consistent rebuild —
-//! [`Circuit::init`] against the current store — which is by
-//! construction equivalent to recomputation. That guard is the only
+//! epoch), the maintainer falls back to an epoch-consistent rebuild:
+//! [`Circuit::init`] against the current store. A build seeds the
+//! branch roots, reads each record once for the witness flows' base
+//! terms and then propagates as a step does, so it is by construction
+//! equivalent to recomputation. That guard is the only
 //! fallback: a step over constant paths cannot fail. After a rebuild
 //! the view may be any number of batches behind, so a rebuild alone
 //! reconciles it against the full member set. The guard runs before
@@ -135,8 +137,8 @@ struct Inner {
 /// delta circuit instead of Algorithm 1.
 ///
 /// The circuit state lives behind a mutex so the maintainer exposes
-/// the same `&self` batch interface as [`GeneralMaintainer`]
-/// (`crate::general::GeneralMaintainer`).
+/// the same `&self` batch interface as
+/// [`GeneralMaintainer`](crate::GeneralMaintainer).
 #[derive(Debug)]
 pub struct CircuitMaintainer {
     source: CircuitSource,
@@ -171,9 +173,9 @@ impl CircuitMaintainer {
     /// The circuit state, even behind a lock a panicking thread
     /// poisoned. That is sound because a half-run call leaves nothing
     /// a later call trusts: `step` takes the base fork before it
-    /// propagates and `init` recompiles before it loads, so a call that
-    /// panicked leaves `version() == None`, the version guard fails,
-    /// and the next batch rebuilds.
+    /// propagates and `init` recompiles before it reads the records,
+    /// so a call that panicked leaves `version() == None`, the version
+    /// guard fails, and the next batch rebuilds.
     fn inner(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -290,7 +292,8 @@ impl CircuitMaintainer {
     /// Current members, sorted by name (aggregate sources included).
     pub fn members(&self) -> Vec<Oid> {
         let mut v = self.inner().circuit.members();
-        v.sort_by_key(|o| o.name());
+        // Each name is resolved once, not once per comparison.
+        v.sort_by_cached_key(|o| o.name());
         v
     }
 

@@ -325,7 +325,7 @@ fn is_member(base: &mut dyn BaseAccess, def: &SimpleViewDef, y: Oid) -> bool {
 }
 
 /// Re-verify every current member against ground truth
-/// ([`is_member`]) and evict the ones that no longer qualify. Returns
+/// (`is_member`) and evict the ones that no longer qualify. Returns
 /// the evicted base OIDs.
 ///
 /// This is the member re-verification sweep of the repair phase of

@@ -13,9 +13,12 @@
 //! bases are acyclic: a union and an aggregate over constant paths
 //! step through every batch (one build, no rebuild) and equal
 //! recomputation, members and aggregates, cycles and self-loops
-//! included.
+//! included. A circuit built whole from such a base equals one built
+//! on the empty store and stepped by the batch that creates the base:
+//! a build and a step feed one propagation from different inputs.
 
 use gsdb::{Atom, DeltaBatch, Object, Oid, Store, Update};
+use gsview_circuit::Circuit;
 use gsview_core::recompute::recompute_members;
 use gsview_core::{
     AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundViewDef,
@@ -38,6 +41,59 @@ fn union_members(def: &CompoundViewDef, store: &Store) -> Vec<Oid> {
     union
 }
 
+/// The `i`th node of a random base.
+fn node(i: usize) -> Oid {
+    Oid::new(&format!("dc{i}"))
+}
+
+/// A random base built from the empty store: the sets of `labels`
+/// (node 0 is the views' root), then an `x` atom per value, then the
+/// edges that apply. Returns the store and the batch that built it.
+fn base(labels: &[u8], values: &[i64], edges: &[(u16, u16)]) -> (Store, DeltaBatch) {
+    let (sets, n) = (labels.len(), labels.len() + values.len());
+    let objects = labels
+        .iter()
+        .enumerate()
+        .map(|(i, l)| Object::empty_set(node(i).name(), ["a", "b"][*l as usize]))
+        .chain(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| Object::atom(node(sets + i).name(), "x", *v)),
+        );
+    let inserts = edges.iter().map(|&(u, v)| Update::Insert {
+        parent: node(u as usize % sets),
+        child: node(v as usize % n),
+    });
+    let mut store = Store::new();
+    let mut batch = DeltaBatch::new();
+    let updates = objects.map(|object| Update::Create { object });
+    for u in updates.chain(inserts) {
+        if let Ok(applied) = store.apply(u) {
+            batch.push(applied);
+        }
+    }
+    (store, batch)
+}
+
+/// The circuit leg's union: constant paths, one with a condition and
+/// one running through any self-loop on `a`.
+fn union_def() -> CompoundViewDef {
+    CompoundViewDef::new(
+        "CU",
+        vec![
+            SimpleViewDef::new("CU", node(0), "a.b").with_cond("x", Pred::new(CmpOp::Gt, 40i64)),
+            SimpleViewDef::new("CU", node(0), "b.a"),
+            SimpleViewDef::new("CU", node(0), "a.a.a"),
+        ],
+    )
+}
+
+/// The circuit leg's aggregate over constant paths.
+fn aggregate_def() -> AggregateViewDef {
+    AggregateViewDef::new(SimpleViewDef::new("CA", node(0), "a"), "b.x", AggFn::Sum)
+}
+
 /// A circuit maintainer for `source`, built on `store`, with its view.
 fn circuit(source: CircuitSource, store: &Store) -> (CircuitMaintainer, MaterializedView) {
     let cm = CircuitMaintainer::new(source);
@@ -55,21 +111,9 @@ proptest! {
         script in prop::collection::vec((0..8u8, any::<u16>(), any::<u16>(), 0..80i64), 1..32),
         cuts in prop::collection::vec(0..64usize, 0..4),
     ) {
-        // Sets first (node 0 is the views' root), then the atoms.
+        let (mut store, _) = base(&labels, &values, &edges);
         let (sets, n) = (labels.len(), labels.len() + values.len());
-        let node = |i: usize| Oid::new(&format!("dc{i}"));
-        let mut store = Store::new();
-        for (i, l) in labels.iter().enumerate() {
-            store.create(Object::empty_set(node(i).name(), ["a", "b"][*l as usize])).unwrap();
-        }
-        for (i, v) in values.iter().enumerate() {
-            store.create(Object::atom(node(sets + i).name(), "x", *v)).unwrap();
-        }
         let edge = |u: u16, v: u16| (node(u as usize % sets), node(v as usize % n));
-        for &(u, v) in &edges {
-            let (p, c) = edge(u, v);
-            let _ = store.insert_edge(p, c);
-        }
         let updates: Vec<Update> = script
             .iter()
             .map(|&(kind, u, v, x)| match kind {
@@ -109,18 +153,7 @@ proptest! {
             })
             .collect();
 
-        // The circuit leg: a union of constant paths, one with a
-        // condition and one running through any self-loop on `a`, and
-        // an aggregate over constant paths.
-        let union = CompoundViewDef::new(
-            "CU",
-            vec![
-                SimpleViewDef::new("CU", node(0), "a.b").with_cond("x", Pred::new(CmpOp::Gt, 40i64)),
-                SimpleViewDef::new("CU", node(0), "b.a"),
-                SimpleViewDef::new("CU", node(0), "a.a.a"),
-            ],
-        );
-        let aggregate = AggregateViewDef::new(SimpleViewDef::new("CA", node(0), "a"), "b.x", AggFn::Sum);
+        let (union, aggregate) = (union_def(), aggregate_def());
         let (union_cm, mut union_mv) = circuit(CircuitSource::Compound(union.clone()), &store);
         let (agg_cm, mut agg_mv) = circuit(CircuitSource::Aggregate(aggregate.clone()), &store);
 
@@ -164,6 +197,42 @@ proptest! {
             for cm in [&union_cm, &agg_cm] {
                 prop_assert_eq!((cm.steps(), cm.rebuilds()), (batches, 1), "{} steps", cm.view());
             }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_circuit_built_whole_equals_one_stepped_from_empty(
+        labels in prop::collection::vec(0..2u8, 2..9),
+        values in prop::collection::vec(0..80i64, 1..4),
+        edges in prop::collection::vec((any::<u16>(), any::<u16>()), 0..16),
+    ) {
+        let (full, batch) = base(&labels, &values, &edges);
+        // The batch starts at the empty store's version, so the version
+        // guard a maintainer runs before a step would pass.
+        prop_assert_eq!(full.version(), batch.len() as u64);
+        let sources = [
+            CircuitSource::Compound(union_def()),
+            CircuitSource::Aggregate(aggregate_def()),
+        ];
+        for source in sources {
+            let mut whole = Circuit::compile(source.lower());
+            whole.init(&full);
+            let mut stepped = Circuit::compile(source.lower());
+            stepped.init(&Store::new());
+            stepped.step(&batch, &full);
+            let sorted = |c: &Circuit| {
+                let mut m = c.members();
+                m.sort();
+                m
+            };
+            let view = source.view();
+            prop_assert_eq!(sorted(&whole), sorted(&stepped), "{} members", view);
+            for y in whole.members() {
+                prop_assert_eq!(whole.aggregate_of(y), stepped.aggregate_of(y), "{} at {}", view, y);
+            }
+            prop_assert_eq!(whole.state_len(), stepped.state_len(), "{} state", view);
         }
     }
 }

@@ -32,8 +32,8 @@
 //! frame lists are rebuilt by the same scan, so no separate index can
 //! desynchronize from the data.
 //!
-//! One persist is one [`Appender`]: chunk frames and the manifest
-//! frame accumulate in a buffer that [`Appender::commit`] hands to the
+//! One persist is one `Appender`: chunk frames and the manifest
+//! frame accumulate in a buffer that `Appender::commit` hands to the
 //! media as **one write followed by one sync**. The in-memory index
 //! learns about the new frames only after the sync returns, so a
 //! failed persist leaves the log exactly as it was and a retry

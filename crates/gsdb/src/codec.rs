@@ -604,7 +604,7 @@ impl EncodedChunk {
     /// Encode `chunk`, the successor of the chunk `self` encodes: a
     /// page pointer-equal to the one `old` held at its position is
     /// copied from `self` whole; in any other page, a slot that
-    /// [encodes the same](same_encoding) as the slot the old page held
+    /// encodes the same (`same_encoding`) as the slot the old page held
     /// at its position is copied, the rest are encoded. `old` must be
     /// the chunk `self` was encoded from.
     pub fn reencode(&self, old: &Chunk, chunk: &Chunk) -> EncodedChunk {

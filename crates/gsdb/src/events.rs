@@ -82,19 +82,6 @@ pub struct LiveDelta {
 }
 
 impl LiveDelta {
-    /// The change that loads `store` into a circuit with empty counts:
-    /// every object is created. No edge events: with no count anywhere,
-    /// they would carry nothing, and propagation from the seeds and
-    /// base terms walks the store's edges.
-    pub fn load(store: &Store) -> LiveDelta {
-        let mut ev = LiveDelta::default();
-        for o in store.iter() {
-            ev.created.push(o.oid);
-            ev.atom(o, None, o.atom_value());
-        }
-        ev
-    }
-
     /// The events that take the live graph of `base` to that of
     /// `store`, given the consolidated `delta` between them.
     pub fn derive(delta: &ConsolidatedDelta, base: &Store, store: &Store) -> LiveDelta {

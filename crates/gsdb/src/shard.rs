@@ -1,6 +1,6 @@
 //! Multi-writer commit pipeline over the sharded store.
 //!
-//! A [`Store`](crate::Store) behind one mutex serializes every writer —
+//! A [`Store`] behind one mutex serializes every writer —
 //! the paper's sources report updates *independently*, so a
 //! source-side store should let independent writers commit
 //! concurrently. [`ShardedStore`] provides that: it takes ownership of
@@ -15,7 +15,7 @@
 //!
 //! 1. **Apply.** Compute the batch's *affected shard set* (each basic
 //!    update touches the home shards of the OIDs it names — see the
-//!    ownership discipline in the [`store`](crate::store) module docs),
+//!    ownership discipline in the `store` module docs),
 //!    lock exactly those shards **in ascending index order**, and
 //!    apply the batch to copy-on-write clones of the locked states.
 //!    A failed update aborts the batch at that point with the prefix
@@ -32,8 +32,9 @@
 //! order: shard locks in ascending shard index, then the publish lock,
 //! then the log lock. Two commits that both need shards `{1, 3}` meet
 //! at shard 1; a commit never waits on a lower-ordered lock while
-//! holding a higher-ordered one. [`with_exclusive`] follows the same
-//! order (all shards ascending, then publish, then log).
+//! holding a higher-ordered one. [`ShardedStore::with_exclusive`]
+//! follows the same order (all shards ascending, then publish, then
+//! log).
 //!
 //! **Consistency.** Writers hold their affected shard locks *through*
 //! the publish step, so for any two commits either (a) their shard

@@ -246,7 +246,7 @@ pub mod prop {
             VecStrategy { elem, lens }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             elem: S,
             lens: std::ops::Range<usize>,

@@ -3,7 +3,7 @@
 //! The reactor is transport only — it knows frames and sockets, not
 //! the protocol's meaning. A [`ServeHandler`] supplies the meaning.
 //! The production handler is [`SourceService`], which exposes one
-//! [`Source`](gsview_warehouse::Source)'s wrapper/monitor roles over
+//! [`Source`]'s wrapper/monitor roles over
 //! the wire: queries answer against the latest **published epoch**
 //! (never a shard lock — a thousand concurrent readers cost the
 //! writers nothing), report polls and checkpoints delegate to the

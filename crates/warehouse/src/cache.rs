@@ -338,7 +338,7 @@ impl AuxCache {
     /// `eval(n, p, pred)` from the cache, if the region under `n`
     /// along `p` lies inside the cached region (so the local answer is
     /// complete). Just-detached subtrees remain answerable until
-    /// [`AuxCache::finalize_report`].
+    /// `AuxCache::finalize_report`.
     pub fn try_eval(&self, n: Oid, p: &Path, pred: Option<&Pred>) -> Option<Vec<Oid>> {
         if !self.covers(n) {
             return None;
@@ -364,7 +364,7 @@ impl AuxCache {
     }
 
     /// Object copy from the cache. Copies are exact for the *whole*
-    /// value: [`AuxCache::apply_report`] mirrors every reported edge
+    /// value: `AuxCache::apply_report` mirrors every reported edge
     /// that touches a cached parent — including edges whose far end
     /// lies outside the cached region, kept as dangling OIDs just as
     /// `build` copies arrive — so a cached set's child list matches

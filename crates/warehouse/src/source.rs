@@ -282,7 +282,7 @@ impl Source {
     ///
     /// Persistence runs *behind* the publish point: a failed persist
     /// (media crash) never blocks or rolls back the in-memory commit.
-    /// The hook retries up to [`PERSIST_HOOK_RETRIES`] times
+    /// The hook retries up to `PERSIST_HOOK_RETRIES` times
     /// (`durable.persist.hook_retries`); if every attempt fails it
     /// counts the loss (`durable.persist.hook_errors`) and latches the
     /// sticky [`Source::durability_degraded`] flag — the lineage now

@@ -2,7 +2,8 @@
 # Library panic sites per crate: lines under src/ that match
 # `.unwrap()`, `.expect(` or `panic!(`, each file cut at its first
 # `#[cfg(test)]` (the same cut as surface.sh), so test modules do not
-# count. A line with two matches counts once. Crates with no site are
+# count, and neither do comment lines (`//`, `///`, `//!`: doc examples
+# and prose). A line with two matches counts once. Crates with no site are
 # listed with 0; the total comes last. crates/testkit is skipped by
 # default: it is test code that only tests and experiments link, and
 # asserting is its job.
@@ -33,6 +34,7 @@ sites() {
             FNR == 1 { cut = 0 }
             cut { next }
             /#\[cfg\(test\)\]/ { cut = 1; next }
+            /^[[:space:]]*\/\// { next }
             /\.unwrap\(\)|\.expect\(|panic!\(/ { sub(/^[[:space:]]+/, ""); print crate, FILENAME ":" FNR ": " $0 }
         ' crate="${dir##*/}"
     done
