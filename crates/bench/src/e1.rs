@@ -68,7 +68,8 @@ fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     };
 
     // Incremental run.
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    let (mut store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
     let def = view_def();
@@ -90,7 +91,8 @@ fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     let inc_total = store.accesses();
 
     // Recomputation run (same stream, fresh database).
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    let (mut store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
     let mut mv_rec = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
@@ -107,7 +109,11 @@ fn measure(tuples: usize, ops: usize, seed: u64) -> E1Row {
     let rec_time = t0.elapsed();
     let rec_total = store.accesses();
     assert_eq!(n_updates, n_updates2);
-    assert_eq!(mv_inc.members_base(), mv_rec.members_base(), "incremental view diverged");
+    assert_eq!(
+        mv_inc.members_base(),
+        mv_rec.members_base(),
+        "incremental view diverged"
+    );
 
     E1Row {
         tuples,
@@ -131,7 +137,11 @@ pub fn quick_facts() -> Vec<E1Row> {
 
 /// Run the sweep and build the table.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(&[100, 1_000, 10_000, 50_000], 300) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(&[100, 1_000, 10_000, 50_000], 300)
+    };
     let mut t = Table::new(
         "E1",
         "incremental maintenance vs full recomputation (Example 7 workload)",

@@ -61,7 +61,8 @@ fn measure(batch_size: usize, tuples: usize, ops: usize, cancel_fraction: f64) -
         age_range: 60,
         seed: 112,
     };
-    let (store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    let (store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     store.set_count_accesses(true);
     let script = cancelling_churn(&mut db, churn, cancel_fraction, 3);
     let def = view_def();
@@ -102,8 +103,7 @@ fn measure(batch_size: usize, tuples: usize, ops: usize, cancel_fraction: f64) -
     }
 
     // Both routes must agree with each other and with recompute.
-    let expected =
-        recompute::recompute_members(&def, &mut LocalBase::new(&b_store));
+    let expected = recompute::recompute_members(&def, &mut LocalBase::new(&b_store));
     assert_eq!(mv_seq.members_base(), expected, "sequential route diverged");
     assert_eq!(mv_b.members_base(), expected, "batched route diverged");
     assert_eq!(input, applied_ops, "every update enters exactly one flush");
@@ -139,7 +139,11 @@ pub fn quick_facts() -> Vec<E11Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(1_000, 600) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(1_000, 600)
+    };
     let mut t = Table::new(
         "E11",
         "batched maintenance: one flush of N updates vs N single passes",

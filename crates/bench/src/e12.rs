@@ -129,7 +129,8 @@ fn measure(loss: f64, cached: bool, tuples: usize, ops: usize) -> E12Row {
     }
 
     // Convergence is non-negotiable at any loss rate.
-    let expected = source.with_store(|s| recompute::recompute_members(&view_def(), &mut LocalBase::new(s)));
+    let expected =
+        source.with_store(|s| recompute::recompute_members(&view_def(), &mut LocalBase::new(s)));
     let members = wh.view(view).expect("view").members_base();
     assert_eq!(members, expected, "lossy pipeline diverged at loss={loss}");
 
@@ -166,7 +167,11 @@ pub fn quick_facts() -> Vec<E12Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(1_000, 600) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(1_000, 600)
+    };
     let mut t = Table::new(
         "E12",
         "fault tolerance: report loss vs maintenance cost",

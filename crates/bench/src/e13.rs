@@ -15,7 +15,9 @@
 
 use crate::table::{fnum, Table};
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
-use gsview_core::{recompute, LocalBase, Maintainer, MaterializedView, ParallelMaintainer, SimpleViewDef};
+use gsview_core::{
+    recompute, LocalBase, Maintainer, MaterializedView, ParallelMaintainer, SimpleViewDef,
+};
 use gsview_query::pathexpr::reach_expr;
 use gsview_query::{CmpOp, PathExpr, Pred};
 use gsview_workload::relations::{self, RelationsSpec};
@@ -167,7 +169,9 @@ fn scripted_batch(
                 .filter(|t| !detached.contains(t))
                 .copied()
                 .collect();
-            if let Some(&t) = candidates.get(r.gen_range(0..candidates.len().max(1)) % candidates.len().max(1)) {
+            if let Some(&t) =
+                candidates.get(r.gen_range(0..candidates.len().max(1)) % candidates.len().max(1))
+            {
                 detached.insert(t);
                 push(store, &mut batch, Update::delete(db.relation_oids[ri], t));
             }
@@ -221,7 +225,8 @@ fn measure_parallel(tuples_per_relation: usize, ops: usize, threads: &[usize]) -
     }
     let mut views = initial.clone();
     store.reset_accesses();
-    pm.apply_batch(&mut views, &store, &batch, 1).expect("maintain");
+    pm.apply_batch(&mut views, &store, &batch, 1)
+        .expect("maintain");
     let accesses = store.accesses();
     store.set_count_accesses(false);
 
@@ -250,7 +255,8 @@ fn measure_parallel(tuples_per_relation: usize, ops: usize, threads: &[usize]) -
         for _ in 0..3 {
             let mut views = initial.clone();
             let t0 = Instant::now();
-            pm.apply_batch(&mut views, &store, &batch, t).expect("maintain");
+            pm.apply_batch(&mut views, &store, &batch, t)
+                .expect("maintain");
             best = best.min(t0.elapsed().as_secs_f64());
             for (mv, want) in views.iter().zip(&expected) {
                 assert_eq!(&mv.members_base(), want, "parallel route diverged");
@@ -296,7 +302,9 @@ pub fn run(quick: bool) -> Table {
         "wildcard refresh on the arena store + parallel maintenance",
         "≥1.5x batched maintenance at 4 threads; refresh accesses pinned",
     )
-    .headers(&["kernel", "objects", "threads", "ops/sec", "accesses", "speedup"]);
+    .headers(&[
+        "kernel", "objects", "threads", "ops/sec", "accesses", "speedup",
+    ]);
     for &(tuples, ops) in sizes {
         let r = measure_refresh(tuples);
         t.row(vec![

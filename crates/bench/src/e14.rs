@@ -98,8 +98,12 @@ fn build_source(tuples_per_relation: usize) -> (Source, RelationsDb) {
     )
     .expect("generate");
     let (m0, m1) = markers();
-    store.create(Object::atom(m0.name(), "marker", 0i64)).unwrap();
-    store.create(Object::atom(m1.name(), "marker", 0i64)).unwrap();
+    store
+        .create(Object::atom(m0.name(), "marker", 0i64))
+        .unwrap();
+    store
+        .create(Object::atom(m1.name(), "marker", 0i64))
+        .unwrap();
     (
         Source::new("e14", db.root, store, ReportLevel::OidsOnly),
         db,
@@ -183,7 +187,11 @@ pub fn run_route(
     let start = Barrier::new(readers + 1);
 
     let mut row = RouteRow {
-        route: if epoch_route { "read/epoch" } else { "read/mutex" },
+        route: if epoch_route {
+            "read/epoch"
+        } else {
+            "read/mutex"
+        },
         objects,
         readers,
         reads: 0,
@@ -235,7 +243,8 @@ pub fn run_route(
         start.wait();
         let t0 = Instant::now();
         for batch in batches {
-            src.apply_batch(batch.iter().cloned()).expect("scripted batch applies");
+            src.apply_batch(batch.iter().cloned())
+                .expect("scripted batch applies");
             for r in src.monitor().poll() {
                 cv.absorb(&r);
             }
@@ -326,10 +335,7 @@ pub fn run(quick: bool) -> Table {
         &[(QUICK_TUPLES, QUICK_BATCHES, QUICK_OPS, QUICK_READERS)]
     } else {
         // ≈ 5k and 40k objects, heavier scripts, more readers.
-        &[
-            (QUICK_TUPLES, 150, 60, 4),
-            (1_250, 150, 60, 4),
-        ]
+        &[(QUICK_TUPLES, 150, 60, 4), (1_250, 150, 60, 4)]
     };
     let mut t = Table::new(
         "E14",

@@ -101,7 +101,11 @@ fn maintain_once(
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let (tuples, ops, reps) = if quick { (312, 400, 3) } else { (3_125, 2_000, 5) };
+    let (tuples, ops, reps) = if quick {
+        (312, 400, 3)
+    } else {
+        (3_125, 2_000, 5)
+    };
     let (mut store, db) = build(tuples);
     let defs = portfolio();
     let initial: Vec<MaterializedView> = defs

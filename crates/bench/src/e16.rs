@@ -136,9 +136,7 @@ fn build_store(shards: usize, writers: usize) -> Store {
         for j in 0..ATOMS_PER_WRITER {
             let a = pinned(&probe, &format!("e16w{w}a{j}"), w % 8);
             store.create(Object::atom(a.as_str(), "val", 0i64)).unwrap();
-            store
-                .insert_edge(Oid::new(&parent), Oid::new(&a))
-                .unwrap();
+            store.insert_edge(Oid::new(&parent), Oid::new(&a)).unwrap();
         }
     }
     store
@@ -187,7 +185,9 @@ fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) -> Com
     let pipeline = ShardedStore::new(build_store(shards, writers));
     let n = pipeline.shard_count();
     let waits0 = shard_counter_sum("store.shard.lock_wait", n);
-    let cross0 = gsview_obs::registry().counter("store.commit.cross_shard").get();
+    let cross0 = gsview_obs::registry()
+        .counter("store.commit.cross_shard")
+        .get();
     let copied0 = copied();
     let start = Barrier::new(writers + 1);
 
@@ -226,7 +226,10 @@ fn run_sharded(shards: usize, writers: usize, batches: usize, ops: usize) -> Com
         epochs: pipeline.epoch(),
         objects: snap.len(),
         lock_waits: shard_counter_sum("store.shard.lock_wait", n) - waits0,
-        cross_shard: gsview_obs::registry().counter("store.commit.cross_shard").get() - cross0,
+        cross_shard: gsview_obs::registry()
+            .counter("store.commit.cross_shard")
+            .get()
+            - cross0,
         copied: copied() - copied0,
     }
 }
@@ -374,7 +377,11 @@ pub fn quick_facts() -> (u64, u64) {
     let want_epochs = (writers * batches) as u64;
     for r in &rows {
         assert_eq!(r.epochs, want_epochs, "{}: epoch accounting broke", r.route);
-        assert_eq!(r.objects, rows[0].objects, "{}: object set diverged", r.route);
+        assert_eq!(
+            r.objects, rows[0].objects,
+            "{}: object set diverged",
+            r.route
+        );
     }
     (want_epochs, rows[0].objects as u64)
 }
@@ -436,7 +443,10 @@ pub fn run(quick: bool) -> Table {
             r.writers.to_string(),
             r.commits.to_string(),
             fnum(r.commits_per_sec),
-            format!("{}x", fnum(r.commits_per_sec / mutex.commits_per_sec.max(1e-9))),
+            format!(
+                "{}x",
+                fnum(r.commits_per_sec / mutex.commits_per_sec.max(1e-9))
+            ),
             r.lock_waits.to_string(),
             r.cross_shard.to_string(),
             fnum(r.copied as f64 / r.commits as f64),

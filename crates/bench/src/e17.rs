@@ -138,10 +138,13 @@ fn run_cold_shared(items: usize) -> RestartRow {
         use_aux_cache: true,
         ..ViewOptions::default()
     };
-    let old = SimpleViewDef::new("V17o", "ROOT", "item")
-        .with_cond("age", Pred::new(CmpOp::Gt, 50i64));
+    let old =
+        SimpleViewDef::new("V17o", "ROOT", "item").with_cond("age", Pred::new(CmpOp::Gt, 50i64));
     let views = vec![
-        (SimpleViewDef::new("V17i", "ROOT", "item"), ViewOptions::default()),
+        (
+            SimpleViewDef::new("V17i", "ROOT", "item"),
+            ViewOptions::default(),
+        ),
         (SimpleViewDef::new("V17j", "ROOT", "item"), cached.clone()),
         (def(), ViewOptions::default()),
         (old, cached),
@@ -151,11 +154,7 @@ fn run_cold_shared(items: usize) -> RestartRow {
 
 /// A fresh warehouse sets `views` up on one connection by querying
 /// the (still-running) source.
-fn cold_restart(
-    items: usize,
-    route: &str,
-    views: Vec<(SimpleViewDef, ViewOptions)>,
-) -> RestartRow {
+fn cold_restart(items: usize, route: &str, views: Vec<(SimpleViewDef, ViewOptions)>) -> RestartRow {
     let src = build_source(items);
     churn(&src, items, CHURN);
     let mut wh = Warehouse::new();
@@ -271,7 +270,10 @@ pub fn quick_facts() -> (u64, u64, u64, u64, u64) {
     let cold = run_cold(items);
     let warm = run_warm(items);
     assert_eq!(warm.queries, 0);
-    assert_eq!(warm.objects, cold.objects, "warm recovered a different store");
+    assert_eq!(
+        warm.objects, cold.objects,
+        "warm recovered a different store"
+    );
     let resync = run_resync(items);
     assert!(resync.chunks_reused > 0, "diff resync reused nothing");
     let shared = run_cold_shared(items);
@@ -304,7 +306,11 @@ fn run_history(epochs: usize) -> RestartRow {
         .unwrap()
         .expect("published epochs are recoverable");
     let millis = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(src.with_store(|s| s.len()) as u64, objects, "recovered a different store");
+    assert_eq!(
+        src.with_store(|s| s.len()) as u64,
+        objects,
+        "recovered a different store"
+    );
     RestartRow {
         route: "restart/history".into(),
         items: HISTORY_ITEMS,

@@ -30,13 +30,13 @@
 
 use crate::table::{fnum, Table};
 use gsdb::{DeltaBatch, Object, Oid, Store, Update};
+use gsview_circuit::Circuit;
 use gsview_core::recompute::recompute;
 use gsview_core::{
     AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundMaintainer,
     CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, MaterializedView,
     SimpleViewDef,
 };
-use gsview_circuit::Circuit;
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, Pred};
 use std::time::Instant;
@@ -78,7 +78,8 @@ fn build_store(n_prof: usize) -> Store {
     s.create(Object::empty_set("ROOT", "db")).unwrap();
     for i in 0..n_prof {
         let p = format!("P{i}");
-        s.create(Object::empty_set(p.as_str(), "professor")).unwrap();
+        s.create(Object::empty_set(p.as_str(), "professor"))
+            .unwrap();
         s.insert_edge(Oid::new("ROOT"), Oid::new(&p)).unwrap();
         let a = format!("A{i}");
         s.create(Object::atom(a.as_str(), "age", ((i * 37) % 97) as i64))
@@ -89,9 +90,11 @@ fn build_store(n_prof: usize) -> Store {
             s.create(Object::empty_set(st.as_str(), "student")).unwrap();
             s.insert_edge(Oid::new(&p), Oid::new(&st)).unwrap();
             let t = format!("T{i}_{j}");
-            s.create(
-                Object::atom(t.as_str(), "age", ((i * 7 + j * 31) % 89) as i64),
-            )
+            s.create(Object::atom(
+                t.as_str(),
+                "age",
+                ((i * 7 + j * 31) % 89) as i64,
+            ))
             .unwrap();
             s.insert_edge(Oid::new(&st), Oid::new(&t)).unwrap();
         }
@@ -155,7 +158,8 @@ fn wildcard_def() -> GeneralViewDef {
 
 fn aggregate_def() -> AggregateViewDef {
     AggregateViewDef::new(
-        SimpleViewDef::new("G18", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+        SimpleViewDef::new("G18", "ROOT", "professor")
+            .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
         "student.age",
         AggFn::Avg,
     )
@@ -208,8 +212,18 @@ fn measure_shape(
             let ms_c = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
-                row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
-                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
+                row(
+                    "algorithm1",
+                    out_a.consolidated_ops,
+                    out_a.inserted.len() + out_a.deleted.len(),
+                    ms_a,
+                ),
+                Some(row(
+                    "circuit",
+                    out_c.consolidated_ops,
+                    out_c.inserted.len() + out_c.deleted.len(),
+                    ms_c,
+                )),
                 sorted(mv_a.members_base()),
                 sorted(mv_c.members_base()),
             )
@@ -218,7 +232,8 @@ fn measure_shape(
             let def = multi_def();
             let mut cm = CompoundMaintainer::new(&def);
             let mut mv_a = MaterializedView::new("M18");
-            cm.initialize(&mut mv_a, &mut LocalBase::new(initial)).unwrap();
+            cm.initialize(&mut mv_a, &mut LocalBase::new(initial))
+                .unwrap();
             let t0 = Instant::now();
             let out_a = cm
                 .apply_batch(&mut mv_a, &mut LocalBase::new(store), batch)
@@ -233,8 +248,18 @@ fn measure_shape(
             let ms_c = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(circuit.steps(), 1, "circuit must step, not rebuild");
             (
-                row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
-                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
+                row(
+                    "algorithm1",
+                    out_a.consolidated_ops,
+                    out_a.inserted.len() + out_a.deleted.len(),
+                    ms_a,
+                ),
+                Some(row(
+                    "circuit",
+                    out_c.consolidated_ops,
+                    out_c.inserted.len() + out_c.deleted.len(),
+                    ms_c,
+                )),
                 sorted(mv_a.members_base()),
                 sorted(mv_c.members_base()),
             )
@@ -247,7 +272,12 @@ fn measure_shape(
             let out_a = alg.apply_batch(&mut mv_a, store, batch).unwrap();
             let ms_a = t0.elapsed().as_secs_f64() * 1e3;
             (
-                row("algorithm1", out_a.consolidated_ops, out_a.inserted.len() + out_a.deleted.len(), ms_a),
+                row(
+                    "algorithm1",
+                    out_a.consolidated_ops,
+                    out_a.inserted.len() + out_a.deleted.len(),
+                    ms_a,
+                ),
                 None,
                 sorted(mv_a.members_base()),
                 sorted(alg.recompute(store).unwrap().members_base()),
@@ -292,7 +322,12 @@ fn measure_shape(
             }
             (
                 row("algorithm1", batch.len(), 0, ms_a),
-                Some(row("circuit", out_c.consolidated_ops, out_c.inserted.len() + out_c.deleted.len(), ms_c)),
+                Some(row(
+                    "circuit",
+                    out_c.consolidated_ops,
+                    out_c.inserted.len() + out_c.deleted.len(),
+                    ms_c,
+                )),
                 a_members,
                 c_members,
             )

@@ -76,7 +76,9 @@ fn measure_bushy(depth: usize) -> E2Row {
 /// Chains first, then bushy trees.
 fn sweep(chain_lens: &[usize], bushy_depths: &[usize]) -> Vec<E2Row> {
     let chains = chain_lens.iter().map(|&len| measure_chain(len));
-    chains.chain(bushy_depths.iter().map(|&d| measure_bushy(d))).collect()
+    chains
+        .chain(bushy_depths.iter().map(|&d| measure_bushy(d)))
+        .collect()
 }
 
 /// The quick-mode sweep, for the count gate (`tests/paper_claims_smoke.rs`).
@@ -86,7 +88,11 @@ pub fn quick_facts() -> Vec<E2Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(&[8, 64, 512, 4096], &[3, 4, 5]) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(&[8, 64, 512, 4096], &[3, 4, 5])
+    };
     let mut t = Table::new(
         "E2",
         "cost of ancestor(N, p) with vs without the inverse index",
@@ -99,7 +105,10 @@ pub fn run(quick: bool) -> Table {
             r.objects.to_string(),
             r.with_index.to_string(),
             r.without_index.to_string(),
-            format!("{}x", fnum(r.without_index as f64 / r.with_index.max(1) as f64)),
+            format!(
+                "{}x",
+                fnum(r.without_index as f64 / r.with_index.max(1) as f64)
+            ),
         ]);
     }
     t

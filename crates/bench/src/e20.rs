@@ -35,9 +35,7 @@ use gsview_core::SimpleViewDef;
 use gsview_obs::metrics::Histogram;
 use gsview_obs::telemetry::TailSampler;
 use gsview_query::{CmpOp, Pred};
-use gsview_serve::{
-    FrameClient, ServeConfig, Server, SourceService, TelemetryHub, TelemetryTail,
-};
+use gsview_serve::{FrameClient, ServeConfig, Server, SourceService, TelemetryHub, TelemetryTail};
 use gsview_warehouse::protocol::{CostMeter, ReportLevel};
 use gsview_warehouse::source::{QueryPort, ReportSource};
 use gsview_warehouse::{RetryPolicy, Source, ViewOptions, Warehouse};
@@ -137,8 +135,9 @@ fn run_route(items: usize, reads: usize, mode: ExportMode) -> ExportRow {
             }));
         }
         ExportMode::SlowSubscriber => {
-            parked_tail =
-                Some(TelemetryTail::connect_with_timeout(server.addr(), Duration::from_secs(5)).unwrap());
+            parked_tail = Some(
+                TelemetryTail::connect_with_timeout(server.addr(), Duration::from_secs(5)).unwrap(),
+            );
         }
     }
 
@@ -217,15 +216,18 @@ pub fn trace_connectivity() -> (usize, usize) {
         s.drain_log();
     });
     let svc = Arc::new(SourceService::new(src.clone(), Arc::new(CostMeter::new())));
-    let hub = Arc::new(TelemetryHub::new("e20-trace", QUEUE_CAP, TailSampler::keep_all()));
+    let hub = Arc::new(TelemetryHub::new(
+        "e20-trace",
+        QUEUE_CAP,
+        TailSampler::keep_all(),
+    ));
     // No subscriber: the reactor leaves the queue alone, so the spans
     // are still there for us to harvest directly after the resync.
-    let server =
-        Server::spawn_with_telemetry(svc, ServeConfig::default(), hub.clone()).unwrap();
+    let server = Server::spawn_with_telemetry(svc, ServeConfig::default(), hub.clone()).unwrap();
     let client = Arc::new(FrameClient::connect(server.addr()).unwrap());
 
-    let def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::network());
     wh.connect_port(
         "persons",
@@ -373,4 +375,3 @@ mod tests {
         assert_eq!(foreign, 0, "{foreign} wire requests escaped the trace");
     }
 }
-

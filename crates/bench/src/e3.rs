@@ -93,27 +93,27 @@ fn defs(depth: usize) -> (SimpleViewDef, RelViewDef) {
     let cond = Path::parse("v");
     let pred = Pred::new(CmpOp::Gt, 50i64);
     (
-        SimpleViewDef::new("SEL", "FR", sel.to_string().as_str())
-            .with_cond("v", pred.clone()),
+        SimpleViewDef::new("SEL", "FR", sel.to_string().as_str()).with_cond("v", pred.clone()),
         RelViewDef::new(Oid::new("FR"), &sel, &cond, Some(pred)),
     )
 }
 
 /// The update stream: leaf modifications plus mid-chain edge
 /// detach/reattach pairs.
-fn stream(
-    edges: &[(Oid, Oid)],
-    leaves: &[Oid],
-    ops: usize,
-    seed: u64,
-) -> Vec<gsdb::Update> {
+fn stream(edges: &[(Oid, Oid)], leaves: &[Oid], ops: usize, seed: u64) -> Vec<gsdb::Update> {
     let mut r = rng(seed);
     let mut out = Vec::with_capacity(ops);
     for i in 0..ops {
         if i % 4 == 3 {
             let (p, c) = edges[r.gen_range(0..edges.len())];
-            out.push(gsdb::Update::Delete { parent: p, child: c });
-            out.push(gsdb::Update::Insert { parent: p, child: c });
+            out.push(gsdb::Update::Delete {
+                parent: p,
+                child: c,
+            });
+            out.push(gsdb::Update::Insert {
+                parent: p,
+                child: c,
+            });
         } else {
             let l = leaves[r.gen_range(0..leaves.len())];
             out.push(gsdb::Update::Modify {
@@ -190,7 +190,11 @@ pub fn quick_facts() -> Vec<E3Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(&[2, 4, 8, 16, 32], 200, 300) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(&[2, 4, 8, 16, 32], 200, 300)
+    };
     let mut t = Table::new(
         "E3",
         "native Algorithm 1 vs relational flattening + counting (repeated-label chains)",

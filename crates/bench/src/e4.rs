@@ -69,8 +69,8 @@ fn measure(level: ReportLevel, screening: bool, tuples: usize, ops: usize) -> E4
 
     let mut wh = Warehouse::new();
     wh.connect(&source);
-    let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let def =
+        SimpleViewDef::new("SEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let view = wh
         .add_view(
             "rels",
@@ -137,19 +137,17 @@ pub fn quick_facts() -> Vec<E4Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(1_000, 400) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(1_000, 400)
+    };
     let mut t = Table::new(
         "E4",
         "warehouse query-backs per update, by source report level",
         "richer reports (L1 → L2 → L3) cut queries; screening needs at least L2",
     )
-    .headers(&[
-        "level",
-        "screening",
-        "queries/upd",
-        "msgs/upd",
-        "bytes/upd",
-    ]);
+    .headers(&["level", "screening", "queries/upd", "msgs/upd", "bytes/upd"]);
     for r in rows {
         t.row(vec![
             r.level.to_string(),

@@ -54,8 +54,8 @@ fn measure(stream: &'static str, churn: ChurnSpec, cached: bool, tuples: usize) 
 
     let mut wh = Warehouse::new();
     wh.connect(&source);
-    let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let def =
+        SimpleViewDef::new("SEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let view = wh
         .add_view(
             "rels",
@@ -137,7 +137,11 @@ pub fn quick_facts() -> Vec<E5Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(1_000, 400) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(1_000, 400)
+    };
     let mut t = Table::new(
         "E5",
         "auxiliary cache along sel_path.cond_path (Example 10)",

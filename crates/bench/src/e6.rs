@@ -15,7 +15,9 @@
 
 use crate::table::{fnum, Table};
 use gsdb::Store;
-use gsview_core::{recompute, GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, SimpleViewDef};
+use gsview_core::{
+    recompute, GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, SimpleViewDef,
+};
 use gsview_query::{CmpOp, PathExpr, Pred};
 use gsview_workload::person::{self, PersonSpec};
 use gsview_workload::rng::rng;
@@ -79,8 +81,10 @@ fn simple_def() -> SimpleViewDef {
 }
 
 fn wildcard_def() -> GeneralViewDef {
-    GeneralViewDef::new("VJW", "DIR", PathExpr::parse("*.professor").unwrap())
-        .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"))
+    GeneralViewDef::new("VJW", "DIR", PathExpr::parse("*.professor").unwrap()).with_cond(
+        PathExpr::parse("name").unwrap(),
+        Pred::new(CmpOp::Eq, "John"),
+    )
 }
 
 /// Measure the constant-path view.
@@ -100,7 +104,11 @@ fn measure_simple(persons: usize, ops: usize) -> E6Row {
     }
     let accesses = store.accesses();
     let expected = recompute::recompute_members(&def, &mut LocalBase::new(&store));
-    assert_eq!(mv.members_base(), expected, "simple view diverged from recompute");
+    assert_eq!(
+        mv.members_base(),
+        expected,
+        "simple view diverged from recompute"
+    );
     E6Row {
         kind: "simple (professor)",
         persons,
@@ -125,7 +133,11 @@ fn measure_wildcard(persons: usize, ops: usize) -> E6Row {
     }
     let accesses = store.accesses();
     let expected = gm.recompute(&store).expect("recompute").members_base();
-    assert_eq!(mv.members_base(), expected, "wildcard view diverged from recompute");
+    assert_eq!(
+        mv.members_base(),
+        expected,
+        "wildcard view diverged from recompute"
+    );
     E6Row {
         kind: "wildcard (*.professor)",
         persons,
@@ -151,7 +163,11 @@ pub fn quick_facts() -> Vec<E6Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(&[100, 500, 2_000], 300) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(&[100, 500, 2_000], 300)
+    };
     let mut t = Table::new(
         "E6",
         "simple constant-path view vs wild-card view maintenance",

@@ -98,7 +98,10 @@ fn updates(tuple_oids: &[Oid], age_oids: &[Oid], ops: usize, seed: u64) -> Vec<g
             let t = tuple_oids[r.gen_range(0..tuple_oids.len())];
             let a = age_oids[r.gen_range(0..age_oids.len())];
             out.push(gsdb::Update::delete_marker(t));
-            out.push(gsdb::Update::Insert { parent: t, child: a });
+            out.push(gsdb::Update::Insert {
+                parent: t,
+                child: a,
+            });
         } else {
             let a = age_oids[r.gen_range(0..age_oids.len())];
             out.push(gsdb::Update::Modify {
@@ -195,13 +198,23 @@ pub fn quick_facts() -> Vec<E7Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(2_000, &[1, 2, 4, 8, 16], 200) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(2_000, &[1, 2, 4, 8, 16], 200)
+    };
     let mut t = Table::new(
         "E7",
         "DAG bases: shared condition atoms, walk-joining maintenance vs recompute",
         "sharing multiplies affected members per update, yet stays far below recomputation",
     )
-    .headers(&["tuples", "share", "incr acc/upd", "recompute acc/upd", "speedup"]);
+    .headers(&[
+        "tuples",
+        "share",
+        "incr acc/upd",
+        "recompute acc/upd",
+        "speedup",
+    ]);
     for r in rows {
         let (dag_acc, rec_acc) = r.per_update();
         t.row(vec![
@@ -222,7 +235,10 @@ mod tests {
     #[test]
     fn dag_maintenance_beats_recompute_and_matches_it() {
         let (dag_acc, rec_acc) = measure(400, 4, 60).per_update();
-        assert!(dag_acc < rec_acc, "dag {dag_acc} should beat recompute {rec_acc}");
+        assert!(
+            dag_acc < rec_acc,
+            "dag {dag_acc} should beat recompute {rec_acc}"
+        );
     }
 
     #[test]

@@ -61,11 +61,12 @@ fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
         age_range: 60,
         seed: 62,
     };
-    let (mut store, mut db) = relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
+    let (mut store, mut db) =
+        relations::generate(spec, gsdb::StoreConfig::default()).expect("generate");
     store.set_count_accesses(true);
     let script = relations_churn(&mut db, churn);
-    let def = SimpleViewDef::new("SEL", "REL", "r0.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let def =
+        SimpleViewDef::new("SEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let m = Maintainer::new(def.clone());
     let mut mv = recompute::recompute(&def, &mut LocalBase::new(&store)).expect("init");
 
@@ -90,7 +91,11 @@ fn measure(bias: f64, tuples: usize, ops: usize) -> E8Row {
         }
     }
     let expected = recompute::recompute_members(&def, &mut LocalBase::new(&store));
-    assert_eq!(mv.members_base(), expected, "maintained view diverged from recompute");
+    assert_eq!(
+        mv.members_base(),
+        expected,
+        "maintained view diverged from recompute"
+    );
     E8Row {
         bias,
         relevant: rel_n,
@@ -115,7 +120,11 @@ pub fn quick_facts() -> Vec<E8Row> {
 
 /// Run the sweep.
 pub fn run(quick: bool) -> Table {
-    let rows = if quick { quick_facts() } else { sweep(1_000, 500) };
+    let rows = if quick {
+        quick_facts()
+    } else {
+        sweep(1_000, 500)
+    };
     let mut t = Table::new(
         "E8",
         "screening of irrelevant updates (5 relations, view over r0)",

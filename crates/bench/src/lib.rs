@@ -37,8 +37,8 @@ pub use table::Table;
 
 /// All experiment ids, in order.
 pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-    "e15", "e16", "e17", "e18", "e19", "e20",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "e18", "e19", "e20",
 ];
 
 /// Run one experiment by id.

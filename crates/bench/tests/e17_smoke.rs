@@ -56,7 +56,10 @@ fn a_restart_scans_the_live_bytes_not_the_history() {
     // history the log the open scan reads is bounded by the ratio alone.
     let max = baseline.int("history_scan_over_live_max");
     for (epochs, scanned, live) in e17::history_facts() {
-        assert!(live > 1 << 20, "{epochs} epochs: {live} live bytes, under the floor");
+        assert!(
+            live > 1 << 20,
+            "{epochs} epochs: {live} live bytes, under the floor"
+        );
         assert!(
             scanned <= max * live,
             "{epochs} epochs: the open scan read {scanned} bytes for {live} live"

@@ -18,7 +18,11 @@ const BASELINE: &str = include_str!("../baselines/e19_quick.json");
 fn serving_facts_hold_and_p99_meets_the_slo() {
     let baseline = Baseline::parse(BASELINE);
     let (requests, ok, equivalence_failures, p99_us, shed) = e19::quick_facts();
-    assert_eq!(requests as u64, baseline.int("requests"), "request count drifted");
+    assert_eq!(
+        requests as u64,
+        baseline.int("requests"),
+        "request count drifted"
+    );
     assert_eq!(
         ok as u64,
         baseline.int("ok"),

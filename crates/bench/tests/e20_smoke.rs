@@ -24,7 +24,11 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
 
     // Export never costs a read, on any route.
     for row in [&base, &active, &slow] {
-        assert_eq!(row.requests, requests, "{}: request count drifted", row.route);
+        assert_eq!(
+            row.requests, requests,
+            "{}: request count drifted",
+            row.route
+        );
         assert_eq!(
             row.ok, row.requests,
             "{}: a clean-network round trip was dropped",
@@ -48,7 +52,8 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
     // The active subscriber actually streamed, and its overhead on
     // read p99 is inside the budget (5% + quick-mode noise floor).
     assert!(active.batches > 0, "live subscriber received no batches");
-    let overhead_cap = base.p99_us + base.p99_us * baseline.int("overhead_budget_pct") / 100
+    let overhead_cap = base.p99_us
+        + base.p99_us * baseline.int("overhead_budget_pct") / 100
         + baseline.int("noise_floor_us");
     assert!(
         active.p99_us <= overhead_cap,
@@ -66,6 +71,12 @@ fn export_facts_hold_and_overhead_stays_in_budget() {
     );
 
     // One connected trace across the wire.
-    assert!(connected > 0, "no serve.request spans joined the resync trace");
-    assert_eq!(foreign, 0, "{foreign} wire requests escaped the resync trace");
+    assert!(
+        connected > 0,
+        "no serve.request spans joined the resync trace"
+    );
+    assert_eq!(
+        foreign, 0,
+        "{foreign} wire requests escaped the resync trace"
+    );
 }

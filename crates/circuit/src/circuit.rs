@@ -241,11 +241,8 @@ impl Circuit {
     /// atoms among them, as a batch creating every record would.
     pub fn init(&mut self, store: &Store) -> StepOutput {
         *self = Circuit::compile(self.def.clone());
-        let _span = gsview_obs::span!(
-            "maint.circuit.step",
-            "records" = store.len(),
-            "init" = true,
-        );
+        let _span =
+            gsview_obs::span!("maint.circuit.step", "records" = store.len(), "init" = true,);
         let mut pending: Vec<Pending> = self
             .branches
             .iter()
@@ -496,9 +493,7 @@ impl Circuit {
     pub fn state_len(&self) -> usize {
         self.branches
             .iter()
-            .map(|b| {
-                b.sel.state_len() + b.witness.as_ref().map(|w| w.state_len()).unwrap_or(0)
-            })
+            .map(|b| b.sel.state_len() + b.witness.as_ref().map(|w| w.state_len()).unwrap_or(0))
             .sum::<usize>()
             + self.agg.as_ref().map(|a| a.flow.state_len()).unwrap_or(0)
     }

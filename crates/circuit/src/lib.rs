@@ -38,7 +38,5 @@ pub mod circuit;
 pub mod operator;
 pub mod zset;
 
-pub use circuit::{
-    AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats,
-};
+pub use circuit::{AggDef, AggFn, BranchDef, Circuit, CircuitDef, CondDef, StepOutput, StepStats};
 pub use zset::{distinct_delta, DistinctOp, ZSet};

@@ -226,7 +226,11 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
     /// weight before the distinct clamp.
     pub fn support(&self, src: S, node: Oid) -> i64 {
         let key = (src, self.nfa.accept_state());
-        self.rows.row(node).iter().find(|e| e.0 == key).map_or(0, |e| e.1)
+        self.rows
+            .row(node)
+            .iter()
+            .find(|e| e.0 == key)
+            .map_or(0, |e| e.1)
     }
 
     /// Number of live product states (arranged index size).
@@ -376,7 +380,8 @@ mod tests {
     fn store3() -> Store {
         let mut s = Store::new();
         s.create(Object::atom("A1", "age", 50i64)).unwrap();
-        s.create(Object::set("P1", "professor", &[oid("A1")])).unwrap();
+        s.create(Object::set("P1", "professor", &[oid("A1")]))
+            .unwrap();
         s.create(Object::set("ROOT", "root", &[oid("P1")])).unwrap();
         s
     }

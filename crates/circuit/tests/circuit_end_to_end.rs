@@ -31,13 +31,15 @@ fn build_base(n_prof: usize, studs: usize, ages: &[i64]) -> Store {
     s.create(Object::empty_set("ROOT", "db")).unwrap();
     for p in 0..n_prof {
         let prof = format!("P{p}");
-        s.create(Object::empty_set(prof.as_str(), "professor")).unwrap();
+        s.create(Object::empty_set(prof.as_str(), "professor"))
+            .unwrap();
         s.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
         let a = next_age(&mut s, format!("P{p}a"));
         s.insert_edge(oid(&prof), a).unwrap();
         for t in 0..studs {
             let stud = format!("P{p}S{t}");
-            s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
+            s.create(Object::empty_set(stud.as_str(), "student"))
+                .unwrap();
             s.insert_edge(oid(&prof), oid(&stud)).unwrap();
             let a = next_age(&mut s, format!("P{p}S{t}a"));
             s.insert_edge(oid(&stud), a).unwrap();
@@ -112,7 +114,11 @@ fn realize(
                     }
                     blocked.extend(grew);
                 }
-                let hosts: Vec<Oid> = sets.iter().filter(|p| !blocked.contains(p)).copied().collect();
+                let hosts: Vec<Oid> = sets
+                    .iter()
+                    .filter(|p| !blocked.contains(p))
+                    .copied()
+                    .collect();
                 if hosts.is_empty() {
                     continue;
                 }
@@ -154,7 +160,9 @@ fn realize(
                 let target = all[a % all.len()];
                 let object = if atoms.contains(&target) {
                     Object::atom(target.name(), "age", v)
-                } else if target == oid("F0") || target.name().starts_with('P') && !target.name().contains('S') {
+                } else if target == oid("F0")
+                    || target.name().starts_with('P') && !target.name().contains('S')
+                {
                     Object::empty_set(target.name(), "professor")
                 } else {
                     Object::empty_set(target.name(), "student")

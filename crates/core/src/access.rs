@@ -61,11 +61,7 @@ impl Authorizer {
     /// `union(S1, S2)` set operation produces objects too).
     pub fn run(&mut self, store: &mut Store, query: &Query) -> Result<Answer, EvalError> {
         self.counter += 1;
-        let union_oid = Oid::new(&format!(
-            "AUTH.{}.{}",
-            query.var,
-            self.counter
-        ));
+        let union_oid = Oid::new(&format!("AUTH.{}.{}", query.var, self.counter));
         let mut members = gsdb::OidSet::new();
         for &v in &self.granted_views {
             let obj = store.get(v).ok_or(EvalError::BadDatabase(v))?;
@@ -107,10 +103,9 @@ mod tests {
     fn store_with_vj() -> Store {
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let def =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         define_virtual_view(&mut store, &def).unwrap();
         store
     }

@@ -153,7 +153,9 @@ impl AggregateView {
     }
 
     fn add_member(&mut self, y: Oid, base: &mut dyn BaseAccess) -> Result<()> {
-        let Some(obj) = base.fetch(y) else { return Ok(()) };
+        let Some(obj) = base.fetch(y) else {
+            return Ok(());
+        };
         self.members.insert_member(&obj)?;
         let delegate = Oid::delegate(self.view_oid(), y);
         self.store.create(Object {
@@ -270,7 +272,7 @@ mod tests {
         av.apply(&mut LocalBase::new(&store), &up).unwrap();
         assert_eq!(av.aggregate_of(oid("P2")), Some(55.0));
         assert_eq!(av.total(), Some(50.0)); // (45+55)/2
-        // P1 drops out entirely.
+                                            // P1 drops out entirely.
         let up = store.delete_edge(oid("ROOT"), oid("P1")).unwrap();
         av.apply(&mut LocalBase::new(&store), &up).unwrap();
         assert_eq!(av.members(), vec![oid("P2")]);
@@ -291,8 +293,8 @@ mod tests {
         );
         let mut av = AggregateView::materialize(def, &mut LocalBase::new(&store)).unwrap();
         assert_eq!(av.aggregate_of(oid("P1")), Some(20.0)); // P3's age
-        // New student subtree under P1, inserted at the intermediate
-        // level (the student edge, not the age atom).
+                                                            // New student subtree under P1, inserted at the intermediate
+                                                            // level (the student edge, not the age atom).
         store.create(Object::atom("A9", "age", 25i64)).unwrap();
         store
             .create(Object::set("P9", "student", &[oid("A9")]))

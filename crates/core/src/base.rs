@@ -117,10 +117,18 @@ mod tests {
         );
         // Structural eval returns set objects too.
         assert_eq!(
-            b.eval(Oid::new("ROOT"), &Path::parse("professor"), None).len(),
+            b.eval(Oid::new("ROOT"), &Path::parse("professor"), None)
+                .len(),
             2
         );
         assert_eq!(b.label_of(Oid::new("P3")).unwrap().as_str(), "student");
-        assert_eq!(b.fetch(Oid::new("N1")).unwrap().atom_value().unwrap().as_str(), Some("John"));
+        assert_eq!(
+            b.fetch(Oid::new("N1"))
+                .unwrap()
+                .atom_value()
+                .unwrap()
+                .as_str(),
+            Some("John")
+        );
     }
 }

@@ -44,9 +44,7 @@ impl BulkUpdate {
     pub fn execute(&self, store: &mut Store) -> Result<Vec<gsdb::AppliedUpdate>> {
         let members: Vec<Oid> = path::reach(store, self.root, &self.sel_path)
             .into_iter()
-            .filter(|&y| {
-                !path::eval(store, y, &self.cond_path, &|a| self.pred.eval(a)).is_empty()
-            })
+            .filter(|&y| !path::eval(store, y, &self.cond_path, &|a| self.pred.eval(a)).is_empty())
             .collect();
         let mut applied = Vec::new();
         for y in members {
@@ -73,9 +71,7 @@ pub fn preds_disjoint(a: &Pred, b: &Pred) -> bool {
         // Equalities against different constants are disjoint.
         (Eq, Eq) => a.rhs.partial_cmp_atom(&b.rhs) != Some(std::cmp::Ordering::Equal),
         // An equality against a value the other side excludes.
-        (Eq, Ne) | (Ne, Eq) => {
-            a.rhs.partial_cmp_atom(&b.rhs) == Some(std::cmp::Ordering::Equal)
-        }
+        (Eq, Ne) | (Ne, Eq) => a.rhs.partial_cmp_atom(&b.rhs) == Some(std::cmp::Ordering::Equal),
         // Numeric ranges: x < a vs x > b with a <= b (and friends).
         (Lt | Le, Gt | Ge) => range_disjoint(&a.rhs, a.op, &b.rhs, b.op),
         (Gt | Ge, Lt | Le) => range_disjoint(&b.rhs, b.op, &a.rhs, a.op),
@@ -160,7 +156,11 @@ mod tests {
         // Rename P2's Sally to Mark for the scenario.
         store.modify_atom(oid("N2"), "Mark").unwrap();
         store
-            .create(gsdb::Object::atom("S2", "salary", Atom::tagged("dollar", 80_000)))
+            .create(gsdb::Object::atom(
+                "S2",
+                "salary",
+                Atom::tagged("dollar", 80_000),
+            ))
             .unwrap();
         store.insert_edge(oid("P2"), oid("S2")).unwrap();
 
@@ -275,8 +275,8 @@ mod tests {
     fn different_roots_are_never_screened() {
         // The same atoms can sit at different label paths relative to
         // different roots; screening across frames is unsound.
-        let v = SimpleViewDef::new("NV", "P1", "student")
-            .with_cond("age", Pred::new(CmpOp::Lt, 30i64));
+        let v =
+            SimpleViewDef::new("NV", "P1", "student").with_cond("age", Pred::new(CmpOp::Lt, 30i64));
         let bulk = BulkUpdate {
             root: oid("ROOT"),
             sel_path: Path::parse("professor.student"),

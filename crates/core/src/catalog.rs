@@ -109,11 +109,7 @@ impl Catalog {
     }
 
     /// Define from a parsed statement.
-    pub fn define_parsed(
-        &mut self,
-        store: &mut Store,
-        def: &ViewDef,
-    ) -> Result<Oid, CatalogError> {
+    pub fn define_parsed(&mut self, store: &mut Store, def: &ViewDef) -> Result<Oid, CatalogError> {
         if self.entries.contains_key(&def.name) {
             return Err(CatalogError::Duplicate(def.name));
         }

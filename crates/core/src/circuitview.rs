@@ -109,12 +109,13 @@ impl CircuitSource {
     /// What the planner would pick for this shape, with the reason.
     pub fn planned_backend(&self) -> (MaintBackend, String) {
         match self {
-            CircuitSource::Simple(d) => {
-                choose_backend(&PathExpr::from_path(&d.sel_path), 1, false)
-            }
+            CircuitSource::Simple(d) => choose_backend(&PathExpr::from_path(&d.sel_path), 1, false),
             CircuitSource::Compound(d) => choose_backend(
                 &PathExpr::from_path(
-                    &d.branches.first().map(|b| b.sel_path.clone()).unwrap_or_default(),
+                    &d.branches
+                        .first()
+                        .map(|b| b.sel_path.clone())
+                        .unwrap_or_default(),
                 ),
                 d.branches.len(),
                 false,
@@ -198,7 +199,11 @@ impl CircuitMaintainer {
     pub fn initialize(&self, mv: &mut MaterializedView, store: &Store) -> Result<()> {
         self.rebuild(&mut self.inner(), store);
         if mv.is_empty() {
-            return mv.insert_all(self.members().into_iter().filter_map(|y| store.get(y).cloned()));
+            return mv.insert_all(
+                self.members()
+                    .into_iter()
+                    .filter_map(|y| store.get(y).cloned()),
+            );
         }
         self.reconcile_view(mv, store).map(|_| ())
     }
@@ -460,8 +465,7 @@ mod tests {
         // The step's own change is exactly what a full reconcile of
         // the pre-batch view would have found.
         let members: HashSet<Oid> = cm.members().into_iter().collect();
-        let (inserted, deleted) =
-            reconcile(&mut full, &members, |y| store.get(y)).unwrap();
+        let (inserted, deleted) = reconcile(&mut full, &members, |y| store.get(y)).unwrap();
         assert_eq!(out.inserted, vec![oid("P2")]);
         assert_eq!(out.deleted, vec![oid("P1"), oid("P4")]);
         assert_eq!((out.inserted, out.deleted), (inserted, deleted));
@@ -546,14 +550,20 @@ mod tests {
             store.insert_edge(oid("P2"), oid("A2")).unwrap(),
         ]);
         let counts = |m: &[(CircuitMaintainer, MaterializedView)]| {
-            m.iter().map(|(cm, _)| (cm.steps(), cm.rebuilds())).collect::<Vec<_>>()
+            m.iter()
+                .map(|(cm, _)| (cm.steps(), cm.rebuilds()))
+                .collect::<Vec<_>>()
         };
         let before = counts(&maintained);
         for (cm, mv) in &mut maintained {
             cm.apply_batch(mv, &store, &shared).unwrap();
         }
         let after = counts(&maintained);
-        assert_eq!(after[0], (before[0].0, before[0].1 + 1), "the stale circuit rebuilds");
+        assert_eq!(
+            after[0],
+            (before[0].0, before[0].1 + 1),
+            "the stale circuit rebuilds"
+        );
         for (b, a) in before[1..].iter().zip(&after[1..]) {
             assert_eq!(*a, (b.0 + 1, b.1), "an up-to-date circuit steps");
         }
@@ -571,7 +581,12 @@ mod tests {
             assert_eq!(cm.members(), fresh.members(), "{}", cm.view());
             assert_eq!(mv.members_base(), fresh_mv.members_base(), "{}", cm.view());
             for y in fresh.members() {
-                assert_eq!(cm.aggregate_of(y), fresh.aggregate_of(y), "{} at {y}", cm.view());
+                assert_eq!(
+                    cm.aggregate_of(y),
+                    fresh.aggregate_of(y),
+                    "{} at {y}",
+                    cm.view()
+                );
             }
         }
     }

@@ -88,11 +88,7 @@ impl ViewCluster {
     }
 
     /// Process one base update against every view in the cluster.
-    pub fn apply(
-        &mut self,
-        base: &mut dyn BaseAccess,
-        update: &gsdb::AppliedUpdate,
-    ) -> Result<()> {
+    pub fn apply(&mut self, base: &mut dyn BaseAccess, update: &gsdb::AppliedUpdate) -> Result<()> {
         // Run Algorithm 1 per view on a membership shadow, then apply
         // the membership changes against the shared pool.
         let views: Vec<(Oid, Maintainer)> = self
@@ -177,7 +173,10 @@ impl ViewCluster {
         }
         let delegate = Oid::delegate(self.cluster, base);
         self.store.delete_edge(view, delegate)?;
-        let rc = self.refcount.get_mut(&base).expect("refcount tracks members");
+        let rc = self
+            .refcount
+            .get_mut(&base)
+            .expect("refcount tracks members");
         *rc -= 1;
         if *rc == 0 {
             self.refcount.remove(&base);
@@ -269,8 +268,18 @@ mod tests {
         let d = cluster.delegate_of(oid("P1")).unwrap();
         assert_eq!(d.name(), "CL.P1");
         // Both view objects point at the same delegate.
-        assert!(cluster.store().get(oid("YP")).unwrap().children().contains(&d));
-        assert!(cluster.store().get(oid("VJ")).unwrap().children().contains(&d));
+        assert!(cluster
+            .store()
+            .get(oid("YP"))
+            .unwrap()
+            .children()
+            .contains(&d));
+        assert!(cluster
+            .store()
+            .get(oid("VJ"))
+            .unwrap()
+            .children()
+            .contains(&d));
     }
 
     #[test]

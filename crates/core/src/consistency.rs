@@ -81,11 +81,17 @@ pub fn check(
         let Some(d) = mv.delegate_of(b) else { continue };
         let Some(dobj) = mv.delegate(d) else { continue };
         let Some(bobj) = base.fetch(b) else {
-            problems.push(Inconsistency::ValueMismatch { base: b, delegate: d });
+            problems.push(Inconsistency::ValueMismatch {
+                base: b,
+                delegate: d,
+            });
             continue;
         };
         if dobj.label != bobj.label {
-            problems.push(Inconsistency::LabelMismatch { base: b, delegate: d });
+            problems.push(Inconsistency::LabelMismatch {
+                base: b,
+                delegate: d,
+            });
             continue;
         }
         let matches = match (&dobj.value, &bobj.value) {
@@ -104,7 +110,10 @@ pub fn check(
             _ => false,
         };
         if !matches {
-            problems.push(Inconsistency::ValueMismatch { base: b, delegate: d });
+            problems.push(Inconsistency::ValueMismatch {
+                base: b,
+                delegate: d,
+            });
         }
     }
     problems

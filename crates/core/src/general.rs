@@ -216,7 +216,10 @@ impl Located {
     fn join(&mut self, other: Located) -> bool {
         let grew = other.sel & !self.sel != 0;
         self.sel |= other.sel;
-        other.threads.into_iter().fold(grew, |grew, (y, m)| self.merge(y, m) | grew)
+        other
+            .threads
+            .into_iter()
+            .fold(grew, |grew, (y, m)| self.merge(y, m) | grew)
     }
 
     /// No instance of `sel_expr.cond_expr` passes through here.
@@ -364,8 +367,7 @@ impl GeneralMaintainer {
             // The states `sel_expr` reached the child in belong to the
             // state before the batch (the parent itself may have moved
             // since), so walk from all of them; only members can lose.
-            let (below, _) =
-                scratch.reach(store, e.child, &a.sel, a.sel.all_states(), &|_| true);
+            let (below, _) = scratch.reach(store, e.child, &a.sel, a.sel.all_states(), &|_| true);
             for y in below.into_iter().filter(|&y| mv.contains_base(y)) {
                 cands.add(y, Known::default());
                 relevant = true;
@@ -385,12 +387,13 @@ impl GeneralMaintainer {
         // Ancestors whose witness set the edge is part of. An inserted
         // atom that satisfies the predicate is itself the witness.
         let inserted_witness = e.op == EdgeOp::Insert
-            && self.def.cond.as_ref().is_some_and(|c| {
-                store.atom(e.child).is_some_and(|v| c.pred.eval(v))
-            });
+            && self
+                .def
+                .cond
+                .as_ref()
+                .is_some_and(|c| store.atom(e.child).is_some_and(|v| c.pred.eval(v)));
         for &(y, mask) in &at.threads {
-            let witness =
-                inserted_witness && a.cond.as_ref().is_some_and(|c| c.is_accepting(mask));
+            let witness = inserted_witness && a.cond.as_ref().is_some_and(|c| c.is_accepting(mask));
             cands.add(y, Known { sel: true, witness });
         }
         // What now hangs under the new edge gained this root path:
@@ -398,7 +401,13 @@ impl GeneralMaintainer {
         if e.op == EdgeOp::Insert && at.sel != 0 {
             let (below, _) = scratch.reach(store, e.child, &a.sel, at.sel, &|_| true);
             for y in below {
-                cands.add(y, Known { sel: true, witness: false });
+                cands.add(
+                    y,
+                    Known {
+                        sel: true,
+                        witness: false,
+                    },
+                );
             }
         }
         true
@@ -407,12 +416,7 @@ impl GeneralMaintainer {
     /// Locate one net atom change: it matters only to the ancestors it
     /// sits under at an instance of `cond_expr`, and only if the
     /// predicate's verdict on it flipped.
-    fn locate_modify(
-        &self,
-        store: &Store,
-        m: &ModifyDelta,
-        cands: &mut Candidates,
-    ) -> bool {
+    fn locate_modify(&self, store: &Store, m: &ModifyDelta, cands: &mut Candidates) -> bool {
         let (Some(cond), Some(c)) = (&self.def.cond, &self.automata.cond) else {
             return false;
         };
@@ -425,7 +429,13 @@ impl GeneralMaintainer {
             if c.is_accepting(mask) {
                 relevant = true;
                 if was != is {
-                    cands.add(y, Known { sel: true, witness: is });
+                    cands.add(
+                        y,
+                        Known {
+                            sel: true,
+                            witness: is,
+                        },
+                    );
                 }
             }
         }
@@ -436,13 +446,21 @@ impl GeneralMaintainer {
     /// stops at its first witness.
     fn selects(&self, store: &Store, y: Oid, known: Known, scratch: &mut WalkScratch) -> bool {
         let a = &self.automata;
-        if !known.sel && !self.locate(store, y).is_some_and(|at| a.sel.is_accepting(at.sel)) {
+        if !known.sel
+            && !self
+                .locate(store, y)
+                .is_some_and(|at| a.sel.is_accepting(at.sel))
+        {
             return false;
         }
         match (&self.def.cond, &a.cond) {
             (Some(cond), Some(c)) if !known.witness => {
                 let pred = &cond.pred;
-                scratch.any(store, y, c, c.start_mask(), &|_| true, |o| pred.holds_at(store, o)).0
+                scratch
+                    .any(store, y, c, c.start_mask(), &|_| true, |o| {
+                        pred.holds_at(store, o)
+                    })
+                    .0
             }
             _ => true,
         }
@@ -576,7 +594,7 @@ mod tests {
     use crate::viewdef::SimpleViewDef;
     use gsdb::builder::{atom, set};
     use gsdb::samples;
-    use gsview_query::{CmpOp, Pred, PathExpr};
+    use gsview_query::{CmpOp, PathExpr, Pred};
 
     fn oid(s: &str) -> Oid {
         Oid::new(s)
@@ -646,8 +664,10 @@ mod tests {
         // MVJ: SELECT ROOT.* X WHERE X.name = 'John'.
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
-            .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"));
+        let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap()).with_cond(
+            PathExpr::parse("name").unwrap(),
+            Pred::new(CmpOp::Eq, "John"),
+        );
         let gm = GeneralMaintainer::new(def);
         let mut mv = gm.recompute(&store).unwrap();
         assert_eq!(mv.members_base(), vec![oid("P1"), oid("P3")]);
@@ -689,8 +709,10 @@ mod tests {
     fn wildcard_planner_picks_algorithm1() {
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap())
-            .with_cond(PathExpr::parse("name").unwrap(), Pred::new(CmpOp::Eq, "John"));
+        let def = GeneralViewDef::new("MVJ", "ROOT", PathExpr::parse("*").unwrap()).with_cond(
+            PathExpr::parse("name").unwrap(),
+            Pred::new(CmpOp::Eq, "John"),
+        );
         // Circuits take constant paths only, so the planner must route
         // wildcard shapes to Algorithm 1, and the maintainer reports
         // the planner's answer.
@@ -742,12 +764,9 @@ mod tests {
                         .child(set("S2", "student").child(atom("T2", "age", 20i64))),
                 ),
             )
-            .child(
-                set("D2", "dept").child(
-                    set("P2", "professor")
-                        .child(set("S3", "student").child(atom("T3", "age", 45i64))),
-                ),
-            )
+            .child(set("D2", "dept").child(
+                set("P2", "professor").child(set("S3", "student").child(atom("T3", "age", 45i64))),
+            ))
             .child(set("X1", "misc"))
             .build(&mut s)
             .unwrap();
@@ -884,7 +903,10 @@ mod tests {
             &gm,
             &mut mv,
             &mut store,
-            vec![gsdb::Update::insert("S2", "T9"), gsdb::Update::modify("T1", 30i64)],
+            vec![
+                gsdb::Update::insert("S2", "T9"),
+                gsdb::Update::modify("T1", 30i64),
+            ],
         );
         assert_eq!(out.inserted, vec![oid("S2")]);
         assert_eq!(out.deleted, vec![oid("S1")]);
@@ -912,13 +934,19 @@ mod tests {
         atom("HOB", "hobby", "chess").build(&mut store).unwrap();
         let up = store.insert_edge(oid("P3"), oid("HOB")).unwrap();
         store.reset_accesses();
-        assert_eq!(gm.apply(&mut mv, &store, &up).unwrap().inserted, vec![oid("HOB")]);
+        assert_eq!(
+            gm.apply(&mut mv, &store, &up).unwrap().inserted,
+            vec![oid("HOB")]
+        );
         assert!(store.accesses() < 20, "{} accesses", store.accesses());
         // A database object that groups its members is a parent that
         // leads nowhere: searched, and dropped.
         let up = store.modify_atom(oid("N2"), "Sal").unwrap();
         gm.apply(&mut mv, &store, &up).unwrap();
-        assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
+        assert_eq!(
+            mv.members_base(),
+            gm.recompute(&store).unwrap().members_base()
+        );
     }
 
     #[test]
@@ -929,7 +957,12 @@ mod tests {
         let stars = PathExpr(vec![gsview_query::Elem::AnySeq; 70]);
         let gm = GeneralMaintainer::new(GeneralViewDef::new("STARS", "ROOT", stars));
         let mut mv = gm.recompute(&store).unwrap();
-        let out = batch_locally(&gm, &mut mv, &mut store, vec![gsdb::Update::delete("P1", "S1")]);
+        let out = batch_locally(
+            &gm,
+            &mut mv,
+            &mut store,
+            vec![gsdb::Update::delete("P1", "S1")],
+        );
         assert_eq!(out.deleted, vec![oid("S1"), oid("T1")]);
     }
 
@@ -949,18 +982,24 @@ mod tests {
         let edge = |s: &mut Store, p: &str, c: &str| s.insert_edge(oid(p), oid(c)).unwrap();
         let levels = 40;
         for i in 0..=levels {
-            store.create(gsdb::Object::empty_set(format!("L{i}").as_str(), "rung")).unwrap();
+            store
+                .create(gsdb::Object::empty_set(format!("L{i}").as_str(), "rung"))
+                .unwrap();
         }
         for i in 0..levels {
             for side in ["l", "r"] {
                 let rail = format!("L{i}{side}");
-                store.create(gsdb::Object::empty_set(rail.as_str(), "rail")).unwrap();
+                store
+                    .create(gsdb::Object::empty_set(rail.as_str(), "rail"))
+                    .unwrap();
                 edge(&mut store, &format!("L{i}"), &rail);
                 edge(&mut store, &rail, &format!("L{}", i + 1));
             }
         }
         for i in 0..5 {
-            store.create(gsdb::Object::empty_set(format!("C{i}").as_str(), "ring")).unwrap();
+            store
+                .create(gsdb::Object::empty_set(format!("C{i}").as_str(), "ring"))
+                .unwrap();
         }
         for i in 0..5 {
             edge(&mut store, &format!("C{i}"), &format!("C{}", (i + 1) % 5));
@@ -982,7 +1021,10 @@ mod tests {
             store.reset_accesses();
             gm.apply_batch(mv, store, &batch).unwrap();
             let accesses = store.accesses();
-            assert_eq!(mv.members_base(), gm.recompute(store).unwrap().members_base());
+            assert_eq!(
+                mv.members_base(),
+                gm.recompute(store).unwrap().members_base()
+            );
             accesses
         };
         // Detached: screened, at a cost that knows neither the number
@@ -1014,13 +1056,17 @@ mod tests {
         for d in 0..depts {
             let mut dept = set(&format!("D{d}"), "dept");
             for p in (0..10).map(|p| d * 10 + p) {
-                let mut prof = set(&format!("P{p}"), "professor")
-                    .child(atom(&format!("A{p}"), "age", 30 + (p % 40) as i64));
+                let mut prof = set(&format!("P{p}"), "professor").child(atom(
+                    &format!("A{p}"),
+                    "age",
+                    30 + (p % 40) as i64,
+                ));
                 for k in (0..3).map(|k| p * 3 + k) {
-                    prof = prof.child(
-                        set(&format!("S{k}"), "student")
-                            .child(atom(&format!("T{k}"), "age", 20 + (k % 30) as i64)),
-                    );
+                    prof = prof.child(set(&format!("S{k}"), "student").child(atom(
+                        &format!("T{k}"),
+                        "age",
+                        20 + (k % 30) as i64,
+                    )));
                 }
                 dept = dept.child(prof);
             }
@@ -1029,7 +1075,9 @@ mod tests {
         root.build(&mut store).unwrap();
         for p in (0..depts * 10).filter(|_| shared) {
             let next = format!("D{}", (p / 10 + 1) % depts);
-            store.insert_edge(oid(&next), oid(&format!("P{p}"))).unwrap();
+            store
+                .insert_edge(oid(&next), oid(&format!("P{p}")))
+                .unwrap();
         }
         let gm = old_students("*.student");
         let mut mv = gm.recompute(&store).unwrap();
@@ -1040,7 +1088,10 @@ mod tests {
         for p in (0..70).step_by(7) {
             let (s, t) = (format!("S{}", p * 3), format!("T{}", p * 3));
             let (fresh, age) = (format!("S{p}new"), format!("T{p}new"));
-            set(&fresh, "student").child(atom(&age, "age", 50i64)).build(&mut store).unwrap();
+            set(&fresh, "student")
+                .child(atom(&age, "age", 50i64))
+                .build(&mut store)
+                .unwrap();
             for u in [
                 Update::modify(t.as_str(), 60i64),
                 Update::modify(t.as_str(), 10i64),
@@ -1055,7 +1106,10 @@ mod tests {
             }
         }
         let accesses = store.accesses();
-        assert_eq!(mv.members_base(), gm.recompute(&store).unwrap().members_base());
+        assert_eq!(
+            mv.members_base(),
+            gm.recompute(&store).unwrap().members_base()
+        );
         accesses as f64 / updates as f64
     }
 
@@ -1064,8 +1118,14 @@ mod tests {
         // The locality gate: counts, not time, so it holds on any
         // machine. The per-batch refresh this replaced read the whole
         // store: 16× the objects, 16× the accesses.
-        let (small, large) = (accesses_per_update(14, false), accesses_per_update(224, false));
-        assert!(large <= small * 1.25, "{small} accesses/update at 1k objects, {large} at 16k");
+        let (small, large) = (
+            accesses_per_update(14, false),
+            accesses_per_update(224, false),
+        );
+        assert!(
+            large <= small * 1.25,
+            "{small} accesses/update at 1k objects, {large} at 16k"
+        );
         assert!(large < 20.0, "{large} accesses/update");
     }
 
@@ -1076,8 +1136,14 @@ mod tests {
         // adds the extra ancestors and nothing that grows with the
         // store.
         for depts in [14, 224] {
-            let (tree, dag) = (accesses_per_update(depts, false), accesses_per_update(depts, true));
-            assert!(dag <= 2.0 * tree, "{tree} accesses/update on the tree, {dag} on the DAG");
+            let (tree, dag) = (
+                accesses_per_update(depts, false),
+                accesses_per_update(depts, true),
+            );
+            assert!(
+                dag <= 2.0 * tree,
+                "{tree} accesses/update on the tree, {dag} on the DAG"
+            );
         }
     }
 
@@ -1137,7 +1203,11 @@ mod tests {
     ) -> Outcome {
         let applied = store.apply(u).unwrap();
         let out = gm.apply(mv, store, &applied).unwrap();
-        assert_eq!(mv.members_base(), gm.recompute(store).unwrap().members_base(), "after {applied}");
+        assert_eq!(
+            mv.members_base(),
+            gm.recompute(store).unwrap().members_base(),
+            "after {applied}"
+        );
         out
     }
 

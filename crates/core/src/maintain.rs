@@ -239,9 +239,7 @@ impl Maintainer {
                 base.ancestor(n1, &q)
             };
             if let Some(y) = y {
-                if base.eval(y, &cond_path, self.pred()).is_empty()
-                    && mv.delete_member(y)?
-                {
+                if base.eval(y, &cond_path, self.pred()).is_empty() && mv.delete_member(y)? {
                     out.deleted.push(y);
                 }
             }
@@ -558,8 +556,7 @@ mod tests {
 
     /// View YP from paper Example 5: professors with age ≤ 45.
     fn yp_def() -> SimpleViewDef {
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     fn person_store() -> Store {
@@ -689,10 +686,15 @@ mod tests {
         let out = m.apply(&mut mv, &mut LocalBase::new(&store), &up).unwrap();
         assert!(!out.relevant);
 
-        store.create(Object::atom("XTRA", "hobby", "chess")).unwrap();
+        store
+            .create(Object::atom("XTRA", "hobby", "chess"))
+            .unwrap();
         let up = store.insert_edge(oid("P4"), oid("XTRA")).unwrap();
         let out = m.apply(&mut mv, &mut LocalBase::new(&store), &up).unwrap();
-        assert!(!out.relevant, "path(ROOT,P4).hobby does not prefix professor.age");
+        assert!(
+            !out.relevant,
+            "path(ROOT,P4).hobby does not prefix professor.age"
+        );
     }
 
     #[test]
@@ -789,7 +791,11 @@ mod tests {
             .collect();
         let mut batch = DeltaBatch::new();
         batch.push(store.apply(Update::Remove { oid: oid("P1") }).unwrap());
-        batch.push(store.apply(Update::create(Object::set("P1", "professor", &kept))).unwrap());
+        batch.push(
+            store
+                .apply(Update::create(Object::set("P1", "professor", &kept)))
+                .unwrap(),
+        );
         let out = Maintainer::new(def.clone())
             .apply_batch(&mut mv, &mut LocalBase::new(&store), &batch)
             .unwrap();

@@ -256,11 +256,7 @@ impl MaterializedView {
     /// §3.2: "it is possible to 'manually' change the object values
     /// without affecting base objects ... this has to be done with
     /// care").
-    pub fn edit_delegate(
-        &mut self,
-        delegate: Oid,
-        f: impl FnOnce(&mut Value),
-    ) -> Result<()> {
+    pub fn edit_delegate(&mut self, delegate: Oid, f: impl FnOnce(&mut Value)) -> Result<()> {
         if delegate == self.view {
             return Err(GsdbError::NoSuchObject(delegate));
         }
@@ -315,11 +311,19 @@ impl MaterializedView {
         let delegates: Vec<Oid> = self.members_delegates();
         let mut dropped = 0;
         for d in delegates {
-            let Some(obj) = self.store.get(d) else { continue };
-            let Some(set) = obj.value.as_set() else { continue };
+            let Some(obj) = self.store.get(d) else {
+                continue;
+            };
+            let Some(set) = obj.value.as_set() else {
+                continue;
+            };
             let to_drop: Vec<Oid> = set
                 .iter()
-                .filter(|o| o.split_delegate().map(|(v, _)| v != self.view).unwrap_or(true))
+                .filter(|o| {
+                    o.split_delegate()
+                        .map(|(v, _)| v != self.view)
+                        .unwrap_or(true)
+                })
                 .collect();
             if to_drop.is_empty() {
                 continue;
@@ -344,8 +348,12 @@ impl MaterializedView {
         let mapping = self.base_to_delegate.clone();
         let mut rewritten = 0;
         for d in delegates {
-            let Some(obj) = self.store.get(d) else { continue };
-            let Some(set) = obj.value.as_set() else { continue };
+            let Some(obj) = self.store.get(d) else {
+                continue;
+            };
+            let Some(set) = obj.value.as_set() else {
+                continue;
+            };
             let changes: Vec<(Oid, Oid)> = set
                 .iter()
                 .filter_map(|o| map_oid(&mapping, o).map(|n| (o, n)))
@@ -427,12 +435,16 @@ mod tests {
     fn swizzle_rewrites_only_present_members() {
         let mut mv = MaterializedView::new("MVJ");
         mv.v_insert(&p1_object()).unwrap();
-        mv.v_insert(&Object::set("P3", "student", &[oid("N3")])).unwrap();
+        mv.v_insert(&Object::set("P3", "student", &[oid("N3")]))
+            .unwrap();
         let n = mv.swizzle().unwrap();
         assert_eq!(n, 1, "only P3 inside P1's value has a delegate");
         let d = mv.delegate(oid("MVJ.P1")).unwrap();
         assert!(d.children().contains(&Oid::delegate(oid("MVJ"), oid("P3"))));
-        assert!(d.children().contains(&oid("N1")), "N1 has no delegate, stays");
+        assert!(
+            d.children().contains(&oid("N1")),
+            "N1 has no delegate, stays"
+        );
         // Swizzling is reversible.
         let back = mv.unswizzle().unwrap();
         assert_eq!(back, 1);
@@ -444,7 +456,8 @@ mod tests {
     fn strip_base_oids_yields_self_contained_view() {
         let mut mv = MaterializedView::new("MVJ");
         mv.v_insert(&p1_object()).unwrap();
-        mv.v_insert(&Object::set("P3", "student", &[oid("N3")])).unwrap();
+        mv.v_insert(&Object::set("P3", "student", &[oid("N3")]))
+            .unwrap();
         mv.swizzle().unwrap();
         let dropped = mv.strip_base_oids().unwrap();
         assert_eq!(dropped, 4, "N1,A1,S1 from P1 and N3 from P3");
@@ -490,9 +503,6 @@ mod tests {
         mv.v_insert(&Object::atom("b", "x", 1i64)).unwrap();
         mv.v_insert(&Object::atom("a", "x", 2i64)).unwrap();
         assert_eq!(mv.members_base(), vec![oid("a"), oid("b")]);
-        assert_eq!(
-            mv.members_delegates(),
-            vec![oid("V.a"), oid("V.b")]
-        );
+        assert_eq!(mv.members_delegates(), vec![oid("V.a"), oid("V.b")]);
     }
 }

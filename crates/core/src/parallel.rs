@@ -326,7 +326,12 @@ impl ParallelMaintainer {
         for (plan, d) in self.plans.iter().zip(deltas) {
             let root = plan.def().root;
             let modified = d.modifies.iter().filter(|_| plan.def().cond.is_some());
-            for anchor in d.edges.iter().map(|e| e.parent).chain(modified.map(|m| m.oid)) {
+            for anchor in d
+                .edges
+                .iter()
+                .map(|e| e.parent)
+                .chain(modified.map(|m| m.oid))
+            {
                 walks
                     .entry((root, anchor))
                     .or_insert_with(|| path::path_between(store, root, anchor));
@@ -419,7 +424,6 @@ impl ParallelMaintainer {
             results.into_iter().collect()
         })
     }
-
 }
 
 #[cfg(test)]
@@ -511,7 +515,10 @@ mod tests {
         // view locates every modify by walking up from the atom, and
         // the repair phase asks paths of members only, never of an
         // atom — so a flush saves exactly five views' locate walks.
-        let (le, gt) = (|v: i64| Pred::new(CmpOp::Le, v), |v: i64| Pred::new(CmpOp::Gt, v));
+        let (le, gt) = (
+            |v: i64| Pred::new(CmpOp::Le, v),
+            |v: i64| Pred::new(CmpOp::Gt, v),
+        );
         let defs = vec![
             SimpleViewDef::new("W1", "ROOT", "professor").with_cond("age", le(45)),
             SimpleViewDef::new("W2", "ROOT", "professor").with_cond("age", gt(60)),
@@ -548,7 +555,10 @@ mod tests {
             pm.partition_for(&store, &delta, &views);
         });
         let (deltas, _) = pm.partition_for(&store, &delta, &views);
-        assert!(deltas.iter().all(|d| d.modifies.len() == 4), "nothing screened");
+        assert!(
+            deltas.iter().all(|d| d.modifies.len() == 4),
+            "nothing screened"
+        );
         // One view's locate walks: every modified atom, once.
         let walk = accesses(&mut || {
             for m in &delta.modifies {
@@ -635,7 +645,11 @@ mod tests {
         // {P2, ROOT} — the P1-rooted view cannot be affected.
         store.create(Object::atom("A2", "age", 40i64)).unwrap();
         let mut batch = DeltaBatch::new();
-        batch.push(store.apply(Update::create(Object::atom("FRESH", "age", 1i64))).unwrap());
+        batch.push(
+            store
+                .apply(Update::create(Object::atom("FRESH", "age", 1i64)))
+                .unwrap(),
+        );
         batch.push(store.apply(Update::insert("P2", "FRESH")).unwrap());
         let pm = ParallelMaintainer::new(defs());
         let (deltas, stats) = pm.partition(&store, &batch.consolidate());
@@ -660,7 +674,12 @@ mod tests {
         let (deltas, stats) = pm.partition(&store, &batch.consolidate());
         assert_eq!(deltas[0].edges.len(), 2);
         assert_eq!(deltas[1].edges.len(), 2);
-        assert_eq!(deltas[2].edges.len(), 1, "P1-rooted view: {:?}", deltas[2].edges);
+        assert_eq!(
+            deltas[2].edges.len(),
+            1,
+            "P1-rooted view: {:?}",
+            deltas[2].edges
+        );
         assert_eq!(deltas[2].edges[0].op, EdgeOp::Delete);
         assert_eq!(stats.screened_out, 1);
     }

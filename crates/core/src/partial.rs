@@ -171,10 +171,7 @@ impl PartialView {
                         label: obj.label,
                         value: Value::empty_set(),
                     })?;
-                    self.copied_under
-                        .entry(obj.oid)
-                        .or_default()
-                        .push(member);
+                    self.copied_under.entry(obj.oid).or_default().push(member);
                     for c in kids {
                         match base.fetch(c) {
                             Some(cobj) => {
@@ -258,8 +255,7 @@ mod tests {
     }
 
     fn yp_def() -> SimpleViewDef {
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     #[test]
@@ -304,7 +300,10 @@ mod tests {
         let out = pv.apply(&mut LocalBase::new(&store), &up).unwrap();
         assert_eq!(out.inserted, vec![oid("P2")]);
         assert!(pv.delegate_of(oid("P2")).is_some());
-        assert!(pv.delegate_of(oid("N2")).is_some(), "child copied at depth 1");
+        assert!(
+            pv.delegate_of(oid("N2")).is_some(),
+            "child copied at depth 1"
+        );
     }
 
     #[test]
@@ -331,10 +330,7 @@ mod tests {
         let up = store.modify_atom(oid("N1"), "Johnny").unwrap();
         pv.apply(&mut LocalBase::new(&store), &up).unwrap();
         let n1d = pv.delegate_of(oid("N1")).unwrap();
-        assert_eq!(
-            pv.store().atom(n1d),
-            Some(&gsdb::Atom::str("Johnny"))
-        );
+        assert_eq!(pv.store().atom(n1d), Some(&gsdb::Atom::str("Johnny")));
     }
 
     #[test]

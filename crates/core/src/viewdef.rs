@@ -234,8 +234,8 @@ mod tests {
 
     #[test]
     fn simple_from_paper_expression_4_7() {
-        let v = parse_viewdef("define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45")
-            .unwrap();
+        let v =
+            parse_viewdef("define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45").unwrap();
         let d = SimpleViewDef::from_viewdef(&v).unwrap();
         assert_eq!(d.view, Oid::new("YP"));
         assert_eq!(d.root, Oid::new("ROOT"));
@@ -246,8 +246,8 @@ mod tests {
 
     #[test]
     fn wildcard_views_are_not_simple() {
-        let v = parse_viewdef("define mview MVJ as: SELECT ROOT.* X WHERE X.name = 'John'")
-            .unwrap();
+        let v =
+            parse_viewdef("define mview MVJ as: SELECT ROOT.* X WHERE X.name = 'John'").unwrap();
         assert!(SimpleViewDef::from_viewdef(&v).is_none());
         let g = GeneralViewDef::from_viewdef(&v).unwrap();
         assert_eq!(g.sel_expr, PathExpr::parse("*").unwrap());

@@ -35,11 +35,7 @@ pub fn define_virtual_view_query(
 
 /// Re-evaluate a virtual view's defining query and replace its value
 /// (virtual views are recomputed on demand, not maintained).
-pub fn refresh_virtual_view(
-    store: &mut Store,
-    name: Oid,
-    query: &Query,
-) -> Result<(), EvalError> {
+pub fn refresh_virtual_view(store: &mut Store, name: Oid, query: &Query) -> Result<(), EvalError> {
     let ans = evaluate(store, query)?;
     let old: Vec<Oid> = store
         .get(name)
@@ -73,10 +69,9 @@ mod tests {
     fn example_3_define_vj() {
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let def =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         let v = define_virtual_view(&mut store, &def).unwrap();
         let obj = store.get(v).unwrap();
         assert_eq!(obj.label.as_str(), "view");
@@ -89,10 +84,9 @@ mod tests {
         // because it is not in value(VJ)).
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let def =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         define_virtual_view(&mut store, &def).unwrap();
         let q = parse_query("SELECT ROOT.professor X ANS INT VJ").unwrap();
         let ans = evaluate(&store, &q).unwrap();
@@ -104,10 +98,9 @@ mod tests {
         // SELECT VJ.?.age — ages of persons named John (paper §3.1).
         let mut store = Store::new();
         samples::person_db(&mut store).unwrap();
-        let def = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let def =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         define_virtual_view(&mut store, &def).unwrap();
         let q = parse_query("SELECT VJ.?.age X").unwrap();
         let ans = evaluate(&store, &q).unwrap();

@@ -35,7 +35,11 @@ impl EdgePolicy {
     }
 
     /// Hide edges from `parent_label` objects to `child_label` objects.
-    pub fn hide_pair(mut self, parent_label: impl Into<Label>, child_label: impl Into<Label>) -> Self {
+    pub fn hide_pair(
+        mut self,
+        parent_label: impl Into<Label>,
+        child_label: impl Into<Label>,
+    ) -> Self {
         self.hidden_pairs
             .insert((parent_label.into(), child_label.into()));
         self
@@ -71,11 +75,7 @@ impl EdgePolicy {
 /// `base` to resolve the labels of base OIDs inside delegate values
 /// (delegate OIDs of the same view resolve inside the view). Returns
 /// the number of edges hidden.
-pub fn apply_policy(
-    mv: &mut MaterializedView,
-    base: &Store,
-    policy: &EdgePolicy,
-) -> Result<usize> {
+pub fn apply_policy(mv: &mut MaterializedView, base: &Store, policy: &EdgePolicy) -> Result<usize> {
     let view = mv.view_oid();
     let mut hidden = 0usize;
     for d in mv.members_delegates() {
@@ -166,12 +166,7 @@ mod tests {
     #[test]
     fn allow_list_mode() {
         let (store, mut mv) = setup();
-        apply_policy(
-            &mut mv,
-            &store,
-            &EdgePolicy::show_all().show_only(["name"]),
-        )
-        .unwrap();
+        apply_policy(&mut mv, &store, &EdgePolicy::show_all().show_only(["name"])).unwrap();
         for d in mv.members_delegates() {
             for &c in mv.delegate(d).unwrap().children() {
                 assert_eq!(store.label(c).unwrap().as_str(), "name");
@@ -218,7 +213,10 @@ mod tests {
         let up = store.insert_edge(oid("P1"), oid("H9")).unwrap();
         m.apply(&mut mv, &mut LocalBase::new(&store), &up).unwrap();
         let p1 = mv.delegate(oid("EP.P1")).unwrap();
-        assert!(p1.children().contains(&oid("S1")), "refresh restored the raw value");
+        assert!(
+            p1.children().contains(&oid("S1")),
+            "refresh restored the raw value"
+        );
         apply_policy(&mut mv, &store, &policy).unwrap();
         let p1 = mv.delegate(oid("EP.P1")).unwrap();
         assert!(!p1.children().contains(&oid("S1")));

@@ -11,10 +11,10 @@
 //! wires its base at random — shared objects, cycles, dangling edges —
 //! where maintenance joins the walks and stays local all the same.
 
+use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_core::{
     GeneralMaintainer, GeneralViewDef, LocalBase, Maintainer, MaterializedView, SimpleViewDef,
 };
-use gsdb::{DeltaBatch, Object, Oid, Store, Update};
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, Pred};
 use gsview_testkit::oracle::{assert_equivalent, assert_parallel_equivalent};
@@ -66,7 +66,11 @@ fn build_campus(n_dept: usize, n_prof: usize, studs_per_prof: usize, ages: &[i64
     }
     for p in 0..n_prof {
         let prof = format!("P{p}");
-        let host = if n_dept == 0 { "ROOT".to_owned() } else { format!("G{}", p % n_dept) };
+        let host = if n_dept == 0 {
+            "ROOT".to_owned()
+        } else {
+            format!("G{}", p % n_dept)
+        };
         set_under(&mut s, Some(&host), &prof, "professor");
         for t in 0..studs_per_prof {
             set_under(&mut s, Some(&prof), &format!("P{p}S{t}"), "student");
@@ -86,7 +90,12 @@ fn build_campus(n_dept: usize, n_prof: usize, studs_per_prof: usize, ages: &[i64
     for d in 0..3 {
         next_age(&mut s, format!("D{d}"));
     }
-    Base { store: s, edges, sets, atoms }
+    Base {
+        store: s,
+        edges,
+        sets,
+        atoms,
+    }
 }
 
 /// Raw op tuples → a concrete update run that keeps the base a forest:

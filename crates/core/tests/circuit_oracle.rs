@@ -16,16 +16,15 @@
 //! handed; the last suite holds circuits stepped through one shared
 //! batch ≡ the same circuits each deriving privately.
 
-use gsview_core::{
-    AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundMaintainer,
-    CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, MaterializedView,
-    SimpleViewDef,
-};
-use gsview_testkit::oracle::assert_equivalent;
 use gsdb::{Atom, DeltaBatch, Label, Object, Oid, Store, Update};
 use gsview_circuit::Circuit;
+use gsview_core::{
+    AggFn, AggregateView, AggregateViewDef, CircuitMaintainer, CircuitSource, CompoundMaintainer,
+    CompoundViewDef, GeneralMaintainer, GeneralViewDef, LocalBase, MaterializedView, SimpleViewDef,
+};
 use gsview_query::pathexpr::PathExpr;
 use gsview_query::{CmpOp, MaintBackend, Pred};
+use gsview_testkit::oracle::assert_equivalent;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -48,13 +47,15 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> Store {
     s.create(Object::empty_set("ROOT", "db")).unwrap();
     for p in 0..n_prof {
         let prof = format!("P{p}");
-        s.create(Object::empty_set(prof.as_str(), "professor")).unwrap();
+        s.create(Object::empty_set(prof.as_str(), "professor"))
+            .unwrap();
         s.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
         let a = next_age(&mut s, format!("P{p}a"));
         s.insert_edge(oid(&prof), a).unwrap();
         for t in 0..studs_per_prof {
             let stud = format!("P{p}S{t}");
-            s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
+            s.create(Object::empty_set(stud.as_str(), "student"))
+                .unwrap();
             s.insert_edge(oid(&prof), oid(&stud)).unwrap();
             let a = next_age(&mut s, format!("P{p}S{t}a"));
             s.insert_edge(oid(&stud), a).unwrap();
@@ -66,7 +67,8 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> Store {
     s.insert_edge(oid("F0"), a).unwrap();
     for e in 0..2 {
         let stud = format!("E{e}");
-        s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
+        s.create(Object::empty_set(stud.as_str(), "student"))
+            .unwrap();
         let a = next_age(&mut s, format!("E{e}a"));
         s.insert_edge(oid(&stud), a).unwrap();
     }

@@ -61,7 +61,9 @@ fn disjoint_base(shards: usize, writers: usize, per_writer: usize) -> (Store, Ve
             if store.shard_of(o) != want {
                 continue;
             }
-            store.create(Object::atom(name.as_str(), "age", 50i64)).unwrap();
+            store
+                .create(Object::atom(name.as_str(), "age", 50i64))
+                .unwrap();
             store
                 .insert_edge(oid(&format!("P{}", w % writers.min(3))), o)
                 .unwrap();
@@ -88,7 +90,9 @@ fn shared_base(shards: usize) -> (Store, Vec<Oid>) {
             .unwrap();
         store.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
         let a = format!("P{p}a");
-        store.create(Object::atom(a.as_str(), "age", 50i64)).unwrap();
+        store
+            .create(Object::atom(a.as_str(), "age", 50i64))
+            .unwrap();
         store.insert_edge(oid(&prof), oid(&a)).unwrap();
         atoms.push(oid(&a));
         for t in 0..2 {
@@ -98,7 +102,9 @@ fn shared_base(shards: usize) -> (Store, Vec<Oid>) {
                 .unwrap();
             store.insert_edge(oid(&prof), oid(&stud)).unwrap();
             let sa = format!("P{p}S{t}a");
-            store.create(Object::atom(sa.as_str(), "age", 20i64)).unwrap();
+            store
+                .create(Object::atom(sa.as_str(), "age", 20i64))
+                .unwrap();
             store.insert_edge(oid(&stud), oid(&sa)).unwrap();
             atoms.push(oid(&sa));
         }
@@ -258,20 +264,13 @@ fn seeded_schedule_stress_two_phase_publish() {
             let runs: Vec<Vec<Update>> = (0..writers)
                 .map(|_| {
                     let raw: Vec<(u8, usize, usize, i64)> = (0..3 + below(8))
-                        .map(|_| {
-                            (
-                                below(10) as u8,
-                                below(16),
-                                below(16),
-                                below(100) as i64,
-                            )
-                        })
+                        .map(|_| (below(10) as u8, below(16), below(16), below(100) as i64))
                         .collect();
                     contended_run(&raw, &atoms)
                 })
                 .collect();
-            let v = check_sharded_commit_equivalence(&view_defs(), &store, &runs, shards, 2)
-                .unwrap();
+            let v =
+                check_sharded_commit_equivalence(&view_defs(), &store, &runs, shards, 2).unwrap();
             assert!(
                 v.ok(),
                 "seed={seed} round={round} shards={shards} writers={writers}: \

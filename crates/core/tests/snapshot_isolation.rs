@@ -11,8 +11,8 @@
 //! arbitrary prefixes of the workload.
 
 use gsdb::{Object, Oid, Store, Update};
-use gsview_query::{CmpOp, Pred};
 use gsview_core::SimpleViewDef;
+use gsview_query::{CmpOp, Pred};
 use gsview_testkit::oracle::check_snapshot_isolation;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -36,7 +36,8 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec
     s.create(Object::empty_set("ROOT", "db")).unwrap();
     for p in 0..n_prof {
         let prof = format!("P{p}");
-        s.create(Object::empty_set(prof.as_str(), "professor")).unwrap();
+        s.create(Object::empty_set(prof.as_str(), "professor"))
+            .unwrap();
         s.insert_edge(oid("ROOT"), oid(&prof)).unwrap();
         edges.push((oid("ROOT"), oid(&prof)));
         let a = next_age(&mut s, format!("P{p}a"));
@@ -44,7 +45,8 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec
         edges.push((oid(&prof), a));
         for t in 0..studs_per_prof {
             let stud = format!("P{p}S{t}");
-            s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
+            s.create(Object::empty_set(stud.as_str(), "student"))
+                .unwrap();
             s.insert_edge(oid(&prof), oid(&stud)).unwrap();
             edges.push((oid(&prof), oid(&stud)));
             let a = next_age(&mut s, format!("P{p}S{t}a"));
@@ -58,7 +60,8 @@ fn build_base(n_prof: usize, studs_per_prof: usize, ages: &[i64]) -> (Store, Vec
     edges.push((oid("F0"), a));
     for e in 0..2 {
         let stud = format!("E{e}");
-        s.create(Object::empty_set(stud.as_str(), "student")).unwrap();
+        s.create(Object::empty_set(stud.as_str(), "student"))
+            .unwrap();
         let a = next_age(&mut s, format!("E{e}a"));
         s.insert_edge(oid(&stud), a).unwrap();
         edges.push((oid(&stud), a));

@@ -32,12 +32,20 @@ fn one_by_one(view: Oid, objects: Vec<Object>, record: bool) -> MaterializedView
 fn assert_same_view(whole: &mut MaterializedView, want: &mut MaterializedView, what: &str) {
     assert_eq!(whole.members_base(), want.members_base(), "{what}: members");
     for y in want.members_base() {
-        assert_eq!(whole.delegate_of(y), want.delegate_of(y), "{what}: delegate of {y}");
+        assert_eq!(
+            whole.delegate_of(y),
+            want.delegate_of(y),
+            "{what}: delegate of {y}"
+        );
     }
     let (ws, wt) = (whole.store(), want.store());
     assert_eq!(ws.version(), wt.version(), "{what}: version");
     assert_eq!(ws.version(), 1 + 2 * want.len() as u64, "{what}: version");
-    assert_eq!((ws.len(), ws.slot_bound()), (wt.len(), wt.slot_bound()), "{what}: size");
+    assert_eq!(
+        (ws.len(), ws.slot_bound()),
+        (wt.len(), wt.slot_bound()),
+        "{what}: size"
+    );
     let (wi, ti) = (ws.export_images(), wt.export_images());
     assert_eq!(wi.len(), ti.len(), "{what}: shards");
     for (a, b) in wi.iter().zip(&ti) {

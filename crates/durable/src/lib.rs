@@ -336,11 +336,15 @@ impl DurableStore {
                     receipt.chunks_reused += 1;
                 }
                 hashes.push(hash);
-                changed.push((i, j, CachedChunk {
-                    chunk: chunk.clone(),
-                    hash,
-                    encoded: Some(encoded),
-                }));
+                changed.push((
+                    i,
+                    j,
+                    CachedChunk {
+                        chunk: chunk.clone(),
+                        hash,
+                        encoded: Some(encoded),
+                    },
+                ));
             }
             shards.push(ShardManifest {
                 len_slots: img.len_slots as u64,
@@ -403,9 +407,8 @@ impl DurableStore {
                 // A lineage recovered from an older frame and not
                 // persisted since caches pages the compaction dropped:
                 // its next persist re-encodes them.
-                cache.retain(|_, pages| {
-                    self.log.holds_all(pages.iter().flatten().map(|p| &p.hash))
-                });
+                cache
+                    .retain(|_, pages| self.log.holds_all(pages.iter().flatten().map(|p| &p.hash)));
                 Ok(reclaimed)
             }
             Err(e) => {
@@ -429,7 +432,9 @@ impl DurableStore {
         while let Some(frame) = self.log.frame_from_tail(name, back) {
             match self.try_build(&frame.manifest) {
                 Ok(store) => {
-                    gsview_obs::registry().counter("durable.recover.count").incr();
+                    gsview_obs::registry()
+                        .counter("durable.recover.count")
+                        .incr();
                     gsview_obs::event!(
                         "durable.recover",
                         "name" = name.to_string(),
@@ -444,7 +449,9 @@ impl DurableStore {
                     // An unresolvable frame (missing/corrupt chunk,
                     // image the store rejects): fall back to the
                     // previous persist of this lineage, and say why.
-                    gsview_obs::registry().counter("durable.recover.fallback").incr();
+                    gsview_obs::registry()
+                        .counter("durable.recover.fallback")
+                        .incr();
                     gsview_obs::event!(
                         "durable.recover.fallback",
                         "name" = name.to_string(),
@@ -464,16 +471,25 @@ impl DurableStore {
     fn try_build(&self, m: &Manifest) -> Result<Store> {
         let mut read = Vec::with_capacity(m.page_count());
         let store = m.rebuild(|&hash| {
-            let payload = self.log.get(&hash)?.ok_or_else(|| {
-                DurableError::Corrupt(format!("chunk {hash} missing or corrupt"))
-            })?;
+            let payload = self
+                .log
+                .get(&hash)?
+                .ok_or_else(|| DurableError::Corrupt(format!("chunk {hash} missing or corrupt")))?;
             let chunk = gsdb::codec::decode_chunk(&payload)?;
-            read.push(CachedChunk { chunk: chunk.clone(), hash, encoded: None });
+            read.push(CachedChunk {
+                chunk: chunk.clone(),
+                hash,
+                encoded: None,
+            });
             Ok(chunk)
         })?;
         let mut read = read.into_iter();
-        let by_shard = m.shards.iter().map(|sm| read.by_ref().take(sm.pages.len()).collect());
-        self.persist_cache().insert(m.name.clone(), by_shard.collect());
+        let by_shard = m
+            .shards
+            .iter()
+            .map(|sm| read.by_ref().take(sm.pages.len()).collect());
+        self.persist_cache()
+            .insert(m.name.clone(), by_shard.collect());
         Ok(store)
     }
 
@@ -554,8 +570,10 @@ mod tests {
         let mut s = Store::with_config(StoreConfig::default().with_shards(shards));
         s.create(Object::empty_set("R", "root")).unwrap();
         for i in 0..n {
-            s.create(Object::atom(format!("o{i}").as_str(), "x", i as i64)).unwrap();
-            s.apply(Update::insert("R", format!("o{i}").as_str())).unwrap();
+            s.create(Object::atom(format!("o{i}").as_str(), "x", i as i64))
+                .unwrap();
+            s.apply(Update::insert("R", format!("o{i}").as_str()))
+                .unwrap();
         }
         s
     }
@@ -580,7 +598,11 @@ mod tests {
         assert_eq!(rec.store.oids_sorted(), s.oids_sorted());
         for o in s.oids_sorted() {
             assert_eq!(rec.store.get(o), s.get(o));
-            assert_eq!(rec.store.slot_of(o), s.slot_of(o), "slot layout must survive");
+            assert_eq!(
+                rec.store.slot_of(o),
+                s.slot_of(o),
+                "slot layout must survive"
+            );
         }
     }
 
@@ -644,10 +666,17 @@ mod tests {
         check(&d, &s, "baseline");
         let mut epoch = 1;
         let mut edit = |s: &mut Store, d: &DurableStore, round: usize| {
-            s.modify_atom(Oid::new(format!("o{}", round * 7).as_str()), -(round as i64)).unwrap();
-            s.apply(Update::delete("R", format!("o{}", round * 3 + 1).as_str())).unwrap();
-            s.create(Object::atom(format!("n{round}").as_str(), "y", 0.5f64)).unwrap();
-            s.apply(Update::insert("R", format!("n{round}").as_str())).unwrap();
+            s.modify_atom(
+                Oid::new(format!("o{}", round * 7).as_str()),
+                -(round as i64),
+            )
+            .unwrap();
+            s.apply(Update::delete("R", format!("o{}", round * 3 + 1).as_str()))
+                .unwrap();
+            s.create(Object::atom(format!("n{round}").as_str(), "y", 0.5f64))
+                .unwrap();
+            s.apply(Update::insert("R", format!("n{round}").as_str()))
+                .unwrap();
             epoch += 1;
             let r = d.persist("src", &s.fork(), meta(epoch)).unwrap();
             assert!(r.chunks_appended >= 1);
@@ -773,7 +802,11 @@ log 57383 bytes, crc 7ecb123e
         assert_eq!(r.chunks_appended, 0);
         assert_eq!(d.latest_manifest("poisoned").unwrap(), written);
         assert!(!d.cache.is_poisoned(), "the lock is usable again");
-        assert_eq!(d.persist_cache()["poisoned"].len(), 2, "and holds the lineage again");
+        assert_eq!(
+            d.persist_cache()["poisoned"].len(),
+            2,
+            "and holds the lineage again"
+        );
     }
 
     #[test]
@@ -853,7 +886,11 @@ log 57383 bytes, crc 7ecb123e
         let media = MediaSet {
             log: Arc::new(media::MemMedia::from_bytes(bytes)),
         };
-        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        let rec = DurableStore::open(media)
+            .unwrap()
+            .recover("src")
+            .unwrap()
+            .unwrap();
         rec.store.check_invariants().unwrap();
         assert_eq!(rec.store.parents(Oid::new("o3")).len(), 2);
         for o in s.oids_sorted() {
@@ -896,24 +933,41 @@ log 57383 bytes, crc 7ecb123e
         let media = MediaSet {
             log: Arc::new(media::MemMedia::from_bytes(bytes)),
         };
-        let rec = DurableStore::open(media).unwrap().recover("old").unwrap().unwrap();
+        let rec = DurableStore::open(media)
+            .unwrap()
+            .recover("old")
+            .unwrap()
+            .unwrap();
         let slots = |st: &Store| -> Vec<(usize, Vec<Option<Object>>)> {
             st.export_images()
                 .iter()
                 .map(|img| {
                     let pages = img.chunks.iter().flatten();
-                    (img.len_slots, pages.flat_map(|p| p.iter().cloned()).collect())
+                    (
+                        img.len_slots,
+                        pages.flat_map(|p| p.iter().cloned()).collect(),
+                    )
                 })
                 .collect()
         };
-        assert_eq!(slots(&rec.store), slots(&s), "the recovered store equals the persisted one");
-        assert!(!rec.store.counts_accesses(), "the old counting bit is ignored");
+        assert_eq!(
+            slots(&rec.store),
+            slots(&s),
+            "the recovered store equals the persisted one"
+        );
+        assert!(
+            !rec.store.counts_accesses(),
+            "the old counting bit is ignored"
+        );
         assert_eq!((rec.manifest.epoch, rec.manifest.seq), (3, 6));
 
         // What `Source::recover` builds: the pipeline resumes at the
         // persisted epoch and watermark, and reports the next commit.
         let pipeline = gsdb::ShardedStore::restore(rec.store, 3, 6);
-        pipeline.commit(&[Update::modify("o7", -7i64)]).into_result().unwrap();
+        pipeline
+            .commit(&[Update::modify("o7", -7i64)])
+            .into_result()
+            .unwrap();
         let (first_seq, entries, snapshot) = pipeline.drain_reports();
         assert_eq!((first_seq, entries.len()), (6, 1));
         assert_eq!(snapshot.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(-7)));
@@ -946,7 +1000,9 @@ log 57383 bytes, crc 7ecb123e
         assert!(fp.deduped_bytes > 0);
         assert!(fp.dedup_ratio > 0.0 && fp.dedup_ratio < 1.0);
         assert_eq!(
-            gsview_obs::registry().snapshot().counter("durable.segment.chunks"),
+            gsview_obs::registry()
+                .snapshot()
+                .counter("durable.segment.chunks"),
             fp.chunks
         );
     }
@@ -956,7 +1012,8 @@ log 57383 bytes, crc 7ecb123e
     fn wide_store() -> Store {
         let mut s = Store::new();
         for i in 0..600 {
-            s.create(Object::atom(format!("cw{i}").as_str(), "x", wide(i))).unwrap();
+            s.create(Object::atom(format!("cw{i}").as_str(), "x", wide(i)))
+                .unwrap();
         }
         s
     }
@@ -968,8 +1025,11 @@ log 57383 bytes, crc 7ecb123e
     /// Modify one atom of the second chunk per epoch, so each epoch
     /// appends a ≈ 512 KiB chunk and supersedes the last one.
     fn churn_wide(s: &mut Store, epoch: u64) {
-        s.modify_atom(Oid::new(format!("cw{}", 256 + epoch % 200).as_str()), wide(epoch as usize))
-            .unwrap();
+        s.modify_atom(
+            Oid::new(format!("cw{}", 256 + epoch % 200).as_str()),
+            wide(epoch as usize),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -991,7 +1051,11 @@ log 57383 bytes, crc 7ecb123e
             );
         }
         let frames = d.frames_for("src");
-        assert!(frames.len() < 30, "{} frames: compaction never ran", frames.len());
+        assert!(
+            frames.len() < 30,
+            "{} frames: compaction never ran",
+            frames.len()
+        );
         let d = DurableStore::open(media).unwrap();
         let rec = d.recover("src").unwrap().unwrap();
         assert_eq!(rec.manifest.epoch, 60);
@@ -1009,7 +1073,8 @@ log 57383 bytes, crc 7ecb123e
         let mut s = wide_store();
         for epoch in 1..=40 {
             churn_wide(&mut s, epoch);
-            d.append_epoch(&mut d.cache.lock().unwrap(), "src", &s.fork(), meta(epoch)).unwrap();
+            d.append_epoch(&mut d.cache.lock().unwrap(), "src", &s.fork(), meta(epoch))
+                .unwrap();
         }
         let history = media.log.len();
         drop(d);
@@ -1023,13 +1088,21 @@ log 57383 bytes, crc 7ecb123e
         assert_eq!(r.chunks_appended, 0);
         let fp = d.footprint();
         assert_eq!(fp.segment_bytes, fp.live_bytes);
-        assert!(fp.segment_bytes * 8 < history, "{} of {history} bytes left", fp.segment_bytes);
+        assert!(
+            fp.segment_bytes * 8 < history,
+            "{} of {history} bytes left",
+            fp.segment_bytes
+        );
         assert_eq!(d.frames_for("src").len(), 1);
         // Re-persisting the recovered store still appends nothing.
         let len = media.log.len();
         let r = d.persist("src", &rec.store, meta(40)).unwrap();
         assert_eq!((r.chunks_appended, media.log.len()), (0, len));
-        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        let rec = DurableStore::open(media)
+            .unwrap()
+            .recover("src")
+            .unwrap()
+            .unwrap();
         assert_eq!(rec.manifest.epoch, 40);
         assert_eq!(rec.store.atom(Oid::new("cw296")), s.atom(Oid::new("cw296")));
     }
@@ -1048,7 +1121,11 @@ log 57383 bytes, crc 7ecb123e
         d.compact().unwrap();
         let r = d.persist("src", &older, meta(3)).unwrap();
         assert_eq!(r.chunks_appended, 1, "the dropped page is written again");
-        let rec = DurableStore::open(media).unwrap().recover("src").unwrap().unwrap();
+        let rec = DurableStore::open(media)
+            .unwrap()
+            .recover("src")
+            .unwrap()
+            .unwrap();
         assert_eq!(rec.manifest.epoch, 3);
         assert_eq!(rec.store.atom(Oid::new("o7")), Some(&gsdb::Atom::Int(7)));
     }
@@ -1065,7 +1142,10 @@ log 57383 bytes, crc 7ecb123e
         let page = d.fetch_chunk(&newest).unwrap();
         let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
         let at = bytes.windows(page.len()).rposition(|w| w == page).unwrap();
-        media.log.write_at(at as u64, &[bytes[at] ^ 1], CrashPoint::Other).unwrap();
+        media
+            .log
+            .write_at(at as u64, &[bytes[at] ^ 1], CrashPoint::Other)
+            .unwrap();
         let len = media.log.len();
         assert!(matches!(d.compact(), Err(DurableError::Corrupt(_))));
         assert_eq!(media.log.len(), len);
@@ -1125,14 +1205,17 @@ log 57383 bytes, crc 7ecb123e
         // the read lineage's: each compaction moves every chunk read.
         let filler = |k: usize, v: i64| {
             let mut s = Store::new();
-            s.create(Object::atom(format!("rf{k}").as_str(), "x", v)).unwrap();
+            s.create(Object::atom(format!("rf{k}").as_str(), "x", v))
+                .unwrap();
             s
         };
         const ROUNDS: usize = 20;
         for k in 0..ROUNDS {
-            d.persist(&format!("filler{k}"), &filler(k, 0), meta(1)).unwrap();
+            d.persist(&format!("filler{k}"), &filler(k, 0), meta(1))
+                .unwrap();
         }
-        d.persist("read", &build_store(1, 600).fork(), meta(1)).unwrap();
+        d.persist("read", &build_store(1, 600).fork(), meta(1))
+            .unwrap();
         let live = d.latest_manifest("read").unwrap().shards[0].pages.clone();
         let (looked_up, looked_up_rx) = std::sync::mpsc::channel();
         let (written_tx, written) = std::sync::mpsc::channel();
@@ -1143,12 +1226,16 @@ log 57383 bytes, crc 7ecb123e
                 for round in 0..ROUNDS {
                     ARMED.with(|a| a.set(true));
                     let h = &live[round % live.len()];
-                    assert!(d.fetch_chunk(h).is_some(), "round {round}: live chunk {h} missed");
+                    assert!(
+                        d.fetch_chunk(h).is_some(),
+                        "round {round}: live chunk {h} missed"
+                    );
                 }
             });
             let mut k = 0;
             while looked_up_rx.recv().is_ok() {
-                d.persist(&format!("filler{k}"), &filler(k, 1), meta(2)).unwrap();
+                d.persist(&format!("filler{k}"), &filler(k, 1), meta(2))
+                    .unwrap();
                 assert!(d.compact().unwrap() > 0);
                 written_tx.send(()).unwrap();
                 k += 1;

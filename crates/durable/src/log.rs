@@ -55,8 +55,7 @@ use crate::error::{DurableError, Result};
 use crate::hash::{chunk_hash, ChunkHash};
 use crate::media::{CrashPoint, Media};
 use gsdb::codec::{
-    begin_frame, crc32_update, end_frame, frame_head, put_str, put_varint, Reader,
-    FRAME_HEADER_LEN,
+    begin_frame, crc32_update, end_frame, frame_head, put_str, put_varint, Reader, FRAME_HEADER_LEN,
 };
 use gsdb::{Chunk, ShardImage, Store, StoreConfig};
 use std::collections::hash_map::Entry;
@@ -147,7 +146,10 @@ impl Manifest {
             for h in &sm.pages {
                 chunks.push(chunk(h)?);
             }
-            images.push(ShardImage { len_slots: sm.len_slots as usize, chunks });
+            images.push(ShardImage {
+                len_slots: sm.len_slots as usize,
+                chunks,
+            });
         }
         let cfg = StoreConfig::default().with_shards(self.shards.len());
         Store::from_images(cfg, images, self.version).map_err(DurableError::Corrupt)
@@ -204,7 +206,9 @@ impl Manifest {
         let extra_n = r.varint().map_err(DurableError::from)? as usize;
         r.bytes(extra_n).map_err(DurableError::from)?;
         if r.remaining() != 0 {
-            return Err(DurableError::Corrupt("trailing bytes after manifest".into()));
+            return Err(DurableError::Corrupt(
+                "trailing bytes after manifest".into(),
+            ));
         }
         Ok(Manifest {
             name,
@@ -281,8 +285,16 @@ impl LogState {
         }
         let lineage = lineages.get_mut(name).expect("inserted above");
         let superseded = lineage.at.last().map(|&i| &frames[i].manifest);
-        for i in 0..frame.manifest.shards.len().max(superseded.map_or(0, |m| m.shards.len())) {
-            let (old, new) = (shard_pages(superseded, i), shard_pages(Some(&frame.manifest), i));
+        for i in 0..frame
+            .manifest
+            .shards
+            .len()
+            .max(superseded.map_or(0, |m| m.shards.len()))
+        {
+            let (old, new) = (
+                shard_pages(superseded, i),
+                shard_pages(Some(&frame.manifest), i),
+            );
             for j in 0..old.len().max(new.len()) {
                 let (o, n) = (old.get(j), new.get(j));
                 if o == n {
@@ -390,7 +402,12 @@ fn scan(media: &dyn Media) -> Result<LogState> {
             (TAG_FILE, 0) => check_file_frame(payload)?,
             // A frame that checksums but is not ours to read: some
             // other layout, not a torn write.
-            (_, 0) => return Err(DurableError::Version { found: 0, expected: FORMAT_VERSION }),
+            (_, 0) => {
+                return Err(DurableError::Version {
+                    found: 0,
+                    expected: FORMAT_VERSION,
+                })
+            }
             (TAG_CHUNK, _) => {
                 let Some((&hash, page)) = payload.split_first_chunk::<HASH_LEN>() else {
                     break;
@@ -559,8 +576,11 @@ impl EpochLog {
             chunks.push((off, len, *hash));
         }
         chunks.sort_unstable_by_key(|&(off, ..)| off);
-        let mut newest: Vec<usize> =
-            st.lineages.values().filter_map(|l| l.at.last().copied()).collect();
+        let mut newest: Vec<usize> = st
+            .lineages
+            .values()
+            .filter_map(|l| l.at.last().copied())
+            .collect();
         newest.sort_unstable();
 
         // The image's state is built as the image is: what a scan of it
@@ -614,12 +634,18 @@ impl EpochLog {
 
 /// The file frame's payload must be this build's magic and version.
 fn check_file_frame(payload: &[u8]) -> Result<()> {
-    let found = match payload.strip_prefix(FILE_MAGIC).map(<[u8]>::split_first_chunk) {
+    let found = match payload
+        .strip_prefix(FILE_MAGIC)
+        .map(<[u8]>::split_first_chunk)
+    {
         Some(Some((v, []))) => u32::from_le_bytes(*v),
         _ => 0,
     };
     if found != FORMAT_VERSION {
-        return Err(DurableError::Version { found, expected: FORMAT_VERSION });
+        return Err(DurableError::Version {
+            found,
+            expected: FORMAT_VERSION,
+        });
     }
     Ok(())
 }
@@ -670,12 +696,17 @@ impl Appender<'_> {
         }
         let frame_at = self.buf.len();
         let chain = put_manifest(&mut self.buf, &manifest, self.chain);
-        self.media.write_at(st.end, &self.buf, CrashPoint::PersistWrite)?;
+        self.media
+            .write_at(st.end, &self.buf, CrashPoint::PersistWrite)?;
         self.media.sync(CrashPoint::PersistSync)?;
         let off = st.end + frame_at as u64;
         st.end += self.buf.len() as u64;
         st.chain = chain;
-        st.appended_bytes += self.staged.values().map(|&(_, len)| u64::from(len)).sum::<u64>();
+        st.appended_bytes += self
+            .staged
+            .values()
+            .map(|&(_, len)| u64::from(len))
+            .sum::<u64>();
         st.index.extend(self.staged);
         st.push_frame(Frame { off, manifest }, (self.buf.len() - frame_at) as u64);
         Ok(off)
@@ -758,7 +789,11 @@ mod tests {
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].manifest, manifest("old", 4, &[hash]));
         assert_eq!(log.get(&hash).unwrap().unwrap(), page);
-        assert_eq!(log.footprint().1, m.len(), "the whole file is the valid prefix");
+        assert_eq!(
+            log.footprint().1,
+            m.len(),
+            "the whole file is the valid prefix"
+        );
     }
 
     #[test]
@@ -769,7 +804,11 @@ mod tests {
         persist(&log, "view.v1", 2, &[b"page-one"]);
         let h3 = persist(&log, "src", 3, &[b"page-one", b"page-three"]);
         let (chunks, end, appended, deduped, live) = log.footprint();
-        assert_eq!((chunks, appended, deduped), (3, 26, 16), "identical pages dedup");
+        assert_eq!(
+            (chunks, appended, deduped),
+            (3, 26, 16),
+            "identical pages dedup"
+        );
         assert_eq!(end, m.len());
 
         let log = EpochLog::open(Arc::clone(&m)).unwrap();
@@ -876,8 +915,16 @@ mod tests {
         m.write_at(committed, &a.buf, CrashPoint::Other).unwrap();
         drop(a);
         let log = EpochLog::open(m).unwrap();
-        assert_eq!(log.footprint().0, 2, "base and cccc; stale bbbb is off the chain");
-        assert_eq!(log.frames_for("src").len(), 1, "the stale manifest stays dead");
+        assert_eq!(
+            log.footprint().0,
+            2,
+            "base and cccc; stale bbbb is off the chain"
+        );
+        assert_eq!(
+            log.frames_for("src").len(),
+            1,
+            "the stale manifest stays dead"
+        );
     }
 
     #[test]
@@ -894,11 +941,17 @@ mod tests {
         v3.extend_from_slice(&3u32.to_le_bytes());
         assert_eq!(
             version(file_frame(&v3, TAG_FILE)),
-            Some(DurableError::Version { found: 3, expected: FORMAT_VERSION })
+            Some(DurableError::Version {
+                found: 3,
+                expected: FORMAT_VERSION
+            })
         );
         assert_eq!(
             version(file_frame(b"something else", TAG_MANIFEST)),
-            Some(DurableError::Version { found: 0, expected: FORMAT_VERSION })
+            Some(DurableError::Version {
+                found: 0,
+                expected: FORMAT_VERSION
+            })
         );
         // A first frame that does not checksum is a torn creation.
         let torn: Arc<dyn Media> = Arc::new(MemMedia::from_bytes(vec![TAG_FILE, 8, 0, 0, 0, 1, 2]));
@@ -932,7 +985,11 @@ mod tests {
         assert!(live < written);
 
         assert_eq!(log.compact().unwrap(), written - live);
-        assert_eq!(m.len(), live, "the compacted file is exactly the live bytes");
+        assert_eq!(
+            m.len(),
+            live,
+            "the compacted file is exactly the live bytes"
+        );
         let check = |log: &EpochLog| {
             assert_eq!(log.footprint().0, 3, "shared, view-page, new");
             let src = log.frames_for("src");
@@ -952,7 +1009,10 @@ mod tests {
             let (built, scanned) = (log.lock(), reopened.lock());
             assert_eq!(built.index, scanned.index);
             assert_eq!((built.end, built.chain), (scanned.end, scanned.chain));
-            assert_eq!((&built.live, built.live_bytes), (&scanned.live, scanned.live_bytes));
+            assert_eq!(
+                (&built.live, built.live_bytes),
+                (&scanned.live, scanned.live_bytes)
+            );
             assert_eq!(built.appended_bytes, scanned.appended_bytes);
         }
         assert_eq!(log.footprint().4, live, "nothing live was dropped");
@@ -978,7 +1038,11 @@ mod tests {
         log.compact().unwrap();
         assert_eq!(m.len(), live);
         assert_eq!(log.footprint().0, 2, "only d and e are live");
-        assert_eq!(EpochLog::open(m).unwrap().footprint().4, live, "the scan counts the same");
+        assert_eq!(
+            EpochLog::open(m).unwrap().footprint().4,
+            live,
+            "the scan counts the same"
+        );
     }
 
     #[test]
@@ -994,9 +1058,17 @@ mod tests {
         let before = bytes_of(&m);
         assert!(matches!(log.compact(), Err(DurableError::Corrupt(_))));
         assert_eq!(bytes_of(&m), before, "nothing written");
-        assert_eq!(log.frames_for("src").len(), 2, "the epoch to fall back to stays");
+        assert_eq!(
+            log.frames_for("src").len(),
+            2,
+            "the epoch to fall back to stays"
+        );
         let st = log.lock();
-        assert_eq!(st.backoff, st.end * COMPACT_RATIO, "backs off until grown by the ratio");
+        assert_eq!(
+            st.backoff,
+            st.end * COMPACT_RATIO,
+            "backs off until grown by the ratio"
+        );
     }
 
     /// A media whose replace fails: before touching anything, or after

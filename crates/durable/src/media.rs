@@ -529,7 +529,8 @@ mod tests {
     fn chaos_synced_writes_survive_any_crash() {
         let ctl = ChaosController::new(ChaosPolicy::seeded(7), CrashPlan { kill_at_op: 3 });
         let m = ctl.media();
-        m.write_at(0, b"durable!", CrashPoint::PersistWrite).unwrap();
+        m.write_at(0, b"durable!", CrashPoint::PersistWrite)
+            .unwrap();
         m.sync(CrashPoint::PersistSync).unwrap();
         // Op 3 kills this write; the synced prefix must survive.
         assert_eq!(
@@ -539,7 +540,10 @@ mod tests {
         assert!(ctl.crashed());
         assert_eq!(ctl.crash_point(), Some(CrashPoint::PersistWrite));
         assert_eq!(m.read_at(0, 8).unwrap(), b"durable!");
-        assert_eq!(m.write_at(0, b"x", CrashPoint::Other), Err(DurableError::Crashed));
+        assert_eq!(
+            m.write_at(0, b"x", CrashPoint::Other),
+            Err(DurableError::Crashed)
+        );
         ctl.heal(CrashPlan::default());
         m.write_at(0, b"X", CrashPoint::Other).unwrap();
         assert_eq!(m.read_at(0, 1).unwrap(), b"X");
@@ -548,8 +552,7 @@ mod tests {
     #[test]
     fn chaos_unsynced_writes_resolve_deterministically() {
         let run = |seed| {
-            let ctl =
-                ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan { kill_at_op: 5 });
+            let ctl = ChaosController::new(ChaosPolicy::seeded(seed), CrashPlan { kill_at_op: 5 });
             let m = ctl.media();
             for i in 0..5u64 {
                 let _ = m.write_at(i * 8, &[i as u8; 8], CrashPoint::PersistWrite);
@@ -567,8 +570,16 @@ mod tests {
 
     #[test]
     fn a_chaos_replace_is_old_or_new_at_every_crash_point() {
-        let lands = ChaosPolicy { seed: 5, p_tear: 0.0, p_drop: 0.0, p_flip: 0.0 };
-        let lost = ChaosPolicy { p_drop: 1.0, ..lands };
+        let lands = ChaosPolicy {
+            seed: 5,
+            p_tear: 0.0,
+            p_drop: 0.0,
+            p_flip: 0.0,
+        };
+        let lost = ChaosPolicy {
+            p_drop: 1.0,
+            ..lands
+        };
         // Ops 1–2 make "old content" durable; the replace is ops 3–6;
         // op 7 is the first one after it.
         let cells = [
@@ -582,12 +593,17 @@ mod tests {
             for (policy, expect) in [(lands, if_lands), (lost, if_lost)] {
                 let ctl = ChaosController::new(policy, CrashPlan { kill_at_op: kill });
                 let m = ctl.media();
-                m.write_at(0, b"old content", CrashPoint::PersistWrite).unwrap();
+                m.write_at(0, b"old content", CrashPoint::PersistWrite)
+                    .unwrap();
                 m.sync(CrashPoint::PersistSync).unwrap();
                 let replaced = m.replace(b"new");
                 assert_eq!(replaced.is_ok(), kill == 7, "kill {kill}");
                 if replaced.is_ok() {
-                    assert_eq!(m.read_at(0, 100).unwrap(), b"new", "the process sees its replace");
+                    assert_eq!(
+                        m.read_at(0, 100).unwrap(),
+                        b"new",
+                        "the process sees its replace"
+                    );
                     assert!(m.sync(CrashPoint::Other).is_err());
                 }
                 assert_eq!(ctl.crash_point(), Some(point));
@@ -607,7 +623,11 @@ mod tests {
         m.write_at(0, b"old content", CrashPoint::Other).unwrap();
         m.sync(CrashPoint::Other).unwrap();
         // A stale temporary file from a crash is truncated, not appended to.
-        std::fs::write(dir.join("epochs.tmp"), b"stale wreckage, longer than the new").unwrap();
+        std::fs::write(
+            dir.join("epochs.tmp"),
+            b"stale wreckage, longer than the new",
+        )
+        .unwrap();
         m.replace(b"new").unwrap();
         assert_eq!((m.len(), m.read_at(0, 100).unwrap()), (3, b"new".to_vec()));
         assert!(!dir.join("epochs.tmp").exists());
@@ -624,7 +644,10 @@ mod tests {
         let a = ctl.media();
         let b = ctl.media();
         a.write_at(0, b"a", CrashPoint::PersistWrite).unwrap();
-        assert_eq!(b.write_at(0, b"b", CrashPoint::PersistWrite), Err(DurableError::Crashed));
+        assert_eq!(
+            b.write_at(0, b"b", CrashPoint::PersistWrite),
+            Err(DurableError::Crashed)
+        );
         assert_eq!(a.sync(CrashPoint::PersistSync), Err(DurableError::Crashed));
     }
 }

@@ -68,7 +68,8 @@ fn initial_store(shards: usize) -> Store {
     s.create(Object::empty_set("R", "root")).unwrap();
     for i in 0..48 {
         let name = format!("o{i}");
-        s.create(Object::atom(name.as_str(), "x", i as i64)).unwrap();
+        s.create(Object::atom(name.as_str(), "x", i as i64))
+            .unwrap();
         s.apply(Update::insert("R", name.as_str())).unwrap();
     }
     s
@@ -97,7 +98,10 @@ fn batches() -> Vec<Vec<Update>> {
         vec![Update::delete("R", "o30")],
     ];
     for k in 0..18 {
-        out.push(vec![Update::modify(format!("o{}", k * 2).as_str(), (k as i64) - 500)]);
+        out.push(vec![Update::modify(
+            format!("o{}", k * 2).as_str(),
+            (k as i64) - 500,
+        )]);
     }
     out
 }
@@ -139,7 +143,10 @@ fn run_workload(
             done(epoch);
         }
         if COMPACT_AFTER.contains(&i) {
-            assert!(d.compact()? > 0, "batch {i}: the compaction reclaims superseded frames");
+            assert!(
+                d.compact()? > 0,
+                "batch {i}: the compaction reclaims superseded frames"
+            );
             done(epoch);
         }
     }
@@ -185,9 +192,12 @@ impl OpCounts {
     fn of(shards: usize) -> OpCounts {
         let ctl = ChaosController::new(ChaosPolicy::seeded(0), CrashPlan::default());
         let mut durable = Vec::new();
-        run_workload(&MediaSet::chaos(&ctl), &initial_store(shards), &batches(), &mut |epoch| {
-            durable.push((ctl.ops(), epoch))
-        })
+        run_workload(
+            &MediaSet::chaos(&ctl),
+            &initial_store(shards),
+            &batches(),
+            &mut |epoch| durable.push((ctl.ops(), epoch)),
+        )
         .unwrap();
         assert!(!ctl.crashed());
         // Every step is its fixed sequence: two ops a persist, four a
@@ -206,7 +216,11 @@ impl OpCounts {
 
     /// The newest epoch durable before op `kill` ran.
     fn durable_before(&self, kill: u64) -> Option<u64> {
-        self.durable.iter().take_while(|&&(ops, _)| ops < kill).last().map(|&(_, e)| e)
+        self.durable
+            .iter()
+            .take_while(|&&(ops, _)| ops < kill)
+            .last()
+            .map(|&(_, e)| e)
     }
 }
 
@@ -214,8 +228,16 @@ impl OpCounts {
 /// again touches the media not at all. `Some(epoch)` when something
 /// recovered.
 fn check_recovered(d: &DurableStore, media: &MediaSet, initial: &Store, what: &str) -> Option<u64> {
-    let rec = d.recover(NAME).expect("recover reports cold starts, not errors")?;
-    let v = check_crash_recovery(initial, &batches(), BASE_EPOCH, rec.manifest.epoch, &rec.store);
+    let rec = d
+        .recover(NAME)
+        .expect("recover reports cold starts, not errors")?;
+    let v = check_crash_recovery(
+        initial,
+        &batches(),
+        BASE_EPOCH,
+        rec.manifest.epoch,
+        &rec.store,
+    );
     assert!(v.ok(), "{what}: {:#?}", v.failures);
     // Structural sharing across the restart: re-persisting the
     // recovered (unchanged) store appends nothing.
@@ -224,7 +246,11 @@ fn check_recovered(d: &DurableStore, media: &MediaSet, initial: &Store, what: &s
         .persist(NAME, &rec.store, meta(rec.manifest.epoch))
         .expect("healed media persist");
     assert_eq!(r.chunks_appended, 0, "{what}: recovery broke sharing");
-    assert_eq!(media.log.len(), len, "{what}: an unchanged store wrote bytes");
+    assert_eq!(
+        media.log.len(),
+        len,
+        "{what}: an unchanged store wrote bytes"
+    );
     Some(rec.manifest.epoch)
 }
 
@@ -241,10 +267,16 @@ fn crash_recover_check(
     let ctl = ChaosController::new(policy, CrashPlan { kill_at_op: kill });
     let media = MediaSet::chaos(&ctl);
     let res = run_workload(&media, &initial, &batches(), &mut |_| {});
-    let point = ctl.crash_point().expect("the plan fires inside the workload");
+    let point = ctl
+        .crash_point()
+        .expect("the plan fires inside the workload");
     let seed = policy.seed;
     let what = format!("seed {seed} shards {shards} kill@{kill} ({point:?}, write {fate})");
-    assert_eq!(res, Err(DurableError::Crashed), "{what}: must crash the workload");
+    assert_eq!(
+        res,
+        Err(DurableError::Crashed),
+        "{what}: must crash the workload"
+    );
 
     // Restart: durable bytes exactly as the crash resolved them.
     ctl.heal(CrashPlan::default());
@@ -331,7 +363,13 @@ fn kill_matrix_spot_checks_every_shard_count() {
     for shards in [1usize, 2, 4, 8] {
         let ops = OpCounts::of(shards);
         for kill in [1, 2, ops.total / 2, ops.total] {
-            crash_recover_check(ChaosPolicy::seeded(seed), "mixed", shards, kill.max(1), &ops);
+            crash_recover_check(
+                ChaosPolicy::seeded(seed),
+                "mixed",
+                shards,
+                kill.max(1),
+                &ops,
+            );
         }
     }
 }
@@ -385,15 +423,27 @@ fn wrecks(bytes: &[u8], from: usize) -> Vec<(Vec<u8>, String)> {
     let mut out = Vec::new();
     for w in frame_bounds(bytes, from).windows(2) {
         let (start, end) = (w[0], w[1]);
-        let frame = if end == bytes.len() { "manifest" } else { "chunk" };
-        for cut in [start, start + 4, (start + FRAME_HEADER_LEN + end) / 2, end - 1] {
+        let frame = if end == bytes.len() {
+            "manifest"
+        } else {
+            "chunk"
+        };
+        for cut in [
+            start,
+            start + 4,
+            (start + FRAME_HEADER_LEN + end) / 2,
+            end - 1,
+        ] {
             let what = format!("cut at {cut} ({frame} frame {start}..{end})");
             out.push((bytes[..cut].to_vec(), what));
         }
         for at in [start + 2, start + 6, start + FRAME_HEADER_LEN, end - 1] {
             let mut flipped = bytes.to_vec();
             flipped[at] ^= 0x10;
-            out.push((flipped, format!("bit flipped at {at} ({frame} frame {start}..{end})")));
+            out.push((
+                flipped,
+                format!("bit flipped at {at} ({frame} frame {start}..{end})"),
+            ));
         }
     }
     out
@@ -422,7 +472,10 @@ fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
             d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
             let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
             let frames = frame_bounds(&bytes, before).len() - 1;
-            assert!(frames >= 2, "epoch {epoch}: at least a chunk and the manifest");
+            assert!(
+                frames >= 2,
+                "epoch {epoch}: at least a chunk and the manifest"
+            );
             chunk_frames += frames - 1;
             for (wreck, what) in wrecks(&bytes, before) {
                 let what = format!("epoch {epoch}: write {what}");
@@ -435,7 +488,16 @@ fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
             d.compact().unwrap();
             let image = media.log.read_at(0, media.log.len() as usize).unwrap();
             let (whole, _) = open(image.clone());
-            assert_eq!(whole.unwrap().recover(NAME).unwrap().unwrap().manifest.epoch, epoch);
+            assert_eq!(
+                whole
+                    .unwrap()
+                    .recover(NAME)
+                    .unwrap()
+                    .unwrap()
+                    .manifest
+                    .epoch,
+                epoch
+            );
             // The image is only ever renamed into place whole, after its
             // sync. Wrecked anyway, its one manifest — the last frame —
             // goes with it: recovery finds nothing, never a state the
@@ -443,11 +505,18 @@ fn the_single_write_cut_or_flipped_anywhere_recovers_the_previous_epoch() {
             for (wreck, what) in wrecks(&image, 0) {
                 let what = format!("epoch {epoch}: compacted image {what}");
                 let (d, media) = open(wreck);
-                assert_eq!(check_recovered(&d.unwrap(), &media, &initial, &what), None, "{what}");
+                assert_eq!(
+                    check_recovered(&d.unwrap(), &media, &initial, &what),
+                    None,
+                    "{what}"
+                );
             }
         }
     }
-    assert!(chunk_frames > (epoch - BASE_EPOCH) as usize, "some write held several chunks");
+    assert!(
+        chunk_frames > (epoch - BASE_EPOCH) as usize,
+        "some write held several chunks"
+    );
 }
 
 /// An in-memory media that counts writes, syncs and replaces and can
@@ -501,13 +570,27 @@ fn a_persist_is_one_write_and_one_sync_and_an_unchanged_store_is_neither() {
             log: Arc::clone(&probe) as Arc<dyn Media>,
         };
         let d = DurableStore::open(media.clone()).unwrap();
-        assert_eq!(probe.take(), (0, 0, 0), "opening an empty media writes nothing");
+        assert_eq!(
+            probe.take(),
+            (0, 0, 0),
+            "opening an empty media writes nothing"
+        );
         let mut live = initial_store(shards);
         d.persist(NAME, &live.fork(), meta(1)).unwrap();
-        assert_eq!(probe.take(), (1, 1, 0), "{shards} shards: baseline of every page");
+        assert_eq!(
+            probe.take(),
+            (1, 1, 0),
+            "{shards} shards: baseline of every page"
+        );
         let mut epoch = 1;
         for batch in batches() {
-            if !batch.iter().map(|u| live.apply(u.clone())).take_while(|r| r.is_ok()).count() > 0 {
+            if !batch
+                .iter()
+                .map(|u| live.apply(u.clone()))
+                .take_while(|r| r.is_ok())
+                .count()
+                > 0
+            {
                 continue;
             }
             epoch += 1;
@@ -515,11 +598,19 @@ fn a_persist_is_one_write_and_one_sync_and_an_unchanged_store_is_neither() {
             // write and one sync.
             let r = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
             assert!(r.chunks_appended >= 1);
-            assert_eq!(probe.take(), (1, 1, 0), "{shards} shards, epoch {epoch}: {r:?}");
+            assert_eq!(
+                probe.take(),
+                (1, 1, 0),
+                "{shards} shards, epoch {epoch}: {r:?}"
+            );
             // Unchanged store, same epoch: nothing to make durable.
             let again = d.persist(NAME, &live.fork(), meta(epoch)).unwrap();
             assert_eq!((again.chunks_appended, again.frame_off), (0, r.frame_off));
-            assert_eq!(probe.take(), (0, 0, 0), "{shards} shards, epoch {epoch}: unchanged store");
+            assert_eq!(
+                probe.take(),
+                (0, 0, 0),
+                "{shards} shards, epoch {epoch}: unchanged store"
+            );
         }
         // Same pages under a new epoch: one manifest, still one write.
         d.persist(NAME, &live.fork(), meta(epoch + 1)).unwrap();
@@ -529,7 +620,11 @@ fn a_persist_is_one_write_and_one_sync_and_an_unchanged_store_is_neither() {
         assert!(d.compact().unwrap() > 0);
         assert_eq!(probe.take(), (0, 0, 1), "{shards} shards: compaction");
         assert_eq!(d.compact().unwrap(), 0);
-        assert_eq!(probe.take(), (0, 0, 0), "{shards} shards: compacting a compact log");
+        assert_eq!(
+            probe.take(),
+            (0, 0, 0),
+            "{shards} shards: compacting a compact log"
+        );
         // A restart later, the recovered store is as unchanged as ever.
         let d = DurableStore::open(media).unwrap();
         let rec = d.recover(NAME).unwrap().unwrap();
@@ -558,7 +653,10 @@ fn a_failed_sync_leaves_the_log_as_it_was_and_the_retry_lands() {
     assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 1);
     // The retry rewrites the same offsets — chunks included.
     let r = d.persist(NAME, &s.fork(), meta(2)).unwrap();
-    assert!(r.chunks_appended >= 1, "the unacknowledged chunk is appended again");
+    assert!(
+        r.chunks_appended >= 1,
+        "the unacknowledged chunk is appended again"
+    );
     let d = DurableStore::open(media).unwrap();
     let rec = d.recover(NAME).unwrap().unwrap();
     assert_eq!(rec.manifest.epoch, 2);
@@ -603,10 +701,16 @@ fn a_torn_log_tail_falls_back_one_frame() {
     let d = DurableStore::open(torn).unwrap();
     let rec = d.recover(NAME).unwrap().expect("previous frame recovers");
     assert_eq!(rec.manifest.epoch, 1);
-    assert_eq!(rec.store.atom(gsdb::Oid::new("o3")), Some(&gsdb::Atom::Int(3)));
+    assert_eq!(
+        rec.store.atom(gsdb::Oid::new("o3")),
+        Some(&gsdb::Atom::Int(3))
+    );
     // The orphaned epoch-2 chunk is reclaimed by dedup on the retry.
     let r = d.persist(NAME, &s.fork(), meta(2)).unwrap();
-    assert_eq!(r.chunks_appended, 0, "the orphan chunk is reused, not rewritten");
+    assert_eq!(
+        r.chunks_appended, 0,
+        "the orphan chunk is reused, not rewritten"
+    );
     assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 2);
 }
 

@@ -66,7 +66,8 @@ fn initial_store() -> Store {
     s.create(Object::empty_set("R", "root")).unwrap();
     for i in 0..32 {
         let name = format!("o{i}");
-        s.create(Object::atom(name.as_str(), "x", i as i64)).unwrap();
+        s.create(Object::atom(name.as_str(), "x", i as i64))
+            .unwrap();
         s.apply(Update::insert("R", name.as_str())).unwrap();
     }
     for i in 0..4 {
@@ -152,7 +153,10 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
                 let reclaimed = d.compact().expect("compaction on a healthy disk");
                 assert!(reclaimed > 0, "round {round}: superseded epochs to reclaim");
                 assert_eq!(log_len(&dir), before - reclaimed);
-                assert!(!dir.join("epochs.tmp").exists(), "round {round}: renamed away");
+                assert!(
+                    !dir.join("epochs.tmp").exists(),
+                    "round {round}: renamed away"
+                );
                 compactions += 1;
             }
             d = kill_and_reopen(d, &dir);
@@ -166,7 +170,13 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
                 "restart {restarts} @ round {round}: recovery must land on \
                  the last synced epoch"
             );
-            let v = check_crash_recovery(&initial, &batches, BASE_EPOCH, rec.manifest.epoch, &rec.store);
+            let v = check_crash_recovery(
+                &initial,
+                &batches,
+                BASE_EPOCH,
+                rec.manifest.epoch,
+                &rec.store,
+            );
             assert!(
                 v.ok(),
                 "restart {restarts} @ round {round}: {:#?}",
@@ -191,9 +201,18 @@ fn on_disk_soak_recovers_every_restart_across_64_epochs() {
         }
     }
 
-    assert!(epoch - BASE_EPOCH >= 64, "soak must cross 64 maintained epochs");
-    assert!(restarts >= EPOCHS / KILL_EVERY, "soak must cross many restarts");
-    assert!(compactions >= restarts / 2 - 1, "soak must cross many compactions");
+    assert!(
+        epoch - BASE_EPOCH >= 64,
+        "soak must cross 64 maintained epochs"
+    );
+    assert!(
+        restarts >= EPOCHS / KILL_EVERY,
+        "soak must cross many restarts"
+    );
+    assert!(
+        compactions >= restarts / 2 - 1,
+        "soak must cross many compactions"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -220,16 +239,30 @@ fn a_stale_temporary_file_is_ignored_and_overwritten_by_the_next_compaction() {
     std::fs::write(dir.join("epochs.tmp"), &stale).unwrap();
 
     let d = DurableStore::open(MediaSet::on_dir(&dir).unwrap()).unwrap();
-    assert_eq!(d.recover(NAME).unwrap().unwrap().manifest.epoch, 4, "the tmp file is not read");
-    assert_eq!(std::fs::read(dir.join("epochs.tmp")).unwrap(), stale, "nor touched by open");
+    assert_eq!(
+        d.recover(NAME).unwrap().unwrap().manifest.epoch,
+        4,
+        "the tmp file is not read"
+    );
+    assert_eq!(
+        std::fs::read(dir.join("epochs.tmp")).unwrap(),
+        stale,
+        "nor touched by open"
+    );
     assert!(d.compact().unwrap() > 0);
-    assert!(!dir.join("epochs.tmp").exists(), "the compaction's own file was renamed away");
+    assert!(
+        !dir.join("epochs.tmp").exists(),
+        "the compaction's own file was renamed away"
+    );
     assert_eq!(log_len(&dir), d.footprint().live_bytes);
 
     let d = kill_and_reopen(d, &dir);
     let rec = d.recover(NAME).unwrap().unwrap();
     assert_eq!(rec.manifest.epoch, 4);
-    assert_eq!(rec.store.atom(gsdb::Oid::new("o1")), Some(&gsdb::Atom::Int(4)));
+    assert_eq!(
+        rec.store.atom(gsdb::Oid::new("o1")),
+        Some(&gsdb::Atom::Int(4))
+    );
     assert_eq!(d.frames_for(NAME).len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -243,7 +276,13 @@ fn a_format_1_directory_is_refused_with_the_version_error() {
     let dir = scratch_dir("format1");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let segment = [&[0xC5u8, 4, 0, 0, 0][..], &[0xAA; 16], b"page", &[1, 2, 3, 4]].concat();
+    let segment = [
+        &[0xC5u8, 4, 0, 0, 0][..],
+        &[0xAA; 16],
+        b"page",
+        &[1, 2, 3, 4],
+    ]
+    .concat();
     let log = [&[0xE7u8, 3, 0, 0, 0][..], b"src", &[5, 6, 7, 8]].concat();
     std::fs::write(dir.join("segment.gsd"), &segment).unwrap();
     std::fs::write(dir.join("epochs.gsl"), &log).unwrap();
@@ -258,7 +297,10 @@ fn a_format_1_directory_is_refused_with_the_version_error() {
     );
     assert_eq!(std::fs::read(dir.join("segment.gsd")).unwrap(), segment);
     assert_eq!(std::fs::read(dir.join("epochs.gsl")).unwrap(), log);
-    assert!(!dir.join("epochs.gsv").exists(), "nothing was created beside them");
+    assert!(
+        !dir.join("epochs.gsv").exists(),
+        "nothing was created beside them"
+    );
     // Either file alone is enough to refuse.
     std::fs::remove_file(dir.join("segment.gsd")).unwrap();
     assert!(matches!(

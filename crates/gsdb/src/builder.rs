@@ -101,12 +101,17 @@ impl Node {
     fn collect(self, snapshot: &Store, seen: &mut HashSet<Oid>, out: &mut Vec<Update>) {
         let oid = self.object.oid;
         if !snapshot.contains(oid) && seen.insert(oid) {
-            out.push(Update::Create { object: self.object });
+            out.push(Update::Create {
+                object: self.object,
+            });
         }
         for child in self.children {
             let c = child.object.oid;
             child.collect(snapshot, seen, out);
-            out.push(Update::Insert { parent: oid, child: c });
+            out.push(Update::Insert {
+                parent: oid,
+                child: c,
+            });
         }
         for r in self.refs {
             out.push(Update::Insert {
@@ -161,7 +166,10 @@ mod tests {
     #[test]
     fn shared_subtree_by_existing_oid() {
         let mut s = Store::new();
-        set("a", "left").child(atom("shared", "v", 1i64)).build(&mut s).unwrap();
+        set("a", "left")
+            .child(atom("shared", "v", 1i64))
+            .build(&mut s)
+            .unwrap();
         set("b", "right").reference("shared").build(&mut s).unwrap();
         assert_eq!(s.parents(oid("shared")).len(), 2);
     }
@@ -200,9 +208,15 @@ mod tests {
     #[test]
     fn duplicate_node_oids_merge() {
         let mut s = Store::new();
-        set("r1", "x").child(atom("leaf", "v", 1i64)).build(&mut s).unwrap();
+        set("r1", "x")
+            .child(atom("leaf", "v", 1i64))
+            .build(&mut s)
+            .unwrap();
         // Same leaf appears in a second build: becomes a DAG edge.
-        set("r2", "x").child(atom("leaf", "v", 1i64)).build(&mut s).unwrap();
+        set("r2", "x")
+            .child(atom("leaf", "v", 1i64))
+            .build(&mut s)
+            .unwrap();
         assert_eq!(s.len(), 3);
         assert_eq!(s.parents(oid("leaf")).len(), 2);
     }

@@ -60,7 +60,11 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         tables[0][i] = c;
@@ -911,13 +915,25 @@ mod tests {
         let crc_b = end_frame(&mut out, b, crc_a);
         assert_eq!(
             frame_head(&out),
-            Some(FrameHead { tag: 0xA1, len: 5, crc: crc32(b"first") })
+            Some(FrameHead {
+                tag: 0xA1,
+                len: 5,
+                crc: crc32(b"first")
+            })
         );
         assert_eq!(
             frame_head(&out[b..]),
-            Some(FrameHead { tag: 0xB2, len: 7, crc: crc_b })
+            Some(FrameHead {
+                tag: 0xB2,
+                len: 7,
+                crc: crc_b
+            })
         );
-        assert_eq!(crc_b, crc32(b"firstsecond!"), "a chain checksums the concatenation");
+        assert_eq!(
+            crc_b,
+            crc32(b"firstsecond!"),
+            "a chain checksums the concatenation"
+        );
         assert_eq!(&out[b + FRAME_HEADER_LEN..], b"second!");
         assert_eq!(frame_head(&out[..FRAME_HEADER_LEN - 1]), None);
     }

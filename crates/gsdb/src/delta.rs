@@ -202,7 +202,11 @@ impl DeltaBatch {
             .into_iter()
             .filter(|&(_, (net, _))| net != 0)
             .map(|((parent, child), (net, i))| {
-                let op = if net > 0 { EdgeOp::Insert } else { EdgeOp::Delete };
+                let op = if net > 0 {
+                    EdgeOp::Insert
+                } else {
+                    EdgeOp::Delete
+                };
                 (i, EdgeDelta { parent, child, op })
             })
             .collect();
@@ -370,7 +374,11 @@ mod tests {
         let mut s = seed();
         let (_, b) = batch_on(
             &mut s,
-            vec![Update::modify("A", 41i64), Update::insert("R", "A"), Update::modify("A", 42i64)],
+            vec![
+                Update::modify("A", 41i64),
+                Update::insert("R", "A"),
+                Update::modify("A", 42i64),
+            ],
         );
         assert_eq!(b.consolidated(), &b.consolidate());
         assert!(std::ptr::eq(b.consolidated(), b.consolidated()));
@@ -388,15 +396,24 @@ mod tests {
         let c = b.clone();
         assert_eq!((c.ops(), memoized(&c)), (b.ops(), (false, false)));
 
-        let delete = AppliedUpdate::Delete { parent: oid("P"), child: oid("A") };
+        let delete = AppliedUpdate::Delete {
+            parent: oid("P"),
+            child: oid("A"),
+        };
         b.push(delete.clone());
         assert_eq!(memoized(&b), (false, false));
         assert_eq!(b.consolidated(), &b.consolidate());
         assert_eq!(b.consolidated().edges.len(), 1);
         fill(&b);
-        b.extend([AppliedUpdate::Insert { parent: oid("P"), child: oid("A") }]);
+        b.extend([AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("A"),
+        }]);
         assert_eq!(memoized(&b), (false, false));
-        assert!(b.consolidated().edges.is_empty(), "delete and insert cancel");
+        assert!(
+            b.consolidated().edges.is_empty(),
+            "delete and insert cancel"
+        );
         fill(&b);
         assert_eq!(b.drain().len(), 3);
         assert_eq!(memoized(&b), (false, false));
@@ -461,8 +478,14 @@ mod tests {
     #[test]
     fn insert_then_delete_cancels() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C") });
-        b.push(AppliedUpdate::Delete { parent: oid("P"), child: oid("C") });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C"),
+        });
+        b.push(AppliedUpdate::Delete {
+            parent: oid("P"),
+            child: oid("C"),
+        });
         let d = b.consolidate();
         assert!(d.is_empty());
         assert_eq!(d.input_ops, 2);
@@ -473,21 +496,40 @@ mod tests {
     #[test]
     fn delete_then_reinsert_cancels() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Delete { parent: oid("P"), child: oid("C") });
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C") });
+        b.push(AppliedUpdate::Delete {
+            parent: oid("P"),
+            child: oid("C"),
+        });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C"),
+        });
         assert!(b.consolidate().is_empty());
     }
 
     #[test]
     fn insert_delete_insert_nets_to_one_insert() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C") });
-        b.push(AppliedUpdate::Delete { parent: oid("P"), child: oid("C") });
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C") });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C"),
+        });
+        b.push(AppliedUpdate::Delete {
+            parent: oid("P"),
+            child: oid("C"),
+        });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C"),
+        });
         let d = b.consolidate();
         assert_eq!(
             d.edges,
-            vec![EdgeDelta { parent: oid("P"), child: oid("C"), op: EdgeOp::Insert }]
+            vec![EdgeDelta {
+                parent: oid("P"),
+                child: oid("C"),
+                op: EdgeOp::Insert
+            }]
         );
         assert_eq!(d.cancelled_ops, 2);
     }
@@ -495,13 +537,29 @@ mod tests {
     #[test]
     fn modifies_fold_to_first_old_last_new() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Modify { oid: oid("A"), old: Atom::Int(1), new: Atom::Int(2) });
-        b.push(AppliedUpdate::Modify { oid: oid("A"), old: Atom::Int(2), new: Atom::Int(3) });
-        b.push(AppliedUpdate::Modify { oid: oid("A"), old: Atom::Int(3), new: Atom::Int(7) });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("A"),
+            old: Atom::Int(1),
+            new: Atom::Int(2),
+        });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("A"),
+            old: Atom::Int(2),
+            new: Atom::Int(3),
+        });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("A"),
+            old: Atom::Int(3),
+            new: Atom::Int(7),
+        });
         let d = b.consolidate();
         assert_eq!(
             d.modifies,
-            vec![ModifyDelta { oid: oid("A"), old: Atom::Int(1), new: Atom::Int(7) }]
+            vec![ModifyDelta {
+                oid: oid("A"),
+                old: Atom::Int(1),
+                new: Atom::Int(7)
+            }]
         );
         assert_eq!(d.touched, vec![oid("A")]);
     }
@@ -509,8 +567,16 @@ mod tests {
     #[test]
     fn modify_back_to_original_is_dropped() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Modify { oid: oid("A"), old: Atom::Int(1), new: Atom::Int(9) });
-        b.push(AppliedUpdate::Modify { oid: oid("A"), old: Atom::Int(9), new: Atom::Int(1) });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("A"),
+            old: Atom::Int(1),
+            new: Atom::Int(9),
+        });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("A"),
+            old: Atom::Int(9),
+            new: Atom::Int(1),
+        });
         assert!(b.consolidate().is_empty());
     }
 
@@ -544,9 +610,19 @@ mod tests {
     #[test]
     fn touched_set_is_deduplicated_in_order() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C1") });
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C2") });
-        b.push(AppliedUpdate::Modify { oid: oid("C1"), old: Atom::Int(0), new: Atom::Int(1) });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C1"),
+        });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C2"),
+        });
+        b.push(AppliedUpdate::Modify {
+            oid: oid("C1"),
+            old: Atom::Int(0),
+            new: Atom::Int(1),
+        });
         let d = b.consolidate();
         assert_eq!(d.touched, vec![oid("P"), oid("C1"), oid("C2")]);
     }
@@ -554,8 +630,14 @@ mod tests {
     #[test]
     fn distinct_edges_do_not_interfere() {
         let mut b = DeltaBatch::new();
-        b.push(AppliedUpdate::Insert { parent: oid("P"), child: oid("C1") });
-        b.push(AppliedUpdate::Delete { parent: oid("P"), child: oid("C2") });
+        b.push(AppliedUpdate::Insert {
+            parent: oid("P"),
+            child: oid("C1"),
+        });
+        b.push(AppliedUpdate::Delete {
+            parent: oid("P"),
+            child: oid("C2"),
+        });
         let d = b.consolidate();
         assert_eq!(d.edges.len(), 2);
         assert_eq!(d.cancelled_ops, 0);
@@ -580,8 +662,12 @@ mod tests {
         let mut net = base.clone();
         for e in &d.edges {
             match e.op {
-                EdgeOp::Insert => { net.insert_edge(e.parent, e.child).unwrap(); }
-                EdgeOp::Delete => { net.delete_edge(e.parent, e.child).unwrap(); }
+                EdgeOp::Insert => {
+                    net.insert_edge(e.parent, e.child).unwrap();
+                }
+                EdgeOp::Delete => {
+                    net.delete_edge(e.parent, e.child).unwrap();
+                }
             }
         }
         for m in &d.modifies {

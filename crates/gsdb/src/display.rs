@@ -17,13 +17,7 @@ pub fn render(store: &Store, root: Oid) -> String {
     out
 }
 
-fn render_rec(
-    store: &Store,
-    oid: Oid,
-    depth: usize,
-    printed: &mut HashSet<Oid>,
-    out: &mut String,
-) {
+fn render_rec(store: &Store, oid: Oid, depth: usize, printed: &mut HashSet<Oid>, out: &mut String) {
     let pad = "  ".repeat(depth);
     let Some(obj) = store.get(oid) else {
         // The OID is not in this store: in a view database this is a
@@ -75,7 +69,10 @@ mod tests {
     #[test]
     fn shared_objects_render_once() {
         let mut s = Store::new();
-        set("a", "left").child(atom("sh", "v", 1i64)).build(&mut s).unwrap();
+        set("a", "left")
+            .child(atom("sh", "v", 1i64))
+            .build(&mut s)
+            .unwrap();
         let root = set("top", "root")
             .reference("a")
             .child(set("b", "right").reference("sh"))

@@ -57,7 +57,10 @@ pub fn collect_below(store: &mut Store, root: Oid, tops: &[Oid]) -> Vec<Oid> {
     }
     descend(store, &mut live, &mut is_live);
 
-    let mut dead: Vec<Oid> = region.into_iter().filter(|o| !is_live.contains(o)).collect();
+    let mut dead: Vec<Oid> = region
+        .into_iter()
+        .filter(|o| !is_live.contains(o))
+        .collect();
     dead.sort_by_key(|o| o.name());
     remove_all(store, &dead);
     dead
@@ -130,7 +133,10 @@ mod tests {
         ])
         .unwrap();
         s.delete_edge(oid("a"), oid("shared")).unwrap();
-        assert!(collect(&mut s, &[oid("root")]).is_empty(), "still referenced by b");
+        assert!(
+            collect(&mut s, &[oid("root")]).is_empty(),
+            "still referenced by b"
+        );
         s.delete_edge(oid("b"), oid("shared")).unwrap();
         assert_eq!(collect(&mut s, &[oid("root")]), vec![oid("shared")]);
     }
@@ -205,7 +211,10 @@ mod tests {
         .unwrap();
         s.insert_edge(oid("root"), oid("a")).unwrap();
         s.delete_edge(oid("a"), oid("t")).unwrap();
-        assert_eq!(collect_below(&mut s, oid("root"), &[oid("t")]), vec![oid("t")]);
+        assert_eq!(
+            collect_below(&mut s, oid("root"), &[oid("t")]),
+            vec![oid("t")]
+        );
         assert!(s.contains(oid("a")) && s.contains(oid("root")));
         s.check_invariants().unwrap();
     }

@@ -187,11 +187,8 @@ mod tests {
     #[test]
     fn classify_cyclic() {
         let mut s = Store::new();
-        s.create_all([
-            Object::empty_set("a", "a"),
-            Object::empty_set("b", "b"),
-        ])
-        .unwrap();
+        s.create_all([Object::empty_set("a", "a"), Object::empty_set("b", "b")])
+            .unwrap();
         s.insert_edge(oid("a"), oid("b")).unwrap();
         s.insert_edge(oid("b"), oid("a")).unwrap();
         assert_eq!(classify(&s, oid("a")), Shape::Cyclic);

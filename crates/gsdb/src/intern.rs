@@ -98,8 +98,10 @@ impl ResolveTable {
             // Built on the heap: a 64 KiB array built on the stack would
             // make every `intern`, this one's caller, probe 16 stack
             // pages on entry, hits included.
-            let slots: Box<[&'static str; CHUNK]> =
-                vec![""; CHUNK].into_boxed_slice().try_into().expect("CHUNK slots");
+            let slots: Box<[&'static str; CHUNK]> = vec![""; CHUNK]
+                .into_boxed_slice()
+                .try_into()
+                .expect("CHUNK slots");
             chunk = Box::into_raw(slots);
             self.chunks[ci].store(chunk, Ordering::Release);
         }
@@ -547,7 +549,14 @@ mod tests {
 
     #[test]
     fn a_batch_interns_new_and_repeated_names_as_intern_does() {
-        let names = ["batch-new-1", "batch-new-1", "bn\0x", "", "batch-new-2", "bn\0x"];
+        let names = [
+            "batch-new-1",
+            "batch-new-1",
+            "bn\0x",
+            "",
+            "batch-new-2",
+            "bn\0x",
+        ];
         let batch = intern_all(&names);
         for (s, sym) in names.iter().zip(&batch) {
             assert_eq!(intern(s), *sym, "{s:?}");

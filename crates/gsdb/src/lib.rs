@@ -73,16 +73,16 @@ pub use delta::{ConsolidatedDelta, DeltaBatch, EdgeDelta, EdgeOp, ModifyDelta};
 pub use epoch::EpochHandle;
 pub use error::{GsdbError, Result};
 pub use events::{AtomEvent, EdgeEvent, LiveDelta};
+pub use fxhash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use label::Label;
 pub use object::Object;
 pub use oid::Oid;
 pub use path::Path;
-pub use snapshot::Snapshot;
-pub use stats::{stats, stats_at, StoreStats};
-pub use fxhash::{FastMap, FastSet, FxBuildHasher, FxHasher};
-pub use smallset::SmallSet;
 pub use shard::{CommitResult, PublishInfo, ShardedStore};
+pub use smallset::SmallSet;
+pub use snapshot::Snapshot;
 pub use stats::DurableFootprint;
+pub use stats::{stats, stats_at, StoreStats};
 pub use store::{Chunk, ShardImage, SlotSet, Store, StoreConfig, MAX_SHARDS};
 pub use update::{AppliedUpdate, Update};
 pub use value::{Atom, OidSet, Value};

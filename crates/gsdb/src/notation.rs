@@ -80,7 +80,10 @@ pub fn parse_object(line_no: usize, text: &str) -> std::result::Result<Object, N
     if fields.len() != 4 {
         return Err(err(
             line_no,
-            format!("expected 4 fields (OID, label, type, value), got {}", fields.len()),
+            format!(
+                "expected 4 fields (OID, label, type, value), got {}",
+                fields.len()
+            ),
         ));
     }
     let oid = Oid::new(&fields[0]);
@@ -126,9 +129,7 @@ fn parse_value(
             let s = raw
                 .strip_prefix('\'')
                 .and_then(|r| r.strip_suffix('\''))
-                .or_else(|| {
-                    raw.strip_prefix('`').and_then(|r| r.strip_suffix('\''))
-                })
+                .or_else(|| raw.strip_prefix('`').and_then(|r| r.strip_suffix('\'')))
                 .ok_or_else(|| err(line_no, "string value must be quoted"))?;
             Ok(Value::Atom(Atom::str(s)))
         }
@@ -230,8 +231,11 @@ mod tests {
             Some(&Atom::tagged("dollar", 100_000))
         );
         // Structure works: the usual query answers hold.
-        let reached =
-            crate::path::reach(&store, Oid::new("ROOT"), &crate::Path::parse("professor.age"));
+        let reached = crate::path::reach(
+            &store,
+            Oid::new("ROOT"),
+            &crate::Path::parse("professor.age"),
+        );
         assert_eq!(reached, vec![Oid::new("A1")]);
     }
 
@@ -268,11 +272,15 @@ mod tests {
             .children()
             .is_empty());
         assert_eq!(
-            parse_object(1, "< R, ratio, real, 2.5 >").unwrap().atom_value(),
+            parse_object(1, "< R, ratio, real, 2.5 >")
+                .unwrap()
+                .atom_value(),
             Some(&Atom::Real(2.5))
         );
         assert_eq!(
-            parse_object(1, "< B, flag, boolean, true >").unwrap().atom_value(),
+            parse_object(1, "< B, flag, boolean, true >")
+                .unwrap()
+                .atom_value(),
             Some(&Atom::Bool(true))
         );
     }

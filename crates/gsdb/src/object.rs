@@ -119,7 +119,10 @@ mod tests {
                 Oid::new("P3"),
             ],
         );
-        assert_eq!(o.to_paper_notation(), "< P1, professor, set, {N1,A1,S1,P3} >");
+        assert_eq!(
+            o.to_paper_notation(),
+            "< P1, professor, set, {N1,A1,S1,P3} >"
+        );
         let a = Object::atom("N1", "name", "John");
         assert_eq!(a.to_paper_notation(), "< N1, name, string, 'John' >");
     }

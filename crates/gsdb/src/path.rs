@@ -213,7 +213,10 @@ pub fn fold_walks<T: Clone>(
 /// The objects from which `n` is reachable, `n` included: `root` is
 /// above `n` iff it is a member. One `parents` read per ancestor.
 pub fn ancestor_set(store: &Store, n: Oid) -> FastSet<Oid> {
-    Ancestry::sweep(store, n, None, false).index.into_keys().collect()
+    Ancestry::sweep(store, n, None, false)
+        .index
+        .into_keys()
+        .collect()
 }
 
 /// Sentinel for "no predecessor" in the search arenas below.
@@ -253,7 +256,12 @@ impl Ancestry {
     /// that asks only which objects are above `n` leaves the labels
     /// unread.
     fn sweep(store: &Store, n: Oid, stop_at: Option<Oid>, labels: bool) -> Ancestry {
-        let found = |oid, below| Ancestor { oid, label: None, below, ups: 0..0 };
+        let found = |oid, below| Ancestor {
+            oid,
+            label: None,
+            below,
+            ups: 0..0,
+        };
         // Room for a tree's depth without regrowing.
         let mut a = Ancestry {
             nodes: Vec::with_capacity(8),
@@ -268,7 +276,9 @@ impl Ancestry {
         let mut stack = vec![0];
         while let Some(i) = stack.pop() {
             if labels {
-                let Some(l) = store.label(a.nodes[i].oid) else { continue };
+                let Some(l) = store.label(a.nodes[i].oid) else {
+                    continue;
+                };
                 a.nodes[i].label = Some(l);
             }
             a.nodes[i].ups = a.ups.len()..a.ups.len();
@@ -294,10 +304,12 @@ impl Ancestry {
     fn chain(&self, root: Oid) -> Option<impl Iterator<Item = (Oid, Label)> + '_> {
         let top = *self.index.get(&root)?;
         let below = |i: usize| Some(self.nodes[i].below).filter(|&b| b != NO_PREV);
-        Some(std::iter::successors(below(top), move |&i| below(i)).map(|i| {
-            let a = &self.nodes[i];
-            (a.oid, a.label.expect("an object with a parent was read"))
-        }))
+        Some(
+            std::iter::successors(below(top), move |&i| below(i)).map(|i| {
+                let a = &self.nodes[i];
+                (a.oid, a.label.expect("an object with a parent was read"))
+            }),
+        )
     }
 
     /// [`fold_walks`] over the arena.
@@ -331,7 +343,9 @@ impl Ancestry {
             for &c in &downs[i] {
                 let a = &self.nodes[c];
                 let l = a.label.expect("an object with a parent was read");
-                let Some(v) = step(here.clone(), a.oid, l) else { continue };
+                let Some(v) = step(here.clone(), a.oid, l) else {
+                    continue;
+                };
                 let grew = match &mut at[c] {
                     Some(there) => join(there, v),
                     empty => {
@@ -458,11 +472,7 @@ mod tests {
         let mut s = Store::new();
         s.create_all([
             Object::set("ROOT", "person", &[oid("P1"), oid("P2")]),
-            Object::set(
-                "P1",
-                "professor",
-                &[oid("N1"), oid("A1"), oid("P3")],
-            ),
+            Object::set("P1", "professor", &[oid("N1"), oid("A1"), oid("P3")]),
             Object::atom("N1", "name", "John"),
             Object::atom("A1", "age", 45i64),
             Object::set("P3", "student", &[oid("N3"), oid("A3")]),
@@ -515,9 +525,13 @@ mod tests {
     #[test]
     fn eval_tests_condition_on_atoms() {
         let s = person_fragment();
-        let le45 = |a: &Atom| a.partial_cmp_atom(&Atom::Int(45)) != Some(std::cmp::Ordering::Greater);
+        let le45 =
+            |a: &Atom| a.partial_cmp_atom(&Atom::Int(45)) != Some(std::cmp::Ordering::Greater);
         // eval(P1, age, ≤45) = {A1} (paper §4.3 example).
-        assert_eq!(eval(&s, oid("P1"), &Path::parse("age"), &le45), vec![oid("A1")]);
+        assert_eq!(
+            eval(&s, oid("P1"), &Path::parse("age"), &le45),
+            vec![oid("A1")]
+        );
         // Empty path evaluates the node itself.
         assert_eq!(eval(&s, oid("A3"), &Path::empty(), &le45), vec![oid("A3")]);
         // Set objects never satisfy atomic conditions.
@@ -564,7 +578,10 @@ mod tests {
     fn ancestor_walks_upward() {
         let s = person_fragment();
         // ancestor(A1, age) = P1 (paper Example 6).
-        assert_eq!(ancestor(&s, oid("A1"), &Path::parse("age")), Some(oid("P1")));
+        assert_eq!(
+            ancestor(&s, oid("A1"), &Path::parse("age")),
+            Some(oid("P1"))
+        );
         assert_eq!(
             ancestor(&s, oid("A3"), &Path::parse("student.age")),
             Some(oid("P1"))
@@ -639,7 +656,10 @@ mod tests {
             })
         };
         let tree = person_fragment();
-        assert_eq!(through(&tree, "ROOT", "A3"), Some(vec![oid("A3"), oid("P1"), oid("P3")]));
+        assert_eq!(
+            through(&tree, "ROOT", "A3"),
+            Some(vec![oid("A3"), oid("P1"), oid("P3")])
+        );
         assert_eq!(through(&tree, "P2", "A3"), None);
         let mut dag = Store::new();
         dag.create_all([
@@ -747,13 +767,7 @@ mod tests {
             for &b in &oids {
                 let got = path_between(&s, a, b);
                 let reference = reference_path_upward(&s, a, b);
-                assert_eq!(
-                    got,
-                    reference,
-                    "path({}, {}) changed",
-                    a.name(),
-                    b.name()
-                );
+                assert_eq!(got, reference, "path({}, {}) changed", a.name(), b.name());
                 if a == b {
                     continue;
                 }

@@ -82,15 +82,19 @@ pub fn relations_db(store: &mut Store, n_r: usize, n_s: usize) -> Result<Oid> {
     let mut rel = set("REL", "relations");
     let mut r = set("R", "r");
     for i in 0..n_r {
-        r = r.child(
-            set(&format!("T{i}"), "tuple").child(atom(&format!("A{i}"), "age", (10 + i) as i64)),
-        );
+        r = r.child(set(&format!("T{i}"), "tuple").child(atom(
+            &format!("A{i}"),
+            "age",
+            (10 + i) as i64,
+        )));
     }
     let mut s_node = set("S", "s");
     for i in 0..n_s {
-        s_node = s_node.child(
-            set(&format!("U{i}"), "tuple").child(atom(&format!("B{i}"), "age", (10 + i) as i64)),
-        );
+        s_node = s_node.child(set(&format!("U{i}"), "tuple").child(atom(
+            &format!("B{i}"),
+            "age",
+            (10 + i) as i64,
+        )));
     }
     rel = rel.child(r).child(s_node);
     rel.build(store)

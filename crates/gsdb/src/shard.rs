@@ -367,10 +367,7 @@ impl ShardedStore {
     ) -> Result<(CommitView, Vec<AppliedUpdate>, Option<GsdbError>), Attempt> {
         let mut view = CommitView {
             shift: self.shift,
-            states: guards
-                .iter()
-                .map(|g| g.as_deref().cloned())
-                .collect(),
+            states: guards.iter().map(|g| g.as_deref().cloned()).collect(),
         };
         // A bulk load (`Node::commit_into`) sizes each shard's tables
         // once for the objects it creates there.
@@ -665,7 +662,11 @@ mod tests {
         assert!(r.epoch.is_some(), "prefix publishes");
         let snap = ss.snapshot();
         assert!(snap.contains(oid("A")));
-        assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(1)), "suffix not applied");
+        assert_eq!(
+            snap.atom(oid("A")),
+            Some(&Atom::Int(1)),
+            "suffix not applied"
+        );
     }
 
     #[test]
@@ -701,9 +702,7 @@ mod tests {
         let snap = ss.snapshot();
         assert!(!snap.contains(oid("P")));
         for i in 0..12 {
-            assert!(snap
-                .parents(Oid::new(&format!("c{i}")))
-                .is_empty());
+            assert!(snap.parents(Oid::new(&format!("c{i}"))).is_empty());
         }
         snap.check_invariants().unwrap();
     }
@@ -748,12 +747,16 @@ mod tests {
         }])
         .into_result()
         .unwrap();
-        ss.commit(&[Update::modify("A", 2i64)]).into_result().unwrap();
+        ss.commit(&[Update::modify("A", 2i64)])
+            .into_result()
+            .unwrap();
         let (base, entries, _) = ss.drain_reports();
         assert_eq!(base, 0);
         assert_eq!(entries.len(), 2);
         assert!(matches!(entries[0], AppliedUpdate::Create { .. }));
-        ss.commit(&[Update::modify("A", 3i64)]).into_result().unwrap();
+        ss.commit(&[Update::modify("A", 3i64)])
+            .into_result()
+            .unwrap();
         let (base, entries, _) = ss.drain_reports();
         assert_eq!(base, 2);
         assert_eq!(entries.len(), 1);

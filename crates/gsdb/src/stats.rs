@@ -104,7 +104,11 @@ mod tests {
     fn stats_count_correctly() {
         let mut store = Store::new();
         set("r", "root")
-            .child(set("a", "mid").child(atom("x", "leaf", 1i64)).child(atom("y", "leaf", 2i64)))
+            .child(
+                set("a", "mid")
+                    .child(atom("x", "leaf", 1i64))
+                    .child(atom("y", "leaf", 2i64)),
+            )
             .child(atom("z", "leaf", 3i64))
             .build(&mut store)
             .unwrap();
@@ -121,7 +125,10 @@ mod tests {
     #[test]
     fn stats_at_reads_published_epoch_not_live_store() {
         let mut live = Store::new();
-        set("r", "root").child(atom("x", "leaf", 1i64)).build(&mut live).unwrap();
+        set("r", "root")
+            .child(atom("x", "leaf", 1i64))
+            .build(&mut live)
+            .unwrap();
         let h = EpochHandle::new(live.fork());
         // Mutate the live store without publishing: stats_at must not
         // see it (it reads the snapshot, not the live store).

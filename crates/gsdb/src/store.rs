@@ -114,9 +114,7 @@
 use crate::cowmap::CowMap;
 use crate::fxhash::FastMap;
 use crate::smallset::SmallSet;
-use crate::{
-    AppliedUpdate, Atom, GsdbError, Label, Object, Oid, Result, Update, Value,
-};
+use crate::{AppliedUpdate, Atom, GsdbError, Label, Object, Oid, Result, Update, Value};
 use gsview_obs::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -535,7 +533,10 @@ impl StoreConfig {
 
     /// The effective (normalized) shard count.
     fn effective_shards(&self) -> usize {
-        self.shards.clamp(1, MAX_SHARDS).next_power_of_two().min(MAX_SHARDS)
+        self.shards
+            .clamp(1, MAX_SHARDS)
+            .next_power_of_two()
+            .min(MAX_SHARDS)
     }
 }
 
@@ -570,12 +571,9 @@ impl<'a> SlotSet<'a> {
     /// Iterate members as OIDs, in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = Oid> + 'a {
         let store = self.store;
-        self.slots.iter().map(move |&s| {
-            store
-                .slot_obj(s)
-                .expect("index references live slot")
-                .oid
-        })
+        self.slots
+            .iter()
+            .map(move |&s| store.slot_obj(s).expect("index references live slot").oid)
     }
 }
 
@@ -1398,12 +1396,19 @@ impl Store {
             }
             match st.obj(slot >> self.shift) {
                 Some(o) if o.oid == oid => {}
-                _ => return Err(format!("shard {i}: slot_of[{}] -> dead or mismatched slot", oid.name())),
+                _ => {
+                    return Err(format!(
+                        "shard {i}: slot_of[{}] -> dead or mismatched slot",
+                        oid.name()
+                    ))
+                }
             }
         }
         for &f in free {
             if (f & mask) as usize != i {
-                return Err(format!("shard {i}: free slot {f} carries foreign shard bits"));
+                return Err(format!(
+                    "shard {i}: free slot {f} carries foreign shard bits"
+                ));
             }
             let local = f >> self.shift;
             if (local as usize) >= st.len_slots || st.obj(local).is_some() {
@@ -1421,10 +1426,12 @@ impl Store {
             for pslot in set.iter() {
                 match self.slot_obj(pslot) {
                     Some(p) if p.children().contains(&child) => {}
-                    _ => return Err(format!(
+                    _ => {
+                        return Err(format!(
                         "shard {i}: parent index [{}] references slot {pslot} lacking that edge",
                         child.name()
-                    )),
+                    ))
+                    }
                 }
             }
         }
@@ -2118,7 +2125,10 @@ mod tests {
     fn from_records_is_the_store_the_creates_leave() {
         let records: Vec<Object> = (0..2 * PAGE_SIZE + 3)
             .map(|i| {
-                let kids = [oid(&format!("rec{}", i + 1)), oid(&format!("recgone{}", i % 5))];
+                let kids = [
+                    oid(&format!("rec{}", i + 1)),
+                    oid(&format!("recgone{}", i % 5)),
+                ];
                 Object::set(format!("rec{i}").as_str(), "r", &kids)
             })
             .collect();
@@ -2128,8 +2138,12 @@ mod tests {
         }
         let built = Store::from_records(records.clone(), created.version()).unwrap();
         assert_eq!(built.version(), created.version());
-        let [b] = &built.export_images()[..] else { panic!("one shard") };
-        let [c] = &created.export_images()[..] else { panic!("one shard") };
+        let [b] = &built.export_images()[..] else {
+            panic!("one shard")
+        };
+        let [c] = &created.export_images()[..] else {
+            panic!("one shard")
+        };
         assert_eq!((b.len_slots, &b.chunks), (c.len_slots, &c.chunks));
         built.check_invariants().unwrap();
         for r in &records {

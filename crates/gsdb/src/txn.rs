@@ -103,7 +103,7 @@ mod tests {
         let mut s = person_store();
         let before = crate::Snapshot::capture(&s);
         let batch = vec![
-            Update::insert("ROOT", "P1"), // duplicate: no-op
+            Update::insert("ROOT", "P1"),  // duplicate: no-op
             Update::insert("P4", "GHOST"), // fails, triggers rollback
         ];
         apply_atomic(&mut s, batch).unwrap_err();

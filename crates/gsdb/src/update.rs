@@ -151,8 +151,9 @@ impl AppliedUpdate {
     /// The directly affected source objects (paper §5.1).
     pub fn directly_affected(&self) -> Vec<Oid> {
         match self {
-            AppliedUpdate::Insert { parent, child }
-            | AppliedUpdate::Delete { parent, child } => vec![*parent, *child],
+            AppliedUpdate::Insert { parent, child } | AppliedUpdate::Delete { parent, child } => {
+                vec![*parent, *child]
+            }
             AppliedUpdate::Modify { oid, .. }
             | AppliedUpdate::Create { oid }
             | AppliedUpdate::Remove { oid } => vec![*oid],

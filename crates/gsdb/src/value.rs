@@ -512,13 +512,20 @@ mod tests {
         let mut a = Value::Set(p.iter().copied().collect());
         let b = a.clone();
         let members = |v: &Value| v.as_set().unwrap().as_slice().as_ptr();
-        assert!(std::ptr::eq(members(&a), members(&b)), "a copy is a count bump");
+        assert!(
+            std::ptr::eq(members(&a), members(&b)),
+            "a copy is a count bump"
+        );
 
         let set = a.as_set_mut().unwrap();
         assert!(set.remove(p[1]));
         assert!(set.insert(oid("oss9")));
         assert_eq!(set.as_slice(), &[p[0], p[4], p[2], p[3], oid("oss9")]);
-        assert_eq!(b.as_set().unwrap().as_slice(), &p[..], "the copy is unchanged");
+        assert_eq!(
+            b.as_set().unwrap().as_slice(),
+            &p[..],
+            "the copy is unchanged"
+        );
 
         // A large set owns its vector: its copy is a copy.
         let big = Value::Set(pool("osl", SCAN_LIMIT + 1).into_iter().collect());
@@ -543,7 +550,11 @@ mod tests {
 
         store.delete_edge(oid("osfP"), kids[0]).unwrap();
         assert_eq!(store.children(oid("osfP")), &[kids[2], kids[1]]);
-        assert_eq!(fork.children(oid("osfP")), &kids[..], "the fork is unchanged");
+        assert_eq!(
+            fork.children(oid("osfP")),
+            &kids[..],
+            "the fork is unchanged"
+        );
     }
 
     #[test]

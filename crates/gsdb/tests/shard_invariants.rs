@@ -34,7 +34,11 @@ fn realize(
             return None;
         }
         let i = i % n;
-        Some(if i < sets.len() { sets[i] } else { atoms[i - sets.len()] })
+        Some(if i < sets.len() {
+            sets[i]
+        } else {
+            atoms[i - sets.len()]
+        })
     };
     match kind {
         0 => {
@@ -42,14 +46,24 @@ fn realize(
             let o = Oid::new(&format!("si{salt}a{fresh}"));
             *fresh += 1;
             let obj = Object::atom(o.name(), "leaf", v);
-            Some((Update::Create { object: obj.clone() }, Some(obj)))
+            Some((
+                Update::Create {
+                    object: obj.clone(),
+                },
+                Some(obj),
+            ))
         }
         1 => {
             // Create a detached set (future edge parent).
             let o = Oid::new(&format!("si{salt}s{fresh}"));
             *fresh += 1;
             let obj = Object::empty_set(o.name(), "mid");
-            Some((Update::Create { object: obj.clone() }, Some(obj)))
+            Some((
+                Update::Create {
+                    object: obj.clone(),
+                },
+                Some(obj),
+            ))
         }
         2 => {
             // Insert an edge set -> anything (may fail: duplicate
@@ -65,7 +79,13 @@ fn realize(
         }
         4 => {
             let oid = all(a)?;
-            Some((Update::Modify { oid, new: gsdb::Atom::Int(v) }, None))
+            Some((
+                Update::Modify {
+                    oid,
+                    new: gsdb::Atom::Int(v),
+                },
+                None,
+            ))
         }
         _ => {
             // Remove any object; the arena tolerates dangling parent
@@ -121,7 +141,12 @@ fn observe(store: &Store) -> Observation {
         members.sort();
         labels.insert(l.to_string(), members);
     }
-    Observation { oids, objects, parents, labels }
+    Observation {
+        oids,
+        objects,
+        parents,
+        labels,
+    }
 }
 
 proptest! {

@@ -417,7 +417,10 @@ pub fn validate_json_lines(dump: &str) -> Result<usize, String> {
         let num = |key: &str| -> Result<f64, String> {
             match v.get(key) {
                 Some(Json::Num(n)) => Ok(*n),
-                other => Err(format!("line {}: \"{key}\" not a number: {other:?}", lineno + 1)),
+                other => Err(format!(
+                    "line {}: \"{key}\" not a number: {other:?}",
+                    lineno + 1
+                )),
             }
         };
         if let Some(metric) = v.get("metric") {
@@ -432,7 +435,12 @@ pub fn validate_json_lines(dump: &str) -> Result<usize, String> {
                 Some(Json::Str(k)) if k == "histogram" => {
                     num("count")?;
                 }
-                other => return Err(format!("line {}: bad metric \"kind\": {other:?}", lineno + 1)),
+                other => {
+                    return Err(format!(
+                        "line {}: bad metric \"kind\": {other:?}",
+                        lineno + 1
+                    ))
+                }
             }
             n += 1;
             continue;
@@ -513,7 +521,10 @@ mod tests {
             first.get("fields").unwrap().get("source"),
             Some(&Json::Str("s\"1\"".into()))
         );
-        assert_eq!(first.get("fields").unwrap().get("seq"), Some(&Json::Num(4.0)));
+        assert_eq!(
+            first.get("fields").unwrap().get("seq"),
+            Some(&Json::Num(4.0))
+        );
     }
 
     #[test]

@@ -528,7 +528,10 @@ impl Drop for SpanGuard {
                 span: self.id,
                 parent: 0,
                 trace: self.trace,
-                fields: vec![Field::new("elapsed_ns", end_ns.saturating_sub(self.start_ns))],
+                fields: vec![Field::new(
+                    "elapsed_ns",
+                    end_ns.saturating_sub(self.start_ns),
+                )],
             });
         });
     }
@@ -686,7 +689,10 @@ mod tests {
             .iter()
             .find(|e| e.name == "serve.request" && e.kind == EventKind::SpanStart)
             .unwrap();
-        assert_eq!(served_start.parent, remote_ctx.span, "parents under the wire span");
+        assert_eq!(
+            served_start.parent, remote_ctx.span,
+            "parents under the wire span"
+        );
     }
 
     #[test]
@@ -707,10 +713,13 @@ mod tests {
         let _alone = collector_lock();
         // No collector installed: the field expression must not run.
         let mut hit = false;
-        event!("never", "x" = {
-            hit = true;
-            1u64
-        });
+        event!(
+            "never",
+            "x" = {
+                hit = true;
+                1u64
+            }
+        );
         assert!(!hit);
     }
 

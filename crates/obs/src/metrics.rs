@@ -230,7 +230,11 @@ impl HistogramSnapshot {
                 // Bucket i covers [2^(i-1), 2^i); bucket 0 is the
                 // exact value 0. Place the rank-th sample uniformly
                 // within the bucket (midpoint convention).
-                let lo = if i == 0 { 0.0 } else { bucket_upper(i - 1) as f64 };
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    bucket_upper(i - 1) as f64
+                };
                 let hi = bucket_upper(i) as f64;
                 let into = (rank - seen) as f64 - 0.5;
                 let frac = (into / c as f64).clamp(0.0, 1.0);
@@ -337,9 +341,7 @@ impl Registry {
                 .iter()
                 .map(|h| (h.name().to_string(), h.read()))
                 .collect();
-            if self.gen.load(Ordering::SeqCst) == g1
-                && self.writers.load(Ordering::SeqCst) == 0
-            {
+            if self.gen.load(Ordering::SeqCst) == g1 && self.writers.load(Ordering::SeqCst) == 0 {
                 return MetricsSnapshot {
                     counters,
                     histograms,

@@ -166,7 +166,11 @@ impl MetricsDiffer {
         for (name, h) in &cur.histograms {
             let prev_count = self.prev.histogram(name).map(|p| p.count).unwrap_or(0);
             let reset = h.count < prev_count;
-            let base = if reset { None } else { self.prev.histogram(name) };
+            let base = if reset {
+                None
+            } else {
+                self.prev.histogram(name)
+            };
             let delta_count = h.count - base.map(|p| p.count).unwrap_or(0);
             if delta_count == 0 {
                 continue;
@@ -285,7 +289,11 @@ impl ExportQueue {
 
     /// Take every queued span, oldest first, emptying the queue.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        self.ring.drain().into_iter().map(|(_, span)| span).collect()
+        self.ring
+            .drain()
+            .into_iter()
+            .map(|(_, span)| span)
+            .collect()
     }
 }
 
@@ -359,15 +367,13 @@ impl Collector for SpanExporter {
                 let is_error = event.name == "failure"
                     || matches!(event.field("error"), Some(FieldValue::Bool(true)));
                 if is_error && event.span != 0 {
-                    if let Some(p) = self.shard(event.span).lock().unwrap().get_mut(&event.span)
-                    {
+                    if let Some(p) = self.shard(event.span).lock().unwrap().get_mut(&event.span) {
                         p.error = true;
                     }
                 }
             }
             EventKind::SpanEnd => {
-                let Some(p) = self.shard(event.span).lock().unwrap().remove(&event.span)
-                else {
+                let Some(p) = self.shard(event.span).lock().unwrap().remove(&event.span) else {
                     return; // started before the exporter was installed
                 };
                 let elapsed_ns = match event.field("elapsed_ns") {

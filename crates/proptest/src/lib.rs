@@ -205,12 +205,12 @@ macro_rules! impl_tuple_strategy {
         }
     };
 }
-impl_tuple_strategy!(A/0);
-impl_tuple_strategy!(A/0, B/1);
-impl_tuple_strategy!(A/0, B/1, C/2);
-impl_tuple_strategy!(A/0, B/1, C/2, D/3);
-impl_tuple_strategy!(A/0, B/1, C/2, D/3, E/4);
-impl_tuple_strategy!(A/0, B/1, C/2, D/3, E/4, F/5);
+impl_tuple_strategy!(A / 0);
+impl_tuple_strategy!(A / 0, B / 1);
+impl_tuple_strategy!(A / 0, B / 1, C / 2);
+impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3);
+impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4);
+impl_tuple_strategy!(A / 0, B / 1, C / 2, D / 3, E / 4, F / 5);
 
 /// Uniformly picks one of several boxed strategies (the expansion of
 /// `prop_oneof!`).

@@ -102,7 +102,10 @@ pub(crate) fn evaluate_with(
     let mut stats = EvalStats::default();
 
     // Resolve the WITHIN filter.
-    let within_members = query.within.map(|db| database_members(store, db)).transpose()?;
+    let within_members = query
+        .within
+        .map(|db| database_members(store, db))
+        .transpose()?;
     let filter = |o: Oid| within_members.as_ref().is_none_or(|m| m.contains(o));
 
     let start = query.entry.oid();
@@ -161,11 +164,7 @@ pub(crate) fn evaluate_with(
 }
 
 /// Evaluate and store the answer object under `ans_oid`.
-pub fn evaluate_into(
-    store: &mut Store,
-    query: &Query,
-    ans_oid: Oid,
-) -> Result<Oid, EvalError> {
+pub fn evaluate_into(store: &mut Store, query: &Query, ans_oid: Oid) -> Result<Oid, EvalError> {
     let ans = evaluate(store, query)?;
     store
         .create(ans.into_object(ans_oid))
@@ -223,10 +222,9 @@ mod tests {
         // VJ: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON
         // → {P1, P3}.
         let s = person_store();
-        let v = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let v =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         let ans = evaluate(&s, &v.query).unwrap();
         assert_eq!(ans.oids, vec![oid("P1"), oid("P3")]);
     }

@@ -45,10 +45,16 @@ pub fn explain(store: &Store, query: &Query) -> Result<String, EvalError> {
             .get(db)
             .and_then(|o| o.value.as_set())
             .map_or(0, |s| s.len());
-        line(&mut out, format_args!("scope   WITHIN {db} ({members} members)"));
+        line(
+            &mut out,
+            format_args!("scope   WITHIN {db} ({members} members)"),
+        );
     }
     if let Some(c) = &query.cond {
-        line(&mut out, format_args!("filter  WHERE {c} (re-traversal per candidate)"));
+        line(
+            &mut out,
+            format_args!("filter  WHERE {c} (re-traversal per candidate)"),
+        );
     }
     if let Some(db) = query.ans_int {
         line(&mut out, format_args!("post    ANS INT {db}"));

@@ -48,7 +48,7 @@ pub mod plan;
 pub use ast::{Condition, Entry, Query, Statement, ViewDef};
 pub use cond::{CmpOp, Pred};
 pub use eval::{evaluate, evaluate_into, Answer, EvalError, EvalStats};
-pub use parser::{parse_query, parse_statement, parse_viewdef, ParseError};
 pub use explain::explain;
-pub use plan::{choose_backend, evaluate_planned, MaintBackend, SelStrategy};
+pub use parser::{parse_query, parse_statement, parse_viewdef, ParseError};
 pub use pathexpr::{reach_expr, Elem, Nfa, PathExpr, PathExprError, TraversalStats, WalkScratch};
+pub use plan::{choose_backend, evaluate_planned, MaintBackend, SelStrategy};

@@ -330,10 +330,9 @@ mod tests {
 
     #[test]
     fn parses_example_3_view_vj() {
-        let v = parse_viewdef(
-            "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-        )
-        .unwrap();
+        let v =
+            parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+                .unwrap();
         assert_eq!(v.name, Oid::new("VJ"));
         assert!(!v.materialized);
         assert_eq!(v.query.within, Some(Oid::new("PERSON")));
@@ -372,7 +371,10 @@ mod tests {
         let v =
             parse_viewdef("define mview YP as: SELECT ROOT.professor X WHERE X.age <= 45").unwrap();
         assert!(v.query.is_simple());
-        assert_eq!(v.query.cond.as_ref().unwrap().pred, Pred::new(CmpOp::Le, 45i64));
+        assert_eq!(
+            v.query.cond.as_ref().unwrap().pred,
+            Pred::new(CmpOp::Le, 45i64)
+        );
     }
 
     #[test]

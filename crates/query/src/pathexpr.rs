@@ -52,7 +52,10 @@ impl fmt::Display for PathExprError {
         match self {
             PathExprError::Malformed => write!(f, "malformed path expression"),
             PathExprError::TooLong(n) => {
-                write!(f, "path expression has {n} elements, the limit is {MAX_ELEMS}")
+                write!(
+                    f,
+                    "path expression has {n} elements, the limit is {MAX_ELEMS}"
+                )
             }
         }
     }
@@ -331,7 +334,9 @@ impl Nfa {
             let row = &mut fwd[s * ncols..(s + 1) * ncols];
             match e {
                 Elem::Label(l) => row[symbols[l] as usize] = closed(s + 1),
-                Elem::Alt(ls) => ls.iter().for_each(|l| row[symbols[l] as usize] = closed(s + 1)),
+                Elem::Alt(ls) => ls
+                    .iter()
+                    .for_each(|l| row[symbols[l] as usize] = closed(s + 1)),
                 Elem::AnyOne => row.fill(closed(s + 1)),
                 Elem::AnySeq => row.fill(closed(s)),
             }
@@ -573,8 +578,12 @@ impl WalkScratch {
                 if !filter(c) {
                     continue;
                 }
-                let Some(cslot) = store.slot_of(c) else { continue };
-                let Some(cl) = store.label_at(cslot) else { continue };
+                let Some(cslot) = store.slot_of(c) else {
+                    continue;
+                };
+                let Some(cl) = store.label_at(cslot) else {
+                    continue;
+                };
                 let next = d.step_mask(mask, cl);
                 if next == 0 {
                     continue;
@@ -603,7 +612,14 @@ mod tests {
 
     #[test]
     fn parse_and_display_roundtrip() {
-        for s in ["professor", "professor.age", "*", "?", "professor.*", "(a|b).x"] {
+        for s in [
+            "professor",
+            "professor.age",
+            "*",
+            "?",
+            "professor.*",
+            "(a|b).x",
+        ] {
             assert_eq!(pe(s).to_string(), s);
         }
         // Alternations cannot contain dots; malformed parens are
@@ -623,12 +639,21 @@ mod tests {
         assert_eq!(e.nfa().all_states(), u64::MAX);
         assert_eq!(PathExpr::parse(&text(64)), Err(PathExprError::TooLong(64)));
         // Refused by counting, before any table is sized.
-        assert_eq!(PathExpr::parse(&text(100_000)), Err(PathExprError::TooLong(100_000)));
+        assert_eq!(
+            PathExpr::parse(&text(100_000)),
+            Err(PathExprError::TooLong(100_000))
+        );
         // A run of `*` is one element, in text and in code.
         let stars = vec!["*"; 70].join(".");
         assert_eq!(pe(&format!("a.{stars}.b")).nfa().accept_state(), 3);
-        assert!(PathExpr::contains(&pe("*"), &PathExpr(vec![Elem::AnySeq; 70])));
-        assert!(PathExpr::contains(&PathExpr(vec![Elem::AnySeq; 70]), &pe("*")));
+        assert!(PathExpr::contains(
+            &pe("*"),
+            &PathExpr(vec![Elem::AnySeq; 70])
+        ));
+        assert!(PathExpr::contains(
+            &PathExpr(vec![Elem::AnySeq; 70]),
+            &pe("*")
+        ));
     }
 
     #[test]
@@ -711,7 +736,16 @@ mod tests {
 
     #[test]
     fn containment_is_reflexive() {
-        for s in ["", "a", "?", "*", "a.b.c", "a.*.b", "?.*.?", "(a|b).*.(b|c)"] {
+        for s in [
+            "",
+            "a",
+            "?",
+            "*",
+            "a.b.c",
+            "a.*.b",
+            "?.*.?",
+            "(a|b).*.(b|c)",
+        ] {
             let e = pe(s);
             assert!(PathExpr::contains(&e, &e), "{s} ⊆ {s} must hold");
         }
@@ -786,12 +820,9 @@ mod tests {
         // ROOT.* includes every descendant and ROOT itself (ε instance).
         let (star, _) = reach_expr(&s, root, &pe("*"), &all);
         assert_eq!(star.len(), 15); // all 15 objects reachable from ROOT
-        // ROOT.*.age: ages at any depth.
+                                    // ROOT.*.age: ages at any depth.
         let (ages, _) = reach_expr(&s, root, &pe("*.age"), &all);
-        assert_eq!(
-            ages,
-            vec![Oid::new("A1"), Oid::new("A3"), Oid::new("A4")]
-        );
+        assert_eq!(ages, vec![Oid::new("A1"), Oid::new("A3"), Oid::new("A4")]);
         // ROOT.professor.?: all direct children of professors.
         let (kids, _) = reach_expr(&s, root, &pe("professor.?"), &all);
         assert_eq!(kids.len(), 6); // N1,A1,S1,P3,N2,ADD2

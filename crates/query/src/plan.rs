@@ -82,7 +82,9 @@ pub(crate) fn choose_explained(store: &Store, expr: &PathExpr) -> (SelStrategy, 
     if (candidates as f64) < SELECTIVITY_CUTOFF * objects as f64 {
         (
             SelStrategy::Backward { labels },
-            format!("label index: {candidates} candidates < {SELECTIVITY_CUTOFF} x {objects} objects"),
+            format!(
+                "label index: {candidates} candidates < {SELECTIVITY_CUTOFF} x {objects} objects"
+            ),
         )
     } else {
         (
@@ -181,7 +183,14 @@ pub fn reach_expr_backward(
     labels: &[Label],
     filter: &dyn Fn(Oid) -> bool,
 ) -> (Vec<Oid>, TraversalStats) {
-    backward_in(&mut WalkScratch::default(), store, entry, expr, labels, filter)
+    backward_in(
+        &mut WalkScratch::default(),
+        store,
+        entry,
+        expr,
+        labels,
+        filter,
+    )
 }
 
 /// [`reach_expr_backward`], its per-candidate walks in `scratch`.
@@ -218,7 +227,9 @@ pub(crate) fn backward_in(
         if cand == entry && out.contains(&cand) {
             continue; // already admitted via the ε instance
         }
-        let Some(cslot) = store.slot_of(cand) else { continue };
+        let Some(cslot) = store.slot_of(cand) else {
+            continue;
+        };
         // Upward product BFS: consume label(cur), climb to parents.
         scratch.reset();
         let WalkScratch { seen, queue } = &mut *scratch;
@@ -227,12 +238,16 @@ pub(crate) fn backward_in(
         let mut matched = false;
         'bfs: while let Some((slot, states)) = queue.pop_front() {
             stats.states_visited += 1;
-            let Some(l) = store.label_at(slot) else { continue };
+            let Some(l) = store.label_at(slot) else {
+                continue;
+            };
             let next = nfa.step_mask(states, l);
             if next == 0 {
                 continue;
             }
-            let Some(o) = store.oid_at(slot) else { continue };
+            let Some(o) = store.oid_at(slot) else {
+                continue;
+            };
             for p in store.parents(o).iter() {
                 if !filter(p) {
                     continue;
@@ -241,7 +256,9 @@ pub(crate) fn backward_in(
                     matched = true;
                     break 'bfs;
                 }
-                let Some(pslot) = store.slot_of(p) else { continue };
+                let Some(pslot) = store.slot_of(p) else {
+                    continue;
+                };
                 if seen.insert((pslot, next)) {
                     queue.push_back((pslot, next));
                 }
@@ -260,17 +277,16 @@ pub(crate) fn backward_in(
 /// candidates are produced (everything else is
 /// [`evaluate`](crate::eval::evaluate); answers are identical).
 /// Returns the answer plus the chosen strategy.
-pub fn evaluate_planned(
-    store: &Store,
-    query: &Query,
-) -> Result<(Answer, SelStrategy), EvalError> {
+pub fn evaluate_planned(store: &Store, query: &Query) -> Result<(Answer, SelStrategy), EvalError> {
     let (answer, strategy) = evaluate_with(store, query, |e| choose_explained(store, e).0)?;
-    gsview_obs::event!("query.plan",
+    gsview_obs::event!(
+        "query.plan",
         "strategy" = strategy.to_string(),
         "answers" = answer.oids.len(),
         "sel_states" = answer.stats.sel_states_visited,
         "candidates_tested" = answer.stats.candidates_tested,
-        "cond_states" = answer.stats.cond_states_visited);
+        "cond_states" = answer.stats.cond_states_visited
+    );
     Ok((answer, strategy))
 }
 
@@ -299,7 +315,10 @@ mod tests {
     fn chooser_picks_backward_for_selective_tails() {
         let s = person_store();
         // One major atom.
-        assert!(matches!(strategy(&s, "*.major"), SelStrategy::Backward { .. }));
+        assert!(matches!(
+            strategy(&s, "*.major"),
+            SelStrategy::Backward { .. }
+        ));
         // Wildcard tail → forward.
         assert_eq!(strategy(&s, "professor.*"), SelStrategy::Forward);
         // Unselective tail (names and ages are half the store) → forward.

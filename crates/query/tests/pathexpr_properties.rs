@@ -78,7 +78,8 @@ fn node(i: usize) -> Oid {
 fn build_graph(nodes: &[(usize, Vec<usize>)]) -> Store {
     let mut s = Store::new();
     for (i, (label, _)) in nodes.iter().enumerate() {
-        s.create(Object::empty_set(node(i).name(), ALPHABET[*label])).unwrap();
+        s.create(Object::empty_set(node(i).name(), ALPHABET[*label]))
+            .unwrap();
     }
     for (i, (_, out)) in nodes.iter().enumerate() {
         for &to in out {
@@ -233,7 +234,11 @@ type Node = (usize, Option<i64>, Vec<usize>);
 
 fn shaped_graph_strategy() -> impl Strategy<Value = (usize, Vec<Node>)> {
     let value = prop_oneof![(0..4i64).prop_map(Some), Just(None), Just(None)];
-    let node = (0..ALPHABET.len(), value, prop::collection::vec(0..10usize, 0..4));
+    let node = (
+        0..ALPHABET.len(),
+        value,
+        prop::collection::vec(0..10usize, 0..4),
+    );
     (0..SHAPES, prop::collection::vec(node, 1..9))
 }
 
@@ -276,7 +281,14 @@ fn build_shaped(store: &mut Store, shape: usize, nodes: &[Node]) {
 type Walk = (PathExpr, usize, usize, u64, u16, (usize, i64));
 
 fn walk_strategy() -> impl Strategy<Value = Walk> {
-    (expr_strategy(), 0..10usize, 0..3usize, any::<u64>(), any::<u16>(), (0..4usize, 0..4i64))
+    (
+        expr_strategy(),
+        0..10usize,
+        0..3usize,
+        any::<u64>(),
+        any::<u16>(),
+        (0..4usize, 0..4i64),
+    )
 }
 
 struct Run {
@@ -301,7 +313,10 @@ impl Run {
             nfa,
             start: shaped(*start),
             mask,
-            excluded: (0..10).filter(|i| excluded >> i & 1 == 1).map(shaped).collect(),
+            excluded: (0..10)
+                .filter(|i| excluded >> i & 1 == 1)
+                .map(shaped)
+                .collect(),
             pred: Pred::new(op, *rhs),
         }
     }

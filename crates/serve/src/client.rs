@@ -234,8 +234,7 @@ fn read_reply(
             Ok(0) => return Err(QueryFault::Unavailable),
             Ok(n) => decoder.extend(&buf[..n]),
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return Err(QueryFault::Timeout)
             }
@@ -286,7 +285,8 @@ mod tests {
     #[test]
     fn a_poisoned_state_lock_costs_the_stream_not_the_client() {
         let src = Source::empty("persons", Oid::new("ROOT"), ReportLevel::WithValues);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         let svc = Arc::new(SourceService::new(src, Arc::new(CostMeter::new())));
         let server = Server::spawn(svc, ServeConfig::default()).unwrap();
         let client = FrameClient::connect(server.addr()).unwrap();

@@ -69,7 +69,10 @@ impl fmt::Display for FrameError {
                 write!(f, "frame payload of {declared} bytes exceeds cap {cap}")
             }
             FrameError::BadCrc { expected, got } => {
-                write!(f, "frame crc mismatch: header {expected:#010x}, payload {got:#010x}")
+                write!(
+                    f,
+                    "frame crc mismatch: header {expected:#010x}, payload {got:#010x}"
+                )
             }
         }
     }

@@ -235,8 +235,16 @@ fn get_opt(r: &mut Reader<'_>) -> Result<bool, CodecError> {
 
 fn get_reply(r: &mut Reader<'_>) -> Result<SourceReply, CodecError> {
     Ok(match r.byte()? {
-        R_OBJECT => SourceReply::Object(if get_opt(r)? { Some(get_info(r)?) } else { None }),
-        R_PATH => SourceReply::PathResult(if get_opt(r)? { Some(get_path(r)?) } else { None }),
+        R_OBJECT => SourceReply::Object(if get_opt(r)? {
+            Some(get_info(r)?)
+        } else {
+            None
+        }),
+        R_PATH => SourceReply::PathResult(if get_opt(r)? {
+            Some(get_path(r)?)
+        } else {
+            None
+        }),
         R_ANCESTOR => {
             SourceReply::AncestorResult(if get_opt(r)? { Some(get_oid(r)?) } else { None })
         }
@@ -611,7 +619,8 @@ fn get_batch(r: &mut Reader<'_>) -> Result<TelemetryBatch, CodecError> {
     let dropped = r.varint()?;
     let service = r.str()?.to_owned();
     let pid_raw = r.varint()?;
-    let pid = u32::try_from(pid_raw).map_err(|_| CodecError(format!("pid {pid_raw} overflows u32")))?;
+    let pid =
+        u32::try_from(pid_raw).map_err(|_| CodecError(format!("pid {pid_raw} overflows u32")))?;
     let n = r.varint()? as usize;
     let mut spans = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {

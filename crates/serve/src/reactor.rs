@@ -327,7 +327,8 @@ fn reactor_loop(
 
         // Counters are monotonic; expose the active-connection level
         // as a histogram of per-tick observations instead.
-        reg.histogram("serve.conns.active").record(conns.len() as u64);
+        reg.histogram("serve.conns.active")
+            .record(conns.len() as u64);
     }
     Ok(())
 }
@@ -366,7 +367,8 @@ fn pump_telemetry(
             // Backpressure: skip, count, and tell the subscriber how
             // much it missed in the next batch's `dropped`.
             sub.skipped += harvest.spans.len() as u64;
-            reg.counter("obs.export.dropped").add(harvest.spans.len() as u64);
+            reg.counter("obs.export.dropped")
+                .add(harvest.spans.len() as u64);
             reg.counter("serve.telemetry.skipped").incr();
             continue;
         }
@@ -376,7 +378,8 @@ fn pump_telemetry(
             id: 0,
             body: ReplyBody::Telemetry(batch),
         };
-        conn.write_buf.extend_from_slice(&encode_frame(&reply.encode()));
+        conn.write_buf
+            .extend_from_slice(&encode_frame(&reply.encode()));
         reg.counter("serve.telemetry.batches").incr();
         if flush(conn).is_err() {
             broken.push(token);
@@ -414,7 +417,9 @@ fn accept_burst(
 
 /// Refuse a connection at admission: best-effort `Busy` frame, close.
 fn shed(stream: TcpStream, busy_frame: &[u8]) {
-    gsview_obs::registry().counter("serve.admission.shed").incr();
+    gsview_obs::registry()
+        .counter("serve.admission.shed")
+        .incr();
     // The frame is a dozen bytes; it fits the socket buffer of a
     // freshly accepted connection, so a nonblocking write suffices.
     let mut s = stream;
@@ -463,9 +468,7 @@ fn close_conn(epoll: &Epoll, conns: &mut HashMap<u64, Conn>, token: u64, reason:
 
 fn update_interest(epoll: &Epoll, conn: &mut Conn, token: u64, cfg: &ServeConfig) {
     let wanted = conn.wants(cfg);
-    if wanted != conn.registered
-        && epoll.modify(conn.stream.as_raw_fd(), wanted, token).is_ok()
-    {
+    if wanted != conn.registered && epoll.modify(conn.stream.as_raw_fd(), wanted, token).is_ok() {
         conn.registered = wanted;
     }
 }
@@ -579,7 +582,8 @@ fn process_frames(
         reg.counter("serve.requests").incr();
         reg.histogram("serve.request.micros")
             .record(started.elapsed().as_micros() as u64);
-        conn.write_buf.extend_from_slice(&encode_frame(&reply.encode()));
+        conn.write_buf
+            .extend_from_slice(&encode_frame(&reply.encode()));
         conn.in_flight += 1;
         handled += 1;
     }

@@ -81,7 +81,8 @@ mod tests {
 
     fn person_source() -> Source {
         let src = Source::empty("persons", Oid::new("ROOT"), ReportLevel::WithValues);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });

@@ -60,7 +60,10 @@ impl Epoll {
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-        let mut ev = EpollEvent { events, data: token };
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
         // SAFETY: `ev` outlives the call; the kernel copies it.
         let rc = unsafe { epoll_ctl(self.fd, op, fd, &mut ev) };
         if rc < 0 {
@@ -91,8 +94,7 @@ impl Epoll {
     /// events rather than an error — the reactor just loops.
     pub fn wait(&self, out: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         // SAFETY: `out` is a valid, writable slice for the whole call.
-        let rc =
-            unsafe { epoll_wait(self.fd, out.as_mut_ptr(), out.len() as i32, timeout_ms) };
+        let rc = unsafe { epoll_wait(self.fd, out.as_mut_ptr(), out.len() as i32, timeout_ms) };
         if rc < 0 {
             let e = io::Error::last_os_error();
             if e.kind() == io::ErrorKind::Interrupted {

@@ -64,7 +64,11 @@ pub struct TelemetryHub {
 impl TelemetryHub {
     /// A hub whose exporter keeps spans per `sampler`, queueing at
     /// most `queue_capacity` of them between reactor ticks.
-    pub fn new(service: impl Into<String>, queue_capacity: usize, sampler: TailSampler) -> TelemetryHub {
+    pub fn new(
+        service: impl Into<String>,
+        queue_capacity: usize,
+        sampler: TailSampler,
+    ) -> TelemetryHub {
         let queue = Arc::new(ExportQueue::with_capacity(queue_capacity));
         TelemetryHub {
             exporter: Arc::new(SpanExporter::new(queue.clone(), sampler)),
@@ -193,9 +197,7 @@ impl TelemetryTail {
                         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.0));
                 }
                 Ok(None) => {}
-                Err(e) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-                }
+                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
             }
             match self.stream.read(&mut buf) {
                 Ok(0) => {

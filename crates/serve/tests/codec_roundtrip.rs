@@ -89,11 +89,7 @@ fn source_query() -> BoxedStrategy<SourceQuery> {
 
 fn source_reply() -> BoxedStrategy<SourceReply> {
     prop_oneof![
-        prop_oneof![
-            Just(None),
-            object_info().prop_map(Some)
-        ]
-        .prop_map(SourceReply::Object),
+        prop_oneof![Just(None), object_info().prop_map(Some)].prop_map(SourceReply::Object),
         prop_oneof![Just(None), path().prop_map(Some)].prop_map(SourceReply::PathResult),
         prop_oneof![Just(None), oid().prop_map(Some)].prop_map(SourceReply::AncestorResult),
         prop::collection::vec(oid(), 0..4).prop_map(SourceReply::Ancestors),
@@ -107,11 +103,7 @@ fn applied_update() -> BoxedStrategy<AppliedUpdate> {
     prop_oneof![
         (oid(), oid()).prop_map(|(parent, child)| AppliedUpdate::Insert { parent, child }),
         (oid(), oid()).prop_map(|(parent, child)| AppliedUpdate::Delete { parent, child }),
-        (oid(), atom(), atom()).prop_map(|(oid, old, new)| AppliedUpdate::Modify {
-            oid,
-            old,
-            new
-        }),
+        (oid(), atom(), atom()).prop_map(|(oid, old, new)| AppliedUpdate::Modify { oid, old, new }),
         oid().prop_map(|oid| AppliedUpdate::Create { oid }),
         oid().prop_map(|oid| AppliedUpdate::Remove { oid }),
     ]
@@ -119,9 +111,8 @@ fn applied_update() -> BoxedStrategy<AppliedUpdate> {
 }
 
 fn root_path_info() -> impl Strategy<Value = RootPathInfo> {
-    (oid(), path(), prop::collection::vec(oid(), 0..5)).prop_map(|(target, path, oids)| {
-        RootPathInfo { target, path, oids }
-    })
+    (oid(), path(), prop::collection::vec(oid(), 0..5))
+        .prop_map(|(target, path, oids)| RootPathInfo { target, path, oids })
 }
 
 fn update_report() -> impl Strategy<Value = UpdateReport> {
@@ -208,17 +199,19 @@ fn histogram_point() -> impl Strategy<Value = HistogramPoint> {
         prop::collection::vec((0..=64u8, any::<u64>()), 0..6),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
-        .prop_map(|(nm, count, sum, (min, max), buckets, (p50, p90, p99))| HistogramPoint {
-            name: nm,
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-            p50,
-            p90,
-            p99,
-        })
+        .prop_map(
+            |(nm, count, sum, (min, max), buckets, (p50, p90, p99))| HistogramPoint {
+                name: nm,
+                count,
+                sum,
+                min,
+                max,
+                buckets,
+                p50,
+                p90,
+                p99,
+            },
+        )
 }
 
 fn telemetry_batch() -> impl Strategy<Value = TelemetryBatch> {
@@ -230,16 +223,16 @@ fn telemetry_batch() -> impl Strategy<Value = TelemetryBatch> {
         prop::collection::vec(counter_point(), 0..4),
         prop::collection::vec(histogram_point(), 0..3),
     )
-        .prop_map(|(seq, dropped, (service, pid), spans, counters, histograms)| {
-            TelemetryBatch {
+        .prop_map(
+            |(seq, dropped, (service, pid), spans, counters, histograms)| TelemetryBatch {
                 seq,
                 dropped,
                 resource: Resource { service, pid },
                 spans,
                 counters,
                 histograms,
-            }
-        })
+            },
+        )
 }
 
 fn request() -> impl Strategy<Value = Request> {
@@ -271,10 +264,8 @@ fn reply() -> impl Strategy<Value = Reply> {
         prop_oneof![
             source_reply().prop_map(ReplyBody::Query),
             prop::collection::vec(update_report(), 0..3).prop_map(ReplyBody::Reports),
-            (name(), any::<u64>()).prop_map(|(source, next_seq)| ReplyBody::Checkpoint {
-                source,
-                next_seq
-            }),
+            (name(), any::<u64>())
+                .prop_map(|(source, next_seq)| ReplyBody::Checkpoint { source, next_seq }),
             any::<u64>().prop_map(ReplyBody::Epoch),
             Just(ReplyBody::Pong),
             Just(ReplyBody::Busy),

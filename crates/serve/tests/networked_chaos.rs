@@ -84,7 +84,10 @@ fn warehouse_over_socket_heals_from_seeded_chaos() {
     }
     let (name, next_seq) = client.checkpoint();
     assert_eq!(name, "persons");
-    assert_eq!(next_seq, 30, "server-side monitor assigned one seq per update");
+    assert_eq!(
+        next_seq, 30,
+        "server-side monitor assigned one seq per update"
+    );
     wh.reconcile(&name, next_seq);
     let healed = wh.resync_stale().unwrap();
     for (view, outcome) in &healed {
@@ -126,23 +129,34 @@ fn views_set_up_over_a_faulty_socket_share_a_region_and_heal() {
     client.set_chaos(Some(SocketChaosPolicy::uniform(seed, 0.12)));
 
     let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::network());
-    wh.connect_port("persons", client.clone(), Arc::new(CostMeter::new()), src.next_seq());
-    let old = SimpleViewDef::new("OP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Gt, 60i64));
+    wh.connect_port(
+        "persons",
+        client.clone(),
+        Arc::new(CostMeter::new()),
+        src.next_seq(),
+    );
+    let old =
+        SimpleViewDef::new("OP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Gt, 60i64));
     let cached = ViewOptions {
         use_aux_cache: true,
         ..ViewOptions::default()
     };
-    wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+    wh.add_view("persons", yp_def(), ViewOptions::default())
+        .unwrap();
     let first_whole = !wh.view_state(oid("YP")).unwrap().is_stale();
     let asked = served.queries();
     wh.add_view("persons", old.clone(), cached).unwrap();
     if first_whole {
-        assert_eq!(served.queries(), asked, "seed {seed}: the second view shares the read");
+        assert_eq!(
+            served.queries(),
+            asked,
+            "seed {seed}: the second view shares the read"
+        );
     }
 
     for i in 0..6 {
-        src.apply(Update::modify("A1", if i % 2 == 0 { 70 } else { 40 })).unwrap();
+        src.apply(Update::modify("A1", if i % 2 == 0 { 70 } else { 40 }))
+            .unwrap();
         let _ = wh.handle_batch(&client.poll_reports());
     }
     src.apply(Update::modify("A1", 75i64)).unwrap();
@@ -152,7 +166,10 @@ fn views_set_up_over_a_faulty_socket_share_a_region_and_heal() {
     let (name, next_seq) = client.checkpoint();
     wh.reconcile(&name, next_seq);
     for (view, outcome) in wh.resync_stale().unwrap() {
-        assert!(outcome.healed, "seed {seed}: resync over the healed wire fixes {view}");
+        assert!(
+            outcome.healed,
+            "seed {seed}: resync over the healed wire fixes {view}"
+        );
     }
     assert!(wh.stale_views().is_empty());
 
@@ -222,7 +239,10 @@ fn server_absorbs_raw_socket_faults() {
     // The healthy client keeps getting correct answers throughout.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        assert!(healthy.ping().is_ok(), "healthy client starved by faulty peers");
+        assert!(
+            healthy.ping().is_ok(),
+            "healthy client starved by faulty peers"
+        );
         let snap = reg.snapshot();
         if snap.counter("serve.conn.decode_errors") > decode_errors_before
             && snap.counter("serve.conn.stalled_read") > stalled_before

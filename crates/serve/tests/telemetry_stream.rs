@@ -11,16 +11,15 @@
 //!    resync span: trace context propagated across the wire.
 
 use gsdb::{samples, Oid, Update};
+use gsview_core::SimpleViewDef;
 use gsview_obs::telemetry::TailSampler;
+use gsview_query::{CmpOp, Pred};
 use gsview_serve::{
-    FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService, TelemetryHub,
-    TelemetryTail,
+    FrameClient, ServeConfig, Server, SocketChaosPolicy, SourceService, TelemetryHub, TelemetryTail,
 };
 use gsview_warehouse::protocol::{CostMeter, ReportLevel};
 use gsview_warehouse::source::ReportSource;
 use gsview_warehouse::{RetryPolicy, Source, ViewOptions, Warehouse};
-use gsview_core::SimpleViewDef;
-use gsview_query::{CmpOp, Pred};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,13 +97,13 @@ fn subscriber_gets_monotone_batches_while_serving_survives_chaos() {
         );
         last_dropped = batch.dropped;
         assert_eq!(batch.resource.service, "telemetry-e2e");
-        saw_serve_counter |= batch
-            .counters
-            .iter()
-            .any(|c| c.name.starts_with("serve."));
+        saw_serve_counter |= batch.counters.iter().any(|c| c.name.starts_with("serve."));
     }
     let ok = load.join().unwrap();
-    assert!(ok > 0, "seed {seed}: every single RPC failed under 10% chaos");
+    assert!(
+        ok > 0,
+        "seed {seed}: every single RPC failed under 10% chaos"
+    );
     assert!(seqs.len() >= 5, "subscriber starved: only {seqs:?}");
     for w in seqs.windows(2) {
         assert_eq!(w[1], w[0] + 1, "batch sequence must step by one: {seqs:?}");
@@ -142,10 +141,15 @@ fn networked_resync_is_one_connected_trace() {
     // Materialize a view over the wire, then starve it: updates land
     // at the source but their reports are never delivered, so the
     // checkpoint reconcile marks the view stale.
-    let def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::network());
-    wh.connect_port("persons", client.clone(), Arc::new(CostMeter::new()), src.next_seq());
+    wh.connect_port(
+        "persons",
+        client.clone(),
+        Arc::new(CostMeter::new()),
+        src.next_seq(),
+    );
     wh.add_view("persons", def, ViewOptions::default()).unwrap();
     src.apply(Update::modify("A1", 99i64)).unwrap();
     src.apply(Update::modify("A1", 40i64)).unwrap();

@@ -420,11 +420,12 @@ pub fn run_scenario(
         .unwrap_or_default();
 
     for v in wh.stale_views() {
-        report
-            .failures
-            .push(format!("view {v} left permanently stale after {rounds} resync rounds"));
+        report.failures.push(format!(
+            "view {v} left permanently stale after {rounds} resync rounds"
+        ));
     }
-    if let Some(diff) = oracle::diff_members("chaos vs fault-free", &report.members, &report.expected)
+    if let Some(diff) =
+        oracle::diff_members("chaos vs fault-free", &report.members, &report.expected)
     {
         report.failures.push(diff);
     }
@@ -483,13 +484,13 @@ mod tests {
     }
 
     fn yp_def() -> SimpleViewDef {
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     fn chaos_source(level: ReportLevel) -> Source {
         let src = Source::empty("persons", oid("ROOT"), level);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });
@@ -621,7 +622,10 @@ mod tests {
                 ..ChaosScenario::default()
             },
         );
-        assert!(report.monitor_stats.dropped > 0, "seed 11 must drop something");
+        assert!(
+            report.monitor_stats.dropped > 0,
+            "seed 11 must drop something"
+        );
         assert!(report.gaps_detected > 0, "losses must be detected");
         assert!(report.resyncs > 0, "healing must have happened");
     }

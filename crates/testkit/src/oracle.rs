@@ -148,15 +148,21 @@ pub fn check_equivalence(
     let seq = mv_seq.members_base();
     let batched = mv_batched.members_base();
     let circ = mv_circuit.members_base();
-    verdict
-        .failures
-        .extend(diff_members("sequential vs recompute", &seq, &verdict.members));
-    verdict
-        .failures
-        .extend(diff_members("batched vs recompute", &batched, &verdict.members));
-    verdict
-        .failures
-        .extend(diff_members("circuit vs recompute", &circ, &verdict.members));
+    verdict.failures.extend(diff_members(
+        "sequential vs recompute",
+        &seq,
+        &verdict.members,
+    ));
+    verdict.failures.extend(diff_members(
+        "batched vs recompute",
+        &batched,
+        &verdict.members,
+    ));
+    verdict.failures.extend(diff_members(
+        "circuit vs recompute",
+        &circ,
+        &verdict.members,
+    ));
     for (name, mv) in [
         ("sequential", &mv_seq),
         ("batched", &mv_batched),
@@ -494,10 +500,9 @@ pub fn check_snapshot_isolation(
                                 ));
                             }
                         }
-                        Err(e) => violations
-                            .lock()
-                            .unwrap()
-                            .push(format!("reader {r}: recompute failed on epoch {epoch}: {e}")),
+                        Err(e) => violations.lock().unwrap().push(format!(
+                            "reader {r}: recompute failed on epoch {epoch}: {e}"
+                        )),
                     }
                     reads += 1;
                     // The writer moved on while we were reading: this
@@ -644,7 +649,10 @@ pub fn check_cross_shard_isolation(
                 for v in 1..=batches_per_writer as i64 {
                     let stamp = (w as i64 + 1) * 1_000_000 + v;
                     pipeline
-                        .commit(&[Update::modify(a.name(), stamp), Update::modify(b.name(), stamp)])
+                        .commit(&[
+                            Update::modify(a.name(), stamp),
+                            Update::modify(b.name(), stamp),
+                        ])
                         .into_result()
                         .expect("marker modify cannot fail");
                     std::thread::yield_now();
@@ -727,9 +735,14 @@ pub fn assert_cross_shard_isolated(
     readers: usize,
     reads_per_reader: usize,
 ) {
-    let report =
-        check_cross_shard_isolation(initial, writers, batches_per_writer, readers, reads_per_reader)
-            .expect("cross-shard isolation run failed");
+    let report = check_cross_shard_isolation(
+        initial,
+        writers,
+        batches_per_writer,
+        readers,
+        reads_per_reader,
+    )
+    .expect("cross-shard isolation run failed");
     if !report.ok() {
         fail(
             &format!(
@@ -929,8 +942,7 @@ mod tests {
     }
 
     fn yp_def() -> SimpleViewDef {
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     fn person_store() -> Store {
@@ -960,10 +972,7 @@ mod tests {
         // nothing, sequential does real work — same final view.
         let mut store = person_store();
         store.create(Object::atom("A2", "age", 40i64)).unwrap();
-        let updates = vec![
-            Update::insert("P2", "A2"),
-            Update::delete("P2", "A2"),
-        ];
+        let updates = vec![Update::insert("P2", "A2"), Update::delete("P2", "A2")];
         let v = check_equivalence(&yp_def(), &store, &updates).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
         assert_eq!(v.batch.consolidated_ops, 0);
@@ -976,10 +985,7 @@ mod tests {
         // inner delete cannot be located in the final state, but the
         // outer cut finds P1 below it, and repair evicts it. No sweep.
         let store = person_store();
-        let updates = vec![
-            Update::delete("P1", "A1"),
-            Update::delete("ROOT", "P1"),
-        ];
+        let updates = vec![Update::delete("P1", "A1"), Update::delete("ROOT", "P1")];
         let v = check_equivalence(&yp_def(), &store, &updates).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
         assert!(v.members.is_empty());
@@ -999,8 +1005,8 @@ mod tests {
         let def = SimpleViewDef::new("VS", "ROOT", "professor.student")
             .with_cond("age", Pred::new(CmpOp::Gt, 0i64));
         let updates = vec![
-            Update::delete("P1", "P3"), // P3 leaves its matching slot…
-            Update::insert("X", "P3"),  // …parked under a detached set…
+            Update::delete("P1", "P3"),  // P3 leaves its matching slot…
+            Update::insert("X", "P3"),   // …parked under a detached set…
             Update::insert("ROOT", "X"), // …which then becomes reachable.
         ];
         let v = check_equivalence(&def, &store, &updates).unwrap();
@@ -1066,7 +1072,10 @@ mod tests {
         let report = check_snapshot_isolation(&yp_def(), &store, &[], 2, 3).unwrap();
         assert!(report.ok(), "{:?}", report.violations);
         assert_eq!(report.epochs_published, 0);
-        assert_eq!(report.concurrent_observations, 0, "nothing ever superseded epoch 0");
+        assert_eq!(
+            report.concurrent_observations, 0,
+            "nothing ever superseded epoch 0"
+        );
         assert!(report.observations >= 6);
     }
 
@@ -1079,14 +1088,8 @@ mod tests {
                 vec![Update::insert("P2", "A2"), Update::modify("A2", 30i64)],
                 vec![Update::modify("A1", 80i64), Update::modify("A1", 20i64)],
             ];
-            let v = check_sharded_commit_equivalence(
-                &[yp_def()],
-                &store,
-                &per_writer,
-                shards,
-                2,
-            )
-            .unwrap();
+            let v = check_sharded_commit_equivalence(&[yp_def()], &store, &per_writer, shards, 2)
+                .unwrap();
             assert!(v.ok(), "shards={shards}: {:?} {:?}", v.failures, v.verdicts);
             assert_eq!(v.epochs, 4);
             assert_eq!(v.serialized.len(), 4);
@@ -1100,8 +1103,7 @@ mod tests {
             vec![Update::modify("NOPE", 1i64), Update::modify("A1", 30i64)],
             vec![Update::delete("P1", "GHOST")],
         ];
-        let v =
-            check_sharded_commit_equivalence(&[yp_def()], &store, &per_writer, 4, 2).unwrap();
+        let v = check_sharded_commit_equivalence(&[yp_def()], &store, &per_writer, 4, 2).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
         assert_eq!(v.epochs, 1, "only the feasible update commits");
     }
@@ -1109,8 +1111,7 @@ mod tests {
     #[test]
     fn cross_shard_markers_are_never_torn() {
         for shards in [1, 4, 8] {
-            let store =
-                Store::with_config(gsdb::StoreConfig::default().with_shards(shards));
+            let store = Store::with_config(gsdb::StoreConfig::default().with_shards(shards));
             let report = check_cross_shard_isolation(&store, 3, 20, 2, 10).unwrap();
             assert!(report.ok(), "shards={shards}: {:?}", report.violations);
             assert_eq!(report.epochs_published, 3 * 20);
@@ -1159,25 +1160,39 @@ mod tests {
         torn.apply(Update::modify("A1", 30i64)).unwrap();
         let v = check_crash_recovery(&store, &batches, 0, 0, &torn);
         assert!(!v.ok());
-        assert!(v.failures.iter().any(|f| f.contains("torn")), "{:?}", v.failures);
+        assert!(
+            v.failures.iter().any(|f| f.contains("torn")),
+            "{:?}",
+            v.failures
+        );
 
         // Resurrected: an object the prefix never created.
         let mut extra = store.clone();
         extra.create(Object::atom("GHOST", "age", 1i64)).unwrap();
         let v = check_crash_recovery(&store, &batches, 0, 0, &extra);
-        assert!(v.failures.iter().any(|f| f.contains("resurrected")), "{:?}", v.failures);
+        assert!(
+            v.failures.iter().any(|f| f.contains("resurrected")),
+            "{:?}",
+            v.failures
+        );
 
         // Future: an epoch no committed prefix ever reached.
         let v = check_crash_recovery(&store, &batches, 0, 7, &store);
         assert!(
-            v.failures.iter().any(|f| f.contains("not a committed batch boundary")),
+            v.failures
+                .iter()
+                .any(|f| f.contains("not a committed batch boundary")),
             "{:?}",
             v.failures
         );
 
         // Pre-base epoch.
         let v = check_crash_recovery(&store, &batches, 4, 2, &store);
-        assert!(v.failures.iter().any(|f| f.contains("predates")), "{:?}", v.failures);
+        assert!(
+            v.failures.iter().any(|f| f.contains("predates")),
+            "{:?}",
+            v.failures
+        );
     }
 
     #[test]
@@ -1186,7 +1201,11 @@ mod tests {
         // prefix; the replay must mirror that.
         let store = person_store();
         let batches = vec![
-            vec![Update::modify("A1", 30i64), Update::modify("NOPE", 1i64), Update::modify("A1", 99i64)],
+            vec![
+                Update::modify("A1", 30i64),
+                Update::modify("NOPE", 1i64),
+                Update::modify("A1", 99i64),
+            ],
             vec![Update::modify("NOPE", 2i64)], // publishes nothing
             vec![Update::modify("A1", 50i64)],
         ];
@@ -1205,10 +1224,7 @@ mod tests {
     #[test]
     fn infeasible_updates_are_skipped_consistently() {
         let store = person_store();
-        let updates = vec![
-            Update::delete("P1", "NOPE"),
-            Update::modify("A1", 30i64),
-        ];
+        let updates = vec![Update::delete("P1", "NOPE"), Update::modify("A1", 30i64)];
         let v = check_equivalence(&yp_def(), &store, &updates).unwrap();
         assert!(v.ok(), "{:?}", v.failures);
         assert_eq!(v.skipped, 1);

@@ -435,12 +435,7 @@ mod tests {
     #[test]
     fn join_depth_reflects_path_length() {
         assert_eq!(yp_def().join_depth(), 2);
-        let deep = RelViewDef::new(
-            oid("R"),
-            &Path::parse("a.b.c"),
-            &Path::parse("d.e"),
-            None,
-        );
+        let deep = RelViewDef::new(oid("R"), &Path::parse("a.b.c"), &Path::parse("d.e"), None);
         assert_eq!(deep.join_depth(), 5);
     }
 }

@@ -95,7 +95,12 @@ impl RelDb {
     pub fn apply_update(&mut self, update: &AppliedUpdate) -> Vec<TableDelta> {
         match update {
             AppliedUpdate::Insert { parent, child } => {
-                *self.pc.entry(*parent).or_default().entry(*child).or_insert(0) += 1;
+                *self
+                    .pc
+                    .entry(*parent)
+                    .or_default()
+                    .entry(*child)
+                    .or_insert(0) += 1;
                 *self
                     .pc_rev
                     .entry(*child)
@@ -160,7 +165,12 @@ impl RelDb {
         }
         for c in obj.children() {
             *self.pc.entry(obj.oid).or_default().entry(*c).or_insert(0) += 1;
-            *self.pc_rev.entry(*c).or_default().entry(obj.oid).or_insert(0) += 1;
+            *self
+                .pc_rev
+                .entry(*c)
+                .or_default()
+                .entry(obj.oid)
+                .or_insert(0) += 1;
         }
     }
 

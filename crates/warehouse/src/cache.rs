@@ -79,10 +79,7 @@ impl AuxCache {
         }
         for depth in 1..=full.len() {
             let prefix = Path(full.labels()[..depth].to_vec());
-            let reply = ask(&SourceQuery::Reach {
-                n: root,
-                p: prefix,
-            });
+            let reply = ask(&SourceQuery::Reach { n: root, p: prefix });
             if let Some(SourceReply::Objects(infos)) = reply.as_ref().map(R::borrow) {
                 // Every child a level's sets name, in the region or
                 // dangling outside it, takes a parent-index entry.
@@ -418,7 +415,8 @@ mod tests {
 
     fn person_source(level: ReportLevel) -> Source {
         let src = Source::empty("persons", oid("ROOT"), level);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });
@@ -434,7 +432,9 @@ mod tests {
         // Example 10's cache: ROOT, professors, and their age atoms.
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         assert!(cache.covers(oid("ROOT")));
         assert!(cache.covers(oid("P1")));
         assert!(cache.covers(oid("P2")));
@@ -449,7 +449,9 @@ mod tests {
     fn local_answers_from_cache() {
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         assert_eq!(
             cache.try_path_from_root(oid("A1")),
             Some(Path::parse("professor.age"))
@@ -464,7 +466,10 @@ mod tests {
             Some(vec![oid("A1")])
         );
         // Outside the region: no (complete) local answer.
-        assert_eq!(cache.try_eval(oid("P1"), &Path::parse("name"), Some(&le45)), None);
+        assert_eq!(
+            cache.try_eval(oid("P1"), &Path::parse("name"), Some(&le45)),
+            None
+        );
         assert!(cache.try_path_from_root(oid("N1")).is_none());
     }
 
@@ -473,7 +478,9 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         meter.reset();
 
         src.apply(Update::modify("A1", 50i64)).unwrap();
@@ -487,7 +494,9 @@ mod tests {
         for r in src.monitor().poll() {
             cache.apply_report(&r, &w, None);
             // Mid-report, the detached subtree is still answerable.
-            assert!(cache.try_eval(oid("P1"), &Path::parse("age"), None).is_some());
+            assert!(cache
+                .try_eval(oid("P1"), &Path::parse("age"), None)
+                .is_some());
             cache.finalize_report();
         }
         assert!(!cache.covers(oid("P1")), "detached region collected");
@@ -501,7 +510,9 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         meter.reset();
 
         // New professor P5 with an age child, inserted into ROOT.
@@ -534,7 +545,9 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         let before = cache.len();
         meter.reset();
         // A hobby under P1: professor.hobby does not extend
@@ -560,7 +573,9 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let w = chan(&src, meter.clone());
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         meter.reset();
 
         src.with_store(|s| s.create(gsdb::Object::atom("H1", "hobby", "go")))
@@ -574,7 +589,10 @@ mod tests {
             cache.finalize_report();
         }
         let copy = cache.try_fetch(oid("P1")).unwrap();
-        assert!(copy.children().contains(&oid("H1")), "dangling child mirrored");
+        assert!(
+            copy.children().contains(&oid("H1")),
+            "dangling child mirrored"
+        );
         assert!(!cache.covers(oid("H1")), "off-region child not adopted");
 
         src.apply(Update::delete("P1", "H1")).unwrap();
@@ -583,7 +601,10 @@ mod tests {
             cache.finalize_report();
         }
         let copy = cache.try_fetch(oid("P1")).unwrap();
-        assert!(!copy.children().contains(&oid("H1")), "dangling child dropped");
+        assert!(
+            !copy.children().contains(&oid("H1")),
+            "dangling child dropped"
+        );
         assert_eq!(meter.queries(), 0, "mirroring is query-free at L2");
     }
 
@@ -600,10 +621,11 @@ mod tests {
             for p in 0..profs {
                 let mut prof = set(&format!("{tag}P{p}"), "professor");
                 for k in (0..3).map(|k| p * 3 + k) {
-                    prof = prof.child(
-                        set(&format!("{tag}S{k}"), "student")
-                            .child(atom(&format!("{tag}T{k}"), "age", 20 + (k % 30) as i64)),
-                    );
+                    prof = prof.child(set(&format!("{tag}S{k}"), "student").child(atom(
+                        &format!("{tag}T{k}"),
+                        "age",
+                        20 + (k % 30) as i64,
+                    )));
                 }
                 db = db.child(prof);
             }
@@ -611,10 +633,16 @@ mod tests {
             s.drain_log();
         });
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let mut cache = AuxCache::build(oid(&root), Path::parse("professor.student.age"), &mut |q| w.serve(q));
+        let mut cache =
+            AuxCache::build(oid(&root), Path::parse("professor.student.age"), &mut |q| {
+                w.serve(q)
+            });
         assert_eq!(cache.len(), 1 + 7 * profs);
-        src.apply(Update::delete(format!("{tag}P5").as_str(), format!("{tag}S15").as_str()))
-            .unwrap();
+        src.apply(Update::delete(
+            format!("{tag}P5").as_str(),
+            format!("{tag}S15").as_str(),
+        ))
+        .unwrap();
         for r in src.monitor().poll() {
             cache.apply_report(&r, &w, None);
         }
@@ -654,15 +682,23 @@ mod tests {
         // top of its own and must not outlive the finalization.
         let src = person_source(ReportLevel::WithValues);
         let w = chan(&src, Arc::new(CostMeter::new()));
-        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| w.serve(q));
+        let mut cache = AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+            w.serve(q)
+        });
         src.apply(Update::delete("ROOT", "P1")).unwrap();
         src.apply(Update::delete("P1", "A1")).unwrap();
         for r in src.monitor().poll() {
             cache.apply_report(&r, &w, None);
         }
         // Until then both stay answerable at their pre-delete paths.
-        assert_eq!(cache.try_path_from_root(oid("P1")), Some(Path::parse("professor")));
-        assert_eq!(cache.try_path_from_root(oid("A1")), Some(Path::parse("professor.age")));
+        assert_eq!(
+            cache.try_path_from_root(oid("P1")),
+            Some(Path::parse("professor"))
+        );
+        assert_eq!(
+            cache.try_path_from_root(oid("A1")),
+            Some(Path::parse("professor.age"))
+        );
         cache.finalize_report();
         assert!(!cache.covers(oid("P1")) && !cache.covers(oid("A1")));
         let reachable = gsdb::graph::reachable(&cache.store, oid("ROOT"));

@@ -87,10 +87,12 @@ impl ColocatedViews {
     /// exactly as it did when it locked the live store. Returns the
     /// per-view outcomes, in definition order.
     pub fn flush(&mut self, source: &Source) -> Result<Vec<BatchOutcome>> {
-        let _span = gsview_obs::span!("warehouse.flush",
+        let _span = gsview_obs::span!(
+            "warehouse.flush",
             "views" = self.views.len(),
             "pending" = self.pending.len(),
-            "threads" = self.threads);
+            "threads" = self.threads
+        );
         let batch = DeltaBatch::from_ops(self.pending.drain());
         let store = source.snapshot();
         self.pm
@@ -124,7 +126,8 @@ mod tests {
 
     fn person_source() -> Source {
         let src = Source::empty("persons", oid("ROOT"), ReportLevel::OidsOnly);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });

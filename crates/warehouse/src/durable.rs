@@ -80,8 +80,10 @@ impl ChunkCache {
             Ok(chunk)
         })?;
         let r = gsview_obs::registry();
-        r.counter("warehouse.durable.chunks_fetched").add(stats.fetched);
-        r.counter("warehouse.durable.chunks_reused").add(stats.reused);
+        r.counter("warehouse.durable.chunks_fetched")
+            .add(stats.fetched);
+        r.counter("warehouse.durable.chunks_reused")
+            .add(stats.reused);
         Ok((store, stats))
     }
 }
@@ -129,7 +131,10 @@ mod tests {
 
     /// Each shard's slot mark and pages.
     fn images(s: &Store) -> Vec<(usize, Vec<Chunk>)> {
-        s.export_images().into_iter().map(|i| (i.len_slots, i.chunks)).collect()
+        s.export_images()
+            .into_iter()
+            .map(|i| (i.len_slots, i.chunks))
+            .collect()
     }
 
     #[test]
@@ -143,12 +148,17 @@ mod tests {
         for e in 1..=40i64 {
             for i in 0..40 {
                 let name = format!("c{e}_{i}");
-                s.create(gsdb::Object::atom(name.as_str(), "x", e * i)).unwrap();
+                s.create(gsdb::Object::atom(name.as_str(), "x", e * i))
+                    .unwrap();
             }
-            s.modify_atom(Oid::new(&format!("c{}_1", (e + 1) / 2)), -e).unwrap();
+            s.modify_atom(Oid::new(&format!("c{}_1", (e + 1) / 2)), -e)
+                .unwrap();
             if e > 1 {
                 for i in (0..40).step_by(3) {
-                    s.apply(Update::Remove { oid: Oid::new(&format!("c{}_{i}", e - 1)) }).unwrap();
+                    s.apply(Update::Remove {
+                        oid: Oid::new(&format!("c{}_{i}", e - 1)),
+                    })
+                    .unwrap();
                 }
             }
             persist(&d, "rebuilt", &s, e as u64);
@@ -171,11 +181,20 @@ mod tests {
         let hash = m.shards[1].pages[0];
         let chunk = d.fetch_chunk(&hash).unwrap();
         let bytes = media.log.read_at(0, media.log.len() as usize).unwrap();
-        let at = bytes.windows(chunk.len()).rposition(|w| w == chunk).unwrap();
-        media.log.write_at(at as u64 + 3, &[bytes[at + 3] ^ 1], CrashPoint::Other).unwrap();
+        let at = bytes
+            .windows(chunk.len())
+            .rposition(|w| w == chunk)
+            .unwrap();
+        media
+            .log
+            .write_at(at as u64 + 3, &[bytes[at + 3] ^ 1], CrashPoint::Other)
+            .unwrap();
         let recorder = Arc::new(gsview_obs::FlightRecorder::with_capacity(1 << 16));
         let guard = gsview_obs::install(recorder.clone());
-        assert!(d.recover("rebuilt").unwrap().is_none(), "compaction left no older epoch");
+        assert!(
+            d.recover("rebuilt").unwrap().is_none(),
+            "compaction left no older epoch"
+        );
         drop(guard);
         let fallback = recorder
             .drain()
@@ -184,9 +203,18 @@ mod tests {
             .filter(|r| r.event.field("name").map(|v| v.to_string()).as_deref() == Some("rebuilt"))
             .find_map(|r| r.event.field("error").map(|v| v.to_string()))
             .expect("the skipped frame says why");
-        assert!(fallback.contains(&format!("chunk {hash} missing or corrupt")), "{fallback}");
-        let err = ChunkCache::new().reconstruct(&d, &m).expect_err("a rotted chunk");
-        assert!(err.to_string().contains(&format!("chunk {hash} unavailable")), "{err}");
+        assert!(
+            fallback.contains(&format!("chunk {hash} missing or corrupt")),
+            "{fallback}"
+        );
+        let err = ChunkCache::new()
+            .reconstruct(&d, &m)
+            .expect_err("a rotted chunk");
+        assert!(
+            err.to_string()
+                .contains(&format!("chunk {hash} unavailable")),
+            "{err}"
+        );
     }
 
     #[test]

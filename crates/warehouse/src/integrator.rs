@@ -98,7 +98,11 @@ mod tests {
     use gsdb::{Object, Oid, Update};
 
     fn tiny_source(name: &str) -> Source {
-        let src = Source::empty(name, Oid::new(&format!("{name}-root")), ReportLevel::OidsOnly);
+        let src = Source::empty(
+            name,
+            Oid::new(&format!("{name}-root")),
+            ReportLevel::OidsOnly,
+        );
         src.with_store(|s| {
             s.create(Object::empty_set(format!("{name}-root").as_str(), "db"))?;
             s.create(Object::atom(format!("{name}-x").as_str(), "x", 1i64))

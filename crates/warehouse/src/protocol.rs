@@ -568,24 +568,18 @@ mod tests {
                     }
                 });
             }
-            s.spawn(|| {
-                loop {
-                    let snap = m.snapshot();
-                    assert_eq!(
-                        snap.messages,
-                        2 * snap.queries,
-                        "torn snapshot: {snap:?}"
-                    );
-                    assert_eq!(
-                        snap.bytes,
-                        per_query_bytes * snap.queries,
-                        "torn snapshot: {snap:?}"
-                    );
-                    if snap.queries == WRITERS as u64 * PER_WRITER {
-                        break;
-                    }
-                    std::thread::yield_now();
+            s.spawn(|| loop {
+                let snap = m.snapshot();
+                assert_eq!(snap.messages, 2 * snap.queries, "torn snapshot: {snap:?}");
+                assert_eq!(
+                    snap.bytes,
+                    per_query_bytes * snap.queries,
+                    "torn snapshot: {snap:?}"
+                );
+                if snap.queries == WRITERS as u64 * PER_WRITER {
+                    break;
                 }
+                std::thread::yield_now();
             });
         });
         assert_eq!(m.queries(), WRITERS as u64 * PER_WRITER);

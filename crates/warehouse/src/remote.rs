@@ -132,10 +132,12 @@ impl Channel {
                         return None;
                     }
                     self.meter.record_retry();
-                    gsview_obs::event!("warehouse.retry",
+                    gsview_obs::event!(
+                        "warehouse.retry",
                         "source" = self.source.clone(),
                         "attempt" = attempt + 1,
-                        "fault" = fault.to_string());
+                        "fault" = fault.to_string()
+                    );
                     // An admission shed is an explicit "go away": the
                     // server is healthy but over its limit, so skip
                     // the exponential ramp and back off at the
@@ -369,7 +371,10 @@ impl BaseAccess for RemoteBase<'_> {
     }
 
     fn ancestors_all(&mut self, n: Oid, p: &Path) -> Vec<Oid> {
-        match self.asker.ask(&SourceQuery::AncestorsAll { n, p: p.clone() }) {
+        match self
+            .asker
+            .ask(&SourceQuery::AncestorsAll { n, p: p.clone() })
+        {
             Some(SourceReply::Ancestors(a)) => a,
             _ => Vec::new(),
         }
@@ -460,7 +465,8 @@ mod tests {
 
     fn person_source(level: ReportLevel) -> Source {
         let src = Source::empty("persons", oid("ROOT"), level);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });
@@ -524,7 +530,10 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let meter = Arc::new(CostMeter::new());
         let chan = channel_for(&src, meter.clone());
-        let cache = crate::cache::AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| chan.serve(q));
+        let cache =
+            crate::cache::AuxCache::build(oid("ROOT"), Path::parse("professor.age"), &mut |q| {
+                chan.serve(q)
+            });
         meter.reset();
         let mut rb = RemoteBase::new(&chan).with_cache(&cache);
         let le45 = Pred::new(CmpOp::Le, 45i64);

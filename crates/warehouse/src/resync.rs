@@ -167,10 +167,12 @@ impl DeadLetterQueue {
     /// `warehouse.dlq.enter` counter, so a chaos run can assert that
     /// nothing was lost without scraping logs.
     pub fn push(&self, letter: DeadLetter) {
-        gsview_obs::event!("warehouse.dlq.enter",
+        gsview_obs::event!(
+            "warehouse.dlq.enter",
             "source" = letter.source.clone(),
             "fault" = letter.fault.to_string(),
-            "attempts" = letter.attempts);
+            "attempts" = letter.attempts
+        );
         gsview_obs::registry().counter("warehouse.dlq.enter").incr();
         self.letters().push(letter);
     }

@@ -84,7 +84,9 @@ impl DurabilityHealth {
     /// completes or leaves the slot as it was, and the latch that
     /// matters, `degraded`, is an atomic outside the lock.
     fn pending(&self) -> MutexGuard<'_, Option<String>> {
-        self.pending_error.lock().unwrap_or_else(PoisonError::into_inner)
+        self.pending_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn record_failure(&self, msg: String) {
@@ -195,7 +197,10 @@ impl Source {
     /// published as a new epoch at commit. Concurrent appliers whose
     /// updates touch disjoint shards run in parallel.
     pub fn apply(&self, update: Update) -> Result<AppliedUpdate> {
-        let mut applied = self.store.commit(std::slice::from_ref(&update)).into_result()?;
+        let mut applied = self
+            .store
+            .commit(std::slice::from_ref(&update))
+            .into_result()?;
         Ok(applied.remove(0))
     }
 
@@ -582,9 +587,7 @@ pub fn answer(store: &Store, q: &SourceQuery) -> SourceReply {
         SourceQuery::PathFromRoot { root, n } => {
             SourceReply::PathResult(path::path_between(store, *root, *n))
         }
-        SourceQuery::Ancestor { n, p } => {
-            SourceReply::AncestorResult(path::ancestor(store, *n, p))
-        }
+        SourceQuery::Ancestor { n, p } => SourceReply::AncestorResult(path::ancestor(store, *n, p)),
         SourceQuery::AncestorsAll { n, p } => {
             SourceReply::Ancestors(path::ancestors_all(store, *n, p))
         }
@@ -610,7 +613,8 @@ mod tests {
 
     fn person_source(level: ReportLevel) -> Source {
         let src = Source::empty("persons", oid("ROOT"), level);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         // Setup creates log entries; discard them.
         src.with_store(|s| {
             s.drain_log();
@@ -705,7 +709,10 @@ mod tests {
             updates,
             [
                 AppliedUpdate::Create { oid: a },
-                AppliedUpdate::Insert { parent: oid("P2"), child: a },
+                AppliedUpdate::Insert {
+                    parent: oid("P2"),
+                    child: a
+                },
                 AppliedUpdate::Modify { oid: a, old, new },
             ]
         );

@@ -22,8 +22,8 @@ use crate::source::{answer, QueryPort, Source};
 use gsdb::{AppliedUpdate, DeltaBatch, Label, Object, Oid, Path, Result, Store};
 use gsview_core::recompute::{recompute, refresh};
 use gsview_core::{
-    consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, MaterializedView,
-    Maintainer, Outcome, SimpleViewDef,
+    consistency, sweep_members, BaseAccess, BatchOutcome, LocalBase, Maintainer, MaterializedView,
+    Outcome, SimpleViewDef,
 };
 use gsview_durable::ChunkPort;
 use std::collections::HashMap;
@@ -174,14 +174,26 @@ impl Connection {
             return None;
         }
         self.replies.extend(asked);
-        self.regions.insert(key, Region { cache: region.clone(), kept: false });
+        self.regions.insert(
+            key,
+            Region {
+                cache: region.clone(),
+                kept: false,
+            },
+        );
         Some(region)
     }
 
     /// Keep `region` for `key`: the views over it read it, and every
     /// accepted report maintains it.
     fn keep(&mut self, key: RegionKey, region: AuxCache) {
-        self.regions.insert(key, Region { cache: region, kept: true });
+        self.regions.insert(
+            key,
+            Region {
+                cache: region,
+                kept: true,
+            },
+        );
     }
 
     /// The kept region over `key`.
@@ -193,11 +205,13 @@ impl Connection {
 /// Book a kept region's drop for `cause` (`gap` or `lost_query`): the
 /// views over it query the source back until a heal installs it again.
 fn region_dropped(source: &str, key: &RegionKey, cause: &'static str) {
-    gsview_obs::event!("warehouse.region.dropped",
+    gsview_obs::event!(
+        "warehouse.region.dropped",
         "source" = source.to_string(),
         "root" = key.0.name().to_string(),
         "path" = key.1.to_string(),
-        "cause" = cause);
+        "cause" = cause
+    );
     gsview_obs::registry()
         .counter(&format!("warehouse.region.dropped.{cause}"))
         .incr();
@@ -304,12 +318,16 @@ impl Warehouse {
 
     /// The connection named `source`.
     fn connection(&self, source: &str) -> Result<&Connection> {
-        self.connections.get(source).ok_or_else(|| unconnected(source))
+        self.connections
+            .get(source)
+            .ok_or_else(|| unconnected(source))
     }
 
     /// [`Warehouse::connection`], writable.
     fn connection_mut(&mut self, source: &str) -> Result<&mut Connection> {
-        self.connections.get_mut(source).ok_or_else(|| unconnected(source))
+        self.connections
+            .get_mut(source)
+            .ok_or_else(|| unconnected(source))
     }
 
     /// The index of `view` among the warehouse's views.
@@ -396,7 +414,11 @@ impl Warehouse {
     fn reconstruct_source(
         &mut self,
         source: &str,
-    ) -> Option<(gsview_durable::Manifest, gsdb::Store, crate::durable::FetchStats)> {
+    ) -> Option<(
+        gsview_durable::Manifest,
+        gsdb::Store,
+        crate::durable::FetchStats,
+    )> {
         let d = self.durable.as_mut()?;
         let m = d.port.latest_manifest(source)?;
         match d.cache.reconstruct(d.port.as_ref(), &m) {
@@ -511,23 +533,30 @@ impl Warehouse {
     /// * A maintenance pass that loses a query to the dead-letter
     ///   queue also sends the view stale: its result cannot be trusted.
     pub fn handle_report(&mut self, report: &UpdateReport) -> Result<Vec<(Oid, Outcome)>> {
-        let _span = gsview_obs::span!("warehouse.handle_report",
+        let _span = gsview_obs::span!(
+            "warehouse.handle_report",
             "source" = report.source.clone(),
             "seq" = report.seq,
-            "level" = report.effective_level().to_string());
-        self.handle_source(&report.source, &[report], false, |wv, region, channel, _, _, faults_before| {
-            let mut outcome = {
-                let mut base = RemoteBase::new(channel).with_report(report);
-                if let Some(region) = region {
-                    base = base.with_cache(region);
+            "level" = report.effective_level().to_string()
+        );
+        self.handle_source(
+            &report.source,
+            &[report],
+            false,
+            |wv, region, channel, _, _, faults_before| {
+                let mut outcome = {
+                    let mut base = RemoteBase::new(channel).with_report(report);
+                    if let Some(region) = region {
+                        base = base.with_cache(region);
+                    }
+                    wv.maintainer.apply(&mut wv.mv, &mut base, &report.update)?
+                };
+                if region.is_none() && channel.exhausted() == faults_before {
+                    lag_guard(wv, channel, report, &mut outcome)?;
                 }
-                wv.maintainer.apply(&mut wv.mv, &mut base, &report.update)?
-            };
-            if region.is_none() && channel.exhausted() == faults_before {
-                lag_guard(wv, channel, report, &mut outcome)?;
-            }
-            Ok(outcome)
-        })
+                Ok(outcome)
+            },
+        )
     }
 
     /// Handle a buffered run of update reports in one batched
@@ -545,10 +574,7 @@ impl Warehouse {
     /// and a batch asks a source each question once — what its reports
     /// carried and what the source has already replied is shared by
     /// every view of that source for the duration of the call.
-    pub fn handle_batch(
-        &mut self,
-        reports: &[UpdateReport],
-    ) -> Result<Vec<(Oid, BatchOutcome)>> {
+    pub fn handle_batch(&mut self, reports: &[UpdateReport]) -> Result<Vec<(Oid, BatchOutcome)>> {
         let _span = gsview_obs::span!("warehouse.handle_batch", "reports" = reports.len());
         let mut sources: Vec<&str> = Vec::new();
         for r in reports {
@@ -560,20 +586,25 @@ impl Warehouse {
         for source in sources {
             let of_source: Vec<&UpdateReport> =
                 reports.iter().filter(|r| r.source == source).collect();
-            let maintained = self.handle_source(source, &of_source, true, |wv, region, channel, answers, kept, _| {
-                let mut batch = DeltaBatch::new();
-                for r in kept {
-                    batch.push(r.update.clone());
-                }
-                let mut base = RemoteBase::new(channel);
-                if let Some(answers) = answers {
-                    base = base.with_batch(answers);
-                }
-                if let Some(region) = region {
-                    base = base.with_cache(region);
-                }
-                wv.maintainer.apply_batch(&mut wv.mv, &mut base, &batch)
-            })?;
+            let maintained = self.handle_source(
+                source,
+                &of_source,
+                true,
+                |wv, region, channel, answers, kept, _| {
+                    let mut batch = DeltaBatch::new();
+                    for r in kept {
+                        batch.push(r.update.clone());
+                    }
+                    let mut base = RemoteBase::new(channel);
+                    if let Some(answers) = answers {
+                        base = base.with_batch(answers);
+                    }
+                    if let Some(region) = region {
+                        base = base.with_cache(region);
+                    }
+                    wv.maintainer.apply_batch(&mut wv.mv, &mut base, &batch)
+                },
+            )?;
             outcomes.extend(maintained);
         }
         Ok(outcomes)
@@ -629,10 +660,12 @@ impl Warehouse {
                 SeqVerdict::Gap { expected, got } => {
                     gaps += 1;
                     if first_gap.is_none() {
-                        gsview_obs::event!("warehouse.seq_gap",
+                        gsview_obs::event!(
+                            "warehouse.seq_gap",
                             "source" = source.to_string(),
                             "expected" = expected,
-                            "got" = got);
+                            "got" = got
+                        );
                     }
                     first_gap.get_or_insert((expected, got));
                     accepted.push(r);
@@ -655,9 +688,13 @@ impl Warehouse {
             conn.regions.retain(|key, region| {
                 let faults_before = channel.exhausted();
                 for &report in &accepted {
-                    region.cache.apply_report(report, &channel, answers.as_ref());
+                    region
+                        .cache
+                        .apply_report(report, &channel, answers.as_ref());
                 }
-                gsview_obs::registry().counter("warehouse.region.upkeeps").incr();
+                gsview_obs::registry()
+                    .counter("warehouse.region.upkeeps")
+                    .incr();
                 if channel.exhausted() == faults_before {
                     return true;
                 }
@@ -704,7 +741,14 @@ impl Warehouse {
             let outcome = if kept.is_empty() {
                 None
             } else {
-                Some(maintain(wv, region, &channel, answers.as_ref(), &kept, faults_before)?)
+                Some(maintain(
+                    wv,
+                    region,
+                    &channel,
+                    answers.as_ref(),
+                    &kept,
+                    faults_before,
+                )?)
             };
             if channel.exhausted() > faults_before {
                 // A query inside this pass exhausted its retries: the
@@ -785,10 +829,12 @@ impl Warehouse {
         };
         let channel = self.connection(&self.views[idx].source)?.channel.clone();
         let outcome = self.heal_view(idx, &mut |def| region_over(def, &channel))?;
-        gsview_obs::event!("warehouse.resync_view.done",
+        gsview_obs::event!(
+            "warehouse.resync_view.done",
             "view" = view.name().to_string(),
             "healed" = outcome.healed,
-            "escalated" = outcome.escalated);
+            "escalated" = outcome.escalated
+        );
         Ok(outcome)
     }
 
@@ -834,13 +880,15 @@ impl Warehouse {
                 *conn.tracker_mut() = SeqTracker::with_baseline(m.seq);
             }
         }
-        gsview_obs::event!("warehouse.resync_view_durable.done",
+        gsview_obs::event!(
+            "warehouse.resync_view_durable.done",
             "view" = view.name().to_string(),
             "healed" = outcome.healed,
             "escalated" = outcome.escalated,
             "epoch" = m.epoch,
             "chunks_fetched" = stats.fetched,
-            "chunks_reused" = stats.reused);
+            "chunks_reused" = stats.reused
+        );
         Ok(outcome)
     }
 
@@ -998,8 +1046,7 @@ fn lag_guard(
     let mut base = RemoteBase::new(channel);
     let suspect = match &report.update {
         AppliedUpdate::Delete { parent, child } => {
-            base.path_from_root(wv.def.root, *parent).is_none()
-                || base.label_of(*child).is_none()
+            base.path_from_root(wv.def.root, *parent).is_none() || base.label_of(*child).is_none()
         }
         AppliedUpdate::Modify { oid, .. } => {
             wv.def.cond.is_some() && base.path_from_root(wv.def.root, *oid).is_none()
@@ -1094,7 +1141,8 @@ fn screened_content_upkeep(
             .and_then(|d| wv.mv.delegate(d))
             .map(|d| d.label);
         if let Some(label) = label {
-            wv.mv.refresh_delegate(&Object::atom(*oid, label, new.clone()))?;
+            wv.mv
+                .refresh_delegate(&Object::atom(*oid, label, new.clone()))?;
             return Ok(true);
         }
     }
@@ -1119,7 +1167,8 @@ mod tests {
 
     fn person_source(level: ReportLevel) -> Source {
         let src = Source::empty("persons", oid("ROOT"), level);
-        src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+        src.with_store(|s| samples::person_db(s).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });
@@ -1127,8 +1176,7 @@ mod tests {
     }
 
     fn yp_def() -> SimpleViewDef {
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     fn pump(src: &Source, wh: &mut Warehouse) {
@@ -1287,7 +1335,10 @@ mod tests {
         let mv = wh.view(oid("YP")).unwrap();
         let delegate = mv.delegate_of(oid("P1")).unwrap();
         assert!(
-            mv.delegate(delegate).unwrap().children().contains(&oid("H1")),
+            mv.delegate(delegate)
+                .unwrap()
+                .children()
+                .contains(&oid("H1")),
             "member copy refreshed from the screened report"
         );
         assert_eq!(wh.meter("persons").unwrap().queries(), 0);
@@ -1341,10 +1392,7 @@ mod tests {
         src.apply(Update::modify("A1", 40i64)).unwrap(); // P1 returns
         src.apply(Update::delete("ROOT", "P2")).unwrap();
         pump(&src, &mut wh);
-        assert_eq!(
-            wh.view(oid("YP")).unwrap().members_base(),
-            vec![oid("P1")]
-        );
+        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
         assert_eq!(
             wh.meter("persons").unwrap().queries(),
             0,
@@ -1385,7 +1433,8 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let mut wh = Warehouse::new();
         wh.connect(&src);
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
         wh.add_view(
             "persons",
             SimpleViewDef::new("VJ", "ROOT", "professor")
@@ -1408,12 +1457,12 @@ mod tests {
         // after one batched flush — richer reports only save queries.
         let updates = || {
             vec![
-                Update::modify("A1", 50i64),  // P1 leaves…
-                Update::modify("A1", 20i64),  // …and returns (cancels)
+                Update::modify("A1", 50i64), // P1 leaves…
+                Update::modify("A1", 20i64), // …and returns (cancels)
                 Update::delete("P1", "A1"),
-                Update::insert("P1", "A1"),   // cancels
+                Update::insert("P1", "A1"), // cancels
                 Update::delete("ROOT", "P2"),
-                Update::modify("N2", "Sal"),  // name noise
+                Update::modify("N2", "Sal"), // name noise
             ]
         };
         let mut memberships = Vec::new();
@@ -1483,7 +1532,10 @@ mod tests {
                 }
             }
             assert_consistent(&src, &wh, &yp_def());
-            (contents(&wh, "YP"), wh.view_stats(oid("YP")).unwrap().reports)
+            (
+                contents(&wh, "YP"),
+                wh.view_stats(oid("YP")).unwrap().reports,
+            )
         };
         let (batched, batched_reports) = run(true);
         let (sequential, seq_reports) = run(false);
@@ -1503,14 +1555,12 @@ mod tests {
 
     /// A view pinning the region `yp_def` and `old_def` are over.
     fn cached_def() -> SimpleViewDef {
-        SimpleViewDef::new("YC", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64))
+        SimpleViewDef::new("YC", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64))
     }
 
     /// A view over a region `yp_def` and `old_def` do not share.
     fn named_def() -> SimpleViewDef {
-        SimpleViewDef::new("NC", "ROOT", "professor")
-            .with_cond("name", Pred::new(CmpOp::Eq, "Sal"))
+        SimpleViewDef::new("NC", "ROOT", "professor").with_cond("name", Pred::new(CmpOp::Eq, "Sal"))
     }
 
     /// One L2 report stream over two uncached views and a cached one
@@ -1520,8 +1570,10 @@ mod tests {
     fn l2_stream(batched: bool) -> (Vec<SourceQuery>, Vec<UpdateReport>, Vec<Contents>) {
         let src = person_source(ReportLevel::WithValues);
         let (mut wh, probe) = probed(&src);
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
-        wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
+        wh.add_view("persons", old_def(), ViewOptions::default())
+            .unwrap();
         wh.add_view("persons", named_def(), cached()).unwrap();
         for u in [
             Update::create(Object::atom("A2", "age", 40i64)),
@@ -1564,15 +1616,27 @@ mod tests {
         let (batched, reports, batched_views) = l2_stream(true);
         let (sequential, _, sequential_views) = l2_stream(false);
         assert_eq!(batched_views, sequential_views);
-        assert_eq!(batched_views[0].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P2")]);
-        assert_eq!(batched_views[1].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P5")]);
-        assert_eq!(batched_views[2].iter().map(|m| m.0).collect::<Vec<_>>(), vec![oid("P2")]);
+        assert_eq!(
+            batched_views[0].iter().map(|m| m.0).collect::<Vec<_>>(),
+            vec![oid("P2")]
+        );
+        assert_eq!(
+            batched_views[1].iter().map(|m| m.0).collect::<Vec<_>>(),
+            vec![oid("P5")]
+        );
+        assert_eq!(
+            batched_views[2].iter().map(|m| m.0).collect::<Vec<_>>(),
+            vec![oid("P2")]
+        );
 
         let refs: Vec<&UpdateReport> = reports.iter().collect();
         let answers = BatchAnswers::new(&refs);
         for q in &batched {
             if let SourceQuery::LabelOf(o) | SourceQuery::Fetch(o) = q {
-                assert!(answers.info_of(*o).is_none(), "{q:?} asks what a report said");
+                assert!(
+                    answers.info_of(*o).is_none(),
+                    "{q:?} asks what a report said"
+                );
             }
         }
         assert!(
@@ -1631,8 +1695,10 @@ mod tests {
                 if yc_first {
                     wh.add_view("persons", cached_def(), cached()).unwrap();
                 }
-                wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
-                wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+                wh.add_view("persons", yp_def(), ViewOptions::default())
+                    .unwrap();
+                wh.add_view("persons", old_def(), ViewOptions::default())
+                    .unwrap();
                 if !yc_first {
                     wh.add_view("persons", cached_def(), cached()).unwrap();
                 }
@@ -1655,7 +1721,11 @@ mod tests {
                 assert_eq!(wh.view(oid("OP")).unwrap().members_base(), vec![oid("P5")]);
                 assert!(wh.view(oid("YP")).unwrap().is_empty());
                 assert_eq!(wh.cache_queries(oid("YC")), Some(0));
-                assert_eq!(wh.cache_queries(oid("YP")), None, "YP reads the region, pins nothing");
+                assert_eq!(
+                    wh.cache_queries(oid("YP")),
+                    None,
+                    "YP reads the region, pins nothing"
+                );
             }
         }
     }
@@ -1670,9 +1740,11 @@ mod tests {
         // The first query after the three views' one shared set-up
         // read is the upkeep's question about A5, and it is lost.
         let (mut wh, port) = nth_port(&src, read + 1, || Some(QueryFault::Unavailable));
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
         wh.add_view("persons", cached_def(), cached()).unwrap();
-        wh.add_view("persons", old_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", old_def(), ViewOptions::default())
+            .unwrap();
         // P5 and its age exist unreported, so hanging P5 under ROOT
         // leaves the upkeep to ask what A5 is.
         src.with_store(|s| {
@@ -1687,9 +1759,16 @@ mod tests {
         wh.handle_batch(&src.monitor().poll()).unwrap();
 
         assert_eq!(wh.dead_letters().len(), 1);
-        assert!(kept(&wh, "persons", &cached_def()).is_none(), "the lossy region is dropped");
+        assert!(
+            kept(&wh, "persons", &cached_def()).is_none(),
+            "the lossy region is dropped"
+        );
         assert!(dropped.get() > dropped_before);
-        assert_eq!(wh.stale_views(), vec![oid("YC")], "only the pinning view goes stale");
+        assert_eq!(
+            wh.stale_views(),
+            vec![oid("YC")],
+            "only the pinning view goes stale"
+        );
         assert_eq!(
             wh.view_state(oid("YC")),
             Some(ViewState::Stale(StaleCause::QueryFailure))
@@ -1708,7 +1787,11 @@ mod tests {
         let asked = port.asked.load(std::sync::atomic::Ordering::SeqCst);
         src.apply(Update::modify("A5", 30i64)).unwrap(); // P5 turns young
         wh.handle_batch(&src.monitor().poll()).unwrap();
-        assert_eq!(port.asked.load(std::sync::atomic::Ordering::SeqCst), asked, "nothing asked");
+        assert_eq!(
+            port.asked.load(std::sync::atomic::Ordering::SeqCst),
+            asked,
+            "nothing asked"
+        );
         assert!(wh.stale_views().is_empty());
         for def in [yp_def(), cached_def(), old_def()] {
             assert_consistent(&src, &wh, &def);
@@ -1723,13 +1806,17 @@ mod tests {
         let src = person_source(ReportLevel::WithValues);
         let (mut wh, probe) = probed(&src);
         wh.add_view("persons", cached_def(), cached()).unwrap();
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
         src.apply(Update::modify("A1", 80i64)).unwrap();
         src.apply(Update::delete("ROOT", "P2")).unwrap();
         let reports = src.monitor().poll();
         wh.handle_batch(&reports[1..]).unwrap(); // seq 0 lost
         assert_eq!(wh.stale_views(), vec![oid("YC"), oid("YP")]);
-        assert!(kept(&wh, "persons", &cached_def()).is_none(), "a gap drops the region");
+        assert!(
+            kept(&wh, "persons", &cached_def()).is_none(),
+            "a gap drops the region"
+        );
         assert!(dropped.get() > dropped_before);
 
         // Healing the reader first installs the region for the pinner.
@@ -1765,9 +1852,18 @@ mod tests {
         // clone it.
         probe.log.lock().unwrap().clear();
         wh.add_view("persons", old_def(), cached()).unwrap();
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
-        assert_eq!(probe.log.lock().unwrap().clone(), vec![], "the kept copy serves both");
-        assert_eq!(wh.connections["persons"].regions.len(), 1, "one copy of the region");
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
+        assert_eq!(
+            probe.log.lock().unwrap().clone(),
+            vec![],
+            "the kept copy serves both"
+        );
+        assert_eq!(
+            wh.connections["persons"].regions.len(),
+            1,
+            "one copy of the region"
+        );
         let defs = [cached_def(), old_def(), yp_def()];
         for def in &defs {
             assert_consistent(&src, &wh, def);
@@ -1794,24 +1890,36 @@ mod tests {
         src.apply(Update::delete("ROOT", "P2")).unwrap();
         let reports = src.monitor().poll();
         wh.handle_batch(&reports[1..]).unwrap(); // seq 0 lost
-        assert!(kept(&wh, "persons", &cached_def()).is_none(), "a gap drops the region");
+        assert!(
+            kept(&wh, "persons", &cached_def()).is_none(),
+            "a gap drops the region"
+        );
         assert!(wh.resync_view(oid("YC")).unwrap().healed);
-        assert!(kept(&wh, "persons", &cached_def()).is_some(), "the heal keeps its read");
+        assert!(
+            kept(&wh, "persons", &cached_def()).is_some(),
+            "the heal keeps its read"
+        );
 
         // NC's path shares ROOT and `professor` with YC's, but a heal's
         // reads are no set-up reads: nothing of them is shared.
         probe.log.lock().unwrap().clear();
-        wh.add_view("persons", named_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", named_def(), ViewOptions::default())
+            .unwrap();
         let asked = probe.log.lock().unwrap().len();
         assert_eq!(asked, named_def().full_path().len() + 1);
         assert_consistent(&src, &wh, &named_def());
-        assert_eq!(wh.connections["persons"].regions.len(), 2, "YC's kept, NC's read");
+        assert_eq!(
+            wh.connections["persons"].regions.len(),
+            2,
+            "YC's kept, NC's read"
+        );
     }
 
     #[test]
     fn batch_info_is_last_mention_wins() {
         let src = person_source(ReportLevel::WithValues);
-        src.apply(Update::create(Object::atom("X1", "age", 1i64))).unwrap();
+        src.apply(Update::create(Object::atom("X1", "age", 1i64)))
+            .unwrap();
         src.apply(Update::modify("A1", 46i64)).unwrap();
         let mut reports = src.monitor().poll();
         src.apply(Update::Remove { oid: oid("X1") }).unwrap();
@@ -1825,8 +1933,14 @@ mod tests {
 
         let refs: Vec<&UpdateReport> = reports.iter().collect();
         let answers = BatchAnswers::new(&refs);
-        assert!(answers.info_of(oid("X1")).is_none(), "created, then removed");
-        assert!(answers.info_of(oid("A3")).is_none(), "last mention carried nothing");
+        assert!(
+            answers.info_of(oid("X1")).is_none(),
+            "created, then removed"
+        );
+        assert!(
+            answers.info_of(oid("A3")).is_none(),
+            "last mention carried nothing"
+        );
         let a1 = answers.info_of(oid("A1")).unwrap();
         assert_eq!(a1.value.as_atom(), Some(&gsdb::Atom::Int(47)));
         assert!(answers.info_of(oid("A4")).is_some());
@@ -1842,7 +1956,8 @@ mod tests {
         let src = person_source(ReportLevel::WithPaths);
         let mut wh = Warehouse::new();
         wh.connect(&src);
-        wh.add_view("persons", yp_def(), ViewOptions::default()).unwrap();
+        wh.add_view("persons", yp_def(), ViewOptions::default())
+            .unwrap();
         src.apply(Update::modify("A1", 80i64)).unwrap();
         pump(&src, &mut wh);
         assert!(wh.view(oid("YP")).unwrap().is_empty());
@@ -1911,7 +2026,8 @@ mod tests {
     /// aged `10 + i`.
     fn rel_source(n: usize) -> Source {
         let src = Source::empty("rels", oid("REL"), ReportLevel::WithValues);
-        src.with_store(|s| samples::relations_db(s, n, n).map(|_| ())).unwrap();
+        src.with_store(|s| samples::relations_db(s, n, n).map(|_| ()))
+            .unwrap();
         src.with_store(|s| {
             s.drain_log();
         });
@@ -1937,7 +2053,11 @@ mod tests {
     /// The objects of a region, in OID order.
     fn objects(region: &AuxCache) -> Vec<Object> {
         let store = region.store();
-        store.oids_sorted().into_iter().filter_map(|o| store.get(o).cloned()).collect()
+        store
+            .oids_sorted()
+            .into_iter()
+            .filter_map(|o| store.get(o).cloned())
+            .collect()
     }
 
     /// A port that answers like the wrapper except on its `nth` query,
@@ -2060,7 +2180,10 @@ mod tests {
         assert!(outcome.escalated, "the two reads disagree");
         assert!(outcome.healed, "the third read agrees with the second");
         assert_eq!(outcome.deleted, 1, "the repair read had P1 at 80");
-        assert_eq!(port.asked.load(std::sync::atomic::Ordering::SeqCst), 4 * read);
+        assert_eq!(
+            port.asked.load(std::sync::atomic::Ordering::SeqCst),
+            4 * read
+        );
         assert_eq!(wh.view_state(oid("YP")), Some(ViewState::Consistent));
         assert_eq!(wh.view(oid("YP")).unwrap().members_base(), vec![oid("P1")]);
         assert_consistent(&src, &wh, &yp_def());
@@ -2082,14 +2205,24 @@ mod tests {
         wh.reconcile_checkpoints([src.monitor().checkpoint()]);
         let gap = wh.view_state(oid("YP")).unwrap();
         assert!(gap.is_stale());
-        assert!(kept(&wh, "persons", &yp_def()).is_none(), "a gap drops the region");
+        assert!(
+            kept(&wh, "persons", &yp_def()).is_none(),
+            "a gap drops the region"
+        );
 
         let outcome = wh.resync_view(oid("YP")).unwrap();
         assert!(!outcome.healed && !outcome.escalated);
         assert_eq!(wh.dead_letters().len(), 1);
-        assert_eq!(wh.view_state(oid("YP")), Some(gap), "still stale, for the first reason");
+        assert_eq!(
+            wh.view_state(oid("YP")),
+            Some(gap),
+            "still stale, for the first reason"
+        );
         assert_eq!(wh.view_stats(oid("YP")).unwrap().resyncs, 0);
-        assert!(kept(&wh, "persons", &yp_def()).is_none(), "a failed heal installs nothing");
+        assert!(
+            kept(&wh, "persons", &yp_def()).is_none(),
+            "a failed heal installs nothing"
+        );
 
         // The next heal reads in full and goes through.
         assert!(wh.resync_view(oid("YP")).unwrap().healed);
@@ -2219,7 +2352,10 @@ mod tests {
         assert_eq!(stats.deleted, 1);
         assert_eq!(wh.view_state(oid("YP")).unwrap(), ViewState::Consistent);
         let want = src.with_store(|s| recompute(&def, &mut LocalBase::new(s)).unwrap());
-        assert_eq!(wh.view(oid("YP")).unwrap().members_base(), want.members_base());
+        assert_eq!(
+            wh.view(oid("YP")).unwrap().members_base(),
+            want.members_base()
+        );
         assert!(want.is_empty());
         assert_consistent(&src, &wh, &def);
     }

@@ -142,11 +142,7 @@ mod tests {
         // Professors exist at top level; students both nested and top.
         let profs = path::reach(&store, db.root, &gsdb::Path::parse("professor"));
         assert!(!profs.is_empty());
-        let nested = path::reach(
-            &store,
-            db.root,
-            &gsdb::Path::parse("professor.student"),
-        );
+        let nested = path::reach(&store, db.root, &gsdb::Path::parse("professor.student"));
         assert!(!nested.is_empty(), "some students nest under professors");
     }
 

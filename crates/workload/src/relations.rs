@@ -79,17 +79,9 @@ pub fn generate(spec: RelationsSpec, cfg: StoreConfig) -> Result<(Store, Relatio
         ages.push(age_oids);
     }
     for (ri, children) in rel_children.iter().enumerate() {
-        store.create(Object::set(
-            format!("r{ri}"),
-            format!("r{ri}"),
-            children,
-        ))?;
+        store.create(Object::set(format!("r{ri}"), format!("r{ri}"), children))?;
     }
-    store.create(Object::set(
-        "REL",
-        "relations",
-        &relation_oids,
-    ))?;
+    store.create(Object::set("REL", "relations", &relation_oids))?;
     Ok((
         store,
         RelationsDb {
@@ -134,12 +126,7 @@ impl RelationsDb {
     /// return `(tuple, age_atom)`; the caller inserts it with
     /// `insert(r_i, tuple)`.
     pub fn new_tuple(&mut self, store: &mut Store, age: i64) -> Result<(Oid, Oid)> {
-        create_tuple(
-            store,
-            &mut self.next_tuple_id,
-            age,
-            self.spec.extra_fields,
-        )
+        create_tuple(store, &mut self.next_tuple_id, age, self.spec.extra_fields)
     }
 }
 
@@ -184,7 +171,8 @@ mod tests {
 
     #[test]
     fn new_tuple_extends_the_database() {
-        let (mut store, mut db) = generate(RelationsSpec::default(), StoreConfig::default()).unwrap();
+        let (mut store, mut db) =
+            generate(RelationsSpec::default(), StoreConfig::default()).unwrap();
         let before = store.len();
         let (t, a) = db.new_tuple(&mut store, 99).unwrap();
         store.insert_edge(db.relation_oids[0], t).unwrap();

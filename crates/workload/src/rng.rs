@@ -38,9 +38,10 @@ impl Zipf {
     /// Sample a rank.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| {
-            c.partial_cmp(&u).expect("cdf entries are finite")
-        }) {
+        match self
+            .cdf
+            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf entries are finite"))
+        {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

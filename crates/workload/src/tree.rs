@@ -106,7 +106,9 @@ pub fn chain(len: usize, cfg: StoreConfig) -> Result<(Store, Oid, Oid, Path)> {
     }
     let root = Oid::new("chainroot");
     store.create(Object::set(root.name(), "chain", &[child]))?;
-    let mut labels: Vec<String> = std::iter::repeat_with(|| "c".to_owned()).take(len).collect();
+    let mut labels: Vec<String> = std::iter::repeat_with(|| "c".to_owned())
+        .take(len)
+        .collect();
     labels.push("v".to_owned());
     let path = Path::parse(&labels.join("."));
     Ok((store, root, atom, path))
@@ -120,7 +122,10 @@ mod tests {
     #[test]
     fn uniform_tree_shape() {
         let (store, db) = generate(
-            TreeSpec { depth: 3, fanout: 2 },
+            TreeSpec {
+                depth: 3,
+                fanout: 2,
+            },
             StoreConfig::default(),
         )
         .unwrap();
@@ -136,7 +141,10 @@ mod tests {
     #[test]
     fn depth_zero_tree_is_root_with_leaves() {
         let (store, db) = generate(
-            TreeSpec { depth: 0, fanout: 4 },
+            TreeSpec {
+                depth: 0,
+                fanout: 4,
+            },
             StoreConfig::default(),
         )
         .unwrap();
@@ -153,9 +161,6 @@ mod tests {
         assert_eq!(store.len(), 12);
         assert_eq!(p.len(), 11);
         assert_eq!(path::reach(&store, root, &p), vec![atom]);
-        assert_eq!(
-            path::path_between(&store, root, atom),
-            Some(p)
-        );
+        assert_eq!(path::path_between(&store, root, atom), Some(p));
     }
 }

@@ -89,10 +89,8 @@ pub fn relations_churn(db: &mut RelationsDb, spec: ChurnSpec) -> Vec<ScriptOp> {
         .map(|(ts, ags)| ts.iter().copied().zip(ags.iter().copied()).collect())
         .collect();
     let mut next_id = 1_000_000 + db.spec.seed as usize; // fresh OID space
-    let total_w = spec.modify_weight
-        + spec.field_modify_weight
-        + spec.insert_weight
-        + spec.delete_weight;
+    let total_w =
+        spec.modify_weight + spec.field_modify_weight + spec.insert_weight + spec.delete_weight;
     assert!(total_w > 0, "at least one op kind must be enabled");
 
     for _ in 0..spec.ops {
@@ -271,7 +269,11 @@ pub fn cancelling_churn(
 /// operations, preserving order. `batch_size` of 0 yields one batch.
 pub fn into_batches(script: Vec<ScriptOp>, batch_size: usize) -> Vec<Vec<ScriptOp>> {
     if batch_size == 0 {
-        return if script.is_empty() { Vec::new() } else { vec![script] };
+        return if script.is_empty() {
+            Vec::new()
+        } else {
+            vec![script]
+        };
     }
     let mut out = Vec::new();
     let mut cur = Vec::with_capacity(batch_size);
@@ -340,7 +342,10 @@ mod tests {
         let (_s1, mut db1) = generate(RelationsSpec::default(), StoreConfig::default()).unwrap();
         let (_s2, mut db2) = generate(RelationsSpec::default(), StoreConfig::default()).unwrap();
         let spec = ChurnSpec::default();
-        assert_eq!(relations_churn(&mut db1, spec), relations_churn(&mut db2, spec));
+        assert_eq!(
+            relations_churn(&mut db1, spec),
+            relations_churn(&mut db2, spec)
+        );
     }
 
     #[test]
@@ -374,7 +379,10 @@ mod tests {
                 }
             }
         }
-        assert!(on_r0 > on_rest * 3, "bias 0.9 should dominate: {on_r0} vs {on_rest}");
+        assert!(
+            on_r0 > on_rest * 3,
+            "bias 0.9 should dominate: {on_r0} vs {on_rest}"
+        );
     }
 
     #[test]

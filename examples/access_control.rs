@@ -60,7 +60,10 @@ fn main() {
     // query starting outside the authorized set sees nothing.
     let mut strict = Authorizer::new(vec![Oid::new("JOHNS")], Enforcement::Within);
     let ans = strict.run(&mut store, &q).expect("authorized query");
-    println!("strict WITHIN mode      => {:?} (ROOT itself is not granted)", ans.oids);
+    println!(
+        "strict WITHIN mode      => {:?} (ROOT itself is not granted)",
+        ans.oids
+    );
 
     // But queries entirely inside the granted region work.
     let q_inside = parse_query("SELECT P1.student X").expect("parse");

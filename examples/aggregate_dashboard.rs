@@ -33,8 +33,8 @@ fn main() {
         "age",
         AggFn::Avg,
     );
-    let mut avg_age = AggregateView::materialize(avg_age, &mut LocalBase::new(&store))
-        .expect("materialize avg");
+    let mut avg_age =
+        AggregateView::materialize(avg_age, &mut LocalBase::new(&store)).expect("materialize avg");
 
     // Dashboard tile 2: total salary of professors named John.
     let john_payroll = AggregateViewDef::new(
@@ -113,6 +113,10 @@ fn main() {
         &mut LocalBase::new(&store),
     )
     .expect("check");
-    assert_eq!(fresh.total(), john_payroll.total(), "incremental == recompute");
+    assert_eq!(
+        fresh.total(),
+        john_payroll.total(),
+        "incremental == recompute"
+    );
     println!("\nincremental aggregates verified against recomputation ✓");
 }

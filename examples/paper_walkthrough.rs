@@ -39,10 +39,9 @@ fn main() {
     }
 
     heading("Example 3: virtual view VJ (persons named John)");
-    let vj = parse_viewdef(
-        "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-    )
-    .expect("parse VJ");
+    let vj =
+        parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+            .expect("parse VJ");
     println!("{vj}");
     virtualview::define_virtual_view(&mut store, &vj).expect("define");
     println!(
@@ -73,12 +72,14 @@ fn main() {
         PathExpr::parse("name").unwrap(),
         Pred::new(CmpOp::Eq, "John"),
     );
-    let mvj = GeneralMaintainer::new(mvj_def).recompute(&store).expect("materialize");
+    let mvj = GeneralMaintainer::new(mvj_def)
+        .recompute(&store)
+        .expect("materialize");
     print!("{}", mvj.render());
 
     heading("Figure 4 / Examples 5-6: maintaining view YP");
-    let yp_def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let yp_def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     println!("{yp_def}\n");
     let mut yp = recompute(&yp_def, &mut LocalBase::new(&store)).expect("materialize");
     println!("before:\n{}", yp.render());
@@ -90,24 +91,28 @@ fn main() {
         .insert_edge(Oid::new("P2"), Oid::new("A2"))
         .expect("insert");
     println!("update: {up}");
-    m.apply(&mut yp, &mut LocalBase::new(&store), &up).expect("maintain");
+    m.apply(&mut yp, &mut LocalBase::new(&store), &up)
+        .expect("maintain");
     println!("after:\n{}", yp.render());
     let up = store
         .delete_edge(Oid::new("ROOT"), Oid::new("P1"))
         .expect("delete");
     println!("update: {up}");
-    m.apply(&mut yp, &mut LocalBase::new(&store), &up).expect("maintain");
+    m.apply(&mut yp, &mut LocalBase::new(&store), &up)
+        .expect("maintain");
     println!("after:\n{}", yp.render());
 
     heading("Figure 5 / Example 7: the relations database");
     let mut rstore = Store::counting();
     let rel = samples::relations_db(&mut rstore, 3, 2).expect("relations");
     print!("{}", display::render(&rstore, rel));
-    let sel_def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let sel_def =
+        SimpleViewDef::new("SEL", "REL", "r.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let m = Maintainer::new(sel_def.clone());
     let mut sel = recompute(&sel_def, &mut LocalBase::new(&rstore)).expect("materialize");
-    rstore.create(Object::atom("Anew", "age", 40i64)).expect("A");
+    rstore
+        .create(Object::atom("Anew", "age", 40i64))
+        .expect("A");
     rstore
         .create(Object::set("Tnew", "tuple", &[Oid::new("Anew")]))
         .expect("T");
@@ -115,14 +120,18 @@ fn main() {
     let up = rstore
         .insert_edge(Oid::new("R"), Oid::new("Tnew"))
         .expect("insert tuple");
-    let out = m.apply(&mut sel, &mut LocalBase::new(&rstore), &up).expect("maintain");
+    let out = m
+        .apply(&mut sel, &mut LocalBase::new(&rstore), &up)
+        .expect("maintain");
     println!(
         "insert(R, Tnew): inserted {:?} using {} base accesses",
         out.inserted,
         rstore.accesses()
     );
     rstore.reset_accesses();
-    rstore.create(Object::atom("Bnew", "age", 50i64)).expect("B");
+    rstore
+        .create(Object::atom("Bnew", "age", 50i64))
+        .expect("B");
     rstore
         .create(Object::set("Unew", "tuple", &[Oid::new("Bnew")]))
         .expect("U");
@@ -130,7 +139,9 @@ fn main() {
     let up = rstore
         .insert_edge(Oid::new("S"), Oid::new("Unew"))
         .expect("insert into s");
-    let out = m.apply(&mut sel, &mut LocalBase::new(&rstore), &up).expect("maintain");
+    let out = m
+        .apply(&mut sel, &mut LocalBase::new(&rstore), &up)
+        .expect("maintain");
     println!(
         "insert(S, Unew): relevant={} — screened out after {} accesses",
         out.relevant,

@@ -19,12 +19,15 @@ fn main() {
     // 2. Query it with the paper's language.
     let q = parse_query("SELECT ROOT.professor X WHERE X.age > 40").expect("parse");
     let ans = evaluate(&store, &q).expect("evaluate");
-    println!("SELECT ROOT.professor X WHERE X.age > 40  =>  {:?}\n", ans.oids);
+    println!(
+        "SELECT ROOT.professor X WHERE X.age > 40  =>  {:?}\n",
+        ans.oids
+    );
 
     // 3. Define and materialize view YP (Example 5): professors with
     //    age <= 45.
-    let def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     println!("{def}");
     let mut yp = recompute(&def, &mut LocalBase::new(&store)).expect("materialize");
     println!("\nMaterialized view YP:\n{}", yp.render());
@@ -47,7 +50,10 @@ fn main() {
         "maintenance outcome: relevant={} inserted={:?} deleted={:?}",
         outcome.relevant, outcome.inserted, outcome.deleted
     );
-    println!("\nView YP after maintenance (paper Figure 4):\n{}", yp.render());
+    println!(
+        "\nView YP after maintenance (paper Figure 4):\n{}",
+        yp.render()
+    );
 
     // 6. Swizzle edges for local access (paper §3.2). YP's two
     //    members do not reference each other, so nothing rewrites

@@ -14,7 +14,11 @@ use gsview::views::SimpleViewDef;
 use gsview::warehouse::{spawn_channel_integrator, ReportLevel, Source, ViewOptions, Warehouse};
 use gsview::workload::{relations, relations_churn, ChurnSpec, RelationsSpec};
 
-fn make_source(name: &str, level: ReportLevel, seed: u64) -> (Source, Vec<gsview::workload::ScriptOp>) {
+fn make_source(
+    name: &str,
+    level: ReportLevel,
+    seed: u64,
+) -> (Source, Vec<gsview::workload::ScriptOp>) {
     let (store, mut db) = relations::generate(
         RelationsSpec {
             relations: 2,
@@ -109,7 +113,10 @@ fn main() {
         let meter = wh.meter(name).expect("meter");
         let stats = wh.view_stats(Oid::new(view)).expect("stats");
         println!("\nsource {name} / view {view}:");
-        println!("  members now      : {}", wh.view(Oid::new(view)).expect("view").len());
+        println!(
+            "  members now      : {}",
+            wh.view(Oid::new(view)).expect("view").len()
+        );
         println!("  reports processed: {}", stats.reports);
         println!("  screened out     : {}", stats.screened_out);
         println!("  relevant         : {}", stats.relevant);

@@ -67,13 +67,21 @@ fn main() {
                 new: Atom::str(&new_text),
             })
             .expect("edit page");
-        let outcome = maintainer.apply(&mut cache, &store, &update).expect("maintain");
+        let outcome = maintainer
+            .apply(&mut cache, &store, &update)
+            .expect("maintain");
         joined += outcome.inserted.len();
         left += outcome.deleted.len();
     }
     println!("after 200 page edits: {joined} pages joined the cache, {left} left");
     println!("cache now holds {} pages", cache.len());
-    assert_eq!(cache.members_base(), maintainer.recompute(&store).expect("recompute").members_base());
+    assert_eq!(
+        cache.members_base(),
+        maintainer
+            .recompute(&store)
+            .expect("recompute")
+            .members_base()
+    );
 
     // Make the cache fully self-contained for offline browsing:
     // swizzle intra-cache links, drop dangling ones (paper §3.2's

@@ -24,8 +24,8 @@
 //! `--jsonl PATH` appends every batch as JSON lines for offline
 //! analysis; `--no-clear` disables the ANSI clear so output scrolls.
 
-use gsview::serve::{FrameClient, ServedStats, TelemetryTail};
 use gsview::obs::telemetry::TelemetryBatch;
+use gsview::serve::{FrameClient, ServedStats, TelemetryTail};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::SocketAddr;

@@ -26,10 +26,10 @@
 //! the full system inventory.
 
 pub use gsdb;
-pub use gsview_query as query;
 pub use gsview_core as views;
 pub use gsview_durable as durable;
-pub use gsview_warehouse as warehouse;
-pub use gsview_serve as serve;
 pub use gsview_obs as obs;
+pub use gsview_query as query;
+pub use gsview_serve as serve;
+pub use gsview_warehouse as warehouse;
 pub use gsview_workload as workload;

@@ -41,10 +41,7 @@ fn swizzled_stripped_view_is_self_contained() {
     // Every OID inside delegate values is now a view OID.
     for d in mv.members_delegates() {
         for c in mv.delegate(d).unwrap().children() {
-            assert!(
-                c.name().starts_with("MV."),
-                "leaked base OID {c} in {d}"
-            );
+            assert!(c.name().starts_with("MV."), "leaked base OID {c} in {d}");
         }
     }
     // Queries over the view database cannot escape it.
@@ -114,25 +111,32 @@ fn cluster_of_three_views_under_churn() {
         )
         .unwrap();
     cluster
-        .add_view(SimpleViewDef::new("CV3", "ROOT", "professor"), &mut LocalBase::new(&store))
+        .add_view(
+            SimpleViewDef::new("CV3", "ROOT", "professor"),
+            &mut LocalBase::new(&store),
+        )
         .unwrap();
     // P1 in all three, P2 only in CV3 → 2 delegates.
     assert_eq!(cluster.delegate_count(), 2);
 
     let updates = vec![
-        Update::modify("A1", 80i64), // P1 leaves CV1
-        Update::modify("N1", "Jim"), // P1 leaves CV2
+        Update::modify("A1", 80i64),  // P1 leaves CV1
+        Update::modify("N1", "Jim"),  // P1 leaves CV2
         Update::delete("ROOT", "P1"), // P1 leaves CV3 → delegate GCed
     ];
     for u in updates {
         let applied = store.apply(u).unwrap();
-        cluster.apply(&mut LocalBase::new(&store), &applied).unwrap();
+        cluster
+            .apply(&mut LocalBase::new(&store), &applied)
+            .unwrap();
     }
     assert!(cluster.members_of(oid("CV1")).is_empty());
     assert!(cluster.members_of(oid("CV2")).is_empty());
     assert_eq!(cluster.members_of(oid("CV3")), vec![oid("P2")]);
     assert_eq!(cluster.delegate_count(), 1);
-    assert!(!cluster.store().contains(Oid::delegate(oid("C3"), oid("P1"))));
+    assert!(!cluster
+        .store()
+        .contains(Oid::delegate(oid("C3"), oid("P1"))));
 }
 
 /// Partial views cache "some but not all data of interest" and stay
@@ -183,7 +187,8 @@ fn compound_view_equals_query_union() {
     ];
     for u in updates {
         let applied = store.apply(u).unwrap();
-        cm.apply(&mut mv, &mut LocalBase::new(&store), &applied).unwrap();
+        cm.apply(&mut mv, &mut LocalBase::new(&store), &applied)
+            .unwrap();
         let q1 = parse_query("SELECT ROOT.professor X WHERE X.age <= 45").unwrap();
         let q2 = parse_query("SELECT ROOT.secretary X").unwrap();
         let mut expected: Vec<Oid> = evaluate(&store, &q1)
@@ -223,10 +228,8 @@ fn authorizer_over_materialized_views() {
 fn general_maintainer_on_dag_base() {
     use gsview::views::{GeneralMaintainer, GeneralViewDef};
     let mut store = person_store();
-    let def = GeneralViewDef::new("GW", "ROOT", PathExpr::parse("*").unwrap()).with_cond(
-        PathExpr::parse("age").unwrap(),
-        Pred::new(CmpOp::Lt, 30i64),
-    );
+    let def = GeneralViewDef::new("GW", "ROOT", PathExpr::parse("*").unwrap())
+        .with_cond(PathExpr::parse("age").unwrap(), Pred::new(CmpOp::Lt, 30i64));
     let gm = GeneralMaintainer::new(def.clone());
     let mut mv = gm.recompute(&store).unwrap();
     // P3 (age 20) qualifies; reachable via two paths.

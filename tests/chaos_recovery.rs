@@ -79,7 +79,9 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
 fn build(spec: &TreeSpec) -> (Store, Oid, Vec<Oid>, Vec<Oid>) {
     let mut store = Store::with_config(StoreConfig::default());
     let root = Oid::new("croot");
-    store.create(Object::empty_set(root.name(), "root")).unwrap();
+    store
+        .create(Object::empty_set(root.name(), "root"))
+        .unwrap();
     let mut sets = vec![root];
     let mut atoms = Vec::new();
     let mut all = vec![root];
@@ -140,7 +142,10 @@ fn plan_stream(
                     continue;
                 }
                 let (p, c) = candidates[(seed as usize) % candidates.len()];
-                vec![Update::Delete { parent: p, child: c }]
+                vec![Update::Delete {
+                    parent: p,
+                    child: c,
+                }]
             }
             _ => {
                 let reachable: Vec<Oid> = graph::reachable(shadow, root)
@@ -203,7 +208,10 @@ fn assert_region_set_up(store: Store, def: &SimpleViewDef, cache: bool) {
     let source = Source::new("region", def.root, store, ReportLevel::WithValues);
     let mut wh = Warehouse::new();
     wh.connect(&source);
-    let options = ViewOptions { use_aux_cache: cache, ..ViewOptions::default() };
+    let options = ViewOptions {
+        use_aux_cache: cache,
+        ..ViewOptions::default()
+    };
     let view = wh.add_view("region", def.clone(), options).unwrap();
     assert_eq!(
         wh.meter("region").unwrap().queries(),
@@ -418,7 +426,9 @@ fn dead_letters_bump_the_global_dlq_counters() {
     store.create(Object::empty_set("croot", "root")).unwrap();
     store.create(Object::empty_set("cn0", "a")).unwrap();
     store.create(Object::atom("cn1", "b", 60i64)).unwrap();
-    store.insert_edge(Oid::new("croot"), Oid::new("cn0")).unwrap();
+    store
+        .insert_edge(Oid::new("croot"), Oid::new("cn0"))
+        .unwrap();
     store.insert_edge(Oid::new("cn0"), Oid::new("cn1")).unwrap();
     let mut shadow = store.clone();
     let updates = plan_stream(
@@ -439,10 +449,18 @@ fn dead_letters_bump_the_global_dlq_counters() {
         max_resync_rounds: 2,
         ..ChaosScenario::default()
     };
-    let report = run_scenario(&SimpleViewDef::new("CV", "croot", "a.b"), &store, &updates, &sc)
-        .expect("scenario run failed");
+    let report = run_scenario(
+        &SimpleViewDef::new("CV", "croot", "a.b"),
+        &store,
+        &updates,
+        &sc,
+    )
+    .expect("scenario run failed");
 
-    assert!(report.dead_letters > 0, "scenario must produce dead letters");
+    assert!(
+        report.dead_letters > 0,
+        "scenario must produce dead letters"
+    );
     let entered = enter.get() - enter0;
     let left = leave.get() - leave0;
     assert!(

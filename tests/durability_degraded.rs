@@ -107,9 +107,15 @@ fn fs_write_failure_latches_flag_and_explicit_persist_surfaces_it() {
     // publish point) but the flag latches.
     fail.store(true, Ordering::Release);
     src.apply(Update::modify("A1", 30i64)).unwrap();
-    assert!(src.durability_degraded(), "hook failure must latch the flag");
+    assert!(
+        src.durability_degraded(),
+        "hook failure must latch the flag"
+    );
     let err = src.durability_error().expect("error must be recorded");
-    assert!(err.contains("attempts"), "error names the retry budget: {err}");
+    assert!(
+        err.contains("attempts"),
+        "error names the retry budget: {err}"
+    );
 
     // Later hook failures keep the *first* error (it names the start
     // of the lineage hole).
@@ -124,7 +130,10 @@ fn fs_write_failure_latches_flag_and_explicit_persist_surfaces_it() {
         surfaced.to_string().contains("durability degraded"),
         "explicit persist must surface the degraded state: {surfaced}"
     );
-    assert!(src.durability_degraded(), "flag stays latched until a re-baseline");
+    assert!(
+        src.durability_degraded(),
+        "flag stays latched until a re-baseline"
+    );
 
     // Second explicit persist re-baselines and clears the flag.
     let receipt = src.persist_now(&durable).unwrap();
@@ -136,7 +145,10 @@ fn fs_write_failure_latches_flag_and_explicit_persist_surfaces_it() {
     // directory recovers the post-outage state.
     drop(durable);
     let reopened = DurableStore::open(MediaSet::on_dir(&dir).unwrap()).unwrap();
-    let rec = reopened.recover("persons").unwrap().expect("lineage on disk");
+    let rec = reopened
+        .recover("persons")
+        .unwrap()
+        .expect("lineage on disk");
     assert_eq!(rec.manifest.epoch, src.epoch());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -57,17 +57,17 @@ fn full_stack_scenario() {
         )
         .expect("wildcard mview");
     catalog
-        .define(
-            &mut store,
-            "define view STAFF as: SELECT EROOT.? X",
-        )
+        .define(&mut store, "define view STAFF as: SELECT EROOT.? X")
         .expect("virtual view");
     assert_eq!(
         catalog.materialized(oid("YOUNG")).unwrap().members_base(),
         vec![oid("E1"), oid("E4")]
     );
     assert_eq!(
-        catalog.materialized(oid("WELLPAID")).unwrap().members_base(),
+        catalog
+            .materialized(oid("WELLPAID"))
+            .unwrap()
+            .members_base(),
         vec![oid("E1"), oid("E2")]
     );
 
@@ -117,7 +117,10 @@ fn full_stack_scenario() {
     assert!(view_unaffected(&young_def, &raise));
     let applied = raise.execute(&mut store).expect("raise");
     assert_eq!(applied.len(), 1);
-    assert_eq!(store.atom(oid("ES3")), Some(&Atom::tagged("dollar", 100_000)));
+    assert_eq!(
+        store.atom(oid("ES3")),
+        Some(&Atom::tagged("dollar", 100_000))
+    );
     // (WELLPAID *is* affected — route the updates there via catalog.)
     for a in &applied {
         catalog.handle_update(&store, a).expect("maintain");
@@ -140,15 +143,19 @@ fn full_stack_scenario() {
     let expected = (41.0 + 52.0 + 29.0 + 31.0) / 4.0;
     assert!((avg.total().unwrap() - expected).abs() < 1e-9);
     let up = store.modify_atom(oid("EA4"), 30i64).expect("birthday");
-    avg.apply(&mut LocalBase::new(&store), &up).expect("maintain agg");
+    avg.apply(&mut LocalBase::new(&store), &up)
+        .expect("maintain agg");
     assert!((avg.total().unwrap() - (41.0 + 52.0 + 30.0 + 31.0) / 4.0).abs() < 1e-9);
 
     // 7. Publish a salary-free copy of the engineers view.
     let pub_def = SimpleViewDef::new("PUB", "EROOT", "engineer");
     let mut public = recompute::recompute(&pub_def, &mut LocalBase::new(&store)).expect("pub");
-    let hidden =
-        gsview::views::apply_policy(&mut public, &store, &EdgePolicy::show_all().hide_child("salary"))
-            .expect("policy");
+    let hidden = gsview::views::apply_policy(
+        &mut public,
+        &store,
+        &EdgePolicy::show_all().hide_child("salary"),
+    )
+    .expect("policy");
     assert_eq!(hidden, 2, "ES1 and ES2 hidden");
     for d in public.members_delegates() {
         for &c in public.delegate(d).unwrap().children() {

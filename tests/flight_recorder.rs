@@ -24,7 +24,9 @@ fn mini_store() -> Store {
     store.create(Object::empty_set("croot", "root")).unwrap();
     store.create(Object::empty_set("cn0", "a")).unwrap();
     store.create(Object::atom("cn1", "b", 60i64)).unwrap();
-    store.insert_edge(Oid::new("croot"), Oid::new("cn0")).unwrap();
+    store
+        .insert_edge(Oid::new("croot"), Oid::new("cn0"))
+        .unwrap();
     store.insert_edge(Oid::new("cn0"), Oid::new("cn1")).unwrap();
     store
 }

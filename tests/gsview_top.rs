@@ -3,10 +3,10 @@
 //! (`--ticks`) mode against it, and check both the rendered console
 //! and the JSON-lines sink.
 
+use gsview::gsdb::{samples, Oid, Update};
 use gsview::obs::telemetry::TailSampler;
 use gsview::serve::{ServeConfig, Server, SourceService, TelemetryHub};
 use gsview::warehouse::{CostMeter, ReportLevel, Source};
-use gsview::gsdb::{samples, Oid, Update};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -51,7 +51,9 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<(u8, u64)>> {
 fn build(spec: &TreeSpec, salt: &str, cfg: StoreConfig) -> (Store, Oid, Vec<Oid>, Vec<Oid>) {
     let mut store = Store::with_config(cfg);
     let root = Oid::new(&format!("{salt}root"));
-    store.create(Object::empty_set(root.name(), "root")).unwrap();
+    store
+        .create(Object::empty_set(root.name(), "root"))
+        .unwrap();
     let mut sets = vec![root];
     let mut atoms = Vec::new();
     let mut all = vec![root];
@@ -118,7 +120,10 @@ fn plan(
                 return Vec::new();
             }
             let (p, c) = candidates[(seed as usize) % candidates.len()];
-            vec![Update::Delete { parent: p, child: c }]
+            vec![Update::Delete {
+                parent: p,
+                child: c,
+            }]
         }
         _ => {
             // Attach a fresh atom under a random reachable set node.
@@ -301,9 +306,8 @@ fn warehouse_agrees_with_local_at_all_levels() {
                 for report in source.monitor().poll() {
                     wh.handle_report(&report).unwrap();
                 }
-                let expected = source.with_store(|s| {
-                    recompute::recompute_members(&def, &mut LocalBase::new(s))
-                });
+                let expected = source
+                    .with_store(|s| recompute::recompute_members(&def, &mut LocalBase::new(s)));
                 assert_eq!(
                     wh.view(Oid::new("SEL")).unwrap().members_base(),
                     expected,
@@ -320,8 +324,8 @@ fn warehouse_agrees_with_local_at_all_levels() {
 fn swizzled_views_survive_maintenance() {
     let mut store = Store::new();
     gsview::gsdb::samples::person_db(&mut store).unwrap();
-    let def = SimpleViewDef::new("SW", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("SW", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     let m = Maintainer::new(def.clone());
     let mut mv = recompute::recompute(&def, &mut LocalBase::new(&store)).unwrap();
     mv.swizzle().unwrap();
@@ -334,7 +338,8 @@ fn swizzled_views_survive_maintenance() {
     ];
     for u in ups {
         let applied = store.apply(u).unwrap();
-        m.apply(&mut mv, &mut LocalBase::new(&store), &applied).unwrap();
+        m.apply(&mut mv, &mut LocalBase::new(&store), &applied)
+            .unwrap();
         mv.swizzle().unwrap();
         let problems = consistency::check(&def, &mut LocalBase::new(&store), &mv);
         assert!(problems.is_empty(), "{problems:?}");
@@ -349,7 +354,9 @@ fn atom_modification_roundtrip() {
     store
         .create(Object::atom("x", "v", Atom::tagged("dollar", 7)))
         .unwrap();
-    let up = store.modify_atom(Oid::new("x"), Atom::str("now a string")).unwrap();
+    let up = store
+        .modify_atom(Oid::new("x"), Atom::str("now a string"))
+        .unwrap();
     match up {
         gsview::gsdb::AppliedUpdate::Modify { old, new, .. } => {
             assert_eq!(old, Atom::tagged("dollar", 7));

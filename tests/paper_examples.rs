@@ -4,9 +4,7 @@
 
 use gsview::gsdb::{self, database, samples, Oid, Store, Update};
 use gsview::query::{evaluate, parse_query, parse_viewdef, CmpOp, Pred};
-use gsview::views::{
-    recompute::recompute, virtualview, LocalBase, Maintainer, SimpleViewDef,
-};
+use gsview::views::{recompute::recompute, virtualview, LocalBase, Maintainer, SimpleViewDef};
 
 fn oid(s: &str) -> Oid {
     Oid::new(s)
@@ -55,13 +53,15 @@ fn section_2_query_scoping() {
 #[test]
 fn example_3_view_vj() {
     let mut store = person_store();
-    let vj = parse_viewdef(
-        "define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON",
-    )
-    .unwrap();
+    let vj =
+        parse_viewdef("define view VJ as: SELECT ROOT.* X WHERE X.name = 'John' WITHIN PERSON")
+            .unwrap();
     virtualview::define_virtual_view(&mut store, &vj).unwrap();
     // value(VJ) = {P1, P3}.
-    assert_eq!(store.get(oid("VJ")).unwrap().children(), &[oid("P1"), oid("P3")]);
+    assert_eq!(
+        store.get(oid("VJ")).unwrap().children(),
+        &[oid("P1"), oid("P3")]
+    );
 
     // Query 3.3: SELECT ROOT.professor X ANS INT VJ → {P1}.
     let q = parse_query("SELECT ROOT.professor X ANS INT VJ").unwrap();
@@ -108,7 +108,9 @@ fn example_4_materialization_transparency() {
         PathExpr::parse("name").unwrap(),
         Pred::new(CmpOp::Eq, "John"),
     );
-    let mv = GeneralMaintainer::new(def.clone()).recompute(&store).unwrap();
+    let mv = GeneralMaintainer::new(def.clone())
+        .recompute(&store)
+        .unwrap();
     // "Whether a view is materialized or not should not affect query
     // results": members equal the virtual evaluation.
     let virt = evaluate(&store, &def.to_query()).unwrap();
@@ -123,14 +125,16 @@ fn example_4_materialization_transparency() {
 #[test]
 fn examples_5_and_6_yp_maintenance() {
     let mut store = person_store();
-    let def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     let m = Maintainer::new(def.clone());
     let mut yp = recompute(&def, &mut LocalBase::new(&store)).unwrap();
     assert_eq!(yp.members_base(), vec![oid("P1")]);
 
     // Example 6 first part: insert(P2, A2), <A2, age, 40>.
-    store.create(gsdb::Object::atom("A2", "age", 40i64)).unwrap();
+    store
+        .create(gsdb::Object::atom("A2", "age", 40i64))
+        .unwrap();
     let up = store.insert_edge(oid("P2"), oid("A2")).unwrap();
     let out = m.apply(&mut yp, &mut LocalBase::new(&store), &up).unwrap();
     // Step 3: S = eval(A2, ∅, cond) = {A2} because value(A2) = 40 < 45.
@@ -152,8 +156,8 @@ fn examples_5_and_6_yp_maintenance() {
 fn example_7_relations_maintenance() {
     let mut store = Store::counting();
     samples::relations_db(&mut store, 50, 50).unwrap();
-    let def = SimpleViewDef::new("SEL", "REL", "r.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let def =
+        SimpleViewDef::new("SEL", "REL", "r.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let m = Maintainer::new(def.clone());
     let mut sel = recompute(&def, &mut LocalBase::new(&store)).unwrap();
     let baseline = sel.len();
@@ -179,7 +183,9 @@ fn example_7_relations_maintenance() {
     // "inserting a tuple T2 into relation s ... the incremental
     // maintenance algorithm will stop processing after it finds out
     // that path(REL, S) does not match."
-    store.create(gsdb::Object::atom("Bnew2", "age", 50i64)).unwrap();
+    store
+        .create(gsdb::Object::atom("Bnew2", "age", 50i64))
+        .unwrap();
     store
         .create(gsdb::Object::set("Tnew2", "tuple", &[oid("Bnew2")]))
         .unwrap();
@@ -197,7 +203,8 @@ fn example_9_source_query_realization() {
     use std::sync::Arc;
 
     let src = Source::empty("s", oid("ROOT"), ReportLevel::OidsOnly);
-    src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+    src.with_store(|s| samples::person_db(s).map(|_| ()))
+        .unwrap();
     let meter = Arc::new(CostMeter::new());
     let w = src.wrapper(meter);
     // ancestor(Y, p) as "fetch X where path(X, Y) = p":
@@ -232,7 +239,8 @@ fn example_10_cached_local_maintenance() {
     use gsview::warehouse::{ReportLevel, Source, ViewOptions, Warehouse};
 
     let src = Source::empty("persons", oid("ROOT"), ReportLevel::WithValues);
-    src.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+    src.with_store(|s| samples::person_db(s).map(|_| ()))
+        .unwrap();
     src.with_store(|s| {
         s.drain_log();
     });
@@ -240,8 +248,7 @@ fn example_10_cached_local_maintenance() {
     wh.connect(&src);
     wh.add_view(
         "persons",
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64)),
         ViewOptions {
             use_aux_cache: true,
             label_screening: true,

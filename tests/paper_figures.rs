@@ -55,8 +55,8 @@ fn figure_2_person_database() {
 /// MVJ.P1 and MVJ.P3.
 #[test]
 fn figure_3_materialized_view_mvj() {
-    use gsview::views::{GeneralMaintainer, GeneralViewDef};
     use gsview::query::{CmpOp, PathExpr, Pred};
+    use gsview::views::{GeneralMaintainer, GeneralViewDef};
 
     let mut store = Store::new();
     samples::person_db(&mut store).unwrap();
@@ -84,13 +84,13 @@ fn figure_3_materialized_view_mvj() {
 /// Figure 4 / Example 5: view YP before and after insert(P2, A2).
 #[test]
 fn figure_4_yp_change() {
-    use gsview::views::{recompute::recompute, LocalBase, Maintainer, SimpleViewDef};
     use gsview::query::{CmpOp, Pred};
+    use gsview::views::{recompute::recompute, LocalBase, Maintainer, SimpleViewDef};
 
     let mut store = Store::new();
     samples::person_db(&mut store).unwrap();
-    let def = SimpleViewDef::new("YP", "ROOT", "professor")
-        .with_cond("age", Pred::new(CmpOp::Le, 45i64));
+    let def =
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64));
     let mut yp = recompute(&def, &mut LocalBase::new(&store)).unwrap();
     // Left-hand side of Figure 4: {YP.P1} only.
     assert_eq!(yp.members_delegates().len(), 1);
@@ -140,7 +140,8 @@ fn figure_6_warehouse_architecture() {
 
     // Two autonomous sources.
     let s1 = Source::empty("src1", oid("ROOT"), ReportLevel::WithValues);
-    s1.with_store(|s| samples::person_db(s).map(|_| ())).unwrap();
+    s1.with_store(|s| samples::person_db(s).map(|_| ()))
+        .unwrap();
     s1.with_store(|s| {
         s.drain_log();
     });
@@ -156,15 +157,13 @@ fn figure_6_warehouse_architecture() {
     wh.connect(&s2);
     wh.add_view(
         "src1",
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64)),
         ViewOptions::default(),
     )
     .unwrap();
     wh.add_view(
         "src2",
-        SimpleViewDef::new("SEL", "REL", "r.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
+        SimpleViewDef::new("SEL", "REL", "r.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
         ViewOptions::default(),
     )
     .unwrap();

@@ -37,10 +37,7 @@ fn wildcard_queries_on_person_db() {
     // All names at any depth.
     let q = parse_query("SELECT ROOT.*.name X").unwrap();
     let ans = evaluate(&s, &q).unwrap();
-    assert_eq!(
-        ans.oids,
-        vec![oid("N1"), oid("N2"), oid("N3"), oid("N4")]
-    );
+    assert_eq!(ans.oids, vec![oid("N1"), oid("N2"), oid("N3"), oid("N4")]);
     // One arbitrary step then age: only top-level persons' ages.
     let q = parse_query("SELECT ROOT.?.age X").unwrap();
     let ans = evaluate(&s, &q).unwrap();

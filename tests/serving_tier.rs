@@ -13,8 +13,8 @@
 
 use gsview::gsdb::{samples, Oid, Path, Update};
 use gsview::serve::{
-    encode_frame, FrameClient, FrameDecoder, Reply, Request, RequestBody,
-    ServeConfig, Server, SourceService, DEFAULT_MAX_FRAME,
+    encode_frame, FrameClient, FrameDecoder, Reply, Request, RequestBody, ServeConfig, Server,
+    SourceService, DEFAULT_MAX_FRAME,
 };
 use gsview::warehouse::{answer, CostMeter, ReportLevel, Source, SourceQuery};
 use gsview_testkit::oracle::assert_networked_equivalence;

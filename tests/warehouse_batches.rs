@@ -126,9 +126,14 @@ fn views() -> Views {
 /// views added after the views that read their regions.
 fn legs() -> Vec<(&'static str, Views)> {
     let all = views();
-    let (pinning, readers): (Views, Views) = all.iter().cloned().partition(|(_, o)| o.use_aux_cache);
+    let (pinning, readers): (Views, Views) =
+        all.iter().cloned().partition(|(_, o)| o.use_aux_cache);
     let pinning_last = readers.iter().cloned().chain(pinning).collect();
-    vec![("all views", all), ("none pinned", readers), ("pinned last", pinning_last)]
+    vec![
+        ("all views", all),
+        ("none pinned", readers),
+        ("pinned last", pinning_last),
+    ]
 }
 
 /// `ROOT → wbD<0|1> → wbP<i> → {wbA<i> (age), wbN<i> (name), wbS<k> →

@@ -19,7 +19,11 @@ fn oid(s: &str) -> Oid {
     Oid::new(s)
 }
 
-fn rel_source(name: &str, level: ReportLevel, seed: u64) -> (Source, gsview::workload::RelationsDb) {
+fn rel_source(
+    name: &str,
+    level: ReportLevel,
+    seed: u64,
+) -> (Source, gsview::workload::RelationsDb) {
     let (store, db) = relations::generate(
         RelationsSpec {
             relations: 2,
@@ -50,15 +54,13 @@ fn two_sources_one_warehouse() {
     wh.connect(&rels);
     wh.add_view(
         "people",
-        SimpleViewDef::new("YP", "ROOT", "professor")
-            .with_cond("age", Pred::new(CmpOp::Le, 45i64)),
+        SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", Pred::new(CmpOp::Le, 45i64)),
         ViewOptions::default(),
     )
     .unwrap();
     wh.add_view(
         "rels",
-        SimpleViewDef::new("SEL", "REL", "r0.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
+        SimpleViewDef::new("SEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
         ViewOptions::default(),
     )
     .unwrap();
@@ -102,8 +104,8 @@ fn channel_integrator_feeds_warehouse_across_threads() {
             seed: 93,
         },
     );
-    let def = SimpleViewDef::new("CSEL", "REL", "r0.tuple")
-        .with_cond("age", Pred::new(CmpOp::Gt, 30i64));
+    let def =
+        SimpleViewDef::new("CSEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64));
     let mut wh = Warehouse::new();
     wh.connect(&src);
     wh.add_view("crels", def.clone(), ViewOptions::default())
@@ -133,9 +135,7 @@ fn channel_integrator_feeds_warehouse_across_threads() {
     // already moved on — the §5.1 anomaly (citing ZGMHW95). The view
     // may therefore drift; a warehouse-side resync reconciles it.
     assert!(wh.resync_view(oid("CSEL")).unwrap().healed);
-    let expected = src.with_store(|s| {
-        recompute::recompute_members(&def, &mut LocalBase::new(s))
-    });
+    let expected = src.with_store(|s| recompute::recompute_members(&def, &mut LocalBase::new(s)));
     assert_eq!(wh.view(oid("CSEL")).unwrap().members_base(), expected);
 }
 
@@ -216,8 +216,7 @@ fn warehouse_stats_account_for_every_report() {
     wh.connect(&src);
     wh.add_view(
         "trels",
-        SimpleViewDef::new("TSEL", "REL", "r0.tuple")
-            .with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
+        SimpleViewDef::new("TSEL", "REL", "r0.tuple").with_cond("age", Pred::new(CmpOp::Gt, 30i64)),
         ViewOptions {
             label_screening: true,
             ..ViewOptions::default()
@@ -256,12 +255,17 @@ fn campus(name: &str, depts: usize) -> Source {
             for p in (0..4).map(|p| d * 4 + p) {
                 let mut prof = set(&format!("CP{p}"), "professor")
                     .child(atom(&format!("CPA{p}"), "age", 30 + (p * 7 % 40) as i64))
-                    .child(atom(&format!("CPN{p}"), "name", format!("prof {p}").as_str()));
+                    .child(atom(
+                        &format!("CPN{p}"),
+                        "name",
+                        format!("prof {p}").as_str(),
+                    ));
                 for k in (0..3).map(|k| p * 3 + k) {
-                    prof = prof.child(
-                        set(&format!("CS{k}"), "student")
-                            .child(atom(&format!("CSA{k}"), "age", 17 + (k * 5 % 15) as i64)),
-                    );
+                    prof = prof.child(set(&format!("CS{k}"), "student").child(atom(
+                        &format!("CSA{k}"),
+                        "age",
+                        17 + (k * 5 % 15) as i64,
+                    )));
                 }
                 dept = dept.child(prof);
             }
@@ -336,7 +340,8 @@ fn views_sharing_regions_read_each_region_once() {
     wh.connect(&src);
     let views = campus_views();
     for (def, options) in &views {
-        wh.add_view("campus_shared", def.clone(), options.clone()).unwrap();
+        wh.add_view("campus_shared", def.clone(), options.clone())
+            .unwrap();
     }
     // Fetch(CROOT), Reach(dept), Reach(dept.professor) once; then
     // .age, .student and .student.age: six queries, not 4 + 5 + 4 + 5.
@@ -345,9 +350,20 @@ fn views_sharing_regions_read_each_region_once() {
         assert_recomputes(&src, &wh, def);
         let mut alone = Warehouse::new();
         alone.connect(&src);
-        alone.add_view("campus_shared", def.clone(), options.clone()).unwrap();
-        assert_eq!(contents(&wh, def.view), contents(&alone, def.view), "{}", def.view);
-        assert!(!wh.view(def.view).unwrap().is_empty(), "{} is a real test", def.view);
+        alone
+            .add_view("campus_shared", def.clone(), options.clone())
+            .unwrap();
+        assert_eq!(
+            contents(&wh, def.view),
+            contents(&alone, def.view),
+            "{}",
+            def.view
+        );
+        assert!(
+            !wh.view(def.view).unwrap().is_empty(),
+            "{} is a real test",
+            def.view
+        );
     }
 
     // The cached views' regions are copies of one read each; they keep
@@ -375,14 +391,22 @@ fn a_view_set_up_from_an_older_read_catches_up_on_the_next_batch() {
         let src = campus("campus_older", 2);
         let mut wh = Warehouse::new();
         wh.connect(&src);
-        wh.add_view("campus_older", young.0.clone(), young.1.clone()).unwrap();
+        wh.add_view("campus_older", young.0.clone(), young.1.clone())
+            .unwrap();
         let asked = wh.meter("campus_older").unwrap().queries();
         // CP0 (30) turns 70 between the two set-ups; no report is
         // handled, so the second view starts from the first one's read.
         src.apply(Update::modify("CPA0", 70i64)).unwrap();
         wh.add_view("campus_older", old.0.clone(), options).unwrap();
-        assert_eq!(wh.meter("campus_older").unwrap().queries(), asked, "one region, one read");
-        assert!(!wh.view(old.0.view).unwrap().contains_base(oid("CP0")), "as of the read");
+        assert_eq!(
+            wh.meter("campus_older").unwrap().queries(),
+            asked,
+            "one region, one read"
+        );
+        assert!(
+            !wh.view(old.0.view).unwrap().contains_base(oid("CP0")),
+            "as of the read"
+        );
 
         wh.handle_batch(&src.monitor().poll()).unwrap();
         assert!(wh.view(old.0.view).unwrap().contains_base(oid("CP0")));
@@ -405,7 +429,8 @@ fn a_moved_tracker_forgets_the_set_up_reads() {
         let mut wh = Warehouse::new();
         wh.connect(&src);
         wh.attach_durable(d);
-        wh.add_view("campus_moved", first.0.clone(), first.1.clone()).unwrap();
+        wh.add_view("campus_moved", first.0.clone(), first.1.clone())
+            .unwrap();
         match between {
             "batch" => {
                 wh.handle_batch(&src.monitor().poll()).unwrap();
@@ -421,7 +446,8 @@ fn a_moved_tracker_forgets_the_set_up_reads() {
             _ => {}
         }
         let before = wh.meter("campus_moved").unwrap().queries();
-        wh.add_view("campus_moved", second.0.clone(), second.1.clone()).unwrap();
+        wh.add_view("campus_moved", second.0.clone(), second.1.clone())
+            .unwrap();
         let asked = wh.meter("campus_moved").unwrap().queries() - before;
         let want = if between == "nothing" { 0 } else { read };
         assert_eq!(asked, want, "{between} between the set-ups");
@@ -463,16 +489,21 @@ fn a_set_up_read_that_lost_a_query_is_not_shared() {
         });
         let mut wh = Warehouse::new().with_retry_policy(RetryPolicy::none());
         wh.connect_port("campus_lossy", port.clone(), meter, src.next_seq());
-        wh.add_view("campus_lossy", first.0.clone(), first.1.clone()).unwrap();
+        wh.add_view("campus_lossy", first.0.clone(), first.1.clone())
+            .unwrap();
         let first_state = wh.view_state(first.0.view).unwrap();
         let before = port.asked.load(Ordering::Relaxed);
         let dead_before = wh.dead_letters().len();
-        wh.add_view("campus_lossy", second.0.clone(), second.1.clone()).unwrap();
+        wh.add_view("campus_lossy", second.0.clone(), second.1.clone())
+            .unwrap();
         let asked = port.asked.load(Ordering::Relaxed) - before;
         if first_state == ViewState::Stale(StaleCause::QueryFailure) {
             lost += 1;
             assert!(wh.view(first.0.view).unwrap().is_empty(), "seed {seed}");
-            assert_eq!(asked, read, "seed {seed}: the lost read is asked again in full");
+            assert_eq!(
+                asked, read,
+                "seed {seed}: the lost read is asked again in full"
+            );
         } else {
             assert_eq!(first_state, ViewState::Consistent);
             assert_eq!(asked, 0, "seed {seed}: a whole read is shared");
@@ -480,7 +511,11 @@ fn a_set_up_read_that_lost_a_query_is_not_shared() {
         match wh.view_state(second.0.view).unwrap() {
             ViewState::Consistent => assert_recomputes(&src, &wh, &second.0),
             stale => {
-                assert_eq!(stale, ViewState::Stale(StaleCause::QueryFailure), "seed {seed}");
+                assert_eq!(
+                    stale,
+                    ViewState::Stale(StaleCause::QueryFailure),
+                    "seed {seed}"
+                );
                 assert!(wh.dead_letters().len() > dead_before, "seed {seed}");
             }
         }

@@ -8,9 +8,7 @@
 //! write/sync point in turn and checks each recovery against the
 //! prefix-commit oracle [`check_crash_recovery`].
 
-use gsview::durable::{
-    ChaosController, ChaosPolicy, ChunkPort, CrashPlan, DurableStore, MediaSet,
-};
+use gsview::durable::{ChaosController, ChaosPolicy, ChunkPort, CrashPlan, DurableStore, MediaSet};
 use gsview::gsdb::{samples, Oid, Update};
 use gsview::query::{CmpOp, Pred};
 use gsview::views::SimpleViewDef;
