@@ -18,6 +18,11 @@
 //! it does not. [`ancestors_all`] generalizes `ancestor` to DAG bases
 //! (paper §6).
 //!
+//! There is one downward walk along a constant path, [`walk`]: level
+//! by level over slot ids, one label at a time. [`reach`] (`N.p`),
+//! [`eval`] and the query crate's constant selections and conditions
+//! are read from it; the automaton's product walk serves wildcards.
+//!
 //! There is one upward search (`Ancestry::sweep`); [`ancestor_set`],
 //! [`chain_between`] / [`path_between`] and [`fold_walks`] are answers
 //! read from what it visited.
@@ -118,37 +123,114 @@ impl From<&str> for Path {
 // N.p — reachability along a constant path
 // ----------------------------------------------------------------------
 
-/// The set `N.p`: objects reachable from `n` following path `p`
-/// (paper §2). Works on arbitrary graphs; duplicates are collapsed at
-/// every step, so the result is a set even over DAGs.
-pub fn reach(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
-    let mut frontier = vec![n];
-    for &step in p.labels() {
-        let mut next = Vec::new();
-        let mut seen = FastSet::default();
-        for &o in &frontier {
-            for &c in store.children(o) {
-                if store.label(c) == Some(step) && seen.insert(c) {
-                    next.push(c);
+/// The constant-path walk every `N.p` is read from: from `n`, one
+/// label of `labels` at a time, over slot ids (paper §2). Level `k`
+/// holds the objects the first `k` labels reach, in discovery order,
+/// each once; `hit` sees the last level in that order, and the walk
+/// stops at the first object it accepts (`cond()` holds as soon as one
+/// object satisfies it).
+///
+/// `filter`, when given, hides every object it refuses, `n` included,
+/// before anything of it is read — the `WITHIN DB1` scope. A set's
+/// children are distinct, so only a level reached from more than one
+/// object goes through `seen`. `slots` and `seen` are buffers a caller
+/// that walks often keeps; both are cleared here before use.
+///
+/// Answers whether `hit` accepted an object, and how many objects the
+/// walk visited: the sum of the level sizes, the last counted up to the
+/// object accepted. Base accesses: one `children_at` per expanded
+/// object and one `label_at` per live child; a dangling child costs
+/// nothing. The empty path visits `n` alone and reads nothing, whether
+/// or not `n` has a record; a start with no record is visited once,
+/// with one `children` read that finds nothing.
+pub fn walk(
+    store: &Store,
+    n: Oid,
+    labels: &[Label],
+    filter: Option<&dyn Fn(Oid) -> bool>,
+    slots: &mut Vec<u32>,
+    seen: &mut FastSet<u32>,
+    mut hit: impl FnMut(Oid) -> bool,
+) -> (bool, usize) {
+    let admits = |o: Oid| filter.is_none_or(|f| f(o));
+    if !admits(n) {
+        return (false, 0);
+    }
+    if labels.is_empty() {
+        return (hit(n), 1);
+    }
+    let Some(start) = store.slot_of(n) else {
+        let _ = store.children(n);
+        return (false, 1);
+    };
+    // The levels lie end to end in `slots`; `level` is the last.
+    slots.clear();
+    slots.push(start);
+    let mut level = 0..1;
+    let mut visited = 0;
+    for &want in labels {
+        visited += level.len();
+        let many = level.len() > 1;
+        if many {
+            seen.clear();
+        }
+        for i in level.clone() {
+            for &c in store.children_at(slots[i]) {
+                if !admits(c) {
+                    continue;
+                }
+                let Some(cslot) = store.slot_of(c) else {
+                    continue;
+                };
+                if store.label_at(cslot) == Some(want) && (!many || seen.insert(cslot)) {
+                    slots.push(cslot);
                 }
             }
         }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
+        level = level.end..slots.len();
+        if level.is_empty() {
+            return (false, visited);
         }
     }
-    frontier
+    for &slot in &slots[level] {
+        visited += 1;
+        if hit(store.oid_at(slot).expect("a walked slot holds a record")) {
+            return (true, visited);
+        }
+    }
+    (false, visited)
+}
+
+/// The set `N.p`: objects reachable from `n` following path `p`
+/// (paper §2), in [`walk`]'s order. Works on arbitrary graphs; each
+/// object is reached once, so the result is a set even over DAGs.
+pub fn reach(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
+    let mut out = Vec::new();
+    walk_all(store, n, p, |o| out.push(o));
+    out
 }
 
 /// `eval(N, p, cond)`: the objects in `N.p` whose atomic value makes
 /// `cond` true (paper §4.3 definition). For the empty path, `n` itself
 /// is tested. Set objects in `N.p` never satisfy an atomic condition.
 pub fn eval(store: &Store, n: Oid, p: &Path, cond: &dyn Fn(&Atom) -> bool) -> Vec<Oid> {
-    reach(store, n, p)
-        .into_iter()
-        .filter(|&x| store.atom(x).map(cond).unwrap_or(false))
-        .collect()
+    let mut out = Vec::new();
+    walk_all(store, n, p, |o| {
+        if store.atom(o).is_some_and(cond) {
+            out.push(o);
+        }
+    });
+    out
+}
+
+/// The whole of [`walk`] in buffers of its own: `each` sees every
+/// object of `N.p`.
+fn walk_all(store: &Store, n: Oid, p: &Path, mut each: impl FnMut(Oid)) {
+    let (mut slots, mut seen) = (Vec::new(), FastSet::default());
+    walk(store, n, p.labels(), None, &mut slots, &mut seen, |o| {
+        each(o);
+        false
+    });
 }
 
 // ----------------------------------------------------------------------

@@ -26,6 +26,13 @@
 //!   memory its caller keeps, and can stop it at the first object that
 //!   settles an existential test.
 //!
+//! A constant expression's automaton is a chain, and a walk entered in
+//! one of its states needs no product: [`WalkScratch`] hands it to
+//! `gsdb::path::walk`, which follows the labels left level by level
+//! over slot ids — the walk `gsdb::path::reach` and `eval` are read
+//! from. The product walk serves wildcards, alternations and entries
+//! in more than one state.
+//!
 //! The mask is also the bound: an expression may have at most
 //! [`MAX_ELEMS`] elements, and the parsers refuse a longer one.
 
@@ -289,6 +296,10 @@ impl From<&Path> for PathExpr {
 /// The states with no outgoing transition at all (the accepting one,
 /// always) form the complement of `live`: a walk standing in none of
 /// the live states can step nowhere, so it reads no children there.
+///
+/// An automaton compiled from a constant expression is a chain, and
+/// keeps its labels: a walk entered in one of its states has one label
+/// left to follow per level, which `gsdb::path::walk` follows.
 #[derive(Clone, Debug)]
 pub struct Nfa {
     /// mentioned label → column index; unmentioned labels use the
@@ -304,6 +315,8 @@ pub struct Nfa {
     live: u64,
     start: u64,
     accept: u32,
+    /// The labels of a constant expression, state `i` before label `i`.
+    chain: Option<Box<[Label]>>,
 }
 
 impl Nfa {
@@ -363,6 +376,7 @@ impl Nfa {
             live,
             start: closed(0),
             accept: n as u32,
+            chain: e.as_path().map(|p| p.0.into_boxed_slice()),
         }
     }
 
@@ -426,6 +440,17 @@ impl Nfa {
         mask & self.live != 0
     }
 
+    /// The labels left to follow from `mask`, when the automaton is a
+    /// chain and `mask` is one of its states.
+    #[inline]
+    fn chain_from(&self, mask: u64) -> Option<&[Label]> {
+        let chain = self.chain.as_deref()?;
+        if !mask.is_power_of_two() {
+            return None;
+        }
+        chain.get(mask.trailing_zeros() as usize..)
+    }
+
     /// Every state at once: the mask to walk from when the states the
     /// automaton arrived in are not known (a superset of any of them,
     /// so the walk visits a superset of what any of them would).
@@ -482,20 +507,26 @@ pub fn reach_expr(
 /// walk after it.
 const KEEP_SEEN: usize = 1024;
 
-/// The memory of the product walk — the set of product states seen
-/// and the queue — kept by a caller that walks many times, and cleared
-/// between walks. Scope one to a unit of work (a query, a batch of
-/// view maintenance), not to a thread: see DESIGN.md, "Product walk".
+/// The memory of the walks — the set of product states seen and the
+/// queue, and a constant path's levels — kept by a caller that walks
+/// many times, and cleared between walks. Scope one to a unit of work
+/// (a query, a batch of view maintenance), not to a thread: see
+/// DESIGN.md, "Product walk".
 ///
 /// Product states are `(slot id, u64 mask)` pairs, memoized in a
 /// fast-hash set — per-(slot, state-set) visitation is computed at
 /// most once. A state set from which the automaton can step nowhere
-/// (the accepting state alone, say) reads no children. Base accesses:
-/// one per children fetch, one per child label read.
+/// (the accepting state alone, say) reads no children. A chain entered
+/// in one state walks its levels instead (`gsdb::path::walk`), with
+/// the same answers, order, state count and accesses. Base accesses:
+/// one per children fetch, one per live child's label read.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     pub(crate) seen: FastSet<(u32, u64)>,
     pub(crate) queue: VecDeque<(u32, u64)>,
+    /// The levels and the level set of a constant path's walk.
+    levels: Vec<u32>,
+    level_seen: FastSet<u32>,
 }
 
 impl WalkScratch {
@@ -549,6 +580,21 @@ impl WalkScratch {
         filter: &dyn Fn(Oid) -> bool,
         mut hit: impl FnMut(Oid) -> bool,
     ) -> (bool, TraversalStats) {
+        if let Some(labels) = d.chain_from(start) {
+            if self.level_seen.capacity() > KEEP_SEEN {
+                self.level_seen = FastSet::default();
+            }
+            let (found, states_visited) = gsdb::path::walk(
+                store,
+                n,
+                labels,
+                Some(filter),
+                &mut self.levels,
+                &mut self.level_seen,
+                hit,
+            );
+            return (found, TraversalStats { states_visited });
+        }
         let mut stats = TraversalStats::default();
         if !filter(n) {
             return (false, stats);
@@ -563,7 +609,7 @@ impl WalkScratch {
             return (d.is_accepting(start) && hit(n), stats);
         };
         self.reset();
-        let WalkScratch { seen, queue } = self;
+        let WalkScratch { seen, queue, .. } = self;
         seen.insert((nslot, start));
         queue.push_back((nslot, start));
         while let Some((slot, mask)) = queue.pop_front() {

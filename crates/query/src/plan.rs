@@ -232,7 +232,7 @@ pub(crate) fn backward_in(
         };
         // Upward product BFS: consume label(cur), climb to parents.
         scratch.reset();
-        let WalkScratch { seen, queue } = &mut *scratch;
+        let WalkScratch { seen, queue, .. } = &mut *scratch;
         seen.insert((cslot, start));
         queue.push_back((cslot, start));
         let mut matched = false;

@@ -1,13 +1,15 @@
 //! Property tests for the path-expression machinery: NFA matching
 //! against a brute-force oracle, containment consistency,
-//! forward/backward traversal agreement, and the product walk — pruned
+//! forward/backward traversal agreement, the product walk — pruned
 //! at states that step nowhere, run in a reused scratch, stopped at a
-//! first witness — against a naive product BFS.
+//! first witness — against a naive product BFS, and the constant-path
+//! walk (`gsdb::path::walk`, behind queries and `gsdb::path::{reach,
+//! eval}`) against the product walk.
 
-use gsdb::{Label, Object, Oid, Path, Store};
+use gsdb::{path, Label, Object, Oid, Path, Store};
 use gsview_query::pathexpr::{reach_expr, Elem, Nfa, PathExpr, WalkScratch};
 use gsview_query::plan::reach_expr_backward;
-use gsview_query::{CmpOp, Pred};
+use gsview_query::{evaluate, CmpOp, Entry, Pred, Query};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -430,5 +432,193 @@ proptest! {
         prop_assert_eq!((all.len(), stats.states_visited), (big, big));
         let checked = check_walks(&store, &mut scratch, &walks);
         prop_assert!(checked.is_ok(), "{} over shape {shape}, {:?}", checked.unwrap_err(), nodes);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The constant-path walk against the product walk
+// ----------------------------------------------------------------------
+
+/// The twin of a constant expression: every label spelled as a
+/// one-label alternation `(a)`. Same language, same automaton tables,
+/// but not a constant expression, so it walks the product.
+fn twin(e: &PathExpr) -> PathExpr {
+    PathExpr(
+        e.0.iter()
+            .map(|el| match el {
+                Elem::Label(l) => Elem::Alt(vec![*l]),
+                other => other.clone(),
+            })
+            .collect(),
+    )
+}
+
+/// A constant expression of fewer than `max` labels.
+fn constant_strategy(max: usize) -> impl Strategy<Value = PathExpr> {
+    prop::collection::vec(0..ALPHABET.len(), 0..max).prop_map(|w| PathExpr::from_path(&to_path(&w)))
+}
+
+/// Shaped graphs dense enough for shared children to lie on a walked
+/// path: two labels, up to five children each, few of them dangling.
+fn dense_graph_strategy() -> impl Strategy<Value = (usize, Vec<Node>)> {
+    let value = prop_oneof![(0..4i64).prop_map(Some), Just(None), Just(None), Just(None)];
+    let node = (0..2usize, value, prop::collection::vec(0..10usize, 0..6));
+    (0..SHAPES, prop::collection::vec(node, 6..10))
+}
+
+/// A constant path with objects on it: the labels of a walk from `n`
+/// that takes child `k % children` at each step, or a drawn label
+/// where the walk has nowhere to go. Reads before counting starts.
+fn steered(store: &Store, n: Oid, steps: &[usize]) -> PathExpr {
+    let mut at = n;
+    let mut labels = Vec::new();
+    for &k in steps {
+        let kids = store.children(at);
+        match kids
+            .get(k % kids.len().max(1))
+            .and_then(|&c| Some((c, store.label(c)?)))
+        {
+            Some((c, l)) => {
+                labels.push(l);
+                at = c;
+            }
+            None => labels.push(Label::new(ALPHABET[k % ALPHABET.len()])),
+        }
+    }
+    PathExpr::from_path(&Path(labels))
+}
+
+/// `Some` of a drawn value half the time.
+fn maybe<T: Strategy>(inner: T) -> impl Strategy<Value = Option<T::Value>> {
+    (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+}
+
+/// A database object over the shaped nodes whose bits are set, past
+/// the graph ones included (dangling members).
+fn shaped_db(store: &mut Store, name: &str, bits: u16) -> Oid {
+    let members: Vec<Oid> = (0..10).filter(|i| bits >> i & 1 == 1).map(shaped).collect();
+    store.create(Object::set(name, "db", &members)).unwrap();
+    Oid::new(name)
+}
+
+/// `f` run on `store`, with the base accesses it cost.
+fn counted<T>(store: &Store, f: impl FnOnce() -> T) -> (T, u64) {
+    store.reset_accesses();
+    let out = f();
+    (out, store.accesses())
+}
+
+/// The objects the product walk reaches, in discovery order, that
+/// `keep` admits as each is found, and the walk's accesses.
+fn product_order(
+    store: &Store,
+    n: Oid,
+    e: &PathExpr,
+    keep: impl Fn(Oid) -> bool,
+) -> (Vec<Oid>, u64) {
+    let nfa = twin(e).nfa();
+    counted(store, || {
+        let mut out = Vec::new();
+        WalkScratch::default().any(store, n, &nfa, nfa.start_mask(), &|_| true, |o| {
+            if keep(o) {
+                out.push(o);
+            }
+            false
+        });
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// A constant query answers what its `(a)`-spelled twin answers on
+    /// the product walk — the same objects in the same order, the same
+    /// `EvalStats` and the same base accesses — with and without
+    /// `WITHIN` and `ANS INT`; and entered part-way along the chain, a
+    /// walk in a reused scratch reaches and decides what the twin's
+    /// does, at the same cost.
+    #[test]
+    fn the_constant_route_equals_the_product_walk(
+        (shape, nodes) in dense_graph_strategy(),
+        steps in prop::collection::vec(0..6usize, 0..4),
+        cond in maybe((constant_strategy(3), (0..4usize, 0..4i64))),
+        entry in 0..10usize,
+        within in maybe(any::<u16>()),
+        ans_int in maybe(any::<u16>()),
+        part_way in prop::collection::vec((0..10usize, 0..5usize), 1..6),
+    ) {
+        let mut store = Store::new();
+        build_shaped(&mut store, shape, &nodes);
+        let within = within.map(|bits| shaped_db(&mut store, "pwdb_within", bits));
+        let ans_int = ans_int.map(|bits| shaped_db(&mut store, "pwdb_ans", bits));
+        let sel = steered(&store, shaped(entry), &steps);
+        let full = steered(&store, shaped(entry), &[0, 1, 2, 3]);
+        store.set_count_accesses(true);
+        let query = |sel: PathExpr, cond_path: Option<PathExpr>| {
+            let mut q = Query::select(Entry::Object(shaped(entry)), sel);
+            if let (Some(path), Some((_, (op, rhs)))) = (cond_path, &cond) {
+                let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Gt][*op];
+                q = q.with_cond(path, Pred::new(op, *rhs));
+            }
+            q.within = within;
+            q.ans_int = ans_int;
+            q
+        };
+        let cond_path = cond.as_ref().map(|(p, _)| p.clone());
+        let chain = query(sel.clone(), cond_path.clone());
+        let product = query(twin(&sel), cond_path.as_ref().map(twin));
+        let (got, got_cost) = counted(&store, || evaluate(&store, &chain));
+        let (want, want_cost) = counted(&store, || evaluate(&store, &product));
+        prop_assert_eq!(&got, &want, "{} over shape {}, {:?}", chain, shape, nodes);
+        prop_assert_eq!(got_cost, want_cost, "accesses of {}", chain);
+
+        let (chain_nfa, product_nfa) = (full.nfa(), twin(&full).nfa());
+        let members = within.map(|db| store.children(db).to_vec());
+        let admits = |o: Oid| members.as_ref().is_none_or(|m| m.contains(&o));
+        let pred = Pred::new(CmpOp::Gt, 1i64);
+        let mut scratch = WalkScratch::default();
+        for &(start, state) in &part_way {
+            let (n, mask) = (shaped(start), 1u64 << state.min(full.len()));
+            let walks = |scratch: &mut WalkScratch, nfa: &Nfa| {
+                let reach = counted(&store, || scratch.reach(&store, n, nfa, mask, &admits));
+                let mut order = Vec::new();
+                let any = counted(&store, || {
+                    scratch.any(&store, n, nfa, mask, &admits, |o| {
+                        order.push(o);
+                        pred.holds_at(&store, o)
+                    })
+                });
+                (reach, any, order)
+            };
+            let got = walks(&mut scratch, &chain_nfa);
+            let want = walks(&mut WalkScratch::default(), &product_nfa);
+            prop_assert_eq!(&got, &want, "from {} in state {} over shape {}, {:?}", n, state, shape, nodes);
+        }
+    }
+
+    /// `gsdb::path::{reach, eval}` reach what the product walk reaches,
+    /// in its discovery order and at its cost, from objects in the
+    /// store and from a missing one, along the empty path too.
+    #[test]
+    fn gsdb_paths_equal_the_product_walk(
+        (shape, nodes) in dense_graph_strategy(),
+        walks in prop::collection::vec((prop::collection::vec(0..6usize, 0..4), 0..10usize, 0..4i64), 1..8),
+    ) {
+        let mut store = Store::new();
+        build_shaped(&mut store, shape, &nodes);
+        let walks: Vec<(PathExpr, usize, i64)> =
+            walks.iter().map(|(steps, start, rhs)| (steered(&store, shaped(*start), steps), *start, *rhs)).collect();
+        store.set_count_accesses(true);
+        for (e, start, rhs) in &walks {
+            let (n, p) = (shaped(*start), e.as_path().unwrap());
+            let got = counted(&store, || path::reach(&store, n, &p));
+            let want = product_order(&store, n, e, |_| true);
+            prop_assert_eq!(&got, &want, "reach {} from {} over shape {}, {:?}", p, n, shape, nodes);
+            let cond = |a: &gsdb::Atom| Pred::new(CmpOp::Lt, *rhs).eval(a);
+            let got = counted(&store, || path::eval(&store, n, &p, &cond));
+            let want = product_order(&store, n, e, |o| store.atom(o).is_some_and(cond));
+            prop_assert_eq!(&got, &want, "eval {} from {} over shape {}, {:?}", p, n, shape, nodes);
+        }
     }
 }

@@ -20,6 +20,12 @@
 # apart — in the better direction — by more than the parent's own
 # inter-quartile range.
 #
+# Each run's info line is kept beside its result line, and the two
+# sides of every pair are compared on views_digest, store_digest,
+# reads_digest and counts: the script prints "digests equal in N/N
+# pairs", or names each pair and field that differ. A difference is a
+# warning, not a failure, since a change may move a digest on purpose.
+#
 # Writes only under target/ (either side's) and .gsbench_tmp/; a lock
 # file the build rewrites next to the command's --manifest-path is put
 # back as it was. POSIX sh and awk only.
@@ -71,7 +77,7 @@ manifest=$(echo "$cmd" | awk '{ for (i = 1; i < NF; i++) if ($i == "--manifest-p
 out=target/bench_pair
 parent=$out/parent
 mkdir -p "$out/runs"
-rm -f "$out"/runs/*.json
+rm -f "$out"/runs/*.json "$out"/runs/*.info
 
 if [ -e "$parent/.git" ]; then
     git -C "$parent" checkout --quiet --detach "$parent_ref"
@@ -97,11 +103,14 @@ case "$cmd" in
     ;;
 esac
 
-# one <side> <dir> <pair>: run once, keep the result line.
+# one <side> <dir> <pair>: run once, keep the info and result lines.
 one() {
     # shellcheck disable=SC2086
     (cd "$2" && $cmd --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) |
-        tail -n 1 >"$out/runs/$1_$3.json"
+        tail -n 2 >"$out/runs/$1_$3.both"
+    head -n 1 "$out/runs/$1_$3.both" >"$out/runs/$1_$3.info"
+    tail -n 1 "$out/runs/$1_$3.both" >"$out/runs/$1_$3.json"
+    rm -f "$out/runs/$1_$3.both"
     grep -q '"correct": *true' "$out/runs/$1_$3.json" || {
         echo "bench_pair: $1 run of pair $3 is not correct: $(cat "$out/runs/$1_$3.json")" >&2
         exit 1
@@ -172,3 +181,32 @@ END {
             wins, pairs, ok ? "yes" : "no"
     }
 }' "$spec"
+
+# The digests of both sides, pair by pair. `counts` is a flat object,
+# so its text runs to the first closing brace.
+awk -v pairs="$pairs" -v runs="$out/runs" '
+function field(file, name,    line, at) {
+    getline line < file; close(file)
+    at = index(line, "\"" name "\": ")
+    if (!at) return "(missing)"
+    line = substr(line, at + length(name) + 4)
+    if (name == "counts") sub(/}.*/, "}", line); else sub(/[,}].*/, "", line)
+    return line
+}
+BEGIN {
+    split("views_digest store_digest reads_digest counts", names, " ")
+    equal = 0
+    for (i = 1; i <= pairs; i++) {
+        same = 1
+        for (k = 1; k <= 4; k++) {
+            p = field(runs "/parent_" i ".info", names[k])
+            c = field(runs "/change_" i ".info", names[k])
+            if (p != c) {
+                same = 0
+                printf "bench_pair: warning: pair %d: %s differs: parent %s, change %s\n", i, names[k], p, c
+            }
+        }
+        equal += same
+    }
+    printf "digests equal in %d/%d pairs\n", equal, pairs
+}'
