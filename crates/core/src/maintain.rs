@@ -39,7 +39,6 @@ use crate::sink::{refresh_touched, ViewSink};
 use crate::viewdef::SimpleViewDef;
 use gsdb::{AppliedUpdate, ConsolidatedDelta, DeltaBatch, EdgeOp, FastSet, Oid, Path, Result};
 use gsview_query::Pred;
-use std::collections::HashSet;
 
 /// Stable name of an update kind for event fields.
 pub(crate) fn update_kind(update: &AppliedUpdate) -> &'static str {
@@ -503,7 +502,7 @@ impl Maintainer {
 
         // Phase 2: repair each candidate once against ground truth.
         let repair_span = gsview_obs::span!("maint.phase.repair", "candidates" = candidates.len());
-        let mut seen: HashSet<Oid> = HashSet::new();
+        let mut seen: FastSet<Oid> = FastSet::default();
         for y in candidates {
             if !seen.insert(y) {
                 continue;

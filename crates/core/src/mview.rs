@@ -7,8 +7,7 @@
 //! which means delegate values contain *base* OIDs until edges are
 //! swizzled.
 
-use gsdb::{label::well_known, GsdbError, Object, Oid, Result, Store, Value};
-use std::collections::HashMap;
+use gsdb::{label::well_known, FastMap, GsdbError, Object, Oid, Result, Store, Value};
 
 /// The operations recorded by [`MaterializedView::v_insert`] /
 /// [`MaterializedView::v_delete`] — useful for warehouses that ship
@@ -38,7 +37,7 @@ pub enum ViewDelta {
 pub struct MaterializedView {
     view: Oid,
     store: Store,
-    base_to_delegate: HashMap<Oid, Oid>,
+    base_to_delegate: FastMap<Oid, Oid>,
     deltas: Vec<ViewDelta>,
     record_deltas: bool,
 }
@@ -59,7 +58,7 @@ impl MaterializedView {
         MaterializedView {
             view,
             store,
-            base_to_delegate: HashMap::new(),
+            base_to_delegate: FastMap::default(),
             deltas: Vec::new(),
             record_deltas: false,
         }
@@ -218,19 +217,24 @@ impl MaterializedView {
     }
 
     /// Refresh a current member's delegate from the base object: the
-    /// delegate's value is replaced with a fresh (unswizzled) copy of
-    /// the base value. Returns `false` when `obj` is not a member.
-    /// Callers that keep views swizzled re-swizzle afterwards.
+    /// delegate's value is replaced, in place, with a fresh (unswizzled)
+    /// copy of the base value — the delegate keeps its slot and its
+    /// place in the view object, and only the children that changed
+    /// move in the view store's parent index ([`Store::replace_value`]).
+    /// Returns `false` when `obj` is not a member or its copy is
+    /// already current. Callers that keep views swizzled re-swizzle
+    /// afterwards.
     pub fn refresh_delegate(&mut self, obj: &Object) -> Result<bool> {
         let Some(delegate) = self.delegate_of(obj.oid) else {
             return Ok(false);
         };
-        let current = self.delegate(delegate).map(|d| d.value.clone());
-        if current.as_ref() == Some(&obj.value) {
+        if self
+            .delegate(delegate)
+            .is_some_and(|d| d.value == obj.value)
+        {
             return Ok(false);
         }
-        let fresh = obj.value.clone();
-        self.edit_delegate(delegate, move |v| *v = fresh)?;
+        self.store.replace_value(delegate, obj.value.clone())?;
         Ok(true)
     }
 
@@ -255,34 +259,19 @@ impl MaterializedView {
     /// Apply an arbitrary edit to a delegate object's value (paper
     /// §3.2: "it is possible to 'manually' change the object values
     /// without affecting base objects ... this has to be done with
-    /// care").
+    /// care"). The delegate is rewritten in place
+    /// ([`Store::replace_value`]).
     pub fn edit_delegate(&mut self, delegate: Oid, f: impl FnOnce(&mut Value)) -> Result<()> {
         if delegate == self.view {
             return Err(GsdbError::NoSuchObject(delegate));
         }
-        let obj = self
+        let mut value = self
             .store
             .get(delegate)
-            .cloned()
+            .map(|o| o.value.clone())
             .ok_or(GsdbError::NoSuchObject(delegate))?;
-        let mut value = obj.value;
         f(&mut value);
-        // Replace the object wholesale (removing and recreating keeps
-        // the indexes exact).
-        let parents: Vec<Oid> = self.store.parents(delegate).iter().collect();
-        for p in &parents {
-            self.store.delete_edge(*p, delegate)?;
-        }
-        self.store.apply(gsdb::Update::Remove { oid: delegate })?;
-        self.store.create(Object {
-            oid: delegate,
-            label: obj.label,
-            value,
-        })?;
-        for p in parents {
-            self.store.insert_edge(p, delegate)?;
-        }
-        Ok(())
+        self.store.replace_value(delegate, value)
     }
 
     /// Swizzle all edges (paper §3.2): in every delegate's value,
@@ -295,7 +284,7 @@ impl MaterializedView {
     /// Undo swizzling: replace delegate OIDs inside values with their
     /// base OIDs.
     pub fn unswizzle(&mut self) -> Result<usize> {
-        let inverse: HashMap<Oid, Oid> = self
+        let inverse: FastMap<Oid, Oid> = self
             .base_to_delegate
             .iter()
             .map(|(&b, &d)| (d, b))
@@ -342,7 +331,7 @@ impl MaterializedView {
 
     fn rewrite_values(
         &mut self,
-        map_oid: impl Fn(&HashMap<Oid, Oid>, Oid) -> Option<Oid>,
+        map_oid: impl Fn(&FastMap<Oid, Oid>, Oid) -> Option<Oid>,
     ) -> Result<usize> {
         let delegates: Vec<Oid> = self.members_delegates();
         let mapping = self.base_to_delegate.clone();

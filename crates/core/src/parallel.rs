@@ -9,17 +9,17 @@
 //! only its own view. [`ParallelMaintainer`] exploits that by
 //!
 //! 1. **partitioning** the delta per view — dropping the deltas that
-//!    provably cannot affect a view, using the inverse (parent) index
-//!    to test whether the view's root is an ancestor of the update's
-//!    anchor object;
+//!    provably cannot affect a view: a modify that flips no verdict of
+//!    the view's condition, decided from its two values alone, and any
+//!    delta whose anchor object lies outside the view's root, tested
+//!    through the inverse (parent) index;
 //! 2. **walking each anchor once** — Algorithm 1's location test
 //!    (§4.3) asks `path(view root, anchor)` of every delta a view is
 //!    handed, and the views of a portfolio mostly share one root.
 //!    Before the fan-out the calling thread walks each (view root,
 //!    anchor) pair some view's locate phase will ask, once: the parent
-//!    of every edge in the view's partitioned delta, and every modified
-//!    OID of a view with a condition (a view without one never locates
-//!    a modify; walking every anchor under every root instead raised
+//!    of every edge and every modified OID in the view's partitioned
+//!    delta (walking every anchor under every root instead raised
 //!    E13's partitioned accesses 3.6×). The lanes read the answers
 //!    through a [`BaseAccess`] that falls back to the store on a miss.
 //!    Each answer is what [`path::path_between`] returns on the same
@@ -47,6 +47,20 @@
 //!   `V.root` to be an ancestor of the anchor in the final state; a
 //!   delta that fails the test is `continue`d with no side effects, so
 //!   dropping it is behaviour-identical.
+//! * **Modifies are screened by their verdict first.** A consolidated
+//!   `modify(N, oldv, newv)` carries the atom's value before the batch
+//!   and after it (§4.3 decides from the two). It is kept for `V` only
+//!   if `V` has a condition and `cond(oldv) ≠ cond(newv)`; the test
+//!   runs before the ancestry search, which a modify no view keeps
+//!   never makes. A view without a condition ignores modifies
+//!   outright. With a condition, `Y` is a member iff it is derivable
+//!   and some atom at `Y.cond_path` satisfies `cond`; an atom whose
+//!   verdict is the same before and after the batch is a witness in
+//!   both states or in neither, so a change to `Y`'s membership has
+//!   another cause — an edge delta, a kept modify of another witness,
+//!   or a replaced record (the sweep) — and that delta reaches `V`
+//!   and makes `Y` a candidate itself. Repeated modifies of one atom
+//!   that net to no flip are one such modify.
 //! * **Deletes are screened by ancestry or member overlap** (when the
 //!   partitioner can see the views, i.e. via
 //!   [`ParallelMaintainer::partition_for`] — the view-blind
@@ -301,11 +315,24 @@ impl ParallelMaintainer {
             }
         }
         for m in &delta.modifies {
+            // A modify matters to a view only if it flips the view's
+            // condition (module docs): decided from the two values
+            // before any ancestry is read.
+            let flips = |plan: &Maintainer| {
+                plan.def()
+                    .cond
+                    .as_ref()
+                    .is_some_and(|c| c.pred.eval(&m.old) != c.pred.eval(&m.new))
+            };
+            if !self.plans.iter().any(flips) {
+                stats.screened_out += self.plans.len();
+                continue;
+            }
             let anchors = closures
                 .entry(m.oid)
                 .or_insert_with(|| path::ancestor_set(store, m.oid));
             for (v, plan) in self.plans.iter().enumerate() {
-                if anchors.contains(&plan.def().root) {
+                if flips(plan) && anchors.contains(&plan.def().root) {
                     out[v].modifies.push(m.clone());
                     stats.dispatched += 1;
                 } else {
@@ -319,18 +346,18 @@ impl ParallelMaintainer {
     }
 
     /// Walk once each (view root, anchor) pair the views' locate phases
-    /// will ask of `deltas` (one per view): every edge's parent, and
-    /// every modified OID of a view with a condition.
+    /// will ask of `deltas` (one per view, as partitioned): every edge's
+    /// parent and every modified OID, since a partitioned view keeps
+    /// only the modifies that flip its condition.
     fn walk_anchors(&self, store: &Store, deltas: &[ConsolidatedDelta]) -> Walks {
         let mut walks = Walks::default();
         for (plan, d) in self.plans.iter().zip(deltas) {
             let root = plan.def().root;
-            let modified = d.modifies.iter().filter(|_| plan.def().cond.is_some());
             for anchor in d
                 .edges
                 .iter()
                 .map(|e| e.parent)
-                .chain(modified.map(|m| m.oid))
+                .chain(d.modifies.iter().map(|m| m.oid))
             {
                 walks
                     .entry((root, anchor))
@@ -511,10 +538,15 @@ mod tests {
 
     #[test]
     fn views_under_one_root_walk_each_anchor_once() {
-        // Six conditioned views under ROOT and a batch of modifies: each
-        // view locates every modify by walking up from the atom, and
-        // the repair phase asks paths of members only, never of an
-        // atom — so a flush saves exactly five views' locate walks.
+        // Six conditioned views under ROOT. Each modify of the first
+        // batch flips the condition of every view it is located for,
+        // and of some others (the partition keeps a flip without
+        // locating it): each view locates its kept modifies by walking
+        // up from the atom, and the repair phase asks paths of members
+        // only, never of an atom — so a flush walks each modified atom
+        // once, however many views keep it. The second batch flips no
+        // condition: the partition screens it for every view before it
+        // reads anything, and the flush makes no walk.
         let (le, gt) = (
             |v: i64| Pred::new(CmpOp::Le, v),
             |v: i64| Pred::new(CmpOp::Gt, v),
@@ -528,45 +560,68 @@ mod tests {
             SimpleViewDef::new("W6", "ROOT", "professor")
                 .with_cond("name", Pred::new(CmpOp::Eq, "John")),
         ];
-        let mut store = Store::counting();
-        samples::person_db(&mut store).unwrap();
-        let views: Vec<MaterializedView> = defs
-            .iter()
-            .map(|d| recompute(d, &mut LocalBase::new(&store)).unwrap())
-            .collect();
-        let mut batch = DeltaBatch::new();
-        for u in [
-            Update::modify("A1", 30i64),
-            Update::modify("A3", 22i64),
-            Update::modify("A4", 50i64),
-            Update::modify("N1", "Jo"),
-        ] {
-            batch.push(store.apply(u).unwrap());
-        }
-        let delta = batch.consolidate();
         let pm = ParallelMaintainer::new(defs);
-        let accesses = |f: &mut dyn FnMut()| {
+        let flush_of = |updates: Vec<Update>| {
+            let mut store = Store::counting();
+            samples::person_db(&mut store).unwrap();
+            let views: Vec<MaterializedView> = pm
+                .defs()
+                .map(|d| recompute(d, &mut LocalBase::new(&store)).unwrap())
+                .collect();
+            let mut batch = DeltaBatch::new();
+            for u in updates {
+                batch.push(store.apply(u).unwrap());
+            }
+            (store, views, batch.consolidate())
+        };
+        let accesses = |store: &Store, f: &mut dyn FnMut()| {
             store.reset_accesses();
             f();
             store.accesses()
         };
 
-        let partition = accesses(&mut || {
+        // A1 45 → 70 flips W1, W2 and W3; A3 20 → 50 flips W1, W3, W4
+        // and W5; A4 40 → 70 flips W1, W2 and W3; N1 flips W6.
+        let (store, views, delta) = flush_of(vec![
+            Update::modify("A1", 70i64),
+            Update::modify("A3", 50i64),
+            Update::modify("A4", 70i64),
+            Update::modify("N1", "Jo"),
+        ]);
+        let partition = accesses(&store, &mut || {
             pm.partition_for(&store, &delta, &views);
         });
-        let (deltas, _) = pm.partition_for(&store, &delta, &views);
-        assert!(
-            deltas.iter().all(|d| d.modifies.len() == 4),
-            "nothing screened"
+        let (deltas, stats) = pm.partition_for(&store, &delta, &views);
+        let kept: Vec<Vec<&str>> = deltas
+            .iter()
+            .map(|d| d.modifies.iter().map(|m| m.oid.name()).collect())
+            .collect();
+        assert_eq!(
+            kept,
+            [
+                &["A1", "A3", "A4"][..],
+                &["A1", "A4"],
+                &["A1", "A3", "A4"],
+                &["A3"],
+                &["A3"],
+                &["N1"],
+            ]
         );
-        // One view's locate walks: every modified atom, once.
-        let walk = accesses(&mut || {
-            for m in &delta.modifies {
-                path::path_between(&store, oid("ROOT"), m.oid);
-            }
-        });
+        assert_eq!(stats.screened_out, 6 * 4 - 11);
+        // Walks up from the given atoms, as a view's locate phase makes
+        // them.
+        let walks = |atoms: &mut dyn Iterator<Item = Oid>| {
+            let atoms: Vec<Oid> = atoms.collect();
+            accesses(&store, &mut || {
+                for &a in &atoms {
+                    path::path_between(&store, oid("ROOT"), a);
+                }
+            })
+        };
+        // Every modified atom walked once.
+        let walk = walks(&mut delta.modifies.iter().map(|m| m.oid));
         assert!(walk > 0);
-        // What each view costs on its own, less its walks.
+        // What each view costs on its own, less its own walks.
         let rest: u64 = pm
             .plans
             .iter()
@@ -574,20 +629,41 @@ mod tests {
             .zip(&views)
             .map(|((plan, d), mv)| {
                 let mut mv = mv.clone();
-                let alone = accesses(&mut || {
+                let alone = accesses(&store, &mut || {
                     plan.apply_consolidated(&mut mv, &mut LocalBase::new(&store), d)
                         .unwrap();
                 });
-                alone - walk
+                alone - walks(&mut d.modifies.iter().map(|m| m.oid))
             })
             .sum();
         for threads in [1, 2, 6] {
             let mut views = views.clone();
-            let flush = accesses(&mut || {
+            let flush = accesses(&store, &mut || {
                 pm.apply_consolidated(&mut views, &store, &delta, threads)
                     .unwrap();
             });
             assert_eq!(flush, partition + walk + rest, "at {threads} threads");
+        }
+
+        // Each verdict the same before and after: A1 stays ≤ 45, A3
+        // ≤ 25, A4 ≤ 45, and N4 is no professor's name.
+        let (store, views, delta) = flush_of(vec![
+            Update::modify("A1", 40i64),
+            Update::modify("A3", 21i64),
+            Update::modify("A4", 41i64),
+            Update::modify("N4", "Tim"),
+        ]);
+        let (deltas, stats) = pm.partition_for(&store, &delta, &views);
+        assert!(deltas.iter().all(|d| d.modifies.is_empty()));
+        assert_eq!(stats.screened_out, 6 * 4);
+        assert!(pm.walk_anchors(&store, &deltas).is_empty());
+        for threads in [1, 2, 6] {
+            let mut views = views.clone();
+            let flush = accesses(&store, &mut || {
+                pm.apply_consolidated(&mut views, &store, &delta, threads)
+                    .unwrap();
+            });
+            assert_eq!(flush, 0, "at {threads} threads");
         }
     }
 
@@ -688,12 +764,17 @@ mod tests {
     fn modifies_are_screened_by_ancestry() {
         let mut store = person_store();
         let mut batch = DeltaBatch::new();
-        // A4 is the secretary's age: under ROOT but not under P1.
+        // A4 is the secretary's age: under ROOT but not under P1. The
+        // modify flips both views' conditions, so only ancestry screens.
         batch.push(store.apply(Update::modify("A4", 99i64)).unwrap());
-        let pm = ParallelMaintainer::new(defs());
+        let le45 = || Pred::new(CmpOp::Le, 45i64);
+        let pm = ParallelMaintainer::new([
+            SimpleViewDef::new("YP", "ROOT", "professor").with_cond("age", le45()),
+            SimpleViewDef::new("YS", "P1", "student").with_cond("age", le45()),
+        ]);
         let (deltas, _) = pm.partition(&store, &batch.consolidate());
         assert_eq!(deltas[0].modifies.len(), 1);
-        assert!(deltas[2].modifies.is_empty(), "P1 is not an ancestor of A4");
+        assert!(deltas[1].modifies.is_empty(), "P1 is not an ancestor of A4");
     }
 
     #[test]

@@ -482,3 +482,94 @@ proptest! {
         assert_parallel_equivalent(&defs, &store, &updates, threads);
     }
 }
+
+/// Ages on both sides of every threshold the screen's views test
+/// (`≤ 45`, `> 20`, `> 60`), two or three to each run of equal verdicts.
+const SCREEN_AGES: [i64; 8] = [19, 20, 21, 44, 45, 46, 60, 61];
+
+/// The verdicts of the screen's three thresholds on an age.
+fn verdicts(age: i64) -> (bool, bool, bool) {
+    (age <= 45, age > 20, age > 60)
+}
+
+/// `run` with bounces spliced in: a bounce at position `at` modifies an
+/// age atom to a value that flips some verdict, then to one with the
+/// verdicts the atom held before — two modifies of one atom that net
+/// to no flip (or to no change at all).
+fn with_bounces(
+    initial: &Store,
+    run: &[Update],
+    atoms: &[Oid],
+    bounces: &[(usize, usize, usize, usize)],
+) -> Vec<Update> {
+    let mut sim = initial.clone();
+    let mut out = Vec::new();
+    for i in 0..=run.len() {
+        for &(_, a, away, back) in bounces.iter().filter(|b| b.0 % (run.len() + 1) == i) {
+            let atom = atoms[a % atoms.len()];
+            let Some(&gsdb::Atom::Int(now)) = sim.atom(atom) else {
+                continue;
+            };
+            let (same, other): (Vec<i64>, Vec<i64>) = SCREEN_AGES
+                .iter()
+                .partition(|&&v| verdicts(v) == verdicts(now));
+            for v in [other[away % other.len()], same[back % same.len()]] {
+                let u = Update::Modify {
+                    oid: atom,
+                    new: gsdb::Atom::Int(v),
+                };
+                sim.apply(u.clone()).unwrap();
+                out.push(u);
+            }
+        }
+        if let Some(u) = run.get(i) {
+            let _ = sim.apply(u.clone());
+            out.push(u.clone());
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The partition keeps a modify for a view only if it flips the
+    /// view's condition. Over tree bases whose ages sit on both sides
+    /// of every threshold, runs mixing inserts, cuts, single modifies
+    /// and bounces (modifies of one atom that net to no flip), the
+    /// parallel route at 1, 2, 4 and 8 threads must agree with
+    /// sequential Algorithm 1, the batched maintainer and recompute
+    /// for views with and without conditions, rooted at ROOT and below
+    /// it. (`shared_walks` compares against lone views over the
+    /// partitioned delta, so it cannot see a modify screened wrongly.)
+    #[test]
+    fn a_modify_that_flips_no_condition_is_screened_soundly(
+        (n_prof, studs) in (1..4usize, 0..3usize),
+        ages in prop::collection::vec(0..8usize, 1..6),
+        raw in raw_ops(),
+        bounces in prop::collection::vec((0..256usize, 0..64usize, 0..8usize, 0..8usize), 0..12),
+    ) {
+        let ages: Vec<i64> = ages.iter().map(|&i| SCREEN_AGES[i]).collect();
+        let base = build_campus(0, n_prof, studs, &ages);
+        let mut run = realize_ops(&raw, &base, false);
+        for u in &mut run {
+            if let Update::Modify { new: gsdb::Atom::Int(v), .. } = u {
+                *v = SCREEN_AGES[*v as usize % SCREEN_AGES.len()];
+            }
+        }
+        let updates = with_bounces(&base.store, &run, &base.atoms, &bounces);
+        let le45 = || Pred::new(CmpOp::Le, 45i64);
+        let defs = vec![
+            SimpleViewDef::new("V", "ROOT", "professor").with_cond("age", le45()),
+            SimpleViewDef::new("VO", "ROOT", "professor")
+                .with_cond("age", Pred::new(CmpOp::Gt, 60i64)),
+            SimpleViewDef::new("VS", "ROOT", "professor.student")
+                .with_cond("age", Pred::new(CmpOp::Gt, 20i64)),
+            SimpleViewDef::new("VB", "ROOT", "professor.student"),
+            SimpleViewDef::new("PV", "P0", "student").with_cond("age", le45()),
+        ];
+        for threads in [1, 2, 4, 8] {
+            assert_parallel_equivalent(&defs, &base.store, &updates, threads);
+        }
+    }
+}

@@ -16,7 +16,7 @@
 //! a hit on a short name reads one cache line. Names are copied into
 //! leaked blocks, one after the other.
 
-use std::collections::HashMap;
+use crate::FastMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
@@ -274,10 +274,10 @@ struct Interner {
     append: Mutex<Arena>,
     table: ResolveTable,
     /// Delegate symbol → its (view, base) pair.
-    delegate_parts: RwLock<HashMap<Symbol, (Symbol, Symbol)>>,
+    delegate_parts: RwLock<FastMap<Symbol, (Symbol, Symbol)>>,
     /// (view, base) → delegate symbol: lets repeat delegate
     /// construction skip the format+intern entirely.
-    delegate_pairs: RwLock<HashMap<(Symbol, Symbol), Symbol>>,
+    delegate_pairs: RwLock<FastMap<(Symbol, Symbol), Symbol>>,
 }
 
 impl Interner {
@@ -302,8 +302,8 @@ fn interner() -> &'static Interner {
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; CHUNKS],
             len: AtomicU64::new(0),
         },
-        delegate_parts: RwLock::new(HashMap::new()),
-        delegate_pairs: RwLock::new(HashMap::new()),
+        delegate_parts: RwLock::new(FastMap::default()),
+        delegate_pairs: RwLock::new(FastMap::default()),
     })
 }
 
@@ -652,7 +652,7 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let mut seen: HashMap<String, Symbol> = HashMap::new();
+        let mut seen: std::collections::HashMap<String, Symbol> = Default::default();
         for (s, sym) in per_thread.into_iter().flatten() {
             assert_eq!(*seen.entry(s.clone()).or_insert(sym), sym, "{s}");
             assert_eq!(resolve(sym), s);

@@ -192,9 +192,9 @@ pub fn walk(
             return (false, visited);
         }
     }
-    for &slot in &slots[level] {
+    for o in slots[level].iter().filter_map(|&slot| store.oid_at(slot)) {
         visited += 1;
-        if hit(store.oid_at(slot).expect("a walked slot holds a record")) {
+        if hit(o) {
             return (true, visited);
         }
     }

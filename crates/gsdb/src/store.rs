@@ -255,6 +255,18 @@ impl ShardState {
         self.dir_mut().slot_mut(local)
     }
 
+    /// Write access to `oid`'s record, at the local id its `slot_of`
+    /// entry names. `slot_of` names only live slots (the first check of
+    /// [`Store::check_shard_invariants`]), so the error is unreachable;
+    /// it is an error rather than a panic so that a broken invariant
+    /// fails the one update instead of unwinding through a commit.
+    #[inline]
+    fn record_mut(&mut self, local: u32, oid: Oid) -> Result<&mut Object> {
+        self.obj_mut(local)
+            .as_mut()
+            .ok_or(GsdbError::NoSuchObject(oid))
+    }
+
     /// Size `slot_of` for `objects` more objects homed here and the
     /// parent index for `children` more child OIDs homed here.
     pub(crate) fn reserve_entries(&mut self, objects: usize, children: usize) {
@@ -373,7 +385,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let shift = view.shift();
             {
                 let st = view.state_mut(ps);
-                let pobj = st.obj_mut(pslot >> shift).as_mut().unwrap();
+                let pobj = st.record_mut(pslot >> shift, parent)?;
                 let set = pobj.value.as_set_mut().ok_or(GsdbError::NotASet(parent))?;
                 if !set.insert(child) {
                     // A duplicate insert is a no-op on the set, but if
@@ -402,7 +414,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             let shift = view.shift();
             {
                 let st = view.state_mut(ps);
-                let pobj = st.obj_mut(pslot >> shift).as_mut().unwrap();
+                let pobj = st.record_mut(pslot >> shift, parent)?;
                 let set = pobj.value.as_set_mut().ok_or(GsdbError::NotASet(parent))?;
                 if !set.remove(child) {
                     return Err(GsdbError::NotAChild { parent, child });
@@ -422,7 +434,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 .get(oid)
                 .ok_or(GsdbError::NoSuchObject(oid))?;
             let shift = view.shift();
-            let obj = view.state_mut(s).obj_mut(slot >> shift).as_mut().unwrap();
+            let obj = view.state_mut(s).record_mut(slot >> shift, oid)?;
             let old = match &mut obj.value {
                 Value::Atom(a) => std::mem::replace(a, new.clone()),
                 Value::Set(_) => return Err(GsdbError::NotAtomic(oid)),
@@ -477,7 +489,11 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 let st = view.state_mut(s);
                 let slot = st.slot_of.remove(oid).ok_or(GsdbError::NoSuchObject(oid))?;
                 let dir = st.dir_mut();
-                let obj = dir.slot_mut(slot >> shift).take().unwrap();
+                // As in `record_mut`: `slot_of` named a live slot.
+                let obj = dir
+                    .slot_mut(slot >> shift)
+                    .take()
+                    .ok_or(GsdbError::NoSuchObject(oid))?;
                 dir.free.push(slot);
                 (slot, obj)
             };
@@ -1072,12 +1088,61 @@ impl Store {
         let shift = self.shift;
         {
             let st = &mut self.shards[ps];
-            let pobj = st.obj_mut(pslot >> shift).as_mut().unwrap();
+            let pobj = st.record_mut(pslot >> shift, parent)?;
             let set = pobj.value.as_set_mut().ok_or(GsdbError::NotASet(parent))?;
             set.insert(child);
         }
         let cs = self.home(child);
         self.shards[cs].parent_index.or_default(child).insert(pslot);
+        self.version += 1;
+        Ok(())
+    }
+
+    /// Replace the value of `oid`'s record in place: the record keeps
+    /// its label, its slot and its place in every parent's set, and
+    /// only the children that changed move in the parent index — a
+    /// child the new value drops loses the record's slot, a child it
+    /// adds gains it (a dangling one too, as [`Store::create`] indexes
+    /// it). Every record and every child's parents end as cutting the
+    /// record from its parents, removing it, creating it again with the
+    /// new value and re-inserting it would leave them, except that the
+    /// parents' sets keep their order. Not logged and read nothing —
+    /// like [`Store::insert_edge_unchecked`], this is view and replica
+    /// bookkeeping, not a base update.
+    pub fn replace_value(&mut self, oid: Oid, value: Value) -> Result<()> {
+        let s = self.home(oid);
+        let slot = *self.shards[s]
+            .slot_of
+            .get(oid)
+            .ok_or(GsdbError::NoSuchObject(oid))?;
+        let shift = self.shift;
+        let obj = self.shards[s].record_mut(slot >> shift, oid)?;
+        let old = std::mem::replace(&mut obj.value, value);
+        fn kids(v: &Value) -> &[Oid] {
+            v.as_set().map_or(&[], |set| set.as_slice())
+        }
+        let has = |v: &Value, c: Oid| v.as_set().is_some_and(|set| set.contains(c));
+        let new = &obj.value;
+        let gone: Vec<Oid> = kids(&old)
+            .iter()
+            .copied()
+            .filter(|&c| !has(new, c))
+            .collect();
+        let came: Vec<Oid> = kids(new)
+            .iter()
+            .copied()
+            .filter(|&c| !has(&old, c))
+            .collect();
+        for c in gone {
+            let cs = self.home(c);
+            if let Some(ps) = self.shards[cs].parent_index.get_mut(c) {
+                ps.remove(slot);
+            }
+        }
+        for c in came {
+            let cs = self.home(c);
+            self.shards[cs].parent_index.or_default(c).insert(slot);
+        }
         self.version += 1;
         Ok(())
     }

@@ -2,13 +2,14 @@
 //! against `std::collections::HashSet`, notation/snapshot round-trips
 //! over random trees, the derived caches (`oids_sorted`, `with_label`)
 //! against fresh scans, slot layout under forks and durable-image round
-//! trips, a store rebuilt whole from its images against the store, and
-//! the upward search against brute-force walks.
+//! trips, a store rebuilt whole from its images against the store, the
+//! upward search against brute-force walks, and a value replaced in
+//! place against the record removed and created again.
 
 use gsdb::codec::EncodedChunk;
 use gsdb::{
     gc, notation, path, Label, Object, Oid, OidSet, Path, ShardedStore, Snapshot, Store,
-    StoreConfig, Update,
+    StoreConfig, Update, Value,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -639,5 +640,85 @@ proptest! {
                 None => prop_assert!(chains.is_empty()),
             }
         }
+    }
+
+    /// `Store::replace_value` leaves a store as cutting the record from
+    /// its parents, removing it, creating it again with the new value
+    /// and re-inserting it does — the route a view's delegate refresh
+    /// took before it was done in place — on 1, 2, 4 and 8 shards:
+    /// every record (value, label, slot) and every OID's parents, those
+    /// of the dangling children the values name included, stay equal
+    /// after each step, and both stores keep their invariants. Ten
+    /// records exist; six more OIDs are only ever dangling children.
+    /// Steps replace a value with a set or an atom, or add an edge so
+    /// that the records replaced have parents.
+    #[test]
+    fn a_value_replaced_in_place_is_the_record_created_again(
+        shards in 0..4u32,
+        steps in prop::collection::vec((0..3u8, 0..10usize, any::<u16>()), 1..40),
+        salt in 0u32..1_000_000,
+    ) {
+        let pool: Vec<Oid> = (0..16).map(|i| Oid::new(&format!("rv{salt}o{i}"))).collect();
+        // The children `bits` names, less `of` itself.
+        let kids = |bits: u16, of: Oid| -> Vec<Oid> {
+            (0..16)
+                .filter(|i| bits >> i & 1 == 1)
+                .map(|i| pool[i])
+                .filter(|&c| c != of)
+                .collect()
+        };
+        let cfg = StoreConfig::default().with_shards(1 << shards);
+        let mut in_place = Store::with_config(cfg);
+        for (i, &o) in pool[..10].iter().enumerate() {
+            let obj = if i % 3 == 2 {
+                Object::atom(o, "rv_atom", i as i64)
+            } else {
+                Object::set(o, "rv_set", &kids((i as u16).wrapping_mul(0x9e37), o))
+            };
+            in_place.create(obj).unwrap();
+        }
+        let mut recreated = in_place.clone();
+        for (kind, at, bits) in steps {
+            let oid = pool[at];
+            if kind == 2 {
+                // An edge into one of the records, from another. A
+                // record is never its own child: it could not be
+                // re-inserted into itself once created again as an atom.
+                let parent = pool[bits as usize % 10];
+                if parent == oid {
+                    continue;
+                }
+                prop_assert_eq!(
+                    in_place.insert_edge_unchecked(parent, oid).is_ok(),
+                    recreated.insert_edge_unchecked(parent, oid).is_ok()
+                );
+                continue;
+            }
+            let value = if kind == 0 {
+                Value::set_of(kids(bits, oid))
+            } else {
+                Value::Atom(i64::from(bits).into())
+            };
+            in_place.replace_value(oid, value.clone()).unwrap();
+            let label = recreated.label(oid).unwrap();
+            let parents: Vec<Oid> = recreated.parents(oid).iter().collect();
+            for &p in &parents {
+                recreated.delete_edge(p, oid).unwrap();
+            }
+            recreated.apply(Update::Remove { oid }).unwrap();
+            recreated.create(Object { oid, label, value }).unwrap();
+            for &p in &parents {
+                recreated.insert_edge(p, oid).unwrap();
+            }
+            prop_assert_eq!(in_place.check_invariants(), Ok(()));
+            prop_assert_eq!(recreated.check_invariants(), Ok(()));
+            for &o in &pool {
+                prop_assert_eq!(in_place.get(o), recreated.get(o), "{}", o.name());
+                prop_assert_eq!(in_place.slot_of(o), recreated.slot_of(o), "{}", o.name());
+                let parents = |s: &Store| s.parents(o).iter().collect::<Vec<Oid>>();
+                prop_assert_eq!(parents(&in_place), parents(&recreated), "{}", o.name());
+            }
+        }
+        prop_assert_eq!(in_place.len(), recreated.len());
     }
 }
