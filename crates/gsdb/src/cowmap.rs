@@ -1,6 +1,6 @@
-//! The copy-on-write hash table behind a shard's `slot_of` and
-//! `parent_index`: [`Oid`] keys, linear probing, and a fork that costs
-//! a reference bump.
+//! The copy-on-write hash table behind a shard's `slot_of`,
+//! `parent_index` and parent spill table: [`Oid`] keys, linear probing,
+//! and a fork that costs a reference bump.
 //!
 //! A [`CowMap`] is a **directory** of `2^bits` **segments**. The top
 //! `bits` bits of a key's hash pick the segment; the bits below them
@@ -11,7 +11,10 @@
 //! allocation. The directory sits behind its own `Arc`: cloning the
 //! map bumps that one count, and the first write after a clone copies
 //! the directory (pointers) and the one segment written, never the
-//! whole table. Each such copy bumps `store.cow.segments_copied`.
+//! whole table. Each such copy bumps `store.cow.segments_copied`. A
+//! segment is copied with `Arc::from` of its slice, which for a plain
+//! (`Copy`) value — `slot_of`'s slot, the parent index's 8-byte entry —
+//! is one byte copy of the segment rather than a clone per entry.
 //!
 //! The directory doubles once the table averages [`SEGMENT_MAX`]
 //! entries a segment, splitting every segment on the next hash bit, so
@@ -216,7 +219,7 @@ impl<V: Clone + Default> CowMap<V> {
         // and nobody can clone what we borrow mutably, so a count of
         // one stays one); `get_mut` below does the synchronising.
         if Arc::strong_count(slots) != 1 {
-            *slots = slots.iter().cloned().collect();
+            *slots = Arc::from(&slots[..]);
             segments_copied().incr();
         }
         (Arc::get_mut(slots).expect("unshared or just copied"), len)
@@ -343,11 +346,11 @@ impl<V: Clone + Default> CowMap<V> {
     /// rule, and each segment is sized as `reserve` sizes it — or, if
     /// its entries would pass three quarters of that, with room to
     /// double them — filled, and only then put behind its `Arc`. A key
-    /// that repeats goes through `merge(kept, repeat)`; `false` refuses
-    /// the build, and the refused key is the error.
+    /// that repeats goes through `merge(key, kept, repeat)`; `false`
+    /// refuses the build, and the refused key is the error.
     pub(crate) fn build(
         entries: Vec<(Oid, V)>,
-        mut merge: impl FnMut(&mut V, V) -> bool,
+        mut merge: impl FnMut(Oid, &mut V, V) -> bool,
     ) -> Result<Self, Oid> {
         if entries.is_empty() {
             return Ok(CowMap::default());
@@ -377,7 +380,7 @@ impl<V: Clone + Default> CowMap<V> {
             let slots = &mut rooms[seg];
             match probe(slots, home(h, bits, slots.len()), key) {
                 Ok(at) => {
-                    if !merge(&mut slots[at].1, value) {
+                    if !merge(key, &mut slots[at].1, value) {
                         return Err(key);
                     }
                 }
@@ -640,7 +643,7 @@ mod tests {
                 }
                 *model.entry(k).or_default() += v;
             }
-            let built = CowMap::build(entries, |kept, more| {
+            let built = CowMap::build(entries, |_, kept, more| {
                 *kept += more;
                 !refuse
             });

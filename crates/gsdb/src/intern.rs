@@ -20,7 +20,7 @@ use crate::FastMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// A handle to an interned string. Two symbols are equal iff their
 /// underlying strings are equal.
@@ -273,11 +273,18 @@ struct Interner {
     /// path only).
     append: Mutex<Arena>,
     table: ResolveTable,
+    /// Both directions of every delegate, under one lock.
+    delegates: RwLock<Delegates>,
+}
+
+/// The delegates [`intern_delegate`] made.
+#[derive(Default)]
+struct Delegates {
     /// Delegate symbol → its (view, base) pair.
-    delegate_parts: RwLock<FastMap<Symbol, (Symbol, Symbol)>>,
+    parts: FastMap<Symbol, (Symbol, Symbol)>,
     /// (view, base) → delegate symbol: lets repeat delegate
     /// construction skip the format+intern entirely.
-    delegate_pairs: RwLock<FastMap<(Symbol, Symbol), Symbol>>,
+    pairs: FastMap<(Symbol, Symbol), Symbol>,
 }
 
 impl Interner {
@@ -302,9 +309,16 @@ fn interner() -> &'static Interner {
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; CHUNKS],
             len: AtomicU64::new(0),
         },
-        delegate_parts: RwLock::new(FastMap::default()),
-        delegate_pairs: RwLock::new(FastMap::default()),
+        delegates: RwLock::default(),
     })
+}
+
+/// A guard of the delegate maps' lock, recovered if a panic poisoned
+/// it. The maps are whole even then: each entry is final when it goes
+/// in, and their one writer, [`intern_delegate`], puts `parts` in
+/// before `pairs`, so a panic between leaves a `pairs` miss at worst.
+fn delegates<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// FNV-1a over the bytes: its high 32 bits become the symbol's
@@ -403,35 +417,22 @@ pub(crate) fn intern_all(names: &[&str]) -> Vec<Symbol> {
 /// Intern the *semantic OID* of a delegate: the concatenation
 /// `"<view>.<base>"` (paper §3.2), remembering the pair structurally.
 pub fn intern_delegate(view: Symbol, base: Symbol) -> Symbol {
-    let it = interner();
-    if let Some(&sym) = it
-        .delegate_pairs
-        .read()
-        .expect("delegate map poisoned")
-        .get(&(view, base))
-    {
+    let lock = &interner().delegates;
+    if let Some(&sym) = delegates(lock.read()).pairs.get(&(view, base)) {
         return sym;
     }
-    let name = format!("{}.{}", resolve(view), resolve(base));
-    let sym = intern(&name);
-    it.delegate_parts
-        .write()
-        .expect("delegate map poisoned")
-        .insert(sym, (view, base));
-    it.delegate_pairs
-        .write()
-        .expect("delegate map poisoned")
-        .insert((view, base), sym);
+    let sym = intern(&format!("{}.{}", resolve(view), resolve(base)));
+    let mut maps = delegates(lock.write());
+    maps.parts.insert(sym, (view, base));
+    maps.pairs.insert((view, base), sym);
     sym
 }
 
 /// If `sym` was created by [`intern_delegate`], return its
 /// `(view, base)` pair.
 pub fn delegate_parts(sym: Symbol) -> Option<(Symbol, Symbol)> {
-    interner()
-        .delegate_parts
-        .read()
-        .expect("delegate map poisoned")
+    delegates(interner().delegates.read())
+        .parts
         .get(&sym)
         .copied()
 }

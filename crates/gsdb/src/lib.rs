@@ -61,7 +61,6 @@ mod oid;
 pub mod path;
 pub mod samples;
 pub mod shard;
-pub mod smallset;
 pub mod snapshot;
 pub mod stats;
 mod store;
@@ -79,7 +78,6 @@ pub use object::Object;
 pub use oid::Oid;
 pub use path::Path;
 pub use shard::{CommitResult, PublishInfo, ShardedStore};
-pub use smallset::SmallSet;
 pub use snapshot::Snapshot;
 pub use stats::DurableFootprint;
 pub use stats::{stats, stats_at, StoreStats};

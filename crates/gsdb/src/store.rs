@@ -65,7 +65,7 @@
 //!   — about a hundred entries — holding the entry written. A create
 //!   or remove writes one `slot_of` entry, an edge update one
 //!   `parent_index` entry, a remove of an object with *k* children
-//!   *k* more.
+//!   *k* more (and a spilled entry's list, below).
 //!
 //! `store.cow.pages_copied`, `store.cow.directories_copied` and
 //! `store.cow.segments_copied` count them, so "what did this commit
@@ -96,9 +96,12 @@
 //! Every store keeps one index, the **parent index**: the paper's
 //! "inverse index such that from each node we can find out its parent"
 //! (§4.4), which makes `ancestor(N, p)` a cheap upward walk instead of
-//! a traversal from the root. It stores **slot ids** in sorted inline
-//! small-sets ([`SmallSet`]), keyed by child OID, so replica stores may
-//! hold dangling child references.
+//! a traversal from the root. It is keyed by child OID, so replica
+//! stores may hold dangling child references; a child has an entry iff
+//! some record lists it. An entry is 8 bytes of plain data — up to two
+//! parent **slot ids** inline, or a marker whose sorted list lives in
+//! the shard's spill table (three or more parents; empty on trees) — so
+//! a segment of entries copies as bytes.
 //!
 //! The query planner's label → objects map is not maintained:
 //! [`Store::with_label`] derives it from the pages on its first call
@@ -113,7 +116,6 @@
 
 use crate::cowmap::CowMap;
 use crate::fxhash::FastMap;
-use crate::smallset::SmallSet;
 use crate::{AppliedUpdate, Atom, GsdbError, Label, Object, Oid, Result, Update, Value};
 use gsview_obs::Counter;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -217,10 +219,37 @@ pub(crate) struct ShardState {
     pub(crate) len_slots: usize,
     /// OID → global slot, for OIDs homed in this shard.
     pub(crate) slot_of: CowMap<u32>,
-    /// child OID (homed here) → sorted global parent slots (any
-    /// shard). Keyed by OID (not slot) so replica stores may index
-    /// edges to children they don't hold.
-    pub(crate) parent_index: CowMap<SmallSet>,
+    /// child OID (homed here) → its global parent slots (any shard).
+    /// Keyed by OID (not slot) so replica stores may index edges to
+    /// children they don't hold. Read and written only through
+    /// `parents_of`, `add_parent` and `remove_parent`.
+    parent_index: CowMap<Parents>,
+    /// child OID → sorted parent slots, for the entries spilled at
+    /// three or more parents. Empty on trees.
+    spill: CowMap<Vec<u32>>,
+}
+
+/// Padding of an inline [`Parents`] entry.
+const NO_SLOT: u32 = u32::MAX;
+/// The first word of a spilled [`Parents`] entry. No slot reaches it:
+/// see where `Create` hands slots out in [`apply_update`].
+const SPILLED: u32 = u32::MAX - 1;
+
+/// A child's parent-index entry, 8 bytes of plain data, so a segment
+/// of them copies as bytes: up to two parent slots inline, ascending
+/// and padded with [`NO_SLOT`], or [`Parents::SPILL`] for three or
+/// more parents, whose sorted list is the shard's spill-table entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Parents([u32; 2]);
+
+impl Default for Parents {
+    fn default() -> Self {
+        Parents([NO_SLOT; 2])
+    }
+}
+
+impl Parents {
+    const SPILL: Parents = Parents([SPILLED, NO_SLOT]);
 }
 
 impl ShardState {
@@ -267,6 +296,64 @@ impl ShardState {
             .ok_or(GsdbError::NoSuchObject(oid))
     }
 
+    /// `child`'s parent slots, ascending.
+    #[inline]
+    pub(crate) fn parents_of(&self, child: Oid) -> &[u32] {
+        match self.parent_index.get(child) {
+            Some(&Parents::SPILL) => self.spill.get(child).map_or(&[], Vec::as_slice),
+            Some(Parents(e)) => &e[..e.iter().take_while(|&&s| s != NO_SLOT).count()],
+            None => &[],
+        }
+    }
+
+    /// Add `slot` to `child`'s parents, once. A third parent spills
+    /// the entry.
+    pub(crate) fn add_parent(&mut self, child: Oid, slot: u32) {
+        let e = self.parent_index.or_default(child);
+        match *e {
+            Parents::SPILL => {
+                let list = self.spill.or_default(child);
+                if let Err(at) = list.binary_search(&slot) {
+                    list.insert(at, slot);
+                }
+            }
+            Parents([a, b]) if a == slot || b == slot => {}
+            Parents([NO_SLOT, _]) => *e = Parents([slot, NO_SLOT]),
+            Parents([a, NO_SLOT]) => *e = Parents([a.min(slot), a.max(slot)]),
+            Parents([a, b]) => {
+                *e = Parents::SPILL;
+                let mut list = vec![a, b, slot];
+                list.sort_unstable();
+                self.spill.try_insert(child, list);
+            }
+        }
+    }
+
+    /// Take `slot` from `child`'s parents. A spilled entry left with
+    /// two goes back inline; an entry left with none goes.
+    pub(crate) fn remove_parent(&mut self, child: Oid, slot: u32) {
+        let next = match self.parent_index.get(child) {
+            None => return,
+            Some(&Parents::SPILL) => {
+                let list = self.spill.or_default(child);
+                list.retain(|&s| s != slot);
+                let [a, b] = list[..] else {
+                    return;
+                };
+                self.spill.remove(child);
+                Parents([a, b])
+            }
+            Some(&Parents([a, b])) if a == slot => Parents([b, NO_SLOT]),
+            Some(&Parents([a, b])) if b == slot => Parents([a, NO_SLOT]),
+            Some(_) => return,
+        };
+        if next == Parents::default() {
+            self.parent_index.remove(child);
+        } else if let Some(e) = self.parent_index.get_mut(child) {
+            *e = next;
+        }
+    }
+
     /// Size `slot_of` for `objects` more objects homed here and the
     /// parent index for `children` more child OIDs homed here.
     pub(crate) fn reserve_entries(&mut self, objects: usize, children: usize) {
@@ -291,7 +378,7 @@ impl ShardState {
 /// builds every table in one step.
 struct TableEntries {
     slot_of: Vec<Vec<(Oid, u32)>>,
-    parents: Vec<Vec<(Oid, SmallSet)>>,
+    parents: Vec<Vec<(Oid, Parents)>>,
 }
 
 impl TableEntries {
@@ -306,23 +393,38 @@ impl TableEntries {
     fn add(&mut self, home: usize, slot: u32, obj: &Object, shift: u32) {
         self.slot_of[home].push((obj.oid, slot));
         for &c in obj.children() {
-            let mut parent = SmallSet::new();
-            parent.insert(slot);
-            self.parents[shard_for(c, shift)].push((c, parent));
+            self.parents[shard_for(c, shift)].push((c, Parents([slot, NO_SLOT])));
         }
     }
 
-    /// Build each shard's `slot_of` and parent index; a repeated OID is
-    /// the error.
+    /// Build each shard's `slot_of`, parent index and spill table; a
+    /// repeated OID is the error.
     fn build(self, shards: &mut [ShardState]) -> std::result::Result<(), Oid> {
         for ((st, slot_of), parents) in shards.iter_mut().zip(self.slot_of).zip(self.parents) {
-            st.slot_of = CowMap::build(slot_of, |_, _| false)?;
-            st.parent_index = CowMap::build(parents, |kept, more| {
-                for &p in more.as_slice() {
-                    kept.insert(p);
+            st.slot_of = CowMap::build(slot_of, |_, _, _| false)?;
+            // A child's third parent spills its entry; the spilled lists
+            // are sorted once every parent is in. A record lists a
+            // child once, so no slot repeats.
+            let mut spill: FastMap<Oid, Vec<u32>> = FastMap::default();
+            st.parent_index = CowMap::build(parents, |child, kept, more| {
+                let slot = more.0[0];
+                match *kept {
+                    Parents::SPILL => spill.entry(child).or_default().push(slot),
+                    Parents([a, NO_SLOT]) => *kept = Parents([a.min(slot), a.max(slot)]),
+                    Parents([a, b]) => {
+                        *kept = Parents::SPILL;
+                        spill.insert(child, vec![a, b, slot]);
+                    }
                 }
                 true
             })?;
+            let spill = (spill.into_iter())
+                .map(|(child, mut list)| {
+                    list.sort_unstable();
+                    (child, list)
+                })
+                .collect();
+            st.spill = CowMap::build(spill, |_, _, _| false)?;
         }
         Ok(())
     }
@@ -398,10 +500,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                     return Err(GsdbError::AlreadyAChild { parent, child });
                 }
             }
-            view.state_mut(cs)
-                .parent_index
-                .or_default(child)
-                .insert(pslot);
+            view.state_mut(cs).add_parent(child, pslot);
             Ok(AppliedUpdate::Insert { parent, child })
         }
         Update::Delete { parent, child } => {
@@ -421,9 +520,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 }
             }
             let cs = view.home(child);
-            if let Some(ps) = view.state_mut(cs).parent_index.get_mut(child) {
-                ps.remove(pslot);
-            }
+            view.state_mut(cs).remove_parent(child, pslot);
             Ok(AppliedUpdate::Delete { parent, child })
         }
         Update::Modify { oid, new } => {
@@ -451,7 +548,11 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 // OID, so reuse is invisible to callers. The slot is
                 // taken (below) only once `slot_of` has accepted the
                 // OID — the duplicate check and the insert are one
-                // probe.
+                // probe. No slot reaches the parent index's `SPILLED`:
+                // a fresh one is handed out only when the free list is
+                // empty, so a shard never holds more slots than its
+                // peak of live OIDs, and the interner holds at most
+                // 2^24 names — global slots stay below 2^24 << 4.
                 let slot = st
                     .dir
                     .free
@@ -468,7 +569,7 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
             // shard.
             for &c in object.children() {
                 let cs = view.home(c);
-                view.state_mut(cs).parent_index.or_default(c).insert(slot);
+                view.state_mut(cs).add_parent(c, slot);
             }
             // Take the slot and write the record: one directory write.
             let st = view.state_mut(s);
@@ -497,21 +598,13 @@ pub(crate) fn apply_update<V: ShardAccess>(view: &mut V, update: Update) -> Resu
                 dir.free.push(slot);
                 (slot, obj)
             };
+            // The entry for `oid` *as a child* stays: Remove leaves the
+            // edges into it dangling in the parents' sets (replica
+            // semantics), so a later re-Create of the same OID finds
+            // them indexed.
             for &c in obj.children() {
                 let cs = view.home(c);
-                if let Some(set) = view.state_mut(cs).parent_index.get_mut(c) {
-                    set.remove(slot);
-                }
-            }
-            // The entry for `oid` *as a child* records edges into it,
-            // and Remove leaves those dangling in the parents' sets
-            // (replica semantics) — so the entry must survive, or a
-            // later re-Create of the same OID resurrects the edges with
-            // an empty index. Drop it only when no parent references
-            // remain.
-            let idx = &mut view.state_mut(s).parent_index;
-            if idx.get(oid).is_some_and(|ps| ps.is_empty()) {
-                idx.remove(oid);
+                view.state_mut(cs).remove_parent(c, slot);
             }
             Ok(AppliedUpdate::Remove { oid })
         }
@@ -1038,10 +1131,9 @@ impl Store {
     /// so this is a single-map lookup at any shard count.
     pub fn parents(&self, oid: Oid) -> SlotSet<'_> {
         self.bump();
-        let idx = &self.home_state(oid).parent_index;
         SlotSet {
             store: self,
-            slots: idx.get(oid).map(|s| s.as_slice()).unwrap_or(&[]),
+            slots: self.home_state(oid).parents_of(oid),
         }
     }
 
@@ -1093,7 +1185,7 @@ impl Store {
             set.insert(child);
         }
         let cs = self.home(child);
-        self.shards[cs].parent_index.or_default(child).insert(pslot);
+        self.shards[cs].add_parent(child, pslot);
         self.version += 1;
         Ok(())
     }
@@ -1135,13 +1227,11 @@ impl Store {
             .collect();
         for c in gone {
             let cs = self.home(c);
-            if let Some(ps) = self.shards[cs].parent_index.get_mut(c) {
-                ps.remove(slot);
-            }
+            self.shards[cs].remove_parent(c, slot);
         }
         for c in came {
             let cs = self.home(c);
-            self.shards[cs].parent_index.or_default(c).insert(slot);
+            self.shards[cs].add_parent(c, slot);
         }
         self.version += 1;
         Ok(())
@@ -1480,7 +1570,10 @@ impl Store {
                 return Err(format!("shard {i}: free slot {f} is live or out of bounds"));
             }
         }
-        for (child, set) in st.parent_index.iter() {
+        // An entry exists iff some record lists the child: never empty,
+        // inline while it has at most two parents, its slots ascending,
+        // and the spill table holds the spilled entries' lists alone.
+        for (child, &entry) in st.parent_index.iter() {
             if shard_for(child, self.shift) != i {
                 return Err(format!(
                     "shard {i}: parent index entry for {} belongs to shard {}",
@@ -1488,7 +1581,18 @@ impl Store {
                     shard_for(child, self.shift)
                 ));
             }
-            for pslot in set.iter() {
+            let slots = st.parents_of(child);
+            let well_formed = match entry {
+                Parents::SPILL => slots.len() > 2,
+                _ => !slots.is_empty() && entry.0[slots.len()..].iter().all(|&s| s == NO_SLOT),
+            };
+            if !well_formed || !slots.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "shard {i}: parent index entry for {} is {entry:?} over {slots:?}",
+                    child.name()
+                ));
+            }
+            for &pslot in slots {
                 match self.slot_obj(pslot) {
                     Some(p) if p.children().contains(&child) => {}
                     _ => {
@@ -1499,6 +1603,15 @@ impl Store {
                     }
                 }
             }
+        }
+        let spilled = (st.parent_index.iter())
+            .filter(|&(_, &e)| e == Parents::SPILL)
+            .count();
+        if spilled != st.spill.len() {
+            return Err(format!(
+                "shard {i}: {spilled} spilled entries but {} spill lists",
+                st.spill.len()
+            ));
         }
         Ok(())
     }
@@ -1520,8 +1633,8 @@ impl Store {
         for obj in self.iter() {
             let slot = self.slot_of(obj.oid).unwrap();
             for c in obj.children() {
-                let idx = &self.home_state(*c).parent_index;
-                if !idx.get(*c).map(|s| s.contains(slot)).unwrap_or(false) {
+                let parents = self.home_state(*c).parents_of(*c);
+                if parents.binary_search(&slot).is_err() {
                     return Err(format!(
                         "parent index missing edge {} -> {}",
                         obj.oid.name(),
@@ -1711,6 +1824,78 @@ mod tests {
         assert!(s.parents(oid("c1")).contains(oid("p")));
     }
 
+    /// `c`'s parent-index entry, in its home shard.
+    fn entry(s: &Store, c: Oid) -> Option<Parents> {
+        s.home_state(c).parent_index.get(c).copied()
+    }
+
+    #[test]
+    fn a_third_parent_spills_the_entry_and_a_second_last_one_brings_it_back() {
+        let mut s = Store::new();
+        let ps: Vec<Oid> = (0..4).map(|i| oid(&format!("spill_p{i}"))).collect();
+        for &p in &ps {
+            s.create(Object::empty_set(p, "p")).unwrap();
+        }
+        let slots = |s: &Store, of: &[usize]| -> Vec<u32> {
+            of.iter().map(|&i| s.slot_of(ps[i]).unwrap()).collect()
+        };
+        let [p0, p1, p2, p3] = slots(&s, &[0, 1, 2, 3])[..] else {
+            unreachable!()
+        };
+        let c = oid("spill_c");
+        // Parents arrive in descending slot order, so every step sorts;
+        // a repeat changes nothing.
+        s.insert_edge_unchecked(ps[3], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents([p3, NO_SLOT])));
+        s.insert_edge_unchecked(ps[2], c).unwrap();
+        s.insert_edge_unchecked(ps[2], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents([p2, p3])));
+        s.insert_edge_unchecked(ps[0], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents::SPILL));
+        assert_eq!(s.home_state(c).parents_of(c), [p0, p2, p3]);
+        s.insert_edge_unchecked(ps[1], c).unwrap();
+        s.insert_edge_unchecked(ps[1], c).unwrap();
+        assert_eq!(s.home_state(c).parents_of(c), [p0, p1, p2, p3]);
+        s.check_invariants().unwrap();
+        let fork = s.clone();
+        s.delete_edge(ps[1], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents::SPILL));
+        assert_eq!(s.home_state(c).parents_of(c), [p0, p2, p3]);
+        // Down to two: the entry goes back inline and its list goes.
+        s.delete_edge(ps[0], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents([p2, p3])));
+        assert!(s.shards[0].spill.is_empty());
+        s.check_invariants().unwrap();
+        s.delete_edge(ps[3], c).unwrap();
+        assert_eq!(entry(&s, c), Some(Parents([p2, NO_SLOT])));
+        // The last parent takes the entry with it.
+        s.delete_edge(ps[2], c).unwrap();
+        assert_eq!(entry(&s, c), None);
+        assert!(s.parents(c).is_empty());
+        s.check_invariants().unwrap();
+        // The fork still answers the four parents it was taken with.
+        assert_eq!(fork.home_state(c).parents_of(c), [p0, p1, p2, p3]);
+        fork.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_removed_records_dangling_children_leave_no_entry() {
+        // A view store's delegates name base OIDs it does not hold;
+        // once no record names one, its entry goes, so the index does
+        // not grow with every base OID a delegate ever named.
+        let mut s = Store::new();
+        let kids = [oid("dang_x"), oid("dang_y")];
+        s.create(Object::set("dang_d", "d", &kids)).unwrap();
+        s.create(Object::set("dang_e", "d", &kids[..1])).unwrap();
+        s.apply(Update::Remove { oid: oid("dang_d") }).unwrap();
+        assert_eq!(entry(&s, kids[1]), None);
+        assert!(s.parents(kids[0]).contains(oid("dang_e")));
+        s.replace_value(oid("dang_e"), Value::empty_set()).unwrap();
+        assert_eq!(entry(&s, kids[0]), None);
+        assert!(s.shards[0].parent_index.is_empty());
+        s.check_invariants().unwrap();
+    }
+
     #[test]
     fn freed_slots_are_reused_and_oids_stay_stable() {
         let mut s = Store::new();
@@ -1758,8 +1943,9 @@ mod tests {
         assert!(s.parents(oid("A")).contains(oid("R")));
         s.check_invariants().unwrap();
         // Once the last referencing parent drops the edge, the entry
-        // is gone for good.
+        // is gone for good — before the object is.
         s.delete_edge(oid("R"), oid("A")).unwrap();
+        assert_eq!(entry(&s, oid("A")), None);
         s.apply(Update::Remove { oid: oid("A") }).unwrap();
         assert!(s.parents(oid("A")).is_empty());
         s.check_invariants().unwrap();

@@ -3,8 +3,9 @@
 //! over random trees, the derived caches (`oids_sorted`, `with_label`)
 //! against fresh scans, slot layout under forks and durable-image round
 //! trips, a store rebuilt whole from its images against the store, the
-//! upward search against brute-force walks, and a value replaced in
-//! place against the record removed and created again.
+//! upward search against brute-force walks, a value replaced in place
+//! against the record removed and created again, and the parent index
+//! against a model across its spills.
 
 use gsdb::codec::EncodedChunk;
 use gsdb::{
@@ -12,7 +13,7 @@ use gsdb::{
     StoreConfig, Update, Value,
 };
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 fn oid_pool() -> Vec<Oid> {
     (0..12).map(|i| Oid::new(&format!("sp{i}"))).collect()
@@ -720,5 +721,94 @@ proptest! {
             }
         }
         prop_assert_eq!(in_place.len(), recreated.len());
+    }
+
+    /// The parent index against a model, across every 2↔3 spill and
+    /// back, on 1, 2, 4 and 8 shards. Six names are records and two
+    /// more are only ever dangling children, so a child has 0–6
+    /// parents. Steps create a set record naming random children
+    /// (dangling ones included), remove one (the next create in its
+    /// shard reuses the slot), insert edges checked and unchecked,
+    /// delete edges, and replace a value with a set or an atom. After
+    /// every step each name's `parents()` lists, in ascending slot
+    /// order, the slots of exactly the records whose value names it,
+    /// the invariants hold, and a store rebuilt from its images
+    /// answers every name alike.
+    #[test]
+    fn parents_match_a_model_across_spills(
+        shards in 0..4u32,
+        steps in prop::collection::vec((0..8u8, 0..6usize, any::<u8>()), 1..80),
+        salt in 0u32..1_000_000,
+    ) {
+        let pool: Vec<Oid> = (0..8).map(|i| Oid::new(&format!("pm{salt}o{i}"))).collect();
+        let named = |bits: u8| -> BTreeSet<Oid> {
+            (0..8).filter(|i| bits >> i & 1 == 1).map(|i| pool[i]).collect()
+        };
+        let cfg = StoreConfig::default().with_shards(1 << shards);
+        let mut s = Store::with_config(cfg);
+        // Record → the children its value names (`None`: an atom).
+        let mut model: BTreeMap<Oid, Option<BTreeSet<Oid>>> = BTreeMap::new();
+        for (kind, at, bits) in steps {
+            let (x, y) = (pool[at], pool[bits as usize % 8]);
+            let set_of_x = model.get(&x).cloned().flatten();
+            match kind {
+                0 | 1 => {
+                    let kids = named(bits);
+                    let list: Vec<Oid> = kids.iter().copied().collect();
+                    prop_assert_eq!(s.create(Object::set(x, "pm", &list)).is_ok(), !model.contains_key(&x));
+                    model.entry(x).or_insert(Some(kids));
+                }
+                2 => {
+                    prop_assert_eq!(s.apply(Update::Remove { oid: x }).is_ok(), model.remove(&x).is_some());
+                }
+                // Checked: `y` must be a record and not yet a child.
+                // Unchecked: `y` may dangle, and a repeat is a no-op.
+                3 | 4 => {
+                    let (ok, want) = if kind == 3 {
+                        let fresh = set_of_x.is_some_and(|set| !set.contains(&y));
+                        (s.insert_edge(x, y).is_ok(), fresh && model.contains_key(&y))
+                    } else {
+                        (s.insert_edge_unchecked(x, y).is_ok(), set_of_x.is_some())
+                    };
+                    prop_assert_eq!(ok, want);
+                    if let (true, Some(Some(set))) = (ok, model.get_mut(&x)) {
+                        set.insert(y);
+                    }
+                }
+                5 => {
+                    let there = set_of_x.is_some_and(|set| set.contains(&y));
+                    prop_assert_eq!(s.delete_edge(x, y).is_ok(), there);
+                    if let Some(Some(set)) = model.get_mut(&x) {
+                        set.remove(&y);
+                    }
+                }
+                _ => {
+                    let kids = (kind == 6).then(|| named(bits));
+                    let value = match &kids {
+                        Some(kids) => Value::set_of(kids.iter().copied()),
+                        None => Value::Atom(i64::from(bits).into()),
+                    };
+                    prop_assert_eq!(s.replace_value(x, value).is_ok(), model.contains_key(&x));
+                    if let Some(v) = model.get_mut(&x) {
+                        *v = kids;
+                    }
+                }
+            }
+            prop_assert_eq!(s.check_invariants(), Ok(()));
+            let back = Store::from_images(cfg, s.export_images(), s.version()).unwrap();
+            prop_assert_eq!(back.check_invariants(), Ok(()));
+            let slots = |st: &Store, c: Oid| -> Vec<u32> {
+                st.parents(c).iter().map(|p| st.slot_of(p).unwrap()).collect()
+            };
+            for &c in &pool {
+                let want: BTreeSet<u32> = (model.iter())
+                    .filter(|(_, kids)| kids.as_ref().is_some_and(|k| k.contains(&c)))
+                    .map(|(&p, _)| s.slot_of(p).unwrap())
+                    .collect();
+                let want: Vec<u32> = want.into_iter().collect();
+                prop_assert_eq!(&slots(&s, c), &want, "parents of {}", c.name());
+                prop_assert_eq!(&slots(&back, c), &want, "rebuilt parents of {}", c.name());
+            }
+        }
     }
 }
