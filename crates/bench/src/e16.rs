@@ -56,7 +56,7 @@
 
 use crate::table::{fnum, Table};
 use gsdb::{EpochHandle, Object, Oid, ShardedStore, Store, StoreConfig, Update};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 /// Writer threads in quick mode.
@@ -331,7 +331,7 @@ fn run_mutex(writers: usize, batches: usize, ops: usize) -> CommitRow {
                         // it first could publish its older snapshot over
                         // a newer one, and the final epoch would miss
                         // batches.
-                        epochs.publish(s.fork());
+                        epochs.publish(Arc::new(s.fork()));
                     }
                 })
             })

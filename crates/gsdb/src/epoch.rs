@@ -19,7 +19,7 @@
 //! but only for the duration of an `Arc` clone — a few instructions —
 //! never for the duration of a store mutation or a maintenance pass.
 //! The writer's critical section in [`EpochHandle::publish`] is the
-//! swap of one `Arc`, equally short.
+//! swap of one `Arc`, equally short: the replaced one is handed back.
 //!
 //! With a single writer, "commit" and "publish" coincide: fork, then
 //! publish, as in the example below. With concurrent writers, use
@@ -37,6 +37,7 @@ use std::sync::{Arc, LockResult, PoisonError, RwLock};
 ///
 /// ```
 /// use gsdb::{EpochHandle, Object, Oid, Store, Update};
+/// use std::sync::Arc;
 ///
 /// let mut live = Store::new();
 /// live.create(Object::atom("A", "age", 45i64)).unwrap();
@@ -44,7 +45,7 @@ use std::sync::{Arc, LockResult, PoisonError, RwLock};
 ///
 /// let before = epochs.load();                     // reader pins epoch 0
 /// live.apply(Update::modify("A", 80i64)).unwrap(); // writer commits…
-/// epochs.publish(live.fork());                     // …and publishes epoch 1
+/// epochs.publish(Arc::new(live.fork()));           // …and publishes epoch 1
 ///
 /// assert_eq!(before.atom(Oid::new("A")), Some(&gsdb::Atom::Int(45)));
 /// assert_eq!(epochs.load().atom(Oid::new("A")), Some(&gsdb::Atom::Int(80)));
@@ -98,17 +99,18 @@ impl EpochHandle {
     }
 
     /// Publish a new committed snapshot, superseding the current one.
-    /// Returns the new epoch number. Readers holding older `Arc`s keep
-    /// them alive until dropped — publication never invalidates an
-    /// in-flight read.
-    pub fn publish(&self, snapshot: Store) -> u64 {
+    /// Returns the new epoch number and the replaced snapshot, so the
+    /// caller chooses where what only it held is freed. Readers holding
+    /// older `Arc`s keep them alive until dropped — publication never
+    /// invalidates an in-flight read.
+    pub fn publish(&self, snapshot: Arc<Store>) -> (u64, Arc<Store>) {
         let version = snapshot.version();
         let mut guard = unpoisoned(self.current.write());
-        *guard = Arc::new(snapshot);
+        let replaced = std::mem::replace(&mut *guard, snapshot);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         drop(guard);
         gsview_obs::event!("epoch.publish", "epoch" = epoch, "version" = version);
-        epoch
+        (epoch, replaced)
     }
 }
 
@@ -136,10 +138,24 @@ mod tests {
         assert_eq!(h.epoch(), 0);
 
         live.apply(Update::modify("A", 2i64)).unwrap();
-        assert_eq!(h.publish(live.fork()), 1);
+        assert_eq!(h.publish(Arc::new(live.fork())).0, 1);
         let (e, snap) = h.load_with_epoch();
         assert_eq!(e, 1);
         assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(2)));
+    }
+
+    #[test]
+    fn publish_hands_back_the_snapshot_it_replaced() {
+        let mut live = Store::new();
+        live.create(Object::atom("A", "age", 1i64)).unwrap();
+        let h = EpochHandle::new(live.fork());
+        let before = h.load();
+        live.apply(Update::modify("A", 2i64)).unwrap();
+        let (epoch, replaced) = h.publish(Arc::new(live.fork()));
+        assert_eq!(epoch, 1);
+        assert!(Arc::ptr_eq(&replaced, &before));
+        assert!(!Arc::ptr_eq(&replaced, &h.load()));
+        assert_eq!(replaced.atom(oid("A")), Some(&Atom::Int(1)));
     }
 
     #[test]
@@ -158,7 +174,7 @@ mod tests {
 
         assert_eq!(h.load().atom(oid("A")), Some(&Atom::Int(1)));
         live.apply(Update::modify("A", 2i64)).unwrap();
-        assert_eq!(h.publish(live.fork()), 1);
+        assert_eq!(h.publish(Arc::new(live.fork())).0, 1);
         let (e, snap) = h.load_with_epoch();
         assert_eq!(e, 1);
         assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(2)));
@@ -172,7 +188,7 @@ mod tests {
         let pinned = h.load();
         for v in 2..10i64 {
             live.apply(Update::modify("A", v)).unwrap();
-            h.publish(live.fork());
+            h.publish(Arc::new(live.fork()));
         }
         assert_eq!(pinned.atom(oid("A")), Some(&Atom::Int(1)));
         assert_eq!(h.load().atom(oid("A")), Some(&Atom::Int(9)));
@@ -201,7 +217,7 @@ mod tests {
             for v in 1..100i64 {
                 live.apply(Update::modify("X", v)).unwrap();
                 live.apply(Update::modify("Y", v)).unwrap();
-                h.publish(live.fork());
+                h.publish(Arc::new(live.fork()));
             }
         });
         assert_eq!(h.epoch(), 99);

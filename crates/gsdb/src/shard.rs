@@ -3,38 +3,35 @@
 //! A [`Store`] behind one mutex serializes every writer —
 //! the paper's sources report updates *independently*, so a
 //! source-side store should let independent writers commit
-//! concurrently. [`ShardedStore`] provides that: it takes ownership of
-//! a store and re-homes each shard's state behind **its own mutation
-//! lock**, so commits touching disjoint shards proceed in parallel,
-//! while readers keep loading immutable epoch snapshots that are never
-//! torn across shards.
+//! concurrently. [`ShardedStore`] provides that: its only state is the
+//! latest published epoch snapshot, and each shard has **its own writer
+//! lock**, which orders the shard's writers and guards no state, so
+//! commits touching disjoint shards proceed in parallel while readers
+//! load snapshots that are never torn across shards.
 //!
 //! ## The two-phase publish
 //!
-//! A [`commit`](ShardedStore::commit) runs in two phases:
-//!
 //! 1. **Apply.** Compute the batch's *affected shard set* (each basic
 //!    update touches the home shards of the OIDs it names — see the
-//!    ownership discipline in the `store` module docs),
-//!    lock exactly those shards **in ascending index order**, and
-//!    apply the batch to copy-on-write clones of the locked states.
+//!    ownership discipline in the `store` module docs), lock exactly
+//!    those shards **in ascending index order**, and apply the batch to
+//!    copy-on-write clones of their states in the latest snapshot (only
+//!    a lock's holder publishes its shard, so that state is current).
 //!    A failed update aborts the batch at that point with the prefix
 //!    applied (the store's historical `apply_batch` semantics).
-//! 2. **Publish.** Still holding the shard locks, take the global
-//!    publish lock, compose the next snapshot — the previous published
-//!    snapshot's shard states with the freshly mutated shards swapped
-//!    in — and publish it through the [`EpochHandle`], bumping the
-//!    single global epoch counter. The applied updates are appended to
-//!    the commit log (still under the publish lock, so log order
-//!    equals epoch order), then everything unlocks.
+//! 2. **Publish.** Still holding the shard locks, take the publish lock
+//!    and then the log lock, compose the latest snapshot with the clones
+//!    swapped in, publish it through the [`EpochHandle`] (one global
+//!    epoch counter) and append the applied updates to the commit log,
+//!    so log order equals epoch order. The log unlocks, the publish hook
+//!    sees the new snapshot, everything unlocks, and only then is the
+//!    replaced snapshot dropped: no reader or writer waits on its frees.
 //!
 //! **Deadlock freedom.** Every code path acquires locks in one global
 //! order: shard locks in ascending shard index, then the publish lock,
 //! then the log lock. Two commits that both need shards `{1, 3}` meet
 //! at shard 1; a commit never waits on a lower-ordered lock while
-//! holding a higher-ordered one. [`ShardedStore::with_exclusive`]
-//! follows the same order (all shards ascending, then publish, then
-//! log).
+//! holding a higher-ordered one.
 //!
 //! **Consistency.** Writers hold their affected shard locks *through*
 //! the publish step, so for any two commits either (a) their shard
@@ -49,16 +46,20 @@
 //! **Dynamic shard sets.** `Remove`'s affected set depends on the
 //! victim's *current* children (their home shards receive the
 //! parent-index removals). The pipeline guesses from the latest
-//! snapshot, locks, and re-validates against the locked (and
-//! batch-mutated) state; if the guess was stale it widens the set and
-//! retries, falling back to locking every shard after three attempts —
-//! children can only change under the victim's own shard lock, so the
-//! loop converges.
+//! snapshot, locks, and re-validates against the batch-mutated clones;
+//! if the guess was stale it widens the set and retries, falling back
+//! to locking every shard after three attempts — children can only
+//! change under the victim's own shard lock, so the loop converges.
+//!
+//! [`ShardedStore::with_exclusive`] takes every lock in the same order
+//! and checks out a writable clone of the latest snapshot whose log
+//! holds the pending entries; if the closure changed it, a fork of it
+//! is published as one epoch. The clone is dropped either way.
 
 use crate::store::{shard_for, ShardAccess, ShardState};
 use crate::{AppliedUpdate, EpochHandle, GsdbError, Store, Update};
 use gsview_obs::Counter;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Outcome of one [`ShardedStore::commit`].
 #[derive(Debug)]
@@ -87,13 +88,6 @@ impl CommitResult {
     }
 }
 
-/// Store-level mutable metadata guarded by the publish lock.
-#[derive(Debug)]
-struct PublishState {
-    /// Version of the live (= latest published) store state.
-    version: u64,
-}
-
 /// The monitor's feed: applied updates in publish order, plus the
 /// sequence number the next drained report will take.
 #[derive(Debug, Default)]
@@ -111,7 +105,7 @@ struct ShardMetrics {
     lock_waits: Arc<Counter>,
 }
 
-/// A store partitioned behind per-shard mutation locks, with a global
+/// A store partitioned behind per-shard writer locks, with a global
 /// epoch publisher — the concurrent commit path a
 /// [`Source`](crate::Store) uses underneath. Readers call
 /// [`snapshot`](ShardedStore::snapshot) (wait-free against writers);
@@ -120,31 +114,30 @@ struct ShardMetrics {
 /// commit, and every mutation a [`with_exclusive`](ShardedStore::with_exclusive)
 /// closure makes, is appended to the commit log the monitor drains.
 pub struct ShardedStore {
-    /// One lock per shard, indexed by shard id.
-    locks: Vec<Mutex<ShardState>>,
+    /// One writer lock per shard, indexed by shard id (see the module
+    /// docs: it orders writers and guards no state).
+    locks: Vec<Mutex<()>>,
     /// `log2(shard count)`.
     shift: u32,
-    /// Whether assembled exclusive-mode stores count accesses.
+    /// Whether the stores `with_exclusive` checks out count accesses.
     count_accesses: bool,
-    /// The published-snapshot handle readers load from.
+    /// The published-snapshot handle readers load from (the only state).
     epochs: Arc<EpochHandle>,
-    /// Phase-two lock: serializes snapshot composition + epoch bump.
-    publish: Mutex<PublishState>,
+    /// Phase-two lock: serializes snapshot composition, the epoch bump
+    /// and the commit observer it guards, which runs under it.
+    publish: Mutex<Option<PublishHook>>,
     /// The monitor feed. Locked after `publish` (never the reverse).
     log: Mutex<CommitLog>,
     /// Per-shard commit / lock-contention counters.
     metrics: Vec<ShardMetrics>,
     /// Commits whose affected set spanned more than one shard.
     cross_shard_commits: Arc<Counter>,
-    /// Optional commit observer, called under the publish lock (after
-    /// the log lock is released — lock order publish → log → hook).
-    hook: Mutex<Option<PublishHook>>,
 }
 
-/// The locked-and-cloned view a commit applies its batch to: COW
-/// clones of exactly the shards the batch affects. Touching any other
-/// shard means the affected-set computation is wrong — that is a bug,
-/// and the panic in `state()` is the detector.
+/// The cloned view a commit applies its batch to: COW clones of
+/// exactly the shards the batch affects. Touching any other shard
+/// means the affected-set computation is wrong — that is a bug, and
+/// the panic in `state()` is the detector.
 struct CommitView {
     shift: u32,
     states: Vec<Option<ShardState>>,
@@ -198,10 +191,10 @@ enum Attempt {
 }
 
 impl ShardedStore {
-    /// Take ownership of a store and re-home it behind per-shard
-    /// locks. The store's current state becomes epoch 0's published
-    /// snapshot; any pending log entries become the commit log's
-    /// initial feed.
+    /// Take ownership of a store and publish it behind per-shard
+    /// writer locks. The store's current state becomes epoch 0's
+    /// published snapshot; any pending log entries become the commit
+    /// log's initial feed.
     pub fn new(store: Store) -> ShardedStore {
         Self::build(store, 0, 0)
     }
@@ -216,44 +209,42 @@ impl ShardedStore {
         Self::build(store, epoch, next_seq)
     }
 
-    fn build(store: Store, epoch: u64, next_seq: u64) -> ShardedStore {
-        let snapshot = store.fork();
-        let count_accesses = store.counts_accesses();
-        let (shards, version, entries) = store.into_parts();
-        let shift = shards.len().trailing_zeros();
-        let metrics = (0..shards.len())
+    fn build(mut store: Store, epoch: u64, next_seq: u64) -> ShardedStore {
+        let entries = store.drain_log();
+        let shards = store.shard_count();
+        let metrics = (0..shards)
             .map(|i| ShardMetrics {
                 commits: gsview_obs::registry().counter(&format!("store.shard.commits.{i}")),
                 lock_waits: gsview_obs::registry().counter(&format!("store.shard.lock_wait.{i}")),
             })
             .collect();
         ShardedStore {
-            locks: shards.into_iter().map(Mutex::new).collect(),
-            shift,
-            count_accesses,
-            epochs: Arc::new(EpochHandle::with_epoch(snapshot, epoch)),
-            publish: Mutex::new(PublishState { version }),
+            locks: (0..shards).map(|_| Mutex::new(())).collect(),
+            shift: shards.trailing_zeros(),
+            count_accesses: store.counts_accesses(),
+            epochs: Arc::new(EpochHandle::with_epoch(store.fork(), epoch)),
+            publish: Mutex::new(None),
             log: Mutex::new(CommitLog { entries, next_seq }),
             metrics,
             cross_shard_commits: gsview_obs::registry().counter("store.commit.cross_shard"),
-            hook: Mutex::new(None),
         }
     }
 
     /// Install a commit observer, replacing any previous one. The hook
     /// runs under the publish lock after every epoch publish (both
     /// [`commit`](ShardedStore::commit) and
-    /// [`with_exclusive`](ShardedStore::with_exclusive)), receiving
-    /// the published snapshot — commits are observed in epoch order
-    /// with no gaps from installation onward. Keep hooks short: every
-    /// writer serializes behind them.
+    /// [`with_exclusive`](ShardedStore::with_exclusive)) and its log
+    /// append, receiving the snapshot published — commits are observed
+    /// in epoch order with no gaps from installation onward. Keep hooks
+    /// short: every writer serializes behind them. A hook that panics
+    /// unwinds out of its commit, which stays published and logged.
     pub fn set_publish_hook(&self, hook: impl Fn(&PublishInfo, &Store) + Send + Sync + 'static) {
-        *self.hook.lock().unwrap() = Some(Box::new(hook));
+        *self.lock_publish() = Some(Box::new(hook));
     }
 
     /// Remove the commit observer, if any.
     pub fn clear_publish_hook(&self) {
-        *self.hook.lock().unwrap() = None;
+        *self.lock_publish() = None;
     }
 
     /// Number of shards (a power of two).
@@ -280,7 +271,7 @@ impl ShardedStore {
 
     /// The sequence number the next drained report will take.
     pub fn assigned_seq(&self) -> u64 {
-        self.log.lock().unwrap().next_seq
+        self.lock_log().next_seq
     }
 
     /// The latest published snapshot with what a publish hook is told
@@ -291,12 +282,12 @@ impl ShardedStore {
     /// and can never lead a recovered source to reuse a sequence
     /// number the warehouse already consumed.
     pub fn published(&self) -> (PublishInfo, Arc<Store>) {
-        let pub_state = self.publish.lock().unwrap();
+        let _publish = self.lock_publish();
         let (epoch, snapshot) = self.epochs.load_with_epoch();
-        let log = self.log.lock().unwrap();
+        let log = self.lock_log();
         let info = PublishInfo {
             epoch,
-            version: pub_state.version,
+            version: snapshot.version(),
             assigned_seq_total: log.next_seq + log.entries.len() as u64,
         };
         (info, snapshot)
@@ -305,6 +296,30 @@ impl ShardedStore {
     /// The home shard of an OID (same function every snapshot uses).
     pub fn shard_of(&self, oid: crate::Oid) -> usize {
         shard_for(oid, self.shift)
+    }
+
+    /// The bitmask of every shard.
+    fn all_mask(&self) -> u16 {
+        u16::MAX >> (16 - self.locks.len())
+    }
+
+    /// The publish lock and the hook it guards. A poisoned lock is
+    /// taken as it is: the hook slot is only ever assigned whole, and a
+    /// panic under the lock (a hook's, an exclusive closure's) falls
+    /// before or after the epoch swap, which is one assignment.
+    fn lock_publish(&self) -> MutexGuard<'_, Option<PublishHook>> {
+        self.publish.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The commit log. A poisoned log panics: only an unwound
+    /// `with_exclusive` closure poisons it (hooks run after it is
+    /// released), and that closure took the pending entries with it.
+    /// Panicking here stops the next commit before it publishes an
+    /// epoch whose updates the monitor could never report.
+    fn lock_log(&self) -> MutexGuard<'_, CommitLog> {
+        self.log
+            .lock()
+            .expect("commit log poisoned: an exclusive closure unwound with its pending entries")
     }
 
     /// The affected-shard bitmask of one update, guessing `Remove`'s
@@ -333,41 +348,40 @@ impl ShardedStore {
         }
     }
 
-    /// Lock the shards in `mask`, ascending, counting contention.
-    fn lock_mask(&self, mask: u16) -> Vec<Option<MutexGuard<'_, ShardState>>> {
+    /// Lock the shards in `mask`, ascending, counting contention. A
+    /// poisoned lock is taken as it is: it guards no state, and a
+    /// writer that panicked under it had written only clones.
+    fn lock_shards(&self, mask: u16) -> Vec<MutexGuard<'_, ()>> {
         (0..self.locks.len())
-            .map(|i| {
-                if mask & (1 << i) == 0 {
-                    return None;
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| match self.locks[i].try_lock() {
+                Ok(g) => g,
+                Err(TryLockError::WouldBlock) => {
+                    self.metrics[i].lock_waits.incr();
+                    self.locks[i].lock().unwrap_or_else(PoisonError::into_inner)
                 }
-                Some(match self.locks[i].try_lock() {
-                    Ok(g) => g,
-                    Err(std::sync::TryLockError::WouldBlock) => {
-                        self.metrics[i].lock_waits.incr();
-                        self.locks[i].lock().unwrap()
-                    }
-                    Err(std::sync::TryLockError::Poisoned(e)) => {
-                        panic!("shard {i} lock poisoned: {e}")
-                    }
-                })
+                Err(TryLockError::Poisoned(e)) => e.into_inner(),
             })
             .collect()
     }
 
-    /// One apply attempt against a locked set: clone the locked
-    /// shards, apply the batch. `Ok` carries the mutated view and the
-    /// per-update outcomes; `Err(Widen)` means a `Remove` needs shards
-    /// outside `mask` and nothing is committed.
+    /// One apply attempt under the locks of `mask`: clone the locked
+    /// shards out of `base`, the latest snapshot, and apply the batch.
+    /// `Ok` carries the mutated view and the per-update outcomes;
+    /// `Err(Widen)` means a `Remove` needs shards outside `mask` and
+    /// nothing is committed.
     #[allow(clippy::type_complexity)]
     fn try_apply(
         &self,
-        guards: &[Option<MutexGuard<'_, ShardState>>],
+        base: &Store,
         mask: u16,
         updates: &[Update],
     ) -> Result<(CommitView, Vec<AppliedUpdate>, Option<GsdbError>), Attempt> {
         let mut view = CommitView {
             shift: self.shift,
-            states: guards.iter().map(|g| g.as_deref().cloned()).collect(),
+            states: (0..self.locks.len())
+                .map(|i| (mask & (1 << i) != 0).then(|| base.state(i).clone()))
+                .collect(),
         };
         // A bulk load (`Node::commit_into`) sizes each shard's tables
         // once for the objects it creates there.
@@ -386,7 +400,7 @@ impl ShardedStore {
         let mut error = None;
         for u in updates {
             // Re-validate Remove against the locked, batch-mutated
-            // state: the victim's shard is locked, so its children are
+            // clones: the victim's shard is locked, so its children are
             // frozen except by this very batch.
             if let Update::Remove { oid } = u {
                 let home = shard_for(*oid, self.shift);
@@ -417,6 +431,33 @@ impl ShardedStore {
         Ok((view, applied, error))
     }
 
+    /// Under the caller's shard and publish locks (`hook` is what the
+    /// latter guards): publish `next`, append `applied` to the log,
+    /// release the log and run the hook on `next`. Returns the epoch and
+    /// the snapshot `next` replaced, for the caller to drop after its
+    /// locks.
+    fn publish_locked(
+        &self,
+        hook: &Option<PublishHook>,
+        mut log: MutexGuard<'_, CommitLog>,
+        next: Store,
+        applied: &[AppliedUpdate],
+    ) -> (u64, Arc<Store>) {
+        let next = Arc::new(next);
+        let (epoch, replaced) = self.epochs.publish(Arc::clone(&next));
+        log.entries.extend_from_slice(applied);
+        let info = PublishInfo {
+            epoch,
+            version: next.version(),
+            assigned_seq_total: log.next_seq + log.entries.len() as u64,
+        };
+        drop(log);
+        if let Some(h) = hook {
+            h(&info, &next);
+        }
+        (epoch, replaced)
+    }
+
     /// Apply a batch of basic updates atomically (with the historical
     /// prefix-commit semantics on error) and publish the result as one
     /// new epoch. Concurrent commits whose affected shards are
@@ -429,11 +470,6 @@ impl ShardedStore {
                 error: None,
             };
         }
-        let all_mask = if self.locks.len() >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << self.locks.len()) - 1
-        };
         let mut mask = {
             let snap = self.snapshot();
             updates
@@ -444,154 +480,109 @@ impl ShardedStore {
         loop {
             attempts += 1;
             if attempts > 3 {
-                mask = all_mask;
+                mask = self.all_mask();
             }
-            let mut guards = self.lock_mask(mask);
-            match self.try_apply(&guards, mask, updates) {
+            let shards = self.lock_shards(mask);
+            // Only a lock's holder publishes its shard, so `base` holds
+            // each locked shard's current state.
+            let base = self.snapshot();
+            let (view, applied, error) = match self.try_apply(&base, mask, updates) {
                 Err(Attempt::Widen(need)) => {
-                    drop(guards);
+                    drop(shards);
                     mask |= need;
                     continue;
                 }
-                Ok((view, applied, error)) => {
-                    if applied.is_empty() {
-                        return CommitResult {
-                            epoch: None,
-                            applied,
-                            error,
-                        };
-                    }
-                    // Phase two: publish while still holding the shard
-                    // locks, so no concurrent commit can slip a
-                    // conflicting snapshot between our apply and our
-                    // publish.
-                    let oidset_changed = applied.iter().any(|a| {
-                        matches!(
-                            a,
-                            AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. }
-                        )
-                    });
-                    let mut pub_state = self.publish.lock().unwrap();
-                    pub_state.version += applied.len() as u64;
-                    let replaced: Vec<(usize, ShardState)> = view
-                        .states
-                        .into_iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|s| (i, s)))
-                        .collect();
-                    // Write the mutated states back into the live
-                    // shards, then compose the snapshot from the same
-                    // states (cheap COW clones of each other).
-                    for (i, s) in &replaced {
-                        **guards[*i].as_mut().unwrap() = s.clone();
-                    }
-                    let composed = Store::compose_from(
-                        &self.epochs.load(),
-                        replaced,
-                        pub_state.version,
-                        oidset_changed,
-                    );
-                    let epoch = self.epochs.publish(composed);
-                    let seq_total = {
-                        // Still under the publish lock: log order ==
-                        // epoch order, which the monitor turns into
-                        // sequence numbers.
-                        let mut log = self.log.lock().unwrap();
-                        log.entries.extend(applied.iter().cloned());
-                        log.next_seq + log.entries.len() as u64
-                    };
-                    if let Some(h) = self.hook.lock().unwrap().as_ref() {
-                        h(
-                            &PublishInfo {
-                                epoch,
-                                version: pub_state.version,
-                                assigned_seq_total: seq_total,
-                            },
-                            &self.epochs.load(),
-                        );
-                    }
-                    let shards_touched = mask.count_ones();
-                    for i in 0..self.locks.len() {
-                        if mask & (1 << i) != 0 {
-                            self.metrics[i].commits.incr();
-                        }
-                    }
-                    if shards_touched > 1 {
-                        self.cross_shard_commits.incr();
-                    }
-                    gsview_obs::event!(
-                        "store.commit",
-                        "epoch" = epoch,
-                        "updates" = applied.len(),
-                        "shards" = shards_touched as usize,
-                        "attempts" = attempts as usize,
-                    );
-                    drop(pub_state);
-                    return CommitResult {
-                        epoch: Some(epoch),
-                        applied,
-                        error,
-                    };
+                Ok(attempt) => attempt,
+            };
+            if applied.is_empty() {
+                drop(shards);
+                return CommitResult {
+                    epoch: None,
+                    applied,
+                    error,
+                };
+            }
+            // Phase two: publish while still holding the shard locks,
+            // so no concurrent commit can slip a conflicting snapshot
+            // between our apply and our publish.
+            let oidset_changed = applied.iter().any(|a| {
+                matches!(
+                    a,
+                    AppliedUpdate::Create { .. } | AppliedUpdate::Remove { .. }
+                )
+            });
+            let hook = self.lock_publish();
+            let log = self.lock_log();
+            // Disjoint commits may have published since `base`.
+            let latest = self.snapshot();
+            let next = Store::compose_from(
+                &latest,
+                view.states
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| s.map(|s| (i, s))),
+                latest.version() + applied.len() as u64,
+                oidset_changed,
+            );
+            let (epoch, replaced) = self.publish_locked(&hook, log, next, &applied);
+            drop((hook, shards));
+            // The snapshots this commit read and replaced free what they
+            // alone held only now, outside every lock.
+            drop((base, latest, replaced));
+            let shards_touched = mask.count_ones();
+            for (i, m) in self.metrics.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    m.commits.incr();
                 }
             }
+            if shards_touched > 1 {
+                self.cross_shard_commits.incr();
+            }
+            gsview_obs::event!(
+                "store.commit",
+                "epoch" = epoch,
+                "updates" = applied.len(),
+                "shards" = shards_touched as usize,
+                "attempts" = attempts as usize,
+            );
+            return CommitResult {
+                epoch: Some(epoch),
+                applied,
+                error,
+            };
         }
     }
 
-    /// Run a closure with exclusive mutable access to the whole store,
-    /// assembled as a plain [`Store`] — the escape hatch for setup
-    /// code, direct-access experiments, and the historical
-    /// `with_store` API. Takes every shard lock (ascending), the
-    /// publish lock, and the log lock; pending commit-log entries are
-    /// checked out into the assembled store's log (so the closure
-    /// observes the same log a single-mutex store would) and whatever
-    /// the closure leaves in the log is checked back in. If the
-    /// closure mutated the store, the new state is published as one
-    /// epoch.
+    /// Run a closure with exclusive mutable access to the whole store —
+    /// the escape hatch for setup code, direct-access experiments, and
+    /// the historical `with_store` API. Takes every shard lock
+    /// (ascending), the publish lock and the log lock, and checks out a
+    /// writable clone of the latest snapshot whose log holds the
+    /// pending commit-log entries (so the closure observes the same log
+    /// a single-mutex store would); whatever the closure leaves in the
+    /// log is checked back in. If the closure changed the store, a fork
+    /// of it is published as one epoch. A closure that panics takes the
+    /// pending entries with it, and every later use of the log panics.
     pub fn with_exclusive<T>(&self, f: impl FnOnce(&mut Store) -> T) -> T {
-        let mut guards = self.lock_mask(if self.locks.len() >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << self.locks.len()) - 1
-        });
-        let mut pub_state = self.publish.lock().unwrap();
-        let mut log = self.log.lock().unwrap();
-        let states: Vec<ShardState> = guards
-            .iter_mut()
-            .map(|g| std::mem::take(&mut **g.as_mut().unwrap()))
-            .collect();
-        let mut store = Store::from_parts(
-            states,
-            pub_state.version,
-            std::mem::take(&mut log.entries),
-            self.count_accesses,
-        );
-        let before = store.version();
+        let shards = self.lock_shards(self.all_mask());
+        let hook = self.lock_publish();
+        let mut log = self.lock_log();
+        let base = self.snapshot();
+        let mut store = base.checkout(std::mem::take(&mut log.entries), self.count_accesses);
 
         let out = f(&mut store);
 
-        let changed = store.version() != before;
-        let snapshot = changed.then(|| store.fork());
-        let (states, version, entries) = store.into_parts();
-        for (g, s) in guards.iter_mut().zip(states) {
-            **g.as_mut().unwrap() = s;
-        }
-        pub_state.version = version;
-        log.entries = entries;
-        if let Some(snap) = snapshot {
-            let epoch = self.epochs.publish(snap);
+        log.entries = store.drain_log();
+        let replaced = if store.version() == base.version() {
+            drop(log);
+            None
+        } else {
+            let (epoch, replaced) = self.publish_locked(&hook, log, store.fork(), &[]);
             gsview_obs::event!("store.commit", "epoch" = epoch, "exclusive" = true);
-            let seq_total = log.next_seq + log.entries.len() as u64;
-            if let Some(h) = self.hook.lock().unwrap().as_ref() {
-                h(
-                    &PublishInfo {
-                        epoch,
-                        version: pub_state.version,
-                        assigned_seq_total: seq_total,
-                    },
-                    &self.epochs.load(),
-                );
-            }
-        }
+            Some(replaced)
+        };
+        drop((hook, shards));
+        drop((store, base, replaced));
         out
     }
 
@@ -601,7 +592,7 @@ impl ShardedStore {
     /// additionally include commits published while the drain was in
     /// flight — never fewer).
     pub fn drain_reports(&self) -> (u64, Vec<AppliedUpdate>, Arc<Store>) {
-        let mut log = self.log.lock().unwrap();
+        let mut log = self.lock_log();
         let base = log.next_seq;
         let entries = std::mem::take(&mut log.entries);
         log.next_seq += entries.len() as u64;
@@ -733,9 +724,68 @@ mod tests {
     fn read_only_exclusive_publishes_nothing() {
         let ss = sharded(4);
         let e0 = ss.epoch();
+        let before = ss.snapshot();
         let n = ss.with_exclusive(|s| s.len());
         assert_eq!(n, 1);
+        ss.with_exclusive(|s| s.reserve(1_000));
         assert_eq!(ss.epoch(), e0);
+        assert!(Arc::ptr_eq(&before, &ss.snapshot()));
+    }
+
+    #[test]
+    fn a_panicking_hook_leaves_its_epoch_published_and_later_commits_go_on() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let ss = sharded(4);
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        ss.set_publish_hook(move |info, snap| {
+            assert_eq!(info.version, snap.version());
+            if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("the hook fails once");
+            }
+        });
+        let e0 = ss.epoch();
+        let create = [Update::Create {
+            object: Object::atom("A", "age", 1i64),
+        }];
+        let unwound = catch_unwind(AssertUnwindSafe(|| ss.commit(&create)));
+        assert!(unwound.is_err());
+        assert_eq!(ss.epoch(), e0 + 1, "the hook's commit stays published");
+        // The same OID again: the same shard lock the panic went through.
+        let r = ss.commit(&[Update::modify("A", 2i64)]);
+        assert_eq!(r.epoch, Some(e0 + 2));
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        let (_, entries, snap) = ss.drain_reports();
+        assert_eq!(entries.len(), 2, "both commits are logged");
+        assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(2)));
+        snap.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_exclusive_closure_stops_the_next_commit_before_it_publishes() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let ss = sharded(4);
+        ss.commit(&[Update::Create {
+            object: Object::atom("A", "age", 1i64),
+        }])
+        .into_result()
+        .unwrap();
+        let e0 = ss.epoch();
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            ss.with_exclusive(|s| {
+                s.modify_atom(oid("A"), 5i64).unwrap();
+                panic!("the closure fails");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(ss.epoch(), e0);
+        let next = catch_unwind(AssertUnwindSafe(|| ss.commit(&[Update::modify("A", 2i64)])));
+        assert!(next.is_err(), "the log lost the pending entries");
+        assert_eq!(ss.epoch(), e0);
+        let snap = ss.snapshot();
+        assert_eq!(snap.atom(oid("A")), Some(&Atom::Int(1)));
+        snap.check_invariants().unwrap();
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod tests {
         let (epoch, s) = stats_at(&h);
         assert_eq!(epoch, 0);
         assert_eq!(s.objects, 2);
-        h.publish(live.fork());
+        h.publish(std::sync::Arc::new(live.fork()));
         let (epoch, s) = stats_at(&h);
         assert_eq!(epoch, 1);
         assert_eq!(s.objects, 3);

@@ -726,7 +726,7 @@ pub struct Store {
     shift: u32,
     log: Vec<AppliedUpdate>,
     /// Set only on a store checked out of a
-    /// [`ShardedStore`](crate::ShardedStore) (`from_parts`), so its
+    /// [`ShardedStore`](crate::ShardedStore) (`checkout`), so its
     /// mutations feed the pipeline's commit log. Clones keep it.
     log_enabled: bool,
     /// Bumped on every successful mutation; lets commit protocols skip
@@ -899,9 +899,9 @@ impl Store {
     /// [`EpochHandle`](crate::EpochHandle) at commit time — readers
     /// traverse the fork while the live store keeps mutating (and
     /// keeps accumulating its own log for the monitor). Cost per
-    /// shard: three reference-count bumps (the page directory,
-    /// `slot_of` and the parent index) — no page pointer, object or
-    /// index entry.
+    /// shard: four reference-count bumps (the page directory,
+    /// `slot_of`, the parent index and its spill table) — no page
+    /// pointer, object or index entry.
     pub fn fork(&self) -> Store {
         let mut fork = self.clone();
         fork.log = Vec::new();
@@ -1295,40 +1295,23 @@ impl Store {
     // Commit-pipeline plumbing (crate-internal)
     // ------------------------------------------------------------------
 
-    /// Disassemble into per-shard states plus store-level metadata.
-    /// Used by the commit pipeline's exclusive path; see
-    /// [`ShardedStore`](crate::ShardedStore).
-    pub(crate) fn into_parts(self) -> (Vec<ShardState>, u64, Vec<AppliedUpdate>) {
-        let Store {
-            shards,
-            version,
-            log,
-            ..
-        } = self;
-        (shards, version, log)
-    }
-
-    /// Assemble a live store from per-shard states: the inverse of
-    /// [`Store::into_parts`] and the only store that logs. `log` holds
-    /// the pipeline's pending entries, so a closure observes the same
-    /// log a single-mutex store would have shown it; `shards.len()`
-    /// must be a power of two.
-    pub(crate) fn from_parts(
-        shards: Vec<ShardState>,
-        version: u64,
-        log: Vec<AppliedUpdate>,
-        count_accesses: bool,
-    ) -> Store {
-        debug_assert!(shards.len().is_power_of_two());
-        let shift = shards.len().trailing_zeros();
+    /// A writable copy of this published snapshot, checked out by
+    /// [`ShardedStore::with_exclusive`](crate::ShardedStore::with_exclusive):
+    /// the only store that logs. Its log starts as `log`, the
+    /// pipeline's pending entries, so a closure observes the same log a
+    /// single-mutex store would have shown it; it counts accesses iff
+    /// `count_accesses`, from zero. Cost: [`Store::clone`]'s reference
+    /// bumps.
+    pub(crate) fn checkout(&self, log: Vec<AppliedUpdate>, count_accesses: bool) -> Store {
         Store {
-            shards,
-            shift,
+            shards: self.shards.clone(),
+            shift: self.shift,
             log,
             log_enabled: true,
-            version,
+            version: self.version,
             count_accesses: AtomicBool::new(count_accesses),
-            ..Store::default()
+            accesses: Counter::new("store.accesses"),
+            derived: Mutex::new(self.derived().clone()),
         }
     }
 

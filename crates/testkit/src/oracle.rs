@@ -523,7 +523,7 @@ pub fn check_snapshot_isolation(
             for u in batch {
                 let _ = live.apply(u.clone());
             }
-            report.epochs_published = handle.publish(live.fork());
+            report.epochs_published = handle.publish(Arc::new(live.fork())).0;
         }
         done.store(true, Ordering::Release);
 
@@ -579,7 +579,9 @@ pub fn assert_snapshot_isolated(
 /// This is the isolation property [`check_snapshot_isolation`] cannot
 /// see: its single writer serializes everything, whereas here the
 /// pairs race each other through disjoint *and* overlapping shard
-/// sets, exercising the two-phase publish. The report's
+/// sets, exercising the two-phase publish; the first writer sends
+/// every second batch through [`ShardedStore::with_exclusive`]
+/// instead, so the exclusive path races them as well. The report's
 /// [`cross_shard_pairs`](IsolationReport::cross_shard_pairs) counts
 /// how many pairs genuinely straddled two shards (0 at one shard,
 /// where the check degenerates to batch atomicity).
@@ -648,13 +650,19 @@ pub fn check_cross_shard_isolation(
             scope.spawn(move || {
                 for v in 1..=batches_per_writer as i64 {
                     let stamp = (w as i64 + 1) * 1_000_000 + v;
-                    pipeline
-                        .commit(&[
-                            Update::modify(a.name(), stamp),
-                            Update::modify(b.name(), stamp),
-                        ])
-                        .into_result()
-                        .expect("marker modify cannot fail");
+                    let batch = [
+                        Update::modify(a.name(), stamp),
+                        Update::modify(b.name(), stamp),
+                    ];
+                    // The exclusive path races too: one closure, one epoch.
+                    if w == 0 && v % 2 == 0 {
+                        pipeline.with_exclusive(|s| {
+                            batch.into_iter().try_for_each(|u| s.apply(u).map(drop))
+                        })
+                    } else {
+                        pipeline.commit(&batch).into_result().map(drop)
+                    }
+                    .expect("marker modify cannot fail");
                     std::thread::yield_now();
                 }
             });
