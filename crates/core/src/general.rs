@@ -457,8 +457,8 @@ impl GeneralMaintainer {
             (Some(cond), Some(c)) if !known.witness => {
                 let pred = &cond.pred;
                 scratch
-                    .any(store, y, c, c.start_mask(), &|_| true, |o| {
-                        pred.holds_at(store, o)
+                    .any(store, y, None, c, c.start_mask(), &|_| true, |_, slot| {
+                        pred.holds_at(store, slot)
                     })
                     .0
             }

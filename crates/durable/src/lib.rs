@@ -468,26 +468,29 @@ impl DurableStore {
     /// Rebuild a store from a manifest against this log's chunks
     /// ([`Manifest::rebuild`]), seeding the persist cache so a
     /// re-persist of the recovered (unchanged) store appends nothing.
+    /// The cache takes the built store's pages, not the decoded ones:
+    /// the build writes its sets' slot hints into pages it holds alone,
+    /// and a page it had to share would be copied first.
     fn try_build(&self, m: &Manifest) -> Result<Store> {
-        let mut read = Vec::with_capacity(m.page_count());
+        let mut hashes = Vec::with_capacity(m.page_count());
         let store = m.rebuild(|&hash| {
             let payload = self
                 .log
                 .get(&hash)?
                 .ok_or_else(|| DurableError::Corrupt(format!("chunk {hash} missing or corrupt")))?;
-            let chunk = gsdb::codec::decode_chunk(&payload)?;
-            read.push(CachedChunk {
-                chunk: chunk.clone(),
-                hash,
-                encoded: None,
-            });
-            Ok(chunk)
+            hashes.push(hash);
+            Ok(gsdb::codec::decode_chunk(&payload)?)
         })?;
-        let mut read = read.into_iter();
-        let by_shard = m
-            .shards
-            .iter()
-            .map(|sm| read.by_ref().take(sm.pages.len()).collect());
+        let mut hashes = hashes.into_iter();
+        let by_shard = (store.export_images().into_iter()).map(|img| {
+            (img.chunks.into_iter().zip(hashes.by_ref()))
+                .map(|(chunk, hash)| CachedChunk {
+                    chunk,
+                    hash,
+                    encoded: None,
+                })
+                .collect()
+        });
         self.persist_cache()
             .insert(m.name.clone(), by_shard.collect());
         Ok(store)

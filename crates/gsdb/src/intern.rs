@@ -20,7 +20,7 @@ use crate::FastMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{LockResult, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{LockResult, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 /// A handle to an interned string. Two symbols are equal iff their
 /// underlying strings are equal.
@@ -313,6 +313,22 @@ fn interner() -> &'static Interner {
     })
 }
 
+/// A guard of a name shard's lock, recovered if a panic poisoned it.
+/// The shard's table is whole even then: its one writer, [`intern`],
+/// inserts a symbol only after [`ResolveTable::push`] has handed it out
+/// — the capacity assert there fires before anything is written — and
+/// nothing between that push and the table insert can panic.
+fn shard<G>(guard: LockResult<G>) -> G {
+    guard.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The append lock's guard, recovered if a panic poisoned it. The arena
+/// and the resolve table are whole even then, for the reason given at
+/// [`shard`]: a panic on the miss path fires before either is written.
+fn appender(it: &Interner) -> MutexGuard<'_, Arena> {
+    it.append.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A guard of the delegate maps' lock, recovered if a panic poisoned
 /// it. The maps are whole even then: each entry is final when it goes
 /// in, and their one writer, [`intern_delegate`], puts `parts` in
@@ -337,13 +353,13 @@ pub fn intern(s: &str) -> Symbol {
     let it = interner();
     let key = Key::new(s);
     let hash = it.probe_hash(s, key.name);
-    let shard = &it.shards[(hash >> (64 - SHARD_BITS)) as usize];
-    if let Some(sym) = shard.read().expect("interner poisoned").find(hash, &key) {
+    let table = &it.shards[(hash >> (64 - SHARD_BITS)) as usize];
+    if let Some(sym) = shard(table.read()).find(hash, &key) {
         return sym;
     }
     // Miss: serialize appends, re-check under the shard write lock.
-    let mut arena = it.append.lock().expect("interner poisoned");
-    let mut g = shard.write().expect("interner poisoned");
+    let mut arena = appender(it);
+    let mut g = shard(table.write());
     if let Some(sym) = g.find(hash, &key) {
         return sym;
     }
@@ -391,18 +407,16 @@ pub(crate) fn intern_all(names: &[&str]) -> Vec<Symbol> {
         *at += 1;
     }
     let mut out = vec![Symbol(VACANT); keys.len()];
-    for (s, shard) in it.shards.iter().enumerate() {
+    for (s, lock) in it.shards.iter().enumerate() {
         let group = &order[starts[s]..starts[s + 1]];
         if group.is_empty() {
             continue;
         }
-        // A poisoned shard is left to `intern`, which reports it.
-        if let Ok(table) = shard.read() {
-            for &i in group {
-                let (key, hash) = &keys[i];
-                if let Some(sym) = table.find(*hash, key) {
-                    out[i] = sym;
-                }
+        let table = shard(lock.read());
+        for &i in group {
+            let (key, hash) = &keys[i];
+            if let Some(sym) = table.find(*hash, key) {
+                out[i] = sym;
             }
         }
     }
@@ -463,6 +477,30 @@ impl fmt::Display for Symbol {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_lock_poisoned_by_a_panicking_thread_still_interns_and_resolves() {
+        let it = interner();
+        let name = "poisoned_shard_name";
+        let key = Key::new(name);
+        let i = (it.probe_hash(name, key.name) >> (64 - SHARD_BITS)) as usize;
+        let poisoned = std::thread::spawn(move || {
+            let _shard = it.shards[i].write().unwrap();
+            let _append = it.append.lock().unwrap();
+            panic!("poisons the name's shard and the append lock");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        assert!(it.shards[i].is_poisoned() && it.append.is_poisoned());
+        let sym = intern(name);
+        assert_eq!(resolve(sym), name);
+        assert_eq!(intern(name), sym, "found again under the poisoned lock");
+        assert_eq!(intern_all(&[name, "poisoned_shard_other"])[0], sym);
+        assert_eq!(
+            resolve(intern("poisoned_shard_other")),
+            "poisoned_shard_other"
+        );
+    }
 
     #[test]
     fn intern_is_idempotent() {

@@ -24,6 +24,21 @@ impl Oid {
     /// this id): the empty-slot marker of the store's index tables.
     pub(crate) const VACANT: Oid = Oid(Symbol(u64::MAX));
 
+    /// A word of plain bits in an OID's place: how a small
+    /// [`OidSet`](crate::OidSet) keeps its members' slot hints in the
+    /// members' own allocation. Such a word is only ever read back by
+    /// [`Oid::bits`], never compared, hashed or named.
+    #[inline]
+    pub(crate) const fn from_bits(bits: u64) -> Oid {
+        Oid(Symbol(bits))
+    }
+
+    /// The word [`Oid::from_bits`] was given.
+    #[inline]
+    pub(crate) const fn bits(self) -> u64 {
+        self.0 .0
+    }
+
     /// Intern an OID by name.
     pub fn new(name: &str) -> Self {
         Oid(intern(name))

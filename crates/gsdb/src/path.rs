@@ -126,9 +126,15 @@ impl From<&str> for Path {
 /// The constant-path walk every `N.p` is read from: from `n`, one
 /// label of `labels` at a time, over slot ids (paper §2). Level `k`
 /// holds the objects the first `k` labels reach, in discovery order,
-/// each once; `hit` sees the last level in that order, and the walk
-/// stops at the first object it accepts (`cond()` holds as soon as one
-/// object satisfies it).
+/// each once; `hit` sees the last level in that order, each object
+/// with its slot, and the walk stops at the first object it accepts
+/// (`cond()` holds as soon as one object satisfies it).
+///
+/// `at` is `n`'s slot if the caller knows it, taken once the record
+/// there is `n`'s, as every child's slot is taken from its parent's
+/// hint ([`Store::children_at`]); either falls back to a `slot_of`
+/// probe. The empty path hands `hit` `n` at `u32::MAX` when `n` has no
+/// record, a slot every slot read answers as free.
 ///
 /// `filter`, when given, hides every object it refuses, `n` included,
 /// before anything of it is read — the `WITHIN DB1` scope. A set's
@@ -143,23 +149,26 @@ impl From<&str> for Path {
 /// nothing. The empty path visits `n` alone and reads nothing, whether
 /// or not `n` has a record; a start with no record is visited once,
 /// with one `children` read that finds nothing.
+#[allow(clippy::too_many_arguments)]
 pub fn walk(
     store: &Store,
     n: Oid,
+    at: Option<u32>,
     labels: &[Label],
     filter: Option<&dyn Fn(Oid) -> bool>,
     slots: &mut Vec<u32>,
     seen: &mut FastSet<u32>,
-    mut hit: impl FnMut(Oid) -> bool,
+    mut hit: impl FnMut(Oid, u32) -> bool,
 ) -> (bool, usize) {
     let admits = |o: Oid| filter.is_none_or(|f| f(o));
     if !admits(n) {
         return (false, 0);
     }
+    let start = store.child_slot(n, at.unwrap_or(NO_RECORD));
     if labels.is_empty() {
-        return (hit(n), 1);
+        return (hit(n, start.unwrap_or(NO_RECORD)), 1);
     }
-    let Some(start) = store.slot_of(n) else {
+    let Some(start) = start else {
         let _ = store.children(n);
         return (false, 1);
     };
@@ -175,11 +184,11 @@ pub fn walk(
             seen.clear();
         }
         for i in level.clone() {
-            for &c in store.children_at(slots[i]) {
+            for (c, hint) in store.children_at(slots[i]) {
                 if !admits(c) {
                     continue;
                 }
-                let Some(cslot) = store.slot_of(c) else {
+                let Some(cslot) = store.child_slot(c, hint) else {
                     continue;
                 };
                 if store.label_at(cslot) == Some(want) && (!many || seen.insert(cslot)) {
@@ -192,21 +201,27 @@ pub fn walk(
             return (false, visited);
         }
     }
-    for o in slots[level].iter().filter_map(|&slot| store.oid_at(slot)) {
+    for &slot in &slots[level] {
+        let Some(o) = store.oid_at(slot) else {
+            continue;
+        };
         visited += 1;
-        if hit(o) {
+        if hit(o, slot) {
             return (true, visited);
         }
     }
     (false, visited)
 }
 
+/// The slot [`walk`] hands `hit` for an object with no record.
+const NO_RECORD: u32 = u32::MAX;
+
 /// The set `N.p`: objects reachable from `n` following path `p`
 /// (paper §2), in [`walk`]'s order. Works on arbitrary graphs; each
 /// object is reached once, so the result is a set even over DAGs.
 pub fn reach(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
     let mut out = Vec::new();
-    walk_all(store, n, p, |o| out.push(o));
+    walk_all(store, n, p, |o, _| out.push(o));
     out
 }
 
@@ -215,8 +230,8 @@ pub fn reach(store: &Store, n: Oid, p: &Path) -> Vec<Oid> {
 /// is tested. Set objects in `N.p` never satisfy an atomic condition.
 pub fn eval(store: &Store, n: Oid, p: &Path, cond: &dyn Fn(&Atom) -> bool) -> Vec<Oid> {
     let mut out = Vec::new();
-    walk_all(store, n, p, |o| {
-        if store.atom(o).is_some_and(cond) {
+    walk_all(store, n, p, |o, slot| {
+        if store.atom_at(slot).is_some_and(cond) {
             out.push(o);
         }
     });
@@ -224,13 +239,22 @@ pub fn eval(store: &Store, n: Oid, p: &Path, cond: &dyn Fn(&Atom) -> bool) -> Ve
 }
 
 /// The whole of [`walk`] in buffers of its own: `each` sees every
-/// object of `N.p`.
-fn walk_all(store: &Store, n: Oid, p: &Path, mut each: impl FnMut(Oid)) {
+/// object of `N.p`, with its slot.
+fn walk_all(store: &Store, n: Oid, p: &Path, mut each: impl FnMut(Oid, u32)) {
     let (mut slots, mut seen) = (Vec::new(), FastSet::default());
-    walk(store, n, p.labels(), None, &mut slots, &mut seen, |o| {
-        each(o);
-        false
-    });
+    walk(
+        store,
+        n,
+        None,
+        p.labels(),
+        None,
+        &mut slots,
+        &mut seen,
+        |o, slot| {
+            each(o, slot);
+            false
+        },
+    );
 }
 
 // ----------------------------------------------------------------------

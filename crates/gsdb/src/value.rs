@@ -3,6 +3,18 @@
 //! Paper §2: "Each object either has an atomic type, such as integer or
 //! string, or has a set type. The value of a set object is a set of OIDs
 //! of other objects."
+//!
+//! A set holds its members and, beside each, a **slot hint**: the slot
+//! of the member's record when the store last wrote the set (§3.2's
+//! swizzled edges, kept in memory for the base store). The members are
+//! the value; the hints are derived from them and the store's slot
+//! table, so they are in memory only — equality, display, the durable
+//! encoding and every digest read the members alone — and a hint is
+//! read only after checking that the record in its slot is the
+//! member's ([`Store::children_at`](crate::Store::children_at)). A
+//! stale hint, after the member's record was removed or created again
+//! elsewhere, fails the check and costs a `slot_of` probe; it never
+//! changes an answer.
 
 use crate::fxhash::FastMap;
 use crate::{Label, Oid};
@@ -141,23 +153,88 @@ impl From<bool> for Atom {
 /// insertion and removal O(1) there (a view object gains a member per
 /// `V_insert`). Either way the members are one pointer away from the
 /// record, in the order the member-by-member operations leave them.
+///
+/// Beside each member the set keeps a **slot hint**: the slot the
+/// member's record had in the store that last wrote the set, or
+/// `u32::MAX` if it had none. A hint is derived and in-memory only —
+/// equality, display and the durable encoding read the members alone —
+/// and it may be stale: the member's record may since have been
+/// removed, its slot reused, or the record created again elsewhere. So
+/// a reader trusts a hint only once the record in that slot is the
+/// member's (see [`Store::children_at`](crate::Store::children_at)). A
+/// small set keeps its hints in the members' allocation, after them,
+/// two to a word; a large one keeps them beside its position index.
 #[derive(Clone)]
 pub struct OidSet(Members);
 
 #[derive(Clone)]
 enum Members {
-    /// At most `SCAN_LIMIT` members, shared by every copy of the set.
+    /// At most `SCAN_LIMIT` members, then their hints two to a word
+    /// (member `i`'s in the low half of word `i / 2` if `i` is even,
+    /// the high half if odd), in one allocation shared by every copy of
+    /// the set.
     Small(Arc<[Oid]>),
     /// More than `SCAN_LIMIT` members, each with its position in
-    /// `items`.
-    Large {
-        items: Vec<Oid>,
-        index: Box<FastMap<Oid, usize>>,
-    },
+    /// `items` and its hint in `index`.
+    Large { items: Vec<Oid>, index: Box<Index> },
+}
+
+/// A large set's member → position index and its hints.
+#[derive(Clone)]
+struct Index {
+    pos: FastMap<Oid, usize>,
+    /// `hints[i]` is `items[i]`'s hint.
+    hints: Vec<u32>,
 }
 
 /// Largest set that is searched by scanning its members.
 const SCAN_LIMIT: usize = 16;
+
+/// The hint of a member that had no record when its set was written.
+pub(crate) const NO_HINT: u32 = u32::MAX;
+
+/// Words a small set of `n` members takes: the members, then their
+/// hints two to a word.
+const fn small_words(n: usize) -> usize {
+    n + n.div_ceil(2)
+}
+
+/// Members of a small set whose allocation is `words` long: the inverse
+/// of [`small_words`] (`3n / 2` words for even `n`, `(3n + 1) / 2` for
+/// odd).
+#[inline]
+const fn small_len(words: usize) -> usize {
+    words * 2 / 3
+}
+
+/// Member `i`'s hint in the words of a small set of `n` members.
+#[inline]
+fn packed_hint(words: &[Oid], n: usize, i: usize) -> u32 {
+    (words[n + i / 2].bits() >> (32 * (i & 1))) as u32
+}
+
+/// The hint word holding `low` and `high`.
+#[inline]
+fn pack(low: u32, high: u32) -> Oid {
+    Oid::from_bits(u64::from(low) | u64::from(high) << 32)
+}
+
+/// A small set of `members`, member `i` hinted `hint(i)`: one
+/// allocation of their exact size.
+fn small(members: &[Oid], hint: impl Fn(usize) -> u32) -> Members {
+    let n = members.len();
+    let mut words = [Oid::VACANT; small_words(SCAN_LIMIT)];
+    words[..n].copy_from_slice(members);
+    for (k, w) in words[n..small_words(n)].iter_mut().enumerate() {
+        let high = if 2 * k + 1 < n {
+            hint(2 * k + 1)
+        } else {
+            NO_HINT
+        };
+        *w = pack(hint(2 * k), high);
+    }
+    Members::Small(Arc::from(&words[..small_words(n)]))
+}
 
 impl Default for OidSet {
     fn default() -> Self {
@@ -171,12 +248,13 @@ impl OidSet {
         Self::default()
     }
 
-    /// A set indexing `items`: more than `SCAN_LIMIT` distinct OIDs.
-    fn large(items: Vec<Oid>) -> Self {
-        let index = items.iter().enumerate().map(|(i, &o)| (o, i)).collect();
+    /// A set indexing `items`, more than `SCAN_LIMIT` distinct OIDs,
+    /// hinted by `hints`.
+    fn large(items: Vec<Oid>, hints: Vec<u32>) -> Self {
+        let pos = items.iter().enumerate().map(|(i, &o)| (o, i)).collect();
         OidSet(Members::Large {
             items,
-            index: Box::new(index),
+            index: Box::new(Index { pos, hints }),
         })
     }
 
@@ -193,8 +271,8 @@ impl OidSet {
     /// Where `oid` sits among the members, if it is one.
     fn position(&self, oid: Oid) -> Option<usize> {
         match &self.0 {
-            Members::Small(items) => items.iter().position(|&o| o == oid),
-            Members::Large { index, .. } => index.get(&oid).copied(),
+            Members::Small(_) => self.as_slice().iter().position(|&o| o == oid),
+            Members::Large { index, .. } => index.pos.get(&oid).copied(),
         }
     }
 
@@ -203,55 +281,141 @@ impl OidSet {
         self.position(oid).is_some()
     }
 
-    /// Insert; returns `true` if newly added.
+    /// Insert; returns `true` if newly added. The new member has no
+    /// hint: a store that writes the set gives it one.
     pub fn insert(&mut self, oid: Oid) -> bool {
+        self.insert_hinted(oid, NO_HINT)
+    }
+
+    /// Insert `oid` hinted `hint`; returns `true` if newly added (a
+    /// member already there keeps its hint).
+    pub(crate) fn insert_hinted(&mut self, oid: Oid, hint: u32) -> bool {
         if self.contains(oid) {
             return false;
         }
+        let n = self.len();
         match &mut self.0 {
-            Members::Small(items) if items.len() < SCAN_LIMIT => {
-                *items = items.iter().copied().chain([oid]).collect();
+            Members::Small(words) if n < SCAN_LIMIT => {
+                let mut members = [Oid::VACANT; SCAN_LIMIT];
+                members[..n].copy_from_slice(&words[..n]);
+                members[n] = oid;
+                let grown = small(&members[..=n], |i| {
+                    if i < n {
+                        packed_hint(words, n, i)
+                    } else {
+                        hint
+                    }
+                });
+                self.0 = grown;
             }
-            Members::Small(items) => {
-                let mut grown = Vec::with_capacity(2 * SCAN_LIMIT);
-                grown.extend_from_slice(items);
-                grown.push(oid);
-                *self = OidSet::large(grown);
+            Members::Small(words) => {
+                let mut items = Vec::with_capacity(2 * SCAN_LIMIT);
+                items.extend_from_slice(&words[..n]);
+                items.push(oid);
+                let mut hints = Vec::with_capacity(2 * SCAN_LIMIT);
+                hints.extend((0..n).map(|i| packed_hint(words, n, i)));
+                hints.push(hint);
+                *self = OidSet::large(items, hints);
             }
             Members::Large { items, index } => {
-                index.insert(oid, items.len());
+                index.pos.insert(oid, items.len());
+                index.hints.push(hint);
                 items.push(oid);
             }
         }
         true
     }
 
-    /// Remove; returns `true` if it was present.
+    /// Remove; returns `true` if it was present. The member's hint goes
+    /// with it.
     pub fn remove(&mut self, oid: Oid) -> bool {
         let Some(pos) = self.position(oid) else {
             return false;
         };
+        let n = self.len();
         match &mut self.0 {
-            Members::Small(items) => {
-                let last = items.len() - 1;
-                *items = (0..last)
-                    .map(|i| items[if i == pos { last } else { i }])
-                    .collect();
+            Members::Small(words) => {
+                // The last member takes the removed one's place.
+                let from = |i: usize| if i == pos { n - 1 } else { i };
+                let mut members = [Oid::VACANT; SCAN_LIMIT];
+                for (i, m) in members[..n - 1].iter_mut().enumerate() {
+                    *m = words[from(i)];
+                }
+                let shrunk = small(&members[..n - 1], |i| packed_hint(words, n, from(i)));
+                self.0 = shrunk;
             }
             Members::Large { items, index } => {
                 items.swap_remove(pos);
+                index.hints.swap_remove(pos);
                 if items.len() > SCAN_LIMIT {
-                    index.remove(&oid);
+                    index.pos.remove(&oid);
                     if let Some(&moved) = items.get(pos) {
-                        index.insert(moved, pos);
+                        index.pos.insert(moved, pos);
                     }
                 } else {
-                    let small = Arc::from(&items[..]);
-                    self.0 = Members::Small(small);
+                    let shrunk = small(items, |i| index.hints[i]);
+                    self.0 = shrunk;
                 }
             }
         }
         true
+    }
+
+    /// The members, each with its hint, in storage order.
+    pub(crate) fn hinted(&self) -> Hinted<'_> {
+        match &self.0 {
+            Members::Small(words) => {
+                let n = small_len(words.len());
+                Hinted {
+                    members: &words[..n],
+                    hints: Hints::Packed(&words[n..]),
+                    at: 0,
+                }
+            }
+            Members::Large { items, index } => Hinted {
+                members: items,
+                hints: Hints::Plain(&index.hints),
+                at: 0,
+            },
+        }
+    }
+
+    /// Hint every member `slot` answers for with that slot; a member it
+    /// answers `None` for keeps its hint. A set whose hints all agree
+    /// already is not written, and a small set shared with a copy is
+    /// copied only if one changes.
+    pub(crate) fn rehint(&mut self, mut slot: impl FnMut(Oid) -> Option<u32>) {
+        match &mut self.0 {
+            Members::Small(words) => {
+                let n = small_len(words.len());
+                let mut hints = [NO_HINT; SCAN_LIMIT];
+                let mut changed = false;
+                for (i, h) in hints[..n].iter_mut().enumerate() {
+                    *h = packed_hint(words, n, i);
+                    if let Some(s) = slot(words[i]).filter(|&s| s != *h) {
+                        *h = s;
+                        changed = true;
+                    }
+                }
+                if changed {
+                    match Arc::get_mut(words) {
+                        Some(unshared) => {
+                            for (k, w) in unshared[n..].iter_mut().enumerate() {
+                                *w = pack(hints[2 * k], hints[2 * k + 1]);
+                            }
+                        }
+                        None => self.0 = small(&words[..n], |i| hints[i]),
+                    }
+                }
+            }
+            Members::Large { items, index } => {
+                for (&c, h) in items.iter().zip(&mut index.hints) {
+                    if let Some(s) = slot(c) {
+                        *h = s;
+                    }
+                }
+            }
+        }
     }
 
     /// Iterate members in deterministic (storage) order.
@@ -262,7 +426,7 @@ impl OidSet {
     /// Members as a slice.
     pub fn as_slice(&self) -> &[Oid] {
         match &self.0 {
-            Members::Small(items) => items,
+            Members::Small(words) => &words[..small_len(words.len())],
             Members::Large { items, .. } => items,
         }
     }
@@ -275,6 +439,54 @@ impl OidSet {
     }
 }
 
+/// Where a [`Hinted`] reads its hints from.
+#[derive(Clone, Copy)]
+enum Hints<'a> {
+    /// A small set's hint words, two hints to a word.
+    Packed(&'a [Oid]),
+    /// A large set's hints, one per member.
+    Plain(&'a [u32]),
+}
+
+/// A set's members, each with its hint: [`OidSet::hinted`].
+#[derive(Clone)]
+pub(crate) struct Hinted<'a> {
+    members: &'a [Oid],
+    hints: Hints<'a>,
+    at: usize,
+}
+
+impl Hinted<'_> {
+    /// No members.
+    pub(crate) const EMPTY: Hinted<'static> = Hinted {
+        members: &[],
+        hints: Hints::Plain(&[]),
+        at: 0,
+    };
+}
+
+impl Iterator for Hinted<'_> {
+    type Item = (Oid, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(Oid, u32)> {
+        let i = self.at;
+        let &member = self.members.get(i)?;
+        self.at += 1;
+        let hint = match self.hints {
+            Hints::Packed(words) => (words[i / 2].bits() >> (32 * (i & 1))) as u32,
+            Hints::Plain(hints) => hints[i],
+        };
+        Some((member, hint))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.members.len() - self.at;
+        (left, Some(left))
+    }
+}
+
 impl PartialEq for OidSet {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|o| other.contains(o))
@@ -283,28 +495,30 @@ impl PartialEq for OidSet {
 impl Eq for OidSet {}
 
 impl FromIterator<Oid> for OidSet {
-    /// The distinct OIDs in first-seen order. Up to `SCAN_LIMIT` of
-    /// them are gathered on the stack and stored in one allocation of
-    /// their exact size.
+    /// The distinct OIDs in first-seen order, with no hints. Up to
+    /// `SCAN_LIMIT` of them are gathered on the stack and stored in one
+    /// allocation of their exact size.
     fn from_iter<T: IntoIterator<Item = Oid>>(iter: T) -> Self {
         let mut iter = iter.into_iter();
-        let mut small = [Oid::VACANT; SCAN_LIMIT];
+        let mut small_members = [Oid::VACANT; SCAN_LIMIT];
         let mut n = 0;
         while let Some(o) = iter.next() {
-            if small[..n].contains(&o) {
+            if small_members[..n].contains(&o) {
                 continue;
             }
             if n == SCAN_LIMIT {
-                let mut s = OidSet::large(small.iter().copied().chain([o]).collect());
+                let items: Vec<Oid> = small_members.iter().copied().chain([o]).collect();
+                let hints = vec![NO_HINT; items.len()];
+                let mut s = OidSet::large(items, hints);
                 for o in iter {
                     s.insert(o);
                 }
                 return s;
             }
-            small[n] = o;
+            small_members[n] = o;
             n += 1;
         }
-        OidSet(Members::Small(Arc::from(&small[..n])))
+        OidSet(small(&small_members[..n], |_| NO_HINT))
     }
 }
 
@@ -588,6 +802,80 @@ mod tests {
                 "{want} members"
             );
         }
+    }
+
+    #[test]
+    fn an_object_is_48_bytes_and_a_small_sets_copy_one_count_bump() {
+        use crate::Object;
+        assert_eq!(std::mem::size_of::<Object>(), 48);
+        let members = pool("osb", SCAN_LIMIT);
+        let set: OidSet = members.iter().copied().collect();
+        let Members::Small(words) = &set.0 else {
+            panic!("a set of {SCAN_LIMIT} is small")
+        };
+        assert_eq!(words.len(), small_words(SCAN_LIMIT), "hints ride along");
+        let copy = set.clone();
+        let Members::Small(copied) = &copy.0 else {
+            panic!("a copy of a small set is small")
+        };
+        assert!(Arc::ptr_eq(words, copied));
+        assert_eq!(
+            Arc::strong_count(words),
+            2,
+            "one count bump, one allocation"
+        );
+    }
+
+    #[test]
+    fn hints_follow_their_members_through_inserts_and_removes() {
+        // Every member hinted with its position in `pool` at insert:
+        // whatever the churn did, each member still carries its own.
+        for n in [3, SCAN_LIMIT, 40] {
+            let pool = pool(&format!("osh{n}x"), n);
+            let hint_of = |o: Oid| pool.iter().position(|&p| p == o).unwrap() as u32;
+            let mut set = OidSet::new();
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..20 * n {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let o = pool[(x >> 8) as usize % n];
+                if (x >> 40).is_multiple_of(3) {
+                    set.remove(o);
+                } else {
+                    set.insert_hinted(o, hint_of(o));
+                }
+                assert!(set.hinted().map(|(o, _)| o).eq(set.iter()));
+                assert!(set.hinted().all(|(o, h)| h == hint_of(o)), "{set:?}");
+            }
+            // A rehint writes what it is given and leaves the rest.
+            let odd = |o: Oid| (hint_of(o) % 2 == 1).then_some(1000 + hint_of(o));
+            set.rehint(odd);
+            for (o, h) in set.hinted() {
+                assert_eq!(h, odd(o).unwrap_or(hint_of(o)));
+            }
+            // Hints are not the value.
+            let plain: OidSet = set.iter().collect();
+            assert!(plain.hinted().all(|(_, h)| h == NO_HINT));
+            assert_eq!(plain, set);
+        }
+    }
+
+    #[test]
+    fn a_rehint_writes_a_shared_small_set_anew_and_an_unshared_one_in_place() {
+        let members = pool("osr", 5);
+        let mut set: OidSet = members.iter().copied().collect();
+        let copy = set.clone();
+        let words = |s: &OidSet| s.as_slice().as_ptr();
+        set.rehint(|_| None);
+        assert_eq!(words(&set), words(&copy), "nothing to write");
+        set.rehint(|o| Some(members.iter().position(|&m| m == o).unwrap() as u32));
+        assert_ne!(words(&set), words(&copy), "the copy keeps its hints");
+        assert!(copy.hinted().all(|(_, h)| h == NO_HINT));
+        let at = words(&set);
+        set.rehint(|_| Some(7));
+        assert_eq!(words(&set), at, "an unshared set is written in place");
+        assert!(set.hinted().all(|(_, h)| h == 7));
     }
 
     #[test]

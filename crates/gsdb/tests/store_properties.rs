@@ -4,13 +4,14 @@
 //! against fresh scans, slot layout under forks and durable-image round
 //! trips, a store rebuilt whole from its images against the store, the
 //! upward search against brute-force walks, a value replaced in place
-//! against the record removed and created again, and the parent index
-//! against a model across its spills.
+//! against the record removed and created again, the parent index
+//! against a model across its spills, and every set member's slot hint
+//! against a model of the writes that set it.
 
-use gsdb::codec::EncodedChunk;
+use gsdb::codec::{decode_chunk, EncodedChunk};
 use gsdb::{
-    gc, notation, path, Label, Object, Oid, OidSet, Path, ShardedStore, Snapshot, Store,
-    StoreConfig, Update, Value,
+    gc, notation, path, Label, Object, Oid, OidSet, Path, ShardImage, ShardedStore, Snapshot,
+    Store, StoreConfig, Update, Value,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -809,6 +810,145 @@ proptest! {
                 prop_assert_eq!(&slots(&s, c), &want, "parents of {}", c.name());
                 prop_assert_eq!(&slots(&back, c), &want, "rebuilt parents of {}", c.name());
             }
+        }
+    }
+
+    /// Slot hints against a model of the writes that set them, on 1,
+    /// 2, 4 and 8 shards. Steps create sets (naming children with and
+    /// without records, themselves too) and atoms, remove records (the
+    /// next create in a shard reuses the slot, and a removed OID may be
+    /// created again at another), insert edges checked and unchecked,
+    /// delete them, replace values with sets or atoms, and rebuild the
+    /// store from its images, from its records or at another shard
+    /// count. A write hints each member it adds with the member's slot
+    /// then, `u32::MAX` if it had no record; a rebuild hints every
+    /// member that has a record, on the pages it holds alone (records,
+    /// a reshard, decoded chunks), and leaves a page it shares with the
+    /// store it was exported from as it is. After every step each
+    /// member's hint is the model's, and names the member's slot or
+    /// fails the check a walk makes, and the invariants hold.
+    #[test]
+    fn hints_name_their_members_slots_or_fail_the_check(
+        shards in 0..4u32,
+        steps in prop::collection::vec((0..11u8, 0..24usize, any::<u16>()), 1..160),
+        salt in 0u32..1_000_000,
+    ) {
+        const NONE: u32 = u32::MAX;
+        let pool: Vec<Oid> = (0..24).map(|i| Oid::new(&format!("hs{salt}o{i}"))).collect();
+        let kids = |bits: u16| -> Vec<Oid> {
+            let mut v: Vec<Oid> = (0..4).map(|k| pool[usize::from(bits >> (4 * k) & 15) + 8]).collect();
+            v.dedup();
+            v
+        };
+        let mut s = Store::with_config(StoreConfig::default().with_shards(1 << shards));
+        // (parent, member) → the hint the member's last write left.
+        let mut model: BTreeMap<(Oid, Oid), u32> = BTreeMap::new();
+        let hint_now = |s: &Store, c: Oid| s.slot_of(c).unwrap_or(NONE);
+        for (kind, at, bits) in steps {
+            let (x, y) = (pool[at], pool[usize::from(bits) % 24]);
+            match kind {
+                0 | 1 => {
+                    let mut list = kids(bits);
+                    if kind == 1 {
+                        list.push(x);
+                    }
+                    let list: Vec<Oid> = list.iter().copied().collect::<OidSet>().iter().collect();
+                    if s.create(Object::set(x, "hs", &list)).is_ok() {
+                        for &c in &list {
+                            model.insert((x, c), hint_now(&s, c));
+                        }
+                    }
+                }
+                2 => {
+                    let _ = s.create(Object::atom(x, "hs", i64::from(bits)));
+                }
+                3 => {
+                    if s.apply(Update::Remove { oid: x }).is_ok() {
+                        model.retain(|&(p, _), _| p != x);
+                    }
+                }
+                4 => {
+                    if s.insert_edge(x, y).is_ok() {
+                        model.insert((x, y), hint_now(&s, y));
+                    }
+                }
+                5 => {
+                    let fresh = !model.contains_key(&(x, y));
+                    if s.insert_edge_unchecked(x, y).is_ok() && fresh {
+                        model.insert((x, y), hint_now(&s, y));
+                    }
+                }
+                6 => {
+                    if s.delete_edge(x, y).is_ok() {
+                        model.remove(&(x, y));
+                    }
+                }
+                7 | 8 => {
+                    let list = kids(bits);
+                    let value = if kind == 7 {
+                        Value::set_of(list.iter().copied())
+                    } else {
+                        Value::Atom(i64::from(bits).into())
+                    };
+                    if s.replace_value(x, value).is_ok() {
+                        model.retain(|&(p, _), _| p != x);
+                        if kind == 7 {
+                            for &c in &list {
+                                model.insert((x, c), hint_now(&s, c));
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    let cfg = StoreConfig::default().with_shards(s.shard_count());
+                    // Images keep every slot. Exported ones share their
+                    // pages with the store, so they keep its hints;
+                    // decoded ones hold no hints until the build writes
+                    // them.
+                    let decoded = || -> Vec<ShardImage> {
+                        (s.export_images().into_iter())
+                            .map(|img| ShardImage {
+                                len_slots: img.len_slots,
+                                chunks: (img.chunks.iter())
+                                    .map(|c| decode_chunk(EncodedChunk::encode(c).bytes()).unwrap())
+                                    .collect(),
+                            })
+                            .collect()
+                    };
+                    let back = match (kind, bits % 3) {
+                        (9, 0) => Store::from_images(cfg, s.export_images(), s.version()).unwrap(),
+                        (9, _) => Store::from_images(cfg, decoded(), s.version()).unwrap(),
+                        (_, 0) => Store::from_records(s.iter().cloned().collect(), s.version()).unwrap(),
+                        (_, n) => s.reshard(1 << (2 * n)),
+                    };
+                    let shared = (kind, bits % 3) == (9, 0);
+                    for (&(_, c), hint) in model.iter_mut() {
+                        match back.slot_of(c) {
+                            _ if shared => {}
+                            Some(slot) => *hint = slot,
+                            None if kind == 9 => *hint = NONE,
+                            None => {}
+                        }
+                    }
+                    s = back;
+                }
+            }
+            prop_assert_eq!(s.check_invariants(), Ok(()));
+            let mut members = 0;
+            for p in s.oids_sorted() {
+                for (c, hint) in s.children_at(s.slot_of(p).unwrap()) {
+                    members += 1;
+                    prop_assert_eq!(Some(&hint), model.get(&(p, c)), "{} in {}", c.name(), p.name());
+                    prop_assert!(
+                        Some(hint) == s.slot_of(c) || s.oid_at(hint) != Some(c),
+                        "{} in {} hinted at {} passes the check",
+                        c.name(),
+                        p.name(),
+                        hint
+                    );
+                }
+            }
+            prop_assert_eq!(members, model.len());
         }
     }
 }

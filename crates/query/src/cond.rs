@@ -90,15 +90,20 @@ impl Pred {
         }
     }
 
-    /// Is `o` an atomic object whose value satisfies the predicate?
-    pub fn holds_at(&self, store: &Store, o: Oid) -> bool {
-        store.atom(o).is_some_and(|a| self.eval(a))
+    /// Is the object in `slot` atomic, with a value that satisfies the
+    /// predicate? A walk's `hit` hands each object's slot over; a free
+    /// slot holds nothing that satisfies. One access, like
+    /// [`Store::atom`].
+    pub fn holds_at(&self, store: &Store, slot: u32) -> bool {
+        store.atom_at(slot).is_some_and(|a| self.eval(a))
     }
 
     /// The paper's `cond()` applied to a set of objects: true if any of
     /// them is atomic and satisfies the predicate.
     pub fn eval_any(&self, store: &Store, objects: &[Oid]) -> bool {
-        objects.iter().any(|&o| self.holds_at(store, o))
+        objects
+            .iter()
+            .any(|&o| store.atom(o).is_some_and(|a| self.eval(a)))
     }
 }
 

@@ -118,13 +118,20 @@ pub(crate) fn evaluate_with(
     let mut scratch = WalkScratch::default();
     let sel_expr = query.sel_expr();
     let strategy = plan(&sel_expr);
-    let (candidates, tstats) = match &strategy {
+    // A forward selection hands each candidate's slot to its condition
+    // walk.
+    let (candidates, tstats): (Vec<(Oid, Option<u32>)>, _) = match &strategy {
         SelStrategy::Forward => {
             let nfa = sel_expr.nfa();
-            scratch.reach(store, start, &nfa, nfa.start_mask(), &filter)
+            let (found, tstats) =
+                scratch.reach_slots(store, start, &nfa, nfa.start_mask(), &filter);
+            let found = found.into_iter().map(|(o, slot)| (o, Some(slot)));
+            (found.collect(), tstats)
         }
         SelStrategy::Backward { labels } => {
-            backward_in(&mut scratch, store, start, &sel_expr, labels, &filter)
+            let (found, tstats) =
+                backward_in(&mut scratch, store, start, &sel_expr, labels, &filter);
+            (found.into_iter().map(|o| (o, None)).collect(), tstats)
         }
     };
     stats.sel_states_visited = tstats.states_visited;
@@ -133,13 +140,14 @@ pub(crate) fn evaluate_with(
     // `cond()` is existential, so each walk stops at its first witness.
     let cond = query.cond.as_ref().map(|c| (c.path.nfa(), &c.pred));
     let mut result = Vec::new();
-    for x in candidates {
+    for (x, at) in candidates {
         let keep = match &cond {
             None => true,
             Some((nfa, pred)) => {
                 stats.candidates_tested += 1;
-                let (hit, cstats) = scratch.any(store, x, nfa, nfa.start_mask(), &filter, |o| {
-                    pred.holds_at(store, o)
+                let start = nfa.start_mask();
+                let (hit, cstats) = scratch.any(store, x, at, nfa, start, &filter, |_, slot| {
+                    pred.holds_at(store, slot)
                 });
                 stats.cond_states_visited += cstats.states_visited;
                 hit

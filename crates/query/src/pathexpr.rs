@@ -501,6 +501,20 @@ pub fn reach_expr(
     WalkScratch::default().reach(store, n, &nfa, nfa.start_mask(), filter)
 }
 
+/// The slot a walk hands `hit` for a start with no record.
+const NO_RECORD: u32 = u32::MAX;
+
+/// `o`'s slot: `hint` once the record there is `o`'s, else a probe
+/// (see [`Store::children_at`]). Counts no access.
+#[inline]
+fn slot_of(store: &Store, o: Oid, hint: u32) -> Option<u32> {
+    if store.oid_at(hint) == Some(o) {
+        Some(hint)
+    } else {
+        store.slot_of(o)
+    }
+}
+
 /// A scratch table above this many entries is dropped, not cleared,
 /// before the next walk: clearing costs time in proportion to the
 /// capacity, so a whole-store walk would otherwise tax every small
@@ -554,31 +568,54 @@ impl WalkScratch {
         start: u64,
         filter: &dyn Fn(Oid) -> bool,
     ) -> (Vec<Oid>, TraversalStats) {
-        let mut results = Vec::new();
-        let (_, stats) = self.any(store, n, d, start, filter, |o| {
-            results.push(o);
-            false
-        });
-        // An object reached in two accepting state sets was pushed
-        // twice.
-        results.sort_by_key(|o| o.name());
-        results.dedup();
-        (results, stats)
+        let (results, stats) = self.reach_slots(store, n, d, start, filter);
+        (results.into_iter().map(|(o, _)| o).collect(), stats)
     }
 
-    /// Does any object the walk of [`WalkScratch::reach`] reaches
-    /// satisfy `hit`? `hit` sees each object popped in an accepting
-    /// state set, and the walk stops at the first it accepts (paper
-    /// §2: `cond()` holds as soon as one object satisfies it), so
-    /// `states_visited` counts the states visited until then.
-    pub fn any(
+    /// [`WalkScratch::reach`], each object with its slot.
+    pub(crate) fn reach_slots(
         &mut self,
         store: &Store,
         n: Oid,
         d: &Nfa,
         start: u64,
         filter: &dyn Fn(Oid) -> bool,
-        mut hit: impl FnMut(Oid) -> bool,
+    ) -> (Vec<(Oid, u32)>, TraversalStats) {
+        let mut results = Vec::new();
+        let (_, stats) = self.any(store, n, None, d, start, filter, |o, slot| {
+            results.push((o, slot));
+            false
+        });
+        // An object reached in two accepting state sets was pushed
+        // twice.
+        results.sort_by_key(|(o, _)| o.name());
+        results.dedup_by_key(|(o, _)| *o);
+        (results, stats)
+    }
+
+    /// Does any object the walk of [`WalkScratch::reach`] reaches
+    /// satisfy `hit`? `hit` sees each object popped in an accepting
+    /// state set, with its slot, and the walk stops at the first it
+    /// accepts (paper §2: `cond()` holds as soon as one object
+    /// satisfies it), so `states_visited` counts the states visited
+    /// until then.
+    ///
+    /// `at` is `n`'s slot if the caller knows it (the selection walk
+    /// handed it over, say); like every child's slot, read from its
+    /// parent's hint, it is taken once the record there is `n`'s, and
+    /// probed for otherwise ([`Store::children_at`]). A start with no
+    /// record reaches `hit` at `u32::MAX`, a slot every slot read
+    /// answers as free.
+    #[allow(clippy::too_many_arguments)]
+    pub fn any(
+        &mut self,
+        store: &Store,
+        n: Oid,
+        at: Option<u32>,
+        d: &Nfa,
+        start: u64,
+        filter: &dyn Fn(Oid) -> bool,
+        mut hit: impl FnMut(Oid, u32) -> bool,
     ) -> (bool, TraversalStats) {
         if let Some(labels) = d.chain_from(start) {
             if self.level_seen.capacity() > KEEP_SEEN {
@@ -587,6 +624,7 @@ impl WalkScratch {
             let (found, states_visited) = gsdb::path::walk(
                 store,
                 n,
+                at,
                 labels,
                 Some(filter),
                 &mut self.levels,
@@ -599,14 +637,14 @@ impl WalkScratch {
         if !filter(n) {
             return (false, stats);
         }
-        let Some(nslot) = store.slot_of(n) else {
+        let Some(nslot) = slot_of(store, n, at.unwrap_or(NO_RECORD)) else {
             // Starting object absent from the store: the traversal still
             // visits it once (with no children).
             stats.states_visited = 1;
             if d.can_step(start) {
                 let _ = store.children(n);
             }
-            return (d.is_accepting(start) && hit(n), stats);
+            return (d.is_accepting(start) && hit(n, NO_RECORD), stats);
         };
         self.reset();
         let WalkScratch { seen, queue, .. } = self;
@@ -614,17 +652,17 @@ impl WalkScratch {
         queue.push_back((nslot, start));
         while let Some((slot, mask)) = queue.pop_front() {
             stats.states_visited += 1;
-            if d.is_accepting(mask) && store.oid_at(slot).is_some_and(&mut hit) {
+            if d.is_accepting(mask) && store.oid_at(slot).is_some_and(|o| hit(o, slot)) {
                 return (true, stats);
             }
             if !d.can_step(mask) {
                 continue;
             }
-            for &c in store.children_at(slot) {
+            for (c, hint) in store.children_at(slot) {
                 if !filter(c) {
                     continue;
                 }
-                let Some(cslot) = store.slot_of(c) else {
+                let Some(cslot) = slot_of(store, c, hint) else {
                     continue;
                 };
                 let Some(cl) = store.label_at(cslot) else {

@@ -2,12 +2,14 @@
 //! against a brute-force oracle, containment consistency,
 //! forward/backward traversal agreement, the product walk — pruned
 //! at states that step nowhere, run in a reused scratch, stopped at a
-//! first witness — against a naive product BFS, and the constant-path
+//! first witness — against a naive product BFS, the constant-path
 //! walk (`gsdb::path::walk`, behind queries and `gsdb::path::{reach,
-//! eval}`) against the product walk.
+//! eval}`) against the product walk, and every walk, which takes each
+//! child's slot from its parent's hint, against the same walk probing
+//! `slot_of` for every child.
 
 use gsdb::{path, Label, Object, Oid, Path, Store};
-use gsview_query::pathexpr::{reach_expr, Elem, Nfa, PathExpr, WalkScratch};
+use gsview_query::pathexpr::{reach_expr, Elem, Nfa, PathExpr, TraversalStats, WalkScratch};
 use gsview_query::plan::reach_expr_backward;
 use gsview_query::{evaluate, CmpOp, Entry, Pred, Query};
 use proptest::prelude::*;
@@ -377,8 +379,8 @@ fn check_walks(store: &Store, scratch: &mut WalkScratch, walks: &[Walk]) -> Resu
                 w.0, r.start, r.mask, stats.states_visited
             ));
         }
-        let hit = |o: Oid| r.pred.holds_at(store, o);
-        let (any, astats) = scratch.any(store, r.start, &r.nfa, r.mask, &filter, hit);
+        let hit = |_, slot| r.pred.holds_at(store, slot);
+        let (any, astats) = scratch.any(store, r.start, None, &r.nfa, r.mask, &filter, hit);
         if any != r.pred.eval_any(store, &want) || astats.states_visited > want_visited {
             return Err(format!(
                 "any {} {} from {} in {:#b}: got {any} ({} states), full reach {want:?}",
@@ -519,7 +521,7 @@ fn product_order(
     let nfa = twin(e).nfa();
     counted(store, || {
         let mut out = Vec::new();
-        WalkScratch::default().any(store, n, &nfa, nfa.start_mask(), &|_| true, |o| {
+        WalkScratch::default().any(store, n, None, &nfa, nfa.start_mask(), &|_| true, |o, _| {
             if keep(o) {
                 out.push(o);
             }
@@ -584,9 +586,9 @@ proptest! {
                 let reach = counted(&store, || scratch.reach(&store, n, nfa, mask, &admits));
                 let mut order = Vec::new();
                 let any = counted(&store, || {
-                    scratch.any(&store, n, nfa, mask, &admits, |o| {
+                    scratch.any(&store, n, None, nfa, mask, &admits, |o, slot| {
                         order.push(o);
-                        pred.holds_at(&store, o)
+                        pred.holds_at(&store, slot)
                     })
                 });
                 (reach, any, order)
@@ -619,6 +621,193 @@ proptest! {
             let got = counted(&store, || path::eval(&store, n, &p, &cond));
             let want = product_order(&store, n, e, |o| store.atom(o).is_some_and(cond));
             prop_assert_eq!(&got, &want, "eval {} from {} over shape {}, {:?}", p, n, shape, nodes);
+        }
+    }
+
+}
+
+// ----------------------------------------------------------------------
+// Hinted walks against walks that probe every child
+// ----------------------------------------------------------------------
+
+/// Walks reach each child's record through the slot hint its parent's
+/// set keeps. Stale hints are made here: a record removed (a dangling
+/// child) and its slot taken by a filler that carries a label a walk
+/// may follow, or a record removed and created again at another slot
+/// (or the same one, when no filler came between).
+fn stale_hints(store: &mut Store, churn: &[(u8, usize)]) {
+    for (k, &(kind, i)) in churn.iter().enumerate() {
+        let o = shaped(i);
+        let Some(record) = store.get(o).cloned() else {
+            continue;
+        };
+        store.apply(gsdb::Update::Remove { oid: o }).unwrap();
+        if kind != 2 {
+            let filler = Oid::new(&format!("pwfill{k}"));
+            let label = ALPHABET[k % ALPHABET.len()];
+            store
+                .create(Object::atom(filler.name(), label, k as i64))
+                .unwrap();
+        }
+        if kind != 1 {
+            store.create(record).unwrap();
+        }
+    }
+}
+
+/// True iff some label steps the automaton out of `mask`: every
+/// transition is on an alphabet label or on any label, so the alphabet
+/// and one label outside it cover them all.
+fn steps_somewhere(nfa: &Nfa, mask: u64) -> bool {
+    (ALPHABET.iter().chain(&["pw_elsewhere"])).any(|l| nfa.step_mask(mask, Label::new(l)) != 0)
+}
+
+/// [`WalkScratch::any`]'s product walk with every child's slot probed
+/// through `Store::slot_of`, its hint never read: the reference the
+/// hinted walks must equal in answers, order, states and accesses.
+fn probed_any(
+    store: &Store,
+    n: Oid,
+    nfa: &Nfa,
+    start: u64,
+    filter: &dyn Fn(Oid) -> bool,
+    mut hit: impl FnMut(Oid) -> bool,
+) -> (bool, usize) {
+    if !filter(n) {
+        return (false, 0);
+    }
+    let Some(nslot) = store.slot_of(n) else {
+        if steps_somewhere(nfa, start) {
+            let _ = store.children(n);
+        }
+        return (nfa.is_accepting(start) && hit(n), 1);
+    };
+    let mut seen: HashSet<(u32, u64)> = HashSet::from([(nslot, start)]);
+    let mut queue = VecDeque::from([(nslot, start)]);
+    let mut visited = 0;
+    while let Some((slot, mask)) = queue.pop_front() {
+        visited += 1;
+        if nfa.is_accepting(mask) && hit(store.oid_at(slot).unwrap()) {
+            return (true, visited);
+        }
+        if !steps_somewhere(nfa, mask) {
+            continue;
+        }
+        for (c, _) in store.children_at(slot) {
+            if !filter(c) {
+                continue;
+            }
+            let Some(cslot) = store.slot_of(c) else {
+                continue;
+            };
+            let Some(l) = store.label_at(cslot) else {
+                continue;
+            };
+            let next = nfa.step_mask(mask, l);
+            if next != 0 && seen.insert((cslot, next)) {
+                queue.push_back((cslot, next));
+            }
+        }
+    }
+    (false, visited)
+}
+
+/// [`probed_any`] run to the end: every object reached, in order.
+fn probed_order(
+    store: &Store,
+    n: Oid,
+    nfa: &Nfa,
+    start: u64,
+    filter: &dyn Fn(Oid) -> bool,
+) -> (Vec<Oid>, usize) {
+    let mut out = Vec::new();
+    let (_, visited) = probed_any(store, n, nfa, start, filter, |o| {
+        out.push(o);
+        false
+    });
+    (out, visited)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// On trees, DAGs and cyclic graphs with dangling children, with
+    /// records removed and created again at another slot and freed
+    /// slots taken by other records, every walk that reads its
+    /// children's slots from their hints — `gsdb::path::{reach, eval}`,
+    /// `WalkScratch::reach` and `WalkScratch::any` on the constant
+    /// route and on the product — reaches and decides what the same
+    /// walk probing every child reaches and decides, in the same
+    /// order, visiting the same states at the same base accesses.
+    #[test]
+    fn hinted_walks_equal_walks_that_probe_every_child(
+        (shape, nodes) in dense_graph_strategy(),
+        churn in prop::collection::vec((0..3u8, 0..10usize), 0..6),
+        walks in prop::collection::vec(walk_strategy(), 1..6),
+        constants in prop::collection::vec((prop::collection::vec(0..6usize, 0..4), 0..10usize, 0..4i64), 1..4),
+    ) {
+        let mut store = Store::new();
+        build_shaped(&mut store, shape, &nodes);
+        let constants: Vec<(PathExpr, usize, i64)> = (constants.iter())
+            .map(|(steps, start, rhs)| (steered(&store, shaped(*start), steps), *start, *rhs))
+            .collect();
+        stale_hints(&mut store, &churn);
+        prop_assert_eq!(store.check_invariants(), Ok(()));
+        store.set_count_accesses(true);
+        let at = |what: &str| format!("{what} over shape {shape}, {nodes:?}, churn {churn:?}");
+        let mut scratch = WalkScratch::default();
+        for w in &walks {
+            let r = Run::new(w);
+            let filter = |o: Oid| r.admits(o);
+            let got = counted(&store, || scratch.reach(&store, r.start, &r.nfa, r.mask, &filter));
+            let ((mut reached, visited), cost) =
+                counted(&store, || probed_order(&store, r.start, &r.nfa, r.mask, &filter));
+            reached.sort_by_key(|o| o.name());
+            reached.dedup();
+            prop_assert_eq!(got, ((reached, TraversalStats { states_visited: visited }), cost), "{}", at(&w.0.to_string()));
+            let mut order = Vec::new();
+            let got = counted(&store, || {
+                scratch.any(&store, r.start, None, &r.nfa, r.mask, &filter, |o, slot| {
+                    order.push(o);
+                    r.pred.holds_at(&store, slot)
+                })
+            });
+            let mut want_order = Vec::new();
+            let want = counted(&store, || {
+                probed_any(&store, r.start, &r.nfa, r.mask, &filter, |o| {
+                    want_order.push(o);
+                    store.atom(o).is_some_and(|a| r.pred.eval(a))
+                })
+            });
+            prop_assert_eq!((got.0 .0, got.0 .1.states_visited, got.1), (want.0 .0, want.0 .1, want.1), "{}", at(&w.0.to_string()));
+            prop_assert_eq!(order, want_order);
+        }
+        for (e, start, rhs) in &constants {
+            let (n, p, nfa) = (shaped(*start), e.as_path().unwrap(), e.nfa());
+            let (want, want_cost) = counted(&store, || probed_order(&store, n, &nfa, nfa.start_mask(), &|_| true));
+            let got = counted(&store, || path::reach(&store, n, &p));
+            prop_assert_eq!(got, (want.0.clone(), want_cost), "{}", at(&format!("reach {p} from {n}")));
+            let cond = |a: &gsdb::Atom| Pred::new(CmpOp::Lt, *rhs).eval(a);
+            let got = counted(&store, || path::eval(&store, n, &p, &cond));
+            let want = counted(&store, || {
+                let mut out = Vec::new();
+                probed_any(&store, n, &nfa, nfa.start_mask(), &|_| true, |o| {
+                    if store.atom(o).is_some_and(cond) {
+                        out.push(o);
+                    }
+                    false
+                });
+                out
+            });
+            prop_assert_eq!(got, want, "{}", at(&format!("eval {p} from {n}")));
+            let pred = Pred::new(CmpOp::Gt, *rhs);
+            let got = counted(&store, || {
+                scratch.any(&store, n, store.slot_of(n), &nfa, nfa.start_mask(), &|_| true, |_, slot| pred.holds_at(&store, slot))
+            });
+            let want = counted(&store, || {
+                probed_any(&store, n, &nfa, nfa.start_mask(), &|_| true, |o| store.atom(o).is_some_and(|a| pred.eval(a)))
+            });
+            prop_assert_eq!((got.0 .0, got.0 .1.states_visited, got.1), (want.0 .0, want.0 .1, want.1), "{}", at(&format!("any {p} from {n}")));
         }
     }
 }
