@@ -211,9 +211,20 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
                     return;
                 }
                 // A record-less node has no children; a record-less child
-                // is a dangling entry, not a live edge.
-                for &c in store.children(node) {
-                    let Some(l) = store.label(c) else { continue };
+                // is a dangling entry, not a live edge. A child's label
+                // is read at its slot hint once the record there is the
+                // child's, else looked up: one counted access either way.
+                let Some(slot) = store.slot_of(node) else {
+                    let _ = store.children(node);
+                    return;
+                };
+                for (c, hint) in store.children_at(slot) {
+                    let label = if store.oid_at(hint) == Some(c) {
+                        store.label_at(hint)
+                    } else {
+                        store.label(c)
+                    };
+                    let Some(l) = label else { continue };
                     for s2 in bits(self.nfa.step_mask(1 << s, l)) {
                         next.add((src, c, s2), delta);
                     }
@@ -420,6 +431,43 @@ mod tests {
         assert_eq!(f.support((), oid("P2")), 1);
         assert_eq!(pops, 3);
         assert_eq!(cost, 1 + s.children(oid("ROOT")).len() as u64);
+    }
+
+    #[test]
+    fn a_stale_hint_moves_neither_a_flows_counts_nor_its_reads() {
+        // ROOT names P1, which was removed, its slot taken by a filler
+        // and created again elsewhere (a stale hint), P2, created after
+        // ROOT (no hint), and X, which never had a record.
+        let mut s = Store::new();
+        s.create(Object::atom("SA1", "age", 50i64)).unwrap();
+        s.create(Object::set("SP1", "professor", &[oid("SA1")]))
+            .unwrap();
+        let names = [oid("SP1"), oid("SP2"), oid("SX")];
+        s.create(Object::set("SROOT", "root", &names)).unwrap();
+        s.create(Object::set("SP2", "professor", &[oid("SA1")]))
+            .unwrap();
+        s.apply(gsdb::Update::Remove { oid: oid("SP1") }).unwrap();
+        s.create(Object::atom("SFILL", "filler", 0i64)).unwrap();
+        s.create(Object::set("SP1", "professor", &[oid("SA1")]))
+            .unwrap();
+        let root = s.slot_of(oid("SROOT")).unwrap();
+        let (_, hint) = (s.children_at(root).find(|&(c, _)| c == oid("SP1"))).unwrap();
+        assert_eq!(s.oid_at(hint), Some(oid("SFILL")), "the hint is stale");
+        // A whole build hints every child afresh.
+        let fresh = Store::from_records(s.iter().cloned().collect(), s.version()).unwrap();
+        let mut seen = Vec::new();
+        for store in [&s, &fresh] {
+            store.set_count_accesses(true);
+            store.reset_accesses();
+            let (f, pops) = run_forward("professor.age", store, "SROOT");
+            let supports: Vec<i64> = ["SA1", "SP1", "SP2", "SFILL", "SX"]
+                .iter()
+                .map(|n| f.support((), oid(n)))
+                .collect();
+            seen.push((supports, pops, f.state_len(), store.accesses()));
+        }
+        assert_eq!(seen[0].0[0], 2, "SA1 below SP1 and SP2");
+        assert_eq!(seen[0], seen[1]);
     }
 
     #[test]

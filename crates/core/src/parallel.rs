@@ -109,23 +109,29 @@ const SUBTREE_CAP: usize = 4096;
 /// walk exceeds `cap` nodes or reaches a child OID with no surviving
 /// record (a batch `Remove` — surviving children lists may still name
 /// it, and the walk cannot see what used to hang below it).
+///
+/// The walk goes by slot: a child's slot is its slot hint once the
+/// record there is the child's, else a `slot_of` probe
+/// ([`Store::children_at`]), so the check that the child has a record
+/// is the hint check. One counted access per expanded node, as with
+/// [`Store::children`].
 fn subtree_closure(store: &Store, n: Oid, cap: usize) -> Option<FastSet<Oid>> {
     let mut seen: FastSet<Oid> = FastSet::default();
-    if !store.contains(n) {
-        return None;
-    }
+    let start = store.slot_of(n)?;
     seen.insert(n);
-    let mut stack = vec![n];
+    let mut stack = vec![start];
     while let Some(cur) = stack.pop() {
-        for &c in store.children(cur) {
-            if !store.contains(c) {
-                return None;
-            }
+        for (c, hint) in store.children_at(cur) {
+            let slot = if store.oid_at(hint) == Some(c) {
+                hint
+            } else {
+                store.slot_of(c)?
+            };
             if seen.insert(c) {
                 if seen.len() > cap {
                     return None;
                 }
-                stack.push(c);
+                stack.push(slot);
             }
         }
     }
@@ -497,6 +503,38 @@ mod tests {
         }
         let outcomes = pm.apply_batch(&mut views, store, &batch, threads).unwrap();
         (views, outcomes)
+    }
+
+    #[test]
+    fn a_subtree_walk_checks_every_hint_and_reads_as_before() {
+        // T names C, removed, its slot taken by a filler and created
+        // again elsewhere (a stale hint), and D, created after T (no
+        // hint); only C names E. The walk finds C's record, not the
+        // filler, so E is in.
+        let mut s = Store::new();
+        s.create(Object::set("ST_C", "c", &[])).unwrap();
+        s.create(Object::set("ST_T", "t", &[oid("ST_C"), oid("ST_D")]))
+            .unwrap();
+        s.create(Object::atom("ST_D", "d", 1i64)).unwrap();
+        s.create(Object::atom("ST_E", "e", 2i64)).unwrap();
+        s.apply(Update::Remove { oid: oid("ST_C") }).unwrap();
+        s.create(Object::set("ST_F", "c", &[oid("ST_D")])).unwrap();
+        s.create(Object::set("ST_C", "c", &[oid("ST_E")])).unwrap();
+        let t = s.slot_of(oid("ST_T")).unwrap();
+        let (_, hint) = (s.children_at(t).find(|&(c, _)| c == oid("ST_C"))).unwrap();
+        assert_eq!(s.oid_at(hint), Some(oid("ST_F")), "the hint is stale");
+        s.set_count_accesses(true);
+        let closure = subtree_closure(&s, oid("ST_T"), SUBTREE_CAP).unwrap();
+        let mut got: Vec<Oid> = closure.into_iter().collect();
+        got.sort();
+        let mut want = ["ST_T", "ST_C", "ST_D", "ST_E"].map(oid).to_vec();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(s.accesses(), 4, "one children read per node");
+        // Over the cap, and past a child with no record: no closure.
+        assert_eq!(subtree_closure(&s, oid("ST_T"), 3), None);
+        s.apply(Update::Remove { oid: oid("ST_E") }).unwrap();
+        assert_eq!(subtree_closure(&s, oid("ST_T"), SUBTREE_CAP), None);
     }
 
     #[test]
